@@ -11,40 +11,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lpx.grid import GridSpec, ScaleGrid
-from lpx.harness import equivalence_experiment
-from lpx.spaces import (
-    ExponentFunction,
-    MixedNorm,
-    Morrey,
-    OrliczFunction,
-    OrliczSlice,
-    VariableLebesgue,
-    WeightedLebesgue,
-    power_weight,
-)
-
-
-def five_spaces(grid):
-    mesh = grid.coordinate_mesh()
-    r2 = sum(c**2 for c in mesh)
-    exp_fn = ExponentFunction.build(grid, 1.8 - 0.3 * np.exp(-r2))
-    phi = OrliczFunction(
-        lambda t: np.asarray(t, float) ** 1.2 + np.asarray(t, float) ** 1.6,
-        lower_type=1.2,
-        upper_type=1.6,
-    )
-    return {
-        "morrey": Morrey(2.0, 1.0),
-        "mixed": MixedNorm((1.5,)),
-        "variable": VariableLebesgue(exp_fn),
-        "weighted": WeightedLebesgue(1.5, power_weight(grid, 0.5), q_omega=1.5),
-        "orlicz_slice": OrliczSlice(phi, r=1.5, slice_t=1.0),
-    }
+from lpx.harness import equivalence_experiment, five_spaces
 
 
 def main() -> int:

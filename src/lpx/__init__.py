@@ -42,7 +42,7 @@ from .spaces import (
     orlicz_norm,
     space_norm,
 )
-from .squarefuncs import LPParams, g_function, g_lambda_star, lusin_area, tent_functional
+from .squarefuncs import g_function, g_lambda_star, lusin_area, tent_functional
 from .atoms import (
     Molecule,
     TentAtom,

@@ -21,6 +21,7 @@ from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import Lebesgue, SpaceDescriptor, floor_exponent, space_norm
 from .squarefuncs import tent_functional
+from .transforms import apply_multiplier, correlate
 
 __all__ = [
     "Ball",
@@ -117,13 +118,6 @@ class MoleculeReport:
     moments_ok: bool
 
 
-def _count_within(indicator: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Circular correlation count of indicator cells within the mask offsets."""
-    if indicator.ndim == 1:
-        return np.fft.irfft(np.fft.rfft(indicator) * np.fft.rfft(mask), n=indicator.shape[0])
-    return np.fft.irfft2(np.fft.rfft2(indicator) * np.fft.rfft2(mask), s=indicator.shape)
-
-
 def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Per half-space cell, the index of the largest level k such that the
     ball B(y, t) stays inside the superlevel set {area > levels[k]} (-1: none)."""
@@ -137,7 +131,7 @@ def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray)
         outside = (~inside).astype(float)
         for k, t in enumerate(scales.scales):
             mask = (dist < t).astype(float)
-            contained = _count_within(outside, mask) < 0.5
+            contained = correlate(outside, mask) < 0.5
             out[..., k][contained] = li
     return out
 
@@ -159,7 +153,7 @@ def _whitney_regions(
     for r in balls.radii[::-1]:  # largest first
         if not uncovered.any():
             break
-        double_ok = _count_within(outside, (dist < 2.0 * r).astype(float)) < 0.5
+        double_ok = correlate(outside, (dist < 2.0 * r).astype(float)) < 0.5
         candidates = double_ok & uncovered
         if not candidates.any():
             continue
@@ -298,14 +292,15 @@ def synthesize_molecule(
     grid = fieldv.grid
     if scales is not None and scales != fieldv.scales:
         raise ValueError("scales must match the atom's own scale grid")
+    if psi.grid != grid:
+        raise ValueError("kernel grid must match the atom's grid")
     scales = fieldv.scales
-    radii = grid.frequency_radii()
     out = np.zeros(grid.shape, dtype=complex)
     for k, t in enumerate(scales.scales):
         slice_k = fieldv.values[..., k]
         if not np.any(slice_k):
             continue
-        out += np.fft.ifftn(np.fft.fftn(slice_k) * psi.profile(t * radii))
+        out += apply_multiplier(slice_k, psi.multiplier(t))
     out *= scales.log_weight
     return Molecule(func=SampledFunction(grid, out), ball=atom.ball, q=q, d=d, epsilon=epsilon)
 

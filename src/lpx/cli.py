@@ -66,7 +66,7 @@ DEFAULT_CONFIG = {
 }
 
 _ALLOWED_TOP = set(DEFAULT_CONFIG)
-_ALLOWED_PARAMS = {"lambda", "b", "aperture", "theta"}
+_ALLOWED_PARAMS = {"lambda", "b", "aperture"}
 _ALLOWED_EXPERIMENTS = {"equivalence", "change_of_angle", "embedding", "vanish"}
 
 
@@ -187,33 +187,33 @@ def cmd_compute(cfg: dict, input_path: Path, operator: str, out_dir: Path) -> in
     if f.grid != grid:
         raise _Exit(2, "input grid does not match the configuration")
     params = cfg.get("params", {})
-    plan = build_plan(kernel, scales)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if operator in ("S", "g", "gstar", "tent"):
+        F = build_field(f, build_plan(kernel, scales))
+    elif operator in ("peetre", "hardy_norm"):
+        psi_plan = build_plan(calderon_companion(kernel, scales).psi, scales)
 
     scalar = None
     result = None
     if operator == "S":
-        result = lusin_area(f, plan)
+        result = lusin_area(F)
     elif operator == "g":
-        result = g_function(f, plan)
+        result = g_function(F)
     elif operator == "gstar":
         lam = params.get("lambda") or default_lambda(space)
-        result = g_lambda_star(f, plan, lam)
+        result = g_lambda_star(F, lam)
     elif operator == "tent":
         aperture = params.get("aperture", 1.0)
-        result = tent_functional(build_field(f, plan), aperture)
+        result = tent_functional(F, aperture)
     elif operator == "maximal":
         result = hl_maximal(f)
     elif operator == "peetre":
-        pair = calderon_companion(kernel, scales)
         b = params.get("b") or default_peetre_exponent(grid.dim, floor_exponent(space))
-        psi_plan = build_plan(pair.psi, scales)
-        result = peetre_maximal(f, pair.psi, b, psi_plan)
+        result = peetre_maximal(f, psi_plan.kernel, b, psi_plan)
     elif operator == "norm":
         scalar = space_norm(f, space)
     elif operator == "hardy_norm":
-        pair = calderon_companion(kernel, scales)
-        scalar = hardy_norm(f, space, pair, params.get("b"))
+        scalar = hardy_norm(f, space, psi_plan, params.get("b"))
 
     provenance = {
         "config_hash": config_hash(cfg),

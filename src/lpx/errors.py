@@ -5,10 +5,6 @@ class LpxError(Exception):
     """Base class for all library errors."""
 
 
-class ConfigError(LpxError):
-    """Invalid or inconsistent run configuration."""
-
-
 class DualRangeTooSmall(LpxError):
     """Frequency grid does not reach the band required by a kernel."""
 

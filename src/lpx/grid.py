@@ -33,8 +33,6 @@ __all__ = [
     "read_function_csv",
     "write_function_binary",
     "read_function_binary",
-    "write_field_binary",
-    "read_field_binary",
 ]
 
 
@@ -222,9 +220,6 @@ class HalfSpaceField:
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def scale_slice(self, k: int) -> np.ndarray:
-        return self.values[..., k]
-
 
 def integrate(f: SampledFunction) -> complex:
     """Rectangle rule for the integral of f over the box."""
@@ -369,37 +364,3 @@ def read_function_binary(path: str | Path) -> tuple[SampledFunction, dict]:
     flat = np.fromfile(path, dtype="<f8")
     vals = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape)
     return SampledFunction(grid, vals), meta
-
-
-def write_field_binary(F: HalfSpaceField, path: str | Path, extra_meta: dict | None = None) -> None:
-    path = Path(path)
-    flat = np.empty(2 * F.values.size, dtype="<f8")
-    flat[0::2] = F.values.real.ravel()
-    flat[1::2] = F.values.imag.ravel()
-    flat.tofile(path)
-    meta = {
-        "dim": F.grid.dim,
-        "N": F.grid.points_per_axis,
-        "L": F.grid.half_width,
-        "scales": {
-            "t_min": F.scales.t_min,
-            "t_max": F.scales.t_max,
-            "steps_per_octave": F.scales.steps_per_octave,
-        },
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    _sidecar(path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-
-def read_field_binary(path: str | Path) -> tuple[HalfSpaceField, dict]:
-    path = Path(path)
-    meta = json.loads(_sidecar(path).read_text())
-    grid = GridSpec(dim=int(meta["dim"]), half_width=float(meta["L"]), points_per_axis=int(meta["N"]))
-    sc = meta["scales"]
-    scales = ScaleGrid(
-        t_min=float(sc["t_min"]), t_max=float(sc["t_max"]), steps_per_octave=int(sc["steps_per_octave"])
-    )
-    flat = np.fromfile(path, dtype="<f8")
-    vals = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape + (len(scales),))
-    return HalfSpaceField(grid, scales, vals), meta

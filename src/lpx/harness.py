@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,15 +27,22 @@ from .grid import (
 from .kernels import Kernel, build_annular_kernel, build_weak_kernel, calderon_companion
 from .maximal import BallFamily, hardy_norm, hl_maximal
 from .spaces import (
+    ExponentFunction,
+    MixedNorm,
+    Morrey,
+    OrliczFunction,
+    OrliczSlice,
     SpaceDescriptor,
+    VariableLebesgue,
     Weight,
     WeightedLebesgue,
     descriptor_to_json,
     floor_exponent,
+    power_weight,
     space_norm,
 )
 from .squarefuncs import g_function, g_lambda_star, lusin_area, tent_functional
-from .transforms import build_field, build_plan
+from .transforms import build_field, build_plan, convolve_at_scale
 
 __all__ = [
     "ExperimentReport",
@@ -47,7 +52,7 @@ __all__ = [
     "change_of_angle_experiment",
     "embedding_experiment",
     "vanish_at_infinity_check",
-    "worker_count",
+    "five_spaces",
 ]
 
 EQUIVALENCE_SPREAD_MAX = 10.0
@@ -61,22 +66,6 @@ def _json_scalar(obj):
 ANGLE_SLOPE_SLACK = 0.15
 EMBEDDING_SPREAD_MAX = 10.0
 CONCENTRATION_TOL = 1e-6
-
-
-def worker_count() -> int:
-    """Trial-level parallelism, capped by the LPX_THREADS environment variable."""
-    try:
-        return max(1, int(os.environ.get("LPX_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn, n: int):
-    workers = worker_count()
-    if workers == 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
 
 
 @dataclass(frozen=True)
@@ -173,6 +162,21 @@ def trial_function(seed: int, trial: int, grid: GridSpec) -> SampledFunction:
     return f
 
 
+def five_spaces(grid: GridSpec) -> dict[str, SpaceDescriptor]:
+    """The five concrete spaces the equivalence experiment is graded on."""
+    r2 = sum(c**2 for c in grid.coordinate_mesh())
+    exp_fn = ExponentFunction.build(grid, 1.8 - 0.3 * np.exp(-r2))
+    phi = OrliczFunction(lambda t: np.asarray(t, float) ** 1.2 + np.asarray(t, float) ** 1.6,
+                         lower_type=1.2, upper_type=1.6)
+    return {
+        "morrey": Morrey(2.0, 1.0),
+        "mixed": MixedNorm((1.5,)),
+        "variable": VariableLebesgue(exp_fn),
+        "weighted": WeightedLebesgue(1.5, power_weight(grid, 0.5), q_omega=1.5),
+        "orlicz_slice": OrliczSlice(phi, r=1.5, slice_t=1.0),
+    }
+
+
 def default_lambda(space: SpaceDescriptor) -> float:
     return max(1.0, 2.0 / floor_exponent(space)) + 0.5
 
@@ -209,8 +213,8 @@ def equivalence_experiment(
     if trials < 10:
         raise ValueError("need at least 10 trials")
     kernel = _build_kernel(kernel_kind, grid)
-    pair = calderon_companion(kernel, scales)
     plan = build_plan(kernel, scales)
+    psi_plan = build_plan(calderon_companion(kernel, scales).psi, scales)
     if lam is None:
         lam = default_lambda(space)
     elif lam <= max(1.0, 2.0 / floor_exponent(space)):
@@ -222,18 +226,19 @@ def equivalence_experiment(
 
     def one(i: int):
         f = trial_function(seed, i, grid)
-        s_fn = lusin_area(f, plan)
-        gs_fn = g_lambda_star(f, plan, lam)
+        F = build_field(f, plan)
+        s_fn = lusin_area(F)
+        gs_fn = g_lambda_star(F, lam)
         dom_ok = bool(np.all(s_fn.values.real <= dom_factor * gs_fn.values.real * (1 + 1e-12) + 1e-300))
         return (
-            hardy_norm(f, space, pair, b),
+            hardy_norm(f, space, psi_plan, b),
             space_norm(s_fn, space),
-            space_norm(g_function(f, plan), space),
+            space_norm(g_function(F), space),
             space_norm(gs_fn, space),
             dom_ok,
         )
 
-    rows = _map_trials(one, trials)
+    rows = [one(i) for i in range(trials)]
     names = ("hardy", "area", "g", "gstar")
     series = {n: [r[k] for r in rows] for k, n in enumerate(names)}
     domination_ok = all(r[4] for r in rows)
@@ -290,7 +295,7 @@ def change_of_angle_experiment(
         monotone = all(x <= y * (1 + 1e-10) for x, y in zip(norms, norms[1:]))
         return norms, slope, monotone
 
-    rows = _map_trials(one, trials)
+    rows = [one(i) for i in range(trials)]
     slopes = [r[1] for r in rows]
     fitted = float(np.mean(slopes))
     monotone_ok = all(r[2] for r in rows)
@@ -341,7 +346,7 @@ def embedding_experiment(
         f = trial_function(seed, i, grid)
         return space_norm(f, target) / space_norm(f, space)
 
-    ratios = [float(r) for r in _map_trials(one, trials)]
+    ratios = [float(one(i)) for i in range(trials)]
     spread = _spread(ratios)
     finite = all(math.isfinite(r) and r > 0 for r in ratios)
     passed = bool(finite and spread <= EMBEDDING_SPREAD_MAX)
@@ -374,12 +379,12 @@ def peetre_b_sweep(
     be justified empirically.
     """
     kernel = _build_kernel(kernel_kind, grid)
-    pair = calderon_companion(kernel, scales)
+    psi_plan = build_plan(calderon_companion(kernel, scales).psi, scales)
     norms = {b: [] for b in bs}
     for i in range(trials):
         f = trial_function(seed, i, grid)
         for b in bs:
-            norms[b].append(hardy_norm(f, space, pair, b))
+            norms[b].append(hardy_norm(f, space, psi_plan, b))
     # per-trial ratio of each b to the largest b in the sweep
     b_ref = max(bs)
     ratios = {
@@ -413,8 +418,6 @@ def vanish_at_infinity_check(
     if scales is None or t_probe[-1] > scales.t_max or t_probe[0] < scales.t_min:
         scales = ScaleGrid(t_probe[0], max(t_probe[-1], 4 * t_probe[0]), 4)
     plan = build_plan(phi, scales)
-    from .transforms import convolve_at_scale
-
     sups = []
     for t in t_probe:
         out = convolve_at_scale(f, plan, t)

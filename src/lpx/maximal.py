@@ -19,8 +19,7 @@ from scipy import ndimage
 
 from .errors import ZeroDenominator
 from .grid import GridSpec, SampledFunction
-from .kernels import ReproducingPair
-from .transforms import ConvolutionPlan, build_field, build_plan
+from .transforms import ConvolutionPlan, build_field, correlate
 
 __all__ = [
     "BallFamily",
@@ -34,6 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_RADII_PER_OCTAVE = {1: 32, 2: 8}
+PEETRE_CHUNK = 128  # offsets gathered per vectorized step of the smoothed sup
 
 
 def ball_volume(radius: float, dim: int) -> float:
@@ -101,12 +101,6 @@ class BallFamily:
     def __len__(self) -> int:
         return len(self.radii)
 
-    def iter_balls(self):
-        """Enumerate (center index, radius) over the whole family."""
-        for r in self.radii:
-            for idx in np.ndindex(self.grid.shape):
-                yield idx, float(r)
-
     def mask(self, radius: float) -> np.ndarray:
         """Offset-indexed membership mask: torus distance < radius."""
         d = self.grid.offset_distances()
@@ -129,9 +123,7 @@ class BallFamily:
         mask = self.mask(radius)
         if mask.all():
             return np.full(grid.shape, values.sum())
-        out = np.fft.irfft2(np.fft.rfft2(values) * np.fft.rfft2(mask.astype(float)),
-                            s=grid.shape)
-        return out
+        return correlate(values, mask.astype(float))
 
     def ball_filter(self, values: np.ndarray, radius: float, op: str) -> np.ndarray:
         """Max or min of ``values`` over B(x, r) for every center x."""
@@ -183,22 +175,15 @@ def powered_maximal(f: SampledFunction, theta: float, balls: BallFamily | None =
     return SampledFunction(f.grid, np.real(m.values) ** (1.0 / theta))
 
 
-def peetre_maximal(
-    f: SampledFunction,
-    psi,
-    b: float,
-    plan: ConvolutionPlan | None = None,
-    chunk: int = 128,
-) -> SampledFunction:
+def peetre_maximal(f: SampledFunction, psi, b: float, plan: ConvolutionPlan) -> SampledFunction:
     """Smoothed maximal function sup_{y, t} |psi_t * f(x - y)| / (1 + |y|/t)^b.
 
-    The supremum runs over every grid offset y (torus distance, hence |y| <= L)
-    and every scale of the plan's grid.
+    ``plan`` is the convolution plan of the kernel psi; the supremum runs over
+    every grid offset y (torus distance, hence |y| <= L) and every scale of
+    the plan's grid.
     """
     if b <= 0:
         raise ValueError("b must be positive")
-    if plan is None:
-        raise ValueError("peetre_maximal needs a convolution plan for psi")
     field = build_field(f, plan)
     grid = f.grid
     shape = grid.shape
@@ -214,9 +199,9 @@ def peetre_maximal(
         weights = (1.0 + dist / t) ** (-b)
         col = mags[:, k].reshape(shape)
         best = np.zeros(n_cells)
-        for start in range(0, len(keep), chunk):
-            offs = keep[start : start + chunk]
-            w = weights[start : start + chunk]
+        for start in range(0, len(keep), PEETRE_CHUNK):
+            offs = keep[start : start + PEETRE_CHUNK]
+            w = weights[start : start + PEETRE_CHUNK]
             # x - y for every x at once: roll the column by each offset
             gathered = np.empty((len(offs), n_cells))
             for i, off in enumerate(offs):
@@ -231,14 +216,17 @@ def default_peetre_exponent(dim: int, floor_exponent: float) -> float:
     return 2.0 * (dim / floor_exponent + 1.0)
 
 
-def hardy_norm(f: SampledFunction, space, pair: ReproducingPair, b: float | None = None) -> float:
-    """Space norm of the smoothed maximal function of the companion kernel."""
+def hardy_norm(f: SampledFunction, space, psi_plan: ConvolutionPlan, b: float | None = None) -> float:
+    """Space norm of the smoothed maximal function of the companion kernel.
+
+    ``psi_plan`` is the companion's plan, ``build_plan(pair.psi, pair.scales)``
+    for a ``ReproducingPair`` pair; build it once and reuse it across inputs.
+    """
     from .spaces import floor_exponent, space_norm  # deferred: spaces uses BallFamily
 
     if b is None:
         b = default_peetre_exponent(f.grid.dim, floor_exponent(space))
-    plan = build_plan(pair.psi, pair.scales)
-    m = peetre_maximal(f, pair.psi, b, plan)
+    m = peetre_maximal(f, psi_plan.kernel, b, psi_plan)
     return space_norm(m, space)
 
 

@@ -10,7 +10,7 @@ modular, which is strictly monotone in the scaling parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -92,10 +92,9 @@ def power_weight(grid: GridSpec, a: float, family: BallFamily | None = None) -> 
 
 @dataclass(frozen=True)
 class ExponentFunction:
-    """Variable exponent p(x) with its recorded log-Holder constant."""
+    """Variable exponent p(x) sampled at the cell centers."""
 
     values: np.ndarray
-    log_holder_constant: float = field(default=float("nan"))
 
     @classmethod
     def build(cls, grid: GridSpec, values: np.ndarray) -> "ExponentFunction":
@@ -104,17 +103,7 @@ class ExponentFunction:
             raise ValueError("exponent shape must match the grid")
         if values.min() <= 0 or not np.all(np.isfinite(values)):
             raise ValueError("exponent must be positive and finite")
-        flat = values.ravel()
-        mesh = grid.coordinate_mesh()
-        pts = np.stack([c.ravel() for c in mesh], axis=1)
-        # smallest C with |p(x)-p(y)| <= C / log(e + 1/|x-y|) over all grid pairs
-        c_min = 0.0
-        for i in range(len(flat)):
-            d = np.linalg.norm(pts - pts[i], axis=1)
-            d[i] = np.inf
-            c_here = np.max(np.abs(flat - flat[i]) * np.log(np.e + 1.0 / d))
-            c_min = max(c_min, c_here)
-        return cls(values=values, log_holder_constant=float(c_min))
+        return cls(values=values)
 
     @property
     def p_minus(self) -> float:
@@ -140,15 +129,14 @@ class OrliczFunction:
             raise ValueError("Phi(0) must be 0")
         if np.any(vals <= 0) or np.any(np.diff(vals) < 0):
             raise ValueError("Phi must be positive and nondecreasing on (0, inf)")
-        # sampled type bounds: Phi(s t) <= C s^p Phi(t); record the worst constant
+        # sampled type bounds: Phi(s t) <= C s^p Phi(t) with a finite worst constant
         s = np.logspace(-3, 0, 16)
         big_s = np.logspace(0, 3, 16)
         t = np.logspace(-3, 3, 16)
-        low = np.max(self.evaluator(np.outer(s, t)) / (s[:, None] ** self.lower_type * vals_of(self.evaluator, t)))
-        up = np.max(self.evaluator(np.outer(big_s, t)) / (big_s[:, None] ** self.upper_type * vals_of(self.evaluator, t)))
+        low = np.max(self.evaluator(np.outer(s, t)) / (s[:, None] ** self.lower_type * self.evaluator(t)))
+        up = np.max(self.evaluator(np.outer(big_s, t)) / (big_s[:, None] ** self.upper_type * self.evaluator(t)))
         if not (np.isfinite(low) and np.isfinite(up)):
             raise ValueError("type bounds do not hold on the sample grid")
-        object.__setattr__(self, "_type_constants", (float(low), float(up)))
 
     def inverse(self, y: float) -> float:
         """Numeric inverse on (0, inf) by bisection in log-argument."""
@@ -164,10 +152,6 @@ class OrliczFunction:
             if hi / lo < 1 + LUXEMBURG_RTOL:
                 break
         return math.sqrt(lo * hi)
-
-
-def vals_of(fn, t):
-    return fn(np.asarray(t, dtype=float))
 
 
 def power_orlicz(p: float) -> OrliczFunction:

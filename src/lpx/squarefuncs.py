@@ -1,48 +1,22 @@
 """Cone functionals and the three multiscale square functions.
 
-All quadratures share the half-space measure dy dt / t^(n+1) realized as
-cell_volume * ln2/J * t_k^(-n) per cell, with the torus distance deciding
-cone membership.  Per scale, the sums over y are circular convolutions and
-run through the FFT.
+Every square function takes a prebuilt half-space field F(y, t_k) =
+phi_{t_k} * f(y) (see ``transforms.build_field``), so one field per input
+serves all three.  All quadratures share the half-space measure
+dy dt / t^(n+1) realized as cell_volume * ln2/J * t_k^(-n) per cell, with the
+torus distance deciding cone membership.  Per scale, the sums over y are
+circular correlations and run through ``transforms.correlate``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LambdaTooSmall
 from .grid import HalfSpaceField, SampledFunction
-from .transforms import ConvolutionPlan, build_field
+from .transforms import correlate
 
-__all__ = ["LPParams", "tent_functional", "lusin_area", "g_function", "g_lambda_star"]
-
-
-@dataclass(frozen=True)
-class LPParams:
-    """Aperture, weight decay, and smoothing exponents used by the harness."""
-
-    aperture: float = 1.0
-    lam: float = 2.0
-    peetre_b: float = 4.0
-
-    def __post_init__(self):
-        if self.aperture < 0:
-            raise ValueError("aperture must be nonnegative")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if self.peetre_b <= 0:
-            raise ValueError("peetre_b must be positive")
-
-
-def _circular_correlate(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """sum_y values[y] * kernel[x - y] on the torus, via the FFT."""
-    if values.ndim == 1:
-        out = np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(kernel), n=len(values))
-    else:
-        out = np.fft.irfft2(np.fft.rfft2(values) * np.fft.rfft2(kernel), s=values.shape)
-    return out
+__all__ = ["tent_functional", "lusin_area", "g_function", "g_lambda_star"]
 
 
 def tent_functional(F: HalfSpaceField, alpha: float) -> SampledFunction:
@@ -58,39 +32,38 @@ def tent_functional(F: HalfSpaceField, alpha: float) -> SampledFunction:
         mask = (dist < alpha * t).astype(float)
         if not mask.any():
             continue
-        acc += _circular_correlate(power[..., k], mask) * weights[k]
+        acc += correlate(power[..., k], mask) * weights[k]
     np.maximum(acc, 0.0, out=acc)
     return SampledFunction(grid, np.sqrt(acc))
 
 
-def lusin_area(f: SampledFunction, plan: ConvolutionPlan) -> SampledFunction:
-    """Unit-aperture cone square function of the multiscale convolutions of f."""
-    return tent_functional(build_field(f, plan), 1.0)
+def lusin_area(F: HalfSpaceField) -> SampledFunction:
+    """Unit-aperture cone square function of the field F = (phi_t * f)_t."""
+    return tent_functional(F, 1.0)
 
 
-def g_function(f: SampledFunction, plan: ConvolutionPlan) -> SampledFunction:
-    """Vertical square function: the dt/t average of |phi_t * f| at each point."""
-    F = build_field(f, plan)
-    acc = np.sum(np.abs(F.values) ** 2, axis=-1) * plan.scales.log_weight
-    return SampledFunction(f.grid, np.sqrt(acc))
+def g_function(F: HalfSpaceField) -> SampledFunction:
+    """Vertical square function of F = (phi_t * f)_t: sqrt of the dt/t integral of |F(x, t)|^2."""
+    acc = np.sum(np.abs(F.values) ** 2, axis=-1) * F.scales.log_weight
+    return SampledFunction(F.grid, np.sqrt(acc))
 
 
-def g_lambda_star(f: SampledFunction, plan: ConvolutionPlan, lam: float) -> SampledFunction:
-    """Globally weighted square function with weight (t/(t+|x-y|))^(lambda*n).
+def g_lambda_star(F: HalfSpaceField, lam: float) -> SampledFunction:
+    """Globally weighted square function of the field F = (phi_t * f)_t with
+    weight (t/(t+|x-y|))^(lambda*n).
 
     The y-sum runs over the whole box; lambda must exceed 1 so the weight is
     integrable at the continuum level.
     """
     if lam <= 1.0:
         raise LambdaTooSmall(f"lambda must exceed 1, got {lam:g}")
-    grid, scales = f.grid, plan.scales
-    F = build_field(f, plan)
+    grid, scales = F.grid, F.scales
     dist = grid.offset_distances()
     power = np.abs(F.values) ** 2
     acc = np.zeros(grid.shape)
     lw = scales.log_weight * grid.cell_volume
     for k, t in enumerate(scales.scales):
         kernel = (t / (t + dist)) ** (lam * grid.dim)
-        acc += _circular_correlate(power[..., k], kernel) * (lw / t**grid.dim)
+        acc += correlate(power[..., k], kernel) * (lw / t**grid.dim)
     np.maximum(acc, 0.0, out=acc)
     return SampledFunction(grid, np.sqrt(acc))

@@ -15,7 +15,8 @@ from .errors import ScaleOutOfRange
 from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .kernels import Kernel
 
-__all__ = ["ConvolutionPlan", "build_plan", "convolve_at_scale", "build_field", "spatial_kernel"]
+__all__ = ["ConvolutionPlan", "build_plan", "correlate", "apply_multiplier", "convolve_at_scale",
+           "build_field", "spatial_kernel"]
 
 WRAP_DECAY_THRESHOLD = 1e-8
 
@@ -29,9 +30,6 @@ class ConvolutionPlan:
     scales: ScaleGrid
     multipliers: np.ndarray  # shape (len(scales),) + grid.shape
     wraparound_warning: bool
-
-    def multiplier_at(self, k: int) -> np.ndarray:
-        return self.multipliers[k]
 
 
 def build_plan(kernel: Kernel, scales: ScaleGrid) -> ConvolutionPlan:
@@ -51,7 +49,18 @@ def build_plan(kernel: Kernel, scales: ScaleGrid) -> ConvolutionPlan:
                            wraparound_warning=warn)
 
 
-def _apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+def correlate(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """sum_y values[y] * kernel[x - y] on the torus for real 1-D or 2-D arrays, via the FFT.
+
+    ``kernel`` is offset-indexed (index 0 = zero offset), like ``GridSpec.offset_distances``.
+    """
+    if values.ndim == 1:
+        return np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(kernel), n=len(values))
+    return np.fft.irfft2(np.fft.rfft2(values) * np.fft.rfft2(kernel), s=values.shape)
+
+
+def apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Fourier multiplier on the periodic grid: ifft(fft(values) * mult)."""
     return np.fft.ifftn(np.fft.fftn(values) * mult)
 
 
@@ -65,8 +74,8 @@ def convolve_at_scale(f: SampledFunction, plan: ConvolutionPlan, t: float) -> Sa
     if np.isclose(ts[k], t, rtol=1e-12, atol=0.0):
         mult = plan.multipliers[k]
     else:
-        mult = plan.kernel.profile(t * plan.grid.frequency_radii())
-    return SampledFunction(f.grid, _apply_multiplier(f.values, mult))
+        mult = plan.kernel.multiplier(t)
+    return SampledFunction(f.grid, apply_multiplier(f.values, mult))
 
 
 def build_field(f: SampledFunction, plan: ConvolutionPlan) -> HalfSpaceField:
@@ -86,6 +95,5 @@ def spatial_kernel(kernel: Kernel, t: float) -> np.ndarray:
     cell_volume * sum_y f(y) * spatial_kernel[x - y] on the torus.
     """
     grid = kernel.grid
-    mult = kernel.profile(t * grid.frequency_radii())
     scale = grid.size / (2.0 * grid.half_width) ** grid.dim
-    return np.fft.ifftn(mult) * scale
+    return np.fft.ifftn(kernel.multiplier(t)) * scale

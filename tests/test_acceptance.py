@@ -22,7 +22,7 @@ from lpx.atoms import (
     tent_decompose,
 )
 from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, indicator_box, pure_frequency
-from lpx.harness import change_of_angle_experiment, equivalence_experiment, trial_function
+from lpx.harness import change_of_angle_experiment, equivalence_experiment, five_spaces, trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion, reproduce
 from lpx.maximal import BallFamily, ball_volume, hl_maximal
 from lpx.spaces import (
@@ -30,7 +30,6 @@ from lpx.spaces import (
     Lebesgue,
     MixedNorm,
     Morrey,
-    OrliczFunction,
     OrliczSlice,
     VariableLebesgue,
     Weight,
@@ -69,10 +68,10 @@ def test_criterion_1_pointwise_domination():
         scales = ScaleGrid(1 / 16, min(2.0, width / 4), 4)
         plan = build_plan(build_annular_kernel(grid), scales)
         for trial in range(20):
-            f = trial_function(101, trial, grid)
-            s = lusin_area(f, plan).values.real
+            F = build_field(trial_function(101, trial, grid), plan)
+            s = lusin_area(F).values.real
             for lam in (1.5, 2.0, 3.0):
-                gs = g_lambda_star(f, plan, lam).values.real
+                gs = g_lambda_star(F, lam).values.real
                 bound = 2.0 ** (lam * dim / 2.0) * gs
                 ok = s <= bound * (1 + 1e-12) + 1e-300
                 if not np.all(ok):
@@ -87,19 +86,19 @@ def test_criterion_2_pure_frequency_closed_forms():
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
     scales = ScaleGrid(1 / 16, 16.0, 8)
     plan = build_plan(build_annular_kernel(grid), scales)
-    f = pure_frequency(grid, [48])  # |xi| = 3
+    F = build_field(pure_frequency(grid, [48]), plan)  # |xi| = 3
     ts = scales.scales
     prof = plan.kernel.profile(3.0 * ts)
 
-    g = g_function(f, plan).values.real
+    g = g_function(F).values.real
     g_oracle = math.sqrt(float(np.sum(prof**2)) * scales.log_weight)
     g_ok = float(np.max(np.abs(g - g_oracle))) <= 1e-6 * g_oracle
 
-    s = lusin_area(f, plan).values.real
+    s = lusin_area(F).values.real
     s_ok = float(np.max(np.abs(s - math.sqrt(2.0) * g) / (math.sqrt(2.0) * g))) <= 0.05
 
     lam = 2.0
-    gs = g_lambda_star(f, plan, lam).values.real
+    gs = g_lambda_star(F, lam).values.real
     total = 0.0
     for t, a in zip(ts, prof):
         if a == 0.0:
@@ -151,28 +150,13 @@ def test_criterion_4_change_of_angles():
     report(4, all_ok, "; ".join(lines) + f" ({elapsed:.1f}s)")
 
 
-def _five_spaces(grid):
-    mesh = grid.coordinate_mesh()
-    r2 = sum(c**2 for c in mesh)
-    exp_fn = ExponentFunction.build(grid, 1.8 - 0.3 * np.exp(-r2))
-    phi = OrliczFunction(lambda t: np.asarray(t, float) ** 1.2 + np.asarray(t, float) ** 1.6,
-                         lower_type=1.2, upper_type=1.6)
-    return {
-        "Morrey(2,1)": Morrey(2.0, 1.0),
-        "Mixed(1.5)": MixedNorm((1.5,)),
-        "Variable": VariableLebesgue(exp_fn),
-        "Weighted(1.5,|x|^1/2)": WeightedLebesgue(1.5, power_weight(grid, 0.5), q_omega=1.5),
-        "OrliczSlice": OrliczSlice(phi, r=1.5, slice_t=1.0),
-    }
-
-
 def test_criterion_5_norm_equivalence_spreads():
     t0 = time.time()
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=512)
     scales = ScaleGrid(1 / 16, 16.0, 8)
     lines = []
     all_ok = True
-    for name, X in _five_spaces(grid).items():
+    for name, X in five_spaces(grid).items():
         rep = equivalence_experiment(X, "annular", 20, grid, scales, seed=505)
         all_ok &= rep.passed
         lines.append(f"{name}: spread {rep.summary['worst_spread']:.2f}")

@@ -147,6 +147,17 @@ def test_molecule_zero_atom():
     assert np.all(mol.func.values == 0)
 
 
+def test_molecule_rejects_kernel_on_other_grid():
+    other = build_annular_kernel(GridSpec(dim=1, half_width=4.0, points_per_axis=256))
+    atom = TentAtom(
+        field=HalfSpaceField(GRID, SCALES, np.zeros((256, len(SCALES)))),
+        ball=Ball(center=(0,), radius=1.0),
+        coefficient=0.0,
+    )
+    with pytest.raises(ValueError):
+        synthesize_molecule(atom, other)
+
+
 def test_molecule_synthesis_linear():
     phi = build_annular_kernel(GRID)
     pair = calderon_companion(phi, ScaleGrid(1 / 16, 16.0, 8))

@@ -1,0 +1,37 @@
+"""``perfbench/layers.py`` wraps lpx functions by name and reads their arguments:
+a traced equivalence experiment must raise in no layer, find the smoothed
+maximal function's plan, and build one phi-field and one psi-field per trial."""
+
+import importlib.util
+from pathlib import Path
+
+from lpx import harness
+from lpx.grid import GridSpec, ScaleGrid
+from lpx.spaces import Lebesgue
+
+LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_equivalence_experiment_builds_two_fields_per_trial():
+    layers = _load_layers()
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    scales = ScaleGrid(1 / 16, 16.0, 8)
+    trials = 10
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        since = tracer.mark()
+        harness.equivalence_experiment(Lebesgue(2.0), "annular", trials, grid, scales, seed=0)
+        metrics, _ = tracer.summarize(since)
+    finally:
+        tracer.uninstall()
+    assert {k: v for k, v in metrics.items() if k.endswith(".errors") and v} == {}
+    assert metrics["maximal.peetre_maximal.triples"] > 0
+    assert metrics["transforms.build_field.calls"] == 2 * trials

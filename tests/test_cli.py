@@ -53,6 +53,13 @@ def test_lambda_below_one_exits_2(tmp_path):
     assert code == 2
 
 
+def test_unread_theta_param_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, params={"theta": 0.5})
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"])
+    assert code == 2
+    assert "unknown params" in capsys.readouterr().err
+
+
 def test_compute_g_constant_output(tmp_path):
     cfg = write_config(tmp_path)
     inp = write_input(tmp_path)

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from lpx.grid import (
     GridSpec,
-    read_field_binary,
-    write_field_binary,
     HalfSpaceField,
     SampledFunction,
     ScaleGrid,
@@ -213,16 +211,3 @@ def test_indicator_box_mass():
     g = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
     f = indicator_box(g, [0.0], [1.0])
     assert integrate(f).real == pytest.approx(1.0, abs=2 * g.cell_volume)
-
-
-def test_field_binary_roundtrip(tmp_path):
-    g = GridSpec(dim=1, half_width=2.0, points_per_axis=16)
-    sg = ScaleGrid(t_min=0.25, t_max=2.0, steps_per_octave=4)
-    rng = np.random.default_rng(9)
-    F = HalfSpaceField(g, sg, rng.normal(size=(16, len(sg))) + 1j * rng.normal(size=(16, len(sg))))
-    path = tmp_path / "field.bin"
-    write_field_binary(F, path)
-    back, meta = read_field_binary(path)
-    assert np.array_equal(back.values, F.values)
-    assert back.scales == sg
-    assert meta["scales"]["steps_per_octave"] == 4

@@ -17,7 +17,7 @@ from lpx.maximal import (
     powered_maximal,
 )
 from lpx.spaces import Lebesgue
-from lpx.transforms import build_plan
+from lpx.transforms import build_field, build_plan
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
 
@@ -152,6 +152,11 @@ def pair():
     return calderon_companion(build_annular_kernel(GridSpec(1, 8.0, 512)), SCALES)
 
 
+@pytest.fixture(scope="module")
+def psi_plan(pair):
+    return build_plan(pair.psi, SCALES)
+
+
 def test_peetre_constant_with_unit_mass_kernel():
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=128)
 
@@ -167,54 +172,49 @@ def test_peetre_constant_with_unit_mass_kernel():
     assert np.allclose(m.values.real, 1.0, atol=1e-12)
 
 
-def test_peetre_pure_frequency(pair):
+def test_peetre_pure_frequency(pair, psi_plan):
     grid = pair.phi.grid
-    plan = build_plan(pair.psi, SCALES)
     f = pure_frequency(grid, [48])  # |xi| = 3
-    m = peetre_maximal(f, pair.psi, b=4.0, plan=plan)
+    m = peetre_maximal(f, pair.psi, b=4.0, plan=psi_plan)
     expected = max(abs(pair.psi.profile(np.array([3.0 * t]))[0]) for t in SCALES.scales)
     assert np.allclose(m.values.real, expected, rtol=1e-10)
 
 
-def test_peetre_decreases_in_b(pair):
+def test_peetre_decreases_in_b(pair, psi_plan):
     grid = pair.phi.grid
-    plan = build_plan(pair.psi, SCALES)
     f = gaussian_bump(grid, [0.3], 0.4)
-    m1 = peetre_maximal(f, pair.psi, b=2.0, plan=plan).values.real
-    m2 = peetre_maximal(f, pair.psi, b=4.0, plan=plan).values.real
+    m1 = peetre_maximal(f, pair.psi, b=2.0, plan=psi_plan).values.real
+    m2 = peetre_maximal(f, pair.psi, b=4.0, plan=psi_plan).values.real
     assert np.all(m2 <= m1 + 1e-14)
 
 
-def test_peetre_dominates_zero_offset(pair):
-    from lpx.transforms import build_field
-
+def test_peetre_dominates_zero_offset(pair, psi_plan):
     grid = pair.phi.grid
-    plan = build_plan(pair.psi, SCALES)
     f = gaussian_bump(grid, [-0.5], 0.3)
-    m = peetre_maximal(f, pair.psi, b=3.0, plan=plan).values.real
-    F = np.abs(build_field(f, plan).values)
+    m = peetre_maximal(f, pair.psi, b=3.0, plan=psi_plan).values.real
+    F = np.abs(build_field(f, psi_plan).values)
     assert np.all(m >= F.max(axis=-1) - 1e-13)
 
 
-def test_hardy_norm_zero_and_homogeneous(pair):
+def test_hardy_norm_zero_and_homogeneous(pair, psi_plan):
     grid = pair.phi.grid
     zero = SampledFunction(grid, np.zeros(512))
-    assert hardy_norm(zero, Lebesgue(2.0), pair) == 0.0
+    assert hardy_norm(zero, Lebesgue(2.0), psi_plan) == 0.0
     f = gaussian_bump(grid, [0.2], 0.5)
-    h1 = hardy_norm(f, Lebesgue(2.0), pair)
-    h3 = hardy_norm(3.0 * f, Lebesgue(2.0), pair)
+    h1 = hardy_norm(f, Lebesgue(2.0), psi_plan)
+    h3 = hardy_norm(3.0 * f, Lebesgue(2.0), psi_plan)
     assert h3 == pytest.approx(3.0 * h1, rel=1e-12)
 
 
-def test_hardy_norm_comparable_to_area_norm(pair):
+def test_hardy_norm_comparable_to_area_norm(pair, psi_plan):
     from lpx.spaces import space_norm
     from lpx.squarefuncs import lusin_area
 
     grid = pair.phi.grid
     plan = build_plan(pair.phi, SCALES)
     f = SampledFunction(grid, (pure_frequency(grid, [48]).values * gaussian_bump(grid, [0.0], 0.8).values))
-    h = hardy_norm(f, Lebesgue(2.0), pair)
-    s = space_norm(lusin_area(f, plan), Lebesgue(2.0))
+    h = hardy_norm(f, Lebesgue(2.0), psi_plan)
+    s = space_norm(lusin_area(build_field(f, plan)), Lebesgue(2.0))
     assert 0.25 <= h / s <= 4.0
 
 
@@ -259,9 +259,5 @@ def test_fs_vector_check_zero_denominator():
 def test_ball_family_enumeration():
     grid = GridSpec(dim=1, half_width=2.0, points_per_axis=16)
     balls = BallFamily.build(grid, 1)
-    pairs = list(balls.iter_balls())
-    assert len(pairs) == len(balls.radii) * grid.size
-    centers = {c for c, _ in pairs}
-    assert len(centers) == grid.size  # every grid point is a center
     assert balls.radii[0] == grid.spacing  # one cell
     assert balls.radii[-1] == 2.0 * grid.half_width  # full box

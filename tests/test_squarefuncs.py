@@ -13,7 +13,7 @@ from lpx.grid import (
     pure_frequency,
 )
 from lpx.kernels import build_annular_kernel
-from lpx.squarefuncs import LPParams, g_function, g_lambda_star, lusin_area, tent_functional
+from lpx.squarefuncs import g_function, g_lambda_star, lusin_area, tent_functional
 from lpx.transforms import build_field, build_plan
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
@@ -23,14 +23,6 @@ SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
 @pytest.fixture(scope="module")
 def plan():
     return build_plan(build_annular_kernel(GRID), SCALES)
-
-
-def test_lpparams_validation():
-    LPParams(aperture=0.0, lam=2.0, peetre_b=1.0)
-    with pytest.raises(ValueError):
-        LPParams(lam=0.0)
-    with pytest.raises(ValueError):
-        LPParams(aperture=-1.0)
 
 
 def test_tent_functional_zero_field():
@@ -87,14 +79,15 @@ def test_tent_functional_monotone_in_aperture():
 
 def test_lusin_area_is_tent_of_field(plan):
     f = gaussian_bump(GRID, [0.4], 0.5)
-    direct = tent_functional(build_field(f, plan), 1.0)
-    via = lusin_area(f, plan)
+    F = build_field(f, plan)
+    direct = tent_functional(F, 1.0)
+    via = lusin_area(F)
     assert np.array_equal(via.values, direct.values)
 
 
 def test_g_function_pure_frequency_oracle(plan):
     f = pure_frequency(GRID, [48])  # |xi| = 3
-    g = g_function(f, plan).values.real
+    g = g_function(build_field(f, plan)).values.real
     ts = SCALES.scales
     oracle = np.sqrt(np.sum(plan.kernel.profile(3.0 * ts) ** 2) * SCALES.log_weight)
     assert np.max(np.abs(g - oracle)) <= 1e-6 * oracle
@@ -102,13 +95,13 @@ def test_g_function_pure_frequency_oracle(plan):
 
 def test_g_function_zero(plan):
     z = SampledFunction(GRID, np.zeros(1024))
-    assert np.all(g_function(z, plan).values == 0.0)
+    assert np.all(g_function(build_field(z, plan)).values == 0.0)
 
 
 def test_lusin_area_pure_frequency_is_sqrt2_g(plan):
-    f = pure_frequency(GRID, [48])
-    s = lusin_area(f, plan).values.real
-    g = g_function(f, plan).values.real
+    F = build_field(pure_frequency(GRID, [48]), plan)
+    s = lusin_area(F).values.real
+    g = g_function(F).values.real
     # the 1-D unit ball has measure 2, so S ~ sqrt(2) g for flat spectra
     ref = np.sqrt(2.0) * g
     assert np.max(np.abs(s - ref) / ref) < 0.05
@@ -120,21 +113,21 @@ def test_lusin_area_pure_frequency_is_sqrt2_g(plan):
 
 def test_lusin_homogeneity(plan):
     f = gaussian_bump(GRID, [0.0], 0.4)
-    s1 = lusin_area(f, plan).values.real
-    s2 = lusin_area(-2.0 * f, plan).values.real
+    s1 = lusin_area(build_field(f, plan)).values.real
+    s2 = lusin_area(build_field(-2.0 * f, plan)).values.real
     assert np.allclose(s2, 2.0 * s1, rtol=1e-12, atol=1e-300)
 
 
 def test_g_lambda_star_requires_lambda_above_one(plan):
     f = gaussian_bump(GRID, [0.0], 0.4)
     with pytest.raises(LambdaTooSmall):
-        g_lambda_star(f, plan, 1.0)
+        g_lambda_star(build_field(f, plan), 1.0)
 
 
 def test_g_lambda_star_pure_frequency_truncated_weight_oracle(plan):
     lam = 2.0
     f = pure_frequency(GRID, [48])
-    gs = g_lambda_star(f, plan, lam).values.real
+    gs = g_lambda_star(build_field(f, plan), lam).values.real
     ts = SCALES.scales
     L = GRID.half_width
     total = 0.0
@@ -151,7 +144,7 @@ def test_g_lambda_star_pure_frequency_truncated_weight_oracle(plan):
 
 def test_g_lambda_star_zero(plan):
     z = SampledFunction(GRID, np.zeros(1024))
-    assert np.all(g_lambda_star(z, plan, 2.0).values == 0.0)
+    assert np.all(g_lambda_star(build_field(z, plan), 2.0).values == 0.0)
 
 
 @pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
@@ -160,9 +153,9 @@ def test_pointwise_domination_s_by_glambda(plan, lam):
     spectrum = np.zeros(1024, dtype=complex)
     band = (GRID.frequency_radii() > 1.0) & (GRID.frequency_radii() < 6.0)
     spectrum[band] = rng.normal(size=band.sum()) + 1j * rng.normal(size=band.sum())
-    f = SampledFunction(GRID, np.fft.ifft(spectrum))
-    s = lusin_area(f, plan).values.real
-    gs = g_lambda_star(f, plan, lam).values.real
+    F = build_field(SampledFunction(GRID, np.fft.ifft(spectrum)), plan)
+    s = lusin_area(F).values.real
+    gs = g_lambda_star(F, lam).values.real
     bound = 2.0 ** (lam * GRID.dim / 2.0) * gs
     assert np.all(s <= bound * (1 + 1e-12) + 1e-300)
 
@@ -172,10 +165,10 @@ def test_pointwise_domination_2d():
     scales = ScaleGrid(0.125, 2.0, 4)
     plan = build_plan(build_annular_kernel(grid), scales)
     rng = np.random.default_rng(7)
-    f = SampledFunction(grid, rng.normal(size=(64, 64)))
-    s = lusin_area(f, plan).values.real
+    F = build_field(SampledFunction(grid, rng.normal(size=(64, 64))), plan)
+    s = lusin_area(F).values.real
     for lam in (1.5, 2.0, 3.0):
-        gs = g_lambda_star(f, plan, lam).values.real
+        gs = g_lambda_star(F, lam).values.real
         bound = 2.0 ** (lam * grid.dim / 2.0) * gs
         assert np.all(s <= bound * (1 + 1e-12) + 1e-300)
 
@@ -185,7 +178,7 @@ def test_g_below_weighted_column_bound(plan):
     # the summand of g^2 at each scale
     f = gaussian_bump(GRID, [0.1], 0.3)
     F = build_field(f, plan)
-    gs = g_lambda_star(f, plan, 2.0).values.real
+    gs = g_lambda_star(F, 2.0).values.real
     col = np.abs(F.values) ** 2
     ts = SCALES.scales
     contrib = (col * (GRID.cell_volume / ts**GRID.dim) * SCALES.log_weight).sum(axis=-1)
@@ -196,11 +189,10 @@ def test_subadditivity_of_square_functions(plan):
     rng = np.random.default_rng(9)
     f = SampledFunction(GRID, rng.normal(size=1024))
     g = SampledFunction(GRID, rng.normal(size=1024))
-    for op in (lambda h: lusin_area(h, plan), lambda h: g_function(h, plan),
-               lambda h: g_lambda_star(h, plan, 2.0)):
-        a = op(f).values.real
-        b = op(g).values.real
-        ab = op(f + g).values.real
+    for op in (lusin_area, g_function, lambda F: g_lambda_star(F, 2.0)):
+        a = op(build_field(f, plan)).values.real
+        b = op(build_field(g, plan)).values.real
+        ab = op(build_field(f + g, plan)).values.real
         assert np.all(ab <= a + b + 1e-10)
 
 
@@ -209,6 +201,6 @@ def test_monotone_in_scale_window():
     narrow = build_plan(build_annular_kernel(GRID), ScaleGrid(1 / 8, 2.0, 8))
     wide = build_plan(build_annular_kernel(GRID), ScaleGrid(1 / 32, 8.0, 8))
     for op in (lusin_area, g_function):
-        a = op(f, narrow).values.real
-        b = op(f, wide).values.real
+        a = op(build_field(f, narrow)).values.real
+        b = op(build_field(f, wide)).values.real
         assert np.all(b >= a - 1e-12)

@@ -4,7 +4,8 @@ import pytest
 from lpx.errors import ScaleOutOfRange
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, pure_frequency
 from lpx.kernels import build_annular_kernel, build_weak_kernel
-from lpx.transforms import build_field, build_plan, convolve_at_scale, spatial_kernel
+from lpx.transforms import (apply_multiplier, build_field, build_plan, convolve_at_scale, correlate,
+                            spatial_kernel)
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=512)
 SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
@@ -131,3 +132,33 @@ def test_2d_pure_frequency_diagonalization():
     out = convolve_at_scale(f, plan, t)
     expected = plan.kernel.profile(np.array([np.sqrt(5.0) * t]))[0]
     assert np.allclose(out.values, expected * f.values, atol=1e-12)
+
+
+def _torus_sum(values, kernel):
+    """Direct O(N^(2d)) sum_y values[y] * kernel[x - y] on the torus."""
+    shape = values.shape
+    out = np.zeros(shape, dtype=np.result_type(values, kernel))
+    for x in np.ndindex(shape):
+        for y in np.ndindex(shape):
+            out[x] += values[y] * kernel[tuple((a - b) % n for a, b, n in zip(x, y, shape))]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 8)], ids=["1d-16", "2d-8x8"])
+def test_correlate_matches_direct_torus_sum(shape):
+    rng = np.random.default_rng(len(shape))
+    values, kernel = rng.normal(size=shape), rng.normal(size=shape)
+    slow = _torus_sum(values, kernel)
+    assert np.max(np.abs(correlate(values, kernel) - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)], ids=["1d-16", "2d-8x8"])
+def test_apply_multiplier_matches_spatial_kernel_sum(dim, n):
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    kernel = build_weak_kernel(grid)
+    t = 0.5
+    rng = np.random.default_rng(dim)
+    f = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    slow = grid.cell_volume * _torus_sum(f, spatial_kernel(kernel, t))
+    fast = apply_multiplier(f, kernel.multiplier(t))
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
