@@ -19,7 +19,7 @@ import numpy as np
 from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
-from .spaces import Lebesgue, SpaceDescriptor, floor_exponent, space_norm
+from .spaces import Lebesgue, SpaceDescriptor, space_norm
 from .squarefuncs import tent_functional
 from .transforms import apply_multiplier, correlate
 
@@ -270,7 +270,7 @@ def tent_decompose(
 
 def default_molecule_decay(space: SpaceDescriptor, q: float, dim: int) -> float:
     """Smallest admissible shell decay rate, with a small safety margin."""
-    theta = min(1.0, floor_exponent(space))
+    theta = min(1.0, space.floor())
     return dim * (1.0 / theta - 1.0 / q) + 0.01
 
 
@@ -418,7 +418,7 @@ def coefficient_functional(
         return 0.0
     grid = decomp.residual.grid
     if s is None:
-        s = min(1.0, floor_exponent(space))
+        s = min(1.0, space.floor())
     acc = np.zeros(grid.shape)
     for atom in decomp.atoms:
         indicator = ball_indicator(grid, atom.ball)

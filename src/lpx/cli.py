@@ -37,9 +37,9 @@ from .harness import (
     equivalence_experiment,
     vanish_at_infinity_check,
 )
-from .kernels import build_annular_kernel, build_weak_kernel, calderon_companion, write_kernel_csv
+from .kernels import KernelKind, build_kernel, calderon_companion, write_kernel_csv
 from .maximal import default_peetre_exponent, hardy_norm, hl_maximal, peetre_maximal
-from .spaces import descriptor_from_json, floor_exponent, space_norm
+from .spaces import descriptor_from_json, space_norm
 from .squarefuncs import g_function, g_lambda_star, lusin_area, tent_functional
 from .transforms import build_field, build_plan
 
@@ -67,7 +67,13 @@ DEFAULT_CONFIG = {
 
 _ALLOWED_TOP = set(DEFAULT_CONFIG)
 _ALLOWED_PARAMS = {"lambda", "b", "aperture"}
-_ALLOWED_EXPERIMENTS = {"equivalence", "change_of_angle", "embedding", "vanish"}
+# the option keys cmd_verify reads for each experiment
+_EXPERIMENT_OPTIONS = {
+    "equivalence": {"trials"},
+    "change_of_angle": {"trials", "alphas"},
+    "embedding": {"trials", "s", "epsilon"},
+    "vanish": {"t_probe"},
+}
 
 
 class _Exit(Exception):
@@ -117,17 +123,25 @@ def _validate(cfg: dict) -> None:
                   steps_per_octave=int(s["steps_per_octave"]))
     except (ValueError, KeyError) as exc:
         raise _Exit(2, f"bad scales: {exc}")
-    if cfg["kernel"] not in ("annular", "weak"):
+    if cfg["kernel"] not in [k.value for k in KernelKind]:
         raise _Exit(2, f"unknown kernel kind {cfg['kernel']!r}")
-    unknown = set(cfg.get("params", {})) - _ALLOWED_PARAMS
+    params = cfg.get("params", {})
+    unknown = set(params) - _ALLOWED_PARAMS
     if unknown:
         raise _Exit(2, f"unknown params: {sorted(unknown)}")
-    unknown = set(cfg.get("experiments", {})) - _ALLOWED_EXPERIMENTS
+    for key, floor in (("lambda", 1.0), ("b", 0.0)):
+        val = params.get(key)
+        if val is not None and not (type(val) in (int, float) and val > floor):
+            raise _Exit(2, f"{key} must be a number above {floor:g}, got {val!r}")
+    experiments = cfg.get("experiments", {})
+    unknown = set(experiments) - set(_EXPERIMENT_OPTIONS)
     if unknown:
         raise _Exit(2, f"unknown experiments: {sorted(unknown)}")
-    lam = cfg.get("params", {}).get("lambda")
-    if lam is not None and lam <= 1.0:
-        raise _Exit(2, f"lambda must exceed 1, got {lam}")
+    for name, opts in experiments.items():
+        allowed = _EXPERIMENT_OPTIONS[name]
+        if not isinstance(opts, dict) or set(opts) - allowed:
+            raise _Exit(2, f"experiments.{name} must be an object with keys among {sorted(allowed)}, "
+                           f"got {opts!r}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -141,9 +155,9 @@ def _build(cfg: dict):
     s = cfg["scales"]
     scales = ScaleGrid(float(s["t_min"]), float(s["t_max"]), int(s["steps_per_octave"]))
     try:
-        kernel = build_annular_kernel(grid) if cfg["kernel"] == "annular" else build_weak_kernel(grid)
+        kernel = build_kernel(cfg["kernel"], grid)
         space = descriptor_from_json(cfg["space"], grid)
-    except (LpxError, ValueError) as exc:
+    except (LpxError, ValueError, OSError) as exc:  # OSError: a weight or exponent CSV
         raise _Exit(2, str(exc))
     return grid, scales, kernel, space
 
@@ -208,8 +222,10 @@ def cmd_compute(cfg: dict, input_path: Path, operator: str, out_dir: Path) -> in
     elif operator == "maximal":
         result = hl_maximal(f)
     elif operator == "peetre":
-        b = params.get("b") or default_peetre_exponent(grid.dim, floor_exponent(space))
-        result = peetre_maximal(f, psi_plan.kernel, b, psi_plan)
+        b = params.get("b")
+        if b is None:
+            b = default_peetre_exponent(grid.dim, space.floor())
+        result = peetre_maximal(f, b, plan=psi_plan)
     elif operator == "norm":
         scalar = space_norm(f, space)
     elif operator == "hardy_norm":
@@ -328,7 +344,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         )
     )
 
-    s_emb = float(emb_opts.get("s", max(1.0, min(2.0, floor_exponent(space)))))
+    s_emb = float(emb_opts.get("s", max(1.0, min(2.0, space.floor()))))
     reports.append(
         (
             "embedding",

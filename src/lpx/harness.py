@@ -24,23 +24,9 @@ from .grid import (
     gaussian_bump,
     indicator_ball,
 )
-from .kernels import Kernel, build_annular_kernel, build_weak_kernel, calderon_companion
+from .kernels import Kernel, build_kernel, calderon_companion
 from .maximal import BallFamily, hardy_norm, hl_maximal
-from .spaces import (
-    ExponentFunction,
-    MixedNorm,
-    Morrey,
-    OrliczFunction,
-    OrliczSlice,
-    SpaceDescriptor,
-    VariableLebesgue,
-    Weight,
-    WeightedLebesgue,
-    descriptor_to_json,
-    floor_exponent,
-    power_weight,
-    space_norm,
-)
+from .spaces import SpaceDescriptor, Weight, WeightedLebesgue, descriptor_from_json, space_norm
 from .squarefuncs import g_function, g_lambda_star, lusin_area, tent_functional
 from .transforms import build_field, build_plan, convolve_at_scale
 
@@ -52,6 +38,7 @@ __all__ = [
     "change_of_angle_experiment",
     "embedding_experiment",
     "vanish_at_infinity_check",
+    "FIVE_SPACES",
     "five_spaces",
 ]
 
@@ -162,31 +149,23 @@ def trial_function(seed: int, trial: int, grid: GridSpec) -> SampledFunction:
     return f
 
 
+# the five concrete spaces the equivalence experiment is graded on, as JSON recipes
+FIVE_SPACES = {
+    "morrey": {"tag": "morrey", "p": 2.0, "r": 1.0},
+    "mixed": {"tag": "mixed", "p": [1.5]},
+    "variable": {"tag": "variable", "base": 1.8, "dip": 0.3},
+    "weighted": {"tag": "weighted", "p": 1.5, "weight": {"kind": "power", "a": 0.5}, "q_omega": 1.5},
+    "orlicz_slice": {"tag": "orlicz_slice", "r": 1.5, "t": 1.0, "lower_type": 1.2, "upper_type": 1.6},
+}
+
+
 def five_spaces(grid: GridSpec) -> dict[str, SpaceDescriptor]:
-    """The five concrete spaces the equivalence experiment is graded on."""
-    r2 = sum(c**2 for c in grid.coordinate_mesh())
-    exp_fn = ExponentFunction.build(grid, 1.8 - 0.3 * np.exp(-r2))
-    phi = OrliczFunction(lambda t: np.asarray(t, float) ** 1.2 + np.asarray(t, float) ** 1.6,
-                         lower_type=1.2, upper_type=1.6)
-    return {
-        "morrey": Morrey(2.0, 1.0),
-        "mixed": MixedNorm((1.5,)),
-        "variable": VariableLebesgue(exp_fn),
-        "weighted": WeightedLebesgue(1.5, power_weight(grid, 0.5), q_omega=1.5),
-        "orlicz_slice": OrliczSlice(phi, r=1.5, slice_t=1.0),
-    }
+    """The ``FIVE_SPACES`` recipes built on the grid."""
+    return {name: descriptor_from_json(cfg, grid) for name, cfg in FIVE_SPACES.items()}
 
 
 def default_lambda(space: SpaceDescriptor) -> float:
-    return max(1.0, 2.0 / floor_exponent(space)) + 0.5
-
-
-def _build_kernel(kind: str, grid: GridSpec) -> Kernel:
-    if kind == "annular":
-        return build_annular_kernel(grid)
-    if kind == "weak":
-        return build_weak_kernel(grid)
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    return max(1.0, 2.0 / space.floor()) + 0.5
 
 
 def _spread(values) -> float:
@@ -212,12 +191,12 @@ def equivalence_experiment(
     norms across the mixed trial family; pass iff every pairwise spread <= 10."""
     if trials < 10:
         raise ValueError("need at least 10 trials")
-    kernel = _build_kernel(kernel_kind, grid)
+    kernel = build_kernel(kernel_kind, grid)
     plan = build_plan(kernel, scales)
     psi_plan = build_plan(calderon_companion(kernel, scales).psi, scales)
     if lam is None:
         lam = default_lambda(space)
-    elif lam <= max(1.0, 2.0 / floor_exponent(space)):
+    elif lam <= max(1.0, 2.0 / space.floor()):
         # the operator is fine for any lambda > 1; only the equivalence
         # constants are guaranteed above this threshold
         warnings.warn(f"lambda={lam:g} is below the equivalence range for this space",
@@ -252,7 +231,7 @@ def equivalence_experiment(
     passed = worst <= EQUIVALENCE_SPREAD_MAX and domination_ok
     return ExperimentReport(
         name="norm_equivalence",
-        space=descriptor_to_json(space),
+        space=space.to_json(),
         kernel_kind=kernel_kind,
         seed=seed,
         trials=trials,
@@ -282,9 +261,9 @@ def change_of_angle_experiment(
         raise ConeOverflow(
             f"aperture {max(alphas):g} at t_max {scales.t_max:g} exceeds the box"
         )
-    kernel = _build_kernel(kernel_kind, grid)
+    kernel = build_kernel(kernel_kind, grid)
     plan = build_plan(kernel, scales)
-    s_exp = floor_exponent(space)
+    s_exp = space.floor()
     bound = max(grid.dim / 2.0, grid.dim / s_exp)
 
     def one(i: int):
@@ -304,7 +283,7 @@ def change_of_angle_experiment(
     series["slope"] = slopes
     return ExperimentReport(
         name="change_of_angle",
-        space=descriptor_to_json(space),
+        space=space.to_json(),
         kernel_kind=kernel_kind,
         seed=seed,
         trials=trials,
@@ -352,7 +331,7 @@ def embedding_experiment(
     passed = bool(finite and spread <= EMBEDDING_SPREAD_MAX)
     return ExperimentReport(
         name="weighted_embedding",
-        space=descriptor_to_json(space),
+        space=space.to_json(),
         kernel_kind="",
         seed=seed,
         trials=trials,
@@ -378,7 +357,7 @@ def peetre_b_sweep(
     how the norm ratios move as b varies above the default, so the choice can
     be justified empirically.
     """
-    kernel = _build_kernel(kernel_kind, grid)
+    kernel = build_kernel(kernel_kind, grid)
     psi_plan = build_plan(calderon_companion(kernel, scales).psi, scales)
     norms = {b: [] for b in bs}
     for i in range(trials):

@@ -31,6 +31,7 @@ __all__ = [
     "weak_profile",
     "build_annular_kernel",
     "build_weak_kernel",
+    "build_kernel",
     "calderon_companion",
     "band_coverage",
     "reproduce",
@@ -157,6 +158,15 @@ def build_weak_kernel(grid: GridSpec) -> Kernel:
     )
     validate_kernel(kernel)
     return kernel
+
+
+def build_kernel(kind: str, grid: GridSpec) -> Kernel:
+    """Kernel of the family named by a ``KernelKind`` value.  The catalogue is
+    built per call, so a wrapper installed on a builder's module name sees it."""
+    builders = {KernelKind.ANNULAR.value: build_annular_kernel, KernelKind.WEAK.value: build_weak_kernel}
+    if kind not in builders:
+        raise ValueError(f"unknown kernel kind {kind!r}; valid: {sorted(builders)}")
+    return builders[kind](grid)
 
 
 @dataclass(frozen=True)

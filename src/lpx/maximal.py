@@ -175,7 +175,7 @@ def powered_maximal(f: SampledFunction, theta: float, balls: BallFamily | None =
     return SampledFunction(f.grid, np.real(m.values) ** (1.0 / theta))
 
 
-def peetre_maximal(f: SampledFunction, psi, b: float, plan: ConvolutionPlan) -> SampledFunction:
+def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> SampledFunction:
     """Smoothed maximal function sup_{y, t} |psi_t * f(x - y)| / (1 + |y|/t)^b.
 
     ``plan`` is the convolution plan of the kernel psi; the supremum runs over
@@ -222,11 +222,11 @@ def hardy_norm(f: SampledFunction, space, psi_plan: ConvolutionPlan, b: float | 
     ``psi_plan`` is the companion's plan, ``build_plan(pair.psi, pair.scales)``
     for a ``ReproducingPair`` pair; build it once and reuse it across inputs.
     """
-    from .spaces import floor_exponent, space_norm  # deferred: spaces uses BallFamily
+    from .spaces import space_norm  # deferred: spaces uses BallFamily
 
     if b is None:
-        b = default_peetre_exponent(f.grid.dim, floor_exponent(space))
-    m = peetre_maximal(f, psi_plan.kernel, b, psi_plan)
+        b = default_peetre_exponent(f.grid.dim, space.floor())
+    m = peetre_maximal(f, b, plan=psi_plan)
     return space_norm(m, space)
 
 

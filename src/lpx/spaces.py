@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .errors import NoBracket, NotInAInfty
-from .grid import GridSpec, SampledFunction
+from .grid import GridSpec, SampledFunction, read_function_csv
 from .maximal import BallFamily, ball_volume
 
 __all__ = [
@@ -32,12 +32,11 @@ __all__ = [
     "space_norm",
     "orlicz_norm",
     "convexify_norm",
-    "floor_exponent",
     "ap_characteristic",
     "critical_index",
     "power_weight",
+    "SPACES",
     "descriptor_from_json",
-    "descriptor_to_json",
 ]
 
 LUXEMBURG_BRACKET = (1e-30, 1e30)
@@ -160,134 +159,23 @@ def power_orlicz(p: float) -> OrliczFunction:
 
 
 # ---------------------------------------------------------------------------
-# space descriptors
+# Luxemburg-type norms
 
 
-@dataclass(frozen=True)
-class Lebesgue:
-    p: float
+def _luxemburg_norm(mag: np.ndarray, cellvol: float, density: Callable[[np.ndarray], np.ndarray]) -> float:
+    """inf{lam : sum of density(mag / lam) times cellvol <= 1}.
 
-    def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError("p must be positive")
+    Bisection on the modular, which must be strictly decreasing in lam.
+    """
+    sup = float(mag.max())
+    if sup == 0.0:
+        return 0.0
 
-    tag = "lebesgue"
+    def modular(lam: float) -> float:
+        with np.errstate(divide="ignore"):
+            ratio = mag / lam
+        return float(np.sum(density(ratio)) * cellvol)
 
-
-@dataclass(frozen=True)
-class WeightedLebesgue:
-    p: float
-    weight: Weight
-    q_omega: float | None = None  # critical Muckenhoupt exponent, if known
-
-    tag = "weighted"
-
-
-@dataclass(frozen=True)
-class Morrey:
-    p: float
-    r: float
-    family: BallFamily | None = None
-
-    def __post_init__(self):
-        if not (0 < self.r <= self.p):
-            raise ValueError("need 0 < r <= p")
-
-    tag = "morrey"
-
-
-@dataclass(frozen=True)
-class MixedNorm:
-    exponents: tuple[float, ...]
-
-    def __post_init__(self):
-        if not all(0 < p for p in self.exponents):
-            raise ValueError("every exponent must be positive (math.inf allowed)")
-
-    tag = "mixed"
-
-
-@dataclass(frozen=True)
-class VariableLebesgue:
-    exponent: ExponentFunction
-
-    tag = "variable"
-
-
-@dataclass(frozen=True)
-class OrliczSlice:
-    phi: OrliczFunction
-    r: float
-    slice_t: float
-
-    def __post_init__(self):
-        if self.r <= 0 or self.slice_t <= 0:
-            raise ValueError("r and slice_t must be positive")
-
-    tag = "orlicz_slice"
-
-
-SpaceDescriptor = Lebesgue | WeightedLebesgue | Morrey | MixedNorm | VariableLebesgue | OrliczSlice
-
-
-def floor_exponent(space: SpaceDescriptor) -> float:
-    """Admissible lower exponent of the space, used for lambda and b defaults."""
-    if isinstance(space, Lebesgue):
-        return space.p
-    if isinstance(space, WeightedLebesgue):
-        q = space.q_omega if space.q_omega is not None else critical_index(space.weight)
-        return space.p / q
-    if isinstance(space, Morrey):
-        return space.r
-    if isinstance(space, MixedNorm):
-        return float(min(space.exponents))
-    if isinstance(space, VariableLebesgue):
-        return space.exponent.p_minus
-    if isinstance(space, OrliczSlice):
-        return min(space.r, space.phi.lower_type)
-    raise TypeError(f"unknown space descriptor {space!r}")
-
-
-# ---------------------------------------------------------------------------
-# norms
-
-
-def _lebesgue_norm(mag: np.ndarray, p: float, cellvol: float, weight: np.ndarray | None = None) -> float:
-    w = weight if weight is not None else 1.0
-    return float((np.sum(mag**p * w) * cellvol) ** (1.0 / p))
-
-
-def _morrey_norm(f: SampledFunction, space: Morrey) -> float:
-    family = space.family or BallFamily.build(f.grid, 4)
-    mag = np.abs(f.values)
-    dim = f.grid.dim
-    cellvol = f.grid.cell_volume
-    best = 0.0
-    for rad in family.radii:
-        local = family.ball_sums(mag**space.r, rad) * cellvol
-        np.maximum(local, 0.0, out=local)
-        factor = ball_volume(float(rad), dim) ** (1.0 / space.p - 1.0 / space.r)
-        best = max(best, factor * float(local.max()) ** (1.0 / space.r))
-    return float(best)
-
-
-def _mixed_norm(f: SampledFunction, space: MixedNorm) -> float:
-    ps = space.exponents
-    if len(ps) != f.grid.dim:
-        raise ValueError("need one exponent per axis")
-    spacing = f.grid.spacing
-    work = np.abs(f.values)
-    # integrate axis by axis: first exponent binds the first axis
-    for p in ps:
-        if math.isinf(p):
-            work = work.max(axis=0)
-        else:
-            work = (np.sum(work**p, axis=0) * spacing) ** (1.0 / p)
-    return float(work)
-
-
-def _luxemburg(modular: Callable[[float], float], sup: float) -> float:
-    """inf{lam : modular(lam) <= 1} for a modular strictly decreasing in lam."""
     lo = sup * LUXEMBURG_BRACKET[0]
     hi = sup * LUXEMBURG_BRACKET[1]
     if modular(hi) > 1.0 or modular(lo) < 1.0:
@@ -303,95 +191,269 @@ def _luxemburg(modular: Callable[[float], float], sup: float) -> float:
     return hi
 
 
-def _variable_norm(f: SampledFunction, space: VariableLebesgue) -> float:
-    mag = np.abs(f.values)
-    sup = float(mag.max())
-    if sup == 0.0:
-        return 0.0
-    pvals = space.exponent.values
-    cellvol = f.grid.cell_volume
-
-    def modular(lam: float) -> float:
-        with np.errstate(divide="ignore"):
-            ratio = mag / lam
-        return float(np.sum(np.where(mag > 0, ratio**pvals, 0.0)) * cellvol)
-
-    return _luxemburg(modular, sup)
-
-
 def orlicz_norm(f: SampledFunction, phi: OrliczFunction) -> float:
     """Luxemburg norm inf{lam : integral of Phi(|f|/lam) <= 1}."""
-    mag = np.abs(f.values)
-    sup = float(mag.max())
-    if sup == 0.0:
-        return 0.0
-    cellvol = f.grid.cell_volume
-
-    def modular(lam: float) -> float:
-        return float(np.sum(phi.evaluator(mag / lam)) * cellvol)
-
-    return _luxemburg(modular, sup)
+    return _luxemburg_norm(np.abs(f.values), f.grid.cell_volume, phi.evaluator)
 
 
-def _orlicz_slice_norm(f: SampledFunction, space: OrliczSlice) -> float:
-    grid = f.grid
-    mask = grid.offset_distances() < space.slice_t
-    count = int(np.count_nonzero(mask))
-    if count == 0:
-        raise ValueError("slice radius smaller than one cell")
-    cellvol = grid.cell_volume
-    # denominator: the slice ball indicator has the same norm at every center
-    phi = space.phi
-    denom = 1.0 / phi.inverse(1.0 / (count * cellvol))
+def _read_csv_on(grid: GridSpec, path: str, what: str) -> SampledFunction:
+    f = read_function_csv(path)
+    if f.grid != grid:
+        raise ValueError(f"{what} CSV {path} is sampled on {f.grid}, not on the configured {grid}")
+    return f
 
-    mag = np.abs(f.values)
-    # gather each ball's samples: windows[x] = values within the slice around x
-    offsets = np.argwhere(np.asarray(mask).reshape(grid.shape))
-    flat = mag.reshape(-1)
-    n = grid.points_per_axis
-    if grid.dim == 1:
-        offs = offsets[:, 0]
-        idx = (np.arange(n)[:, None] + offs[None, :]) % n
-        windows = flat[idx]
-    else:
-        ox, oy = offsets[:, 0], offsets[:, 1]
-        base = np.arange(grid.size)
-        bx, by = np.unravel_index(base, grid.shape)
-        ix = (bx[:, None] + ox[None, :]) % n
-        iy = (by[:, None] + oy[None, :]) % n
-        windows = mag[ix, iy]
 
-    sups = windows.max(axis=1)
-    lams = np.where(sups > 0, sups, 1.0)
-    lo = lams * LUXEMBURG_BRACKET[0]
-    hi = lams * LUXEMBURG_BRACKET[1]
-    # vectorized bisection of the window modulars
-    for _ in range(80):
-        mid = np.sqrt(lo * hi)
-        mods = phi.evaluator(windows / mid[:, None]).sum(axis=1) * cellvol
-        high = mods > 1.0
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
-    inner = np.where(sups > 0, hi, 0.0)
-    ratios = inner / denom
-    return float((np.sum(ratios**space.r) * cellvol) ** (1.0 / space.r))
+# ---------------------------------------------------------------------------
+# space descriptors
+#
+# Each descriptor carries its norm, its floor exponent (the admissible lower
+# exponent used for lambda and b defaults), its JSON form, and a ``from_json``
+# recipe that reads exactly the keys listed in ``json_keys``.
+
+
+@dataclass(frozen=True)
+class Lebesgue:
+    p: float
+
+    tag: ClassVar[str] = "lebesgue"
+    json_keys: ClassVar[tuple[str, ...]] = ("p",)
+
+    def __post_init__(self):
+        if self.p <= 0:
+            raise ValueError("p must be positive")
+
+    def norm(self, f: SampledFunction) -> float:
+        return float((np.sum(np.abs(f.values) ** self.p) * f.grid.cell_volume) ** (1.0 / self.p))
+
+    def floor(self) -> float:
+        return self.p
+
+    def to_json(self) -> dict:
+        return {"tag": self.tag, "p": self.p}
+
+    @classmethod
+    def from_json(cls, cfg: dict, grid: GridSpec) -> "Lebesgue":
+        return cls(p=float(cfg["p"]))
+
+
+@dataclass(frozen=True)
+class WeightedLebesgue:
+    p: float
+    weight: Weight
+    q_omega: float | None = None  # critical Muckenhoupt exponent, if known
+
+    tag: ClassVar[str] = "weighted"
+    json_keys: ClassVar[tuple[str, ...]] = ("p", "weight", "q_omega")
+
+    def norm(self, f: SampledFunction) -> float:
+        weighted = np.abs(f.values) ** self.p * self.weight.array
+        return float((np.sum(weighted) * f.grid.cell_volume) ** (1.0 / self.p))
+
+    def floor(self) -> float:
+        q = self.q_omega if self.q_omega is not None else critical_index(self.weight)
+        return self.p / q
+
+    def to_json(self) -> dict:
+        out = {"tag": self.tag, "p": self.p}
+        if self.q_omega is not None:
+            out["q_omega"] = self.q_omega
+        return out
+
+    @classmethod
+    def from_json(cls, cfg: dict, grid: GridSpec) -> "WeightedLebesgue":
+        wcfg = cfg.get("weight", {"kind": "power", "a": 0.5})
+        if wcfg.get("kind") == "power":
+            weight = power_weight(grid, float(wcfg["a"]))
+        elif wcfg.get("kind") == "csv":
+            vals = _read_csv_on(grid, wcfg["path"], "weight")
+            weight = Weight(values=vals, family=BallFamily.build(grid, 4))
+        else:
+            raise ValueError(f"unknown weight recipe {wcfg!r}")
+        return cls(p=float(cfg["p"]), weight=weight, q_omega=cfg.get("q_omega"))
+
+
+@dataclass(frozen=True)
+class Morrey:
+    p: float
+    r: float
+    family: BallFamily | None = None
+
+    tag: ClassVar[str] = "morrey"
+    json_keys: ClassVar[tuple[str, ...]] = ("p", "r")
+
+    def __post_init__(self):
+        if not (0 < self.r <= self.p):
+            raise ValueError("need 0 < r <= p")
+
+    def norm(self, f: SampledFunction) -> float:
+        family = self.family or BallFamily.build(f.grid, 4)
+        mag = np.abs(f.values)
+        dim = f.grid.dim
+        cellvol = f.grid.cell_volume
+        best = 0.0
+        for rad in family.radii:
+            local = family.ball_sums(mag**self.r, rad) * cellvol
+            np.maximum(local, 0.0, out=local)
+            factor = ball_volume(float(rad), dim) ** (1.0 / self.p - 1.0 / self.r)
+            best = max(best, factor * float(local.max()) ** (1.0 / self.r))
+        return float(best)
+
+    def floor(self) -> float:
+        return self.r
+
+    def to_json(self) -> dict:
+        return {"tag": self.tag, "p": self.p, "r": self.r}
+
+    @classmethod
+    def from_json(cls, cfg: dict, grid: GridSpec) -> "Morrey":
+        return cls(p=float(cfg["p"]), r=float(cfg["r"]))
+
+
+@dataclass(frozen=True)
+class MixedNorm:
+    exponents: tuple[float, ...]
+
+    tag: ClassVar[str] = "mixed"
+    json_keys: ClassVar[tuple[str, ...]] = ("p",)
+
+    def __post_init__(self):
+        if not all(0 < p for p in self.exponents):
+            raise ValueError("every exponent must be positive (math.inf allowed)")
+
+    def norm(self, f: SampledFunction) -> float:
+        if len(self.exponents) != f.grid.dim:
+            raise ValueError("need one exponent per axis")
+        spacing = f.grid.spacing
+        work = np.abs(f.values)
+        # integrate axis by axis: first exponent binds the first axis
+        for p in self.exponents:
+            if math.isinf(p):
+                work = work.max(axis=0)
+            else:
+                work = (np.sum(work**p, axis=0) * spacing) ** (1.0 / p)
+        return float(work)
+
+    def floor(self) -> float:
+        return float(min(self.exponents))
+
+    def to_json(self) -> dict:
+        return {"tag": self.tag, "p": list(self.exponents)}
+
+    @classmethod
+    def from_json(cls, cfg: dict, grid: GridSpec) -> "MixedNorm":
+        return cls(exponents=tuple(float(x) for x in cfg["p"]))
+
+
+@dataclass(frozen=True)
+class VariableLebesgue:
+    exponent: ExponentFunction
+
+    tag: ClassVar[str] = "variable"
+    json_keys: ClassVar[tuple[str, ...]] = ("csv", "base", "dip")
+
+    def norm(self, f: SampledFunction) -> float:
+        mag = np.abs(f.values)
+        pvals = self.exponent.values
+        return _luxemburg_norm(mag, f.grid.cell_volume, lambda ratio: np.where(mag > 0, ratio**pvals, 0.0))
+
+    def floor(self) -> float:
+        return self.exponent.p_minus
+
+    def to_json(self) -> dict:
+        return {"tag": self.tag, "p_minus": self.exponent.p_minus, "p_plus": self.exponent.p_plus}
+
+    @classmethod
+    def from_json(cls, cfg: dict, grid: GridSpec) -> "VariableLebesgue":
+        """Exponent from a CSV, or base - dip * exp(-|x|^2)."""
+        if "csv" in cfg:
+            vals = _read_csv_on(grid, cfg["csv"], "exponent").values.real
+        else:
+            r2 = sum(c**2 for c in grid.coordinate_mesh())
+            vals = float(cfg.get("base", 1.8)) - float(cfg.get("dip", 0.3)) * np.exp(-r2)
+        return cls(exponent=ExponentFunction.build(grid, vals))
+
+
+@dataclass(frozen=True)
+class OrliczSlice:
+    phi: OrliczFunction
+    r: float
+    slice_t: float
+
+    tag: ClassVar[str] = "orlicz_slice"
+    json_keys: ClassVar[tuple[str, ...]] = ("r", "t", "lower_type", "upper_type")
+
+    def __post_init__(self):
+        if self.r <= 0 or self.slice_t <= 0:
+            raise ValueError("r and slice_t must be positive")
+
+    def norm(self, f: SampledFunction) -> float:
+        grid = f.grid
+        mask = grid.offset_distances() < self.slice_t
+        count = int(np.count_nonzero(mask))
+        if count == 0:
+            raise ValueError("slice radius smaller than one cell")
+        cellvol = grid.cell_volume
+        # denominator: the slice ball indicator has the same norm at every center
+        phi = self.phi
+        denom = 1.0 / phi.inverse(1.0 / (count * cellvol))
+
+        mag = np.abs(f.values)
+        # gather each ball's samples: windows[x] = values within the slice around x
+        n = grid.points_per_axis
+        base = np.unravel_index(np.arange(grid.size), grid.shape)
+        windows = mag[tuple((b[:, None] + o[None, :]) % n for b, o in zip(base, np.argwhere(mask).T))]
+
+        sups = windows.max(axis=1)
+        lams = np.where(sups > 0, sups, 1.0)
+        lo = lams * LUXEMBURG_BRACKET[0]
+        hi = lams * LUXEMBURG_BRACKET[1]
+        # vectorized bisection of the window modulars
+        for _ in range(80):
+            mid = np.sqrt(lo * hi)
+            mods = phi.evaluator(windows / mid[:, None]).sum(axis=1) * cellvol
+            high = mods > 1.0
+            lo = np.where(high, mid, lo)
+            hi = np.where(high, hi, mid)
+        inner = np.where(sups > 0, hi, 0.0)
+        ratios = inner / denom
+        return float((np.sum(ratios**self.r) * cellvol) ** (1.0 / self.r))
+
+    def floor(self) -> float:
+        return min(self.r, self.phi.lower_type)
+
+    def to_json(self) -> dict:
+        return {
+            "tag": self.tag,
+            "r": self.r,
+            "t": self.slice_t,
+            "lower_type": self.phi.lower_type,
+            "upper_type": self.phi.upper_type,
+        }
+
+    @classmethod
+    def from_json(cls, cfg: dict, grid: GridSpec) -> "OrliczSlice":
+        """Phi(u) = u^lower + u^upper, or u^p when both types equal p."""
+        lower = float(cfg.get("lower_type", 1.2))
+        upper = float(cfg.get("upper_type", 1.6))
+        if lower == upper:
+            phi = power_orlicz(lower)
+        else:
+            phi = OrliczFunction(
+                evaluator=lambda u, lo=lower, hi=upper: np.asarray(u, float) ** lo + np.asarray(u, float) ** hi,
+                lower_type=lower,
+                upper_type=upper,
+            )
+        return cls(phi=phi, r=float(cfg["r"]), slice_t=float(cfg["t"]))
+
+
+SpaceDescriptor = Lebesgue | WeightedLebesgue | Morrey | MixedNorm | VariableLebesgue | OrliczSlice
+
+SPACES = {cls.tag: cls for cls in (Lebesgue, WeightedLebesgue, Morrey, MixedNorm, VariableLebesgue, OrliczSlice)}
 
 
 def space_norm(f: SampledFunction, space: SpaceDescriptor) -> float:
-    """Dispatch the norm of f in the given space; 0 iff f vanishes on the grid."""
-    if isinstance(space, Lebesgue):
-        return _lebesgue_norm(np.abs(f.values), space.p, f.grid.cell_volume)
-    if isinstance(space, WeightedLebesgue):
-        return _lebesgue_norm(np.abs(f.values), space.p, f.grid.cell_volume, space.weight.array)
-    if isinstance(space, Morrey):
-        return _morrey_norm(f, space)
-    if isinstance(space, MixedNorm):
-        return _mixed_norm(f, space)
-    if isinstance(space, VariableLebesgue):
-        return _variable_norm(f, space)
-    if isinstance(space, OrliczSlice):
-        return _orlicz_slice_norm(f, space)
-    raise TypeError(f"unknown space descriptor {space!r}")
+    """Norm of f in the given space; 0 iff f vanishes on the grid."""
+    return space.norm(f)
 
 
 def convexify_norm(f: SampledFunction, space: SpaceDescriptor, p: float) -> float:
@@ -400,6 +462,20 @@ def convexify_norm(f: SampledFunction, space: SpaceDescriptor, p: float) -> floa
         raise ValueError("p must be positive")
     powered = SampledFunction(f.grid, np.abs(f.values) ** p)
     return space_norm(powered, space) ** (1.0 / p)
+
+
+def descriptor_from_json(cfg: dict, grid: GridSpec) -> SpaceDescriptor:
+    """Build a descriptor from the JSON schema; weights/exponents by recipe."""
+    cls = SPACES.get(cfg.get("tag")) if isinstance(cfg, dict) else None
+    if cls is None:
+        raise ValueError(f"space must be an object with a tag among {sorted(SPACES)}, got {cfg!r}")
+    unknown = set(cfg) - {"tag", *cls.json_keys}
+    if unknown:
+        raise ValueError(f"unknown keys in space config: {sorted(unknown)}")
+    try:
+        return cls.from_json(cfg, grid)
+    except KeyError as exc:
+        raise ValueError(f"space config {cls.tag!r} misses key {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -474,96 +550,3 @@ def critical_index(w: Weight, tol: float = 0.05) -> float:
         else:
             lo = mid
     return hi
-
-
-# ---------------------------------------------------------------------------
-# JSON configuration
-
-
-def descriptor_to_json(space: SpaceDescriptor) -> dict:
-    if isinstance(space, Lebesgue):
-        return {"tag": "lebesgue", "p": space.p}
-    if isinstance(space, WeightedLebesgue):
-        out = {"tag": "weighted", "p": space.p}
-        if space.q_omega is not None:
-            out["q_omega"] = space.q_omega
-        return out
-    if isinstance(space, Morrey):
-        return {"tag": "morrey", "p": space.p, "r": space.r}
-    if isinstance(space, MixedNorm):
-        return {"tag": "mixed", "p": list(space.exponents)}
-    if isinstance(space, VariableLebesgue):
-        return {"tag": "variable", "p_minus": space.exponent.p_minus, "p_plus": space.exponent.p_plus}
-    if isinstance(space, OrliczSlice):
-        return {
-            "tag": "orlicz_slice",
-            "r": space.r,
-            "t": space.slice_t,
-            "lower_type": space.phi.lower_type,
-            "upper_type": space.phi.upper_type,
-        }
-    raise TypeError(f"unknown space descriptor {space!r}")
-
-
-def descriptor_from_json(cfg: dict, grid: GridSpec) -> SpaceDescriptor:
-    """Build a descriptor from the JSON schema; weights/exponents by recipe."""
-    cfg = dict(cfg)
-    tag = cfg.pop("tag")
-    if tag == "lebesgue":
-        return Lebesgue(p=float(cfg.pop("p")), **_reject_extra(cfg))
-    if tag == "weighted":
-        p = float(cfg.pop("p"))
-        wcfg = cfg.pop("weight", {"kind": "power", "a": 0.5})
-        q_omega = cfg.pop("q_omega", None)
-        _reject_extra(cfg)
-        if wcfg.get("kind") == "power":
-            weight = power_weight(grid, float(wcfg["a"]))
-        elif wcfg.get("kind") == "csv":
-            from .grid import read_function_csv
-
-            vals = read_function_csv(wcfg["path"])
-            weight = Weight(values=vals, family=BallFamily.build(grid, 4))
-        else:
-            raise ValueError(f"unknown weight recipe {wcfg!r}")
-        return WeightedLebesgue(p=p, weight=weight, q_omega=q_omega)
-    if tag == "morrey":
-        return Morrey(p=float(cfg.pop("p")), r=float(cfg.pop("r")), **_reject_extra(cfg))
-    if tag == "mixed":
-        ps = tuple(float(x) for x in cfg.pop("p"))
-        _reject_extra(cfg)
-        return MixedNorm(exponents=ps)
-    if tag == "variable":
-        if "csv" in cfg:
-            from .grid import read_function_csv
-
-            vals = read_function_csv(cfg.pop("csv")).values.real
-        else:
-            base = float(cfg.pop("base", 1.8))
-            dip = float(cfg.pop("dip", 0.3))
-            mesh = grid.coordinate_mesh()
-            r2 = sum(c**2 for c in mesh)
-            vals = base - dip * np.exp(-r2)
-        _reject_extra(cfg)
-        return VariableLebesgue(exponent=ExponentFunction.build(grid, vals))
-    if tag == "orlicz_slice":
-        r = float(cfg.pop("r"))
-        t = float(cfg.pop("t"))
-        lower = float(cfg.pop("lower_type", 1.2))
-        upper = float(cfg.pop("upper_type", 1.6))
-        _reject_extra(cfg)
-        if lower == upper:
-            phi = power_orlicz(lower)
-        else:
-            phi = OrliczFunction(
-                evaluator=lambda u, lo=lower, hi=upper: np.asarray(u, float) ** lo + np.asarray(u, float) ** hi,
-                lower_type=lower,
-                upper_type=upper,
-            )
-        return OrliczSlice(phi=phi, r=r, slice_t=t)
-    raise ValueError(f"unknown space tag {tag!r}")
-
-
-def _reject_extra(cfg: dict) -> dict:
-    if cfg:
-        raise ValueError(f"unknown keys in space config: {sorted(cfg)}")
-    return {}

@@ -1,13 +1,16 @@
-"""``perfbench/layers.py`` wraps lpx functions by name and reads their arguments:
+"""Contracts between lpx and the benchmark in ``perfbench/``.
+
+``perfbench/layers.py`` wraps lpx functions by name and reads their arguments:
 a traced equivalence experiment must raise in no layer, find the smoothed
-maximal function's plan, and build one phi-field and one psi-field per trial."""
+maximal function's plan, and build one phi-field and one psi-field per trial.
+``perfbench/workloads.py`` keeps its own copy of the five test spaces."""
 
 import importlib.util
 from pathlib import Path
 
 from lpx import harness
 from lpx.grid import GridSpec, ScaleGrid
-from lpx.spaces import Lebesgue
+from lpx.spaces import Lebesgue, space_norm
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -35,3 +38,22 @@ def test_traced_equivalence_experiment_builds_two_fields_per_trial():
     assert {k: v for k, v in metrics.items() if k.endswith(".errors") and v} == {}
     assert metrics["maximal.peetre_maximal.triples"] > 0
     assert metrics["transforms.build_field.calls"] == 2 * trials
+
+
+def test_five_spaces_match_the_benchmark_copy(tmp_path):
+    """perfbench builds criterion 5's spaces by hand; they must stay the
+    library's ``FIVE_SPACES`` recipes, bit for bit."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", LAYERS_PY.with_name("workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bench = workloads.Equivalence5Space1D()
+    state = bench.setup(0, tmp_path)
+    grid = state["grid"]
+    ours = harness.five_spaces(grid)
+    assert list(ours) == list(state["spaces"])
+    for name, space in ours.items():
+        theirs = state["spaces"][name]
+        assert space.to_json() == theirs.to_json(), name
+        for i in range(4):
+            f = harness.trial_function(0, i, grid)
+            assert space_norm(f, space) == space_norm(f, theirs), (name, i)

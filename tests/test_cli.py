@@ -1,10 +1,18 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lpx.cli import config_hash, load_config, main
-from lpx.grid import GridSpec, gaussian_bump, pure_frequency, read_function_binary, write_function_csv
+from lpx.grid import (
+    GridSpec,
+    SampledFunction,
+    gaussian_bump,
+    pure_frequency,
+    read_function_binary,
+    write_function_csv,
+)
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=512)
 
@@ -152,3 +160,56 @@ def test_config_hash_stable():
     cfg1 = load_config(None)
     cfg2 = load_config(None)
     assert config_hash(cfg1) == config_hash(cfg2)
+
+
+@pytest.mark.parametrize("b", [0, -1.0, "4"])
+def test_bad_peetre_exponent_exits_2(tmp_path, capsys, b):
+    # b = 0 used to fall back to the default exponent and exit 0
+    cfg = write_config(tmp_path, params={"b": b})
+    inp = write_input(tmp_path)
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "compute", str(inp), "peetre"])
+    assert code == 2
+    assert "b must be" in capsys.readouterr().err
+
+
+def test_compute_peetre_uses_configured_b(tmp_path):
+    from lpx.grid import ScaleGrid
+    from lpx.kernels import build_annular_kernel, calderon_companion
+    from lpx.maximal import peetre_maximal
+    from lpx.transforms import build_plan
+
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    scales = ScaleGrid(0.0625, 16.0, 8)
+    cfg = write_config(tmp_path, grid={"dim": 1, "N": 64, "L": 2.0}, params={"b": 3.0})
+    inp = tmp_path / "bump.csv"
+    f = gaussian_bump(grid, [0.2], 0.3)
+    write_function_csv(f, inp)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "compute", str(inp), "peetre"]) == 0
+    result, _ = read_function_binary(out / "peetre.bin")
+    psi_plan = build_plan(calderon_companion(build_annular_kernel(grid), scales).psi, scales)
+    expected = peetre_maximal(f, 3.0, plan=psi_plan)
+    assert np.array_equal(result.values, expected.values)
+
+
+def test_unknown_experiment_option_exits_2(tmp_path, capsys):
+    # a misspelt option used to be ignored, running the default 20 trials
+    cfg = write_config(tmp_path, experiments={"equivalence": {"trails": 10}})
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"])
+    assert code == 2
+    assert "experiments.equivalence" in capsys.readouterr().err
+
+
+def test_space_csv_on_other_grid_exits_2(tmp_path, capsys):
+    weight = tmp_path / "weight.csv"
+    write_function_csv(SampledFunction(GridSpec(1, 2.0, 512), np.ones(512)), weight)
+    cfg = write_config(tmp_path, space={"tag": "weighted", "p": 2.0, "q_omega": 1.0,
+                                        "weight": {"kind": "csv", "path": str(weight)}})
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "kernel"])
+    assert code == 2
+    assert "half_width=2.0" in capsys.readouterr().err
+
+
+def test_missing_space_csv_exits_2(tmp_path):
+    cfg = write_config(tmp_path, space={"tag": "variable", "csv": str(tmp_path / "missing.csv")})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "kernel"]) == 2

@@ -8,6 +8,7 @@ from lpx.kernels import (
     annular_profile,
     band_coverage,
     build_annular_kernel,
+    build_kernel,
     build_weak_kernel,
     calderon_companion,
     reproduce,
@@ -192,3 +193,12 @@ def test_kernel_multiplier_method():
     k = build_annular_kernel(GRID)
     t = 0.37
     assert np.array_equal(k.multiplier(t), k.profile(t * GRID.frequency_radii()))
+
+
+def test_build_kernel_by_kind_name():
+    for kind in KernelKind:
+        k = build_kernel(kind.value, GRID)
+        assert k.kind is kind
+    assert np.array_equal(build_kernel("weak", GRID).fourier_values, build_weak_kernel(GRID).fourier_values)
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        build_kernel("gauss", GRID)

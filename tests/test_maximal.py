@@ -167,7 +167,7 @@ def test_peetre_constant_with_unit_mass_kernel():
                  radial=True, profile=gauss_profile, witness_range=(0.1, 10.0))
     plan = build_plan(raw, SCALES)
     ones = SampledFunction(grid, np.ones(128))
-    m = peetre_maximal(ones, raw, b=3.0, plan=plan)
+    m = peetre_maximal(ones, b=3.0, plan=plan)
     # psi_t * 1 = psi_hat(0) = 1; the offset weight peaks at y = 0
     assert np.allclose(m.values.real, 1.0, atol=1e-12)
 
@@ -175,7 +175,7 @@ def test_peetre_constant_with_unit_mass_kernel():
 def test_peetre_pure_frequency(pair, psi_plan):
     grid = pair.phi.grid
     f = pure_frequency(grid, [48])  # |xi| = 3
-    m = peetre_maximal(f, pair.psi, b=4.0, plan=psi_plan)
+    m = peetre_maximal(f, b=4.0, plan=psi_plan)
     expected = max(abs(pair.psi.profile(np.array([3.0 * t]))[0]) for t in SCALES.scales)
     assert np.allclose(m.values.real, expected, rtol=1e-10)
 
@@ -183,15 +183,15 @@ def test_peetre_pure_frequency(pair, psi_plan):
 def test_peetre_decreases_in_b(pair, psi_plan):
     grid = pair.phi.grid
     f = gaussian_bump(grid, [0.3], 0.4)
-    m1 = peetre_maximal(f, pair.psi, b=2.0, plan=psi_plan).values.real
-    m2 = peetre_maximal(f, pair.psi, b=4.0, plan=psi_plan).values.real
+    m1 = peetre_maximal(f, b=2.0, plan=psi_plan).values.real
+    m2 = peetre_maximal(f, b=4.0, plan=psi_plan).values.real
     assert np.all(m2 <= m1 + 1e-14)
 
 
 def test_peetre_dominates_zero_offset(pair, psi_plan):
     grid = pair.phi.grid
     f = gaussian_bump(grid, [-0.5], 0.3)
-    m = peetre_maximal(f, pair.psi, b=3.0, plan=psi_plan).values.real
+    m = peetre_maximal(f, b=3.0, plan=psi_plan).values.real
     F = np.abs(build_field(f, psi_plan).values)
     assert np.all(m >= F.max(axis=-1) - 1e-13)
 

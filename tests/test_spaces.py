@@ -22,8 +22,6 @@ from lpx.spaces import (
     convexify_norm,
     critical_index,
     descriptor_from_json,
-    descriptor_to_json,
-    floor_exponent,
     orlicz_norm,
     power_orlicz,
     power_weight,
@@ -318,7 +316,7 @@ def test_indicator_finite(idx):
 def test_triangle_inequality_when_floor_above_one(idx):
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
     space = all_spaces(grid)[idx]
-    if floor_exponent(space) < 1.0:
+    if space.floor() < 1.0:
         pytest.skip("quasi-norm only")
     rng = np.random.default_rng(60 + idx)
     f = SampledFunction(grid, rng.normal(size=256))
@@ -329,12 +327,12 @@ def test_triangle_inequality_when_floor_above_one(idx):
 def test_floor_exponents():
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
     spaces = all_spaces(grid)
-    assert floor_exponent(spaces[0]) == 2.0
-    assert floor_exponent(spaces[2]) == pytest.approx(1.0)  # p / q_omega = 1.5 / 1.5
-    assert floor_exponent(spaces[3]) == 1.0
-    assert floor_exponent(spaces[4]) == 1.5
-    assert floor_exponent(spaces[5]) == pytest.approx(1.5, abs=1e-3)
-    assert floor_exponent(spaces[6]) == pytest.approx(1.2)
+    assert spaces[0].floor() == 2.0
+    assert spaces[2].floor() == pytest.approx(1.0)  # p / q_omega = 1.5 / 1.5
+    assert spaces[3].floor() == 1.0
+    assert spaces[4].floor() == 1.5
+    assert spaces[5].floor() == pytest.approx(1.5, abs=1e-3)
+    assert spaces[6].floor() == pytest.approx(1.2)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +399,7 @@ def test_descriptor_json_roundtrip():
     ]
     for cfg in cfgs:
         desc = descriptor_from_json(cfg, grid)
-        out = descriptor_to_json(desc)
+        out = desc.to_json()
         assert out["tag"] == cfg["tag"]
 
 
@@ -456,3 +454,28 @@ def test_descriptor_weight_and_exponent_from_csv(tmp_path):
     write_function_csv(e_vals, epath)
     vdesc = descriptor_from_json({"tag": "variable", "csv": str(epath)}, grid)
     assert space_norm(f, vdesc) == pytest.approx(space_norm(f, Lebesgue(1.6)), rel=1e-6)
+
+
+@pytest.mark.parametrize("recipe", ["weight", "exponent"])
+@pytest.mark.parametrize("csv_grid", [GridSpec(1, 2.0, 256), GridSpec(1, 8.0, 128)],
+                         ids=["other-L", "other-N"])
+def test_descriptor_csv_on_other_grid_rejected(tmp_path, recipe, csv_grid):
+    from lpx.grid import write_function_csv
+
+    grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
+    path = tmp_path / f"{recipe}.csv"
+    write_function_csv(SampledFunction(csv_grid, np.full(csv_grid.shape, 1.5)), path)
+    if recipe == "weight":
+        cfg = {"tag": "weighted", "p": 2.0, "q_omega": 1.0, "weight": {"kind": "csv", "path": str(path)}}
+    else:
+        cfg = {"tag": "variable", "csv": str(path)}
+    with pytest.raises(ValueError) as exc:
+        descriptor_from_json(cfg, grid)
+    assert repr(csv_grid) in str(exc.value) and repr(grid) in str(exc.value)
+
+
+@pytest.mark.parametrize("cfg", [{"tag": "morrey", "p": 2.0}, {"tag": "sobolev", "p": 2.0}, {"p": 2.0}, "lebesgue"])
+def test_descriptor_rejects_malformed_config(cfg):
+    grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
+    with pytest.raises(ValueError):
+        descriptor_from_json(cfg, grid)
