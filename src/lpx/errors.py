@@ -17,10 +17,6 @@ class BandCoverageError(LpxError):
     """Input spectrum has mass on frequencies the scale range does not cover."""
 
 
-class ScaleOutOfRange(LpxError):
-    """Requested scale lies outside the scale grid's declared range."""
-
-
 class LambdaTooSmall(LpxError):
     """Weighted square function requires lambda > 1."""
 

@@ -91,11 +91,6 @@ class GridSpec:
             return (ax,)
         return tuple(np.meshgrid(ax, ax, indexing="ij"))
 
-    def radius_mesh(self) -> np.ndarray:
-        """Euclidean distance of each cell center from the origin."""
-        mesh = self.coordinate_mesh()
-        return np.sqrt(sum(c**2 for c in mesh))
-
     def axis_frequencies(self) -> np.ndarray:
         """Dual frequencies m/(2L) in FFT order."""
         return np.fft.fftfreq(self.points_per_axis, d=self.spacing)
@@ -121,6 +116,18 @@ class GridSpec:
         """Torus distance of every cell center from the given cell's center."""
         d = self.offset_distances()
         return np.roll(d, shift=center_index, axis=tuple(range(self.dim)))
+
+    def torus_windows(self, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """``values[(x + o) mod n]`` with one row per offset o and one column per cell x.
+
+        ``offsets`` is an (m, dim) integer array; the result is (m, size) in the
+        C order of the cells.  One fancy index into the sliding windows of the
+        doubly tiled array reads every offset at once.
+        """
+        n = self.points_per_axis
+        tiled = np.tile(values, (2,) * self.dim)
+        windows = np.lib.stride_tricks.sliding_window_view(tiled, self.shape)
+        return windows[tuple((offsets % n).T)].reshape(len(offsets), self.size)
 
 
 @dataclass(frozen=True)
@@ -155,9 +162,6 @@ class ScaleGrid:
 
     def __len__(self) -> int:
         return len(self.scales)
-
-    def contains(self, t: float) -> bool:
-        return self.t_min <= t <= self.t_max
 
 
 def _as_complex(values: np.ndarray) -> np.ndarray:

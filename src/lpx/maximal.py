@@ -125,26 +125,23 @@ class BallFamily:
             return np.full(grid.shape, values.sum())
         return correlate(values, mask.astype(float))
 
-    def ball_filter(self, values: np.ndarray, radius: float, op: str) -> np.ndarray:
-        """Max or min of ``values`` over B(x, r) for every center x."""
+    def ball_filter(self, values: np.ndarray, radius: float) -> np.ndarray:
+        """Max of ``values`` over B(x, r) for every center x."""
         grid = self.grid
-        red = np.max if op == "max" else np.min
         if grid.dim == 1:
             w = self.cell_count(radius)
             if w >= grid.points_per_axis:
-                return np.full(grid.shape, red(values))
-            fn1d = ndimage.maximum_filter1d if op == "max" else ndimage.minimum_filter1d
-            return fn1d(values, size=w, mode="wrap")
+                return np.full(grid.shape, np.max(values))
+            return ndimage.maximum_filter1d(values, size=w, mode="wrap")
         mask = self.mask(radius)
         if mask.all():
-            return np.full(grid.shape, red(values))
+            return np.full(grid.shape, np.max(values))
         n = grid.points_per_axis
         centered = np.fft.fftshift(mask)
         offsets = np.argwhere(centered) - n // 2
         k = int(np.abs(offsets).max())  # snapped radii keep k <= n/2 - 1
         foot = centered[n // 2 - k : n // 2 + k + 1, n // 2 - k : n // 2 + k + 1]
-        fn = ndimage.maximum_filter if op == "max" else ndimage.minimum_filter
-        return fn(values, footprint=foot, mode="wrap")
+        return ndimage.maximum_filter(values, footprint=foot, mode="wrap")
 
 
 @lru_cache(maxsize=8)
@@ -161,7 +158,7 @@ def hl_maximal(f: SampledFunction, balls: BallFamily | None = None) -> SampledFu
     for r in balls.radii:
         avg = balls.ball_sums(mag, r) * (cellvol / ball_volume(r, f.grid.dim))
         # x sees exactly the balls whose centers lie within r of x
-        np.maximum(out, balls.ball_filter(avg, r, "max"), out=out)
+        np.maximum(out, balls.ball_filter(avg, r), out=out)
     np.maximum(out, 0.0, out=out)  # FFT ball sums can leave -1e-17 on empty regions
     return SampledFunction(f.grid, out)
 
@@ -186,29 +183,21 @@ def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> Sa
         raise ValueError("b must be positive")
     field = build_field(f, plan)
     grid = f.grid
-    shape = grid.shape
-    axes = tuple(range(grid.dim))
     dist_grid = grid.offset_distances()
     # offsets beyond half the box are wrap-around aliases; skip them
     keep = np.argwhere(dist_grid <= grid.half_width)
     dist = dist_grid[tuple(keep.T)]
-    n_cells = grid.size
-    out = np.zeros(n_cells)
-    mags = np.abs(field.values.reshape(n_cells, -1))
+    out = np.zeros(grid.size)
+    mags = np.abs(field.values.reshape(grid.size, -1))
     for k, t in enumerate(plan.scales.scales):
         weights = (1.0 + dist / t) ** (-b)
-        col = mags[:, k].reshape(shape)
-        best = np.zeros(n_cells)
+        col = mags[:, k].reshape(grid.shape)
         for start in range(0, len(keep), PEETRE_CHUNK):
-            offs = keep[start : start + PEETRE_CHUNK]
             w = weights[start : start + PEETRE_CHUNK]
-            # x - y for every x at once: roll the column by each offset
-            gathered = np.empty((len(offs), n_cells))
-            for i, off in enumerate(offs):
-                gathered[i] = np.roll(col, shift=tuple(off), axis=axes).ravel()
-            np.maximum(best, (gathered * w[:, None]).max(axis=0), out=best)
-        np.maximum(out, best, out=out)
-    return SampledFunction(grid, out.reshape(shape))
+            # |psi_t * f|(x - y) for every x at once, one row per offset y
+            gathered = grid.torus_windows(col, -keep[start : start + PEETRE_CHUNK])
+            np.maximum(out, (gathered * w[:, None]).max(axis=0), out=out)
+    return SampledFunction(grid, out.reshape(grid.shape))
 
 
 def default_peetre_exponent(dim: int, floor_exponent: float) -> float:

@@ -399,9 +399,7 @@ class OrliczSlice:
 
         mag = np.abs(f.values)
         # gather each ball's samples: windows[x] = values within the slice around x
-        n = grid.points_per_axis
-        base = np.unravel_index(np.arange(grid.size), grid.shape)
-        windows = mag[tuple((b[:, None] + o[None, :]) % n for b, o in zip(base, np.argwhere(mask).T))]
+        windows = np.ascontiguousarray(grid.torus_windows(mag, np.argwhere(mask)).T)
 
         sups = windows.max(axis=1)
         lams = np.where(sups > 0, sups, 1.0)
@@ -493,7 +491,7 @@ def ap_characteristic(w: Weight, p: float) -> float:
         count = family.cell_count(rad)
         mean_w = family.ball_sums(omega, rad) / count
         if p == 1.0:
-            inv_ess = family.ball_filter(1.0 / omega, rad, "max")
+            inv_ess = family.ball_filter(1.0 / omega, rad)
             vals = mean_w * inv_ess
         else:
             mean_dual = family.ball_sums(omega ** (1.0 / (1.0 - p)), rad) / count

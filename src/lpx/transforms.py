@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScaleOutOfRange
 from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .kernels import Kernel
 
@@ -64,18 +63,9 @@ def apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(np.fft.fftn(values) * mult)
 
 
-def convolve_at_scale(f: SampledFunction, plan: ConvolutionPlan, t: float) -> SampledFunction:
-    """Convolve f with the kernel dilated to scale t (t within the grid range)."""
-    scales = plan.scales
-    if not scales.contains(t):
-        raise ScaleOutOfRange(f"t={t:g} outside [{scales.t_min:g}, {scales.t_max:g}]")
-    ts = scales.scales
-    k = int(np.argmin(np.abs(ts - t)))
-    if np.isclose(ts[k], t, rtol=1e-12, atol=0.0):
-        mult = plan.multipliers[k]
-    else:
-        mult = plan.kernel.multiplier(t)
-    return SampledFunction(f.grid, apply_multiplier(f.values, mult))
+def convolve_at_scale(f: SampledFunction, kernel: Kernel, t: float) -> SampledFunction:
+    """Convolve f with the kernel dilated to scale t."""
+    return SampledFunction(f.grid, apply_multiplier(f.values, kernel.multiplier(t)))
 
 
 def build_field(f: SampledFunction, plan: ConvolutionPlan) -> HalfSpaceField:
@@ -91,7 +81,7 @@ def build_field(f: SampledFunction, plan: ConvolutionPlan) -> HalfSpaceField:
 def spatial_kernel(kernel: Kernel, t: float) -> np.ndarray:
     """Offset-indexed samples of the dilated spatial kernel (index 0 = zero offset).
 
-    Satisfies exactly: convolve_at_scale(f, ., t)(x) equals
+    Satisfies exactly: convolve_at_scale(f, kernel, t)(x) equals
     cell_volume * sum_y f(y) * spatial_kernel[x - y] on the torus.
     """
     grid = kernel.grid

@@ -29,8 +29,8 @@ def random_field(seed, grid=GRID, scales=SCALES):
     """Field of multiscale convolutions of a concentrated random function."""
     rng = np.random.default_rng(seed)
     plan = build_plan(build_annular_kernel(grid), scales)
-    x = grid.axis_coordinates() if grid.dim == 1 else grid.radius_mesh()
-    envelope = np.exp(-(x**2) / (2 * (grid.half_width / 10) ** 2))
+    r2 = sum(c**2 for c in grid.coordinate_mesh())
+    envelope = np.exp(-r2 / (2 * (grid.half_width / 10) ** 2))
     f = SampledFunction(grid, rng.normal(size=grid.shape) * envelope)
     return build_field(f, plan)
 

@@ -213,3 +213,13 @@ def test_space_csv_on_other_grid_exits_2(tmp_path, capsys):
 def test_missing_space_csv_exits_2(tmp_path):
     cfg = write_config(tmp_path, space={"tag": "variable", "csv": str(tmp_path / "missing.csv")})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "kernel"]) == 2
+
+
+@pytest.mark.parametrize("grid", [{"dim": 1, "N": 32, "L": 2.0}, {"dim": 2, "N": 32, "L": 1.0}],
+                         ids=["1d-32", "2d-32"])
+def test_verify_grid_too_small_for_trials_exits_2(tmp_path, capsys, grid):
+    # the atom radius range [4h, L/8] of the trial family is empty below N = 64
+    cfg = write_config(tmp_path, grid=grid, kernel="weak")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"])
+    assert code == 2
+    assert "64" in capsys.readouterr().err

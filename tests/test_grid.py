@@ -211,3 +211,21 @@ def test_indicator_box_mass():
     g = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
     f = indicator_box(g, [0.0], [1.0])
     assert integrate(f).real == pytest.approx(1.0, abs=2 * g.cell_volume)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)], ids=["1d-16", "2d-8x8"])
+@pytest.mark.parametrize("dtype", [float, bool])
+def test_torus_windows_matches_roll_per_offset(dim, n, dtype):
+    grid = GridSpec(dim=dim, half_width=1.0, points_per_axis=n)
+    rng = np.random.default_rng(dim)
+    values = rng.normal(size=grid.shape)
+    values = values > 0 if dtype is bool else values
+    # every offset in [-n, n) per axis, so negative and wrapping ones are covered
+    offsets = np.argwhere(np.ones((2 * n,) * dim, dtype=bool)) - n
+    out = grid.torus_windows(values, offsets)
+    assert out.shape == (len(offsets), grid.size)
+    assert out.dtype == values.dtype
+    axes = tuple(range(dim))
+    for row, o in zip(out, offsets):
+        # values[(x + o) mod n] is values rolled by -o
+        assert np.array_equal(row, np.roll(values, shift=tuple(-o), axis=axes).ravel())
