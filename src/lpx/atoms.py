@@ -20,8 +20,8 @@ from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import Lebesgue, SpaceDescriptor, space_norm
-from .squarefuncs import tent_functional
-from .transforms import apply_multiplier, correlate
+from .squarefuncs import cone_spectra, tent_functional
+from .transforms import apply_multiplier, correlate, spectrum
 
 __all__ = [
     "Ball",
@@ -121,18 +121,17 @@ class MoleculeReport:
 def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Per half-space cell, the index of the largest level k such that the
     ball B(y, t) stays inside the superlevel set {area > levels[k]} (-1: none)."""
-    grid, scales = F.grid, F.scales
-    dist = grid.offset_distances()
+    grid = F.grid
+    # the unit-aperture cone masks are the balls dist < t_k
+    table, _ = cone_spectra(grid, F.scales, 1.0)
     out = np.full(F.values.shape, -1, dtype=int)
     for li, lev in enumerate(levels):
         inside = area > lev
         if not inside.any():
             break
         outside = (~inside).astype(float)
-        for k, t in enumerate(scales.scales):
-            mask = (dist < t).astype(float)
-            contained = correlate(outside, mask) < 0.5
-            out[..., k][contained] = li
+        contained = correlate(outside, table, grid.dim) < 0.5
+        out[np.moveaxis(contained, 0, -1)] = li
     return out
 
 
@@ -153,7 +152,7 @@ def _whitney_regions(
     for r in balls.radii[::-1]:  # largest first
         if not uncovered.any():
             break
-        double_ok = correlate(outside, (dist < 2.0 * r).astype(float)) < 0.5
+        double_ok = correlate(outside, spectrum((dist < 2.0 * r).astype(float), grid.dim), grid.dim) < 0.5
         candidates = double_ok & uncovered
         if not candidates.any():
             continue
@@ -257,8 +256,9 @@ def tent_decompose(
         ball = _fit_ball(grid, balls, center, piece_mask, ts)
         piece_field = HalfSpaceField(grid, scales, piece)
         norm_1b = space_norm(ball_indicator(grid, ball), space)
+        piece_area = tent_functional(piece_field, 1.0)
         lam = max(
-            tent_atom_size(piece_field, p) * norm_1b / ball_volume(ball.radius, grid.dim) ** (1.0 / p)
+            space_norm(piece_area, Lebesgue(p)) * norm_1b / ball_volume(ball.radius, grid.dim) ** (1.0 / p)
             for p in p_checks
         )
         if lam == 0.0:

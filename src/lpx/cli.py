@@ -214,7 +214,9 @@ def cmd_compute(cfg: dict, input_path: Path, operator: str, out_dir: Path) -> in
     elif operator == "g":
         result = g_function(F)
     elif operator == "gstar":
-        lam = params.get("lambda") or default_lambda(space)
+        lam = params.get("lambda")
+        if lam is None:
+            lam = default_lambda(space)
         result = g_lambda_star(F, lam)
     elif operator == "tent":
         aperture = params.get("aperture", 1.0)

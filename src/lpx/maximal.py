@@ -19,7 +19,7 @@ from scipy import ndimage
 
 from .errors import ZeroDenominator
 from .grid import GridSpec, SampledFunction
-from .transforms import ConvolutionPlan, build_field, correlate
+from .transforms import ConvolutionPlan, build_field, correlate, spectrum
 
 __all__ = [
     "BallFamily",
@@ -123,7 +123,7 @@ class BallFamily:
         mask = self.mask(radius)
         if mask.all():
             return np.full(grid.shape, values.sum())
-        return correlate(values, mask.astype(float))
+        return correlate(values, spectrum(mask.astype(float), 2), 2)
 
     def ball_filter(self, values: np.ndarray, radius: float) -> np.ndarray:
         """Max of ``values`` over B(x, r) for every center x."""

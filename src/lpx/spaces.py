@@ -403,16 +403,19 @@ class OrliczSlice:
 
         sups = windows.max(axis=1)
         lams = np.where(sups > 0, sups, 1.0)
-        lo = lams * LUXEMBURG_BRACKET[0]
-        hi = lams * LUXEMBURG_BRACKET[1]
+        # bisect each window divided by its own max, so the bracket holds for any
+        # amplitude; the Luxemburg norm of the window is then hi * lams
+        scaled = windows / lams[:, None]
+        lo = np.full(len(lams), LUXEMBURG_BRACKET[0])
+        hi = np.full(len(lams), LUXEMBURG_BRACKET[1])
         # vectorized bisection of the window modulars
         for _ in range(80):
             mid = np.sqrt(lo * hi)
-            mods = phi.evaluator(windows / mid[:, None]).sum(axis=1) * cellvol
+            mods = phi.evaluator(scaled / mid[:, None]).sum(axis=1) * cellvol
             high = mods > 1.0
             lo = np.where(high, mid, lo)
             hi = np.where(high, hi, mid)
-        inner = np.where(sups > 0, hi, 0.0)
+        inner = np.where(sups > 0, hi * lams, 0.0)
         ratios = inner / denom
         return float((np.sum(ratios**self.r) * cellvol) ** (1.0 / self.r))
 

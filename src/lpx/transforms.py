@@ -14,8 +14,8 @@ import numpy as np
 from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .kernels import Kernel
 
-__all__ = ["ConvolutionPlan", "build_plan", "correlate", "apply_multiplier", "convolve_at_scale",
-           "build_field", "spatial_kernel"]
+__all__ = ["ConvolutionPlan", "build_plan", "spectrum", "correlate", "apply_multiplier",
+           "convolve_at_scale", "build_field", "spatial_kernel"]
 
 WRAP_DECAY_THRESHOLD = 1e-8
 
@@ -48,14 +48,26 @@ def build_plan(kernel: Kernel, scales: ScaleGrid) -> ConvolutionPlan:
                            wraparound_warning=warn)
 
 
-def correlate(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """sum_y values[y] * kernel[x - y] on the torus for real 1-D or 2-D arrays, via the FFT.
+def spectrum(values: np.ndarray, dim: int) -> np.ndarray:
+    """Real FFT over the last ``dim`` axes; any leading axes are a batch."""
+    if dim == 1:
+        return np.fft.rfft(values, axis=-1)
+    return np.fft.rfft2(values, axes=(-2, -1))
 
-    ``kernel`` is offset-indexed (index 0 = zero offset), like ``GridSpec.offset_distances``.
+
+def correlate(values: np.ndarray, kernel_hat: np.ndarray, dim: int) -> np.ndarray:
+    """sum_y values[..., y] * kernel[..., x - y] on the torus of the last ``dim`` axes, via the FFT.
+
+    ``kernel_hat`` is ``spectrum(kernel, dim)`` of an offset-indexed real kernel
+    (index 0 = zero offset, like ``GridSpec.offset_distances``).  Leading axes of
+    ``values`` and ``kernel_hat`` broadcast, so a stack of slices or of kernels
+    runs as one batched transform pair; each row is bitwise what the unbatched
+    call gives.
     """
-    if values.ndim == 1:
-        return np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(kernel), n=len(values))
-    return np.fft.irfft2(np.fft.rfft2(values) * np.fft.rfft2(kernel), s=values.shape)
+    product = spectrum(values, dim) * kernel_hat
+    if dim == 1:
+        return np.fft.irfft(product, n=values.shape[-1], axis=-1)
+    return np.fft.irfft2(product, s=values.shape[-2:], axes=(-2, -1))
 
 
 def apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:

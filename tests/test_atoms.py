@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from lpx import atoms
 from lpx.atoms import (
     Ball,
     TentAtom,
@@ -18,7 +21,8 @@ from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
 from lpx.spaces import Lebesgue, Morrey, space_norm
-from lpx.transforms import build_field, build_plan, spatial_kernel
+from lpx.squarefuncs import tent_functional
+from lpx.transforms import build_field, build_plan, correlate, spatial_kernel, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
 SCALES = ScaleGrid(t_min=1 / 16, t_max=2.0, steps_per_octave=4)
@@ -40,6 +44,40 @@ def test_decompose_zero_field():
     dec = tent_decompose(F, Lebesgue(2.0), BALLS)
     assert dec.atoms == []
     assert np.all(dec.residual.values == 0)
+
+
+def _containment_reference(F, area, levels):
+    """The per-scale correlation loop that the batched containment test replaced."""
+    grid, scales = F.grid, F.scales
+    dist = grid.offset_distances()
+    out = np.full(F.values.shape, -1, dtype=int)
+    for li, lev in enumerate(levels):
+        inside = area > lev
+        if not inside.any():
+            break
+        outside = (~inside).astype(float)
+        for k, t in enumerate(scales.scales):
+            mask = (dist < t).astype(float)
+            contained = correlate(outside, spectrum(mask, grid.dim), grid.dim) < 0.5
+            out[..., k][contained] = li
+    return out
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["field", "zero"])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (2, 32)], ids=["1d-64", "2d-16", "2d-32"])
+def test_containment_levels_match_per_scale_reference_bitwise(dim, n, zero):
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    scales = ScaleGrid(1 / 8, 2.0, 4)
+    rng = np.random.default_rng(n + dim)
+    envelope = np.exp(-sum(c**2 for c in grid.coordinate_mesh()) / 0.5)
+    values = rng.normal(size=grid.shape + (len(scales),)) * envelope[..., None]
+    F = HalfSpaceField(grid, scales, 0.0 * values if zero else values)
+    area = tent_functional(F, 1.0).values.real
+    top = math.ceil(math.log2(area.max())) if area.any() else 0
+    levels = 2.0 ** np.arange(top - 12, top + 1)
+    fast = atoms._containment_levels(F, area, levels)
+    assert np.array_equal(fast, _containment_reference(F, area, levels))
+    assert (fast >= 0).any() != zero
 
 
 def test_decompose_exact_reconstruction_and_additivity():

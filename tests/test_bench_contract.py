@@ -2,13 +2,15 @@
 
 ``perfbench/layers.py`` wraps lpx functions by name and reads their arguments:
 a traced equivalence experiment must raise in no layer, find the smoothed
-maximal function's plan, and build one phi-field and one psi-field per trial.
+maximal function's plan, and build one phi-field and one psi-field per trial;
+a traced tent decomposition evaluates the cone functional once for the field
+and once per atom.
 ``perfbench/workloads.py`` keeps its own copy of the five test spaces."""
 
 import importlib.util
 from pathlib import Path
 
-from lpx import harness
+from lpx import atoms, harness, kernels, maximal, transforms
 from lpx.grid import GridSpec, ScaleGrid
 from lpx.spaces import Lebesgue, space_norm
 
@@ -38,6 +40,23 @@ def test_traced_equivalence_experiment_builds_two_fields_per_trial():
     assert {k: v for k, v in metrics.items() if k.endswith(".errors") and v} == {}
     assert metrics["maximal.peetre_maximal.triples"] > 0
     assert metrics["transforms.build_field.calls"] == 2 * trials
+
+
+def test_traced_decomposition_evaluates_each_piece_once():
+    layers = _load_layers()
+    grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
+    plan = transforms.build_plan(kernels.build_annular_kernel(grid), ScaleGrid(1 / 16, 2.0, 4))
+    F = transforms.build_field(harness.trial_function(0, 3, grid), plan)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        since = tracer.mark()
+        atoms.tent_decompose(F, Lebesgue(2.0), maximal.BallFamily.build(grid, 4))
+        metrics, _ = tracer.summarize(since)
+    finally:
+        tracer.uninstall()
+    assert metrics["atoms.tent_decompose.atoms"] > 0
+    assert metrics["squarefuncs.tent_functional.calls"] == metrics["atoms.tent_decompose.atoms"] + 1
 
 
 def test_five_spaces_match_the_benchmark_copy(tmp_path):

@@ -192,6 +192,25 @@ def test_compute_peetre_uses_configured_b(tmp_path):
     assert np.array_equal(result.values, expected.values)
 
 
+def test_compute_gstar_uses_configured_lambda(tmp_path):
+    from lpx.grid import ScaleGrid
+    from lpx.kernels import build_annular_kernel
+    from lpx.squarefuncs import g_lambda_star
+    from lpx.transforms import build_field, build_plan
+
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    scales = ScaleGrid(0.0625, 16.0, 8)
+    cfg = write_config(tmp_path, grid={"dim": 1, "N": 64, "L": 2.0}, params={"lambda": 2.5})
+    inp = tmp_path / "bump.csv"
+    f = gaussian_bump(grid, [0.2], 0.3)
+    write_function_csv(f, inp)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "compute", str(inp), "gstar"]) == 0
+    result, _ = read_function_binary(out / "gstar.bin")
+    expected = g_lambda_star(build_field(f, build_plan(build_annular_kernel(grid), scales)), 2.5)
+    assert np.array_equal(result.values, expected.values)
+
+
 def test_unknown_experiment_option_exits_2(tmp_path, capsys):
     # a misspelt option used to be ignored, running the default 20 trials
     cfg = write_config(tmp_path, experiments={"equivalence": {"trails": 10}})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 
+from lpx import squarefuncs
 from lpx.errors import LambdaTooSmall
 from lpx.grid import (
     GridSpec,
@@ -14,7 +15,7 @@ from lpx.grid import (
 )
 from lpx.kernels import build_annular_kernel
 from lpx.squarefuncs import g_function, g_lambda_star, lusin_area, tent_functional
-from lpx.transforms import build_field, build_plan
+from lpx.transforms import build_field, build_plan, correlate, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
 SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
@@ -204,3 +205,140 @@ def test_monotone_in_scale_window():
         a = op(build_field(f, narrow)).values.real
         b = op(build_field(f, wide)).values.real
         assert np.all(b >= a - 1e-12)
+
+
+# -- references for the batched, cached-spectrum path -------------------------
+
+
+def _tent_reference(F, alpha):
+    """The per-scale correlation loop that the batched path replaced."""
+    grid, scales = F.grid, F.scales
+    dist = grid.offset_distances()
+    power = np.abs(F.values) ** 2
+    acc = np.zeros(grid.shape)
+    weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
+    for k, t in enumerate(scales.scales):
+        mask = (dist < alpha * t).astype(float)
+        if not mask.any():
+            continue
+        acc += correlate(power[..., k], spectrum(mask, grid.dim), grid.dim) * weights[k]
+    np.maximum(acc, 0.0, out=acc)
+    return np.sqrt(acc)
+
+
+def _gstar_reference(F, lam):
+    """The per-scale correlation loop that the batched path replaced."""
+    grid, scales = F.grid, F.scales
+    dist = grid.offset_distances()
+    power = np.abs(F.values) ** 2
+    acc = np.zeros(grid.shape)
+    lw = scales.log_weight * grid.cell_volume
+    for k, t in enumerate(scales.scales):
+        kernel = (t / (t + dist)) ** (lam * grid.dim)
+        acc += correlate(power[..., k], spectrum(kernel, grid.dim), grid.dim) * (lw / t**grid.dim)
+    np.maximum(acc, 0.0, out=acc)
+    return np.sqrt(acc)
+
+
+ORACLE_GRIDS = {
+    "1d-64": (GridSpec(dim=1, half_width=2.0, points_per_axis=64), ScaleGrid(1 / 16, 2.0, 4)),
+    "2d-16": (GridSpec(dim=2, half_width=2.0, points_per_axis=16), ScaleGrid(1 / 8, 2.0, 4)),
+    "2d-32": (GridSpec(dim=2, half_width=2.0, points_per_axis=32), ScaleGrid(1 / 8, 2.0, 4)),
+}
+
+
+def _oracle_field(grid, scales, kind):
+    """Complex noise on every scale, the same with alternate and leading scale
+    slices zeroed (as in a tent-atom piece), or zero."""
+    rng = np.random.default_rng(grid.size)
+    shape = grid.shape + (len(scales),)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "zeroed-slices":
+        values[..., ::2] = 0.0
+        values[..., :5] = 0.0
+    elif kind == "zero":
+        values[...] = 0.0
+    return HalfSpaceField(grid, scales, values)
+
+
+@pytest.mark.parametrize("kind", ["noise", "zeroed-slices", "zero"])
+@pytest.mark.parametrize("case", list(ORACLE_GRIDS))
+def test_batched_operators_match_per_scale_reference_bitwise(case, kind):
+    F = _oracle_field(*ORACLE_GRIDS[case], kind)
+    for alpha in (0.0, 0.5, 1.0, 2.0):
+        assert np.array_equal(tent_functional(F, alpha).values, _tent_reference(F, alpha)), alpha
+    for lam in (1.5, 3.0):
+        assert np.array_equal(g_lambda_star(F, lam).values, _gstar_reference(F, lam)), lam
+
+
+def _quadrature_oracle(F, kernel):
+    """sqrt of the direct double sum over cells y and scales t_k of
+    kernel(|x - y|, t_k) |F(y, t_k)|^2 cell_volume ln2/J t_k^-n, with the torus
+    distance taken from the cell coordinates."""
+    grid, scales = F.grid, F.scales
+    coords = np.stack([c.ravel() for c in grid.coordinate_mesh()], axis=1)
+    gap = np.abs(coords[:, None, :] - coords[None, :, :])
+    gap = np.minimum(gap, 2.0 * grid.half_width - gap)
+    dist = np.sqrt(np.sum(gap**2, axis=-1))  # (x, y)
+    power = np.abs(F.values.reshape(grid.size, -1)) ** 2
+    total = np.zeros(grid.size)
+    for k, t in enumerate(scales.scales):
+        total += kernel(dist, t) @ power[:, k] * grid.cell_volume * scales.log_weight / t**grid.dim
+    return np.sqrt(total).reshape(grid.shape)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (2, 16)], ids=["1d-16", "2d-8", "2d-16"])
+def test_square_functions_match_brute_force_quadrature(dim, n):
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    F = _oracle_field(grid, ScaleGrid(1 / 4, 4.0, 4), "noise")
+    for alpha in (0.5, 1.0, 2.0):
+        slow = _quadrature_oracle(F, lambda d, t: (d < alpha * t).astype(float))
+        fast = tent_functional(F, alpha).values.real
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow), alpha
+    for lam in (1.5, 3.0):
+        slow = _quadrature_oracle(F, lambda d, t: (t / (t + d)) ** (lam * dim))
+        fast = g_lambda_star(F, lam).values.real
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow), lam
+
+
+# -- the spectrum caches --------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["cone", "gstar"])
+def test_spectrum_cache_is_read_only_keyed_and_bounded(which):
+    cache = {"cone": squarefuncs.cone_spectra, "gstar": squarefuncs.gstar_spectra}[which]
+    grid, scales = ORACLE_GRIDS["1d-64"]
+    cache.cache_clear()
+    first = cache(grid, scales, 2.0)
+    for array in first if isinstance(first, tuple) else (first,):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert cache(grid, scales, 2.0) is first
+    assert cache.cache_info().hits == 1
+    # another grid, scale grid or parameter is another entry with its own table
+    others = [
+        cache(GridSpec(dim=1, half_width=4.0, points_per_axis=64), scales, 2.0),
+        cache(GridSpec(dim=1, half_width=2.0, points_per_axis=128), scales, 2.0),
+        cache(grid, ScaleGrid(1 / 16, 2.0, 8), 2.0),
+        cache(grid, scales, 3.0),
+    ]
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 5, 5)
+    tables = [t[0] if isinstance(t, tuple) else t for t in [first] + others]
+    for i, a in enumerate(tables):
+        for b in tables[i + 1:]:
+            assert a.shape != b.shape or not np.array_equal(a, b)
+    for p in np.linspace(1.5, 4.0, 2 * info.maxsize):
+        cache(grid, scales, float(p))
+    info = cache.cache_info()
+    assert info.maxsize == squarefuncs.SPECTRA_CACHE_SIZE
+    assert info.currsize == info.maxsize
+
+
+def test_square_functions_take_no_cache_knob():
+    import inspect
+
+    assert list(inspect.signature(tent_functional).parameters) == ["F", "alpha"]
+    assert list(inspect.signature(g_lambda_star).parameters) == ["F", "lam"]
+    assert "environ" not in inspect.getsource(squarefuncs)

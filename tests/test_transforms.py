@@ -3,7 +3,7 @@ import pytest
 
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, pure_frequency
 from lpx.kernels import build_annular_kernel, build_weak_kernel
-from lpx.transforms import (apply_multiplier, build_field, build_plan, convolve_at_scale, correlate,
+from lpx.transforms import (apply_multiplier, build_field, build_plan, convolve_at_scale, correlate, spectrum,
                             spatial_kernel)
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=512)
@@ -139,7 +139,15 @@ def test_correlate_matches_direct_torus_sum(shape):
     rng = np.random.default_rng(len(shape))
     values, kernel = rng.normal(size=shape), rng.normal(size=shape)
     slow = _torus_sum(values, kernel)
-    assert np.max(np.abs(correlate(values, kernel) - slow)) <= 1e-12 * np.max(np.abs(slow))
+    dim = len(shape)
+    fast = correlate(values, spectrum(kernel, dim), dim)
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+    # a leading batch axis on either side runs each row exactly as the unbatched call
+    stack = np.stack([values, kernel, values * kernel])
+    batched = correlate(stack, spectrum(stack, dim), dim)
+    assert all(np.array_equal(batched[i], correlate(v, spectrum(v, dim), dim)) for i, v in enumerate(stack))
+    broadcast = correlate(values, spectrum(stack, dim), dim)
+    assert all(np.array_equal(broadcast[i], correlate(values, spectrum(k, dim), dim)) for i, k in enumerate(stack))
 
 
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)], ids=["1d-16", "2d-8x8"])
