@@ -20,8 +20,8 @@ from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import Lebesgue, SpaceDescriptor, space_norm
-from .squarefuncs import cone_spectra, tent_functional
-from .transforms import apply_multiplier, correlate, spectrum
+from .squarefuncs import ball_spectra, cone_spectra, tent_functional
+from .transforms import apply_multiplier, correlate
 
 __all__ = [
     "Ball",
@@ -149,10 +149,11 @@ def _whitney_regions(
     uncovered = inside.copy()
     outside = (~inside).astype(float)
     axes = tuple(range(grid.dim))
-    for r in balls.radii[::-1]:  # largest first
+    doubles, _ = ball_spectra(grid, tuple(2.0 * r for r in balls.radii))
+    for r, double_hat in zip(balls.radii[::-1], doubles[::-1]):  # largest first
         if not uncovered.any():
             break
-        double_ok = correlate(outside, spectrum((dist < 2.0 * r).astype(float), grid.dim), grid.dim) < 0.5
+        double_ok = correlate(outside, double_hat, grid.dim) < 0.5
         candidates = double_ok & uncovered
         if not candidates.any():
             continue

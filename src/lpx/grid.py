@@ -117,17 +117,25 @@ class GridSpec:
         d = self.offset_distances()
         return np.roll(d, shift=center_index, axis=tuple(range(self.dim)))
 
+    def torus_window_view(self, values: np.ndarray) -> np.ndarray:
+        """Read-only view ``w`` with ``w[s][x] = values[(x + s) mod n]`` for every
+        shift ``0 <= s <= n`` per axis (shifts 0 and n coincide).
+
+        It is the sliding windows of the doubly tiled array: one copy of
+        ``values`` serves every shift.
+        """
+        tiled = np.tile(values, (2,) * self.dim)
+        return np.lib.stride_tricks.sliding_window_view(tiled, self.shape)
+
     def torus_windows(self, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """``values[(x + o) mod n]`` with one row per offset o and one column per cell x.
 
         ``offsets`` is an (m, dim) integer array; the result is (m, size) in the
-        C order of the cells.  One fancy index into the sliding windows of the
-        doubly tiled array reads every offset at once.
+        C order of the cells.  One fancy index into ``torus_window_view`` reads
+        every offset at once.
         """
         n = self.points_per_axis
-        tiled = np.tile(values, (2,) * self.dim)
-        windows = np.lib.stride_tricks.sliding_window_view(tiled, self.shape)
-        return windows[tuple((offsets % n).T)].reshape(len(offsets), self.size)
+        return self.torus_window_view(values)[tuple((offsets % n).T)].reshape(len(offsets), self.size)
 
 
 @dataclass(frozen=True)

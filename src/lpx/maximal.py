@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_RADII_PER_OCTAVE = {1: 32, 2: 8}
-PEETRE_CHUNK = 128  # offsets gathered per vectorized step of the smoothed sup
+PEETRE_CHUNK = 128  # offsets per vectorized step of the smoothed sup; bounds its temporaries
 
 
 def ball_volume(radius: float, dim: int) -> float:
@@ -183,21 +183,24 @@ def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> Sa
         raise ValueError("b must be positive")
     field = build_field(f, plan)
     grid = f.grid
+    n = grid.points_per_axis
     dist_grid = grid.offset_distances()
     # offsets beyond half the box are wrap-around aliases; skip them
     keep = np.argwhere(dist_grid <= grid.half_width)
     dist = dist_grid[tuple(keep.T)]
-    out = np.zeros(grid.size)
-    mags = np.abs(field.values.reshape(grid.size, -1))
+    # |psi_t * f|(x - y) is windows[-y mod N][x]
+    shifts = tuple((-keep % n).T)
+    out = np.zeros(grid.shape)
+    mags = np.abs(field.values)
     for k, t in enumerate(plan.scales.scales):
         weights = (1.0 + dist / t) ** (-b)
-        col = mags[:, k].reshape(grid.shape)
+        windows = grid.torus_window_view(mags[..., k])
         for start in range(0, len(keep), PEETRE_CHUNK):
-            w = weights[start : start + PEETRE_CHUNK]
-            # |psi_t * f|(x - y) for every x at once, one row per offset y
-            gathered = grid.torus_windows(col, -keep[start : start + PEETRE_CHUNK])
-            np.maximum(out, (gathered * w[:, None]).max(axis=0), out=out)
-    return SampledFunction(grid, out.reshape(grid.shape))
+            stop = start + PEETRE_CHUNK
+            rows = windows[tuple(s[start:stop] for s in shifts)]
+            w = weights[start:stop].reshape((-1,) + (1,) * grid.dim)
+            np.maximum(out, (rows * w).max(axis=0), out=out)
+    return SampledFunction(grid, out)
 
 
 def default_peetre_exponent(dim: int, floor_exponent: float) -> float:

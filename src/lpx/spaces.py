@@ -417,7 +417,11 @@ class OrliczSlice:
             hi = np.where(high, hi, mid)
         inner = np.where(sups > 0, hi * lams, 0.0)
         ratios = inner / denom
-        return float((np.sum(ratios**self.r) * cellvol) ** (1.0 / self.r))
+        top = ratios.max()
+        if top == 0.0:
+            return 0.0
+        # powers of ratios / top <= 1 neither overflow nor all underflow at any amplitude
+        return float((np.sum((ratios / top) ** self.r) * cellvol) ** (1.0 / self.r) * top)
 
     def floor(self) -> float:
         return min(self.r, self.phi.lower_type)

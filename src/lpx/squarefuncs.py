@@ -7,8 +7,8 @@ dy dt / t^(n+1) realized as cell_volume * ln2/J * t_k^(-n) per cell, with the
 torus distance deciding cone membership.  Per scale, the sums over y are
 circular correlations of |F|^2 with a kernel that depends only on the grid,
 the scale and the aperture or lambda; the spectra of those kernels are cached
-(``cone_spectra``, ``gstar_spectra``) and all scales run as one batched
-``transforms.correlate``.
+(``ball_spectra``, ``cone_spectra``, ``gstar_spectra``) and all scales run as
+one batched ``transforms.correlate``.
 """
 
 from __future__ import annotations
@@ -21,25 +21,31 @@ from .errors import LambdaTooSmall
 from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .transforms import correlate, spectrum
 
-__all__ = ["tent_functional", "lusin_area", "g_function", "g_lambda_star", "cone_spectra",
-           "gstar_spectra"]
+__all__ = ["tent_functional", "lusin_area", "g_function", "g_lambda_star", "ball_spectra",
+           "cone_spectra", "gstar_spectra"]
 
-# kernel spectra kept per (grid, scales, aperture or lambda); a 2-D N=64 table
-# over 64 scales is 2.2 MB
+# kernel spectra kept per (grid, radii) or (grid, scales, aperture or lambda);
+# a 2-D N=64 table over 64 scales is 2.2 MB
 SPECTRA_CACHE_SIZE = 8
 
 
 @functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
-def cone_spectra(grid: GridSpec, scales: ScaleGrid, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of the cone masks ``dist < alpha * t_k``, one row per scale, and
-    whether each mask holds any cell.  Both arrays are read-only."""
+def ball_spectra(grid: GridSpec, radii: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of the ball masks ``dist < r``, one row per radius, and whether
+    each mask holds any cell.  Both arrays are read-only."""
     dist = grid.offset_distances()
-    masks = np.stack([(dist < alpha * t).astype(float) for t in scales.scales])
+    masks = np.stack([(dist < r).astype(float) for r in radii])
     table = spectrum(masks, grid.dim)
     live = masks.reshape(len(masks), -1).any(axis=1)
     table.setflags(write=False)
     live.setflags(write=False)
     return table, live
+
+
+@functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
+def cone_spectra(grid: GridSpec, scales: ScaleGrid, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``ball_spectra`` of the cone masks ``dist < alpha * t_k``, one row per scale."""
+    return ball_spectra(grid, tuple(alpha * t for t in scales.scales))
 
 
 @functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)

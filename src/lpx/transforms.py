@@ -2,7 +2,8 @@
 
 Every convolution is a Fourier multiplier on the periodic grid: the dilated
 kernel acts as phi_hat(t * xi) on the spectrum, which is exact for periodic
-data and costs one FFT pair per scale.
+data.  A half-space field costs one forward FFT of the input and one inverse
+FFT batched over every scale.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ class ConvolutionPlan:
 def build_plan(kernel: Kernel, scales: ScaleGrid) -> ConvolutionPlan:
     grid = kernel.grid
     radii = grid.frequency_radii()
-    ts = scales.scales
-    table = np.empty((len(ts),) + grid.shape)
-    for k, t in enumerate(ts):
-        table[k] = kernel.profile(t * radii)
+    ts = scales.scales.reshape((-1,) + (1,) * grid.dim)
+    table = kernel.profile(ts * radii)
     table.setflags(write=False)
     # at the coarsest scale the multiplier should live on the lowest dual band
     # only; otherwise the spatial kernel is wider than the box and wraps
@@ -81,13 +80,15 @@ def convolve_at_scale(f: SampledFunction, kernel: Kernel, t: float) -> SampledFu
 
 
 def build_field(f: SampledFunction, plan: ConvolutionPlan) -> HalfSpaceField:
-    """All scale slices (phi_t * f) stacked into a half-space field."""
-    spectrum = np.fft.fftn(f.values)
-    K = len(plan.scales)
-    out = np.empty(plan.grid.shape + (K,), dtype=np.complex128)
-    for k in range(K):
-        out[..., k] = np.fft.ifftn(spectrum * plan.multipliers[k])
-    return HalfSpaceField(plan.grid, plan.scales, out)
+    """All scale slices (phi_t * f) stacked into a half-space field.
+
+    The values are C-contiguous in the ``grid.shape + (K,)`` layout: reductions
+    over the scale axis (``g_function``'s sum) then run in the same order as
+    over a per-scale filled array, so results do not depend on the layout.
+    """
+    spatial = tuple(range(1, plan.grid.dim + 1))
+    slices = np.fft.ifftn(np.fft.fftn(f.values) * plan.multipliers, axes=spatial)
+    return HalfSpaceField(plan.grid, plan.scales, np.ascontiguousarray(np.moveaxis(slices, 0, -1)))
 
 
 def spatial_kernel(kernel: Kernel, t: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
 from lpx.spaces import Lebesgue, Morrey, space_norm
-from lpx.squarefuncs import tent_functional
+from lpx.squarefuncs import ball_spectra, tent_functional
 from lpx.transforms import build_field, build_plan, correlate, spatial_kernel, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
@@ -80,6 +80,23 @@ def test_containment_levels_match_per_scale_reference_bitwise(dim, n, zero):
     assert (fast >= 0).any() != zero
 
 
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)], ids=["1d-64", "2d-32"])
+def test_double_ball_spectra_match_per_radius_masks_bitwise(dim, n):
+    # _whitney_regions reads the doubled balls dist < 2r from the cached ball spectra
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    radii = BallFamily.build(grid, 2).radii
+    dist = grid.offset_distances()
+    ball_spectra.cache_clear()
+    table, live = ball_spectra(grid, tuple(2.0 * r for r in radii))
+    assert not table.flags.writeable and live.all()
+    assert len(table) == len(radii)
+    for r, row in zip(radii, table):
+        assert np.array_equal(row, spectrum((dist < 2.0 * r).astype(float), dim))
+    # one table per (grid, ball family): a rebuilt family hits the cache
+    rebuilt = BallFamily.build(grid, 2).radii
+    assert ball_spectra(grid, tuple(2.0 * r for r in rebuilt))[0] is table
+
+
 def test_decompose_exact_reconstruction_and_additivity():
     F = random_field(1)
     dec = tent_decompose(F, Lebesgue(2.0), BALLS)
@@ -135,7 +152,7 @@ def test_decompose_single_atom_recovery():
 
 
 def test_coefficient_functional_stability():
-    from lpx.squarefuncs import tent_functional
+    from lpx.squarefuncs import ball_spectra, tent_functional
 
     space = Lebesgue(2.0)
     ratios = []

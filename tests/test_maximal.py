@@ -197,30 +197,51 @@ def test_peetre_dominates_zero_offset(pair, psi_plan):
 
 
 def roll_peetre_maximal(f: SampledFunction, b: float, plan) -> np.ndarray:
-    """Reference smoothed sup: one np.roll of each scale's |psi_t * f| per offset."""
+    """Reference smoothed sup: one np.roll of each scale's |psi_t * f| per offset,
+    with each scale's slice from its own inverse FFT (independent of build_field)."""
     grid = f.grid
     axes = tuple(range(grid.dim))
     dist_grid = grid.offset_distances()
     keep = np.argwhere(dist_grid <= grid.half_width)
     dist = dist_grid[tuple(keep.T)]
-    mags = np.abs(build_field(f, plan).values)
+    spectrum = np.fft.fftn(f.values)
     out = np.zeros(grid.shape)
     for k, t in enumerate(plan.scales.scales):
+        mag = np.abs(np.fft.ifftn(spectrum * plan.multipliers[k]))
         weights = (1.0 + dist / t) ** (-b)
         for off, w in zip(keep, weights):
-            np.maximum(out, np.roll(mags[..., k], shift=tuple(off), axis=axes) * w, out=out)
+            np.maximum(out, np.roll(mag, shift=tuple(off), axis=axes) * w, out=out)
     return out
 
 
-@pytest.mark.parametrize("dim, n, width", [(1, 64, 2.0), (2, 32, 1.0)], ids=["1d-64", "2d-32"])
-def test_peetre_matches_roll_reference_bitwise(dim, n, width):
+@pytest.mark.parametrize(
+    "dim, n, width, complex_input, b",
+    [
+        (1, 64, 2.0, True, 3.0),
+        (2, 32, 1.0, True, 3.0),
+        (1, 64, 2.0, True, 0.7),
+        (1, 256, 8.0, False, 3.0),
+        (1, 256, 8.0, False, 0.7),
+        (2, 32, 1.0, True, 0.7),
+        (2, 16, 0.5, False, 3.0),
+        (2, 16, 0.5, False, 0.7),
+    ],
+    ids=["1d-64", "2d-32", "1d-64-b0.7", "1d-256-real", "1d-256-real-b0.7", "2d-32-b0.7", "2d-16-real",
+         "2d-16-real-b0.7"],
+)
+def test_peetre_matches_roll_reference_bitwise(dim, n, width, complex_input, b):
     grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
+    # 1-D keeps every offset; 2-D drops the corner offsets with |y| > L
+    assert (grid.offset_distances() > width).any() == (dim == 2)
     scales = ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4)
     plan = build_plan(build_annular_kernel(grid), scales)
     rng = np.random.default_rng(dim)
-    f = SampledFunction(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
-    fast = peetre_maximal(f, b=3.0, plan=plan).values.real
-    assert np.array_equal(fast, roll_peetre_maximal(f, 3.0, plan))
+    values = rng.normal(size=grid.shape)
+    if complex_input:
+        values = values + 1j * rng.normal(size=grid.shape)
+    f = SampledFunction(grid, values)
+    fast = peetre_maximal(f, b=b, plan=plan).values.real
+    assert np.array_equal(fast, roll_peetre_maximal(f, b, plan))
 
 
 def test_hardy_norm_zero_and_homogeneous(pair, psi_plan):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpx.errors import NoBracket
@@ -238,19 +238,27 @@ def test_orlicz_slice_general_positive_and_zero():
     assert space_norm(gaussian_bump(grid, [0.0], 0.5), space) > 0.0
 
 
-def test_orlicz_slice_over_subnormal_tails_and_extreme_amplitudes():
+@given(exponent=st.floats(min_value=-290.0, max_value=300.0))
+@example(exponent=-200.0)
+@example(exponent=200.0)
+@example(exponent=-290.0)
+@example(exponent=300.0)
+@settings(max_examples=25, deadline=None)
+def test_orlicz_slice_over_subnormal_tails_and_extreme_amplitudes(exponent):
     # the far tails of this bump are subnormal; a bisection bracket scaled by a
-    # window's max underflowed to 0 there and the bisection divided 0 by 0
+    # window's max underflowed to 0 there and the bisection divided 0 by 0.
+    # The outer sum of ratio powers underflowed to 0 near amplitude 1e-290 and
+    # overflowed near 1e300.
     from lpx.harness import FIVE_SPACES, trial_function
 
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
     f = trial_function(3, 3, grid)
     space = descriptor_from_json(FIVE_SPACES["orlicz_slice"], grid)
+    c = 10.0**exponent
     # underflow stays allowed: Phi(u) of a negligible u ~ 1e-320 rounds to 0
     with np.errstate(all="raise", under="ignore"):
         value = space_norm(f, space)
-        for amplitude in (1e-200, 1e200):
-            assert space_norm(amplitude * f, space) == pytest.approx(amplitude * value, rel=1e-12)
+        assert space_norm(c * f, space) == pytest.approx(c * value, rel=1e-12)
     assert value > 0
 
 
