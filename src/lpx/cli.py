@@ -240,8 +240,8 @@ def cmd_compute(cfg: dict, input_path: Path, operator: str, out_dir: Path) -> in
         "input": str(input_path),
     }
     if scalar is not None:
-        if math.isnan(scalar):
-            raise _Exit(3, "numeric failure: result is NaN")
+        if not math.isfinite(scalar):
+            raise _Exit(3, f"numeric failure: result is {scalar}")
         provenance["value"] = scalar
         out = out_dir / f"{operator}.json"
         out.write_text(json.dumps(provenance, sort_keys=True, indent=2) + "\n")

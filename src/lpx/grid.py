@@ -121,11 +121,14 @@ class GridSpec:
         """Read-only view ``w`` with ``w[s][x] = values[(x + s) mod n]`` for every
         shift ``0 <= s <= n`` per axis (shifts 0 and n coincide).
 
-        It is the sliding windows of the doubly tiled array: one copy of
-        ``values`` serves every shift.
+        Leading axes of ``values`` beyond ``grid.shape`` are a batch:
+        ``w[i][s][x] = values[i][(x + s) mod n]``.  It is the sliding windows of
+        the doubly tiled array: one copy of ``values`` serves every shift.
         """
-        tiled = np.tile(values, (2,) * self.dim)
-        return np.lib.stride_tricks.sliding_window_view(tiled, self.shape)
+        lead = values.ndim - self.dim
+        tiled = np.tile(values, (1,) * lead + (2,) * self.dim)
+        axes = tuple(range(lead, values.ndim))
+        return np.lib.stride_tricks.sliding_window_view(tiled, self.shape, axis=axes)
 
     def torus_windows(self, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """``values[(x + o) mod n]`` with one row per offset o and one column per cell x.

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_RADII_PER_OCTAVE = {1: 32, 2: 8}
-PEETRE_CHUNK = 128  # offsets per vectorized step of the smoothed sup; bounds its temporaries
+PEETRE_CHUNK = 128  # (scale, offset) pairs per vectorized step of the smoothed sup; bounds its temporaries
 
 
 def ball_volume(radius: float, dim: int) -> float:
@@ -177,29 +177,31 @@ def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> Sa
 
     ``plan`` is the convolution plan of the kernel psi; the supremum runs over
     every grid offset y (torus distance, hence |y| <= L) and every scale of
-    the plan's grid.
+    the plan's grid.  The (scale, offset) pairs are visited in scale-major
+    order, ``PEETRE_CHUNK`` pairs per vectorized step; a step may span two
+    scales.
     """
     if b <= 0:
         raise ValueError("b must be positive")
     field = build_field(f, plan)
     grid = f.grid
     n = grid.points_per_axis
+    ts = plan.scales.scales
     dist_grid = grid.offset_distances()
     # offsets beyond half the box are wrap-around aliases; skip them
     keep = np.argwhere(dist_grid <= grid.half_width)
     dist = dist_grid[tuple(keep.T)]
-    # |psi_t * f|(x - y) is windows[-y mod N][x]
-    shifts = tuple((-keep % n).T)
+    # one weight and one window index per (scale, offset) pair, scale-major;
+    # |psi_t * f|(x - y) is windows[k][-y mod N][x] for the k-th scale t
+    weights = ((1.0 + dist / ts[:, None]) ** (-b)).reshape((-1,) + (1,) * grid.dim)
+    index = np.column_stack([np.repeat(np.arange(len(ts)), len(keep)), np.tile(-keep % n, (len(ts), 1))]).T
+    windows = grid.torus_window_view(np.abs(np.moveaxis(field.values, -1, 0)))
     out = np.zeros(grid.shape)
-    mags = np.abs(field.values)
-    for k, t in enumerate(plan.scales.scales):
-        weights = (1.0 + dist / t) ** (-b)
-        windows = grid.torus_window_view(mags[..., k])
-        for start in range(0, len(keep), PEETRE_CHUNK):
-            stop = start + PEETRE_CHUNK
-            rows = windows[tuple(s[start:stop] for s in shifts)]
-            w = weights[start:stop].reshape((-1,) + (1,) * grid.dim)
-            np.maximum(out, (rows * w).max(axis=0), out=out)
+    for start in range(0, len(weights), PEETRE_CHUNK):
+        c = slice(start, start + PEETRE_CHUNK)
+        rows = windows[tuple(index[:, c])]
+        rows *= weights[c]
+        np.maximum(out, rows.max(axis=0), out=out)
     return SampledFunction(grid, out)
 
 

@@ -408,13 +408,17 @@ class OrliczSlice:
         scaled = windows / lams[:, None]
         lo = np.full(len(lams), LUXEMBURG_BRACKET[0])
         hi = np.full(len(lams), LUXEMBURG_BRACKET[1])
-        # vectorized bisection of the window modulars
+        # vectorized bisection of the window modulars; a step depends only on
+        # (lo, hi), so once one leaves both unchanged every later one would too
         for _ in range(80):
             mid = np.sqrt(lo * hi)
             mods = phi.evaluator(scaled / mid[:, None]).sum(axis=1) * cellvol
             high = mods > 1.0
-            lo = np.where(high, mid, lo)
-            hi = np.where(high, hi, mid)
+            new_lo = np.where(high, mid, lo)
+            new_hi = np.where(high, hi, mid)
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
         inner = np.where(sups > 0, hi * lams, 0.0)
         ratios = inner / denom
         top = ratios.max()

@@ -95,6 +95,19 @@ def test_compute_norm_scalar(tmp_path):
     assert payload["value"] == pytest.approx(1.0, abs=1e-2)
 
 
+@pytest.mark.parametrize("operator", ["norm", "hardy_norm"])
+def test_compute_infinite_scalar_exits_3(tmp_path, capsys, operator):
+    # the L^2 norm of a 1e200-high bump overflows to inf; it used to print and exit 0
+    cfg = write_config(tmp_path)
+    inp = tmp_path / "big.csv"
+    write_function_csv(SampledFunction(GRID, 1e200 * gaussian_bump(GRID, [0.2], 0.5).values), inp)
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out", str(out), "compute", str(inp), operator])
+    assert code == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not (out / f"{operator}.json").exists()
+
+
 def test_hash_mismatch_rejected(tmp_path):
     cfg1 = write_config(tmp_path, seed=1)
     inp = write_input(tmp_path)

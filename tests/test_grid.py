@@ -229,3 +229,16 @@ def test_torus_windows_matches_roll_per_offset(dim, n, dtype):
     for row, o in zip(out, offsets):
         # values[(x + o) mod n] is values rolled by -o
         assert np.array_equal(row, np.roll(values, shift=tuple(-o), axis=axes).ravel())
+
+
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)], ids=["1d-16", "2d-8x8"])
+def test_torus_window_view_of_a_stack_matches_roll_per_slice(dim, n):
+    grid = GridSpec(dim=dim, half_width=1.0, points_per_axis=n)
+    stack = np.random.default_rng(dim).normal(size=(3,) + grid.shape)
+    view = grid.torus_window_view(stack)
+    assert view.shape == (3,) + (n + 1,) * dim + grid.shape
+    axes = tuple(range(dim))
+    for i, values in enumerate(stack):
+        for s in np.ndindex((n + 1,) * dim):
+            # w[i][s][x] = values_i[(x + s) mod n], values_i rolled by -s
+            assert np.array_equal(view[(i,) + s], np.roll(values, shift=tuple(-np.array(s)), axis=axes))

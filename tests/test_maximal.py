@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,27 +216,54 @@ def roll_peetre_maximal(f: SampledFunction, b: float, plan) -> np.ndarray:
     return out
 
 
+@dataclasses.dataclass(frozen=True)
+class FirstScales:
+    """The first ``count`` nodes of a scale grid; a ScaleGrid itself has at least 8."""
+
+    full: ScaleGrid
+    count: int
+
+    @property
+    def scales(self) -> np.ndarray:
+        return self.full.scales[: self.count]
+
+    def __len__(self) -> int:
+        return self.count
+
+
+# with PEETRE_CHUNK = 128 pairs: 1-D N=64 has 64 offsets per scale (each chunk
+# spans two scales, 5 scales end on a half chunk); 2-D N=16 keeps 195 offsets
+# (chunks cross scale boundaries mid-chunk); 1-D N=256 on one scale is two
+# chunks of one scale
 @pytest.mark.parametrize(
-    "dim, n, width, complex_input, b",
+    "dim, n, width, complex_input, b, n_scales",
     [
-        (1, 64, 2.0, True, 3.0),
-        (2, 32, 1.0, True, 3.0),
-        (1, 64, 2.0, True, 0.7),
-        (1, 256, 8.0, False, 3.0),
-        (1, 256, 8.0, False, 0.7),
-        (2, 32, 1.0, True, 0.7),
-        (2, 16, 0.5, False, 3.0),
-        (2, 16, 0.5, False, 0.7),
+        (1, 64, 2.0, True, 3.0, None),
+        (2, 32, 1.0, True, 3.0, None),
+        (1, 64, 2.0, True, 0.7, None),
+        (1, 256, 8.0, False, 3.0, None),
+        (1, 256, 8.0, False, 0.7, None),
+        (2, 32, 1.0, True, 0.7, None),
+        (2, 16, 0.5, False, 3.0, None),
+        (2, 16, 0.5, False, 0.7, None),
+        (1, 64, 2.0, False, 3.0, 5),
+        (2, 16, 0.5, True, 3.0, 3),
+        (1, 256, 8.0, True, 3.0, 1),
+        (2, 16, 0.5, False, 0.7, 1),
     ],
     ids=["1d-64", "2d-32", "1d-64-b0.7", "1d-256-real", "1d-256-real-b0.7", "2d-32-b0.7", "2d-16-real",
-         "2d-16-real-b0.7"],
+         "2d-16-real-b0.7", "1d-64-5scales-partial", "2d-16-3scales-straddle", "1d-256-1scale",
+         "2d-16-1scale-partial"],
 )
-def test_peetre_matches_roll_reference_bitwise(dim, n, width, complex_input, b):
+def test_peetre_matches_roll_reference_bitwise(dim, n, width, complex_input, b, n_scales):
     grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
     # 1-D keeps every offset; 2-D drops the corner offsets with |y| > L
     assert (grid.offset_distances() > width).any() == (dim == 2)
     scales = ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4)
     plan = build_plan(build_annular_kernel(grid), scales)
+    if n_scales is not None:
+        plan = dataclasses.replace(plan, scales=FirstScales(scales, n_scales),
+                                   multipliers=plan.multipliers[:n_scales])
     rng = np.random.default_rng(dim)
     values = rng.normal(size=grid.shape)
     if complex_input:

@@ -262,6 +262,59 @@ def test_orlicz_slice_over_subnormal_tails_and_extreme_amplitudes(exponent):
     assert value > 0
 
 
+def fixed_iteration_orlicz_slice_norm(f: SampledFunction, space: OrliczSlice) -> float:
+    """OrliczSlice.norm with all 80 bisection steps run: the reference for its early stop."""
+    grid = f.grid
+    mask = grid.offset_distances() < space.slice_t
+    cellvol = grid.cell_volume
+    denom = 1.0 / space.phi.inverse(1.0 / (np.count_nonzero(mask) * cellvol))
+    windows = np.ascontiguousarray(grid.torus_windows(np.abs(f.values), np.argwhere(mask)).T)
+    sups = windows.max(axis=1)
+    lams = np.where(sups > 0, sups, 1.0)
+    scaled = windows / lams[:, None]
+    lo = np.full(len(lams), 1e-30)
+    hi = np.full(len(lams), 1e30)
+    for _ in range(80):
+        mid = np.sqrt(lo * hi)
+        high = space.phi.evaluator(scaled / mid[:, None]).sum(axis=1) * cellvol > 1.0
+        lo = np.where(high, mid, lo)
+        hi = np.where(high, hi, mid)
+    ratios = np.where(sups > 0, hi * lams, 0.0) / denom
+    top = ratios.max()
+    if top == 0.0:
+        return 0.0
+    return float((np.sum((ratios / top) ** space.r) * cellvol) ** (1.0 / space.r) * top)
+
+
+def test_orlicz_slice_early_stop_matches_80_step_bisection_bitwise():
+    from lpx.harness import FIVE_SPACES, trial_function
+
+    small = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    space = descriptor_from_json(FIVE_SPACES["orlicz_slice"], small)
+    modular_steps = []
+
+    def counted(u, phi=space.phi.evaluator):
+        if np.ndim(u) == 2:  # only the windowed bisection passes 2-D arguments
+            modular_steps.append(1)
+        return phi(u)
+
+    counting = OrliczSlice(OrliczFunction(counted, space.phi.lower_type, space.phi.upper_type), space.r,
+                           space.slice_t)
+    for trial in range(8):
+        f = trial_function(505, trial, small)
+        modular_steps.clear()
+        assert counting.norm(f) == fixed_iteration_orlicz_slice_norm(f, space)
+        # the criterion-5 trials reach the fixed point well before the cap
+        assert len(modular_steps) < 80
+    # the subnormal tails and extreme amplitudes of the test above
+    grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
+    space = descriptor_from_json(FIVE_SPACES["orlicz_slice"], grid)
+    f = trial_function(3, 3, grid)
+    for exponent in (0.0, -200.0, 200.0, -290.0, 300.0):
+        g = 10.0**exponent * f
+        assert space_norm(g, space) == fixed_iteration_orlicz_slice_norm(g, space)
+
+
 # ---------------------------------------------------------------------------
 # convexification
 
