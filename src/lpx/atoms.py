@@ -6,6 +6,14 @@ cone functional at dyadic levels, cover each superlevel set with family balls
 balls, and cut the field along the per-cell level of the largest superlevel
 set whose surrounding ball still fits.  Each piece is normalized so it passes
 the tent-atom size inequality for every requested integrability exponent.
+
+The pieces' cone functionals run as one batched pass
+(``squarefuncs.tent_functionals``): only the live (piece, scale) rows are
+stacked, ``squarefuncs.SCALE_SUM_CHUNK`` rows per correlation, so no
+pieces x cells x scales array is built.  Each level tests every doubled ball
+in one correlation against the cached ``ball_spectra``, and a claimed ball
+marks its cells through its offset list.  All of it is bitwise what one call
+per piece, one correlation per radius and one ``np.roll`` per ball give.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import Lebesgue, SpaceDescriptor, space_norm
-from .squarefuncs import ball_spectra, cone_spectra, tent_functional
+from .squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
 from .transforms import apply_multiplier, correlate
 
 __all__ = [
@@ -144,31 +152,30 @@ def _whitney_regions(
     is covered by single-cell regions.  Returns (region id array, leaders).
     """
     dist = grid.offset_distances()
+    n = grid.points_per_axis
     region = np.full(grid.shape, -1, dtype=int)
     leaders: list[Ball] = []
     uncovered = inside.copy()
     outside = (~inside).astype(float)
-    axes = tuple(range(grid.dim))
     doubles, _ = ball_spectra(grid, tuple(2.0 * r for r in balls.radii))
-    for r, double_hat in zip(balls.radii[::-1], doubles[::-1]):  # largest first
+    double_ok = correlate(outside, doubles, grid.dim) < 0.5
+    for r, double_ok_r in zip(balls.radii[::-1], double_ok[::-1]):  # largest first
         if not uncovered.any():
             break
-        double_ok = correlate(outside, double_hat, grid.dim) < 0.5
-        candidates = double_ok & uncovered
+        candidates = double_ok_r & uncovered
         if not candidates.any():
             continue
-        ball_mask = dist < r
+        offsets = np.argwhere(dist < r)
         for idx in np.argwhere(candidates):
-            idx = tuple(idx)
-            if not uncovered[idx]:
+            if not uncovered[tuple(idx)]:
                 continue
-            member = np.roll(ball_mask, shift=idx, axis=axes)
-            fresh = member & uncovered
+            member = tuple(((idx + offsets) % n).T)
+            fresh = uncovered[member]
             if not fresh.any():
                 continue
-            region[fresh] = len(leaders)
-            leaders.append(Ball(center=idx, radius=float(r)))
-            uncovered &= ~member
+            region[tuple(m[fresh] for m in member)] = len(leaders)
+            leaders.append(Ball(center=tuple(idx), radius=float(r)))
+            uncovered[member] = False
     for idx in np.argwhere(uncovered):
         idx = tuple(idx)
         region[idx] = len(leaders)
@@ -251,20 +258,27 @@ def tent_decompose(
             piece_mask[idx] = stray[idx]
             pieces.append((piece_mask, idx))
 
-    atoms: list[TentAtom] = []
-    for piece_mask, center in pieces:
-        piece = np.where(piece_mask, F.values, 0.0)
+    # every piece's cone functional in one batched pass, then its coefficient;
+    # the batch is dropped before any atom field is built
+    areas = tent_functionals(F, 1.0, [mask for mask, _ in pieces])
+    sized: list[tuple[np.ndarray, Ball, float]] = []
+    for (piece_mask, center), area_row in zip(pieces, areas):
         ball = _fit_ball(grid, balls, center, piece_mask, ts)
-        piece_field = HalfSpaceField(grid, scales, piece)
         norm_1b = space_norm(ball_indicator(grid, ball), space)
-        piece_area = tent_functional(piece_field, 1.0)
+        piece_area = SampledFunction(grid, area_row)
         lam = max(
             space_norm(piece_area, Lebesgue(p)) * norm_1b / ball_volume(ball.radius, grid.dim) ** (1.0 / p)
             for p in p_checks
         )
-        if lam == 0.0:
-            continue
-        atom_field = HalfSpaceField(grid, scales, piece / lam)
+        if lam != 0.0:
+            sized.append((piece_mask, ball, lam))
+    del areas, pieces
+
+    atoms: list[TentAtom] = []
+    for piece_mask, ball, lam in sized:
+        values = np.zeros_like(F.values)
+        np.divide(F.values, lam, out=values, where=piece_mask)
+        atom_field = HalfSpaceField(grid, scales, values)
         atoms.append(TentAtom(field=atom_field, ball=ball, coefficient=lam))
     return TentDecomposition(atoms=atoms, residual=zero)
 

@@ -8,6 +8,7 @@ quadrature weight ln(2)/J for the measure dt/t.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,6 +35,10 @@ __all__ = [
     "write_function_binary",
     "read_function_binary",
 ]
+
+
+# offset distance tables kept per grid; a 2-D N=64 table is 32 kB
+OFFSET_CACHE_SIZE = 8
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -103,19 +108,18 @@ class GridSpec:
         return np.sqrt(fx**2 + fy**2)
 
     def offset_distances(self) -> np.ndarray:
-        """Torus distance from the zero offset, indexed like an FFT kernel."""
-        n = self.points_per_axis
-        j = np.arange(n)
-        d = self.spacing * np.minimum(j, n - j)
-        if self.dim == 1:
-            return d
-        dx, dy = np.meshgrid(d, d, indexing="ij")
-        return np.sqrt(dx**2 + dy**2)
+        """Torus distance from the zero offset, indexed like an FFT kernel.
+
+        One read-only table per grid, shared by every caller."""
+        return _offset_distances(self)
 
     def torus_distance_to(self, center_index: tuple[int, ...]) -> np.ndarray:
         """Torus distance of every cell center from the given cell's center."""
-        d = self.offset_distances()
-        return np.roll(d, shift=center_index, axis=tuple(range(self.dim)))
+        out = self.offset_distances()
+        cells = np.arange(self.points_per_axis)
+        for axis, c in enumerate(center_index):  # out[x] = table[(x - c) mod n]
+            out = out.take(cells - c, axis=axis, mode="wrap")
+        return out
 
     def torus_window_view(self, values: np.ndarray) -> np.ndarray:
         """Read-only view ``w`` with ``w[s][x] = values[(x + s) mod n]`` for every
@@ -139,6 +143,18 @@ class GridSpec:
         """
         n = self.points_per_axis
         return self.torus_window_view(values)[tuple((offsets % n).T)].reshape(len(offsets), self.size)
+
+
+@functools.lru_cache(maxsize=OFFSET_CACHE_SIZE)
+def _offset_distances(grid: GridSpec) -> np.ndarray:
+    n = grid.points_per_axis
+    j = np.arange(n)
+    d = grid.spacing * np.minimum(j, n - j)
+    if grid.dim == 2:
+        dx, dy = np.meshgrid(d, d, indexing="ij")
+        d = np.sqrt(dx**2 + dy**2)
+    d.setflags(write=False)
+    return d
 
 
 @dataclass(frozen=True)

@@ -347,42 +347,6 @@ def embedding_experiment(
     )
 
 
-def peetre_b_sweep(
-    space: SpaceDescriptor,
-    kernel_kind: str,
-    bs: tuple[float, ...],
-    grid: GridSpec,
-    scales: ScaleGrid,
-    seed: int = 0,
-    trials: int = 5,
-) -> dict:
-    """Stability of the maximal-norm pipeline across smoothing exponents b.
-
-    The decay exponent is only pinned up to "large enough"; this sweep records
-    how the norm ratios move as b varies above the default, so the choice can
-    be justified empirically.
-    """
-    kernel = build_kernel(kernel_kind, grid)
-    psi_plan = build_plan(calderon_companion(kernel, scales).psi, scales)
-    norms = {b: [] for b in bs}
-    for i in range(trials):
-        f = trial_function(seed, i, grid)
-        for b in bs:
-            norms[b].append(hardy_norm(f, space, psi_plan, b))
-    # per-trial ratio of each b to the largest b in the sweep
-    b_ref = max(bs)
-    ratios = {
-        b: [norms[b][i] / norms[b_ref][i] for i in range(trials)] for b in bs
-    }
-    spreads = {b: _spread(r) for b, r in ratios.items()}
-    return {
-        "bs": list(bs),
-        "norms": {str(b): v for b, v in norms.items()},
-        "ratio_spreads": {str(b): s for b, s in spreads.items()},
-        "stable": all(s <= 4.0 for s in spreads.values()),
-    }
-
-
 def vanish_at_infinity_check(
     f: SampledFunction,
     phi: Kernel,

@@ -223,7 +223,17 @@ class Lebesgue:
             raise ValueError("p must be positive")
 
     def norm(self, f: SampledFunction) -> float:
-        return float((np.sum(np.abs(f.values) ** self.p) * f.grid.cell_volume) ** (1.0 / self.p))
+        # sum the powers of |f| / 2^e with 2^e >= max|f| and scale back after the
+        # root: exact in binary, so the norm is homogeneous over the whole float
+        # range and overflows only when the result does
+        mag = np.abs(f.values)
+        e = math.frexp(np.maximum.reduce(mag, axis=None))[1]
+        np.ldexp(mag, -e, out=mag)
+        total = float(np.add.reduce(mag**self.p, axis=None)) * f.grid.cell_volume
+        try:
+            return math.ldexp(total ** (1.0 / self.p), e)
+        except OverflowError:
+            return math.inf
 
     def floor(self) -> float:
         return self.p

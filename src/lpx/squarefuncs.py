@@ -14,6 +14,7 @@ one batched ``transforms.correlate``.
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -21,12 +22,15 @@ from .errors import LambdaTooSmall
 from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .transforms import correlate, spectrum
 
-__all__ = ["tent_functional", "lusin_area", "g_function", "g_lambda_star", "ball_spectra",
+__all__ = ["tent_functional", "tent_functionals", "lusin_area", "g_function", "g_lambda_star", "ball_spectra",
            "cone_spectra", "gstar_spectra"]
 
 # kernel spectra kept per (grid, radii) or (grid, scales, aperture or lambda);
 # a 2-D N=64 table over 64 scales is 2.2 MB
 SPECTRA_CACHE_SIZE = 8
+# (piece, scale) rows per batched correlation of ``_scale_sum``; bounds its
+# temporaries (a 2-D N=64 chunk of rows is 8 MB)
+SCALE_SUM_CHUNK = 256
 
 
 @functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
@@ -57,33 +61,74 @@ def gstar_spectra(grid: GridSpec, scales: ScaleGrid, lam: float) -> np.ndarray:
     return table
 
 
-def _scale_sum(F: HalfSpaceField, table: np.ndarray, live: np.ndarray | bool, weights) -> SampledFunction:
-    """sqrt(sum_k weights[k] * (|F(., t_k)|^2 correlated with kernel k)).
+def _scale_sum(F: HalfSpaceField, table: np.ndarray, live: np.ndarray | bool, weights,
+               masks: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """sqrt(sum_k weights[k] * (|P(., t_k)|^2 correlated with kernel k)) for each piece P.
 
-    Scales whose kernel is empty or whose slice is zero add exactly zero and
-    are skipped; the rest run as one batched correlation and are summed in
-    scale order.
+    Piece i is ``where(masks[i], F, 0)``; ``masks=None`` makes F itself the one
+    piece.  A (piece, scale) row whose kernel is empty or whose slice is zero
+    adds exactly zero and is skipped.  The rest are correlated
+    ``SCALE_SUM_CHUNK`` rows at a time and summed per piece in scale order, so
+    each piece's sum is bitwise what a call on that piece alone gives.
+    Returns one row per piece, shaped ``(pieces,) + grid.shape``.
     """
     grid = F.grid
+    weights = np.asarray(weights)
     power = np.moveaxis(np.abs(F.values) ** 2, -1, 0)
-    keep = np.flatnonzero(live & power.reshape(len(power), -1).any(axis=1))
-    acc = np.zeros(grid.shape)
-    if len(keep):
-        corr = correlate(power[keep], table[keep], grid.dim)
-        for row, k in zip(corr, keep):
-            acc += row * weights[k]
+    nonzero = power != 0
+    flat_live = np.asarray(live) & nonzero.reshape(len(power), -1).any(axis=1)
+    acc = np.zeros((1 if masks is None else len(masks),) + grid.shape)
+    rows = np.empty((SCALE_SUM_CHUNK,) + grid.shape)
+    owner = np.empty(SCALE_SUM_CHUNK, dtype=int)
+    scale = np.empty(SCALE_SUM_CHUNK, dtype=int)
+    fill = 0
+
+    def flush(n: int) -> None:
+        corr = correlate(rows[:n], table[scale[:n]], grid.dim)
+        corr *= weights[scale[:n]].reshape((-1,) + (1,) * grid.dim)
+        for i, row in zip(owner[:n].tolist(), corr):
+            acc[i] += row
+
+    for i, mask in enumerate([None] if masks is None else masks):
+        if mask is None:
+            keep = np.flatnonzero(flat_live)
+            block = power[keep]
+        else:
+            by_scale = np.moveaxis(mask, -1, 0)
+            keep = np.flatnonzero(flat_live & (by_scale & nonzero).reshape(len(power), -1).any(axis=1))
+            block = np.where(by_scale[keep], power[keep], 0.0)
+        done = 0
+        while done < len(keep):
+            n = min(SCALE_SUM_CHUNK - fill, len(keep) - done)
+            rows[fill:fill + n] = block[done:done + n]
+            owner[fill:fill + n] = i
+            scale[fill:fill + n] = keep[done:done + n]
+            fill += n
+            done += n
+            if fill == SCALE_SUM_CHUNK:
+                flush(fill)
+                fill = 0
+    if fill:
+        flush(fill)
     np.maximum(acc, 0.0, out=acc)
-    return SampledFunction(grid, np.sqrt(acc))
+    return np.sqrt(acc)
 
 
 def tent_functional(F: HalfSpaceField, alpha: float) -> SampledFunction:
     """Square root of the |F|^2 half-space integral over the aperture-alpha cone."""
+    return SampledFunction(F.grid, tent_functionals(F, alpha)[0])
+
+
+def tent_functionals(F: HalfSpaceField, alpha: float,
+                     masks: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """``tent_functional`` of every piece ``where(masks[i], F, 0)`` at once, one
+    row per piece (``masks=None``: F itself), each bitwise the one-piece value."""
     if alpha < 0:
         raise ValueError("aperture must be nonnegative")
     grid, scales = F.grid, F.scales
     table, live = cone_spectra(grid, scales, alpha)
     weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
-    return _scale_sum(F, table, live, weights)
+    return _scale_sum(F, table, live, weights, masks)
 
 
 def lusin_area(F: HalfSpaceField) -> SampledFunction:
@@ -109,4 +154,4 @@ def g_lambda_star(F: HalfSpaceField, lam: float) -> SampledFunction:
     grid, scales = F.grid, F.scales
     lw = scales.log_weight * grid.cell_volume
     weights = [lw / t**grid.dim for t in scales.scales]
-    return _scale_sum(F, gstar_spectra(grid, scales, lam), True, weights)
+    return SampledFunction(grid, _scale_sum(F, gstar_spectra(grid, scales, lam), True, weights)[0])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lpx import atoms
+from lpx import atoms, squarefuncs
 from lpx.atoms import (
     Ball,
     TentAtom,
@@ -21,7 +21,7 @@ from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
 from lpx.spaces import Lebesgue, Morrey, space_norm
-from lpx.squarefuncs import ball_spectra, tent_functional
+from lpx.squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
 from lpx.transforms import build_field, build_plan, correlate, spatial_kernel, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
@@ -95,6 +95,163 @@ def test_double_ball_spectra_match_per_radius_masks_bitwise(dim, n):
     # one table per (grid, ball family): a rebuilt family hits the cache
     rebuilt = BallFamily.build(grid, 2).radii
     assert ball_spectra(grid, tuple(2.0 * r for r in rebuilt))[0] is table
+
+
+def _one_piece_functional_reference(F):
+    """The one-piece cone functional the batched (piece, scale) pass replaced:
+    live scale rows in one correlation, summed in scale order."""
+    grid, scales = F.grid, F.scales
+    table, live = cone_spectra(grid, scales, 1.0)
+    weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
+    power = np.moveaxis(np.abs(F.values) ** 2, -1, 0)
+    keep = np.flatnonzero(live & power.reshape(len(power), -1).any(axis=1))
+    acc = np.zeros(grid.shape)
+    if len(keep):
+        corr = correlate(power[keep], table[keep], grid.dim)
+        for row, k in zip(corr, keep):
+            acc += row * weights[k]
+    np.maximum(acc, 0.0, out=acc)
+    return np.sqrt(acc)
+
+
+def _piece_functionals_reference(F, alpha, masks):
+    """One call per piece, as ``tent_decompose`` made before the batched pass."""
+    assert alpha == 1.0
+    pieces = [HalfSpaceField(F.grid, F.scales, np.where(m, F.values, 0.0)) for m in masks]
+    return np.array([_one_piece_functional_reference(p) for p in pieces]).reshape((len(masks),) + F.grid.shape)
+
+
+def _whitney_regions_reference(grid, inside, balls):
+    """One correlation per doubled radius and one ``np.roll`` per claimed ball."""
+    dist = grid.offset_distances()
+    region = np.full(grid.shape, -1, dtype=int)
+    leaders = []
+    uncovered = inside.copy()
+    outside = (~inside).astype(float)
+    axes = tuple(range(grid.dim))
+    for r in balls.radii[::-1]:
+        if not uncovered.any():
+            break
+        double_hat = spectrum((dist < 2.0 * r).astype(float), grid.dim)
+        candidates = (correlate(outside, double_hat, grid.dim) < 0.5) & uncovered
+        if not candidates.any():
+            continue
+        ball_mask = dist < r
+        for idx in np.argwhere(candidates):
+            idx = tuple(idx)
+            if not uncovered[idx]:
+                continue
+            member = np.roll(ball_mask, shift=idx, axis=axes)
+            fresh = member & uncovered
+            if not fresh.any():
+                continue
+            region[fresh] = len(leaders)
+            leaders.append(Ball(center=idx, radius=float(r)))
+            uncovered &= ~member
+    for idx in np.argwhere(uncovered):
+        idx = tuple(idx)
+        region[idx] = len(leaders)
+        leaders.append(Ball(center=idx, radius=float(balls.radii[0])))
+    return region, leaders
+
+
+def _field_case(dim, n, kind):
+    """Half-space fields for the bitwise oracles: a random concentrated field,
+    the zero field, and a field 1e40 times weaker on one half, whose weak
+    cells fall below every level and become stray pieces."""
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    scales = ScaleGrid(1 / 8, 1.0, 4)
+    rng = np.random.default_rng(10 * n + dim)
+    mesh = grid.coordinate_mesh()
+    envelope = np.exp(-sum(c**2 for c in mesh) / 0.5)
+    values = rng.normal(size=grid.shape + (len(scales),)) * envelope[..., None]
+    if kind == "zero":
+        values = 0.0 * values
+    elif kind == "stray":
+        values = values * np.where(mesh[0] > 0, 1.0, 1e-40)[..., None]
+    return HalfSpaceField(grid, scales, values)
+
+
+def _same_decomposition(a, b):
+    assert len(a.atoms) == len(b.atoms)
+    for x, y in zip(a.atoms, b.atoms):
+        assert x.ball == y.ball
+        assert x.coefficient == y.coefficient
+        assert np.array_equal(x.field.values, y.field.values)
+
+
+LEBESGUE, MORREY = Lebesgue(2.0), Morrey(2.0, 1.0)  # Morrey ball norms depend on the centre
+CASES = [(1, 64, "field", LEBESGUE), (1, 64, "zero", LEBESGUE), (1, 64, "stray", LEBESGUE),
+         (2, 16, "field", LEBESGUE), (2, 16, "stray", LEBESGUE),
+         (1, 64, "field", MORREY), (1, 64, "stray", MORREY)]
+
+
+@pytest.mark.parametrize("dim,n,kind,space", CASES, ids=[f"{d}d-{n}-{k}-{s.tag}" for d, n, k, s in CASES])
+def test_decompose_matches_per_piece_reference_bitwise(monkeypatch, dim, n, kind, space):
+    F = _field_case(dim, n, kind)
+    if kind == "stray":
+        # support cells whose balls fit in no superlevel set belong to no shell
+        area = tent_functional(F, 1.0).values.real
+        top = math.ceil(math.log2(area.max()))
+        bottom = max(math.floor(math.log2(area[area > 0].min())) - 1, top - atoms.MAX_LEVELS)
+        levels = 2.0 ** np.arange(bottom, top + 1)
+        assert ((atoms._containment_levels(F, area, levels) < 0) & (np.abs(F.values) > 0)).any()
+    balls = BallFamily.build(F.grid, 2)
+    fast = tent_decompose(F, space, balls)
+    assert (len(fast.atoms) == 0) == (kind == "zero")
+    monkeypatch.setattr(atoms, "tent_functionals", _piece_functionals_reference)
+    monkeypatch.setattr(atoms, "_whitney_regions", _whitney_regions_reference)
+    _same_decomposition(fast, tent_decompose(F, space, balls))
+
+
+def _decomposition_pieces(F, balls):
+    """The piece masks ``tent_decompose`` hands to the batched pass."""
+    seen = []
+
+    def record(F, alpha, masks):
+        seen.extend(masks)
+        return tent_functionals(F, alpha, masks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(atoms, "tent_functionals", record)
+        tent_decompose(F, Lebesgue(2.0), balls)
+    return seen
+
+
+CHUNK_CASES = [("1d-256-field", None), ("1d-64-field", 7), ("1d-64-stray", 1), ("2d-16-field", 7)]
+
+
+@pytest.mark.parametrize("case,chunk", CHUNK_CASES, ids=[c for c, _ in CHUNK_CASES])
+def test_piece_functionals_span_chunks_bitwise(monkeypatch, case, chunk):
+    if case == "1d-256-field":
+        F, balls = random_field(1), BALLS
+    else:
+        dim, n, kind = case.split("-")
+        F = _field_case(int(dim[0]), int(n), kind)
+        balls = BallFamily.build(F.grid, 2)
+    masks = _decomposition_pieces(F, balls)
+    live_rows = sum(int(np.any(np.where(m, F.values, 0) != 0, axis=tuple(range(F.grid.dim))).sum())
+                    for m in masks)
+    if chunk is not None:
+        monkeypatch.setattr(squarefuncs, "SCALE_SUM_CHUNK", chunk)
+    assert live_rows > squarefuncs.SCALE_SUM_CHUNK  # the rows fill more than one chunk
+    fast = tent_functionals(F, 1.0, masks)
+    assert np.array_equal(fast, _piece_functionals_reference(F, 1.0, masks))
+    # the one-piece case is the field's own cone functional
+    assert np.array_equal(tent_functional(F, 1.0).values.real, _one_piece_functional_reference(F))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (2, 32)], ids=["1d-64", "2d-16", "2d-32"])
+def test_whitney_regions_match_per_radius_roll_reference_bitwise(dim, n):
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    balls = BallFamily.build(grid, 2)
+    area = tent_functional(_field_case(dim, n, "field"), 1.0).values.real
+    for lev in np.quantile(area, [0.0, 0.3, 0.6, 0.9]):
+        inside = area > lev
+        region, leaders = atoms._whitney_regions(grid, inside, balls)
+        ref_region, ref_leaders = _whitney_regions_reference(grid, inside, balls)
+        assert np.array_equal(region, ref_region)
+        assert leaders == ref_leaders
 
 
 def test_decompose_exact_reconstruction_and_additivity():

@@ -4,13 +4,13 @@
 a traced equivalence experiment must raise in no layer, find the smoothed
 maximal function's plan, and build one phi-field and one psi-field per trial;
 a traced tent decomposition evaluates the cone functional once for the field
-and once per atom.
+and once, batched, for all of its pieces.
 ``perfbench/workloads.py`` keeps its own copy of the five test spaces."""
 
 import importlib.util
 from pathlib import Path
 
-from lpx import atoms, harness, kernels, maximal, transforms
+from lpx import atoms, harness, kernels, maximal, squarefuncs, transforms
 from lpx.grid import GridSpec, ScaleGrid
 from lpx.spaces import Lebesgue, space_norm
 
@@ -42,11 +42,18 @@ def test_traced_equivalence_experiment_builds_two_fields_per_trial():
     assert metrics["transforms.build_field.calls"] == 2 * trials
 
 
-def test_traced_decomposition_evaluates_each_piece_once():
+def test_traced_decomposition_evaluates_each_piece_once(monkeypatch):
     layers = _load_layers()
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
     plan = transforms.build_plan(kernels.build_annular_kernel(grid), ScaleGrid(1 / 16, 2.0, 4))
     F = transforms.build_field(harness.trial_function(0, 3, grid), plan)
+    batched = []
+
+    def counted(F, alpha, masks=None):
+        batched.append(len(masks))
+        return squarefuncs.tent_functionals(F, alpha, masks)
+
+    monkeypatch.setattr(atoms, "tent_functionals", counted)
     tracer = layers.Tracer()
     tracer.install()
     try:
@@ -56,7 +63,9 @@ def test_traced_decomposition_evaluates_each_piece_once():
     finally:
         tracer.uninstall()
     assert metrics["atoms.tent_decompose.atoms"] > 0
-    assert metrics["squarefuncs.tent_functional.calls"] == metrics["atoms.tent_decompose.atoms"] + 1
+    # the field's cone functional once, then every piece's in one batched call
+    assert metrics["squarefuncs.tent_functional.calls"] == 1
+    assert len(batched) == 1 and batched[0] >= metrics["atoms.tent_decompose.atoms"]
 
 
 def test_five_spaces_match_the_benchmark_copy(tmp_path):

@@ -96,11 +96,26 @@ def test_compute_norm_scalar(tmp_path):
 
 
 @pytest.mark.parametrize("operator", ["norm", "hardy_norm"])
+def test_compute_huge_bump_scalar_is_finite(tmp_path, operator):
+    # a 1e200-high bump has a finite norm; the unnormalised L^2 sum overflowed to inf
+    cfg = write_config(tmp_path)
+    values = {}
+    for amplitude in (1.0, 1e200):
+        inp = tmp_path / f"bump{amplitude:g}.csv"
+        write_function_csv(SampledFunction(GRID, amplitude * gaussian_bump(GRID, [0.2], 0.5).values), inp)
+        out = tmp_path / f"out{amplitude:g}"
+        assert main(["--config", str(cfg), "--out", str(out), "compute", str(inp), operator]) == 0
+        values[amplitude] = json.loads((out / f"{operator}.json").read_text())["value"]
+    assert values[1e200] == pytest.approx(1e200 * values[1.0], rel=1e-12)
+
+
+# hardy_norm has no such case: its FFT overflows before the norm can
+@pytest.mark.parametrize("operator", ["norm"])
 def test_compute_infinite_scalar_exits_3(tmp_path, capsys, operator):
-    # the L^2 norm of a 1e200-high bump overflows to inf; it used to print and exit 0
+    # |f| = 1e308 on the whole box [-8, 8): the L^2 norm 4e308 exceeds the float range
     cfg = write_config(tmp_path)
     inp = tmp_path / "big.csv"
-    write_function_csv(SampledFunction(GRID, 1e200 * gaussian_bump(GRID, [0.2], 0.5).values), inp)
+    write_function_csv(SampledFunction(GRID, np.full(GRID.shape, 1e308)), inp)
     out = tmp_path / "out"
     code = main(["--config", str(cfg), "--out", str(out), "compute", str(inp), operator])
     assert code == 3

@@ -242,3 +242,34 @@ def test_torus_window_view_of_a_stack_matches_roll_per_slice(dim, n):
         for s in np.ndindex((n + 1,) * dim):
             # w[i][s][x] = values_i[(x + s) mod n], values_i rolled by -s
             assert np.array_equal(view[(i,) + s], np.roll(values, shift=tuple(-np.array(s)), axis=axes))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)], ids=["1d-16", "2d-8x8"])
+def test_torus_distance_to_matches_roll_for_every_centre(dim, n):
+    grid = GridSpec(dim=dim, half_width=1.5, points_per_axis=n)
+    table = grid.offset_distances()
+    axes = tuple(range(dim))
+    for centre in np.ndindex(grid.shape):
+        expected = np.roll(table, shift=centre, axis=axes)
+        assert np.array_equal(grid.torus_distance_to(centre), expected)
+    # centres given as numpy integers, as np.argwhere yields them
+    centre = tuple(np.argwhere(np.ones(grid.shape, dtype=bool))[-1])
+    assert np.array_equal(grid.torus_distance_to(centre), np.roll(table, shift=centre, axis=axes))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_offset_distances_is_one_read_only_table_per_grid(dim):
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=16)
+    table = grid.offset_distances()
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+    # an equal grid shares the table
+    assert GridSpec(dim=dim, half_width=2.0, points_per_axis=16).offset_distances() is table
+    j = np.arange(16)
+    d = grid.spacing * np.minimum(j, 16 - j)
+    expected = d if dim == 1 else np.sqrt(d[:, None] ** 2 + d[None, :] ** 2)
+    assert np.array_equal(table, expected)
+    # the distances handed out per centre are fresh, writable arrays
+    dist = grid.torus_distance_to((3,) * dim)
+    assert dist.flags.writeable and not np.shares_memory(dist, table)

@@ -5,7 +5,6 @@ from lpx.errors import ConeOverflow
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, concentration_defect, gaussian_bump, pure_frequency
 from lpx.harness import (
     change_of_angle_experiment,
-    peetre_b_sweep,
     default_lambda,
     embedding_experiment,
     equivalence_experiment,
@@ -158,14 +157,6 @@ def test_vanish_check_pure_frequency_cutoff():
         assert v == pytest.approx(expected, abs=1e-10)
     # band left behind once t|xi| > 8 (up to FFT noise in neighboring bins)
     assert out["sup_norms"][-1] <= out["floor"]
-
-
-def test_peetre_b_sweep_stable():
-    out = peetre_b_sweep(Lebesgue(2.0), "annular", (3.0, 4.0, 6.0), GRID, SCALES, seed=6, trials=4)
-    assert out["stable"]
-    # larger b shrinks the smoothed maximal function pointwise
-    for n3, n6 in zip(out["norms"]["3.0"], out["norms"]["6.0"]):
-        assert n3 >= n6 - 1e-12
 
 
 def test_lambda_below_range_warns():

@@ -238,6 +238,45 @@ def test_orlicz_slice_general_positive_and_zero():
     assert space_norm(gaussian_bump(grid, [0.0], 0.5), space) > 0.0
 
 
+def _unit_sized_function(grid, seed):
+    """Complex values with |f| in [0.25, 1.25]: 2^k f stays normal for |k| <= 996."""
+    rng = np.random.default_rng(seed)
+    phase = np.exp(2j * np.pi * rng.random(grid.shape))
+    return SampledFunction(grid, (0.25 + rng.random(grid.shape)) * phase)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+@given(k=st.integers(min_value=-996, max_value=996), seed=st.integers(0, 3))
+@example(k=-996, seed=0)
+@example(k=996, seed=0)
+@example(k=664, seed=1)  # ~1e200, whose L^2 sum used to overflow to inf
+@settings(max_examples=25, deadline=None)
+def test_lebesgue_norm_exactly_homogeneous_over_the_float_range(p, k, seed):
+    # 2^k with |k| <= 996 spans 1.5e-300 .. 6.7e299; scaling by a power of two
+    # is exact, so the norm must scale exactly, without a warning
+    grid = GridSpec(dim=1, half_width=8.0, points_per_axis=128)
+    f = _unit_sized_function(grid, seed)
+    c = 2.0**k
+    with np.errstate(all="raise", under="ignore"):
+        assert space_norm(c * f, Lebesgue(p)) == c * space_norm(f, Lebesgue(p))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+@given(exponent=st.integers(min_value=-300, max_value=300))
+@example(exponent=200)
+@example(exponent=-300)
+@example(exponent=300)
+@settings(max_examples=25, deadline=None)
+def test_lebesgue_norm_of_a_bump_over_decimal_amplitudes(p, exponent):
+    # a Gaussian bump, whose far tails go subnormal at small amplitudes
+    grid = GridSpec(dim=1, half_width=8.0, points_per_axis=512)
+    f = gaussian_bump(grid, [0.2], 0.5)
+    c = 10.0**exponent
+    value = space_norm(f, Lebesgue(p))
+    with np.errstate(all="raise", under="ignore"):
+        assert space_norm(c * f, Lebesgue(p)) == pytest.approx(c * value, rel=1e-14)
+
+
 @given(exponent=st.floats(min_value=-290.0, max_value=300.0))
 @example(exponent=-200.0)
 @example(exponent=200.0)
