@@ -12,8 +12,13 @@ The pieces' cone functionals run as one batched pass
 stacked, ``squarefuncs.SCALE_SUM_CHUNK`` rows per correlation, so no
 pieces x cells x scales array is built.  Each level tests every doubled ball
 in one correlation against the cached ``ball_spectra``, and a claimed ball
-marks its cells through its offset list.  All of it is bitwise what one call
-per piece, one correlation per radius and one ``np.roll`` per ball give.
+marks its cells through its offset list.  The pieces are then sized in one
+pass: their balls from one gather of their own cells' torus distances, their
+L^p sizes from one row-batched reduction (``spaces.lebesgue_row_norms``).
+A ``TentAtom`` keeps only its piece's cells and values; its dense field is
+built on demand.  All of it is bitwise what one call per piece, one
+correlation per radius, one ``np.roll`` per ball and a dense field per atom
+give.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
-from .spaces import Lebesgue, SpaceDescriptor, space_norm
+from .spaces import Lebesgue, SpaceDescriptor, lebesgue_row_norms, space_norm
 from .squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
 from .transforms import apply_multiplier, correlate
 
@@ -72,9 +77,45 @@ def tent_mask(grid: GridSpec, scales: ScaleGrid, ball: Ball) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TentAtom:
-    field: HalfSpaceField
+    """A tent atom stored on its piece's cells.
+
+    ``cells`` are sorted flat indices into the half-space layout
+    ``grid.shape + (len(scales),)`` and ``values`` the atom there (the field
+    divided by ``coefficient``); the atom is zero on every other cell.
+    ``field`` builds the dense half-space field on demand.
+    """
+
+    grid: GridSpec
+    scales: ScaleGrid
+    cells: np.ndarray
+    values: np.ndarray
     ball: Ball
     coefficient: float
+
+    def __post_init__(self):
+        cells = np.asarray(self.cells, dtype=np.intp)
+        values = np.asarray(self.values, dtype=complex)
+        if cells.ndim != 1 or values.shape != cells.shape:
+            raise ValueError("cells and values must be matching 1-D arrays")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        cells.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_field(cls, field: HalfSpaceField, ball: Ball, coefficient: float) -> "TentAtom":
+        """The atom equal to ``field``, stored on its nonzero cells."""
+        flat = field.values.reshape(-1)
+        cells = np.flatnonzero(flat)
+        return cls(field.grid, field.scales, cells, flat[cells], ball, coefficient)
+
+    @property
+    def field(self) -> HalfSpaceField:
+        values = np.zeros(self.grid.shape + (len(self.scales),), dtype=complex)
+        values.reshape(-1)[self.cells] = self.values
+        return HalfSpaceField(self.grid, self.scales, values)
 
 
 @dataclass(frozen=True)
@@ -83,12 +124,11 @@ class TentDecomposition:
     residual: HalfSpaceField
 
     def reconstruct(self) -> HalfSpaceField:
-        grid = self.residual.grid
-        scales = self.residual.scales
         total = np.array(self.residual.values, dtype=complex)
+        flat = total.reshape(-1)
         for atom in self.atoms:
-            total = total + atom.coefficient * atom.field.values
-        return HalfSpaceField(grid, scales, total)
+            flat[atom.cells] += atom.coefficient * atom.values
+        return HalfSpaceField(self.residual.grid, self.residual.scales, total)
 
 
 @dataclass(frozen=True)
@@ -188,19 +228,73 @@ def tent_atom_size(field: HalfSpaceField, p: float) -> float:
     return space_norm(tent_functional(field, 1.0), Lebesgue(p))
 
 
-def _fit_ball(grid: GridSpec, balls: BallFamily, center: tuple[int, ...],
-              piece_mask: np.ndarray, ts: np.ndarray) -> Ball:
-    """Smallest family ball around ``center`` whose tent holds the piece."""
-    dist = grid.torus_distance_to(center)
-    reach = dist[..., None] + ts.reshape((1,) * grid.dim + (-1,))
-    need = float(reach[piece_mask].max())
-    candidates = balls.radii[balls.radii > need * (1.0 + 1e-12)]
-    if len(candidates):
-        return Ball(center=center, radius=float(candidates[0]))
+def _fit_balls(grid: GridSpec, balls: BallFamily, centers: list[tuple[int, ...]],
+               cells: list[np.ndarray], ts: np.ndarray) -> list[Ball]:
+    """Smallest family ball around each piece's centre whose tent holds the piece.
+
+    A cell (y, t_k) needs radius > |y - c| + t_k; the torus distances of every
+    piece's own cells are read from the offset table in one gather.
+    """
+    n, k_count = grid.points_per_axis, len(ts)
+    counts = [len(c) for c in cells]
+    flat = np.concatenate(cells)
+    spatial, k = np.divmod(flat, k_count)
+    origin = np.repeat(np.array(centers, dtype=int).reshape(len(cells), grid.dim), counts, axis=0)
+    offset = tuple((y - c) % n for y, c in zip(np.unravel_index(spatial, grid.shape), origin.T))
+    reach = grid.offset_distances()[offset] + ts[k]
+    needs = np.maximum.reduceat(reach, np.cumsum([0] + counts[:-1]))
+    fits = balls.radii > (needs * (1.0 + 1e-12))[:, None]
     fallback = 2.0 * grid.half_width
-    if need >= fallback:
-        raise ValueError("piece reaches above the box; shrink the scale range")
-    return Ball(center=center, radius=fallback)
+    out = []
+    for center, need, row in zip(centers, needs.tolist(), fits):
+        if row.any():
+            out.append(Ball(center=center, radius=float(balls.radii[row.argmax()])))
+        elif need >= fallback:
+            raise ValueError("piece reaches above the box; shrink the scale range")
+        else:
+            out.append(Ball(center=center, radius=fallback))
+    return out
+
+
+def _groups(keys: np.ndarray, cells: np.ndarray):
+    """(key, cells with that key) for each distinct key, keys ascending and
+    each group's cells in their given order."""
+    order = np.argsort(keys, kind="stable")
+    distinct, starts = np.unique(keys[order], return_index=True)
+    return zip(distinct.tolist(), np.split(cells[order], starts[1:]))
+
+
+def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """The stopping-time pieces of F as (cells, leader centre) pairs: sorted flat
+    cell indices into ``grid.shape + (K,)``, disjoint and covering the support
+    of F; ``area`` is F's cone functional."""
+    grid, k_count = F.grid, len(F.scales)
+    top = math.ceil(math.log2(area.max()))
+    positive_min = area[area > 0].min()
+    bottom = max(math.floor(math.log2(positive_min)) - 1, top - MAX_LEVELS)
+    levels = 2.0 ** np.arange(bottom, top + 1)
+    cell_level = _containment_levels(F, area, levels)
+
+    support = np.abs(F.values) > 0
+    assigned = np.zeros(support.size, dtype=bool)
+    pieces: list[tuple[np.ndarray, tuple[int, ...]]] = []
+    for li, lev in enumerate(levels):
+        shell = np.flatnonzero(support & (cell_level == li))
+        if not len(shell):
+            continue
+        region, leaders = _whitney_regions(grid, area > lev, balls)
+        for rid, cells in _groups(region.reshape(-1)[shell // k_count], shell):
+            if rid >= 0:
+                pieces.append((cells, leaders[rid].center))
+                assigned[cells] = True
+
+    # strays (possible only when the dynamic range exceeds the level cap, or
+    # a shell cell sits over a point outside its superlevel set): one piece
+    # per spatial point keeps supports disjoint and reconstruction exact
+    stray = np.flatnonzero(support.reshape(-1) & ~assigned)
+    for point, cells in _groups(stray // k_count, stray):
+        pieces.append((cells, tuple(int(i) for i in np.unravel_index(point, grid.shape))))
+    return pieces
 
 
 def tent_decompose(
@@ -220,66 +314,25 @@ def tent_decompose(
     area = tent_functional(F, 1.0).values.real
     if not np.any(area > 0):
         return TentDecomposition(atoms=[], residual=zero)
+    pieces = _pieces(F, area, balls)
 
-    top = math.ceil(math.log2(area.max()))
-    positive_min = area[area > 0].min()
-    bottom = max(math.floor(math.log2(positive_min)) - 1, top - MAX_LEVELS)
-    levels = 2.0 ** np.arange(bottom, top + 1)
-    cell_level = _containment_levels(F, area, levels)
+    # every piece's cone functional in one batched pass, its L^p sizes in one
+    # row-batched reduction and its ball in one gather
+    cells = [piece_cells for piece_cells, _ in pieces]
+    areas = tent_functionals(F, 1.0, cells)
+    sizes = lebesgue_row_norms(areas.reshape(len(cells), -1), p_checks, grid.cell_volume)
+    fitted = _fit_balls(grid, balls, [center for _, center in pieces], cells, scales.scales)
 
-    support = np.abs(F.values) > 0
-    ts = scales.scales
-    pieces: list[tuple[np.ndarray, tuple[int, ...]]] = []
-
-    for li, lev in enumerate(levels):
-        shell = support & (cell_level == li)
-        if not shell.any():
-            continue
-        region, leaders = _whitney_regions(grid, area > lev, balls)
-        shell_rids = np.broadcast_to(region[..., None], shell.shape)[shell]
-        for rid in np.unique(shell_rids):
-            if rid < 0:
-                continue
-            piece_mask = shell & (region[..., None] == rid)
-            pieces.append((piece_mask, leaders[rid].center))
-
-    # strays (possible only when the dynamic range exceeds the level cap, or
-    # a shell cell sits over a point outside its superlevel set): one piece
-    # per spatial point keeps supports disjoint and reconstruction exact
-    assigned = np.zeros_like(support)
-    for mask, _ in pieces:
-        assigned |= mask
-    stray = support & ~assigned
-    if stray.any():
-        stray_spatial = stray.any(axis=-1)
-        for idx in np.argwhere(stray_spatial):
-            idx = tuple(idx)
-            piece_mask = np.zeros_like(stray)
-            piece_mask[idx] = stray[idx]
-            pieces.append((piece_mask, idx))
-
-    # every piece's cone functional in one batched pass, then its coefficient;
-    # the batch is dropped before any atom field is built
-    areas = tent_functionals(F, 1.0, [mask for mask, _ in pieces])
-    sized: list[tuple[np.ndarray, Ball, float]] = []
-    for (piece_mask, center), area_row in zip(pieces, areas):
-        ball = _fit_ball(grid, balls, center, piece_mask, ts)
+    flat = F.values.reshape(-1)
+    atoms: list[TentAtom] = []
+    for piece_cells, ball, piece_sizes in zip(cells, fitted, zip(*sizes)):
         norm_1b = space_norm(ball_indicator(grid, ball), space)
-        piece_area = SampledFunction(grid, area_row)
         lam = max(
-            space_norm(piece_area, Lebesgue(p)) * norm_1b / ball_volume(ball.radius, grid.dim) ** (1.0 / p)
-            for p in p_checks
+            size * norm_1b / ball_volume(ball.radius, grid.dim) ** (1.0 / p)
+            for p, size in zip(p_checks, piece_sizes)
         )
         if lam != 0.0:
-            sized.append((piece_mask, ball, lam))
-    del areas, pieces
-
-    atoms: list[TentAtom] = []
-    for piece_mask, ball, lam in sized:
-        values = np.zeros_like(F.values)
-        np.divide(F.values, lam, out=values, where=piece_mask)
-        atom_field = HalfSpaceField(grid, scales, values)
-        atoms.append(TentAtom(field=atom_field, ball=ball, coefficient=lam))
+            atoms.append(TentAtom(grid, scales, piece_cells, flat[piece_cells] / lam, ball, lam))
     return TentDecomposition(atoms=atoms, residual=zero)
 
 

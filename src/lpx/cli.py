@@ -7,7 +7,7 @@ configuration that produced it, and downstream commands refuse inputs whose
 recorded hash disagrees with the active configuration.
 
 Exit codes: 0 success / all experiments passed, 1 experiment failure,
-2 configuration error, 3 numeric failure (NaN in a result).
+2 configuration error, 3 numeric failure (NaN or overflow in a result).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LpxError
+from .errors import LpxError, NumericFailure
 from .grid import (
     GridSpec,
     ScaleGrid,
@@ -423,6 +423,9 @@ def main(argv: list[str] | None = None) -> int:
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except NumericFailure as exc:
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return 3
     except (LpxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

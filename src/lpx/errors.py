@@ -35,3 +35,7 @@ class NotInAInfty(LpxError):
 
 class ConeOverflow(LpxError):
     """Widest requested cone does not fit inside the concentration box."""
+
+
+class NumericFailure(LpxError):
+    """A finite input produced a non-finite result (floating-point overflow)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "ExponentFunction",
     "OrliczFunction",
     "space_norm",
+    "lebesgue_row_norms",
     "orlicz_norm",
     "convexify_norm",
     "ap_characteristic",
@@ -159,7 +160,30 @@ def power_orlicz(p: float) -> OrliczFunction:
 
 
 # ---------------------------------------------------------------------------
-# Luxemburg-type norms
+# Lebesgue and Luxemburg-type norms
+
+
+def lebesgue_row_norms(mag: np.ndarray, ps: Sequence[float], cellvol: float) -> list[list[float]]:
+    """L^p norms of every row of the nonnegative (rows, cells) array ``mag``:
+    one list of row norms per p.  ``mag`` is overwritten.
+
+    Each row sums the powers of mag / 2^e with 2^e >= the row's max and scales
+    back after the root: exact in binary, so a norm is homogeneous over the
+    whole float range and overflows only when it does itself.
+    """
+    e = np.frexp(np.maximum.reduce(mag, axis=-1))[1]
+    np.ldexp(mag, -e[:, None], out=mag)
+    norms = []
+    for p in ps:
+        row_norms = []
+        for total, ei in zip(np.add.reduce(mag**p, axis=-1).tolist(), e.tolist()):
+            try:
+                row_norms.append(math.ldexp((total * cellvol) ** (1.0 / p), ei))
+            except OverflowError:
+                row_norms.append(math.inf)
+        norms.append(row_norms)
+    return norms
+
 
 
 def _luxemburg_norm(mag: np.ndarray, cellvol: float, density: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -223,17 +247,7 @@ class Lebesgue:
             raise ValueError("p must be positive")
 
     def norm(self, f: SampledFunction) -> float:
-        # sum the powers of |f| / 2^e with 2^e >= max|f| and scale back after the
-        # root: exact in binary, so the norm is homogeneous over the whole float
-        # range and overflows only when the result does
-        mag = np.abs(f.values)
-        e = math.frexp(np.maximum.reduce(mag, axis=None))[1]
-        np.ldexp(mag, -e, out=mag)
-        total = float(np.add.reduce(mag**self.p, axis=None)) * f.grid.cell_volume
-        try:
-            return math.ldexp(total ** (1.0 / self.p), e)
-        except OverflowError:
-            return math.inf
+        return lebesgue_row_norms(np.abs(f.values).reshape(1, -1), (self.p,), f.grid.cell_volume)[0][0]
 
     def floor(self) -> float:
         return self.p

@@ -62,54 +62,54 @@ def gstar_spectra(grid: GridSpec, scales: ScaleGrid, lam: float) -> np.ndarray:
 
 
 def _scale_sum(F: HalfSpaceField, table: np.ndarray, live: np.ndarray | bool, weights,
-               masks: Sequence[np.ndarray] | None = None) -> np.ndarray:
+               pieces: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """sqrt(sum_k weights[k] * (|P(., t_k)|^2 correlated with kernel k)) for each piece P.
 
-    Piece i is ``where(masks[i], F, 0)``; ``masks=None`` makes F itself the one
-    piece.  A (piece, scale) row whose kernel is empty or whose slice is zero
-    adds exactly zero and is skipped.  The rest are correlated
-    ``SCALE_SUM_CHUNK`` rows at a time and summed per piece in scale order, so
-    each piece's sum is bitwise what a call on that piece alone gives.
-    Returns one row per piece, shaped ``(pieces,) + grid.shape``.
+    Piece i is F on the cells ``pieces[i]`` (flat indices into
+    ``grid.shape + (K,)``) and zero elsewhere; ``pieces=None`` makes F itself
+    the one piece.  A (piece, scale) row whose kernel is empty or whose slice
+    is zero adds exactly zero and is skipped.  The rest, piece by piece in
+    scale order, are correlated ``SCALE_SUM_CHUNK`` rows at a time and summed
+    per piece in scale order, so each piece's sum is bitwise what a call on
+    that piece alone gives.  Returns one row per piece, shaped
+    ``(pieces,) + grid.shape``.
     """
     grid = F.grid
     weights = np.asarray(weights)
-    power = np.moveaxis(np.abs(F.values) ** 2, -1, 0)
-    nonzero = power != 0
-    flat_live = np.asarray(live) & nonzero.reshape(len(power), -1).any(axis=1)
-    acc = np.zeros((1 if masks is None else len(masks),) + grid.shape)
-    rows = np.empty((SCALE_SUM_CHUNK,) + grid.shape)
-    owner = np.empty(SCALE_SUM_CHUNK, dtype=int)
-    scale = np.empty(SCALE_SUM_CHUNK, dtype=int)
-    fill = 0
+    field_power = np.abs(F.values) ** 2
+    power = np.moveaxis(field_power, -1, 0)
+    k_count = len(power)
+    flat_live = np.asarray(live) & (power != 0).reshape(k_count, -1).any(axis=1)
+    if pieces is None:
+        scale = np.flatnonzero(flat_live)
+        owner = np.zeros(len(scale), dtype=int)
 
-    def flush(n: int) -> None:
-        corr = correlate(rows[:n], table[scale[:n]], grid.dim)
-        corr *= weights[scale[:n]].reshape((-1,) + (1,) * grid.dim)
-        for i, row in zip(owner[:n].tolist(), corr):
-            acc[i] += row
+        def rows(lo: int, hi: int) -> np.ndarray:
+            return power[scale[lo:hi]]
+    else:
+        cells = np.concatenate([np.empty(0, dtype=np.intp), *pieces])
+        spatial, k = np.divmod(cells, k_count)
+        cell_power = field_power.reshape(-1)[cells]
+        key = np.repeat(np.arange(len(pieces)) * k_count, [len(c) for c in pieces]) + k
+        row_keys = np.unique(key[flat_live[k] & (cell_power != 0)])  # piece-major, then scale
+        owner, scale = np.divmod(row_keys, k_count)
+        slot = np.full(len(pieces) * k_count, -1)
+        slot[row_keys] = np.arange(len(row_keys))
+        row = slot[key]  # -1: the cell's (piece, scale) row is skipped
 
-    for i, mask in enumerate([None] if masks is None else masks):
-        if mask is None:
-            keep = np.flatnonzero(flat_live)
-            block = power[keep]
-        else:
-            by_scale = np.moveaxis(mask, -1, 0)
-            keep = np.flatnonzero(flat_live & (by_scale & nonzero).reshape(len(power), -1).any(axis=1))
-            block = np.where(by_scale[keep], power[keep], 0.0)
-        done = 0
-        while done < len(keep):
-            n = min(SCALE_SUM_CHUNK - fill, len(keep) - done)
-            rows[fill:fill + n] = block[done:done + n]
-            owner[fill:fill + n] = i
-            scale[fill:fill + n] = keep[done:done + n]
-            fill += n
-            done += n
-            if fill == SCALE_SUM_CHUNK:
-                flush(fill)
-                fill = 0
-    if fill:
-        flush(fill)
+        def rows(lo: int, hi: int) -> np.ndarray:
+            sel = (row >= lo) & (row < hi)
+            block = np.zeros((hi - lo, grid.size))
+            block[row[sel] - lo, spatial[sel]] = cell_power[sel]
+            return block.reshape((hi - lo,) + grid.shape)
+
+    acc = np.zeros((1 if pieces is None else len(pieces),) + grid.shape)
+    for lo in range(0, len(scale), SCALE_SUM_CHUNK):
+        hi = min(lo + SCALE_SUM_CHUNK, len(scale))
+        corr = correlate(rows(lo, hi), table[scale[lo:hi]], grid.dim)
+        corr *= weights[scale[lo:hi]].reshape((-1,) + (1,) * grid.dim)
+        for i, r in zip(owner[lo:hi].tolist(), corr):
+            acc[i] += r
     np.maximum(acc, 0.0, out=acc)
     return np.sqrt(acc)
 
@@ -120,15 +120,17 @@ def tent_functional(F: HalfSpaceField, alpha: float) -> SampledFunction:
 
 
 def tent_functionals(F: HalfSpaceField, alpha: float,
-                     masks: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """``tent_functional`` of every piece ``where(masks[i], F, 0)`` at once, one
-    row per piece (``masks=None``: F itself), each bitwise the one-piece value."""
+                     pieces: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """``tent_functional`` of every piece at once, one row per piece, each
+    bitwise the one-piece value.  Piece i is F on the cells ``pieces[i]``
+    (flat indices into ``grid.shape + (K,)``) and zero elsewhere;
+    ``pieces=None`` makes F itself the one piece."""
     if alpha < 0:
         raise ValueError("aperture must be nonnegative")
     grid, scales = F.grid, F.scales
     table, live = cone_spectra(grid, scales, alpha)
     weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
-    return _scale_sum(F, table, live, weights, masks)
+    return _scale_sum(F, table, live, weights, pieces)
 
 
 def lusin_area(F: HalfSpaceField) -> SampledFunction:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericFailure
 from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .kernels import Kernel
 
@@ -85,9 +86,15 @@ def build_field(f: SampledFunction, plan: ConvolutionPlan) -> HalfSpaceField:
     The values are C-contiguous in the ``grid.shape + (K,)`` layout: reductions
     over the scale axis (``g_function``'s sum) then run in the same order as
     over a per-scale filled array, so results do not depend on the layout.
+    Raises ``NumericFailure`` when the transforms overflow (inputs near the
+    float maximum).
     """
     spatial = tuple(range(1, plan.grid.dim + 1))
-    slices = np.fft.ifftn(np.fft.fftn(f.values) * plan.multipliers, axes=spatial)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            slices = np.fft.ifftn(np.fft.fftn(f.values) * plan.multipliers, axes=spatial)
+    except FloatingPointError as exc:
+        raise NumericFailure(f"the multiscale field overflows the float range ({exc})") from exc
     return HalfSpaceField(plan.grid, plan.scales, np.ascontiguousarray(np.moveaxis(slices, 0, -1)))
 
 

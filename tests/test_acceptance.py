@@ -310,8 +310,7 @@ def test_criterion_10_molecule_synthesis():
     vals = np.zeros((256, len(scales)), dtype=complex)
     k_cell = len(scales) - 1  # top scale keeps the dilated band inside Nyquist
     vals[77, k_cell] = 1.5
-    atom = TentAtom(field=HalfSpaceField(grid, scales, vals),
-                    ball=Ball(center=(77,), radius=4.0), coefficient=1.0)
+    atom = TentAtom.from_field(HalfSpaceField(grid, scales, vals), Ball(center=(77,), radius=4.0), 1.0)
     mol = synthesize_molecule(atom, pair.psi)
     t_cell = scales.scales[k_cell]
     expected = 1.5 * np.roll(spatial_kernel(pair.psi, t_cell), 77) * grid.cell_volume * scales.log_weight

@@ -7,6 +7,7 @@ from lpx import atoms, squarefuncs
 from lpx.atoms import (
     Ball,
     TentAtom,
+    TentDecomposition,
     ball_indicator,
     check_atom,
     check_molecule,
@@ -18,6 +19,7 @@ from lpx.atoms import (
     tent_mask,
 )
 from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
+from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
 from lpx.spaces import Lebesgue, Morrey, space_norm
@@ -114,8 +116,16 @@ def _one_piece_functional_reference(F):
     return np.sqrt(acc)
 
 
+def _cells_mask(F, cells):
+    """Boolean half-space mask of the flat cell indices ``cells``."""
+    mask = np.zeros(F.values.shape, dtype=bool)
+    mask.reshape(-1)[cells] = True
+    return mask
+
+
 def _piece_functionals_reference(F, alpha, masks):
-    """One call per piece, as ``tent_decompose`` made before the batched pass."""
+    """One call per piece ``where(mask, F, 0)``, as ``tent_decompose`` made
+    before the batched pass."""
     assert alpha == 1.0
     pieces = [HalfSpaceField(F.grid, F.scales, np.where(m, F.values, 0.0)) for m in masks]
     return np.array([_one_piece_functional_reference(p) for p in pieces]).reshape((len(masks),) + F.grid.shape)
@@ -172,12 +182,87 @@ def _field_case(dim, n, kind):
     return HalfSpaceField(grid, scales, values)
 
 
-def _same_decomposition(a, b):
-    assert len(a.atoms) == len(b.atoms)
-    for x, y in zip(a.atoms, b.atoms):
-        assert x.ball == y.ball
-        assert x.coefficient == y.coefficient
-        assert np.array_equal(x.field.values, y.field.values)
+def _fit_ball_reference(grid, balls, center, piece_mask, ts):
+    """The mask-based ball fit: torus distances over the whole grid times every scale."""
+    dist = grid.torus_distance_to(center)
+    reach = dist[..., None] + ts.reshape((1,) * grid.dim + (-1,))
+    need = float(reach[piece_mask].max())
+    candidates = balls.radii[balls.radii > need * (1.0 + 1e-12)]
+    if len(candidates):
+        return Ball(center=center, radius=float(candidates[0]))
+    assert need < 2.0 * grid.half_width
+    return Ball(center=center, radius=2.0 * grid.half_width)
+
+
+def _pieces_reference(F, area, balls):
+    """The stopping-time pieces as (boolean mask, centre): one full-grid mask
+    per piece, as before pieces were carried as cell indices."""
+    top = math.ceil(math.log2(area.max()))
+    bottom = max(math.floor(math.log2(area[area > 0].min())) - 1, top - atoms.MAX_LEVELS)
+    levels = 2.0 ** np.arange(bottom, top + 1)
+    cell_level = atoms._containment_levels(F, area, levels)
+    support = np.abs(F.values) > 0
+    pieces = []
+    for li, lev in enumerate(levels):
+        shell = support & (cell_level == li)
+        if not shell.any():
+            continue
+        region, leaders = atoms._whitney_regions(F.grid, area > lev, balls)
+        for rid in np.unique(np.broadcast_to(region[..., None], shell.shape)[shell]):
+            if rid >= 0:
+                pieces.append((shell & (region[..., None] == rid), leaders[rid].center))
+    assigned = np.zeros_like(support)
+    for mask, _ in pieces:
+        assigned |= mask
+    stray = support & ~assigned
+    for idx in np.argwhere(stray.any(axis=-1)):
+        idx = tuple(idx)
+        mask = np.zeros_like(stray)
+        mask[idx] = stray[idx]
+        pieces.append((mask, idx))
+    return pieces
+
+
+def _dense_decomposition_reference(F, space, balls, p_checks=(2.0, 4.0)):
+    """Per-piece sizing with a dense field per atom, as before atoms were stored
+    on their cells.  Returns [(ball, coefficient, dense atom values)] and the
+    dense sum of coefficient times atom."""
+    grid = F.grid
+    ref_atoms = []
+    total = np.zeros_like(F.values)
+    area = tent_functional(F, 1.0).values.real
+    if not np.any(area > 0):
+        return ref_atoms, total
+    pieces = _pieces_reference(F, area, balls)
+    areas = _piece_functionals_reference(F, 1.0, [mask for mask, _ in pieces])
+    for (mask, center), row in zip(pieces, areas):
+        ball = _fit_ball_reference(grid, balls, center, mask, F.scales.scales)
+        norm_1b = space_norm(ball_indicator(grid, ball), space)
+        piece_area = SampledFunction(grid, row)
+        lam = max(
+            space_norm(piece_area, Lebesgue(p)) * norm_1b / ball_volume(ball.radius, grid.dim) ** (1.0 / p)
+            for p in p_checks
+        )
+        if lam != 0.0:
+            values = np.zeros_like(F.values)
+            np.divide(F.values, lam, out=values, where=mask)
+            ref_atoms.append((ball, lam, values))
+            total = total + lam * values
+    return ref_atoms, total
+
+
+def _assert_matches_dense_reference(dec, reference, space):
+    ref_atoms, ref_total = reference
+    assert len(dec.atoms) == len(ref_atoms)
+    for atom, (ball, lam, values) in zip(dec.atoms, ref_atoms):
+        assert atom.ball == ball
+        assert atom.coefficient == lam
+        assert np.array_equal(atom.field.values, values)
+    assert np.array_equal(dec.reconstruct().values, ref_total)
+    grid, scales = dec.residual.grid, dec.residual.scales
+    ref_dec = TentDecomposition([TentAtom.from_field(HalfSpaceField(grid, scales, values), ball, lam)
+                                 for ball, lam, values in ref_atoms], dec.residual)
+    assert coefficient_functional(dec, space) == coefficient_functional(ref_dec, space)
 
 
 LEBESGUE, MORREY = Lebesgue(2.0), Morrey(2.0, 1.0)  # Morrey ball norms depend on the centre
@@ -199,18 +284,50 @@ def test_decompose_matches_per_piece_reference_bitwise(monkeypatch, dim, n, kind
     balls = BallFamily.build(F.grid, 2)
     fast = tent_decompose(F, space, balls)
     assert (len(fast.atoms) == 0) == (kind == "zero")
-    monkeypatch.setattr(atoms, "tent_functionals", _piece_functionals_reference)
+    # the reference: per-radius Whitney regions, one boolean mask and one cone
+    # functional per piece, mask-based ball fits, one norm per piece and a
+    # dense field per atom
     monkeypatch.setattr(atoms, "_whitney_regions", _whitney_regions_reference)
-    _same_decomposition(fast, tent_decompose(F, space, balls))
+    _assert_matches_dense_reference(fast, _dense_decomposition_reference(F, space, balls), space)
+    if kind != "zero":  # the pieces' cell indices are the reference masks' cells
+        area = tent_functional(F, 1.0).values.real
+        pieces, ref = atoms._pieces(F, area, balls), _pieces_reference(F, area, balls)
+        assert [centre for _, centre in pieces] == [centre for _, centre in ref]
+        assert all(np.array_equal(cells, np.flatnonzero(mask)) for (cells, _), (mask, _) in zip(pieces, ref))
+
+
+@pytest.mark.parametrize("seed", [0, 4243])
+def test_decompose_1d_benchmark_trials_match_dense_reference_bitwise(seed):
+    # the benchmark's decompose-1d inputs: trials 0-3 on 1-D N=256
+    plan = build_plan(build_annular_kernel(GRID), SCALES)
+    for trial in range(4):
+        F = build_field(trial_function(seed, trial, GRID), plan)
+        dec = tent_decompose(F, LEBESGUE, BALLS)
+        _assert_matches_dense_reference(dec, _dense_decomposition_reference(F, LEBESGUE, BALLS), LEBESGUE)
+
+
+@pytest.mark.parametrize("case", ["1d-256-field", "2d-16-stray"])
+def test_atoms_store_disjoint_cells_covering_the_support(case):
+    F = random_field(2) if case == "1d-256-field" else _field_case(2, 16, "stray")
+    dec = tent_decompose(F, LEBESGUE, BallFamily.build(F.grid, 2))
+    owners = np.zeros(F.values.size, dtype=int)
+    for atom in dec.atoms:
+        assert np.all(np.diff(atom.cells) > 0)  # sorted and unique
+        assert atom.values.size == np.count_nonzero(atom.field.values)
+        owners[atom.cells] += 1
+        again = TentAtom.from_field(atom.field, atom.ball, atom.coefficient)
+        assert np.array_equal(again.cells, atom.cells) and np.array_equal(again.values, atom.values)
+    assert owners.max() == 1  # pairwise disjoint
+    assert np.array_equal(owners == 1, F.values.reshape(-1) != 0)  # the union is the support of F
 
 
 def _decomposition_pieces(F, balls):
-    """The piece masks ``tent_decompose`` hands to the batched pass."""
+    """The piece cell indices ``tent_decompose`` hands to the batched pass."""
     seen = []
 
-    def record(F, alpha, masks):
-        seen.extend(masks)
-        return tent_functionals(F, alpha, masks)
+    def record(F, alpha, pieces):
+        seen.extend(pieces)
+        return tent_functionals(F, alpha, pieces)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(atoms, "tent_functionals", record)
@@ -229,14 +346,16 @@ def test_piece_functionals_span_chunks_bitwise(monkeypatch, case, chunk):
         dim, n, kind = case.split("-")
         F = _field_case(int(dim[0]), int(n), kind)
         balls = BallFamily.build(F.grid, 2)
-    masks = _decomposition_pieces(F, balls)
+    pieces = _decomposition_pieces(F, balls)
+    masks = [_cells_mask(F, cells) for cells in pieces]
     live_rows = sum(int(np.any(np.where(m, F.values, 0) != 0, axis=tuple(range(F.grid.dim))).sum())
                     for m in masks)
     if chunk is not None:
         monkeypatch.setattr(squarefuncs, "SCALE_SUM_CHUNK", chunk)
     assert live_rows > squarefuncs.SCALE_SUM_CHUNK  # the rows fill more than one chunk
-    fast = tent_functionals(F, 1.0, masks)
+    fast = tent_functionals(F, 1.0, pieces)
     assert np.array_equal(fast, _piece_functionals_reference(F, 1.0, masks))
+    assert tent_functionals(F, 1.0, []).shape == (0,) + F.grid.shape
     # the one-piece case is the field's own cone functional
     assert np.array_equal(tent_functional(F, 1.0).values.real, _one_piece_functional_reference(F))
 
@@ -331,11 +450,7 @@ def test_molecule_zero_mean_and_single_cell_oracle():
     vals = np.zeros((256, len(scales)), dtype=complex)
     k0, y0 = 7, 100
     vals[y0, k0] = 2.0
-    atom = TentAtom(
-        field=HalfSpaceField(GRID, scales, vals),
-        ball=Ball(center=(y0,), radius=4.0),
-        coefficient=1.0,
-    )
+    atom = TentAtom.from_field(HalfSpaceField(GRID, scales, vals), Ball(center=(y0,), radius=4.0), 1.0)
     mol = synthesize_molecule(atom, pair.psi)
     t0 = scales.scales[k0]
     kern = spatial_kernel(pair.psi, t0)
@@ -350,22 +465,16 @@ def test_molecule_zero_mean_and_single_cell_oracle():
 def test_molecule_zero_atom():
     phi = build_annular_kernel(GRID)
     pair = calderon_companion(phi, ScaleGrid(1 / 16, 16.0, 8))
-    atom = TentAtom(
-        field=HalfSpaceField(GRID, SCALES, np.zeros((256, len(SCALES)))),
-        ball=Ball(center=(0,), radius=1.0),
-        coefficient=0.0,
-    )
+    atom = TentAtom.from_field(HalfSpaceField(GRID, SCALES, np.zeros((256, len(SCALES)))),
+                               Ball(center=(0,), radius=1.0), 0.0)
     mol = synthesize_molecule(atom, pair.psi)
     assert np.all(mol.func.values == 0)
 
 
 def test_molecule_rejects_kernel_on_other_grid():
     other = build_annular_kernel(GridSpec(dim=1, half_width=4.0, points_per_axis=256))
-    atom = TentAtom(
-        field=HalfSpaceField(GRID, SCALES, np.zeros((256, len(SCALES)))),
-        ball=Ball(center=(0,), radius=1.0),
-        coefficient=0.0,
-    )
+    atom = TentAtom.from_field(HalfSpaceField(GRID, SCALES, np.zeros((256, len(SCALES)))),
+                               Ball(center=(0,), radius=1.0), 0.0)
     with pytest.raises(ValueError):
         synthesize_molecule(atom, other)
 
@@ -376,11 +485,9 @@ def test_molecule_synthesis_linear():
     F1 = random_field(20)
     F2 = random_field(21)
     b = Ball(center=(128,), radius=4.0)
-    a1 = TentAtom(field=F1, ball=b, coefficient=1.0)
-    a2 = TentAtom(field=F2, ball=b, coefficient=1.0)
-    both = TentAtom(
-        field=HalfSpaceField(GRID, SCALES, F1.values + F2.values), ball=b, coefficient=1.0
-    )
+    a1 = TentAtom.from_field(F1, b, 1.0)
+    a2 = TentAtom.from_field(F2, b, 1.0)
+    both = TentAtom.from_field(HalfSpaceField(GRID, SCALES, F1.values + F2.values), b, 1.0)
     m1 = synthesize_molecule(a1, pair.psi).func.values
     m2 = synthesize_molecule(a2, pair.psi).func.values
     m12 = synthesize_molecule(both, pair.psi).func.values

@@ -109,10 +109,10 @@ def test_compute_huge_bump_scalar_is_finite(tmp_path, operator):
     assert values[1e200] == pytest.approx(1e200 * values[1.0], rel=1e-12)
 
 
-# hardy_norm has no such case: its FFT overflows before the norm can
-@pytest.mark.parametrize("operator", ["norm"])
+@pytest.mark.parametrize("operator", ["norm", "hardy_norm"])
 def test_compute_infinite_scalar_exits_3(tmp_path, capsys, operator):
-    # |f| = 1e308 on the whole box [-8, 8): the L^2 norm 4e308 exceeds the float range
+    # |f| = 1e308 on the whole box [-8, 8): the L^2 norm 4e308 exceeds the float
+    # range, and hardy_norm's field transform overflows before its norm could
     cfg = write_config(tmp_path)
     inp = tmp_path / "big.csv"
     write_function_csv(SampledFunction(GRID, np.full(GRID.shape, 1e308)), inp)
@@ -121,6 +121,23 @@ def test_compute_infinite_scalar_exits_3(tmp_path, capsys, operator):
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
     assert not (out / f"{operator}.json").exists()
+
+
+@pytest.mark.parametrize("shape", ["constant", "delta"])
+def test_compute_hardy_norm_field_overflow_exits_3(tmp_path, capsys, shape):
+    # a finite 1e306 input whose multiscale field overflows is a numeric
+    # failure (exit 3), not a configuration error (exit 2)
+    values = np.full(GRID.shape, 1e306) if shape == "constant" else 1e306 * (np.arange(512) == 256)
+    inp = tmp_path / "big.csv"
+    write_function_csv(SampledFunction(GRID, values), inp)
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path)), "--out", str(out), "compute", str(inp), "hardy_norm"]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not (out / "hardy_norm.json").exists()
+    # the same input under a bad configuration still exits 2
+    bad = write_config(tmp_path, params={"b": 0})
+    assert main(["--config", str(bad), "--out", str(out), "compute", str(inp), "hardy_norm"]) == 2
+    assert "numeric failure" not in capsys.readouterr().err
 
 
 def test_hash_mismatch_rejected(tmp_path):

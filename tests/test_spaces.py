@@ -22,6 +22,7 @@ from lpx.spaces import (
     convexify_norm,
     critical_index,
     descriptor_from_json,
+    lebesgue_row_norms,
     orlicz_norm,
     power_orlicz,
     power_weight,
@@ -275,6 +276,37 @@ def test_lebesgue_norm_of_a_bump_over_decimal_amplitudes(p, exponent):
     value = space_norm(f, Lebesgue(p))
     with np.errstate(all="raise", under="ignore"):
         assert space_norm(c * f, Lebesgue(p)) == pytest.approx(c * value, rel=1e-14)
+
+
+def _lebesgue_norm_reference(f, p):
+    """The L^p norm of one whole array, as before the row-batched reduction."""
+    mag = np.abs(f.values)
+    e = math.frexp(np.maximum.reduce(mag, axis=None))[1]
+    np.ldexp(mag, -e, out=mag)
+    total = float(np.add.reduce(mag**p, axis=None)) * f.grid.cell_volume
+    try:
+        return math.ldexp(total ** (1.0 / p), e)
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)], ids=["1d-256", "2d-32"])
+def test_lebesgue_row_norms_match_whole_array_reference_bitwise(dim, n):
+    # one row-batched call and one Lebesgue.norm per row both give, bit for
+    # bit, the whole-array norm; rows span the float range, one is zero and
+    # one overflows
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    rng = np.random.default_rng(n)
+    rows = rng.random((7, grid.size)) * 10.0 ** rng.integers(-300, 300, size=(7, 1)).astype(float)
+    rows[2] = 0.0
+    rows[5] = 1e308
+    ps = (1.0, 2.0, 4.0)
+    batched = lebesgue_row_norms(rows.copy(), ps, grid.cell_volume)
+    for p, norms in zip(ps, batched):
+        funcs = [SampledFunction(grid, row.reshape(grid.shape)) for row in rows]
+        assert norms == [_lebesgue_norm_reference(f, p) for f in funcs]
+        assert norms == [Lebesgue(p).norm(f) for f in funcs]
+    assert batched[1][2] == 0.0 and batched[1][5] == math.inf
 
 
 @given(exponent=st.floats(min_value=-290.0, max_value=300.0))
