@@ -47,6 +47,7 @@ __all__ = [
     "tent_mask",
     "tent_decompose",
     "tent_atom_size",
+    "tent_atom_sizes",
     "synthesize_molecule",
     "check_atom",
     "check_molecule",
@@ -228,6 +229,37 @@ def tent_atom_size(field: HalfSpaceField, p: float) -> float:
     return space_norm(tent_functional(field, 1.0), Lebesgue(p))
 
 
+def _piece_sizes(F: HalfSpaceField, cells: Sequence[np.ndarray], ps: Sequence[float]) -> list[list[float]]:
+    """``tent_atom_size`` of F restricted to each cell set, for every p: one
+    batched cone-functional pass and one row-batched L^p reduction."""
+    if not cells:
+        return [[] for _ in ps]
+    areas = tent_functionals(F, 1.0, cells)
+    return lebesgue_row_norms(areas.reshape(len(cells), F.grid.size), ps, F.grid.cell_volume)
+
+
+def tent_atom_sizes(atoms: Sequence[TentAtom], p: float) -> list[float]:
+    """``tent_atom_size(atom.field, p)`` of every atom, bitwise, in one pass.
+
+    The atoms must share a grid and scales and have pairwise disjoint cells,
+    as one decomposition's atoms do: one field then holds them all, and its
+    cone functional on an atom's cells is the atom's own.
+    """
+    if not atoms:
+        return []
+    grid, scales = atoms[0].grid, atoms[0].scales
+    if any(atom.grid != grid or atom.scales != scales for atom in atoms):
+        raise ValueError("atoms must share a grid and scales")
+    cells = [atom.cells for atom in atoms]
+    if np.unique(np.concatenate(cells)).size != sum(c.size for c in cells):
+        raise ValueError("atoms must have disjoint cells")
+    values = np.zeros(grid.shape + (len(scales),), dtype=complex)
+    flat = values.reshape(-1)
+    for atom in atoms:
+        flat[atom.cells] = atom.values
+    return _piece_sizes(HalfSpaceField(grid, scales, values), cells, (p,))[0]
+
+
 def _fit_balls(grid: GridSpec, balls: BallFamily, centers: list[tuple[int, ...]],
                cells: list[np.ndarray], ts: np.ndarray) -> list[Ball]:
     """Smallest family ball around each piece's centre whose tent holds the piece.
@@ -316,11 +348,9 @@ def tent_decompose(
         return TentDecomposition(atoms=[], residual=zero)
     pieces = _pieces(F, area, balls)
 
-    # every piece's cone functional in one batched pass, its L^p sizes in one
-    # row-batched reduction and its ball in one gather
+    # every piece's L^p sizes in one batched pass and its ball in one gather
     cells = [piece_cells for piece_cells, _ in pieces]
-    areas = tent_functionals(F, 1.0, cells)
-    sizes = lebesgue_row_norms(areas.reshape(len(cells), -1), p_checks, grid.cell_volume)
+    sizes = _piece_sizes(F, cells, p_checks)
     fitted = _fit_balls(grid, balls, [center for _, center in pieces], cells, scales.scales)
 
     flat = F.values.reshape(-1)

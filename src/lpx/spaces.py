@@ -5,6 +5,19 @@ mixed-norm, variable-exponent, and Orlicz-slice.  All of them are lattice
 quasi-norms evaluated by the grid rectangle rule; suprema over balls run over
 a finite dyadic family; Luxemburg-type norms are solved by bisection on the
 modular, which is strictly monotone in the scaling parameter.
+
+Every bisection (``OrliczSlice``'s windows, ``orlicz_norm`` and
+``VariableLebesgue`` through ``_luxemburg_norm``, ``OrliczFunction.inverse``)
+is a certified replay of the plain log-bisection: a secant estimate of the
+root and two evaluations around it decide every step far from the root by
+comparison, so only the steps near it evaluate the modular.  Each result is
+bitwise the plain bisection's provided the computed modular (or Phi) is
+monotone across a relative gap of ``LUXEMBURG_BAND`` = 1e-13 next to the
+root, which the certificate cannot check: its true change there is about
+p * 1e-13 for a type or exponent p, against summation rounding of a few
+ulps, so a very small p could let the replay differ from the plain loop in
+the last bits.  ``_luxemburg_norm`` bisects |f| / 2^e with 2^e >= max |f|,
+so its norms are homogeneous over the whole float range.
 """
 
 from __future__ import annotations
@@ -41,6 +54,8 @@ __all__ = [
 ]
 
 LUXEMBURG_BRACKET = (1e-30, 1e30)
+LUXEMBURG_BAND = 1e-13  # relative half-width of the band a root estimate is certified on
+LUXEMBURG_SECANT_STEPS = 8  # most secant steps a root estimate takes
 LUXEMBURG_MAX_ITER = 200
 LUXEMBURG_RTOL = 1e-9
 AP_CAP = 1e6
@@ -140,17 +155,15 @@ class OrliczFunction:
 
     def inverse(self, y: float) -> float:
         """Numeric inverse on (0, inf) by bisection in log-argument."""
-        lo, hi = 1e-30, 1e30
-        if not (self.evaluator(np.array([lo]))[0] <= y <= self.evaluator(np.array([hi]))[0]):
+        lo, hi = LUXEMBURG_BRACKET
+
+        def phi(t: float) -> float:
+            return self.evaluator(np.array([t]))[0]
+
+        phi_lo = phi(lo)
+        if not phi_lo <= y or not y <= (phi_hi := phi(hi)):
             raise NoBracket(f"Phi never reaches {y:g} on the bracket")
-        for _ in range(LUXEMBURG_MAX_ITER):
-            mid = math.sqrt(lo * hi)
-            if self.evaluator(np.array([mid]))[0] <= y:
-                lo = mid
-            else:
-                hi = mid
-            if hi / lo < 1 + LUXEMBURG_RTOL:
-                break
+        lo, hi = _certified_bisection(phi, y, True, lo, phi_lo, hi, phi_hi)
         return math.sqrt(lo * hi)
 
 
@@ -186,33 +199,176 @@ def lebesgue_row_norms(mag: np.ndarray, ps: Sequence[float], cellvol: float) -> 
 
 
 
+# Certified replay of the log-bisections.  Every Luxemburg-type solve here is
+# a log-bisection, mid = sqrt(lo * hi), and its result is what that sequence
+# of (lo, hi) updates leaves.  The replay runs the same sequence but evaluates
+# only where a step is in doubt: a few secant steps in (log lam, log value)
+# estimate the root, two evaluations certify that the step flips inside
+# est * (1 -+ LUXEMBURG_BAND), and every mid outside est * (1 -+ 2
+# LUXEMBURG_BAND) is then decided by comparison alone.  Those decisions are
+# the evaluated ones whenever the computed step is monotone across a relative
+# gap of LUXEMBURG_BAND, about 450 ulps (on criterion 5's windows it is
+# monotone to the ulp).  A root whose certificate fails evaluates every step.
+# The scalar solves step in Python floats and the windows in numpy rows: run
+# on one row, the row stepper's numpy calls cost more per step than a scalar
+# modular does, which made a VariableLebesgue norm no faster than the plain
+# loop and an inverse five times slower than it.
+
+
+def _secant_log_root(value: Callable[[float], float], target: float, increasing: bool,
+                     x0: float, r0: float, x1: float, r1: float) -> float:
+    """Root estimate of log(value(e^x) / target) from its values r0, r1 at
+    x0 < x1, whose signs bracket the root.  A secant step that leaves the
+    bracket is replaced by the bracket's midpoint.  Call under
+    ``np.errstate(all="ignore")``."""
+    lo_x, hi_x = x0, x1
+    log_target = np.log(target)
+    for _ in range(LUXEMBURG_SECANT_STEPS):
+        x = x1 - r1 * (x1 - x0) / (r1 - r0)
+        if not lo_x <= x <= hi_x:
+            x = 0.5 * (lo_x + hi_x)
+        if abs(x - x1) <= 0.25 * LUXEMBURG_BAND:
+            break
+        r = np.log(value(math.exp(x))) - log_target
+        if (r > 0) != increasing:
+            lo_x = x
+        else:
+            hi_x = x
+        x0, r0, x1, r1 = x1, r1, x, r
+    return math.exp(x)
+
+
+def _certified_bisection(value: Callable[[float], float], target: float, increasing: bool,
+                         lo: float, value_lo: float, hi: float, value_hi: float) -> tuple[float, float]:
+    """(lo, hi) after the log-bisection of [lo, hi] that sets lo = mid while
+    value(mid) > target (value decreasing) or value(mid) <= target (value
+    increasing), and stops once hi / lo < 1 + LUXEMBURG_RTOL or after
+    LUXEMBURG_MAX_ITER steps.  ``value_lo`` and ``value_hi`` are the values at
+    the bracket ends.  The steps run in Python floats.
+    """
+
+    def up(lam: float) -> bool:
+        v = value(lam)
+        return v <= target if increasing else v > target
+
+    below, above = 0.0, math.inf  # uncertified: every mid is evaluated
+    with np.errstate(all="ignore"):
+        log_target = np.log(target)
+        est = _secant_log_root(value, target, increasing,
+                               math.log(lo), np.log(value_lo) - log_target,
+                               math.log(hi), np.log(value_hi) - log_target)
+        if up(est * (1 - LUXEMBURG_BAND)) and not up(est * (1 + LUXEMBURG_BAND)):
+            below, above = est * (1 - 2 * LUXEMBURG_BAND), est * (1 + 2 * LUXEMBURG_BAND)
+    for _ in range(LUXEMBURG_MAX_ITER):
+        mid = math.sqrt(lo * hi)
+        if mid <= below or (mid < above and up(mid)):
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1 + LUXEMBURG_RTOL:
+            break
+    return lo, hi
+
+
+def _secant_log_roots(modular: Callable[[np.ndarray, np.ndarray], np.ndarray], count: int) -> np.ndarray:
+    """Root estimate of log modular(row, e^x) for each of ``count`` rows,
+    from the log-midpoint of LUXEMBURG_BRACKET and a first step of unit
+    slope; a row stops once its step is below LUXEMBURG_BAND / 4.  Call under
+    ``np.errstate(all="ignore")``."""
+    lo_x = np.full(count, math.log(LUXEMBURG_BRACKET[0]))
+    hi_x = np.full(count, math.log(LUXEMBURG_BRACKET[1]))
+    rows = np.arange(count)
+    x1 = 0.5 * (lo_x + hi_x)
+    r1 = np.log(modular(rows, np.exp(x1)))
+    x0, r0 = x1 - 1.0, r1 + 1.0
+    est = np.empty(count)
+    for _ in range(LUXEMBURG_SECANT_STEPS):
+        x = x1 - r1 * (x1 - x0) / (r1 - r0)
+        x = np.where((lo_x <= x) & (x <= hi_x), x, 0.5 * (lo_x + hi_x))
+        done = np.abs(x - x1) <= 0.25 * LUXEMBURG_BAND
+        est[rows[done]] = x[done]
+        live = ~done
+        rows, x, x1, r1, lo_x, hi_x = rows[live], x[live], x1[live], r1[live], lo_x[live], hi_x[live]
+        if not rows.size:
+            break
+        r = np.log(modular(rows, np.exp(x)))
+        lo_x = np.where(r > 0, x, lo_x)
+        hi_x = np.where(r > 0, hi_x, x)
+        x0, r0, x1, r1 = x1, r1, x, r
+    est[rows] = x1
+    return np.exp(est)
+
+
+def _certified_bisection_rows(modular: Callable[[np.ndarray, np.ndarray], np.ndarray], count: int,
+                              max_iter: int) -> np.ndarray:
+    """hi of ``count`` log-bisections of LUXEMBURG_BRACKET, one per row, that
+    set lo = mid while modular(row, mid) > 1 (decreasing in lam); a row steps
+    until its (lo, hi) reach a fixed point, at most ``max_iter`` times.
+    ``modular(rows, lams)`` evaluates the given rows at one lam each.
+    """
+    rows = np.arange(count)
+    with np.errstate(all="ignore"):
+        est = _secant_log_roots(modular, count)
+        flips = modular(np.concatenate([rows, rows]),
+                        np.concatenate([est * (1 - LUXEMBURG_BAND), est * (1 + LUXEMBURG_BAND)])) > 1.0
+    certified = flips[:count] & ~flips[count:]
+    below = np.where(certified, est * (1 - 2 * LUXEMBURG_BAND), 0.0)  # uncertified: every mid is evaluated
+    above = np.where(certified, est * (1 + 2 * LUXEMBURG_BAND), math.inf)
+    out = np.empty(count)
+    lo = np.full(count, LUXEMBURG_BRACKET[0])
+    hi = np.full(count, LUXEMBURG_BRACKET[1])
+    for _ in range(max_iter):
+        mid = np.sqrt(lo * hi)
+        up = mid <= below
+        doubt = (up ^ (mid < above)).nonzero()[0]
+        if doubt.size:
+            up[doubt] = modular(rows[doubt], mid[doubt]) > 1.0
+            # a step that leaves (lo, hi) unchanged repeats forever: retire the
+            # row.  Only a mid in doubt can, since (lo, hi) closes in on the root
+            settled = doubt[np.where(up[doubt], lo[doubt], hi[doubt]) == mid[doubt]]
+            if settled.size:
+                out[rows[settled]] = hi[settled]
+                keep = np.ones(rows.size, dtype=bool)
+                keep[settled] = False
+                rows, lo, hi, mid, up = rows[keep], lo[keep], hi[keep], mid[keep], up[keep]
+                below, above = below[keep], above[keep]
+                if not rows.size:
+                    break
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    out[rows] = hi
+    return out
+
+
 def _luxemburg_norm(mag: np.ndarray, cellvol: float, density: Callable[[np.ndarray], np.ndarray]) -> float:
     """inf{lam : sum of density(mag / lam) times cellvol <= 1}.
 
-    Bisection on the modular, which must be strictly decreasing in lam.
+    Bisection on the modular, which must be strictly decreasing in lam.  It
+    runs on mag / 2^e with 2^e >= max mag and scales back at the end: exact
+    in binary, so the norm is homogeneous over the whole float range and
+    overflows only when it does itself.
     """
     sup = float(mag.max())
     if sup == 0.0:
         return 0.0
+    e = math.frexp(sup)[1]
+    mag = np.ldexp(mag, -e)
 
     def modular(lam: float) -> float:
         with np.errstate(divide="ignore"):
             ratio = mag / lam
         return float(np.sum(density(ratio)) * cellvol)
 
-    lo = sup * LUXEMBURG_BRACKET[0]
-    hi = sup * LUXEMBURG_BRACKET[1]
-    if modular(hi) > 1.0 or modular(lo) < 1.0:
+    lo = math.ldexp(sup, -e) * LUXEMBURG_BRACKET[0]
+    hi = math.ldexp(sup, -e) * LUXEMBURG_BRACKET[1]
+    modular_hi = modular(hi)
+    if modular_hi > 1.0 or (modular_lo := modular(lo)) < 1.0:
         raise NoBracket("modular does not cross 1 inside the bracket")
-    for _ in range(LUXEMBURG_MAX_ITER):
-        mid = math.sqrt(lo * hi)
-        if modular(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1 + LUXEMBURG_RTOL:
-            break
-    return hi
+    hi = _certified_bisection(modular, 1.0, False, lo, modular_lo, hi, modular_hi)[1]
+    try:
+        return math.ldexp(hi, e)
+    except OverflowError:
+        return math.inf
 
 
 def orlicz_norm(f: SampledFunction, phi: OrliczFunction) -> float:
@@ -426,24 +582,16 @@ class OrliczSlice:
         windows = np.ascontiguousarray(grid.torus_windows(mag, np.argwhere(mask)).T)
 
         sups = windows.max(axis=1)
-        lams = np.where(sups > 0, sups, 1.0)
+        live = np.flatnonzero(sups > 0)  # an all-zero window has norm 0
         # bisect each window divided by its own max, so the bracket holds for any
-        # amplitude; the Luxemburg norm of the window is then hi * lams
-        scaled = windows / lams[:, None]
-        lo = np.full(len(lams), LUXEMBURG_BRACKET[0])
-        hi = np.full(len(lams), LUXEMBURG_BRACKET[1])
-        # vectorized bisection of the window modulars; a step depends only on
-        # (lo, hi), so once one leaves both unchanged every later one would too
-        for _ in range(80):
-            mid = np.sqrt(lo * hi)
-            mods = phi.evaluator(scaled / mid[:, None]).sum(axis=1) * cellvol
-            high = mods > 1.0
-            new_lo = np.where(high, mid, lo)
-            new_hi = np.where(high, hi, mid)
-            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-                break
-            lo, hi = new_lo, new_hi
-        inner = np.where(sups > 0, hi * lams, 0.0)
+        # amplitude; the Luxemburg norm of the window is then hi * sups
+        scaled = windows[live] / sups[live, None]
+
+        def modular(rows: np.ndarray, lams: np.ndarray) -> np.ndarray:
+            return phi.evaluator(scaled[rows] / lams[:, None]).sum(axis=1) * cellvol
+
+        inner = np.zeros(len(sups))
+        inner[live] = _certified_bisection_rows(modular, len(live), 80) * sups[live]
         ratios = inner / denom
         top = ratios.max()
         if top == 0.0:

@@ -15,6 +15,7 @@ from lpx.atoms import (
     default_molecule_decay,
     synthesize_molecule,
     tent_atom_size,
+    tent_atom_sizes,
     tent_decompose,
     tent_mask,
 )
@@ -319,6 +320,22 @@ def test_atoms_store_disjoint_cells_covering_the_support(case):
         assert np.array_equal(again.cells, atom.cells) and np.array_equal(again.values, atom.values)
     assert owners.max() == 1  # pairwise disjoint
     assert np.array_equal(owners == 1, F.values.reshape(-1) != 0)  # the union is the support of F
+
+
+@pytest.mark.parametrize("case", ["1d-256-field", "2d-16-stray"])
+def test_tent_atom_sizes_match_each_atom_size_bitwise(case):
+    F = random_field(2) if case == "1d-256-field" else _field_case(2, 16, "stray")
+    dec = tent_decompose(F, LEBESGUE, BallFamily.build(F.grid, 2))
+    assert dec.atoms
+    for p in (2.0, 4.0):
+        assert tent_atom_sizes(dec.atoms, p) == [tent_atom_size(atom.field, p) for atom in dec.atoms]
+    assert tent_atom_sizes([], 2.0) == []
+    with pytest.raises(ValueError, match="disjoint"):
+        tent_atom_sizes([dec.atoms[0], dec.atoms[0]], 2.0)
+    first = dec.atoms[0]
+    other = TentAtom(first.grid, ScaleGrid(1 / 8, 2.0, 4), first.cells, first.values, first.ball, 1.0)
+    with pytest.raises(ValueError, match="share"):
+        tent_atom_sizes([first, other], 2.0)
 
 
 def _decomposition_pieces(F, balls):

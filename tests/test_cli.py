@@ -109,6 +109,22 @@ def test_compute_huge_bump_scalar_is_finite(tmp_path, operator):
     assert values[1e200] == pytest.approx(1e200 * values[1.0], rel=1e-12)
 
 
+@pytest.mark.parametrize("amplitude", [1e-200, 1e200])
+def test_compute_variable_norm_of_an_extreme_bump_exits_0(tmp_path, amplitude):
+    # the unscaled Luxemburg bracket's lo * hi underflowed to 0 at 1e-200 (a
+    # ZeroDivisionError traceback) and overflowed to inf at 1e200 (exit 3)
+    grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
+    cfg = write_config(tmp_path, grid={"dim": 1, "N": 256, "L": 8.0}, space={"tag": "variable"})
+    values = {}
+    for a in (1.0, amplitude):
+        inp = tmp_path / f"bump{a:g}.csv"
+        write_function_csv(SampledFunction(grid, a * gaussian_bump(grid, [0.2], 0.5).values), inp)
+        out = tmp_path / f"out{a:g}"
+        assert main(["--config", str(cfg), "--out", str(out), "compute", str(inp), "norm"]) == 0
+        values[a] = json.loads((out / "norm.json").read_text())["value"]
+    assert values[amplitude] == pytest.approx(amplitude * values[1.0], rel=1e-12)
+
+
 @pytest.mark.parametrize("operator", ["norm", "hardy_norm"])
 def test_compute_infinite_scalar_exits_3(tmp_path, capsys, operator):
     # |f| = 1e308 on the whole box [-8, 8): the L^2 norm 4e308 exceeds the float
@@ -179,6 +195,16 @@ def test_decompose_command(tmp_path):
     assert report["count"] >= 1
     assert report["reconstruction_error"] <= 1e-12
     assert all("coefficient" in a and "size_slack" in a for a in report["atoms"])
+
+
+def test_decompose_zero_input_writes_an_empty_report(tmp_path):
+    cfg = write_config(tmp_path, scales={"t_min": 0.0625, "t_max": 2.0, "steps_per_octave": 4})
+    inp = tmp_path / "zero.csv"
+    write_function_csv(SampledFunction(GRID, np.zeros(GRID.shape)), inp)
+    out = tmp_path / "dout"
+    assert main(["--config", str(cfg), "--out", str(out), "decompose", str(inp)]) == 0
+    report = json.loads((out / "decomposition.json").read_text())
+    assert report["count"] == 0 and report["atoms"] == []
 
 
 def test_verify_default_suite_and_determinism(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpx.errors import NoBracket
-from lpx.grid import GridSpec, SampledFunction, gaussian_bump, indicator_box
+import lpx.spaces as spaces_mod
+from lpx.grid import GridSpec, SampledFunction, ScaleGrid, gaussian_bump, indicator_box
 from lpx.maximal import BallFamily, ball_volume
 from lpx.spaces import (
     ExponentFunction,
@@ -384,6 +386,310 @@ def test_orlicz_slice_early_stop_matches_80_step_bisection_bitwise():
     for exponent in (0.0, -200.0, 200.0, -290.0, 300.0):
         g = 10.0**exponent * f
         assert space_norm(g, space) == fixed_iteration_orlicz_slice_norm(g, space)
+
+
+# ---------------------------------------------------------------------------
+# certified replay of the Luxemburg bisections: the loops it replaced, kept as
+# references, each counting its modular (or Phi) evaluations
+
+
+def _luxemburg_norm_reference(mag, cellvol, density):
+    """_luxemburg_norm as the plain log-bisection: (norm, evaluations)."""
+    calls = []
+
+    def modular(lam):
+        calls.append(1)
+        with np.errstate(divide="ignore"):
+            ratio = mag / lam
+        return float(np.sum(density(ratio)) * cellvol)
+
+    sup = float(mag.max())
+    if sup == 0.0:
+        return 0.0, 0
+    lo, hi = sup * 1e-30, sup * 1e30
+    if modular(hi) > 1.0 or modular(lo) < 1.0:
+        raise NoBracket("modular does not cross 1 inside the bracket")
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if modular(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1 + 1e-9:
+            break
+    return hi, len(calls)
+
+
+def _inverse_reference(phi, y):
+    """OrliczFunction.inverse as the plain log-bisection: (inverse, evaluations)."""
+    calls = []
+
+    def value(t):
+        calls.append(1)
+        return phi.evaluator(np.array([t]))[0]
+
+    lo, hi = 1e-30, 1e30
+    if not (value(lo) <= y <= value(hi)):
+        raise NoBracket(f"Phi never reaches {y:g} on the bracket")
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if value(mid) <= y:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1 + 1e-9:
+            break
+    return math.sqrt(lo * hi), len(calls)
+
+
+def _window_bisection_reference(scaled, phi, cellvol):
+    """OrliczSlice.norm's window bisection, plain: (hi, steps)."""
+    lo = np.full(len(scaled), 1e-30)
+    hi = np.full(len(scaled), 1e30)
+    steps = 0
+    for _ in range(80):
+        steps += 1
+        mid = np.sqrt(lo * hi)
+        high = phi.evaluator(scaled / mid[:, None]).sum(axis=1) * cellvol > 1.0
+        new_lo = np.where(high, mid, lo)
+        new_hi = np.where(high, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    return hi, steps
+
+
+_WINDOW_REFERENCES = {}  # the reference is deterministic: reuse it on bit-identical windows
+
+
+def _orlicz_slice_reference(f, space):
+    """OrliczSlice.norm with the plain window bisection: (norm, windowed evaluations,
+    window rows evaluated)."""
+    grid = f.grid
+    mask = grid.offset_distances() < space.slice_t
+    cellvol = grid.cell_volume
+    denom = 1.0 / _inverse_reference(space.phi, 1.0 / (np.count_nonzero(mask) * cellvol))[0]
+    windows = np.ascontiguousarray(grid.torus_windows(np.abs(f.values), np.argwhere(mask)).T)
+    sups = windows.max(axis=1)
+    lams = np.where(sups > 0, sups, 1.0)
+    scaled = windows / lams[:, None]
+    key = (scaled.tobytes(), scaled.shape, space.phi, cellvol)
+    if key not in _WINDOW_REFERENCES:
+        _WINDOW_REFERENCES[key] = _window_bisection_reference(scaled, space.phi, cellvol)
+    hi, steps = _WINDOW_REFERENCES[key]
+    ratios = np.where(sups > 0, hi * lams, 0.0) / denom
+    top = ratios.max()
+    norm = 0.0 if top == 0.0 else float((np.sum((ratios / top) ** space.r) * cellvol) ** (1.0 / space.r) * top)
+    return norm, steps, steps * len(lams)
+
+
+class _Counted:
+    """Phi or a modular density that counts its calls: a 2-D argument is
+    OrliczSlice's windowed modular (its rows counted too), any other one
+    evaluation of a scalar solve."""
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.windowed = self.rows = self.scalar = 0
+
+    def __call__(self, u):
+        if np.ndim(u) == 2:
+            self.windowed += 1
+            self.rows += np.shape(u)[0]
+        else:
+            self.scalar += 1
+        return self.evaluator(u)
+
+
+def _counted_orlicz(phi):
+    counter = _Counted(phi.evaluator)
+    return OrliczFunction(counter, phi.lower_type, phi.upper_type), counter
+
+
+def _variable_density(space, mag):
+    """VariableLebesgue.norm's modular density."""
+    pvals = space.exponent.values
+    return lambda ratio: np.where(mag > 0, ratio**pvals, 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _criterion5_inputs(n, seed):
+    """f, S, g and the Peetre maximal function of trials 0-9 at N=n, with the
+    five-space descriptors: criterion 5's equivalence inputs on the
+    benchmark's [-2, 2) at N=64, and on [-8, 8) at N=256."""
+    from lpx.harness import five_spaces, trial_function
+    from lpx.kernels import build_kernel, calderon_companion
+    from lpx.maximal import default_peetre_exponent, peetre_maximal
+    from lpx.squarefuncs import g_function, lusin_area
+    from lpx.transforms import build_field, build_plan
+
+    grid = GridSpec(dim=1, half_width={64: 2.0, 256: 8.0}[n], points_per_axis=n)
+    scales = ScaleGrid(1 / 16, 16.0, 8)
+    kernel = build_kernel("annular", grid)
+    plan = build_plan(kernel, scales)
+    psi_plan = build_plan(calderon_companion(kernel, scales).psi, scales)
+    spaces = five_spaces(grid)
+    b = default_peetre_exponent(1, spaces["orlicz_slice"].floor())
+    inputs = []
+    for i in range(10):
+        f = trial_function(seed, i, grid)
+        F = build_field(f, plan)
+        inputs += [f, lusin_area(F), g_function(F), peetre_maximal(f, b, plan=psi_plan)]
+    return spaces, inputs
+
+
+@pytest.mark.parametrize("n,seed", [(64, 0), (64, 5), (64, 4243), (256, 5)])
+def test_luxemburg_norms_match_the_plain_bisections_bitwise(n, seed):
+    spaces, inputs = _criterion5_inputs(n, seed)
+    slice_space, variable = spaces["orlicz_slice"], spaces["variable"]
+    phi = slice_space.phi
+    for f in inputs:
+        for c in (1.0, 2.0**300, 2.0**-300, 1e100, 1e-100):
+            g = SampledFunction(f.grid, c * f.values)
+            mag = np.abs(g.values)
+            cellvol = g.grid.cell_volume
+            assert slice_space.norm(g) == _orlicz_slice_reference(g, slice_space)[0]
+            assert variable.norm(g) == _luxemburg_norm_reference(mag, cellvol, _variable_density(variable, mag))[0]
+            assert orlicz_norm(g, phi) == _luxemburg_norm_reference(mag, cellvol, phi.evaluator)[0]
+
+
+def test_orlicz_inverse_matches_the_plain_bisection_bitwise():
+    from lpx.harness import FIVE_SPACES
+
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    phis = [descriptor_from_json(FIVE_SPACES["orlicz_slice"], grid).phi, power_orlicz(1.5), power_orlicz(3.0)]
+    for phi in phis:
+        for y in np.logspace(-20, 20):
+            assert phi.inverse(y) == _inverse_reference(phi, y)[0]
+
+
+def test_certified_replay_evaluation_counts_on_criterion5_inputs():
+    # the plain bisection: 61-62 windowed calls of 64 rows (3904-3968 row evaluations) per
+    # OrliczSlice norm and 40 modular or Phi calls per scalar norm or inverse
+    spaces, inputs = _criterion5_inputs(64, 5)
+    phi, counter = _counted_orlicz(spaces["orlicz_slice"].phi)
+    slice_space = OrliczSlice(phi, spaces["orlicz_slice"].r, spaces["orlicz_slice"].slice_t)
+    variable = spaces["variable"]
+    for f in inputs:
+        plain_rows = _orlicz_slice_reference(f, spaces["orlicz_slice"])[2]
+        counter.rows = counter.scalar = 0
+        slice_space.norm(f)
+        assert counter.rows <= 0.4 * plain_rows
+        assert counter.scalar <= 12  # the denominator's inverse
+        counter.scalar = 0
+        orlicz_norm(f, phi)
+        assert counter.scalar <= 12
+        mag = np.abs(f.values)
+        density = _Counted(_variable_density(variable, mag))
+        spaces_mod._luxemburg_norm(mag, f.grid.cell_volume, density)
+        assert density.scalar <= 12
+    for y in np.logspace(-20, 20):
+        counter.scalar = 0
+        phi.inverse(y)
+        assert counter.scalar <= 12
+
+
+def test_uncertified_replay_is_the_plain_bisection(monkeypatch):
+    # with a zero band no estimate can be certified: every step is evaluated,
+    # so the results are the plain bisection's and so are the evaluation
+    # counts, past the certificate's (one windowed call, or one or two scalar
+    # calls; the estimates are patched to cost none)
+    monkeypatch.setattr(spaces_mod, "LUXEMBURG_BAND", 0.0)
+    monkeypatch.setattr(spaces_mod, "_secant_log_root", lambda *args: 1.0)
+    monkeypatch.setattr(spaces_mod, "_secant_log_roots", lambda modular, count: np.ones(count))
+    spaces, inputs = _criterion5_inputs(64, 0)
+    reference_space = spaces["orlicz_slice"]
+    phi, counter = _counted_orlicz(reference_space.phi)
+    slice_space = OrliczSlice(phi, reference_space.r, reference_space.slice_t)
+    variable = spaces["variable"]
+    for f in inputs:
+        mag = np.abs(f.values)
+        cellvol = f.grid.cell_volume
+        norm, steps, _ = _orlicz_slice_reference(f, reference_space)
+        counter.windowed = 0
+        assert slice_space.norm(f) == norm
+        assert counter.windowed == steps + 1
+        counter.scalar = 0
+        norm, calls = _luxemburg_norm_reference(mag, cellvol, reference_space.phi.evaluator)
+        assert orlicz_norm(f, phi) == norm
+        assert calls < counter.scalar <= calls + 2
+        norm, calls = _luxemburg_norm_reference(mag, cellvol, _variable_density(variable, mag))
+        assert variable.norm(f) == norm
+        density = _Counted(_variable_density(variable, mag))
+        spaces_mod._luxemburg_norm(mag, cellvol, density)
+        assert calls < density.scalar <= calls + 2
+    for y in np.logspace(-20, 20, 9):
+        counter.scalar = 0
+        value, calls = _inverse_reference(reference_space.phi, y)
+        assert phi.inverse(y) == value
+        assert calls < counter.scalar <= calls + 2
+
+
+def test_a_wrong_root_estimate_fails_its_certificate(monkeypatch):
+    # the certificate, not the estimate, guards the comparisons: estimates off
+    # by a factor fail it, those rows evaluate every step, and results stay bitwise
+    secant, secant_rows = spaces_mod._secant_log_root, spaces_mod._secant_log_roots
+    monkeypatch.setattr(spaces_mod, "_secant_log_root", lambda *args: 1.5 * secant(*args))
+    monkeypatch.setattr(spaces_mod, "_secant_log_roots", lambda *args: 0.75 * secant_rows(*args))
+    spaces, inputs = _criterion5_inputs(64, 4243)
+    slice_space, variable = spaces["orlicz_slice"], spaces["variable"]
+    phi, counter = _counted_orlicz(slice_space.phi)
+    counted_slice = OrliczSlice(phi, slice_space.r, slice_space.slice_t)
+    for f in inputs[::3]:
+        mag = np.abs(f.values)
+        cellvol = f.grid.cell_volume
+        norm, steps, _ = _orlicz_slice_reference(f, slice_space)
+        counter.windowed = 0
+        assert counted_slice.norm(f) == norm
+        assert counter.windowed >= steps
+        assert variable.norm(f) == _luxemburg_norm_reference(mag, cellvol, _variable_density(variable, mag))[0]
+        assert orlicz_norm(f, slice_space.phi) == _luxemburg_norm_reference(mag, cellvol, slice_space.phi.evaluator)[0]
+    for y in np.logspace(-20, 20, 9):
+        assert slice_space.phi.inverse(y) == _inverse_reference(slice_space.phi, y)[0]
+
+
+def _luxemburg_norm_of(which, f):
+    from lpx.harness import FIVE_SPACES
+
+    if which == "variable":
+        return descriptor_from_json(FIVE_SPACES["variable"], f.grid).norm(f)
+    return orlicz_norm(f, descriptor_from_json(FIVE_SPACES["orlicz_slice"], f.grid).phi)
+
+
+@pytest.mark.parametrize("which", ["variable", "orlicz"])
+@given(k=st.integers(min_value=-996, max_value=996), seed=st.integers(0, 3))
+@example(k=-996, seed=0)
+@example(k=996, seed=0)
+@example(k=-498, seed=1)  # ~1e-150, where the unscaled bracket's lo * hi underflowed to 0
+@example(k=515, seed=2)  # ~1e155, where it overflowed to inf
+@settings(max_examples=25, deadline=None)
+def test_luxemburg_norms_exactly_homogeneous_over_the_float_range(which, k, seed):
+    # the bisection runs on |f| / 2^e, so 2^k f replays it bit for bit
+    grid = GridSpec(dim=1, half_width=8.0, points_per_axis=128)
+    f = _unit_sized_function(grid, seed)
+    c = 2.0**k
+    value = _luxemburg_norm_of(which, f)
+    with np.errstate(all="raise", under="ignore"):
+        assert _luxemburg_norm_of(which, SampledFunction(grid, c * f.values)) == c * value
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("which", ["variable", "orlicz"])
+@given(exponent=st.integers(min_value=-300, max_value=300))
+@example(exponent=-300)
+@example(exponent=-200)
+@example(exponent=-150)
+@example(exponent=155)
+@example(exponent=200)
+@example(exponent=300)
+@settings(max_examples=25, deadline=None)
+def test_luxemburg_norms_of_a_bump_over_decimal_amplitudes(which, n, exponent):
+    grid = GridSpec(dim=1, half_width=8.0, points_per_axis=n)
+    f = gaussian_bump(grid, [0.2], 0.5)
+    c = 10.0**exponent
+    value = _luxemburg_norm_of(which, f)
+    with np.errstate(all="raise", under="ignore"):
+        assert _luxemburg_norm_of(which, SampledFunction(grid, c * f.values)) == pytest.approx(c * value, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
