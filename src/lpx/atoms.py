@@ -11,18 +11,24 @@ The pieces' cone functionals run as one batched pass
 (``squarefuncs.tent_functionals``): only the live (piece, scale) rows are
 stacked, ``squarefuncs.SCALE_SUM_CHUNK`` rows per correlation, so no
 pieces x cells x scales array is built.  Each level tests every doubled ball
-in one correlation against the cached ``ball_spectra``, and a claimed ball
-marks its cells through its offset list.  The pieces are then sized in one
-pass: their balls from one gather of their own cells' torus distances, their
-L^p sizes from one row-batched reduction (``spaces.lebesgue_row_norms``).
-A ``TentAtom`` keeps only its piece's cells and values; its dense field is
-built on demand.  All of it is bitwise what one call per piece, one
-correlation per radius, one ``np.roll`` per ball and a dense field per atom
-give.
+in one correlation against the cached ``ball_spectra``, then walks the inside
+centres once, by the largest radius whose doubled ball fits, rather than
+once per radius; a claimed ball marks its cells through its offset list.
+The pieces are then sized in one pass: their balls from one gather of their
+own cells' torus distances, their L^p sizes from one row-batched reduction
+(``spaces.lebesgue_row_norms``).  The balls' indicator norms (``ball_norms``)
+come from one gather of the torus distance table, and for a Lebesgue space
+from one row-batched reduction as well; ``coefficient_functional`` adds its
+per-atom weights with one ``np.bincount``.  A ``TentAtom`` keeps only its
+piece's cells and values; its dense field is built on demand.  All of it is
+bitwise what one call per piece, one correlation and candidate loop per
+radius, one ``np.roll`` per ball, one indicator per ball norm and a dense
+field per atom give.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -44,6 +50,7 @@ __all__ = [
     "AtomReport",
     "MoleculeReport",
     "ball_indicator",
+    "ball_norms",
     "tent_mask",
     "tent_decompose",
     "tent_atom_size",
@@ -67,6 +74,30 @@ def ball_indicator(grid: GridSpec, ball: Ball) -> SampledFunction:
     """Indicator of the ball in the torus metric."""
     dist = grid.torus_distance_to(ball.center)
     return SampledFunction(grid, (dist < ball.radius).astype(complex))
+
+
+def _ball_rows(grid: GridSpec, balls: Sequence[Ball]) -> np.ndarray:
+    """Boolean (balls, cells) array whose rows are the balls' indicators: one
+    gather of the torus distance table at every centre."""
+    centers = np.array([ball.center for ball in balls], dtype=int).reshape(len(balls), grid.dim)
+    radii = np.array([ball.radius for ball in balls])
+    return grid.torus_windows(grid.offset_distances(), -centers) < radii[:, None]
+
+
+def _row_norms(grid: GridSpec, rows: np.ndarray, space: SpaceDescriptor) -> list[float]:
+    """``space_norm`` of every indicator row of ``_ball_rows``."""
+    if isinstance(space, Lebesgue):  # Lebesgue.norm is this reduction on one row
+        return lebesgue_row_norms(rows.astype(float), (space.p,), grid.cell_volume)[0]
+    return [space_norm(SampledFunction(grid, row.reshape(grid.shape).astype(complex)), space) for row in rows]
+
+
+def ball_norms(grid: GridSpec, balls: Sequence[Ball], space: SpaceDescriptor) -> list[float]:
+    """``space_norm(ball_indicator(grid, ball), space)`` of every ball, bitwise.
+
+    The indicators come from one gather; a Lebesgue space takes all their
+    norms in one row-batched reduction, any other space one norm per ball.
+    """
+    return _row_norms(grid, _ball_rows(grid, balls), space)
 
 
 def tent_mask(grid: GridSpec, scales: ScaleGrid, ball: Ball) -> np.ndarray:
@@ -184,6 +215,20 @@ def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray)
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _ball_offsets(grid: GridSpec, radii: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per radius, the offsets of the cells within the ball ``dist < r`` about
+    the origin, one read-only integer array per axis, in C order."""
+    dist = grid.offset_distances()
+    out = []
+    for r in radii:
+        axes = np.nonzero(dist < r)
+        for a in axes:
+            a.setflags(write=False)
+        out.append(axes)
+    return tuple(out)
+
+
 def _whitney_regions(
     grid: GridSpec, inside: np.ndarray, balls: BallFamily
 ) -> tuple[np.ndarray, list[Ball]]:
@@ -192,36 +237,39 @@ def _whitney_regions(
     Large balls whose doubles stay inside are claimed first; whatever remains
     is covered by single-cell regions.  Returns (region id array, leaders).
     """
-    dist = grid.offset_distances()
-    n = grid.points_per_axis
-    region = np.full(grid.shape, -1, dtype=int)
+    radii = tuple(balls.radii.tolist())
+    region = np.full(grid.size, -1, dtype=int)
     leaders: list[Ball] = []
-    uncovered = inside.copy()
+    uncovered = inside.reshape(-1).copy()
     outside = (~inside).astype(float)
-    doubles, _ = ball_spectra(grid, tuple(2.0 * r for r in balls.radii))
-    double_ok = correlate(outside, doubles, grid.dim) < 0.5
-    for r, double_ok_r in zip(balls.radii[::-1], double_ok[::-1]):  # largest first
-        if not uncovered.any():
-            break
-        candidates = double_ok_r & uncovered
-        if not candidates.any():
+    doubles, _ = ball_spectra(grid, tuple(2.0 * r for r in radii))
+    double_ok = correlate(outside, doubles, grid.dim).reshape(len(radii), grid.size) < 0.5
+    # Taken radius by radius, largest first, every inside centre whose doubled
+    # ball fits is claimed or already covered by the end of that radius.  The
+    # doubled balls are nested, so a centre fits every radius up to its
+    # largest and is a candidate only there: one walk of the inside centres
+    # by largest fitting radius, then cell, makes the same claims without a
+    # pass per radius.
+    fit = double_ok & uncovered
+    top = len(radii) - 1 - fit[::-1].argmax(axis=0)  # each centre's largest fitting radius
+    walk = np.flatnonzero(fit.any(axis=0))
+    walk = walk[np.argsort(-top[walk], kind="stable")]
+    offsets = _ball_offsets(grid, radii)
+    coords = (c.tolist() for c in np.unravel_index(walk, grid.shape))
+    for cell, ri, *center in zip(walk.tolist(), top[walk].tolist(), *coords):
+        if not uncovered[cell]:
             continue
-        offsets = np.argwhere(dist < r)
-        for idx in np.argwhere(candidates):
-            if not uncovered[tuple(idx)]:
-                continue
-            member = tuple(((idx + offsets) % n).T)
-            fresh = uncovered[member]
-            if not fresh.any():
-                continue
-            region[tuple(m[fresh] for m in member)] = len(leaders)
-            leaders.append(Ball(center=tuple(idx), radius=float(r)))
-            uncovered[member] = False
-    for idx in np.argwhere(uncovered):
-        idx = tuple(idx)
-        region[idx] = len(leaders)
-        leaders.append(Ball(center=idx, radius=float(balls.radii[0])))
-    return region, leaders
+        # the centre is uncovered and in its own ball: it claims at least itself
+        member = np.ravel_multi_index(tuple(o + c for o, c in zip(offsets[ri], center)),
+                                      grid.shape, mode="wrap")
+        region[member[uncovered[member]]] = len(leaders)
+        leaders.append(Ball(center=tuple(center), radius=radii[ri]))
+        uncovered[member] = False
+    rest = np.flatnonzero(uncovered)
+    region[rest] = np.arange(len(leaders), len(leaders) + len(rest))
+    leaders += [Ball(center=tuple(center), radius=radii[0])
+                for center in zip(*(c.tolist() for c in np.unravel_index(rest, grid.shape)))]
+    return region.reshape(grid.shape), leaders
 
 
 def tent_atom_size(field: HalfSpaceField, p: float) -> float:
@@ -348,15 +396,16 @@ def tent_decompose(
         return TentDecomposition(atoms=[], residual=zero)
     pieces = _pieces(F, area, balls)
 
-    # every piece's L^p sizes in one batched pass and its ball in one gather
+    # every piece's L^p sizes in one batched pass, its ball in one gather and
+    # the balls' norms in one more
     cells = [piece_cells for piece_cells, _ in pieces]
     sizes = _piece_sizes(F, cells, p_checks)
     fitted = _fit_balls(grid, balls, [center for _, center in pieces], cells, scales.scales)
+    norms = ball_norms(grid, fitted, space)
 
     flat = F.values.reshape(-1)
     atoms: list[TentAtom] = []
-    for piece_cells, ball, piece_sizes in zip(cells, fitted, zip(*sizes)):
-        norm_1b = space_norm(ball_indicator(grid, ball), space)
+    for piece_cells, ball, norm_1b, piece_sizes in zip(cells, fitted, norms, zip(*sizes)):
         lam = max(
             size * norm_1b / ball_volume(ball.radius, grid.dim) ** (1.0 / p)
             for p, size in zip(p_checks, piece_sizes)
@@ -517,9 +566,11 @@ def coefficient_functional(
     grid = decomp.residual.grid
     if s is None:
         s = min(1.0, space.floor())
-    acc = np.zeros(grid.shape)
-    for atom in decomp.atoms:
-        indicator = ball_indicator(grid, atom.ball)
-        norm_1b = space_norm(indicator, space)
-        acc += (atom.coefficient / norm_1b) ** s * indicator.values.real
+    rows = _ball_rows(grid, [atom.ball for atom in decomp.atoms])
+    norms = _row_norms(grid, rows, space)
+    weights = [(atom.coefficient / norm_1b) ** s for atom, norm_1b in zip(decomp.atoms, norms)]
+    # bincount adds in input order, atom by atom: bitwise the sum of weight
+    # times indicator, whose other terms are exact zeros
+    owner, cells = np.nonzero(rows)
+    acc = np.bincount(cells, np.array(weights)[owner], minlength=grid.size).reshape(grid.shape)
     return space_norm(SampledFunction(grid, acc ** (1.0 / s)), space)

@@ -22,6 +22,7 @@ so its norms are homogeneous over the whole float range.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
@@ -553,6 +554,20 @@ class VariableLebesgue:
         return cls(exponent=ExponentFunction.build(grid, vals))
 
 
+@functools.lru_cache(maxsize=8)
+def _slice_geometry(phi: OrliczFunction, grid: GridSpec, slice_t: float) -> tuple[np.ndarray, float]:
+    """The offsets of the slice ball ``dist < slice_t`` and the ``OrliczSlice``
+    denominator, the Luxemburg norm of that ball's indicator, which is the
+    same at every centre.  The offsets are read-only."""
+    mask = grid.offset_distances() < slice_t
+    count = int(np.count_nonzero(mask))
+    if count == 0:
+        raise ValueError("slice radius smaller than one cell")
+    offsets = np.argwhere(mask)
+    offsets.setflags(write=False)
+    return offsets, 1.0 / phi.inverse(1.0 / (count * grid.cell_volume))
+
+
 @dataclass(frozen=True)
 class OrliczSlice:
     phi: OrliczFunction
@@ -567,19 +582,12 @@ class OrliczSlice:
             raise ValueError("r and slice_t must be positive")
 
     def norm(self, f: SampledFunction) -> float:
-        grid = f.grid
-        mask = grid.offset_distances() < self.slice_t
-        count = int(np.count_nonzero(mask))
-        if count == 0:
-            raise ValueError("slice radius smaller than one cell")
+        grid, phi = f.grid, self.phi
         cellvol = grid.cell_volume
-        # denominator: the slice ball indicator has the same norm at every center
-        phi = self.phi
-        denom = 1.0 / phi.inverse(1.0 / (count * cellvol))
-
+        offsets, denom = _slice_geometry(phi, grid, self.slice_t)
         mag = np.abs(f.values)
         # gather each ball's samples: windows[x] = values within the slice around x
-        windows = np.ascontiguousarray(grid.torus_windows(mag, np.argwhere(mask)).T)
+        windows = np.ascontiguousarray(grid.torus_windows(mag, offsets).T)
 
         sups = windows.max(axis=1)
         live = np.flatnonzero(sups > 0)  # an all-zero window has norm 0

@@ -9,6 +9,7 @@ from lpx.atoms import (
     TentAtom,
     TentDecomposition,
     ball_indicator,
+    ball_norms,
     check_atom,
     check_molecule,
     coefficient_functional,
@@ -23,7 +24,7 @@ from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
-from lpx.spaces import Lebesgue, Morrey, space_norm
+from lpx.spaces import Lebesgue, Morrey, WeightedLebesgue, power_weight, space_norm
 from lpx.squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
 from lpx.transforms import build_field, build_plan, correlate, spatial_kernel, spectrum
 
@@ -252,6 +253,19 @@ def _dense_decomposition_reference(F, space, balls, p_checks=(2.0, 4.0)):
     return ref_atoms, total
 
 
+def _coefficient_functional_reference(decomp, space, s=None):
+    """The per-atom loop: one indicator and one norm per atom, added into a dense sum."""
+    if not decomp.atoms:
+        return 0.0
+    grid = decomp.residual.grid
+    s = min(1.0, space.floor()) if s is None else s
+    acc = np.zeros(grid.shape)
+    for atom in decomp.atoms:
+        indicator = ball_indicator(grid, atom.ball)
+        acc += (atom.coefficient / space_norm(indicator, space)) ** s * indicator.values.real
+    return space_norm(SampledFunction(grid, acc ** (1.0 / s)), space)
+
+
 def _assert_matches_dense_reference(dec, reference, space):
     ref_atoms, ref_total = reference
     assert len(dec.atoms) == len(ref_atoms)
@@ -263,7 +277,7 @@ def _assert_matches_dense_reference(dec, reference, space):
     grid, scales = dec.residual.grid, dec.residual.scales
     ref_dec = TentDecomposition([TentAtom.from_field(HalfSpaceField(grid, scales, values), ball, lam)
                                  for ball, lam, values in ref_atoms], dec.residual)
-    assert coefficient_functional(dec, space) == coefficient_functional(ref_dec, space)
+    assert coefficient_functional(dec, space) == _coefficient_functional_reference(ref_dec, space)
 
 
 LEBESGUE, MORREY = Lebesgue(2.0), Morrey(2.0, 1.0)  # Morrey ball norms depend on the centre
@@ -377,7 +391,96 @@ def test_piece_functionals_span_chunks_bitwise(monkeypatch, case, chunk):
     assert np.array_equal(tent_functional(F, 1.0).values.real, _one_piece_functional_reference(F))
 
 
-@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (2, 32)], ids=["1d-64", "2d-16", "2d-32"])
+def _oracle_balls(grid, count):
+    """Balls for the ball-norm oracle: centres on the box edges, whose balls
+    wrap around the torus, and random ones; radii from the family, a radius
+    of half a cell, and ``_fit_balls``'s full-box fallback 2L."""
+    n = grid.points_per_axis
+    rng = np.random.default_rng(n * grid.dim)
+    radii = BallFamily.build(grid, 2).radii
+    centres = [(0,) * grid.dim, (n - 1,) * grid.dim, (n - 1, 0)[: grid.dim]]
+    centres += [tuple(int(i) for i in rng.integers(0, n, grid.dim)) for _ in range(count)]
+    choices = [float(radii[0]), float(radii[len(radii) // 2]), float(radii[-1]), 0.5 * grid.spacing,
+               2.0 * grid.half_width]
+    return [Ball(c, choices[i % len(choices)]) for i, c in enumerate(centres)] + [
+        Ball(centres[0], 2.0 * grid.half_width), Ball(centres[1], float(radii[-1]))]
+
+
+NORM_GRIDS = [(1, 64), (1, 256), (2, 16), (2, 64)]
+
+
+@pytest.mark.parametrize("dim,n", NORM_GRIDS, ids=[f"{d}d-{n}" for d, n in NORM_GRIDS])
+def test_ball_norms_match_each_indicator_norm_bitwise(dim, n):
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    spaces = [Lebesgue(1.3), Lebesgue(2.0), Lebesgue(4.0), WeightedLebesgue(1.5, power_weight(grid, 0.5)),
+              Morrey(2.0, 1.0)]
+    for space in spaces:
+        # a 2-D N=64 Morrey norm takes milliseconds: fewer balls there
+        balls = _oracle_balls(grid, 4 if isinstance(space, Morrey) and n == 64 else 24)
+        assert ball_norms(grid, balls, space) == [space_norm(ball_indicator(grid, b), space) for b in balls]
+        assert ball_norms(grid, [], space) == []
+
+
+COEFFICIENT_CASES = [("1d-64-field", LEBESGUE, None), ("1d-64-field", Lebesgue(0.5), None),
+                     ("1d-64-field", LEBESGUE, 0.7), ("1d-64-stray", MORREY, None),
+                     ("2d-16-stray", Lebesgue(1.3), None), ("1d-256-benchmark", LEBESGUE, None)]
+
+
+@pytest.mark.parametrize("case,space,s", COEFFICIENT_CASES,
+                         ids=[f"{c}-{sp.tag}{getattr(sp, 'p', '')}-s{s}" for c, sp, s in COEFFICIENT_CASES])
+def test_coefficient_functional_matches_per_atom_loop_bitwise(case, space, s):
+    if case == "1d-256-benchmark":
+        plan = build_plan(build_annular_kernel(GRID), SCALES)
+        fields, balls = [build_field(trial_function(5, trial, GRID), plan) for trial in range(4)], BALLS
+    else:
+        dim, n, kind = case.split("-")
+        fields = [_field_case(int(dim[0]), int(n), kind)]
+        balls = BallFamily.build(fields[0].grid, 2)
+    for F in fields:
+        dec = tent_decompose(F, space, balls)
+        assert len(dec.atoms) > 1
+        assert coefficient_functional(dec, space, s) == _coefficient_functional_reference(dec, space, s)
+
+
+def test_empty_decomposition_passes_the_batched_ball_bookkeeping():
+    F = _field_case(1, 64, "zero")
+    for space in (LEBESGUE, MORREY, Lebesgue(0.5)):
+        dec = tent_decompose(F, space, BallFamily.build(F.grid, 2))
+        assert dec.atoms == []
+        assert ball_norms(F.grid, [atom.ball for atom in dec.atoms], space) == []
+        assert coefficient_functional(dec, space) == 0.0 == _coefficient_functional_reference(dec, space)
+
+
+def _whitney_inputs(F, balls):
+    """The (grid, inside, balls) of every ``_whitney_regions`` call a decomposition makes."""
+    seen = []
+
+    def record(grid, inside, balls):
+        seen.append((grid, inside.copy(), balls))
+        return whitney(grid, inside, balls)
+
+    whitney = atoms._whitney_regions
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(atoms, "_whitney_regions", record)
+        tent_decompose(F, LEBESGUE, balls)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 5, 4243])
+def test_whitney_regions_match_reference_on_benchmark_inputs(seed):
+    # the benchmark's decompose-1d inputs: trials 0-3 on 1-D N=256
+    plan = build_plan(build_annular_kernel(GRID), SCALES)
+    calls = [call for trial in range(4)
+             for call in _whitney_inputs(build_field(trial_function(seed, trial, GRID), plan), BALLS)]
+    assert len(calls) > 20
+    for grid, inside, balls in calls:
+        region, leaders = atoms._whitney_regions(grid, inside, balls)
+        ref_region, ref_leaders = _whitney_regions_reference(grid, inside, balls)
+        assert np.array_equal(region, ref_region)
+        assert leaders == ref_leaders
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (2, 32), (2, 64)], ids=["1d-64", "2d-16", "2d-32", "2d-64"])
 def test_whitney_regions_match_per_radius_roll_reference_bitwise(dim, n):
     grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
     balls = BallFamily.build(grid, 2)

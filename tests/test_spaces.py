@@ -589,6 +589,26 @@ def test_certified_replay_evaluation_counts_on_criterion5_inputs():
         assert counter.scalar <= 12
 
 
+def test_orlicz_slice_denominator_is_solved_once_per_grid():
+    # the slice ball's norm depends only on Phi, the grid and the slice radius
+    from lpx.harness import FIVE_SPACES, trial_function
+
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    space = descriptor_from_json(FIVE_SPACES["orlicz_slice"], grid)
+    phi, counter = _counted_orlicz(space.phi)
+    counting = OrliczSlice(phi, space.r, space.slice_t)
+    for trial in range(3):
+        f = trial_function(7, trial, grid)
+        counter.scalar = 0
+        assert counting.norm(f) == fixed_iteration_orlicz_slice_norm(f, space)
+        assert (counter.scalar > 0) == (trial == 0)  # the first norm solves the denominator
+    finer = GridSpec(dim=1, half_width=2.0, points_per_axis=128)
+    counter.scalar = 0
+    f = trial_function(7, 0, finer)
+    assert counting.norm(f) == fixed_iteration_orlicz_slice_norm(f, space)
+    assert counter.scalar > 0
+
+
 def test_uncertified_replay_is_the_plain_bisection(monkeypatch):
     # with a zero band no estimate can be certified: every step is evaluated,
     # so the results are the plain bisection's and so are the evaluation
