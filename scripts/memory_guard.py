@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Peak-memory guards for the 2-D N=64 runs.
+
+Each case runs in its own child process and fails unless the child exits 0
+with a peak resident set at or below the case's limit:
+
+- ``decompose``: ``lpx decompose`` on a 2-D N=64 grid (L=2, 16 scales,
+  trial 0 of the harness's trial family, ``Lebesgue(2)``), limit 1 GiB.  The
+  config and input are written to a temporary directory.
+- ``equivalence``: ``equivalence_experiment`` on a 2-D N=64 grid (L=2, the
+  default 64 scales, 10 trials of the harness's trial family, seed 0,
+  ``Lebesgue(2)``), limit 160 MiB.
+
+Usage:
+
+    python scripts/memory_guard.py [case ...]    # default: every case
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
+
+from lpx.grid import GridSpec, write_function_csv
+from lpx.harness import trial_function
+
+DECOMPOSE_CONFIG = {
+    "version": 1,
+    "grid": {"dim": 2, "N": 64, "L": 2.0},
+    # decompose keeps t_max <= L/2: 1/16 .. 1 at 4 steps per octave is 16 scales
+    "scales": {"t_min": 0.0625, "t_max": 1.0, "steps_per_octave": 4},
+    "kernel": "annular",
+    "space": {"tag": "lebesgue", "p": 2.0},
+}
+EQUIVALENCE_CHILD = """
+from lpx.grid import GridSpec, ScaleGrid
+from lpx.harness import equivalence_experiment
+from lpx.spaces import Lebesgue
+
+grid = GridSpec(dim=2, half_width=2.0, points_per_axis=64)
+report = equivalence_experiment(Lebesgue(2.0), "annular", 10, grid, ScaleGrid(1 / 16, 16.0, 8), seed=0)
+print(f"worst spread {report.summary['worst_spread']:.4g}, passed {report.passed}")
+"""
+
+
+def decompose_command(tmp: Path) -> list[str]:
+    cfg = DECOMPOSE_CONFIG["grid"]
+    grid = GridSpec(dim=cfg["dim"], half_width=cfg["L"], points_per_axis=cfg["N"])
+    (tmp / "config.json").write_text(json.dumps(DECOMPOSE_CONFIG))
+    write_function_csv(trial_function(0, 0, grid), tmp / "input.csv")
+    return [sys.executable, "-m", "lpx.cli", "--config", str(tmp / "config.json"),
+            "--out", str(tmp / "out"), "decompose", str(tmp / "input.csv")]
+
+
+def equivalence_command(tmp: Path) -> list[str]:
+    return [sys.executable, "-c", EQUIVALENCE_CHILD]
+
+
+# name: (description, limit in MiB, child command in a temporary directory)
+CASES = {
+    "decompose": ("lpx decompose (2-D N=64, 16 scales)", 1024, decompose_command),
+    "equivalence": ("equivalence_experiment (2-D N=64, 64 scales, 10 trials)", 160, equivalence_command),
+}
+
+
+def run_guard(description: str, cmd: list[str], limit_mib: float) -> bool:
+    """Run ``cmd`` in a child process; true if it exits 0 within ``limit_mib`` peak RSS."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    child = subprocess.Popen(cmd, env=env)
+    # wait4 reports this child's own peak, where RUSAGE_CHILDREN would keep
+    # the largest of every case run so far
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = code = os.waitstatus_to_exitcode(status)
+    elapsed = time.perf_counter() - start
+    peak_mib = usage.ru_maxrss / 1024  # ru_maxrss is in KiB
+    print(f"{description}: exit {code}, {elapsed:.1f} s, peak RSS {peak_mib:.0f} MiB (limit {limit_mib} MiB)")
+    return code == 0 and peak_mib <= limit_mib
+
+
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        print(f"unknown cases {unknown}; known: {sorted(CASES)}", file=sys.stderr)
+        return 2
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names or CASES:
+            description, limit_mib, command = CASES[name]
+            ok &= run_guard(description, command(Path(tmp)), limit_mib)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

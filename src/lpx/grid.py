@@ -22,6 +22,7 @@ __all__ = [
     "ScaleGrid",
     "SampledFunction",
     "HalfSpaceField",
+    "FieldStack",
     "integrate",
     "halfspace_integrate",
     "concentration_defect",
@@ -138,11 +139,14 @@ class GridSpec:
         """``values[(x + o) mod n]`` with one row per offset o and one column per cell x.
 
         ``offsets`` is an (m, dim) integer array; the result is (m, size) in the
-        C order of the cells.  One fancy index into ``torus_window_view`` reads
-        every offset at once.
+        C order of the cells, and leading axes of ``values`` beyond
+        ``grid.shape`` are a batch: ``(batch..., m, size)``.  One fancy index
+        into ``torus_window_view`` reads every offset at once.
         """
         n = self.points_per_axis
-        return self.torus_window_view(values)[tuple((offsets % n).T)].reshape(len(offsets), self.size)
+        lead = values.shape[:values.ndim - self.dim]
+        index = (slice(None),) * len(lead) + tuple((offsets % n).T)
+        return self.torus_window_view(values)[index].reshape(lead + (len(offsets), self.size))
 
 
 @functools.lru_cache(maxsize=OFFSET_CACHE_SIZE)
@@ -181,11 +185,14 @@ class ScaleGrid:
     def log_weight(self) -> float:
         return math.log(2.0) / self.steps_per_octave
 
-    @property
+    @functools.cached_property
     def scales(self) -> np.ndarray:
+        """The nodes, computed once per instance and read-only."""
         J = self.steps_per_octave
         K = round(J * math.log2(self.t_max / self.t_min))
-        return self.t_min * 2.0 ** ((np.arange(K) + 0.5) / J)
+        ts = self.t_min * 2.0 ** ((np.arange(K) + 0.5) / J)
+        ts.setflags(write=False)
+        return ts
 
     def __len__(self) -> int:
         return len(self.scales)
@@ -234,6 +241,18 @@ class SampledFunction:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
 
 
+def _checked_field_values(field, lead: int) -> np.ndarray:
+    """The read-only complex values of a field (``lead=0``) or a stack of
+    fields (``lead=1``), checked for shape and finiteness."""
+    vals = _as_complex(field.values)
+    expected = field.grid.shape + (len(field.scales),)
+    if vals.ndim != lead + len(expected) or vals.shape[lead:] != expected:
+        raise ValueError(f"values shape {vals.shape} != {'(fields,) + ' * lead}{expected}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
+    return vals
+
+
 @dataclass(frozen=True)
 class HalfSpaceField:
     """Values F(y, t_k) on the product of a spatial grid and a scale grid."""
@@ -243,13 +262,34 @@ class HalfSpaceField:
     values: np.ndarray  # shape grid.shape + (len(scales),)
 
     def __post_init__(self):
-        vals = _as_complex(self.values)
-        expected = self.grid.shape + (len(self.scales),)
-        if vals.shape != expected:
-            raise ValueError(f"values shape {vals.shape} != {expected}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _checked_field_values(self, 0))
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The values as a stack of one field, ``(1,) + grid.shape + (K,)``."""
+        return self.values[None]
+
+
+@dataclass(frozen=True)
+class FieldStack:
+    """Half-space fields on the same grids, ``values[i]`` the values of the
+    i-th (see ``transforms.build_fields``).
+
+    Only the batched operators (``squarefuncs.tent_functionals``,
+    ``g_functions``, ``g_lambda_stars``) take a stack; they take a
+    ``HalfSpaceField`` as a stack of one.
+    """
+
+    grid: GridSpec
+    scales: ScaleGrid
+    values: np.ndarray  # shape (fields,) + grid.shape + (len(scales),)
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _checked_field_values(self, 1))
+
+    @property
+    def stack(self) -> np.ndarray:
+        return self.values
 
 
 def integrate(f: SampledFunction) -> complex:

@@ -13,13 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ZeroDenominator
 from .grid import GridSpec, SampledFunction
-from .transforms import ConvolutionPlan, build_field, correlate, spectrum
+from .squarefuncs import ball_spectra
+from .transforms import ConvolutionPlan, build_fields, correlate
 
 __all__ = [
     "BallFamily",
@@ -27,13 +29,16 @@ __all__ = [
     "hl_maximal",
     "powered_maximal",
     "peetre_maximal",
+    "peetre_maximals",
     "hardy_norm",
     "default_peetre_exponent",
     "fs_vector_check",
 ]
 
 DEFAULT_RADII_PER_OCTAVE = {1: 32, 2: 8}
-PEETRE_CHUNK = 128  # (scale, offset) pairs per vectorized step of the smoothed sup; bounds its temporaries
+# elements, (scale, offset) pairs x inputs x cells, per vectorized step of the
+# smoothed sup; bounds its temporaries
+PEETRE_CHUNK = 1 << 15
 
 
 def ball_volume(radius: float, dim: int) -> float:
@@ -109,21 +114,31 @@ class BallFamily:
     def cell_count(self, radius: float) -> int:
         return int(np.count_nonzero(self.mask(radius)))
 
-    def ball_sums(self, values: np.ndarray, radius: float) -> np.ndarray:
-        """Sum of ``values`` over cells whose centers lie in B(x, r), for all x."""
+    def ball_sums(self, values: np.ndarray, radii) -> np.ndarray:
+        """Sum of ``values`` over cells whose centers lie in B(x, r), for all x
+        and every r in ``radii``: one row per radius, ``(len(radii),) + grid.shape``.
+
+        A ball holding every cell sums the whole array.  In 1-D each other
+        radius is a windowed cumulative sum; in 2-D they all come from one
+        correlation against the cached ``squarefuncs.ball_spectra``.
+        """
         grid = self.grid
+        radii = [float(r) for r in radii]
+        counts = [self.cell_count(r) for r in radii]
+        part = [i for i, w in enumerate(counts) if w < grid.size]
+        out = np.empty((len(radii),) + grid.shape)
+        out[[i for i, w in enumerate(counts) if w == grid.size]] = values.sum()
         if grid.dim == 1:
-            w = self.cell_count(radius)
-            if w >= grid.points_per_axis:
-                return np.full(grid.shape, values.sum())
-            half = (w - 1) // 2
-            padded = np.concatenate([values[-half:], values, values[:half]]) if half else values
-            c = np.concatenate([[0.0], np.cumsum(padded)])
-            return c[w:] - c[:-w]
-        mask = self.mask(radius)
-        if mask.all():
-            return np.full(grid.shape, values.sum())
-        return correlate(values, spectrum(mask.astype(float), 2), 2)
+            for i in part:
+                w = counts[i]
+                half = (w - 1) // 2
+                padded = np.concatenate([values[-half:], values, values[:half]]) if half else values
+                c = np.concatenate([[0.0], np.cumsum(padded)])
+                out[i] = c[w:] - c[:-w]
+        elif part:
+            table, _ = ball_spectra(grid, tuple(radii[i] for i in part))
+            out[part] = correlate(values, table, 2)
+        return out
 
     def ball_filter(self, values: np.ndarray, radius: float) -> np.ndarray:
         """Max of ``values`` over B(x, r) for every center x."""
@@ -145,18 +160,19 @@ class BallFamily:
 
 
 @lru_cache(maxsize=8)
-def _default_family(grid: GridSpec) -> BallFamily:
-    return BallFamily.build(grid, DEFAULT_RADII_PER_OCTAVE[grid.dim])
+def cached_ball_family(grid: GridSpec, radii_per_octave: int) -> BallFamily:
+    """``BallFamily.build(grid, radii_per_octave)``, built once per pair."""
+    return BallFamily.build(grid, radii_per_octave)
 
 
 def hl_maximal(f: SampledFunction, balls: BallFamily | None = None) -> SampledFunction:
     """Ball-average maximal function sup over family balls containing x."""
-    balls = balls or _default_family(f.grid)
+    balls = balls or cached_ball_family(f.grid, DEFAULT_RADII_PER_OCTAVE[f.grid.dim])
     mag = np.abs(f.values)
     cellvol = f.grid.cell_volume
     out = np.zeros(f.grid.shape)
-    for r in balls.radii:
-        avg = balls.ball_sums(mag, r) * (cellvol / ball_volume(r, f.grid.dim))
+    for r, sums in zip(balls.radii, balls.ball_sums(mag, balls.radii)):
+        avg = sums * (cellvol / ball_volume(r, f.grid.dim))
         # x sees exactly the balls whose centers lie within r of x
         np.maximum(out, balls.ball_filter(avg, r), out=out)
     np.maximum(out, 0.0, out=out)  # FFT ball sums can leave -1e-17 on empty regions
@@ -177,14 +193,24 @@ def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> Sa
 
     ``plan`` is the convolution plan of the kernel psi; the supremum runs over
     every grid offset y (torus distance, hence |y| <= L) and every scale of
-    the plan's grid.  The (scale, offset) pairs are visited in scale-major
-    order, ``PEETRE_CHUNK`` pairs per vectorized step; a step may span two
-    scales.
+    the plan's grid.  The one-input case of ``peetre_maximals``.
+    """
+    return SampledFunction(f.grid, peetre_maximals([f], b, plan=plan)[0])
+
+
+def peetre_maximals(fs: Sequence[SampledFunction], b: float, *, plan: ConvolutionPlan) -> np.ndarray:
+    """``peetre_maximal`` of every input, one row per input, each bitwise the
+    one-input value.
+
+    The inputs' psi-fields are built as one stack (``build_fields``) and the
+    (scale, offset) pairs are visited in scale-major order for every input at
+    once, as many pairs per vectorized step as keep the step within
+    ``PEETRE_CHUNK`` elements; a step may span two scales.  A maximum is
+    exact, so the chunking does not change the result.
     """
     if b <= 0:
         raise ValueError("b must be positive")
-    field = build_field(f, plan)
-    grid = f.grid
+    grid = plan.grid
     n = grid.points_per_axis
     ts = plan.scales.scales
     dist_grid = grid.offset_distances()
@@ -192,17 +218,19 @@ def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> Sa
     keep = np.argwhere(dist_grid <= grid.half_width)
     dist = dist_grid[tuple(keep.T)]
     # one weight and one window index per (scale, offset) pair, scale-major;
-    # |psi_t * f|(x - y) is windows[k][-y mod N][x] for the k-th scale t
+    # |psi_t * f_i|(x - y) is windows[i][k][-y mod N][x] for the k-th scale t
     weights = ((1.0 + dist / ts[:, None]) ** (-b)).reshape((-1,) + (1,) * grid.dim)
     index = np.column_stack([np.repeat(np.arange(len(ts)), len(keep)), np.tile(-keep % n, (len(ts), 1))]).T
-    windows = grid.torus_window_view(np.abs(np.moveaxis(field.values, -1, 0)))
-    out = np.zeros(grid.shape)
-    for start in range(0, len(weights), PEETRE_CHUNK):
-        c = slice(start, start + PEETRE_CHUNK)
-        rows = windows[tuple(index[:, c])]
+    # the fields are dropped once their magnitudes are taken
+    windows = grid.torus_window_view(np.abs(np.moveaxis(build_fields(fs, plan).values, -1, 1)))
+    step = max(1, PEETRE_CHUNK // (len(fs) * grid.size))
+    out = np.zeros((len(fs),) + grid.shape)
+    for start in range(0, len(weights), step):
+        c = slice(start, start + step)
+        rows = windows[(slice(None),) + tuple(index[:, c])]
         rows *= weights[c]
-        np.maximum(out, rows.max(axis=0), out=out)
-    return SampledFunction(grid, out)
+        np.maximum(out, rows.max(axis=1), out=out)
+    return out
 
 
 def default_peetre_exponent(dim: int, floor_exponent: float) -> float:

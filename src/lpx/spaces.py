@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NoBracket, NotInAInfty
 from .grid import GridSpec, SampledFunction, read_function_csv
-from .maximal import BallFamily, ball_volume
+from .maximal import BallFamily, ball_volume, cached_ball_family
 
 __all__ = [
     "Lebesgue",
@@ -44,6 +44,7 @@ __all__ = [
     "ExponentFunction",
     "OrliczFunction",
     "space_norm",
+    "space_norms",
     "lebesgue_row_norms",
     "orlicz_norm",
     "convexify_norm",
@@ -404,7 +405,12 @@ class Lebesgue:
             raise ValueError("p must be positive")
 
     def norm(self, f: SampledFunction) -> float:
-        return lebesgue_row_norms(np.abs(f.values).reshape(1, -1), (self.p,), f.grid.cell_volume)[0][0]
+        return self.norms([f])[0]
+
+    def norms(self, fs: Sequence[SampledFunction]) -> list[float]:
+        """The norm of every input, one row each of ``lebesgue_row_norms``."""
+        mag = np.abs(np.stack([f.values for f in fs])).reshape(len(fs), -1)
+        return lebesgue_row_norms(mag, (self.p,), fs[0].grid.cell_volume)[0]
 
     def floor(self) -> float:
         return self.p
@@ -467,15 +473,14 @@ class Morrey:
             raise ValueError("need 0 < r <= p")
 
     def norm(self, f: SampledFunction) -> float:
-        family = self.family or BallFamily.build(f.grid, 4)
-        mag = np.abs(f.values)
-        dim = f.grid.dim
-        cellvol = f.grid.cell_volume
+        grid = f.grid
+        family = self.family or cached_ball_family(grid, 4)
+        cellvol = grid.cell_volume
         best = 0.0
-        for rad in family.radii:
-            local = family.ball_sums(mag**self.r, rad) * cellvol
+        for rad, local in zip(family.radii, family.ball_sums(np.abs(f.values) ** self.r, family.radii)):
+            local *= cellvol
             np.maximum(local, 0.0, out=local)
-            factor = ball_volume(float(rad), dim) ** (1.0 / self.p - 1.0 / self.r)
+            factor = ball_volume(float(rad), grid.dim) ** (1.0 / self.p - 1.0 / self.r)
             best = max(best, factor * float(local.max()) ** (1.0 / self.r))
         return float(best)
 
@@ -582,12 +587,17 @@ class OrliczSlice:
             raise ValueError("r and slice_t must be positive")
 
     def norm(self, f: SampledFunction) -> float:
-        grid, phi = f.grid, self.phi
+        return self.norms([f])[0]
+
+    def norms(self, fs: Sequence[SampledFunction]) -> list[float]:
+        """The norm of every input: one certified bisection over the windows
+        of all of them, each row bitwise what it is for its input alone."""
+        grid, phi = fs[0].grid, self.phi
         cellvol = grid.cell_volume
         offsets, denom = _slice_geometry(phi, grid, self.slice_t)
-        mag = np.abs(f.values)
-        # gather each ball's samples: windows[x] = values within the slice around x
-        windows = np.ascontiguousarray(grid.torus_windows(mag, offsets).T)
+        # one row per (input, cell x): the input's samples within the slice around x
+        mag = np.abs(np.stack([f.values for f in fs]))
+        windows = np.ascontiguousarray(grid.torus_windows(mag, offsets).swapaxes(1, 2)).reshape(-1, len(offsets))
 
         sups = windows.max(axis=1)
         live = np.flatnonzero(sups > 0)  # an all-zero window has norm 0
@@ -600,12 +610,13 @@ class OrliczSlice:
 
         inner = np.zeros(len(sups))
         inner[live] = _certified_bisection_rows(modular, len(live), 80) * sups[live]
-        ratios = inner / denom
-        top = ratios.max()
-        if top == 0.0:
-            return 0.0
-        # powers of ratios / top <= 1 neither overflow nor all underflow at any amplitude
-        return float((np.sum((ratios / top) ** self.r) * cellvol) ** (1.0 / self.r) * top)
+        norms = []
+        for ratios in (inner / denom).reshape(len(fs), grid.size):
+            top = ratios.max()
+            # powers of ratios / top <= 1 neither overflow nor all underflow at any amplitude
+            norms.append(0.0 if top == 0.0 else
+                         float((np.sum((ratios / top) ** self.r) * cellvol) ** (1.0 / self.r) * top))
+        return norms
 
     def floor(self) -> float:
         return min(self.r, self.phi.lower_type)
@@ -645,6 +656,17 @@ def space_norm(f: SampledFunction, space: SpaceDescriptor) -> float:
     return space.norm(f)
 
 
+def space_norms(fs: Sequence[SampledFunction], space: SpaceDescriptor) -> list[float]:
+    """``space_norm`` of every input, each bitwise the one-input value.
+
+    ``Lebesgue`` and ``OrliczSlice`` take all inputs in one batched pass
+    (their ``norms``; ``norm`` is its one-input case); the other spaces take
+    one ``norm`` per input.
+    """
+    batched = getattr(space, "norms", None)
+    return batched(fs) if batched is not None else [space.norm(f) for f in fs]
+
+
 def convexify_norm(f: SampledFunction, space: SpaceDescriptor, p: float) -> float:
     """Norm of |f|^p in the space, to the 1/p power."""
     if p <= 0:
@@ -677,15 +699,18 @@ def ap_characteristic(w: Weight, p: float) -> float:
         raise ValueError("p must be at least 1")
     family = w.family
     omega = w.array
+    sums_w = family.ball_sums(omega, family.radii)
+    if p != 1.0:
+        sums_dual = family.ball_sums(omega ** (1.0 / (1.0 - p)), family.radii)
     best = 0.0
-    for rad in family.radii:
+    for i, rad in enumerate(family.radii):
         count = family.cell_count(rad)
-        mean_w = family.ball_sums(omega, rad) / count
+        mean_w = sums_w[i] / count
         if p == 1.0:
             inv_ess = family.ball_filter(1.0 / omega, rad)
             vals = mean_w * inv_ess
         else:
-            mean_dual = family.ball_sums(omega ** (1.0 / (1.0 - p)), rad) / count
+            mean_dual = sums_dual[i] / count
             vals = mean_w * np.maximum(mean_dual, 0.0) ** (p - 1.0)
         best = max(best, float(vals.max()))
     return best

@@ -8,7 +8,11 @@ torus distance deciding cone membership.  Per scale, the sums over y are
 circular correlations of |F|^2 with a kernel that depends only on the grid,
 the scale and the aperture or lambda; the spectra of those kernels are cached
 (``ball_spectra``, ``cone_spectra``, ``gstar_spectra``) and all scales run as
-one batched ``transforms.correlate``.
+one batched ``transforms.correlate``.  The plural forms (``tent_functionals``,
+``g_functions``, ``g_lambda_stars``) take a ``FieldStack``
+(``transforms.build_fields``) or one ``HalfSpaceField`` and return one row per
+field, each bitwise the one-field value; the singular forms are their
+one-field case and refuse a stack.
 """
 
 from __future__ import annotations
@@ -19,17 +23,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LambdaTooSmall
-from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
+from .grid import FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .transforms import correlate, spectrum
 
-__all__ = ["tent_functional", "tent_functionals", "lusin_area", "g_function", "g_lambda_star", "ball_spectra",
-           "cone_spectra", "gstar_spectra"]
+__all__ = ["tent_functional", "tent_functionals", "lusin_area", "g_function", "g_functions", "g_lambda_star",
+           "g_lambda_stars", "ball_spectra", "cone_spectra", "gstar_spectra"]
 
 # kernel spectra kept per (grid, radii) or (grid, scales, aperture or lambda);
 # a 2-D N=64 table over 64 scales is 2.2 MB
 SPECTRA_CACHE_SIZE = 8
-# (piece, scale) rows per batched correlation of ``_scale_sum``; bounds its
-# temporaries (a 2-D N=64 chunk of rows is 8 MB)
+# (piece or field, scale) rows per batched correlation of ``_scale_sum``;
+# bounds its temporaries (a 2-D N=64 chunk of rows is 8 MB)
 SCALE_SUM_CHUNK = 256
 
 
@@ -61,41 +65,45 @@ def gstar_spectra(grid: GridSpec, scales: ScaleGrid, lam: float) -> np.ndarray:
     return table
 
 
-def _scale_sum(F: HalfSpaceField, table: np.ndarray, live: np.ndarray | bool, weights,
+def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray, live: np.ndarray | bool, weights,
                pieces: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """sqrt(sum_k weights[k] * (|P(., t_k)|^2 correlated with kernel k)) for each piece P.
 
-    Piece i is F on the cells ``pieces[i]`` (flat indices into
-    ``grid.shape + (K,)``) and zero elsewhere; ``pieces=None`` makes F itself
-    the one piece.  A (piece, scale) row whose kernel is empty or whose slice
-    is zero adds exactly zero and is skipped.  The rest, piece by piece in
-    scale order, are correlated ``SCALE_SUM_CHUNK`` rows at a time and summed
-    per piece in scale order, so each piece's sum is bitwise what a call on
-    that piece alone gives.  Returns one row per piece, shaped
+    With ``pieces=None`` every field of F (one, or each of a ``FieldStack``)
+    is one piece; otherwise F is one field and piece i is F on the cells
+    ``pieces[i]`` (flat indices into ``grid.shape + (K,)``) and zero
+    elsewhere.  A (piece, scale) row whose kernel is empty or whose slice is
+    zero adds exactly zero and is skipped.  The rest, piece by piece in scale
+    order, are correlated ``SCALE_SUM_CHUNK`` rows at a time and summed per
+    piece in scale order, so each piece's sum is bitwise what a call on that
+    piece alone gives.  Returns one row per piece, shaped
     ``(pieces,) + grid.shape``.
     """
     grid = F.grid
     weights = np.asarray(weights)
-    field_power = np.abs(F.values) ** 2
-    power = np.moveaxis(field_power, -1, 0)
-    k_count = len(power)
-    flat_live = np.asarray(live) & (power != 0).reshape(k_count, -1).any(axis=1)
+    field_power = np.abs(F.stack) ** 2
+    k_count = field_power.shape[-1]
+    power = np.moveaxis(field_power.reshape(len(field_power), grid.size, k_count), -1, 1)
+    flat_live = np.asarray(live) & (power != 0).any(axis=2)  # (field, scale)
     if pieces is None:
-        scale = np.flatnonzero(flat_live)
-        owner = np.zeros(len(scale), dtype=int)
+        owner, scale = np.divmod(np.flatnonzero(flat_live), k_count)  # field-major, then scale
+        count = len(power)
 
         def rows(lo: int, hi: int) -> np.ndarray:
-            return power[scale[lo:hi]]
+            return power[owner[lo:hi], scale[lo:hi]].reshape((hi - lo,) + grid.shape)
     else:
+        if len(power) != 1:
+            raise ValueError("pieces are cells of a single field")
         cells = np.concatenate([np.empty(0, dtype=np.intp), *pieces])
         spatial, k = np.divmod(cells, k_count)
         cell_power = field_power.reshape(-1)[cells]
         key = np.repeat(np.arange(len(pieces)) * k_count, [len(c) for c in pieces]) + k
-        row_keys = np.unique(key[flat_live[k] & (cell_power != 0)])  # piece-major, then scale
+        row_keys = np.unique(key[flat_live[0, k] & (cell_power != 0)])  # piece-major, then scale
         owner, scale = np.divmod(row_keys, k_count)
         slot = np.full(len(pieces) * k_count, -1)
         slot[row_keys] = np.arange(len(row_keys))
         row = slot[key]  # -1: the cell's (piece, scale) row is skipped
+        count = len(pieces)
 
         def rows(lo: int, hi: int) -> np.ndarray:
             sel = (row >= lo) & (row < hi)
@@ -103,7 +111,7 @@ def _scale_sum(F: HalfSpaceField, table: np.ndarray, live: np.ndarray | bool, we
             block[row[sel] - lo, spatial[sel]] = cell_power[sel]
             return block.reshape((hi - lo,) + grid.shape)
 
-    acc = np.zeros((1 if pieces is None else len(pieces),) + grid.shape)
+    acc = np.zeros((count,) + grid.shape)
     for lo in range(0, len(scale), SCALE_SUM_CHUNK):
         hi = min(lo + SCALE_SUM_CHUNK, len(scale))
         corr = correlate(rows(lo, hi), table[scale[lo:hi]], grid.dim)
@@ -114,17 +122,25 @@ def _scale_sum(F: HalfSpaceField, table: np.ndarray, live: np.ndarray | bool, we
     return np.sqrt(acc)
 
 
+def _one_field(F: HalfSpaceField) -> HalfSpaceField:
+    """F itself; a ``FieldStack`` raises, it belongs to the plural forms."""
+    if not isinstance(F, HalfSpaceField):
+        raise TypeError(f"expected one HalfSpaceField, got {type(F).__name__}: "
+                        "a FieldStack goes to tent_functionals, g_functions or g_lambda_stars")
+    return F
+
+
 def tent_functional(F: HalfSpaceField, alpha: float) -> SampledFunction:
     """Square root of the |F|^2 half-space integral over the aperture-alpha cone."""
-    return SampledFunction(F.grid, tent_functionals(F, alpha)[0])
+    return SampledFunction(F.grid, tent_functionals(_one_field(F), alpha)[0])
 
 
-def tent_functionals(F: HalfSpaceField, alpha: float,
+def tent_functionals(F: HalfSpaceField | FieldStack, alpha: float,
                      pieces: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """``tent_functional`` of every piece at once, one row per piece, each
-    bitwise the one-piece value.  Piece i is F on the cells ``pieces[i]``
-    (flat indices into ``grid.shape + (K,)``) and zero elsewhere;
-    ``pieces=None`` makes F itself the one piece."""
+    bitwise the one-piece value.  Piece i is the field F on the cells
+    ``pieces[i]`` (flat indices into ``grid.shape + (K,)``) and zero
+    elsewhere; ``pieces=None`` makes each field of F one piece."""
     if alpha < 0:
         raise ValueError("aperture must be nonnegative")
     grid, scales = F.grid, F.scales
@@ -140,8 +156,12 @@ def lusin_area(F: HalfSpaceField) -> SampledFunction:
 
 def g_function(F: HalfSpaceField) -> SampledFunction:
     """Vertical square function of F = (phi_t * f)_t: sqrt of the dt/t integral of |F(x, t)|^2."""
-    acc = np.sum(np.abs(F.values) ** 2, axis=-1) * F.scales.log_weight
-    return SampledFunction(F.grid, np.sqrt(acc))
+    return SampledFunction(F.grid, g_functions(_one_field(F))[0])
+
+
+def g_functions(F: HalfSpaceField | FieldStack) -> np.ndarray:
+    """``g_function`` of every field of F, one row per field."""
+    return np.sqrt(np.sum(np.abs(F.stack) ** 2, axis=-1) * F.scales.log_weight)
 
 
 def g_lambda_star(F: HalfSpaceField, lam: float) -> SampledFunction:
@@ -151,9 +171,15 @@ def g_lambda_star(F: HalfSpaceField, lam: float) -> SampledFunction:
     The y-sum runs over the whole box; lambda must exceed 1 so the weight is
     integrable at the continuum level.
     """
+    return SampledFunction(F.grid, g_lambda_stars(_one_field(F), lam)[0])
+
+
+def g_lambda_stars(F: HalfSpaceField | FieldStack, lam: float) -> np.ndarray:
+    """``g_lambda_star`` of every field of F, one row per field,
+    each bitwise the one-field value."""
     if lam <= 1.0:
         raise LambdaTooSmall(f"lambda must exceed 1, got {lam:g}")
     grid, scales = F.grid, F.scales
     lw = scales.log_weight * grid.cell_volume
     weights = [lw / t**grid.dim for t in scales.scales]
-    return SampledFunction(grid, _scale_sum(F, gstar_spectra(grid, scales, lam), True, weights)[0])
+    return _scale_sum(F, gstar_spectra(grid, scales, lam), True, weights)

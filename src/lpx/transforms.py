@@ -3,21 +3,23 @@
 Every convolution is a Fourier multiplier on the periodic grid: the dilated
 kernel acts as phi_hat(t * xi) on the spectrum, which is exact for periodic
 data.  A half-space field costs one forward FFT of the input and one inverse
-FFT batched over every scale.
+FFT batched over every scale; a stack of fields (``build_fields``) costs the
+same two transforms, batched over the inputs too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericFailure
-from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
+from .grid import FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .kernels import Kernel
 
 __all__ = ["ConvolutionPlan", "build_plan", "spectrum", "correlate", "apply_multiplier",
-           "convolve_at_scale", "build_field", "spatial_kernel"]
+           "convolve_at_scale", "build_field", "build_fields", "spatial_kernel"]
 
 WRAP_DECAY_THRESHOLD = 1e-8
 
@@ -80,22 +82,40 @@ def convolve_at_scale(f: SampledFunction, kernel: Kernel, t: float) -> SampledFu
     return SampledFunction(f.grid, apply_multiplier(f.values, kernel.multiplier(t)))
 
 
-def build_field(f: SampledFunction, plan: ConvolutionPlan) -> HalfSpaceField:
-    """All scale slices (phi_t * f) stacked into a half-space field.
+def _field_values(fs: Sequence[SampledFunction], plan: ConvolutionPlan) -> np.ndarray:
+    """The scale slices (phi_t * f) of every input, C-contiguous in the
+    ``(len(fs),) + grid.shape + (K,)`` layout: one forward FFT over the stacked
+    inputs, then one inverse FFT over every (input, scale) pair.
 
-    The values are C-contiguous in the ``grid.shape + (K,)`` layout: reductions
-    over the scale axis (``g_function``'s sum) then run in the same order as
-    over a per-scale filled array, so results do not depend on the layout.
-    Raises ``NumericFailure`` when the transforms overflow (inputs near the
-    float maximum).
+    The transforms run line by line whatever the layout, so each input's
+    slices are bitwise its one-input values.  In the C-contiguous layout
+    reductions over the scale axis (``g_function``'s sum) run in the same
+    order as over a per-scale filled array, so results do not depend on the
+    layout.  Raises ``NumericFailure`` when the transforms overflow (inputs
+    near the float maximum).
     """
     spatial = tuple(range(1, plan.grid.dim + 1))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            slices = np.fft.ifftn(np.fft.fftn(f.values) * plan.multipliers, axes=spatial)
+            spectra = np.fft.fftn(np.stack([f.values for f in fs]), axes=spatial)
+            slices = np.fft.ifftn(spectra[..., None] * np.moveaxis(plan.multipliers, 0, -1), axes=spatial)
     except FloatingPointError as exc:
         raise NumericFailure(f"the multiscale field overflows the float range ({exc})") from exc
-    return HalfSpaceField(plan.grid, plan.scales, np.ascontiguousarray(np.moveaxis(slices, 0, -1)))
+    # the 1-D inverse transform returns the scale axis strided
+    return np.ascontiguousarray(slices)
+
+
+def build_field(f: SampledFunction, plan: ConvolutionPlan) -> HalfSpaceField:
+    """All scale slices (phi_t * f) stacked into a half-space field: the
+    one-input case of ``build_fields``."""
+    return HalfSpaceField(plan.grid, plan.scales, _field_values([f], plan)[0])
+
+
+def build_fields(fs: Sequence[SampledFunction], plan: ConvolutionPlan) -> FieldStack:
+    """``build_field`` of every input as one stack of fields, ``values[i]``
+    bitwise the field of ``fs[i]``; the batched square functions take it
+    whole."""
+    return FieldStack(plan.grid, plan.scales, _field_values(fs, plan))
 
 
 def spatial_kernel(kernel: Kernel, t: float) -> np.ndarray:

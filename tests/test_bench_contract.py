@@ -1,8 +1,10 @@
 """Contracts between lpx and the benchmark in ``perfbench/``.
 
 ``perfbench/layers.py`` wraps lpx functions by name and reads their arguments:
-a traced equivalence experiment must raise in no layer, find the smoothed
-maximal function's plan, and build one phi-field and one psi-field per trial;
+a traced ``peetre_maximal`` call must hand its hook the plan, and a traced
+equivalence experiment must raise in no layer and build each trial's
+phi-field and psi-field exactly once (in trial blocks, through
+``build_fields``);
 a traced tent decomposition evaluates the cone functional once for the field
 and once, batched, for all of its pieces.
 ``perfbench/workloads.py`` keeps its own copy of the five test spaces."""
@@ -24,22 +26,41 @@ def _load_layers():
     return module
 
 
-def test_traced_equivalence_experiment_builds_two_fields_per_trial():
+def test_traced_equivalence_experiment_builds_two_fields_per_trial(monkeypatch):
     layers = _load_layers()
     grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
     scales = ScaleGrid(1 / 16, 16.0, 8)
     trials = 10
+    built = {}  # plan id -> the inputs of its field builds, in call order
+
+    def counted(fs, plan):
+        built.setdefault(id(plan), []).extend(fs)
+        return transforms.build_fields(fs, plan)
+
     tracer = layers.Tracer()
     tracer.install()
     try:
+        # a direct call keeps the smoothed maximal function's trace hook covered
+        since = tracer.mark()
+        psi_plan = transforms.build_plan(kernels.build_annular_kernel(grid), scales)
+        maximal.peetre_maximal(harness.trial_function(0, 0, grid), 3.0, plan=psi_plan)
+        direct, _ = tracer.summarize(since)
+        # the experiment builds its fields in trial blocks, through build_fields only
+        monkeypatch.setattr(harness, "build_fields", counted)
+        monkeypatch.setattr(maximal, "build_fields", counted)
         since = tracer.mark()
         harness.equivalence_experiment(Lebesgue(2.0), "annular", trials, grid, scales, seed=0)
         metrics, _ = tracer.summarize(since)
     finally:
         tracer.uninstall()
     assert {k: v for k, v in metrics.items() if k.endswith(".errors") and v} == {}
-    assert metrics["maximal.peetre_maximal.triples"] > 0
-    assert metrics["transforms.build_field.calls"] == 2 * trials
+    assert metrics.get("transforms.build_field.calls", 0) == 0
+    assert direct["maximal.peetre_maximal.triples"] > 0
+    # one phi-field and one psi-field per trial: each plan saw every trial exactly once, in order
+    assert len(built) == 2
+    for inputs in built.values():
+        assert [f.values.tobytes() for f in inputs] == \
+            [harness.trial_function(0, i, grid).values.tobytes() for i in range(trials)]
 
 
 def test_traced_decomposition_evaluates_each_piece_once(monkeypatch):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpx.grid import (
+    FieldStack,
     GridSpec,
     HalfSpaceField,
     SampledFunction,
@@ -50,6 +53,19 @@ def test_scalegrid_weights_sum_to_log_ratio():
     assert total == pytest.approx(np.log(sg.t_max / sg.t_min), rel=1.0 / len(sg))
     assert np.all(np.diff(sg.scales) > 0)
     assert sg.scales[0] > sg.t_min and sg.scales[-1] < sg.t_max
+
+
+def test_scalegrid_nodes_are_computed_once_and_read_only():
+    sg = ScaleGrid(t_min=0.1, t_max=10.0, steps_per_octave=8)
+    ts = sg.scales
+    assert sg.scales is ts and len(sg) == len(ts) == round(8 * math.log2(100.0))
+    assert np.array_equal(ts, 0.1 * 2.0 ** ((np.arange(len(ts)) + 0.5) / 8))
+    assert not ts.flags.writeable
+    with pytest.raises(ValueError):
+        ts[0] = 1.0
+    # the cached nodes take no part in equality or hashing
+    fresh = ScaleGrid(t_min=0.1, t_max=10.0, steps_per_octave=8)
+    assert fresh == sg and hash(fresh) == hash(sg)
 
 
 def test_scalegrid_rejects_narrow_range():
@@ -114,6 +130,22 @@ def test_integrate_refinement_converges_on_gaussian():
 def _constant_field(grid, scales, value=1.0):
     K = len(scales)
     return HalfSpaceField(grid, scales, np.full(grid.shape + (K,), value, dtype=complex))
+
+
+def test_field_and_stack_shapes_are_checked():
+    g = GridSpec(dim=1, half_width=1.0, points_per_axis=16)
+    sg = ScaleGrid(t_min=0.5, t_max=8.0, steps_per_octave=4)
+    one = np.ones(g.shape + (len(sg),))
+    # a field is exactly one field: stacked values go to FieldStack
+    with pytest.raises(ValueError, match="values shape"):
+        HalfSpaceField(g, sg, np.stack([one, one]))
+    with pytest.raises(ValueError, match=r"\(fields,\)"):
+        FieldStack(g, sg, one)
+    with pytest.raises(ValueError, match="finite"):
+        FieldStack(g, sg, np.stack([one, np.inf * one]))
+    stack = FieldStack(g, sg, np.stack([one, 2 * one]))
+    assert stack.stack is stack.values and stack.values.shape == (2,) + one.shape
+    assert _constant_field(g, sg).stack.shape == (1,) + one.shape
 
 
 def test_halfspace_integrate_constant_full_mask():
@@ -229,6 +261,12 @@ def test_torus_windows_matches_roll_per_offset(dim, n, dtype):
     for row, o in zip(out, offsets):
         # values[(x + o) mod n] is values rolled by -o
         assert np.array_equal(row, np.roll(values, shift=tuple(-o), axis=axes).ravel())
+    # leading axes are a batch
+    stack = np.stack([values, ~values if dtype is bool else -values])
+    batched = grid.torus_windows(stack, offsets)
+    assert batched.shape == (2, len(offsets), grid.size)
+    for rows, values_i in zip(batched, stack):
+        assert np.array_equal(rows, grid.torus_windows(values_i, offsets))
 
 
 @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)], ids=["1d-16", "2d-8x8"])

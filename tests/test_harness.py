@@ -1,20 +1,25 @@
+import types
+
 import numpy as np
 import pytest
 
 from lpx.errors import ConeOverflow
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, concentration_defect, gaussian_bump, pure_frequency
+from lpx import harness
 from lpx.harness import (
     change_of_angle_experiment,
     default_lambda,
     embedding_experiment,
     equivalence_experiment,
+    five_spaces,
     trial_function,
     vanish_at_infinity_check,
 )
-from lpx.kernels import build_annular_kernel
+from lpx.kernels import build_annular_kernel, build_kernel
 from lpx.grid import HalfSpaceField
-from lpx.spaces import Lebesgue, Morrey
-from lpx.squarefuncs import tent_functional
+from lpx.maximal import hardy_norm
+from lpx.spaces import Lebesgue, Morrey, space_norm
+from lpx.squarefuncs import g_function, g_lambda_star, lusin_area, tent_functional
 from lpx.transforms import build_field, build_plan
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
@@ -166,3 +171,92 @@ def test_lambda_below_range_warns():
         _w.simplefilter("always")
         equivalence_experiment(Lebesgue(0.5), "annular", 10, GRID, SCALES, seed=9, lam=1.2)
     assert any("below the equivalence range" in str(c.message) for c in caught)
+
+
+# -- the per-trial loops that the trial-blocked experiments replaced ----------
+
+
+def _per_trial_equivalence(space, kernel_kind, trials, grid, scales, seed):
+    """equivalence_experiment with every operator called once per trial."""
+    kernel = build_kernel(kernel_kind, grid)
+    plan = build_plan(kernel, scales)
+    psi_plan = build_plan(harness.calderon_companion(kernel, scales).psi, scales)
+    lam = default_lambda(space)
+    dom_factor = 2.0 ** (lam * grid.dim / 2.0)
+    rows = []
+    for i in range(trials):
+        f = trial_function(seed, i, grid)
+        F = build_field(f, plan)
+        s_fn = lusin_area(F)
+        gs_fn = g_lambda_star(F, lam)
+        dom_ok = bool(np.all(s_fn.values.real <= dom_factor * gs_fn.values.real * (1 + 1e-12) + 1e-300))
+        rows.append((hardy_norm(f, space, psi_plan), space_norm(s_fn, space), space_norm(g_function(F), space),
+                     space_norm(gs_fn, space), dom_ok))
+    return harness._equivalence_report(space, kernel_kind, seed, lam, rows)
+
+
+def _block_sizes(monkeypatch, trials_per_block, grid, scales):
+    """Set the block budget to hold the given number of trials; returns the
+    list the phi-field block sizes are recorded in."""
+    monkeypatch.setattr(harness, "FIELD_BLOCK_BYTES", trials_per_block * grid.size * len(scales) * 16)
+    sizes = []
+    build_fields = harness.build_fields
+
+    def recorded(fs, plan):
+        sizes.append(len(fs))
+        return build_fields(fs, plan)
+
+    monkeypatch.setattr(harness, "build_fields", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("seed", [0, 5, 4243])
+def test_trial_blocked_equivalence_reports_match_the_per_trial_loop(seed):
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    scales = ScaleGrid(1 / 16, 16.0, 8)
+    for name, space in [*five_spaces(grid).items(), ("lebesgue", Lebesgue(2.0))]:
+        rep = equivalence_experiment(space, "annular", 10, grid, scales, seed=seed)
+        assert rep.to_json() == _per_trial_equivalence(space, "annular", 10, grid, scales, seed).to_json(), name
+
+
+@pytest.mark.parametrize("dim, trials, per_block, blocks", [(1, 11, 3, [3, 3, 3, 2]), (2, 10, 3, [3, 3, 3, 1])],
+                         ids=["1d-11-trials", "2d-64"])
+def test_trial_blocked_equivalence_with_a_partial_last_block(dim, trials, per_block, blocks, monkeypatch):
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=64)
+    if dim == 1:
+        scales, space = ScaleGrid(1 / 16, 16.0, 8), five_spaces(grid)["morrey"]
+    else:
+        # trial functions need N >= 64, and at 2-D N=64 the annular kernel's
+        # companion needs 48 scales, a 20 s run here; on 8 scales the smoothed
+        # maximal function takes the annular kernel itself as its psi
+        scales, space = ScaleGrid(1 / 4, 1.0, 4), Lebesgue(2.0)
+        monkeypatch.setattr(harness, "calderon_companion", lambda kernel, _: types.SimpleNamespace(psi=kernel))
+    expected = _per_trial_equivalence(space, "annular", trials, grid, scales, 0).to_json()
+    sizes = _block_sizes(monkeypatch, per_block, grid, scales)
+    assert equivalence_experiment(space, "annular", trials, grid, scales).to_json() == expected
+    assert sizes == blocks
+
+
+def test_default_block_budget_batches_1d_and_not_2d_n64(monkeypatch):
+    scales = ScaleGrid(1 / 16, 16.0, 8)
+    sizes = {}
+    for dim in (1, 2):
+        grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=64)
+        sizes[dim] = [len(fs) for fs in harness._trial_blocks(0, 10, grid, scales)]
+    assert sizes == {1: [4, 4, 2], 2: [1] * 10}
+
+
+def test_trial_blocked_change_of_angle_matches_the_per_trial_loop(monkeypatch):
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    scales = ScaleGrid(1 / 16, 0.25, 8)
+    alphas = (1.0, 2.0, 4.0, 8.0)
+    plan = build_plan(build_annular_kernel(grid), scales)
+    sizes = _block_sizes(monkeypatch, 3, grid, scales)
+    for space in five_spaces(grid).values():
+        rep = change_of_angle_experiment(space, alphas, 10, grid, scales, seed=5)
+        for i in range(10):
+            F = build_field(trial_function(5, i, grid), plan)
+            norms = [space_norm(tent_functional(F, a), space) for a in alphas]
+            assert [rep.series[f"norm_alpha_{a:g}"][i] for a in alphas] == norms
+            assert rep.series["slope"][i] == float(np.polyfit(np.log(alphas), np.log(norms), 1)[0])
+    assert sizes == [3, 3, 3, 1] * 5

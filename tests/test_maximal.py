@@ -16,10 +16,12 @@ from lpx.maximal import (
     hardy_norm,
     hl_maximal,
     peetre_maximal,
+    peetre_maximals,
     powered_maximal,
 )
+from lpx import maximal
 from lpx.spaces import Lebesgue
-from lpx.transforms import build_field, build_plan
+from lpx.transforms import build_field, build_plan, correlate, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
 
@@ -231,10 +233,10 @@ class FirstScales:
         return self.count
 
 
-# with PEETRE_CHUNK = 128 pairs: 1-D N=64 has 64 offsets per scale (each chunk
-# spans two scales, 5 scales end on a half chunk); 2-D N=16 keeps 195 offsets
-# (chunks cross scale boundaries mid-chunk); 1-D N=256 on one scale is two
-# chunks of one scale
+# with PEETRE_CHUNK = 2^15 elements and one input: 1-D N=64 steps 512 pairs,
+# eight scales of 64 offsets (5 scales are one partial step); 2-D N=16 steps
+# 128 pairs over 195 offsets per scale (steps cross scale boundaries
+# mid-step); 1-D N=256 on one scale is two steps of 128 pairs
 @pytest.mark.parametrize(
     "dim, n, width, complex_input, b, n_scales",
     [
@@ -271,6 +273,32 @@ def test_peetre_matches_roll_reference_bitwise(dim, n, width, complex_input, b, 
     f = SampledFunction(grid, values)
     fast = peetre_maximal(f, b=b, plan=plan).values.real
     assert np.array_equal(fast, roll_peetre_maximal(f, b, plan))
+
+
+@pytest.mark.parametrize("dim, n, width, n_scales, chunk",
+                         [(1, 64, 2.0, None, None), (1, 64, 2.0, 5, 3 * 64 * 7), (2, 16, 0.5, 3, None),
+                          (2, 16, 0.5, None, 3 * 256 * 5)],
+                         ids=["1d-64", "1d-64-5scales-7pairs", "2d-16-3scales", "2d-16-5pairs"])
+def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_scales, chunk, monkeypatch):
+    grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
+    scales = ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4)
+    plan = build_plan(build_annular_kernel(grid), scales)
+    if n_scales is not None:
+        plan = dataclasses.replace(plan, scales=FirstScales(scales, n_scales),
+                                   multipliers=plan.multipliers[:n_scales])
+    rng = np.random.default_rng(n)
+    fs = [SampledFunction(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)),
+          SampledFunction(grid, np.zeros(grid.shape)),
+          SampledFunction(grid, 1e-200 * rng.normal(size=grid.shape))]
+    if chunk is not None:  # steps of a few pairs over all three inputs, straddling scales
+        monkeypatch.setattr(maximal, "PEETRE_CHUNK", chunk)
+    rows = peetre_maximals(fs, 3.0, plan=plan)
+    assert rows.shape == (3,) + grid.shape
+    for f, row in zip(fs, rows):
+        assert np.array_equal(row, peetre_maximal(f, 3.0, plan=plan).values.real)
+        assert np.array_equal(row, roll_peetre_maximal(f, 3.0, plan))
+    with pytest.raises(ValueError):
+        peetre_maximals(fs, 0.0, plan=plan)
 
 
 def test_hardy_norm_zero_and_homogeneous(pair, psi_plan):
@@ -331,6 +359,37 @@ def test_fs_vector_check_zero_denominator():
     zero = SampledFunction(grid, np.zeros(256))
     with pytest.raises(ZeroDenominator):
         fs_vector_check([zero], theta=1.0, s=1.0, space=Lebesgue(2.0))
+
+
+def _ball_sums_reference(family, values, radius):
+    """The per-radius ball sums that the batched ``BallFamily.ball_sums`` replaced."""
+    grid = family.grid
+    mask = family.mask(radius)
+    if mask.all():
+        return np.full(grid.shape, values.sum())
+    if grid.dim == 1:
+        w = int(np.count_nonzero(mask))
+        half = (w - 1) // 2
+        padded = np.concatenate([values[-half:], values, values[:half]]) if half else values
+        c = np.concatenate([[0.0], np.cumsum(padded)])
+        return c[w:] - c[:-w]
+    return correlate(values, spectrum(mask.astype(float), 2), 2)
+
+
+@pytest.mark.parametrize("dim, n, per_octave", [(1, 64, 4), (1, 256, 32), (2, 32, 8), (2, 64, 4)])
+def test_ball_sums_rows_match_per_radius_reference_bitwise(dim, n, per_octave):
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    family = BallFamily.build(grid, per_octave)
+    values = np.abs(np.random.default_rng(3).normal(size=grid.shape)) ** 1.5
+    sums = family.ball_sums(values, family.radii)
+    assert sums.shape == (len(family),) + grid.shape
+    assert family.cell_count(family.radii[-1]) == grid.size  # the whole-box radius is covered
+    for r, row in zip(family.radii, sums):
+        assert np.array_equal(row, _ball_sums_reference(family, values, r)), r
+    # any radii in any order give the same rows; one radius is the one-row case
+    assert np.array_equal(family.ball_sums(values, family.radii[::-3]), sums[::-3])
+    assert np.array_equal(family.ball_sums(values, [family.radii[1]]), sums[1:2])
+    assert family.ball_sums(values, []).shape == (0,) + grid.shape
 
 
 def test_ball_family_enumeration():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lpx.errors import NoBracket
 import lpx.spaces as spaces_mod
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, gaussian_bump, indicator_box
-from lpx.maximal import BallFamily, ball_volume
+from lpx.maximal import BallFamily, ball_volume, cached_ball_family
 from lpx.spaces import (
     ExponentFunction,
     Lebesgue,
@@ -29,6 +29,7 @@ from lpx.spaces import (
     power_orlicz,
     power_weight,
     space_norm,
+    space_norms,
 )
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
@@ -105,6 +106,37 @@ def test_morrey_matches_brute_force():
     fast = space_norm(f, Morrey(2.0, 1.0, family=family))
     slow = brute_force_morrey(f, 2.0, 1.0, family)
     assert fast == pytest.approx(slow, rel=1e-10)
+
+
+def _morrey_per_radius(f, p, r, family):
+    """The per-radius loop that the one-correlation 2-D Morrey norm replaced."""
+    mag = np.abs(f.values)
+    best = 0.0
+    for rad in family.radii:
+        local = family.ball_sums(mag**r, [rad])[0] * f.grid.cell_volume
+        np.maximum(local, 0.0, out=local)
+        factor = ball_volume(float(rad), f.grid.dim) ** (1.0 / p - 1.0 / r)
+        best = max(best, factor * float(local.max()) ** (1.0 / r))
+    return float(best)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_morrey_matches_per_radius_loop_bitwise_and_builds_its_family_once(dim, monkeypatch):
+    from lpx.harness import trial_function
+
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=64)
+    inputs = [trial_function(0, i, grid) for i in range(4)] + [SampledFunction(grid, np.zeros(grid.shape))]
+    reference_family = BallFamily.build(grid, 4)
+    cached_ball_family.cache_clear()
+    builds = []
+    build = BallFamily.build.__func__
+    monkeypatch.setattr(BallFamily, "build", classmethod(lambda cls, *a: builds.append(a) or build(cls, *a)))
+    for p, r in ((2.0, 1.0), (3.0, 1.5)):
+        for f in inputs:
+            assert space_norm(f, Morrey(p, r)) == _morrey_per_radius(f, p, r, reference_family)
+    assert builds == [(grid, 4)]  # the default family is built once per grid, not once per norm
+    family = BallFamily.build(grid, 2)
+    assert space_norm(inputs[0], Morrey(2.0, 1.0, family=family)) == _morrey_per_radius(inputs[0], 2.0, 1.0, family)
 
 
 def test_morrey_equal_exponents_vs_lebesgue():
@@ -551,6 +583,27 @@ def test_luxemburg_norms_match_the_plain_bisections_bitwise(n, seed):
             assert slice_space.norm(g) == _orlicz_slice_reference(g, slice_space)[0]
             assert variable.norm(g) == _luxemburg_norm_reference(mag, cellvol, _variable_density(variable, mag))[0]
             assert orlicz_norm(g, phi) == _luxemburg_norm_reference(mag, cellvol, phi.evaluator)[0]
+
+
+@pytest.mark.parametrize("n,seed", [(64, 0), (64, 5), (64, 4243)])
+def test_space_norms_match_one_input_norms_bitwise(n, seed):
+    spaces, inputs = _criterion5_inputs(n, seed)
+    grid = inputs[0].grid
+    inputs = inputs + [SampledFunction(grid, np.zeros(grid.shape)), SampledFunction(grid, 2.0**300 * inputs[3].values)]
+    for space in [*spaces.values(), Lebesgue(2.0), Lebesgue(1.3)]:
+        assert space_norms(inputs, space) == [space_norm(f, space) for f in inputs], space.tag
+    slice_space = spaces["orlicz_slice"]
+    assert space_norms(inputs, slice_space) == [_orlicz_slice_reference(f, slice_space)[0] for f in inputs]
+
+
+def test_space_norms_match_one_input_norms_bitwise_2d():
+    grid = GridSpec(dim=2, half_width=2.0, points_per_axis=16)
+    inputs = [random_function(seed, grid, smooth=seed % 2 == 0) for seed in range(4)]
+    inputs.append(SampledFunction(grid, np.zeros(grid.shape)))
+    slice_space = descriptor_from_json({"tag": "orlicz_slice", "r": 1.5, "t": 1.0}, grid)
+    for space in (Lebesgue(2.0), Morrey(2.0, 1.0), MixedNorm((1.5, 2.0)), slice_space):
+        assert space_norms(inputs, space) == [space_norm(f, space) for f in inputs], space.tag
+    assert space_norms(inputs, slice_space) == [_orlicz_slice_reference(f, slice_space)[0] for f in inputs]
 
 
 def test_orlicz_inverse_matches_the_plain_bisection_bitwise():

@@ -5,6 +5,7 @@ from scipy import integrate as scipy_integrate
 from lpx import squarefuncs
 from lpx.errors import LambdaTooSmall
 from lpx.grid import (
+    FieldStack,
     GridSpec,
     HalfSpaceField,
     SampledFunction,
@@ -14,7 +15,8 @@ from lpx.grid import (
     pure_frequency,
 )
 from lpx.kernels import build_annular_kernel
-from lpx.squarefuncs import g_function, g_lambda_star, lusin_area, tent_functional
+from lpx.squarefuncs import (g_function, g_functions, g_lambda_star, g_lambda_stars, lusin_area, tent_functional,
+                             tent_functionals)
 from lpx.transforms import build_field, build_plan, correlate, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
@@ -269,6 +271,34 @@ def test_batched_operators_match_per_scale_reference_bitwise(case, kind):
         assert np.array_equal(tent_functional(F, alpha).values, _tent_reference(F, alpha)), alpha
     for lam in (1.5, 3.0):
         assert np.array_equal(g_lambda_star(F, lam).values, _gstar_reference(F, lam)), lam
+
+
+@pytest.mark.parametrize("case", list(ORACLE_GRIDS))
+def test_field_stack_operators_match_one_field_calls_bitwise(case, monkeypatch):
+    grid, scales = ORACLE_GRIDS[case]
+    fields = [_oracle_field(grid, scales, kind) for kind in ("noise", "zeroed-slices", "zero")]
+    fields.append(HalfSpaceField(grid, scales, 1e-3 * fields[0].values[..., ::-1]))
+    stack = FieldStack(grid, scales, np.stack([F.values for F in fields]))
+    # a chunk of rows that ends mid-field, so one field's rows span two correlations
+    monkeypatch.setattr(squarefuncs, "SCALE_SUM_CHUNK", len(scales) + 3)
+    for alpha in (0.0, 1.0, 2.0):
+        rows = tent_functionals(stack, alpha)
+        assert rows.shape == (len(fields),) + grid.shape
+        for F, row in zip(fields, rows):
+            assert np.array_equal(row, tent_functional(F, alpha).values.real), alpha
+    for lam in (1.5, 3.0):
+        for F, row in zip(fields, g_lambda_stars(stack, lam)):
+            assert np.array_equal(row, g_lambda_star(F, lam).values.real), lam
+    for F, row in zip(fields, g_functions(stack)):
+        assert np.array_equal(row, g_function(F).values.real)
+    with pytest.raises(LambdaTooSmall):
+        g_lambda_stars(stack, 1.0)
+    with pytest.raises(ValueError, match="single field"):
+        tent_functionals(stack, 1.0, [np.arange(3)])
+    # a stack handed to a one-field operator is refused, not read as its first field
+    for singular in (lambda F: tent_functional(F, 1.0), lusin_area, g_function, lambda F: g_lambda_star(F, 1.5)):
+        with pytest.raises(TypeError, match="FieldStack"):
+            singular(stack)
 
 
 def _quadrature_oracle(F, kernel):

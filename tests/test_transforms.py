@@ -3,8 +3,8 @@ import pytest
 
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, pure_frequency
 from lpx.kernels import build_annular_kernel, build_weak_kernel
-from lpx.transforms import (apply_multiplier, build_field, build_plan, convolve_at_scale, correlate, spectrum,
-                            spatial_kernel)
+from lpx.transforms import (apply_multiplier, build_field, build_fields, build_plan, convolve_at_scale, correlate,
+                            spectrum, spatial_kernel)
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=512)
 SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
@@ -55,6 +55,21 @@ def test_build_field_matches_per_scale_reference_bitwise(which, complex_input, r
     # the scale axis is innermost in memory, as in the per-scale filled array, so
     # reductions over it (g_function's sum) keep their summation order
     assert F.values.flags.c_contiguous
+
+
+@pytest.mark.parametrize("which", ["plan", "plan_2d"], ids=["1d-512", "2d-32"])
+def test_build_fields_rows_are_the_one_input_fields_bitwise(which, request):
+    plan = request.getfixturevalue(which)
+    rng = np.random.default_rng(7)
+    fs = [SampledFunction(plan.grid, rng.normal(size=plan.grid.shape)),
+          SampledFunction(plan.grid, rng.normal(size=plan.grid.shape) + 1j * rng.normal(size=plan.grid.shape)),
+          SampledFunction(plan.grid, np.zeros(plan.grid.shape))]
+    F = build_fields(fs, plan)
+    assert F.values.shape == (3,) + plan.grid.shape + (len(plan.scales),)
+    assert F.values.flags.c_contiguous and F.stack.shape == F.values.shape
+    for f, row in zip(fs, F.values):
+        assert np.array_equal(row, build_field(f, plan).values)
+        assert np.array_equal(row, _field_reference(f, plan))
 
 
 def test_pure_frequency_diagonalization(plan):
