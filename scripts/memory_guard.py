@@ -10,6 +10,10 @@ with a peak resident set at or below the case's limit:
 - ``equivalence``: ``equivalence_experiment`` on a 2-D N=64 grid (L=2, the
   default 64 scales, 10 trials of the harness's trial family, seed 0,
   ``Lebesgue(2)``), limit 160 MiB.
+- ``orlicz-slice``: one ``space_norms`` call over trials 0-3 of the trial
+  family on a 2-D N=64 grid (L=2) in criterion 5's ``OrliczSlice``, the rows
+  of one 2-D equivalence block, limit 128 MiB: below the 282 MiB one such row
+  took alone when a norm call held all of its slice windows at once.
 
 Usage:
 
@@ -47,6 +51,16 @@ grid = GridSpec(dim=2, half_width=2.0, points_per_axis=64)
 report = equivalence_experiment(Lebesgue(2.0), "annular", 10, grid, ScaleGrid(1 / 16, 16.0, 8), seed=0)
 print(f"worst spread {report.summary['worst_spread']:.4g}, passed {report.passed}")
 """
+ORLICZ_SLICE_CHILD = """
+import numpy as np
+from lpx.grid import GridSpec
+from lpx.harness import five_spaces, trial_function
+from lpx.spaces import space_norms
+
+grid = GridSpec(dim=2, half_width=2.0, points_per_axis=64)
+rows = np.stack([trial_function(0, i, grid).values.real for i in range(4)])
+print("norms", space_norms(grid, rows, five_spaces(grid)["orlicz_slice"]))
+"""
 
 
 def decompose_command(tmp: Path) -> list[str]:
@@ -62,10 +76,15 @@ def equivalence_command(tmp: Path) -> list[str]:
     return [sys.executable, "-c", EQUIVALENCE_CHILD]
 
 
+def orlicz_slice_command(tmp: Path) -> list[str]:
+    return [sys.executable, "-c", ORLICZ_SLICE_CHILD]
+
+
 # name: (description, limit in MiB, child command in a temporary directory)
 CASES = {
     "decompose": ("lpx decompose (2-D N=64, 16 scales)", 1024, decompose_command),
     "equivalence": ("equivalence_experiment (2-D N=64, 64 scales, 10 trials)", 160, equivalence_command),
+    "orlicz-slice": ("space_norms over four rows in OrliczSlice (2-D N=64)", 128, orlicz_slice_command),
 }
 
 

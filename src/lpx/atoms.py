@@ -17,9 +17,10 @@ once per radius; a claimed ball marks its cells through its offset list.
 The pieces are then sized in one pass: their balls from one gather of their
 own cells' torus distances, their L^p sizes from one row-batched reduction
 (``spaces.lebesgue_row_norms``).  The balls' indicator norms (``ball_norms``)
-come from one gather of the torus distance table, and for a Lebesgue space
-from one row-batched reduction as well; ``coefficient_functional`` adds its
-per-atom weights with one ``np.bincount``.  A ``TentAtom`` keeps only its
+come from one gather of the torus distance table and one row-batched
+``norms`` call of the space per ``NORM_CHUNK`` elements of indicator rows,
+in every space; ``coefficient_functional`` adds its per-atom weights with
+one ``np.bincount``.  A ``TentAtom`` keeps only its
 piece's cells and values; its dense field is built on demand.  All of it is
 bitwise what one call per piece, one correlation and candidate loop per
 radius, one ``np.roll`` per ball, one indicator per ball norm and a dense
@@ -38,7 +39,7 @@ import numpy as np
 from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
-from .spaces import Lebesgue, SpaceDescriptor, lebesgue_row_norms, space_norm
+from .spaces import NORM_CHUNK, Lebesgue, SpaceDescriptor, lebesgue_row_norms, space_norm
 from .squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
 from .transforms import apply_multiplier, correlate
 
@@ -85,17 +86,18 @@ def _ball_rows(grid: GridSpec, balls: Sequence[Ball]) -> np.ndarray:
 
 
 def _row_norms(grid: GridSpec, rows: np.ndarray, space: SpaceDescriptor) -> list[float]:
-    """``space_norm`` of every indicator row of ``_ball_rows``."""
-    if isinstance(space, Lebesgue):  # Lebesgue.norm is this reduction on one row
-        return lebesgue_row_norms(rows.astype(float), (space.p,), grid.cell_volume)[0]
-    return [space_norm(SampledFunction(grid, row.reshape(grid.shape).astype(complex)), space) for row in rows]
+    """``space_norm`` of every indicator row of ``_ball_rows``: one
+    ``space.norms`` call per ``NORM_CHUNK`` elements of rows (indicators need
+    no finiteness check)."""
+    step = max(1, NORM_CHUNK // grid.size)
+    return [norm for start in range(0, len(rows), step)
+            for norm in space.norms(grid, rows[start:start + step].reshape((-1,) + grid.shape).astype(float))]
 
 
 def ball_norms(grid: GridSpec, balls: Sequence[Ball], space: SpaceDescriptor) -> list[float]:
     """``space_norm(ball_indicator(grid, ball), space)`` of every ball, bitwise.
 
-    The indicators come from one gather; a Lebesgue space takes all their
-    norms in one row-batched reduction, any other space one norm per ball.
+    The indicators come from one gather and take their norms row-batched.
     """
     return _row_norms(grid, _ball_rows(grid, balls), space)
 

@@ -9,7 +9,9 @@ The equivalence and change-of-angle experiments run their trials in blocks:
 the fields of a block's trials are built as one stack
 (``transforms.build_fields``) and every operator runs once per block
 (``squarefuncs.tent_functionals``, ``g_functions``, ``g_lambda_stars``,
-``maximal.peetre_maximals``, ``spaces.space_norms``).  A block holds as many
+``maximal.peetre_maximals``).  The block's operator rows, the Peetre, S, g
+and g*_lambda rows or the cone functionals at every aperture, then take their
+space norms in one ``spaces.space_norms`` call.  A block holds as many
 trials as keep its stacked complex field within ``FIELD_BLOCK_BYTES``
 (256 KiB: four trials at 1-D N=64 with 64 scales, one at 2-D N=64 or 1-D
 N=512), since the operators' temporaries grow with the block.  Every batched
@@ -201,11 +203,6 @@ def _trial_blocks(seed: int, trials: int, grid: GridSpec, scales: ScaleGrid):
         yield [trial_function(seed, i, grid) for i in range(lo, min(lo + size, trials))]
 
 
-def _row_norms(grid: GridSpec, rows: np.ndarray, space: SpaceDescriptor) -> list[float]:
-    """``space_norm`` of every row of a block of sampled values."""
-    return space_norms([SampledFunction(grid, row) for row in rows], space)
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -247,13 +244,9 @@ def equivalence_experiment(
         g_fn = g_functions(F)
         del F  # the psi-fields are built next
         dom_ok = np.all(s_fn <= dom_factor * gs_fn * (1 + 1e-12) + 1e-300, axis=spatial).tolist()
-        rows += zip(
-            _row_norms(grid, peetre_maximals(fs, b, plan=psi_plan), space),
-            _row_norms(grid, s_fn, space),
-            _row_norms(grid, g_fn, space),
-            _row_norms(grid, gs_fn, space),
-            dom_ok,
-        )
+        n = len(fs)
+        norms = space_norms(grid, np.concatenate([peetre_maximals(fs, b, plan=psi_plan), s_fn, g_fn, gs_fn]), space)
+        rows += zip(norms[:n], norms[n:2 * n], norms[2 * n:3 * n], norms[3 * n:], dom_ok)
     return _equivalence_report(space, kernel_kind, seed, lam, rows)
 
 
@@ -312,7 +305,9 @@ def change_of_angle_experiment(
     rows = []
     for fs in _trial_blocks(seed, trials, grid, scales):
         F = build_fields(fs, plan)
-        for norms in zip(*[_row_norms(grid, tent_functionals(F, a), space) for a in alphas]):
+        n = len(fs)
+        block = space_norms(grid, np.concatenate([tent_functionals(F, a) for a in alphas]), space)
+        for norms in zip(*(block[j * n:(j + 1) * n] for j in range(len(alphas)))):
             slope = float(np.polyfit(np.log(alphas), np.log(norms), 1)[0])
             monotone = all(x <= y * (1 + 1e-10) for x, y in zip(norms, norms[1:]))
             rows.append((norms, slope, monotone))

@@ -118,26 +118,32 @@ class BallFamily:
         """Sum of ``values`` over cells whose centers lie in B(x, r), for all x
         and every r in ``radii``: one row per radius, ``(len(radii),) + grid.shape``.
 
-        A ball holding every cell sums the whole array.  In 1-D each other
-        radius is a windowed cumulative sum; in 2-D they all come from one
-        correlation against the cached ``squarefuncs.ball_spectra``.
+        Leading axes of ``values`` beyond ``grid.shape`` are a batch, giving
+        ``lead + (len(radii),) + grid.shape``, each row bitwise its unbatched
+        value.  A ball holding every cell sums the whole row.  In 1-D each
+        other radius is one cumulative sum over the batch; in 2-D they all
+        come from one correlation against the cached ``squarefuncs.ball_spectra``.
         """
         grid = self.grid
+        lead = values.shape[:values.ndim - grid.dim]
         radii = [float(r) for r in radii]
         counts = [self.cell_count(r) for r in radii]
         part = [i for i, w in enumerate(counts) if w < grid.size]
-        out = np.empty((len(radii),) + grid.shape)
-        out[[i for i, w in enumerate(counts) if w == grid.size]] = values.sum()
+        cells = (slice(None),) * grid.dim
+        out = np.empty(lead + (len(radii),) + grid.shape)
+        totals = values.reshape(lead + (grid.size,)).sum(axis=-1)
+        out[(..., [i for i, w in enumerate(counts) if w == grid.size]) + cells] = \
+            totals.reshape(lead + (1,) * (1 + grid.dim))
         if grid.dim == 1:
             for i in part:
                 w = counts[i]
                 half = (w - 1) // 2
-                padded = np.concatenate([values[-half:], values, values[:half]]) if half else values
-                c = np.concatenate([[0.0], np.cumsum(padded)])
-                out[i] = c[w:] - c[:-w]
+                padded = np.concatenate([values[..., -half:], values, values[..., :half]], axis=-1) if half else values
+                c = np.concatenate([np.zeros(lead + (1,)), np.cumsum(padded, axis=-1)], axis=-1)
+                out[..., i, :] = c[..., w:] - c[..., :-w]
         elif part:
             table, _ = ball_spectra(grid, tuple(radii[i] for i in part))
-            out[part] = correlate(values, table, 2)
+            out[(..., part) + cells] = correlate(values[..., None, :, :], table, 2)
         return out
 
     def ball_filter(self, values: np.ndarray, radius: float) -> np.ndarray:

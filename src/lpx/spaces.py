@@ -18,6 +18,16 @@ p * 1e-13 for a type or exponent p, against summation rounding of a few
 ulps, so a very small p could let the replay differ from the plain loop in
 the last bits.  ``_luxemburg_norm`` bisects |f| / 2^e with 2^e >= max |f|,
 so its norms are homogeneous over the whole float range.
+
+Every descriptor takes its norms row-batched: ``norms(grid, mag)`` returns
+the norm of every row of a finite non-negative ``(rows,) + grid.shape``
+stack, each bitwise what that row gives alone, and ``norm(f)`` is its one-row
+case on ``|f|``.  ``space_norms`` is the entry point for a stack of computed
+rows.  ``Morrey`` takes the ball sums of a step's rows in one
+``BallFamily.ball_sums`` call, and ``OrliczSlice`` the windows of a step's
+rows, or of a slab of one row, in one certified bisection; a step holds as
+many rows as keep it within ``NORM_CHUNK`` elements.  ``VariableLebesgue``
+solves one scalar bisection per row, which is faster than a row-batched one.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .errors import NoBracket, NotInAInfty
+from .errors import NoBracket, NotInAInfty, NumericFailure
 from .grid import GridSpec, SampledFunction, read_function_csv
 from .maximal import BallFamily, ball_volume, cached_ball_family
 
@@ -64,6 +74,12 @@ AP_CAP = 1e6
 AP_GROWTH_FLOOR = 0.02  # log2 growth per refinement always counted as stable
 AP_GROWTH_SLOPE = 0.15  # threshold grows with the measured singularity strength
 AP_Q_MAX = 64.0
+# elements per vectorized step of a batched norm: rows x radii x cells of
+# Morrey's ball sums, windows x offsets of an OrliczSlice certified bisection.
+# A 1-D N=64 equivalence block (16 rows) takes two Morrey steps and two
+# bisections; a 2-D N=64 row one Morrey step and 64 bisections of 0.4 MB of
+# windows each, which run no slower than one bisection over the row's 26 MB
+NORM_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +404,21 @@ def _read_csv_on(grid: GridSpec, path: str, what: str) -> SampledFunction:
 # ---------------------------------------------------------------------------
 # space descriptors
 #
-# Each descriptor carries its norm, its floor exponent (the admissible lower
-# exponent used for lambda and b defaults), its JSON form, and a ``from_json``
-# recipe that reads exactly the keys listed in ``json_keys``.
+# Each descriptor carries its row-batched norms, its floor exponent (the
+# admissible lower exponent used for lambda and b defaults), its JSON form,
+# and a ``from_json`` recipe that reads exactly the keys listed in
+# ``json_keys``.
+
+
+class _RowNormed:
+    """``norm`` as the one-row case of the descriptor's ``norms(grid, mag)``."""
+
+    def norm(self, f: SampledFunction) -> float:
+        return self.norms(f.grid, np.abs(f.values)[None])[0]
 
 
 @dataclass(frozen=True)
-class Lebesgue:
+class Lebesgue(_RowNormed):
     p: float
 
     tag: ClassVar[str] = "lebesgue"
@@ -404,13 +428,8 @@ class Lebesgue:
         if self.p <= 0:
             raise ValueError("p must be positive")
 
-    def norm(self, f: SampledFunction) -> float:
-        return self.norms([f])[0]
-
-    def norms(self, fs: Sequence[SampledFunction]) -> list[float]:
-        """The norm of every input, one row each of ``lebesgue_row_norms``."""
-        mag = np.abs(np.stack([f.values for f in fs])).reshape(len(fs), -1)
-        return lebesgue_row_norms(mag, (self.p,), fs[0].grid.cell_volume)[0]
+    def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
+        return lebesgue_row_norms(mag.reshape(len(mag), grid.size).astype(float), (self.p,), grid.cell_volume)[0]
 
     def floor(self) -> float:
         return self.p
@@ -424,7 +443,7 @@ class Lebesgue:
 
 
 @dataclass(frozen=True)
-class WeightedLebesgue:
+class WeightedLebesgue(_RowNormed):
     p: float
     weight: Weight
     q_omega: float | None = None  # critical Muckenhoupt exponent, if known
@@ -432,9 +451,9 @@ class WeightedLebesgue:
     tag: ClassVar[str] = "weighted"
     json_keys: ClassVar[tuple[str, ...]] = ("p", "weight", "q_omega")
 
-    def norm(self, f: SampledFunction) -> float:
-        weighted = np.abs(f.values) ** self.p * self.weight.array
-        return float((np.sum(weighted) * f.grid.cell_volume) ** (1.0 / self.p))
+    def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
+        totals = np.add.reduce((mag**self.p * self.weight.array).reshape(len(mag), grid.size), axis=-1)
+        return [float((total * grid.cell_volume) ** (1.0 / self.p)) for total in totals]
 
     def floor(self) -> float:
         q = self.q_omega if self.q_omega is not None else critical_index(self.weight)
@@ -460,7 +479,7 @@ class WeightedLebesgue:
 
 
 @dataclass(frozen=True)
-class Morrey:
+class Morrey(_RowNormed):
     p: float
     r: float
     family: BallFamily | None = None
@@ -472,17 +491,26 @@ class Morrey:
         if not (0 < self.r <= self.p):
             raise ValueError("need 0 < r <= p")
 
-    def norm(self, f: SampledFunction) -> float:
-        grid = f.grid
+    def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
+        """sup over the family's balls of |B|^(1/p - 1/r) ||row||_{L^r(B)}
+        for every row, the ball sums of ``NORM_CHUNK`` elements' worth of
+        rows per ``ball_sums`` call."""
         family = self.family or cached_ball_family(grid, 4)
         cellvol = grid.cell_volume
-        best = 0.0
-        for rad, local in zip(family.radii, family.ball_sums(np.abs(f.values) ** self.r, family.radii)):
+        factors = [ball_volume(rad, grid.dim) ** (1.0 / self.p - 1.0 / self.r) for rad in family.radii.tolist()]
+        powered = mag**self.r
+        step = max(1, NORM_CHUNK // (len(family) * grid.size))
+        norms = []
+        for start in range(0, len(mag), step):
+            local = family.ball_sums(powered[start:start + step], family.radii)
             local *= cellvol
             np.maximum(local, 0.0, out=local)
-            factor = ball_volume(float(rad), grid.dim) ** (1.0 / self.p - 1.0 / self.r)
-            best = max(best, factor * float(local.max()) ** (1.0 / self.r))
-        return float(best)
+            for tops in local.reshape(local.shape[:2] + (-1,)).max(axis=-1).tolist():
+                best = 0.0
+                for factor, top in zip(factors, tops):
+                    best = max(best, factor * top ** (1.0 / self.r))
+                norms.append(best)
+        return norms
 
     def floor(self) -> float:
         return self.r
@@ -496,7 +524,7 @@ class Morrey:
 
 
 @dataclass(frozen=True)
-class MixedNorm:
+class MixedNorm(_RowNormed):
     exponents: tuple[float, ...]
 
     tag: ClassVar[str] = "mixed"
@@ -506,18 +534,20 @@ class MixedNorm:
         if not all(0 < p for p in self.exponents):
             raise ValueError("every exponent must be positive (math.inf allowed)")
 
-    def norm(self, f: SampledFunction) -> float:
-        if len(self.exponents) != f.grid.dim:
+    def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
+        if len(self.exponents) != grid.dim:
             raise ValueError("need one exponent per axis")
-        spacing = f.grid.spacing
-        work = np.abs(f.values)
-        # integrate axis by axis: first exponent binds the first axis
-        for p in self.exponents:
+        work = mag
+        # integrate axis by axis: first exponent binds the first grid axis.  The
+        # last root is taken row by row on numpy scalars, as for a single row:
+        # numpy's vectorized power can differ from the scalar one in the last bit
+        for k, p in enumerate(self.exponents, 1):
             if math.isinf(p):
-                work = work.max(axis=0)
+                work = work.max(axis=1)
             else:
-                work = (np.sum(work**p, axis=0) * spacing) ** (1.0 / p)
-        return float(work)
+                sums = np.sum(work**p, axis=1) * grid.spacing
+                work = sums ** (1.0 / p) if k < len(self.exponents) else [total ** (1.0 / p) for total in sums]
+        return [float(w) for w in work]
 
     def floor(self) -> float:
         return float(min(self.exponents))
@@ -531,16 +561,18 @@ class MixedNorm:
 
 
 @dataclass(frozen=True)
-class VariableLebesgue:
+class VariableLebesgue(_RowNormed):
     exponent: ExponentFunction
 
     tag: ClassVar[str] = "variable"
     json_keys: ClassVar[tuple[str, ...]] = ("csv", "base", "dip")
 
-    def norm(self, f: SampledFunction) -> float:
-        mag = np.abs(f.values)
+    def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
+        """One scalar ``_luxemburg_norm`` per row: a row-batched bisection was
+        slower, for one row and for a 2-D block alike."""
         pvals = self.exponent.values
-        return _luxemburg_norm(mag, f.grid.cell_volume, lambda ratio: np.where(mag > 0, ratio**pvals, 0.0))
+        return [_luxemburg_norm(row, grid.cell_volume, lambda ratio, row=row: np.where(row > 0, ratio**pvals, 0.0))
+                for row in mag]
 
     def floor(self) -> float:
         return self.exponent.p_minus
@@ -573,8 +605,41 @@ def _slice_geometry(phi: OrliczFunction, grid: GridSpec, slice_t: float) -> tupl
     return offsets, 1.0 / phi.inverse(1.0 / (count * grid.cell_volume))
 
 
+def _slice_windows(grid: GridSpec, mag: np.ndarray, offsets: np.ndarray):
+    """The slice windows of every row of ``mag``, one window ``mag[i][(x + o) mod n]``
+    over the offsets o per (row i, cell x) in C order, in blocks of whole rows
+    or of first-axis slabs of one row, at most ``NORM_CHUNK`` elements each
+    (at least one line of cells)."""
+    n = grid.points_per_axis
+    shifts = tuple(offsets.T)
+    lines = max(1, NORM_CHUNK // (len(offsets) * grid.size // n))  # first-axis lines per block
+    rows, span = max(1, lines // n), min(n, lines)
+    for start in range(0, len(mag), rows):
+        view = grid.torus_window_view(mag[start:start + rows])
+        for a in range(0, n, span):
+            block = view[(slice(None),) + shifts + (slice(a, a + span),)]  # (rows, offsets, span, ...)
+            yield np.ascontiguousarray(np.moveaxis(block, 1, -1)).reshape(-1, len(offsets))
+
+
+def _window_norms(phi: OrliczFunction, cellvol: float, windows: np.ndarray) -> np.ndarray:
+    """The Luxemburg norm of every row of ``windows``: one certified bisection
+    over the rows, each divided by its own max so the bracket holds for any
+    amplitude (the norm is then hi * max).  An all-zero row has norm 0."""
+    sups = windows.max(axis=1)
+    live = np.flatnonzero(sups > 0)
+    out = np.zeros(len(sups))
+    if live.size:
+        scaled = windows[live] / sups[live, None]
+
+        def modular(rows: np.ndarray, lams: np.ndarray) -> np.ndarray:
+            return phi.evaluator(scaled[rows] / lams[:, None]).sum(axis=1) * cellvol
+
+        out[live] = _certified_bisection_rows(modular, len(live), 80) * sups[live]
+    return out
+
+
 @dataclass(frozen=True)
-class OrliczSlice:
+class OrliczSlice(_RowNormed):
     phi: OrliczFunction
     r: float
     slice_t: float
@@ -586,32 +651,16 @@ class OrliczSlice:
         if self.r <= 0 or self.slice_t <= 0:
             raise ValueError("r and slice_t must be positive")
 
-    def norm(self, f: SampledFunction) -> float:
-        return self.norms([f])[0]
-
-    def norms(self, fs: Sequence[SampledFunction]) -> list[float]:
-        """The norm of every input: one certified bisection over the windows
-        of all of them, each row bitwise what it is for its input alone."""
-        grid, phi = fs[0].grid, self.phi
+    def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
+        """The L^r norm over x of every row's Luxemburg norm on the slice
+        ball around x, over the slice ball's own: one certified bisection per
+        block of ``_slice_windows``."""
         cellvol = grid.cell_volume
-        offsets, denom = _slice_geometry(phi, grid, self.slice_t)
-        # one row per (input, cell x): the input's samples within the slice around x
-        mag = np.abs(np.stack([f.values for f in fs]))
-        windows = np.ascontiguousarray(grid.torus_windows(mag, offsets).swapaxes(1, 2)).reshape(-1, len(offsets))
-
-        sups = windows.max(axis=1)
-        live = np.flatnonzero(sups > 0)  # an all-zero window has norm 0
-        # bisect each window divided by its own max, so the bracket holds for any
-        # amplitude; the Luxemburg norm of the window is then hi * sups
-        scaled = windows[live] / sups[live, None]
-
-        def modular(rows: np.ndarray, lams: np.ndarray) -> np.ndarray:
-            return phi.evaluator(scaled[rows] / lams[:, None]).sum(axis=1) * cellvol
-
-        inner = np.zeros(len(sups))
-        inner[live] = _certified_bisection_rows(modular, len(live), 80) * sups[live]
+        offsets, denom = _slice_geometry(self.phi, grid, self.slice_t)
+        inner = np.concatenate([_window_norms(self.phi, cellvol, windows)
+                                for windows in _slice_windows(grid, mag, offsets)] or [np.zeros(0)])
         norms = []
-        for ratios in (inner / denom).reshape(len(fs), grid.size):
+        for ratios in (inner / denom).reshape(len(mag), grid.size):
             top = ratios.max()
             # powers of ratios / top <= 1 neither overflow nor all underflow at any amplitude
             norms.append(0.0 if top == 0.0 else
@@ -656,15 +705,19 @@ def space_norm(f: SampledFunction, space: SpaceDescriptor) -> float:
     return space.norm(f)
 
 
-def space_norms(fs: Sequence[SampledFunction], space: SpaceDescriptor) -> list[float]:
-    """``space_norm`` of every input, each bitwise the one-input value.
+def space_norms(grid: GridSpec, values: np.ndarray, space: SpaceDescriptor) -> list[float]:
+    """``space_norm`` of every row of the real or complex ``(rows,) + grid.shape``
+    stack ``values``, each bitwise its one-row value, from one ``space.norms``
+    call.
 
-    ``Lebesgue`` and ``OrliczSlice`` take all inputs in one batched pass
-    (their ``norms``; ``norm`` is its one-input case); the other spaces take
-    one ``norm`` per input.
+    The rows are computed results, so a non-finite sample among them is a
+    ``NumericFailure``.
     """
-    batched = getattr(space, "norms", None)
-    return batched(fs) if batched is not None else [space.norm(f) for f in fs]
+    if values.shape[1:] != grid.shape:
+        raise ValueError(f"rows of shape {values.shape[1:]} do not match the grid shape {grid.shape}")
+    if not np.isfinite(values).all():
+        raise NumericFailure("a row to be normed holds a non-finite sample")
+    return space.norms(grid, np.abs(values))
 
 
 def convexify_norm(f: SampledFunction, space: SpaceDescriptor, p: float) -> float:

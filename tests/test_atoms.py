@@ -24,7 +24,7 @@ from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
-from lpx.spaces import Lebesgue, Morrey, WeightedLebesgue, power_weight, space_norm
+from lpx.spaces import Lebesgue, MixedNorm, Morrey, WeightedLebesgue, descriptor_from_json, power_weight, space_norm
 from lpx.squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
 from lpx.transforms import build_field, build_plan, correlate, spatial_kernel, spectrum
 
@@ -413,7 +413,10 @@ NORM_GRIDS = [(1, 64), (1, 256), (2, 16), (2, 64)]
 def test_ball_norms_match_each_indicator_norm_bitwise(dim, n):
     grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
     spaces = [Lebesgue(1.3), Lebesgue(2.0), Lebesgue(4.0), WeightedLebesgue(1.5, power_weight(grid, 0.5)),
-              Morrey(2.0, 1.0)]
+              Morrey(2.0, 1.0), MixedNorm((1.5,) * dim),
+              descriptor_from_json({"tag": "variable", "base": 1.8, "dip": 0.3}, grid)]
+    if n < 64:  # a 2-D N=64 OrliczSlice norm takes seconds
+        spaces.append(descriptor_from_json({"tag": "orlicz_slice", "r": 1.5, "t": 1.0}, grid))
     for space in spaces:
         # a 2-D N=64 Morrey norm takes milliseconds: fewer balls there
         balls = _oracle_balls(grid, 4 if isinstance(space, Morrey) and n == 64 else 24)

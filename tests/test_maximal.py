@@ -392,6 +392,23 @@ def test_ball_sums_rows_match_per_radius_reference_bitwise(dim, n, per_octave):
     assert family.ball_sums(values, []).shape == (0,) + grid.shape
 
 
+@pytest.mark.parametrize("dim, n, per_octave", [(1, 64, 4), (1, 256, 32), (2, 16, 4), (2, 64, 4)])
+def test_ball_sums_with_leading_axes_match_per_row_calls_bitwise(dim, n, per_octave):
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    family = BallFamily.build(grid, per_octave)
+    assert family.cell_count(family.radii[-1]) == grid.size  # the whole-box radius is covered
+    values = np.abs(np.random.default_rng(4).normal(size=(3, 2) + grid.shape)) ** 1.5
+    for radii in (family.radii, family.radii[::-3], family.radii[-1:], family.radii[:1]):
+        sums = family.ball_sums(values, radii)
+        assert sums.shape == (3, 2, len(radii)) + grid.shape
+        for i, j in np.ndindex(3, 2):
+            assert np.array_equal(sums[i, j], family.ball_sums(values[i, j], radii)), (i, j)
+    # a strided stack, as the real part of a complex one
+    strided = (values + 1j).real
+    assert np.array_equal(family.ball_sums(strided, family.radii), family.ball_sums(values, family.radii))
+    assert family.ball_sums(values[:0], family.radii).shape == (0, 2, len(family)) + grid.shape
+
+
 def test_ball_family_enumeration():
     grid = GridSpec(dim=1, half_width=2.0, points_per_axis=16)
     balls = BallFamily.build(grid, 1)

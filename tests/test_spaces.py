@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpx.errors import NoBracket
+from lpx.errors import NoBracket, NumericFailure
 import lpx.spaces as spaces_mod
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, gaussian_bump, indicator_box
 from lpx.maximal import BallFamily, ball_volume, cached_ball_family
@@ -585,25 +585,106 @@ def test_luxemburg_norms_match_the_plain_bisections_bitwise(n, seed):
             assert orlicz_norm(g, phi) == _luxemburg_norm_reference(mag, cellvol, phi.evaluator)[0]
 
 
-@pytest.mark.parametrize("n,seed", [(64, 0), (64, 5), (64, 4243)])
-def test_space_norms_match_one_input_norms_bitwise(n, seed):
-    spaces, inputs = _criterion5_inputs(n, seed)
+def _weighted_reference(f, space):
+    """WeightedLebesgue.norm as one whole-array sum, as before the row-batched norms."""
+    weighted = np.abs(f.values) ** space.p * space.weight.array
+    return float((np.sum(weighted) * f.grid.cell_volume) ** (1.0 / space.p))
+
+
+def _mixed_reference(f, space):
+    """MixedNorm.norm axis by axis on one array, as before the row-batched norms."""
+    work = np.abs(f.values)
+    for p in space.exponents:
+        work = work.max(axis=0) if math.isinf(p) else (np.sum(work**p, axis=0) * f.grid.spacing) ** (1.0 / p)
+    return float(work)
+
+
+def _one_input_reference(f, space):
+    """The space norm of one input from the retained one-input implementation."""
+    mag = np.abs(f.values)
+    if isinstance(space, Lebesgue):
+        return _lebesgue_norm_reference(f, space.p)
+    if isinstance(space, WeightedLebesgue):
+        return _weighted_reference(f, space)
+    if isinstance(space, MixedNorm):
+        return _mixed_reference(f, space)
+    if isinstance(space, Morrey):
+        return _morrey_per_radius(f, space.p, space.r, space.family or cached_ball_family(f.grid, 4))
+    if isinstance(space, VariableLebesgue):
+        return _luxemburg_norm_reference(mag, f.grid.cell_volume, _variable_density(space, mag))[0]
+    return _orlicz_slice_reference(f, space)[0]
+
+
+def _row_elements(grid, space):
+    """Elements of one row in a ``NORM_CHUNK`` step of Morrey or OrliczSlice."""
+    if isinstance(space, Morrey):
+        return len(space.family or cached_ball_family(grid, 4)) * grid.size
+    return int(np.count_nonzero(grid.offset_distances() < space.slice_t)) * grid.size
+
+
+AMPLITUDES = (1.0, 2.0**300, 2.0**-300, 1e100, 1e-100)
+
+
+def _assert_row_batched(inputs, spaces, monkeypatch, reference=True):
+    """``space_norms`` over the scaled inputs, with a zero row, equals every
+    row's one-input norm (a step of one row) bitwise; Morrey and OrliczSlice
+    also at steps of seven rows, OrliczSlice at blocks of seven first-axis
+    lines.  The one-input norms equal their retained references
+    (``reference=True``; for the two Luxemburg-type spaces on criterion 5's
+    inputs this is ``test_luxemburg_norms_match_the_plain_bisections_bitwise``)."""
     grid = inputs[0].grid
-    inputs = inputs + [SampledFunction(grid, np.zeros(grid.shape)), SampledFunction(grid, 2.0**300 * inputs[3].values)]
-    for space in [*spaces.values(), Lebesgue(2.0), Lebesgue(1.3)]:
-        assert space_norms(inputs, space) == [space_norm(f, space) for f in inputs], space.tag
-    slice_space = spaces["orlicz_slice"]
-    assert space_norms(inputs, slice_space) == [_orlicz_slice_reference(f, slice_space)[0] for f in inputs]
+    scaled = [SampledFunction(grid, c * f.values) for c in AMPLITUDES for f in inputs]
+    scaled.append(SampledFunction(grid, np.zeros(grid.shape)))
+    rows = np.stack([f.values.real for f in scaled])
+    for space in spaces:
+        expected = [space_norm(f, space) for f in scaled]
+        if reference or not isinstance(space, (VariableLebesgue, OrliczSlice)):
+            assert expected == [_one_input_reference(f, space) for f in scaled], space.tag
+        assert space_norms(grid, rows, space) == expected, space.tag
+        if isinstance(space, (Morrey, OrliczSlice)):
+            row = _row_elements(grid, space)
+            monkeypatch.setattr(spaces_mod, "NORM_CHUNK", 7 * row)
+            assert space_norms(grid, rows, space) == expected, space.tag
+            if isinstance(space, OrliczSlice):  # the last block of a row is shorter
+                monkeypatch.setattr(spaces_mod, "NORM_CHUNK", 7 * row // grid.points_per_axis)
+                assert space_norms(grid, rows[::len(inputs) + 1], space) == expected[::len(inputs) + 1]
+            monkeypatch.undo()
 
 
-def test_space_norms_match_one_input_norms_bitwise_2d():
-    grid = GridSpec(dim=2, half_width=2.0, points_per_axis=16)
-    inputs = [random_function(seed, grid, smooth=seed % 2 == 0) for seed in range(4)]
-    inputs.append(SampledFunction(grid, np.zeros(grid.shape)))
-    slice_space = descriptor_from_json({"tag": "orlicz_slice", "r": 1.5, "t": 1.0}, grid)
-    for space in (Lebesgue(2.0), Morrey(2.0, 1.0), MixedNorm((1.5, 2.0)), slice_space):
-        assert space_norms(inputs, space) == [space_norm(f, space) for f in inputs], space.tag
-    assert space_norms(inputs, slice_space) == [_orlicz_slice_reference(f, slice_space)[0] for f in inputs]
+@pytest.mark.parametrize("n,seed", [(64, 0), (64, 5), (64, 4243), (256, 5)])
+def test_space_norms_match_one_input_norms_bitwise(n, seed, monkeypatch):
+    spaces, inputs = _criterion5_inputs(n, seed)
+    _assert_row_batched(inputs, [*spaces.values(), Lebesgue(2.0), Lebesgue(1.3)], monkeypatch, reference=False)
+
+
+def test_space_norms_match_one_input_norms_bitwise_2d(monkeypatch):
+    from lpx.harness import FIVE_SPACES, trial_function
+
+    for n in (16, 64):
+        grid = GridSpec(dim=2, half_width=2.0, points_per_axis=n)
+        spaces = [Lebesgue(2.0), Morrey(2.0, 1.0), Morrey(3.0, 1.5), MixedNorm((1.5, 2.0)), MixedNorm((math.inf, 1.5)),
+                  *(descriptor_from_json(FIVE_SPACES[name], grid) for name in ("weighted", "variable"))]
+        if n == 16:
+            inputs = [random_function(seed, grid, smooth=seed % 2 == 0) for seed in range(4)]
+            # a 2-D N=64 OrliczSlice norm takes seconds; the memory guard runs one
+            spaces.append(descriptor_from_json(FIVE_SPACES["orlicz_slice"], grid))
+        else:
+            inputs = [trial_function(0, i, grid) for i in range(4)]
+        _assert_row_batched(inputs, spaces, monkeypatch)
+
+
+def test_space_norms_of_a_non_finite_row_is_a_numeric_failure():
+    from lpx.harness import five_spaces
+
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    rows = np.ones((3,) + grid.shape)
+    for bad in (np.inf, -np.inf, np.nan):
+        rows[1, 17] = bad
+        for space in [*five_spaces(grid).values(), Lebesgue(2.0)]:
+            with pytest.raises(NumericFailure):
+                space_norms(grid, rows, space)
+    with pytest.raises(ValueError):
+        space_norms(grid, np.ones((3, 32)), Lebesgue(2.0))
 
 
 def test_orlicz_inverse_matches_the_plain_bisection_bitwise():
