@@ -36,12 +36,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
+from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import NORM_CHUNK, Lebesgue, SpaceDescriptor, lebesgue_row_norms, space_norm
 from .squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
-from .transforms import apply_multiplier, correlate
+from .transforms import apply_multiplier, build_plan, correlate
 
 __all__ = [
     "Ball",
@@ -74,7 +74,7 @@ class Ball(NamedTuple):
 def ball_indicator(grid: GridSpec, ball: Ball) -> SampledFunction:
     """Indicator of the ball in the torus metric."""
     dist = grid.torus_distance_to(ball.center)
-    return SampledFunction(grid, (dist < ball.radius).astype(complex))
+    return SampledFunction(grid, dist < ball.radius)
 
 
 def _ball_rows(grid: GridSpec, balls: Sequence[Ball]) -> np.ndarray:
@@ -128,13 +128,12 @@ class TentAtom:
 
     def __post_init__(self):
         cells = np.asarray(self.cells, dtype=np.intp)
-        values = np.asarray(self.values, dtype=complex)
+        values = real_or_complex(self.values)
         if cells.ndim != 1 or values.shape != cells.shape:
             raise ValueError("cells and values must be matching 1-D arrays")
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
         cells.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "values", values)
 
@@ -147,18 +146,24 @@ class TentAtom:
 
     @property
     def field(self) -> HalfSpaceField:
-        values = np.zeros(self.grid.shape + (len(self.scales),), dtype=complex)
+        values = np.zeros(self.grid.shape + (len(self.scales),), dtype=self.values.dtype)
         values.reshape(-1)[self.cells] = self.values
         return HalfSpaceField(self.grid, self.scales, values)
 
 
 @dataclass(frozen=True)
 class TentDecomposition:
+    """Atoms and residual of ``tent_decompose``; ``ball_norms[i]`` is the
+    norm of ``atoms[i]``'s ball indicator in the space the atoms were sized
+    for (``ball_norms``)."""
+
     atoms: list[TentAtom]
     residual: HalfSpaceField
+    ball_norms: list[float]
 
     def reconstruct(self) -> HalfSpaceField:
-        total = np.array(self.residual.values, dtype=complex)
+        dtype = np.result_type(self.residual.values, *{atom.values.dtype for atom in self.atoms})
+        total = np.array(self.residual.values, dtype=dtype)
         flat = total.reshape(-1)
         for atom in self.atoms:
             flat[atom.cells] += atom.coefficient * atom.values
@@ -303,10 +308,10 @@ def tent_atom_sizes(atoms: Sequence[TentAtom], p: float) -> list[float]:
     cells = [atom.cells for atom in atoms]
     if np.unique(np.concatenate(cells)).size != sum(c.size for c in cells):
         raise ValueError("atoms must have disjoint cells")
-    values = np.zeros(grid.shape + (len(scales),), dtype=complex)
+    values = np.zeros(grid.shape + (len(scales),))
     flat = values.reshape(-1)
     for atom in atoms:
-        flat[atom.cells] = atom.values
+        flat[atom.cells] = np.abs(atom.values)  # the cone functionals read |F| only
     return _piece_sizes(HalfSpaceField(grid, scales, values), cells, (p,))[0]
 
 
@@ -393,9 +398,9 @@ def tent_decompose(
     grid, scales = F.grid, F.scales
     balls = balls or BallFamily.build(grid, 2)
     zero = HalfSpaceField(grid, scales, np.zeros_like(F.values))
-    area = tent_functional(F, 1.0).values.real
+    area = tent_functional(F, 1.0).values
     if not np.any(area > 0):
-        return TentDecomposition(atoms=[], residual=zero)
+        return TentDecomposition(atoms=[], residual=zero, ball_norms=[])
     pieces = _pieces(F, area, balls)
 
     # every piece's L^p sizes in one batched pass, its ball in one gather and
@@ -407,6 +412,7 @@ def tent_decompose(
 
     flat = F.values.reshape(-1)
     atoms: list[TentAtom] = []
+    kept_norms: list[float] = []
     for piece_cells, ball, norm_1b, piece_sizes in zip(cells, fitted, norms, zip(*sizes)):
         lam = max(
             size * norm_1b / ball_volume(ball.radius, grid.dim) ** (1.0 / p)
@@ -414,7 +420,8 @@ def tent_decompose(
         )
         if lam != 0.0:
             atoms.append(TentAtom(grid, scales, piece_cells, flat[piece_cells] / lam, ball, lam))
-    return TentDecomposition(atoms=atoms, residual=zero)
+            kept_norms.append(norm_1b)
+    return TentDecomposition(atoms=atoms, residual=zero, ball_norms=kept_norms)
 
 
 def default_molecule_decay(space: SpaceDescriptor, q: float, dim: int) -> float:
@@ -444,14 +451,10 @@ def synthesize_molecule(
     if psi.grid != grid:
         raise ValueError("kernel grid must match the atom's grid")
     scales = fieldv.scales
-    out = np.zeros(grid.shape, dtype=complex)
-    for k, t in enumerate(scales.scales):
-        slice_k = fieldv.values[..., k]
-        if not np.any(slice_k):
-            continue
-        out += apply_multiplier(slice_k, psi.multiplier(t))
-    out *= scales.log_weight
-    return Molecule(func=SampledFunction(grid, out), ball=atom.ball, q=q, d=d, epsilon=epsilon)
+    slices = np.moveaxis(fieldv.values, -1, 0)
+    live = np.flatnonzero(slices.reshape(len(scales), -1).any(axis=1))
+    out = apply_multiplier(slices[live], build_plan(psi, scales).multipliers[live], grid.dim).sum(axis=0)
+    return Molecule(func=SampledFunction(grid, out * scales.log_weight), ball=atom.ball, q=q, d=d, epsilon=epsilon)
 
 
 def _multi_indices(dim: int, d: int):

@@ -260,7 +260,7 @@ def cmd_compute(cfg: dict, input_path: Path, operator: str, out_dir: Path) -> in
 
 
 def cmd_decompose(cfg: dict, input_path: Path, out_dir: Path) -> int:
-    from .atoms import ball_norms, tent_atom_sizes, tent_decompose
+    from .atoms import tent_atom_sizes, tent_decompose
     from .maximal import ball_volume
 
     grid, scales, kernel, space = _build(cfg)
@@ -278,8 +278,7 @@ def cmd_decompose(cfg: dict, input_path: Path, out_dir: Path) -> int:
     rebuilt = dec.reconstruct()
     err = float(np.max(np.abs(rebuilt.values - F.values)))
     entries = []
-    norms = ball_norms(grid, [atom.ball for atom in dec.atoms], space)
-    for atom, size2, norm_1b in zip(dec.atoms, tent_atom_sizes(dec.atoms, 2.0), norms):
+    for atom, size2, norm_1b in zip(dec.atoms, tent_atom_sizes(dec.atoms, 2.0), dec.ball_norms):
         rhs = ball_volume(atom.ball.radius, grid.dim) ** 0.5 / norm_1b
         entries.append(
             {

@@ -3,7 +3,8 @@
 The spatial domain is the periodic box [-L, L)^n sampled at N cell centers
 per axis, so FFT convolution is exact for periodic data.  Scales live on a
 multiplicative grid t_k = t_min * 2^((k+1/2)/J) with the midpoint-in-log
-quadrature weight ln(2)/J for the measure dt/t.
+quadrature weight ln(2)/J for the measure dt/t.  Sampled values are
+float64 unless some imaginary part is nonzero (``real_or_complex``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "SampledFunction",
     "HalfSpaceField",
     "FieldStack",
+    "real_or_complex",
     "integrate",
     "halfspace_integrate",
     "concentration_defect",
@@ -198,21 +200,24 @@ class ScaleGrid:
         return len(self.scales)
 
 
-def _as_complex(values: np.ndarray) -> np.ndarray:
-    out = np.asarray(values, dtype=np.complex128)
+def real_or_complex(values) -> np.ndarray:
+    """Read-only float64 ``values``, or complex128 when some imaginary part is nonzero."""
+    vals = np.asarray(values)
+    complex_ = np.iscomplexobj(vals) and vals.imag.any()
+    out = np.asarray(vals, np.complex128) if complex_ else np.ascontiguousarray(vals.real, np.float64)
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Complex-valued function sampled at the cell centers of a grid."""
+    """Real or complex function sampled at the cell centers (``real_or_complex``)."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _as_complex(self.values)
+        vals = real_or_complex(self.values)
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(vals)):
@@ -242,9 +247,9 @@ class SampledFunction:
 
 
 def _checked_field_values(field, lead: int) -> np.ndarray:
-    """The read-only complex values of a field (``lead=0``) or a stack of
-    fields (``lead=1``), checked for shape and finiteness."""
-    vals = _as_complex(field.values)
+    """The read-only values (``real_or_complex``) of a field (``lead=0``) or
+    a stack of fields (``lead=1``), checked for shape and finiteness."""
+    vals = real_or_complex(field.values)
     expected = field.grid.shape + (len(field.scales),)
     if vals.ndim != lead + len(expected) or vals.shape[lead:] != expected:
         raise ValueError(f"values shape {vals.shape} != {'(fields,) + ' * lead}{expected}")
@@ -346,7 +351,7 @@ def concentration_defect(f: SampledFunction) -> float:
 
 def from_callable(grid: GridSpec, fn: Callable[..., np.ndarray]) -> SampledFunction:
     """Sample fn(x) (1-D) or fn(x, y) (2-D) at the cell centers."""
-    return SampledFunction(grid, np.asarray(fn(*grid.coordinate_mesh()), dtype=np.complex128))
+    return SampledFunction(grid, fn(*grid.coordinate_mesh()))
 
 
 def pure_frequency(grid: GridSpec, k_index: Sequence[int] | int) -> SampledFunction:
@@ -363,7 +368,7 @@ def indicator_ball(grid: GridSpec, center: Sequence[float], radius: float) -> Sa
     """Indicator of the open ball, evaluated at cell centers (no wrap)."""
     mesh = grid.coordinate_mesh()
     d2 = sum((c - c0) ** 2 for c, c0 in zip(mesh, center))
-    return SampledFunction(grid, (d2 < radius**2).astype(np.complex128))
+    return SampledFunction(grid, d2 < radius**2)
 
 
 def indicator_box(grid: GridSpec, lo: Sequence[float], hi: Sequence[float]) -> SampledFunction:
@@ -371,13 +376,13 @@ def indicator_box(grid: GridSpec, lo: Sequence[float], hi: Sequence[float]) -> S
     inside = np.ones(grid.shape, dtype=bool)
     for c, a, b in zip(mesh, lo, hi):
         inside &= (c >= a) & (c <= b)
-    return SampledFunction(grid, inside.astype(np.complex128))
+    return SampledFunction(grid, inside)
 
 
 def gaussian_bump(grid: GridSpec, center: Sequence[float], sigma: float) -> SampledFunction:
     mesh = grid.coordinate_mesh()
     d2 = sum((c - c0) ** 2 for c, c0 in zip(mesh, center))
-    return SampledFunction(grid, np.exp(-d2 / (2.0 * sigma**2)).astype(np.complex128))
+    return SampledFunction(grid, np.exp(-d2 / (2.0 * sigma**2)))
 
 
 # ---------------------------------------------------------------------------

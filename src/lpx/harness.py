@@ -12,8 +12,8 @@ the fields of a block's trials are built as one stack
 ``maximal.peetre_maximals``).  The block's operator rows, the Peetre, S, g
 and g*_lambda rows or the cone functionals at every aperture, then take their
 space norms in one ``spaces.space_norms`` call.  A block holds as many
-trials as keep its stacked complex field within ``FIELD_BLOCK_BYTES``
-(256 KiB: four trials at 1-D N=64 with 64 scales, one at 2-D N=64 or 1-D
+trials as keep its stacked real field within ``FIELD_BLOCK_BYTES``
+(128 KiB: four trials at 1-D N=64 with 64 scales, one at 2-D N=64 or 1-D
 N=512), since the operators' temporaries grow with the block.  Every batched
 operator gives each trial bitwise its one-trial value, so the reports do not
 depend on the block size.
@@ -67,10 +67,10 @@ ANGLE_SLOPE_SLACK = 0.15
 EMBEDDING_SPREAD_MAX = 10.0
 CONCENTRATION_TOL = 1e-6
 MIN_TRIAL_POINTS = 64
-# bytes of one trial block's stacked complex field (see the module docstring);
+# bytes of one trial block's stacked real field (see the module docstring);
 # one pass of the five-space 1-D N=64 equivalence run peaks at about 1.0 MiB
 # of traced memory with this budget and 1.4 MiB with twice it
-FIELD_BLOCK_BYTES = 1 << 18
+FIELD_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def _spread(values) -> float:
 def _trial_blocks(seed: int, trials: int, grid: GridSpec, scales: ScaleGrid):
     """The trial functions 0..trials-1 in order, in blocks whose stacked
     half-space field fits ``FIELD_BLOCK_BYTES`` (at least one trial each)."""
-    size = max(1, FIELD_BLOCK_BYTES // (grid.size * len(scales) * np.dtype(complex).itemsize))
+    size = max(1, FIELD_BLOCK_BYTES // (grid.size * len(scales) * np.dtype(float).itemsize))
     for lo in range(0, trials, size):
         yield [trial_function(seed, i, grid) for i in range(lo, min(lo + size, trials))]
 
@@ -341,7 +341,7 @@ def embedding_weight(grid: GridSpec, epsilon: float = 0.9, balls: BallFamily | N
     """The weight [M(1_{B(0,1)})]^epsilon used by the weighted embedding."""
     ind = indicator_ball(grid, [0.0] * grid.dim, 1.0)
     m = hl_maximal(ind, balls)
-    vals = np.maximum(m.values.real, 1e-300) ** epsilon
+    vals = np.maximum(m.values, 1e-300) ** epsilon
     family = balls or BallFamily.build(grid, 2)
     return Weight(values=SampledFunction(grid, vals), family=family)
 

@@ -191,7 +191,7 @@ def powered_maximal(f: SampledFunction, theta: float, balls: BallFamily | None =
         raise ValueError("theta must be positive")
     powered = SampledFunction(f.grid, np.abs(f.values) ** theta)
     m = hl_maximal(powered, balls)
-    return SampledFunction(f.grid, np.real(m.values) ** (1.0 / theta))
+    return SampledFunction(f.grid, m.values ** (1.0 / theta))
 
 
 def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> SampledFunction:
@@ -281,7 +281,7 @@ def fs_vector_check(
     den = np.zeros(grid.shape)
     for f in fs:
         m = powered_maximal(f, theta, balls)
-        num += np.real(m.values) ** s
+        num += m.values ** s
         den += np.abs(f.values) ** s
     num_f = SampledFunction(grid, num ** (1.0 / s))
     den_f = SampledFunction(grid, den ** (1.0 / s))

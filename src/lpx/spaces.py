@@ -100,14 +100,14 @@ class Weight:
 
     def __post_init__(self):
         vals = self.values.values
-        if np.any(vals.imag != 0):
+        if np.iscomplexobj(vals):
             raise ValueError("weight must be real")
-        if not np.all(vals.real > 0):
+        if not np.all(vals > 0):
             raise ValueError("weight must be strictly positive")
 
     @property
     def array(self) -> np.ndarray:
-        return self.values.values.real
+        return self.values.values
 
 
 def power_weight(grid: GridSpec, a: float, family: BallFamily | None = None) -> Weight:
@@ -119,7 +119,7 @@ def power_weight(grid: GridSpec, a: float, family: BallFamily | None = None) -> 
         r = np.sqrt(sum(c**2 for c in mesh))
         return r**a
 
-    vals = SampledFunction(grid, evaluator(*grid.coordinate_mesh()).astype(complex))
+    vals = SampledFunction(grid, evaluator(*grid.coordinate_mesh()))
     return Weight(values=vals, family=family, evaluator=evaluator)
 
 
@@ -775,7 +775,7 @@ def _resampled_weight(w: Weight, factor: int) -> Weight:
     g = w.values.grid
     fine = GridSpec(dim=g.dim, half_width=g.half_width, points_per_axis=g.points_per_axis * factor)
     family = BallFamily.build(fine, w.family.radii_per_octave)
-    vals = SampledFunction(fine, w.evaluator(*fine.coordinate_mesh()).astype(complex))
+    vals = SampledFunction(fine, w.evaluator(*fine.coordinate_mesh()))
     return Weight(values=vals, family=family, evaluator=w.evaluator)
 
 

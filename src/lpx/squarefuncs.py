@@ -10,9 +10,12 @@ the scale and the aperture or lambda; the spectra of those kernels are cached
 (``ball_spectra``, ``cone_spectra``, ``gstar_spectra``) and all scales run as
 one batched ``transforms.correlate``.  The plural forms (``tent_functionals``,
 ``g_functions``, ``g_lambda_stars``) take a ``FieldStack``
-(``transforms.build_fields``) or one ``HalfSpaceField`` and return one row per
-field, each bitwise the one-field value; the singular forms are their
-one-field case and refuse a stack.
+(``transforms.build_fields``) or one ``HalfSpaceField``, real or complex, and
+return one real row per field, each bitwise the one-field value; the singular
+forms are their one-field case and refuse a stack.  Each field's |F| is
+divided by the power of two of its maximum before squaring and the root is
+scaled back (``_unit_powers``), so the square functions are positively
+homogeneous over the whole float range.
 """
 
 from __future__ import annotations
@@ -65,6 +68,17 @@ def gstar_spectra(grid: GridSpec, scales: ScaleGrid, lam: float) -> np.ndarray:
     return table
 
 
+def _unit_powers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|F| / 2^e)^2 of every field of the stack, with e the binary exponent
+    (``np.frexp``) of that field's max |F|, and the exponents.  The scaled
+    magnitudes are at most 1, so their squares neither overflow nor underflow
+    at any amplitude, and scaling by a power of two is exact."""
+    mag = np.abs(stack)
+    _, exps = np.frexp(mag.reshape(len(mag), -1).max(axis=1))
+    np.ldexp(mag, -exps.reshape((-1,) + (1,) * (mag.ndim - 1)), out=mag)
+    return np.square(mag, out=mag), exps
+
+
 def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray, live: np.ndarray | bool, weights,
                pieces: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """sqrt(sum_k weights[k] * (|P(., t_k)|^2 correlated with kernel k)) for each piece P.
@@ -81,7 +95,7 @@ def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray, live: np.ndarr
     """
     grid = F.grid
     weights = np.asarray(weights)
-    field_power = np.abs(F.stack) ** 2
+    field_power, exps = _unit_powers(F.stack)
     k_count = field_power.shape[-1]
     power = np.moveaxis(field_power.reshape(len(field_power), grid.size, k_count), -1, 1)
     flat_live = np.asarray(live) & (power != 0).any(axis=2)  # (field, scale)
@@ -119,7 +133,8 @@ def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray, live: np.ndarr
         for i, r in zip(owner[lo:hi].tolist(), corr):
             acc[i] += r
     np.maximum(acc, 0.0, out=acc)
-    return np.sqrt(acc)
+    np.sqrt(acc, out=acc)
+    return np.ldexp(acc, exps.reshape((-1,) + (1,) * grid.dim), out=acc)
 
 
 def _one_field(F: HalfSpaceField) -> HalfSpaceField:
@@ -161,7 +176,9 @@ def g_function(F: HalfSpaceField) -> SampledFunction:
 
 def g_functions(F: HalfSpaceField | FieldStack) -> np.ndarray:
     """``g_function`` of every field of F, one row per field."""
-    return np.sqrt(np.sum(np.abs(F.stack) ** 2, axis=-1) * F.scales.log_weight)
+    power, exps = _unit_powers(F.stack)
+    root = np.sqrt(np.sum(power, axis=-1) * F.scales.log_weight)
+    return np.ldexp(root, exps.reshape((-1,) + (1,) * F.grid.dim), out=root)
 
 
 def g_lambda_star(F: HalfSpaceField, lam: float) -> SampledFunction:

@@ -1,10 +1,11 @@
 """Multiscale convolution engine.
 
-Every convolution is a Fourier multiplier on the periodic grid: the dilated
-kernel acts as phi_hat(t * xi) on the spectrum, which is exact for periodic
-data.  A half-space field costs one forward FFT of the input and one inverse
-FFT batched over every scale; a stack of fields (``build_fields``) costs the
-same two transforms, batched over the inputs too.
+Every convolution is a Fourier multiplier on the periodic grid, exact for
+periodic data: the dilated kernel acts as phi_hat(t * xi) on the spectrum.
+The multipliers are real and even, so ``apply_multiplier`` runs each as the
+real FFT correlation ``correlate`` of the real rows of its input.  A field
+costs one forward real FFT and one inverse batched over every scale; a stack
+of fields (``build_fields``) costs the same two, batched over the inputs too.
 """
 
 from __future__ import annotations
@@ -72,9 +73,19 @@ def correlate(values: np.ndarray, kernel_hat: np.ndarray, dim: int) -> np.ndarra
     return np.fft.irfft2(product, s=values.shape[-2:], axes=(-2, -1))
 
 
-def apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Fourier multiplier on the periodic grid: ifft(fft(values) * mult)."""
-    return np.fft.ifftn(np.fft.fftn(values) * mult)
+def apply_multiplier(values: np.ndarray, mult: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """ifft(fft(values) * mult) for a real even multiplier on the full dual grid,
+    whose last ``dim`` axes (default: all) are the grid.  Leading axes broadcast
+    as one batched ``correlate``, each row bitwise its unbatched value; a complex
+    input runs as its real and imaginary rows.  Overflow is a ``NumericFailure``.
+    """
+    if np.iscomplexobj(values):
+        return apply_multiplier(values.real, mult, dim) + 1j * apply_multiplier(values.imag, mult, dim)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return correlate(values, mult[..., : mult.shape[-1] // 2 + 1], dim or mult.ndim)
+    except FloatingPointError as exc:
+        raise NumericFailure(f"the multiplier overflows the float range ({exc})") from exc
 
 
 def convolve_at_scale(f: SampledFunction, kernel: Kernel, t: float) -> SampledFunction:
@@ -83,26 +94,13 @@ def convolve_at_scale(f: SampledFunction, kernel: Kernel, t: float) -> SampledFu
 
 
 def _field_values(fs: Sequence[SampledFunction], plan: ConvolutionPlan) -> np.ndarray:
-    """The scale slices (phi_t * f) of every input, C-contiguous in the
-    ``(len(fs),) + grid.shape + (K,)`` layout: one forward FFT over the stacked
-    inputs, then one inverse FFT over every (input, scale) pair.
-
-    The transforms run line by line whatever the layout, so each input's
-    slices are bitwise its one-input values.  In the C-contiguous layout
-    reductions over the scale axis (``g_function``'s sum) run in the same
-    order as over a per-scale filled array, so results do not depend on the
-    layout.  Raises ``NumericFailure`` when the transforms overflow (inputs
-    near the float maximum).
+    """The scale slices (phi_t * f) of every input from one ``apply_multiplier``,
+    each input's bitwise its one-input values, C-contiguous in the
+    ``(len(fs),) + grid.shape + (K,)`` layout, where reductions over the scale
+    axis (``g_function``'s sum) run in the order of a per-scale filled array.
     """
-    spatial = tuple(range(1, plan.grid.dim + 1))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            spectra = np.fft.fftn(np.stack([f.values for f in fs]), axes=spatial)
-            slices = np.fft.ifftn(spectra[..., None] * np.moveaxis(plan.multipliers, 0, -1), axes=spatial)
-    except FloatingPointError as exc:
-        raise NumericFailure(f"the multiscale field overflows the float range ({exc})") from exc
-    # the 1-D inverse transform returns the scale axis strided
-    return np.ascontiguousarray(slices)
+    slices = apply_multiplier(np.stack([f.values for f in fs])[:, None], plan.multipliers, plan.grid.dim)
+    return np.ascontiguousarray(np.moveaxis(slices, 1, -1))
 
 
 def build_field(f: SampledFunction, plan: ConvolutionPlan) -> HalfSpaceField:
@@ -124,6 +122,6 @@ def spatial_kernel(kernel: Kernel, t: float) -> np.ndarray:
     Satisfies exactly: convolve_at_scale(f, kernel, t)(x) equals
     cell_volume * sum_y f(y) * spatial_kernel[x - y] on the torus.
     """
-    grid = kernel.grid
-    scale = grid.size / (2.0 * grid.half_width) ** grid.dim
-    return np.fft.ifftn(kernel.multiplier(t)) * scale
+    delta = np.zeros(kernel.grid.shape)  # unit mass at the zero offset
+    delta.flat[0] = 1.0 / kernel.grid.cell_volume
+    return apply_multiplier(delta, kernel.multiplier(t))

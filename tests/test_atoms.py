@@ -20,13 +20,13 @@ from lpx.atoms import (
     tent_decompose,
     tent_mask,
 )
-from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
+from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_frequency
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
 from lpx.spaces import Lebesgue, MixedNorm, Morrey, WeightedLebesgue, descriptor_from_json, power_weight, space_norm
 from lpx.squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
-from lpx.transforms import build_field, build_plan, correlate, spatial_kernel, spectrum
+from lpx.transforms import build_field, build_fields, build_plan, correlate, spatial_kernel, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
 SCALES = ScaleGrid(t_min=1 / 16, t_max=2.0, steps_per_octave=4)
@@ -41,6 +41,24 @@ def random_field(seed, grid=GRID, scales=SCALES):
     envelope = np.exp(-r2 / (2 * (grid.half_width / 10) ** 2))
     f = SampledFunction(grid, rng.normal(size=grid.shape) * envelope)
     return build_field(f, plan)
+
+
+def test_real_data_stays_float64_and_complex_data_complex128():
+    rng = np.random.default_rng(2)
+    real = SampledFunction(GRID, rng.normal(size=GRID.shape) * np.exp(-GRID.coordinate_mesh()[0] ** 2))
+    wave = pure_frequency(GRID, [40])
+    assert real.values.dtype == np.float64 and wave.values.dtype == np.complex128
+    assert SampledFunction(GRID, real.values + 0j).values.dtype == np.float64  # no imaginary part
+    plan = build_plan(build_annular_kernel(GRID), SCALES)
+    F = build_field(real, plan)
+    assert F.values.dtype == np.float64 and build_fields([real, real], plan).values.dtype == np.float64
+    assert build_field(wave, plan).values.dtype == np.complex128
+    mixed = build_fields([real, wave], plan)
+    assert mixed.values.dtype == np.complex128
+    assert all(np.array_equal(row, build_field(f, plan).values) for f, row in zip([real, wave], mixed.values))
+    dec = tent_decompose(F, Lebesgue(2.0), BALLS)
+    assert dec.atoms and all(atom.values.dtype == np.float64 for atom in dec.atoms)
+    assert dec.atoms[0].field.values.dtype == np.float64 and dec.reconstruct().values.dtype == np.float64
 
 
 def test_decompose_zero_field():
@@ -276,7 +294,7 @@ def _assert_matches_dense_reference(dec, reference, space):
     assert np.array_equal(dec.reconstruct().values, ref_total)
     grid, scales = dec.residual.grid, dec.residual.scales
     ref_dec = TentDecomposition([TentAtom.from_field(HalfSpaceField(grid, scales, values), ball, lam)
-                                 for ball, lam, values in ref_atoms], dec.residual)
+                                 for ball, lam, values in ref_atoms], dec.residual, dec.ball_norms)
     assert coefficient_functional(dec, space) == _coefficient_functional_reference(ref_dec, space)
 
 
@@ -422,6 +440,17 @@ def test_ball_norms_match_each_indicator_norm_bitwise(dim, n):
         balls = _oracle_balls(grid, 4 if isinstance(space, Morrey) and n == 64 else 24)
         assert ball_norms(grid, balls, space) == [space_norm(ball_indicator(grid, b), space) for b in balls]
         assert ball_norms(grid, [], space) == []
+
+
+@pytest.mark.parametrize("kind", ["field", "stray"])
+@pytest.mark.parametrize("space", [LEBESGUE, MORREY], ids=["lebesgue", "morrey"])
+def test_decomposition_ball_norms_are_its_atoms_ball_norms_bitwise(kind, space):
+    # one norm per kept atom, the ones tent_decompose sized the atoms with
+    F = _field_case(1, 64, kind)
+    dec = tent_decompose(F, space, BallFamily.build(F.grid, 2))
+    assert dec.atoms and len(dec.ball_norms) == len(dec.atoms)
+    assert dec.ball_norms == ball_norms(F.grid, [atom.ball for atom in dec.atoms], space)
+    assert tent_decompose(_field_case(1, 64, "zero"), space).ball_norms == []
 
 
 COEFFICIENT_CASES = [("1d-64-field", LEBESGUE, None), ("1d-64-field", Lebesgue(0.5), None),

@@ -125,6 +125,23 @@ def test_compute_variable_norm_of_an_extreme_bump_exits_0(tmp_path, amplitude):
     assert values[amplitude] == pytest.approx(amplitude * values[1.0], rel=1e-12)
 
 
+@pytest.mark.parametrize("amplitude", [1e-200, 1e200])
+@pytest.mark.parametrize("operator", ["S", "g", "gstar"])
+def test_compute_square_function_of_an_extreme_bump_exits_0(tmp_path, operator, amplitude):
+    # |F|^2 underflowed at 1e-200 (an all-zero output) and overflowed at 1e200
+    # (exit 2, "values must be finite")
+    cfg = write_config(tmp_path)
+    maxima = {}
+    for a in (1.0, amplitude):
+        inp = tmp_path / f"bump{a:g}.csv"
+        write_function_csv(SampledFunction(GRID, a * gaussian_bump(GRID, [0.2], 0.5).values), inp)
+        out = tmp_path / f"out{a:g}"
+        assert main(["--config", str(cfg), "--out", str(out), "compute", str(inp), operator]) == 0
+        maxima[a] = np.max(read_function_binary(out / f"{operator}.bin")[0].values)
+    assert maxima[amplitude] > 0
+    assert maxima[amplitude] == pytest.approx(amplitude * maxima[1.0], rel=1e-12)
+
+
 @pytest.mark.parametrize("operator", ["norm", "hardy_norm"])
 def test_compute_infinite_scalar_exits_3(tmp_path, capsys, operator):
     # |f| = 1e308 on the whole box [-8, 8): the L^2 norm 4e308 exceeds the float

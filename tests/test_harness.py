@@ -197,8 +197,9 @@ def _per_trial_equivalence(space, kernel_kind, trials, grid, scales, seed):
 
 def _block_sizes(monkeypatch, trials_per_block, grid, scales):
     """Set the block budget to hold the given number of trials; returns the
-    list the phi-field block sizes are recorded in."""
-    monkeypatch.setattr(harness, "FIELD_BLOCK_BYTES", trials_per_block * grid.size * len(scales) * 16)
+    list the phi-field block sizes are recorded in.  A trial's field is real,
+    8 bytes per (cell, scale)."""
+    monkeypatch.setattr(harness, "FIELD_BLOCK_BYTES", trials_per_block * grid.size * len(scales) * 8)
     sizes = []
     build_fields = harness.build_fields
 

@@ -200,18 +200,28 @@ def test_peetre_dominates_zero_offset(pair, psi_plan):
     assert np.all(m >= F.max(axis=-1) - 1e-13)
 
 
+def _real_slice(values: np.ndarray, plan, k: int) -> np.ndarray:
+    """psi_t * values at the k-th scale of a real input: the real inverse FFT of
+    its real FFT times the multiplier's half spectrum."""
+    half = plan.multipliers[k][..., : plan.grid.points_per_axis // 2 + 1]
+    return np.fft.irfftn(np.fft.rfftn(values) * half, s=plan.grid.shape, axes=tuple(range(plan.grid.dim)))
+
+
 def roll_peetre_maximal(f: SampledFunction, b: float, plan) -> np.ndarray:
     """Reference smoothed sup: one np.roll of each scale's |psi_t * f| per offset,
-    with each scale's slice from its own inverse FFT (independent of build_field)."""
+    with each scale's slice from its own real inverse FFT, the imaginary part
+    of a complex input done separately (independent of build_field)."""
     grid = f.grid
     axes = tuple(range(grid.dim))
     dist_grid = grid.offset_distances()
     keep = np.argwhere(dist_grid <= grid.half_width)
     dist = dist_grid[tuple(keep.T)]
-    spectrum = np.fft.fftn(f.values)
     out = np.zeros(grid.shape)
     for k, t in enumerate(plan.scales.scales):
-        mag = np.abs(np.fft.ifftn(spectrum * plan.multipliers[k]))
+        slice_k = _real_slice(f.values.real, plan, k)
+        if np.iscomplexobj(f.values):
+            slice_k = slice_k + 1j * _real_slice(f.values.imag, plan, k)
+        mag = np.abs(slice_k)
         weights = (1.0 + dist / t) ** (-b)
         for off, w in zip(keep, weights):
             np.maximum(out, np.roll(mag, shift=tuple(off), axis=axes) * w, out=out)

@@ -121,6 +121,17 @@ def test_lusin_homogeneity(plan):
     assert np.allclose(s2, 2.0 * s1, rtol=1e-12, atol=1e-300)
 
 
+@pytest.mark.parametrize("amplitude", [1e-300, 2.0**-900, 1e-200, 1e-170, 1e200, 2.0**900, 1e300])
+def test_square_functions_are_homogeneous_over_the_float_range(plan, amplitude):
+    # unscaled, |F|^2 underflowed to 0 below about 1e-160 (S, g and g*_lambda
+    # were exactly 0) and overflowed to inf above about 1e154
+    F = build_field(gaussian_bump(GRID, [0.0], 0.4), plan)
+    scaled = HalfSpaceField(GRID, SCALES, amplitude * F.values)
+    for op in (lusin_area, g_function, lambda G: g_lambda_star(G, 2.5)):
+        ref, out = op(F).values, op(scaled).values
+        assert np.max(np.abs(out / amplitude - ref)) <= 2e-15 * ref.max()
+
+
 def test_g_lambda_star_requires_lambda_above_one(plan):
     f = gaussian_bump(GRID, [0.0], 0.4)
     with pytest.raises(LambdaTooSmall):
