@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Peak-memory guards for the 2-D N=64 runs.
+"""Peak-memory guards for the 2-D runs.
 
 Each case runs in its own child process and fails unless the child exits 0
 with a peak resident set at or below the case's limit:
@@ -14,6 +14,9 @@ with a peak resident set at or below the case's limit:
   family on a 2-D N=64 grid (L=2) in criterion 5's ``OrliczSlice``, the rows
   of one 2-D equivalence block, limit 128 MiB: below the 282 MiB one such row
   took alone when a norm call held all of its slice windows at once.
+- ``hl-maximal``: one ``hl_maximal`` call on trial 0 of the trial family on a
+  2-D N=128 grid (L=2, the default ball family), limit 256 MiB: below the
+  1.7 GB that filtering over each disc's footprint took.
 
 Usage:
 
@@ -61,6 +64,14 @@ grid = GridSpec(dim=2, half_width=2.0, points_per_axis=64)
 rows = np.stack([trial_function(0, i, grid).values.real for i in range(4)])
 print("norms", space_norms(grid, rows, five_spaces(grid)["orlicz_slice"]))
 """
+HL_MAXIMAL_CHILD = """
+from lpx.grid import GridSpec
+from lpx.harness import trial_function
+from lpx.maximal import hl_maximal
+
+grid = GridSpec(dim=2, half_width=2.0, points_per_axis=128)
+print("max", hl_maximal(trial_function(0, 0, grid)).values.max())
+"""
 
 
 def decompose_command(tmp: Path) -> list[str]:
@@ -80,11 +91,16 @@ def orlicz_slice_command(tmp: Path) -> list[str]:
     return [sys.executable, "-c", ORLICZ_SLICE_CHILD]
 
 
+def hl_maximal_command(tmp: Path) -> list[str]:
+    return [sys.executable, "-c", HL_MAXIMAL_CHILD]
+
+
 # name: (description, limit in MiB, child command in a temporary directory)
 CASES = {
     "decompose": ("lpx decompose (2-D N=64, 16 scales)", 1024, decompose_command),
     "equivalence": ("equivalence_experiment (2-D N=64, 64 scales, 10 trials)", 160, equivalence_command),
     "orlicz-slice": ("space_norms over four rows in OrliczSlice (2-D N=64)", 128, orlicz_slice_command),
+    "hl-maximal": ("hl_maximal (2-D N=128)", 256, hl_maximal_command),
 }
 
 

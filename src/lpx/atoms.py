@@ -16,9 +16,9 @@ centres once, by the largest radius whose doubled ball fits, rather than
 once per radius; a claimed ball marks its cells through its offset list.
 The pieces are then sized in one pass: their balls from one gather of their
 own cells' torus distances, their L^p sizes from one row-batched reduction
-(``spaces.lebesgue_row_norms``).  The balls' indicator norms (``ball_norms``)
-come from one gather of the torus distance table and one row-batched
-``norms`` call of the space per ``NORM_CHUNK`` elements of indicator rows,
+(``spaces.space_norms`` per exponent).  The balls' indicator norms
+(``ball_norms``) come from one gather of the torus distance table and one
+``space_norms`` call per ``NORM_CHUNK`` elements of indicator rows,
 in every space; ``coefficient_functional`` adds its per-atom weights with
 one ``np.bincount``.  A ``TentAtom`` keeps only its
 piece's cells and values; its dense field is built on demand.  All of it is
@@ -39,7 +39,7 @@ import numpy as np
 from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
-from .spaces import NORM_CHUNK, Lebesgue, SpaceDescriptor, lebesgue_row_norms, space_norm
+from .spaces import NORM_CHUNK, Lebesgue, SpaceDescriptor, space_norm, space_norms
 from .squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
 from .transforms import apply_multiplier, build_plan, correlate
 
@@ -87,11 +87,10 @@ def _ball_rows(grid: GridSpec, balls: Sequence[Ball]) -> np.ndarray:
 
 def _row_norms(grid: GridSpec, rows: np.ndarray, space: SpaceDescriptor) -> list[float]:
     """``space_norm`` of every indicator row of ``_ball_rows``: one
-    ``space.norms`` call per ``NORM_CHUNK`` elements of rows (indicators need
-    no finiteness check)."""
+    ``space_norms`` call per ``NORM_CHUNK`` elements of rows."""
     step = max(1, NORM_CHUNK // grid.size)
     return [norm for start in range(0, len(rows), step)
-            for norm in space.norms(grid, rows[start:start + step].reshape((-1,) + grid.shape).astype(float))]
+            for norm in space_norms(grid, rows[start:start + step].reshape((-1,) + grid.shape).astype(float), space)]
 
 
 def ball_norms(grid: GridSpec, balls: Sequence[Ball], space: SpaceDescriptor) -> list[float]:
@@ -286,11 +285,11 @@ def tent_atom_size(field: HalfSpaceField, p: float) -> float:
 
 def _piece_sizes(F: HalfSpaceField, cells: Sequence[np.ndarray], ps: Sequence[float]) -> list[list[float]]:
     """``tent_atom_size`` of F restricted to each cell set, for every p: one
-    batched cone-functional pass and one row-batched L^p reduction."""
+    batched cone-functional pass and one row-batched ``space_norms`` call per p."""
     if not cells:
         return [[] for _ in ps]
     areas = tent_functionals(F, 1.0, cells)
-    return lebesgue_row_norms(areas.reshape(len(cells), F.grid.size), ps, F.grid.cell_volume)
+    return [space_norms(F.grid, areas, Lebesgue(p)) for p in ps]
 
 
 def tent_atom_sizes(atoms: Sequence[TentAtom], p: float) -> list[float]:

@@ -25,6 +25,7 @@ __all__ = [
     "HalfSpaceField",
     "FieldStack",
     "real_or_complex",
+    "scale_to_unit_rows",
     "integrate",
     "halfspace_integrate",
     "concentration_defect",
@@ -207,6 +208,18 @@ def real_or_complex(values) -> np.ndarray:
     out = np.asarray(vals, np.complex128) if complex_ else np.ascontiguousarray(vals.real, np.float64)
     out.setflags(write=False)
     return out
+
+
+def scale_to_unit_rows(stack: np.ndarray) -> np.ndarray:
+    """Divide every row (first axis) of the non-negative float ``stack`` in
+    place by 2^e, e the binary exponent (``np.frexp``) of the row's max, and
+    return the exponents.  A scaled row has its max in [1/2, 1) (or is zero,
+    e = 0), so its powers neither overflow nor all underflow; scaling by a
+    power of two is exact, so an operator run on the scaled rows and scaled
+    back keeps its bits wherever the unscaled run stays in the float range."""
+    _, exps = np.frexp(stack.max(axis=tuple(range(1, stack.ndim))))
+    np.ldexp(stack, -exps.reshape((-1,) + (1,) * (stack.ndim - 1)), out=stack)
+    return exps
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,27 @@ snapped so that the covered cell volume never exceeds the continuous measure:
 in 1-D they are whole numbers of cells, in 2-D each radius is inflated until
 pi r^2 dominates the lattice count.  This keeps every average of |f| below
 sup|f| and makes the power inequality for ball means exact.
+
+``hl_maximal`` runs on |f| divided by the power of two of its max
+(``grid.scale_to_unit_rows``) and scales back, so it is positively
+homogeneous over the whole float range.  Its ball max is one path in 1-D and
+2-D: each first-axis row of a torus ball is one symmetric run of cells, so
+``BallFamily.ball_filter`` takes a running max per row width and reads it at
+each row's offset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ZeroDenominator
-from .grid import GridSpec, SampledFunction
+from .grid import GridSpec, SampledFunction, scale_to_unit_rows
 from .squarefuncs import ball_spectra
 from .transforms import ConvolutionPlan, build_fields, correlate
 
@@ -146,23 +153,36 @@ class BallFamily:
             out[(..., part) + cells] = correlate(values[..., None, :, :], table, 2)
         return out
 
+    @cached_property
+    def _row_runs(self) -> dict[float, list[tuple[int, int]]]:
+        """Per family radius r, the (first-axis offset, cell count) of every
+        first-axis row the ball ``dist < r`` meets; a 1-D ball is the one row
+        at offset 0.  Built once per family."""
+        dist = self.grid.offset_distances().reshape(-1, self.grid.points_per_axis)
+        return {r: [(dx, w) for dx, w in enumerate(np.count_nonzero(dist < r, axis=1).tolist()) if w]
+                for r in self.radii.tolist()}
+
     def ball_filter(self, values: np.ndarray, radius: float) -> np.ndarray:
-        """Max of ``values`` over B(x, r) for every center x."""
-        grid = self.grid
-        if grid.dim == 1:
-            w = self.cell_count(radius)
-            if w >= grid.points_per_axis:
-                return np.full(grid.shape, np.max(values))
-            return ndimage.maximum_filter1d(values, size=w, mode="wrap")
-        mask = self.mask(radius)
-        if mask.all():
-            return np.full(grid.shape, np.max(values))
-        n = grid.points_per_axis
-        centered = np.fft.fftshift(mask)
-        offsets = np.argwhere(centered) - n // 2
-        k = int(np.abs(offsets).max())  # snapped radii keep k <= n/2 - 1
-        foot = centered[n // 2 - k : n // 2 + k + 1, n // 2 - k : n // 2 + k + 1]
-        return ndimage.maximum_filter(values, footprint=foot, mode="wrap")
+        """Max of ``values`` over B(x, r) for every center x, r one of the
+        family's radii.
+
+        Each first-axis row of a torus ball is one symmetric run of cells (a
+        1-D ball is one row), so the max is, over the ball's rows, the running
+        max of the row's width along the last axis, read at the row's offset:
+        one ``maximum_filter1d`` per distinct width (``_row_runs``).
+        """
+        n = self.grid.points_per_axis
+        runs = {}
+        out = None
+        for dx, width in self._row_runs[radius]:
+            if width not in runs:
+                runs[width] = ndimage.maximum_filter1d(values, size=width, axis=-1, mode="wrap")
+            if out is None:  # the row at offset 0 comes first
+                out = runs[width].copy()
+            else:
+                np.maximum(out[:n - dx], runs[width][dx:], out=out[:n - dx])
+                np.maximum(out[n - dx:], runs[width][:dx], out=out[n - dx:])
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -175,6 +195,7 @@ def hl_maximal(f: SampledFunction, balls: BallFamily | None = None) -> SampledFu
     """Ball-average maximal function sup over family balls containing x."""
     balls = balls or cached_ball_family(f.grid, DEFAULT_RADII_PER_OCTAVE[f.grid.dim])
     mag = np.abs(f.values)
+    e = scale_to_unit_rows(mag[None])[0]
     cellvol = f.grid.cell_volume
     out = np.zeros(f.grid.shape)
     for r, sums in zip(balls.radii, balls.ball_sums(mag, balls.radii)):
@@ -182,7 +203,7 @@ def hl_maximal(f: SampledFunction, balls: BallFamily | None = None) -> SampledFu
         # x sees exactly the balls whose centers lie within r of x
         np.maximum(out, balls.ball_filter(avg, r), out=out)
     np.maximum(out, 0.0, out=out)  # FFT ball sums can leave -1e-17 on empty regions
-    return SampledFunction(f.grid, out)
+    return SampledFunction(f.grid, np.ldexp(out, e, out=out))
 
 
 def powered_maximal(f: SampledFunction, theta: float, balls: BallFamily | None = None) -> SampledFunction:

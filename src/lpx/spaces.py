@@ -16,18 +16,20 @@ monotone across a relative gap of ``LUXEMBURG_BAND`` = 1e-13 next to the
 root, which the certificate cannot check: its true change there is about
 p * 1e-13 for a type or exponent p, against summation rounding of a few
 ulps, so a very small p could let the replay differ from the plain loop in
-the last bits.  ``_luxemburg_norm`` bisects |f| / 2^e with 2^e >= max |f|,
-so its norms are homogeneous over the whole float range.
+the last bits.
 
 Every descriptor takes its norms row-batched: ``norms(grid, mag)`` returns
 the norm of every row of a finite non-negative ``(rows,) + grid.shape``
-stack, each bitwise what that row gives alone, and ``norm(f)`` is its one-row
-case on ``|f|``.  ``space_norms`` is the entry point for a stack of computed
-rows.  ``Morrey`` takes the ball sums of a step's rows in one
-``BallFamily.ball_sums`` call, and ``OrliczSlice`` the windows of a step's
-rows, or of a slab of one row, in one certified bisection; a step holds as
-many rows as keep it within ``NORM_CHUNK`` elements.  ``VariableLebesgue``
-solves one scalar bisection per row, which is faster than a row-batched one.
+stack, each bitwise what that row gives alone.  No descriptor scales by
+itself: ``space_norms``, ``norm(f)`` (its one-row case) and
+``orlicz_norm`` take the norms of each row divided by the power of two of
+its max and scale them back (``_unit_row_norms``), so every norm is
+homogeneous over the whole float range.  ``Morrey`` takes the ball sums of
+a step's rows in one ``BallFamily.ball_sums`` call, and ``OrliczSlice`` the
+windows of a step's rows, or of a slab of one row, in one certified
+bisection; a step holds as many rows as keep it within ``NORM_CHUNK``
+elements.  ``VariableLebesgue`` solves one scalar bisection per row, which
+is faster than a row-batched one.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .errors import NoBracket, NotInAInfty, NumericFailure
-from .grid import GridSpec, SampledFunction, read_function_csv
+from .grid import GridSpec, SampledFunction, read_function_csv, scale_to_unit_rows
 from .maximal import BallFamily, ball_volume, cached_ball_family
 
 __all__ = [
@@ -194,27 +196,11 @@ def power_orlicz(p: float) -> OrliczFunction:
 # Lebesgue and Luxemburg-type norms
 
 
-def lebesgue_row_norms(mag: np.ndarray, ps: Sequence[float], cellvol: float) -> list[list[float]]:
-    """L^p norms of every row of the nonnegative (rows, cells) array ``mag``:
-    one list of row norms per p.  ``mag`` is overwritten.
-
-    Each row sums the powers of mag / 2^e with 2^e >= the row's max and scales
-    back after the root: exact in binary, so a norm is homogeneous over the
-    whole float range and overflows only when it does itself.
-    """
-    e = np.frexp(np.maximum.reduce(mag, axis=-1))[1]
-    np.ldexp(mag, -e[:, None], out=mag)
-    norms = []
-    for p in ps:
-        row_norms = []
-        for total, ei in zip(np.add.reduce(mag**p, axis=-1).tolist(), e.tolist()):
-            try:
-                row_norms.append(math.ldexp((total * cellvol) ** (1.0 / p), ei))
-            except OverflowError:
-                row_norms.append(math.inf)
-        norms.append(row_norms)
-    return norms
-
+def lebesgue_row_norms(mag: np.ndarray, p: float, cellvol: float) -> list[float]:
+    """L^p norms of every row of the nonnegative (rows, cells) array ``mag``.
+    The rows' powers must stay in the float range, as those of rows scaled to
+    unit max (``scale_to_unit_rows``) do."""
+    return [(total * cellvol) ** (1.0 / p) for total in np.add.reduce(mag**p, axis=-1).tolist()]
 
 
 # Certified replay of the log-bisections.  Every Luxemburg-type solve here is
@@ -361,37 +347,39 @@ def _certified_bisection_rows(modular: Callable[[np.ndarray, np.ndarray], np.nda
 def _luxemburg_norm(mag: np.ndarray, cellvol: float, density: Callable[[np.ndarray], np.ndarray]) -> float:
     """inf{lam : sum of density(mag / lam) times cellvol <= 1}.
 
-    Bisection on the modular, which must be strictly decreasing in lam.  It
-    runs on mag / 2^e with 2^e >= max mag and scales back at the end: exact
-    in binary, so the norm is homogeneous over the whole float range and
-    overflows only when it does itself.
+    Bisection on the modular, which must be strictly decreasing in lam, over
+    the bracket max(mag) * LUXEMBURG_BRACKET.
     """
     sup = float(mag.max())
     if sup == 0.0:
         return 0.0
-    e = math.frexp(sup)[1]
-    mag = np.ldexp(mag, -e)
 
     def modular(lam: float) -> float:
         with np.errstate(divide="ignore"):
             ratio = mag / lam
         return float(np.sum(density(ratio)) * cellvol)
 
-    lo = math.ldexp(sup, -e) * LUXEMBURG_BRACKET[0]
-    hi = math.ldexp(sup, -e) * LUXEMBURG_BRACKET[1]
+    lo, hi = sup * LUXEMBURG_BRACKET[0], sup * LUXEMBURG_BRACKET[1]
     modular_hi = modular(hi)
     if modular_hi > 1.0 or (modular_lo := modular(lo)) < 1.0:
         raise NoBracket("modular does not cross 1 inside the bracket")
-    hi = _certified_bisection(modular, 1.0, False, lo, modular_lo, hi, modular_hi)[1]
-    try:
-        return math.ldexp(hi, e)
-    except OverflowError:
-        return math.inf
+    return _certified_bisection(modular, 1.0, False, lo, modular_lo, hi, modular_hi)[1]
+
+
+def _unit_row_norms(mag: np.ndarray, norms: Callable[[np.ndarray], Sequence[float]]) -> list[float]:
+    """``norms`` of the non-negative float stack ``mag`` taken on its rows
+    scaled to unit max (``scale_to_unit_rows``, in place) and scaled back: the
+    one float-range rule of every norm entry.  A norm past the float range is
+    inf."""
+    exps = scale_to_unit_rows(mag)
+    with np.errstate(over="ignore"):
+        return np.ldexp(norms(mag), exps).tolist()
 
 
 def orlicz_norm(f: SampledFunction, phi: OrliczFunction) -> float:
     """Luxemburg norm inf{lam : integral of Phi(|f|/lam) <= 1}."""
-    return _luxemburg_norm(np.abs(f.values), f.grid.cell_volume, phi.evaluator)
+    return _unit_row_norms(np.abs(f.values)[None],
+                           lambda unit: [_luxemburg_norm(unit[0], f.grid.cell_volume, phi.evaluator)])[0]
 
 
 def _read_csv_on(grid: GridSpec, path: str, what: str) -> SampledFunction:
@@ -411,10 +399,11 @@ def _read_csv_on(grid: GridSpec, path: str, what: str) -> SampledFunction:
 
 
 class _RowNormed:
-    """``norm`` as the one-row case of the descriptor's ``norms(grid, mag)``."""
+    """``norm`` as the one-row case of the descriptor's ``norms(grid, mag)``,
+    on |f| scaled to unit max (``_unit_row_norms``)."""
 
     def norm(self, f: SampledFunction) -> float:
-        return self.norms(f.grid, np.abs(f.values)[None])[0]
+        return _unit_row_norms(np.abs(f.values)[None], functools.partial(self.norms, f.grid))[0]
 
 
 @dataclass(frozen=True)
@@ -429,7 +418,7 @@ class Lebesgue(_RowNormed):
             raise ValueError("p must be positive")
 
     def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
-        return lebesgue_row_norms(mag.reshape(len(mag), grid.size).astype(float), (self.p,), grid.cell_volume)[0]
+        return lebesgue_row_norms(mag.reshape(len(mag), grid.size), self.p, grid.cell_volume)
 
     def floor(self) -> float:
         return self.p
@@ -654,18 +643,13 @@ class OrliczSlice(_RowNormed):
     def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
         """The L^r norm over x of every row's Luxemburg norm on the slice
         ball around x, over the slice ball's own: one certified bisection per
-        block of ``_slice_windows``."""
+        block of ``_slice_windows``.  On rows of unit max the ratios are at
+        most about 1 and near 1 at the max, so their powers stay in range."""
         cellvol = grid.cell_volume
         offsets, denom = _slice_geometry(self.phi, grid, self.slice_t)
         inner = np.concatenate([_window_norms(self.phi, cellvol, windows)
                                 for windows in _slice_windows(grid, mag, offsets)] or [np.zeros(0)])
-        norms = []
-        for ratios in (inner / denom).reshape(len(mag), grid.size):
-            top = ratios.max()
-            # powers of ratios / top <= 1 neither overflow nor all underflow at any amplitude
-            norms.append(0.0 if top == 0.0 else
-                         float((np.sum((ratios / top) ** self.r) * cellvol) ** (1.0 / self.r) * top))
-        return norms
+        return lebesgue_row_norms((inner / denom).reshape(len(mag), grid.size), self.r, cellvol)
 
     def floor(self) -> float:
         return min(self.r, self.phi.lower_type)
@@ -708,7 +692,7 @@ def space_norm(f: SampledFunction, space: SpaceDescriptor) -> float:
 def space_norms(grid: GridSpec, values: np.ndarray, space: SpaceDescriptor) -> list[float]:
     """``space_norm`` of every row of the real or complex ``(rows,) + grid.shape``
     stack ``values``, each bitwise its one-row value, from one ``space.norms``
-    call.
+    call on the rows' magnitudes scaled to unit max (``_unit_row_norms``).
 
     The rows are computed results, so a non-finite sample among them is a
     ``NumericFailure``.
@@ -717,7 +701,7 @@ def space_norms(grid: GridSpec, values: np.ndarray, space: SpaceDescriptor) -> l
         raise ValueError(f"rows of shape {values.shape[1:]} do not match the grid shape {grid.shape}")
     if not np.isfinite(values).all():
         raise NumericFailure("a row to be normed holds a non-finite sample")
-    return space.norms(grid, np.abs(values))
+    return _unit_row_norms(np.abs(values), functools.partial(space.norms, grid))
 
 
 def convexify_norm(f: SampledFunction, space: SpaceDescriptor, p: float) -> float:

@@ -14,8 +14,8 @@ one batched ``transforms.correlate``.  The plural forms (``tent_functionals``,
 return one real row per field, each bitwise the one-field value; the singular
 forms are their one-field case and refuse a stack.  Each field's |F| is
 divided by the power of two of its maximum before squaring and the root is
-scaled back (``_unit_powers``), so the square functions are positively
-homogeneous over the whole float range.
+scaled back (``_unit_powers``, through ``grid.scale_to_unit_rows``), so the
+square functions are positively homogeneous over the whole float range.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LambdaTooSmall
-from .grid import FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
+from .grid import FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows
 from .transforms import correlate, spectrum
 
 __all__ = ["tent_functional", "tent_functionals", "lusin_area", "g_function", "g_functions", "g_lambda_star",
@@ -69,13 +69,10 @@ def gstar_spectra(grid: GridSpec, scales: ScaleGrid, lam: float) -> np.ndarray:
 
 
 def _unit_powers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|F| / 2^e)^2 of every field of the stack, with e the binary exponent
-    (``np.frexp``) of that field's max |F|, and the exponents.  The scaled
-    magnitudes are at most 1, so their squares neither overflow nor underflow
-    at any amplitude, and scaling by a power of two is exact."""
+    """(|F| / 2^e)^2 of every field of the stack, each field scaled to unit
+    max (``grid.scale_to_unit_rows``), and the exponents e."""
     mag = np.abs(stack)
-    _, exps = np.frexp(mag.reshape(len(mag), -1).max(axis=1))
-    np.ldexp(mag, -exps.reshape((-1,) + (1,) * (mag.ndim - 1)), out=mag)
+    exps = scale_to_unit_rows(mag)
     return np.square(mag, out=mag), exps
 
 

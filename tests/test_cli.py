@@ -109,20 +109,37 @@ def test_compute_huge_bump_scalar_is_finite(tmp_path, operator):
     assert values[1e200] == pytest.approx(1e200 * values[1.0], rel=1e-12)
 
 
-@pytest.mark.parametrize("amplitude", [1e-200, 1e200])
+@pytest.mark.parametrize("amplitude", [1e-200, 1e200, 1e-300, 1e300])
 def test_compute_variable_norm_of_an_extreme_bump_exits_0(tmp_path, amplitude):
     # the unscaled Luxemburg bracket's lo * hi underflowed to 0 at 1e-200 (a
-    # ZeroDivisionError traceback) and overflowed to inf at 1e200 (exit 3)
+    # ZeroDivisionError traceback) and overflowed to inf at 1e200 (exit 3);
+    # the weighted and mixed norms and Morrey(2, 2) took plain powers of |f|,
+    # which gave 0 at 1e-300 and inf (exit 3) at 1e300
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
-    cfg = write_config(tmp_path, grid={"dim": 1, "N": 256, "L": 8.0}, space={"tag": "variable"})
-    values = {}
-    for a in (1.0, amplitude):
-        inp = tmp_path / f"bump{a:g}.csv"
-        write_function_csv(SampledFunction(grid, a * gaussian_bump(grid, [0.2], 0.5).values), inp)
-        out = tmp_path / f"out{a:g}"
-        assert main(["--config", str(cfg), "--out", str(out), "compute", str(inp), "norm"]) == 0
-        values[a] = json.loads((out / "norm.json").read_text())["value"]
-    assert values[amplitude] == pytest.approx(amplitude * values[1.0], rel=1e-12)
+    spaces = [{"tag": "variable"}, {"tag": "weighted", "p": 1.5, "q_omega": 1.5}, {"tag": "mixed", "p": [1.5]},
+              {"tag": "morrey", "p": 2.0, "r": 2.0}]
+    for space in spaces:
+        cfg = write_config(tmp_path, grid={"dim": 1, "N": 256, "L": 8.0}, space=space)
+        values = {}
+        for a in (1.0, amplitude):
+            inp = tmp_path / f"bump{a:g}.csv"
+            write_function_csv(SampledFunction(grid, a * gaussian_bump(grid, [0.2], 0.5).values), inp)
+            out = tmp_path / f"out{a:g}"
+            assert main(["--config", str(cfg), "--out", str(out), "compute", str(inp), "norm"]) == 0, space
+            values[a] = json.loads((out / "norm.json").read_text())["value"]
+        assert values[amplitude] == pytest.approx(amplitude * values[1.0], rel=1e-12, abs=0.0), space
+
+
+def test_compute_maximal_of_a_huge_constant_exits_0(tmp_path):
+    # |f| = 1e308 on the whole box: the ball sums of |f| overflowed to inf
+    # (exit 2, "values must be finite"); M f of a constant is at most the
+    # constant and at least 1 - 2/N of it
+    inp = tmp_path / "big.csv"
+    write_function_csv(SampledFunction(GRID, np.full(GRID.shape, 1e308)), inp)
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path)), "--out", str(out), "compute", str(inp), "maximal"]) == 0
+    values = read_function_binary(out / "maximal.bin")[0].values
+    assert np.all(values <= 1e308) and np.all(values >= 1e308 * (1 - 2.0 / GRID.points_per_axis))
 
 
 @pytest.mark.parametrize("amplitude", [1e-200, 1e200])
@@ -139,7 +156,7 @@ def test_compute_square_function_of_an_extreme_bump_exits_0(tmp_path, operator, 
         assert main(["--config", str(cfg), "--out", str(out), "compute", str(inp), operator]) == 0
         maxima[a] = np.max(read_function_binary(out / f"{operator}.bin")[0].values)
     assert maxima[amplitude] > 0
-    assert maxima[amplitude] == pytest.approx(amplitude * maxima[1.0], rel=1e-12)
+    assert maxima[amplitude] == pytest.approx(amplitude * maxima[1.0], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("operator", ["norm", "hardy_norm"])

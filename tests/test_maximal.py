@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from lpx.errors import ZeroDenominator
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, gaussian_bump, indicator_box, pure_frequency
@@ -386,8 +387,25 @@ def _ball_sums_reference(family, values, radius):
     return correlate(values, spectrum(mask.astype(float), 2), 2)
 
 
+def _ball_filter_reference(family, values, radius):
+    """The ball max that the row-run ``BallFamily.ball_filter`` replaced: one
+    running max in 1-D, a filter over the disc's footprint in 2-D."""
+    grid = family.grid
+    mask = family.mask(radius)
+    if mask.all():
+        return np.full(grid.shape, np.max(values))
+    if grid.dim == 1:
+        return ndimage.maximum_filter1d(values, size=int(np.count_nonzero(mask)), mode="wrap")
+    n = grid.points_per_axis
+    centered = np.fft.fftshift(mask)
+    k = int(np.abs(np.argwhere(centered) - n // 2).max())
+    foot = centered[n // 2 - k : n // 2 + k + 1, n // 2 - k : n // 2 + k + 1]
+    return ndimage.maximum_filter(values, footprint=foot, mode="wrap")
+
+
 @pytest.mark.parametrize("dim, n, per_octave", [(1, 64, 4), (1, 256, 32), (2, 32, 8), (2, 64, 4)])
 def test_ball_sums_rows_match_per_radius_reference_bitwise(dim, n, per_octave):
+    # and the ball max of every radius matches the footprint filter's
     grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
     family = BallFamily.build(grid, per_octave)
     values = np.abs(np.random.default_rng(3).normal(size=grid.shape)) ** 1.5
@@ -396,6 +414,7 @@ def test_ball_sums_rows_match_per_radius_reference_bitwise(dim, n, per_octave):
     assert family.cell_count(family.radii[-1]) == grid.size  # the whole-box radius is covered
     for r, row in zip(family.radii, sums):
         assert np.array_equal(row, _ball_sums_reference(family, values, r)), r
+        assert np.array_equal(family.ball_filter(values, r), _ball_filter_reference(family, values, r)), r
     # any radii in any order give the same rows; one radius is the one-row case
     assert np.array_equal(family.ball_sums(values, family.radii[::-3]), sums[::-3])
     assert np.array_equal(family.ball_sums(values, [family.radii[1]]), sums[1:2])

@@ -108,16 +108,31 @@ def test_morrey_matches_brute_force():
     assert fast == pytest.approx(slow, rel=1e-10)
 
 
+def _unit_magnitude(f):
+    """(|f| / 2^e, e), e the binary exponent of max |f|: the scaling every norm entry applies."""
+    mag = np.abs(f.values)
+    e = math.frexp(float(mag.max()))[1]
+    return np.ldexp(mag, -e), e
+
+
+def _ldexp_or_inf(value, e):
+    """value * 2^e, inf past the float range: the scale-back of every norm entry."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.inf
+
+
 def _morrey_per_radius(f, p, r, family):
     """The per-radius loop that the one-correlation 2-D Morrey norm replaced."""
-    mag = np.abs(f.values)
+    mag, e = _unit_magnitude(f)
     best = 0.0
     for rad in family.radii:
         local = family.ball_sums(mag**r, [rad])[0] * f.grid.cell_volume
         np.maximum(local, 0.0, out=local)
         factor = ball_volume(float(rad), f.grid.dim) ** (1.0 / p - 1.0 / r)
         best = max(best, factor * float(local.max()) ** (1.0 / r))
-    return float(best)
+    return _ldexp_or_inf(float(best), e)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -280,53 +295,73 @@ def _unit_sized_function(grid, seed):
     return SampledFunction(grid, (0.25 + rng.random(grid.shape)) * phase)
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+# every space descriptor and hl_maximal: a float p is Lebesgue(p), a name one
+# of criterion 5's spaces or a Morrey space; Morrey(2, 2) and Morrey(3, 1.5)
+# are here because their unscaled |f|^r leaves the float range at amplitudes
+# where criterion 5's Morrey(2, 1) stays inside it
+HOMOGENEOUS = [1.0, 1.5, 2.0, 4.0, "weighted", "mixed", "variable", "orlicz_slice", "morrey",
+               "morrey(2,2)", "morrey(3,1.5)", "hl_maximal"]
+
+
+@functools.lru_cache(maxsize=None)
+def _homogeneous_operator(which, grid):
+    """The operator ``which`` of ``HOMOGENEOUS`` on the grid, as a function of f."""
+    from lpx.harness import five_spaces
+    from lpx.maximal import hl_maximal
+
+    if which == "hl_maximal":
+        return lambda f: hl_maximal(f).values
+    space = Lebesgue(which) if isinstance(which, float) else {
+        "morrey(2,2)": Morrey(2.0, 2.0), "morrey(3,1.5)": Morrey(3.0, 1.5)}.get(which) or five_spaces(grid)[which]
+    return functools.partial(space_norm, space=space)
+
+
+@pytest.mark.parametrize("which", HOMOGENEOUS)
 @given(k=st.integers(min_value=-996, max_value=996), seed=st.integers(0, 3))
 @example(k=-996, seed=0)
 @example(k=996, seed=0)
 @example(k=664, seed=1)  # ~1e200, whose L^2 sum used to overflow to inf
 @settings(max_examples=25, deadline=None)
-def test_lebesgue_norm_exactly_homogeneous_over_the_float_range(p, k, seed):
+def test_lebesgue_norm_exactly_homogeneous_over_the_float_range(which, k, seed):
     # 2^k with |k| <= 996 spans 1.5e-300 .. 6.7e299; scaling by a power of two
-    # is exact, so the norm must scale exactly, without a warning
+    # is exact, so the norm (or maximal function) must scale exactly, without
+    # a warning
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=128)
     f = _unit_sized_function(grid, seed)
     c = 2.0**k
+    operator = _homogeneous_operator(which, grid)
     with np.errstate(all="raise", under="ignore"):
-        assert space_norm(c * f, Lebesgue(p)) == c * space_norm(f, Lebesgue(p))
+        assert np.array_equal(operator(c * f), c * operator(f))
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("which", HOMOGENEOUS)
 @given(exponent=st.integers(min_value=-300, max_value=300))
 @example(exponent=200)
 @example(exponent=-300)
 @example(exponent=300)
 @settings(max_examples=25, deadline=None)
-def test_lebesgue_norm_of_a_bump_over_decimal_amplitudes(p, exponent):
+def test_lebesgue_norm_of_a_bump_over_decimal_amplitudes(which, exponent):
     # a Gaussian bump, whose far tails go subnormal at small amplitudes
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=512)
     f = gaussian_bump(grid, [0.2], 0.5)
     c = 10.0**exponent
-    value = space_norm(f, Lebesgue(p))
+    operator = _homogeneous_operator(which, grid)
+    value = operator(f)
     with np.errstate(all="raise", under="ignore"):
-        assert space_norm(c * f, Lebesgue(p)) == pytest.approx(c * value, rel=1e-14)
+        assert operator(c * f) == pytest.approx(c * value, rel=1e-14, abs=0.0)
 
 
 def _lebesgue_norm_reference(f, p):
     """The L^p norm of one whole array, as before the row-batched reduction."""
-    mag = np.abs(f.values)
-    e = math.frexp(np.maximum.reduce(mag, axis=None))[1]
-    np.ldexp(mag, -e, out=mag)
+    mag, e = _unit_magnitude(f)
     total = float(np.add.reduce(mag**p, axis=None)) * f.grid.cell_volume
-    try:
-        return math.ldexp(total ** (1.0 / p), e)
-    except OverflowError:
-        return math.inf
+    return _ldexp_or_inf(total ** (1.0 / p), e)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)], ids=["1d-256", "2d-32"])
 def test_lebesgue_row_norms_match_whole_array_reference_bitwise(dim, n):
-    # one row-batched call and one Lebesgue.norm per row both give, bit for
+    # one row-batched call on the rows scaled by their own 2^e, scaled back,
+    # one space_norms call and one Lebesgue.norm per row all give, bit for
     # bit, the whole-array norm; rows span the float range, one is zero and
     # one overflows
     grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
@@ -335,11 +370,15 @@ def test_lebesgue_row_norms_match_whole_array_reference_bitwise(dim, n):
     rows[2] = 0.0
     rows[5] = 1e308
     ps = (1.0, 2.0, 4.0)
-    batched = lebesgue_row_norms(rows.copy(), ps, grid.cell_volume)
+    exps = [math.frexp(float(row.max()))[1] for row in rows]
+    unit = np.stack([np.ldexp(row, -e) for row, e in zip(rows, exps)])
+    batched = [[_ldexp_or_inf(norm, e) for norm, e in zip(lebesgue_row_norms(unit, p, grid.cell_volume), exps)]
+               for p in ps]
     for p, norms in zip(ps, batched):
         funcs = [SampledFunction(grid, row.reshape(grid.shape)) for row in rows]
         assert norms == [_lebesgue_norm_reference(f, p) for f in funcs]
         assert norms == [Lebesgue(p).norm(f) for f in funcs]
+        assert norms == space_norms(grid, rows.reshape((-1,) + grid.shape), Lebesgue(p))
     assert batched[1][2] == 0.0 and batched[1][5] == math.inf
 
 
@@ -363,7 +402,7 @@ def test_orlicz_slice_over_subnormal_tails_and_extreme_amplitudes(exponent):
     # underflow stays allowed: Phi(u) of a negligible u ~ 1e-320 rounds to 0
     with np.errstate(all="raise", under="ignore"):
         value = space_norm(f, space)
-        assert space_norm(c * f, space) == pytest.approx(c * value, rel=1e-12)
+        assert space_norm(c * f, space) == pytest.approx(c * value, rel=1e-12, abs=0.0)
     assert value > 0
 
 
@@ -373,7 +412,8 @@ def fixed_iteration_orlicz_slice_norm(f: SampledFunction, space: OrliczSlice) ->
     mask = grid.offset_distances() < space.slice_t
     cellvol = grid.cell_volume
     denom = 1.0 / space.phi.inverse(1.0 / (np.count_nonzero(mask) * cellvol))
-    windows = np.ascontiguousarray(grid.torus_windows(np.abs(f.values), np.argwhere(mask)).T)
+    mag, e = _unit_magnitude(f)
+    windows = np.ascontiguousarray(grid.torus_windows(mag, np.argwhere(mask)).T)
     sups = windows.max(axis=1)
     lams = np.where(sups > 0, sups, 1.0)
     scaled = windows / lams[:, None]
@@ -384,11 +424,13 @@ def fixed_iteration_orlicz_slice_norm(f: SampledFunction, space: OrliczSlice) ->
         high = space.phi.evaluator(scaled / mid[:, None]).sum(axis=1) * cellvol > 1.0
         lo = np.where(high, mid, lo)
         hi = np.where(high, hi, mid)
-    ratios = np.where(sups > 0, hi * lams, 0.0) / denom
-    top = ratios.max()
-    if top == 0.0:
-        return 0.0
-    return float((np.sum((ratios / top) ** space.r) * cellvol) ** (1.0 / space.r) * top)
+    return _slice_outer_norm(np.where(sups > 0, hi * lams, 0.0) / denom, space.r, cellvol, e)
+
+
+def _slice_outer_norm(ratios, r, cellvol, e):
+    """The outer L^r norm of an OrliczSlice norm, over the ratios of the row
+    scaled by 2^-e, scaled back."""
+    return math.ldexp((float(np.add.reduce(ratios**r)) * cellvol) ** (1.0 / r), e)
 
 
 def test_orlicz_slice_early_stop_matches_80_step_bisection_bitwise():
@@ -501,7 +543,8 @@ def _orlicz_slice_reference(f, space):
     mask = grid.offset_distances() < space.slice_t
     cellvol = grid.cell_volume
     denom = 1.0 / _inverse_reference(space.phi, 1.0 / (np.count_nonzero(mask) * cellvol))[0]
-    windows = np.ascontiguousarray(grid.torus_windows(np.abs(f.values), np.argwhere(mask)).T)
+    mag, e = _unit_magnitude(f)
+    windows = np.ascontiguousarray(grid.torus_windows(mag, np.argwhere(mask)).T)
     sups = windows.max(axis=1)
     lams = np.where(sups > 0, sups, 1.0)
     scaled = windows / lams[:, None]
@@ -509,9 +552,7 @@ def _orlicz_slice_reference(f, space):
     if key not in _WINDOW_REFERENCES:
         _WINDOW_REFERENCES[key] = _window_bisection_reference(scaled, space.phi, cellvol)
     hi, steps = _WINDOW_REFERENCES[key]
-    ratios = np.where(sups > 0, hi * lams, 0.0) / denom
-    top = ratios.max()
-    norm = 0.0 if top == 0.0 else float((np.sum((ratios / top) ** space.r) * cellvol) ** (1.0 / space.r) * top)
+    norm = _slice_outer_norm(np.where(sups > 0, hi * lams, 0.0) / denom, space.r, cellvol, e)
     return norm, steps, steps * len(lams)
 
 
@@ -587,16 +628,17 @@ def test_luxemburg_norms_match_the_plain_bisections_bitwise(n, seed):
 
 def _weighted_reference(f, space):
     """WeightedLebesgue.norm as one whole-array sum, as before the row-batched norms."""
-    weighted = np.abs(f.values) ** space.p * space.weight.array
-    return float((np.sum(weighted) * f.grid.cell_volume) ** (1.0 / space.p))
+    mag, e = _unit_magnitude(f)
+    weighted = mag**space.p * space.weight.array
+    return math.ldexp(float((np.sum(weighted) * f.grid.cell_volume) ** (1.0 / space.p)), e)
 
 
 def _mixed_reference(f, space):
     """MixedNorm.norm axis by axis on one array, as before the row-batched norms."""
-    work = np.abs(f.values)
+    work, e = _unit_magnitude(f)
     for p in space.exponents:
         work = work.max(axis=0) if math.isinf(p) else (np.sum(work**p, axis=0) * f.grid.spacing) ** (1.0 / p)
-    return float(work)
+    return math.ldexp(float(work), e)
 
 
 def _one_input_reference(f, space):
@@ -843,7 +885,7 @@ def test_luxemburg_norms_of_a_bump_over_decimal_amplitudes(which, n, exponent):
     c = 10.0**exponent
     value = _luxemburg_norm_of(which, f)
     with np.errstate(all="raise", under="ignore"):
-        assert _luxemburg_norm_of(which, SampledFunction(grid, c * f.values)) == pytest.approx(c * value, rel=1e-14)
+        assert _luxemburg_norm_of(which, SampledFunction(grid, c * f.values)) == pytest.approx(c * value, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
