@@ -525,27 +525,16 @@ def check_molecule(
     grid = m.func.grid
     dist = grid.torus_distance_to(m.ball.center)
     norm_1b = space_norm(ball_indicator(grid, m.ball), space)
-    lhs_list, rhs_list = [], []
-    j = 0
-    while m.ball.radius * 2.0**j <= grid.half_width:
-        if j == 0:
-            shell = dist < m.ball.radius
-            measure = ball_volume(m.ball.radius, grid.dim)
-        else:
-            r_hi = m.ball.radius * 2.0**j
-            r_lo = m.ball.radius * 2.0 ** (j - 1)
-            shell = (dist >= r_lo) & (dist < r_hi)
-            measure = ball_volume(r_hi, grid.dim) - ball_volume(r_lo, grid.dim)
-        vals = np.where(shell, np.abs(m.func.values), 0.0)
-        if math.isinf(m.q):
-            lhs = float(vals.max())
-            rhs = 2.0 ** (-j * m.epsilon) / norm_1b
-        else:
-            lhs = float((np.sum(vals**m.q) * grid.cell_volume) ** (1.0 / m.q))
-            rhs = 2.0 ** (-j * m.epsilon) * measure ** (1.0 / m.q) / norm_1b
-        lhs_list.append(lhs)
-        rhs_list.append(rhs)
-        j += 1
+    shells, measures = [], []
+    r_lo, r_hi = 0.0, m.ball.radius  # shell j is r 2^(j-1) <= dist < r 2^j, the ball at j = 0
+    while r_hi <= grid.half_width:
+        shells.append((dist >= r_lo) & (dist < r_hi))
+        measures.append(ball_volume(r_hi, grid.dim) - ball_volume(r_lo, grid.dim))
+        r_lo, r_hi = r_hi, 2.0 * r_hi
+    vals = np.where(np.stack(shells), np.abs(m.func.values), 0.0)
+    lhs_list = [float(row.max()) for row in vals] if math.isinf(m.q) else space_norms(grid, vals, Lebesgue(m.q))
+    # measure ** (1 / q) is 1.0 at q = inf
+    rhs_list = [2.0 ** (-j * m.epsilon) * measure ** (1.0 / m.q) / norm_1b for j, measure in enumerate(measures)]
     l1 = float(np.sum(np.abs(m.func.values)) * grid.cell_volume)
     mean = abs(complex(np.sum(m.func.values) * grid.cell_volume))
     mean_slack = mean / l1 if l1 > 0 else 0.0

@@ -255,9 +255,6 @@ class SampledFunction:
     def abs(self) -> np.ndarray:
         return np.abs(self.values)
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
-
 
 def _checked_field_values(field, lead: int) -> np.ndarray:
     """The read-only values (``real_or_complex``) of a field (``lead=0``) or

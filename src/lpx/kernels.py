@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BandCoverageError, DegenerateKernel, DualRangeTooSmall
-from .grid import GridSpec, SampledFunction, ScaleGrid
+from .grid import GridSpec, SampledFunction, ScaleGrid, scale_to_unit_rows
 
 __all__ = [
     "KernelKind",
@@ -258,7 +258,9 @@ def reproduce(f: SampledFunction, pair: ReproducingPair, scales: ScaleGrid | Non
         pair = ReproducingPair(pair.phi, pair.psi, scales, pair.normalization_check, pair.support)
     cov = band_coverage(pair)
     spectrum = np.fft.fftn(f.values)
-    power = np.abs(spectrum) ** 2
+    power = np.abs(spectrum)
+    scale_to_unit_rows(power[None])  # the ratio below is of degree 0
+    power **= 2
     total = float(power.sum())
     if total > 0.0:
         uncovered = float(power[cov < COVERAGE_MIN].sum())

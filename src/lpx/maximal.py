@@ -9,8 +9,10 @@ sup|f| and makes the power inequality for ball means exact.
 
 ``hl_maximal`` runs on |f| divided by the power of two of its max
 (``grid.scale_to_unit_rows``) and scales back, so it is positively
-homogeneous over the whole float range.  Its ball max is one path in 1-D and
-2-D: each first-axis row of a torus ball is one symmetric run of cells, so
+homogeneous over the whole float range; ``powered_maximal`` takes its power
+of |f| so scaled, and ``fs_vector_check`` scales its whole family by one
+power of two.  The ball max of ``hl_maximal`` is one path in 1-D and 2-D:
+each first-axis row of a torus ball is one symmetric run of cells, so
 ``BallFamily.ball_filter`` takes a running max per row width and reads it at
 each row's offset.
 """
@@ -207,12 +209,13 @@ def hl_maximal(f: SampledFunction, balls: BallFamily | None = None) -> SampledFu
 
 
 def powered_maximal(f: SampledFunction, theta: float, balls: BallFamily | None = None) -> SampledFunction:
-    """Composition {M(|f|^theta)}^(1/theta)."""
+    """Composition {M(|f|^theta)}^(1/theta) of |f| scaled to unit max, scaled back."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    powered = SampledFunction(f.grid, np.abs(f.values) ** theta)
-    m = hl_maximal(powered, balls)
-    return SampledFunction(f.grid, m.values ** (1.0 / theta))
+    mag = np.abs(f.values)
+    e = scale_to_unit_rows(mag[None])[0]
+    m = hl_maximal(SampledFunction(f.grid, mag**theta), balls)
+    return SampledFunction(f.grid, np.ldexp(m.values ** (1.0 / theta), e))
 
 
 def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> SampledFunction:
@@ -289,7 +292,9 @@ def fs_vector_check(
     """Ratio of the l^s-aggregated powered maximal family to the plain family.
 
     Finiteness of this ratio across families is the vector-valued boundedness
-    the whole theory rests on; the harness records it empirically.
+    the whole theory rests on; the harness records it empirically.  The ratio
+    is of degree 0, so it is taken of the family divided by the power of two
+    of its max (``grid.scale_to_unit_rows`` on the family as one row).
     """
     from .spaces import space_norm
 
@@ -298,12 +303,14 @@ def fs_vector_check(
     if s <= 0:
         raise ValueError("s must be positive")
     grid = fs[0].grid
+    mags = np.abs(np.stack([f.values for f in fs]))
+    scale_to_unit_rows(mags[None])
     num = np.zeros(grid.shape)
     den = np.zeros(grid.shape)
-    for f in fs:
-        m = powered_maximal(f, theta, balls)
+    for mag in mags:
+        m = powered_maximal(SampledFunction(grid, mag), theta, balls)
         num += m.values ** s
-        den += np.abs(f.values) ** s
+        den += mag**s
     num_f = SampledFunction(grid, num ** (1.0 / s))
     den_f = SampledFunction(grid, den ** (1.0 / s))
     denom = space_norm(den_f, space)

@@ -18,13 +18,15 @@ p * 1e-13 for a type or exponent p, against summation rounding of a few
 ulps, so a very small p could let the replay differ from the plain loop in
 the last bits.
 
-Every descriptor takes its norms row-batched: ``norms(grid, mag)`` returns
-the norm of every row of a finite non-negative ``(rows,) + grid.shape``
-stack, each bitwise what that row gives alone.  No descriptor scales by
-itself: ``space_norms``, ``norm(f)`` (its one-row case) and
-``orlicz_norm`` take the norms of each row divided by the power of two of
-its max and scale them back (``_unit_row_norms``), so every norm is
-homogeneous over the whole float range.  ``Morrey`` takes the ball sums of
+A descriptor implements only its row-batched norms: ``norms(grid, mag)``
+returns the norm of every row of a finite non-negative ``(rows,) +
+grid.shape`` stack, each bitwise what that row gives alone.  ``space_norms``
+is the one entry to them (``space_norm`` is its one-row case), and no
+descriptor scales by itself: ``space_norms``, ``convexify_norm`` (which takes
+its power of the scaled rows) and ``orlicz_norm`` (a Luxemburg norm with no
+descriptor) take the norms of each row divided by the power of two of its
+max and scale them back (``_unit_row_norms``), so every norm is homogeneous
+over the whole float range.  ``Morrey`` takes the ball sums of
 a step's rows in one ``BallFamily.ball_sums`` call, and ``OrliczSlice`` the
 windows of a step's rows, or of a slab of one row, in one certified
 bisection; a step holds as many rows as keep it within ``NORM_CHUNK``
@@ -398,16 +400,8 @@ def _read_csv_on(grid: GridSpec, path: str, what: str) -> SampledFunction:
 # ``json_keys``.
 
 
-class _RowNormed:
-    """``norm`` as the one-row case of the descriptor's ``norms(grid, mag)``,
-    on |f| scaled to unit max (``_unit_row_norms``)."""
-
-    def norm(self, f: SampledFunction) -> float:
-        return _unit_row_norms(np.abs(f.values)[None], functools.partial(self.norms, f.grid))[0]
-
-
 @dataclass(frozen=True)
-class Lebesgue(_RowNormed):
+class Lebesgue:
     p: float
 
     tag: ClassVar[str] = "lebesgue"
@@ -432,7 +426,7 @@ class Lebesgue(_RowNormed):
 
 
 @dataclass(frozen=True)
-class WeightedLebesgue(_RowNormed):
+class WeightedLebesgue:
     p: float
     weight: Weight
     q_omega: float | None = None  # critical Muckenhoupt exponent, if known
@@ -468,7 +462,7 @@ class WeightedLebesgue(_RowNormed):
 
 
 @dataclass(frozen=True)
-class Morrey(_RowNormed):
+class Morrey:
     p: float
     r: float
     family: BallFamily | None = None
@@ -513,7 +507,7 @@ class Morrey(_RowNormed):
 
 
 @dataclass(frozen=True)
-class MixedNorm(_RowNormed):
+class MixedNorm:
     exponents: tuple[float, ...]
 
     tag: ClassVar[str] = "mixed"
@@ -550,7 +544,7 @@ class MixedNorm(_RowNormed):
 
 
 @dataclass(frozen=True)
-class VariableLebesgue(_RowNormed):
+class VariableLebesgue:
     exponent: ExponentFunction
 
     tag: ClassVar[str] = "variable"
@@ -628,7 +622,7 @@ def _window_norms(phi: OrliczFunction, cellvol: float, windows: np.ndarray) -> n
 
 
 @dataclass(frozen=True)
-class OrliczSlice(_RowNormed):
+class OrliczSlice:
     phi: OrliczFunction
     r: float
     slice_t: float
@@ -685,8 +679,9 @@ SPACES = {cls.tag: cls for cls in (Lebesgue, WeightedLebesgue, Morrey, MixedNorm
 
 
 def space_norm(f: SampledFunction, space: SpaceDescriptor) -> float:
-    """Norm of f in the given space; 0 iff f vanishes on the grid."""
-    return space.norm(f)
+    """Norm of f in the given space; 0 iff f vanishes on the grid.  The
+    one-row case of ``space_norms``."""
+    return space_norms(f.grid, f.values[None], space)[0]
 
 
 def space_norms(grid: GridSpec, values: np.ndarray, space: SpaceDescriptor) -> list[float]:
@@ -705,11 +700,12 @@ def space_norms(grid: GridSpec, values: np.ndarray, space: SpaceDescriptor) -> l
 
 
 def convexify_norm(f: SampledFunction, space: SpaceDescriptor, p: float) -> float:
-    """Norm of |f|^p in the space, to the 1/p power."""
+    """Norm of |f|^p in the space, to the 1/p power: the p-th power and the
+    root of |f| scaled to unit max (``_unit_row_norms``)."""
     if p <= 0:
         raise ValueError("p must be positive")
-    powered = SampledFunction(f.grid, np.abs(f.values) ** p)
-    return space_norm(powered, space) ** (1.0 / p)
+    return _unit_row_norms(np.abs(f.values)[None],
+                           lambda unit: [norm ** (1.0 / p) for norm in space.norms(f.grid, unit**p)])[0]
 
 
 def descriptor_from_json(cfg: dict, grid: GridSpec) -> SpaceDescriptor:

@@ -189,7 +189,7 @@ def _per_trial_equivalence(space, kernel_kind, trials, grid, scales, seed):
         F = build_field(f, plan)
         s_fn = lusin_area(F)
         gs_fn = g_lambda_star(F, lam)
-        dom_ok = bool(np.all(s_fn.values.real <= dom_factor * gs_fn.values.real * (1 + 1e-12) + 1e-300))
+        dom_ok = bool(np.all(s_fn.values.real <= dom_factor * gs_fn.values.real * (1 + 1e-12)))
         rows.append((hardy_norm(f, space, psi_plan), space_norm(s_fn, space), space_norm(g_function(F), space),
                      space_norm(gs_fn, space), dom_ok))
     return harness._equivalence_report(space, kernel_kind, seed, lam, rows)

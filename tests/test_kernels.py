@@ -17,6 +17,7 @@ from lpx.kernels import (
     weak_profile,
     write_kernel_csv,
 )
+from lpx.spaces import Lebesgue, space_norm
 from lpx.transforms import spatial_kernel
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=512)
@@ -136,24 +137,31 @@ def test_companion_degenerate_when_band_missed():
         calderon_companion(phi, off_band)
 
 
+# the coverage check squares the spectrum's magnitudes scaled to unit max:
+# unscaled, they overflowed at 1e300 and all underflowed at 1e-300, which let
+# any input through
+AMPLITUDES = (1.0, 1e-300, 1e300)
+
+
 def test_reproduce_pure_frequency():
     phi = build_annular_kernel(GRID)
     pair = calderon_companion(phi, SCALES)
-    f = pure_frequency(GRID, [48])  # |xi| = 48/16 = 3
-    g = reproduce(f, pair)
-    err = (g - f).l2_norm() / f.l2_norm()
-    assert err <= 1e-2
     # Fourier-side scalar oracle at |xi| = 3
     ts = SCALES.scales
     factor = float(np.sum(phi.profile(3 * ts) * pair.psi.profile(3 * ts)) * SCALES.log_weight)
-    assert err == pytest.approx(abs(factor - 1.0), abs=1e-12)
+    for amplitude in AMPLITUDES:
+        f = amplitude * pure_frequency(GRID, [48])  # |xi| = 48/16 = 3
+        g = reproduce(f, pair)
+        err = space_norm(g - f, Lebesgue(2.0)) / space_norm(f, Lebesgue(2.0))
+        assert err <= 1e-2
+        assert err == pytest.approx(abs(factor - 1.0), abs=1e-12)
 
 
 def test_reproduce_zero_and_linearity():
     phi = build_annular_kernel(GRID)
     pair = calderon_companion(phi, SCALES)
     zero = SampledFunction(GRID, np.zeros(512))
-    assert reproduce(zero, pair).l2_norm() == 0.0
+    assert space_norm(reproduce(zero, pair), Lebesgue(2.0)) == 0.0
     f1 = pure_frequency(GRID, [40])
     f2 = pure_frequency(GRID, [56])
     lhs = reproduce(f1 + f2, pair)
@@ -165,9 +173,10 @@ def test_reproduce_rejects_uncovered_band():
     phi = build_annular_kernel(GRID)
     narrow = ScaleGrid(t_min=0.25, t_max=1.0, steps_per_octave=8)
     pair = calderon_companion(phi, SCALES)
-    f = pure_frequency(GRID, [1])  # |xi| = 1/16, needs t up to 16 to be seen
-    with pytest.raises(BandCoverageError):
-        reproduce(f, pair, scales=narrow)
+    for amplitude in AMPLITUDES:
+        f = amplitude * pure_frequency(GRID, [1])  # |xi| = 1/16, needs t up to 16 to be seen
+        with pytest.raises(BandCoverageError):
+            reproduce(f, pair, scales=narrow)
 
 
 def test_band_coverage_flat_inside_band():

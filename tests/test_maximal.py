@@ -21,7 +21,9 @@ from lpx.maximal import (
     powered_maximal,
 )
 from lpx import maximal
+from lpx.harness import trial_function
 from lpx.spaces import Lebesgue
+from lpx.squarefuncs import g_function, g_lambda_star, lusin_area
 from lpx.transforms import build_field, build_plan, correlate, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
@@ -332,6 +334,42 @@ def test_hardy_norm_comparable_to_area_norm(pair, psi_plan):
     h = hardy_norm(f, Lebesgue(2.0), psi_plan)
     s = space_norm(lusin_area(build_field(f, plan)), Lebesgue(2.0))
     assert 0.25 <= h / s <= 4.0
+
+
+# (grid, scales, shift in cells per axis); 2-D runs random inputs on N=32 to
+# keep the test cheap
+SHIFT_CASES = {
+    "1d-64": (GridSpec(dim=1, half_width=2.0, points_per_axis=64), ScaleGrid(1 / 16, 16.0, 8), (17,)),
+    "2d-32": (GridSpec(dim=2, half_width=1.0, points_per_axis=32), ScaleGrid(1 / 16, 16.0, 8), (3, -5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHIFT_CASES))
+def test_operators_commute_with_grid_shifts(case):
+    # translation equivariance on the torus: every operator of a rolled input
+    # is the rolled operator, up to the rounding of its sums
+    grid, scales, shift = SHIFT_CASES[case]
+    kernel = build_annular_kernel(grid)
+    plan = build_plan(kernel, scales)
+    psi_plan = build_plan(calderon_companion(kernel, scales).psi, scales)
+    operators = {
+        "S": lambda f: lusin_area(build_field(f, plan)).values,
+        "g": lambda f: g_function(build_field(f, plan)).values,
+        "gstar": lambda f: g_lambda_star(build_field(f, plan), 2.0).values,
+        "hl_maximal": lambda f: hl_maximal(f).values,
+        "peetre": lambda f: peetre_maximal(f, 4.0, plan=psi_plan).values,
+    }
+    if grid.dim == 1:
+        inputs = [trial_function(0, i, grid) for i in range(4)]
+    else:
+        rng = np.random.default_rng(32)
+        inputs = [SampledFunction(grid, rng.normal(size=grid.shape)) for _ in range(2)]
+    axes = tuple(range(grid.dim))
+    for f in inputs:
+        moved = SampledFunction(grid, np.roll(f.values, shift, axis=axes))
+        for name, op in operators.items():
+            want = np.roll(op(f), shift, axis=axes)
+            assert np.max(np.abs(op(moved) - want)) <= 1e-13 * np.max(want), name
 
 
 def test_default_peetre_exponent():

@@ -295,22 +295,34 @@ def _unit_sized_function(grid, seed):
     return SampledFunction(grid, (0.25 + rng.random(grid.shape)) * phase)
 
 
-# every space descriptor and hl_maximal: a float p is Lebesgue(p), a name one
-# of criterion 5's spaces or a Morrey space; Morrey(2, 2) and Morrey(3, 1.5)
-# are here because their unscaled |f|^r leaves the float range at amplitudes
-# where criterion 5's Morrey(2, 1) stays inside it
+# every space descriptor, the convexified norm, the maximal operators and the
+# Fefferman-Stein ratio: a float p is Lebesgue(p), a name one of criterion 5's
+# spaces or a Morrey space; Morrey(2, 2) and Morrey(3, 1.5) are here because
+# their unscaled |f|^r leaves the float range at amplitudes where criterion
+# 5's Morrey(2, 1) stays inside it
 HOMOGENEOUS = [1.0, 1.5, 2.0, 4.0, "weighted", "mixed", "variable", "orlicz_slice", "morrey",
-               "morrey(2,2)", "morrey(3,1.5)", "hl_maximal"]
+               "morrey(2,2)", "morrey(3,1.5)", "hl_maximal", "convexify(lebesgue2,2)",
+               "convexify(morrey,1.5)", "powered_maximal(2)", "powered_maximal(0.7)", "fs_vector_check"]
+DEGREE = {"fs_vector_check": 0}  # of homogeneity; 1 for every other operator
 
 
 @functools.lru_cache(maxsize=None)
 def _homogeneous_operator(which, grid):
     """The operator ``which`` of ``HOMOGENEOUS`` on the grid, as a function of f."""
     from lpx.harness import five_spaces
-    from lpx.maximal import hl_maximal
+    from lpx.maximal import fs_vector_check, hl_maximal, powered_maximal
 
-    if which == "hl_maximal":
-        return lambda f: hl_maximal(f).values
+    operators = {
+        "hl_maximal": lambda f: hl_maximal(f).values,
+        "convexify(lebesgue2,2)": lambda f: convexify_norm(f, Lebesgue(2.0), 2.0),
+        "convexify(morrey,1.5)": lambda f: convexify_norm(f, Morrey(2.0, 1.0), 1.5),
+        "powered_maximal(2)": lambda f: powered_maximal(f, 2.0).values,
+        "powered_maximal(0.7)": lambda f: powered_maximal(f, 0.7).values,
+        "fs_vector_check": lambda f: fs_vector_check([f, SampledFunction(grid, np.roll(f.values, 5))],
+                                                     0.7, 2.0, Lebesgue(2.0)),
+    }
+    if which in operators:
+        return operators[which]
     space = Lebesgue(which) if isinstance(which, float) else {
         "morrey(2,2)": Morrey(2.0, 2.0), "morrey(3,1.5)": Morrey(3.0, 1.5)}.get(which) or five_spaces(grid)[which]
     return functools.partial(space_norm, space=space)
@@ -331,7 +343,7 @@ def test_lebesgue_norm_exactly_homogeneous_over_the_float_range(which, k, seed):
     c = 2.0**k
     operator = _homogeneous_operator(which, grid)
     with np.errstate(all="raise", under="ignore"):
-        assert np.array_equal(operator(c * f), c * operator(f))
+        assert np.array_equal(operator(c * f), c ** DEGREE.get(which, 1) * operator(f))
 
 
 @pytest.mark.parametrize("which", HOMOGENEOUS)
@@ -348,7 +360,7 @@ def test_lebesgue_norm_of_a_bump_over_decimal_amplitudes(which, exponent):
     operator = _homogeneous_operator(which, grid)
     value = operator(f)
     with np.errstate(all="raise", under="ignore"):
-        assert operator(c * f) == pytest.approx(c * value, rel=1e-14, abs=0.0)
+        assert operator(c * f) == pytest.approx(c ** DEGREE.get(which, 1) * value, rel=1e-14, abs=0.0)
 
 
 def _lebesgue_norm_reference(f, p):
@@ -377,7 +389,7 @@ def test_lebesgue_row_norms_match_whole_array_reference_bitwise(dim, n):
     for p, norms in zip(ps, batched):
         funcs = [SampledFunction(grid, row.reshape(grid.shape)) for row in rows]
         assert norms == [_lebesgue_norm_reference(f, p) for f in funcs]
-        assert norms == [Lebesgue(p).norm(f) for f in funcs]
+        assert norms == [space_norm(f, Lebesgue(p)) for f in funcs]
         assert norms == space_norms(grid, rows.reshape((-1,) + grid.shape), Lebesgue(p))
     assert batched[1][2] == 0.0 and batched[1][5] == math.inf
 
@@ -450,7 +462,7 @@ def test_orlicz_slice_early_stop_matches_80_step_bisection_bitwise():
     for trial in range(8):
         f = trial_function(505, trial, small)
         modular_steps.clear()
-        assert counting.norm(f) == fixed_iteration_orlicz_slice_norm(f, space)
+        assert space_norm(f, counting) == fixed_iteration_orlicz_slice_norm(f, space)
         # the criterion-5 trials reach the fixed point well before the cap
         assert len(modular_steps) < 80
     # the subnormal tails and extreme amplitudes of the test above
@@ -621,8 +633,8 @@ def test_luxemburg_norms_match_the_plain_bisections_bitwise(n, seed):
             g = SampledFunction(f.grid, c * f.values)
             mag = np.abs(g.values)
             cellvol = g.grid.cell_volume
-            assert slice_space.norm(g) == _orlicz_slice_reference(g, slice_space)[0]
-            assert variable.norm(g) == _luxemburg_norm_reference(mag, cellvol, _variable_density(variable, mag))[0]
+            assert space_norm(g, slice_space) == _orlicz_slice_reference(g, slice_space)[0]
+            assert space_norm(g, variable) == _luxemburg_norm_reference(mag, cellvol, _variable_density(variable, mag))[0]
             assert orlicz_norm(g, phi) == _luxemburg_norm_reference(mag, cellvol, phi.evaluator)[0]
 
 
@@ -749,7 +761,7 @@ def test_certified_replay_evaluation_counts_on_criterion5_inputs():
     for f in inputs:
         plain_rows = _orlicz_slice_reference(f, spaces["orlicz_slice"])[2]
         counter.rows = counter.scalar = 0
-        slice_space.norm(f)
+        space_norm(f, slice_space)
         assert counter.rows <= 0.4 * plain_rows
         assert counter.scalar <= 12  # the denominator's inverse
         counter.scalar = 0
@@ -776,12 +788,12 @@ def test_orlicz_slice_denominator_is_solved_once_per_grid():
     for trial in range(3):
         f = trial_function(7, trial, grid)
         counter.scalar = 0
-        assert counting.norm(f) == fixed_iteration_orlicz_slice_norm(f, space)
+        assert space_norm(f, counting) == fixed_iteration_orlicz_slice_norm(f, space)
         assert (counter.scalar > 0) == (trial == 0)  # the first norm solves the denominator
     finer = GridSpec(dim=1, half_width=2.0, points_per_axis=128)
     counter.scalar = 0
     f = trial_function(7, 0, finer)
-    assert counting.norm(f) == fixed_iteration_orlicz_slice_norm(f, space)
+    assert space_norm(f, counting) == fixed_iteration_orlicz_slice_norm(f, space)
     assert counter.scalar > 0
 
 
@@ -803,14 +815,14 @@ def test_uncertified_replay_is_the_plain_bisection(monkeypatch):
         cellvol = f.grid.cell_volume
         norm, steps, _ = _orlicz_slice_reference(f, reference_space)
         counter.windowed = 0
-        assert slice_space.norm(f) == norm
+        assert space_norm(f, slice_space) == norm
         assert counter.windowed == steps + 1
         counter.scalar = 0
         norm, calls = _luxemburg_norm_reference(mag, cellvol, reference_space.phi.evaluator)
         assert orlicz_norm(f, phi) == norm
         assert calls < counter.scalar <= calls + 2
         norm, calls = _luxemburg_norm_reference(mag, cellvol, _variable_density(variable, mag))
-        assert variable.norm(f) == norm
+        assert space_norm(f, variable) == norm
         density = _Counted(_variable_density(variable, mag))
         spaces_mod._luxemburg_norm(mag, cellvol, density)
         assert calls < density.scalar <= calls + 2
@@ -836,9 +848,9 @@ def test_a_wrong_root_estimate_fails_its_certificate(monkeypatch):
         cellvol = f.grid.cell_volume
         norm, steps, _ = _orlicz_slice_reference(f, slice_space)
         counter.windowed = 0
-        assert counted_slice.norm(f) == norm
+        assert space_norm(f, counted_slice) == norm
         assert counter.windowed >= steps
-        assert variable.norm(f) == _luxemburg_norm_reference(mag, cellvol, _variable_density(variable, mag))[0]
+        assert space_norm(f, variable) == _luxemburg_norm_reference(mag, cellvol, _variable_density(variable, mag))[0]
         assert orlicz_norm(f, slice_space.phi) == _luxemburg_norm_reference(mag, cellvol, slice_space.phi.evaluator)[0]
     for y in np.logspace(-20, 20, 9):
         assert slice_space.phi.inverse(y) == _inverse_reference(slice_space.phi, y)[0]
@@ -848,7 +860,7 @@ def _luxemburg_norm_of(which, f):
     from lpx.harness import FIVE_SPACES
 
     if which == "variable":
-        return descriptor_from_json(FIVE_SPACES["variable"], f.grid).norm(f)
+        return space_norm(f, descriptor_from_json(FIVE_SPACES["variable"], f.grid))
     return orlicz_norm(f, descriptor_from_json(FIVE_SPACES["orlicz_slice"], f.grid).phi)
 
 
