@@ -9,11 +9,13 @@ the tent-atom size inequality for every requested integrability exponent.
 
 The pieces' cone functionals run as one batched pass
 (``squarefuncs.tent_functionals``): only the live (piece, scale) rows are
-stacked, ``squarefuncs.SCALE_SUM_CHUNK`` rows per correlation, so no
-pieces x cells x scales array is built.  Each level tests every doubled ball
-in one correlation against the cached ``ball_spectra``, then walks the inside
-centres once, by the largest radius whose doubled ball fits, rather than
-once per radius; a claimed ball marks its cells through its offset list.
+stacked, whole pieces up to ``squarefuncs.SCALE_SUM_CHUNK`` rows per batch,
+and each piece's scales are summed in frequency space before one inverse
+FFT, so no pieces x cells x scales array is built.  Each level tests every
+doubled ball in one correlation against the cached ``ball_spectra``, then
+walks the inside centres once, by the largest radius whose doubled ball
+fits, rather than once per radius; a claimed ball marks its cells through
+its offset list.
 The pieces are then sized in one pass: their balls from one gather of their
 own cells' torus distances, their L^p sizes from one row-batched reduction
 (``spaces.space_norms`` per exponent).  The balls' indicator norms
@@ -63,7 +65,13 @@ __all__ = [
     "default_molecule_decay",
 ]
 
-MAX_LEVELS = 80
+# dyadic levels of the area kept below its max.  The area is the root of an
+# FFT scale sum, whose round-off leaves about 2^-26 of the area's max where
+# the area is 0 (sqrt of the double epsilon; measured 2^-26.5 to 2^-27.8 on
+# 1-D N=64 to 1024 and 2-D N=16 to 64).  Level sets further down would follow
+# that round-off, so the lowest level stays 16 times above it and support
+# cells below every level become stray pieces.
+MAX_LEVELS = 22
 
 
 class Ball(NamedTuple):

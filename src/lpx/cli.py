@@ -186,6 +186,8 @@ def cmd_kernel(cfg: dict, out_dir: Path) -> int:
         "kind": cfg["kernel"],
         "normalization_check": pair.normalization_check,
         "support": list(pair.support),
+        # true when the coarsest dilated kernel reaches past the lowest dual band and wraps around the box
+        "wraparound_warning": build_plan(kernel, scales).wraparound_warning,
     }
     (out_dir / "kernel.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"kernel written to {out_dir} (normalization {pair.normalization_check:.6f})")

@@ -42,7 +42,7 @@ from .kernels import Kernel, build_kernel, calderon_companion
 from .maximal import BallFamily, default_peetre_exponent, hl_maximal, peetre_maximals
 from .spaces import SpaceDescriptor, Weight, WeightedLebesgue, descriptor_from_json, space_norms
 from .squarefuncs import g_functions, g_lambda_stars, tent_functionals
-from .transforms import build_fields, build_plan, convolve_at_scale
+from .transforms import apply_multiplier, build_fields, build_plan
 
 __all__ = [
     "ExperimentReport",
@@ -391,10 +391,8 @@ def vanish_at_infinity_check(
     """
     if any(a >= b for a, b in zip(t_probe, t_probe[1:])):
         raise ValueError("probe scales must increase")
-    sups = []
-    for t in t_probe:
-        out = convolve_at_scale(f, phi, t)
-        sups.append(float(np.max(np.abs(out.values))))
+    probes = apply_multiplier(f.values, np.stack([phi.multiplier(t) for t in t_probe]), f.grid.dim)
+    sups = np.max(np.abs(probes).reshape(len(t_probe), -1), axis=1).tolist()
     floor = 1e-14 * max(float(np.max(np.abs(f.values))), 1e-300)
     peak = int(np.argmax(sups))
     tail_monotone = all(

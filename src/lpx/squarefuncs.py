@@ -7,8 +7,10 @@ dy dt / t^(n+1) realized as cell_volume * ln2/J * t_k^(-n) per cell, with the
 torus distance deciding cone membership.  Per scale, the sums over y are
 circular correlations of |F|^2 with a kernel that depends only on the grid,
 the scale and the aperture or lambda; the spectra of those kernels are cached
-(``ball_spectra``, ``cone_spectra``, ``gstar_spectra``) and all scales run as
-one batched ``transforms.correlate``.  The plural forms (``tent_functionals``,
+(``ball_spectra``, ``cone_spectra``, ``gstar_spectra``).  The sum over scales
+runs in frequency space: each scale's spectrum of |F|^2 times its weighted
+kernel spectrum, summed over the scales, then one inverse FFT per field or
+piece (``_scale_sum``).  The plural forms (``tent_functionals``,
 ``g_functions``, ``g_lambda_stars``) take a ``FieldStack``
 (``transforms.build_fields``) or one ``HalfSpaceField``, real or complex, and
 return one real row per field, each bitwise the one-field value; the singular
@@ -21,13 +23,13 @@ square functions are positively homogeneous over the whole float range.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import LambdaTooSmall
 from .grid import FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows
-from .transforms import correlate, spectrum
+from .transforms import inverse_spectrum, spectrum
 
 __all__ = ["tent_functional", "tent_functionals", "lusin_area", "g_function", "g_functions", "g_lambda_star",
            "g_lambda_stars", "ball_spectra", "cone_spectra", "gstar_spectra"]
@@ -35,8 +37,10 @@ __all__ = ["tent_functional", "tent_functionals", "lusin_area", "g_function", "g
 # kernel spectra kept per (grid, radii) or (grid, scales, aperture or lambda);
 # a 2-D N=64 table over 64 scales is 2.2 MB
 SPECTRA_CACHE_SIZE = 8
-# (piece or field, scale) rows per batched correlation of ``_scale_sum``;
-# bounds its temporaries (a 2-D N=64 chunk of rows is 8 MB)
+# (piece or field, scale) rows per batch of ``_scale_sum``: a batch holds
+# whole pieces (or fields), as many as fit, and at least one, so its
+# temporaries stay within max(SCALE_SUM_CHUNK, K) rows (a 2-D N=64 chunk of
+# rows is 8 MB)
 SCALE_SUM_CHUNK = 256
 
 
@@ -76,6 +80,19 @@ def _unit_powers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.square(mag, out=mag), exps
 
 
+def _batches(owner: np.ndarray) -> Iterator[list[int]]:
+    """``_scale_sum``'s batches, given each live row's piece (piece-major,
+    then scale): per batch, the row offsets where its pieces start, then its
+    end.  A batch holds whole pieces, as many as fit ``SCALE_SUM_CHUNK`` rows,
+    and at least one."""
+    bounds = np.append(np.flatnonzero(np.diff(owner, prepend=-1)), len(owner))
+    first = 0
+    while first < len(bounds) - 1:
+        last = max(int(np.searchsorted(bounds, bounds[first] + SCALE_SUM_CHUNK, side="right")) - 1, first + 1)
+        yield bounds[first:last + 1].tolist()
+        first = last
+
+
 def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray, live: np.ndarray | bool, weights,
                pieces: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """sqrt(sum_k weights[k] * (|P(., t_k)|^2 correlated with kernel k)) for each piece P.
@@ -84,14 +101,15 @@ def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray, live: np.ndarr
     is one piece; otherwise F is one field and piece i is F on the cells
     ``pieces[i]`` (flat indices into ``grid.shape + (K,)``) and zero
     elsewhere.  A (piece, scale) row whose kernel is empty or whose slice is
-    zero adds exactly zero and is skipped.  The rest, piece by piece in scale
-    order, are correlated ``SCALE_SUM_CHUNK`` rows at a time and summed per
-    piece in scale order, so each piece's sum is bitwise what a call on that
-    piece alone gives.  Returns one row per piece, shaped
-    ``(pieces,) + grid.shape``.
+    zero adds exactly zero and is skipped.  The sum runs in frequency space:
+    each live row's spectrum times its kernel spectrum times its weight,
+    summed per piece left to right in scale order, then one inverse FFT per
+    piece.  A batch holds whole pieces (``_batches``), so each piece's sum is
+    bitwise what a call on that piece alone gives.  Returns one row per
+    piece, shaped ``(pieces,) + grid.shape``.
     """
     grid = F.grid
-    weights = np.asarray(weights)
+    weighted = table * np.asarray(weights).reshape((-1,) + (1,) * grid.dim)
     field_power, exps = _unit_powers(F.stack)
     k_count = field_power.shape[-1]
     power = np.moveaxis(field_power.reshape(len(field_power), grid.size, k_count), -1, 1)
@@ -123,12 +141,14 @@ def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray, live: np.ndarr
             return block.reshape((hi - lo,) + grid.shape)
 
     acc = np.zeros((count,) + grid.shape)
-    for lo in range(0, len(scale), SCALE_SUM_CHUNK):
-        hi = min(lo + SCALE_SUM_CHUNK, len(scale))
-        corr = correlate(rows(lo, hi), table[scale[lo:hi]], grid.dim)
-        corr *= weights[scale[lo:hi]].reshape((-1,) + (1,) * grid.dim)
-        for i, r in zip(owner[lo:hi].tolist(), corr):
-            acc[i] += r
+    for edges in _batches(owner):
+        lo, hi = edges[0], edges[-1]
+        products = spectrum(rows(lo, hi), grid.dim)
+        products *= weighted[scale[lo:hi]]
+        summed = np.empty((len(edges) - 1,) + products.shape[1:], dtype=products.dtype)
+        for j, (s, e) in enumerate(zip(edges, edges[1:])):  # each piece's own rows, left to right
+            np.add.reduce(products[s - lo:e - lo], axis=0, out=summed[j])
+        acc[owner[edges[:-1]]] = inverse_spectrum(summed, grid.shape)
     np.maximum(acc, 0.0, out=acc)
     np.sqrt(acc, out=acc)
     return np.ldexp(acc, exps.reshape((-1,) + (1,) * grid.dim), out=acc)

@@ -6,6 +6,9 @@ The multipliers are real and even, so ``apply_multiplier`` runs each as the
 real FFT correlation ``correlate`` of the real rows of its input.  A field
 costs one forward real FFT and one inverse batched over every scale; a stack
 of fields (``build_fields``) costs the same two, batched over the inputs too.
+``spectrum`` and ``inverse_spectrum`` are the one real FFT pair: ``correlate``
+inverts the product of two spectra, and the square functions' scale sum
+inverts a sum of such products.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import NumericFailure
 from .grid import FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 from .kernels import Kernel
 
-__all__ = ["ConvolutionPlan", "build_plan", "spectrum", "correlate", "apply_multiplier",
+__all__ = ["ConvolutionPlan", "build_plan", "spectrum", "inverse_spectrum", "correlate", "apply_multiplier",
            "convolve_at_scale", "build_field", "build_fields", "spatial_kernel"]
 
 WRAP_DECAY_THRESHOLD = 1e-8
@@ -67,10 +70,15 @@ def correlate(values: np.ndarray, kernel_hat: np.ndarray, dim: int) -> np.ndarra
     runs as one batched transform pair; each row is bitwise what the unbatched
     call gives.
     """
-    product = spectrum(values, dim) * kernel_hat
-    if dim == 1:
-        return np.fft.irfft(product, n=values.shape[-1], axis=-1)
-    return np.fft.irfft2(product, s=values.shape[-2:], axes=(-2, -1))
+    return inverse_spectrum(spectrum(values, dim) * kernel_hat, values.shape[-dim:])
+
+
+def inverse_spectrum(values_hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The real rows of grid shape ``shape`` whose ``spectrum`` is ``values_hat``:
+    the inverse real FFT over the last ``len(shape)`` axes, any leading axes a batch."""
+    if len(shape) == 1:
+        return np.fft.irfft(values_hat, n=shape[0], axis=-1)
+    return np.fft.irfft2(values_hat, s=shape, axes=(-2, -1))
 
 
 def apply_multiplier(values: np.ndarray, mult: np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -26,7 +26,7 @@ from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
 from lpx.spaces import Lebesgue, MixedNorm, Morrey, WeightedLebesgue, descriptor_from_json, power_weight, space_norm
 from lpx.squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
-from lpx.transforms import build_field, build_fields, build_plan, correlate, spatial_kernel, spectrum
+from lpx.transforms import build_field, build_fields, build_plan, correlate, inverse_spectrum, spatial_kernel, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
 SCALES = ScaleGrid(t_min=1 / 16, t_max=2.0, steps_per_octave=4)
@@ -119,8 +119,43 @@ def test_double_ball_spectra_match_per_radius_masks_bitwise(dim, n):
     assert ball_spectra(grid, tuple(2.0 * r for r in rebuilt))[0] is table
 
 
+def _one_piece_spectral_reference(F):
+    """The one-piece cone functional as a plain frequency-space loop: the
+    spectrum of each live scale row times its cone's spectrum times its
+    weight, summed left to right, then one inverse FFT."""
+    grid, scales = F.grid, F.scales
+    dist = grid.offset_distances()
+    weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
+    power = np.moveaxis(np.abs(F.values) ** 2, -1, 0)
+    products = [spectrum(row, grid.dim) * (spectrum((dist < t).astype(float), grid.dim) * w)
+                for row, t, w in zip(power, scales.scales, weights) if row.any() and (dist < t).any()]
+    acc = np.zeros(grid.shape)
+    if products:
+        total = products[0]
+        for product in products[1:]:
+            total = total + product
+        acc = inverse_spectrum(total, grid.shape)
+    np.maximum(acc, 0.0, out=acc)
+    return np.sqrt(acc)
+
+
+# the frequency-space cone functionals against the spatial per-scale loop:
+# each row's square (the scale sum) within FUNCTIONAL_TOL of the row's max
+# square (measured: at most 1e-15), the coefficients within COEFFICIENT_RTOL.
+# Where a sum is 0 either path leaves FFT round-off of about 1e-16 of the max,
+# whose root is about 1e-8 of the root's max, so the roots are not compared.
+FUNCTIONAL_TOL, COEFFICIENT_RTOL = 1e-14, 1e-13
+
+
+def _assert_near_spatial(fast, spatial):
+    """Every row of ``fast`` squared within ``FUNCTIONAL_TOL`` of its row max in ``spatial`` squared."""
+    axes = tuple(range(1, spatial.ndim))
+    gap = np.max(np.abs(fast**2 - spatial**2), axis=axes)
+    assert np.all(gap <= FUNCTIONAL_TOL * np.max(spatial**2, axis=axes))
+
+
 def _one_piece_functional_reference(F):
-    """The one-piece cone functional the batched (piece, scale) pass replaced:
+    """The spatial one-piece cone functional the frequency-space sum replaced:
     live scale rows in one correlation, summed in scale order."""
     grid, scales = F.grid, F.scales
     table, live = cone_spectra(grid, scales, 1.0)
@@ -143,12 +178,12 @@ def _cells_mask(F, cells):
     return mask
 
 
-def _piece_functionals_reference(F, alpha, masks):
+def _piece_functionals_reference(F, alpha, masks, one_piece=_one_piece_spectral_reference):
     """One call per piece ``where(mask, F, 0)``, as ``tent_decompose`` made
     before the batched pass."""
     assert alpha == 1.0
     pieces = [HalfSpaceField(F.grid, F.scales, np.where(m, F.values, 0.0)) for m in masks]
-    return np.array([_one_piece_functional_reference(p) for p in pieces]).reshape((len(masks),) + F.grid.shape)
+    return np.array([one_piece(p) for p in pieces]).reshape((len(masks),) + F.grid.shape)
 
 
 def _whitney_regions_reference(grid, inside, balls):
@@ -243,18 +278,19 @@ def _pieces_reference(F, area, balls):
     return pieces
 
 
-def _dense_decomposition_reference(F, space, balls, p_checks=(2.0, 4.0)):
+def _dense_decomposition_reference(F, space, balls, p_checks=(2.0, 4.0), one_piece=_one_piece_spectral_reference):
     """Per-piece sizing with a dense field per atom, as before atoms were stored
-    on their cells.  Returns [(ball, coefficient, dense atom values)] and the
-    dense sum of coefficient times atom."""
+    on their cells, with ``one_piece`` the cone functional of the field and of
+    each piece.  Returns [(ball, coefficient, dense atom values)] and the dense
+    sum of coefficient times atom."""
     grid = F.grid
     ref_atoms = []
     total = np.zeros_like(F.values)
-    area = tent_functional(F, 1.0).values.real
+    area = one_piece(F)
     if not np.any(area > 0):
         return ref_atoms, total
     pieces = _pieces_reference(F, area, balls)
-    areas = _piece_functionals_reference(F, 1.0, [mask for mask, _ in pieces])
+    areas = _piece_functionals_reference(F, 1.0, [mask for mask, _ in pieces], one_piece)
     for (mask, center), row in zip(pieces, areas):
         ball = _fit_ball_reference(grid, balls, center, mask, F.scales.scales)
         norm_1b = space_norm(ball_indicator(grid, ball), space)
@@ -298,6 +334,17 @@ def _assert_matches_dense_reference(dec, reference, space):
     assert coefficient_functional(dec, space) == _coefficient_functional_reference(ref_dec, space)
 
 
+def _assert_near_spatial_decomposition(dec, F, space, balls):
+    """The decomposition against the spatial cone functionals: the same atoms,
+    balls and cells, coefficients within ``COEFFICIENT_RTOL``."""
+    ref_atoms, _ = _dense_decomposition_reference(F, space, balls, one_piece=_one_piece_functional_reference)
+    assert len(dec.atoms) == len(ref_atoms)
+    for atom, (ball, lam, values) in zip(dec.atoms, ref_atoms):
+        assert atom.ball == ball
+        assert np.array_equal(atom.cells, np.flatnonzero(values))
+        assert atom.coefficient == pytest.approx(lam, rel=COEFFICIENT_RTOL, abs=0.0)
+
+
 LEBESGUE, MORREY = Lebesgue(2.0), Morrey(2.0, 1.0)  # Morrey ball norms depend on the centre
 CASES = [(1, 64, "field", LEBESGUE), (1, 64, "zero", LEBESGUE), (1, 64, "stray", LEBESGUE),
          (2, 16, "field", LEBESGUE), (2, 16, "stray", LEBESGUE),
@@ -322,6 +369,7 @@ def test_decompose_matches_per_piece_reference_bitwise(monkeypatch, dim, n, kind
     # dense field per atom
     monkeypatch.setattr(atoms, "_whitney_regions", _whitney_regions_reference)
     _assert_matches_dense_reference(fast, _dense_decomposition_reference(F, space, balls), space)
+    _assert_near_spatial_decomposition(fast, F, space, balls)
     if kind != "zero":  # the pieces' cell indices are the reference masks' cells
         area = tent_functional(F, 1.0).values.real
         pieces, ref = atoms._pieces(F, area, balls), _pieces_reference(F, area, balls)
@@ -337,6 +385,7 @@ def test_decompose_1d_benchmark_trials_match_dense_reference_bitwise(seed):
         F = build_field(trial_function(seed, trial, GRID), plan)
         dec = tent_decompose(F, LEBESGUE, BALLS)
         _assert_matches_dense_reference(dec, _dense_decomposition_reference(F, LEBESGUE, BALLS), LEBESGUE)
+        _assert_near_spatial_decomposition(dec, F, LEBESGUE, BALLS)
 
 
 @pytest.mark.parametrize("case", ["1d-256-field", "2d-16-stray"])
@@ -384,7 +433,8 @@ def _decomposition_pieces(F, balls):
     return seen
 
 
-CHUNK_CASES = [("1d-256-field", None), ("1d-64-field", 7), ("1d-64-stray", 1), ("2d-16-field", 7)]
+CHUNK_CASES = [("1d-256-field", None), ("1d-64-field", 7), ("1d-64-stray", 1), ("2d-16-field", 7),
+               ("2d-16-stray", 1), ("2d-32-field", None)]
 
 
 @pytest.mark.parametrize("case,chunk", CHUNK_CASES, ids=[c for c, _ in CHUNK_CASES])
@@ -402,11 +452,24 @@ def test_piece_functionals_span_chunks_bitwise(monkeypatch, case, chunk):
     if chunk is not None:
         monkeypatch.setattr(squarefuncs, "SCALE_SUM_CHUNK", chunk)
     assert live_rows > squarefuncs.SCALE_SUM_CHUNK  # the rows fill more than one chunk
-    fast = tent_functionals(F, 1.0, pieces)
+    batches = []
+
+    def record(values, dim):
+        batches.append(len(values))
+        return spectrum(values, dim)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(squarefuncs, "spectrum", record)
+        fast = tent_functionals(F, 1.0, pieces)
+    # whole pieces per batch: within SCALE_SUM_CHUNK rows, or one piece's K rows
+    assert sum(batches) == live_rows and max(batches) <= max(squarefuncs.SCALE_SUM_CHUNK, len(F.scales))
     assert np.array_equal(fast, _piece_functionals_reference(F, 1.0, masks))
+    _assert_near_spatial(fast, _piece_functionals_reference(F, 1.0, masks, _one_piece_functional_reference))
     assert tent_functionals(F, 1.0, []).shape == (0,) + F.grid.shape
     # the one-piece case is the field's own cone functional
-    assert np.array_equal(tent_functional(F, 1.0).values.real, _one_piece_functional_reference(F))
+    whole = tent_functional(F, 1.0).values
+    assert np.array_equal(whole, _one_piece_spectral_reference(F))
+    _assert_near_spatial(whole[None], _one_piece_functional_reference(F)[None])
 
 
 def _oracle_balls(grid, count):

@@ -219,6 +219,16 @@ def test_kernel_command(tmp_path):
     assert abs(meta["normalization_check"] - 1.0) <= 1e-3
 
 
+@pytest.mark.parametrize("kind,wraps", [("annular", True), ("weak", False)])
+def test_kernel_command_reports_the_wraparound_warning(tmp_path, kind, wraps):
+    # at t_max = 16 = 2L the annular band still reaches past the lowest dual
+    # band; the weak profile has decayed below 1e-8 there
+    cfg = write_config(tmp_path, kernel=kind)
+    out = tmp_path / "kout"
+    assert main(["--config", str(cfg), "--out", str(out), "kernel"]) == 0
+    assert json.loads((out / "kernel.json").read_text())["wraparound_warning"] is wraps
+
+
 def test_decompose_command(tmp_path):
     cfg = write_config(tmp_path, scales={"t_min": 0.0625, "t_max": 2.0, "steps_per_octave": 4})
     inp = tmp_path / "bump.csv"

@@ -20,7 +20,7 @@ from lpx.grid import HalfSpaceField
 from lpx.maximal import hardy_norm
 from lpx.spaces import Lebesgue, Morrey, space_norm
 from lpx.squarefuncs import g_function, g_lambda_star, lusin_area, tent_functional
-from lpx.transforms import build_field, build_plan
+from lpx.transforms import build_field, build_plan, convolve_at_scale
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
 SCALES = ScaleGrid(1 / 16, 16.0, 8)
@@ -162,6 +162,18 @@ def test_vanish_check_pure_frequency_cutoff():
         assert v == pytest.approx(expected, abs=1e-10)
     # band left behind once t|xi| > 8 (up to FFT noise in neighboring bins)
     assert out["sup_norms"][-1] <= out["floor"]
+
+
+@pytest.mark.parametrize("case", ["1d-64-trial", "1d-256-wave", "2d-64-trial"])
+def test_vanish_check_matches_per_probe_loop_bitwise(case):
+    # one stacked multiplier pass, each probe's sup bitwise its one-probe convolution's
+    dim, n, kind = case.split("-")
+    grid = GridSpec(dim=int(dim[0]), half_width=2.0, points_per_axis=int(n))
+    f = trial_function(5, 1, grid) if kind == "trial" else pure_frequency(grid, [12])
+    kernel = build_annular_kernel(grid)
+    probe = tuple(1 / 16 * 2.0**k for k in range(11))
+    sups = [float(np.max(np.abs(convolve_at_scale(f, kernel, t).values))) for t in probe]
+    assert vanish_at_infinity_check(f, kernel, probe)["sup_norms"] == sups
 
 
 def test_lambda_below_range_warns():

@@ -17,7 +17,7 @@ from lpx.grid import (
 from lpx.kernels import build_annular_kernel
 from lpx.squarefuncs import (g_function, g_functions, g_lambda_star, g_lambda_stars, lusin_area, tent_functional,
                              tent_functionals)
-from lpx.transforms import build_field, build_plan, correlate, spectrum
+from lpx.transforms import build_field, build_plan, correlate, inverse_spectrum, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
 SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
@@ -256,6 +256,53 @@ def _gstar_reference(F, lam):
     return np.sqrt(acc)
 
 
+def _spectral_sum_reference(power, kernels, weights):
+    """sqrt of one owner's frequency-space scale sum, as a plain loop: the
+    spectrum of each live scale row (kernel and row not all zero) times its
+    kernel's spectrum times its weight, summed left to right, then one
+    inverse FFT.  ``power`` is |F|^2 with the
+    scale axis first."""
+    dim = power.ndim - 1
+    products = [spectrum(row, dim) * (spectrum(kernel, dim) * w)
+                for row, kernel, w in zip(power, kernels, weights) if kernel.any() and row.any()]
+    acc = np.zeros(power.shape[1:])
+    if products:
+        total = products[0]
+        for product in products[1:]:
+            total = total + product
+        acc = inverse_spectrum(total, acc.shape)
+    np.maximum(acc, 0.0, out=acc)
+    return np.sqrt(acc)
+
+
+def _tent_spectral_reference(F, alpha):
+    grid, scales = F.grid, F.scales
+    dist = grid.offset_distances()
+    kernels = [(dist < alpha * t).astype(float) for t in scales.scales]
+    weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
+    return _spectral_sum_reference(np.moveaxis(np.abs(F.values) ** 2, -1, 0), kernels, weights)
+
+
+def _gstar_spectral_reference(F, lam):
+    grid, scales = F.grid, F.scales
+    dist = grid.offset_distances()
+    kernels = [(t / (t + dist)) ** (lam * grid.dim) for t in scales.scales]
+    lw = scales.log_weight * grid.cell_volume
+    weights = [lw / t**grid.dim for t in scales.scales]
+    return _spectral_sum_reference(np.moveaxis(np.abs(F.values) ** 2, -1, 0), kernels, weights)
+
+
+# the frequency-space scale sum against the spatial per-scale loop, as a
+# fraction of the sum's max (measured: at most 1e-15).  The sums are compared,
+# not their roots: where a sum is 0, either path leaves FFT round-off of about
+# 1e-16 of the max, whose root is about 1e-8 of the root's max.
+SPATIAL_TOL = 1e-14
+
+
+def _assert_near_spatial(fast, spatial):
+    assert np.max(np.abs(fast**2 - spatial**2)) <= SPATIAL_TOL * np.max(spatial**2)
+
+
 ORACLE_GRIDS = {
     "1d-64": (GridSpec(dim=1, half_width=2.0, points_per_axis=64), ScaleGrid(1 / 16, 2.0, 4)),
     "2d-16": (GridSpec(dim=2, half_width=2.0, points_per_axis=16), ScaleGrid(1 / 8, 2.0, 4)),
@@ -282,9 +329,31 @@ def _oracle_field(grid, scales, kind):
 def test_batched_operators_match_per_scale_reference_bitwise(case, kind):
     F = _oracle_field(*ORACLE_GRIDS[case], kind)
     for alpha in (0.0, 0.5, 1.0, 2.0):
-        assert np.array_equal(tent_functional(F, alpha).values, _tent_reference(F, alpha)), alpha
+        fast = tent_functional(F, alpha).values
+        assert np.array_equal(fast, _tent_spectral_reference(F, alpha)), alpha
+        _assert_near_spatial(fast, _tent_reference(F, alpha))
     for lam in (1.5, 3.0):
-        assert np.array_equal(g_lambda_star(F, lam).values, _gstar_reference(F, lam)), lam
+        fast = g_lambda_star(F, lam).values
+        assert np.array_equal(fast, _gstar_spectral_reference(F, lam)), lam
+        _assert_near_spatial(fast, _gstar_reference(F, lam))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7], ids=["default", "chunk-1", "chunk-7"])
+@pytest.mark.parametrize("case", list(ORACLE_GRIDS))
+def test_field_stack_operators_match_spectral_reference_bitwise(case, chunk, monkeypatch):
+    grid, scales = ORACLE_GRIDS[case]
+    fields = [_oracle_field(grid, scales, kind) for kind in ("noise", "zero", "zeroed-slices")]
+    fields.append(HalfSpaceField(grid, scales, 1e-3 * fields[0].values[..., ::-1].real))
+    stack = FieldStack(grid, scales, np.stack([F.values for F in fields]))
+    if chunk is not None:
+        monkeypatch.setattr(squarefuncs, "SCALE_SUM_CHUNK", chunk)
+    for alpha in (0.5, 1.0, 2.0):
+        rows = tent_functionals(stack, alpha)
+        for F, row in zip(fields, rows):
+            assert np.array_equal(row, _tent_spectral_reference(F, alpha)), alpha
+    for lam in (1.5, 3.0):
+        for F, row in zip(fields, g_lambda_stars(stack, lam)):
+            assert np.array_equal(row, _gstar_spectral_reference(F, lam)), lam
 
 
 @pytest.mark.parametrize("case", list(ORACLE_GRIDS))
