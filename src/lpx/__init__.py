@@ -6,7 +6,6 @@ from .grid import (
     HalfSpaceField,
     SampledFunction,
     ScaleGrid,
-    halfspace_integrate,
     integrate,
 )
 from .kernels import (

@@ -54,9 +54,7 @@ __all__ = [
     "MoleculeReport",
     "ball_indicator",
     "ball_norms",
-    "tent_mask",
     "tent_decompose",
-    "tent_atom_size",
     "tent_atom_sizes",
     "synthesize_molecule",
     "check_atom",
@@ -109,13 +107,6 @@ def ball_norms(grid: GridSpec, balls: Sequence[Ball], space: SpaceDescriptor) ->
     return _row_norms(grid, _ball_rows(grid, balls), space)
 
 
-def tent_mask(grid: GridSpec, scales: ScaleGrid, ball: Ball) -> np.ndarray:
-    """Boolean mask of the tent region {(y, t): t < r, |y - c| < r - t}."""
-    dist = grid.torus_distance_to(ball.center)
-    gap = ball.radius - scales.scales  # allowed distance per scale
-    return dist[..., None] < gap.reshape((1,) * grid.dim + (-1,))
-
-
 @dataclass(frozen=True)
 class TentAtom:
     """A tent atom stored on its piece's cells.
@@ -143,13 +134,6 @@ class TentAtom:
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_field(cls, field: HalfSpaceField, ball: Ball, coefficient: float) -> "TentAtom":
-        """The atom equal to ``field``, stored on its nonzero cells."""
-        flat = field.values.reshape(-1)
-        cells = np.flatnonzero(flat)
-        return cls(field.grid, field.scales, cells, flat[cells], ball, coefficient)
 
     @property
     def field(self) -> HalfSpaceField:
@@ -286,14 +270,10 @@ def _whitney_regions(
     return region.reshape(grid.shape), leaders
 
 
-def tent_atom_size(field: HalfSpaceField, p: float) -> float:
-    """L^p norm of the unit-aperture cone functional of the field."""
-    return space_norm(tent_functional(field, 1.0), Lebesgue(p))
-
-
 def _piece_sizes(F: HalfSpaceField, cells: Sequence[np.ndarray], ps: Sequence[float]) -> list[list[float]]:
-    """``tent_atom_size`` of F restricted to each cell set, for every p: one
-    batched cone-functional pass and one row-batched ``space_norms`` call per p."""
+    """The L^p norm of the unit-aperture cone functional of F restricted to
+    each cell set, for every p: one batched cone-functional pass and one
+    row-batched ``space_norms`` call per p."""
     if not cells:
         return [[] for _ in ps]
     areas = tent_functionals(F, 1.0, cells)
@@ -301,7 +281,9 @@ def _piece_sizes(F: HalfSpaceField, cells: Sequence[np.ndarray], ps: Sequence[fl
 
 
 def tent_atom_sizes(atoms: Sequence[TentAtom], p: float) -> list[float]:
-    """``tent_atom_size(atom.field, p)`` of every atom, bitwise, in one pass.
+    """The L^p norm of every atom's unit-aperture cone functional,
+    ``space_norm(tent_functional(atom.field, 1.0), Lebesgue(p))`` bitwise, in
+    one pass.
 
     The atoms must share a grid and scales and have pairwise disjoint cells,
     as one decomposition's atoms do: one field then holds them all, and its

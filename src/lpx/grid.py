@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,12 +27,9 @@ __all__ = [
     "real_or_complex",
     "scale_to_unit_rows",
     "integrate",
-    "halfspace_integrate",
     "concentration_defect",
-    "from_callable",
     "pure_frequency",
     "indicator_ball",
-    "indicator_box",
     "gaussian_bump",
     "write_function_csv",
     "read_function_csv",
@@ -312,36 +309,6 @@ def integrate(f: SampledFunction) -> complex:
     return complex(np.sum(f.values) * f.grid.cell_volume)
 
 
-def halfspace_integrate(
-    F: HalfSpaceField,
-    region_mask: Callable[[np.ndarray, float], np.ndarray] | np.ndarray | None = None,
-    squared: bool = True,
-) -> float:
-    """Quadrature for the measure dy dt / t^(n+1) over a masked region.
-
-    The integrand is |F|^2 by default (``squared=False`` integrates |F|).
-    ``region_mask`` is either a boolean array shaped like ``F.values`` or a
-    callable mask(distance_unused, t_k) evaluated per scale on the spatial
-    coordinate mesh; ``None`` selects every cell.
-    """
-    grid, scales = F.grid, F.scales
-    ts = scales.scales
-    mag = np.abs(F.values)
-    integrand = mag**2 if squared else mag
-    per_scale_weight = grid.cell_volume * scales.log_weight / ts**grid.dim
-    if region_mask is None:
-        sums = integrand.reshape(-1, len(ts)).sum(axis=0)
-    elif isinstance(region_mask, np.ndarray):
-        sums = np.where(region_mask, integrand, 0.0).reshape(-1, len(ts)).sum(axis=0)
-    else:
-        mesh = grid.coordinate_mesh()
-        sums = np.empty(len(ts))
-        for k, t in enumerate(ts):
-            m = region_mask(mesh, t)
-            sums[k] = integrand[..., k][m].sum()
-    return float(np.sum(sums * per_scale_weight))
-
-
 def concentration_defect(f: SampledFunction) -> float:
     """Fraction of |f| mass outside the core box [-L/2, L/2]^n."""
     mesh = f.grid.coordinate_mesh()
@@ -359,11 +326,6 @@ def concentration_defect(f: SampledFunction) -> float:
 # constructors for common test functions
 
 
-def from_callable(grid: GridSpec, fn: Callable[..., np.ndarray]) -> SampledFunction:
-    """Sample fn(x) (1-D) or fn(x, y) (2-D) at the cell centers."""
-    return SampledFunction(grid, fn(*grid.coordinate_mesh()))
-
-
 def pure_frequency(grid: GridSpec, k_index: Sequence[int] | int) -> SampledFunction:
     """The character exp(2*pi*i xi.x) with xi = k/(2L), k integer per axis."""
     ks = np.atleast_1d(np.asarray(k_index, dtype=int))
@@ -379,14 +341,6 @@ def indicator_ball(grid: GridSpec, center: Sequence[float], radius: float) -> Sa
     mesh = grid.coordinate_mesh()
     d2 = sum((c - c0) ** 2 for c, c0 in zip(mesh, center))
     return SampledFunction(grid, d2 < radius**2)
-
-
-def indicator_box(grid: GridSpec, lo: Sequence[float], hi: Sequence[float]) -> SampledFunction:
-    mesh = grid.coordinate_mesh()
-    inside = np.ones(grid.shape, dtype=bool)
-    for c, a, b in zip(mesh, lo, hi):
-        inside &= (c >= a) & (c <= b)
-    return SampledFunction(grid, inside)
 
 
 def gaussian_bump(grid: GridSpec, center: Sequence[float], sigma: float) -> SampledFunction:

@@ -3,20 +3,18 @@
 Five families are implemented: plain and weighted Lebesgue, Morrey,
 mixed-norm, variable-exponent, and Orlicz-slice.  All of them are lattice
 quasi-norms evaluated by the grid rectangle rule; suprema over balls run over
-a finite dyadic family; Luxemburg-type norms are solved by bisection on the
-modular, which is strictly monotone in the scaling parameter.
+a finite dyadic family.
 
-Every bisection (``OrliczSlice``'s windows, ``orlicz_norm`` and
-``VariableLebesgue`` through ``_luxemburg_norm``, ``OrliczFunction.inverse``)
-is a certified replay of the plain log-bisection: a secant estimate of the
-root and two evaluations around it decide every step far from the root by
-comparison, so only the steps near it evaluate the modular.  Each result is
-bitwise the plain bisection's provided the computed modular (or Phi) is
-monotone across a relative gap of ``LUXEMBURG_BAND`` = 1e-13 next to the
-root, which the certificate cannot check: its true change there is about
-p * 1e-13 for a type or exponent p, against summation rounding of a few
-ulps, so a very small p could let the replay differ from the plain loop in
-the last bits.
+Every Luxemburg-type norm, inf{lam : modular(f / lam) <= 1}, is one
+``_luxemburg_rows`` solve over a stack of rows: ``VariableLebesgue`` sends all
+its rows at once, ``OrliczSlice`` each block of slice windows and the slice
+ball's own indicator, ``orlicz_norm`` its one row.  The solve is a secant in
+(log lam, log modular), safeguarded by the bracket it closes, with a step cap
+(``LUXEMBURG_MAX_STEPS``) past which it is a ``NumericFailure``; each row
+retires once its step is a few ulps of lam, so the result sits within the
+modular's own rounding of the root.  The log of a modular that sums powers
+of lam is convex in log lam, which the secant relies on for speed, not for
+correctness: the bracket holds for any modular decreasing in lam.
 
 A descriptor implements only its row-batched norms: ``norms(grid, mag)``
 returns the norm of every row of a finite non-negative ``(rows,) +
@@ -26,12 +24,10 @@ descriptor scales by itself: ``space_norms``, ``convexify_norm`` (which takes
 its power of the scaled rows) and ``orlicz_norm`` (a Luxemburg norm with no
 descriptor) take the norms of each row divided by the power of two of its
 max and scale them back (``_unit_row_norms``), so every norm is homogeneous
-over the whole float range.  ``Morrey`` takes the ball sums of
-a step's rows in one ``BallFamily.ball_sums`` call, and ``OrliczSlice`` the
-windows of a step's rows, or of a slab of one row, in one certified
-bisection; a step holds as many rows as keep it within ``NORM_CHUNK``
-elements.  ``VariableLebesgue`` solves one scalar bisection per row, which
-is faster than a row-batched one.
+over the whole float range.  ``Morrey`` takes the ball sums of a step's rows
+in one ``BallFamily.ball_sums`` call, and ``OrliczSlice`` the windows of a
+step's rows, or of a slab of one row, in one Luxemburg solve; a step holds as
+many rows as keep it within ``NORM_CHUNK`` elements.
 """
 
 from __future__ import annotations
@@ -69,20 +65,20 @@ __all__ = [
     "descriptor_from_json",
 ]
 
-LUXEMBURG_BRACKET = (1e-30, 1e30)
-LUXEMBURG_BAND = 1e-13  # relative half-width of the band a root estimate is certified on
-LUXEMBURG_SECANT_STEPS = 8  # most secant steps a root estimate takes
-LUXEMBURG_MAX_ITER = 200
-LUXEMBURG_RTOL = 1e-9
+LUXEMBURG_BRACKET = (1e-30, 1e30)  # of lam over a row's max
+# secant steps a Luxemburg row may take before a NumericFailure.  The midpoint
+# safeguard halves a row's bracket at least every three steps, which closes
+# the bracket's 138 in log lam to a few ulps within about 175 steps
+LUXEMBURG_MAX_STEPS = 200
 AP_CAP = 1e6
 AP_GROWTH_FLOOR = 0.02  # log2 growth per refinement always counted as stable
 AP_GROWTH_SLOPE = 0.15  # threshold grows with the measured singularity strength
 AP_Q_MAX = 64.0
 # elements per vectorized step of a batched norm: rows x radii x cells of
-# Morrey's ball sums, windows x offsets of an OrliczSlice certified bisection.
+# Morrey's ball sums, windows x offsets of an OrliczSlice Luxemburg solve.
 # A 1-D N=64 equivalence block (16 rows) takes two Morrey steps and two
-# bisections; a 2-D N=64 row one Morrey step and 64 bisections of 0.4 MB of
-# windows each, which run no slower than one bisection over the row's 26 MB
+# solves; a 2-D N=64 row one Morrey step and 64 solves of 0.4 MB of windows
+# each, which run no slower than one solve over the row's 26 MB
 NORM_CHUNK = 1 << 14
 
 
@@ -175,19 +171,6 @@ class OrliczFunction:
         if not (np.isfinite(low) and np.isfinite(up)):
             raise ValueError("type bounds do not hold on the sample grid")
 
-    def inverse(self, y: float) -> float:
-        """Numeric inverse on (0, inf) by bisection in log-argument."""
-        lo, hi = LUXEMBURG_BRACKET
-
-        def phi(t: float) -> float:
-            return self.evaluator(np.array([t]))[0]
-
-        phi_lo = phi(lo)
-        if not phi_lo <= y or not y <= (phi_hi := phi(hi)):
-            raise NoBracket(f"Phi never reaches {y:g} on the bracket")
-        lo, hi = _certified_bisection(phi, y, True, lo, phi_lo, hi, phi_hi)
-        return math.sqrt(lo * hi)
-
 
 def power_orlicz(p: float) -> OrliczFunction:
     return OrliczFunction(evaluator=lambda t: np.asarray(t, dtype=float) ** p,
@@ -205,167 +188,63 @@ def lebesgue_row_norms(mag: np.ndarray, p: float, cellvol: float) -> list[float]
     return [(total * cellvol) ** (1.0 / p) for total in np.add.reduce(mag**p, axis=-1).tolist()]
 
 
-# Certified replay of the log-bisections.  Every Luxemburg-type solve here is
-# a log-bisection, mid = sqrt(lo * hi), and its result is what that sequence
-# of (lo, hi) updates leaves.  The replay runs the same sequence but evaluates
-# only where a step is in doubt: a few secant steps in (log lam, log value)
-# estimate the root, two evaluations certify that the step flips inside
-# est * (1 -+ LUXEMBURG_BAND), and every mid outside est * (1 -+ 2
-# LUXEMBURG_BAND) is then decided by comparison alone.  Those decisions are
-# the evaluated ones whenever the computed step is monotone across a relative
-# gap of LUXEMBURG_BAND, about 450 ulps (on criterion 5's windows it is
-# monotone to the ulp).  A root whose certificate fails evaluates every step.
-# The scalar solves step in Python floats and the windows in numpy rows: run
-# on one row, the row stepper's numpy calls cost more per step than a scalar
-# modular does, which made a VariableLebesgue norm no faster than the plain
-# loop and an inverse five times slower than it.
+def _luxemburg_rows(mag: np.ndarray, cellvol: float, density: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """inf{lam : cellvol * sum of density(row / lam) <= 1} for every row of the
+    finite non-negative ``(rows, cells)`` array ``mag``; an all-zero row has
+    norm 0.  ``density`` maps a ``(k, cells)`` block of ratios to its
+    elementwise modular density.
 
-
-def _secant_log_root(value: Callable[[float], float], target: float, increasing: bool,
-                     x0: float, r0: float, x1: float, r1: float) -> float:
-    """Root estimate of log(value(e^x) / target) from its values r0, r1 at
-    x0 < x1, whose signs bracket the root.  A secant step that leaves the
-    bracket is replaced by the bracket's midpoint.  Call under
-    ``np.errstate(all="ignore")``."""
-    lo_x, hi_x = x0, x1
-    log_target = np.log(target)
-    for _ in range(LUXEMBURG_SECANT_STEPS):
-        x = x1 - r1 * (x1 - x0) / (r1 - r0)
-        if not lo_x <= x <= hi_x:
-            x = 0.5 * (lo_x + hi_x)
-        if abs(x - x1) <= 0.25 * LUXEMBURG_BAND:
-            break
-        r = np.log(value(math.exp(x))) - log_target
-        if (r > 0) != increasing:
-            lo_x = x
-        else:
-            hi_x = x
-        x0, r0, x1, r1 = x1, r1, x, r
-    return math.exp(x)
-
-
-def _certified_bisection(value: Callable[[float], float], target: float, increasing: bool,
-                         lo: float, value_lo: float, hi: float, value_hi: float) -> tuple[float, float]:
-    """(lo, hi) after the log-bisection of [lo, hi] that sets lo = mid while
-    value(mid) > target (value decreasing) or value(mid) <= target (value
-    increasing), and stops once hi / lo < 1 + LUXEMBURG_RTOL or after
-    LUXEMBURG_MAX_ITER steps.  ``value_lo`` and ``value_hi`` are the values at
-    the bracket ends.  The steps run in Python floats.
+    Each row is divided by its max and solved as a root of its log modular in
+    x = log lam by a secant that starts from the ends of LUXEMBURG_BRACKET,
+    whose values are the ``NoBracket`` check.  A step that leaves the bracket
+    closing in on the root, or follows two steps that did not halve it (as
+    on a row whose exponents span 0.05 to 8), takes the bracket's midpoint.
+    A row retires once its step is a few ulps of lam (of x where |x| > 1),
+    and a row live after LUXEMBURG_MAX_STEPS steps is a ``NumericFailure``.
+    A row's steps depend on it alone, so each row is bitwise what it gives
+    alone.
     """
+    sups = mag.max(axis=1)
+    out = np.zeros(len(mag))
+    live = np.flatnonzero(sups > 0)
+    if not live.size:
+        return out
+    unit = mag[live] / sups[live, None]
 
-    def up(lam: float) -> bool:
-        v = value(lam)
-        return v <= target if increasing else v > target
+    def log_modular(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return np.log(np.add.reduce(density(unit[rows] / np.exp(x)[:, None]), axis=1) * cellvol)
 
-    below, above = 0.0, math.inf  # uncertified: every mid is evaluated
+    count = len(live)
+    rows = np.arange(count)
+    lo = np.full(count, math.log(LUXEMBURG_BRACKET[0]))
+    hi = np.full(count, math.log(LUXEMBURG_BRACKET[1]))
+    roots = np.empty(count)
     with np.errstate(all="ignore"):
-        log_target = np.log(target)
-        est = _secant_log_root(value, target, increasing,
-                               math.log(lo), np.log(value_lo) - log_target,
-                               math.log(hi), np.log(value_hi) - log_target)
-        if up(est * (1 - LUXEMBURG_BAND)) and not up(est * (1 + LUXEMBURG_BAND)):
-            below, above = est * (1 - 2 * LUXEMBURG_BAND), est * (1 + 2 * LUXEMBURG_BAND)
-    for _ in range(LUXEMBURG_MAX_ITER):
-        mid = math.sqrt(lo * hi)
-        if mid <= below or (mid < above and up(mid)):
-            lo = mid
+        ends = log_modular(np.concatenate([rows, rows]), np.concatenate([lo, hi]))
+        x0, r0, x1, r1 = lo, ends[:count], hi, ends[count:]
+        if not (np.all(r0 >= 0.0) and np.all(r1 <= 0.0)):
+            raise NoBracket("modular does not cross 1 inside the bracket")
+        width1 = width2 = np.full(count, math.inf)  # of the bracket one and two steps back
+        for _ in range(LUXEMBURG_MAX_STEPS):
+            x = x1 - r1 * (x1 - x0) / (r1 - r0)
+            width = hi - lo
+            x = np.where((lo < x) & (x < hi) & (width <= 0.5 * width2), x, 0.5 * (lo + hi))
+            x = np.where(r1 == 0.0, x1, x)  # lam = e^x1 solves the modular exactly
+            done = np.abs(x - x1) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(x1))
+            roots[rows[done]] = x[done]
+            keep = ~done
+            rows, x, x1, r1, lo, hi = rows[keep], x[keep], x1[keep], r1[keep], lo[keep], hi[keep]
+            width1, width2 = width[keep], width1[keep]
+            if not rows.size:
+                break
+            r = log_modular(rows, x)
+            lo = np.where(r > 0.0, x, lo)
+            hi = np.where(r > 0.0, hi, x)
+            x0, r0, x1, r1 = x1, r1, x, r
         else:
-            hi = mid
-        if hi / lo < 1 + LUXEMBURG_RTOL:
-            break
-    return lo, hi
-
-
-def _secant_log_roots(modular: Callable[[np.ndarray, np.ndarray], np.ndarray], count: int) -> np.ndarray:
-    """Root estimate of log modular(row, e^x) for each of ``count`` rows,
-    from the log-midpoint of LUXEMBURG_BRACKET and a first step of unit
-    slope; a row stops once its step is below LUXEMBURG_BAND / 4.  Call under
-    ``np.errstate(all="ignore")``."""
-    lo_x = np.full(count, math.log(LUXEMBURG_BRACKET[0]))
-    hi_x = np.full(count, math.log(LUXEMBURG_BRACKET[1]))
-    rows = np.arange(count)
-    x1 = 0.5 * (lo_x + hi_x)
-    r1 = np.log(modular(rows, np.exp(x1)))
-    x0, r0 = x1 - 1.0, r1 + 1.0
-    est = np.empty(count)
-    for _ in range(LUXEMBURG_SECANT_STEPS):
-        x = x1 - r1 * (x1 - x0) / (r1 - r0)
-        x = np.where((lo_x <= x) & (x <= hi_x), x, 0.5 * (lo_x + hi_x))
-        done = np.abs(x - x1) <= 0.25 * LUXEMBURG_BAND
-        est[rows[done]] = x[done]
-        live = ~done
-        rows, x, x1, r1, lo_x, hi_x = rows[live], x[live], x1[live], r1[live], lo_x[live], hi_x[live]
-        if not rows.size:
-            break
-        r = np.log(modular(rows, np.exp(x)))
-        lo_x = np.where(r > 0, x, lo_x)
-        hi_x = np.where(r > 0, hi_x, x)
-        x0, r0, x1, r1 = x1, r1, x, r
-    est[rows] = x1
-    return np.exp(est)
-
-
-def _certified_bisection_rows(modular: Callable[[np.ndarray, np.ndarray], np.ndarray], count: int,
-                              max_iter: int) -> np.ndarray:
-    """hi of ``count`` log-bisections of LUXEMBURG_BRACKET, one per row, that
-    set lo = mid while modular(row, mid) > 1 (decreasing in lam); a row steps
-    until its (lo, hi) reach a fixed point, at most ``max_iter`` times.
-    ``modular(rows, lams)`` evaluates the given rows at one lam each.
-    """
-    rows = np.arange(count)
-    with np.errstate(all="ignore"):
-        est = _secant_log_roots(modular, count)
-        flips = modular(np.concatenate([rows, rows]),
-                        np.concatenate([est * (1 - LUXEMBURG_BAND), est * (1 + LUXEMBURG_BAND)])) > 1.0
-    certified = flips[:count] & ~flips[count:]
-    below = np.where(certified, est * (1 - 2 * LUXEMBURG_BAND), 0.0)  # uncertified: every mid is evaluated
-    above = np.where(certified, est * (1 + 2 * LUXEMBURG_BAND), math.inf)
-    out = np.empty(count)
-    lo = np.full(count, LUXEMBURG_BRACKET[0])
-    hi = np.full(count, LUXEMBURG_BRACKET[1])
-    for _ in range(max_iter):
-        mid = np.sqrt(lo * hi)
-        up = mid <= below
-        doubt = (up ^ (mid < above)).nonzero()[0]
-        if doubt.size:
-            up[doubt] = modular(rows[doubt], mid[doubt]) > 1.0
-            # a step that leaves (lo, hi) unchanged repeats forever: retire the
-            # row.  Only a mid in doubt can, since (lo, hi) closes in on the root
-            settled = doubt[np.where(up[doubt], lo[doubt], hi[doubt]) == mid[doubt]]
-            if settled.size:
-                out[rows[settled]] = hi[settled]
-                keep = np.ones(rows.size, dtype=bool)
-                keep[settled] = False
-                rows, lo, hi, mid, up = rows[keep], lo[keep], hi[keep], mid[keep], up[keep]
-                below, above = below[keep], above[keep]
-                if not rows.size:
-                    break
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    out[rows] = hi
+            raise NumericFailure(f"Luxemburg solve of {rows.size} rows not settled in {LUXEMBURG_MAX_STEPS} steps")
+    out[live] = np.exp(roots) * sups[live]
     return out
-
-
-def _luxemburg_norm(mag: np.ndarray, cellvol: float, density: Callable[[np.ndarray], np.ndarray]) -> float:
-    """inf{lam : sum of density(mag / lam) times cellvol <= 1}.
-
-    Bisection on the modular, which must be strictly decreasing in lam, over
-    the bracket max(mag) * LUXEMBURG_BRACKET.
-    """
-    sup = float(mag.max())
-    if sup == 0.0:
-        return 0.0
-
-    def modular(lam: float) -> float:
-        with np.errstate(divide="ignore"):
-            ratio = mag / lam
-        return float(np.sum(density(ratio)) * cellvol)
-
-    lo, hi = sup * LUXEMBURG_BRACKET[0], sup * LUXEMBURG_BRACKET[1]
-    modular_hi = modular(hi)
-    if modular_hi > 1.0 or (modular_lo := modular(lo)) < 1.0:
-        raise NoBracket("modular does not cross 1 inside the bracket")
-    return _certified_bisection(modular, 1.0, False, lo, modular_lo, hi, modular_hi)[1]
 
 
 def _unit_row_norms(mag: np.ndarray, norms: Callable[[np.ndarray], Sequence[float]]) -> list[float]:
@@ -380,8 +259,8 @@ def _unit_row_norms(mag: np.ndarray, norms: Callable[[np.ndarray], Sequence[floa
 
 def orlicz_norm(f: SampledFunction, phi: OrliczFunction) -> float:
     """Luxemburg norm inf{lam : integral of Phi(|f|/lam) <= 1}."""
-    return _unit_row_norms(np.abs(f.values)[None],
-                           lambda unit: [_luxemburg_norm(unit[0], f.grid.cell_volume, phi.evaluator)])[0]
+    return _unit_row_norms(np.abs(f.values).reshape(1, -1),
+                           lambda unit: _luxemburg_rows(unit, f.grid.cell_volume, phi.evaluator))[0]
 
 
 def _read_csv_on(grid: GridSpec, path: str, what: str) -> SampledFunction:
@@ -551,11 +430,8 @@ class VariableLebesgue:
     json_keys: ClassVar[tuple[str, ...]] = ("csv", "base", "dip")
 
     def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
-        """One scalar ``_luxemburg_norm`` per row: a row-batched bisection was
-        slower, for one row and for a 2-D block alike."""
-        pvals = self.exponent.values
-        return [_luxemburg_norm(row, grid.cell_volume, lambda ratio, row=row: np.where(row > 0, ratio**pvals, 0.0))
-                for row in mag]
+        pvals = self.exponent.values.reshape(-1)
+        return _luxemburg_rows(mag.reshape(len(mag), grid.size), grid.cell_volume, lambda ratio: ratio**pvals).tolist()
 
     def floor(self) -> float:
         return self.exponent.p_minus
@@ -577,15 +453,16 @@ class VariableLebesgue:
 @functools.lru_cache(maxsize=8)
 def _slice_geometry(phi: OrliczFunction, grid: GridSpec, slice_t: float) -> tuple[np.ndarray, float]:
     """The offsets of the slice ball ``dist < slice_t`` and the ``OrliczSlice``
-    denominator, the Luxemburg norm of that ball's indicator, which is the
-    same at every centre.  The offsets are read-only."""
+    denominator, the Luxemburg norm of that ball's indicator (a ones row of
+    its cell count), which is the same at every centre.  The offsets are
+    read-only."""
     mask = grid.offset_distances() < slice_t
     count = int(np.count_nonzero(mask))
     if count == 0:
         raise ValueError("slice radius smaller than one cell")
     offsets = np.argwhere(mask)
     offsets.setflags(write=False)
-    return offsets, 1.0 / phi.inverse(1.0 / (count * grid.cell_volume))
+    return offsets, float(_luxemburg_rows(np.ones((1, count)), grid.cell_volume, phi.evaluator)[0])
 
 
 def _slice_windows(grid: GridSpec, mag: np.ndarray, offsets: np.ndarray):
@@ -604,23 +481,6 @@ def _slice_windows(grid: GridSpec, mag: np.ndarray, offsets: np.ndarray):
             yield np.ascontiguousarray(np.moveaxis(block, 1, -1)).reshape(-1, len(offsets))
 
 
-def _window_norms(phi: OrliczFunction, cellvol: float, windows: np.ndarray) -> np.ndarray:
-    """The Luxemburg norm of every row of ``windows``: one certified bisection
-    over the rows, each divided by its own max so the bracket holds for any
-    amplitude (the norm is then hi * max).  An all-zero row has norm 0."""
-    sups = windows.max(axis=1)
-    live = np.flatnonzero(sups > 0)
-    out = np.zeros(len(sups))
-    if live.size:
-        scaled = windows[live] / sups[live, None]
-
-        def modular(rows: np.ndarray, lams: np.ndarray) -> np.ndarray:
-            return phi.evaluator(scaled[rows] / lams[:, None]).sum(axis=1) * cellvol
-
-        out[live] = _certified_bisection_rows(modular, len(live), 80) * sups[live]
-    return out
-
-
 @dataclass(frozen=True)
 class OrliczSlice:
     phi: OrliczFunction
@@ -636,12 +496,13 @@ class OrliczSlice:
 
     def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
         """The L^r norm over x of every row's Luxemburg norm on the slice
-        ball around x, over the slice ball's own: one certified bisection per
-        block of ``_slice_windows``.  On rows of unit max the ratios are at
-        most about 1 and near 1 at the max, so their powers stay in range."""
+        ball around x, over the slice ball's own: one ``_luxemburg_rows``
+        solve per block of ``_slice_windows``.  On rows of unit max the ratios
+        are at most about 1 and near 1 at the max, so their powers stay in
+        range."""
         cellvol = grid.cell_volume
         offsets, denom = _slice_geometry(self.phi, grid, self.slice_t)
-        inner = np.concatenate([_window_norms(self.phi, cellvol, windows)
+        inner = np.concatenate([_luxemburg_rows(windows, cellvol, self.phi.evaluator)
                                 for windows in _slice_windows(grid, mag, offsets)] or [np.zeros(0)])
         return lebesgue_row_norms((inner / denom).reshape(len(mag), grid.size), self.r, cellvol)
 

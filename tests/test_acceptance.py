@@ -13,15 +13,14 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 from lpx.atoms import (
-    TentAtom,
     Ball,
     ball_indicator,
     coefficient_functional,
     synthesize_molecule,
-    tent_atom_size,
     tent_decompose,
 )
-from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, indicator_box, pure_frequency
+from helpers import atom_from_field, indicator_box, tent_atom_size
+from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_frequency
 from lpx.harness import change_of_angle_experiment, equivalence_experiment, five_spaces, trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion, reproduce
 from lpx.maximal import BallFamily, ball_volume, hl_maximal
@@ -310,7 +309,7 @@ def test_criterion_10_molecule_synthesis():
     vals = np.zeros((256, len(scales)), dtype=complex)
     k_cell = len(scales) - 1  # top scale keeps the dilated band inside Nyquist
     vals[77, k_cell] = 1.5
-    atom = TentAtom.from_field(HalfSpaceField(grid, scales, vals), Ball(center=(77,), radius=4.0), 1.0)
+    atom = atom_from_field(HalfSpaceField(grid, scales, vals), Ball(center=(77,), radius=4.0), 1.0)
     mol = synthesize_molecule(atom, pair.psi)
     t_cell = scales.scales[k_cell]
     expected = 1.5 * np.roll(spatial_kernel(pair.psi, t_cell), 77) * grid.cell_volume * scales.log_weight

@@ -15,11 +15,10 @@ from lpx.atoms import (
     coefficient_functional,
     default_molecule_decay,
     synthesize_molecule,
-    tent_atom_size,
     tent_atom_sizes,
     tent_decompose,
-    tent_mask,
 )
+from helpers import atom_from_field, tent_atom_size, tent_mask
 from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_frequency
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion
@@ -329,7 +328,7 @@ def _assert_matches_dense_reference(dec, reference, space):
         assert np.array_equal(atom.field.values, values)
     assert np.array_equal(dec.reconstruct().values, ref_total)
     grid, scales = dec.residual.grid, dec.residual.scales
-    ref_dec = TentDecomposition([TentAtom.from_field(HalfSpaceField(grid, scales, values), ball, lam)
+    ref_dec = TentDecomposition([atom_from_field(HalfSpaceField(grid, scales, values), ball, lam)
                                  for ball, lam, values in ref_atoms], dec.residual, dec.ball_norms)
     assert coefficient_functional(dec, space) == _coefficient_functional_reference(ref_dec, space)
 
@@ -397,7 +396,7 @@ def test_atoms_store_disjoint_cells_covering_the_support(case):
         assert np.all(np.diff(atom.cells) > 0)  # sorted and unique
         assert atom.values.size == np.count_nonzero(atom.field.values)
         owners[atom.cells] += 1
-        again = TentAtom.from_field(atom.field, atom.ball, atom.coefficient)
+        again = atom_from_field(atom.field, atom.ball, atom.coefficient)
         assert np.array_equal(again.cells, atom.cells) and np.array_equal(again.values, atom.values)
     assert owners.max() == 1  # pairwise disjoint
     assert np.array_equal(owners == 1, F.values.reshape(-1) != 0)  # the union is the support of F
@@ -665,7 +664,7 @@ def test_molecule_zero_mean_and_single_cell_oracle():
     vals = np.zeros((256, len(scales)), dtype=complex)
     k0, y0 = 7, 100
     vals[y0, k0] = 2.0
-    atom = TentAtom.from_field(HalfSpaceField(GRID, scales, vals), Ball(center=(y0,), radius=4.0), 1.0)
+    atom = atom_from_field(HalfSpaceField(GRID, scales, vals), Ball(center=(y0,), radius=4.0), 1.0)
     mol = synthesize_molecule(atom, pair.psi)
     t0 = scales.scales[k0]
     kern = spatial_kernel(pair.psi, t0)
@@ -680,7 +679,7 @@ def test_molecule_zero_mean_and_single_cell_oracle():
 def test_molecule_zero_atom():
     phi = build_annular_kernel(GRID)
     pair = calderon_companion(phi, ScaleGrid(1 / 16, 16.0, 8))
-    atom = TentAtom.from_field(HalfSpaceField(GRID, SCALES, np.zeros((256, len(SCALES)))),
+    atom = atom_from_field(HalfSpaceField(GRID, SCALES, np.zeros((256, len(SCALES)))),
                                Ball(center=(0,), radius=1.0), 0.0)
     mol = synthesize_molecule(atom, pair.psi)
     assert np.all(mol.func.values == 0)
@@ -688,7 +687,7 @@ def test_molecule_zero_atom():
 
 def test_molecule_rejects_kernel_on_other_grid():
     other = build_annular_kernel(GridSpec(dim=1, half_width=4.0, points_per_axis=256))
-    atom = TentAtom.from_field(HalfSpaceField(GRID, SCALES, np.zeros((256, len(SCALES)))),
+    atom = atom_from_field(HalfSpaceField(GRID, SCALES, np.zeros((256, len(SCALES)))),
                                Ball(center=(0,), radius=1.0), 0.0)
     with pytest.raises(ValueError):
         synthesize_molecule(atom, other)
@@ -700,9 +699,9 @@ def test_molecule_synthesis_linear():
     F1 = random_field(20)
     F2 = random_field(21)
     b = Ball(center=(128,), radius=4.0)
-    a1 = TentAtom.from_field(F1, b, 1.0)
-    a2 = TentAtom.from_field(F2, b, 1.0)
-    both = TentAtom.from_field(HalfSpaceField(GRID, SCALES, F1.values + F2.values), b, 1.0)
+    a1 = atom_from_field(F1, b, 1.0)
+    a2 = atom_from_field(F2, b, 1.0)
+    both = atom_from_field(HalfSpaceField(GRID, SCALES, F1.values + F2.values), b, 1.0)
     m1 = synthesize_molecule(a1, pair.psi).func.values
     m2 = synthesize_molecule(a2, pair.psi).func.values
     m12 = synthesize_molecule(both, pair.psi).func.values

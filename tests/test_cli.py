@@ -84,7 +84,7 @@ def test_compute_g_constant_output(tmp_path):
 def test_compute_norm_scalar(tmp_path):
     cfg = write_config(tmp_path)
     f = GRID  # indicator of [0, 1]
-    from lpx.grid import indicator_box
+    from helpers import indicator_box
 
     inp = tmp_path / "ind.csv"
     write_function_csv(indicator_box(GRID, [0.0], [1.0]), inp)

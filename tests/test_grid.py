@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import from_callable, halfspace_integrate, indicator_box
 from lpx.grid import (
     FieldStack,
     GridSpec,
@@ -12,10 +13,7 @@ from lpx.grid import (
     SampledFunction,
     ScaleGrid,
     concentration_defect,
-    from_callable,
     gaussian_bump,
-    halfspace_integrate,
-    indicator_box,
     integrate,
     pure_frequency,
     read_function_binary,

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from lpx.errors import ZeroDenominator
-from lpx.grid import GridSpec, SampledFunction, ScaleGrid, gaussian_bump, indicator_box, pure_frequency
+from helpers import indicator_box
+from lpx.grid import GridSpec, SampledFunction, ScaleGrid, gaussian_bump, pure_frequency
 from lpx.kernels import Kernel, KernelKind, build_annular_kernel, calderon_companion
 from lpx.maximal import (
     BallFamily,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 
+from helpers import halfspace_integrate
 from lpx import squarefuncs
 from lpx.errors import LambdaTooSmall
 from lpx.grid import (
@@ -11,7 +12,6 @@ from lpx.grid import (
     SampledFunction,
     ScaleGrid,
     gaussian_bump,
-    halfspace_integrate,
     pure_frequency,
 )
 from lpx.kernels import build_annular_kernel
