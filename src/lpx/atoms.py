@@ -17,11 +17,11 @@ walks the inside centres once, by the largest radius whose doubled ball
 fits, rather than once per radius; a claimed ball marks its cells through
 its offset list.
 The pieces are then sized in one pass: their balls from one gather of their
-own cells' torus distances, their L^p sizes from one row-batched reduction
-(``spaces.space_norms`` per exponent).  The balls' indicator norms
-(``ball_norms``) come from one gather of the torus distance table and one
-``space_norms`` call per ``NORM_CHUNK`` elements of indicator rows,
-in every space; ``coefficient_functional`` adds its per-atom weights with
+own cells' torus distances, their L^p sizes, kept on the decomposition per
+atom, from row-batched reductions.  The sizes and the balls' indicator norms
+(``ball_norms``, from one gather of the torus distance table) take one
+``space_norms`` call per ``NORM_CHUNK`` elements of rows, in every space;
+``coefficient_functional`` adds its per-atom weights with
 one ``np.bincount``.  A ``TentAtom`` keeps only its
 piece's cells and values; its dense field is built on demand.  All of it is
 bitwise what one call per piece, one correlation and candidate loop per
@@ -55,7 +55,6 @@ __all__ = [
     "ball_indicator",
     "ball_norms",
     "tent_decompose",
-    "tent_atom_sizes",
     "synthesize_molecule",
     "check_atom",
     "check_molecule",
@@ -92,8 +91,9 @@ def _ball_rows(grid: GridSpec, balls: Sequence[Ball]) -> np.ndarray:
 
 
 def _row_norms(grid: GridSpec, rows: np.ndarray, space: SpaceDescriptor) -> list[float]:
-    """``space_norm`` of every indicator row of ``_ball_rows``: one
-    ``space_norms`` call per ``NORM_CHUNK`` elements of rows."""
+    """``space_norm`` of every row of a stack, such as the indicator rows of
+    ``_ball_rows``: one ``space_norms`` call per ``NORM_CHUNK`` elements of
+    rows, so the norms' temporaries stay within a chunk."""
     step = max(1, NORM_CHUNK // grid.size)
     return [norm for start in range(0, len(rows), step)
             for norm in space_norms(grid, rows[start:start + step].reshape((-1,) + grid.shape).astype(float), space)]
@@ -146,11 +146,13 @@ class TentAtom:
 class TentDecomposition:
     """Atoms and residual of ``tent_decompose``; ``ball_norms[i]`` is the
     norm of ``atoms[i]``'s ball indicator in the space the atoms were sized
-    for (``ball_norms``)."""
+    for (``ball_norms``), and ``sizes[p][i]`` the L^p norm of its
+    unit-aperture cone functional, for each p the atoms were sized for."""
 
     atoms: list[TentAtom]
     residual: HalfSpaceField
     ball_norms: list[float]
+    sizes: dict[float, list[float]]
 
     def reconstruct(self) -> HalfSpaceField:
         dtype = np.result_type(self.residual.values, *{atom.values.dtype for atom in self.atoms})
@@ -270,40 +272,6 @@ def _whitney_regions(
     return region.reshape(grid.shape), leaders
 
 
-def _piece_sizes(F: HalfSpaceField, cells: Sequence[np.ndarray], ps: Sequence[float]) -> list[list[float]]:
-    """The L^p norm of the unit-aperture cone functional of F restricted to
-    each cell set, for every p: one batched cone-functional pass and one
-    row-batched ``space_norms`` call per p."""
-    if not cells:
-        return [[] for _ in ps]
-    areas = tent_functionals(F, 1.0, cells)
-    return [space_norms(F.grid, areas, Lebesgue(p)) for p in ps]
-
-
-def tent_atom_sizes(atoms: Sequence[TentAtom], p: float) -> list[float]:
-    """The L^p norm of every atom's unit-aperture cone functional,
-    ``space_norm(tent_functional(atom.field, 1.0), Lebesgue(p))`` bitwise, in
-    one pass.
-
-    The atoms must share a grid and scales and have pairwise disjoint cells,
-    as one decomposition's atoms do: one field then holds them all, and its
-    cone functional on an atom's cells is the atom's own.
-    """
-    if not atoms:
-        return []
-    grid, scales = atoms[0].grid, atoms[0].scales
-    if any(atom.grid != grid or atom.scales != scales for atom in atoms):
-        raise ValueError("atoms must share a grid and scales")
-    cells = [atom.cells for atom in atoms]
-    if np.unique(np.concatenate(cells)).size != sum(c.size for c in cells):
-        raise ValueError("atoms must have disjoint cells")
-    values = np.zeros(grid.shape + (len(scales),))
-    flat = values.reshape(-1)
-    for atom in atoms:
-        flat[atom.cells] = np.abs(atom.values)  # the cone functionals read |F| only
-    return _piece_sizes(HalfSpaceField(grid, scales, values), cells, (p,))[0]
-
-
 def _fit_balls(grid: GridSpec, balls: BallFamily, centers: list[tuple[int, ...]],
                cells: list[np.ndarray], ts: np.ndarray) -> list[Ball]:
     """Smallest family ball around each piece's centre whose tent holds the piece.
@@ -389,19 +357,23 @@ def tent_decompose(
     zero = HalfSpaceField(grid, scales, np.zeros_like(F.values))
     area = tent_functional(F, 1.0).values
     if not np.any(area > 0):
-        return TentDecomposition(atoms=[], residual=zero, ball_norms=[])
+        return TentDecomposition(atoms=[], residual=zero, ball_norms=[], sizes={p: [] for p in p_checks})
     pieces = _pieces(F, area, balls)
 
-    # every piece's L^p sizes in one batched pass, its ball in one gather and
-    # the balls' norms in one more
+    # every piece's ball in one gather and the balls' norms in one more, then
+    # its cone functional in one batched pass and its L^p sizes chunked like
+    # the ball norms, so the pieces' dense cone functionals are the one stack
+    # held at the peak
     cells = [piece_cells for piece_cells, _ in pieces]
-    sizes = _piece_sizes(F, cells, p_checks)
     fitted = _fit_balls(grid, balls, [center for _, center in pieces], cells, scales.scales)
     norms = ball_norms(grid, fitted, space)
+    areas = tent_functionals(F, 1.0, cells)
+    sizes = [_row_norms(grid, areas, Lebesgue(p)) for p in p_checks]
 
     flat = F.values.reshape(-1)
     atoms: list[TentAtom] = []
     kept_norms: list[float] = []
+    kept_sizes: dict[float, list[float]] = {p: [] for p in p_checks}
     for piece_cells, ball, norm_1b, piece_sizes in zip(cells, fitted, norms, zip(*sizes)):
         lam = max(
             size * norm_1b / ball_volume(ball.radius, grid.dim) ** (1.0 / p)
@@ -410,7 +382,9 @@ def tent_decompose(
         if lam != 0.0:
             atoms.append(TentAtom(grid, scales, piece_cells, flat[piece_cells] / lam, ball, lam))
             kept_norms.append(norm_1b)
-    return TentDecomposition(atoms=atoms, residual=zero, ball_norms=kept_norms)
+            for p, size in zip(p_checks, piece_sizes):
+                kept_sizes[p].append(size / lam)  # the L^p size is positively homogeneous
+    return TentDecomposition(atoms=atoms, residual=zero, ball_norms=kept_norms, sizes=kept_sizes)
 
 
 def default_molecule_decay(space: SpaceDescriptor, q: float, dim: int) -> float:
@@ -422,7 +396,6 @@ def default_molecule_decay(space: SpaceDescriptor, q: float, dim: int) -> float:
 def synthesize_molecule(
     atom: TentAtom,
     psi: Kernel,
-    scales: ScaleGrid | None = None,
     q: float = 2.0,
     d: int = 0,
     epsilon: float = 0.5,
@@ -435,8 +408,6 @@ def synthesize_molecule(
     """
     fieldv = atom.field
     grid = fieldv.grid
-    if scales is not None and scales != fieldv.scales:
-        raise ValueError("scales must match the atom's own scale grid")
     if psi.grid != grid:
         raise ValueError("kernel grid must match the atom's grid")
     scales = fieldv.scales

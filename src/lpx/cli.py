@@ -262,7 +262,7 @@ def cmd_compute(cfg: dict, input_path: Path, operator: str, out_dir: Path) -> in
 
 
 def cmd_decompose(cfg: dict, input_path: Path, out_dir: Path) -> int:
-    from .atoms import tent_atom_sizes, tent_decompose
+    from .atoms import tent_decompose
     from .maximal import ball_volume
 
     grid, scales, kernel, space = _build(cfg)
@@ -280,7 +280,7 @@ def cmd_decompose(cfg: dict, input_path: Path, out_dir: Path) -> int:
     rebuilt = dec.reconstruct()
     err = float(np.max(np.abs(rebuilt.values - F.values)))
     entries = []
-    for atom, size2, norm_1b in zip(dec.atoms, tent_atom_sizes(dec.atoms, 2.0), dec.ball_norms):
+    for atom, size2, norm_1b in zip(dec.atoms, dec.sizes[2.0], dec.ball_norms):
         rhs = ball_volume(atom.ball.radius, grid.dim) ** 0.5 / norm_1b
         entries.append(
             {

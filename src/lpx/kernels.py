@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import BandCoverageError, DegenerateKernel, DualRangeTooSmall
 from .grid import GridSpec, SampledFunction, ScaleGrid, scale_to_unit_rows
+from .transforms import apply_multiplier
 
 __all__ = [
     "KernelKind",
@@ -248,17 +249,16 @@ def band_coverage(pair: ReproducingPair) -> np.ndarray:
     return cov * pair.scales.log_weight
 
 
-def reproduce(f: SampledFunction, pair: ReproducingPair, scales: ScaleGrid | None = None) -> SampledFunction:
+def reproduce(f: SampledFunction, pair: ReproducingPair) -> SampledFunction:
     """Rebuild f from the truncated two-kernel resolution of the identity.
 
     Requires the spectrum of f to sit where the truncated ray integral is at
-    least 0.99; the relative L2 error of the output is then at most 1e-2.
+    least 0.99; the relative L2 error of the output is then at most 1e-2.  The
+    ray integral is applied as a multiplier (``transforms.apply_multiplier``),
+    so a real input gives a real output.
     """
-    if scales is not None and scales != pair.scales:
-        pair = ReproducingPair(pair.phi, pair.psi, scales, pair.normalization_check, pair.support)
     cov = band_coverage(pair)
-    spectrum = np.fft.fftn(f.values)
-    power = np.abs(spectrum)
+    power = np.abs(np.fft.fftn(f.values))
     scale_to_unit_rows(power[None])  # the ratio below is of degree 0
     power **= 2
     total = float(power.sum())
@@ -268,7 +268,7 @@ def reproduce(f: SampledFunction, pair: ReproducingPair, scales: ScaleGrid | Non
             raise BandCoverageError(
                 f"{uncovered / total:.3e} of the spectral mass lies outside the covered band"
             )
-    return SampledFunction(f.grid, np.fft.ifftn(spectrum * cov))
+    return SampledFunction(f.grid, apply_multiplier(f.values, cov))
 
 
 def write_kernel_csv(kernel: Kernel, path: str | Path) -> None:

@@ -5,16 +5,18 @@ ball by the continuous ball measure (2r in 1-D, pi r^2 in 2-D).  Radii are
 snapped so that the covered cell volume never exceeds the continuous measure:
 in 1-D they are whole numbers of cells, in 2-D each radius is inflated until
 pi r^2 dominates the lattice count.  This keeps every average of |f| below
-sup|f| and makes the power inequality for ball means exact.
+sup|f| and makes the power inequality for ball means exact up to the
+round-off of the correlation that sums the balls.
 
 ``hl_maximal`` runs on |f| divided by the power of two of its max
 (``grid.scale_to_unit_rows``) and scales back, so it is positively
 homogeneous over the whole float range; ``powered_maximal`` takes its power
 of |f| so scaled, and ``fs_vector_check`` scales its whole family by one
-power of two.  The ball max of ``hl_maximal`` is one path in 1-D and 2-D:
-each first-axis row of a torus ball is one symmetric run of cells, so
-``BallFamily.ball_filter`` takes a running max per row width and reads it at
-each row's offset.
+power of two.  Both ball operations are one path in 1-D and 2-D.
+``BallFamily.ball_sums`` correlates the values with the cached spectra of
+the ball masks, every radius at once.  ``BallFamily.ball_filter`` takes the
+ball max: each first-axis row of a torus ball is one symmetric run of cells,
+so it takes a running max per row width and reads it at each row's offset.
 """
 
 from __future__ import annotations
@@ -129,31 +131,15 @@ class BallFamily:
 
         Leading axes of ``values`` beyond ``grid.shape`` are a batch, giving
         ``lead + (len(radii),) + grid.shape``, each row bitwise its unbatched
-        value.  A ball holding every cell sums the whole row.  In 1-D each
-        other radius is one cumulative sum over the batch; in 2-D they all
-        come from one correlation against the cached ``squarefuncs.ball_spectra``.
+        value.  Every radius, the whole box included, in either dimension,
+        comes from one correlation against the cached
+        ``squarefuncs.ball_spectra``, exact up to its round-off.
         """
         grid = self.grid
-        lead = values.shape[:values.ndim - grid.dim]
-        radii = [float(r) for r in radii]
-        counts = [self.cell_count(r) for r in radii]
-        part = [i for i, w in enumerate(counts) if w < grid.size]
-        cells = (slice(None),) * grid.dim
-        out = np.empty(lead + (len(radii),) + grid.shape)
-        totals = values.reshape(lead + (grid.size,)).sum(axis=-1)
-        out[(..., [i for i, w in enumerate(counts) if w == grid.size]) + cells] = \
-            totals.reshape(lead + (1,) * (1 + grid.dim))
-        if grid.dim == 1:
-            for i in part:
-                w = counts[i]
-                half = (w - 1) // 2
-                padded = np.concatenate([values[..., -half:], values, values[..., :half]], axis=-1) if half else values
-                c = np.concatenate([np.zeros(lead + (1,)), np.cumsum(padded, axis=-1)], axis=-1)
-                out[..., i, :] = c[..., w:] - c[..., :-w]
-        elif part:
-            table, _ = ball_spectra(grid, tuple(radii[i] for i in part))
-            out[(..., part) + cells] = correlate(values[..., None, :, :], table, 2)
-        return out
+        if not len(radii):
+            return np.empty(values.shape[:values.ndim - grid.dim] + (0,) + grid.shape)
+        table, _ = ball_spectra(grid, tuple(float(r) for r in radii))
+        return correlate(values[(..., None) + (slice(None),) * grid.dim], table, grid.dim)
 
     @cached_property
     def _row_runs(self) -> dict[float, list[tuple[int, int]]]:

@@ -14,13 +14,15 @@ inverts a sum of such products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import NumericFailure
 from .grid import FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
-from .kernels import Kernel
+
+if TYPE_CHECKING:
+    from .kernels import Kernel
 
 __all__ = ["ConvolutionPlan", "build_plan", "spectrum", "inverse_spectrum", "correlate", "apply_multiplier",
            "convolve_at_scale", "build_field", "build_fields", "spatial_kernel"]

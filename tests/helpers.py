@@ -1,7 +1,7 @@
 """Test-side constructors and oracles that the library itself does not use:
-sampling a callable or a box indicator, the half-space quadrature, the tent
-region of a ball, the cone-functional size of one field, and the atom that
-stores a dense field on its nonzero cells."""
+sampling a callable, a box indicator or a band-limited trial, the half-space
+quadrature, the tent region of a ball, the cone-functional size of one field,
+and the atom that stores a dense field on its nonzero cells."""
 
 from __future__ import annotations
 
@@ -26,6 +26,16 @@ def indicator_box(grid: GridSpec, lo: Sequence[float], hi: Sequence[float]) -> S
     for c, a, b in zip(mesh, lo, hi):
         inside &= (c >= a) & (c <= b)
     return SampledFunction(grid, inside)
+
+
+def band_limited_trial(seed: int, grid: GridSpec, lo: float = 1.5, hi: float = 6.0) -> SampledFunction:
+    """Complex function whose spectrum is random on the band lo <= |xi| <= hi and zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    radii = grid.frequency_radii()
+    band = (radii >= lo) & (radii <= hi)
+    spectrum = np.zeros(grid.shape, dtype=complex)
+    spectrum[band] = rng.normal(size=band.sum()) + 1j * rng.normal(size=band.sum())
+    return SampledFunction(grid, np.fft.ifftn(spectrum))
 
 
 def halfspace_integrate(

@@ -19,7 +19,7 @@ from lpx.atoms import (
     synthesize_molecule,
     tent_decompose,
 )
-from helpers import atom_from_field, indicator_box, tent_atom_size
+from helpers import atom_from_field, band_limited_trial, indicator_box, tent_atom_size
 from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_frequency
 from lpx.harness import change_of_angle_experiment, equivalence_experiment, five_spaces, trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion, reproduce
@@ -48,15 +48,6 @@ def report(number, passed, detail):
     line = f"criterion {number}: {'PASS' if passed else 'FAIL'} :: {detail}"
     print(line)
     assert passed, line
-
-
-def band_limited_trial(seed, grid, lo=1.5, hi=6.0):
-    rng = np.random.default_rng(seed)
-    radii = grid.frequency_radii()
-    band = (radii >= lo) & (radii <= hi)
-    spectrum = np.zeros(grid.shape, dtype=complex)
-    spectrum[band] = rng.normal(size=band.sum()) + 1j * rng.normal(size=band.sum())
-    return SampledFunction(grid, np.fft.ifftn(spectrum))
 
 
 def test_criterion_1_pointwise_domination():

@@ -6,7 +6,6 @@ import pytest
 from lpx import atoms, squarefuncs
 from lpx.atoms import (
     Ball,
-    TentAtom,
     TentDecomposition,
     ball_indicator,
     ball_norms,
@@ -15,7 +14,6 @@ from lpx.atoms import (
     coefficient_functional,
     default_molecule_decay,
     synthesize_molecule,
-    tent_atom_sizes,
     tent_decompose,
 )
 from helpers import atom_from_field, tent_atom_size, tent_mask
@@ -329,7 +327,7 @@ def _assert_matches_dense_reference(dec, reference, space):
     assert np.array_equal(dec.reconstruct().values, ref_total)
     grid, scales = dec.residual.grid, dec.residual.scales
     ref_dec = TentDecomposition([atom_from_field(HalfSpaceField(grid, scales, values), ball, lam)
-                                 for ball, lam, values in ref_atoms], dec.residual, dec.ball_norms)
+                                 for ball, lam, values in ref_atoms], dec.residual, dec.ball_norms, dec.sizes)
     assert coefficient_functional(dec, space) == _coefficient_functional_reference(ref_dec, space)
 
 
@@ -403,19 +401,14 @@ def test_atoms_store_disjoint_cells_covering_the_support(case):
 
 
 @pytest.mark.parametrize("case", ["1d-256-field", "2d-16-stray"])
-def test_tent_atom_sizes_match_each_atom_size_bitwise(case):
+def test_decomposition_sizes_match_each_atom_size(case):
+    # an atom's size is its piece's size over its coefficient, not a recomputation
     F = random_field(2) if case == "1d-256-field" else _field_case(2, 16, "stray")
     dec = tent_decompose(F, LEBESGUE, BallFamily.build(F.grid, 2))
     assert dec.atoms
-    for p in (2.0, 4.0):
-        assert tent_atom_sizes(dec.atoms, p) == [tent_atom_size(atom.field, p) for atom in dec.atoms]
-    assert tent_atom_sizes([], 2.0) == []
-    with pytest.raises(ValueError, match="disjoint"):
-        tent_atom_sizes([dec.atoms[0], dec.atoms[0]], 2.0)
-    first = dec.atoms[0]
-    other = TentAtom(first.grid, ScaleGrid(1 / 8, 2.0, 4), first.cells, first.values, first.ball, 1.0)
-    with pytest.raises(ValueError, match="share"):
-        tent_atom_sizes([first, other], 2.0)
+    assert sorted(dec.sizes) == [2.0, 4.0]
+    for p, sizes in dec.sizes.items():
+        assert sizes == pytest.approx([tent_atom_size(atom.field, p) for atom in dec.atoms], rel=1e-14, abs=0.0)
 
 
 def _decomposition_pieces(F, balls):

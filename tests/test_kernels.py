@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import band_limited_trial
 from lpx.errors import BandCoverageError, DegenerateKernel, DualRangeTooSmall
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, pure_frequency
 from lpx.kernels import (
     KernelKind,
+    ReproducingPair,
     annular_profile,
     band_coverage,
     build_annular_kernel,
@@ -173,10 +175,23 @@ def test_reproduce_rejects_uncovered_band():
     phi = build_annular_kernel(GRID)
     narrow = ScaleGrid(t_min=0.25, t_max=1.0, steps_per_octave=8)
     pair = calderon_companion(phi, SCALES)
+    pair = ReproducingPair(pair.phi, pair.psi, narrow, pair.normalization_check, pair.support)
     for amplitude in AMPLITUDES:
         f = amplitude * pure_frequency(GRID, [1])  # |xi| = 1/16, needs t up to 16 to be seen
         with pytest.raises(BandCoverageError):
-            reproduce(f, pair, scales=narrow)
+            reproduce(f, pair)
+
+
+@pytest.mark.parametrize("grid", [GRID, GridSpec(dim=2, half_width=2.0, points_per_axis=64)], ids=["1d", "2d"])
+def test_reproduce_of_a_real_input_is_real(grid):
+    # the coverage multiplier is real and even, so a real input stays real; the
+    # result is the complex-FFT product's to within its round-off
+    pair = calderon_companion(build_annular_kernel(grid), SCALES)
+    f = SampledFunction(grid, band_limited_trial(0, grid).values.real)
+    g = reproduce(f, pair).values
+    assert g.dtype == np.float64
+    reference = np.fft.ifftn(np.fft.fftn(f.values) * band_coverage(pair))
+    assert np.max(np.abs(g - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
 def test_band_coverage_flat_inside_band():

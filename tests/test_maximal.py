@@ -412,18 +412,10 @@ def test_fs_vector_check_zero_denominator():
 
 
 def _ball_sums_reference(family, values, radius):
-    """The per-radius ball sums that the batched ``BallFamily.ball_sums`` replaced."""
-    grid = family.grid
-    mask = family.mask(radius)
-    if mask.all():
-        return np.full(grid.shape, values.sum())
-    if grid.dim == 1:
-        w = int(np.count_nonzero(mask))
-        half = (w - 1) // 2
-        padded = np.concatenate([values[-half:], values, values[:half]]) if half else values
-        c = np.concatenate([[0.0], np.cumsum(padded)])
-        return c[w:] - c[:-w]
-    return correlate(values, spectrum(mask.astype(float), 2), 2)
+    """The per-radius ball sums that the batched ``BallFamily.ball_sums`` replaced:
+    one correlation against the ball mask, in either dimension."""
+    dim = family.grid.dim
+    return correlate(values, spectrum(family.mask(radius).astype(float), dim), dim)
 
 
 def _ball_filter_reference(family, values, radius):
