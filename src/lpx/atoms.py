@@ -6,9 +6,11 @@ cone functional at dyadic levels, cover each superlevel set with family balls
 balls, and cut the field along the per-cell level of the largest superlevel
 set whose surrounding ball still fits.  Each piece is normalized so it passes
 the tent-atom size inequality for every requested integrability exponent.
+The support cells are grouped once by containment level; the cells
+contained at no level are the strays, one piece per spatial point.
 
 The pieces' cone functionals run as one batched pass
-(``squarefuncs.tent_functionals``): only the live (piece, scale) rows are
+(``squarefuncs.tent_functionals``): only the nonzero (piece, scale) rows are
 stacked, whole pieces up to ``squarefuncs.SCALE_SUM_CHUNK`` rows per batch,
 and each piece's scales are summed in frequency space before one inverse
 FFT, so no pieces x cells x scales array is built.  Each level tests every
@@ -19,9 +21,9 @@ its offset list.
 The pieces are then sized in one pass: their balls from one gather of their
 own cells' torus distances, their L^p sizes, kept on the decomposition per
 atom, from row-batched reductions.  The sizes and the balls' indicator norms
-(``ball_norms``, from one gather of the torus distance table) take one
-``space_norms`` call per ``NORM_CHUNK`` elements of rows, in every space;
-``coefficient_functional`` adds its per-atom weights with
+(``ball_norms``, indicators gathered from the torus distance table) take one
+gather and one ``space_norms`` call per ``NORM_CHUNK`` elements of rows, in
+every space; ``coefficient_functional`` adds its per-atom weights with
 one ``np.bincount``.  A ``TentAtom`` keeps only its
 piece's cells and values; its dense field is built on demand.  All of it is
 bitwise what one call per piece, one correlation and candidate loop per
@@ -42,7 +44,7 @@ from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import NORM_CHUNK, Lebesgue, SpaceDescriptor, space_norm, space_norms
-from .squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
+from .squarefuncs import ball_spectra, tent_functional, tent_functionals
 from .transforms import apply_multiplier, build_plan, correlate
 
 __all__ = [
@@ -69,6 +71,10 @@ __all__ = [
 # that round-off, so the lowest level stays 16 times above it and support
 # cells below every level become stray pieces.
 MAX_LEVELS = 22
+# largest relative moment (``_moment_slacks``) and relative mean that
+# ``check_atom`` and ``check_molecule`` count as vanishing
+MOMENT_TOL = 1e-6
+MEAN_TOL = 1e-8
 
 
 class Ball(NamedTuple):
@@ -84,10 +90,16 @@ def ball_indicator(grid: GridSpec, ball: Ball) -> SampledFunction:
 
 def _ball_rows(grid: GridSpec, balls: Sequence[Ball]) -> np.ndarray:
     """Boolean (balls, cells) array whose rows are the balls' indicators: one
-    gather of the torus distance table at every centre."""
+    gather of the torus distance table per ``NORM_CHUNK`` elements of rows,
+    so only a chunk of the distances is held at once."""
     centers = np.array([ball.center for ball in balls], dtype=int).reshape(len(balls), grid.dim)
-    radii = np.array([ball.radius for ball in balls])
-    return grid.torus_windows(grid.offset_distances(), -centers) < radii[:, None]
+    radii = np.array([ball.radius for ball in balls])[:, None]
+    dist = grid.offset_distances()
+    out = np.empty((len(balls), grid.size), dtype=bool)
+    step = max(1, NORM_CHUNK // grid.size)
+    for lo in range(0, len(balls), step):
+        np.less(grid.torus_windows(dist, -centers[lo:lo + step]), radii[lo:lo + step], out=out[lo:lo + step])
+    return out
 
 
 def _row_norms(grid: GridSpec, rows: np.ndarray, space: SpaceDescriptor) -> list[float]:
@@ -202,8 +214,7 @@ def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray)
     """Per half-space cell, the index of the largest level k such that the
     ball B(y, t) stays inside the superlevel set {area > levels[k]} (-1: none)."""
     grid = F.grid
-    # the unit-aperture cone masks are the balls dist < t_k
-    table, _ = cone_spectra(grid, F.scales, 1.0)
+    table = ball_spectra(grid, tuple(F.scales.scales))  # the balls dist < t_k
     out = np.full(F.values.shape, -1, dtype=int)
     for li, lev in enumerate(levels):
         inside = area > lev
@@ -242,7 +253,7 @@ def _whitney_regions(
     leaders: list[Ball] = []
     uncovered = inside.reshape(-1).copy()
     outside = (~inside).astype(float)
-    doubles, _ = ball_spectra(grid, tuple(2.0 * r for r in radii))
+    doubles = ball_spectra(grid, tuple(2.0 * r for r in radii))
     double_ok = correlate(outside, doubles, grid.dim).reshape(len(radii), grid.size) < 0.5
     # Taken radius by radius, largest first, every inside centre whose doubled
     # ball fits is claimed or already covered by the end of that radius.  The
@@ -311,7 +322,12 @@ def _groups(keys: np.ndarray, cells: np.ndarray):
 def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """The stopping-time pieces of F as (cells, leader centre) pairs: sorted flat
     cell indices into ``grid.shape + (K,)``, disjoint and covering the support
-    of F; ``area`` is F's cone functional."""
+    of F; ``area`` is F's cone functional.
+
+    The support cells are grouped by containment level.  A cell (y, t_k) of
+    level k has B(y, t_k) inside {area > levels[k]}, so y lies in that set and
+    ``_whitney_regions`` gives it a region.  The cells contained at no level
+    (-1) are the strays."""
     grid, k_count = F.grid, len(F.scales)
     top = math.ceil(math.log2(area.max()))
     positive_min = area[area > 0].min()
@@ -319,23 +335,17 @@ def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> list[tupl
     levels = 2.0 ** np.arange(bottom, top + 1)
     cell_level = _containment_levels(F, area, levels)
 
-    support = np.abs(F.values) > 0
-    assigned = np.zeros(support.size, dtype=bool)
+    support = np.flatnonzero(np.abs(F.values) > 0)
+    shells = dict(_groups(cell_level.reshape(-1)[support], support))
+    stray = shells.pop(-1, support[:0])  # level -1: contained at no level
     pieces: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    for li, lev in enumerate(levels):
-        shell = np.flatnonzero(support & (cell_level == li))
-        if not len(shell):
-            continue
-        region, leaders = _whitney_regions(grid, area > lev, balls)
+    for li, shell in shells.items():
+        region, leaders = _whitney_regions(grid, area > levels[li], balls)
         for rid, cells in _groups(region.reshape(-1)[shell // k_count], shell):
-            if rid >= 0:
-                pieces.append((cells, leaders[rid].center))
-                assigned[cells] = True
+            pieces.append((cells, leaders[rid].center))
 
-    # strays (possible only when the dynamic range exceeds the level cap, or
-    # a shell cell sits over a point outside its superlevel set): one piece
-    # per spatial point keeps supports disjoint and reconstruction exact
-    stray = np.flatnonzero(support.reshape(-1) & ~assigned)
+    # strays (possible when the area's range exceeds the level cap): one
+    # piece per spatial point keeps supports disjoint and reconstruction exact
     for point, cells in _groups(stray // k_count, stray):
         pieces.append((cells, tuple(int(i) for i in np.unravel_index(point, grid.shape))))
     return pieces
@@ -444,7 +454,6 @@ def check_atom(
     space: SpaceDescriptor,
     q: float,
     d: int,
-    moment_tol: float = 1e-6,
 ) -> AtomReport:
     """Support, size, and vanishing-moment report for a candidate atom."""
     grid = a.grid
@@ -464,7 +473,7 @@ def check_atom(
     size_ok = lhs <= rhs * (1 + 1e-9)
 
     slacks = _moment_slacks(a, d)
-    moments_ok = all(v <= moment_tol for v in slacks.values())
+    moments_ok = all(v <= MOMENT_TOL for v in slacks.values())
     return AtomReport(
         support_ok=support_ok,
         support_leak=leak,
@@ -476,12 +485,7 @@ def check_atom(
     )
 
 
-def check_molecule(
-    m: Molecule,
-    space: SpaceDescriptor,
-    mean_tol: float = 1e-8,
-    moment_tol: float = 1e-6,
-) -> MoleculeReport:
+def check_molecule(m: Molecule, space: SpaceDescriptor) -> MoleculeReport:
     """Shell-decay and vanishing-moment report; shells stop at the box edge."""
     grid = m.func.grid
     dist = grid.torus_distance_to(m.ball.center)
@@ -506,8 +510,8 @@ def check_molecule(
         mean_slack=mean_slack,
         moment_slacks=slacks,
         size_ok=all(l <= r * (1 + 1e-9) for l, r in zip(lhs_list, rhs_list)),
-        mean_ok=mean_slack <= mean_tol,
-        moments_ok=all(v <= moment_tol for v in slacks.values()),
+        mean_ok=mean_slack <= MEAN_TOL,
+        moments_ok=all(v <= MOMENT_TOL for v in slacks.values()),
     )
 
 

@@ -249,9 +249,6 @@ class SampledFunction:
 
     __rmul__ = __mul__
 
-    def abs(self) -> np.ndarray:
-        return np.abs(self.values)
-
 
 def _checked_field_values(field, lead: int) -> np.ndarray:
     """The read-only values (``real_or_complex``) of a field (``lead=0``) or

@@ -4,8 +4,10 @@ Two admissible families are provided: an annular kernel whose transform is a
 smooth cutoff equal to 1 on 2 <= |xi| <= 4 and supported in 1 < |xi| < 8, and
 a weak kernel 2*pi*|xi| * exp(1/2 - 2*pi^2*|xi|^2) (derivative-of-Gaussian
 profile, peak normalized to 1) that is positive on every ray.  Both vanish at
-xi = 0.  A reproducing companion psi is constructed so that the product
-phi_hat * psi_hat integrates to 1 against dt/t along every ray.
+xi = 0.  A ``Kernel`` is its radial profile: the t-dilated transform on the
+dual grid is profile(t |xi|), so every kernel is radial.  A reproducing
+companion psi is constructed so that the product phi_hat * psi_hat
+integrates to 1 against dt/t along every ray.
 """
 
 from __future__ import annotations
@@ -84,23 +86,23 @@ def weak_profile(r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Convolution kernel represented by its transform on the dual grid.
-
-    ``profile`` gives the radial transform at arbitrary radius, which is what
-    scale dilation phi_hat(t*xi) evaluates; ``fourier_values`` caches it on
-    the grid's own dual nodes.
+    """Convolution kernel given by its radial transform ``profile`` at
+    arbitrary radius, which is what scale dilation phi_hat(t*xi) evaluates.
     """
 
     grid: GridSpec
-    fourier_values: np.ndarray
     kind: KernelKind
-    radial: bool
     profile: Callable[[np.ndarray], np.ndarray]
     witness_range: tuple[float, float] | None = None  # scales realizing nondegeneracy
 
     def multiplier(self, t: float) -> np.ndarray:
         """Transform of the t-dilated kernel on the dual grid."""
         return self.profile(t * self.grid.frequency_radii())
+
+    @property
+    def fourier_values(self) -> np.ndarray:
+        """The transform on the grid's own dual nodes."""
+        return self.multiplier(1.0)
 
 
 def validate_kernel(kernel: Kernel) -> None:
@@ -140,8 +142,7 @@ def build_annular_kernel(grid: GridSpec) -> Kernel:
         raise DualRangeTooSmall(
             f"axis Nyquist frequency {grid.nyquist:g} < 8; enlarge N or shrink L"
         )
-    vals = annular_profile(grid.frequency_radii())
-    kernel = Kernel(grid, vals, KernelKind.ANNULAR, radial=True, profile=annular_profile)
+    kernel = Kernel(grid, KernelKind.ANNULAR, annular_profile)
     validate_kernel(kernel)
     return kernel
 
@@ -149,14 +150,11 @@ def build_annular_kernel(grid: GridSpec) -> Kernel:
 def build_weak_kernel(grid: GridSpec) -> Kernel:
     """Weakly admissible kernel, nonzero on every ray at some scale."""
     radii = grid.frequency_radii()
-    vals = weak_profile(radii)
     pos = radii[radii > 0]
     # the profile peaks at t*|xi| = 1/(2*pi): witnesses live on this band
     t_lo = 1.0 / (2.0 * np.pi * pos.max())
     t_hi = 1.0 / (2.0 * np.pi * pos.min())
-    kernel = Kernel(
-        grid, vals, KernelKind.WEAK, radial=True, profile=weak_profile, witness_range=(t_lo, t_hi)
-    )
+    kernel = Kernel(grid, KernelKind.WEAK, weak_profile, witness_range=(t_lo, t_hi))
     validate_kernel(kernel)
     return kernel
 
@@ -205,10 +203,8 @@ def calderon_companion(phi: Kernel, scales: ScaleGrid) -> ReproducingPair:
     The bump is the annular cutoff dilated so its plateau straddles the band
     where phi_hat is large.  c is the scale-grid quadrature of
     phi_hat(r)^2 b(r) dr/r, so the product phi_hat * psi_hat integrates to one
-    along every ray; radial phi only.
+    along every ray.
     """
-    if not phi.radial:
-        raise DegenerateKernel("companion construction requires a radial kernel")
     s0 = _band_center(phi.profile) / math.sqrt(8.0)  # annular log-center is sqrt(8)
 
     def bump(r: np.ndarray, _s0: float = s0) -> np.ndarray:
@@ -222,9 +218,7 @@ def calderon_companion(phi: Kernel, scales: ScaleGrid) -> ReproducingPair:
     def psi_profile(r: np.ndarray, _c: float = c) -> np.ndarray:
         return phi.profile(r) * bump(r) / _c
 
-    psi_vals = psi_profile(phi.grid.frequency_radii())
-    psi = Kernel(phi.grid, psi_vals, phi.kind, radial=True, profile=psi_profile,
-                 witness_range=phi.witness_range)
+    psi = Kernel(phi.grid, phi.kind, psi_profile, witness_range=phi.witness_range)
 
     # independent fine quadrature of the ray integral at the reference direction
     nodes, w = _fine_log_nodes(s0 / 2.0, 16.0 * s0)
@@ -286,7 +280,7 @@ def write_kernel_csv(kernel: Kernel, path: str | Path) -> None:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     meta = {
         "kind": kernel.kind.value,
-        "radial": kernel.radial,
+        "radial": True,  # every Kernel is its radial profile
         "grid": {"dim": kernel.grid.dim, "N": kernel.grid.points_per_axis, "L": kernel.grid.half_width},
     }
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")

@@ -138,7 +138,7 @@ class BallFamily:
         grid = self.grid
         if not len(radii):
             return np.empty(values.shape[:values.ndim - grid.dim] + (0,) + grid.shape)
-        table, _ = ball_spectra(grid, tuple(float(r) for r in radii))
+        table = ball_spectra(grid, tuple(float(r) for r in radii))
         return correlate(values[(..., None) + (slice(None),) * grid.dim], table, grid.dim)
 
     @cached_property

@@ -6,18 +6,21 @@ serves all three.  All quadratures share the half-space measure
 dy dt / t^(n+1) realized as cell_volume * ln2/J * t_k^(-n) per cell, with the
 torus distance deciding cone membership.  Per scale, the sums over y are
 circular correlations of |F|^2 with a kernel that depends only on the grid,
-the scale and the aperture or lambda; the spectra of those kernels are cached
-(``ball_spectra``, ``cone_spectra``, ``gstar_spectra``).  The sum over scales
-runs in frequency space: each scale's spectrum of |F|^2 times its weighted
-kernel spectrum, summed over the scales, then one inverse FFT per field or
-piece (``_scale_sum``).  The plural forms (``tent_functionals``,
-``g_functions``, ``g_lambda_stars``) take a ``FieldStack``
-(``transforms.build_fields``) or one ``HalfSpaceField``, real or complex, and
-return one real row per field, each bitwise the one-field value; the singular
-forms are their one-field case and refuse a stack.  Each field's |F| is
-divided by the power of two of its maximum before squaring and the root is
-scaled back (``_unit_powers``, through ``grid.scale_to_unit_rows``), so the
-square functions are positively homogeneous over the whole float range.
+the scale and the aperture or lambda.  The spectra of those kernels are
+cached (``ball_spectra``), the cone and g*_lambda tables with each scale's
+row already multiplied by its quadrature weight (``cone_spectra``,
+``gstar_spectra``).  The sum over scales runs in frequency space: each
+scale's spectrum of |F|^2 times its table row, summed over the scales, then
+one inverse FFT per field or piece (``_scale_sum``); a (field or piece,
+scale) row whose |F|^2 is zero is the only one skipped.  The plural forms
+(``tent_functionals``, ``g_functions``, ``g_lambda_stars``) take a
+``FieldStack`` (``transforms.build_fields``) or one ``HalfSpaceField``, real
+or complex, and return one real row per field, each bitwise the one-field
+value; the singular forms are their one-field case and refuse a stack.  Each
+field's |F| is divided by the power of two of its maximum before squaring
+and the root is scaled back (``_unit_powers``, through
+``grid.scale_to_unit_rows``), so the square functions are positively
+homogeneous over the whole float range.
 """
 
 from __future__ import annotations
@@ -45,29 +48,33 @@ SCALE_SUM_CHUNK = 256
 
 
 @functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
-def ball_spectra(grid: GridSpec, radii: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of the ball masks ``dist < r``, one row per radius, and whether
-    each mask holds any cell.  Both arrays are read-only."""
+def ball_spectra(grid: GridSpec, radii: tuple[float, ...]) -> np.ndarray:
+    """Read-only spectra of the ball masks ``dist < r``, one row per radius."""
     dist = grid.offset_distances()
-    masks = np.stack([(dist < r).astype(float) for r in radii])
-    table = spectrum(masks, grid.dim)
-    live = masks.reshape(len(masks), -1).any(axis=1)
+    table = spectrum(np.stack([(dist < r).astype(float) for r in radii]), grid.dim)
     table.setflags(write=False)
-    live.setflags(write=False)
-    return table, live
+    return table
 
 
 @functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
-def cone_spectra(grid: GridSpec, scales: ScaleGrid, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """``ball_spectra`` of the cone masks ``dist < alpha * t_k``, one row per scale."""
-    return ball_spectra(grid, tuple(alpha * t for t in scales.scales))
+def cone_spectra(grid: GridSpec, scales: ScaleGrid, alpha: float) -> np.ndarray:
+    """``ball_spectra`` of the cone masks ``dist < alpha * t_k``, row k times
+    the scale's weight cell_volume * ln2/J * t_k^(-n); read-only."""
+    weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
+    table = ball_spectra(grid, tuple(alpha * t for t in scales.scales)) * weights.reshape((-1,) + (1,) * grid.dim)
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
 def gstar_spectra(grid: GridSpec, scales: ScaleGrid, lam: float) -> np.ndarray:
-    """Read-only spectra of the weights ``(t_k / (t_k + dist))^(lambda n)``, one row per scale."""
+    """Read-only spectra of the weights ``(t_k / (t_k + dist))^(lambda n)``,
+    row k times the scale's weight cell_volume * ln2/J * t_k^(-n)."""
     dist = grid.offset_distances()
+    lw = scales.log_weight * grid.cell_volume
+    weights = np.array([lw / t**grid.dim for t in scales.scales])
     table = spectrum(np.stack([(t / (t + dist)) ** (lam * grid.dim) for t in scales.scales]), grid.dim)
+    table *= weights.reshape((-1,) + (1,) * grid.dim)
     table.setflags(write=False)
     return table
 
@@ -81,7 +88,7 @@ def _unit_powers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batches(owner: np.ndarray) -> Iterator[list[int]]:
-    """``_scale_sum``'s batches, given each live row's piece (piece-major,
+    """``_scale_sum``'s batches, given each kept row's piece (piece-major,
     then scale): per batch, the row offsets where its pieces start, then its
     end.  A batch holds whole pieces, as many as fit ``SCALE_SUM_CHUNK`` rows,
     and at least one."""
@@ -93,29 +100,27 @@ def _batches(owner: np.ndarray) -> Iterator[list[int]]:
         first = last
 
 
-def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray, live: np.ndarray | bool, weights,
+def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray,
                pieces: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """sqrt(sum_k weights[k] * (|P(., t_k)|^2 correlated with kernel k)) for each piece P.
+    """sqrt(sum_k |P(., t_k)|^2 correlated with kernel k) for each piece P,
+    row k of ``table`` being the spectrum of kernel k, weight included.
 
     With ``pieces=None`` every field of F (one, or each of a ``FieldStack``)
     is one piece; otherwise F is one field and piece i is F on the cells
     ``pieces[i]`` (flat indices into ``grid.shape + (K,)``) and zero
-    elsewhere.  A (piece, scale) row whose kernel is empty or whose slice is
-    zero adds exactly zero and is skipped.  The sum runs in frequency space:
-    each live row's spectrum times its kernel spectrum times its weight,
-    summed per piece left to right in scale order, then one inverse FFT per
-    piece.  A batch holds whole pieces (``_batches``), so each piece's sum is
-    bitwise what a call on that piece alone gives.  Returns one row per
-    piece, shaped ``(pieces,) + grid.shape``.
+    elsewhere.  A (piece, scale) row whose slice is zero adds exactly zero
+    and is skipped.  The sum runs in frequency space: each kept row's
+    spectrum times its table row, summed per piece left to right in scale
+    order, then one inverse FFT per piece.  A batch holds whole pieces
+    (``_batches``), so each piece's sum is bitwise what a call on that piece
+    alone gives.  Returns one row per piece, shaped ``(pieces,) + grid.shape``.
     """
     grid = F.grid
-    weighted = table * np.asarray(weights).reshape((-1,) + (1,) * grid.dim)
     field_power, exps = _unit_powers(F.stack)
     k_count = field_power.shape[-1]
     power = np.moveaxis(field_power.reshape(len(field_power), grid.size, k_count), -1, 1)
-    flat_live = np.asarray(live) & (power != 0).any(axis=2)  # (field, scale)
     if pieces is None:
-        owner, scale = np.divmod(np.flatnonzero(flat_live), k_count)  # field-major, then scale
+        owner, scale = np.divmod(np.flatnonzero((power != 0).any(axis=2)), k_count)  # field-major, then scale
         count = len(power)
 
         def rows(lo: int, hi: int) -> np.ndarray:
@@ -127,7 +132,7 @@ def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray, live: np.ndarr
         spatial, k = np.divmod(cells, k_count)
         cell_power = field_power.reshape(-1)[cells]
         key = np.repeat(np.arange(len(pieces)) * k_count, [len(c) for c in pieces]) + k
-        row_keys = np.unique(key[flat_live[0, k] & (cell_power != 0)])  # piece-major, then scale
+        row_keys = np.unique(key[cell_power != 0])  # piece-major, then scale
         owner, scale = np.divmod(row_keys, k_count)
         slot = np.full(len(pieces) * k_count, -1)
         slot[row_keys] = np.arange(len(row_keys))
@@ -144,7 +149,7 @@ def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray, live: np.ndarr
     for edges in _batches(owner):
         lo, hi = edges[0], edges[-1]
         products = spectrum(rows(lo, hi), grid.dim)
-        products *= weighted[scale[lo:hi]]
+        products *= table[scale[lo:hi]]
         summed = np.empty((len(edges) - 1,) + products.shape[1:], dtype=products.dtype)
         for j, (s, e) in enumerate(zip(edges, edges[1:])):  # each piece's own rows, left to right
             np.add.reduce(products[s - lo:e - lo], axis=0, out=summed[j])
@@ -175,10 +180,7 @@ def tent_functionals(F: HalfSpaceField | FieldStack, alpha: float,
     elsewhere; ``pieces=None`` makes each field of F one piece."""
     if alpha < 0:
         raise ValueError("aperture must be nonnegative")
-    grid, scales = F.grid, F.scales
-    table, live = cone_spectra(grid, scales, alpha)
-    weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
-    return _scale_sum(F, table, live, weights, pieces)
+    return _scale_sum(F, cone_spectra(F.grid, F.scales, alpha), pieces)
 
 
 def lusin_area(F: HalfSpaceField) -> SampledFunction:
@@ -213,7 +215,4 @@ def g_lambda_stars(F: HalfSpaceField | FieldStack, lam: float) -> np.ndarray:
     each bitwise the one-field value."""
     if lam <= 1.0:
         raise LambdaTooSmall(f"lambda must exceed 1, got {lam:g}")
-    grid, scales = F.grid, F.scales
-    lw = scales.log_weight * grid.cell_volume
-    weights = [lw / t**grid.dim for t in scales.scales]
-    return _scale_sum(F, gstar_spectra(grid, scales, lam), True, weights)
+    return _scale_sum(F, gstar_spectra(F.grid, F.scales, lam))

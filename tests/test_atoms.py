@@ -106,14 +106,14 @@ def test_double_ball_spectra_match_per_radius_masks_bitwise(dim, n):
     radii = BallFamily.build(grid, 2).radii
     dist = grid.offset_distances()
     ball_spectra.cache_clear()
-    table, live = ball_spectra(grid, tuple(2.0 * r for r in radii))
-    assert not table.flags.writeable and live.all()
+    table = ball_spectra(grid, tuple(2.0 * r for r in radii))
+    assert not table.flags.writeable
     assert len(table) == len(radii)
     for r, row in zip(radii, table):
         assert np.array_equal(row, spectrum((dist < 2.0 * r).astype(float), dim))
     # one table per (grid, ball family): a rebuilt family hits the cache
     rebuilt = BallFamily.build(grid, 2).radii
-    assert ball_spectra(grid, tuple(2.0 * r for r in rebuilt))[0] is table
+    assert ball_spectra(grid, tuple(2.0 * r for r in rebuilt)) is table
 
 
 def _one_piece_spectral_reference(F):
@@ -153,12 +153,12 @@ def _assert_near_spatial(fast, spatial):
 
 def _one_piece_functional_reference(F):
     """The spatial one-piece cone functional the frequency-space sum replaced:
-    live scale rows in one correlation, summed in scale order."""
+    nonzero scale rows in one correlation, summed in scale order."""
     grid, scales = F.grid, F.scales
-    table, live = cone_spectra(grid, scales, 1.0)
+    table = ball_spectra(grid, tuple(scales.scales))
     weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
     power = np.moveaxis(np.abs(F.values) ** 2, -1, 0)
-    keep = np.flatnonzero(live & power.reshape(len(power), -1).any(axis=1))
+    keep = np.flatnonzero(power.reshape(len(power), -1).any(axis=1))
     acc = np.zeros(grid.shape)
     if len(keep):
         corr = correlate(power[keep], table[keep], grid.dim)

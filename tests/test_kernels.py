@@ -113,13 +113,7 @@ def test_companion_product_nonnegative_and_supported_away_from_zero():
 def test_companion_scaling_invariance():
     phi = build_annular_kernel(GRID)
     pair1 = calderon_companion(phi, SCALES)
-    phi2 = type(phi)(
-        grid=phi.grid,
-        fourier_values=2.0 * phi.fourier_values,
-        kind=phi.kind,
-        radial=True,
-        profile=lambda r: 2.0 * annular_profile(r),
-    )
+    phi2 = type(phi)(grid=phi.grid, kind=phi.kind, profile=lambda r: 2.0 * annular_profile(r))
     pair2 = calderon_companion(phi2, SCALES)
     # psi halves, the normalization check is unchanged
     assert np.allclose(pair2.psi.fourier_values, 0.5 * pair1.psi.fourier_values)

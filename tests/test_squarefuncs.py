@@ -423,10 +423,9 @@ def test_spectrum_cache_is_read_only_keyed_and_bounded(which):
     grid, scales = ORACLE_GRIDS["1d-64"]
     cache.cache_clear()
     first = cache(grid, scales, 2.0)
-    for array in first if isinstance(first, tuple) else (first,):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0
     assert cache(grid, scales, 2.0) is first
     assert cache.cache_info().hits == 1
     # another grid, scale grid or parameter is another entry with its own table
@@ -438,7 +437,7 @@ def test_spectrum_cache_is_read_only_keyed_and_bounded(which):
     ]
     info = cache.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 5, 5)
-    tables = [t[0] if isinstance(t, tuple) else t for t in [first] + others]
+    tables = [first] + others
     for i, a in enumerate(tables):
         for b in tables[i + 1:]:
             assert a.shape != b.shape or not np.array_equal(a, b)
@@ -447,6 +446,37 @@ def test_spectrum_cache_is_read_only_keyed_and_bounded(which):
     info = cache.cache_info()
     assert info.maxsize == squarefuncs.SPECTRA_CACHE_SIZE
     assert info.currsize == info.maxsize
+
+
+@pytest.mark.parametrize("case", ["1d-64", "2d-16"])
+def test_weighted_tables_are_the_spectra_times_the_scale_weights_bitwise(case):
+    # the cached tables carry each scale's quadrature weight: bitwise the
+    # product the scale sum formed per call from the unweighted spectra
+    grid, scales = ORACLE_GRIDS[case]
+    dist = grid.offset_distances()
+    lead = (-1,) + (1,) * grid.dim
+    for alpha in (0.0, 1.0, 2.0):
+        weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
+        unweighted = squarefuncs.ball_spectra(grid, tuple(alpha * t for t in scales.scales))
+        assert np.array_equal(squarefuncs.cone_spectra(grid, scales, alpha), unweighted * weights.reshape(lead))
+    for lam in (1.5, 3.0):
+        lw = scales.log_weight * grid.cell_volume
+        weights = np.asarray([lw / t**grid.dim for t in scales.scales])
+        unweighted = spectrum(np.stack([(t / (t + dist)) ** (lam * grid.dim) for t in scales.scales]), grid.dim)
+        assert np.array_equal(squarefuncs.gstar_spectra(grid, scales, lam), unweighted * weights.reshape(lead))
+
+
+@pytest.mark.parametrize("case", ["1d-64", "2d-16"])
+def test_cone_functional_at_aperture_zero_is_positive_zero(case):
+    # every cone mask dist < 0 is empty, so every kernel spectrum is 0: the
+    # scale sum runs those rows and must still give +0.0, with no sign bit
+    grid, scales = ORACLE_GRIDS[case]
+    F = _oracle_field(grid, scales, "noise")
+    stack = FieldStack(grid, scales, np.stack([F.values, -3.0 * F.values.real, np.zeros_like(F.values)]))
+    cells = np.arange(F.values.size)
+    for rows in (tent_functionals(F, 0.0), tent_functionals(stack, 0.0),
+                 tent_functionals(F, 0.0, [cells[:7], cells[7:F.values.size // 2], cells[F.values.size // 2:]])):
+        assert np.all(rows == 0.0) and not np.signbit(rows).any()
 
 
 def test_square_functions_take_no_cache_knob():
