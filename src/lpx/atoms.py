@@ -18,13 +18,15 @@ doubled ball in one correlation against the cached ``ball_spectra``, then
 walks the inside centres once, by the largest radius whose doubled ball
 fits, rather than once per radius; a claimed ball marks its cells through
 its offset list.
+Every ball's cells are ``GridSpec.ball_mask``'s: the offset lists, the
+doubled balls' spectra, and the indicators (``_ball_rows``), which read each
+ball's mask at its centre, all balls in one ``torus_window_view`` gather.
 The pieces are then sized in one pass: their balls from one gather of their
 own cells' torus distances, their L^p sizes, kept on the decomposition per
 atom, from row-batched reductions.  The sizes and the balls' indicator norms
-(``ball_norms``, indicators gathered from the torus distance table) take one
-gather and one ``space_norms`` call per ``NORM_CHUNK`` elements of rows, in
-every space; ``coefficient_functional`` adds its per-atom weights with
-one ``np.bincount``.  A ``TentAtom`` keeps only its
+(``ball_norms``) take one ``space_norms`` call per ``NORM_CHUNK`` elements
+of rows, in every space; ``coefficient_functional`` adds its per-atom
+weights with one ``np.bincount``.  A ``TentAtom`` keeps only its
 piece's cells and values; its dense field is built on demand.  All of it is
 bitwise what one call per piece, one correlation and candidate loop per
 radius, one ``np.roll`` per ball, one indicator per ball norm and a dense
@@ -83,23 +85,21 @@ class Ball(NamedTuple):
 
 
 def ball_indicator(grid: GridSpec, ball: Ball) -> SampledFunction:
-    """Indicator of the ball in the torus metric."""
-    dist = grid.torus_distance_to(ball.center)
-    return SampledFunction(grid, dist < ball.radius)
+    """Indicator of the ball in the torus metric (``_ball_rows``)."""
+    return SampledFunction(grid, _ball_rows(grid, [ball]).reshape(grid.shape))
 
 
 def _ball_rows(grid: GridSpec, balls: Sequence[Ball]) -> np.ndarray:
-    """Boolean (balls, cells) array whose rows are the balls' indicators: one
-    gather of the torus distance table per ``NORM_CHUNK`` elements of rows,
-    so only a chunk of the distances is held at once."""
+    """Boolean (balls, cells) array whose rows are the balls' indicators: each
+    ball's ``grid.ball_mask`` read at its centre, every ball in one
+    ``torus_window_view`` gather over the masks of the distinct radii."""
+    slot: dict[float, int] = {}  # each distinct radius's mask, in order of first use
+    which = np.array([slot.setdefault(ball.radius, len(slot)) for ball in balls], dtype=np.intp)
+    masks = np.array([grid.ball_mask(r) for r in slot], dtype=bool).reshape((len(slot),) + grid.shape)
     centers = np.array([ball.center for ball in balls], dtype=int).reshape(len(balls), grid.dim)
-    radii = np.array([ball.radius for ball in balls])[:, None]
-    dist = grid.offset_distances()
-    out = np.empty((len(balls), grid.size), dtype=bool)
-    step = max(1, NORM_CHUNK // grid.size)
-    for lo in range(0, len(balls), step):
-        np.less(grid.torus_windows(dist, -centers[lo:lo + step]), radii[lo:lo + step], out=out[lo:lo + step])
-    return out
+    # B(c, r) holds x iff mask[(x - c) mod n]: the window at shift -c
+    shifts = tuple((-centers % grid.points_per_axis).T)
+    return grid.torus_window_view(masks)[(which,) + shifts].reshape(len(balls), grid.size)
 
 
 def _row_norms(grid: GridSpec, rows: np.ndarray, space: SpaceDescriptor) -> list[float]:
@@ -214,7 +214,7 @@ def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray)
     """Per half-space cell, the index of the largest level k such that the
     ball B(y, t) stays inside the superlevel set {area > levels[k]} (-1: none)."""
     grid = F.grid
-    table = ball_spectra(grid, tuple(F.scales.scales))  # the balls dist < t_k
+    table = ball_spectra(grid, tuple(F.scales.scales))  # the balls grid.ball_mask(t_k)
     out = np.full(F.values.shape, -1, dtype=int)
     for li, lev in enumerate(levels):
         inside = area > lev
@@ -228,12 +228,11 @@ def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray)
 
 @functools.lru_cache(maxsize=8)
 def _ball_offsets(grid: GridSpec, radii: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per radius, the offsets of the cells within the ball ``dist < r`` about
-    the origin, one read-only integer array per axis, in C order."""
-    dist = grid.offset_distances()
+    """Per radius, the offsets of the cells of ``grid.ball_mask(r)``, one
+    read-only integer array per axis, in C order."""
     out = []
     for r in radii:
-        axes = np.nonzero(dist < r)
+        axes = np.nonzero(grid.ball_mask(r))
         for a in axes:
             a.setflags(write=False)
         out.append(axes)
@@ -457,13 +456,12 @@ def check_atom(
 ) -> AtomReport:
     """Support, size, and vanishing-moment report for a candidate atom."""
     grid = a.grid
-    dist = grid.torus_distance_to(ball.center)
-    outside = dist >= ball.radius
+    indicator = ball_indicator(grid, ball)
     mass = float(np.sum(np.abs(a.values)))
-    leak = float(np.sum(np.abs(a.values)[outside])) / mass if mass > 0 else 0.0
+    leak = float(np.sum(np.abs(a.values)[indicator.values == 0])) / mass if mass > 0 else 0.0
     support_ok = leak == 0.0
 
-    norm_1b = space_norm(ball_indicator(grid, ball), space)
+    norm_1b = space_norm(indicator, space)
     if math.isinf(q):
         lhs = float(np.max(np.abs(a.values)))
         rhs = 1.0 / norm_1b
@@ -488,15 +486,18 @@ def check_atom(
 def check_molecule(m: Molecule, space: SpaceDescriptor) -> MoleculeReport:
     """Shell-decay and vanishing-moment report; shells stop at the box edge."""
     grid = m.func.grid
-    dist = grid.torus_distance_to(m.ball.center)
     norm_1b = space_norm(ball_indicator(grid, m.ball), space)
-    shells, measures = [], []
+    radii, measures = [], []
     r_lo, r_hi = 0.0, m.ball.radius  # shell j is r 2^(j-1) <= dist < r 2^j, the ball at j = 0
     while r_hi <= grid.half_width:
-        shells.append((dist >= r_lo) & (dist < r_hi))
+        radii.append(r_hi)
         measures.append(ball_volume(r_hi, grid.dim) - ball_volume(r_lo, grid.dim))
         r_lo, r_hi = r_hi, 2.0 * r_hi
-    vals = np.where(np.stack(shells), np.abs(m.func.values), 0.0)
+    if not radii:
+        raise ValueError(f"ball radius {m.ball.radius:g} exceeds the half width: no shell fits the box")
+    shells = _ball_rows(grid, [Ball(m.ball.center, r) for r in radii])
+    shells[1:] &= ~shells[:-1]  # each ball less the one inside it
+    vals = np.where(shells.reshape((-1,) + grid.shape), np.abs(m.func.values), 0.0)
     lhs_list = [float(row.max()) for row in vals] if math.isinf(m.q) else space_norms(grid, vals, Lebesgue(m.q))
     # measure ** (1 / q) is 1.0 at q = inf
     rhs_list = [2.0 ** (-j * m.epsilon) * measure ** (1.0 / m.q) / norm_1b for j, measure in enumerate(measures)]

@@ -5,6 +5,9 @@ per axis, so FFT convolution is exact for periodic data.  Scales live on a
 multiplicative grid t_k = t_min * 2^((k+1/2)/J) with the midpoint-in-log
 quadrature weight ln(2)/J for the measure dt/t.  Sampled values are
 float64 unless some imaginary part is nonzero (``real_or_complex``).
+A torus ball's cells are decided in one place, ``GridSpec.ball_mask``, and
+every read of values at shifted cells goes through
+``GridSpec.torus_window_view``.
 """
 
 from __future__ import annotations
@@ -114,13 +117,12 @@ class GridSpec:
         One read-only table per grid, shared by every caller."""
         return _offset_distances(self)
 
-    def torus_distance_to(self, center_index: tuple[int, ...]) -> np.ndarray:
-        """Torus distance of every cell center from the given cell's center."""
-        out = self.offset_distances()
-        cells = np.arange(self.points_per_axis)
-        for axis, c in enumerate(center_index):  # out[x] = table[(x - c) mod n]
-            out = out.take(cells - c, axis=axis, mode="wrap")
-        return out
+    def ball_mask(self, radius: float) -> np.ndarray:
+        """Offset-indexed membership of the torus ball of the given radius,
+        ``offset_distances() < radius``: the one rule for a ball's cells.  The
+        ball about cell c is the mask rolled by c, read through
+        ``torus_window_view`` at the shift -c."""
+        return self.offset_distances() < radius
 
     def torus_window_view(self, values: np.ndarray) -> np.ndarray:
         """Read-only view ``w`` with ``w[s][x] = values[(x + s) mod n]`` for every
@@ -134,19 +136,6 @@ class GridSpec:
         tiled = np.tile(values, (1,) * lead + (2,) * self.dim)
         axes = tuple(range(lead, values.ndim))
         return np.lib.stride_tricks.sliding_window_view(tiled, self.shape, axis=axes)
-
-    def torus_windows(self, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """``values[(x + o) mod n]`` with one row per offset o and one column per cell x.
-
-        ``offsets`` is an (m, dim) integer array; the result is (m, size) in the
-        C order of the cells, and leading axes of ``values`` beyond
-        ``grid.shape`` are a batch: ``(batch..., m, size)``.  One fancy index
-        into ``torus_window_view`` reads every offset at once.
-        """
-        n = self.points_per_axis
-        lead = values.shape[:values.ndim - self.dim]
-        index = (slice(None),) * len(lead) + tuple((offsets % n).T)
-        return self.torus_window_view(values)[index].reshape(lead + (len(offsets), self.size))
 
 
 @functools.lru_cache(maxsize=OFFSET_CACHE_SIZE)

@@ -338,13 +338,12 @@ def change_of_angle_experiment(
     )
 
 
-def embedding_weight(grid: GridSpec, epsilon: float = 0.9, balls: BallFamily | None = None) -> Weight:
-    """The weight [M(1_{B(0,1)})]^epsilon used by the weighted embedding."""
+def embedding_weight(grid: GridSpec, epsilon: float = 0.9) -> Weight:
+    """The weight [M(1_{B(0,1)})]^epsilon used by the weighted embedding, M
+    over the default family and the weight's averages over ``BallFamily.build(grid, 2)``."""
     ind = indicator_ball(grid, [0.0] * grid.dim, 1.0)
-    m = hl_maximal(ind, balls)
-    vals = np.maximum(m.values, 1e-300) ** epsilon
-    family = balls or BallFamily.build(grid, 2)
-    return Weight(values=SampledFunction(grid, vals), family=family)
+    vals = np.maximum(hl_maximal(ind).values, 1e-300) ** epsilon
+    return Weight(values=SampledFunction(grid, vals), family=BallFamily.build(grid, 2))
 
 
 def embedding_experiment(

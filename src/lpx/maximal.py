@@ -17,6 +17,9 @@ power of two.  Both ball operations are one path in 1-D and 2-D.
 the ball masks, every radius at once.  ``BallFamily.ball_filter`` takes the
 ball max: each first-axis row of a torus ball is one symmetric run of cells,
 so it takes a running max per row width and reads it at each row's offset.
+A ball's cells are ``GridSpec.ball_mask``'s, and ``BallFamily.build`` keeps
+the last ``FAMILY_CACHE_SIZE`` families it built, so a default family is
+built once per grid.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ __all__ = [
 ]
 
 DEFAULT_RADII_PER_OCTAVE = {1: 32, 2: 8}
+# ball families kept by ``BallFamily.build``, one per (grid, radii per octave)
+FAMILY_CACHE_SIZE = 8
 # elements, (scale, offset) pairs x inputs x cells, per vectorized step of the
 # smoothed sup; bounds its temporaries
 PEETRE_CHUNK = 1 << 15
@@ -104,7 +109,9 @@ class BallFamily:
     radii_per_octave: int
 
     @classmethod
+    @lru_cache(maxsize=FAMILY_CACHE_SIZE)
     def build(cls, grid: GridSpec, radii_per_octave: int = 1) -> "BallFamily":
+        """The family of the grid and ladder density, built once per pair."""
         if radii_per_octave < 1:
             raise ValueError("radii_per_octave must be >= 1")
         if grid.dim == 1:
@@ -116,14 +123,6 @@ class BallFamily:
 
     def __len__(self) -> int:
         return len(self.radii)
-
-    def mask(self, radius: float) -> np.ndarray:
-        """Offset-indexed membership mask: torus distance < radius."""
-        d = self.grid.offset_distances()
-        return d < radius
-
-    def cell_count(self, radius: float) -> int:
-        return int(np.count_nonzero(self.mask(radius)))
 
     def ball_sums(self, values: np.ndarray, radii) -> np.ndarray:
         """Sum of ``values`` over cells whose centers lie in B(x, r), for all x
@@ -144,11 +143,11 @@ class BallFamily:
     @cached_property
     def _row_runs(self) -> dict[float, list[tuple[int, int]]]:
         """Per family radius r, the (first-axis offset, cell count) of every
-        first-axis row the ball ``dist < r`` meets; a 1-D ball is the one row
-        at offset 0.  Built once per family."""
-        dist = self.grid.offset_distances().reshape(-1, self.grid.points_per_axis)
-        return {r: [(dx, w) for dx, w in enumerate(np.count_nonzero(dist < r, axis=1).tolist()) if w]
-                for r in self.radii.tolist()}
+        first-axis row the ball ``grid.ball_mask(r)`` meets; a 1-D ball is the
+        one row at offset 0.  Built once per family."""
+        n = self.grid.points_per_axis
+        widths = {r: np.count_nonzero(self.grid.ball_mask(r).reshape(-1, n), axis=1) for r in self.radii.tolist()}
+        return {r: [(dx, w) for dx, w in enumerate(row.tolist()) if w] for r, row in widths.items()}
 
     def ball_filter(self, values: np.ndarray, radius: float) -> np.ndarray:
         """Max of ``values`` over B(x, r) for every center x, r one of the
@@ -173,15 +172,9 @@ class BallFamily:
         return out
 
 
-@lru_cache(maxsize=8)
-def cached_ball_family(grid: GridSpec, radii_per_octave: int) -> BallFamily:
-    """``BallFamily.build(grid, radii_per_octave)``, built once per pair."""
-    return BallFamily.build(grid, radii_per_octave)
-
-
 def hl_maximal(f: SampledFunction, balls: BallFamily | None = None) -> SampledFunction:
     """Ball-average maximal function sup over family balls containing x."""
-    balls = balls or cached_ball_family(f.grid, DEFAULT_RADII_PER_OCTAVE[f.grid.dim])
+    balls = balls or BallFamily.build(f.grid, DEFAULT_RADII_PER_OCTAVE[f.grid.dim])
     mag = np.abs(f.values)
     e = scale_to_unit_rows(mag[None])[0]
     cellvol = f.grid.cell_volume

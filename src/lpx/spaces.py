@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import NoBracket, NotInAInfty, NumericFailure
 from .grid import GridSpec, SampledFunction, read_function_csv, scale_to_unit_rows
-from .maximal import BallFamily, ball_volume, cached_ball_family
+from .maximal import BallFamily, ball_volume
 
 __all__ = [
     "Lebesgue",
@@ -66,6 +66,11 @@ __all__ = [
 ]
 
 LUXEMBURG_BRACKET = (1e-30, 1e30)  # of lam over a row's max
+# largest worst sampled C in Phi(s t) <= C s^p Phi(t), p the lower type for
+# s <= 1 and the upper for s >= 1.  Correct declarations give 1 (u^p,
+# u^1.2 + u^1.6); u^2 declared with types (1.2, 1.6) gives 15.8 and
+# min(u, 1e-12) declared with types (1, 1) gives 1000
+TYPE_CONSTANT_MAX = 4.0
 # secant steps a Luxemburg row may take before a NumericFailure.  The midpoint
 # safeguard halves a row's bracket at least every three steps, which closes
 # the bracket's 138 in log lam to a few ulps within about 175 steps
@@ -74,6 +79,7 @@ AP_CAP = 1e6
 AP_GROWTH_FLOOR = 0.02  # log2 growth per refinement always counted as stable
 AP_GROWTH_SLOPE = 0.15  # threshold grows with the measured singularity strength
 AP_Q_MAX = 64.0
+AP_INDEX_TOL = 0.05  # width at which ``critical_index`` stops bisecting
 # elements per vectorized step of a batched norm: rows x radii x cells of
 # Morrey's ball sums, windows x offsets of an OrliczSlice Luxemburg solve.
 # A 1-D N=64 equivalence block (16 rows) takes two Morrey steps and two
@@ -110,17 +116,16 @@ class Weight:
         return self.values.values
 
 
-def power_weight(grid: GridSpec, a: float, family: BallFamily | None = None) -> Weight:
-    """|x|^a sampled at cell centers (finite there since centers avoid 0)."""
-    if family is None:
-        family = BallFamily.build(grid, 4)
+def power_weight(grid: GridSpec, a: float) -> Weight:
+    """|x|^a sampled at cell centers (finite there since centers avoid 0),
+    averaged over ``BallFamily.build(grid, 4)``."""
 
     def evaluator(*mesh):
         r = np.sqrt(sum(c**2 for c in mesh))
         return r**a
 
     vals = SampledFunction(grid, evaluator(*grid.coordinate_mesh()))
-    return Weight(values=vals, family=family, evaluator=evaluator)
+    return Weight(values=vals, family=BallFamily.build(grid, 4), evaluator=evaluator)
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,8 @@ class ExponentFunction:
 
 @dataclass(frozen=True)
 class OrliczFunction:
-    """Monotone Young-type function with declared lower and upper types."""
+    """Monotone Young-type function with declared lower and upper types,
+    checked on a sample grid (lower_type <= upper_type, ``TYPE_CONSTANT_MAX``)."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     lower_type: float
@@ -162,14 +168,17 @@ class OrliczFunction:
             raise ValueError("Phi(0) must be 0")
         if np.any(vals <= 0) or np.any(np.diff(vals) < 0):
             raise ValueError("Phi must be positive and nondecreasing on (0, inf)")
-        # sampled type bounds: Phi(s t) <= C s^p Phi(t) with a finite worst constant
+        if self.lower_type > self.upper_type:
+            raise ValueError(f"lower type {self.lower_type:g} exceeds upper type {self.upper_type:g}")
+        # sampled type bounds: Phi(s t) <= C s^p Phi(t), C the worst sampled ratio
         s = np.logspace(-3, 0, 16)
         big_s = np.logspace(0, 3, 16)
         t = np.logspace(-3, 3, 16)
         low = np.max(self.evaluator(np.outer(s, t)) / (s[:, None] ** self.lower_type * self.evaluator(t)))
         up = np.max(self.evaluator(np.outer(big_s, t)) / (big_s[:, None] ** self.upper_type * self.evaluator(t)))
-        if not (np.isfinite(low) and np.isfinite(up)):
-            raise ValueError("type bounds do not hold on the sample grid")
+        if not (low <= TYPE_CONSTANT_MAX and up <= TYPE_CONSTANT_MAX):
+            raise ValueError(f"type bounds do not hold on the sample grid: worst constants {low:.3g} (lower), "
+                             f"{up:.3g} (upper), above {TYPE_CONSTANT_MAX:g}")
 
 
 def power_orlicz(p: float) -> OrliczFunction:
@@ -357,7 +366,7 @@ class Morrey:
         """sup over the family's balls of |B|^(1/p - 1/r) ||row||_{L^r(B)}
         for every row, the ball sums of ``NORM_CHUNK`` elements' worth of
         rows per ``ball_sums`` call."""
-        family = self.family or cached_ball_family(grid, 4)
+        family = self.family or BallFamily.build(grid, 4)
         cellvol = grid.cell_volume
         factors = [ball_volume(rad, grid.dim) ** (1.0 / self.p - 1.0 / self.r) for rad in family.radii.tolist()]
         powered = mag**self.r
@@ -452,11 +461,11 @@ class VariableLebesgue:
 
 @functools.lru_cache(maxsize=8)
 def _slice_geometry(phi: OrliczFunction, grid: GridSpec, slice_t: float) -> tuple[np.ndarray, float]:
-    """The offsets of the slice ball ``dist < slice_t`` and the ``OrliczSlice``
-    denominator, the Luxemburg norm of that ball's indicator (a ones row of
-    its cell count), which is the same at every centre.  The offsets are
-    read-only."""
-    mask = grid.offset_distances() < slice_t
+    """The offsets of the slice ball ``grid.ball_mask(slice_t)`` and the
+    ``OrliczSlice`` denominator, the Luxemburg norm of that ball's indicator
+    (a ones row of its cell count), which is the same at every centre.  The
+    offsets are read-only."""
+    mask = grid.ball_mask(slice_t)
     count = int(np.count_nonzero(mask))
     if count == 0:
         raise ValueError("slice radius smaller than one cell")
@@ -598,7 +607,7 @@ def ap_characteristic(w: Weight, p: float) -> float:
         sums_dual = family.ball_sums(omega ** (1.0 / (1.0 - p)), family.radii)
     best = 0.0
     for i, rad in enumerate(family.radii):
-        count = family.cell_count(rad)
+        count = int(np.count_nonzero(family.grid.ball_mask(rad)))
         mean_w = sums_w[i] / count
         if p == 1.0:
             inv_ess = family.ball_filter(1.0 / omega, rad)
@@ -620,7 +629,7 @@ def _resampled_weight(w: Weight, factor: int) -> Weight:
     return Weight(values=vals, family=family, evaluator=w.evaluator)
 
 
-def critical_index(w: Weight, tol: float = 0.05) -> float:
+def critical_index(w: Weight) -> float:
     """Smallest q whose characteristic stays stable under grid refinement.
 
     On a fixed finite grid every positive weight has a finite characteristic;
@@ -651,7 +660,7 @@ def critical_index(w: Weight, tol: float = 0.05) -> float:
         lo, hi = hi, hi * 2.0
         if hi > AP_Q_MAX:
             raise NotInAInfty(f"no stable exponent up to {AP_Q_MAX}")
-    while hi - lo > tol:
+    while hi - lo > AP_INDEX_TOL:
         mid = 0.5 * (lo + hi)
         if stable(mid):
             hi = mid

@@ -3,16 +3,17 @@
 Every square function takes a prebuilt half-space field F(y, t_k) =
 phi_{t_k} * f(y) (see ``transforms.build_field``), so one field per input
 serves all three.  All quadratures share the half-space measure
-dy dt / t^(n+1) realized as cell_volume * ln2/J * t_k^(-n) per cell, with the
-torus distance deciding cone membership.  Per scale, the sums over y are
-circular correlations of |F|^2 with a kernel that depends only on the grid,
-the scale and the aperture or lambda.  The spectra of those kernels are
-cached (``ball_spectra``), the cone and g*_lambda tables with each scale's
-row already multiplied by its quadrature weight (``cone_spectra``,
-``gstar_spectra``).  The sum over scales runs in frequency space: each
-scale's spectrum of |F|^2 times its table row, summed over the scales, then
-one inverse FFT per field or piece (``_scale_sum``); a (field or piece,
-scale) row whose |F|^2 is zero is the only one skipped.  The plural forms
+dy dt / t^(n+1) realized as cell_volume * ln2/J * t_k^(-n) per cell, with
+``GridSpec.ball_mask`` deciding cone membership.  Per scale, the sums over y
+are circular correlations of |F|^2 with a kernel that depends only on the
+grid, the scale and the aperture or lambda.  The spectra of those kernels
+are cached (``ball_spectra``), the cone and g*_lambda tables with each
+scale's row multiplied in place by its quadrature weight (``cone_spectra``,
+``gstar_spectra``), so each is held once.  The sum over scales runs in
+frequency space: each scale's spectrum of |F|^2 times its table row, summed
+over the scales, then one inverse FFT per field or piece (``_scale_sum``); a
+(field or piece, scale) row whose |F|^2 is zero is the only one skipped.
+The plural forms
 (``tent_functionals``, ``g_functions``, ``g_lambda_stars``) take a
 ``FieldStack`` (``transforms.build_fields``) or one ``HalfSpaceField``, real
 or complex, and return one real row per field, each bitwise the one-field
@@ -47,21 +48,27 @@ SPECTRA_CACHE_SIZE = 8
 SCALE_SUM_CHUNK = 256
 
 
+def _mask_spectra(grid: GridSpec, radii: Sequence[float]) -> np.ndarray:
+    """Spectra of the ball masks ``grid.ball_mask(r)``, one row per radius."""
+    return spectrum(np.stack([grid.ball_mask(r) for r in radii]).astype(float), grid.dim)
+
+
 @functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
 def ball_spectra(grid: GridSpec, radii: tuple[float, ...]) -> np.ndarray:
-    """Read-only spectra of the ball masks ``dist < r``, one row per radius."""
-    dist = grid.offset_distances()
-    table = spectrum(np.stack([(dist < r).astype(float) for r in radii]), grid.dim)
+    """Read-only spectra of the ball masks ``grid.ball_mask(r)``, one row per radius."""
+    table = _mask_spectra(grid, radii)
     table.setflags(write=False)
     return table
 
 
 @functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
 def cone_spectra(grid: GridSpec, scales: ScaleGrid, alpha: float) -> np.ndarray:
-    """``ball_spectra`` of the cone masks ``dist < alpha * t_k``, row k times
-    the scale's weight cell_volume * ln2/J * t_k^(-n); read-only."""
+    """Spectra of the cone masks ``grid.ball_mask(alpha * t_k)``, row k times
+    the scale's weight cell_volume * ln2/J * t_k^(-n); read-only.  The masks'
+    spectra are weighted in place, so only the weighted table is cached."""
     weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
-    table = ball_spectra(grid, tuple(alpha * t for t in scales.scales)) * weights.reshape((-1,) + (1,) * grid.dim)
+    table = _mask_spectra(grid, [alpha * t for t in scales.scales])
+    table *= weights.reshape((-1,) + (1,) * grid.dim)
     table.setflags(write=False)
     return table
 

@@ -70,7 +70,7 @@ def halfspace_integrate(
 
 def tent_mask(grid: GridSpec, scales: ScaleGrid, ball: Ball) -> np.ndarray:
     """Boolean mask of the tent region {(y, t): t < r, |y - c| < r - t}."""
-    dist = grid.torus_distance_to(ball.center)
+    dist = np.roll(grid.offset_distances(), shift=ball.center, axis=tuple(range(grid.dim)))
     gap = ball.radius - scales.scales  # allowed distance per scale
     return dist[..., None] < gap.reshape((1,) * grid.dim + (-1,))
 

@@ -205,7 +205,7 @@ def test_criterion_7_maximal_operator():
     mag = np.abs(fr.values)
     brute = np.zeros(small.shape)
     for r in balls.radii:
-        mask = balls.mask(r)
+        mask = small.offset_distances() < r
         sums = np.array([mag[np.roll(mask, i)].sum() for i in range(256)])
         avg = sums * small.cell_volume / ball_volume(r, 1)
         for i in range(256):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import lpx.spaces as spaces_mod
 from lpx import atoms, squarefuncs
 from lpx.atoms import (
     Ball,
@@ -21,7 +23,8 @@ from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
-from lpx.spaces import Lebesgue, MixedNorm, Morrey, WeightedLebesgue, descriptor_from_json, power_weight, space_norm
+from lpx.spaces import (Lebesgue, MixedNorm, Morrey, WeightedLebesgue, descriptor_from_json, power_orlicz, power_weight,
+                        space_norm)
 from lpx.squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
 from lpx.transforms import build_field, build_fields, build_plan, correlate, inverse_spectrum, spatial_kernel, spectrum
 
@@ -114,6 +117,34 @@ def test_double_ball_spectra_match_per_radius_masks_bitwise(dim, n):
     # one table per (grid, ball family): a rebuilt family hits the cache
     rebuilt = BallFamily.build(grid, 2).radii
     assert ball_spectra(grid, tuple(2.0 * r for r in rebuilt)) is table
+
+
+@pytest.mark.parametrize("dim,n,cells", [(1, 64, 3), (2, 32, 5)], ids=["1d-64-r3h", "2d-32-r5h"])
+def test_every_ball_reader_leaves_out_the_cells_on_the_boundary(dim, n, cells):
+    # h = 4/n is a power of two, so the cells at offset 3 (1-D) and at
+    # offsets (3, 4) and (5, 0) (2-D) lie exactly at distance r = cells * h
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    r = cells * grid.spacing
+    dist = grid.offset_distances()
+    expected = dist < r
+    boundary = [(3,)] if dim == 1 else [(3, 4), (4, 3), (5, 0), (0, 5)]
+    assert all(dist[o] == r and not expected[o] for o in boundary)
+    assert expected[(cells - 1,) + (0,) * (dim - 1)]
+    assert np.array_equal(ball_spectra(grid, (r,))[0], spectrum(expected.astype(float), dim))
+    assert np.array_equal(np.stack(atoms._ball_offsets(grid, (r,))[0]), np.stack(np.nonzero(expected)))
+    slice_offsets, _ = spaces_mod._slice_geometry(power_orlicz(2.0), grid, r)
+    assert np.array_equal(slice_offsets, np.argwhere(expected))
+    widths = np.count_nonzero(expected.reshape(-1, n), axis=1)
+    runs = BallFamily(grid=grid, radii=np.array([r]), radii_per_octave=1)._row_runs[r]
+    assert runs == [(dx, w) for dx, w in enumerate(widths.tolist()) if w]
+    axes = tuple(range(dim))
+    centres = [(0,) * dim, (1,) * dim, (n - 1,) * dim, (n // 2, 5)[:dim], (3, n - 3)[:dim]]
+    rows = atoms._ball_rows(grid, [Ball(c, r) for c in centres] + [Ball(centres[0], 2 * r)])
+    for c, row in zip(centres, rows):
+        ball = np.roll(expected, shift=c, axis=axes)
+        assert np.array_equal(row, ball.ravel())
+        assert np.array_equal(ball_indicator(grid, Ball(c, r)).values, ball.astype(float))
+    assert np.array_equal(rows[-1], (dist < 2 * r).ravel())  # a second radius in the same gather
 
 
 def _one_piece_spectral_reference(F):
@@ -236,7 +267,7 @@ def _field_case(dim, n, kind):
 
 def _fit_ball_reference(grid, balls, center, piece_mask, ts):
     """The mask-based ball fit: torus distances over the whole grid times every scale."""
-    dist = grid.torus_distance_to(center)
+    dist = np.roll(grid.offset_distances(), shift=center, axis=tuple(range(grid.dim)))
     reach = dist[..., None] + ts.reshape((1,) * grid.dim + (-1,))
     need = float(reach[piece_mask].max())
     candidates = balls.radii[balls.radii > need * (1.0 + 1e-12)]
@@ -714,6 +745,9 @@ def test_molecule_report_from_decomposition():
     assert report.mean_ok
     assert report.moments_ok  # order-zero moment within 1e-6 of nothing
     assert len(report.shell_lhs) >= 1  # shells measured and reported
+    # a ball wider than half the box has no shell to check
+    with pytest.raises(ValueError, match="no shell"):
+        check_molecule(dataclasses.replace(mol, ball=Ball(atom.ball.center, 2.0 * GRID.half_width)), space)
 
 
 def test_check_atom_pass_and_failures():

@@ -244,53 +244,18 @@ def test_indicator_box_mass():
 
 
 @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)], ids=["1d-16", "2d-8x8"])
-@pytest.mark.parametrize("dtype", [float, bool])
-def test_torus_windows_matches_roll_per_offset(dim, n, dtype):
-    grid = GridSpec(dim=dim, half_width=1.0, points_per_axis=n)
-    rng = np.random.default_rng(dim)
-    values = rng.normal(size=grid.shape)
-    values = values > 0 if dtype is bool else values
-    # every offset in [-n, n) per axis, so negative and wrapping ones are covered
-    offsets = np.argwhere(np.ones((2 * n,) * dim, dtype=bool)) - n
-    out = grid.torus_windows(values, offsets)
-    assert out.shape == (len(offsets), grid.size)
-    assert out.dtype == values.dtype
-    axes = tuple(range(dim))
-    for row, o in zip(out, offsets):
-        # values[(x + o) mod n] is values rolled by -o
-        assert np.array_equal(row, np.roll(values, shift=tuple(-o), axis=axes).ravel())
-    # leading axes are a batch
-    stack = np.stack([values, ~values if dtype is bool else -values])
-    batched = grid.torus_windows(stack, offsets)
-    assert batched.shape == (2, len(offsets), grid.size)
-    for rows, values_i in zip(batched, stack):
-        assert np.array_equal(rows, grid.torus_windows(values_i, offsets))
-
-
-@pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)], ids=["1d-16", "2d-8x8"])
 def test_torus_window_view_of_a_stack_matches_roll_per_slice(dim, n):
     grid = GridSpec(dim=dim, half_width=1.0, points_per_axis=n)
-    stack = np.random.default_rng(dim).normal(size=(3,) + grid.shape)
-    view = grid.torus_window_view(stack)
-    assert view.shape == (3,) + (n + 1,) * dim + grid.shape
+    floats = np.random.default_rng(dim).normal(size=(3,) + grid.shape)
     axes = tuple(range(dim))
-    for i, values in enumerate(stack):
-        for s in np.ndindex((n + 1,) * dim):
-            # w[i][s][x] = values_i[(x + s) mod n], values_i rolled by -s
-            assert np.array_equal(view[(i,) + s], np.roll(values, shift=tuple(-np.array(s)), axis=axes))
-
-
-@pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)], ids=["1d-16", "2d-8x8"])
-def test_torus_distance_to_matches_roll_for_every_centre(dim, n):
-    grid = GridSpec(dim=dim, half_width=1.5, points_per_axis=n)
-    table = grid.offset_distances()
-    axes = tuple(range(dim))
-    for centre in np.ndindex(grid.shape):
-        expected = np.roll(table, shift=centre, axis=axes)
-        assert np.array_equal(grid.torus_distance_to(centre), expected)
-    # centres given as numpy integers, as np.argwhere yields them
-    centre = tuple(np.argwhere(np.ones(grid.shape, dtype=bool))[-1])
-    assert np.array_equal(grid.torus_distance_to(centre), np.roll(table, shift=centre, axis=axes))
+    for stack in (floats, floats > 0):  # boolean windows are the ball indicators
+        view = grid.torus_window_view(stack)
+        assert view.shape == (3,) + (n + 1,) * dim + grid.shape
+        assert view.dtype == stack.dtype
+        for i, values in enumerate(stack):
+            for s in np.ndindex((n + 1,) * dim):
+                # w[i][s][x] = values_i[(x + s) mod n], values_i rolled by -s
+                assert np.array_equal(view[(i,) + s], np.roll(values, shift=tuple(-np.array(s)), axis=axes))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -306,6 +271,6 @@ def test_offset_distances_is_one_read_only_table_per_grid(dim):
     d = grid.spacing * np.minimum(j, 16 - j)
     expected = d if dim == 1 else np.sqrt(d[:, None] ** 2 + d[None, :] ** 2)
     assert np.array_equal(table, expected)
-    # the distances handed out per centre are fresh, writable arrays
-    dist = grid.torus_distance_to((3,) * dim)
-    assert dist.flags.writeable and not np.shares_memory(dist, table)
+    # the ball masks handed out are fresh, writable arrays
+    mask = grid.ball_mask(3 * grid.spacing)
+    assert mask.flags.writeable and not np.shares_memory(mask, table)

@@ -36,7 +36,7 @@ def brute_force_maximal(f: SampledFunction, balls: BallFamily) -> np.ndarray:
     grid = f.grid
     out = np.zeros(grid.shape)
     for r in balls.radii:
-        mask = balls.mask(r)
+        mask = grid.offset_distances() < r
         sums = np.empty(grid.shape)
         for idx in np.ndindex(grid.shape):
             member = np.roll(mask, shift=idx, axis=tuple(range(grid.dim)))
@@ -414,14 +414,14 @@ def _ball_sums_reference(family, values, radius):
     """The per-radius ball sums that the batched ``BallFamily.ball_sums`` replaced:
     one correlation against the ball mask, in either dimension."""
     dim = family.grid.dim
-    return correlate(values, spectrum(family.mask(radius).astype(float), dim), dim)
+    return correlate(values, spectrum((family.grid.offset_distances() < radius).astype(float), dim), dim)
 
 
 def _ball_filter_reference(family, values, radius):
     """The ball max that the row-run ``BallFamily.ball_filter`` replaced: one
     running max in 1-D, a filter over the disc's footprint in 2-D."""
     grid = family.grid
-    mask = family.mask(radius)
+    mask = grid.offset_distances() < radius
     if mask.all():
         return np.full(grid.shape, np.max(values))
     if grid.dim == 1:
@@ -441,7 +441,7 @@ def test_ball_sums_rows_match_per_radius_reference_bitwise(dim, n, per_octave):
     values = np.abs(np.random.default_rng(3).normal(size=grid.shape)) ** 1.5
     sums = family.ball_sums(values, family.radii)
     assert sums.shape == (len(family),) + grid.shape
-    assert family.cell_count(family.radii[-1]) == grid.size  # the whole-box radius is covered
+    assert (grid.offset_distances() < family.radii[-1]).all()  # the whole-box radius is covered
     for r, row in zip(family.radii, sums):
         assert np.array_equal(row, _ball_sums_reference(family, values, r)), r
         assert np.array_equal(family.ball_filter(values, r), _ball_filter_reference(family, values, r)), r
@@ -455,7 +455,7 @@ def test_ball_sums_rows_match_per_radius_reference_bitwise(dim, n, per_octave):
 def test_ball_sums_with_leading_axes_match_per_row_calls_bitwise(dim, n, per_octave):
     grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
     family = BallFamily.build(grid, per_octave)
-    assert family.cell_count(family.radii[-1]) == grid.size  # the whole-box radius is covered
+    assert (grid.offset_distances() < family.radii[-1]).all()  # the whole-box radius is covered
     values = np.abs(np.random.default_rng(4).normal(size=(3, 2) + grid.shape)) ** 1.5
     for radii in (family.radii, family.radii[::-3], family.radii[-1:], family.radii[:1]):
         sums = family.ball_sums(values, radii)

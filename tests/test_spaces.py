@@ -10,7 +10,7 @@ from helpers import indicator_box
 from lpx.errors import NoBracket, NumericFailure
 import lpx.spaces as spaces_mod
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, gaussian_bump
-from lpx.maximal import BallFamily, ball_volume, cached_ball_family
+from lpx.maximal import BallFamily, ball_volume
 from lpx.spaces import (
     ExponentFunction,
     Lebesgue,
@@ -87,7 +87,7 @@ def brute_force_morrey(f, p, r, family):
     grid = f.grid
     best = 0.0
     for rad in family.radii:
-        mask = family.mask(rad)
+        mask = grid.offset_distances() < rad
         for idx in np.ndindex(grid.shape):
             member = np.roll(mask, shift=idx, axis=tuple(range(grid.dim)))
             local = (mag[member] ** r).sum() * grid.cell_volume
@@ -137,20 +137,18 @@ def _morrey_per_radius(f, p, r, family):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_morrey_matches_per_radius_loop_bitwise_and_builds_its_family_once(dim, monkeypatch):
+def test_morrey_matches_per_radius_loop_bitwise_and_builds_its_family_once(dim):
     from lpx.harness import trial_function
 
     grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=64)
     inputs = [trial_function(0, i, grid) for i in range(4)] + [SampledFunction(grid, np.zeros(grid.shape))]
+    BallFamily.build.cache_clear()
     reference_family = BallFamily.build(grid, 4)
-    cached_ball_family.cache_clear()
-    builds = []
-    build = BallFamily.build.__func__
-    monkeypatch.setattr(BallFamily, "build", classmethod(lambda cls, *a: builds.append(a) or build(cls, *a)))
     for p, r in ((2.0, 1.0), (3.0, 1.5)):
         for f in inputs:
             assert space_norm(f, Morrey(p, r)) == _morrey_per_radius(f, p, r, reference_family)
-    assert builds == [(grid, 4)]  # the default family is built once per grid, not once per norm
+    # the default family is built once per grid, not once per norm
+    assert BallFamily.build.cache_info().misses == 1
     family = BallFamily.build(grid, 2)
     assert space_norm(inputs[0], Morrey(2.0, 1.0, family=family)) == _morrey_per_radius(inputs[0], 2.0, 1.0, family)
 
@@ -262,11 +260,31 @@ def test_orlicz_homogeneity():
 
 
 def test_orlicz_no_bracket_for_degenerate():
-    bounded = OrliczFunction(lambda t: np.minimum(np.asarray(t, float) ** 1.0, 1e-12),
-                             lower_type=1.0, upper_type=1.0)
-    f = random_function(10)
+    # a bounded density's modular never reaches 1, so no lam solves it
+    mag = np.abs(random_function(10).values).reshape(1, -1)
     with pytest.raises(NoBracket):
-        orlicz_norm(f, bounded)
+        spaces_mod._luxemburg_rows(mag, GRID.cell_volume, lambda t: np.minimum(t, 1e-12))
+
+
+def test_orlicz_function_rejects_types_that_do_not_hold():
+    def u_squared(t):
+        return np.asarray(t, float) ** 2
+
+    rejected = [
+        lambda: OrliczFunction(u_squared, lower_type=1.2, upper_type=1.6),  # worst upper constant 15.8
+        lambda: OrliczFunction(u_squared, lower_type=5.0, upper_type=0.5),  # lower type above the upper
+        lambda: OrliczFunction(lambda t: np.minimum(np.asarray(t, float), 1e-12), lower_type=1.0, upper_type=1.0),
+        # Phi = u^2 + u, whose lower type is 1, not 2
+        lambda: descriptor_from_json({"tag": "orlicz_slice", "r": 1.5, "t": 1.0, "lower_type": 2.0,
+                                      "upper_type": 1.0}, GRID),
+    ]
+    for build in rejected:
+        with pytest.raises(ValueError, match="type"):
+            build()
+    # declarations that hold pass: u^p, u^1.2 + u^1.6, and the recipe's default
+    power_orlicz(0.5), power_orlicz(3.0)
+    OrliczFunction(lambda t: u_squared(t) ** 0.6 + u_squared(t) ** 0.8, lower_type=1.2, upper_type=1.6)
+    descriptor_from_json({"tag": "orlicz_slice", "r": 1.5, "t": 1.0}, GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +501,9 @@ def _orlicz_slice_oracle(f, space):
     offsets = np.argwhere(grid.offset_distances() < space.slice_t)
     denom = _luxemburg_oracle(np.ones((1, len(offsets))), cellvol, space.phi.evaluator, space.phi)[0]
     mag, e = _unit_magnitude(f)
-    windows = grid.torus_windows(mag, offsets).T
+    # windows[x][o] = mag[(x + o) mod n], the cells x in C order
+    cells = np.indices(grid.shape).reshape(grid.dim, -1, 1)
+    windows = mag[tuple((cells + offsets.T[:, None, :]) % grid.points_per_axis)]
     return _slice_outer_norm(_luxemburg_oracle(windows, cellvol, space.phi.evaluator, space.phi) / denom,
                              space.r, cellvol, e)
 
@@ -580,14 +600,14 @@ def _one_input_reference(f, space):
     if isinstance(space, MixedNorm):
         return _mixed_reference(f, space)
     if isinstance(space, Morrey):
-        return _morrey_per_radius(f, space.p, space.r, space.family or cached_ball_family(f.grid, 4))
+        return _morrey_per_radius(f, space.p, space.r, space.family or BallFamily.build(f.grid, 4))
     return _luxemburg_oracle_of(f, space)
 
 
 def _row_elements(grid, space):
     """Elements of one row in a ``NORM_CHUNK`` step of Morrey or OrliczSlice."""
     if isinstance(space, Morrey):
-        return len(space.family or cached_ball_family(grid, 4)) * grid.size
+        return len(space.family or BallFamily.build(grid, 4)) * grid.size
     return int(np.count_nonzero(grid.offset_distances() < space.slice_t)) * grid.size
 
 

@@ -448,6 +448,18 @@ def test_spectrum_cache_is_read_only_keyed_and_bounded(which):
     assert info.currsize == info.maxsize
 
 
+def test_a_cone_table_is_held_once():
+    # the cone masks' spectra are weighted in place, so an aperture's cone
+    # table adds no unweighted ball_spectra entry beside it
+    grid, scales = ORACLE_GRIDS["2d-16"]
+    squarefuncs.cone_spectra.cache_clear()
+    before = squarefuncs.ball_spectra.cache_info()
+    squarefuncs.cone_spectra(grid, scales, 2.0)
+    after = squarefuncs.ball_spectra.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+    assert squarefuncs.cone_spectra.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("case", ["1d-64", "2d-16"])
 def test_weighted_tables_are_the_spectra_times_the_scale_weights_bitwise(case):
     # the cached tables carry each scale's quadrature weight: bitwise the
