@@ -484,17 +484,16 @@ def check_atom(
 
 
 def check_molecule(m: Molecule, space: SpaceDescriptor) -> MoleculeReport:
-    """Shell-decay and vanishing-moment report; shells stop at the box edge."""
+    """Shell-decay and vanishing-moment report; the ball is shell 0 whatever
+    its radius, and the shells past it stop at the box edge."""
     grid = m.func.grid
     norm_1b = space_norm(ball_indicator(grid, m.ball), space)
     radii, measures = [], []
     r_lo, r_hi = 0.0, m.ball.radius  # shell j is r 2^(j-1) <= dist < r 2^j, the ball at j = 0
-    while r_hi <= grid.half_width:
+    while not radii or r_hi <= grid.half_width:
         radii.append(r_hi)
         measures.append(ball_volume(r_hi, grid.dim) - ball_volume(r_lo, grid.dim))
         r_lo, r_hi = r_hi, 2.0 * r_hi
-    if not radii:
-        raise ValueError(f"ball radius {m.ball.radius:g} exceeds the half width: no shell fits the box")
     shells = _ball_rows(grid, [Ball(m.ball.center, r) for r in radii])
     shells[1:] &= ~shells[:-1]  # each ball less the one inside it
     vals = np.where(shells.reshape((-1,) + grid.shape), np.abs(m.func.values), 0.0)

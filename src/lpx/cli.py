@@ -2,7 +2,10 @@
 
 Subcommands: ``kernel`` (build and export a kernel), ``compute`` (apply one
 operator to a function file), ``decompose`` (tent decomposition report), and
-``verify`` (run the experiment suite).  Every output embeds the hash of the
+``verify`` (run the experiment suite).  Every config value is checked once,
+on load, against one table of keys and value rules, which also holds the
+experiment defaults; the space recipe is checked when the space is built,
+before any command does its work.  Every output embeds the hash of the
 configuration that produced it, and downstream commands refuse inputs whose
 recorded hash disagrees with the active configuration.
 
@@ -18,12 +21,15 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .atoms import tent_decompose
 from .errors import LpxError, NumericFailure
 from .grid import (
     GridSpec,
+    SampledFunction,
     ScaleGrid,
     gaussian_bump,
     read_function_binary,
@@ -38,21 +44,10 @@ from .harness import (
     vanish_at_infinity_check,
 )
 from .kernels import KernelKind, build_kernel, calderon_companion, write_kernel_csv
-from .maximal import default_peetre_exponent, hardy_norm, hl_maximal, peetre_maximal
+from .maximal import ball_volume, default_peetre_exponent, hardy_norm, hl_maximal, peetre_maximal
 from .spaces import descriptor_from_json, space_norm
 from .squarefuncs import g_function, g_lambda_star, lusin_area, tent_functional
 from .transforms import build_field, build_plan
-
-OPERATORS = {
-    "S": "cone_square_function",
-    "g": "vertical_square_function",
-    "gstar": "weighted_square_function",
-    "tent": "cone_functional",
-    "maximal": "ball_maximal",
-    "peetre": "smoothed_maximal",
-    "norm": "space_norm",
-    "hardy_norm": "maximal_space_norm",
-}
 
 DEFAULT_CONFIG = {
     "version": 1,
@@ -65,21 +60,76 @@ DEFAULT_CONFIG = {
     "experiments": {},
 }
 
-_ALLOWED_TOP = set(DEFAULT_CONFIG)
-_ALLOWED_PARAMS = {"lambda", "b", "aperture"}
-# the option keys cmd_verify reads for each experiment
-_EXPERIMENT_OPTIONS = {
-    "equivalence": {"trials"},
-    "change_of_angle": {"trials", "alphas"},
-    "embedding": {"trials", "s", "epsilon"},
-    "vanish": {"t_probe"},
-}
-
 
 class _Exit(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+class _Rule(NamedTuple):
+    ok: Callable[[object], bool]
+    what: str
+    default: object = None
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)  # not bool
+
+
+def _number(floor: float, default=None) -> _Rule:
+    return _Rule(lambda v: _is_number(v) and v > floor, f"a number above {floor:g}", default)
+
+
+def _whole(floor: int, default=None) -> _Rule:
+    # whole-number floats such as 64.0 are accepted and hashed as written
+    return _Rule(lambda v: _is_number(v) and float(v).is_integer() and v >= floor,
+                 f"a whole number at least {floor}", default)
+
+
+def _increasing(default=None) -> _Rule:
+    def ok(v) -> bool:
+        return (isinstance(v, list) and len(v) > 0 and all(_is_number(x) and x > 0 for x in v)
+                and all(a < b for a, b in zip(v, v[1:])))
+    return _Rule(ok, "a non-empty increasing list of positive numbers", default)
+
+
+_KERNELS = [k.value for k in KernelKind]
+
+# every config key: a nested dict is a section (an object with keys among its
+# own), a _Rule a value; the space recipe is checked by descriptor_from_json
+_TABLE = {
+    "version": _Rule(lambda v: v == 1, "1"),
+    "grid": {"dim": _whole(1), "N": _whole(1), "L": _number(0)},
+    "scales": {"t_min": _number(0), "t_max": _number(0), "steps_per_octave": _whole(1)},
+    "kernel": _Rule(lambda v: v in _KERNELS, f"one of {_KERNELS}"),
+    "space": _Rule(lambda v: isinstance(v, dict), "an object"),
+    "seed": _whole(0),
+    "params": {"lambda": _number(1), "b": _number(0),
+               "aperture": _Rule(lambda v: _is_number(v) and v >= 0, "a number at least 0")},
+    "experiments": {
+        "equivalence": {"trials": _whole(1, 20)},
+        "change_of_angle": {"trials": _whole(1, 20), "alphas": _increasing((1.0, 2.0, 4.0, 8.0))},
+        "embedding": {"trials": _whole(1, 10), "s": _number(0), "epsilon": _number(0, default=0.9)},
+        "vanish": {"t_probe": _increasing()},
+    },
+}
+
+
+def _check_keys(section, table: dict, name: str = "") -> None:
+    """Check ``section`` against ``table``; ``name`` is its dotted path."""
+    if not isinstance(section, dict):
+        raise _Exit(2, f"{name or 'config'} must be an object, got {section!r}")
+    unknown = set(section) - set(table)
+    if unknown:
+        raise _Exit(2, f"unknown {name or 'config'} keys: {sorted(unknown)}")
+    for key, val in section.items():
+        path = f"{name}.{key}" if name else key
+        rule = table[key]
+        if isinstance(rule, dict):
+            _check_keys(val, rule, path)
+        elif not rule.ok(val):
+            raise _Exit(2, f"{path} must be {rule.what}, got {val!r}")
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> dict:
@@ -89,59 +139,14 @@ def load_config(path: str | None, seed_override: int | None = None) -> dict:
             user = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise _Exit(2, f"cannot read config: {exc}")
-        unknown = set(user) - _ALLOWED_TOP
-        if unknown:
-            raise _Exit(2, f"unknown config keys: {sorted(unknown)}")
+        _check_keys(user, _TABLE)
         for key, val in user.items():
-            if isinstance(val, dict) and key in ("grid", "scales"):
-                cfg[key].update(val)
-            else:
-                cfg[key] = val
+            cfg[key] = {**cfg[key], **val} if key in ("grid", "scales") else val
     if seed_override is not None:
+        _check_keys({"seed": seed_override}, _TABLE)
         cfg["seed"] = int(seed_override)
-    _validate(cfg)
+    _grids(cfg)
     return cfg
-
-
-def _validate(cfg: dict) -> None:
-    if cfg.get("version") != 1:
-        raise _Exit(2, "config version must be 1")
-    g = cfg["grid"]
-    unknown = set(g) - {"dim", "N", "L"}
-    if unknown:
-        raise _Exit(2, f"unknown grid keys: {sorted(unknown)}")
-    try:
-        GridSpec(dim=int(g["dim"]), half_width=float(g["L"]), points_per_axis=int(g["N"]))
-    except (ValueError, KeyError) as exc:
-        raise _Exit(2, f"bad grid: {exc}")
-    s = cfg["scales"]
-    unknown = set(s) - {"t_min", "t_max", "steps_per_octave"}
-    if unknown:
-        raise _Exit(2, f"unknown scale keys: {sorted(unknown)}")
-    try:
-        ScaleGrid(t_min=float(s["t_min"]), t_max=float(s["t_max"]),
-                  steps_per_octave=int(s["steps_per_octave"]))
-    except (ValueError, KeyError) as exc:
-        raise _Exit(2, f"bad scales: {exc}")
-    if cfg["kernel"] not in [k.value for k in KernelKind]:
-        raise _Exit(2, f"unknown kernel kind {cfg['kernel']!r}")
-    params = cfg.get("params", {})
-    unknown = set(params) - _ALLOWED_PARAMS
-    if unknown:
-        raise _Exit(2, f"unknown params: {sorted(unknown)}")
-    for key, floor in (("lambda", 1.0), ("b", 0.0)):
-        val = params.get(key)
-        if val is not None and not (type(val) in (int, float) and val > floor):
-            raise _Exit(2, f"{key} must be a number above {floor:g}, got {val!r}")
-    experiments = cfg.get("experiments", {})
-    unknown = set(experiments) - set(_EXPERIMENT_OPTIONS)
-    if unknown:
-        raise _Exit(2, f"unknown experiments: {sorted(unknown)}")
-    for name, opts in experiments.items():
-        allowed = _EXPERIMENT_OPTIONS[name]
-        if not isinstance(opts, dict) or set(opts) - allowed:
-            raise _Exit(2, f"experiments.{name} must be an object with keys among {sorted(allowed)}, "
-                           f"got {opts!r}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -149,30 +154,45 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _build(cfg: dict):
-    g = cfg["grid"]
-    grid = GridSpec(dim=int(g["dim"]), half_width=float(g["L"]), points_per_axis=int(g["N"]))
-    s = cfg["scales"]
-    scales = ScaleGrid(float(s["t_min"]), float(s["t_max"]), int(s["steps_per_octave"]))
+def _grids(cfg: dict) -> tuple[GridSpec, ScaleGrid]:
+    g, s = cfg["grid"], cfg["scales"]
     try:
-        kernel = build_kernel(cfg["kernel"], grid)
-        space = descriptor_from_json(cfg["space"], grid)
+        return (GridSpec(dim=int(g["dim"]), half_width=float(g["L"]), points_per_axis=int(g["N"])),
+                ScaleGrid(float(s["t_min"]), float(s["t_max"]), int(s["steps_per_octave"])))
+    except ValueError as exc:
+        raise _Exit(2, f"bad grid or scales: {exc}") from None
+
+
+def _build(cfg: dict):
+    grid, scales = _grids(cfg)
+    try:
+        return grid, scales, build_kernel(cfg["kernel"], grid), descriptor_from_json(cfg["space"], grid)
     except (LpxError, ValueError, OSError) as exc:  # OSError: a weight or exponent CSV
         raise _Exit(2, str(exc))
-    return grid, scales, kernel, space
 
 
-def _read_function(path: Path):
-    if path.suffix == ".csv":
-        return read_function_csv(path), {}
-    f, meta = read_function_binary(path)
-    return f, meta
-
-
-def _check_input_hash(meta: dict, cfg: dict) -> None:
-    recorded = meta.get("config_hash")
-    if recorded is not None and recorded != config_hash(cfg):
+def _read_input(path: Path, cfg: dict, grid: GridSpec) -> SampledFunction:
+    """The function in a ``.csv`` file, or a ``.bin`` file and its sidecar,
+    which must lie on ``grid`` and carry no other configuration's hash."""
+    try:
+        f, meta = (read_function_csv(path), {}) if path.suffix == ".csv" else read_function_binary(path)
+    except (OSError, KeyError) as exc:
+        raise _Exit(2, f"cannot read input {path}: {exc}")
+    if meta.get("config_hash") not in (None, config_hash(cfg)):
         raise _Exit(2, "input file was produced under a different configuration")
+    if f.grid != grid:
+        raise _Exit(2, "input grid does not match the configuration")
+    return f
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _capped_scales(scales: ScaleGrid, grid: GridSpec, reach: float) -> ScaleGrid:
+    """``scales`` with t_max at most L / reach and t_min at most a quarter of that."""
+    t_max = min(scales.t_max, grid.half_width / reach)
+    return ScaleGrid(min(scales.t_min, t_max / 4.0), t_max, scales.steps_per_octave)
 
 
 def cmd_kernel(cfg: dict, out_dir: Path) -> int:
@@ -189,93 +209,72 @@ def cmd_kernel(cfg: dict, out_dir: Path) -> int:
         # true when the coarsest dilated kernel reaches past the lowest dual band and wraps around the box
         "wraparound_warning": build_plan(kernel, scales).wraparound_warning,
     }
-    (out_dir / "kernel.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write_json(out_dir / "kernel.json", summary)
     print(f"kernel written to {out_dir} (normalization {pair.normalization_check:.6f})")
     return 0
+
+
+def _field(f, scales, kernel):
+    return build_field(f, build_plan(kernel, scales))
+
+
+def _psi_plan(scales, kernel):
+    return build_plan(calderon_companion(kernel, scales).psi, scales)
+
+
+# operator: (its id in the provenance, its result from (f, scales, kernel, space, params)),
+# a SampledFunction or a scalar
+OPERATORS = {
+    "S": ("cone_square_function", lambda f, sc, k, sp, p: lusin_area(_field(f, sc, k))),
+    "g": ("vertical_square_function", lambda f, sc, k, sp, p: g_function(_field(f, sc, k))),
+    "gstar": ("weighted_square_function",
+              lambda f, sc, k, sp, p: g_lambda_star(_field(f, sc, k), p.get("lambda") or default_lambda(sp))),
+    "tent": ("cone_functional", lambda f, sc, k, sp, p: tent_functional(_field(f, sc, k), p.get("aperture", 1.0))),
+    "maximal": ("ball_maximal", lambda f, sc, k, sp, p: hl_maximal(f)),
+    "peetre": ("smoothed_maximal",
+               lambda f, sc, k, sp, p: peetre_maximal(
+                   f, p.get("b") or default_peetre_exponent(f.grid.dim, sp.floor()), plan=_psi_plan(sc, k))),
+    "norm": ("space_norm", lambda f, sc, k, sp, p: space_norm(f, sp)),
+    "hardy_norm": ("maximal_space_norm", lambda f, sc, k, sp, p: hardy_norm(f, sp, _psi_plan(sc, k), p.get("b"))),
+}
 
 
 def cmd_compute(cfg: dict, input_path: Path, operator: str, out_dir: Path) -> int:
     if operator not in OPERATORS:
         raise _Exit(2, f"unknown operator {operator!r}; valid: {sorted(OPERATORS)}")
     grid, scales, kernel, space = _build(cfg)
-    f, meta = _read_function(input_path)
-    _check_input_hash(meta, cfg)
-    if f.grid != grid:
-        raise _Exit(2, "input grid does not match the configuration")
-    params = cfg.get("params", {})
+    f = _read_input(input_path, cfg, grid)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if operator in ("S", "g", "gstar", "tent"):
-        F = build_field(f, build_plan(kernel, scales))
-    elif operator in ("peetre", "hardy_norm"):
-        psi_plan = build_plan(calderon_companion(kernel, scales).psi, scales)
-
-    scalar = None
-    result = None
-    if operator == "S":
-        result = lusin_area(F)
-    elif operator == "g":
-        result = g_function(F)
-    elif operator == "gstar":
-        lam = params.get("lambda")
-        if lam is None:
-            lam = default_lambda(space)
-        result = g_lambda_star(F, lam)
-    elif operator == "tent":
-        aperture = params.get("aperture", 1.0)
-        result = tent_functional(F, aperture)
-    elif operator == "maximal":
-        result = hl_maximal(f)
-    elif operator == "peetre":
-        b = params.get("b")
-        if b is None:
-            b = default_peetre_exponent(grid.dim, space.floor())
-        result = peetre_maximal(f, b, plan=psi_plan)
-    elif operator == "norm":
-        scalar = space_norm(f, space)
-    elif operator == "hardy_norm":
-        scalar = hardy_norm(f, space, psi_plan, params.get("b"))
-
+    operator_id, apply = OPERATORS[operator]
+    result = apply(f, scales, kernel, space, cfg["params"])
     provenance = {
         "config_hash": config_hash(cfg),
         "operator": operator,
-        "operator_id": OPERATORS[operator],
+        "operator_id": operator_id,
         "input": str(input_path),
     }
-    if scalar is not None:
-        if not math.isfinite(scalar):
-            raise _Exit(3, f"numeric failure: result is {scalar}")
-        provenance["value"] = scalar
-        out = out_dir / f"{operator}.json"
-        out.write_text(json.dumps(provenance, sort_keys=True, indent=2) + "\n")
-        print(f"{operator} = {scalar:.12g}")
-    else:
+    if isinstance(result, SampledFunction):
         if not np.all(np.isfinite(result.values)):
             raise _Exit(3, "numeric failure: result contains NaN/Inf")
         out = out_dir / f"{operator}.bin"
         write_function_binary(result, out, extra_meta={"config_hash": config_hash(cfg)})
         provenance["output"] = str(out)
-        (out_dir / f"{operator}.provenance.json").write_text(
-            json.dumps(provenance, sort_keys=True, indent=2) + "\n"
-        )
+        _write_json(out_dir / f"{operator}.provenance.json", provenance)
         print(f"{operator} written to {out}")
+    else:
+        if not math.isfinite(result):
+            raise _Exit(3, f"numeric failure: result is {result}")
+        provenance["value"] = result
+        _write_json(out_dir / f"{operator}.json", provenance)
+        print(f"{operator} = {result:.12g}")
     return 0
 
 
 def cmd_decompose(cfg: dict, input_path: Path, out_dir: Path) -> int:
-    from .atoms import tent_decompose
-    from .maximal import ball_volume
-
     grid, scales, kernel, space = _build(cfg)
-    f, meta = _read_function(input_path)
-    _check_input_hash(meta, cfg)
-    if f.grid != grid:
-        raise _Exit(2, "input grid does not match the configuration")
-    # tents can only hold cells below the box height: clamp the field's scales
-    t_max_dec = min(scales.t_max, grid.half_width / 2.0)
-    t_min_dec = min(scales.t_min, t_max_dec / 4.0)
-    dec_scales = ScaleGrid(t_min_dec, t_max_dec, scales.steps_per_octave)
-    plan = build_plan(kernel, dec_scales)
-    F = build_field(f, plan)
+    f = _read_input(input_path, cfg, grid)
+    # tents can only hold cells below the box height: cap the field's scales
+    F = _field(f, _capped_scales(scales, grid, 2.0), kernel)
     dec = tent_decompose(F, space)
     rebuilt = dec.reconstruct()
     err = float(np.max(np.abs(rebuilt.values - F.values)))
@@ -297,7 +296,7 @@ def cmd_decompose(cfg: dict, input_path: Path, out_dir: Path) -> int:
         "reconstruction_error": err,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "decomposition.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_json(out_dir / "decomposition.json", report)
     print(f"{len(entries)} atoms, reconstruction error {err:.3e}")
     return 0
 
@@ -305,58 +304,26 @@ def cmd_decompose(cfg: dict, input_path: Path, out_dir: Path) -> int:
 def cmd_verify(cfg: dict, out_dir: Path) -> int:
     grid, scales, kernel, space = _build(cfg)
     seed = int(cfg["seed"])
-    params = cfg.get("params", {})
-    ex_cfg = cfg.get("experiments", {})
-    out_dir.mkdir(parents=True, exist_ok=True)
+    params = cfg["params"]
+    # each experiment's options over its defaults
+    opts = {
+        name: {**{key: rule.default for key, rule in table.items() if rule.default is not None},
+               **cfg["experiments"].get(name, {})}
+        for name, table in _TABLE["experiments"].items()
+    }
+    eq, angle, emb = opts["equivalence"], opts["change_of_angle"], opts["embedding"]
+    alphas = tuple(angle["alphas"])
+    reports = {  # run in this order
+        "equivalence": equivalence_experiment(space, cfg["kernel"], int(eq["trials"]), grid, scales, seed=seed,
+                                              lam=params.get("lambda"), b=params.get("b")),
+        "change_of_angle": change_of_angle_experiment(space, alphas, int(angle["trials"]), grid,
+                                                      _capped_scales(scales, grid, max(alphas)),
+                                                      seed=seed, kernel_kind=cfg["kernel"]),
+        "embedding": embedding_experiment(space, float(emb.get("s", max(1.0, min(2.0, space.floor())))),
+                                          int(emb["trials"]), grid, seed=seed, epsilon=float(emb["epsilon"])),
+    }
 
-    eq_opts = dict(ex_cfg.get("equivalence", {}))
-    angle_opts = dict(ex_cfg.get("change_of_angle", {}))
-    emb_opts = dict(ex_cfg.get("embedding", {}))
-    vanish_opts = dict(ex_cfg.get("vanish", {}))
-
-    reports = []
-    reports.append(
-        (
-            "equivalence",
-            equivalence_experiment(
-                space,
-                cfg["kernel"],
-                int(eq_opts.get("trials", 20)),
-                grid,
-                scales,
-                seed=seed,
-                lam=params.get("lambda"),
-                b=params.get("b"),
-            ),
-        )
-    )
-
-    alphas = tuple(angle_opts.get("alphas", (1.0, 2.0, 4.0, 8.0)))
-    t_max_angle = min(scales.t_max, grid.half_width / max(alphas))
-    t_min_angle = min(scales.t_min, t_max_angle / 4.0)
-    angle_scales = ScaleGrid(t_min_angle, t_max_angle, scales.steps_per_octave)
-    reports.append(
-        (
-            "change_of_angle",
-            change_of_angle_experiment(
-                space, alphas, int(angle_opts.get("trials", 20)), grid, angle_scales,
-                seed=seed, kernel_kind=cfg["kernel"],
-            ),
-        )
-    )
-
-    s_emb = float(emb_opts.get("s", max(1.0, min(2.0, space.floor()))))
-    reports.append(
-        (
-            "embedding",
-            embedding_experiment(
-                space, s_emb, int(emb_opts.get("trials", 10)), grid, seed=seed,
-                epsilon=float(emb_opts.get("epsilon", 0.9)),
-            ),
-        )
-    )
-
-    probe = vanish_opts.get("t_probe")
+    probe = opts["vanish"].get("t_probe")
     if probe is None:
         # reach the scale where the annular band clears the lowest frequency
         t_top = max(scales.t_max, 16.0 * grid.half_width)
@@ -364,27 +331,23 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     bump = gaussian_bump(grid, [0.0] * grid.dim, grid.half_width / 16.0)
     vanish = vanish_at_infinity_check(bump, kernel, tuple(probe))
 
-    all_passed = all(rep.passed for _, rep in reports) and vanish["passed"]
+    out_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
-    for name, rep in reports:
-        payload = json.loads(rep.to_json())
-        payload["config_hash"] = chash
-        (out_dir / f"{name}.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    for name, rep in reports.items():
+        _write_json(out_dir / f"{name}.json", {**json.loads(rep.to_json()), "config_hash": chash})
         (out_dir / f"{name}.csv").write_text(rep.to_csv())
-    vanish["config_hash"] = chash
-    (out_dir / "vanish.json").write_text(json.dumps(vanish, sort_keys=True, indent=2) + "\n")
+    _write_json(out_dir / "vanish.json", {**vanish, "config_hash": chash})
     # gnuplot-friendly data for the log-log aperture figure
-    angle = reports[1][1]
     lines = [f"# config {chash}", "# alpha  mean_norm"]
-    for a in angle.notes["alphas"]:
-        mean = float(np.mean(angle.series[f"norm_alpha_{a:g}"]))
+    for a in reports["change_of_angle"].notes["alphas"]:
+        mean = float(np.mean(reports["change_of_angle"].series[f"norm_alpha_{a:g}"]))
         lines.append(f"{a:g} {mean:.17g}")
     (out_dir / "change_of_angle.dat").write_text("\n".join(lines) + "\n")
 
-    for name, rep in reports:
-        print(f"{name}: {'PASS' if rep.passed else 'FAIL'}")
-    print(f"vanish: {'PASS' if vanish['passed'] else 'FAIL'}")
-    return 0 if all_passed else 1
+    passed = {**{name: rep.passed for name, rep in reports.items()}, "vanish": vanish["passed"]}
+    for name, ok in passed.items():
+        print(f"{name}: {'PASS' if ok else 'FAIL'}")
+    return 0 if all(passed.values()) else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -416,9 +379,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_compute(cfg, Path(args.input), args.operator, out_dir)
         if args.command == "decompose":
             return cmd_decompose(cfg, Path(args.input), out_dir)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir)
-        raise _Exit(2, f"unknown command {args.command!r}")
+        return cmd_verify(cfg, out_dir)
     except _Exit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

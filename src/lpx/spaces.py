@@ -339,6 +339,8 @@ class WeightedLebesgue:
     @classmethod
     def from_json(cls, cfg: dict, grid: GridSpec) -> "WeightedLebesgue":
         wcfg = cfg.get("weight", {"kind": "power", "a": 0.5})
+        if not isinstance(wcfg, dict):
+            raise ValueError(f"weight must be an object with a kind, got {wcfg!r}")
         if wcfg.get("kind") == "power":
             weight = power_weight(grid, float(wcfg["a"]))
         elif wcfg.get("kind") == "csv":
@@ -346,7 +348,10 @@ class WeightedLebesgue:
             weight = Weight(values=vals, family=BallFamily.build(grid, 4))
         else:
             raise ValueError(f"unknown weight recipe {wcfg!r}")
-        return cls(p=float(cfg["p"]), weight=weight, q_omega=cfg.get("q_omega"))
+        q_omega = cfg.get("q_omega")
+        if not (q_omega is None or type(q_omega) in (int, float)):
+            raise ValueError(f"q_omega must be a number, got {q_omega!r}")
+        return cls(p=float(cfg["p"]), weight=weight, q_omega=q_omega)
 
 
 @dataclass(frozen=True)
@@ -580,7 +585,8 @@ def convexify_norm(f: SampledFunction, space: SpaceDescriptor, p: float) -> floa
 
 def descriptor_from_json(cfg: dict, grid: GridSpec) -> SpaceDescriptor:
     """Build a descriptor from the JSON schema; weights/exponents by recipe."""
-    cls = SPACES.get(cfg.get("tag")) if isinstance(cfg, dict) else None
+    tag = cfg.get("tag") if isinstance(cfg, dict) else None
+    cls = SPACES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise ValueError(f"space must be an object with a tag among {sorted(SPACES)}, got {cfg!r}")
     unknown = set(cfg) - {"tag", *cls.json_keys}
@@ -590,6 +596,8 @@ def descriptor_from_json(cfg: dict, grid: GridSpec) -> SpaceDescriptor:
         return cls.from_json(cfg, grid)
     except KeyError as exc:
         raise ValueError(f"space config {cls.tag!r} misses key {exc}") from None
+    except TypeError as exc:  # a recipe value of the wrong kind, such as "p": [1] for a number
+        raise ValueError(f"space config {cfg!r} has a value of the wrong kind: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -745,9 +745,11 @@ def test_molecule_report_from_decomposition():
     assert report.mean_ok
     assert report.moments_ok  # order-zero moment within 1e-6 of nothing
     assert len(report.shell_lhs) >= 1  # shells measured and reported
-    # a ball wider than half the box has no shell to check
-    with pytest.raises(ValueError, match="no shell"):
-        check_molecule(dataclasses.replace(mol, ball=Ball(atom.ball.center, 2.0 * GRID.half_width)), space)
+    # a whole-box ball, radius 2L as tent_decompose's fallback gives, is its
+    # one shell: the left-hand side is the L^2 norm over the whole box
+    whole = check_molecule(dataclasses.replace(mol, ball=Ball(atom.ball.center, 2.0 * GRID.half_width)), space)
+    assert len(whole.shell_lhs) == 1
+    assert whole.shell_lhs[0] == pytest.approx(space_norm(mol.func, Lebesgue(2.0)), rel=1e-12)
 
 
 def test_check_atom_pass_and_failures():

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lpx import cli
 from lpx.cli import config_hash, load_config, main
 from lpx.grid import (
     GridSpec,
@@ -46,6 +47,69 @@ def test_unknown_operator_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "hardy_norm" in err  # the message lists the valid operators
+
+
+# (config overrides, or the raw config text, and the key the error names)
+MALFORMED = {
+    "aperture-string": ({"params": {"aperture": "x"}}, "params.aperture"),
+    "aperture-negative": ({"params": {"aperture": -1.0}}, "params.aperture"),
+    "params-null": ({"params": None}, "params must be an object"),
+    "grid-null": ({"grid": None}, "grid must be an object"),
+    "top-level-list": ("[1, 2]", "config must be an object"),
+    "space-p-list": ({"space": {"tag": "lebesgue", "p": [1]}}, "'p': [1]"),
+    "space-p-null": ({"space": {"tag": "lebesgue", "p": None}}, "'p': None"),
+    "mixed-p-scalar": ({"space": {"tag": "mixed", "p": 1.5}}, "'p': 1.5"),
+    "weight-string": ({"space": {"tag": "weighted", "p": 1.5, "weight": "power"}}, "weight must be"),
+    "q-omega-string": ({"space": {"tag": "weighted", "p": 1.5, "q_omega": "x"}}, "q_omega must be"),
+    "alphas-string": ({"experiments": {"change_of_angle": {"alphas": "12"}}}, "experiments.change_of_angle.alphas"),
+    "alphas-empty": ({"experiments": {"change_of_angle": {"alphas": []}}}, "experiments.change_of_angle.alphas"),
+    "t-probe-string-entry": ({"experiments": {"vanish": {"t_probe": [1, "a"]}}}, "experiments.vanish.t_probe"),
+    "t-probe-decreasing": ({"experiments": {"vanish": {"t_probe": [4.0, 1.0]}}}, "experiments.vanish.t_probe"),
+    "trials-fraction": ({"experiments": {"equivalence": {"trials": 10.5}}}, "experiments.equivalence.trials"),
+    "s-zero": ({"experiments": {"embedding": {"s": 0}}}, "experiments.embedding.s"),
+    "epsilon-string": ({"experiments": {"embedding": {"epsilon": "0.9"}}}, "experiments.embedding.epsilon"),
+    "grid-N-fraction": ({"grid": {"dim": 1, "N": 64.5, "L": 2.0}}, "grid.N"),
+    "grid-dim-fraction": ({"grid": {"dim": 1.5, "N": 64, "L": 2.0}}, "grid.dim"),
+    "steps-fraction": ({"scales": {"t_min": 0.0625, "t_max": 16.0, "steps_per_octave": 8.5}},
+                       "scales.steps_per_octave"),
+    "seed-fraction": ({"seed": 1.5}, "seed"),
+}
+
+
+@pytest.mark.parametrize("config,key", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_value_exits_2_before_any_experiment(tmp_path, capsys, monkeypatch, config, key):
+    # each of these crashed with a traceback (exit 1), some of them only after
+    # the equivalence experiment had run, or ran with a truncated value
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr(cli, "equivalence_experiment", no_experiment)
+    if isinstance(config, str):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(config)
+    else:
+        cfg = write_config(tmp_path, **config)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err and key in err, err
+    assert not out.exists()  # no report written
+
+
+def test_whole_number_floats_load_as_written(tmp_path):
+    # 64.0 is a whole number; the config keeps it as written, so its hash is unchanged
+    cfg_path = write_config(tmp_path, grid={"dim": 1.0, "N": 64.0, "L": 2}, seed=3.0,
+                            experiments={"equivalence": {"trials": 10.0}})
+    cfg = load_config(str(cfg_path))
+    assert cfg["grid"] == {"dim": 1.0, "N": 64.0, "L": 2} and cfg["seed"] == 3.0
+    assert cfg["experiments"]["equivalence"]["trials"] == 10.0
+
+
+def test_missing_input_exits_2(tmp_path, capsys):
+    code = main(["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o"), "compute",
+                 str(tmp_path / "missing.csv"), "g"])
+    assert code == 2
+    assert "cannot read input" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_2(tmp_path):
