@@ -59,12 +59,12 @@ print(f"worst spread {report.summary['worst_spread']:.4g}, passed {report.passed
 ORLICZ_SLICE_CHILD = """
 import numpy as np
 from lpx.grid import GridSpec
-from lpx.harness import five_spaces, trial_function
-from lpx.spaces import space_norms
+from lpx.harness import FIVE_SPACES, trial_function
+from lpx.spaces import descriptor_from_json, space_norms
 
 grid = GridSpec(dim=2, half_width=2.0, points_per_axis=64)
 rows = np.stack([trial_function(0, i, grid).values.real for i in range(4)])
-print("norms", space_norms(grid, rows, five_spaces(grid)["orlicz_slice"]))
+print("norms", space_norms(grid, rows, descriptor_from_json(FIVE_SPACES["orlicz_slice"], grid)))
 """
 HL_MAXIMAL_CHILD = """
 from lpx.grid import GridSpec

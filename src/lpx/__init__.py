@@ -19,11 +19,9 @@ from .kernels import (
 )
 from .maximal import (
     BallFamily,
-    fs_vector_check,
     hardy_norm,
     hl_maximal,
     peetre_maximal,
-    powered_maximal,
 )
 from .spaces import (
     ExponentFunction,
@@ -36,7 +34,6 @@ from .spaces import (
     Weight,
     WeightedLebesgue,
     ap_characteristic,
-    convexify_norm,
     critical_index,
     orlicz_norm,
     space_norm,
@@ -46,8 +43,6 @@ from .atoms import (
     Molecule,
     TentAtom,
     TentDecomposition,
-    check_atom,
-    check_molecule,
     synthesize_molecule,
     tent_decompose,
 )

@@ -5,7 +5,7 @@ cone functional at dyadic levels, cover each superlevel set with family balls
 (preferring balls whose doubles stay inside), split the set among the chosen
 balls, and cut the field along the per-cell level of the largest superlevel
 set whose surrounding ball still fits.  Each piece is normalized so it passes
-the tent-atom size inequality for every requested integrability exponent.
+the tent-atom size inequality for each exponent of ``SIZE_EXPONENTS``.
 The support cells are grouped once by containment level; the cells
 contained at no level are the strays, one piece per spatial point.
 
@@ -54,16 +54,10 @@ __all__ = [
     "TentAtom",
     "TentDecomposition",
     "Molecule",
-    "AtomReport",
-    "MoleculeReport",
-    "ball_indicator",
     "ball_norms",
     "tent_decompose",
     "synthesize_molecule",
-    "check_atom",
-    "check_molecule",
     "coefficient_functional",
-    "default_molecule_decay",
 ]
 
 # dyadic levels of the area kept below its max.  The area is the root of an
@@ -73,20 +67,14 @@ __all__ = [
 # that round-off, so the lowest level stays 16 times above it and support
 # cells below every level become stray pieces.
 MAX_LEVELS = 22
-# largest relative moment (``_moment_slacks``) and relative mean that
-# ``check_atom`` and ``check_molecule`` count as vanishing
-MOMENT_TOL = 1e-6
-MEAN_TOL = 1e-8
+# the exponents p of the L^p sizes every atom is normalized for and the
+# decomposition keeps
+SIZE_EXPONENTS = (2.0, 4.0)
 
 
 class Ball(NamedTuple):
     center: tuple[int, ...]  # grid index of the center cell
     radius: float
-
-
-def ball_indicator(grid: GridSpec, ball: Ball) -> SampledFunction:
-    """Indicator of the ball in the torus metric (``_ball_rows``)."""
-    return SampledFunction(grid, _ball_rows(grid, [ball]).reshape(grid.shape))
 
 
 def _ball_rows(grid: GridSpec, balls: Sequence[Ball]) -> np.ndarray:
@@ -112,7 +100,8 @@ def _row_norms(grid: GridSpec, rows: np.ndarray, space: SpaceDescriptor) -> list
 
 
 def ball_norms(grid: GridSpec, balls: Sequence[Ball], space: SpaceDescriptor) -> list[float]:
-    """``space_norm(ball_indicator(grid, ball), space)`` of every ball, bitwise.
+    """The space norm of every ball's indicator, bitwise its one-row
+    ``space_norm``.
 
     The indicators come from one gather and take their norms row-batched.
     """
@@ -156,58 +145,34 @@ class TentAtom:
 
 @dataclass(frozen=True)
 class TentDecomposition:
-    """Atoms and residual of ``tent_decompose``; ``ball_norms[i]`` is the
-    norm of ``atoms[i]``'s ball indicator in the space the atoms were sized
-    for (``ball_norms``), and ``sizes[p][i]`` the L^p norm of its
-    unit-aperture cone functional, for each p the atoms were sized for."""
+    """The atoms of ``tent_decompose`` on the half-space of ``grid`` and
+    ``scales``; ``ball_norms[i]`` is the norm of ``atoms[i]``'s ball indicator
+    in the space the atoms were sized for (``ball_norms``), and
+    ``sizes[p][i]`` the L^p norm of its unit-aperture cone functional, for
+    each p of ``SIZE_EXPONENTS``."""
 
     atoms: list[TentAtom]
-    residual: HalfSpaceField
+    grid: GridSpec
+    scales: ScaleGrid
     ball_norms: list[float]
     sizes: dict[float, list[float]]
 
     def reconstruct(self) -> HalfSpaceField:
-        dtype = np.result_type(self.residual.values, *{atom.values.dtype for atom in self.atoms})
-        total = np.array(self.residual.values, dtype=dtype)
+        """The sum of coefficient times atom, a float field when there are no atoms."""
+        dtype = np.result_type(float, *{atom.values.dtype for atom in self.atoms})
+        total = np.zeros(self.grid.shape + (len(self.scales),), dtype=dtype)
         flat = total.reshape(-1)
         for atom in self.atoms:
             flat[atom.cells] += atom.coefficient * atom.values
-        return HalfSpaceField(self.residual.grid, self.residual.scales, total)
+        return HalfSpaceField(self.grid, self.scales, total)
 
 
 @dataclass(frozen=True)
 class Molecule:
+    """The function ``synthesize_molecule`` makes of an atom, and the atom's ball."""
+
     func: SampledFunction
     ball: Ball
-    q: float
-    d: int
-    epsilon: float
-
-
-@dataclass(frozen=True)
-class AtomReport:
-    support_ok: bool
-    support_leak: float
-    size_ok: bool
-    size_lhs: float
-    size_rhs: float
-    moments_ok: bool
-    moment_slacks: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.support_ok and self.size_ok and self.moments_ok
-
-
-@dataclass(frozen=True)
-class MoleculeReport:
-    shell_lhs: list[float]
-    shell_rhs: list[float]
-    mean_slack: float
-    moment_slacks: dict
-    size_ok: bool
-    mean_ok: bool
-    moments_ok: bool
 
 
 def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -354,19 +319,19 @@ def tent_decompose(
     F: HalfSpaceField,
     space: SpaceDescriptor,
     balls: BallFamily | None = None,
-    p_checks: Sequence[float] = (2.0, 4.0),
 ) -> TentDecomposition:
     """Split F into coefficients times tent atoms with disjoint supports.
 
     Reconstruction is exact cell by cell, |F| is additive across the pieces,
-    and every atom satisfies the size inequality for all requested p.
+    and every atom satisfies the size inequality for each p of
+    ``SIZE_EXPONENTS``.
     """
     grid, scales = F.grid, F.scales
     balls = balls or BallFamily.build(grid, 2)
-    zero = HalfSpaceField(grid, scales, np.zeros_like(F.values))
     area = tent_functional(F, 1.0).values
     if not np.any(area > 0):
-        return TentDecomposition(atoms=[], residual=zero, ball_norms=[], sizes={p: [] for p in p_checks})
+        return TentDecomposition(atoms=[], grid=grid, scales=scales, ball_norms=[],
+                                 sizes={p: [] for p in SIZE_EXPONENTS})
     pieces = _pieces(F, area, balls)
 
     # every piece's ball in one gather and the balls' norms in one more, then
@@ -377,38 +342,26 @@ def tent_decompose(
     fitted = _fit_balls(grid, balls, [center for _, center in pieces], cells, scales.scales)
     norms = ball_norms(grid, fitted, space)
     areas = tent_functionals(F, 1.0, cells)
-    sizes = [_row_norms(grid, areas, Lebesgue(p)) for p in p_checks]
+    sizes = [_row_norms(grid, areas, Lebesgue(p)) for p in SIZE_EXPONENTS]
 
     flat = F.values.reshape(-1)
     atoms: list[TentAtom] = []
     kept_norms: list[float] = []
-    kept_sizes: dict[float, list[float]] = {p: [] for p in p_checks}
+    kept_sizes: dict[float, list[float]] = {p: [] for p in SIZE_EXPONENTS}
     for piece_cells, ball, norm_1b, piece_sizes in zip(cells, fitted, norms, zip(*sizes)):
         lam = max(
             size * norm_1b / ball_volume(ball.radius, grid.dim) ** (1.0 / p)
-            for p, size in zip(p_checks, piece_sizes)
+            for p, size in zip(SIZE_EXPONENTS, piece_sizes)
         )
         if lam != 0.0:
             atoms.append(TentAtom(grid, scales, piece_cells, flat[piece_cells] / lam, ball, lam))
             kept_norms.append(norm_1b)
-            for p, size in zip(p_checks, piece_sizes):
+            for p, size in zip(SIZE_EXPONENTS, piece_sizes):
                 kept_sizes[p].append(size / lam)  # the L^p size is positively homogeneous
-    return TentDecomposition(atoms=atoms, residual=zero, ball_norms=kept_norms, sizes=kept_sizes)
+    return TentDecomposition(atoms=atoms, grid=grid, scales=scales, ball_norms=kept_norms, sizes=kept_sizes)
 
 
-def default_molecule_decay(space: SpaceDescriptor, q: float, dim: int) -> float:
-    """Smallest admissible shell decay rate, with a small safety margin."""
-    theta = min(1.0, space.floor())
-    return dim * (1.0 / theta - 1.0 / q) + 0.01
-
-
-def synthesize_molecule(
-    atom: TentAtom,
-    psi: Kernel,
-    q: float = 2.0,
-    d: int = 0,
-    epsilon: float = 0.5,
-) -> Molecule:
+def synthesize_molecule(atom: TentAtom, psi: Kernel) -> Molecule:
     """Project a tent atom to the base space through the companion kernel.
 
     The output is the dt/t-weighted sum over scales of the convolution of
@@ -423,96 +376,7 @@ def synthesize_molecule(
     slices = np.moveaxis(fieldv.values, -1, 0)
     live = np.flatnonzero(slices.reshape(len(scales), -1).any(axis=1))
     out = apply_multiplier(slices[live], build_plan(psi, scales).multipliers[live], grid.dim).sum(axis=0)
-    return Molecule(func=SampledFunction(grid, out * scales.log_weight), ball=atom.ball, q=q, d=d, epsilon=epsilon)
-
-
-def _multi_indices(dim: int, d: int):
-    if dim == 1:
-        return [(k,) for k in range(d + 1)]
-    return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
-
-
-def _moment_slacks(f: SampledFunction, d: int) -> dict:
-    grid = f.grid
-    mesh = grid.coordinate_mesh()
-    l1 = float(np.sum(np.abs(f.values)) * grid.cell_volume)
-    slacks = {}
-    for beta in _multi_indices(grid.dim, d):
-        mono = np.ones(grid.shape)
-        for axis, power in enumerate(beta):
-            mono = mono * mesh[axis] ** power
-        moment = abs(complex(np.sum(f.values * mono) * grid.cell_volume))
-        scale = l1 * grid.half_width ** sum(beta) if l1 > 0 else 1.0
-        slacks[beta] = moment / scale
-    return slacks
-
-
-def check_atom(
-    a: SampledFunction,
-    ball: Ball,
-    space: SpaceDescriptor,
-    q: float,
-    d: int,
-) -> AtomReport:
-    """Support, size, and vanishing-moment report for a candidate atom."""
-    grid = a.grid
-    indicator = ball_indicator(grid, ball)
-    mass = float(np.sum(np.abs(a.values)))
-    leak = float(np.sum(np.abs(a.values)[indicator.values == 0])) / mass if mass > 0 else 0.0
-    support_ok = leak == 0.0
-
-    norm_1b = space_norm(indicator, space)
-    if math.isinf(q):
-        lhs = float(np.max(np.abs(a.values)))
-        rhs = 1.0 / norm_1b
-    else:
-        lhs = space_norm(a, Lebesgue(q))
-        rhs = ball_volume(ball.radius, grid.dim) ** (1.0 / q) / norm_1b
-    size_ok = lhs <= rhs * (1 + 1e-9)
-
-    slacks = _moment_slacks(a, d)
-    moments_ok = all(v <= MOMENT_TOL for v in slacks.values())
-    return AtomReport(
-        support_ok=support_ok,
-        support_leak=leak,
-        size_ok=size_ok,
-        size_lhs=lhs,
-        size_rhs=rhs,
-        moments_ok=moments_ok,
-        moment_slacks=slacks,
-    )
-
-
-def check_molecule(m: Molecule, space: SpaceDescriptor) -> MoleculeReport:
-    """Shell-decay and vanishing-moment report; the ball is shell 0 whatever
-    its radius, and the shells past it stop at the box edge."""
-    grid = m.func.grid
-    norm_1b = space_norm(ball_indicator(grid, m.ball), space)
-    radii, measures = [], []
-    r_lo, r_hi = 0.0, m.ball.radius  # shell j is r 2^(j-1) <= dist < r 2^j, the ball at j = 0
-    while not radii or r_hi <= grid.half_width:
-        radii.append(r_hi)
-        measures.append(ball_volume(r_hi, grid.dim) - ball_volume(r_lo, grid.dim))
-        r_lo, r_hi = r_hi, 2.0 * r_hi
-    shells = _ball_rows(grid, [Ball(m.ball.center, r) for r in radii])
-    shells[1:] &= ~shells[:-1]  # each ball less the one inside it
-    vals = np.where(shells.reshape((-1,) + grid.shape), np.abs(m.func.values), 0.0)
-    lhs_list = [float(row.max()) for row in vals] if math.isinf(m.q) else space_norms(grid, vals, Lebesgue(m.q))
-    # measure ** (1 / q) is 1.0 at q = inf
-    rhs_list = [2.0 ** (-j * m.epsilon) * measure ** (1.0 / m.q) / norm_1b for j, measure in enumerate(measures)]
-    l1 = float(np.sum(np.abs(m.func.values)) * grid.cell_volume)
-    mean = abs(complex(np.sum(m.func.values) * grid.cell_volume))
-    mean_slack = mean / l1 if l1 > 0 else 0.0
-    slacks = _moment_slacks(m.func, m.d)
-    return MoleculeReport(
-        shell_lhs=lhs_list,
-        shell_rhs=rhs_list,
-        mean_slack=mean_slack,
-        moment_slacks=slacks,
-        size_ok=all(l <= r * (1 + 1e-9) for l, r in zip(lhs_list, rhs_list)),
-        mean_ok=mean_slack <= MEAN_TOL,
-        moments_ok=all(v <= MOMENT_TOL for v in slacks.values()),
-    )
+    return Molecule(func=SampledFunction(grid, out * scales.log_weight), ball=atom.ball)
 
 
 def coefficient_functional(
@@ -521,7 +385,7 @@ def coefficient_functional(
     """Aggregated coefficient size of the decomposition relative to the space."""
     if not decomp.atoms:
         return 0.0
-    grid = decomp.residual.grid
+    grid = decomp.grid
     if s is None:
         s = min(1.0, space.floor())
     rows = _ball_rows(grid, [atom.ball for atom in decomp.atoms])

@@ -21,10 +21,6 @@ class LambdaTooSmall(LpxError):
     """Weighted square function requires lambda > 1."""
 
 
-class ZeroDenominator(LpxError):
-    """Ratio undefined because the denominator vanishes."""
-
-
 class NoBracket(LpxError):
     """Bisection bracket never crosses the target level."""
 

@@ -183,7 +183,8 @@ FIVE_SPACES = {
 
 
 def five_spaces(grid: GridSpec) -> dict[str, SpaceDescriptor]:
-    """The ``FIVE_SPACES`` recipes built on the grid."""
+    """The ``FIVE_SPACES`` recipes built on the 1-D grid; the ``mixed``
+    recipe's one exponent fits no other dimension."""
     return {name: descriptor_from_json(cfg, grid) for name, cfg in FIVE_SPACES.items()}
 
 

@@ -10,9 +10,8 @@ round-off of the correlation that sums the balls.
 
 ``hl_maximal`` runs on |f| divided by the power of two of its max
 (``grid.scale_to_unit_rows``) and scales back, so it is positively
-homogeneous over the whole float range; ``powered_maximal`` takes its power
-of |f| so scaled, and ``fs_vector_check`` scales its whole family by one
-power of two.  Both ball operations are one path in 1-D and 2-D.
+homogeneous over the whole float range.  Both ball operations are one path
+in 1-D and 2-D.
 ``BallFamily.ball_sums`` correlates the values with the cached spectra of
 the ball masks, every radius at once.  ``BallFamily.ball_filter`` takes the
 ball max: each first-axis row of a torus ball is one symmetric run of cells,
@@ -32,7 +31,6 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
-from .errors import ZeroDenominator
 from .grid import GridSpec, SampledFunction, scale_to_unit_rows
 from .squarefuncs import ball_spectra
 from .transforms import ConvolutionPlan, build_fields, correlate
@@ -41,12 +39,10 @@ __all__ = [
     "BallFamily",
     "ball_volume",
     "hl_maximal",
-    "powered_maximal",
     "peetre_maximal",
     "peetre_maximals",
     "hardy_norm",
     "default_peetre_exponent",
-    "fs_vector_check",
 ]
 
 DEFAULT_RADII_PER_OCTAVE = {1: 32, 2: 8}
@@ -187,16 +183,6 @@ def hl_maximal(f: SampledFunction, balls: BallFamily | None = None) -> SampledFu
     return SampledFunction(f.grid, np.ldexp(out, e, out=out))
 
 
-def powered_maximal(f: SampledFunction, theta: float, balls: BallFamily | None = None) -> SampledFunction:
-    """Composition {M(|f|^theta)}^(1/theta) of |f| scaled to unit max, scaled back."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    mag = np.abs(f.values)
-    e = scale_to_unit_rows(mag[None])[0]
-    m = hl_maximal(SampledFunction(f.grid, mag**theta), balls)
-    return SampledFunction(f.grid, np.ldexp(m.values ** (1.0 / theta), e))
-
-
 def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> SampledFunction:
     """Smoothed maximal function sup_{y, t} |psi_t * f(x - y)| / (1 + |y|/t)^b.
 
@@ -259,40 +245,3 @@ def hardy_norm(f: SampledFunction, space, psi_plan: ConvolutionPlan, b: float | 
         b = default_peetre_exponent(f.grid.dim, space.floor())
     m = peetre_maximal(f, b, plan=psi_plan)
     return space_norm(m, space)
-
-
-def fs_vector_check(
-    fs: list[SampledFunction],
-    theta: float,
-    s: float,
-    space,
-    balls: BallFamily | None = None,
-) -> float:
-    """Ratio of the l^s-aggregated powered maximal family to the plain family.
-
-    Finiteness of this ratio across families is the vector-valued boundedness
-    the whole theory rests on; the harness records it empirically.  The ratio
-    is of degree 0, so it is taken of the family divided by the power of two
-    of its max (``grid.scale_to_unit_rows`` on the family as one row).
-    """
-    from .spaces import space_norm
-
-    if not fs:
-        raise ValueError("need at least one function")
-    if s <= 0:
-        raise ValueError("s must be positive")
-    grid = fs[0].grid
-    mags = np.abs(np.stack([f.values for f in fs]))
-    scale_to_unit_rows(mags[None])
-    num = np.zeros(grid.shape)
-    den = np.zeros(grid.shape)
-    for mag in mags:
-        m = powered_maximal(SampledFunction(grid, mag), theta, balls)
-        num += m.values ** s
-        den += mag**s
-    num_f = SampledFunction(grid, num ** (1.0 / s))
-    den_f = SampledFunction(grid, den ** (1.0 / s))
-    denom = space_norm(den_f, space)
-    if denom == 0.0:
-        raise ZeroDenominator("all inputs vanish")
-    return space_norm(num_f, space) / denom

@@ -20,14 +20,14 @@ A descriptor implements only its row-batched norms: ``norms(grid, mag)``
 returns the norm of every row of a finite non-negative ``(rows,) +
 grid.shape`` stack, each bitwise what that row gives alone.  ``space_norms``
 is the one entry to them (``space_norm`` is its one-row case), and no
-descriptor scales by itself: ``space_norms``, ``convexify_norm`` (which takes
-its power of the scaled rows) and ``orlicz_norm`` (a Luxemburg norm with no
-descriptor) take the norms of each row divided by the power of two of its
-max and scale them back (``_unit_row_norms``), so every norm is homogeneous
-over the whole float range.  ``Morrey`` takes the ball sums of a step's rows
-in one ``BallFamily.ball_sums`` call, and ``OrliczSlice`` the windows of a
-step's rows, or of a slab of one row, in one Luxemburg solve; a step holds as
-many rows as keep it within ``NORM_CHUNK`` elements.
+descriptor scales by itself: ``space_norms`` and ``orlicz_norm`` (a
+Luxemburg norm with no descriptor) take the norms of each row divided by the
+power of two of its max and scale them back (``_unit_row_norms``), so every
+norm is homogeneous over the whole float range.  ``Morrey`` takes the ball
+sums of a step's rows in one ``BallFamily.ball_sums`` call, and
+``OrliczSlice`` the windows of a step's rows, or of a slab of one row, in one
+Luxemburg solve; a step holds as many rows as keep it within ``NORM_CHUNK``
+elements.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "space_norms",
     "lebesgue_row_norms",
     "orlicz_norm",
-    "convexify_norm",
     "ap_characteristic",
     "critical_index",
     "power_weight",
@@ -433,7 +432,10 @@ class MixedNorm:
 
     @classmethod
     def from_json(cls, cfg: dict, grid: GridSpec) -> "MixedNorm":
-        return cls(exponents=tuple(float(x) for x in cfg["p"]))
+        exponents = tuple(float(x) for x in cfg["p"])
+        if len(exponents) != grid.dim:
+            raise ValueError("need one exponent per axis")
+        return cls(exponents=exponents)
 
 
 @dataclass(frozen=True)
@@ -572,15 +574,6 @@ def space_norms(grid: GridSpec, values: np.ndarray, space: SpaceDescriptor) -> l
     if not np.isfinite(values).all():
         raise NumericFailure("a row to be normed holds a non-finite sample")
     return _unit_row_norms(np.abs(values), functools.partial(space.norms, grid))
-
-
-def convexify_norm(f: SampledFunction, space: SpaceDescriptor, p: float) -> float:
-    """Norm of |f|^p in the space, to the 1/p power: the p-th power and the
-    root of |f| scaled to unit max (``_unit_row_norms``)."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return _unit_row_norms(np.abs(f.values)[None],
-                           lambda unit: [norm ** (1.0 / p) for norm in space.norms(f.grid, unit**p)])[0]
 
 
 def descriptor_from_json(cfg: dict, grid: GridSpec) -> SpaceDescriptor:

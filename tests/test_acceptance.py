@@ -14,12 +14,11 @@ from scipy import integrate as scipy_integrate
 
 from lpx.atoms import (
     Ball,
-    ball_indicator,
     coefficient_functional,
     synthesize_molecule,
     tent_decompose,
 )
-from helpers import atom_from_field, band_limited_trial, indicator_box, tent_atom_size
+from helpers import atom_from_field, ball_indicator, band_limited_trial, indicator_box, tent_atom_size
 from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_frequency
 from lpx.harness import change_of_angle_experiment, equivalence_experiment, five_spaces, trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion, reproduce

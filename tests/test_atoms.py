@@ -9,16 +9,13 @@ from lpx import atoms, squarefuncs
 from lpx.atoms import (
     Ball,
     TentDecomposition,
-    ball_indicator,
     ball_norms,
-    check_atom,
-    check_molecule,
     coefficient_functional,
-    default_molecule_decay,
     synthesize_molecule,
     tent_decompose,
 )
-from helpers import atom_from_field, tent_atom_size, tent_mask
+from helpers import (atom_from_field, ball_indicator, check_atom, check_molecule, default_molecule_decay,
+                     tent_atom_size, tent_mask)
 from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_frequency
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion
@@ -62,10 +59,17 @@ def test_real_data_stays_float64_and_complex_data_complex128():
 
 
 def test_decompose_zero_field():
-    F = HalfSpaceField(GRID, SCALES, np.zeros((256, len(SCALES))))
-    dec = tent_decompose(F, Lebesgue(2.0), BALLS)
-    assert dec.atoms == []
-    assert np.all(dec.residual.values == 0)
+    # with no atoms, the rebuilt field's grid and scales come only from the
+    # decomposition's own fields
+    grid_2d = GridSpec(dim=2, half_width=2.0, points_per_axis=16)
+    for grid, scales in ((GRID, SCALES), (grid_2d, ScaleGrid(t_min=1 / 8, t_max=1.0, steps_per_octave=4))):
+        F = HalfSpaceField(grid, scales, np.zeros(grid.shape + (len(scales),)))
+        dec = tent_decompose(F, Lebesgue(2.0))
+        assert dec.atoms == [] and dec.ball_norms == [] and dec.sizes == {2.0: [], 4.0: []}
+        rebuilt = dec.reconstruct()
+        assert rebuilt.grid == grid and rebuilt.scales == scales and rebuilt.values.dtype == np.float64
+        assert np.array_equal(rebuilt.values, F.values)
+        assert coefficient_functional(dec, Lebesgue(2.0)) == 0.0
 
 
 def _containment_reference(F, area, levels):
@@ -306,7 +310,7 @@ def _pieces_reference(F, area, balls):
     return pieces
 
 
-def _dense_decomposition_reference(F, space, balls, p_checks=(2.0, 4.0), one_piece=_one_piece_spectral_reference):
+def _dense_decomposition_reference(F, space, balls, one_piece=_one_piece_spectral_reference):
     """Per-piece sizing with a dense field per atom, as before atoms were stored
     on their cells, with ``one_piece`` the cone functional of the field and of
     each piece.  Returns [(ball, coefficient, dense atom values)] and the dense
@@ -325,7 +329,7 @@ def _dense_decomposition_reference(F, space, balls, p_checks=(2.0, 4.0), one_pie
         piece_area = SampledFunction(grid, row)
         lam = max(
             space_norm(piece_area, Lebesgue(p)) * norm_1b / ball_volume(ball.radius, grid.dim) ** (1.0 / p)
-            for p in p_checks
+            for p in (2.0, 4.0)
         )
         if lam != 0.0:
             values = np.zeros_like(F.values)
@@ -339,7 +343,7 @@ def _coefficient_functional_reference(decomp, space, s=None):
     """The per-atom loop: one indicator and one norm per atom, added into a dense sum."""
     if not decomp.atoms:
         return 0.0
-    grid = decomp.residual.grid
+    grid = decomp.grid
     s = min(1.0, space.floor()) if s is None else s
     acc = np.zeros(grid.shape)
     for atom in decomp.atoms:
@@ -356,9 +360,9 @@ def _assert_matches_dense_reference(dec, reference, space):
         assert atom.coefficient == lam
         assert np.array_equal(atom.field.values, values)
     assert np.array_equal(dec.reconstruct().values, ref_total)
-    grid, scales = dec.residual.grid, dec.residual.scales
+    grid, scales = dec.grid, dec.scales
     ref_dec = TentDecomposition([atom_from_field(HalfSpaceField(grid, scales, values), ball, lam)
-                                 for ball, lam, values in ref_atoms], dec.residual, dec.ball_norms, dec.sizes)
+                                 for ball, lam, values in ref_atoms], grid, scales, dec.ball_norms, dec.sizes)
     assert coefficient_functional(dec, space) == _coefficient_functional_reference(ref_dec, space)
 
 
@@ -639,7 +643,7 @@ def test_decompose_supports_disjoint_and_in_tents():
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_decompose_size_normalization(p):
     F = random_field(3)
-    dec = tent_decompose(F, Lebesgue(2.0), BALLS, p_checks=(2.0, 4.0))
+    dec = tent_decompose(F, Lebesgue(2.0), BALLS)
     for atom in dec.atoms:
         lhs = tent_atom_size(atom.field, p)
         rhs = ball_volume(atom.ball.radius, 1) ** (1 / p) / space_norm(
@@ -659,7 +663,7 @@ def test_decompose_single_atom_recovery():
     rhs = ball_volume(2.0, 1) ** 0.5 / space_norm(ball_indicator(GRID, ball), Lebesgue(2.0))
     lam_true = 7.0
     F = HalfSpaceField(GRID, SCALES, lam_true * (rhs / size) * vals)
-    dec = tent_decompose(F, Lebesgue(2.0), BALLS, p_checks=(2.0,))
+    dec = tent_decompose(F, Lebesgue(2.0), BALLS)
     total = sum(a.coefficient for a in dec.atoms)
     assert total == pytest.approx(lam_true, rel=3.0)  # within factor 4
     assert np.max(np.abs(dec.reconstruct().values - F.values)) <= 1e-12
@@ -740,14 +744,15 @@ def test_molecule_report_from_decomposition():
     dec = tent_decompose(F, space, BALLS)
     atom = max(dec.atoms, key=lambda a: a.coefficient)
     eps = default_molecule_decay(space, q=2.0, dim=1)
-    mol = synthesize_molecule(atom, pair.psi, q=2.0, d=0, epsilon=eps)
-    report = check_molecule(mol, space)
+    mol = synthesize_molecule(atom, pair.psi)
+    report = check_molecule(mol, space, q=2.0, d=0, epsilon=eps)
     assert report.mean_ok
     assert report.moments_ok  # order-zero moment within 1e-6 of nothing
     assert len(report.shell_lhs) >= 1  # shells measured and reported
     # a whole-box ball, radius 2L as tent_decompose's fallback gives, is its
     # one shell: the left-hand side is the L^2 norm over the whole box
-    whole = check_molecule(dataclasses.replace(mol, ball=Ball(atom.ball.center, 2.0 * GRID.half_width)), space)
+    whole = check_molecule(dataclasses.replace(mol, ball=Ball(atom.ball.center, 2.0 * GRID.half_width)), space,
+                           q=2.0, d=0, epsilon=eps)
     assert len(whole.shell_lhs) == 1
     assert whole.shell_lhs[0] == pytest.approx(space_norm(mol.func, Lebesgue(2.0)), rel=1e-12)
 

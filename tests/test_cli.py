@@ -112,6 +112,20 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "cannot read input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["compute", "maximal"], ["compute", "norm"], ["verify"]],
+                         ids=["compute-maximal", "compute-norm", "verify"])
+def test_mixed_exponent_count_exits_2_on_load(tmp_path, capsys, command):
+    # a 1-D mixed norm with two exponents: compute maximal, which takes no
+    # norm, used to exit 0, and the others failed only once a norm was taken
+    cfg = write_config(tmp_path, space={"tag": "mixed", "p": [1.5, 2]})
+    out = tmp_path / "o"
+    if command[0] == "compute":
+        command = ["compute", str(write_input(tmp_path)), command[1]]
+    assert main(["--config", str(cfg), "--out", str(out)] + command) == 2
+    assert "need one exponent per axis" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     p = tmp_path / "config.json"
     p.write_text(json.dumps({"version": 1, "bogus": True}))

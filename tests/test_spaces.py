@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import indicator_box
+from helpers import convexify_norm, fs_vector_check, indicator_box, powered_maximal
 from lpx.errors import NoBracket, NumericFailure
 import lpx.spaces as spaces_mod
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, gaussian_bump
@@ -22,7 +22,6 @@ from lpx.spaces import (
     Weight,
     WeightedLebesgue,
     ap_characteristic,
-    convexify_norm,
     critical_index,
     descriptor_from_json,
     lebesgue_row_norms,
@@ -330,7 +329,7 @@ DEGREE = {"fs_vector_check": 0}  # of homogeneity; 1 for every other operator
 def _homogeneous_operator(which, grid):
     """The operator ``which`` of ``HOMOGENEOUS`` on the grid, as a function of f."""
     from lpx.harness import five_spaces
-    from lpx.maximal import fs_vector_check, hl_maximal, powered_maximal
+    from lpx.maximal import hl_maximal
 
     operators = {
         "hl_maximal": lambda f: hl_maximal(f).values,
