@@ -17,16 +17,16 @@ FFT, so no pieces x cells x scales array is built.  Each level tests every
 doubled ball in one correlation against the cached ``ball_spectra``, then
 walks the inside centres once, by the largest radius whose doubled ball
 fits, rather than once per radius; a claimed ball marks its cells through
-its offset list.
+its offset list, ``GridSpec.ball_offsets``.
 Every ball's cells are ``GridSpec.ball_mask``'s: the offset lists, the
 doubled balls' spectra, and the indicators (``_ball_rows``), which read each
 ball's mask at its centre, all balls in one ``torus_window_view`` gather.
 The pieces are then sized in one pass: their balls from one gather of their
 own cells' torus distances, their L^p sizes, kept on the decomposition per
 atom, from row-batched reductions.  The sizes and the balls' indicator norms
-(``ball_norms``) take one ``space_norms`` call per ``NORM_CHUNK`` elements
-of rows, in every space; ``coefficient_functional`` adds its per-atom
-weights with one ``np.bincount``.  A ``TentAtom`` keeps only its
+(``ball_norms``) take one ``space_norms`` call each, which chunks the rows
+itself; ``coefficient_functional`` adds its per-atom weights with one
+``np.bincount``.  A ``TentAtom`` keeps only its
 piece's cells and values; its dense field is built on demand.  All of it is
 bitwise what one call per piece, one correlation and candidate loop per
 radius, one ``np.roll`` per ball, one indicator per ball norm and a dense
@@ -35,7 +35,6 @@ field per atom give.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -45,7 +44,7 @@ import numpy as np
 from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
-from .spaces import NORM_CHUNK, Lebesgue, SpaceDescriptor, space_norm, space_norms
+from .spaces import Lebesgue, SpaceDescriptor, space_norm, space_norms
 from .squarefuncs import ball_spectra, tent_functional, tent_functionals
 from .transforms import apply_multiplier, build_plan, correlate
 
@@ -78,25 +77,16 @@ class Ball(NamedTuple):
 
 
 def _ball_rows(grid: GridSpec, balls: Sequence[Ball]) -> np.ndarray:
-    """Boolean (balls, cells) array whose rows are the balls' indicators: each
-    ball's ``grid.ball_mask`` read at its centre, every ball in one
-    ``torus_window_view`` gather over the masks of the distinct radii."""
+    """Boolean ``(balls,) + grid.shape`` array whose rows are the balls'
+    indicators: each ball's ``grid.ball_mask`` read at its centre, every ball
+    in one ``torus_window_view`` gather over the masks of the distinct radii."""
     slot: dict[float, int] = {}  # each distinct radius's mask, in order of first use
     which = np.array([slot.setdefault(ball.radius, len(slot)) for ball in balls], dtype=np.intp)
     masks = np.array([grid.ball_mask(r) for r in slot], dtype=bool).reshape((len(slot),) + grid.shape)
     centers = np.array([ball.center for ball in balls], dtype=int).reshape(len(balls), grid.dim)
     # B(c, r) holds x iff mask[(x - c) mod n]: the window at shift -c
     shifts = tuple((-centers % grid.points_per_axis).T)
-    return grid.torus_window_view(masks)[(which,) + shifts].reshape(len(balls), grid.size)
-
-
-def _row_norms(grid: GridSpec, rows: np.ndarray, space: SpaceDescriptor) -> list[float]:
-    """``space_norm`` of every row of a stack, such as the indicator rows of
-    ``_ball_rows``: one ``space_norms`` call per ``NORM_CHUNK`` elements of
-    rows, so the norms' temporaries stay within a chunk."""
-    step = max(1, NORM_CHUNK // grid.size)
-    return [norm for start in range(0, len(rows), step)
-            for norm in space_norms(grid, rows[start:start + step].reshape((-1,) + grid.shape).astype(float), space)]
+    return grid.torus_window_view(masks)[(which,) + shifts].reshape((len(balls),) + grid.shape)
 
 
 def ball_norms(grid: GridSpec, balls: Sequence[Ball], space: SpaceDescriptor) -> list[float]:
@@ -105,7 +95,7 @@ def ball_norms(grid: GridSpec, balls: Sequence[Ball], space: SpaceDescriptor) ->
 
     The indicators come from one gather and take their norms row-batched.
     """
-    return _row_norms(grid, _ball_rows(grid, balls), space)
+    return space_norms(grid, _ball_rows(grid, balls), space)
 
 
 @dataclass(frozen=True)
@@ -191,19 +181,6 @@ def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray)
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _ball_offsets(grid: GridSpec, radii: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per radius, the offsets of the cells of ``grid.ball_mask(r)``, one
-    read-only integer array per axis, in C order."""
-    out = []
-    for r in radii:
-        axes = np.nonzero(grid.ball_mask(r))
-        for a in axes:
-            a.setflags(write=False)
-        out.append(axes)
-    return tuple(out)
-
-
 def _whitney_regions(
     grid: GridSpec, inside: np.ndarray, balls: BallFamily
 ) -> tuple[np.ndarray, list[Ball]]:
@@ -229,7 +206,7 @@ def _whitney_regions(
     top = len(radii) - 1 - fit[::-1].argmax(axis=0)  # each centre's largest fitting radius
     walk = np.flatnonzero(fit.any(axis=0))
     walk = walk[np.argsort(-top[walk], kind="stable")]
-    offsets = _ball_offsets(grid, radii)
+    offsets = grid.ball_offsets(radii)
     coords = (c.tolist() for c in np.unravel_index(walk, grid.shape))
     for cell, ri, *center in zip(walk.tolist(), top[walk].tolist(), *coords):
         if not uncovered[cell]:
@@ -342,7 +319,7 @@ def tent_decompose(
     fitted = _fit_balls(grid, balls, [center for _, center in pieces], cells, scales.scales)
     norms = ball_norms(grid, fitted, space)
     areas = tent_functionals(F, 1.0, cells)
-    sizes = [_row_norms(grid, areas, Lebesgue(p)) for p in SIZE_EXPONENTS]
+    sizes = [space_norms(grid, areas, Lebesgue(p)) for p in SIZE_EXPONENTS]
 
     flat = F.values.reshape(-1)
     atoms: list[TentAtom] = []
@@ -379,20 +356,19 @@ def synthesize_molecule(atom: TentAtom, psi: Kernel) -> Molecule:
     return Molecule(func=SampledFunction(grid, out * scales.log_weight), ball=atom.ball)
 
 
-def coefficient_functional(
-    decomp: TentDecomposition, space: SpaceDescriptor, s: float | None = None
-) -> float:
-    """Aggregated coefficient size of the decomposition relative to the space."""
+def coefficient_functional(decomp: TentDecomposition, space: SpaceDescriptor) -> float:
+    """Aggregated coefficient size of the decomposition relative to the space:
+    the space norm of (sum of (coefficient / ||1_B||)^s 1_B)^(1/s) over the
+    atoms' balls B, s = min(1, the space's floor exponent)."""
     if not decomp.atoms:
         return 0.0
     grid = decomp.grid
-    if s is None:
-        s = min(1.0, space.floor())
+    s = min(1.0, space.floor())
     rows = _ball_rows(grid, [atom.ball for atom in decomp.atoms])
-    norms = _row_norms(grid, rows, space)
+    norms = space_norms(grid, rows, space)
     weights = [(atom.coefficient / norm_1b) ** s for atom, norm_1b in zip(decomp.atoms, norms)]
     # bincount adds in input order, atom by atom: bitwise the sum of weight
     # times indicator, whose other terms are exact zeros
-    owner, cells = np.nonzero(rows)
+    owner, cells = np.nonzero(rows.reshape(len(rows), grid.size))
     acc = np.bincount(cells, np.array(weights)[owner], minlength=grid.size).reshape(grid.shape)
     return space_norm(SampledFunction(grid, acc ** (1.0 / s)), space)

@@ -6,8 +6,8 @@ multiplicative grid t_k = t_min * 2^((k+1/2)/J) with the midpoint-in-log
 quadrature weight ln(2)/J for the measure dt/t.  Sampled values are
 float64 unless some imaginary part is nonzero (``real_or_complex``).
 A torus ball's cells are decided in one place, ``GridSpec.ball_mask``, and
-every read of values at shifted cells goes through
-``GridSpec.torus_window_view``.
+listed in one place, ``GridSpec.ball_offsets``; every read of values at
+shifted cells goes through ``GridSpec.torus_window_view``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ __all__ = [
 ]
 
 
-# offset distance tables kept per grid; a 2-D N=64 table is 32 kB
+# offset distance tables kept per grid, and ball offset lists per (grid,
+# radii); a 2-D N=64 table is 32 kB
 OFFSET_CACHE_SIZE = 8
 
 
@@ -123,6 +124,19 @@ class GridSpec:
         ball about cell c is the mask rolled by c, read through
         ``torus_window_view`` at the shift -c."""
         return self.offset_distances() < radius
+
+    @functools.lru_cache(maxsize=OFFSET_CACHE_SIZE)
+    def ball_offsets(self, radii: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per radius r, the offsets of the cells of ``ball_mask(r)``, one
+        read-only integer array per axis, in C order: the one offset list of
+        a ball, built once per (grid, radii)."""
+        out = []
+        for r in radii:
+            axes = np.nonzero(self.ball_mask(r))
+            for a in axes:
+                a.setflags(write=False)
+            out.append(axes)
+        return tuple(out)
 
     def torus_window_view(self, values: np.ndarray) -> np.ndarray:
         """Read-only view ``w`` with ``w[s][x] = values[(x + s) mod n]`` for every

@@ -39,7 +39,7 @@ from .grid import (
     indicator_ball,
 )
 from .kernels import Kernel, build_kernel, calderon_companion
-from .maximal import BallFamily, default_peetre_exponent, hl_maximal, peetre_maximals
+from .maximal import default_peetre_exponent, hl_maximal, peetre_maximals
 from .spaces import SpaceDescriptor, Weight, WeightedLebesgue, descriptor_from_json, space_norms
 from .squarefuncs import g_functions, g_lambda_stars, tent_functionals
 from .transforms import apply_multiplier, build_fields, build_plan
@@ -57,13 +57,6 @@ __all__ = [
 ]
 
 EQUIVALENCE_SPREAD_MAX = 10.0
-
-
-def _json_scalar(obj):
-    """Unwrap numpy scalars so reports serialize (and stay deterministic)."""
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 ANGLE_SLOPE_SLACK = 0.15
 EMBEDDING_SPREAD_MAX = 10.0
 CONCENTRATION_TOL = 1e-6
@@ -72,6 +65,13 @@ MIN_TRIAL_POINTS = 64
 # one pass of the five-space 1-D N=64 equivalence run peaks at about 1.0 MiB
 # of traced memory with this budget and 1.4 MiB with twice it
 FIELD_BLOCK_BYTES = 1 << 17
+
+
+def _json_scalar(obj):
+    """Unwrap numpy scalars so reports serialize (and stay deterministic)."""
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 @dataclass(frozen=True)
@@ -341,10 +341,10 @@ def change_of_angle_experiment(
 
 def embedding_weight(grid: GridSpec, epsilon: float = 0.9) -> Weight:
     """The weight [M(1_{B(0,1)})]^epsilon used by the weighted embedding, M
-    over the default family and the weight's averages over ``BallFamily.build(grid, 2)``."""
+    over the default family; with no evaluator, its space carries ``q_omega``."""
     ind = indicator_ball(grid, [0.0] * grid.dim, 1.0)
     vals = np.maximum(hl_maximal(ind).values, 1e-300) ** epsilon
-    return Weight(values=SampledFunction(grid, vals), family=BallFamily.build(grid, 2))
+    return Weight(values=SampledFunction(grid, vals))
 
 
 def embedding_experiment(

@@ -95,18 +95,17 @@ def _snap_radii_2d(grid: GridSpec, per_octave: int) -> np.ndarray:
 class BallFamily:
     """Finite family of balls: every grid point is a center, radii are dyadic.
 
-    ``radii_per_octave`` refines the classical octave ladder; the default of 1
+    ``build``'s ``radii_per_octave`` refines the classical octave ladder: 1
     reproduces it, larger values give the density needed to track continuum
-    suprema to a few percent.
+    suprema to a few percent.  Each operation over the balls picks its own.
     """
 
     grid: GridSpec
     radii: np.ndarray
-    radii_per_octave: int
 
     @classmethod
     @lru_cache(maxsize=FAMILY_CACHE_SIZE)
-    def build(cls, grid: GridSpec, radii_per_octave: int = 1) -> "BallFamily":
+    def build(cls, grid: GridSpec, radii_per_octave: int) -> "BallFamily":
         """The family of the grid and ladder density, built once per pair."""
         if radii_per_octave < 1:
             raise ValueError("radii_per_octave must be >= 1")
@@ -115,25 +114,23 @@ class BallFamily:
         else:
             radii = _snap_radii_2d(grid, radii_per_octave)
         radii.setflags(write=False)
-        return cls(grid=grid, radii=radii, radii_per_octave=radii_per_octave)
+        return cls(grid=grid, radii=radii)
 
     def __len__(self) -> int:
         return len(self.radii)
 
-    def ball_sums(self, values: np.ndarray, radii) -> np.ndarray:
+    def ball_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum of ``values`` over cells whose centers lie in B(x, r), for all x
-        and every r in ``radii``: one row per radius, ``(len(radii),) + grid.shape``.
+        and every family radius r: one row per radius, ``(len(self),) + grid.shape``.
 
         Leading axes of ``values`` beyond ``grid.shape`` are a batch, giving
-        ``lead + (len(radii),) + grid.shape``, each row bitwise its unbatched
+        ``lead + (len(self),) + grid.shape``, each row bitwise its unbatched
         value.  Every radius, the whole box included, in either dimension,
         comes from one correlation against the cached
         ``squarefuncs.ball_spectra``, exact up to its round-off.
         """
         grid = self.grid
-        if not len(radii):
-            return np.empty(values.shape[:values.ndim - grid.dim] + (0,) + grid.shape)
-        table = ball_spectra(grid, tuple(float(r) for r in radii))
+        table = ball_spectra(grid, tuple(self.radii.tolist()))
         return correlate(values[(..., None) + (slice(None),) * grid.dim], table, grid.dim)
 
     @cached_property
@@ -175,7 +172,7 @@ def hl_maximal(f: SampledFunction, balls: BallFamily | None = None) -> SampledFu
     e = scale_to_unit_rows(mag[None])[0]
     cellvol = f.grid.cell_volume
     out = np.zeros(f.grid.shape)
-    for r, sums in zip(balls.radii, balls.ball_sums(mag, balls.radii)):
+    for r, sums in zip(balls.radii, balls.ball_sums(mag)):
         avg = sums * (cellvol / ball_volume(r, f.grid.dim))
         # x sees exactly the balls whose centers lie within r of x
         np.maximum(out, balls.ball_filter(avg, r), out=out)

@@ -3,7 +3,7 @@
 Five families are implemented: plain and weighted Lebesgue, Morrey,
 mixed-norm, variable-exponent, and Orlicz-slice.  All of them are lattice
 quasi-norms evaluated by the grid rectangle rule; suprema over balls run over
-a finite dyadic family.
+the finite dyadic family ``BallFamily.build(grid, BALL_RADII_PER_OCTAVE)``.
 
 Every Luxemburg-type norm, inf{lam : modular(f / lam) <= 1}, is one
 ``_luxemburg_rows`` solve over a stack of rows: ``VariableLebesgue`` sends all
@@ -19,8 +19,9 @@ correctness: the bracket holds for any modular decreasing in lam.
 A descriptor implements only its row-batched norms: ``norms(grid, mag)``
 returns the norm of every row of a finite non-negative ``(rows,) +
 grid.shape`` stack, each bitwise what that row gives alone.  ``space_norms``
-is the one entry to them (``space_norm`` is its one-row case), and no
-descriptor scales by itself: ``space_norms`` and ``orlicz_norm`` (a
+is the one entry to them (``space_norm`` is its one-row case) and the one
+place a stack is chunked, at most ``NORM_CHUNK`` elements of rows per call.
+No descriptor scales by itself: ``space_norms`` and ``orlicz_norm`` (a
 Luxemburg norm with no descriptor) take the norms of each row divided by the
 power of two of its max and scale them back (``_unit_row_norms``), so every
 norm is homogeneous over the whole float range.  ``Morrey`` takes the ball
@@ -79,12 +80,14 @@ AP_GROWTH_FLOOR = 0.02  # log2 growth per refinement always counted as stable
 AP_GROWTH_SLOPE = 0.15  # threshold grows with the measured singularity strength
 AP_Q_MAX = 64.0
 AP_INDEX_TOL = 0.05  # width at which ``critical_index`` stops bisecting
-# elements per vectorized step of a batched norm: rows x radii x cells of
-# Morrey's ball sums, windows x offsets of an OrliczSlice Luxemburg solve.
-# A 1-D N=64 equivalence block (16 rows) takes two Morrey steps and two
+# elements per ``space_norms`` call of ``space.norms`` (rows x cells) and per
+# vectorized step inside it: rows x radii x cells of Morrey's ball sums,
+# windows x offsets of an OrliczSlice Luxemburg solve.  A 1-D N=64
+# equivalence block (16 rows) takes one call, two Morrey steps and two
 # solves; a 2-D N=64 row one Morrey step and 64 solves of 0.4 MB of windows
 # each, which run no slower than one solve over the row's 26 MB
 NORM_CHUNK = 1 << 14
+BALL_RADII_PER_OCTAVE = 4  # of the Morrey norm's and the A_p characteristic's family
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +96,14 @@ NORM_CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class Weight:
-    """Positive weight on the grid, with the ball family its averages use.
+    """Positive weight on the grid.
 
     ``evaluator`` re-samples the weight on refined grids; the critical-index
-    search needs it because instability only shows up under refinement.
+    search needs it because instability only shows up under refinement, so
+    a weight without one (a CSV weight) needs a known ``q_omega``.
     """
 
     values: SampledFunction
-    family: BallFamily
     evaluator: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self):
@@ -117,14 +120,14 @@ class Weight:
 
 def power_weight(grid: GridSpec, a: float) -> Weight:
     """|x|^a sampled at cell centers (finite there since centers avoid 0),
-    averaged over ``BallFamily.build(grid, 4)``."""
+    with its evaluator, so ``critical_index`` can refine it."""
 
     def evaluator(*mesh):
         r = np.sqrt(sum(c**2 for c in mesh))
         return r**a
 
     vals = SampledFunction(grid, evaluator(*grid.coordinate_mesh()))
-    return Weight(values=vals, family=BallFamily.build(grid, 4), evaluator=evaluator)
+    return Weight(values=vals, evaluator=evaluator)
 
 
 @dataclass(frozen=True)
@@ -344,7 +347,7 @@ class WeightedLebesgue:
             weight = power_weight(grid, float(wcfg["a"]))
         elif wcfg.get("kind") == "csv":
             vals = _read_csv_on(grid, wcfg["path"], "weight")
-            weight = Weight(values=vals, family=BallFamily.build(grid, 4))
+            weight = Weight(values=vals)
         else:
             raise ValueError(f"unknown weight recipe {wcfg!r}")
         q_omega = cfg.get("q_omega")
@@ -357,7 +360,6 @@ class WeightedLebesgue:
 class Morrey:
     p: float
     r: float
-    family: BallFamily | None = None
 
     tag: ClassVar[str] = "morrey"
     json_keys: ClassVar[tuple[str, ...]] = ("p", "r")
@@ -370,14 +372,14 @@ class Morrey:
         """sup over the family's balls of |B|^(1/p - 1/r) ||row||_{L^r(B)}
         for every row, the ball sums of ``NORM_CHUNK`` elements' worth of
         rows per ``ball_sums`` call."""
-        family = self.family or BallFamily.build(grid, 4)
+        family = BallFamily.build(grid, BALL_RADII_PER_OCTAVE)
         cellvol = grid.cell_volume
         factors = [ball_volume(rad, grid.dim) ** (1.0 / self.p - 1.0 / self.r) for rad in family.radii.tolist()]
         powered = mag**self.r
         step = max(1, NORM_CHUNK // (len(family) * grid.size))
         norms = []
         for start in range(0, len(mag), step):
-            local = family.ball_sums(powered[start:start + step], family.radii)
+            local = family.ball_sums(powered[start:start + step])
             local *= cellvol
             np.maximum(local, 0.0, out=local)
             for tops in local.reshape(local.shape[:2] + (-1,)).max(axis=-1).tolist():
@@ -467,34 +469,31 @@ class VariableLebesgue:
 
 
 @functools.lru_cache(maxsize=8)
-def _slice_geometry(phi: OrliczFunction, grid: GridSpec, slice_t: float) -> tuple[np.ndarray, float]:
-    """The offsets of the slice ball ``grid.ball_mask(slice_t)`` and the
-    ``OrliczSlice`` denominator, the Luxemburg norm of that ball's indicator
-    (a ones row of its cell count), which is the same at every centre.  The
-    offsets are read-only."""
-    mask = grid.ball_mask(slice_t)
-    count = int(np.count_nonzero(mask))
+def _slice_denominator(phi: OrliczFunction, grid: GridSpec, slice_t: float) -> float:
+    """The ``OrliczSlice`` denominator, the Luxemburg norm of the indicator
+    of the slice ball ``grid.ball_mask(slice_t)`` (a ones row of its cell
+    count), which is the same at every centre."""
+    count = len(grid.ball_offsets((slice_t,))[0][0])
     if count == 0:
         raise ValueError("slice radius smaller than one cell")
-    offsets = np.argwhere(mask)
-    offsets.setflags(write=False)
-    return offsets, float(_luxemburg_rows(np.ones((1, count)), grid.cell_volume, phi.evaluator)[0])
+    return float(_luxemburg_rows(np.ones((1, count)), grid.cell_volume, phi.evaluator)[0])
 
 
-def _slice_windows(grid: GridSpec, mag: np.ndarray, offsets: np.ndarray):
+def _slice_windows(grid: GridSpec, mag: np.ndarray, slice_t: float):
     """The slice windows of every row of ``mag``, one window ``mag[i][(x + o) mod n]``
-    over the offsets o per (row i, cell x) in C order, in blocks of whole rows
-    or of first-axis slabs of one row, at most ``NORM_CHUNK`` elements each
-    (at least one line of cells)."""
+    over the offsets o of ``grid.ball_offsets((slice_t,))`` per (row i, cell
+    x) in C order, in blocks of whole rows or of first-axis slabs of one row,
+    at most ``NORM_CHUNK`` elements each (at least one line of cells)."""
     n = grid.points_per_axis
-    shifts = tuple(offsets.T)
-    lines = max(1, NORM_CHUNK // (len(offsets) * grid.size // n))  # first-axis lines per block
+    shifts = grid.ball_offsets((slice_t,))[0]
+    count = len(shifts[0])
+    lines = max(1, NORM_CHUNK // (count * grid.size // n))  # first-axis lines per block
     rows, span = max(1, lines // n), min(n, lines)
     for start in range(0, len(mag), rows):
         view = grid.torus_window_view(mag[start:start + rows])
         for a in range(0, n, span):
             block = view[(slice(None),) + shifts + (slice(a, a + span),)]  # (rows, offsets, span, ...)
-            yield np.ascontiguousarray(np.moveaxis(block, 1, -1)).reshape(-1, len(offsets))
+            yield np.ascontiguousarray(np.moveaxis(block, 1, -1)).reshape(-1, count)
 
 
 @dataclass(frozen=True)
@@ -517,9 +516,9 @@ class OrliczSlice:
         are at most about 1 and near 1 at the max, so their powers stay in
         range."""
         cellvol = grid.cell_volume
-        offsets, denom = _slice_geometry(self.phi, grid, self.slice_t)
+        denom = _slice_denominator(self.phi, grid, self.slice_t)
         inner = np.concatenate([_luxemburg_rows(windows, cellvol, self.phi.evaluator)
-                                for windows in _slice_windows(grid, mag, offsets)] or [np.zeros(0)])
+                                for windows in _slice_windows(grid, mag, self.slice_t)] or [np.zeros(0)])
         return lebesgue_row_norms((inner / denom).reshape(len(mag), grid.size), self.r, cellvol)
 
     def floor(self) -> float:
@@ -562,9 +561,11 @@ def space_norm(f: SampledFunction, space: SpaceDescriptor) -> float:
 
 
 def space_norms(grid: GridSpec, values: np.ndarray, space: SpaceDescriptor) -> list[float]:
-    """``space_norm`` of every row of the real or complex ``(rows,) + grid.shape``
-    stack ``values``, each bitwise its one-row value, from one ``space.norms``
-    call on the rows' magnitudes scaled to unit max (``_unit_row_norms``).
+    """``space_norm`` of every row of the real, complex or boolean ``(rows,) +
+    grid.shape`` stack ``values``, each bitwise its one-row value: one
+    ``space.norms`` call per step of ``max(1, NORM_CHUNK // grid.size)`` rows,
+    on the step's float magnitudes scaled to unit max (``_unit_row_norms``),
+    so a call's temporaries stay within a step.
 
     The rows are computed results, so a non-finite sample among them is a
     ``NumericFailure``.
@@ -573,7 +574,10 @@ def space_norms(grid: GridSpec, values: np.ndarray, space: SpaceDescriptor) -> l
         raise ValueError(f"rows of shape {values.shape[1:]} do not match the grid shape {grid.shape}")
     if not np.isfinite(values).all():
         raise NumericFailure("a row to be normed holds a non-finite sample")
-    return _unit_row_norms(np.abs(values), functools.partial(space.norms, grid))
+    norms = functools.partial(space.norms, grid)
+    step = max(1, NORM_CHUNK // grid.size)
+    return [norm for start in range(0, len(values), step)
+            for norm in _unit_row_norms(np.abs(values[start:start + step]).astype(float, copy=False), norms)]
 
 
 def descriptor_from_json(cfg: dict, grid: GridSpec) -> SpaceDescriptor:
@@ -601,11 +605,11 @@ def ap_characteristic(w: Weight, p: float) -> float:
     """Largest ball-average product over the family (grid means, ess-sup = max)."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    family = w.family
+    family = BallFamily.build(w.values.grid, BALL_RADII_PER_OCTAVE)
     omega = w.array
-    sums_w = family.ball_sums(omega, family.radii)
+    sums_w = family.ball_sums(omega)
     if p != 1.0:
-        sums_dual = family.ball_sums(omega ** (1.0 / (1.0 - p)), family.radii)
+        sums_dual = family.ball_sums(omega ** (1.0 / (1.0 - p)))
     best = 0.0
     for i, rad in enumerate(family.radii):
         count = int(np.count_nonzero(family.grid.ball_mask(rad)))
@@ -622,12 +626,10 @@ def ap_characteristic(w: Weight, p: float) -> float:
 
 def _resampled_weight(w: Weight, factor: int) -> Weight:
     if w.evaluator is None:
-        raise ValueError("critical_index needs a weight with an evaluator")
+        raise ValueError("critical_index needs a weight with an evaluator: a CSV weight needs q_omega")
     g = w.values.grid
     fine = GridSpec(dim=g.dim, half_width=g.half_width, points_per_axis=g.points_per_axis * factor)
-    family = BallFamily.build(fine, w.family.radii_per_octave)
-    vals = SampledFunction(fine, w.evaluator(*fine.coordinate_mesh()))
-    return Weight(values=vals, family=family, evaluator=w.evaluator)
+    return Weight(values=SampledFunction(fine, w.evaluator(*fine.coordinate_mesh())), evaluator=w.evaluator)
 
 
 def critical_index(w: Weight) -> float:

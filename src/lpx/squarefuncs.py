@@ -9,11 +9,11 @@ are circular correlations of |F|^2 with a kernel that depends only on the
 grid, the scale and the aperture or lambda.  The spectra of those kernels
 are cached (``ball_spectra``), the cone and g*_lambda tables with each
 scale's row multiplied in place by its quadrature weight (``cone_spectra``,
-``gstar_spectra``), so each is held once.  The sum over scales runs in
-frequency space: each scale's spectrum of |F|^2 times its table row, summed
-over the scales, then one inverse FFT per field or piece (``_scale_sum``); a
-(field or piece, scale) row whose |F|^2 is zero is the only one skipped.
-The plural forms
+``gstar_spectra``, both through ``_scale_weighted``), so each is held once.
+The sum over scales runs in frequency space: each scale's spectrum of |F|^2
+times its table row, summed over the scales, then one inverse FFT per field
+or piece (``_scale_sum``); a (field or piece, scale) row whose |F|^2 is zero
+is the only one skipped.  The plural forms
 (``tent_functionals``, ``g_functions``, ``g_lambda_stars``) take a
 ``FieldStack`` (``transforms.build_fields``) or one ``HalfSpaceField``, real
 or complex, and return one real row per field, each bitwise the one-field
@@ -61,29 +61,30 @@ def ball_spectra(grid: GridSpec, radii: tuple[float, ...]) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
-def cone_spectra(grid: GridSpec, scales: ScaleGrid, alpha: float) -> np.ndarray:
-    """Spectra of the cone masks ``grid.ball_mask(alpha * t_k)``, row k times
-    the scale's weight cell_volume * ln2/J * t_k^(-n); read-only.  The masks'
-    spectra are weighted in place, so only the weighted table is cached."""
+def _scale_weighted(grid: GridSpec, scales: ScaleGrid, table: np.ndarray) -> np.ndarray:
+    """``table``, one spectrum per scale, with row k multiplied in place by
+    the scale's quadrature weight cell_volume * ln2/J * t_k^(-n); read-only."""
     weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
-    table = _mask_spectra(grid, [alpha * t for t in scales.scales])
     table *= weights.reshape((-1,) + (1,) * grid.dim)
     table.setflags(write=False)
     return table
+
+
+@functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
+def cone_spectra(grid: GridSpec, scales: ScaleGrid, alpha: float) -> np.ndarray:
+    """Read-only spectra of the cone masks ``grid.ball_mask(alpha * t_k)``,
+    weighted per scale (``_scale_weighted``).  The masks' spectra are
+    weighted in place, so only the weighted table is cached."""
+    return _scale_weighted(grid, scales, _mask_spectra(grid, [alpha * t for t in scales.scales]))
 
 
 @functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
 def gstar_spectra(grid: GridSpec, scales: ScaleGrid, lam: float) -> np.ndarray:
     """Read-only spectra of the weights ``(t_k / (t_k + dist))^(lambda n)``,
-    row k times the scale's weight cell_volume * ln2/J * t_k^(-n)."""
+    weighted per scale (``_scale_weighted``)."""
     dist = grid.offset_distances()
-    lw = scales.log_weight * grid.cell_volume
-    weights = np.array([lw / t**grid.dim for t in scales.scales])
-    table = spectrum(np.stack([(t / (t + dist)) ** (lam * grid.dim) for t in scales.scales]), grid.dim)
-    table *= weights.reshape((-1,) + (1,) * grid.dim)
-    table.setflags(write=False)
-    return table
+    rows = np.stack([(t / (t + dist)) ** (lam * grid.dim) for t in scales.scales])
+    return _scale_weighted(grid, scales, spectrum(rows, grid.dim))
 
 
 def _unit_powers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -170,8 +170,7 @@ def test_criterion_6_space_norm_reductions():
     checks["mixed->Lebesgue 1e-8"] = abs(
         space_norm(f, MixedNorm((1.7,))) / space_norm(f, Lebesgue(1.7)) - 1.0
     ) <= 1e-8
-    ones = Weight(SampledFunction(grid, np.ones(512)), BallFamily.build(grid, 2),
-                  lambda x: np.ones_like(x))
+    ones = Weight(SampledFunction(grid, np.ones(512)), lambda x: np.ones_like(x))
     checks["weighted->Lebesgue exact"] = abs(
         space_norm(f, WeightedLebesgue(1.7, ones, q_omega=1.0)) / space_norm(f, Lebesgue(1.7)) - 1.0
     ) <= 1e-12
@@ -225,8 +224,7 @@ def test_criterion_7_maximal_operator():
 def test_criterion_8_muckenhoupt_layer():
     t0 = time.time()
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=512)
-    fam = BallFamily.build(grid, 4)
-    ones = Weight(SampledFunction(grid, np.ones(512)), fam, lambda x: np.ones_like(x))
+    ones = Weight(SampledFunction(grid, np.ones(512)), lambda x: np.ones_like(x))
     unit_ok = all(ap_characteristic(ones, p) == pytest.approx(1.0, rel=1e-12)
                   for p in (1.0, 1.5, 2.0, 4.0))
     q = critical_index(power_weight(grid, 0.5))

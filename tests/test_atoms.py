@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import lpx.spaces as spaces_mod
 from lpx import atoms, squarefuncs
 from lpx.atoms import (
     Ball,
@@ -20,8 +19,7 @@ from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
-from lpx.spaces import (Lebesgue, MixedNorm, Morrey, WeightedLebesgue, descriptor_from_json, power_orlicz, power_weight,
-                        space_norm)
+from lpx.spaces import Lebesgue, MixedNorm, Morrey, WeightedLebesgue, descriptor_from_json, power_weight, space_norm
 from lpx.squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
 from lpx.transforms import build_field, build_fields, build_plan, correlate, inverse_spectrum, spatial_kernel, spectrum
 
@@ -135,20 +133,18 @@ def test_every_ball_reader_leaves_out_the_cells_on_the_boundary(dim, n, cells):
     assert all(dist[o] == r and not expected[o] for o in boundary)
     assert expected[(cells - 1,) + (0,) * (dim - 1)]
     assert np.array_equal(ball_spectra(grid, (r,))[0], spectrum(expected.astype(float), dim))
-    assert np.array_equal(np.stack(atoms._ball_offsets(grid, (r,))[0]), np.stack(np.nonzero(expected)))
-    slice_offsets, _ = spaces_mod._slice_geometry(power_orlicz(2.0), grid, r)
-    assert np.array_equal(slice_offsets, np.argwhere(expected))
+    assert np.array_equal(np.stack(grid.ball_offsets((r,))[0]), np.stack(np.nonzero(expected)))
     widths = np.count_nonzero(expected.reshape(-1, n), axis=1)
-    runs = BallFamily(grid=grid, radii=np.array([r]), radii_per_octave=1)._row_runs[r]
+    runs = BallFamily(grid=grid, radii=np.array([r]))._row_runs[r]
     assert runs == [(dx, w) for dx, w in enumerate(widths.tolist()) if w]
     axes = tuple(range(dim))
     centres = [(0,) * dim, (1,) * dim, (n - 1,) * dim, (n // 2, 5)[:dim], (3, n - 3)[:dim]]
     rows = atoms._ball_rows(grid, [Ball(c, r) for c in centres] + [Ball(centres[0], 2 * r)])
     for c, row in zip(centres, rows):
         ball = np.roll(expected, shift=c, axis=axes)
-        assert np.array_equal(row, ball.ravel())
+        assert np.array_equal(row, ball)
         assert np.array_equal(ball_indicator(grid, Ball(c, r)).values, ball.astype(float))
-    assert np.array_equal(rows[-1], (dist < 2 * r).ravel())  # a second radius in the same gather
+    assert np.array_equal(rows[-1], dist < 2 * r)  # a second radius in the same gather
 
 
 def _one_piece_spectral_reference(F):
@@ -339,12 +335,12 @@ def _dense_decomposition_reference(F, space, balls, one_piece=_one_piece_spectra
     return ref_atoms, total
 
 
-def _coefficient_functional_reference(decomp, space, s=None):
+def _coefficient_functional_reference(decomp, space):
     """The per-atom loop: one indicator and one norm per atom, added into a dense sum."""
     if not decomp.atoms:
         return 0.0
     grid = decomp.grid
-    s = min(1.0, space.floor()) if s is None else s
+    s = min(1.0, space.floor())
     acc = np.zeros(grid.shape)
     for atom in decomp.atoms:
         indicator = ball_indicator(grid, atom.ball)
@@ -543,14 +539,13 @@ def test_decomposition_ball_norms_are_its_atoms_ball_norms_bitwise(kind, space):
     assert tent_decompose(_field_case(1, 64, "zero"), space).ball_norms == []
 
 
-COEFFICIENT_CASES = [("1d-64-field", LEBESGUE, None), ("1d-64-field", Lebesgue(0.5), None),
-                     ("1d-64-field", LEBESGUE, 0.7), ("1d-64-stray", MORREY, None),
-                     ("2d-16-stray", Lebesgue(1.3), None), ("1d-256-benchmark", LEBESGUE, None)]
+COEFFICIENT_CASES = [("1d-64-field", LEBESGUE), ("1d-64-field", Lebesgue(0.5)), ("1d-64-stray", MORREY),
+                     ("2d-16-stray", Lebesgue(1.3)), ("1d-256-benchmark", LEBESGUE)]
 
 
-@pytest.mark.parametrize("case,space,s", COEFFICIENT_CASES,
-                         ids=[f"{c}-{sp.tag}{getattr(sp, 'p', '')}-s{s}" for c, sp, s in COEFFICIENT_CASES])
-def test_coefficient_functional_matches_per_atom_loop_bitwise(case, space, s):
+@pytest.mark.parametrize("case,space", COEFFICIENT_CASES,
+                         ids=[f"{c}-{sp.tag}{getattr(sp, 'p', '')}-sNone" for c, sp in COEFFICIENT_CASES])
+def test_coefficient_functional_matches_per_atom_loop_bitwise(case, space):
     if case == "1d-256-benchmark":
         plan = build_plan(build_annular_kernel(GRID), SCALES)
         fields, balls = [build_field(trial_function(5, trial, GRID), plan) for trial in range(4)], BALLS
@@ -561,7 +556,7 @@ def test_coefficient_functional_matches_per_atom_loop_bitwise(case, space, s):
     for F in fields:
         dec = tent_decompose(F, space, balls)
         assert len(dec.atoms) > 1
-        assert coefficient_functional(dec, space, s) == _coefficient_functional_reference(dec, space, s)
+        assert coefficient_functional(dec, space) == _coefficient_functional_reference(dec, space)
 
 
 def test_empty_decomposition_passes_the_batched_ball_bookkeeping():

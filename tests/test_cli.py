@@ -422,6 +422,21 @@ def test_space_csv_on_other_grid_exits_2(tmp_path, capsys):
     assert "half_width=2.0" in capsys.readouterr().err
 
 
+def test_csv_weight_without_q_omega_exits_2_naming_q_omega(tmp_path, capsys):
+    # the critical index refines the weight, which a CSV weight cannot be;
+    # the norm alone needs no index
+    weight = tmp_path / "weight.csv"
+    write_function_csv(gaussian_bump(GRID, [0.0], 2.0), weight)
+    cfg = write_config(tmp_path, space={"tag": "weighted", "p": 1.5, "weight": {"kind": "csv", "path": str(weight)}})
+    inp = write_input(tmp_path)
+    for command in (["compute", str(inp), "peetre"], ["verify"]):
+        out = tmp_path / command[-1]
+        assert main(["--config", str(cfg), "--out", str(out), *command]) == 2, command
+        assert "q_omega" in capsys.readouterr().err, command
+        assert not out.exists() or not any(out.iterdir()), command
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "norm"), "compute", str(inp), "norm"]) == 0
+
+
 def test_missing_space_csv_exits_2(tmp_path):
     cfg = write_config(tmp_path, space={"tag": "variable", "csv": str(tmp_path / "missing.csv")})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "kernel"]) == 2

@@ -31,6 +31,8 @@ from lpx.spaces import (
     space_norm,
     space_norms,
 )
+from lpx.squarefuncs import ball_spectra
+from lpx.transforms import correlate
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
 UNIT = indicator_box(GRID, [0.0], [1.0])
@@ -65,11 +67,7 @@ def test_weighted_power_closed_form():
 
 
 def test_weighted_unit_weight_reduces_to_lebesgue():
-    ones = Weight(
-        values=SampledFunction(GRID, np.ones(GRID.shape)),
-        family=BallFamily.build(GRID, 2),
-        evaluator=lambda x: np.ones_like(x),
-    )
+    ones = Weight(values=SampledFunction(GRID, np.ones(GRID.shape)), evaluator=lambda x: np.ones_like(x))
     f = random_function(1)
     for p in (1.0, 1.7, 2.0):
         assert space_norm(f, WeightedLebesgue(p, ones, q_omega=1.0)) == pytest.approx(
@@ -101,10 +99,9 @@ def test_morrey_unit_indicator():
 
 def test_morrey_matches_brute_force():
     grid = GridSpec(dim=1, half_width=4.0, points_per_axis=64)
-    family = BallFamily.build(grid, 2)
     f = random_function(2, grid)
-    fast = space_norm(f, Morrey(2.0, 1.0, family=family))
-    slow = brute_force_morrey(f, 2.0, 1.0, family)
+    fast = space_norm(f, Morrey(2.0, 1.0))
+    slow = brute_force_morrey(f, 2.0, 1.0, BallFamily.build(grid, spaces_mod.BALL_RADII_PER_OCTAVE))
     assert fast == pytest.approx(slow, rel=1e-10)
 
 
@@ -124,11 +121,13 @@ def _ldexp_or_inf(value, e):
 
 
 def _morrey_per_radius(f, p, r, family):
-    """The per-radius loop that the one-correlation 2-D Morrey norm replaced."""
+    """The per-radius loop that the one-correlation Morrey norm replaced: one
+    correlation per radius, against that one ball's spectrum."""
+    grid = f.grid
     mag, e = _unit_magnitude(f)
     best = 0.0
     for rad in family.radii:
-        local = family.ball_sums(mag**r, [rad])[0] * f.grid.cell_volume
+        local = correlate(mag**r, ball_spectra(grid, (float(rad),))[0], grid.dim) * grid.cell_volume
         np.maximum(local, 0.0, out=local)
         factor = ball_volume(float(rad), f.grid.dim) ** (1.0 / p - 1.0 / r)
         best = max(best, factor * float(local.max()) ** (1.0 / r))
@@ -142,14 +141,12 @@ def test_morrey_matches_per_radius_loop_bitwise_and_builds_its_family_once(dim):
     grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=64)
     inputs = [trial_function(0, i, grid) for i in range(4)] + [SampledFunction(grid, np.zeros(grid.shape))]
     BallFamily.build.cache_clear()
-    reference_family = BallFamily.build(grid, 4)
+    reference_family = BallFamily.build(grid, spaces_mod.BALL_RADII_PER_OCTAVE)
     for p, r in ((2.0, 1.0), (3.0, 1.5)):
         for f in inputs:
             assert space_norm(f, Morrey(p, r)) == _morrey_per_radius(f, p, r, reference_family)
-    # the default family is built once per grid, not once per norm
+    # the family is built once per grid, not once per norm
     assert BallFamily.build.cache_info().misses == 1
-    family = BallFamily.build(grid, 2)
-    assert space_norm(inputs[0], Morrey(2.0, 1.0, family=family)) == _morrey_per_radius(inputs[0], 2.0, 1.0, family)
 
 
 def test_morrey_equal_exponents_vs_lebesgue():
@@ -599,18 +596,15 @@ def _one_input_reference(f, space):
     if isinstance(space, MixedNorm):
         return _mixed_reference(f, space)
     if isinstance(space, Morrey):
-        return _morrey_per_radius(f, space.p, space.r, space.family or BallFamily.build(f.grid, 4))
+        return _morrey_per_radius(f, space.p, space.r, BallFamily.build(f.grid, spaces_mod.BALL_RADII_PER_OCTAVE))
     return _luxemburg_oracle_of(f, space)
 
 
 def _row_elements(grid, space):
     """Elements of one row in a ``NORM_CHUNK`` step of Morrey or OrliczSlice."""
     if isinstance(space, Morrey):
-        return len(space.family or BallFamily.build(grid, 4)) * grid.size
+        return len(BallFamily.build(grid, spaces_mod.BALL_RADII_PER_OCTAVE)) * grid.size
     return int(np.count_nonzero(grid.offset_distances() < space.slice_t)) * grid.size
-
-
-AMPLITUDES = (1.0, 2.0**300, 2.0**-300, 1e100, 1e-100)
 
 
 AMPLITUDES = (1.0, 2.0**300, 2.0**-300, 1e100, 1e-100)
@@ -618,11 +612,13 @@ AMPLITUDES = (1.0, 2.0**300, 2.0**-300, 1e100, 1e-100)
 
 def _assert_row_batched(inputs, spaces, monkeypatch, reference=True):
     """``space_norms`` over the scaled inputs, with a zero row, equals every
-    row's one-input norm (a step of one row) bitwise; Morrey and OrliczSlice
-    also at steps of seven rows, OrliczSlice at blocks of seven first-axis
-    lines.  The one-input norms equal their retained references bitwise, and
-    the Luxemburg-type ones their oracle within 1e-14 (``reference=True``; on
-    criterion 5's inputs this is ``test_luxemburg_norms_match_the_oracle``)."""
+    row's one-input norm (a step of one row) bitwise, and hands ``norms`` at
+    most ``NORM_CHUNK`` elements of rows (at least one row) per call; Morrey
+    and OrliczSlice also at steps of seven rows, OrliczSlice at blocks of
+    seven first-axis lines.  The one-input norms equal their retained
+    references bitwise, and the Luxemburg-type ones their oracle within 1e-14
+    (``reference=True``; on criterion 5's inputs this is
+    ``test_luxemburg_norms_match_the_oracle``)."""
     grid = inputs[0].grid
     scaled = [SampledFunction(grid, c * f.values) for c in AMPLITUDES for f in inputs]
     scaled.append(SampledFunction(grid, np.zeros(grid.shape)))
@@ -634,7 +630,16 @@ def _assert_row_batched(inputs, spaces, monkeypatch, reference=True):
             assert expected == pytest.approx([_luxemburg_oracle_of(f, space) for f in scaled], rel=1e-14, abs=0.0)
         elif not luxemburg:
             assert expected == [_one_input_reference(f, space) for f in scaled], space.tag
-        assert space_norms(grid, rows, space) == expected, space.tag
+        norms, counts = type(space).norms, []
+
+        def counted(self, grid, mag):
+            counts.append(len(mag))
+            return norms(self, grid, mag)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(type(space), "norms", counted)
+            assert space_norms(grid, rows, space) == expected, space.tag
+        assert sum(counts) == len(rows) and max(counts) <= max(1, spaces_mod.NORM_CHUNK // grid.size), space.tag
         if isinstance(space, (Morrey, OrliczSlice)):
             row = _row_elements(grid, space)
             monkeypatch.setattr(spaces_mod, "NORM_CHUNK", 7 * row)
@@ -892,8 +897,7 @@ def test_floor_exponents():
 
 def test_ap_characteristic_of_unit_weight():
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
-    fam = BallFamily.build(grid, 4)
-    ones = Weight(SampledFunction(grid, np.ones(256)), fam, lambda x: np.ones_like(x))
+    ones = Weight(SampledFunction(grid, np.ones(256)), lambda x: np.ones_like(x))
     for p in (1.0, 1.5, 2.0, 4.0):
         assert ap_characteristic(ones, p) == pytest.approx(1.0, rel=1e-12)
 
@@ -923,12 +927,10 @@ def test_ap_characteristic_refinement_growth():
 def test_critical_index_values():
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=512)
     assert critical_index(power_weight(grid, 0.5)) == pytest.approx(1.5, abs=0.1)
-    fam = BallFamily.build(grid, 4)
-    ones = Weight(SampledFunction(grid, np.ones(512)), fam, lambda x: np.ones_like(x))
+    ones = Weight(SampledFunction(grid, np.ones(512)), lambda x: np.ones_like(x))
     assert critical_index(ones) == 1.0
     decay = Weight(
         SampledFunction(grid, (1 + np.abs(grid.axis_coordinates())) ** -0.5),
-        fam,
         lambda x: (1 + np.abs(x)) ** -0.5,
     )
     assert critical_index(decay) == pytest.approx(1.0, abs=0.1)
@@ -975,12 +977,11 @@ def test_critical_index_rejects_nonintegrable_weight():
     from lpx.errors import NotInAInfty
 
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
-    fam = BallFamily.build(grid, 4)
 
     def ev(x):
         return np.abs(x) ** -1.0
 
-    w = Weight(SampledFunction(grid, ev(grid.axis_coordinates())), fam, ev)
+    w = Weight(SampledFunction(grid, ev(grid.axis_coordinates())), ev)
     with pytest.raises(NotInAInfty):
         critical_index(w)
 

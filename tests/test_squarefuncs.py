@@ -460,11 +460,17 @@ def test_a_cone_table_is_held_once():
     assert squarefuncs.cone_spectra.cache_info().currsize == 1
 
 
-@pytest.mark.parametrize("case", ["1d-64", "2d-16"])
+WEIGHTED_TABLE_GRIDS = {**ORACLE_GRIDS,  # and the CLI's default scales on the default 1-D and a 2-D N=64 grid
+                        "1d-512-cli": (GridSpec(1, 8.0, 512), ScaleGrid(1 / 16, 16.0, 8)),
+                        "2d-64-cli": (GridSpec(2, 2.0, 64), ScaleGrid(1 / 16, 16.0, 8))}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHTED_TABLE_GRIDS))
 def test_weighted_tables_are_the_spectra_times_the_scale_weights_bitwise(case):
     # the cached tables carry each scale's quadrature weight: bitwise the
-    # product the scale sum formed per call from the unweighted spectra
-    grid, scales = ORACLE_GRIDS[case]
+    # product the scale sum formed per call from the unweighted spectra, the
+    # cone weights as one array division, the g*_lambda weights scale by scale
+    grid, scales = WEIGHTED_TABLE_GRIDS[case]
     dist = grid.offset_distances()
     lead = (-1,) + (1,) * grid.dim
     for alpha in (0.0, 1.0, 2.0):
