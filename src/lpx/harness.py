@@ -13,11 +13,13 @@ the fields of a block's trials are built as one stack
 and g*_lambda rows or the cone functionals at every aperture, then take their
 space norms in one ``spaces.space_norms`` call.  A block holds as many
 trials as keep its stacked real field within ``FIELD_BLOCK_BYTES``
-(128 KiB: four trials at 1-D N=64 with 64 scales, one at 2-D N=64 or 1-D
-N=512), since the operators' temporaries grow with the block.  Every batched
-operator gives each trial bitwise its one-trial value, so the reports do not
-depend on the block size.  The embedding experiment norms all its trials in
-one ``space_norms`` call per space.
+(512 KiB: sixteen trials at 1-D N=64 with 64 scales, two at 1-D N=512, one
+at 2-D N=64).  Each operator bounds its own temporaries
+(``maximal.PEETRE_CHUNK``, ``squarefuncs.SCALE_SUM_CHUNK``,
+``spaces.NORM_CHUNK``), so only the field stacks grow with the block.  Every
+batched operator gives each trial bitwise its one-trial value, so the
+reports do not depend on the block size.  The embedding experiment norms all
+its trials in one ``space_norms`` call per space.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ EMBEDDING_SPREAD_MAX = 10.0
 CONCENTRATION_TOL = 1e-6
 MIN_TRIAL_POINTS = 64
 # bytes of one trial block's stacked real field (see the module docstring);
-# one pass of the five-space 1-D N=64 equivalence run peaks at about 1.0 MiB
-# of traced memory with this budget and 1.4 MiB with twice it
-FIELD_BLOCK_BYTES = 1 << 17
+# one pass of the five-space 1-D N=64 equivalence run, its 10 trials in one
+# block, peaks at about 1.57 MiB of traced memory, and at 1.53 MiB with a
+# quarter of this budget (blocks of 4, 4 and 2 trials)
+FIELD_BLOCK_BYTES = 1 << 19
 
 
 def _json_scalar(obj):

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
-from .grid import GridSpec, SampledFunction, scale_to_unit_rows
+from .grid import GridSpec, SampledFunction, ScaleGrid, scale_to_unit_rows
 from .squarefuncs import ball_spectra
 from .transforms import ConvolutionPlan, build_fields, correlate
 
@@ -48,9 +48,11 @@ __all__ = [
 DEFAULT_RADII_PER_OCTAVE = {1: 32, 2: 8}
 # ball families kept by ``BallFamily.build``, one per (grid, radii per octave)
 FAMILY_CACHE_SIZE = 8
-# elements, (scale, offset) pairs x inputs x cells, per vectorized step of the
-# smoothed sup; bounds its temporaries
-PEETRE_CHUNK = 1 << 15
+# elements, live scales x inputs x distances x cells, per envelope step of the
+# smoothed sup (at least one distance); bounds its temporaries
+PEETRE_CHUNK = 1 << 17
+# distance tables of the smoothed sup kept per (grid, scales, b)
+PEETRE_CACHE_SIZE = 8
 
 
 def ball_volume(radius: float, dim: int) -> float:
@@ -190,38 +192,74 @@ def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> Sa
     return SampledFunction(f.grid, peetre_maximals([f], b, plan=plan)[0])
 
 
+@lru_cache(maxsize=PEETRE_CACHE_SIZE)
+def _peetre_tables(grid: GridSpec, scales: ScaleGrid, b: float) -> tuple[np.ndarray, ...]:
+    """The offsets of the smoothed sup, grouped by distance: read-only
+    ``(shifts, rows, bounds, weights)``.
+
+    The offsets y with |y| <= L (beyond half the box they are wrap-around
+    aliases) are stably sorted by distance; ``shifts`` holds their window
+    shifts -y mod N, one row per offset, ``rows`` the index of each
+    offset's distinct distance, and the offsets of the j-th distance are
+    ``bounds[j]:bounds[j + 1]``.  ``weights[k, j]`` is the weight
+    (1 + |y|/t_k)^(-b) of the k-th scale at the j-th distance, taken from
+    the (scale, offset) table at the distance's first offset, so it is
+    bitwise the weight of every offset of that distance.
+    """
+    dist_grid = grid.offset_distances()
+    keep = np.argwhere(dist_grid <= grid.half_width)
+    dist = dist_grid[tuple(keep.T)]
+    order = np.argsort(dist, kind="stable")
+    keep, dist = keep[order], dist[order]
+    first = np.flatnonzero(np.concatenate([[True], dist[1:] != dist[:-1]]))
+    bounds = np.append(first, len(dist))
+    rows = np.repeat(np.arange(len(first)), np.diff(bounds))
+    weights = ((1.0 + dist / scales.scales[:, None]) ** (-b))[:, first]
+    tables = (-keep % grid.points_per_axis, rows, bounds, weights)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def peetre_maximals(fs: Sequence[SampledFunction], b: float, *, plan: ConvolutionPlan) -> np.ndarray:
     """``peetre_maximal`` of every input, one row per input, each bitwise the
     one-input value.
 
-    The inputs' psi-fields are built as one stack (``build_fields``) and the
-    (scale, offset) pairs are visited in scale-major order for every input at
-    once, as many pairs per vectorized step as keep the step within
-    ``PEETRE_CHUNK`` elements; a step may span two scales.  A maximum is
-    exact, so the chunking does not change the result.
+    With G_k = |psi_{t_k} * f| and w_k(d) = (1 + d/t_k)^(-b), the sup over
+    scales and offsets is the sup over offsets y of the distance envelope
+    H_{|y|}(x - y), H_d = max_k w_k(d) G_k.  The inputs' psi-fields are built
+    as one stack (``build_fields``); the scales whose G is zero for every
+    input are dropped (their products are +0.0).  The distinct distances are
+    taken in chunks, as many per step as keep the step's (scale, input,
+    distance, cell) products within ``PEETRE_CHUNK`` elements and at least
+    one: each step takes its envelopes by one multiply and one max over the
+    scales, gathers its offsets from them and folds their max into the output.
+    Every product is the one of a (scale, offset) pair and a maximum is exact,
+    so neither the envelopes nor the chunking change the result.
     """
     if b <= 0:
         raise ValueError("b must be positive")
     grid = plan.grid
-    n = grid.points_per_axis
-    ts = plan.scales.scales
-    dist_grid = grid.offset_distances()
-    # offsets beyond half the box are wrap-around aliases; skip them
-    keep = np.argwhere(dist_grid <= grid.half_width)
-    dist = dist_grid[tuple(keep.T)]
-    # one weight and one window index per (scale, offset) pair, scale-major;
-    # |psi_t * f_i|(x - y) is windows[i][k][-y mod N][x] for the k-th scale t
-    weights = ((1.0 + dist / ts[:, None]) ** (-b)).reshape((-1,) + (1,) * grid.dim)
-    index = np.column_stack([np.repeat(np.arange(len(ts)), len(keep)), np.tile(-keep % n, (len(ts), 1))]).T
-    # the fields are dropped once their magnitudes are taken
-    windows = grid.torus_window_view(np.abs(np.moveaxis(build_fields(fs, plan).values, -1, 1)))
-    step = max(1, PEETRE_CHUNK // (len(fs) * grid.size))
+    shifts, rows, bounds, weights = _peetre_tables(grid, plan.scales, b)
+    # (scales, inputs) + grid.shape; the fields are dropped once their
+    # magnitudes are taken
+    mags = np.abs(np.moveaxis(build_fields(fs, plan).values, -1, 0))
+    live = mags.reshape(len(mags), -1).any(axis=1)
     out = np.zeros((len(fs),) + grid.shape)
-    for start in range(0, len(weights), step):
-        c = slice(start, start + step)
-        rows = windows[(slice(None),) + tuple(index[:, c])]
-        rows *= weights[c]
-        np.maximum(out, rows.max(axis=1), out=out)
+    if not live.any():
+        return out
+    mags = mags[live][:, :, None]
+    weights = weights[live].reshape((len(mags), 1, -1) + (1,) * grid.dim)
+    n_dist = len(bounds) - 1
+    step = min(n_dist, max(1, PEETRE_CHUNK // (len(mags) * len(fs) * grid.size)))
+    tmp = np.empty(mags.shape[:2] + (step,) + grid.shape)
+    for lo in range(0, n_dist, step):
+        hi = min(lo + step, n_dist)
+        products = np.multiply(weights[:, :, lo:hi], mags, out=tmp[:, :, : hi - lo])
+        windows = grid.torus_window_view(np.maximum.reduce(products, axis=0))
+        c = slice(bounds[lo], bounds[hi])
+        gathered = windows[(slice(None), rows[c] - lo) + tuple(shifts[c].T)]
+        np.maximum(out, gathered.max(axis=1), out=out)
     return out
 
 

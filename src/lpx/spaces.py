@@ -328,9 +328,14 @@ class WeightedLebesgue:
         totals = np.add.reduce((mag**self.p * self.weight.array).reshape(len(mag), grid.size), axis=-1)
         return [float((total * grid.cell_volume) ** (1.0 / self.p)) for total in totals]
 
+    @functools.cached_property
+    def critical_exponent(self) -> float:
+        """``q_omega`` if given, else the weight's ``critical_index``, found
+        once per descriptor."""
+        return self.q_omega if self.q_omega is not None else critical_index(self.weight)
+
     def floor(self) -> float:
-        q = self.q_omega if self.q_omega is not None else critical_index(self.weight)
-        return self.p / q
+        return self.p / self.critical_exponent
 
     def to_json(self) -> dict:
         out = {"tag": self.tag, "p": self.p}

@@ -437,6 +437,18 @@ def test_csv_weight_without_q_omega_exits_2_naming_q_omega(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "norm"), "compute", str(inp), "norm"]) == 0
 
 
+def test_verify_finds_a_power_weights_critical_index_once(tmp_path, monkeypatch):
+    from lpx import spaces
+
+    calls = []
+    critical_index = spaces.critical_index
+    monkeypatch.setattr(spaces, "critical_index", lambda w: calls.append(w) or critical_index(w))
+    cfg = write_config(tmp_path, grid={"dim": 1, "N": 64, "L": 2.0},
+                       space={"tag": "weighted", "p": 1.5, "weight": {"kind": "power", "a": 0.5}})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"]) == 0
+    assert len(calls) == 1
+
+
 def test_missing_space_csv_exits_2(tmp_path):
     cfg = write_config(tmp_path, space={"tag": "variable", "csv": str(tmp_path / "missing.csv")})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "kernel"]) == 2

@@ -240,8 +240,8 @@ def test_trial_blocked_equivalence_with_a_partial_last_block(dim, trials, per_bl
         scales, space = ScaleGrid(1 / 16, 16.0, 8), five_spaces(grid)["morrey"]
     else:
         # trial functions need N >= 64, and at 2-D N=64 the annular kernel's
-        # companion needs 48 scales, a 20 s run here; on 8 scales the smoothed
-        # maximal function takes the annular kernel itself as its psi
+        # companion needs 48 scales, about 4 s on a 2-vCPU host; on 8 scales
+        # the smoothed maximal function takes the annular kernel itself as its psi
         scales, space = ScaleGrid(1 / 4, 1.0, 4), Lebesgue(2.0)
         monkeypatch.setattr(harness, "calderon_companion", lambda kernel, _: types.SimpleNamespace(psi=kernel))
     expected = _per_trial_equivalence(space, "annular", trials, grid, scales, 0).to_json()
@@ -253,10 +253,10 @@ def test_trial_blocked_equivalence_with_a_partial_last_block(dim, trials, per_bl
 def test_default_block_budget_batches_1d_and_not_2d_n64(monkeypatch):
     scales = ScaleGrid(1 / 16, 16.0, 8)
     sizes = {}
-    for dim in (1, 2):
-        grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=64)
-        sizes[dim] = [len(fs) for fs in harness._trial_blocks(0, 10, grid, scales)]
-    assert sizes == {1: [4, 4, 2], 2: [1] * 10}
+    for dim, n in ((1, 64), (1, 512), (2, 64)):
+        grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+        sizes[dim, n] = [len(fs) for fs in harness._trial_blocks(0, 10, grid, scales)]
+    assert sizes == {(1, 64): [10], (1, 512): [2] * 5, (2, 64): [1] * 10}
 
 
 def test_trial_blocked_change_of_angle_matches_the_per_trial_loop(monkeypatch):

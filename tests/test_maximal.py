@@ -243,10 +243,12 @@ class FirstScales:
         return self.count
 
 
-# with PEETRE_CHUNK = 2^15 elements and one input: 1-D N=64 steps 512 pairs,
-# eight scales of 64 offsets (5 scales are one partial step); 2-D N=16 steps
-# 128 pairs over 195 offsets per scale (steps cross scale boundaries
-# mid-step); 1-D N=256 on one scale is two steps of 128 pairs
+# with PEETRE_CHUNK = 2^17 elements and one input, a step takes as many
+# distances as keep live scales x distances x cells within 2^17: 1-D N=64
+# takes its 33 distances (64 offsets) in one step; 2-D N=32 steps 5 of its 98
+# distances (795 offsets, the last step partial), 1-D N=256 25 of 129 and
+# 2-D N=16 23 of 30; the 5- and 3-scale cases have one live scale, and on one
+# scale the annular field is zero, so the sup is zero without a step
 @pytest.mark.parametrize(
     "dim, n, width, complex_input, b, n_scales",
     [
@@ -285,11 +287,16 @@ def test_peetre_matches_roll_reference_bitwise(dim, n, width, complex_input, b, 
     assert np.array_equal(fast, roll_peetre_maximal(f, b, plan))
 
 
-@pytest.mark.parametrize("dim, n, width, n_scales, chunk",
-                         [(1, 64, 2.0, None, None), (1, 64, 2.0, 5, 3 * 64 * 7), (2, 16, 0.5, 3, None),
-                          (2, 16, 0.5, None, 3 * 256 * 5)],
-                         ids=["1d-64", "1d-64-5scales-7pairs", "2d-16-3scales", "2d-16-5pairs"])
-def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_scales, chunk, monkeypatch):
+# a distance's slab is live scales x 3 inputs x cells: 1-D N=64 has 20 live
+# scales of 24 (one of 5) and 33 distances, 2-D N=16 22 of 24 (one of 3) and
+# 30 distances; a chunk below one slab clamps to one distance per step
+@pytest.mark.parametrize("dim, n, width, n_scales, chunk, steps",
+                         [(1, 64, 2.0, None, None, [33]), (1, 64, 2.0, None, 7 * 20 * 3 * 64, [7] * 4 + [5]),
+                          (1, 64, 2.0, 5, 7 * 3 * 64, [7] * 4 + [5]), (2, 16, 0.5, 3, None, [30]),
+                          (2, 16, 0.5, None, 4 * 22 * 3 * 256, [4] * 7 + [2]), (2, 16, 0.5, 3, 1, [1] * 30)],
+                         ids=["1d-64", "1d-64-7distances", "1d-64-5scales-7distances", "2d-16-3scales",
+                              "2d-16-4distances", "2d-16-3scales-1distance"])
+def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_scales, chunk, steps, monkeypatch):
     grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
     scales = ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4)
     plan = build_plan(build_annular_kernel(grid), scales)
@@ -300,15 +307,37 @@ def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_sca
     fs = [SampledFunction(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)),
           SampledFunction(grid, np.zeros(grid.shape)),
           SampledFunction(grid, 1e-200 * rng.normal(size=grid.shape))]
-    if chunk is not None:  # steps of a few pairs over all three inputs, straddling scales
+    if chunk is not None:
         monkeypatch.setattr(maximal, "PEETRE_CHUNK", chunk)
-    rows = peetre_maximals(fs, 3.0, plan=plan)
+    # each step gathers its offsets from one (inputs, distances) stack of envelopes
+    recorded = []
+    view = GridSpec.torus_window_view
+    with monkeypatch.context() as m:
+        m.setattr(GridSpec, "torus_window_view", lambda self, values: recorded.append(values.shape) or view(self, values))
+        rows = peetre_maximals(fs, 3.0, plan=plan)
+    assert [shape[1] for shape in recorded] == steps
     assert rows.shape == (3,) + grid.shape
     for f, row in zip(fs, rows):
         assert np.array_equal(row, peetre_maximal(f, 3.0, plan=plan).values.real)
         assert np.array_equal(row, roll_peetre_maximal(f, 3.0, plan))
     with pytest.raises(ValueError):
         peetre_maximals(fs, 0.0, plan=plan)
+
+
+def test_peetre_tables_are_cached_read_only_and_grouped_by_distance():
+    grid = GridSpec(dim=2, half_width=0.5, points_per_axis=16)
+    scales = ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4)
+    tables = maximal._peetre_tables(grid, scales, 3.0)
+    again = maximal._peetre_tables(GridSpec(dim=2, half_width=0.5, points_per_axis=16), ScaleGrid(1 / 16, 4.0, 4), 3.0)
+    assert all(a is b for a, b in zip(tables, again))
+    assert not any(table.flags.writeable for table in tables)
+    shifts, rows, bounds, weights = tables
+    dist = grid.offset_distances()[tuple((-shifts % 16).T)]
+    assert len(dist) == np.count_nonzero(grid.offset_distances() <= 0.5)
+    # distinct distances in increasing order, each offset in its distance's run
+    assert np.all(np.diff(dist[bounds[:-1]]) > 0)
+    assert np.array_equal(dist[bounds[rows]], dist)
+    assert np.array_equal(weights[:, rows], (1.0 + dist / scales.scales[:, None]) ** (-3.0))
 
 
 def test_hardy_norm_zero_and_homogeneous(pair, psi_plan):
