@@ -67,6 +67,8 @@ class GridSpec:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
+        # equal grids, which share cache entries, then also print alike
+        object.__setattr__(self, "half_width", float(self.half_width))
         if self.points_per_axis < 8 or not _is_power_of_two(self.points_per_axis):
             raise ValueError("points_per_axis must be a power of two >= 8")
 

@@ -20,10 +20,19 @@ at 2-D N=64).  Each operator bounds its own temporaries
 batched operator gives each trial bitwise its one-trial value, so the
 reports do not depend on the block size.  The embedding experiment norms all
 its trials in one ``space_norms`` call per space.
+
+The experiments' fixed inputs are built once per process: ``trial_function``
+keeps the last ``TRIAL_CACHE_SIZE`` trials it built, and the kernel, its
+companion and both plans come from the bounded caches of
+``kernels.build_kernel``, ``kernels.calderon_companion`` and
+``transforms.build_plan``.  A cached trial is one shared read-only object,
+so an equivalence run per ``FIVE_SPACES`` space, or the three experiments of
+a ``verify`` run, share one trial family.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -68,6 +77,9 @@ MIN_TRIAL_POINTS = 64
 # block, peaks at about 1.57 MiB of traced memory, and at 1.53 MiB with a
 # quarter of this budget (blocks of 4, 4 and 2 trials)
 FIELD_BLOCK_BYTES = 1 << 19
+# trial functions kept per (seed, trial, grid): at least the 20 trials of a
+# default experiment (``cli._TABLE``); 32 trials at 2-D N=128 hold 4 MiB
+TRIAL_CACHE_SIZE = 32
 
 
 def _json_scalar(obj):
@@ -156,8 +168,12 @@ def _bump(rng: np.random.Generator, grid: GridSpec) -> SampledFunction:
     return amp * gaussian_bump(grid, center, sigma)
 
 
+@functools.lru_cache(maxsize=TRIAL_CACHE_SIZE)
 def trial_function(seed: int, trial: int, grid: GridSpec) -> SampledFunction:
-    """Deterministic mixed family; every member is concentrated in the core box."""
+    """Deterministic mixed family; every member is concentrated in the core
+    box.  Each (seed, trial, grid) among the last ``TRIAL_CACHE_SIZE`` is
+    built once and returned as one shared object, whose values are
+    read-only."""
     if grid.points_per_axis < MIN_TRIAL_POINTS:
         # the atom radius range [4h, L/8] with h = 2L/N is empty below this
         raise ValueError(f"trial functions need N >= {MIN_TRIAL_POINTS} points per axis, "

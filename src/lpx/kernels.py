@@ -8,11 +8,18 @@ xi = 0.  A ``Kernel`` is its radial profile: the t-dilated transform on the
 dual grid is profile(t |xi|), so every kernel is radial.  A reproducing
 companion psi is constructed so that the product phi_hat * psi_hat
 integrates to 1 against dt/t along every ray.
+
+``build_kernel`` and ``calderon_companion`` depend only on their arguments,
+and their results are frozen, so each keeps the last ``KERNEL_CACHE_SIZE``
+results it built and returns them shared.  A ``Kernel`` compares its profile
+by identity: a kernel that ``build_annular_kernel`` builds again equals the
+cached one, and a cached companion hands out one psi.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -46,6 +53,8 @@ NONDEGENERACY_FLOOR = 1e-3
 NORMALIZATION_TOL = 1e-3
 COVERAGE_MIN = 0.99
 UNCOVERED_MASS_TOL = 1e-6
+# kernels kept per (kind, grid) and companions per (kernel, scales)
+KERNEL_CACHE_SIZE = 8
 
 
 class KernelKind(enum.Enum):
@@ -159,9 +168,12 @@ def build_weak_kernel(grid: GridSpec) -> Kernel:
     return kernel
 
 
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def build_kernel(kind: str, grid: GridSpec) -> Kernel:
-    """Kernel of the family named by a ``KernelKind`` value.  The catalogue is
-    built per call, so a wrapper installed on a builder's module name sees it."""
+    """Kernel of the family named by a ``KernelKind`` value, one shared
+    object per (kind, grid) among the last ``KERNEL_CACHE_SIZE``.  The
+    catalogue is built per build, so a wrapper installed on a builder's
+    module name sees the first build per (kind, grid)."""
     builders = {KernelKind.ANNULAR.value: build_annular_kernel, KernelKind.WEAK.value: build_weak_kernel}
     if kind not in builders:
         raise ValueError(f"unknown kernel kind {kind!r}; valid: {sorted(builders)}")
@@ -197,13 +209,15 @@ def _band_center(profile: Callable[[np.ndarray], np.ndarray]) -> float:
     return float(np.exp(np.mean(np.log(active))))
 
 
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def calderon_companion(phi: Kernel, scales: ScaleGrid) -> ReproducingPair:
     """Build the companion psi_hat = phi_hat * b / c with b an annular bump.
 
     The bump is the annular cutoff dilated so its plateau straddles the band
     where phi_hat is large.  c is the scale-grid quadrature of
     phi_hat(r)^2 b(r) dr/r, so the product phi_hat * psi_hat integrates to one
-    along every ray.
+    along every ray.  One shared pair per (kernel, scales) among the last
+    ``KERNEL_CACHE_SIZE``, so the plan of its psi is built once too.
     """
     s0 = _band_center(phi.profile) / math.sqrt(8.0)  # annular log-center is sqrt(8)
 

@@ -13,6 +13,7 @@ inverts a sum of such products.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -28,6 +29,8 @@ __all__ = ["ConvolutionPlan", "build_plan", "spectrum", "inverse_spectrum", "cor
            "convolve_at_scale", "build_field", "build_fields", "spatial_kernel"]
 
 WRAP_DECAY_THRESHOLD = 1e-8
+# plans kept per (kernel, scales); a 2-D N=128 plan over 64 scales is 8 MiB
+PLAN_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,11 @@ class ConvolutionPlan:
     wraparound_warning: bool
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def build_plan(kernel: Kernel, scales: ScaleGrid) -> ConvolutionPlan:
+    """The plan of ``kernel`` on ``scales``, one shared object per (kernel,
+    scales) among the last ``PLAN_CACHE_SIZE``; its multiplier table is
+    read-only."""
     grid = kernel.grid
     radii = grid.frequency_radii()
     ts = scales.scales.reshape((-1,) + (1,) * grid.dim)

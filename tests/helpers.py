@@ -7,7 +7,8 @@ indicator (the oracle of ``atoms.ball_norms``); the powered maximal function
 (``fs_vector_check``); the convexified norm ``convexify_norm``; and the
 validity reports of an atom (``check_atom``: support, size, vanishing
 moments) and of a molecule (``check_molecule``: shell decay, mean and
-moments)."""
+moments); and the emptying and the build counts of the process-wide caches
+of the trial family, the kernels, their companions and the plans."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from lpx import harness, kernels, transforms
 from lpx.atoms import Ball, Molecule, TentAtom
 from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows
 from lpx.maximal import BallFamily, ball_volume, hl_maximal
@@ -274,3 +276,35 @@ def check_molecule(m: Molecule, space: SpaceDescriptor, q: float, d: int, epsilo
         mean_ok=mean_slack <= MEAN_TOL,
         moments_ok=all(v <= MOMENT_TOL for v in slacks.values()),
     )
+
+
+def clear_fixed_input_caches() -> None:
+    """Empty the caches of ``trial_function``, ``build_kernel``,
+    ``calderon_companion`` and ``build_plan``, so the next run is cold."""
+    for cache in (harness.trial_function, kernels.build_kernel, kernels.calderon_companion, transforms.build_plan):
+        cache.cache_clear()
+
+
+def count_fixed_input_builds(monkeypatch) -> dict[str, int]:
+    """Builds of trials, annular kernels, companions and plans from now on,
+    counted by spies on a callee of each builder: a trial kind's builder,
+    ``build_annular_kernel`` (reached through ``build_kernel``'s catalogue),
+    ``_band_center`` (one call per companion) and the ``ConvolutionPlan``
+    that a plan build makes."""
+    counts = dict.fromkeys(("trials", "kernels", "companions", "plans"), 0)
+
+    def spy(module, name: str, key: str) -> None:
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("_band_limited", "_atom_like", "_bump"):
+        spy(harness, name, "trials")
+    spy(kernels, "build_annular_kernel", "kernels")
+    spy(kernels, "_band_center", "companions")
+    spy(transforms, "ConvolutionPlan", "plans")
+    return counts

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import clear_fixed_input_caches, count_fixed_input_builds
 from lpx import cli
 from lpx.cli import config_hash, load_config, main
 from lpx.grid import (
@@ -447,6 +448,30 @@ def test_verify_finds_a_power_weights_critical_index_once(tmp_path, monkeypatch)
                        space={"tag": "weighted", "p": 1.5, "weight": {"kind": "power", "a": 0.5}})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"]) == 0
     assert len(calls) == 1
+
+
+def _verify_1d_config(tmp_path) -> Path:
+    """Criterion 11's cell size and scales on [-2, 2) at N=64, 10 trials per experiment, seed 42."""
+    return write_config(tmp_path, grid={"dim": 1, "N": 64, "L": 2.0}, seed=42,
+                        experiments={name: {"trials": 10} for name in ("equivalence", "change_of_angle", "embedding")})
+
+
+def test_a_cold_verify_builds_each_trial_and_the_kernel_once(tmp_path, monkeypatch):
+    cfg = _verify_1d_config(tmp_path)
+    clear_fixed_input_caches()
+    builds = count_fixed_input_builds(monkeypatch)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"]) == 0
+    # 30 trials and 3 kernels when each experiment built its own
+    assert (builds["trials"], builds["kernels"]) == (10, 1)
+
+
+def test_cold_and_warm_verify_runs_write_the_same_bytes(tmp_path):
+    cfg = _verify_1d_config(tmp_path)
+    clear_fixed_input_caches()
+    outs = [tmp_path / "cold", tmp_path / "warm"]
+    assert [main(["--config", str(cfg), "--out", str(out), "verify"]) for out in outs] == [0, 0]
+    cold, warm = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
+    assert len(cold) == 8 and warm == cold
 
 
 def test_missing_space_csv_exits_2(tmp_path):

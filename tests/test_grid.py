@@ -31,6 +31,14 @@ def test_gridspec_basic():
     assert np.all(np.abs(g.axis_coordinates()) > 0)
 
 
+def test_gridspec_holds_its_half_width_as_a_float():
+    # an int and a float half width give equal grids, hence one cache entry,
+    # so the grid of a cached object must not depend on which came first
+    g = GridSpec(dim=1, half_width=2, points_per_axis=64)
+    assert g == GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    assert type(g.half_width) is float and repr(g) == "GridSpec(dim=1, half_width=2.0, points_per_axis=64)"
+
+
 def test_gridspec_rejects_bad_sizes():
     with pytest.raises(ValueError):
         GridSpec(dim=1, half_width=1.0, points_per_axis=12)

@@ -3,6 +3,8 @@ import types
 import numpy as np
 import pytest
 
+from helpers import clear_fixed_input_caches, count_fixed_input_builds
+from lpx import cli, kernels, transforms
 from lpx.errors import ConeOverflow
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, concentration_defect, gaussian_bump, pure_frequency
 from lpx import harness
@@ -273,3 +275,61 @@ def test_trial_blocked_change_of_angle_matches_the_per_trial_loop(monkeypatch):
             assert [rep.series[f"norm_alpha_{a:g}"][i] for a in alphas] == norms
             assert rep.series["slope"][i] == float(np.polyfit(np.log(alphas), np.log(norms), 1)[0])
     assert sizes == [3, 3, 3, 1] * 5
+
+
+# -- fixed inputs built once per process ----------------------------------------
+
+
+def _five_space_reports(cold=False):
+    """Criterion 5's equivalence reports (seed 5, 1-D N=64, 10 trials); with
+    ``cold``, every space starts from empty fixed-input caches."""
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    reports = []
+    for space in five_spaces(grid).values():
+        if cold:
+            clear_fixed_input_caches()
+        reports.append(equivalence_experiment(space, "annular", 10, grid, ScaleGrid(1 / 16, 16.0, 8),
+                                              seed=5).to_json())
+    return reports
+
+
+def test_a_cold_five_space_run_builds_each_fixed_input_once(monkeypatch):
+    clear_fixed_input_caches()
+    builds = count_fixed_input_builds(monkeypatch)
+    _five_space_reports()
+    # 50 trials, 5 kernels, 5 companions and 10 plans when each space built its own
+    assert builds == {"trials": 10, "kernels": 1, "companions": 1, "plans": 2}
+
+
+def test_shared_fixed_inputs_leave_the_five_space_reports_unchanged():
+    each_cold = _five_space_reports(cold=True)
+    clear_fixed_input_caches()
+    assert _five_space_reports() == each_cold  # one cold run, its spaces sharing the inputs
+    assert _five_space_reports() == each_cold  # and a warm one
+
+
+def test_a_cached_trial_is_one_read_only_object():
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    harness.trial_function.cache_clear()
+    f = trial_function(7, 2, grid)
+    assert trial_function(7, 2, grid) is f
+    assert harness.trial_function.cache_info().hits == 1
+    with pytest.raises(ValueError):
+        f.values[0] = 0.0
+    # a trial that cannot be built leaves nothing in the cache
+    with pytest.raises(ValueError):
+        trial_function(7, 2, GridSpec(dim=1, half_width=2.0, points_per_axis=32))
+    assert harness.trial_function.cache_info().currsize == 1
+
+
+def test_each_fixed_input_cache_holds_one_run_and_is_bounded():
+    # a run takes up to the experiments' default trial count, one kernel, one
+    # companion and three plans (phi, psi and change of angle's capped scales)
+    trials = max(table["trials"].default for table in cli._TABLE["experiments"].values() if "trials" in table)
+    assert trials == 20
+    needs = {harness.trial_function: (trials, harness.TRIAL_CACHE_SIZE),
+             kernels.build_kernel: (1, kernels.KERNEL_CACHE_SIZE),
+             kernels.calderon_companion: (1, kernels.KERNEL_CACHE_SIZE),
+             transforms.build_plan: (3, transforms.PLAN_CACHE_SIZE)}
+    for cache, (need, size) in needs.items():
+        assert cache.cache_info().maxsize == size >= need

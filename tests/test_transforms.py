@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from lpx.errors import DualRangeTooSmall
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, pure_frequency
-from lpx.kernels import build_annular_kernel, build_weak_kernel
+from lpx.kernels import build_annular_kernel, build_kernel, build_weak_kernel, calderon_companion
 from lpx.transforms import (apply_multiplier, build_field, build_fields, build_plan, convolve_at_scale, correlate,
                             spectrum, spatial_kernel)
 
@@ -243,3 +244,28 @@ def test_apply_multiplier_matches_spatial_kernel_sum(dim, n):
     slow = grid.cell_volume * _torus_sum(f, spatial_kernel(kernel, t))
     fast = apply_multiplier(f, kernel.multiplier(t))
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+def test_a_plan_is_built_once_per_kernel_and_scales():
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    scales = ScaleGrid(1 / 16, 16.0, 8)
+    for cache in (build_kernel, calderon_companion, build_plan):
+        cache.cache_clear()
+    plan = build_plan(build_kernel("annular", grid), scales)
+    with pytest.raises(ValueError):
+        plan.multipliers[0, 0] = 0.0
+    # a kernel built again is equal to the cached one, so its plan is a hit
+    again = build_annular_kernel(grid)
+    assert again is not plan.kernel and again == plan.kernel
+    assert build_plan(again, scales) is plan
+    assert build_kernel("annular", grid) is plan.kernel
+    # one companion per (kernel, scales), so one psi and one psi plan
+    pair = calderon_companion(again, scales)
+    assert calderon_companion(plan.kernel, scales) is pair
+    assert build_plan(calderon_companion(again, scales).psi, scales) is build_plan(pair.psi, scales)
+    assert build_plan(again, ScaleGrid(1 / 16, 2.0, 8)) is not plan
+    assert [c.cache_info().misses for c in (build_kernel, calderon_companion, build_plan)] == [1, 1, 3]
+    # a kernel that cannot be built leaves nothing in the cache
+    with pytest.raises(DualRangeTooSmall):
+        build_kernel("annular", GridSpec(dim=1, half_width=8.0, points_per_axis=64))
+    assert build_kernel.cache_info().currsize == 1
