@@ -6,7 +6,6 @@ from .grid import (
     HalfSpaceField,
     SampledFunction,
     ScaleGrid,
-    integrate,
 )
 from .kernels import (
     Kernel,

@@ -29,7 +29,6 @@ __all__ = [
     "FieldStack",
     "real_or_complex",
     "scale_to_unit_rows",
-    "integrate",
     "concentration_defect",
     "pure_frequency",
     "indicator_ball",
@@ -304,11 +303,6 @@ class FieldStack:
     @property
     def stack(self) -> np.ndarray:
         return self.values
-
-
-def integrate(f: SampledFunction) -> complex:
-    """Rectangle rule for the integral of f over the box."""
-    return complex(np.sum(f.values) * f.grid.cell_volume)
 
 
 def concentration_defect(f: SampledFunction) -> float:

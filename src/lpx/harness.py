@@ -203,7 +203,12 @@ FIVE_SPACES = {
 
 def five_spaces(grid: GridSpec) -> dict[str, SpaceDescriptor]:
     """The ``FIVE_SPACES`` recipes built on the 1-D grid; the ``mixed``
-    recipe's one exponent fits no other dimension."""
+    recipe's one exponent fits no other dimension, so a grid of any other
+    dimension is refused."""
+    if grid.dim != 1:
+        raise ValueError(f"five_spaces builds the 1-D catalogue FIVE_SPACES, not on a {grid.dim}-D grid; "
+                         f"build each {grid.dim}-D space from its recipe with "
+                         f"spaces.descriptor_from_json(recipe, grid), one mixed exponent per axis")
     return {name: descriptor_from_json(cfg, grid) for name, cfg in FIVE_SPACES.items()}
 
 

@@ -7,8 +7,11 @@ indicator (the oracle of ``atoms.ball_norms``); the powered maximal function
 (``fs_vector_check``); the convexified norm ``convexify_norm``; and the
 validity reports of an atom (``check_atom``: support, size, vanishing
 moments) and of a molecule (``check_molecule``: shell decay, mean and
-moments); and the emptying and the build counts of the process-wide caches
-of the trial family, the kernels, their companions and the plans."""
+moments); the admissibility contract of a kernel (``assert_admissible``)
+and the per-scale band coverage of a pair (``band_coverage_loop``, the
+oracle of ``kernels.band_coverage``); and the emptying and the build counts
+of the process-wide caches of the trial family, the kernels, their
+companions and the plans."""
 
 from __future__ import annotations
 
@@ -21,10 +24,13 @@ import numpy as np
 from lpx import harness, kernels, transforms
 from lpx.atoms import Ball, Molecule, TentAtom
 from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows
+from lpx.kernels import Kernel, KernelKind, ReproducingPair
 from lpx.maximal import BallFamily, ball_volume, hl_maximal
 from lpx.spaces import Lebesgue, SpaceDescriptor, space_norm, space_norms
 from lpx.squarefuncs import tent_functional
 
+# smallest |phi_hat| that counts as a nondegeneracy witness of the weak kernel
+NONDEGENERACY_FLOOR = 1e-3
 # largest relative moment (``_moment_slacks``) and relative mean that
 # ``check_atom`` and ``check_molecule`` count as vanishing
 MOMENT_TOL = 1e-6
@@ -276,6 +282,41 @@ def check_molecule(m: Molecule, space: SpaceDescriptor, q: float, d: int, epsilo
         mean_ok=mean_slack <= MEAN_TOL,
         moments_ok=all(v <= MOMENT_TOL for v in slacks.values()),
     )
+
+
+def assert_admissible(kernel: Kernel) -> None:
+    """The admissibility contract on the dual grid: the transform is finite
+    and 0 at xi = 0; the annular one lies in [0, 1], is exactly 1 on
+    2 <= |xi| <= 4 and exactly 0 off 1 < |xi| < 8; the weak one is at least
+    ``NONDEGENERACY_FLOOR`` in modulus on every ray at one of 64 log-spaced
+    scales t from 1/(2 pi max|xi|) to 1/(2 pi min|xi|), where the profile's
+    peak t|xi| = 1/(2 pi) sweeps the dual grid."""
+    vals = kernel.fourier_values
+    radii = kernel.grid.frequency_radii()
+    assert np.all(np.isfinite(vals)), "fourier values must be finite"
+    assert np.all(vals[radii == 0.0] == 0.0), "transform must vanish at frequency zero"
+    if kernel.kind is KernelKind.ANNULAR:
+        assert np.all((vals >= 0) & (vals <= 1)), "annular transform must lie in [0, 1]"
+        assert np.all(vals[(radii >= 2.0) & (radii <= 4.0)] == 1.0), "annular transform must be 1 on 2 <= |xi| <= 4"
+        assert np.all(vals[(radii <= 1.0) | (radii >= 8.0)] == 0.0), "annular transform must vanish off 1 < |xi| < 8"
+    else:
+        pos = radii[radii > 0]
+        probe = np.exp(np.linspace(math.log(1.0 / (2.0 * np.pi * pos.max())),
+                                   math.log(1.0 / (2.0 * np.pi * pos.min())), 64))
+        witnessed = np.zeros(pos.size, dtype=bool)
+        for t in probe:
+            witnessed |= np.abs(kernel.profile(t * pos)) >= NONDEGENERACY_FLOOR
+        assert np.all(witnessed), "nondegeneracy witness missing for some dual direction"
+
+
+def band_coverage_loop(pair: ReproducingPair) -> np.ndarray:
+    """sum_k phi_hat(t_k xi) psi_hat(t_k xi) ln2/J per dual node, one scale
+    at a time from the two profiles."""
+    radii = pair.phi.grid.frequency_radii()
+    cov = np.zeros_like(radii)
+    for t in pair.scales.scales:
+        cov += pair.phi.profile(t * radii) * pair.psi.profile(t * radii)
+    return cov * pair.scales.log_weight
 
 
 def clear_fixed_input_caches() -> None:

@@ -20,7 +20,7 @@ from lpx.harness import (
 from lpx.kernels import build_annular_kernel, build_kernel
 from lpx.grid import HalfSpaceField
 from lpx.maximal import hardy_norm
-from lpx.spaces import Lebesgue, Morrey, space_norm
+from lpx.spaces import Lebesgue, Morrey, descriptor_from_json, space_norm
 from lpx.squarefuncs import g_function, g_lambda_star, lusin_area, tent_functional
 from lpx.transforms import build_field, build_plan, convolve_at_scale
 
@@ -42,6 +42,18 @@ def test_trial_family_concentrated_and_deterministic():
 def test_default_lambda():
     assert default_lambda(Lebesgue(2.0)) == pytest.approx(1.5)
     assert default_lambda(Morrey(2.0, 1.0)) == pytest.approx(2.5)
+
+
+def test_five_spaces_refuses_a_2d_grid_and_names_the_recipe_route():
+    # the mixed recipe has one exponent, so the catalogue is 1-D; a 2-D caller
+    # builds each space from its recipe, one mixed exponent per axis
+    grid = GridSpec(dim=2, half_width=2.0, points_per_axis=16)
+    with pytest.raises(ValueError, match="1-D catalogue FIVE_SPACES") as info:
+        five_spaces(grid)
+    assert "descriptor_from_json" in str(info.value)
+    bump = gaussian_bump(grid, [0.0, 0.0], 0.5)
+    for name, recipe in {**harness.FIVE_SPACES, "mixed": {"tag": "mixed", "p": [1.5, 1.5]}}.items():
+        assert 0.0 < space_norm(bump, descriptor_from_json(recipe, grid)) < np.inf, name
 
 
 def test_equivalence_requires_enough_trials():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import band_limited_trial
+from helpers import assert_admissible, band_coverage_loop, band_limited_trial
 from lpx.errors import BandCoverageError, DegenerateKernel, DualRangeTooSmall
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, pure_frequency
 from lpx.kernels import (
@@ -15,7 +15,6 @@ from lpx.kernels import (
     calderon_companion,
     reproduce,
     smooth_step,
-    validate_kernel,
     weak_profile,
     write_kernel_csv,
 )
@@ -49,11 +48,8 @@ def test_annular_profile_values():
 
 def test_annular_kernel_invariants():
     k = build_annular_kernel(GRID)
-    validate_kernel(k)
+    assert_admissible(k)
     assert k.kind is KernelKind.ANNULAR
-    radii = GRID.frequency_radii()
-    assert np.all(k.fourier_values[(radii >= 2) & (radii <= 4)] == 1.0)
-    assert np.all(k.fourier_values[(radii <= 1) | (radii >= 8)] == 0.0)
 
 
 def test_annular_kernel_requires_dual_range():
@@ -74,10 +70,19 @@ def test_weak_kernel_peak():
 
 def test_weak_kernel_witnesses():
     k = build_weak_kernel(GRID)
-    validate_kernel(k)
-    assert k.witness_range is not None
-    t_lo, t_hi = k.witness_range
-    assert 0 < t_lo < t_hi
+    assert k.kind is KernelKind.WEAK
+    assert_admissible(k)
+
+
+ORACLE_GRIDS = [GridSpec(1, 2.0, 64), GRID, GridSpec(2, 0.5, 16), GridSpec(2, 2.0, 64)]
+ORACLE_IDS = ["1d-64-L2", "1d-512-L8", "2d-16-L0.5", "2d-64-L2"]
+
+
+@pytest.mark.parametrize("kind", [k.value for k in KernelKind])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+def test_every_kernel_is_admissible_by_construction(grid, kind):
+    # the profiles are fixed, so the contract holds on every grid with no check at build time
+    assert_admissible(build_kernel(kind, grid))
 
 
 def test_spatial_kernel_has_vanishing_mean():
@@ -195,6 +200,19 @@ def test_band_coverage_flat_inside_band():
     radii = GRID.frequency_radii()
     inside = (radii >= 0.5) & (radii <= 8.0)
     assert np.all(np.abs(cov[inside] - 1.0) < 1e-3)
+
+
+COVERAGE_SCALES = [SCALES, ScaleGrid(t_min=1 / 64, t_max=16.0, steps_per_octave=8),
+                   ScaleGrid(t_min=1 / 16, t_max=64.0, steps_per_octave=12)]
+
+
+@pytest.mark.parametrize("scales", COVERAGE_SCALES, ids=["32x8", "64-16x8", "16-64x12"])
+@pytest.mark.parametrize("kind", [k.value for k in KernelKind])
+@pytest.mark.parametrize("grid", [GRID, GridSpec(2, 2.0, 64)], ids=["1d", "2d"])
+def test_band_coverage_is_the_per_scale_sum_bitwise(grid, kind, scales):
+    # the plans' tables are the profiles at t_k |xi|, summed over the scales in the loop's order
+    pair = calderon_companion(build_kernel(kind, grid), scales)
+    assert np.array_equal(band_coverage(pair), band_coverage_loop(pair))
 
 
 def test_kernel_csv_export(tmp_path):

@@ -168,7 +168,7 @@ def test_peetre_constant_with_unit_mass_kernel():
     def gauss_profile(r):
         return np.exp(-np.asarray(r, dtype=float) ** 2)
 
-    raw = Kernel(grid, KernelKind.WEAK, gauss_profile, witness_range=(0.1, 10.0))
+    raw = Kernel(grid, KernelKind.WEAK, gauss_profile)
     plan = build_plan(raw, SCALES)
     ones = SampledFunction(grid, np.ones(128))
     m = peetre_maximal(ones, b=3.0, plan=plan)
