@@ -6,31 +6,28 @@ cone functional at dyadic levels, cover each superlevel set with family balls
 balls, and cut the field along the per-cell level of the largest superlevel
 set whose surrounding ball still fits.  Each piece is normalized so it passes
 the tent-atom size inequality for each exponent of ``SIZE_EXPONENTS``.
-The support cells are grouped once by containment level; the cells
-contained at no level are the strays, one piece per spatial point.
+A ball lies in {area > lev} exactly when the area's min over it exceeds lev,
+so every fit is a comparison against ball minima taken once per radius
+(``BallFamily.ball_filter``): those over B(y, t_k) give each cell's
+containment level in one ``np.searchsorted``, those over the doubled family
+balls each level's doubled-ball fits.  The cells contained at no level are
+the strays, one piece per spatial point.  Each level walks its inside
+centres once, by the largest radius whose doubled ball fits, and a claimed
+ball marks its cells through ``GridSpec.ball_offsets``.  Every ball's cells
+are ``GridSpec.ball_mask``'s.
 
 The pieces' cone functionals run as one batched pass
 (``squarefuncs.tent_functionals``): only the nonzero (piece, scale) rows are
 stacked, whole pieces up to ``squarefuncs.SCALE_SUM_CHUNK`` rows per batch,
 and each piece's scales are summed in frequency space before one inverse
-FFT, so no pieces x cells x scales array is built.  Each level tests every
-doubled ball in one correlation against the cached ``ball_spectra``, then
-walks the inside centres once, by the largest radius whose doubled ball
-fits, rather than once per radius; a claimed ball marks its cells through
-its offset list, ``GridSpec.ball_offsets``.
-Every ball's cells are ``GridSpec.ball_mask``'s: the offset lists, the
-doubled balls' spectra, and the indicators (``_ball_rows``), which read each
-ball's mask at its centre, all balls in one ``torus_window_view`` gather.
-The pieces are then sized in one pass: their balls from one gather of their
-own cells' torus distances, their L^p sizes, kept on the decomposition per
-atom, from row-batched reductions.  The sizes and the balls' indicator norms
-(``ball_norms``) take one ``space_norms`` call each, which chunks the rows
-itself; ``coefficient_functional`` adds its per-atom weights with one
-``np.bincount``.  A ``TentAtom`` keeps only its
-piece's cells and values; its dense field is built on demand.  All of it is
-bitwise what one call per piece, one correlation and candidate loop per
-radius, one ``np.roll`` per ball, one indicator per ball norm and a dense
-field per atom give.
+FFT, so no pieces x cells x scales array is built.  The pieces' balls come
+from one gather of their own cells' torus distances, their L^p sizes (kept
+per atom) from row-batched reductions, and the balls' indicators
+(``_ball_rows``) from one ``torus_window_view`` gather.  The sizes and the
+indicator norms (``ball_norms``) take one ``space_norms`` call each;
+``coefficient_functional`` adds its per-atom weights with one
+``np.bincount``.  A ``TentAtom`` keeps only its piece's cells and values;
+its dense field is built on demand.
 """
 
 from __future__ import annotations
@@ -45,8 +42,8 @@ from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import Lebesgue, SpaceDescriptor, space_norm, space_norms
-from .squarefuncs import ball_spectra, tent_functional, tent_functionals
-from .transforms import apply_multiplier, build_plan, correlate
+from .squarefuncs import tent_functional, tent_functionals
+from .transforms import apply_multiplier, build_plan
 
 __all__ = [
     "Ball",
@@ -165,44 +162,40 @@ class Molecule:
     ball: Ball
 
 
+def _ball_minima(area: np.ndarray, family: BallFamily) -> np.ndarray:
+    """Min of ``area`` over B(x, r) for every centre x, one row per radius r
+    of ``family``: the negated ball max of the negated area, exact."""
+    return np.array([-family.ball_filter(-area, r) for r in family.radii.tolist()])
+
+
 def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Per half-space cell, the index of the largest level k such that the
-    ball B(y, t) stays inside the superlevel set {area > levels[k]} (-1: none)."""
-    grid = F.grid
-    table = ball_spectra(grid, tuple(F.scales.scales))  # the balls grid.ball_mask(t_k)
-    out = np.full(F.values.shape, -1, dtype=int)
-    for li, lev in enumerate(levels):
-        inside = area > lev
-        if not inside.any():
-            break
-        outside = (~inside).astype(float)
-        contained = correlate(outside, table, grid.dim) < 0.5
-        out[np.moveaxis(contained, 0, -1)] = li
-    return out
+    ball B(y, t) stays inside the superlevel set {area > levels[k]} (-1: none):
+    the count, less one, of the (ascending) levels below the ball's min."""
+    minima = _ball_minima(area, BallFamily(F.grid, F.scales.scales))
+    return np.searchsorted(levels, np.moveaxis(minima, 0, -1), side="left") - 1
 
 
 def _whitney_regions(
-    grid: GridSpec, inside: np.ndarray, balls: BallFamily
+    grid: GridSpec, inside: np.ndarray, balls: BallFamily, double_fits: np.ndarray
 ) -> tuple[np.ndarray, list[Ball]]:
     """Partition ``inside`` into regions led by greedily chosen balls.
 
-    Large balls whose doubles stay inside are claimed first; whatever remains
-    is covered by single-cell regions.  Returns (region id array, leaders).
+    Large balls whose doubles stay inside (``double_fits[i]``: the centres
+    whose B(x, 2 r_i) does) are claimed first; whatever remains is covered by
+    single-cell regions.  Returns (region id array, leaders).
     """
     radii = tuple(balls.radii.tolist())
     region = np.full(grid.size, -1, dtype=int)
     leaders: list[Ball] = []
     uncovered = inside.reshape(-1).copy()
-    outside = (~inside).astype(float)
-    doubles = ball_spectra(grid, tuple(2.0 * r for r in radii))
-    double_ok = correlate(outside, doubles, grid.dim).reshape(len(radii), grid.size) < 0.5
     # Taken radius by radius, largest first, every inside centre whose doubled
     # ball fits is claimed or already covered by the end of that radius.  The
     # doubled balls are nested, so a centre fits every radius up to its
     # largest and is a candidate only there: one walk of the inside centres
     # by largest fitting radius, then cell, makes the same claims without a
     # pass per radius.
-    fit = double_ok & uncovered
+    fit = double_fits.reshape(len(radii), grid.size) & uncovered
     top = len(radii) - 1 - fit[::-1].argmax(axis=0)  # each centre's largest fitting radius
     walk = np.flatnonzero(fit.any(axis=0))
     walk = walk[np.argsort(-top[walk], kind="stable")]
@@ -280,8 +273,9 @@ def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> list[tupl
     shells = dict(_groups(cell_level.reshape(-1)[support], support))
     stray = shells.pop(-1, support[:0])  # level -1: contained at no level
     pieces: list[tuple[np.ndarray, tuple[int, ...]]] = []
+    double_min = _ball_minima(area, BallFamily(grid, 2.0 * balls.radii))
     for li, shell in shells.items():
-        region, leaders = _whitney_regions(grid, area > levels[li], balls)
+        region, leaders = _whitney_regions(grid, area > levels[li], balls, double_min > levels[li])
         for rid, cells in _groups(region.reshape(-1)[shell // k_count], shell):
             pieces.append((cells, leaders[rid].center))
 

@@ -87,11 +87,11 @@ def _whole(floor: int, default=None) -> _Rule:
                  f"a whole number at least {floor}", default)
 
 
-def _increasing(default=None) -> _Rule:
+def _increasing(shortest: int, default=None) -> _Rule:
     def ok(v) -> bool:
-        return (isinstance(v, list) and len(v) > 0 and all(_is_number(x) and x > 0 for x in v)
+        return (isinstance(v, list) and len(v) >= shortest and all(_is_number(x) and x > 0 for x in v)
                 and all(a < b for a, b in zip(v, v[1:])))
-    return _Rule(ok, "a non-empty increasing list of positive numbers", default)
+    return _Rule(ok, f"an increasing list of at least {shortest} positive numbers", default)
 
 
 _KERNELS = [k.value for k in KernelKind]
@@ -109,9 +109,9 @@ _TABLE = {
                "aperture": _Rule(lambda v: _is_number(v) and v >= 0, "a number at least 0")},
     "experiments": {
         "equivalence": {"trials": _whole(1, 20)},
-        "change_of_angle": {"trials": _whole(1, 20), "alphas": _increasing((1.0, 2.0, 4.0, 8.0))},
+        "change_of_angle": {"trials": _whole(1, 20), "alphas": _increasing(2, (1.0, 2.0, 4.0, 8.0))},
         "embedding": {"trials": _whole(1, 10), "s": _number(0), "epsilon": _number(0, default=0.9)},
-        "vanish": {"t_probe": _increasing()},
+        "vanish": {"t_probe": _increasing(1)},
     },
 }
 

@@ -319,6 +319,8 @@ def change_of_angle_experiment(
     kernel_kind: str = "annular",
 ) -> ExperimentReport:
     """Log-log slope of the aperture-widened cone functional norm in alpha."""
+    if len(alphas) < 2:
+        raise ValueError("a slope needs at least two apertures")
     if max(alphas) * scales.t_max > grid.half_width:
         raise ConeOverflow(
             f"aperture {max(alphas):g} at t_max {scales.t_max:g} exceeds the box"
@@ -409,9 +411,10 @@ def vanish_at_infinity_check(
 
     The sequence first grows while the kernel band slides across the input's
     spectrum; past its peak it must decay by at least a factor 2 per octave
-    (or sit below the numerical floor).  On the periodic grid the band clears
-    the lowest nonzero frequency at t = 16 L, after which the norms vanish
-    exactly, so probes should reach that scale.
+    (or sit below the numerical floor), so a peak at the last probe fails.
+    On the periodic grid the band clears the lowest nonzero frequency at
+    t = 16 L, after which the norms vanish exactly, so probes should reach
+    that scale.
     """
     if any(a >= b for a, b in zip(t_probe, t_probe[1:])):
         raise ValueError("probe scales must increase")
@@ -423,9 +426,11 @@ def vanish_at_infinity_check(
         sups[i + 1] <= sups[i] * (1 + 1e-9) or sups[i + 1] <= floor
         for i in range(peak, len(sups) - 1)
     )
-    octaves = math.log2(t_probe[-1] / t_probe[peak]) if peak < len(sups) - 1 else 0.0
-    # aggregate rate from the peak: at least a factor 2 per octave overall
-    rate_ok = sups[-1] <= max(floor, sups[peak] * 2.0 ** (-octaves) * (1 + 1e-9))
+    octaves = math.log2(t_probe[-1] / t_probe[peak])
+    # aggregate rate from the peak: at least a factor 2 per octave overall; a
+    # peak at the last probe above the floor shows no decay at all
+    rate_ok = sups[-1] <= max(floor, sups[peak] * 2.0 ** (-octaves) * (1 + 1e-9)) and (
+        peak < len(sups) - 1 or sups[peak] <= floor)
     return {
         "t_probe": list(t_probe),
         "sup_norms": sups,

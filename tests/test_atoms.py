@@ -104,21 +104,43 @@ def test_containment_levels_match_per_scale_reference_bitwise(dim, n, zero):
     assert (fast >= 0).any() != zero
 
 
-@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)], ids=["1d-64", "2d-32"])
-def test_double_ball_spectra_match_per_radius_masks_bitwise(dim, n):
-    # _whitney_regions reads the doubled balls dist < 2r from the cached ball spectra
-    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
-    radii = BallFamily.build(grid, 2).radii
+def _on_distance_scales(grid, cells):
+    """Scales whose every fourth node t_min * 2^(k/4 + 1/8) is exactly the
+    distance ``cells`` * h * 2^(k/4) of a grid cell."""
+    h = grid.spacing
+    scales = ScaleGrid(cells * h * 2**-0.125, 8 * cells * h * 2**-0.125, 4)
     dist = grid.offset_distances()
-    ball_spectra.cache_clear()
-    table = ball_spectra(grid, tuple(2.0 * r for r in radii))
-    assert not table.flags.writeable
-    assert len(table) == len(radii)
-    for r, row in zip(radii, table):
-        assert np.array_equal(row, spectrum((dist < 2.0 * r).astype(float), dim))
-    # one table per (grid, ball family): a rebuilt family hits the cache
-    rebuilt = BallFamily.build(grid, 2).radii
-    assert ball_spectra(grid, tuple(2.0 * r for r in rebuilt)) is table
+    assert all((dist == t).any() for t in scales.scales[::4])
+    return scales
+
+
+@pytest.mark.parametrize("dim,n,cells", [(1, 64, 3), (2, 32, 5)], ids=["1d-64-r3h", "2d-32-r5h"])
+def test_ball_fits_on_a_cell_distance_match_the_correlation_oracles(dim, n, cells):
+    # in 2-D, 5h is the distance of the cells at offsets (3, 4) and (5, 0)
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    scales = _on_distance_scales(grid, cells)
+    rng = np.random.default_rng(7 * n + dim)
+    envelope = np.exp(-sum(c**2 for c in grid.coordinate_mesh()) / 0.5)
+    F = HalfSpaceField(grid, scales, rng.normal(size=grid.shape + (len(scales),)) * envelope[..., None])
+    area = tent_functional(F, 1.0).values
+    top = math.ceil(math.log2(area.max()))
+    levels = 2.0 ** np.arange(top - 12, top + 1)
+    fast = atoms._containment_levels(F, area, levels)
+    assert np.array_equal(fast, _containment_reference(F, area, levels))
+    # the boundary cells decide some levels: balls that hold them give others
+    closed = atoms._ball_minima(area, BallFamily(grid, np.nextafter(scales.scales, np.inf)))
+    assert (np.searchsorted(levels, np.moveaxis(closed, 0, -1)) - 1 != fast).any()
+    # family balls whose doubles lie on the same cell distances
+    balls = BallFamily(grid, scales.scales[::4] / 2.0)
+    double_min = atoms._ball_minima(area, BallFamily(grid, 2.0 * balls.radii))
+    for lev in levels:
+        inside = area > lev
+        fits = double_min > lev
+        assert np.array_equal(fits, [_double_fit_reference(grid, inside, 2.0 * r) for r in balls.radii])
+        region, leaders = atoms._whitney_regions(grid, inside, balls, fits)
+        ref_region, ref_leaders = _whitney_regions_reference(grid, inside, balls, fits)
+        assert np.array_equal(region, ref_region)
+        assert leaders == ref_leaders
 
 
 @pytest.mark.parametrize("dim,n,cells", [(1, 64, 3), (2, 32, 5)], ids=["1d-64-r3h", "2d-32-r5h"])
@@ -214,19 +236,27 @@ def _piece_functionals_reference(F, alpha, masks, one_piece=_one_piece_spectral_
     return np.array([one_piece(p) for p in pieces]).reshape((len(masks),) + F.grid.shape)
 
 
-def _whitney_regions_reference(grid, inside, balls):
-    """One correlation per doubled radius and one ``np.roll`` per claimed ball."""
+def _double_fit_reference(grid, inside, radius):
+    """The centres whose ball ``dist < radius`` lies in ``inside``: one
+    correlation counting the outside cells of every ball."""
+    hat = spectrum((grid.offset_distances() < radius).astype(float), grid.dim)
+    return correlate((~inside).astype(float), hat, grid.dim) < 0.5
+
+
+def _whitney_regions_reference(grid, inside, balls, double_fits=None):
+    """One correlation per doubled radius and one ``np.roll`` per claimed ball.
+
+    The doubled-ball fits come from ``inside`` by ``_double_fit_reference``;
+    ``double_fits`` is ignored, so the fits a caller passes are not trusted."""
     dist = grid.offset_distances()
     region = np.full(grid.shape, -1, dtype=int)
     leaders = []
     uncovered = inside.copy()
-    outside = (~inside).astype(float)
     axes = tuple(range(grid.dim))
     for r in balls.radii[::-1]:
         if not uncovered.any():
             break
-        double_hat = spectrum((dist < 2.0 * r).astype(float), grid.dim)
-        candidates = (correlate(outside, double_hat, grid.dim) < 0.5) & uncovered
+        candidates = _double_fit_reference(grid, inside, 2.0 * r) & uncovered
         if not candidates.any():
             continue
         ball_mask = dist < r
@@ -290,7 +320,9 @@ def _pieces_reference(F, area, balls):
         shell = support & (cell_level == li)
         if not shell.any():
             continue
-        region, leaders = atoms._whitney_regions(F.grid, area > lev, balls)
+        inside = area > lev
+        fits = np.array([_double_fit_reference(F.grid, inside, 2.0 * r) for r in balls.radii])
+        region, leaders = atoms._whitney_regions(F.grid, inside, balls, fits)
         for rid in np.unique(np.broadcast_to(region[..., None], shell.shape)[shell]):
             if rid >= 0:
                 pieces.append((shell & (region[..., None] == rid), leaders[rid].center))
@@ -569,12 +601,13 @@ def test_empty_decomposition_passes_the_batched_ball_bookkeeping():
 
 
 def _whitney_inputs(F, balls):
-    """The (grid, inside, balls) of every ``_whitney_regions`` call a decomposition makes."""
+    """The (grid, inside, balls, double_fits) of every ``_whitney_regions``
+    call a decomposition makes."""
     seen = []
 
-    def record(grid, inside, balls):
-        seen.append((grid, inside.copy(), balls))
-        return whitney(grid, inside, balls)
+    def record(grid, inside, balls, double_fits):
+        seen.append((grid, inside.copy(), balls, double_fits.copy()))
+        return whitney(grid, inside, balls, double_fits)
 
     whitney = atoms._whitney_regions
     with pytest.MonkeyPatch.context() as mp:
@@ -590,8 +623,10 @@ def test_whitney_regions_match_reference_on_benchmark_inputs(seed):
     calls = [call for trial in range(4)
              for call in _whitney_inputs(build_field(trial_function(seed, trial, GRID), plan), BALLS)]
     assert len(calls) > 20
-    for grid, inside, balls in calls:
-        region, leaders = atoms._whitney_regions(grid, inside, balls)
+    for grid, inside, balls, fits in calls:
+        # the fits tent_decompose passes are the correlation oracle's
+        assert np.array_equal(fits, [_double_fit_reference(grid, inside, 2.0 * r) for r in balls.radii])
+        region, leaders = atoms._whitney_regions(grid, inside, balls, fits)
         ref_region, ref_leaders = _whitney_regions_reference(grid, inside, balls)
         assert np.array_equal(region, ref_region)
         assert leaders == ref_leaders
@@ -602,9 +637,10 @@ def test_whitney_regions_match_per_radius_roll_reference_bitwise(dim, n):
     grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
     balls = BallFamily.build(grid, 2)
     area = tent_functional(_field_case(dim, n, "field"), 1.0).values.real
+    double_min = atoms._ball_minima(area, BallFamily(grid, 2.0 * balls.radii))
     for lev in np.quantile(area, [0.0, 0.3, 0.6, 0.9]):
         inside = area > lev
-        region, leaders = atoms._whitney_regions(grid, inside, balls)
+        region, leaders = atoms._whitney_regions(grid, inside, balls, double_min > lev)
         ref_region, ref_leaders = _whitney_regions_reference(grid, inside, balls)
         assert np.array_equal(region, ref_region)
         assert leaders == ref_leaders

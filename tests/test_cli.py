@@ -64,6 +64,8 @@ MALFORMED = {
     "q-omega-string": ({"space": {"tag": "weighted", "p": 1.5, "q_omega": "x"}}, "q_omega must be"),
     "alphas-string": ({"experiments": {"change_of_angle": {"alphas": "12"}}}, "experiments.change_of_angle.alphas"),
     "alphas-empty": ({"experiments": {"change_of_angle": {"alphas": []}}}, "experiments.change_of_angle.alphas"),
+    # a slope through one aperture is no fit
+    "alphas-one": ({"experiments": {"change_of_angle": {"alphas": [2.0]}}}, "experiments.change_of_angle.alphas"),
     "t-probe-string-entry": ({"experiments": {"vanish": {"t_probe": [1, "a"]}}}, "experiments.vanish.t_probe"),
     "t-probe-decreasing": ({"experiments": {"vanish": {"t_probe": [4.0, 1.0]}}}, "experiments.vanish.t_probe"),
     "trials-fraction": ({"experiments": {"equivalence": {"trials": 10.5}}}, "experiments.equivalence.trials"),

@@ -123,6 +123,13 @@ def test_change_of_angle_cone_overflow():
         change_of_angle_experiment(Lebesgue(2.0), (1.0, 8.0), 10, GRID, SCALES)
 
 
+@pytest.mark.parametrize("alphas", [(2.0,), ()], ids=["one", "none"])
+def test_change_of_angle_needs_two_apertures(alphas):
+    # a line through one point fits any slope
+    with pytest.raises(ValueError, match="two apertures"):
+        change_of_angle_experiment(Lebesgue(2.0), alphas, 1, GRID, ANGLE_SCALES)
+
+
 def test_embedding_experiment_lebesgue_ratios_below_one():
     rep = embedding_experiment(Lebesgue(2.0), 2.0, 8, GRID, seed=4)
     assert rep.passed
@@ -164,6 +171,19 @@ def test_vanish_check_bump_and_constant():
     out_c = vanish_at_infinity_check(constant, kernel, probe)
     assert all(v == 0.0 for v in out_c["sup_norms"])
     assert out_c["passed"]
+
+
+def test_vanish_check_fails_when_the_probes_see_no_decay():
+    # verify's bump on the 1-D default grid, probes that stop while the band
+    # still climbs onto its spectrum: the peak is the last probe
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    bump = gaussian_bump(grid, [0.0], grid.half_width / 16.0)
+    out = vanish_at_infinity_check(bump, build_annular_kernel(grid), (0.0625, 0.125, 0.25, 0.5))
+    assert out["peak_index"] == 3 and out["sup_norms"][-1] > out["floor"]
+    assert out["tail_monotone"] and not out["rate_ok"] and not out["passed"]
+    # verify's default probes reach t = 16 L, past the peak
+    out = vanish_at_infinity_check(bump, build_annular_kernel(grid), tuple(0.0625 * 2.0**k for k in range(10)))
+    assert out["peak_index"] == 6 and out["passed"]
 
 
 def test_vanish_check_pure_frequency_cutoff():

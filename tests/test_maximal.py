@@ -21,7 +21,7 @@ from lpx.maximal import (
 from lpx import maximal
 from lpx.harness import trial_function
 from lpx.spaces import Lebesgue
-from lpx.squarefuncs import g_function, g_lambda_star, lusin_area
+from lpx.squarefuncs import ball_spectra, g_function, g_lambda_star, lusin_area
 from lpx.transforms import build_field, build_plan, correlate, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
@@ -471,6 +471,41 @@ def test_ball_sums_rows_match_per_radius_reference_bitwise(dim, n, per_octave):
     for r, row in zip(family.radii, sums):
         assert np.array_equal(row, _ball_sums_reference(family, values, r)), r
         assert np.array_equal(family.ball_filter(values, r), _ball_filter_reference(family, values, r)), r
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)], ids=["1d-64", "2d-32"])
+def test_ball_filter_matches_reference_off_the_family_ladder(dim, n):
+    # radii no family holds: non-dyadic, between two cell distances or on
+    # one, half the box, beyond it (some rows or every cell), on signed values
+    # as the ball minima of the tent decomposition take them
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    h = grid.spacing
+    radii = np.array([0.5, 1.0, 2.5, 3.0, 13.0 / 3.0, 5.0, 7.3, n / 2.0, 0.6 * n, 0.75 * n, n]) * h
+    family = BallFamily(grid, radii)
+    values = np.random.default_rng(5).normal(size=grid.shape)
+    dist = grid.offset_distances()
+    assert not (dist < radii[-4]).all() and (dist < radii[-1]).all()
+    for r in radii:
+        assert np.array_equal(family.ball_filter(values, r), _ball_filter_reference(family, values, r)), r
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)], ids=["1d-64", "2d-32"])
+def test_ball_sums_spectra_match_per_radius_masks_bitwise(dim, n):
+    # BallFamily.ball_sums reads the balls dist < r of its radii from the cached ball spectra
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    family = BallFamily.build(grid, 2)
+    dist = grid.offset_distances()
+    ball_spectra.cache_clear()
+    family.ball_sums(np.ones(grid.shape))
+    table = ball_spectra(grid, tuple(family.radii.tolist()))
+    assert ball_spectra.cache_info().misses == 1  # the table ball_sums built
+    assert not table.flags.writeable
+    assert len(table) == len(family)
+    for r, row in zip(family.radii, table):
+        assert np.array_equal(row, spectrum((dist < r).astype(float), dim))
+    # one table per (grid, radii): a family built again hits the cache
+    BallFamily(grid, family.radii.copy()).ball_sums(np.ones(grid.shape))
+    assert ball_spectra.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("dim, n, per_octave", [(1, 64, 4), (1, 256, 32), (2, 16, 4), (2, 64, 4)])
