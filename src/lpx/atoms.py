@@ -185,7 +185,7 @@ def _whitney_regions(
     whose B(x, 2 r_i) does) are claimed first; whatever remains is covered by
     single-cell regions.  Returns (region id array, leaders).
     """
-    radii = tuple(balls.radii.tolist())
+    radii, n = tuple(balls.radii.tolist()), grid.points_per_axis
     region = np.full(grid.size, -1, dtype=int)
     leaders: list[Ball] = []
     uncovered = inside.reshape(-1).copy()
@@ -205,8 +205,12 @@ def _whitney_regions(
         if not uncovered[cell]:
             continue
         # the centre is uncovered and in its own ball: it claims at least itself
-        member = np.ravel_multi_index(tuple(o + c for o, c in zip(offsets[ri], center)),
-                                      grid.shape, mode="wrap")
+        # the C-order flat index of each member, axis by axis
+        axes = zip(offsets[ri], center)
+        o, c = next(axes)
+        member = (o + c) % n
+        for o, c in axes:
+            member = member * n + (o + c) % n
         region[member[uncovered[member]]] = len(leaders)
         leaders.append(Ball(center=tuple(center), radius=radii[ri]))
         uncovered[member] = False

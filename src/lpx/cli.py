@@ -334,7 +334,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     for name, rep in reports.items():
-        _write_json(out_dir / f"{name}.json", {**json.loads(rep.to_json()), "config_hash": chash})
+        (out_dir / f"{name}.json").write_text(rep.to_json(config_hash=chash))
         (out_dir / f"{name}.csv").write_text(rep.to_csv())
     _write_json(out_dir / "vanish.json", {**vanish, "config_hash": chash})
     # gnuplot-friendly data for the log-log aperture figure

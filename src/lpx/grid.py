@@ -144,13 +144,17 @@ class GridSpec:
         shift ``0 <= s <= n`` per axis (shifts 0 and n coincide).
 
         Leading axes of ``values`` beyond ``grid.shape`` are a batch:
-        ``w[i][s][x] = values[i][(x + s) mod n]``.  It is the sliding windows of
-        the doubly tiled array: one copy of ``values`` serves every shift.
+        ``w[i][s][x] = values[i][(x + s) mod n]``.  It is the strided windows of
+        ``values`` doubled along every grid axis: one copy serves every shift.
         """
         lead = values.ndim - self.dim
-        tiled = np.tile(values, (1,) * lead + (2,) * self.dim)
-        axes = tuple(range(lead, values.ndim))
-        return np.lib.stride_tricks.sliding_window_view(tiled, self.shape, axis=axes)
+        doubled = values
+        for axis in range(lead, values.ndim):
+            doubled = np.concatenate([doubled, doubled], axis=axis)
+        grid_strides = doubled.strides[lead:]
+        return np.lib.stride_tricks.as_strided(
+            doubled, values.shape[:lead] + (self.points_per_axis + 1,) * self.dim + self.shape,
+            doubled.strides[:lead] + grid_strides + grid_strides, writeable=False)
 
 
 @functools.lru_cache(maxsize=OFFSET_CACHE_SIZE)

@@ -7,10 +7,12 @@ value, and a fixed seed reproduces them byte for byte.
 
 The equivalence and change-of-angle experiments run their trials in blocks:
 the fields of a block's trials are built as one stack
-(``transforms.build_fields``) and every operator runs once per block
-(``squarefuncs.tent_functionals``, ``g_functions``, ``g_lambda_stars``,
-``maximal.peetre_maximals``).  The block's operator rows, the Peetre, S, g
-and g*_lambda rows or the cone functionals at every aperture, then take their
+(``transforms.build_fields``) and every operator runs once per block.  The
+cone and g*_lambda stacks of a block, S and g*_lambda or the cone functionals
+at every aperture, come from one ``squarefuncs.scale_sums`` call, which
+squares the fields and transforms each batch of their rows once for all its
+tables; g and the Peetre sup are ``squarefuncs.g_functions`` and
+``maximal.peetre_maximals``.  The block's operator rows then take their
 space norms in one ``spaces.space_norms`` call.  A block holds as many
 trials as keep its stacked real field within ``FIELD_BLOCK_BYTES``
 (512 KiB: sixteen trials at 1-D N=64 with 64 scales, two at 1-D N=512, one
@@ -19,7 +21,8 @@ at 2-D N=64).  Each operator bounds its own temporaries
 ``spaces.NORM_CHUNK``), so only the field stacks grow with the block.  Every
 batched operator gives each trial bitwise its one-trial value, so the
 reports do not depend on the block size.  The embedding experiment norms all
-its trials in one ``space_norms`` call per space.
+its trials in one ``space_norms`` call per space, and the vanishing check
+takes its probes' multipliers from one call of the kernel's profile.
 
 The experiments' fixed inputs are built once per process: ``trial_function``
 keeps the last ``TRIAL_CACHE_SIZE`` trials it built, and the kernel, its
@@ -52,7 +55,7 @@ from .grid import (
 from .kernels import Kernel, build_kernel, calderon_companion
 from .maximal import default_peetre_exponent, hl_maximal, peetre_maximals
 from .spaces import SpaceDescriptor, Weight, WeightedLebesgue, descriptor_from_json, space_norms
-from .squarefuncs import g_functions, g_lambda_stars, tent_functionals
+from .squarefuncs import cone_spectra, g_functions, gstar_spectra, scale_sums
 from .transforms import apply_multiplier, build_fields, build_plan
 
 __all__ = [
@@ -102,7 +105,8 @@ class ExperimentReport:
     passed: bool
     notes: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def to_json(self, **extra) -> str:
+        """The report as sorted, indented JSON, with the ``extra`` keys added."""
         payload = {
             "name": self.name,
             "space": self.space,
@@ -114,6 +118,7 @@ class ExperimentReport:
             "thresholds": self.thresholds,
             "passed": bool(self.passed),
             "notes": self.notes,
+            **extra,
         }
         return json.dumps(payload, sort_keys=True, indent=2, default=_json_scalar) + "\n"
 
@@ -261,12 +266,12 @@ def equivalence_experiment(
     if b is None:
         b = default_peetre_exponent(grid.dim, space.floor())
 
+    tables = [cone_spectra(grid, scales, 1.0), gstar_spectra(grid, scales, lam)]
     spatial = tuple(range(1, grid.dim + 1))
     rows = []
     for fs in _trial_blocks(seed, trials, grid, scales):
         F = build_fields(fs, plan)
-        s_fn = tent_functionals(F, 1.0)  # lusin_area of every trial
-        gs_fn = g_lambda_stars(F, lam)
+        s_fn, gs_fn = scale_sums(F, tables)  # lusin_area and g_lambda_star of every trial
         g_fn = g_functions(F)
         del F  # the psi-fields are built next
         dom_ok = np.all(s_fn <= dom_factor * gs_fn * (1 + 1e-12), axis=spatial).tolist()
@@ -329,12 +334,13 @@ def change_of_angle_experiment(
     plan = build_plan(kernel, scales)
     s_exp = space.floor()
     bound = max(grid.dim / 2.0, grid.dim / s_exp)
+    tables = [cone_spectra(grid, scales, a) for a in alphas]
 
     rows = []
     for fs in _trial_blocks(seed, trials, grid, scales):
         F = build_fields(fs, plan)
         n = len(fs)
-        block = space_norms(grid, np.concatenate([tent_functionals(F, a) for a in alphas]), space)
+        block = space_norms(grid, scale_sums(F, tables).reshape((-1,) + grid.shape), space)
         for norms in zip(*(block[j * n:(j + 1) * n] for j in range(len(alphas)))):
             slope = float(np.polyfit(np.log(alphas), np.log(norms), 1)[0])
             monotone = all(x <= y * (1 + 1e-10) for x, y in zip(norms, norms[1:]))
@@ -418,7 +424,9 @@ def vanish_at_infinity_check(
     """
     if any(a >= b for a, b in zip(t_probe, t_probe[1:])):
         raise ValueError("probe scales must increase")
-    probes = apply_multiplier(f.values, np.stack([phi.multiplier(t) for t in t_probe]), f.grid.dim)
+    ts = np.asarray(t_probe, dtype=float).reshape((-1,) + (1,) * f.grid.dim)
+    # phi.multiplier(t) of every probe, from one profile call
+    probes = apply_multiplier(f.values, phi.profile(ts * f.grid.frequency_radii()), f.grid.dim)
     sups = np.max(np.abs(probes).reshape(len(t_probe), -1), axis=1).tolist()
     floor = 1e-14 * max(float(np.max(np.abs(f.values))), 1e-300)
     peak = int(np.argmax(sups))

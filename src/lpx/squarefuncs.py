@@ -10,14 +10,20 @@ grid, the scale and the aperture or lambda.  The spectra of those kernels
 are cached (``ball_spectra``), the cone and g*_lambda tables with each
 scale's row multiplied in place by its quadrature weight (``cone_spectra``,
 ``gstar_spectra``, both through ``_scale_weighted``), so each is held once.
-The sum over scales runs in frequency space: each scale's spectrum of |F|^2
-times its table row, summed over the scales, then one inverse FFT per field
-or piece (``_scale_sum``); a (field or piece, scale) row whose |F|^2 is zero
-is the only one skipped.  The plural forms
+The sum over scales runs in frequency space (``scale_sums``): |F|^2 is
+taken once and each batch of its (field or piece, scale) rows is transformed
+once, however many tables read it; per table, each row's spectrum times its
+table row, summed over the scales, then one inverse FFT per field or piece.
+Every table but the last multiplies a copy of the spectra in place (``*=``;
+``spectra * table`` can differ in the last bit), so each table's rows are
+bitwise its one-table value.  A (field or piece, scale) row whose |F|^2 is
+zero is the only one skipped.  The plural forms
 (``tent_functionals``, ``g_functions``, ``g_lambda_stars``) take a
 ``FieldStack`` (``transforms.build_fields``) or one ``HalfSpaceField``, real
 or complex, and return one real row per field, each bitwise the one-field
-value; the singular forms are their one-field case and refuse a stack.  Each
+value; ``tent_functionals`` and ``g_lambda_stars`` are the one-table cases of
+``scale_sums``, and the singular forms are the one-field cases of the plural
+ones and refuse a stack.  Each
 field's |F| is divided by the power of two of its maximum before squaring
 and the root is scaled back (``_unit_powers``, through
 ``grid.scale_to_unit_rows``), so the square functions are positively
@@ -36,12 +42,12 @@ from .grid import FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGr
 from .transforms import inverse_spectrum, spectrum
 
 __all__ = ["tent_functional", "tent_functionals", "lusin_area", "g_function", "g_functions", "g_lambda_star",
-           "g_lambda_stars", "ball_spectra", "cone_spectra", "gstar_spectra"]
+           "g_lambda_stars", "scale_sums", "ball_spectra", "cone_spectra", "gstar_spectra"]
 
 # kernel spectra kept per (grid, radii) or (grid, scales, aperture or lambda);
 # a 2-D N=64 table over 64 scales is 2.2 MB
 SPECTRA_CACHE_SIZE = 8
-# (piece or field, scale) rows per batch of ``_scale_sum``: a batch holds
+# (piece or field, scale) rows per batch of ``scale_sums``: a batch holds
 # whole pieces (or fields), as many as fit, and at least one, so its
 # temporaries stay within max(SCALE_SUM_CHUNK, K) rows (a 2-D N=64 chunk of
 # rows is 8 MB)
@@ -75,13 +81,17 @@ def cone_spectra(grid: GridSpec, scales: ScaleGrid, alpha: float) -> np.ndarray:
     """Read-only spectra of the cone masks ``grid.ball_mask(alpha * t_k)``,
     weighted per scale (``_scale_weighted``).  The masks' spectra are
     weighted in place, so only the weighted table is cached."""
+    if alpha < 0:
+        raise ValueError("aperture must be nonnegative")
     return _scale_weighted(grid, scales, _mask_spectra(grid, [alpha * t for t in scales.scales]))
 
 
 @functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
 def gstar_spectra(grid: GridSpec, scales: ScaleGrid, lam: float) -> np.ndarray:
     """Read-only spectra of the weights ``(t_k / (t_k + dist))^(lambda n)``,
-    weighted per scale (``_scale_weighted``)."""
+    weighted per scale (``_scale_weighted``); lambda must exceed 1."""
+    if lam <= 1.0:
+        raise LambdaTooSmall(f"lambda must exceed 1, got {lam:g}")
     dist = grid.offset_distances()
     rows = np.stack([(t / (t + dist)) ** (lam * grid.dim) for t in scales.scales])
     return _scale_weighted(grid, scales, spectrum(rows, grid.dim))
@@ -96,7 +106,7 @@ def _unit_powers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batches(owner: np.ndarray) -> Iterator[list[int]]:
-    """``_scale_sum``'s batches, given each kept row's piece (piece-major,
+    """``scale_sums``' batches, given each kept row's piece (piece-major,
     then scale): per batch, the row offsets where its pieces start, then its
     end.  A batch holds whole pieces, as many as fit ``SCALE_SUM_CHUNK`` rows,
     and at least one."""
@@ -108,20 +118,25 @@ def _batches(owner: np.ndarray) -> Iterator[list[int]]:
         first = last
 
 
-def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray,
+def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray],
                pieces: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """sqrt(sum_k |P(., t_k)|^2 correlated with kernel k) for each piece P,
-    row k of ``table`` being the spectrum of kernel k, weight included.
+    """sqrt(sum_k |P(., t_k)|^2 correlated with kernel k) for each piece P and
+    each table, row k of a table being the spectrum of kernel k, weight
+    included (``cone_spectra``, ``gstar_spectra``).
 
     With ``pieces=None`` every field of F (one, or each of a ``FieldStack``)
     is one piece; otherwise F is one field and piece i is F on the cells
     ``pieces[i]`` (flat indices into ``grid.shape + (K,)``) and zero
     elsewhere.  A (piece, scale) row whose slice is zero adds exactly zero
-    and is skipped.  The sum runs in frequency space: each kept row's
-    spectrum times its table row, summed per piece left to right in scale
-    order, then one inverse FFT per piece.  A batch holds whole pieces
-    (``_batches``), so each piece's sum is bitwise what a call on that piece
-    alone gives.  Returns one row per piece, shaped ``(pieces,) + grid.shape``.
+    and is skipped.  The sum runs in frequency space: |F|^2 is taken once
+    (``_unit_powers``) and each batch of kept rows is transformed once; per
+    table, each row's spectrum times its table row, summed per piece left to
+    right in scale order, then one inverse FFT per piece.  Every table but
+    the last multiplies a copy of the batch's spectra in place, the last the
+    spectra themselves, so each table's rows are bitwise what a one-table
+    call gives.  A batch holds whole pieces (``_batches``), so each
+    piece's sum is bitwise what a call on that piece alone gives.  Returns
+    ``(len(tables), pieces) + grid.shape``.
     """
     grid = F.grid
     field_power, exps = _unit_powers(F.stack)
@@ -153,15 +168,17 @@ def _scale_sum(F: HalfSpaceField | FieldStack, table: np.ndarray,
             block[row[sel] - lo, spatial[sel]] = cell_power[sel]
             return block.reshape((hi - lo,) + grid.shape)
 
-    acc = np.zeros((count,) + grid.shape)
+    acc = np.zeros((len(tables), count) + grid.shape)
     for edges in _batches(owner):
         lo, hi = edges[0], edges[-1]
-        products = spectrum(rows(lo, hi), grid.dim)
-        products *= table[scale[lo:hi]]
-        summed = np.empty((len(edges) - 1,) + products.shape[1:], dtype=products.dtype)
-        for j, (s, e) in enumerate(zip(edges, edges[1:])):  # each piece's own rows, left to right
-            np.add.reduce(products[s - lo:e - lo], axis=0, out=summed[j])
-        acc[owner[edges[:-1]]] = inverse_spectrum(summed, grid.shape)
+        spectra = spectrum(rows(lo, hi), grid.dim)
+        for t, table in enumerate(tables):
+            products = spectra if t == len(tables) - 1 else spectra.copy()
+            products *= table[scale[lo:hi]]
+            summed = np.empty((len(edges) - 1,) + products.shape[1:], dtype=products.dtype)
+            for j, (s, e) in enumerate(zip(edges, edges[1:])):  # each piece's own rows, left to right
+                np.add.reduce(products[s - lo:e - lo], axis=0, out=summed[j])
+            acc[t, owner[edges[:-1]]] = inverse_spectrum(summed, grid.shape)
     np.maximum(acc, 0.0, out=acc)
     np.sqrt(acc, out=acc)
     return np.ldexp(acc, exps.reshape((-1,) + (1,) * grid.dim), out=acc)
@@ -186,9 +203,7 @@ def tent_functionals(F: HalfSpaceField | FieldStack, alpha: float,
     bitwise the one-piece value.  Piece i is the field F on the cells
     ``pieces[i]`` (flat indices into ``grid.shape + (K,)``) and zero
     elsewhere; ``pieces=None`` makes each field of F one piece."""
-    if alpha < 0:
-        raise ValueError("aperture must be nonnegative")
-    return _scale_sum(F, cone_spectra(F.grid, F.scales, alpha), pieces)
+    return scale_sums(F, [cone_spectra(F.grid, F.scales, alpha)], pieces)[0]
 
 
 def lusin_area(F: HalfSpaceField) -> SampledFunction:
@@ -221,6 +236,4 @@ def g_lambda_star(F: HalfSpaceField, lam: float) -> SampledFunction:
 def g_lambda_stars(F: HalfSpaceField | FieldStack, lam: float) -> np.ndarray:
     """``g_lambda_star`` of every field of F, one row per field,
     each bitwise the one-field value."""
-    if lam <= 1.0:
-        raise LambdaTooSmall(f"lambda must exceed 1, got {lam:g}")
-    return _scale_sum(F, gstar_spectra(F.grid, F.scales, lam))
+    return scale_sums(F, [gstar_spectra(F.grid, F.scales, lam)])[0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import clear_fixed_input_caches, count_fixed_input_builds
-from lpx import cli
+from lpx import cli, harness
 from lpx.cli import config_hash, load_config, main
 from lpx.grid import (
     GridSpec,
@@ -474,6 +474,27 @@ def test_cold_and_warm_verify_runs_write_the_same_bytes(tmp_path):
     assert [main(["--config", str(cfg), "--out", str(out), "verify"]) for out in outs] == [0, 0]
     cold, warm = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
     assert len(cold) == 8 and warm == cold
+
+
+def test_verify_reports_are_the_report_json_with_the_config_hash(tmp_path, monkeypatch):
+    # each report file is one serialization of the report with its config
+    # hash: byte for byte the report's own JSON, decoded, given the hash and
+    # encoded again
+    cfg = _verify_1d_config(tmp_path)
+    reports = []
+    to_json = harness.ExperimentReport.to_json
+
+    def recorded(rep, **extra):
+        reports.append(rep)
+        return to_json(rep, **extra)
+
+    monkeypatch.setattr(harness.ExperimentReport, "to_json", recorded)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"]) == 0
+    chash = config_hash(load_config(str(cfg)))
+    assert [rep.name for rep in reports] == ["norm_equivalence", "change_of_angle", "weighted_embedding"]
+    for name, rep in zip(("equivalence", "change_of_angle", "embedding"), reports):
+        old = json.dumps({**json.loads(to_json(rep)), "config_hash": chash}, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "o" / f"{name}.json").read_text() == old
 
 
 def test_missing_space_csv_exits_2(tmp_path):

@@ -207,16 +207,25 @@ def test_indicator_box_mass():
 @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)], ids=["1d-16", "2d-8x8"])
 def test_torus_window_view_of_a_stack_matches_roll_per_slice(dim, n):
     grid = GridSpec(dim=dim, half_width=1.0, points_per_axis=n)
-    floats = np.random.default_rng(dim).normal(size=(3,) + grid.shape)
+    rng = np.random.default_rng(dim)
+    floats = rng.normal(size=(3,) + grid.shape)
     axes = tuple(range(dim))
-    for stack in (floats, floats > 0):  # boolean windows are the ball indicators
+    # boolean windows are the ball indicators; two batch axes, and none
+    stacks = (floats, floats > 0, floats + 1j * rng.normal(size=floats.shape),
+              floats.reshape((3, 1) + grid.shape)[:, [0, 0]], floats[0])
+    for stack in stacks:
+        lead = stack.shape[:stack.ndim - dim]
         view = grid.torus_window_view(stack)
-        assert view.shape == (3,) + (n + 1,) * dim + grid.shape
+        assert view.shape == lead + (n + 1,) * dim + grid.shape
         assert view.dtype == stack.dtype
-        for i, values in enumerate(stack):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[(0,) * view.ndim] = 0
+        for i in np.ndindex(lead):
             for s in np.ndindex((n + 1,) * dim):
                 # w[i][s][x] = values_i[(x + s) mod n], values_i rolled by -s
-                assert np.array_equal(view[(i,) + s], np.roll(values, shift=tuple(-np.array(s)), axis=axes))
+                rolled = np.roll(stack[i], shift=tuple(-np.array(s)), axis=axes)
+                assert np.array_equal(view[i + s], rolled)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -1,10 +1,11 @@
+import sys
 import types
 
 import numpy as np
 import pytest
 
 from helpers import clear_fixed_input_caches, count_fixed_input_builds
-from lpx import cli, kernels, transforms
+from lpx import cli, kernels, squarefuncs, transforms
 from lpx.errors import ConeOverflow
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, concentration_defect, gaussian_bump, pure_frequency
 from lpx import harness
@@ -199,15 +200,21 @@ def test_vanish_check_pure_frequency_cutoff():
 
 
 @pytest.mark.parametrize("case", ["1d-64-trial", "1d-256-wave", "2d-64-trial"])
-def test_vanish_check_matches_per_probe_loop_bitwise(case):
-    # one stacked multiplier pass, each probe's sup bitwise its one-probe convolution's
+def test_vanish_check_matches_per_probe_loop_bitwise(case, monkeypatch):
+    # one stacked multiplier pass over a probe table from one profile call,
+    # the table bitwise the per-probe multipliers and each probe's sup
+    # bitwise its one-probe convolution's
     dim, n, kind = case.split("-")
     grid = GridSpec(dim=int(dim[0]), half_width=2.0, points_per_axis=int(n))
     f = trial_function(5, 1, grid) if kind == "trial" else pure_frequency(grid, [12])
-    kernel = build_annular_kernel(grid)
     probe = tuple(1 / 16 * 2.0**k for k in range(11))
-    sups = [float(np.max(np.abs(convolve_at_scale(f, kernel, t).values))) for t in probe]
-    assert vanish_at_infinity_check(f, kernel, probe)["sup_norms"] == sups
+    tables = []
+    apply_multiplier = harness.apply_multiplier
+    monkeypatch.setattr(harness, "apply_multiplier", lambda v, m, d: tables.append(m) or apply_multiplier(v, m, d))
+    for kernel in (build_kernel("annular", grid), build_kernel("weak", grid)):
+        sups = [float(np.max(np.abs(convolve_at_scale(f, kernel, t).values))) for t in probe]
+        assert vanish_at_infinity_check(f, kernel, probe)["sup_norms"] == sups
+        assert np.array_equal(tables.pop(), np.stack([kernel.multiplier(t) for t in probe])) and not tables
 
 
 def test_lambda_below_range_warns():
@@ -291,6 +298,41 @@ def test_default_block_budget_batches_1d_and_not_2d_n64(monkeypatch):
         grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
         sizes[dim, n] = [len(fs) for fs in harness._trial_blocks(0, 10, grid, scales)]
     assert sizes == {(1, 64): [10], (1, 512): [2] * 5, (2, 64): [1] * 10}
+
+
+@pytest.mark.parametrize("experiment", ["equivalence", "change_of_angle"])
+def test_a_trial_block_takes_its_powers_and_each_batch_spectrum_once(monkeypatch, experiment):
+    # every cone and g*_lambda stack of a block comes from one scale_sums
+    # call: one |F|^2 and one forward FFT per batch of (trial, scale) rows
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    scales = ScaleGrid(1 / 16, 16.0 if experiment == "equivalence" else 0.25, 8)
+    blocks = _block_sizes(monkeypatch, 4, grid, scales)
+    callers = {"_unit_powers": [], "spectrum": []}
+    batches = []
+    for name in callers:
+        def spy(*args, _name=name, _fn=getattr(squarefuncs, name)):
+            callers[_name].append(sys._getframe(1).f_code.co_name)
+            return _fn(*args)
+        monkeypatch.setattr(squarefuncs, name, spy)
+    make_batches = squarefuncs._batches
+
+    def counted(owner):
+        batches.append(0)
+        for edges in make_batches(owner):
+            batches[-1] += 1
+            yield edges
+
+    monkeypatch.setattr(squarefuncs, "_batches", counted)
+    if experiment == "equivalence":
+        equivalence_experiment(Lebesgue(2.0), "annular", 10, grid, scales, seed=5)
+    else:
+        change_of_angle_experiment(Lebesgue(2.0), (1.0, 2.0, 4.0, 8.0), 10, grid, scales, seed=5)
+    assert blocks == [4, 4, 2]
+    # g_functions squares the block once more, and runs no FFT
+    expected = ["scale_sums", "g_functions"] * 3 if experiment == "equivalence" else ["scale_sums"] * 3
+    assert callers["_unit_powers"] == expected
+    assert len(batches) == 3 and min(batches) >= 1
+    assert callers["spectrum"].count("scale_sums") == sum(batches)  # the rest build the cached tables
 
 
 def test_trial_blocked_change_of_angle_matches_the_per_trial_loop(monkeypatch):

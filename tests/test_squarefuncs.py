@@ -14,10 +14,11 @@ from lpx.grid import (
     gaussian_bump,
     pure_frequency,
 )
+from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel
-from lpx.squarefuncs import (g_function, g_functions, g_lambda_star, g_lambda_stars, lusin_area, tent_functional,
-                             tent_functionals)
-from lpx.transforms import build_field, build_plan, correlate, inverse_spectrum, spectrum
+from lpx.squarefuncs import (cone_spectra, g_function, g_functions, g_lambda_star, g_lambda_stars, gstar_spectra,
+                             lusin_area, scale_sums, tent_functional, tent_functionals)
+from lpx.transforms import build_field, build_fields, build_plan, correlate, inverse_spectrum, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
 SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
@@ -382,6 +383,64 @@ def test_field_stack_operators_match_one_field_calls_bitwise(case, monkeypatch):
     for singular in (lambda F: tent_functional(F, 1.0), lusin_area, g_function, lambda F: g_lambda_star(F, 1.5)):
         with pytest.raises(TypeError, match="FieldStack"):
             singular(stack)
+
+
+def _trial_stack(grid, scales, trials):
+    """The annular fields of trials 0..trials-1 of seed 42, as one stack."""
+    return build_fields([trial_function(42, i, grid) for i in range(trials)],
+                        build_plan(build_annular_kernel(grid), scales))
+
+
+def _oracle_stack(case, kinds):
+    grid, scales = ORACLE_GRIDS[case]
+    return FieldStack(grid, scales, np.stack([_oracle_field(grid, scales, kind).values for kind in kinds]))
+
+
+SCALE_SUMS_CASES = {
+    # the verify-1d benchmark's one block of 10 trials
+    "1d-64-10-trials": lambda: _trial_stack(GridSpec(1, 2.0, 64), ScaleGrid(1 / 16, 16.0, 8), 10),
+    # a block of the default verify's equivalence experiment (two trials at
+    # 1-D N=512): an out-of-place product of all but the last table moves
+    # its rows by an ulp
+    "1d-512-2-trials": lambda: _trial_stack(GridSpec(1, 8.0, 512), ScaleGrid(1 / 16, 16.0, 8), 2),
+    "2d-32": lambda: _oracle_stack("2d-32", ["noise", "zeroed-slices"]),
+    "complex": lambda: FieldStack(*ORACLE_GRIDS["1d-64"], _oracle_field(*ORACLE_GRIDS["1d-64"], "noise").values[None]),
+    "zero-field": lambda: _oracle_stack("1d-64", ["noise", "zero", "zeroed-slices"]),
+}
+
+
+@pytest.mark.parametrize("case", list(SCALE_SUMS_CASES))
+def test_scale_sums_rows_are_the_one_table_rows_bitwise(case):
+    F = SCALE_SUMS_CASES[case]()
+    grid, scales = F.grid, F.scales
+    params = [("cone", 1.0), ("gstar", 1.5), ("cone", 2.0), ("cone", 0.5), ("gstar", 3.0)]
+    one_table = {"cone": tent_functionals, "gstar": g_lambda_stars}
+    spectra = {"cone": cone_spectra, "gstar": gstar_spectra}
+    for picks in (params[:2], params[2:4] + params[:1], params):  # cone 1 and g* 1.5 both last once and not last once
+        rows = scale_sums(F, [spectra[kind](grid, scales, v) for kind, v in picks])
+        assert rows.shape == (len(picks), len(F.stack)) + grid.shape
+        for (kind, v), row in zip(picks, rows):
+            assert np.array_equal(row, one_table[kind](F, v)), (kind, v)
+
+
+def test_scale_sums_of_pieces_are_the_one_table_rows_bitwise():
+    F = _oracle_field(*ORACLE_GRIDS["2d-16"], "noise")
+    cells = np.random.default_rng(3).permutation(F.values.size)
+    pieces = [cells[:5], cells[5:400], cells[400:]]
+    tables = [cone_spectra(F.grid, F.scales, a) for a in (2.0, 1.0)]
+    rows = scale_sums(F, tables, pieces)
+    assert rows.shape == (2, 3) + F.grid.shape
+    for a, row in zip((2.0, 1.0), rows):
+        assert np.array_equal(row, tent_functionals(F, a, pieces))
+
+
+def test_lambda_at_most_one_is_refused_by_every_g_lambda_star_route():
+    F = _oracle_field(*ORACLE_GRIDS["1d-64"], "noise")
+    for lam in (1.0, 0.5):
+        with pytest.raises(LambdaTooSmall):
+            g_lambda_stars(F, lam)
+        with pytest.raises(LambdaTooSmall):
+            scale_sums(F, [cone_spectra(F.grid, F.scales, 1.0), gstar_spectra(F.grid, F.scales, lam)])
 
 
 def _quadrature_oracle(F, kernel):
