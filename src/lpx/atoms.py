@@ -7,8 +7,8 @@ balls, and cut the field along the per-cell level of the largest superlevel
 set whose surrounding ball still fits.  Each piece is normalized so it passes
 the tent-atom size inequality for each exponent of ``SIZE_EXPONENTS``.
 A ball lies in {area > lev} exactly when the area's min over it exceeds lev,
-so every fit is a comparison against ball minima taken once per radius
-(``BallFamily.ball_filter``): those over B(y, t_k) give each cell's
+so every fit is a comparison against ball minima, every radius of a family
+in one ``BallFamily.ball_filters`` call: those over B(y, t_k) give each cell's
 containment level in one ``np.searchsorted``, those over the doubled family
 balls each level's doubled-ball fits.  The cells contained at no level are
 the strays, one piece per spatial point.  Each level walks its inside
@@ -165,7 +165,7 @@ class Molecule:
 def _ball_minima(area: np.ndarray, family: BallFamily) -> np.ndarray:
     """Min of ``area`` over B(x, r) for every centre x, one row per radius r
     of ``family``: the negated ball max of the negated area, exact."""
-    return np.array([-family.ball_filter(-area, r) for r in family.radii.tolist()])
+    return -family.ball_filters(-area)
 
 
 def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray) -> np.ndarray:

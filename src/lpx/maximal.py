@@ -13,23 +13,24 @@ round-off of the correlation that sums the balls.
 homogeneous over the whole float range.  Both ball operations are one path
 in 1-D and 2-D.
 ``BallFamily.ball_sums`` correlates the values with the cached spectra of
-the ball masks, every radius at once.  ``BallFamily.ball_filter`` takes the
-ball max: each first-axis row of a torus ball is one symmetric run of cells,
-so it takes a running max per row width and reads it at each row's offset.
-A ball's cells are ``GridSpec.ball_mask``'s, and ``BallFamily.build`` keeps
-the last ``FAMILY_CACHE_SIZE`` families it built, so a default family is
-built once per grid.
+the ball masks, every radius at once.  ``BallFamily.ball_filters`` takes the
+ball max of every radius at once, in numpy alone: each first-axis row of a
+torus ball is one symmetric run of cells along the last axis, and the max
+over a run of w cells is two reads of one level of a doubling table (level
+j: the max over 2^j consecutive cells), from a read table built once per
+(grid, radii).  A ball's cells are ``GridSpec.ball_mask``'s, and
+``BallFamily.build`` keeps the last ``FAMILY_CACHE_SIZE`` families it built,
+so a default family is built once per grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import GridSpec, SampledFunction, ScaleGrid, scale_to_unit_rows
 from .squarefuncs import ball_spectra
@@ -48,6 +49,9 @@ __all__ = [
 DEFAULT_RADII_PER_OCTAVE = {1: 32, 2: 8}
 # ball families kept by ``BallFamily.build``, one per (grid, radii per octave)
 FAMILY_CACHE_SIZE = 8
+# bytes of the doubling-table levels of one block of stacked rows in
+# ``BallFamily.ball_filters`` (at least one row)
+FILTER_BLOCK_BYTES = 1 << 20
 # elements, live scales x inputs x distances x cells, per envelope step of the
 # smoothed sup (at least one distance); bounds its temporaries
 PEETRE_CHUNK = 1 << 17
@@ -135,51 +139,111 @@ class BallFamily:
         table = ball_spectra(grid, tuple(self.radii.tolist()))
         return correlate(values[(..., None) + (slice(None),) * grid.dim], table, grid.dim)
 
-    @cached_property
-    def _row_runs(self) -> dict[float, list[tuple[int, int]]]:
-        """Per family radius r, the (first-axis offset, cell count) of every
-        first-axis row the ball ``grid.ball_mask(r)`` meets; a 1-D ball is the
-        one row at offset 0.  Built once per family."""
-        n = self.grid.points_per_axis
-        widths = {r: np.count_nonzero(self.grid.ball_mask(r).reshape(-1, n), axis=1) for r in self.radii.tolist()}
-        return {r: [(dx, w) for dx, w in enumerate(row.tolist()) if w] for r, row in widths.items()}
+    def ball_filters(self, values: np.ndarray) -> np.ndarray:
+        """Max of ``values`` over B(x, r_i) for every center x and every
+        family radius r_i: one row per radius, ``(len(self),) + grid.shape``.
+
+        ``values`` is either a stack ``(len(self),) + grid.shape``, row i taken
+        over the balls of radius r_i, or one grid-shaped array that every
+        radius shares.  Each first-axis row of a torus ball is one run of w
+        cells along the last axis (a 1-D ball is one row), and the max over a
+        run is the max of two overlapping reads of the doubling-table level
+        holding the max over 2^k consecutive cells, 2^k <= w < 2^(k+1)
+        (``_ball_runs``, ``_doubling_table``).  A stack is
+        taken in blocks of rows whose levels, up to the widest run of the
+        block, stay within ``FILTER_BLOCK_BYTES``.  A max is exact, so every
+        entry equals the brute-force max over the ball's cells.
+        """
+        grid, n = self.grid, self.grid.points_per_axis
+        shared = values.shape == grid.shape
+        if not shared and values.shape != (len(self),) + grid.shape:
+            raise ValueError(f"values of shape {values.shape} are neither one grid nor one row per radius")
+        runs, tops = _ball_runs(grid, tuple(self.radii.tolist()))
+        out = np.empty((len(self),) + grid.shape, dtype=values.dtype)
+        row_bytes = 2 * values.itemsize * grid.size * (max(tops) + 1)
+        step = len(self) if shared else max(1, FILTER_BLOCK_BYTES // row_bytes)
+        for lo in range(0, len(self), step):
+            hi = min(lo + step, len(self))
+            table = _doubling_table(values[None] if shared else values[lo:hi], max(tops[lo:hi]))
+            for i in range(lo, hi):
+                levels = table[:, 0 if shared else i - lo]
+                maxima = {}  # the running max of each width, once per radius
+                for dx, k, a, b in runs[i]:
+                    if dx == 0:  # the widest row, first
+                        np.maximum(levels[k, ..., a:a + n], levels[k, ..., b:b + n], out=out[i])
+                        continue
+                    if (k, a) not in maxima:
+                        maxima[k, a] = np.maximum(levels[k, ..., a:a + n], levels[k, ..., b:b + n])
+                    run = maxima[k, a]
+                    np.maximum(out[i, :n - dx], run[dx:], out=out[i, :n - dx])
+                    np.maximum(out[i, n - dx:], run[:dx], out=out[i, n - dx:])
+        return out
 
     def ball_filter(self, values: np.ndarray, radius: float) -> np.ndarray:
-        """Max of ``values`` over B(x, r) for every center x, r one of the
-        family's radii.
+        """Max of ``values`` over B(x, r) for every center x: row 0 of the
+        one-radius family's ``ball_filters``."""
+        return BallFamily(self.grid, np.array([radius])).ball_filters(values)[0]
 
-        Each first-axis row of a torus ball is one symmetric run of cells (a
-        1-D ball is one row), so the max is, over the ball's rows, the running
-        max of the row's width along the last axis, read at the row's offset:
-        one ``maximum_filter1d`` per distinct width (``_row_runs``).
-        """
-        n = self.grid.points_per_axis
-        runs = {}
-        out = None
-        for dx, width in self._row_runs[radius]:
-            if width not in runs:
-                runs[width] = ndimage.maximum_filter1d(values, size=width, axis=-1, mode="wrap")
-            if out is None:  # the row at offset 0 comes first
-                out = runs[width].copy()
-            else:
-                np.maximum(out[:n - dx], runs[width][dx:], out=out[:n - dx])
-                np.maximum(out[n - dx:], runs[width][:dx], out=out[n - dx:])
-        return out
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _ball_runs(
+    grid: GridSpec, radii: tuple[float, ...]
+) -> tuple[tuple[tuple[tuple[int, int, int, int], ...], ...], tuple[int, ...]]:
+    """The reads of ``BallFamily.ball_filters``, built once per (grid, radii).
+
+    Per radius r, one (first-axis offset dx, level k, starts a, b) per
+    first-axis row that the ball ``grid.ball_mask(r)`` meets, the row at
+    dx = 0 first; a 1-D ball is the one row at dx = 0.  A row of w cells
+    about x is the run [x - w//2, x - w//2 + w), the max of level
+    k = floor(log2 w) read at the shifts a = -(w//2) and b = a + w - 2^k
+    (mod n).  Also each radius's highest level.
+    """
+    n = grid.points_per_axis
+    runs = []
+    for r in radii:
+        widths = np.count_nonzero(grid.ball_mask(r).reshape(-1, n), axis=1).tolist()
+        rows = []
+        for dx, w in enumerate(widths):
+            if w:
+                k = w.bit_length() - 1
+                a = -(w // 2) % n
+                rows.append((dx, k, a, (a + w - (1 << k)) % n))
+        runs.append(tuple(rows))
+    return tuple(runs), tuple(max(k for _, k, _, _ in rows) for rows in runs)
+
+
+def _doubling_table(values: np.ndarray, top: int) -> np.ndarray:
+    """Levels 0..top of the running max along the last axis, each doubled:
+    ``table[j][..., x]`` is the max of ``values[..., x:x + 2^j]`` (mod n), and
+    ``table[j][..., x + n]`` equals ``table[j][..., x]``, so a read at any
+    shift a in [0, n) is the slice ``a:a + n``."""
+    n = values.shape[-1]
+    table = np.empty((top + 1,) + values.shape[:-1] + (2 * n,), dtype=values.dtype)
+    table[0, ..., :n] = values
+    table[0, ..., n:] = values
+    flat = table.reshape(top + 1, -1)
+    for j in range(1, top + 1):
+        half = 1 << (j - 1)
+        # one contiguous max over every row; the last ``half`` cells of a row
+        # read into the next row, so they are copied from the row's first copy
+        np.maximum(flat[j - 1, :-half], flat[j - 1, half:], out=flat[j, :-half])
+        table[j, ..., 2 * n - half:] = table[j, ..., n - half:n]
+    return table
 
 
 def hl_maximal(f: SampledFunction, balls: BallFamily | None = None) -> SampledFunction:
     """Ball-average maximal function sup over family balls containing x."""
-    balls = balls or BallFamily.build(f.grid, DEFAULT_RADII_PER_OCTAVE[f.grid.dim])
+    grid = f.grid
+    balls = balls or BallFamily.build(grid, DEFAULT_RADII_PER_OCTAVE[grid.dim])
     mag = np.abs(f.values)
     e = scale_to_unit_rows(mag[None])[0]
-    cellvol = f.grid.cell_volume
-    out = np.zeros(f.grid.shape)
-    for r, sums in zip(balls.radii, balls.ball_sums(mag)):
-        avg = sums * (cellvol / ball_volume(r, f.grid.dim))
-        # x sees exactly the balls whose centers lie within r of x
-        np.maximum(out, balls.ball_filter(avg, r), out=out)
+    scale = np.array([grid.cell_volume / ball_volume(r, grid.dim) for r in balls.radii])
+    avg = balls.ball_sums(mag)
+    avg *= scale.reshape((-1,) + (1,) * grid.dim)
+    # x sees exactly the balls whose centers lie within r of x
+    out = np.maximum.reduce(balls.ball_filters(avg), axis=0)
     np.maximum(out, 0.0, out=out)  # FFT ball sums can leave -1e-17 on empty regions
-    return SampledFunction(f.grid, np.ldexp(out, e, out=out))
+    return SampledFunction(grid, np.ldexp(out, e, out=out))
 
 
 def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> SampledFunction:

@@ -611,17 +611,18 @@ def ap_characteristic(w: Weight, p: float) -> float:
     if p < 1:
         raise ValueError("p must be at least 1")
     family = BallFamily.build(w.values.grid, BALL_RADII_PER_OCTAVE)
+    counts = [len(axes[0]) for axes in family.grid.ball_offsets(tuple(family.radii.tolist()))]
     omega = w.array
     sums_w = family.ball_sums(omega)
-    if p != 1.0:
+    if p == 1.0:
+        inv_ess = family.ball_filters(1.0 / omega)
+    else:
         sums_dual = family.ball_sums(omega ** (1.0 / (1.0 - p)))
     best = 0.0
-    for i, rad in enumerate(family.radii):
-        count = int(np.count_nonzero(family.grid.ball_mask(rad)))
+    for i, count in enumerate(counts):
         mean_w = sums_w[i] / count
         if p == 1.0:
-            inv_ess = family.ball_filter(1.0 / omega, rad)
-            vals = mean_w * inv_ess
+            vals = mean_w * inv_ess[i]
         else:
             mean_dual = sums_dual[i] / count
             vals = mean_w * np.maximum(mean_dual, 0.0) ** (p - 1.0)

@@ -2,7 +2,9 @@
 sampling a callable, a box indicator or a band-limited trial, the half-space
 quadrature, the tent region of a ball, the cone-functional size of one field,
 and the atom that stores a dense field on its nonzero cells; a ball's
-indicator (the oracle of ``atoms.ball_norms``); the powered maximal function
+indicator (the oracle of ``atoms.ball_norms``); the per-radius ball-average
+maximal loop (``hl_maximal_per_radius``, the oracle of ``hl_maximal``); the
+powered maximal function
 {M(|f|^theta)}^(1/theta) and the Fefferman-Stein vector-valued ratio
 (``fs_vector_check``); the convexified norm ``convexify_norm``; and the
 validity reports of an atom (``check_atom``: support, size, vanishing
@@ -25,7 +27,7 @@ from lpx import harness, kernels, transforms
 from lpx.atoms import Ball, Molecule, TentAtom
 from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows
 from lpx.kernels import Kernel, KernelKind, ReproducingPair
-from lpx.maximal import BallFamily, ball_volume, hl_maximal
+from lpx.maximal import DEFAULT_RADII_PER_OCTAVE, BallFamily, ball_volume, hl_maximal
 from lpx.spaces import Lebesgue, SpaceDescriptor, space_norm, space_norms
 from lpx.squarefuncs import tent_functional
 
@@ -112,6 +114,22 @@ def atom_from_field(field: HalfSpaceField, ball: Ball, coefficient: float) -> Te
 def ball_indicator(grid: GridSpec, ball: Ball) -> SampledFunction:
     """Indicator of the ball in the torus metric: ``grid.ball_mask`` moved to the centre."""
     return SampledFunction(grid, np.roll(grid.ball_mask(ball.radius), ball.center, axis=tuple(range(grid.dim))))
+
+
+def hl_maximal_per_radius(f: SampledFunction, balls: BallFamily | None = None) -> SampledFunction:
+    """The ``hl_maximal`` loop that one ``ball_filters`` call replaced: per
+    radius, the ball averages and their one-radius ``ball_filter``, folded
+    into a zero-initialised max in radius order."""
+    balls = balls or BallFamily.build(f.grid, DEFAULT_RADII_PER_OCTAVE[f.grid.dim])
+    mag = np.abs(f.values)
+    e = scale_to_unit_rows(mag[None])[0]
+    cellvol = f.grid.cell_volume
+    out = np.zeros(f.grid.shape)
+    for r, sums in zip(balls.radii, balls.ball_sums(mag)):
+        avg = sums * (cellvol / ball_volume(r, f.grid.dim))
+        np.maximum(out, balls.ball_filter(avg, r), out=out)
+    np.maximum(out, 0.0, out=out)
+    return SampledFunction(f.grid, np.ldexp(out, e, out=out))
 
 
 def powered_maximal(f: SampledFunction, theta: float, balls: BallFamily | None = None) -> SampledFunction:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lpx import atoms, squarefuncs
+from lpx import atoms, maximal, squarefuncs
 from lpx.atoms import (
     Ball,
     TentDecomposition,
@@ -157,8 +157,13 @@ def test_every_ball_reader_leaves_out_the_cells_on_the_boundary(dim, n, cells):
     assert np.array_equal(ball_spectra(grid, (r,))[0], spectrum(expected.astype(float), dim))
     assert np.array_equal(np.stack(grid.ball_offsets((r,))[0]), np.stack(np.nonzero(expected)))
     widths = np.count_nonzero(expected.reshape(-1, n), axis=1)
-    runs = BallFamily(grid=grid, radii=np.array([r]))._row_runs[r]
-    assert runs == [(dx, w) for dx, w in enumerate(widths.tolist()) if w]
+    runs = maximal._ball_runs(grid, (r,))[0][0]
+    run_widths = [(dx, (b - a) % n + (1 << k)) for dx, k, a, b in runs]
+    assert run_widths == [(dx, w) for dx, w in enumerate(widths.tolist()) if w]
+    # the ball max of a unit spike at the origin is the (symmetric) ball itself
+    spike = np.zeros(grid.shape)
+    spike[(0,) * dim] = 1.0
+    assert np.array_equal(BallFamily(grid=grid, radii=np.array([r])).ball_filter(spike, r), expected.astype(float))
     axes = tuple(range(dim))
     centres = [(0,) * dim, (1,) * dim, (n - 1,) * dim, (n // 2, 5)[:dim], (3, n - 3)[:dim]]
     rows = atoms._ball_rows(grid, [Ball(c, r) for c in centres] + [Ball(centres[0], 2 * r)])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +477,41 @@ def test_cold_and_warm_verify_runs_write_the_same_bytes(tmp_path):
     assert [main(["--config", str(cfg), "--out", str(out), "verify"]) for out in outs] == [0, 0]
     cold, warm = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
     assert len(cold) == 8 and warm == cold
+
+
+# runs in a fresh interpreter: any import of scipy raises ImportError
+NO_SCIPY_VERIFY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+import lpx, lpx.cli
+
+code = lpx.cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "verify"])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert code == 0 and not loaded, (code, loaded)
+"""
+
+
+def test_verify_runs_without_scipy(tmp_path):
+    # a weighted space, so the A_p characteristic's ball maxima run next to
+    # hl_maximal's; the same bytes as an in-process run
+    cfg = write_config(tmp_path, grid={"dim": 1, "N": 64, "L": 2.0}, seed=42,
+                       space={"tag": "weighted", "p": 1.5, "weight": {"kind": "power", "a": 0.5}},
+                       experiments={name: {"trials": 10} for name in ("equivalence", "change_of_angle", "embedding")})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", NO_SCIPY_VERIFY, str(cfg), str(tmp_path / "blocked")], env=env, check=True)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "plain"), "verify"]) == 0
+    blocked, plain = ({p.name: p.read_bytes() for p in (tmp_path / out).iterdir()} for out in ("blocked", "plain"))
+    assert len(plain) == 8 and blocked == plain
 
 
 def test_verify_reports_are_the_report_json_with_the_config_hash(tmp_path, monkeypatch):

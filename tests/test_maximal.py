@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from helpers import fs_vector_check, indicator_box, powered_maximal
+from helpers import fs_vector_check, hl_maximal_per_radius, indicator_box, powered_maximal
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, gaussian_bump, pure_frequency
 from lpx.kernels import Kernel, KernelKind, build_annular_kernel, calderon_companion
 from lpx.maximal import (
@@ -444,8 +444,9 @@ def _ball_sums_reference(family, values, radius):
 
 
 def _ball_filter_reference(family, values, radius):
-    """The ball max that the row-run ``BallFamily.ball_filter`` replaced: one
-    running max in 1-D, a filter over the disc's footprint in 2-D."""
+    """The ball max by ``scipy.ndimage``, as lpx took it before its numpy
+    doubling table: one running max in 1-D, a filter over the disc's
+    footprint in 2-D."""
     grid = family.grid
     mask = grid.offset_distances() < radius
     if mask.all():
@@ -487,6 +488,111 @@ def test_ball_filter_matches_reference_off_the_family_ladder(dim, n):
     assert not (dist < radii[-4]).all() and (dist < radii[-1]).all()
     for r in radii:
         assert np.array_equal(family.ball_filter(values, r), _ball_filter_reference(family, values, r)), r
+
+
+def _ball_max_by_rolls(grid, values, radius):
+    """Brute-force ball max: over every offset o of ``grid.ball_mask(radius)``,
+    the max of the values moved by -o with ``np.roll``."""
+    axes = tuple(range(grid.dim))
+    out = None
+    for o in np.argwhere(grid.ball_mask(radius)):
+        moved = np.roll(values, tuple(-o), axis=axes)
+        out = moved if out is None else np.maximum(out, moved)
+    return out
+
+
+def _with_signed_zeros(values, rng):
+    """``values`` with about a fifth of the cells set to -0.0 and a fifth to +0.0."""
+    u = rng.random(values.shape)
+    return np.where(u < 0.2, -0.0, np.where(u < 0.4, 0.0, values))
+
+
+def _assert_ball_filters_match_rolls(family, rng):
+    grid = family.grid
+    stack = _with_signed_zeros(rng.normal(size=(len(family),) + grid.shape), rng)
+    shared = stack[-1].copy()
+    stacked_out, shared_out = family.ball_filters(stack), family.ball_filters(shared)
+    assert stacked_out.shape == shared_out.shape == (len(family),) + grid.shape
+    for i, r in enumerate(family.radii.tolist()):
+        assert np.array_equal(stacked_out[i], _ball_max_by_rolls(grid, stack[i], r)), r
+        assert np.array_equal(shared_out[i], _ball_max_by_rolls(grid, shared, r)), r
+    # the max of -0.0 alone is -0.0
+    assert np.signbit(family.ball_filters(np.full(grid.shape, -0.0))).all()
+
+
+@pytest.mark.parametrize("per_octave", [1, 4, 32])
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 64), (1, 256), (2, 8), (2, 16), (2, 32)])
+def test_ball_filters_match_the_roll_oracle_bitwise(dim, n, per_octave):
+    # shared and stacked inputs holding signed zeros, every family radius
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    _assert_ball_filters_match_rolls(BallFamily.build(grid, per_octave), np.random.default_rng(n + per_octave))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 64), (2, 8), (2, 32)])
+def test_ball_filters_match_the_roll_oracle_off_the_ladder(dim, n):
+    # radii no ladder holds: between two cell distances or on one, half the
+    # box L, and beyond it, where some rows or every row of the ball is full
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    radii = np.array([0.5, 1.0, 2.5, 3.0, 13.0 / 3.0, n / 2.0, 0.6 * n, 0.75 * n, n]) * grid.spacing
+    assert (radii[-4:] >= grid.half_width).all()
+    dist = grid.offset_distances()
+    assert not (dist < radii[-4]).all() and (dist < radii[-1]).all()
+    _assert_ball_filters_match_rolls(BallFamily(grid, np.sort(radii)), np.random.default_rng(n))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)], ids=["1d-64", "2d-32"])
+def test_ball_filter_is_row_0_of_its_one_radius_family(dim, n):
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    family = BallFamily.build(grid, 4)
+    values = np.random.default_rng(7).normal(size=grid.shape)
+    rows = family.ball_filters(values)
+    for i, r in enumerate(family.radii.tolist()):
+        one = BallFamily(grid, np.array([r])).ball_filters(values)[0]
+        assert np.array_equal(family.ball_filter(values, r), one)
+        assert np.array_equal(rows[i], one)
+
+
+@pytest.mark.parametrize("dim, n, per_octave", [(1, 512, 32), (2, 64, 8)], ids=["1d-512", "2d-64"])
+def test_ball_filters_in_blocks_of_rows_match_one_block(monkeypatch, dim, n, per_octave):
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    family = BallFamily.build(grid, per_octave)
+    stack = np.random.default_rng(8).normal(size=(len(family),) + grid.shape)
+    monkeypatch.setattr(maximal, "FILTER_BLOCK_BYTES", 1 << 40)
+    whole = family.ball_filters(stack)
+    for block_bytes in (1, 3 << 16):  # one row per block; a few rows per block
+        monkeypatch.setattr(maximal, "FILTER_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(family.ball_filters(stack), whole), block_bytes
+
+
+def test_ball_filters_reject_a_stack_of_the_wrong_length():
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    family = BallFamily.build(grid, 4)
+    with pytest.raises(ValueError, match="one row per radius"):
+        family.ball_filters(np.zeros((len(family) - 1,) + grid.shape))
+
+
+def test_ball_runs_are_built_once_per_grid_and_radii():
+    grid = GridSpec(dim=2, half_width=2.0, points_per_axis=16)
+    radii = np.array([1.0, 2.5, 4.0]) * grid.spacing
+    maximal._ball_runs.cache_clear()
+    for _ in range(3):  # a family built again, as each decomposition builds its own
+        BallFamily(grid, radii.copy()).ball_filters(np.ones(grid.shape))
+    assert maximal._ball_runs.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 512), (2, 32), (2, 64)])
+def test_hl_maximal_matches_the_per_radius_loop_bitwise(dim, n):
+    # byte for byte, signed zeros included: trials, an input with exact zeros
+    # and -0.0 cells, and amplitudes near the ends of the float range
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    rng = np.random.default_rng(n)
+    f = SampledFunction(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+    x = grid.coordinate_mesh()[0]
+    signed = np.where(np.abs(x) < 0.5, np.cos(3 * x), np.where(x > 0, 0.0, -0.0))
+    inputs = [f, SampledFunction(grid, signed), 1e-300 * f, 1e300 * f]
+    inputs += [trial_function(0, t, grid) for t in range(4)] if n >= 64 else []
+    for g in inputs:
+        assert hl_maximal(g).values.tobytes() == hl_maximal_per_radius(g).values.tobytes()
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)], ids=["1d-64", "2d-32"])

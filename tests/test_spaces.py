@@ -902,6 +902,35 @@ def test_ap_characteristic_of_unit_weight():
         assert ap_characteristic(ones, p) == pytest.approx(1.0, rel=1e-12)
 
 
+def _ap_characteristic_per_radius(w, p):
+    """The ``ap_characteristic`` loop that one ``ball_filters`` call and the
+    cached offset counts replaced: per radius, the cell count of its
+    ``ball_mask`` and, at p = 1, its own ``ball_filter``."""
+    family = BallFamily.build(w.values.grid, spaces_mod.BALL_RADII_PER_OCTAVE)
+    omega = w.array
+    sums_w = family.ball_sums(omega)
+    if p != 1.0:
+        sums_dual = family.ball_sums(omega ** (1.0 / (1.0 - p)))
+    best = 0.0
+    for i, rad in enumerate(family.radii):
+        count = int(np.count_nonzero(family.grid.ball_mask(rad)))
+        mean_w = sums_w[i] / count
+        if p == 1.0:
+            vals = mean_w * family.ball_filter(1.0 / omega, rad)
+        else:
+            vals = mean_w * np.maximum(sums_dual[i] / count, 0.0) ** (p - 1.0)
+        best = max(best, float(vals.max()))
+    return best
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 32)], ids=["1d-256", "2d-32"])
+def test_ap_characteristic_matches_the_per_radius_loop_bitwise(dim, n):
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    w = power_weight(grid, 0.7)
+    for p in (1.0, 1.2, 2.0, 3.5):
+        assert ap_characteristic(w, p) == _ap_characteristic_per_radius(w, p), p
+
+
 def test_ap_characteristic_monotone_in_p():
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
     w = power_weight(grid, 0.5)
