@@ -16,33 +16,38 @@ centres once, by the largest radius whose doubled ball fits, and a claimed
 ball marks its cells through ``GridSpec.ball_offsets``.  Every ball's cells
 are ``GridSpec.ball_mask``'s.
 
-The pieces' cone functionals run as one batched pass
-(``squarefuncs.tent_functionals``): only the nonzero (piece, scale) rows are
-stacked, whole pieces up to ``squarefuncs.SCALE_SUM_CHUNK`` rows per batch,
-and each piece's scales are summed in frequency space before one inverse
-FFT, so no pieces x cells x scales array is built.  The pieces' balls come
-from one gather of their own cells' torus distances, their L^p sizes (kept
-per atom) from row-batched reductions, and the balls' indicators
-(``_ball_rows``) from one ``torus_window_view`` gather.  The sizes and the
-indicator norms (``ball_norms``) take one ``space_norms`` call each;
-``coefficient_functional`` adds its per-atom weights with one
-``np.bincount``.  A ``TentAtom`` keeps only its piece's cells and values;
-its dense field is built on demand.
+The pieces' cone functionals are exact interval sums, not FFTs
+(``_piece_functionals``): each first-axis row of a ball is one run of cells
+along the last axis (``GridSpec.ball_row_widths``), so a piece's squared
+cone functional is the cumulative sum of difference rows that one
+``np.bincount`` fills.  Pieces go in chunks of whole pieces within
+``PIECE_CHUNK`` elements, and each chunk's rows go straight into the
+``space_norms`` calls of the L^p sizes (kept per atom), so no pieces x cells
+stack is held.  The pieces' balls come from one gather of their own cells'
+torus distances, and the balls' indicators (``_ball_rows``) from one
+``torus_window_view`` gather whose norms (``ball_norms``) take one
+``space_norms`` call; ``coefficient_functional`` adds its per-atom weights
+with one ``np.bincount``.  A ``TentAtom`` keeps only its piece's cells and
+values; its dense field is built on demand.  ``tent_decompose`` divides
+every kept atom's values in one operation and checks them once, and
+``TentDecomposition.reconstruct`` adds them back in one scatter.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex
+from .grid import (OFFSET_CACHE_SIZE, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex,
+                   scale_to_unit_rows)
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import Lebesgue, SpaceDescriptor, space_norm, space_norms
-from .squarefuncs import tent_functional, tent_functionals
+from .squarefuncs import tent_functional
 from .transforms import apply_multiplier, build_plan
 
 __all__ = [
@@ -66,6 +71,11 @@ MAX_LEVELS = 22
 # the exponents p of the L^p sizes every atom is normalized for and the
 # decomposition keeps
 SIZE_EXPONENTS = (2.0, 4.0)
+# elements per chunk of pieces in ``_piece_functionals``, counting each
+# piece's difference rows and its (cell, ball row) runs: a chunk holds whole
+# pieces, as many as fit, and at least one (a 2-D N=64 chunk is about 250
+# pieces)
+PIECE_CHUNK = 1 << 20
 
 
 class Ball(NamedTuple):
@@ -112,6 +122,16 @@ class TentAtom:
     ball: Ball
     coefficient: float
 
+    @classmethod
+    def _trusted(cls, grid: GridSpec, scales: ScaleGrid, cells: np.ndarray, values: np.ndarray,
+                 ball: Ball, coefficient: float) -> "TentAtom":
+        """An atom of arrays its caller has already checked and made read-only
+        (``tent_decompose``), built without ``__post_init__``'s checks."""
+        atom = object.__new__(cls)
+        atom.__dict__.update(grid=grid, scales=scales, cells=cells, values=values, ball=ball,
+                             coefficient=coefficient)
+        return atom
+
     def __post_init__(self):
         cells = np.asarray(self.cells, dtype=np.intp)
         values = real_or_complex(self.values)
@@ -145,12 +165,17 @@ class TentDecomposition:
     sizes: dict[float, list[float]]
 
     def reconstruct(self) -> HalfSpaceField:
-        """The sum of coefficient times atom, a float field when there are no atoms."""
+        """The sum of coefficient times atom, a float field when there are no atoms.
+
+        The atoms' cells are disjoint, so one scatter adds 0.0 + coefficient
+        times value once per cell: bitwise the sum atom by atom."""
         dtype = np.result_type(float, *{atom.values.dtype for atom in self.atoms})
         total = np.zeros(self.grid.shape + (len(self.scales),), dtype=dtype)
-        flat = total.reshape(-1)
-        for atom in self.atoms:
-            flat[atom.cells] += atom.coefficient * atom.values
+        if self.atoms:
+            coefficients = np.repeat([atom.coefficient for atom in self.atoms],
+                                     [len(atom.cells) for atom in self.atoms])
+            total.reshape(-1)[np.concatenate([atom.cells for atom in self.atoms])] += (
+                coefficients * np.concatenate([atom.values for atom in self.atoms]))
         return HalfSpaceField(self.grid, self.scales, total)
 
 
@@ -176,6 +201,14 @@ def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray)
     return np.searchsorted(levels, np.moveaxis(minima, 0, -1), side="left") - 1
 
 
+@functools.lru_cache(maxsize=OFFSET_CACHE_SIZE)
+def _cell_windows(grid: GridSpec) -> np.ndarray:
+    """``torus_window_view`` of the cells' flat indices, built once per grid:
+    at ``center + offsets`` it reads the flat index of the cell at each
+    offset from the centre."""
+    return grid.torus_window_view(np.arange(grid.size).reshape(grid.shape))
+
+
 def _whitney_regions(
     grid: GridSpec, inside: np.ndarray, balls: BallFamily, double_fits: np.ndarray
 ) -> tuple[np.ndarray, list[Ball]]:
@@ -185,7 +218,7 @@ def _whitney_regions(
     whose B(x, 2 r_i) does) are claimed first; whatever remains is covered by
     single-cell regions.  Returns (region id array, leaders).
     """
-    radii, n = tuple(balls.radii.tolist()), grid.points_per_axis
+    radii = tuple(balls.radii.tolist())
     region = np.full(grid.size, -1, dtype=int)
     leaders: list[Ball] = []
     uncovered = inside.reshape(-1).copy()
@@ -200,23 +233,19 @@ def _whitney_regions(
     walk = np.flatnonzero(fit.any(axis=0))
     walk = walk[np.argsort(-top[walk], kind="stable")]
     offsets = grid.ball_offsets(radii)
+    ids = _cell_windows(grid)
     coords = (c.tolist() for c in np.unravel_index(walk, grid.shape))
-    for cell, ri, *center in zip(walk.tolist(), top[walk].tolist(), *coords):
+    for cell, ri, center in zip(walk.tolist(), top[walk].tolist(), zip(*coords)):
         if not uncovered[cell]:
             continue
         # the centre is uncovered and in its own ball: it claims at least itself
-        # the C-order flat index of each member, axis by axis
-        axes = zip(offsets[ri], center)
-        o, c = next(axes)
-        member = (o + c) % n
-        for o, c in axes:
-            member = member * n + (o + c) % n
+        member = ids[center + offsets[ri]]
         region[member[uncovered[member]]] = len(leaders)
-        leaders.append(Ball(center=tuple(center), radius=radii[ri]))
+        leaders.append(Ball(center=center, radius=radii[ri]))
         uncovered[member] = False
     rest = np.flatnonzero(uncovered)
     region[rest] = np.arange(len(leaders), len(leaders) + len(rest))
-    leaders += [Ball(center=tuple(center), radius=radii[0])
+    leaders += [Ball(center=center, radius=radii[0])
                 for center in zip(*(c.tolist() for c in np.unravel_index(rest, grid.shape)))]
     return region.reshape(grid.shape), leaders
 
@@ -249,12 +278,95 @@ def _fit_balls(grid: GridSpec, balls: BallFamily, centers: list[tuple[int, ...]]
     return out
 
 
+def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """The unit-aperture cone functional of every piece, piece i being F on
+    the cells ``pieces[i]`` (flat indices into ``grid.shape + (K,)``) and
+    zero elsewhere: yields ``(pieces of the chunk,) + grid.shape`` rows, one
+    chunk of whole pieces after another (``PIECE_CHUNK``).
+
+    A cell (y, t_k) adds c = w_k |F(y, t_k)|^2, w_k the scale's quadrature
+    weight, to the squared functional on B(y, t_k), whose first-axis rows are
+    runs along the last axis (``GridSpec.ball_row_widths``).  So each piece's
+    square is a cumulative sum of difference rows, one per (piece, first-axis
+    line) with a dropped column n: each (cell, ball row) adds +c at its run's
+    start and -c one past its end (a run ending at n puts it in the dropped
+    column), and a run that wraps past n ends at its end - n and adds one
+    more +c at 0; a full row (w = n) is taken to start at 0, so it never
+    wraps.  One ``np.bincount`` per chunk fills the
+    rows, adding each bin's terms in input order, so a piece's rows do not
+    depend on the chunk it falls in.  |F| is divided by the power of two of
+    its max before squaring and the root is scaled back, as ``scale_sums``
+    does; the squares are clipped at 0 against round-off.
+    """
+    grid, scales = F.grid, F.scales
+    n, k_count, lines = grid.points_per_axis, len(scales), grid.size // grid.points_per_axis
+    widths = grid.ball_row_widths(tuple(scales.scales.tolist()))
+    row_scale, row_dx = np.nonzero(widths)  # every (scale, ball row), scale-major
+    row_width, row_count = widths[row_scale, row_dx], np.bincount(row_scale, minlength=k_count)
+    row_first = np.cumsum(row_count) - row_count
+    weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
+    counts = [len(c) for c in pieces]
+    cells = np.concatenate([np.empty(0, dtype=np.intp), *pieces])
+    if not len(cells):
+        if pieces:
+            yield np.zeros((len(pieces),) + grid.shape)
+        return
+    spatial, k = np.divmod(cells, k_count)
+    owner = np.repeat(np.arange(len(pieces)), counts)
+    power = np.abs(F.values.reshape(-1)[cells])
+    exp = int(scale_to_unit_rows(power[None])[0])
+    np.square(power, out=power)
+    power *= weights[k]
+    runs = row_count[k]
+    cost = lines * (n + 1) + np.bincount(owner, runs, minlength=len(pieces))
+    ends, cell_ends = np.cumsum(cost), np.cumsum(counts)
+    lo = 0
+    while lo < len(pieces):
+        hi = max(int(np.searchsorted(ends, ends[lo] - cost[lo] + PIECE_CHUNK, side="right")), lo + 1)
+        first, last = (cell_ends[lo - 1] if lo else 0), cell_ends[hi - 1]
+        chunk_runs = runs[first:last]
+        cell = np.repeat(np.arange(first, last), chunk_runs)  # one entry per (cell, ball row)
+        ball_row = np.arange(len(cell)) + np.repeat(row_first[k[first:last]] - (np.cumsum(chunk_runs) - chunk_runs),
+                                                    chunk_runs)
+        width, y = row_width[ball_row], spatial[cell]
+        start = np.where(width == n, 0, (y % n - width // 2) % n)
+        end = start + width
+        # the run's difference row: its piece, and the line dx past the cell's own (1-D: the one line)
+        base = ((owner[cell] - lo) * lines + (y // n + row_dx[ball_row]) % lines) * (n + 1)
+        c, wraps = power[cell], end > n
+        diff = np.bincount(np.concatenate([base + start, base + end - n * wraps, base[wraps]]),
+                           np.concatenate([c, -c, c[wraps]]), minlength=(hi - lo) * lines * (n + 1))
+        rows = np.cumsum(diff.reshape(-1, n + 1)[:, :n], axis=1)
+        np.maximum(rows, 0.0, out=rows)
+        np.sqrt(rows, out=rows)
+        yield np.ldexp(rows, exp, out=rows).reshape((hi - lo,) + grid.shape)
+        lo = hi
+
+
+def _piece_sizes(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> list[list[float]]:
+    """Per p of ``SIZE_EXPONENTS``, the L^p norm of every piece's cone
+    functional (``_piece_functionals``), each chunk normed as it comes."""
+    sizes: list[list[float]] = [[] for _ in SIZE_EXPONENTS]
+    for rows in _piece_functionals(F, pieces):
+        for out, p in zip(sizes, SIZE_EXPONENTS):
+            out += space_norms(F.grid, rows, Lebesgue(p))
+    return sizes
+
+
+def _split(values: np.ndarray, bounds: Sequence[int]) -> list[np.ndarray]:
+    """``np.split(values, bounds)`` of a 1-D array, the views taken as plain
+    slices: ``np.split`` costs about a microsecond per part, and a
+    decomposition splits once per level and once per kept atom."""
+    edges = [0, *bounds, len(values)]
+    return [values[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
 def _groups(keys: np.ndarray, cells: np.ndarray):
     """(key, cells with that key) for each distinct key, keys ascending and
     each group's cells in their given order."""
     order = np.argsort(keys, kind="stable")
     distinct, starts = np.unique(keys[order], return_index=True)
-    return zip(distinct.tolist(), np.split(cells[order], starts[1:]))
+    return zip(distinct.tolist(), _split(cells[order], starts[1:].tolist()))
 
 
 def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> list[tuple[np.ndarray, tuple[int, ...]]]:
@@ -310,30 +422,38 @@ def tent_decompose(
     pieces = _pieces(F, area, balls)
 
     # every piece's ball in one gather and the balls' norms in one more, then
-    # its cone functional in one batched pass and its L^p sizes chunked like
-    # the ball norms, so the pieces' dense cone functionals are the one stack
-    # held at the peak
+    # its L^p sizes from its cone functional's interval sums, chunk by chunk
     cells = [piece_cells for piece_cells, _ in pieces]
     fitted = _fit_balls(grid, balls, [center for _, center in pieces], cells, scales.scales)
-    norms = ball_norms(grid, fitted, space)
-    areas = tent_functionals(F, 1.0, cells)
-    sizes = [space_norms(grid, areas, Lebesgue(p)) for p in SIZE_EXPONENTS]
+    norms = np.array(ball_norms(grid, fitted, space))
+    sizes = np.array(_piece_sizes(F, cells))
+    volumes = ball_volume(np.array([ball.radius for ball in fitted]), grid.dim)
+    lams = np.max([size * norms / volumes ** (1.0 / p) for p, size in zip(SIZE_EXPONENTS, sizes)], axis=0)
+    keep = np.flatnonzero(lams)
+    kept_lams = lams[keep]
+    kept_sizes = {p: (size[keep] / kept_lams).tolist()  # the L^p size is positively homogeneous
+                  for p, size in zip(SIZE_EXPONENTS, sizes)}
+    if not len(keep):
+        return TentDecomposition(atoms=[], grid=grid, scales=scales, ball_norms=[], sizes=kept_sizes)
 
-    flat = F.values.reshape(-1)
-    atoms: list[TentAtom] = []
-    kept_norms: list[float] = []
-    kept_sizes: dict[float, list[float]] = {p: [] for p in SIZE_EXPONENTS}
-    for piece_cells, ball, norm_1b, piece_sizes in zip(cells, fitted, norms, zip(*sizes)):
-        lam = max(
-            size * norm_1b / ball_volume(ball.radius, grid.dim) ** (1.0 / p)
-            for p, size in zip(SIZE_EXPONENTS, piece_sizes)
-        )
-        if lam != 0.0:
-            atoms.append(TentAtom(grid, scales, piece_cells, flat[piece_cells] / lam, ball, lam))
-            kept_norms.append(norm_1b)
-            for p, size in zip(SIZE_EXPONENTS, piece_sizes):
-                kept_sizes[p].append(size / lam)  # the L^p size is positively homogeneous
-    return TentDecomposition(atoms=atoms, grid=grid, scales=scales, ball_norms=kept_norms, sizes=kept_sizes)
+    # every kept atom's values in one division and one finiteness check:
+    # bitwise each piece's own F / lam
+    counts = [len(cells[i]) for i in keep.tolist()]
+    kept_cells = np.concatenate([cells[i] for i in keep.tolist()])
+    values = F.values.reshape(-1)[kept_cells] / np.repeat(kept_lams, counts)
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    kept_cells.setflags(write=False)
+    values.setflags(write=False)
+    bounds = np.cumsum(counts[:-1]).tolist()
+    piece_values = _split(values, bounds)
+    if np.iscomplexobj(values):  # a piece without imaginary parts keeps float values, as real_or_complex gives
+        piece_values = [v if v.imag.any() else real_or_complex(v) for v in piece_values]
+    atoms = [TentAtom._trusted(grid, scales, piece_cells, v, fitted[i], lam)
+             for i, lam, piece_cells, v in zip(keep.tolist(), kept_lams.tolist(), _split(kept_cells, bounds),
+                                               piece_values)]
+    return TentDecomposition(atoms=atoms, grid=grid, scales=scales, ball_norms=norms[keep].tolist(),
+                             sizes=kept_sizes)
 
 
 def synthesize_molecule(atom: TentAtom, psi: Kernel) -> Molecule:

@@ -6,7 +6,8 @@ multiplicative grid t_k = t_min * 2^((k+1/2)/J) with the midpoint-in-log
 quadrature weight ln(2)/J for the measure dt/t.  Sampled values are
 float64 unless some imaginary part is nonzero (``real_or_complex``).
 A torus ball's cells are decided in one place, ``GridSpec.ball_mask``, and
-listed in one place, ``GridSpec.ball_offsets``; every read of values at
+listed in one place, ``GridSpec.ball_offsets`` (as row runs,
+``GridSpec.ball_row_widths``); every read of values at
 shifted cells goes through ``GridSpec.torus_window_view``.
 """
 
@@ -138,6 +139,19 @@ class GridSpec:
                 a.setflags(write=False)
             out.append(axes)
         return tuple(out)
+
+    @functools.lru_cache(maxsize=OFFSET_CACHE_SIZE)
+    def ball_row_widths(self, radii: tuple[float, ...]) -> np.ndarray:
+        """Per radius r, the number of cells of ``ball_mask(r)`` in each
+        first-axis row (offset dx = 0..n-1; a 1-D ball is the one row dx = 0),
+        a read-only ``(len(radii), rows)`` integer array built once per (grid,
+        radii).  A row of w cells about a centre c is the run of last-axis
+        offsets [-(w // 2), w - w // 2): w is odd, or n for a full row."""
+        n = self.points_per_axis
+        masks = np.array([self.ball_mask(r) for r in radii], dtype=bool).reshape(len(radii), self.size // n, n)
+        widths = np.count_nonzero(masks, axis=2)
+        widths.setflags(write=False)
+        return widths
 
     def torus_window_view(self, values: np.ndarray) -> np.ndarray:
         """Read-only view ``w`` with ``w[s][x] = values[(x + s) mod n]`` for every
@@ -293,8 +307,9 @@ class FieldStack:
     i-th (see ``transforms.build_fields``).
 
     Only the batched operators (``squarefuncs.tent_functionals``,
-    ``g_functions``, ``g_lambda_stars``) take a stack; they take a
-    ``HalfSpaceField`` as a stack of one.
+    ``g_functions``, ``g_lambda_stars`` and the ``scale_sums`` under them)
+    take a stack, one output row per field; they take a ``HalfSpaceField``
+    as a stack of one.
     """
 
     grid: GridSpec

@@ -200,8 +200,7 @@ def _ball_runs(
     """
     n = grid.points_per_axis
     runs = []
-    for r in radii:
-        widths = np.count_nonzero(grid.ball_mask(r).reshape(-1, n), axis=1).tolist()
+    for widths in grid.ball_row_widths(radii).tolist():
         rows = []
         for dx, w in enumerate(widths):
             if w:

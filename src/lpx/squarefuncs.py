@@ -11,13 +11,15 @@ are cached (``ball_spectra``), the cone and g*_lambda tables with each
 scale's row multiplied in place by its quadrature weight (``cone_spectra``,
 ``gstar_spectra``, both through ``_scale_weighted``), so each is held once.
 The sum over scales runs in frequency space (``scale_sums``): |F|^2 is
-taken once and each batch of its (field or piece, scale) rows is transformed
-once, however many tables read it; per table, each row's spectrum times its
-table row, summed over the scales, then one inverse FFT per field or piece.
-Every table but the last multiplies a copy of the spectra in place (``*=``;
+taken once and each batch of its (field, scale) rows is transformed once,
+however many tables read it; per table, each row's spectrum times its table
+row, summed over the scales, then one inverse FFT per field.  Every table
+but the last multiplies a copy of the spectra in place (``*=``;
 ``spectra * table`` can differ in the last bit), so each table's rows are
-bitwise its one-table value.  A (field or piece, scale) row whose |F|^2 is
-zero is the only one skipped.  The plural forms
+bitwise its one-table value.  A (field, scale) row whose |F|^2 is zero is
+the only one skipped.  (The cone functionals of a decomposition's pieces,
+which hold a few cells per scale, are interval sums in
+``atoms._piece_functionals`` instead.)  The plural forms
 (``tent_functionals``, ``g_functions``, ``g_lambda_stars``) take a
 ``FieldStack`` (``transforms.build_fields``) or one ``HalfSpaceField``, real
 or complex, and return one real row per field, each bitwise the one-field
@@ -47,10 +49,9 @@ __all__ = ["tent_functional", "tent_functionals", "lusin_area", "g_function", "g
 # kernel spectra kept per (grid, radii) or (grid, scales, aperture or lambda);
 # a 2-D N=64 table over 64 scales is 2.2 MB
 SPECTRA_CACHE_SIZE = 8
-# (piece or field, scale) rows per batch of ``scale_sums``: a batch holds
-# whole pieces (or fields), as many as fit, and at least one, so its
-# temporaries stay within max(SCALE_SUM_CHUNK, K) rows (a 2-D N=64 chunk of
-# rows is 8 MB)
+# (field, scale) rows per batch of ``scale_sums``: a batch holds whole
+# fields, as many as fit, and at least one, so its temporaries stay within
+# max(SCALE_SUM_CHUNK, K) rows (a 2-D N=64 chunk of rows is 8 MB)
 SCALE_SUM_CHUNK = 256
 
 
@@ -106,9 +107,9 @@ def _unit_powers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batches(owner: np.ndarray) -> Iterator[list[int]]:
-    """``scale_sums``' batches, given each kept row's piece (piece-major,
-    then scale): per batch, the row offsets where its pieces start, then its
-    end.  A batch holds whole pieces, as many as fit ``SCALE_SUM_CHUNK`` rows,
+    """``scale_sums``' batches, given each kept row's field (field-major,
+    then scale): per batch, the row offsets where its fields start, then its
+    end.  A batch holds whole fields, as many as fit ``SCALE_SUM_CHUNK`` rows,
     and at least one."""
     bounds = np.append(np.flatnonzero(np.diff(owner, prepend=-1)), len(owner))
     first = 0
@@ -118,65 +119,37 @@ def _batches(owner: np.ndarray) -> Iterator[list[int]]:
         first = last
 
 
-def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray],
-               pieces: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """sqrt(sum_k |P(., t_k)|^2 correlated with kernel k) for each piece P and
-    each table, row k of a table being the spectrum of kernel k, weight
-    included (``cone_spectra``, ``gstar_spectra``).
+def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """sqrt(sum_k |F(., t_k)|^2 correlated with kernel k) for each field of F
+    (one, or each of a ``FieldStack``) and each table, row k of a table being
+    the spectrum of kernel k, weight included (``cone_spectra``,
+    ``gstar_spectra``).
 
-    With ``pieces=None`` every field of F (one, or each of a ``FieldStack``)
-    is one piece; otherwise F is one field and piece i is F on the cells
-    ``pieces[i]`` (flat indices into ``grid.shape + (K,)``) and zero
-    elsewhere.  A (piece, scale) row whose slice is zero adds exactly zero
-    and is skipped.  The sum runs in frequency space: |F|^2 is taken once
+    A (field, scale) row whose slice is zero adds exactly zero and is
+    skipped.  The sum runs in frequency space: |F|^2 is taken once
     (``_unit_powers``) and each batch of kept rows is transformed once; per
-    table, each row's spectrum times its table row, summed per piece left to
-    right in scale order, then one inverse FFT per piece.  Every table but
+    table, each row's spectrum times its table row, summed per field left to
+    right in scale order, then one inverse FFT per field.  Every table but
     the last multiplies a copy of the batch's spectra in place, the last the
     spectra themselves, so each table's rows are bitwise what a one-table
-    call gives.  A batch holds whole pieces (``_batches``), so each
-    piece's sum is bitwise what a call on that piece alone gives.  Returns
-    ``(len(tables), pieces) + grid.shape``.
+    call gives.  A batch holds whole fields (``_batches``), so each field's
+    sum is bitwise what a call on that field alone gives.  Returns
+    ``(len(tables), fields) + grid.shape``.
     """
     grid = F.grid
     field_power, exps = _unit_powers(F.stack)
     k_count = field_power.shape[-1]
     power = np.moveaxis(field_power.reshape(len(field_power), grid.size, k_count), -1, 1)
-    if pieces is None:
-        owner, scale = np.divmod(np.flatnonzero((power != 0).any(axis=2)), k_count)  # field-major, then scale
-        count = len(power)
-
-        def rows(lo: int, hi: int) -> np.ndarray:
-            return power[owner[lo:hi], scale[lo:hi]].reshape((hi - lo,) + grid.shape)
-    else:
-        if len(power) != 1:
-            raise ValueError("pieces are cells of a single field")
-        cells = np.concatenate([np.empty(0, dtype=np.intp), *pieces])
-        spatial, k = np.divmod(cells, k_count)
-        cell_power = field_power.reshape(-1)[cells]
-        key = np.repeat(np.arange(len(pieces)) * k_count, [len(c) for c in pieces]) + k
-        row_keys = np.unique(key[cell_power != 0])  # piece-major, then scale
-        owner, scale = np.divmod(row_keys, k_count)
-        slot = np.full(len(pieces) * k_count, -1)
-        slot[row_keys] = np.arange(len(row_keys))
-        row = slot[key]  # -1: the cell's (piece, scale) row is skipped
-        count = len(pieces)
-
-        def rows(lo: int, hi: int) -> np.ndarray:
-            sel = (row >= lo) & (row < hi)
-            block = np.zeros((hi - lo, grid.size))
-            block[row[sel] - lo, spatial[sel]] = cell_power[sel]
-            return block.reshape((hi - lo,) + grid.shape)
-
-    acc = np.zeros((len(tables), count) + grid.shape)
+    owner, scale = np.divmod(np.flatnonzero((power != 0).any(axis=2)), k_count)  # field-major, then scale
+    acc = np.zeros((len(tables), len(power)) + grid.shape)
     for edges in _batches(owner):
         lo, hi = edges[0], edges[-1]
-        spectra = spectrum(rows(lo, hi), grid.dim)
+        spectra = spectrum(power[owner[lo:hi], scale[lo:hi]].reshape((hi - lo,) + grid.shape), grid.dim)
         for t, table in enumerate(tables):
             products = spectra if t == len(tables) - 1 else spectra.copy()
             products *= table[scale[lo:hi]]
             summed = np.empty((len(edges) - 1,) + products.shape[1:], dtype=products.dtype)
-            for j, (s, e) in enumerate(zip(edges, edges[1:])):  # each piece's own rows, left to right
+            for j, (s, e) in enumerate(zip(edges, edges[1:])):  # each field's own rows, left to right
                 np.add.reduce(products[s - lo:e - lo], axis=0, out=summed[j])
             acc[t, owner[edges[:-1]]] = inverse_spectrum(summed, grid.shape)
     np.maximum(acc, 0.0, out=acc)
@@ -197,13 +170,10 @@ def tent_functional(F: HalfSpaceField, alpha: float) -> SampledFunction:
     return SampledFunction(F.grid, tent_functionals(_one_field(F), alpha)[0])
 
 
-def tent_functionals(F: HalfSpaceField | FieldStack, alpha: float,
-                     pieces: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """``tent_functional`` of every piece at once, one row per piece, each
-    bitwise the one-piece value.  Piece i is the field F on the cells
-    ``pieces[i]`` (flat indices into ``grid.shape + (K,)``) and zero
-    elsewhere; ``pieces=None`` makes each field of F one piece."""
-    return scale_sums(F, [cone_spectra(F.grid, F.scales, alpha)], pieces)[0]
+def tent_functionals(F: HalfSpaceField | FieldStack, alpha: float) -> np.ndarray:
+    """``tent_functional`` of every field of F, one row per field, each
+    bitwise the one-field value."""
+    return scale_sums(F, [cone_spectra(F.grid, F.scales, alpha)])[0]
 
 
 def lusin_area(F: HalfSpaceField) -> SampledFunction:

@@ -7,6 +7,7 @@ import pytest
 from lpx import atoms, maximal, squarefuncs
 from lpx.atoms import (
     Ball,
+    TentAtom,
     TentDecomposition,
     ball_norms,
     coefficient_functional,
@@ -15,12 +16,13 @@ from lpx.atoms import (
 )
 from helpers import (atom_from_field, ball_indicator, check_atom, check_molecule, default_molecule_decay,
                      tent_atom_size, tent_mask)
-from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_frequency
+from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_frequency, real_or_complex
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
-from lpx.spaces import Lebesgue, MixedNorm, Morrey, WeightedLebesgue, descriptor_from_json, power_weight, space_norm
-from lpx.squarefuncs import ball_spectra, cone_spectra, tent_functional, tent_functionals
+from lpx.spaces import (Lebesgue, MixedNorm, Morrey, WeightedLebesgue, descriptor_from_json, power_weight, space_norm,
+                        space_norms)
+from lpx.squarefuncs import ball_spectra, cone_spectra, tent_functional
 from lpx.transforms import build_field, build_fields, build_plan, correlate, inverse_spectrum, spatial_kernel, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
@@ -157,6 +159,7 @@ def test_every_ball_reader_leaves_out_the_cells_on_the_boundary(dim, n, cells):
     assert np.array_equal(ball_spectra(grid, (r,))[0], spectrum(expected.astype(float), dim))
     assert np.array_equal(np.stack(grid.ball_offsets((r,))[0]), np.stack(np.nonzero(expected)))
     widths = np.count_nonzero(expected.reshape(-1, n), axis=1)
+    assert np.array_equal(grid.ball_row_widths((r,))[0], widths)
     runs = maximal._ball_runs(grid, (r,))[0][0]
     run_widths = [(dx, (b - a) % n + (1 << k)) for dx, k, a, b in runs]
     assert run_widths == [(dx, w) for dx, w in enumerate(widths.tolist()) if w]
@@ -200,6 +203,10 @@ def _one_piece_spectral_reference(F):
 # Where a sum is 0 either path leaves FFT round-off of about 1e-16 of the max,
 # whose root is about 1e-8 of the root's max, so the roots are not compared.
 FUNCTIONAL_TOL, COEFFICIENT_RTOL = 1e-14, 1e-13
+# the pieces' interval-sum sizes against the FFT piece path they replaced,
+# relative, and with them the coefficients and atom values (measured: at most
+# 3.4e-15 on the decompose-1d inputs, 1.7e-15 on 2-D N=64)
+SIZE_RTOL = 1e-14
 
 
 def _assert_near_spatial(fast, spatial):
@@ -386,17 +393,24 @@ def _coefficient_functional_reference(decomp, space):
 
 
 def _assert_matches_dense_reference(dec, reference, space):
+    """The decomposition against the FFT per-piece reference: the same balls,
+    cells and ball norms bitwise; the coefficients, atom values, rebuilt
+    field and coefficient functional within ``SIZE_RTOL``, as the pieces'
+    sizes come from interval sums, not from the reference's FFTs."""
     ref_atoms, ref_total = reference
     assert len(dec.atoms) == len(ref_atoms)
+    grid, scales = dec.grid, dec.scales
     for atom, (ball, lam, values) in zip(dec.atoms, ref_atoms):
         assert atom.ball == ball
-        assert atom.coefficient == lam
-        assert np.array_equal(atom.field.values, values)
-    assert np.array_equal(dec.reconstruct().values, ref_total)
-    grid, scales = dec.grid, dec.scales
+        assert np.array_equal(atom.cells, np.flatnonzero(values))
+        assert atom.coefficient == pytest.approx(lam, rel=SIZE_RTOL, abs=0.0)
+        np.testing.assert_allclose(atom.field.values, values, rtol=SIZE_RTOL, atol=0.0)
+    assert dec.ball_norms == [space_norm(ball_indicator(grid, atom.ball), space) for atom in dec.atoms]
+    np.testing.assert_allclose(dec.reconstruct().values, ref_total, rtol=SIZE_RTOL, atol=0.0)
     ref_dec = TentDecomposition([atom_from_field(HalfSpaceField(grid, scales, values), ball, lam)
                                  for ball, lam, values in ref_atoms], grid, scales, dec.ball_norms, dec.sizes)
-    assert coefficient_functional(dec, space) == _coefficient_functional_reference(ref_dec, space)
+    assert coefficient_functional(dec, space) == pytest.approx(_coefficient_functional_reference(ref_dec, space),
+                                                               rel=SIZE_RTOL, abs=0.0)
 
 
 def _assert_near_spatial_decomposition(dec, F, space, balls):
@@ -480,21 +494,34 @@ def test_decomposition_sizes_match_each_atom_size(case):
 
 
 def _decomposition_pieces(F, balls):
-    """The piece cell indices ``tent_decompose`` hands to the batched pass."""
+    """The piece cell indices ``tent_decompose`` sizes."""
     seen = []
 
-    def record(F, alpha, pieces):
+    def record(F, pieces):
         seen.extend(pieces)
-        return tent_functionals(F, alpha, pieces)
+        return piece_functionals(F, pieces)
 
+    piece_functionals = atoms._piece_functionals
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(atoms, "tent_functionals", record)
+        mp.setattr(atoms, "_piece_functionals", record)
         tent_decompose(F, Lebesgue(2.0), balls)
     return seen
 
 
-CHUNK_CASES = [("1d-256-field", None), ("1d-64-field", 7), ("1d-64-stray", 1), ("2d-16-field", 7),
-               ("2d-16-stray", 1), ("2d-32-field", None)]
+def _chunked_functionals(F, pieces):
+    """Every piece's row of ``atoms._piece_functionals`` and the pieces per chunk."""
+    chunks = list(atoms._piece_functionals(F, pieces))
+    return np.concatenate([np.empty((0,) + F.grid.shape), *chunks]), [len(c) for c in chunks]
+
+
+def _sizes(grid, rows):
+    """The L^p norm of every row, per p of ``SIZE_EXPONENTS``."""
+    return [space_norms(grid, rows, Lebesgue(p)) for p in atoms.SIZE_EXPONENTS]
+
+
+# (case, PIECE_CHUNK elements): budgets of several pieces per chunk, and of one
+CHUNK_CASES = [("1d-256-field", 4096), ("1d-64-field", 300), ("1d-64-stray", 1), ("2d-16-field", 1000),
+               ("2d-16-stray", 1), ("2d-32-field", 20000)]
 
 
 @pytest.mark.parametrize("case,chunk", CHUNK_CASES, ids=[c for c, _ in CHUNK_CASES])
@@ -506,30 +533,152 @@ def test_piece_functionals_span_chunks_bitwise(monkeypatch, case, chunk):
         F = _field_case(int(dim[0]), int(n), kind)
         balls = BallFamily.build(F.grid, 2)
     pieces = _decomposition_pieces(F, balls)
+    monkeypatch.setattr(atoms, "PIECE_CHUNK", 1 << 62)
+    whole, counts = _chunked_functionals(F, pieces)
+    assert counts == [len(pieces)]  # one chunk
+    monkeypatch.setattr(atoms, "PIECE_CHUNK", chunk)
+    rows, counts = _chunked_functionals(F, pieces)
+    # whole pieces per chunk, several chunks, and several pieces per chunk unless the budget is one
+    assert sum(counts) == len(pieces) and len(counts) > 1 and (max(counts) > 1) == (chunk > 1)
+    assert np.array_equal(rows, whole)
     masks = [_cells_mask(F, cells) for cells in pieces]
-    live_rows = sum(int(np.any(np.where(m, F.values, 0) != 0, axis=tuple(range(F.grid.dim))).sum())
-                    for m in masks)
-    if chunk is not None:
-        monkeypatch.setattr(squarefuncs, "SCALE_SUM_CHUNK", chunk)
-    assert live_rows > squarefuncs.SCALE_SUM_CHUNK  # the rows fill more than one chunk
-    batches = []
-
-    def record(values, dim):
-        batches.append(len(values))
-        return spectrum(values, dim)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(squarefuncs, "spectrum", record)
-        fast = tent_functionals(F, 1.0, pieces)
-    # whole pieces per batch: within SCALE_SUM_CHUNK rows, or one piece's K rows
-    assert sum(batches) == live_rows and max(batches) <= max(squarefuncs.SCALE_SUM_CHUNK, len(F.scales))
-    assert np.array_equal(fast, _piece_functionals_reference(F, 1.0, masks))
-    _assert_near_spatial(fast, _piece_functionals_reference(F, 1.0, masks, _one_piece_functional_reference))
-    assert tent_functionals(F, 1.0, []).shape == (0,) + F.grid.shape
+    reference = _piece_functionals_reference(F, 1.0, masks)
+    _assert_near_spatial(rows, reference)
+    _assert_near_spatial(rows, _piece_functionals_reference(F, 1.0, masks, _one_piece_functional_reference))
+    for fast, ref in zip(_sizes(F.grid, rows), _sizes(F.grid, reference)):
+        assert fast == pytest.approx(ref, rel=SIZE_RTOL, abs=0.0)
+    assert list(atoms._piece_functionals(F, [])) == []
     # the one-piece case is the field's own cone functional
     whole = tent_functional(F, 1.0).values
     assert np.array_equal(whole, _one_piece_spectral_reference(F))
     _assert_near_spatial(whole[None], _one_piece_functional_reference(F)[None])
+    _assert_near_spatial(_chunked_functionals(F, [np.flatnonzero(F.values)])[0], whole[None])
+
+
+@pytest.mark.parametrize("case", ["1d-256-benchmark", "2d-16-stray"])
+def test_decomposition_sizes_do_not_depend_on_the_chunk_budget(monkeypatch, case):
+    if case == "1d-256-benchmark":
+        F = build_field(trial_function(5, 0, GRID), build_plan(build_annular_kernel(GRID), SCALES))
+        balls = BALLS
+    else:
+        F = _field_case(2, 16, "stray")
+        balls = BallFamily.build(F.grid, 2)
+    dec = tent_decompose(F, LEBESGUE, balls)
+    monkeypatch.setattr(atoms, "PIECE_CHUNK", 1)  # one piece per chunk
+    one = tent_decompose(F, LEBESGUE, balls)
+    assert dec.sizes == one.sizes and [a.coefficient for a in dec.atoms] == [a.coefficient for a in one.atoms]
+
+
+def _brute_force_piece_functional(F, cells):
+    """A piece's unit-aperture cone functional cell by cell, without FFTs:
+    each cell (y, t_k) adds w_k |F(y, t_k)|^2 on ``grid.ball_mask(t_k)``
+    rolled to y, w_k the scale's quadrature weight."""
+    grid, scales = F.grid, F.scales
+    weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
+    flat = F.values.reshape(-1)
+    acc = np.zeros(grid.shape)
+    axes = tuple(range(grid.dim))
+    for cell in cells.tolist():
+        point, k = divmod(cell, len(scales))
+        mask = np.roll(grid.ball_mask(scales.scales[k]), np.unravel_index(point, grid.shape), axis=axes)
+        acc += weights[k] * abs(flat[cell]) ** 2 * mask
+    return np.sqrt(acc)
+
+
+def _run_kinds(F, cells):
+    """Which kinds of ball-row runs the cells make: a run (narrower than the
+    line) ending exactly at n, one wrapping past n, and full rows."""
+    n = F.grid.points_per_axis
+    widths = F.grid.ball_row_widths(tuple(F.scales.scales.tolist()))
+    point, k = np.divmod(cells, len(F.scales))
+    w = widths[k]
+    end = (point[:, None] % n - w // 2) % n + w
+    part = (w > 0) & (w < n)
+    return {"ends at n": bool((part & (end == n)).any()), "wraps": bool((part & (end > n)).any()),
+            "full rows": bool((w == n).any())}
+
+
+INTERVAL_CASES = ["1d-64-real", "1d-64-complex", "1d-64-underflow", "2d-16-real", "2d-16-complex", "2d-16-underflow"]
+
+
+@pytest.mark.parametrize("case", INTERVAL_CASES)
+def test_piece_functionals_match_the_brute_force_and_fft_references(case):
+    dim, n, kind = case.split("-")
+    grid = GridSpec(dim=int(dim[0]), half_width=2.0, points_per_axis=int(n))
+    scales = ScaleGrid(1 / 8, 8.0, 4)  # up to balls of more than the box: full rows
+    rng = np.random.default_rng(int(n) + int(dim[0]))
+    values = rng.normal(size=grid.shape + (len(scales),))
+    if kind == "complex":
+        values = values + 1j * rng.normal(size=values.shape)
+    elif kind == "underflow":  # support cells whose unit-scaled |F|^2 is 0
+        values[grid.coordinate_mesh()[0] < 0] *= 1e-200
+    F = HalfSpaceField(grid, scales, values)
+    cells = rng.permutation(F.values.size)
+    edges = np.cumsum([1, 2, 5, 30, 200, F.values.size // 3])
+    pieces = np.split(cells, edges)
+    column = np.arange(len(scales)) + (grid.size - 1) * len(scales)  # every scale at the last point
+    pieces += [column, np.sort(cells[:2])]
+    if kind == "underflow":
+        unit = np.abs(F.values) / 2.0 ** np.frexp(np.abs(F.values).max())[1]
+        assert ((unit**2 == 0.0) & (unit > 0.0)).any()
+        weak = np.flatnonzero(np.broadcast_to((grid.coordinate_mesh()[0] < 0)[..., None], F.values.shape))
+        pieces.append(weak[:50])
+    assert _run_kinds(F, cells) == {"ends at n": True, "wraps": True, "full rows": True}
+    rows, _ = _chunked_functionals(F, pieces)
+    brute = np.array([_brute_force_piece_functional(F, cells) for cells in pieces])
+    _assert_near_spatial(rows, brute)
+    reference = _piece_functionals_reference(F, 1.0, [_cells_mask(F, cells) for cells in pieces])
+    _assert_near_spatial(rows, reference)
+    for fast, ref, spectral in zip(_sizes(grid, rows), _sizes(grid, brute), _sizes(grid, reference)):
+        assert fast == pytest.approx(ref, rel=SIZE_RTOL, abs=0.0)
+        assert fast == pytest.approx(spectral, rel=SIZE_RTOL, abs=0.0)
+    if kind == "underflow":
+        assert not rows[-1].any() and not np.signbit(rows).any()
+
+
+def _mixed_complex_field():
+    """A complex field whose imaginary part is zero on the left half of the
+    box, so some of its pieces are real and some complex."""
+    F = random_field(4)
+    imag = random_field(5).values * (GRID.coordinate_mesh()[0] > 0)[..., None]
+    return HalfSpaceField(GRID, SCALES, F.values + 1j * imag)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_atoms_are_each_pieces_quotient_and_rebuild_as_the_per_atom_sum_bitwise(kind):
+    F = random_field(4) if kind == "real" else _mixed_complex_field()
+    dec = tent_decompose(F, LEBESGUE, BALLS)
+    flat = F.values.reshape(-1)
+    dtypes = set()
+    for atom in dec.atoms:
+        # one division for every atom is bitwise each piece's own, and the
+        # values keep real_or_complex's dtype per atom
+        expected = real_or_complex(flat[atom.cells] / atom.coefficient)
+        assert atom.values.dtype == expected.dtype and np.array_equal(atom.values, expected)
+        assert atom.cells.dtype == np.intp
+        assert not atom.values.flags.writeable and not atom.cells.flags.writeable
+        dtypes.add(atom.values.dtype)
+    assert dtypes == ({np.dtype(float)} if kind == "real" else {np.dtype(float), np.dtype(complex)})
+    # one scatter is bitwise the atom-by-atom sum
+    total = np.zeros(F.values.shape, dtype=np.result_type(float, *dtypes))
+    for atom in dec.atoms:
+        total.reshape(-1)[atom.cells] += atom.coefficient * atom.values
+    rebuilt = dec.reconstruct().values
+    assert rebuilt.dtype == total.dtype and np.array_equal(rebuilt, total)
+    assert np.max(np.abs(rebuilt - F.values)) <= 1e-12
+
+
+def test_a_non_finite_atom_value_raises(monkeypatch):
+    # sizes near the bottom of the float range make coefficients whose quotients overflow
+    monkeypatch.setattr(atoms, "_piece_sizes", lambda F, pieces: [[1e-310] * len(pieces)] * 2)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="values must be finite"):
+        tent_decompose(random_field(1), LEBESGUE, BALLS)
+    # the public constructor keeps its own checks
+    ball = Ball((0,), 1.0)
+    with pytest.raises(ValueError, match="values must be finite"):
+        TentAtom(GRID, SCALES, np.array([0, 1]), np.array([1.0, np.inf]), ball, 1.0)
+    with pytest.raises(ValueError, match="matching"):
+        TentAtom(GRID, SCALES, np.array([0, 1]), np.array([1.0]), ball, 1.0)
 
 
 def _oracle_balls(grid, count):

@@ -6,13 +6,13 @@ equivalence experiment must raise in no layer and build each trial's
 phi-field and psi-field exactly once (in trial blocks, through
 ``build_fields``);
 a traced tent decomposition evaluates the cone functional once for the field
-and once, batched, for all of its pieces.
+and once, in one chunked pass, for each of its pieces.
 ``perfbench/workloads.py`` keeps its own copy of the five test spaces."""
 
 import importlib.util
 from pathlib import Path
 
-from lpx import atoms, harness, kernels, maximal, squarefuncs, transforms
+from lpx import atoms, harness, kernels, maximal, transforms
 from lpx.grid import GridSpec, ScaleGrid
 from lpx.spaces import Lebesgue, space_norm
 
@@ -68,13 +68,17 @@ def test_traced_decomposition_evaluates_each_piece_once(monkeypatch):
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
     plan = transforms.build_plan(kernels.build_annular_kernel(grid), ScaleGrid(1 / 16, 2.0, 4))
     F = transforms.build_field(harness.trial_function(0, 3, grid), plan)
-    batched = []
+    batched = []  # per call of the pieces' cone functionals, its pieces and the rows it gave
 
-    def counted(F, alpha, masks=None):
-        batched.append(len(masks))
-        return squarefuncs.tent_functionals(F, alpha, masks)
+    def counted(F, pieces):
+        rows = 0
+        for chunk in piece_functionals(F, pieces):
+            rows += len(chunk)
+            yield chunk
+        batched.append((len(pieces), rows))
 
-    monkeypatch.setattr(atoms, "tent_functionals", counted)
+    piece_functionals = atoms._piece_functionals
+    monkeypatch.setattr(atoms, "_piece_functionals", counted)
     tracer = layers.Tracer()
     tracer.install()
     try:
@@ -84,9 +88,10 @@ def test_traced_decomposition_evaluates_each_piece_once(monkeypatch):
     finally:
         tracer.uninstall()
     assert metrics["atoms.tent_decompose.atoms"] > 0
-    # the field's cone functional once, then every piece's in one batched call
+    # the field's cone functional once, then every piece's in one chunked
+    # pass, one row per piece
     assert metrics["squarefuncs.tent_functional.calls"] == 1
-    assert len(batched) == 1 and batched[0] >= metrics["atoms.tent_decompose.atoms"]
+    assert len(batched) == 1 and batched[0][0] == batched[0][1] >= metrics["atoms.tent_decompose.atoms"]
 
 
 def test_five_spaces_match_the_benchmark_copy(tmp_path):

@@ -377,8 +377,6 @@ def test_field_stack_operators_match_one_field_calls_bitwise(case, monkeypatch):
         assert np.array_equal(row, g_function(F).values.real)
     with pytest.raises(LambdaTooSmall):
         g_lambda_stars(stack, 1.0)
-    with pytest.raises(ValueError, match="single field"):
-        tent_functionals(stack, 1.0, [np.arange(3)])
     # a stack handed to a one-field operator is refused, not read as its first field
     for singular in (lambda F: tent_functional(F, 1.0), lusin_area, g_function, lambda F: g_lambda_star(F, 1.5)):
         with pytest.raises(TypeError, match="FieldStack"):
@@ -421,17 +419,6 @@ def test_scale_sums_rows_are_the_one_table_rows_bitwise(case):
         assert rows.shape == (len(picks), len(F.stack)) + grid.shape
         for (kind, v), row in zip(picks, rows):
             assert np.array_equal(row, one_table[kind](F, v)), (kind, v)
-
-
-def test_scale_sums_of_pieces_are_the_one_table_rows_bitwise():
-    F = _oracle_field(*ORACLE_GRIDS["2d-16"], "noise")
-    cells = np.random.default_rng(3).permutation(F.values.size)
-    pieces = [cells[:5], cells[5:400], cells[400:]]
-    tables = [cone_spectra(F.grid, F.scales, a) for a in (2.0, 1.0)]
-    rows = scale_sums(F, tables, pieces)
-    assert rows.shape == (2, 3) + F.grid.shape
-    for a, row in zip((2.0, 1.0), rows):
-        assert np.array_equal(row, tent_functionals(F, a, pieces))
 
 
 def test_lambda_at_most_one_is_refused_by_every_g_lambda_star_route():
@@ -550,9 +537,7 @@ def test_cone_functional_at_aperture_zero_is_positive_zero(case):
     grid, scales = ORACLE_GRIDS[case]
     F = _oracle_field(grid, scales, "noise")
     stack = FieldStack(grid, scales, np.stack([F.values, -3.0 * F.values.real, np.zeros_like(F.values)]))
-    cells = np.arange(F.values.size)
-    for rows in (tent_functionals(F, 0.0), tent_functionals(stack, 0.0),
-                 tent_functionals(F, 0.0, [cells[:7], cells[7:F.values.size // 2], cells[F.values.size // 2:]])):
+    for rows in (tent_functionals(F, 0.0), tent_functionals(stack, 0.0)):
         assert np.all(rows == 0.0) and not np.signbit(rows).any()
 
 
@@ -560,5 +545,6 @@ def test_square_functions_take_no_cache_knob():
     import inspect
 
     assert list(inspect.signature(tent_functional).parameters) == ["F", "alpha"]
+    assert list(inspect.signature(tent_functionals).parameters) == ["F", "alpha"]  # fields only, no pieces
     assert list(inspect.signature(g_lambda_star).parameters) == ["F", "lam"]
     assert "environ" not in inspect.getsource(squarefuncs)
