@@ -52,9 +52,13 @@ FAMILY_CACHE_SIZE = 8
 # bytes of the doubling-table levels of one block of stacked rows in
 # ``BallFamily.ball_filters`` (at least one row)
 FILTER_BLOCK_BYTES = 1 << 20
-# elements, live scales x inputs x distances x cells, per envelope step of the
-# smoothed sup (at least one distance); bounds its temporaries
+# elements, candidate products and doubled envelope cells, per distance step
+# of the smoothed sup (at least one distance): a call's one step buffer holds
+# at most 1 MiB, the dense envelope loop's step buffer
 PEETRE_CHUNK = 1 << 17
+# relative margin of the smoothed sup's far-distance test of its candidate
+# scales; it covers the rounding of the weight table and of the products
+PEETRE_MARGIN = 1e-12
 # distance tables of the smoothed sup kept per (grid, scales, b)
 PEETRE_CACHE_SIZE = 8
 
@@ -256,18 +260,19 @@ def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> Sa
 
 
 @lru_cache(maxsize=PEETRE_CACHE_SIZE)
-def _peetre_tables(grid: GridSpec, scales: ScaleGrid, b: float) -> tuple[np.ndarray, ...]:
+def _peetre_tables(grid: GridSpec, scales: ScaleGrid, b: float) -> tuple:
     """The offsets of the smoothed sup, grouped by distance: read-only
-    ``(shifts, rows, bounds, weights)``.
+    ``(shifts, bounds, weights)``, and whether the weights are ordered.
 
     The offsets y with |y| <= L (beyond half the box they are wrap-around
     aliases) are stably sorted by distance; ``shifts`` holds their window
-    shifts -y mod N, one row per offset, ``rows`` the index of each
-    offset's distinct distance, and the offsets of the j-th distance are
-    ``bounds[j]:bounds[j + 1]``.  ``weights[k, j]`` is the weight
-    (1 + |y|/t_k)^(-b) of the k-th scale at the j-th distance, taken from
-    the (scale, offset) table at the distance's first offset, so it is
-    bitwise the weight of every offset of that distance.
+    shifts -y mod N, one row per offset, and the offsets of the j-th
+    distinct distance are ``bounds[j]:bounds[j + 1]``.  ``weights[k, j]`` is
+    the weight (1 + |y|/t_k)^(-b) of the k-th scale at the j-th distance,
+    taken from the (scale, offset) table at the distance's first offset, so
+    it is bitwise the weight of every offset of that distance.
+    ``peetre_maximals`` drops scales only with an ordered table
+    (``_ordered``).
     """
     dist_grid = grid.offset_distances()
     keep = np.argwhere(dist_grid <= grid.half_width)
@@ -275,13 +280,61 @@ def _peetre_tables(grid: GridSpec, scales: ScaleGrid, b: float) -> tuple[np.ndar
     order = np.argsort(dist, kind="stable")
     keep, dist = keep[order], dist[order]
     first = np.flatnonzero(np.concatenate([[True], dist[1:] != dist[:-1]]))
-    bounds = np.append(first, len(dist))
-    rows = np.repeat(np.arange(len(first)), np.diff(bounds))
     weights = ((1.0 + dist / scales.scales[:, None]) ** (-b))[:, first]
-    tables = (-keep % grid.points_per_axis, rows, bounds, weights)
+    tables = (-keep % grid.points_per_axis, np.append(first, len(dist)), weights)
     for table in tables:
         table.setflags(write=False)
-    return tables
+    return tables + (_ordered(weights),)
+
+
+def _ordered(weights: np.ndarray) -> bool:
+    """Whether a (scale, distance) weight table keeps the two orders of the
+    exact weights that ``_candidate_scales`` relies on: every column
+    non-decreasing along the scales, and, over the scales whose weight at the
+    largest distance is positive, that weight normal and each row divided by
+    it non-increasing along the scales within a factor 1 + ``PEETRE_MARGIN``
+    / 2 (for t_k > t_j, w_k(d) / w_j(d) grows with d)."""
+    far = weights[weights[:, -1] > 0]
+    if not (np.all(np.diff(weights, axis=0) >= 0) and np.all(far[:, -1] >= np.finfo(float).tiny)):
+        return False
+    relative = far / far[:, -1:]  # at most 1 / tiny: no overflow
+    return bool(np.all(relative[1:] <= (1 + PEETRE_MARGIN / 2) * np.minimum.accumulate(relative)[:-1]))
+
+
+def _candidate_scales(mags: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """``keep[c, k]``: whether the k-th scale stays a candidate for the
+    distance envelope of cell c, for magnitudes ``mags`` (cells, scales) and
+    the scales' weights ``far`` at the largest distance, from an ordered
+    weight table.
+
+    With j0 a cell's scale of largest magnitude and j1 its scale of largest
+    far product, a scale is dropped when it lies below j0, when it lies below
+    j1 with at most j1's magnitude (the larger scale's weight is at least as
+    large at every distance, and a float multiply is monotone), or when it
+    lies above j0 (or j1) with a far product below ``1 - PEETRE_MARGIN``
+    times j0's (or j1's) and that product is normal (the larger scale's
+    weight ratio to the smaller one is largest at the largest distance, so
+    the smaller scale's product is at least its own at every distance).
+    Where every magnitude (far product) of a cell is zero, its last scale is
+    j0 (j1).  Following the witnesses from a dropped scale ends at a kept
+    one, so every cell keeps a scale and the envelope over the candidates is
+    bitwise the envelope over every scale.
+    """
+    cells, count = mags.shape
+    above = ~np.tri(count + 1, count, -1, dtype=bool)  # above[j, k]: k >= j
+    products = mags * far
+    at = np.arange(cells) * count
+    j0 = np.argmax(mags, axis=1)
+    j1 = np.argmax(products, axis=1)
+    j0[mags.ravel()[at + j0] == 0] = count - 1
+    j1[products.ravel()[at + j1] == 0] = count - 1
+    thresholds = (1 - PEETRE_MARGIN) * products.ravel()[np.stack([at + j0, at + j1])]
+    thresholds[thresholds < np.finfo(float).tiny] = 0.0
+    keep = above[j0]
+    keep &= above[j1] | (mags > mags.ravel()[at + j1][:, None])
+    keep &= products >= thresholds[0][:, None]
+    keep &= ~above[j1 + 1] | (products >= thresholds[1][:, None])
+    return keep
 
 
 def peetre_maximals(fs: Sequence[SampledFunction], b: float, *, plan: ConvolutionPlan) -> np.ndarray:
@@ -291,38 +344,72 @@ def peetre_maximals(fs: Sequence[SampledFunction], b: float, *, plan: Convolutio
     With G_k = |psi_{t_k} * f| and w_k(d) = (1 + d/t_k)^(-b), the sup over
     scales and offsets is the sup over offsets y of the distance envelope
     H_{|y|}(x - y), H_d = max_k w_k(d) G_k.  The inputs' psi-fields are built
-    as one stack (``build_fields``); the scales whose G is zero for every
-    input are dropped (their products are +0.0).  The distinct distances are
-    taken in chunks, as many per step as keep the step's (scale, input,
-    distance, cell) products within ``PEETRE_CHUNK`` elements and at least
-    one: each step takes its envelopes by one multiply and one max over the
-    scales, gathers its offsets from them and folds their max into the output.
-    Every product is the one of a (scale, offset) pair and a maximum is exact,
-    so neither the envelopes nor the chunking change the result.
+    as one stack (``build_fields``).  Each cell's envelope takes products only
+    of its candidate scales (``_candidate_scales``; every scale when the
+    weight table is not ordered), a few of the 55-64 live ones.  The cells
+    are sorted by their candidate count, so the r-th candidates of every
+    cell that has one are one contiguous block.  The distinct distances run
+    in steps, as many per step as keep its candidate products and its
+    envelopes, doubled along every grid axis, within ``PEETRE_CHUNK``
+    elements and at least one; one buffer per call holds them.  A step takes
+    its products by one gather and one multiply and its envelopes by one max
+    per candidate rank, reads the envelopes back into grid order doubled by
+    one more gather, and folds each offset's window, one slice of the
+    doubled envelopes, into the output.  Every product is the one of a
+    (scale, offset) pair and a maximum is exact, so neither the candidates
+    nor the steps change the result.
     """
-    if b <= 0:
+    if not b > 0:
         raise ValueError("b must be positive")
     grid = plan.grid
-    shifts, rows, bounds, weights = _peetre_tables(grid, plan.scales, b)
-    # (scales, inputs) + grid.shape; the fields are dropped once their
-    # magnitudes are taken
-    mags = np.abs(np.moveaxis(build_fields(fs, plan).values, -1, 0))
-    live = mags.reshape(len(mags), -1).any(axis=1)
-    out = np.zeros((len(fs),) + grid.shape)
-    if not live.any():
-        return out
-    mags = mags[live][:, :, None]
-    weights = weights[live].reshape((len(mags), 1, -1) + (1,) * grid.dim)
+    shifts, bounds, weights, ordered = _peetre_tables(grid, plan.scales, b)
+    # (input cells, scales); the fields are dropped once their magnitudes are taken
+    mags = np.abs(build_fields(fs, plan).values).reshape(-1, len(weights))
+    keep = _candidate_scales(mags, weights[:, -1]) if ordered else np.ones(mags.shape, dtype=bool)
+    flat = np.flatnonzero(keep)  # the candidates cell by cell, each cell's by scale
+    cell = flat // len(weights)
+    counts = np.bincount(cell, minlength=len(mags))
+    del keep
+    # the cells by decreasing candidate count, and the candidates by rank within
+    # their cell: the rank-r candidates of the first levels[r] sorted cells form
+    # the r-th block
+    order = np.argsort(-counts, kind="stable")
+    position = np.empty_like(order)  # each cell's place among the sorted cells
+    position[order] = np.arange(len(order))
+    rank = np.arange(len(flat)) - (np.cumsum(counts) - counts)[cell]
+    levels = np.bincount(rank)
+    ends = np.cumsum(levels)
+    slot = position[cell] + (ends - levels)[rank]
+    scale = np.empty_like(flat)
+    scale[slot] = flat - cell * len(weights)
+    values = np.empty(len(flat))
+    values[slot] = mags.ravel()[flat]
+    del mags, flat, cell, rank, slot  # the per-cell arrays go before the steps
+    # the cells of every input's grid doubled along every grid axis, as sorted
+    n = grid.points_per_axis
+    doubled_at = np.tile(position.reshape((len(fs),) + grid.shape), (1,) + (2,) * grid.dim).ravel()
+    columns = np.ascontiguousarray(weights.T)  # (distances, scales)
     n_dist = len(bounds) - 1
-    step = min(n_dist, max(1, PEETRE_CHUNK // (len(mags) * len(fs) * grid.size)))
-    tmp = np.empty(mags.shape[:2] + (step,) + grid.shape)
+    per_distance = len(scale) + len(doubled_at)
+    step = min(n_dist, max(1, PEETRE_CHUNK // per_distance))
+    buffer = np.empty(step * per_distance)  # a step's products, then its doubled envelopes
+    products = buffer[: step * len(scale)].reshape(step, len(scale))
+    doubled = buffer[step * len(scale):].reshape(step, len(doubled_at))
+    out = np.zeros((len(fs),) + grid.shape)
+    ends = ends.tolist()
+    cuts = [slice(s, s + n) for s in range(n)]
     for lo in range(0, n_dist, step):
         hi = min(lo + step, n_dist)
-        products = np.multiply(weights[:, :, lo:hi], mags, out=tmp[:, :, : hi - lo])
-        windows = grid.torus_window_view(np.maximum.reduce(products, axis=0))
-        c = slice(bounds[lo], bounds[hi])
-        gathered = windows[(slice(None), rows[c] - lo) + tuple(shifts[c].T)]
-        np.maximum(out, gathered.max(axis=1), out=out)
+        # every index is in range; "clip" lets np.take write straight into out
+        p = np.take(columns[lo:hi], scale, axis=1, out=products[: hi - lo], mode="clip")
+        p *= values
+        for start, end in zip(ends, ends[1:]):
+            np.maximum(p[:, : end - start], p[:, start:end], out=p[:, : end - start])
+        d = np.take(p, doubled_at, axis=1, out=doubled[: hi - lo], mode="clip")
+        d = d.reshape((hi - lo, len(fs)) + (2 * n,) * grid.dim)
+        for j in range(lo, hi):
+            for shift in shifts[bounds[j]:bounds[j + 1]].tolist():
+                np.maximum(out, d[(j - lo, slice(None)) + tuple(map(cuts.__getitem__, shift))], out=out)
     return out
 
 

@@ -4,6 +4,8 @@ quadrature, the tent region of a ball, the cone-functional size of one field,
 and the atom that stores a dense field on its nonzero cells; a ball's
 indicator (the oracle of ``atoms.ball_norms``); the per-radius ball-average
 maximal loop (``hl_maximal_per_radius``, the oracle of ``hl_maximal``); the
+dense smoothed sup over every live scale at every distance
+(``dense_peetre_maximals``, the oracle of ``peetre_maximals``); the
 powered maximal function
 {M(|f|^theta)}^(1/theta) and the Fefferman-Stein vector-valued ratio
 (``fs_vector_check``); the convexified norm ``convexify_norm``; and the
@@ -27,6 +29,7 @@ from lpx import harness, kernels, transforms
 from lpx.atoms import Ball, Molecule, TentAtom
 from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows
 from lpx.kernels import Kernel, KernelKind, ReproducingPair
+from lpx import maximal
 from lpx.maximal import DEFAULT_RADII_PER_OCTAVE, BallFamily, ball_volume, hl_maximal
 from lpx.spaces import Lebesgue, SpaceDescriptor, space_norm, space_norms
 from lpx.squarefuncs import tent_functional
@@ -130,6 +133,34 @@ def hl_maximal_per_radius(f: SampledFunction, balls: BallFamily | None = None) -
         np.maximum(out, balls.ball_filter(avg, r), out=out)
     np.maximum(out, 0.0, out=out)
     return SampledFunction(f.grid, np.ldexp(out, e, out=out))
+
+
+def dense_peetre_maximals(fs: Sequence[SampledFunction], b: float, plan: transforms.ConvolutionPlan) -> np.ndarray:
+    """``maximal.peetre_maximals`` with every live scale's product at every
+    distance: each step of distances, as many as keep its (scale, input,
+    distance, cell) products within 2^17 elements and at least one, takes
+    the envelopes H_d = max_k w_k(d) G_k by one multiply and one max over the
+    scales, gathers its offsets from them and folds their max into the output.
+    It reads the same offset and weight tables (``maximal._peetre_tables``)."""
+    grid = plan.grid
+    shifts, bounds, weights, _ = maximal._peetre_tables(grid, plan.scales, b)
+    rows = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    mags = np.abs(np.moveaxis(transforms.build_fields(fs, plan).values, -1, 0))
+    live = mags.reshape(len(mags), -1).any(axis=1)
+    out = np.zeros((len(fs),) + grid.shape)
+    if not live.any():
+        return out
+    mags = mags[live][:, :, None]
+    weights = weights[live].reshape((len(mags), 1, -1) + (1,) * grid.dim)
+    n_dist = len(bounds) - 1
+    step = min(n_dist, max(1, (1 << 17) // (len(mags) * len(fs) * grid.size)))
+    for lo in range(0, n_dist, step):
+        hi = min(lo + step, n_dist)
+        windows = grid.torus_window_view(np.maximum.reduce(weights[:, :, lo:hi] * mags, axis=0))
+        c = slice(bounds[lo], bounds[hi])
+        gathered = windows[(slice(None), rows[c] - lo) + tuple(shifts[c].T)]
+        np.maximum(out, gathered.max(axis=1), out=out)
+    return out
 
 
 def powered_maximal(f: SampledFunction, theta: float, balls: BallFamily | None = None) -> SampledFunction:

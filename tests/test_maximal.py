@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from helpers import fs_vector_check, hl_maximal_per_radius, indicator_box, powered_maximal
+from helpers import dense_peetre_maximals, fs_vector_check, hl_maximal_per_radius, indicator_box, powered_maximal
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, gaussian_bump, pure_frequency
-from lpx.kernels import Kernel, KernelKind, build_annular_kernel, calderon_companion
+from lpx.kernels import Kernel, KernelKind, build_annular_kernel, build_kernel, calderon_companion
 from lpx.maximal import (
     BallFamily,
     ball_volume,
@@ -22,7 +22,7 @@ from lpx import maximal
 from lpx.harness import trial_function
 from lpx.spaces import Lebesgue
 from lpx.squarefuncs import ball_spectra, g_function, g_lambda_star, lusin_area
-from lpx.transforms import build_field, build_plan, correlate, spectrum
+from lpx.transforms import build_field, build_fields, build_plan, correlate, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
 
@@ -208,23 +208,27 @@ def _real_slice(values: np.ndarray, plan, k: int) -> np.ndarray:
 
 
 def roll_peetre_maximal(f: SampledFunction, b: float, plan) -> np.ndarray:
-    """Reference smoothed sup: one np.roll of each scale's |psi_t * f| per offset,
-    with each scale's slice from its own real inverse FFT, the imaginary part
-    of a complex input done separately (independent of build_field)."""
+    """Reference smoothed sup: one np.roll of the stack of every scale's
+    |psi_t * f| per offset, each scale's product with its own weight, with
+    each scale's slice from its own real inverse FFT, the imaginary part of a
+    complex input done separately (independent of build_field)."""
     grid = f.grid
-    axes = tuple(range(grid.dim))
+    axes = tuple(range(1, grid.dim + 1))
     dist_grid = grid.offset_distances()
     keep = np.argwhere(dist_grid <= grid.half_width)
     dist = dist_grid[tuple(keep.T)]
-    out = np.zeros(grid.shape)
-    for k, t in enumerate(plan.scales.scales):
+    mags = []
+    for k in range(len(plan.scales)):
         slice_k = _real_slice(f.values.real, plan, k)
         if np.iscomplexobj(f.values):
             slice_k = slice_k + 1j * _real_slice(f.values.imag, plan, k)
-        mag = np.abs(slice_k)
-        weights = (1.0 + dist / t) ** (-b)
-        for off, w in zip(keep, weights):
-            np.maximum(out, np.roll(mag, shift=tuple(off), axis=axes) * w, out=out)
+        mags.append(np.abs(slice_k))
+    mags = np.stack(mags)
+    weights = (1.0 + dist / plan.scales.scales[:, None]) ** (-b)  # (scale, offset)
+    out = np.zeros(grid.shape)
+    for off, w in zip(keep, weights.T):
+        products = np.roll(mags, shift=tuple(off), axis=axes) * w.reshape((-1,) + (1,) * grid.dim)
+        np.maximum(out, products.max(axis=0), out=out)
     return out
 
 
@@ -287,16 +291,18 @@ def test_peetre_matches_roll_reference_bitwise(dim, n, width, complex_input, b, 
     assert np.array_equal(fast, roll_peetre_maximal(f, b, plan))
 
 
-# a distance's slab is live scales x 3 inputs x cells: 1-D N=64 has 20 live
-# scales of 24 (one of 5) and 33 distances, 2-D N=16 22 of 24 (one of 3) and
-# 30 distances; a chunk below one slab clamps to one distance per step
-@pytest.mark.parametrize("dim, n, width, n_scales, chunk, steps",
-                         [(1, 64, 2.0, None, None, [33]), (1, 64, 2.0, None, 7 * 20 * 3 * 64, [7] * 4 + [5]),
-                          (1, 64, 2.0, 5, 7 * 3 * 64, [7] * 4 + [5]), (2, 16, 0.5, 3, None, [30]),
-                          (2, 16, 0.5, None, 4 * 22 * 3 * 256, [4] * 7 + [2]), (2, 16, 0.5, 3, 1, [1] * 30)],
+# a step takes as many distances as keep its candidate products and its
+# doubled envelopes, (candidates + 3 inputs x 2^dim cells) per distance, within
+# PEETRE_CHUNK: at the default chunk 1-D N=64 takes its 33 distances and 2-D
+# N=16 its 30 in one step; a chunk of k distances' elements gives steps of k
+# distances, and a chunk below one distance clamps to one distance per step
+@pytest.mark.parametrize("dim, n, width, n_scales, per_step, steps",
+                         [(1, 64, 2.0, None, None, [33]), (1, 64, 2.0, None, 7, [7] * 4 + [5]),
+                          (1, 64, 2.0, 5, 7, [7] * 4 + [5]), (2, 16, 0.5, 3, None, [30]),
+                          (2, 16, 0.5, None, 4, [4] * 7 + [2]), (2, 16, 0.5, 3, 0, [1] * 30)],
                          ids=["1d-64", "1d-64-7distances", "1d-64-5scales-7distances", "2d-16-3scales",
                               "2d-16-4distances", "2d-16-3scales-1distance"])
-def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_scales, chunk, steps, monkeypatch):
+def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_scales, per_step, steps, monkeypatch):
     grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
     scales = ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4)
     plan = build_plan(build_annular_kernel(grid), scales)
@@ -307,21 +313,124 @@ def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_sca
     fs = [SampledFunction(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)),
           SampledFunction(grid, np.zeros(grid.shape)),
           SampledFunction(grid, 1e-200 * rng.normal(size=grid.shape))]
-    if chunk is not None:
-        monkeypatch.setattr(maximal, "PEETRE_CHUNK", chunk)
-    # each step gathers its offsets from one (inputs, distances) stack of envelopes
+    if per_step is not None:
+        weights = maximal._peetre_tables(grid, plan.scales, 3.0)[2]
+        mags = np.abs(build_fields(fs, plan).values).reshape(-1, len(weights))
+        per_distance = np.count_nonzero(maximal._candidate_scales(mags, weights[:, -1])) + 2**dim * len(mags)
+        monkeypatch.setattr(maximal, "PEETRE_CHUNK", per_step * per_distance or 1)
+    # each step takes its products, then its doubled envelopes, by one np.take
+    # into its rows of the call's buffer
     recorded = []
-    view = GridSpec.torus_window_view
+    take = np.take
     with monkeypatch.context() as m:
-        m.setattr(GridSpec, "torus_window_view", lambda self, values: recorded.append(values.shape) or view(self, values))
+        m.setattr(np, "take", lambda a, indices, **kw: recorded.append(kw["out"].shape[0]) or take(a, indices, **kw))
         rows = peetre_maximals(fs, 3.0, plan=plan)
-    assert [shape[1] for shape in recorded] == steps
+    assert recorded[::2] == recorded[1::2] == steps
     assert rows.shape == (3,) + grid.shape
     for f, row in zip(fs, rows):
         assert np.array_equal(row, peetre_maximal(f, 3.0, plan=plan).values.real)
         assert np.array_equal(row, roll_peetre_maximal(f, 3.0, plan))
-    with pytest.raises(ValueError):
-        peetre_maximals(fs, 0.0, plan=plan)
+    for b in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            peetre_maximals(fs, b, plan=plan)
+
+
+def _oracle_inputs(grid: GridSpec) -> list[SampledFunction]:
+    """Trials 0-3 of seed 5 (two real noises below N=64), a delta, a constant,
+    zeros, real noise times 1e-200 and complex noise."""
+    rng = np.random.default_rng(grid.size)
+    if grid.points_per_axis >= 64:
+        fs = [trial_function(5, i, grid) for i in range(4)]
+    else:
+        fs = [SampledFunction(grid, rng.normal(size=grid.shape)) for _ in range(2)]
+    delta = np.zeros(grid.shape)
+    delta.flat[0] = 1.0
+    return fs + [SampledFunction(grid, delta), SampledFunction(grid, np.ones(grid.shape)),
+                 SampledFunction(grid, np.zeros(grid.shape)),
+                 SampledFunction(grid, 1e-200 * rng.normal(size=grid.shape)),
+                 SampledFunction(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))]
+
+
+ORACLE_GRIDS = {"1d-64": (1, 64, 2.0), "1d-256": (1, 256, 8.0), "2d-16": (2, 16, 0.5), "2d-32": (2, 32, 1.0)}
+
+
+@pytest.mark.parametrize("kind", ["annular", "weak"])
+@pytest.mark.parametrize("b", [0.5, 0.7, 3.0, 9.0])
+@pytest.mark.parametrize("case", list(ORACLE_GRIDS))
+def test_peetre_maximals_match_the_dense_reference_and_the_roll_oracle_bitwise(case, b, kind):
+    dim, n, width = ORACLE_GRIDS[case]
+    grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
+    plan = build_plan(build_kernel(kind, grid), ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4))
+    fs = _oracle_inputs(grid)
+    rows = peetre_maximals(fs, b, plan=plan)
+    assert np.array_equal(rows, dense_peetre_maximals(fs, b, plan))
+    # the brute-force oracle takes about 0.1 s per 2-D N=32 input, so there it
+    # checks the real and the complex noise
+    for i in range(len(fs)) if grid.size < 1024 else (0, len(fs) - 1):
+        assert np.array_equal(rows[i], roll_peetre_maximal(fs[i], b, plan))
+
+
+@pytest.mark.parametrize("case", ["1d-64", "2d-16"])
+def test_peetre_maximals_at_infinite_b_are_the_max_over_the_scales(case):
+    # the d = 0 limit: every offset but y = 0 weighs 0
+    dim, n, width = ORACLE_GRIDS[case]
+    grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
+    plan = build_plan(build_annular_kernel(grid), ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4))
+    fs = _oracle_inputs(grid)
+    rows = peetre_maximals(fs, float("inf"), plan=plan)
+    assert np.array_equal(rows, np.abs(build_fields(fs, plan).values).max(axis=-1))
+    assert np.array_equal(rows, dense_peetre_maximals(fs, float("inf"), plan))
+
+
+@pytest.mark.parametrize("dim, n, width, t_max", [(1, 64, 2.0, 16.0), (1, 512, 8.0, 16.0), (2, 16, 0.5, 4.0),
+                                                  (2, 64, 2.0, 16.0)])
+@pytest.mark.parametrize("b", [0.5, 3.0, 9.0, 40.0, float("inf")])
+def test_peetre_weights_are_ordered_along_the_scales(dim, n, width, t_max, b):
+    grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
+    *_, weights, ordered = maximal._peetre_tables(grid, ScaleGrid(t_min=1 / 16, t_max=t_max, steps_per_octave=8), b)
+    # a larger t never has a smaller weight, at every distance
+    assert np.all(np.diff(weights, axis=0) >= 0)
+    assert ordered
+
+
+def test_an_unordered_weight_table_is_detected():
+    # the first table's columns are ordered, but the second scale's weight
+    # relative to its far weight exceeds the first's at the middle distance;
+    # the second's middle column decreases; the third keeps both orders
+    assert not maximal._ordered(np.array([[1.0, 0.6, 0.5], [1.0, 0.9, 0.6]]))
+    assert not maximal._ordered(np.array([[1.0, 0.6, 0.5], [1.0, 0.5, 0.6]]))
+    assert maximal._ordered(np.array([[1.0, 0.6, 0.5], [1.0, 0.7, 0.6]]))
+
+
+def test_the_far_test_margin_covers_an_ordered_tables_rounding():
+    # the second scale's weight relative to its far weight exceeds the
+    # first's by 1e-14 at the middle distance, inside the order check's
+    # tolerance; its far product is 1e-15 below the first's, yet its product
+    # wins at the middle distance, so the margin must keep it
+    weights = np.array([[1.0, 0.5, 0.25], [1.0, 0.6 * (1 + 1e-14), 0.3]])
+    assert maximal._ordered(weights)
+    mags = np.array([[1.0, 0.25 / 0.3 * (1 - 1e-15)]])
+    products = weights.T * mags
+    assert products[2, 1] < products[2, 0] and products[1, 1] > products[1, 0]
+    assert maximal._candidate_scales(mags, weights[:, -1]).all()
+
+
+def test_an_unordered_weight_table_keeps_every_scale(monkeypatch):
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    scales = ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4)
+    plan = build_plan(build_annular_kernel(grid), scales)
+    shifts, bounds, weights, _ = maximal._peetre_tables(grid, scales, 3.0)
+    swapped = weights[[*range(11), 12, 11, *range(13, len(weights))]]  # two scales' rows swapped
+    assert not maximal._ordered(swapped)
+    monkeypatch.setattr(maximal, "_peetre_tables", lambda *args: (shifts, bounds, swapped, False))
+
+    def refused(*args):
+        raise AssertionError("candidate scales taken from an unordered table")
+
+    monkeypatch.setattr(maximal, "_candidate_scales", refused)
+    fs = _oracle_inputs(grid)
+    rows = peetre_maximals(fs, 3.0, plan=plan)
+    assert np.array_equal(rows, dense_peetre_maximals(fs, 3.0, plan))
 
 
 def test_peetre_tables_are_cached_read_only_and_grouped_by_distance():
@@ -330,11 +439,13 @@ def test_peetre_tables_are_cached_read_only_and_grouped_by_distance():
     tables = maximal._peetre_tables(grid, scales, 3.0)
     again = maximal._peetre_tables(GridSpec(dim=2, half_width=0.5, points_per_axis=16), ScaleGrid(1 / 16, 4.0, 4), 3.0)
     assert all(a is b for a, b in zip(tables, again))
-    assert not any(table.flags.writeable for table in tables)
-    shifts, rows, bounds, weights = tables
+    shifts, bounds, weights, ordered = tables
+    assert not any(table.flags.writeable for table in (shifts, bounds, weights))
+    assert ordered is True
     dist = grid.offset_distances()[tuple((-shifts % 16).T)]
     assert len(dist) == np.count_nonzero(grid.offset_distances() <= 0.5)
     # distinct distances in increasing order, each offset in its distance's run
+    rows = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     assert np.all(np.diff(dist[bounds[:-1]]) > 0)
     assert np.array_equal(dist[bounds[rows]], dist)
     assert np.array_equal(weights[:, rows], (1.0 + dist / scales.scales[:, None]) ** (-3.0))
