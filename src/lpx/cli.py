@@ -16,6 +16,7 @@ Exit codes: 0 success / all experiments passed, 1 experiment failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -350,7 +351,9 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     return 0 if all(passed.values()) else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="lpx", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="JSON run configuration")
@@ -368,8 +371,11 @@ def main(argv: list[str] | None = None) -> int:
     p_dec.add_argument("input")
 
     sub.add_parser("verify", help="run the experiment suite and grade it")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.seed)
         out_dir = Path(args.out)

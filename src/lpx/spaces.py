@@ -8,13 +8,17 @@ the finite dyadic family ``BallFamily.build(grid, BALL_RADII_PER_OCTAVE)``.
 Every Luxemburg-type norm, inf{lam : modular(f / lam) <= 1}, is one
 ``_luxemburg_rows`` solve over a stack of rows: ``VariableLebesgue`` sends all
 its rows at once, ``OrliczSlice`` each block of slice windows and the slice
-ball's own indicator, ``orlicz_norm`` its one row.  The solve is a secant in
-(log lam, log modular), safeguarded by the bracket it closes, with a step cap
-(``LUXEMBURG_MAX_STEPS``) past which it is a ``NumericFailure``; each row
-retires once its step is a few ulps of lam, so the result sits within the
-modular's own rounding of the root.  The log of a modular that sums powers
-of lam is convex in log lam, which the secant relies on for speed, not for
-correctness: the bracket holds for any modular decreasing in lam.
+ball's own indicator, ``orlicz_norm`` its one row, each with the exact types
+of its modular (Phi's declared types, or p_- and p_+).  The solve is a secant
+in (log lam, log modular) from lam = the row's max and the bound that the
+lower type puts on the root, safeguarded by the bracket those two points
+close; where the types do not hold, the ``LUXEMBURG_BRACKET`` end past the
+second point closes it.  A row still live after ``LUXEMBURG_MAX_STEPS``
+steps is a ``NumericFailure``; each row retires once its step is a few ulps
+of lam, so the result sits within the modular's own rounding of the root.
+The log of a modular that sums powers of lam is convex in log lam, which the
+secant relies on for speed, not for correctness: the bracket holds for any
+modular decreasing in lam.
 
 A descriptor implements only its row-batched norms: ``norms(grid, mag)``
 returns the norm of every row of a finite non-negative ``(rows,) +
@@ -157,7 +161,7 @@ class ExponentFunction:
 @dataclass(frozen=True)
 class OrliczFunction:
     """Monotone Young-type function with declared lower and upper types,
-    checked on a sample grid (lower_type <= upper_type, ``TYPE_CONSTANT_MAX``)."""
+    checked on a sample grid (0 < lower_type <= upper_type, ``TYPE_CONSTANT_MAX``)."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     lower_type: float
@@ -170,8 +174,9 @@ class OrliczFunction:
             raise ValueError("Phi(0) must be 0")
         if np.any(vals <= 0) or np.any(np.diff(vals) < 0):
             raise ValueError("Phi must be positive and nondecreasing on (0, inf)")
-        if self.lower_type > self.upper_type:
-            raise ValueError(f"lower type {self.lower_type:g} exceeds upper type {self.upper_type:g}")
+        if not 0 < self.lower_type <= self.upper_type:
+            raise ValueError(f"types must satisfy 0 < lower <= upper, got lower {self.lower_type:g}, "
+                             f"upper {self.upper_type:g}")
         # sampled type bounds: Phi(s t) <= C s^p Phi(t), C the worst sampled ratio
         s = np.logspace(-3, 0, 16)
         big_s = np.logspace(0, 3, 16)
@@ -199,56 +204,76 @@ def lebesgue_row_norms(mag: np.ndarray, p: float, cellvol: float) -> list[float]
     return [(total * cellvol) ** (1.0 / p) for total in np.add.reduce(mag**p, axis=-1).tolist()]
 
 
-def _luxemburg_rows(mag: np.ndarray, cellvol: float, density: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _luxemburg_rows(mag: np.ndarray, cellvol: float, density: Callable[[np.ndarray], np.ndarray],
+                    types: tuple[float, float]) -> np.ndarray:
     """inf{lam : cellvol * sum of density(row / lam) <= 1} for every row of the
     finite non-negative ``(rows, cells)`` array ``mag``; an all-zero row has
     norm 0.  ``density`` maps a ``(k, cells)`` block of ratios to its
-    elementwise modular density.
+    elementwise modular density, of exact types ``types`` = (p_lower,
+    p_upper), 0 < p_lower <= p_upper.
 
     Each row is divided by its max and solved as a root of its log modular in
-    x = log lam by a secant that starts from the ends of LUXEMBURG_BRACKET,
-    whose values are the ``NoBracket`` check.  A step that leaves the bracket
-    closing in on the root, or follows two steps that did not halve it (as
-    on a row whose exponents span 0.05 to 8), takes the bracket's midpoint.
-    A row retires once its step is a few ulps of lam (of x where |x| > 1),
-    and a row live after LUXEMBURG_MAX_STEPS steps is a ``NumericFailure``.
-    A row's steps depend on it alone, so each row is bitwise what it gives
-    alone.
+    x = log lam by a secant from two evaluated points: x = 0, giving r, and
+    x = r / p_lower, clipped to LUXEMBURG_BRACKET.  Exact types make the log
+    modular fall at a rate between p_lower and p_upper, so the root lies
+    between r / p_upper and r / p_lower.  A row whose second point keeps the
+    sign of r (declared types that do not hold) evaluates the
+    LUXEMBURG_BRACKET end past it and starts from those two points instead;
+    it is a ``NoBracket`` if that end keeps the sign too.  A row retires once
+    its step is a few ulps of lam (of x where |x| > 1).  Any other step that
+    leaves the bracket closing in on the root, or follows two steps that did
+    not halve it (as on a row whose exponents span 0.05 to 8), takes the
+    bracket's midpoint: a retiring step often lands on the bracket's end, and
+    a midpoint there would restart a settled row.  A row live after
+    LUXEMBURG_MAX_STEPS steps is a ``NumericFailure``.  A row's steps depend
+    on it alone, so each row is bitwise what it gives alone.
     """
     sups = mag.max(axis=1)
     out = np.zeros(len(mag))
     live = np.flatnonzero(sups > 0)
     if not live.size:
         return out
-    unit = mag[live] / sups[live, None]
+    unit = mag[live]
+    unit /= sups[live, None]
 
-    def log_modular(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.log(np.add.reduce(density(unit[rows] / np.exp(x)[:, None]), axis=1) * cellvol)
+    def log_modular(block: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return np.log(np.add.reduce(density(block / np.exp(x)[:, None]), axis=1) * cellvol)
 
     count = len(live)
     rows = np.arange(count)
-    lo = np.full(count, math.log(LUXEMBURG_BRACKET[0]))
-    hi = np.full(count, math.log(LUXEMBURG_BRACKET[1]))
+    ends = math.log(LUXEMBURG_BRACKET[0]), math.log(LUXEMBURG_BRACKET[1])
+    tol = 4 * np.finfo(float).eps
     roots = np.empty(count)
     with np.errstate(all="ignore"):
-        ends = log_modular(np.concatenate([rows, rows]), np.concatenate([lo, hi]))
-        x0, r0, x1, r1 = lo, ends[:count], hi, ends[count:]
-        if not (np.all(r0 >= 0.0) and np.all(r1 <= 0.0)):
-            raise NoBracket("modular does not cross 1 inside the bracket")
+        x0 = np.zeros(count)
+        r0 = log_modular(unit, x0)
+        x1 = np.clip(r0 / types[0], *ends)
+        r1 = log_modular(unit, x1)
+        miss = np.flatnonzero(~(r0 * r1 <= 0.0))
+        if miss.size:  # the bracket end past the second point
+            x0[miss], r0[miss] = x1[miss], r1[miss]
+            x1[miss] = np.where(r0[miss] > 0.0, ends[1], ends[0])
+            r1[miss] = log_modular(unit[miss], x1[miss])
+            if not np.all(r0[miss] * r1[miss] <= 0.0):
+                raise NoBracket("modular does not cross 1 inside the bracket")
+        lo, hi = np.where(r0 > 0.0, x0, x1), np.where(r0 > 0.0, x1, x0)
         width1 = width2 = np.full(count, math.inf)  # of the bracket one and two steps back
         for _ in range(LUXEMBURG_MAX_STEPS):
             x = x1 - r1 * (x1 - x0) / (r1 - r0)
-            width = hi - lo
-            x = np.where((lo < x) & (x < hi) & (width <= 0.5 * width2), x, 0.5 * (lo + hi))
             x = np.where(r1 == 0.0, x1, x)  # lam = e^x1 solves the modular exactly
-            done = np.abs(x - x1) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(x1))
-            roots[rows[done]] = x[done]
-            keep = ~done
-            rows, x, x1, r1, lo, hi = rows[keep], x[keep], x1[keep], r1[keep], lo[keep], hi[keep]
-            width1, width2 = width[keep], width1[keep]
-            if not rows.size:
-                break
-            r = log_modular(rows, x)
+            done = np.abs(x - x1) <= tol * np.maximum(1.0, np.abs(x1))
+            width = hi - lo
+            x = np.where(done | (lo < x) & (x < hi) & (width <= 0.5 * width2), x, 0.5 * (lo + hi))
+            if done.any():
+                roots[rows[done]] = x[done]
+                keep = ~done
+                rows, x, x1, r1, lo, hi = rows[keep], x[keep], x1[keep], r1[keep], lo[keep], hi[keep]
+                width, width1 = width[keep], width1[keep]
+                unit = unit[keep]
+                if not rows.size:
+                    break
+            width1, width2 = width, width1
+            r = log_modular(unit, x)
             lo = np.where(r > 0.0, x, lo)
             hi = np.where(r > 0.0, hi, x)
             x0, r0, x1, r1 = x1, r1, x, r
@@ -270,8 +295,9 @@ def _unit_row_norms(mag: np.ndarray, norms: Callable[[np.ndarray], Sequence[floa
 
 def orlicz_norm(f: SampledFunction, phi: OrliczFunction) -> float:
     """Luxemburg norm inf{lam : integral of Phi(|f|/lam) <= 1}."""
+    types = phi.lower_type, phi.upper_type
     return _unit_row_norms(np.abs(f.values).reshape(1, -1),
-                           lambda unit: _luxemburg_rows(unit, f.grid.cell_volume, phi.evaluator))[0]
+                           lambda unit: _luxemburg_rows(unit, f.grid.cell_volume, phi.evaluator, types))[0]
 
 
 def _read_csv_on(grid: GridSpec, path: str, what: str) -> SampledFunction:
@@ -454,7 +480,9 @@ class VariableLebesgue:
 
     def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
         pvals = self.exponent.values.reshape(-1)
-        return _luxemburg_rows(mag.reshape(len(mag), grid.size), grid.cell_volume, lambda ratio: ratio**pvals).tolist()
+        types = self.exponent.p_minus, self.exponent.p_plus
+        return _luxemburg_rows(mag.reshape(len(mag), grid.size), grid.cell_volume, lambda ratio: ratio**pvals,
+                               types).tolist()
 
     def floor(self) -> float:
         return self.exponent.p_minus
@@ -481,7 +509,8 @@ def _slice_denominator(phi: OrliczFunction, grid: GridSpec, slice_t: float) -> f
     count = len(grid.ball_offsets((slice_t,))[0][0])
     if count == 0:
         raise ValueError("slice radius smaller than one cell")
-    return float(_luxemburg_rows(np.ones((1, count)), grid.cell_volume, phi.evaluator)[0])
+    types = phi.lower_type, phi.upper_type
+    return float(_luxemburg_rows(np.ones((1, count)), grid.cell_volume, phi.evaluator, types)[0])
 
 
 def _slice_windows(grid: GridSpec, mag: np.ndarray, slice_t: float):
@@ -522,7 +551,8 @@ class OrliczSlice:
         range."""
         cellvol = grid.cell_volume
         denom = _slice_denominator(self.phi, grid, self.slice_t)
-        inner = np.concatenate([_luxemburg_rows(windows, cellvol, self.phi.evaluator)
+        types = self.phi.lower_type, self.phi.upper_type
+        inner = np.concatenate([_luxemburg_rows(windows, cellvol, self.phi.evaluator, types)
                                 for windows in _slice_windows(grid, mag, self.slice_t)] or [np.zeros(0)])
         return lebesgue_row_norms((inner / denom).reshape(len(mag), grid.size), self.r, cellvol)
 

@@ -369,9 +369,11 @@ def band_coverage_loop(pair: ReproducingPair) -> np.ndarray:
 
 
 def clear_fixed_input_caches() -> None:
-    """Empty the caches of ``trial_function``, ``build_kernel``,
-    ``calderon_companion`` and ``build_plan``, so the next run is cold."""
-    for cache in (harness.trial_function, kernels.build_kernel, kernels.calderon_companion, transforms.build_plan):
+    """Empty the caches of ``trial_function``, ``embedding_weight``,
+    ``build_kernel``, ``calderon_companion`` and ``build_plan``, so the next
+    run is cold."""
+    for cache in (harness.trial_function, harness.embedding_weight, kernels.build_kernel, kernels.calderon_companion,
+                  transforms.build_plan):
         cache.cache_clear()
 
 

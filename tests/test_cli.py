@@ -455,6 +455,18 @@ def test_verify_finds_a_power_weights_critical_index_once(tmp_path, monkeypatch)
     assert len(calls) == 1
 
 
+def test_the_parser_is_built_once_and_a_bad_argument_still_exits_2(tmp_path):
+    from lpx import cli
+
+    assert cli._parser() is cli._parser()
+    for argv in (["--seed", "x", "verify"], ["compute"], ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    cfg = write_config(tmp_path, grid={"dim": 1, "N": 64, "L": 2.0})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "kernel"]) == 0
+
+
 def _verify_1d_config(tmp_path) -> Path:
     """Criterion 11's cell size and scales on [-2, 2) at N=64, 10 trials per experiment, seed 42."""
     return write_config(tmp_path, grid={"dim": 1, "N": 64, "L": 2.0}, seed=42,

@@ -396,14 +396,33 @@ def test_a_cached_trial_is_one_read_only_object():
     assert harness.trial_function.cache_info().currsize == 1
 
 
+def test_the_embedding_weight_is_one_read_only_object_per_grid_and_epsilon(monkeypatch):
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    harness.embedding_weight.cache_clear()
+    hl, calls = harness.hl_maximal, []
+    monkeypatch.setattr(harness, "hl_maximal", lambda f: calls.append(1) or hl(f))
+    weight = harness.embedding_weight(grid, 0.9)
+    assert harness.embedding_weight(grid, 0.9) is weight
+    with pytest.raises(ValueError):
+        weight.array[0] = 1.0
+    assert harness.embedding_weight(grid, 0.5) is not weight
+    reports = [embedding_experiment(Lebesgue(2.0), 2.0, 4, grid, seed=3).to_json() for _ in range(2)]
+    assert len(calls) == 2 and reports[0] == reports[1]
+    harness.embedding_weight.cache_clear()
+    assert embedding_experiment(Lebesgue(2.0), 2.0, 4, grid, seed=3).to_json() == reports[0]
+    assert len(calls) == 3
+
+
 def test_each_fixed_input_cache_holds_one_run_and_is_bounded():
     # a run takes up to the experiments' default trial count, one kernel, one
-    # companion and three plans (phi, psi and change of angle's capped scales)
+    # companion, three plans (phi, psi and change of angle's capped scales)
+    # and one embedding weight
     trials = max(table["trials"].default for table in cli._TABLE["experiments"].values() if "trials" in table)
     assert trials == 20
     needs = {harness.trial_function: (trials, harness.TRIAL_CACHE_SIZE),
              kernels.build_kernel: (1, kernels.KERNEL_CACHE_SIZE),
              kernels.calderon_companion: (1, kernels.KERNEL_CACHE_SIZE),
-             transforms.build_plan: (3, transforms.PLAN_CACHE_SIZE)}
+             transforms.build_plan: (3, transforms.PLAN_CACHE_SIZE),
+             harness.embedding_weight: (1, 8)}
     for cache, (need, size) in needs.items():
         assert cache.cache_info().maxsize == size >= need
