@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""In-process timer of the smoothed maximal sup, ``maximal.peetre_maximals``,
+and of the space norms, ``spaces.space_norms``, of criterion 5's five spaces.
+
+Three Peetre cases, each on the companion of the annular kernel over the
+default scale grid (1/16 .. 16 at 8 steps per octave) with the harness's b
+for ``Lebesgue(2)``, on the first trials of the trial family:
+
+- ``1d-64``: 1-D N=64, L=2, 10 inputs (the trial block of ``verify-1d``);
+- ``1d-512``: 1-D N=512, L=8, 2 inputs (a trial block of the default
+  ``lpx verify``);
+- ``2d-64``: 2-D N=64, L=2, 1 input.
+
+One norm case per space of ``harness.FIVE_SPACES``, named after it: the 40
+rows (the Peetre sup, S, g and g*_lambda of trials 0-9) that
+``harness.equivalence_experiment`` hands ``space_norms`` in one call on 1-D
+N=64, L=2 with the default scale grid, recorded by wrapping
+``harness.space_norms`` during one untimed experiment run in that space.
+
+Each case makes one untimed call, which builds the cached tables, then
+``--repeats`` timed calls, and prints one JSON object: ``case``, ``call``
+(the function timed), ``rows`` (the rows it takes), ``repeats``, the median,
+quartiles and range of the call's wall time (``median_s``, ``q1_s``,
+``q3_s``, ``min_s``, ``max_s``; ``time.perf_counter``) and the median minor
+page faults per call (``faults_per_call``; ``resource.getrusage``), the
+steady-state faults per call.  A Peetre case adds its ``b``.  The Luxemburg
+cases (``variable`` and ``orlicz_slice``) add ``evaluations_per_window``:
+the elements that one call hands the modular density, over its windows'
+elements (an Orlicz-slice window is the slice ball about a cell, a
+variable-exponent window a whole row).
+
+Usage (from the repository root):
+
+    python scripts/layer_bench.py [--case C ...] [--repeats R] [--seed S]
+"""
+
+import argparse
+import json
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from lpx import harness, spaces
+from lpx.grid import GridSpec, ScaleGrid
+from lpx.harness import FIVE_SPACES, five_spaces, trial_function
+from lpx.kernels import build_kernel, calderon_companion
+from lpx.maximal import default_peetre_exponent, peetre_maximals
+from lpx.transforms import build_plan
+
+SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
+# Peetre case: (dim, N, L, inputs)
+PEETRE = {"1d-64": (1, 64, 2.0, 10), "1d-512": (1, 512, 8.0, 2), "2d-64": (2, 64, 2.0, 1)}
+NORM_GRID = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+NORM_TRIALS = 10
+LUXEMBURG = ("variable", "orlicz_slice")
+CASES = [*PEETRE, *FIVE_SPACES]
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def peetre_case(case: str, seed: int):
+    """The timed call of a Peetre case, its input count and its ``b``."""
+    dim, n, half_width, inputs = PEETRE[case]
+    grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
+    plan = build_plan(calderon_companion(build_kernel("annular", grid), SCALES).psi, SCALES)
+    fs = [trial_function(seed, i, grid) for i in range(inputs)]
+    b = default_peetre_exponent(dim, spaces.Lebesgue(2.0).floor())
+    return "peetre_maximals", inputs, lambda: peetre_maximals(fs, b, plan=plan), {"b": b}
+
+
+def harness_rows(space, seed: int):
+    """The rows one ``equivalence_experiment`` run in ``space`` norms: its
+    10 trials at 1-D N=64 are one trial block, so one ``space_norms`` call."""
+    calls = []
+
+    def record(grid, rows, norm_space):
+        calls.append(rows)
+        return spaces.space_norms(grid, rows, norm_space)
+
+    harness.space_norms = record
+    try:
+        harness.equivalence_experiment(space, "annular", NORM_TRIALS, NORM_GRID, SCALES, seed)
+    finally:
+        harness.space_norms = spaces.space_norms
+    (rows,) = calls
+    return rows
+
+
+def evaluations_per_window(rows, space) -> float:
+    """Elements one ``space_norms`` call hands the modular density, over the
+    elements of the windows it solves, counted by wrapping ``_luxemburg_rows``."""
+    solve, handed, solved = spaces._luxemburg_rows, [], []
+
+    def counted(mag, cellvol, density, types):
+        solved.append(mag.size)
+        return solve(mag, cellvol, lambda ratio: handed.append(ratio.size) or density(ratio), types)
+
+    spaces._luxemburg_rows = counted
+    try:
+        spaces.space_norms(NORM_GRID, rows, space)
+    finally:
+        spaces._luxemburg_rows = solve
+    return sum(handed) / sum(solved)
+
+
+def norm_case(name: str, seed: int):
+    """The timed call of a norm case, its row count and, for a Luxemburg
+    space, its evaluations per window."""
+    space = five_spaces(NORM_GRID)[name]
+    rows = harness_rows(space, seed)
+    extra = {"evaluations_per_window": evaluations_per_window(rows, space)} if name in LUXEMBURG else {}
+    return "space_norms", len(rows), lambda: spaces.space_norms(NORM_GRID, rows, space), extra
+
+
+def bench(case: str, repeats: int, seed: int) -> dict:
+    call, rows, run, extra = (peetre_case if case in PEETRE else norm_case)(case, seed)
+    run()
+    times, faults = [], []
+    for _ in range(repeats):
+        f0, t0 = minor_faults(), time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+        faults.append(minor_faults() - f0)
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive") if repeats > 1 else times * 3
+    return {"case": case, "call": call, "rows": rows, "repeats": repeats, "median_s": median, "q1_s": q1,
+            "q3_s": q3, "min_s": min(times), "max_s": max(times), "faults_per_call": statistics.median(faults),
+            **extra}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--case", action="append", choices=CASES, help="default: every case")
+    parser.add_argument("--repeats", type=int, default=9)
+    parser.add_argument("--seed", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    for case in args.case or CASES:
+        print(json.dumps(bench(case, args.repeats, args.seed)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,9 +25,9 @@ cone functional is the cumulative sum of difference rows that one
 ``space_norms`` calls of the L^p sizes (kept per atom), so no pieces x cells
 stack is held.  The pieces' balls come from one gather of their own cells'
 torus distances, and the balls' indicators (``_ball_rows``) from one
-``torus_window_view`` gather whose norms (``ball_norms``) take one
-``space_norms`` call; ``coefficient_functional`` adds its per-atom weights
-with one ``np.bincount``.  A ``TentAtom`` keeps only its piece's cells and
+``torus_window_view`` gather whose norms take one ``space_norms`` call;
+``coefficient_functional`` adds its per-atom weights with one
+``np.bincount``.  A ``TentAtom`` keeps only its piece's cells and
 values; its dense field is built on demand.  ``tent_decompose`` divides
 every kept atom's values in one operation and checks them once, and
 ``TentDecomposition.reconstruct`` adds them back in one scatter.
@@ -55,7 +55,6 @@ __all__ = [
     "TentAtom",
     "TentDecomposition",
     "Molecule",
-    "ball_norms",
     "tent_decompose",
     "synthesize_molecule",
     "coefficient_functional",
@@ -94,15 +93,6 @@ def _ball_rows(grid: GridSpec, balls: Sequence[Ball]) -> np.ndarray:
     # B(c, r) holds x iff mask[(x - c) mod n]: the window at shift -c
     shifts = tuple((-centers % grid.points_per_axis).T)
     return grid.torus_window_view(masks)[(which,) + shifts].reshape((len(balls),) + grid.shape)
-
-
-def ball_norms(grid: GridSpec, balls: Sequence[Ball], space: SpaceDescriptor) -> list[float]:
-    """The space norm of every ball's indicator, bitwise its one-row
-    ``space_norm``.
-
-    The indicators come from one gather and take their norms row-batched.
-    """
-    return space_norms(grid, _ball_rows(grid, balls), space)
 
 
 @dataclass(frozen=True)
@@ -154,9 +144,9 @@ class TentAtom:
 class TentDecomposition:
     """The atoms of ``tent_decompose`` on the half-space of ``grid`` and
     ``scales``; ``ball_norms[i]`` is the norm of ``atoms[i]``'s ball indicator
-    in the space the atoms were sized for (``ball_norms``), and
-    ``sizes[p][i]`` the L^p norm of its unit-aperture cone functional, for
-    each p of ``SIZE_EXPONENTS``."""
+    in the space the atoms were sized for, bitwise its one-row
+    ``space_norm``, and ``sizes[p][i]`` the L^p norm of its unit-aperture
+    cone functional, for each p of ``SIZE_EXPONENTS``."""
 
     atoms: list[TentAtom]
     grid: GridSpec
@@ -425,7 +415,7 @@ def tent_decompose(
     # its L^p sizes from its cone functional's interval sums, chunk by chunk
     cells = [piece_cells for piece_cells, _ in pieces]
     fitted = _fit_balls(grid, balls, [center for _, center in pieces], cells, scales.scales)
-    norms = np.array(ball_norms(grid, fitted, space))
+    norms = np.array(space_norms(grid, _ball_rows(grid, fitted), space))
     sizes = np.array(_piece_sizes(F, cells))
     volumes = ball_volume(np.array([ball.radius for ball in fitted]), grid.dim)
     lams = np.max([size * norms / volumes ** (1.0 / p) for p, size in zip(SIZE_EXPONENTS, sizes)], axis=0)

@@ -306,10 +306,10 @@ class FieldStack:
     """Half-space fields on the same grids, ``values[i]`` the values of the
     i-th (see ``transforms.build_fields``).
 
-    Only the batched operators (``squarefuncs.tent_functionals``,
-    ``g_functions``, ``g_lambda_stars`` and the ``scale_sums`` under them)
-    take a stack, one output row per field; they take a ``HalfSpaceField``
-    as a stack of one.
+    Only the batched square functions, ``squarefuncs.scale_sums`` and
+    ``g_functions``, take a stack, one output row per field; they take a
+    ``HalfSpaceField`` as a stack of one.  The batched Peetre sup,
+    ``maximal.peetre_maximals``, takes the functions themselves.
     """
 
     grid: GridSpec

@@ -151,16 +151,10 @@ class ReproducingPair:
     support: tuple[float, float]  # radial annulus carrying psi_hat
 
 
-def _fine_log_nodes(lo: float, hi: float, steps_per_octave: int = 256) -> tuple[np.ndarray, float]:
-    octaves = math.log2(hi / lo)
-    count = int(round(steps_per_octave * octaves))
-    nodes = lo * 2.0 ** ((np.arange(count) + 0.5) / steps_per_octave)
-    return nodes, math.log(2.0) / steps_per_octave
-
-
 def _band_center(profile: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Log-midpoint of the radial band where |profile| is within 10% of its peak."""
-    probe, _ = _fine_log_nodes(1e-3, 64.0, steps_per_octave=128)
+    """Log-midpoint of the radial band where |profile| is within 10% of its
+    peak, probed at the log-midpoint nodes of 1e-3 .. 64, 128 per octave."""
+    probe = ScaleGrid(1e-3, 64.0, 128).scales
     vals = np.abs(profile(probe))
     peak = vals.max()
     if peak <= 0.0:
@@ -195,8 +189,8 @@ def calderon_companion(phi: Kernel, scales: ScaleGrid) -> ReproducingPair:
     psi = Kernel(phi.grid, phi.kind, psi_profile)
 
     # independent fine quadrature of the ray integral at the reference direction
-    nodes, w = _fine_log_nodes(s0 / 2.0, 16.0 * s0)
-    check = float(np.sum(phi.profile(nodes) * psi_profile(nodes)) * w)
+    fine = ScaleGrid(s0 / 2.0, 16.0 * s0, 256)
+    check = float(np.sum(phi.profile(fine.scales) * psi_profile(fine.scales)) * fine.log_weight)
     if abs(check - 1.0) > NORMALIZATION_TOL:
         raise DegenerateKernel(
             f"ray normalization {check:.6f} deviates from 1 beyond {NORMALIZATION_TOL}; "

@@ -19,17 +19,16 @@ but the last multiplies a copy of the spectra in place (``*=``;
 bitwise its one-table value.  A (field, scale) row whose |F|^2 is zero is
 the only one skipped.  (The cone functionals of a decomposition's pieces,
 which hold a few cells per scale, are interval sums in
-``atoms._piece_functionals`` instead.)  The plural forms
-(``tent_functionals``, ``g_functions``, ``g_lambda_stars``) take a
-``FieldStack`` (``transforms.build_fields``) or one ``HalfSpaceField``, real
-or complex, and return one real row per field, each bitwise the one-field
-value; ``tent_functionals`` and ``g_lambda_stars`` are the one-table cases of
-``scale_sums``, and the singular forms are the one-field cases of the plural
-ones and refuse a stack.  Each
-field's |F| is divided by the power of two of its maximum before squaring
-and the root is scaled back (``_unit_powers``, through
-``grid.scale_to_unit_rows``), so the square functions are positively
-homogeneous over the whole float range.
+``atoms._piece_functionals`` instead.)  The batched forms, ``scale_sums``
+and ``g_functions``, take a ``FieldStack`` (``transforms.build_fields``) or
+one ``HalfSpaceField``, real or complex, and return one real row per field,
+each bitwise the one-field value.  The singular forms are their one-field
+cases and refuse a stack: ``tent_functional`` and ``g_lambda_star`` are
+``scale_sums`` of one field and one table, ``g_function`` is ``g_functions``
+of one field.  Each field's |F| is divided by the power of two of its
+maximum before squaring and the root is scaled back (``_unit_powers``,
+through ``grid.scale_to_unit_rows``), so the square functions are
+positively homogeneous over the whole float range.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from .errors import LambdaTooSmall
 from .grid import FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows
 from .transforms import inverse_spectrum, spectrum
 
-__all__ = ["tent_functional", "tent_functionals", "lusin_area", "g_function", "g_functions", "g_lambda_star",
-           "g_lambda_stars", "scale_sums", "ball_spectra", "cone_spectra", "gstar_spectra"]
+__all__ = ["tent_functional", "lusin_area", "g_function", "g_functions", "g_lambda_star", "scale_sums",
+           "ball_spectra", "cone_spectra", "gstar_spectra"]
 
 # kernel spectra kept per (grid, radii) or (grid, scales, aperture or lambda);
 # a 2-D N=64 table over 64 scales is 2.2 MB
@@ -158,22 +157,16 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
 
 
 def _one_field(F: HalfSpaceField) -> HalfSpaceField:
-    """F itself; a ``FieldStack`` raises, it belongs to the plural forms."""
+    """F itself; a ``FieldStack`` raises, it belongs to the batched forms."""
     if not isinstance(F, HalfSpaceField):
         raise TypeError(f"expected one HalfSpaceField, got {type(F).__name__}: "
-                        "a FieldStack goes to tent_functionals, g_functions or g_lambda_stars")
+                        "the batched forms are scale_sums, g_functions and peetre_maximals")
     return F
 
 
 def tent_functional(F: HalfSpaceField, alpha: float) -> SampledFunction:
     """Square root of the |F|^2 half-space integral over the aperture-alpha cone."""
-    return SampledFunction(F.grid, tent_functionals(_one_field(F), alpha)[0])
-
-
-def tent_functionals(F: HalfSpaceField | FieldStack, alpha: float) -> np.ndarray:
-    """``tent_functional`` of every field of F, one row per field, each
-    bitwise the one-field value."""
-    return scale_sums(F, [cone_spectra(F.grid, F.scales, alpha)])[0]
+    return SampledFunction(F.grid, scale_sums(_one_field(F), [cone_spectra(F.grid, F.scales, alpha)])[0, 0])
 
 
 def lusin_area(F: HalfSpaceField) -> SampledFunction:
@@ -200,10 +193,4 @@ def g_lambda_star(F: HalfSpaceField, lam: float) -> SampledFunction:
     The y-sum runs over the whole box; lambda must exceed 1 so the weight is
     integrable at the continuum level.
     """
-    return SampledFunction(F.grid, g_lambda_stars(_one_field(F), lam)[0])
-
-
-def g_lambda_stars(F: HalfSpaceField | FieldStack, lam: float) -> np.ndarray:
-    """``g_lambda_star`` of every field of F, one row per field,
-    each bitwise the one-field value."""
-    return scale_sums(F, [gstar_spectra(F.grid, F.scales, lam)])[0]
+    return SampledFunction(F.grid, scale_sums(_one_field(F), [gstar_spectra(F.grid, F.scales, lam)])[0, 0])

@@ -2,10 +2,10 @@
 sampling a callable, a box indicator or a band-limited trial, the half-space
 quadrature, the tent region of a ball, the cone-functional size of one field,
 and the atom that stores a dense field on its nonzero cells; a ball's
-indicator (the oracle of ``atoms.ball_norms``); the per-radius ball-average
-maximal loop (``hl_maximal_per_radius``, the oracle of ``hl_maximal``); the
-dense smoothed sup over every live scale at every distance
-(``dense_peetre_maximals``, the oracle of ``peetre_maximals``); the
+indicator (the oracle of the ball norms ``tent_decompose`` keeps); the
+per-radius ball-average maximal loop (``hl_maximal_per_radius``, the oracle
+of ``hl_maximal``); the dense smoothed sup over every live scale at every
+distance (``dense_peetre_maximals``, the oracle of ``peetre_maximals``); the
 powered maximal function
 {M(|f|^theta)}^(1/theta) and the Fefferman-Stein vector-valued ratio
 (``fs_vector_check``); the convexified norm ``convexify_norm``; and the

@@ -9,7 +9,6 @@ from lpx.atoms import (
     Ball,
     TentAtom,
     TentDecomposition,
-    ball_norms,
     coefficient_functional,
     synthesize_molecule,
     tent_decompose,
@@ -710,8 +709,9 @@ def test_ball_norms_match_each_indicator_norm_bitwise(dim, n):
     for space in spaces:
         # a 2-D N=64 Morrey norm takes milliseconds: fewer balls there
         balls = _oracle_balls(grid, 4 if isinstance(space, Morrey) and n == 64 else 24)
-        assert ball_norms(grid, balls, space) == [space_norm(ball_indicator(grid, b), space) for b in balls]
-        assert ball_norms(grid, [], space) == []
+        assert (space_norms(grid, atoms._ball_rows(grid, balls), space)
+                == [space_norm(ball_indicator(grid, b), space) for b in balls])
+        assert space_norms(grid, atoms._ball_rows(grid, []), space) == []
 
 
 @pytest.mark.parametrize("kind", ["field", "stray"])
@@ -721,7 +721,7 @@ def test_decomposition_ball_norms_are_its_atoms_ball_norms_bitwise(kind, space):
     F = _field_case(1, 64, kind)
     dec = tent_decompose(F, space, BallFamily.build(F.grid, 2))
     assert dec.atoms and len(dec.ball_norms) == len(dec.atoms)
-    assert dec.ball_norms == ball_norms(F.grid, [atom.ball for atom in dec.atoms], space)
+    assert dec.ball_norms == [space_norm(ball_indicator(F.grid, atom.ball), space) for atom in dec.atoms]
     assert tent_decompose(_field_case(1, 64, "zero"), space).ball_norms == []
 
 
@@ -750,7 +750,7 @@ def test_empty_decomposition_passes_the_batched_ball_bookkeeping():
     for space in (LEBESGUE, MORREY, Lebesgue(0.5)):
         dec = tent_decompose(F, space, BallFamily.build(F.grid, 2))
         assert dec.atoms == []
-        assert ball_norms(F.grid, [atom.ball for atom in dec.atoms], space) == []
+        assert dec.ball_norms == [space_norm(ball_indicator(F.grid, atom.ball), space) for atom in dec.atoms] == []
         assert coefficient_functional(dec, space) == 0.0 == _coefficient_functional_reference(dec, space)
 
 

@@ -1,0 +1,28 @@
+"""Smoke test of ``scripts/layer_bench.py``, the in-process timer: one repeat
+of a Peetre case and of the ``orlicz_slice`` norm case, which records the
+harness's rows through ``harness.space_norms`` and counts modular
+evaluations through ``spaces._luxemburg_rows``."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+LAYER_BENCH = Path(__file__).resolve().parents[1] / "scripts" / "layer_bench.py"
+KEYS = {"case", "call", "rows", "repeats", "median_s", "q1_s", "q3_s", "min_s", "max_s", "faults_per_call"}
+
+
+def test_layer_bench_prints_one_json_line_per_case(capsys):
+    spec = importlib.util.spec_from_file_location("layer_bench", LAYER_BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.main(["--case", "1d-64", "--case", "orlicz_slice", "--repeats", "1"]) == 0
+    peetre, norms = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert set(peetre) == KEYS | {"b"}
+    assert (peetre["case"], peetre["call"], peetre["rows"]) == ("1d-64", "peetre_maximals", 10)
+    assert set(norms) == KEYS | {"evaluations_per_window"}
+    assert (norms["case"], norms["call"], norms["rows"]) == ("orlicz_slice", "space_norms", 40)
+    assert norms["evaluations_per_window"] >= 2  # each row's secant starts from two evaluated points
+    for line in (peetre, norms):
+        assert line["repeats"] == 1
+        assert 0 < line["min_s"] == line["q1_s"] == line["median_s"] == line["q3_s"] == line["max_s"]
+        assert line["faults_per_call"] >= 0

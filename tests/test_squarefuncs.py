@@ -16,8 +16,8 @@ from lpx.grid import (
 )
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel
-from lpx.squarefuncs import (cone_spectra, g_function, g_functions, g_lambda_star, g_lambda_stars, gstar_spectra,
-                             lusin_area, scale_sums, tent_functional, tent_functionals)
+from lpx.squarefuncs import (cone_spectra, g_function, g_functions, g_lambda_star, gstar_spectra, lusin_area,
+                             scale_sums, tent_functional)
 from lpx.transforms import build_field, build_fields, build_plan, correlate, inverse_spectrum, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
@@ -349,11 +349,10 @@ def test_field_stack_operators_match_spectral_reference_bitwise(case, chunk, mon
     if chunk is not None:
         monkeypatch.setattr(squarefuncs, "SCALE_SUM_CHUNK", chunk)
     for alpha in (0.5, 1.0, 2.0):
-        rows = tent_functionals(stack, alpha)
-        for F, row in zip(fields, rows):
+        for F, row in zip(fields, scale_sums(stack, [cone_spectra(grid, scales, alpha)])[0]):
             assert np.array_equal(row, _tent_spectral_reference(F, alpha)), alpha
     for lam in (1.5, 3.0):
-        for F, row in zip(fields, g_lambda_stars(stack, lam)):
+        for F, row in zip(fields, scale_sums(stack, [gstar_spectra(grid, scales, lam)])[0]):
             assert np.array_equal(row, _gstar_spectral_reference(F, lam)), lam
 
 
@@ -366,17 +365,17 @@ def test_field_stack_operators_match_one_field_calls_bitwise(case, monkeypatch):
     # a chunk of rows that ends mid-field, so one field's rows span two correlations
     monkeypatch.setattr(squarefuncs, "SCALE_SUM_CHUNK", len(scales) + 3)
     for alpha in (0.0, 1.0, 2.0):
-        rows = tent_functionals(stack, alpha)
+        rows = scale_sums(stack, [cone_spectra(grid, scales, alpha)])[0]
         assert rows.shape == (len(fields),) + grid.shape
         for F, row in zip(fields, rows):
             assert np.array_equal(row, tent_functional(F, alpha).values.real), alpha
     for lam in (1.5, 3.0):
-        for F, row in zip(fields, g_lambda_stars(stack, lam)):
+        for F, row in zip(fields, scale_sums(stack, [gstar_spectra(grid, scales, lam)])[0]):
             assert np.array_equal(row, g_lambda_star(F, lam).values.real), lam
     for F, row in zip(fields, g_functions(stack)):
         assert np.array_equal(row, g_function(F).values.real)
     with pytest.raises(LambdaTooSmall):
-        g_lambda_stars(stack, 1.0)
+        scale_sums(stack, [gstar_spectra(grid, scales, 1.0)])
     # a stack handed to a one-field operator is refused, not read as its first field
     for singular in (lambda F: tent_functional(F, 1.0), lusin_area, g_function, lambda F: g_lambda_star(F, 1.5)):
         with pytest.raises(TypeError, match="FieldStack"):
@@ -412,20 +411,21 @@ def test_scale_sums_rows_are_the_one_table_rows_bitwise(case):
     F = SCALE_SUMS_CASES[case]()
     grid, scales = F.grid, F.scales
     params = [("cone", 1.0), ("gstar", 1.5), ("cone", 2.0), ("cone", 0.5), ("gstar", 3.0)]
-    one_table = {"cone": tent_functionals, "gstar": g_lambda_stars}
     spectra = {"cone": cone_spectra, "gstar": gstar_spectra}
     for picks in (params[:2], params[2:4] + params[:1], params):  # cone 1 and g* 1.5 both last once and not last once
         rows = scale_sums(F, [spectra[kind](grid, scales, v) for kind, v in picks])
         assert rows.shape == (len(picks), len(F.stack)) + grid.shape
         for (kind, v), row in zip(picks, rows):
-            assert np.array_equal(row, one_table[kind](F, v)), (kind, v)
+            assert np.array_equal(row, scale_sums(F, [spectra[kind](grid, scales, v)])[0]), (kind, v)
 
 
 def test_lambda_at_most_one_is_refused_by_every_g_lambda_star_route():
     F = _oracle_field(*ORACLE_GRIDS["1d-64"], "noise")
     for lam in (1.0, 0.5):
         with pytest.raises(LambdaTooSmall):
-            g_lambda_stars(F, lam)
+            g_lambda_star(F, lam)
+        with pytest.raises(LambdaTooSmall):
+            scale_sums(F, [gstar_spectra(F.grid, F.scales, lam)])
         with pytest.raises(LambdaTooSmall):
             scale_sums(F, [cone_spectra(F.grid, F.scales, 1.0), gstar_spectra(F.grid, F.scales, lam)])
 
@@ -537,7 +537,7 @@ def test_cone_functional_at_aperture_zero_is_positive_zero(case):
     grid, scales = ORACLE_GRIDS[case]
     F = _oracle_field(grid, scales, "noise")
     stack = FieldStack(grid, scales, np.stack([F.values, -3.0 * F.values.real, np.zeros_like(F.values)]))
-    for rows in (tent_functionals(F, 0.0), tent_functionals(stack, 0.0)):
+    for rows in (tent_functional(F, 0.0).values, scale_sums(stack, [cone_spectra(grid, scales, 0.0)])[0]):
         assert np.all(rows == 0.0) and not np.signbit(rows).any()
 
 
@@ -545,6 +545,6 @@ def test_square_functions_take_no_cache_knob():
     import inspect
 
     assert list(inspect.signature(tent_functional).parameters) == ["F", "alpha"]
-    assert list(inspect.signature(tent_functionals).parameters) == ["F", "alpha"]  # fields only, no pieces
+    assert list(inspect.signature(scale_sums).parameters) == ["F", "tables"]  # fields only, no pieces
     assert list(inspect.signature(g_lambda_star).parameters) == ["F", "lam"]
     assert "environ" not in inspect.getsource(squarefuncs)
