@@ -42,12 +42,12 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import (OFFSET_CACHE_SIZE, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex,
+from .grid import (CACHE_SIZE, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex,
                    scale_to_unit_rows)
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import Lebesgue, SpaceDescriptor, space_norm, space_norms
-from .squarefuncs import tent_functional
+from .squarefuncs import cone_weights, tent_functional, whole_batches
 from .transforms import apply_multiplier, build_plan
 
 __all__ = [
@@ -191,7 +191,7 @@ def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray)
     return np.searchsorted(levels, np.moveaxis(minima, 0, -1), side="left") - 1
 
 
-@functools.lru_cache(maxsize=OFFSET_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _cell_windows(grid: GridSpec) -> np.ndarray:
     """``torus_window_view`` of the cells' flat indices, built once per grid:
     at ``center + offsets`` it reads the flat index of the cell at each
@@ -272,13 +272,15 @@ def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Itera
     """The unit-aperture cone functional of every piece, piece i being F on
     the cells ``pieces[i]`` (flat indices into ``grid.shape + (K,)``) and
     zero elsewhere: yields ``(pieces of the chunk,) + grid.shape`` rows, one
-    chunk of whole pieces after another (``PIECE_CHUNK``).
+    chunk of whole pieces after another (``PIECE_CHUNK``,
+    ``squarefuncs.whole_batches``).
 
     A cell (y, t_k) adds c = w_k |F(y, t_k)|^2, w_k the scale's quadrature
-    weight, to the squared functional on B(y, t_k), whose first-axis rows are
-    runs along the last axis (``GridSpec.ball_row_widths``).  So each piece's
-    square is a cumulative sum of difference rows, one per (piece, first-axis
-    line) with a dropped column n: each (cell, ball row) adds +c at its run's
+    weight (``squarefuncs.cone_weights``), to the squared functional on
+    B(y, t_k), whose first-axis rows are runs along the last axis
+    (``GridSpec.ball_row_widths``).  So each piece's square is a cumulative
+    sum of difference rows, one per (piece, first-axis line) with a dropped
+    column n: each (cell, ball row) adds +c at its run's
     start and -c one past its end (a run ending at n puts it in the dropped
     column), and a run that wraps past n ends at its end - n and adds one
     more +c at 0; a full row (w = n) is taken to start at 0, so it never
@@ -294,7 +296,6 @@ def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Itera
     row_scale, row_dx = np.nonzero(widths)  # every (scale, ball row), scale-major
     row_width, row_count = widths[row_scale, row_dx], np.bincount(row_scale, minlength=k_count)
     row_first = np.cumsum(row_count) - row_count
-    weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
     counts = [len(c) for c in pieces]
     cells = np.concatenate([np.empty(0, dtype=np.intp), *pieces])
     if not len(cells):
@@ -306,13 +307,11 @@ def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Itera
     power = np.abs(F.values.reshape(-1)[cells])
     exp = int(scale_to_unit_rows(power[None])[0])
     np.square(power, out=power)
-    power *= weights[k]
+    power *= cone_weights(grid, scales)[k]
     runs = row_count[k]
     cost = lines * (n + 1) + np.bincount(owner, runs, minlength=len(pieces))
-    ends, cell_ends = np.cumsum(cost), np.cumsum(counts)
-    lo = 0
-    while lo < len(pieces):
-        hi = max(int(np.searchsorted(ends, ends[lo] - cost[lo] + PIECE_CHUNK, side="right")), lo + 1)
+    cell_ends = np.cumsum(counts)
+    for lo, hi in whole_batches(cost, PIECE_CHUNK):
         first, last = (cell_ends[lo - 1] if lo else 0), cell_ends[hi - 1]
         chunk_runs = runs[first:last]
         cell = np.repeat(np.arange(first, last), chunk_runs)  # one entry per (cell, ball row)
@@ -330,7 +329,6 @@ def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Itera
         np.maximum(rows, 0.0, out=rows)
         np.sqrt(rows, out=rows)
         yield np.ldexp(rows, exp, out=rows).reshape((hi - lo,) + grid.shape)
-        lo = hi
 
 
 def _piece_sizes(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> list[list[float]]:

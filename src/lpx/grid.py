@@ -41,9 +41,10 @@ __all__ = [
 ]
 
 
-# offset distance tables kept per grid, and ball offset lists per (grid,
-# radii); a 2-D N=64 table is 32 kB
-OFFSET_CACHE_SIZE = 8
+# entries of every fixed-input cache of the library (kernels, plans, spectra,
+# families, ball tables, distance tables) but the trials'; a 2-D N=64
+# offset distance table is 32 kB, a 2-D N=128 plan over 64 scales 8 MiB
+CACHE_SIZE = 8
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -127,7 +128,7 @@ class GridSpec:
         ``torus_window_view`` at the shift -c."""
         return self.offset_distances() < radius
 
-    @functools.lru_cache(maxsize=OFFSET_CACHE_SIZE)
+    @functools.lru_cache(maxsize=CACHE_SIZE)
     def ball_offsets(self, radii: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
         """Per radius r, the offsets of the cells of ``ball_mask(r)``, one
         read-only integer array per axis, in C order: the one offset list of
@@ -140,7 +141,7 @@ class GridSpec:
             out.append(axes)
         return tuple(out)
 
-    @functools.lru_cache(maxsize=OFFSET_CACHE_SIZE)
+    @functools.lru_cache(maxsize=CACHE_SIZE)
     def ball_row_widths(self, radii: tuple[float, ...]) -> np.ndarray:
         """Per radius r, the number of cells of ``ball_mask(r)`` in each
         first-axis row (offset dx = 0..n-1; a 1-D ball is the one row dx = 0),
@@ -171,7 +172,7 @@ class GridSpec:
             doubled.strides[:lead] + grid_strides + grid_strides, writeable=False)
 
 
-@functools.lru_cache(maxsize=OFFSET_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _offset_distances(grid: GridSpec) -> np.ndarray:
     n = grid.points_per_axis
     j = np.arange(n)

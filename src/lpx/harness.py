@@ -26,9 +26,9 @@ takes its probes' multipliers from one call of the kernel's profile.
 
 The experiments' fixed inputs are built once per process: ``trial_function``
 keeps the last ``TRIAL_CACHE_SIZE`` trials it built, ``embedding_weight`` the
-last 8 weights, and the kernel, its companion and both plans come from the
-bounded caches of ``kernels.build_kernel``, ``kernels.calderon_companion``
-and ``transforms.build_plan``.  A cached trial is one shared read-only object,
+last ``grid.CACHE_SIZE`` weights, and the kernel, its companion and both
+plans come from the bounded caches of ``kernels.build_kernel``,
+``kernels.calderon_companion`` and ``transforms.build_plan``.  A cached trial is one shared read-only object,
 so an equivalence run per ``FIVE_SPACES`` space, or the three experiments of
 a ``verify`` run, share one trial family.
 """
@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import ConeOverflow
 from .grid import (
+    CACHE_SIZE,
     GridSpec,
     SampledFunction,
     ScaleGrid,
@@ -371,12 +372,12 @@ def change_of_angle_experiment(
     )
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def embedding_weight(grid: GridSpec, epsilon: float = 0.9) -> Weight:
     """The weight [M(1_{B(0,1)})]^epsilon used by the weighted embedding, M
     over the default family; with no evaluator, its space carries ``q_omega``.
-    Each (grid, epsilon) among the last 8 is built once and returned as one
-    shared object, whose values are read-only."""
+    Each (grid, epsilon) among the last ``grid.CACHE_SIZE`` is built once and
+    returned as one shared object, whose values are read-only."""
     ind = indicator_ball(grid, [0.0] * grid.dim, 1.0)
     vals = np.maximum(hl_maximal(ind).values, 1e-300) ** epsilon
     return Weight(values=SampledFunction(grid, vals))

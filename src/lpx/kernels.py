@@ -13,7 +13,7 @@ phi_hat * psi_hat integrates to 1 against dt/t along every ray, and the band
 coverage of a pair is the scale sum of its two cached plans' tables.
 
 ``build_kernel`` and ``calderon_companion`` depend only on their arguments,
-and their results are frozen, so each keeps the last ``KERNEL_CACHE_SIZE``
+and their results are frozen, so each keeps the last ``grid.CACHE_SIZE``
 results it built and returns them shared.  A ``Kernel`` compares its profile
 by identity: a kernel that ``build_annular_kernel`` builds again equals the
 cached one, and a cached companion hands out one psi.
@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BandCoverageError, DegenerateKernel, DualRangeTooSmall
-from .grid import GridSpec, SampledFunction, ScaleGrid, scale_to_unit_rows
+from .grid import CACHE_SIZE, GridSpec, SampledFunction, ScaleGrid, scale_to_unit_rows
 from .transforms import apply_multiplier, build_plan
 
 __all__ = [
@@ -54,8 +54,6 @@ __all__ = [
 NORMALIZATION_TOL = 1e-3
 COVERAGE_MIN = 0.99
 UNCOVERED_MASS_TOL = 1e-6
-# kernels kept per (kind, grid) and companions per (kernel, scales)
-KERNEL_CACHE_SIZE = 8
 
 
 class KernelKind(enum.Enum):
@@ -128,10 +126,10 @@ def build_weak_kernel(grid: GridSpec) -> Kernel:
     return Kernel(grid, KernelKind.WEAK, weak_profile)
 
 
-@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def build_kernel(kind: str, grid: GridSpec) -> Kernel:
     """Kernel of the family named by a ``KernelKind`` value, one shared
-    object per (kind, grid) among the last ``KERNEL_CACHE_SIZE``.  The
+    object per (kind, grid) among the last ``grid.CACHE_SIZE``.  The
     catalogue is built per build, so a wrapper installed on a builder's
     module name sees the first build per (kind, grid)."""
     builders = {KernelKind.ANNULAR.value: build_annular_kernel, KernelKind.WEAK.value: build_weak_kernel}
@@ -163,7 +161,7 @@ def _band_center(profile: Callable[[np.ndarray], np.ndarray]) -> float:
     return float(np.exp(np.mean(np.log(active))))
 
 
-@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def calderon_companion(phi: Kernel, scales: ScaleGrid) -> ReproducingPair:
     """Build the companion psi_hat = phi_hat * b / c with b an annular bump.
 
@@ -171,7 +169,7 @@ def calderon_companion(phi: Kernel, scales: ScaleGrid) -> ReproducingPair:
     where phi_hat is large.  c is the scale-grid quadrature of
     phi_hat(r)^2 b(r) dr/r, so the product phi_hat * psi_hat integrates to one
     along every ray.  One shared pair per (kernel, scales) among the last
-    ``KERNEL_CACHE_SIZE``, so the plan of its psi is built once too.
+    ``grid.CACHE_SIZE``, so the plan of its psi is built once too.
     """
     s0 = _band_center(phi.profile) / math.sqrt(8.0)  # annular log-center is sqrt(8)
 

@@ -4,9 +4,9 @@ Ball averages divide the cell mass of the samples whose centers fall in the
 ball by the continuous ball measure (2r in 1-D, pi r^2 in 2-D).  Radii are
 snapped so that the covered cell volume never exceeds the continuous measure:
 in 1-D they are whole numbers of cells, in 2-D each radius is inflated until
-pi r^2 dominates the lattice count.  This keeps every average of |f| below
-sup|f| and makes the power inequality for ball means exact up to the
-round-off of the correlation that sums the balls.
+pi r^2 dominates the cell volume of its ``GridSpec.ball_mask``.  This keeps
+every average of |f| below sup|f| and makes the power inequality for ball
+means exact up to the round-off of the correlation that sums the balls.
 
 ``hl_maximal`` runs on |f| divided by the power of two of its max
 (``grid.scale_to_unit_rows``) and scales back, so it is positively
@@ -19,7 +19,7 @@ torus ball is one symmetric run of cells along the last axis, and the max
 over a run of w cells is two reads of one level of a doubling table (level
 j: the max over 2^j consecutive cells), from a read table built once per
 (grid, radii).  A ball's cells are ``GridSpec.ball_mask``'s, and
-``BallFamily.build`` keeps the last ``FAMILY_CACHE_SIZE`` families it built,
+``BallFamily.build`` keeps the last ``grid.CACHE_SIZE`` families it built,
 so a default family is built once per grid.
 """
 
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridSpec, SampledFunction, ScaleGrid, scale_to_unit_rows
+from .grid import CACHE_SIZE, GridSpec, SampledFunction, ScaleGrid, scale_to_unit_rows
 from .squarefuncs import ball_spectra
 from .transforms import ConvolutionPlan, build_fields, correlate
 
@@ -47,8 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_RADII_PER_OCTAVE = {1: 32, 2: 8}
-# ball families kept by ``BallFamily.build``, one per (grid, radii per octave)
-FAMILY_CACHE_SIZE = 8
 # bytes of the doubling-table levels of one block of stacked rows in
 # ``BallFamily.ball_filters`` (at least one row)
 FILTER_BLOCK_BYTES = 1 << 20
@@ -59,8 +57,6 @@ PEETRE_CHUNK = 1 << 17
 # relative margin of the smoothed sup's far-distance test of its candidate
 # scales; it covers the rounding of the weight table and of the products
 PEETRE_MARGIN = 1e-12
-# distance tables of the smoothed sup kept per (grid, scales, b)
-PEETRE_CACHE_SIZE = 8
 
 
 def ball_volume(radius: float, dim: int) -> float:
@@ -77,26 +73,20 @@ def _snap_radii_1d(grid: GridSpec, per_octave: int) -> np.ndarray:
 
 def _snap_radii_2d(grid: GridSpec, per_octave: int) -> np.ndarray:
     n = grid.points_per_axis
-    spacing = grid.spacing
-    j = np.arange(n)
-    d = np.minimum(j, n - j)
-    dx, dy = np.meshgrid(d, d, indexing="ij")
-    dist2 = (dx**2 + dy**2).astype(np.int64)
     octaves = int(math.log2(n))
     ladder = (n / 2) * 2.0 ** (-np.arange(octaves * per_octave + 1) / per_octave)
     radii = []
     for eta in ladder:
-        eta = max(1.0, min(eta, n / 2))
-        # inflate until the continuous area dominates the lattice count, so
-        # ball averages of a constant never exceed the constant
+        r = max(1.0, min(eta, n / 2)) * grid.spacing
+        # inflate until the continuous area dominates the volume of the
+        # ball's cells, so ball averages of a constant never exceed it
         for _ in range(64):
-            count = int(np.count_nonzero(dist2 < eta**2))
-            needed = math.sqrt(count / math.pi)
-            if eta >= needed:
+            covered = grid.cell_volume * np.count_nonzero(grid.ball_mask(r))
+            if ball_volume(r, 2) >= covered:
                 break
-            eta = needed * (1.0 + 1e-12)
-        if eta <= n / 2:
-            radii.append(eta * spacing)
+            r = math.sqrt(covered / math.pi) * (1.0 + 1e-12)
+        if r <= grid.half_width:
+            radii.append(r)
     radii.append(2.0 * grid.half_width)  # full box: every cell, measure 4*pi*L^2
     return np.unique(np.asarray(radii))
 
@@ -114,7 +104,7 @@ class BallFamily:
     radii: np.ndarray
 
     @classmethod
-    @lru_cache(maxsize=FAMILY_CACHE_SIZE)
+    @lru_cache(maxsize=CACHE_SIZE)
     def build(cls, grid: GridSpec, radii_per_octave: int) -> "BallFamily":
         """The family of the grid and ladder density, built once per pair."""
         if radii_per_octave < 1:
@@ -189,7 +179,7 @@ class BallFamily:
         return BallFamily(self.grid, np.array([radius])).ball_filters(values)[0]
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _ball_runs(
     grid: GridSpec, radii: tuple[float, ...]
 ) -> tuple[tuple[tuple[tuple[int, int, int, int], ...], ...], tuple[int, ...]]:
@@ -259,7 +249,7 @@ def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> Sa
     return SampledFunction(f.grid, peetre_maximals([f], b, plan=plan)[0])
 
 
-@lru_cache(maxsize=PEETRE_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _peetre_tables(grid: GridSpec, scales: ScaleGrid, b: float) -> tuple:
     """The offsets of the smoothed sup, grouped by distance: read-only
     ``(shifts, bounds, weights)``, and whether the weights are ordered.

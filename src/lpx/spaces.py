@@ -45,7 +45,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .errors import NoBracket, NotInAInfty, NumericFailure
-from .grid import GridSpec, SampledFunction, read_function_csv, scale_to_unit_rows
+from .grid import CACHE_SIZE, GridSpec, SampledFunction, read_function_csv, scale_to_unit_rows
 from .maximal import BallFamily, ball_volume
 
 __all__ = [
@@ -350,6 +350,12 @@ class WeightedLebesgue:
     tag: ClassVar[str] = "weighted"
     json_keys: ClassVar[tuple[str, ...]] = ("p", "weight", "q_omega")
 
+    def __post_init__(self):
+        if not self.p > 0:
+            raise ValueError("p must be positive")
+        if self.q_omega is not None and not self.q_omega >= 1:
+            raise ValueError(f"q_omega, a critical Muckenhoupt exponent, must be at least 1, got {self.q_omega!r}")
+
     def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
         totals = np.add.reduce((mag**self.p * self.weight.array).reshape(len(mag), grid.size), axis=-1)
         return [float((total * grid.cell_volume) ** (1.0 / self.p)) for total in totals]
@@ -501,7 +507,7 @@ class VariableLebesgue:
         return cls(exponent=ExponentFunction.build(grid, vals))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _slice_denominator(phi: OrliczFunction, grid: GridSpec, slice_t: float) -> float:
     """The ``OrliczSlice`` denominator, the Luxemburg norm of the indicator
     of the slice ball ``grid.ball_mask(slice_t)`` (a ones row of its cell

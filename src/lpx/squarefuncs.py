@@ -3,7 +3,8 @@
 Every square function takes a prebuilt half-space field F(y, t_k) =
 phi_{t_k} * f(y) (see ``transforms.build_field``), so one field per input
 serves all three.  All quadratures share the half-space measure
-dy dt / t^(n+1) realized as cell_volume * ln2/J * t_k^(-n) per cell, with
+dy dt / t^(n+1) realized as cell_volume * ln2/J * t_k^(-n) per cell
+(``cone_weights``), with
 ``GridSpec.ball_mask`` deciding cone membership.  Per scale, the sums over y
 are circular correlations of |F|^2 with a kernel that depends only on the
 grid, the scale and the aperture or lambda.  The spectra of those kernels
@@ -39,15 +40,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import LambdaTooSmall
-from .grid import FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows
+from .grid import CACHE_SIZE, FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows
 from .transforms import inverse_spectrum, spectrum
 
 __all__ = ["tent_functional", "lusin_area", "g_function", "g_functions", "g_lambda_star", "scale_sums",
-           "ball_spectra", "cone_spectra", "gstar_spectra"]
+           "ball_spectra", "cone_spectra", "gstar_spectra", "cone_weights", "whole_batches"]
 
-# kernel spectra kept per (grid, radii) or (grid, scales, aperture or lambda);
-# a 2-D N=64 table over 64 scales is 2.2 MB
-SPECTRA_CACHE_SIZE = 8
 # (field, scale) rows per batch of ``scale_sums``: a batch holds whole
 # fields, as many as fit, and at least one, so its temporaries stay within
 # max(SCALE_SUM_CHUNK, K) rows (a 2-D N=64 chunk of rows is 8 MB)
@@ -59,7 +57,7 @@ def _mask_spectra(grid: GridSpec, radii: Sequence[float]) -> np.ndarray:
     return spectrum(np.stack([grid.ball_mask(r) for r in radii]).astype(float), grid.dim)
 
 
-@functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def ball_spectra(grid: GridSpec, radii: tuple[float, ...]) -> np.ndarray:
     """Read-only spectra of the ball masks ``grid.ball_mask(r)``, one row per radius."""
     table = _mask_spectra(grid, radii)
@@ -67,16 +65,34 @@ def ball_spectra(grid: GridSpec, radii: tuple[float, ...]) -> np.ndarray:
     return table
 
 
+def cone_weights(grid: GridSpec, scales: ScaleGrid) -> np.ndarray:
+    """The half-space quadrature weight cell_volume * ln2/J * t_k^(-n) of a
+    cell at each scale t_k."""
+    return grid.cell_volume * scales.log_weight / scales.scales**grid.dim
+
+
+def whole_batches(sizes: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Greedy batches of whole items of the given sizes, as item ranges
+    (lo, hi): each takes as many items as end within ``budget`` of its start,
+    and at least one."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(ends):
+        start = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, start + budget, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 def _scale_weighted(grid: GridSpec, scales: ScaleGrid, table: np.ndarray) -> np.ndarray:
     """``table``, one spectrum per scale, with row k multiplied in place by
-    the scale's quadrature weight cell_volume * ln2/J * t_k^(-n); read-only."""
-    weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
-    table *= weights.reshape((-1,) + (1,) * grid.dim)
+    the scale's quadrature weight (``cone_weights``); read-only."""
+    table *= cone_weights(grid, scales).reshape((-1,) + (1,) * grid.dim)
     table.setflags(write=False)
     return table
 
 
-@functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def cone_spectra(grid: GridSpec, scales: ScaleGrid, alpha: float) -> np.ndarray:
     """Read-only spectra of the cone masks ``grid.ball_mask(alpha * t_k)``,
     weighted per scale (``_scale_weighted``).  The masks' spectra are
@@ -86,7 +102,7 @@ def cone_spectra(grid: GridSpec, scales: ScaleGrid, alpha: float) -> np.ndarray:
     return _scale_weighted(grid, scales, _mask_spectra(grid, [alpha * t for t in scales.scales]))
 
 
-@functools.lru_cache(maxsize=SPECTRA_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def gstar_spectra(grid: GridSpec, scales: ScaleGrid, lam: float) -> np.ndarray:
     """Read-only spectra of the weights ``(t_k / (t_k + dist))^(lambda n)``,
     weighted per scale (``_scale_weighted``); lambda must exceed 1."""
@@ -105,19 +121,6 @@ def _unit_powers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.square(mag, out=mag), exps
 
 
-def _batches(owner: np.ndarray) -> Iterator[list[int]]:
-    """``scale_sums``' batches, given each kept row's field (field-major,
-    then scale): per batch, the row offsets where its fields start, then its
-    end.  A batch holds whole fields, as many as fit ``SCALE_SUM_CHUNK`` rows,
-    and at least one."""
-    bounds = np.append(np.flatnonzero(np.diff(owner, prepend=-1)), len(owner))
-    first = 0
-    while first < len(bounds) - 1:
-        last = max(int(np.searchsorted(bounds, bounds[first] + SCALE_SUM_CHUNK, side="right")) - 1, first + 1)
-        yield bounds[first:last + 1].tolist()
-        first = last
-
-
 def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> np.ndarray:
     """sqrt(sum_k |F(., t_k)|^2 correlated with kernel k) for each field of F
     (one, or each of a ``FieldStack``) and each table, row k of a table being
@@ -131,7 +134,7 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
     right in scale order, then one inverse FFT per field.  Every table but
     the last multiplies a copy of the batch's spectra in place, the last the
     spectra themselves, so each table's rows are bitwise what a one-table
-    call gives.  A batch holds whole fields (``_batches``), so each field's
+    call gives.  A batch holds whole fields (``whole_batches``), so each field's
     sum is bitwise what a call on that field alone gives.  Returns
     ``(len(tables), fields) + grid.shape``.
     """
@@ -140,17 +143,19 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
     k_count = field_power.shape[-1]
     power = np.moveaxis(field_power.reshape(len(field_power), grid.size, k_count), -1, 1)
     owner, scale = np.divmod(np.flatnonzero((power != 0).any(axis=2)), k_count)  # field-major, then scale
+    fields, counts = np.unique(owner, return_counts=True)
+    edges = np.concatenate([[0], np.cumsum(counts)]).tolist()  # each kept field's rows
     acc = np.zeros((len(tables), len(power)) + grid.shape)
-    for edges in _batches(owner):
-        lo, hi = edges[0], edges[-1]
+    for first, last in whole_batches(counts, SCALE_SUM_CHUNK):
+        lo, hi = edges[first], edges[last]
         spectra = spectrum(power[owner[lo:hi], scale[lo:hi]].reshape((hi - lo,) + grid.shape), grid.dim)
         for t, table in enumerate(tables):
             products = spectra if t == len(tables) - 1 else spectra.copy()
             products *= table[scale[lo:hi]]
-            summed = np.empty((len(edges) - 1,) + products.shape[1:], dtype=products.dtype)
-            for j, (s, e) in enumerate(zip(edges, edges[1:])):  # each field's own rows, left to right
-                np.add.reduce(products[s - lo:e - lo], axis=0, out=summed[j])
-            acc[t, owner[edges[:-1]]] = inverse_spectrum(summed, grid.shape)
+            summed = np.empty((last - first,) + products.shape[1:], dtype=products.dtype)
+            for j in range(first, last):  # each field's own rows, left to right
+                np.add.reduce(products[edges[j] - lo:edges[j + 1] - lo], axis=0, out=summed[j - first])
+            acc[t, fields[first:last]] = inverse_spectrum(summed, grid.shape)
     np.maximum(acc, 0.0, out=acc)
     np.sqrt(acc, out=acc)
     return np.ldexp(acc, exps.reshape((-1,) + (1,) * grid.dim), out=acc)

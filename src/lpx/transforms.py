@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import NumericFailure
-from .grid import FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
+from .grid import CACHE_SIZE, FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
 
 if TYPE_CHECKING:
     from .kernels import Kernel
@@ -29,8 +29,6 @@ __all__ = ["ConvolutionPlan", "build_plan", "spectrum", "inverse_spectrum", "cor
            "convolve_at_scale", "build_field", "build_fields", "spatial_kernel"]
 
 WRAP_DECAY_THRESHOLD = 1e-8
-# plans kept per (kernel, scales); a 2-D N=128 plan over 64 scales is 8 MiB
-PLAN_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -44,10 +42,10 @@ class ConvolutionPlan:
     wraparound_warning: bool
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def build_plan(kernel: Kernel, scales: ScaleGrid) -> ConvolutionPlan:
     """The plan of ``kernel`` on ``scales``, one shared object per (kernel,
-    scales) among the last ``PLAN_CACHE_SIZE``; its multiplier table is
+    scales) among the last ``grid.CACHE_SIZE``; its multiplier table is
     read-only."""
     grid = kernel.grid
     radii = grid.frequency_radii()

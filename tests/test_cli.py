@@ -79,6 +79,16 @@ MALFORMED = {
     "steps-fraction": ({"scales": {"t_min": 0.0625, "t_max": 16.0, "steps_per_octave": 8.5}},
                        "scales.steps_per_octave"),
     "seed-fraction": ({"seed": 1.5}, "seed"),
+    # p = 0 and q_omega = 0 divided by zero (exit 1), the negative ones failed
+    # only inside the equivalence experiment
+    "weighted-p-zero": ({"grid": {"dim": 1, "N": 64, "L": 2.0}, "space": {"tag": "weighted", "p": 0}},
+                        "p must be positive"),
+    "weighted-p-negative": ({"grid": {"dim": 1, "N": 64, "L": 2.0}, "space": {"tag": "weighted", "p": -1}},
+                            "p must be positive"),
+    "weighted-q-omega-zero": ({"grid": {"dim": 1, "N": 64, "L": 2.0},
+                               "space": {"tag": "weighted", "p": 1.5, "q_omega": 0}}, "q_omega"),
+    "weighted-q-omega-negative": ({"grid": {"dim": 1, "N": 64, "L": 2.0},
+                                   "space": {"tag": "weighted", "p": 1.5, "q_omega": -2}}, "q_omega"),
 }
 
 

@@ -1,10 +1,16 @@
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import lpx
 from helpers import halfspace_integrate, indicator_box
+from lpx import harness
 from lpx.grid import (
+    CACHE_SIZE,
     FieldStack,
     GridSpec,
     HalfSpaceField,
@@ -244,3 +250,38 @@ def test_offset_distances_is_one_read_only_table_per_grid(dim):
     # the ball masks handed out are fresh, writable arrays
     mask = grid.ball_mask(3 * grid.spacing)
     assert mask.flags.writeable and not np.shares_memory(mask, table)
+
+
+def _lru_caches():
+    """Every ``functools.lru_cache`` of the package by qualified name: module
+    functions, and the methods and class methods of its classes."""
+    found = {}
+    for info in pkgutil.iter_modules(lpx.__path__):
+        module = importlib.import_module(f"lpx.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+            for attr, member in members:
+                member = getattr(member, "__func__", member)  # a classmethod's function
+                if hasattr(member, "cache_info"):
+                    found[f"{info.name}.{name}" + (f".{attr}" if attr else "")] = member
+    return found
+
+
+def test_every_cache_uses_the_one_size():
+    caches = _lru_caches()
+    assert set(caches) == {
+        "grid.GridSpec.ball_offsets", "grid.GridSpec.ball_row_widths", "grid._offset_distances",
+        "kernels.build_kernel", "kernels.calderon_companion", "transforms.build_plan",
+        "squarefuncs.ball_spectra", "squarefuncs.cone_spectra", "squarefuncs.gstar_spectra",
+        "maximal.BallFamily.build", "maximal._ball_runs", "maximal._peetre_tables",
+        "spaces._slice_denominator", "atoms._cell_windows",
+        "harness.trial_function", "harness.embedding_weight", "cli._parser",
+    }
+    # the trials' and the parser's sizes are their callers': a default
+    # experiment's 20 trials, and one parser per process
+    sizes = {"harness.trial_function": harness.TRIAL_CACHE_SIZE, "cli._parser": 1}
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize == sizes.get(name, CACHE_SIZE), name
+    assert CACHE_SIZE == 8

@@ -7,7 +7,8 @@ import pytest
 from helpers import clear_fixed_input_caches, count_fixed_input_builds
 from lpx import cli, kernels, squarefuncs, transforms
 from lpx.errors import ConeOverflow
-from lpx.grid import GridSpec, SampledFunction, ScaleGrid, concentration_defect, gaussian_bump, pure_frequency
+from lpx.grid import (CACHE_SIZE, GridSpec, SampledFunction, ScaleGrid, concentration_defect, gaussian_bump,
+                      pure_frequency)
 from lpx import harness
 from lpx.harness import (
     change_of_angle_experiment,
@@ -314,15 +315,15 @@ def test_a_trial_block_takes_its_powers_and_each_batch_spectrum_once(monkeypatch
             callers[_name].append(sys._getframe(1).f_code.co_name)
             return _fn(*args)
         monkeypatch.setattr(squarefuncs, name, spy)
-    make_batches = squarefuncs._batches
+    make_batches = squarefuncs.whole_batches
 
-    def counted(owner):
+    def counted(sizes, budget):
         batches.append(0)
-        for edges in make_batches(owner):
+        for batch in make_batches(sizes, budget):
             batches[-1] += 1
-            yield edges
+            yield batch
 
-    monkeypatch.setattr(squarefuncs, "_batches", counted)
+    monkeypatch.setattr(squarefuncs, "whole_batches", counted)
     if experiment == "equivalence":
         equivalence_experiment(Lebesgue(2.0), "annular", 10, grid, scales, seed=5)
     else:
@@ -420,9 +421,9 @@ def test_each_fixed_input_cache_holds_one_run_and_is_bounded():
     trials = max(table["trials"].default for table in cli._TABLE["experiments"].values() if "trials" in table)
     assert trials == 20
     needs = {harness.trial_function: (trials, harness.TRIAL_CACHE_SIZE),
-             kernels.build_kernel: (1, kernels.KERNEL_CACHE_SIZE),
-             kernels.calderon_companion: (1, kernels.KERNEL_CACHE_SIZE),
-             transforms.build_plan: (3, transforms.PLAN_CACHE_SIZE),
-             harness.embedding_weight: (1, 8)}
+             kernels.build_kernel: (1, CACHE_SIZE),
+             kernels.calderon_companion: (1, CACHE_SIZE),
+             transforms.build_plan: (3, CACHE_SIZE),
+             harness.embedding_weight: (1, CACHE_SIZE)}
     for cache, (need, size) in needs.items():
         assert cache.cache_info().maxsize == size >= need

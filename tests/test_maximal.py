@@ -746,3 +746,19 @@ def test_ball_family_enumeration():
     balls = BallFamily.build(grid, 1)
     assert balls.radii[0] == grid.spacing  # one cell
     assert balls.radii[-1] == 2.0 * grid.half_width  # full box
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_family_radii_keep_the_snap_invariant(dim):
+    # every radius below the full box covers at most its continuous measure
+    # in cells of its ball mask, so a ball average of a constant never
+    # exceeds the constant
+    for n in (16, 32, 64, 128):
+        for half_width in (1.0, 2.0, 4.0):
+            grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
+            for density in (1, 2, 4, 8):
+                radii = BallFamily.build(grid, density).radii
+                assert radii[-1] == 2.0 * half_width
+                for r in radii[radii < 2.0 * half_width].tolist():
+                    covered = grid.cell_volume * np.count_nonzero(grid.ball_mask(r))
+                    assert ball_volume(r, dim) >= covered, (n, half_width, density, r)

@@ -75,6 +75,17 @@ def test_weighted_unit_weight_reduces_to_lebesgue():
         )
 
 
+@pytest.mark.parametrize("p,q_omega", [(0.0, None), (-1.0, None), (1.5, 0.0), (1.5, -2.0), (1.5, 0.5)])
+def test_weighted_refuses_nonpositive_p_and_q_omega_below_one(p, q_omega):
+    # p = 0 or q_omega = 0 divided by zero in the floor exponent, and a
+    # negative one failed only inside the Peetre sup: a critical Muckenhoupt
+    # exponent is at least 1
+    w = power_weight(GRID, 0.5)
+    with pytest.raises(ValueError, match="q_omega" if q_omega is not None else "p must be positive"):
+        WeightedLebesgue(p, w, q_omega=q_omega)
+    assert WeightedLebesgue(1.5, w, q_omega=1.0).floor() == 1.5
+
+
 # ---------------------------------------------------------------------------
 # Morrey
 

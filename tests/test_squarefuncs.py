@@ -6,6 +6,7 @@ from helpers import halfspace_integrate
 from lpx import squarefuncs
 from lpx.errors import LambdaTooSmall
 from lpx.grid import (
+    CACHE_SIZE,
     FieldStack,
     GridSpec,
     HalfSpaceField,
@@ -490,7 +491,7 @@ def test_spectrum_cache_is_read_only_keyed_and_bounded(which):
     for p in np.linspace(1.5, 4.0, 2 * info.maxsize):
         cache(grid, scales, float(p))
     info = cache.cache_info()
-    assert info.maxsize == squarefuncs.SPECTRA_CACHE_SIZE
+    assert info.maxsize == CACHE_SIZE
     assert info.currsize == info.maxsize
 
 
