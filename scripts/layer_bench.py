@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """In-process timer of the smoothed maximal sup, ``maximal.peetre_maximals``,
-and of the space norms, ``spaces.space_norms``, of criterion 5's five spaces.
+of the space norms, ``spaces.space_norms``, of criterion 5's five spaces,
+and of the tent decomposition, ``atoms.tent_decompose``.
 
 Three Peetre cases, each on the companion of the annular kernel over the
 default scale grid (1/16 .. 16 at 8 steps per octave) with the harness's b
@@ -16,6 +17,13 @@ rows (the Peetre sup, S, g and g*_lambda of trials 0-9) that
 ``harness.equivalence_experiment`` hands ``space_norms`` in one call on 1-D
 N=64, L=2 with the default scale grid, recorded by wrapping
 ``harness.space_norms`` during one untimed experiment run in that space.
+
+The ``decompose`` case decomposes the fields of ``decompose-1d``'s four
+trials (1-D N=256, L=8, the annular kernel over 1/16 .. 2 at 4 steps per
+octave, the 4-radii-per-octave ball family, ``Lebesgue(2)``), built once
+untimed; a call is one ``tent_decompose`` per field, and the case adds
+``atoms``, the atoms of the four decompositions, counted on one more
+untimed call.
 
 Each case makes one untimed call, which builds the cached tables, then
 ``--repeats`` timed calls, and prints one JSON object: ``case``, ``call``
@@ -45,11 +53,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lpx import harness, spaces
+from lpx.atoms import tent_decompose
 from lpx.grid import GridSpec, ScaleGrid
 from lpx.harness import FIVE_SPACES, five_spaces, trial_function
-from lpx.kernels import build_kernel, calderon_companion
-from lpx.maximal import default_peetre_exponent, peetre_maximals
-from lpx.transforms import build_plan
+from lpx.kernels import build_annular_kernel, build_kernel, calderon_companion
+from lpx.maximal import BallFamily, default_peetre_exponent, peetre_maximals
+from lpx.transforms import build_field, build_plan
 
 SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
 # Peetre case: (dim, N, L, inputs)
@@ -57,7 +66,7 @@ PEETRE = {"1d-64": (1, 64, 2.0, 10), "1d-512": (1, 512, 8.0, 2), "2d-64": (2, 64
 NORM_GRID = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
 NORM_TRIALS = 10
 LUXEMBURG = ("variable", "orlicz_slice")
-CASES = [*PEETRE, *FIVE_SPACES]
+CASES = [*PEETRE, *FIVE_SPACES, "decompose"]
 
 
 def minor_faults() -> int:
@@ -118,8 +127,22 @@ def norm_case(name: str, seed: int):
     return "space_norms", len(rows), lambda: spaces.space_norms(NORM_GRID, rows, space), extra
 
 
+def decompose_case(case: str, seed: int):
+    """The timed call of the decomposition case, its field count and its atoms."""
+    grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
+    plan = build_plan(build_annular_kernel(grid), ScaleGrid(1 / 16, 2.0, 4))
+    fields = [build_field(trial_function(seed, i, grid), plan) for i in range(4)]
+    balls, space = BallFamily.build(grid, 4), spaces.Lebesgue(2.0)
+
+    def run():
+        return [tent_decompose(F, space, balls) for F in fields]
+
+    return "tent_decompose", len(fields), run, {"atoms": sum(len(dec.atoms) for dec in run())}
+
+
 def bench(case: str, repeats: int, seed: int) -> dict:
-    call, rows, run, extra = (peetre_case if case in PEETRE else norm_case)(case, seed)
+    kind = peetre_case if case in PEETRE else decompose_case if case == "decompose" else norm_case
+    call, rows, run, extra = kind(case, seed)
     run()
     times, faults = [], []
     for _ in range(repeats):

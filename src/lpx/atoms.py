@@ -20,12 +20,15 @@ The pieces' cone functionals are exact interval sums, not FFTs
 (``_piece_functionals``): each first-axis row of a ball is one run of cells
 along the last axis (``GridSpec.ball_row_widths``), so a piece's squared
 cone functional is the cumulative sum of difference rows that one
-``np.bincount`` fills.  Pieces go in chunks of whole pieces within
-``PIECE_CHUNK`` elements, and each chunk's rows go straight into the
-``space_norms`` calls of the L^p sizes (kept per atom), so no pieces x cells
-stack is held.  The pieces' balls come from one gather of their own cells'
-torus distances, and the balls' indicators (``_ball_rows``) from one
-``torus_window_view`` gather whose norms take one ``space_norms`` call;
+``np.bincount`` fills, each piece scaled to its own max.  Pieces go in
+chunks of whole pieces within ``PIECE_CHUNK`` elements, and each chunk's
+squared rows give the L^p sizes (kept per atom) as sums of their powers
+p/2, each row scaled by a power of four into [1/4, 1) (``_piece_sizes``),
+so no pieces x cells stack is held and the sizes scale by exactly 2^k with
+the field.  The pieces' balls come from one gather of their own cells'
+torus distances and one pick over the family's radii, and the balls'
+indicators (``_ball_rows``) from one ``torus_window_view`` gather whose
+norms take one ``space_norms`` call;
 ``coefficient_functional`` adds its per-atom weights with one
 ``np.bincount``.  A ``TentAtom`` keeps only its piece's cells and
 values; its dense field is built on demand.  ``tent_decompose`` divides
@@ -42,11 +45,10 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import (CACHE_SIZE, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex,
-                   scale_to_unit_rows)
+from .grid import CACHE_SIZE, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
-from .spaces import Lebesgue, SpaceDescriptor, space_norm, space_norms
+from .spaces import SpaceDescriptor, space_norm, space_norms
 from .squarefuncs import cone_weights, tent_functional, whole_batches
 from .transforms import apply_multiplier, build_plan
 
@@ -245,7 +247,9 @@ def _fit_balls(grid: GridSpec, balls: BallFamily, centers: list[tuple[int, ...]]
     """Smallest family ball around each piece's centre whose tent holds the piece.
 
     A cell (y, t_k) needs radius > |y - c| + t_k; the torus distances of every
-    piece's own cells are read from the offset table in one gather.
+    piece's own cells are read from the offset table in one gather, and each
+    piece takes the first family radius that fits (one ``argmax`` over the
+    fits table), or 2L where none does.
     """
     n, k_count = grid.points_per_axis, len(ts)
     counts = [len(c) for c in cells]
@@ -257,38 +261,35 @@ def _fit_balls(grid: GridSpec, balls: BallFamily, centers: list[tuple[int, ...]]
     needs = np.maximum.reduceat(reach, np.cumsum([0] + counts[:-1]))
     fits = balls.radii > (needs * (1.0 + 1e-12))[:, None]
     fallback = 2.0 * grid.half_width
-    out = []
-    for center, need, row in zip(centers, needs.tolist(), fits):
-        if row.any():
-            out.append(Ball(center=center, radius=float(balls.radii[row.argmax()])))
-        elif need >= fallback:
-            raise ValueError("piece reaches above the box; shrink the scale range")
-        else:
-            out.append(Ball(center=center, radius=fallback))
-    return out
+    fitted = fits.any(axis=1)
+    if (needs[~fitted] >= fallback).any():
+        raise ValueError("piece reaches above the box; shrink the scale range")
+    radii = np.where(fitted, balls.radii[fits.argmax(axis=1)], fallback)
+    return [Ball(center=center, radius=radius) for center, radius in zip(centers, radii.tolist())]
 
 
-def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-    """The unit-aperture cone functional of every piece, piece i being F on
-    the cells ``pieces[i]`` (flat indices into ``grid.shape + (K,)``) and
-    zero elsewhere: yields ``(pieces of the chunk,) + grid.shape`` rows, one
-    chunk of whole pieces after another (``PIECE_CHUNK``,
-    ``squarefuncs.whole_batches``).
+def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The squared unit-aperture cone functional of every piece, piece i
+    being F on the cells ``pieces[i]`` (flat indices into ``grid.shape +
+    (K,)``) divided by 2^e_i, e_i the binary exponent (``np.frexp``) of its
+    max |F|, and zero elsewhere: yields ``(pieces of the chunk,) +
+    grid.shape`` rows and the chunk's exponents e_i, one chunk of whole
+    pieces after another (``PIECE_CHUNK``, ``squarefuncs.whole_batches``).
+    Piece i's cone functional is the root of its row times 2^e_i.
 
-    A cell (y, t_k) adds c = w_k |F(y, t_k)|^2, w_k the scale's quadrature
-    weight (``squarefuncs.cone_weights``), to the squared functional on
-    B(y, t_k), whose first-axis rows are runs along the last axis
-    (``GridSpec.ball_row_widths``).  So each piece's square is a cumulative
-    sum of difference rows, one per (piece, first-axis line) with a dropped
-    column n: each (cell, ball row) adds +c at its run's
-    start and -c one past its end (a run ending at n puts it in the dropped
-    column), and a run that wraps past n ends at its end - n and adds one
-    more +c at 0; a full row (w = n) is taken to start at 0, so it never
-    wraps.  One ``np.bincount`` per chunk fills the
-    rows, adding each bin's terms in input order, so a piece's rows do not
-    depend on the chunk it falls in.  |F| is divided by the power of two of
-    its max before squaring and the root is scaled back, as ``scale_sums``
-    does; the squares are clipped at 0 against round-off.
+    A cell (y, t_k) adds c = w_k |F(y, t_k) / 2^e_i|^2, w_k the scale's
+    quadrature weight (``squarefuncs.cone_weights``), to the squared
+    functional on B(y, t_k), whose first-axis rows are runs along the last
+    axis (``GridSpec.ball_row_widths``).  So each row is a cumulative sum of
+    difference rows, one per (piece, first-axis line) with a dropped column
+    n: each (cell, ball row) adds +c at its run's start and -c one past its
+    end (a run ending at n puts it in the dropped column), and a run that
+    wraps past n ends at its end - n and adds one more +c at 0; a full row
+    (w = n) is taken to start at 0, so it never wraps.  One ``np.bincount``
+    per chunk fills the rows, adding each bin's terms in input order, so a
+    piece's rows do not depend on the chunk it falls in; they are clipped
+    at 0 against round-off.  Each piece is scaled by its own max, so a
+    piece far below the field's max keeps its size.
     """
     grid, scales = F.grid, F.scales
     n, k_count, lines = grid.points_per_axis, len(scales), grid.size // grid.points_per_axis
@@ -300,12 +301,15 @@ def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Itera
     cells = np.concatenate([np.empty(0, dtype=np.intp), *pieces])
     if not len(cells):
         if pieces:
-            yield np.zeros((len(pieces),) + grid.shape)
+            yield np.zeros((len(pieces),) + grid.shape), np.zeros(len(pieces), dtype=int)
         return
     spatial, k = np.divmod(cells, k_count)
     owner = np.repeat(np.arange(len(pieces)), counts)
     power = np.abs(F.values.reshape(-1)[cells])
-    exp = int(scale_to_unit_rows(power[None])[0])
+    peaks = np.zeros(len(pieces))
+    np.maximum.at(peaks, owner, power)
+    exps = np.frexp(peaks)[1]
+    np.ldexp(power, -exps[owner], out=power)
     np.square(power, out=power)
     power *= cone_weights(grid, scales)[k]
     runs = row_count[k]
@@ -327,17 +331,30 @@ def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Itera
                            np.concatenate([c, -c, c[wraps]]), minlength=(hi - lo) * lines * (n + 1))
         rows = np.cumsum(diff.reshape(-1, n + 1)[:, :n], axis=1)
         np.maximum(rows, 0.0, out=rows)
-        np.sqrt(rows, out=rows)
-        yield np.ldexp(rows, exp, out=rows).reshape((hi - lo,) + grid.shape)
+        yield rows.reshape((hi - lo,) + grid.shape), exps[lo:hi]
 
 
 def _piece_sizes(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> list[list[float]]:
     """Per p of ``SIZE_EXPONENTS``, the L^p norm of every piece's cone
-    functional (``_piece_functionals``), each chunk normed as it comes."""
+    functional S, from its squared row q = (S / 2^e)^2 of
+    ``_piece_functionals``, each chunk as it comes.
+
+    Each row is divided by 4^m, m the least integer with the row's max
+    below 4^m, so its max q' lies in [1/4, 1) (a zero row keeps m = 0).
+    Then ||S||_p = (cellvol * sum of q'^(p/2))^(1/p) 2^(m+e): the sum lies
+    between 2^-p and the cell count, so it neither overflows nor
+    underflows, and scaling by powers of two is exact, so the sizes scale
+    by exactly 2^k with the field wherever they stay in the float range.  A
+    size past the float range is inf, as a ``space_norms`` norm is."""
     sizes: list[list[float]] = [[] for _ in SIZE_EXPONENTS]
-    for rows in _piece_functionals(F, pieces):
+    for squares, exps in _piece_functionals(F, pieces):
+        squares = squares.reshape(len(squares), -1)
+        m = -(-np.frexp(squares.max(axis=1))[1] // 2)  # ceil(e / 2), e the binary exponent of the max
+        np.ldexp(squares, -2 * m[:, None], out=squares)
         for out, p in zip(sizes, SIZE_EXPONENTS):
-            out += space_norms(F.grid, rows, Lebesgue(p))
+            totals = np.add.reduce(squares ** (p / 2), axis=1) * F.grid.cell_volume
+            with np.errstate(over="ignore"):
+                out += np.ldexp(totals ** (1.0 / p), m + exps).tolist()
     return sizes
 
 

@@ -292,7 +292,8 @@ def _whitney_regions_reference(grid, inside, balls, double_fits=None):
 def _field_case(dim, n, kind):
     """Half-space fields for the bitwise oracles: a random concentrated field,
     the zero field, and a field 1e40 times weaker on one half, whose weak
-    cells fall below every level and become stray pieces."""
+    cells fall below every level and become stray pieces, or 1e200 times
+    weaker ("faint"), whose squares underflow at the field's max."""
     grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
     scales = ScaleGrid(1 / 8, 1.0, 4)
     rng = np.random.default_rng(10 * n + dim)
@@ -303,6 +304,8 @@ def _field_case(dim, n, kind):
         values = 0.0 * values
     elif kind == "stray":
         values = values * np.where(mesh[0] > 0, 1.0, 1e-40)[..., None]
+    elif kind == "faint":
+        values = values * np.where(mesh[0] > 0, 1.0, 1e-200)[..., None]
     return HalfSpaceField(grid, scales, values)
 
 
@@ -316,6 +319,23 @@ def _fit_ball_reference(grid, balls, center, piece_mask, ts):
         return Ball(center=center, radius=float(candidates[0]))
     assert need < 2.0 * grid.half_width
     return Ball(center=center, radius=2.0 * grid.half_width)
+
+
+def test_fit_balls_take_the_first_fitting_radius_or_the_full_box():
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)  # cells of 1/16
+    balls = BallFamily(grid, np.array([0.25, 0.5, 1.0]))
+    ts = np.array([0.125, 0.5, 2.0])
+    # a piece's cells are flat (point, scale) indices point * K + k
+    centers = [(10,), (10,), (20,), (40,)]
+    pieces = [np.array([30]), np.array([30, 37]), np.array([62]), np.array([121, 151])]
+    fitted = atoms._fit_balls(grid, balls, centers, pieces, ts)
+    assert [ball.radius for ball in fitted] == [0.25, 1.0, 4.0, 4.0]  # needs 0.125, 0.625, 2 and 1.125
+    for ball, center, cells in zip(fitted, centers, pieces):
+        mask = np.zeros(grid.shape + (len(ts),), dtype=bool)
+        mask.reshape(-1)[cells] = True
+        assert ball == _fit_ball_reference(grid, balls, center, mask, ts)
+    with pytest.raises(ValueError, match="reaches above the box"):
+        atoms._fit_balls(grid, balls, centers, pieces, np.array([0.125, 0.5, 4.0]))
 
 
 def _pieces_reference(F, area, balls):
@@ -466,9 +486,11 @@ def test_decompose_1d_benchmark_trials_match_dense_reference_bitwise(seed):
         _assert_near_spatial_decomposition(dec, F, LEBESGUE, BALLS)
 
 
-@pytest.mark.parametrize("case", ["1d-256-field", "2d-16-stray"])
+@pytest.mark.parametrize("case", ["1d-256-field", "2d-16-stray", "2d-16-faint"])
 def test_atoms_store_disjoint_cells_covering_the_support(case):
-    F = random_field(2) if case == "1d-256-field" else _field_case(2, 16, "stray")
+    # a faint half's pieces hold only cells whose |F|^2 underflows at the
+    # field's max: each piece is sized at its own max, so none is dropped
+    F = random_field(2) if case == "1d-256-field" else _field_case(2, 16, case.split("-")[-1])
     dec = tent_decompose(F, LEBESGUE, BallFamily.build(F.grid, 2))
     owners = np.zeros(F.values.size, dtype=int)
     for atom in dec.atoms:
@@ -508,8 +530,11 @@ def _decomposition_pieces(F, balls):
 
 
 def _chunked_functionals(F, pieces):
-    """Every piece's row of ``atoms._piece_functionals`` and the pieces per chunk."""
-    chunks = list(atoms._piece_functionals(F, pieces))
+    """Every piece's cone functional from ``atoms._piece_functionals``, the
+    root of its squared row scaled back by its exponent, and the pieces per
+    chunk."""
+    chunks = [np.ldexp(np.sqrt(rows), exps.reshape((-1,) + (1,) * F.grid.dim))
+              for rows, exps in atoms._piece_functionals(F, pieces)]
     return np.concatenate([np.empty((0,) + F.grid.shape), *chunks]), [len(c) for c in chunks]
 
 
@@ -544,8 +569,9 @@ def test_piece_functionals_span_chunks_bitwise(monkeypatch, case, chunk):
     reference = _piece_functionals_reference(F, 1.0, masks)
     _assert_near_spatial(rows, reference)
     _assert_near_spatial(rows, _piece_functionals_reference(F, 1.0, masks, _one_piece_functional_reference))
-    for fast, ref in zip(_sizes(F.grid, rows), _sizes(F.grid, reference)):
+    for fast, sizes, ref in zip(_sizes(F.grid, rows), atoms._piece_sizes(F, pieces), _sizes(F.grid, reference)):
         assert fast == pytest.approx(ref, rel=SIZE_RTOL, abs=0.0)
+        assert sizes == pytest.approx(ref, rel=SIZE_RTOL, abs=0.0)
     assert list(atoms._piece_functionals(F, [])) == []
     # the one-piece case is the field's own cone functional
     whole = tent_functional(F, 1.0).values
@@ -566,6 +592,27 @@ def test_decomposition_sizes_do_not_depend_on_the_chunk_budget(monkeypatch, case
     monkeypatch.setattr(atoms, "PIECE_CHUNK", 1)  # one piece per chunk
     one = tent_decompose(F, LEBESGUE, balls)
     assert dec.sizes == one.sizes and [a.coefficient for a in dec.atoms] == [a.coefficient for a in one.atoms]
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_decomposition_is_exactly_equivariant_under_powers_of_two(trial):
+    # decompose-1d's field of seed 5 scaled by 2^k: by the smallest k that
+    # keeps every nonzero sample normal, and far down and up.  Scaling by a
+    # power of two is exact there, so the atoms keep their bits and the
+    # coefficients scale by exactly 2^k; the sizes are those of the atoms
+    F = build_field(trial_function(5, trial, GRID), build_plan(build_annular_kernel(GRID), SCALES))
+    dec = tent_decompose(F, LEBESGUE, BALLS)
+    assert dec.atoms
+    smallest = np.abs(F.values[F.values != 0]).min()
+    lowest = np.finfo(float).minexp - int(np.frexp(smallest)[1]) + 1  # the smallest k keeping it normal
+    assert np.ldexp(smallest, lowest) >= np.finfo(float).tiny > np.ldexp(smallest, lowest - 1)
+    for k in (lowest, -500, 900):
+        scaled = tent_decompose(HalfSpaceField(GRID, SCALES, np.ldexp(F.values, k)), LEBESGUE, BALLS)
+        assert len(scaled.atoms) == len(dec.atoms) and scaled.ball_norms == dec.ball_norms
+        for atom, other in zip(dec.atoms, scaled.atoms):
+            assert np.array_equal(atom.cells, other.cells) and np.array_equal(atom.values, other.values)
+            assert atom.ball == other.ball and other.coefficient == math.ldexp(atom.coefficient, k)
+        assert scaled.sizes == dec.sizes
 
 
 def _brute_force_piece_functional(F, cells):
@@ -628,11 +675,40 @@ def test_piece_functionals_match_the_brute_force_and_fft_references(case):
     _assert_near_spatial(rows, brute)
     reference = _piece_functionals_reference(F, 1.0, [_cells_mask(F, cells) for cells in pieces])
     _assert_near_spatial(rows, reference)
-    for fast, ref, spectral in zip(_sizes(grid, rows), _sizes(grid, brute), _sizes(grid, reference)):
-        assert fast == pytest.approx(ref, rel=SIZE_RTOL, abs=0.0)
-        assert fast == pytest.approx(spectral, rel=SIZE_RTOL, abs=0.0)
+    # the references square |F| unscaled, so a piece of weak cells alone is 0
+    # there; each piece's own tent_functional scales it to its max, as the
+    # pieces' rows do
+    strong = np.abs(F.values.reshape(-1)) > 1e-100
+    compared = np.flatnonzero([strong[cells].any() for cells in pieces])
+    sizes = atoms._piece_sizes(F, pieces)
+    for fast, size, ref, spectral, p in zip(_sizes(grid, rows), sizes, _sizes(grid, brute), _sizes(grid, reference),
+                                            atoms.SIZE_EXPONENTS):
+        for got in (np.take(fast, compared), np.take(size, compared)):
+            assert got == pytest.approx(np.take(ref, compared), rel=SIZE_RTOL, abs=0.0)
+            assert got == pytest.approx(np.take(spectral, compared), rel=SIZE_RTOL, abs=0.0)
+        if kind == "underflow":
+            own = [tent_atom_size(HalfSpaceField(grid, scales, np.where(_cells_mask(F, cells), F.values, 0.0)), p)
+                   for cells in pieces]
+            assert size == pytest.approx(own, rel=SIZE_RTOL, abs=0.0)
     if kind == "underflow":
-        assert not rows[-1].any() and not np.signbit(rows).any()
+        assert not brute[-1].any() and rows[-1].all() and not np.signbit(rows).any()
+    else:
+        assert len(compared) == len(pieces)
+
+
+def test_piece_sizes_stay_exact_where_the_squared_rows_squares_overflow():
+    # at scales near 2^-600 the weights 1/t make a squared row about 2^600
+    # at its max, so its square, S^4, overflows unless the row is scaled first
+    grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    scales = ScaleGrid(2.0**-600, 2.0**-598, 4)
+    F = HalfSpaceField(grid, scales, np.random.default_rng(0).normal(size=grid.shape + (len(scales),)))
+    pieces = [np.arange(30), np.arange(30, F.values.size)]
+    rows, _ = _chunked_functionals(F, pieces)
+    assert 4 * np.log2(rows.max()) > 1024
+    for size, p in zip(atoms._piece_sizes(F, pieces), atoms.SIZE_EXPONENTS):
+        own = [tent_atom_size(HalfSpaceField(grid, scales, np.where(_cells_mask(F, cells), F.values, 0.0)), p)
+               for cells in pieces]
+        assert size == pytest.approx(own, rel=SIZE_RTOL, abs=0.0)
 
 
 def _mixed_complex_field():

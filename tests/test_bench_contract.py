@@ -72,9 +72,9 @@ def test_traced_decomposition_evaluates_each_piece_once(monkeypatch):
 
     def counted(F, pieces):
         rows = 0
-        for chunk in piece_functionals(F, pieces):
+        for chunk, exps in piece_functionals(F, pieces):
             rows += len(chunk)
-            yield chunk
+            yield chunk, exps
         batched.append((len(pieces), rows))
 
     piece_functionals = atoms._piece_functionals
