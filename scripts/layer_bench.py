@@ -18,12 +18,18 @@ rows (the Peetre sup, S, g and g*_lambda of trials 0-9) that
 N=64, L=2 with the default scale grid, recorded by wrapping
 ``harness.space_norms`` during one untimed experiment run in that space.
 
-The ``decompose`` case decomposes the fields of ``decompose-1d``'s four
-trials (1-D N=256, L=8, the annular kernel over 1/16 .. 2 at 4 steps per
-octave, the 4-radii-per-octave ball family, ``Lebesgue(2)``), built once
-untimed; a call is one ``tent_decompose`` per field, and the case adds
-``atoms``, the atoms of the four decompositions, counted on one more
-untimed call.
+Two decomposition cases, each in ``Lebesgue(2)`` with the annular kernel,
+their fields built once untimed:
+
+- ``decompose``: the fields of ``decompose-1d``'s four trials (1-D N=256,
+  L=8, scales 1/16 .. 2 at 4 steps per octave, the 4-radii-per-octave ball
+  family);
+- ``decompose-2d``: trial 0 on the memory guard's grid (2-D N=64, L=2,
+  scales 1/16 .. 1 at 4 steps per octave, 16 scales, the default ball
+  family); at ``--seed 0`` it is the memory guard's field.
+
+A call is one ``tent_decompose`` per field, and the case adds ``atoms``,
+the atoms of its decompositions, counted on one more untimed call.
 
 Each case makes one untimed call, which builds the cached tables, then
 ``--repeats`` timed calls, and prints one JSON object: ``case``, ``call``
@@ -66,7 +72,10 @@ PEETRE = {"1d-64": (1, 64, 2.0, 10), "1d-512": (1, 512, 8.0, 2), "2d-64": (2, 64
 NORM_GRID = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
 NORM_TRIALS = 10
 LUXEMBURG = ("variable", "orlicz_slice")
-CASES = [*PEETRE, *FIVE_SPACES, "decompose"]
+# decomposition case: (dim, N, L, scales, ball radii per octave, trials)
+DECOMPOSE = {"decompose": (1, 256, 8.0, ScaleGrid(1 / 16, 2.0, 4), 4, 4),
+             "decompose-2d": (2, 64, 2.0, ScaleGrid(1 / 16, 1.0, 4), 2, 1)}
+CASES = [*PEETRE, *FIVE_SPACES, *DECOMPOSE]
 
 
 def minor_faults() -> int:
@@ -128,11 +137,12 @@ def norm_case(name: str, seed: int):
 
 
 def decompose_case(case: str, seed: int):
-    """The timed call of the decomposition case, its field count and its atoms."""
-    grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
-    plan = build_plan(build_annular_kernel(grid), ScaleGrid(1 / 16, 2.0, 4))
-    fields = [build_field(trial_function(seed, i, grid), plan) for i in range(4)]
-    balls, space = BallFamily.build(grid, 4), spaces.Lebesgue(2.0)
+    """The timed call of a decomposition case, its field count and its atoms."""
+    dim, n, half_width, scales, per_octave, trials = DECOMPOSE[case]
+    grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
+    plan = build_plan(build_annular_kernel(grid), scales)
+    fields = [build_field(trial_function(seed, i, grid), plan) for i in range(trials)]
+    balls, space = BallFamily.build(grid, per_octave), spaces.Lebesgue(2.0)
 
     def run():
         return [tent_decompose(F, space, balls) for F in fields]
@@ -141,7 +151,7 @@ def decompose_case(case: str, seed: int):
 
 
 def bench(case: str, repeats: int, seed: int) -> dict:
-    kind = peetre_case if case in PEETRE else decompose_case if case == "decompose" else norm_case
+    kind = peetre_case if case in PEETRE else decompose_case if case in DECOMPOSE else norm_case
     call, rows, run, extra = kind(case, seed)
     run()
     times, faults = [], []

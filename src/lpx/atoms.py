@@ -11,19 +11,23 @@ so every fit is a comparison against ball minima, every radius of a family
 in one ``BallFamily.ball_filters`` call: those over B(y, t_k) give each cell's
 containment level in one ``np.searchsorted``, those over the doubled family
 balls each level's doubled-ball fits.  The cells contained at no level are
-the strays, one piece per spatial point.  Each level walks its inside
-centres once, by the largest radius whose doubled ball fits, and a claimed
-ball marks its cells through ``GridSpec.ball_offsets``.  Every ball's cells
-are ``GridSpec.ball_mask``'s.
+the strays, one piece per spatial point.  Every level that holds support
+cells is covered in one batched pass (``_whitney_regions``): the levels'
+sets and doubled-ball fits are one comparison each, one sort orders every
+level's inside centres by level, then by largest fitting radius, and one
+walk visits them, a claimed ball marking its cells through
+``GridSpec.ball_offsets``; one grouping of every level's cells by region
+gives the pieces.  Every ball's cells are ``GridSpec.ball_mask``'s.
 
 The pieces' cone functionals are exact interval sums, not FFTs
 (``_piece_functionals``): each first-axis row of a ball is one run of cells
 along the last axis (``GridSpec.ball_row_widths``), so a piece's squared
-cone functional is the cumulative sum of difference rows that one
-``np.bincount`` fills, each piece scaled to its own max.  Pieces go in
-chunks of whole pieces within ``PIECE_CHUNK`` elements, and each chunk's
-squared rows give the L^p sizes (kept per atom) as sums of their powers
-p/2, each row scaled by a power of four into [1/4, 1) (``_piece_sizes``),
+cone functional is the cumulative sum, taken in place, of difference rows
+that one ``np.bincount`` fills, each piece scaled to its own max.  Pieces
+go in chunks of whole pieces within ``PIECE_CHUNK`` elements, and each
+chunk's squared rows give the L^p sizes (kept per atom) as sums of their
+powers p/2, each row scaled by a power of four into [1/4, 1) and squared
+in place for p = 4 (``_piece_sizes``),
 so no pieces x cells stack is held and the sizes scale by exactly 2^k with
 the field.  The pieces' balls come from one gather of their own cells'
 torus distances and one pick over the family's radii, and the balls'
@@ -204,42 +208,61 @@ def _cell_windows(grid: GridSpec) -> np.ndarray:
 def _whitney_regions(
     grid: GridSpec, inside: np.ndarray, balls: BallFamily, double_fits: np.ndarray
 ) -> tuple[np.ndarray, list[Ball]]:
-    """Partition ``inside`` into regions led by greedily chosen balls.
+    """Partition each level's set into regions led by greedily chosen balls.
 
-    Large balls whose doubles stay inside (``double_fits[i]``: the centres
-    whose B(x, 2 r_i) does) are claimed first; whatever remains is covered by
-    single-cell regions.  Returns (region id array, leaders).
+    ``inside`` holds one row per level, ``(levels, grid.size)``: the flat
+    cells of that level's set.  ``double_fits`` holds one block per level,
+    ``(levels, len(balls.radii), grid.size)``: row i of level l marks the
+    centres whose B(x, 2 r_i) lies in level l's set.  In each level, large
+    balls whose doubles stay inside are claimed first; whatever remains is
+    covered by single-cell regions.  Returns (region ids, ``(levels,
+    grid.size)``, -1 outside each level's set; leaders): the ids run level
+    by level, each level's claimed balls in claim order and then its
+    single-cell regions in cell order, and ``leaders[id]`` leads region id.
     """
     radii = tuple(balls.radii.tolist())
-    region = np.full(grid.size, -1, dtype=int)
+    levels, size = len(inside), grid.size
+    region = np.full((levels, size), -1, dtype=int)
     leaders: list[Ball] = []
-    uncovered = inside.reshape(-1).copy()
+    claimed: list[int] = []  # each claim's level
+    uncovered = inside.reshape(levels, size).copy()
     # Taken radius by radius, largest first, every inside centre whose doubled
     # ball fits is claimed or already covered by the end of that radius.  The
     # doubled balls are nested, so a centre fits every radius up to its
     # largest and is a candidate only there: one walk of the inside centres
     # by largest fitting radius, then cell, makes the same claims without a
-    # pass per radius.
-    fit = double_fits.reshape(len(radii), grid.size) & uncovered
-    top = len(radii) - 1 - fit[::-1].argmax(axis=0)  # each centre's largest fitting radius
-    walk = np.flatnonzero(fit.any(axis=0))
-    walk = walk[np.argsort(-top[walk], kind="stable")]
+    # pass per radius.  Each level keeps its own rows, so one walk by level,
+    # then radius, then cell makes every level's claims.  A centre lies in
+    # its own ball, so every fitting centre is inside.
+    top = double_fits.reshape(levels, len(radii), size).sum(axis=1).reshape(-1) - 1  # largest fitting radius
+    walk = np.flatnonzero(top >= 0)
+    walk = walk[np.argsort(walk // size * len(radii) - top[walk], kind="stable")]
     offsets = grid.ball_offsets(radii)
     ids = _cell_windows(grid)
-    coords = (c.tolist() for c in np.unravel_index(walk, grid.shape))
-    for cell, ri, center in zip(walk.tolist(), top[walk].tolist(), zip(*coords)):
-        if not uncovered[cell]:
+    walk_level, walk_cell = np.divmod(walk, size)
+    coords = (c.tolist() for c in np.unravel_index(walk_cell, grid.shape))
+    level = -1
+    for li, cell, ri, center in zip(walk_level.tolist(), walk_cell.tolist(), top[walk].tolist(), zip(*coords)):
+        if li != level:
+            level, uncovered_row, region_row = li, uncovered[li], region[li]
+        if not uncovered_row[cell]:
             continue
         # the centre is uncovered and in its own ball: it claims at least itself
         member = ids[center + offsets[ri]]
-        region[member[uncovered[member]]] = len(leaders)
+        region_row[member[uncovered_row[member]]] = len(leaders)
         leaders.append(Ball(center=center, radius=radii[ri]))
-        uncovered[member] = False
-    rest = np.flatnonzero(uncovered)
-    region[rest] = np.arange(len(leaders), len(leaders) + len(rest))
+        claimed.append(li)
+        uncovered_row[member] = False
+    rest_level, rest = np.nonzero(uncovered)
+    region[rest_level, rest] = np.arange(len(leaders), len(leaders) + len(rest))
     leaders += [Ball(center=center, radius=radii[0])
                 for center in zip(*(c.tolist() for c in np.unravel_index(rest, grid.shape)))]
-    return region.reshape(grid.shape), leaders
+    # renumber level by level: each level's claims, then its single cells
+    order = np.argsort(np.concatenate([np.array(claimed, dtype=int), rest_level]), kind="stable")
+    rank = np.empty(len(order) + 1, dtype=int)
+    rank[order] = np.arange(len(order))
+    rank[-1] = -1  # cells outside every level's set
+    return rank[region], [leaders[i] for i in order.tolist()]
 
 
 def _fit_balls(grid: GridSpec, balls: BallFamily, centers: list[tuple[int, ...]],
@@ -281,14 +304,14 @@ def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Itera
     quadrature weight (``squarefuncs.cone_weights``), to the squared
     functional on B(y, t_k), whose first-axis rows are runs along the last
     axis (``GridSpec.ball_row_widths``).  So each row is a cumulative sum of
-    difference rows, one per (piece, first-axis line) with a dropped column
-    n: each (cell, ball row) adds +c at its run's start and -c one past its
-    end (a run ending at n puts it in the dropped column), and a run that
-    wraps past n ends at its end - n and adds one more +c at 0; a full row
-    (w = n) is taken to start at 0, so it never wraps.  One ``np.bincount``
-    per chunk fills the rows, adding each bin's terms in input order, so a
-    piece's rows do not depend on the chunk it falls in; they are clipped
-    at 0 against round-off.  Each piece is scaled by its own max, so a
+    difference rows, one per (piece, first-axis line): each (cell, ball
+    row) adds +c at its run's start and -c one past its end (none for a run
+    ending at n), and a run that wraps past n ends at its end - n and adds
+    one more +c at 0; a full row (w = n) is taken to start at 0, so it
+    never wraps.  One ``np.bincount`` per chunk fills the rows, adding each
+    bin's terms in input order, so a piece's rows do not depend on the
+    chunk it falls in; their cumulative sums are taken in place and
+    clipped at 0 against round-off.  Each piece is scaled by its own max, so a
     piece far below the field's max keeps its size.
     """
     grid, scales = F.grid, F.scales
@@ -313,7 +336,7 @@ def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Itera
     np.square(power, out=power)
     power *= cone_weights(grid, scales)[k]
     runs = row_count[k]
-    cost = lines * (n + 1) + np.bincount(owner, runs, minlength=len(pieces))
+    cost = lines * n + np.bincount(owner, runs, minlength=len(pieces))
     cell_ends = np.cumsum(counts)
     for lo, hi in whole_batches(cost, PIECE_CHUNK):
         first, last = (cell_ends[lo - 1] if lo else 0), cell_ends[hi - 1]
@@ -325,11 +348,15 @@ def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Itera
         start = np.where(width == n, 0, (y % n - width // 2) % n)
         end = start + width
         # the run's difference row: its piece, and the line dx past the cell's own (1-D: the one line)
-        base = ((owner[cell] - lo) * lines + (y // n + row_dx[ball_row]) % lines) * (n + 1)
+        base = ((owner[cell] - lo) * lines + (y // n + row_dx[ball_row]) % lines) * n
         c, wraps = power[cell], end > n
-        diff = np.bincount(np.concatenate([base + start, base + end - n * wraps, base[wraps]]),
-                           np.concatenate([c, -c, c[wraps]]), minlength=(hi - lo) * lines * (n + 1))
-        rows = np.cumsum(diff.reshape(-1, n + 1)[:, :n], axis=1)
+        end -= n * wraps  # a wrapping run ends at end - n
+        closed = end < n  # a run ending at n has no end term
+        start += base  # the terms' bins
+        end += base
+        rows = np.bincount(np.concatenate([start, end[closed], base[wraps]]),
+                           np.concatenate([c, -c[closed], c[wraps]]), minlength=(hi - lo) * lines * n).reshape(-1, n)
+        np.cumsum(rows, axis=1, out=rows)
         np.maximum(rows, 0.0, out=rows)
         yield rows.reshape((hi - lo,) + grid.shape), exps[lo:hi]
 
@@ -351,10 +378,12 @@ def _piece_sizes(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> list[list[f
         squares = squares.reshape(len(squares), -1)
         m = -(-np.frexp(squares.max(axis=1))[1] // 2)  # ceil(e / 2), e the binary exponent of the max
         np.ldexp(squares, -2 * m[:, None], out=squares)
-        for out, p in zip(sizes, SIZE_EXPONENTS):
-            totals = np.add.reduce(squares ** (p / 2), axis=1) * F.grid.cell_volume
+        # the sums of q'^(p/2) for SIZE_EXPONENTS = (2, 4): of q', then of
+        # q'^2, the rows squared in place
+        sums = [np.add.reduce(squares, axis=1), np.add.reduce(np.square(squares, out=squares), axis=1)]
+        for out, p, total in zip(sizes, SIZE_EXPONENTS, sums):
             with np.errstate(over="ignore"):
-                out += np.ldexp(totals ** (1.0 / p), m + exps).tolist()
+                out += np.ldexp((total * F.grid.cell_volume) ** (1.0 / p), m + exps).tolist()
     return sizes
 
 
@@ -379,10 +408,13 @@ def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> list[tupl
     cell indices into ``grid.shape + (K,)``, disjoint and covering the support
     of F; ``area`` is F's cone functional.
 
-    The support cells are grouped by containment level.  A cell (y, t_k) of
-    level k has B(y, t_k) inside {area > levels[k]}, so y lies in that set and
-    ``_whitney_regions`` gives it a region.  The cells contained at no level
-    (-1) are the strays."""
+    A support cell (y, t_k) of containment level k has B(y, t_k) inside
+    {area > levels[k]}, so y lies in that set.  The levels that hold support
+    cells, the shells, go to one ``_whitney_regions`` call, and each region
+    of a shell is a piece: one grouping of every shell's cells by region id,
+    which runs level by level, so the pieces come level by level, each
+    level's in region order.  The cells contained at no level (-1) are the
+    strays."""
     grid, k_count = F.grid, len(F.scales)
     top = math.ceil(math.log2(area.max()))
     positive_min = area[area > 0].min()
@@ -391,14 +423,16 @@ def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> list[tupl
     cell_level = _containment_levels(F, area, levels)
 
     support = np.flatnonzero(np.abs(F.values) > 0)
-    shells = dict(_groups(cell_level.reshape(-1)[support], support))
-    stray = shells.pop(-1, support[:0])  # level -1: contained at no level
-    pieces: list[tuple[np.ndarray, tuple[int, ...]]] = []
-    double_min = _ball_minima(area, BallFamily(grid, 2.0 * balls.radii))
-    for li, shell in shells.items():
-        region, leaders = _whitney_regions(grid, area > levels[li], balls, double_min > levels[li])
-        for rid, cells in _groups(region.reshape(-1)[shell // k_count], shell):
-            pieces.append((cells, leaders[rid].center))
+    support_level = cell_level.reshape(-1)[support]
+    contained = support_level >= 0  # level -1: contained at no level
+    stray, shell = support[~contained], support[contained]
+    # every shell level's set and doubled-ball fits in one comparison each
+    shell_levels, shell_row = np.unique(support_level[contained], return_inverse=True)
+    lev = levels[shell_levels]
+    double_min = _ball_minima(area, BallFamily(grid, 2.0 * balls.radii)).reshape(len(balls.radii), -1)
+    region, leaders = _whitney_regions(grid, area.reshape(-1) > lev[:, None], balls, double_min > lev[:, None, None])
+    pieces = [(cells, leaders[rid].center)
+              for rid, cells in _groups(region[shell_row, shell // k_count], shell)]
 
     # strays (possible when the area's range exceeds the level cap): one
     # piece per spatial point keeps supports disjoint and reconstruction exact

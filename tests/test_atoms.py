@@ -134,14 +134,10 @@ def test_ball_fits_on_a_cell_distance_match_the_correlation_oracles(dim, n, cell
     # family balls whose doubles lie on the same cell distances
     balls = BallFamily(grid, scales.scales[::4] / 2.0)
     double_min = atoms._ball_minima(area, BallFamily(grid, 2.0 * balls.radii))
-    for lev in levels:
-        inside = area > lev
-        fits = double_min > lev
-        assert np.array_equal(fits, [_double_fit_reference(grid, inside, 2.0 * r) for r in balls.radii])
-        region, leaders = atoms._whitney_regions(grid, inside, balls, fits)
-        ref_region, ref_leaders = _whitney_regions_reference(grid, inside, balls, fits)
-        assert np.array_equal(region, ref_region)
-        assert leaders == ref_leaders
+    inside, fits = _level_stacks(area, double_min, levels)
+    for level_inside, level_fits in zip(inside, fits):
+        assert np.array_equal(level_fits, _double_fit_rows(grid, level_inside, balls))
+    _assert_cover_matches_levels_reference(grid, inside, balls, fits)
 
 
 @pytest.mark.parametrize("dim,n,cells", [(1, 64, 3), (2, 32, 5)], ids=["1d-64-r3h", "2d-32-r5h"])
@@ -289,6 +285,42 @@ def _whitney_regions_reference(grid, inside, balls, double_fits=None):
     return region, leaders
 
 
+def _level_by_level(one_level, inside, fits):
+    """``one_level(level_inside, level_fits)``, a flat region id array and
+    its leaders, called once per level of an ``(levels, grid.size)`` stack,
+    each level's region ids offset by the regions of the levels before it."""
+    regions, leaders = [], []
+    for level_inside, level_fits in zip(inside, fits):
+        region, level_leaders = one_level(level_inside, level_fits)
+        regions.append(np.where(region >= 0, region + len(leaders), -1))
+        leaders += level_leaders
+    return np.array(regions, dtype=int).reshape(inside.shape), leaders
+
+
+def _whitney_levels_reference(grid, inside, balls, double_fits):
+    """``_whitney_regions_reference`` level by level; ``double_fits`` is ignored."""
+    def one_level(level_inside, _):
+        region, leaders = _whitney_regions_reference(grid, level_inside.reshape(grid.shape), balls)
+        return region.reshape(-1), leaders
+
+    return _level_by_level(one_level, inside, double_fits)
+
+
+def _level_stacks(area, double_min, levels):
+    """The ``(levels, cells)`` sets {area > lev} and ``(levels, radii,
+    cells)`` doubled-ball fits that ``atoms._pieces`` hands
+    ``_whitney_regions``, from the doubled-ball minima of ``area``."""
+    levels = np.asarray(levels)
+    return (area.reshape(-1) > levels[:, None],
+            double_min.reshape(len(double_min), -1) > levels[:, None, None])
+
+
+def _double_fit_rows(grid, level_inside, balls):
+    """The correlation oracle's doubled-ball fits of one flat set, one row per family radius."""
+    inside = level_inside.reshape(grid.shape)
+    return np.array([_double_fit_reference(grid, inside, 2.0 * r).reshape(-1) for r in balls.radii])
+
+
 def _field_case(dim, n, kind):
     """Half-space fields for the bitwise oracles: a random concentrated field,
     the zero field, and a field 1e40 times weaker on one half, whose weak
@@ -351,9 +383,10 @@ def _pieces_reference(F, area, balls):
         shell = support & (cell_level == li)
         if not shell.any():
             continue
-        inside = area > lev
-        fits = np.array([_double_fit_reference(F.grid, inside, 2.0 * r) for r in balls.radii])
+        inside = (area > lev).reshape(1, -1)
+        fits = _double_fit_rows(F.grid, inside[0], balls)[None]
         region, leaders = atoms._whitney_regions(F.grid, inside, balls, fits)
+        region = region.reshape(F.grid.shape)
         for rid in np.unique(np.broadcast_to(region[..., None], shell.shape)[shell]):
             if rid >= 0:
                 pieces.append((shell & (region[..., None] == rid), leaders[rid].center))
@@ -462,10 +495,10 @@ def test_decompose_matches_per_piece_reference_bitwise(monkeypatch, dim, n, kind
     balls = BallFamily.build(F.grid, 2)
     fast = tent_decompose(F, space, balls)
     assert (len(fast.atoms) == 0) == (kind == "zero")
-    # the reference: per-radius Whitney regions, one boolean mask and one cone
+    # the reference: per-radius Whitney regions level by level, one boolean mask and one cone
     # functional per piece, mask-based ball fits, one norm per piece and a
     # dense field per atom
-    monkeypatch.setattr(atoms, "_whitney_regions", _whitney_regions_reference)
+    monkeypatch.setattr(atoms, "_whitney_regions", _whitney_levels_reference)
     _assert_matches_dense_reference(fast, _dense_decomposition_reference(F, space, balls), space)
     _assert_near_spatial_decomposition(fast, F, space, balls)
     if kind != "zero":  # the pieces' cell indices are the reference masks' cells
@@ -830,9 +863,10 @@ def test_empty_decomposition_passes_the_batched_ball_bookkeeping():
         assert coefficient_functional(dec, space) == 0.0 == _coefficient_functional_reference(dec, space)
 
 
-def _whitney_inputs(F, balls):
-    """The (grid, inside, balls, double_fits) of every ``_whitney_regions``
-    call a decomposition makes."""
+def _whitney_inputs(F, balls, area=None):
+    """The (grid, inside, balls, double_fits) of the ``_whitney_regions``
+    call that decomposing F makes, or that ``atoms._pieces`` makes with
+    ``area`` in place of F's cone functional."""
     seen = []
 
     def record(grid, inside, balls, double_fits):
@@ -842,24 +876,33 @@ def _whitney_inputs(F, balls):
     whitney = atoms._whitney_regions
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(atoms, "_whitney_regions", record)
-        tent_decompose(F, LEBESGUE, balls)
-    return seen
+        if area is None:
+            tent_decompose(F, LEBESGUE, balls)
+        else:
+            atoms._pieces(F, area, balls)
+    (call,) = seen
+    return call
+
+
+def _assert_cover_matches_levels_reference(grid, inside, balls, fits):
+    """The batched cover against the roll reference called level by level."""
+    region, leaders = atoms._whitney_regions(grid, inside, balls, fits)
+    ref_region, ref_leaders = _whitney_levels_reference(grid, inside, balls, fits)
+    assert np.array_equal(region, ref_region)
+    assert leaders == ref_leaders
 
 
 @pytest.mark.parametrize("seed", [0, 5, 4243])
 def test_whitney_regions_match_reference_on_benchmark_inputs(seed):
     # the benchmark's decompose-1d inputs: trials 0-3 on 1-D N=256
     plan = build_plan(build_annular_kernel(GRID), SCALES)
-    calls = [call for trial in range(4)
-             for call in _whitney_inputs(build_field(trial_function(seed, trial, GRID), plan), BALLS)]
-    assert len(calls) > 20
+    calls = [_whitney_inputs(build_field(trial_function(seed, trial, GRID), plan), BALLS) for trial in range(4)]
+    assert sum(len(inside) for _, inside, _, _ in calls) > 20
     for grid, inside, balls, fits in calls:
         # the fits tent_decompose passes are the correlation oracle's
-        assert np.array_equal(fits, [_double_fit_reference(grid, inside, 2.0 * r) for r in balls.radii])
-        region, leaders = atoms._whitney_regions(grid, inside, balls, fits)
-        ref_region, ref_leaders = _whitney_regions_reference(grid, inside, balls)
-        assert np.array_equal(region, ref_region)
-        assert leaders == ref_leaders
+        for level_inside, level_fits in zip(inside, fits):
+            assert np.array_equal(level_fits, _double_fit_rows(grid, level_inside, balls))
+        _assert_cover_matches_levels_reference(grid, inside, balls, fits)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (2, 32), (2, 64)], ids=["1d-64", "2d-16", "2d-32", "2d-64"])
@@ -868,12 +911,69 @@ def test_whitney_regions_match_per_radius_roll_reference_bitwise(dim, n):
     balls = BallFamily.build(grid, 2)
     area = tent_functional(_field_case(dim, n, "field"), 1.0).values.real
     double_min = atoms._ball_minima(area, BallFamily(grid, 2.0 * balls.radii))
-    for lev in np.quantile(area, [0.0, 0.3, 0.6, 0.9]):
-        inside = area > lev
-        region, leaders = atoms._whitney_regions(grid, inside, balls, double_min > lev)
-        ref_region, ref_leaders = _whitney_regions_reference(grid, inside, balls)
-        assert np.array_equal(region, ref_region)
-        assert leaders == ref_leaders
+    inside, fits = _level_stacks(area, double_min, np.quantile(area, [0.0, 0.3, 0.6, 0.9]))
+    _assert_cover_matches_levels_reference(grid, inside, balls, fits)
+
+
+def _isolated_cells_level(grid, balls):
+    """A set of isolated cells (every other cell along each axis) and its
+    doubled-ball fits: the smallest doubled ball reaches a neighbour, so no
+    doubled ball fits and the set is covered by single-cell regions only."""
+    isolated = np.ones(grid.shape, dtype=bool)
+    for axis in range(grid.dim):
+        isolated &= (np.indices(grid.shape)[axis] % 2) == 0
+    area = isolated.astype(float)
+    double_min = atoms._ball_minima(area, BallFamily(grid, 2.0 * balls.radii))
+    inside, fits = _level_stacks(area, double_min, [0.5])
+    assert inside.any() and not fits.any()
+    return inside, fits
+
+
+WHITNEY_CASES = ["1d-256-seed5", "1d-256-seed0", "1d-256-seed4243", "2d-64", "singles-only", "all-stray"]
+
+
+@pytest.mark.parametrize("case", WHITNEY_CASES)
+def test_batched_whitney_cover_matches_per_level_calls_bitwise(case):
+    # the cover of every shell level in one call against one call per level,
+    # of the reference and of ``_whitney_regions`` itself, in region ids and leaders
+    if case.startswith("1d-256"):  # decompose-1d's trials 0-3
+        plan = build_plan(build_annular_kernel(GRID), SCALES)
+        seed = int(case.split("seed")[1])
+        calls = [_whitney_inputs(build_field(trial_function(seed, trial, GRID), plan), BALLS) for trial in range(4)]
+    else:  # the 2-D N=64 memory-guard field (16 scales, trial 0 of seed 0)
+        grid = GridSpec(dim=2, half_width=2.0, points_per_axis=64)
+        F = build_field(trial_function(0, 0, grid), build_plan(build_annular_kernel(grid), ScaleGrid(1 / 16, 1.0, 4)))
+        balls = BallFamily.build(grid, 2)
+        if case == "all-stray":
+            # an area that is zero on every other cell puts a zero in every
+            # cell's ball, so every support cell is contained at no level
+            area = tent_functional(F, 1.0).values * _isolated_cells_level(grid, balls)[0].reshape(grid.shape)
+            call = _whitney_inputs(F, balls, area)
+            pieces = atoms._pieces(F, area, balls)
+            assert len(pieces) == np.count_nonzero(np.abs(F.values).max(axis=-1))  # one per support point
+        else:
+            call = _whitney_inputs(F, balls)
+        if case == "singles-only":  # one level of isolated cells amid the field's levels
+            grid, inside, balls, fits = call
+            lone_inside, lone_fits = _isolated_cells_level(grid, balls)
+            middle = len(inside) // 2
+            call = (grid, np.concatenate([inside[:middle], lone_inside, inside[middle:]]), balls,
+                    np.concatenate([fits[:middle], lone_fits, fits[middle:]]))
+        calls = [call]
+    for grid, inside, balls, fits in calls:
+        assert (len(inside) == 0) == (case == "all-stray")
+        def one_level(level_inside, level_fits):
+            region, leaders = atoms._whitney_regions(grid, level_inside[None], balls, level_fits[None])
+            return region[0], leaders
+
+        region, leaders = atoms._whitney_regions(grid, inside, balls, fits)
+        one_region, one_leaders = _level_by_level(one_level, inside, fits)
+        assert np.array_equal(region, one_region) and leaders == one_leaders
+        _assert_cover_matches_levels_reference(grid, inside, balls, fits)
+        if case == "singles-only":
+            lone = region[middle][inside[middle]]
+            assert np.array_equal(np.diff(lone), np.ones(len(lone) - 1))  # one region per cell, in cell order
+            assert {leaders[i].radius for i in lone.tolist()} == {float(balls.radii[0])}
 
 
 def test_decompose_exact_reconstruction_and_additivity():

@@ -2,7 +2,7 @@
 of a Peetre case, of the ``orlicz_slice`` norm case, which records the
 harness's rows through ``harness.space_norms`` and counts modular
 evaluations through ``spaces._luxemburg_rows``, and of the ``decompose``
-case."""
+and ``decompose-2d`` cases."""
 
 import importlib.util
 import json
@@ -16,8 +16,9 @@ def test_layer_bench_prints_one_json_line_per_case(capsys):
     spec = importlib.util.spec_from_file_location("layer_bench", LAYER_BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    assert bench.main(["--case", "1d-64", "--case", "orlicz_slice", "--case", "decompose", "--repeats", "1"]) == 0
-    peetre, norms, decompose = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert bench.main(["--case", "1d-64", "--case", "orlicz_slice", "--case", "decompose", "--case", "decompose-2d",
+                       "--repeats", "1"]) == 0
+    peetre, norms, decompose, decompose_2d = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert set(peetre) == KEYS | {"b"}
     assert (peetre["case"], peetre["call"], peetre["rows"]) == ("1d-64", "peetre_maximals", 10)
     assert set(norms) == KEYS | {"evaluations_per_window"}
@@ -26,7 +27,10 @@ def test_layer_bench_prints_one_json_line_per_case(capsys):
     assert set(decompose) == KEYS | {"atoms"}
     assert (decompose["case"], decompose["call"], decompose["rows"]) == ("decompose", "tent_decompose", 4)
     assert decompose["atoms"] > 0
-    for line in (peetre, norms, decompose):
+    assert set(decompose_2d) == KEYS | {"atoms"}
+    assert (decompose_2d["case"], decompose_2d["call"], decompose_2d["rows"]) == ("decompose-2d", "tent_decompose", 1)
+    assert decompose_2d["atoms"] > 0
+    for line in (peetre, norms, decompose, decompose_2d):
         assert line["repeats"] == 1
         assert 0 < line["min_s"] == line["q1_s"] == line["median_s"] == line["q3_s"] == line["max_s"]
         assert line["faults_per_call"] >= 0
