@@ -24,7 +24,8 @@ The pieces' cone functionals are exact interval sums, not FFTs
 along the last axis (``GridSpec.ball_row_widths``), so a piece's squared
 cone functional is the cumulative sum, taken in place, of difference rows
 that one ``np.bincount`` fills, each piece scaled to its own max.  Pieces
-go in chunks of whole pieces within ``PIECE_CHUNK`` elements, and each
+go in chunks of whole pieces within ``PIECE_CHUNK`` elements, which count
+a piece's rows and the arrays of its (cell, ball row) runs, and each
 chunk's squared rows give the L^p sizes (kept per atom) as sums of their
 powers p/2, each row scaled by a power of four into [1/4, 1) and squared
 in place for p = 4 (``_piece_sizes``),
@@ -32,12 +33,16 @@ so no pieces x cells stack is held and the sizes scale by exactly 2^k with
 the field.  The pieces' balls come from one gather of their own cells'
 torus distances and one pick over the family's radii, and the balls'
 indicators (``_ball_rows``) from one ``torus_window_view`` gather whose
-norms take one ``space_norms`` call;
-``coefficient_functional`` adds its per-atom weights with one
-``np.bincount``.  A ``TentAtom`` keeps only its piece's cells and
-values; its dense field is built on demand.  ``tent_decompose`` divides
-every kept atom's values in one operation and checks them once, and
-``TentDecomposition.reconstruct`` adds them back in one scatter.
+norms take one ``space_norms`` call.  A ``TentAtom`` keeps only its
+piece's cells and values; its dense field is built on demand.
+``tent_decompose`` divides every kept atom's values in one operation and
+checks them once, and the ``TentDecomposition`` keeps what it built: the
+flat cells, values and per-cell coefficients that the atoms' arrays view,
+the indicator stack and the space the atoms were sized for.  So
+``TentDecomposition.reconstruct`` is one scatter of the flat arrays, and
+``coefficient_functional`` adds its per-atom weights over the stored
+indicators with one ``np.bincount``, reading the stored ball norms in
+that space and taking one ``space_norms`` call in any other.
 """
 
 from __future__ import annotations
@@ -76,11 +81,15 @@ MAX_LEVELS = 22
 # the exponents p of the L^p sizes every atom is normalized for and the
 # decomposition keeps
 SIZE_EXPONENTS = (2.0, 4.0)
-# elements per chunk of pieces in ``_piece_functionals``, counting each
-# piece's difference rows and its (cell, ball row) runs: a chunk holds whole
-# pieces, as many as fit, and at least one (a 2-D N=64 chunk is about 250
-# pieces)
+# 8-byte elements per chunk of pieces in ``_piece_functionals``, counting
+# each piece's difference rows and ``RUN_ELEMENTS`` per (cell, ball row)
+# run: a chunk holds whole pieces, as many as fit, and at least one (a chunk
+# of the 2-D N=64 memory-guard field is 1 to 184 pieces; a ``decompose-1d``
+# field is one chunk)
 PIECE_CHUNK = 1 << 20
+# the int64 and float64 arrays a chunk holds per run at once, its bincount's
+# inputs among them (measured: 14.9 under tracemalloc)
+RUN_ELEMENTS = 15
 
 
 class Ball(NamedTuple):
@@ -149,29 +158,42 @@ class TentAtom:
 @dataclass(frozen=True)
 class TentDecomposition:
     """The atoms of ``tent_decompose`` on the half-space of ``grid`` and
-    ``scales``; ``ball_norms[i]`` is the norm of ``atoms[i]``'s ball indicator
-    in the space the atoms were sized for, bitwise its one-row
+    ``scales``, sized for ``space``; ``ball_norms[i]`` is the norm of
+    ``atoms[i]``'s ball indicator in ``space``, bitwise its one-row
     ``space_norm``, and ``sizes[p][i]`` the L^p norm of its unit-aperture
-    cone functional, for each p of ``SIZE_EXPONENTS``."""
+    cone functional, for each p of ``SIZE_EXPONENTS``.
+
+    ``cells``, ``values`` and ``coefficients`` hold every atom's cells,
+    values and coefficient, one entry per cell, atom after atom: each
+    atom's ``cells`` and ``values`` are views into them.  ``ball_rows[i]``
+    is ``atoms[i]``'s ball indicator (``_ball_rows``)."""
 
     atoms: list[TentAtom]
     grid: GridSpec
     scales: ScaleGrid
     ball_norms: list[float]
     sizes: dict[float, list[float]]
+    space: SpaceDescriptor
+    cells: np.ndarray
+    values: np.ndarray
+    coefficients: np.ndarray
+    ball_rows: np.ndarray
+
+    @classmethod
+    def _empty(cls, grid: GridSpec, scales: ScaleGrid, space: SpaceDescriptor,
+               sizes: dict[float, list[float]]) -> "TentDecomposition":
+        """The decomposition without atoms: its reconstruction is a zero float field."""
+        return cls(atoms=[], grid=grid, scales=scales, ball_norms=[], sizes=sizes, space=space,
+                   cells=np.empty(0, dtype=np.intp), values=np.empty(0), coefficients=np.empty(0),
+                   ball_rows=np.empty((0,) + grid.shape, dtype=bool))
 
     def reconstruct(self) -> HalfSpaceField:
-        """The sum of coefficient times atom, a float field when there are no atoms.
+        """The sum of coefficient times atom, a float field when every atom is real.
 
         The atoms' cells are disjoint, so one scatter adds 0.0 + coefficient
         times value once per cell: bitwise the sum atom by atom."""
-        dtype = np.result_type(float, *{atom.values.dtype for atom in self.atoms})
-        total = np.zeros(self.grid.shape + (len(self.scales),), dtype=dtype)
-        if self.atoms:
-            coefficients = np.repeat([atom.coefficient for atom in self.atoms],
-                                     [len(atom.cells) for atom in self.atoms])
-            total.reshape(-1)[np.concatenate([atom.cells for atom in self.atoms])] += (
-                coefficients * np.concatenate([atom.values for atom in self.atoms]))
+        total = np.zeros(self.grid.shape + (len(self.scales),), dtype=np.result_type(float, self.values.dtype))
+        total.reshape(-1)[self.cells] += self.coefficients * self.values
         return HalfSpaceField(self.grid, self.scales, total)
 
 
@@ -336,7 +358,7 @@ def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Itera
     np.square(power, out=power)
     power *= cone_weights(grid, scales)[k]
     runs = row_count[k]
-    cost = lines * n + np.bincount(owner, runs, minlength=len(pieces))
+    cost = lines * n + RUN_ELEMENTS * np.bincount(owner, runs, minlength=len(pieces))
     cell_ends = np.cumsum(counts)
     for lo, hi in whole_batches(cost, PIECE_CHUNK):
         first, last = (cell_ends[lo - 1] if lo else 0), cell_ends[hi - 1]
@@ -456,15 +478,15 @@ def tent_decompose(
     balls = balls or BallFamily.build(grid, 2)
     area = tent_functional(F, 1.0).values
     if not np.any(area > 0):
-        return TentDecomposition(atoms=[], grid=grid, scales=scales, ball_norms=[],
-                                 sizes={p: [] for p in SIZE_EXPONENTS})
+        return TentDecomposition._empty(grid, scales, space, {p: [] for p in SIZE_EXPONENTS})
     pieces = _pieces(F, area, balls)
 
     # every piece's ball in one gather and the balls' norms in one more, then
     # its L^p sizes from its cone functional's interval sums, chunk by chunk
     cells = [piece_cells for piece_cells, _ in pieces]
     fitted = _fit_balls(grid, balls, [center for _, center in pieces], cells, scales.scales)
-    norms = np.array(space_norms(grid, _ball_rows(grid, fitted), space))
+    rows = _ball_rows(grid, fitted)
+    norms = np.array(space_norms(grid, rows, space))
     sizes = np.array(_piece_sizes(F, cells))
     volumes = ball_volume(np.array([ball.radius for ball in fitted]), grid.dim)
     lams = np.max([size * norms / volumes ** (1.0 / p) for p, size in zip(SIZE_EXPONENTS, sizes)], axis=0)
@@ -473,17 +495,19 @@ def tent_decompose(
     kept_sizes = {p: (size[keep] / kept_lams).tolist()  # the L^p size is positively homogeneous
                   for p, size in zip(SIZE_EXPONENTS, sizes)}
     if not len(keep):
-        return TentDecomposition(atoms=[], grid=grid, scales=scales, ball_norms=[], sizes=kept_sizes)
+        return TentDecomposition._empty(grid, scales, space, kept_sizes)
 
     # every kept atom's values in one division and one finiteness check:
     # bitwise each piece's own F / lam
     counts = [len(cells[i]) for i in keep.tolist()]
     kept_cells = np.concatenate([cells[i] for i in keep.tolist()])
-    values = F.values.reshape(-1)[kept_cells] / np.repeat(kept_lams, counts)
+    coefficients = np.repeat(kept_lams, counts)
+    values = F.values.reshape(-1)[kept_cells] / coefficients
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
+    values = real_or_complex(values)  # float when no kept atom has an imaginary part
     kept_cells.setflags(write=False)
-    values.setflags(write=False)
+    coefficients.setflags(write=False)
     bounds = np.cumsum(counts[:-1]).tolist()
     piece_values = _split(values, bounds)
     if np.iscomplexobj(values):  # a piece without imaginary parts keeps float values, as real_or_complex gives
@@ -491,8 +515,12 @@ def tent_decompose(
     atoms = [TentAtom._trusted(grid, scales, piece_cells, v, fitted[i], lam)
              for i, lam, piece_cells, v in zip(keep.tolist(), kept_lams.tolist(), _split(kept_cells, bounds),
                                                piece_values)]
+    # the stack itself when every piece is kept, as it nearly always is
+    kept_rows = rows if len(keep) == len(rows) else rows[keep]
+    kept_rows.setflags(write=False)
     return TentDecomposition(atoms=atoms, grid=grid, scales=scales, ball_norms=norms[keep].tolist(),
-                             sizes=kept_sizes)
+                             sizes=kept_sizes, space=space, cells=kept_cells, values=values,
+                             coefficients=coefficients, ball_rows=kept_rows)
 
 
 def synthesize_molecule(atom: TentAtom, psi: Kernel) -> Molecule:
@@ -516,13 +544,17 @@ def synthesize_molecule(atom: TentAtom, psi: Kernel) -> Molecule:
 def coefficient_functional(decomp: TentDecomposition, space: SpaceDescriptor) -> float:
     """Aggregated coefficient size of the decomposition relative to the space:
     the space norm of (sum of (coefficient / ||1_B||)^s 1_B)^(1/s) over the
-    atoms' balls B, s = min(1, the space's floor exponent)."""
+    atoms' balls B, s = min(1, the space's floor exponent).
+
+    The indicators are the decomposition's ``ball_rows``, and their norms
+    its ``ball_norms`` when ``space`` is the descriptor it was sized in
+    (``is``: a descriptor holding arrays has no usable ``==``), else one
+    ``space_norms`` call."""
     if not decomp.atoms:
         return 0.0
-    grid = decomp.grid
+    grid, rows = decomp.grid, decomp.ball_rows
     s = min(1.0, space.floor())
-    rows = _ball_rows(grid, [atom.ball for atom in decomp.atoms])
-    norms = space_norms(grid, rows, space)
+    norms = decomp.ball_norms if space is decomp.space else space_norms(grid, rows, space)
     weights = [(atom.coefficient / norm_1b) ** s for atom, norm_1b in zip(decomp.atoms, norms)]
     # bincount adds in input order, atom by atom: bitwise the sum of weight
     # times indicator, whose other terms are exact zeros

@@ -340,10 +340,11 @@ def change_of_angle_experiment(
     rows = []
     for fs in _trial_blocks(seed, trials, grid, scales):
         F = build_fields(fs, plan)
-        n = len(fs)
-        block = space_norms(grid, scale_sums(F, tables).reshape((-1,) + grid.shape), space)
-        for norms in zip(*(block[j * n:(j + 1) * n] for j in range(len(alphas)))):
-            slope = float(np.polyfit(np.log(alphas), np.log(norms), 1)[0])
+        block = np.reshape(space_norms(grid, scale_sums(F, tables).reshape((-1,) + grid.shape), space),
+                           (len(alphas), len(fs)))
+        # one fit of every trial's column: bitwise each trial's own fit
+        slopes = np.polyfit(np.log(alphas), np.log(block), 1)[0].tolist()
+        for norms, slope in zip(block.T.tolist(), slopes):
             monotone = all(x <= y * (1 + 1e-10) for x, y in zip(norms, norms[1:]))
             rows.append((norms, slope, monotone))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from lpx import atoms, maximal, squarefuncs
 from lpx.atoms import (
     Ball,
     TentAtom,
-    TentDecomposition,
     coefficient_functional,
     synthesize_molecule,
     tent_decompose,
@@ -19,8 +19,8 @@ from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
-from lpx.spaces import (Lebesgue, MixedNorm, Morrey, WeightedLebesgue, descriptor_from_json, power_weight, space_norm,
-                        space_norms)
+from lpx.spaces import (Lebesgue, MixedNorm, Morrey, Weight, WeightedLebesgue, descriptor_from_json, power_weight,
+                        space_norm, space_norms)
 from lpx.squarefuncs import ball_spectra, cone_spectra, tent_functional
 from lpx.transforms import build_field, build_fields, build_plan, correlate, inverse_spectrum, spatial_kernel, spectrum
 
@@ -459,8 +459,8 @@ def _assert_matches_dense_reference(dec, reference, space):
         np.testing.assert_allclose(atom.field.values, values, rtol=SIZE_RTOL, atol=0.0)
     assert dec.ball_norms == [space_norm(ball_indicator(grid, atom.ball), space) for atom in dec.atoms]
     np.testing.assert_allclose(dec.reconstruct().values, ref_total, rtol=SIZE_RTOL, atol=0.0)
-    ref_dec = TentDecomposition([atom_from_field(HalfSpaceField(grid, scales, values), ball, lam)
-                                 for ball, lam, values in ref_atoms], grid, scales, dec.ball_norms, dec.sizes)
+    ref_dec = dataclasses.replace(dec, atoms=[atom_from_field(HalfSpaceField(grid, scales, values), ball, lam)
+                                              for ball, lam, values in ref_atoms])
     assert coefficient_functional(dec, space) == pytest.approx(_coefficient_functional_reference(ref_dec, space),
                                                                rel=SIZE_RTOL, abs=0.0)
 
@@ -632,20 +632,56 @@ def test_decomposition_is_exactly_equivariant_under_powers_of_two(trial):
     # decompose-1d's field of seed 5 scaled by 2^k: by the smallest k that
     # keeps every nonzero sample normal, and far down and up.  Scaling by a
     # power of two is exact there, so the atoms keep their bits and the
-    # coefficients scale by exactly 2^k; the sizes are those of the atoms
+    # coefficients scale by exactly 2^k; the sizes are those of the atoms,
+    # and the rebuilt field and the coefficient functional in the space the
+    # atoms were sized for scale by exactly 2^k
     F = build_field(trial_function(5, trial, GRID), build_plan(build_annular_kernel(GRID), SCALES))
-    dec = tent_decompose(F, LEBESGUE, BALLS)
-    assert dec.atoms
     smallest = np.abs(F.values[F.values != 0]).min()
     lowest = np.finfo(float).minexp - int(np.frexp(smallest)[1]) + 1  # the smallest k keeping it normal
     assert np.ldexp(smallest, lowest) >= np.finfo(float).tiny > np.ldexp(smallest, lowest - 1)
-    for k in (lowest, -500, 900):
-        scaled = tent_decompose(HalfSpaceField(GRID, SCALES, np.ldexp(F.values, k)), LEBESGUE, BALLS)
-        assert len(scaled.atoms) == len(dec.atoms) and scaled.ball_norms == dec.ball_norms
-        for atom, other in zip(dec.atoms, scaled.atoms):
-            assert np.array_equal(atom.cells, other.cells) and np.array_equal(atom.values, other.values)
-            assert atom.ball == other.ball and other.coefficient == math.ldexp(atom.coefficient, k)
-        assert scaled.sizes == dec.sizes
+    for space in (LEBESGUE, Lebesgue(0.5), MORREY):
+        dec = tent_decompose(F, space, BALLS)
+        assert dec.atoms
+        rebuilt, functional = dec.reconstruct().values, coefficient_functional(dec, space)
+        for k in (lowest, -500, 900):
+            scaled = tent_decompose(HalfSpaceField(GRID, SCALES, np.ldexp(F.values, k)), space, BALLS)
+            assert len(scaled.atoms) == len(dec.atoms) and scaled.ball_norms == dec.ball_norms
+            for atom, other in zip(dec.atoms, scaled.atoms):
+                assert np.array_equal(atom.cells, other.cells) and np.array_equal(atom.values, other.values)
+                assert atom.ball == other.ball and other.coefficient == math.ldexp(atom.coefficient, k)
+            assert scaled.sizes == dec.sizes
+            assert np.array_equal(scaled.reconstruct().values, np.ldexp(rebuilt, k))
+            assert coefficient_functional(scaled, space) == math.ldexp(functional, k)
+
+
+def test_piece_sizes_peak_stays_within_the_chunk_budget(monkeypatch):
+    # the memory guard's field (2-D N=64, L=2, 16 scales, trial 0 of seed
+    # 0), whose largest piece holds 264k (cell, ball row) runs, a chunk of
+    # its own: a chunk holds at most its cost in 8-byte elements while the
+    # chunk before it keeps its rows, at most PIECE_CHUNK elements
+    grid = GridSpec(dim=2, half_width=2.0, points_per_axis=64)
+    scales = ScaleGrid(1 / 16, 1.0, 4)
+    F = build_field(trial_function(0, 0, grid), build_plan(build_annular_kernel(grid), scales))
+    pieces = _decomposition_pieces(F, BallFamily.build(grid, 2))
+    costs = []
+    batches = atoms.whole_batches
+
+    def recorded(cost, budget):
+        for lo, hi in batches(cost, budget):
+            costs.append(int(cost[lo:hi].sum()))
+            yield lo, hi
+
+    monkeypatch.setattr(atoms, "whole_batches", recorded)
+    atoms._piece_sizes(F, pieces)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        atoms._piece_sizes(F, pieces)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (max(costs) + atoms.PIECE_CHUNK)
+    assert len(set(costs)) > 1 and max(costs) > atoms.PIECE_CHUNK  # several chunks, one piece past the budget
 
 
 def _brute_force_piece_functional(F, cells):
@@ -852,6 +888,70 @@ def test_coefficient_functional_matches_per_atom_loop_bitwise(case, space):
         dec = tent_decompose(F, space, balls)
         assert len(dec.atoms) > 1
         assert coefficient_functional(dec, space) == _coefficient_functional_reference(dec, space)
+
+
+@pytest.mark.parametrize("case", ["1d-64-field", "1d-64-stray", "1d-256-benchmark"])
+def test_coefficient_functional_in_another_space_matches_per_atom_loop_bitwise(case):
+    # atoms sized in Lebesgue(2) take their Morrey ball norms anew
+    if case == "1d-256-benchmark":
+        plan = build_plan(build_annular_kernel(GRID), SCALES)
+        fields, balls = [build_field(trial_function(5, trial, GRID), plan) for trial in range(4)], BALLS
+    else:
+        dim, n, kind = case.split("-")
+        fields = [_field_case(int(dim[0]), int(n), kind)]
+        balls = BallFamily.build(fields[0].grid, 2)
+    for F in fields:
+        dec = tent_decompose(F, LEBESGUE, balls)
+        assert len(dec.atoms) > 1
+        assert coefficient_functional(dec, MORREY) == _coefficient_functional_reference(dec, MORREY)
+
+
+def test_coefficient_functional_norms_the_balls_again_only_in_another_descriptor(monkeypatch):
+    # the sizing descriptor itself reads the stored ball norms; an equal but
+    # distinct descriptor takes one space_norms call and gives the same bits
+    F = _field_case(1, 64, "field")
+    dec = tent_decompose(F, LEBESGUE, BallFamily.build(F.grid, 2))
+    calls = []
+
+    def counted(grid, rows, space):
+        calls.append(len(rows))
+        return space_norms(grid, rows, space)
+
+    monkeypatch.setattr(atoms, "space_norms", counted)
+    same = coefficient_functional(dec, LEBESGUE)
+    assert calls == []
+    assert coefficient_functional(dec, Lebesgue(2.0)) == same == _coefficient_functional_reference(dec, LEBESGUE)
+    assert calls == [len(dec.atoms)]
+
+
+def _vanishing_weight_space(grid):
+    """Weighted L^1.5 whose weight is the least subnormal on x < 0: a ball
+    there has norm 0, so its piece gets coefficient 0 and is dropped."""
+    weight = np.where(grid.coordinate_mesh()[0] < 0, np.nextafter(0.0, 1.0), 1.0)
+    return WeightedLebesgue(1.5, Weight(SampledFunction(grid, weight)), q_omega=1.0)
+
+
+@pytest.mark.parametrize("kind", ["field", "dropped"])
+def test_decomposition_keeps_its_atoms_arrays_and_ball_rows(kind):
+    # the flat cells, values and per-cell coefficients hold every atom's,
+    # each atom's arrays are views into them, and the ball rows are the
+    # kept atoms' indicators, all read-only
+    F = _field_case(1, 64, "field")
+    balls = BallFamily.build(F.grid, 2)
+    space = LEBESGUE if kind == "field" else _vanishing_weight_space(F.grid)
+    dec = tent_decompose(F, space, balls)
+    pieces = len(_decomposition_pieces(F, balls))
+    assert (len(dec.atoms) < pieces) == (kind == "dropped") and dec.space is space
+    assert np.array_equal(dec.cells, np.concatenate([atom.cells for atom in dec.atoms]))
+    assert np.array_equal(dec.values, np.concatenate([atom.values for atom in dec.atoms]))
+    assert np.array_equal(dec.coefficients, np.repeat([atom.coefficient for atom in dec.atoms],
+                                                      [len(atom.cells) for atom in dec.atoms]))
+    for atom in dec.atoms:
+        assert np.shares_memory(atom.cells, dec.cells) and np.shares_memory(atom.values, dec.values)
+    assert np.array_equal(dec.ball_rows, atoms._ball_rows(F.grid, [atom.ball for atom in dec.atoms]))
+    assert not any(a.flags.writeable for a in (dec.cells, dec.values, dec.coefficients, dec.ball_rows))
+    assert coefficient_functional(dec, space) == _coefficient_functional_reference(dec, space)
+    assert coefficient_functional(dec, MORREY) == _coefficient_functional_reference(dec, MORREY)
 
 
 def test_empty_decomposition_passes_the_batched_ball_bookkeeping():

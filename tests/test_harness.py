@@ -352,6 +352,23 @@ def test_trial_blocked_change_of_angle_matches_the_per_trial_loop(monkeypatch):
     assert sizes == [3, 3, 3, 1] * 5
 
 
+SLOPE_CASES = [(1, 64, 0), (1, 64, 3), (1, 64, 42), (1, 256, 42), (2, 64, 0), (2, 64, 42)]
+
+
+@pytest.mark.parametrize("dim,n,seed", SLOPE_CASES, ids=[f"{d}d-{n}-seed{s}" for d, n, s in SLOPE_CASES])
+def test_batched_change_of_angle_slopes_are_each_trials_own_fit_bitwise(dim, n, seed):
+    # the block's one fit of every trial's norms, against np.polyfit of each
+    # trial's norms alone, in 1-D and 2-D and in Lebesgue and Morrey spaces
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    alphas = (1.0, 2.0, 4.0, 8.0)
+    for space in (Lebesgue(2.0), Morrey(2.0, 1.0)):
+        rep = change_of_angle_experiment(space, alphas, 10 if dim == 1 else 3, grid, ScaleGrid(1 / 16, 0.25, 8),
+                                         seed=seed)
+        for i, slope in enumerate(rep.series["slope"]):
+            norms = [rep.series[f"norm_alpha_{a:g}"][i] for a in alphas]
+            assert slope == float(np.polyfit(np.log(alphas), np.log(norms), 1)[0])
+
+
 # -- fixed inputs built once per process ----------------------------------------
 
 
