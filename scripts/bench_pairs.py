@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a base commit and the working tree.
 
-Runs ``perfbench/run.py`` in a temporary ``git worktree`` of BASE_REF and in
-the working tree, one run each per pair, swapping which side runs first from
-one pair to the next, so drift on a noisy host falls on both sides alike.
-Each side runs its own ``perfbench/run.py`` on its own sources with the same
-arguments.  Prints one JSON object: per metric of the benchmark's last output
-line, each side's median, quartiles and values, the pairs the working tree
-won (lower is better; a tie counts for neither side) and the ratio of the
-medians, working tree over base.  The worktree is removed at the end, also
-when a run fails.  Exits 1 when a run failed its output checks.
+Runs ``perfbench/run.py`` in two copies in one temporary directory,
+``base`` (``git archive`` of BASE_REF) and ``work`` (the working tree's
+tracked and untracked, not ignored, files), one run each per pair, swapping
+which side runs first from one pair to the next, so drift on a noisy host
+falls on both sides alike.  The two paths have the same length, since the
+checkout path shifts the interpreter's import-time heap layout and with it
+the timings.  Each side runs its own ``perfbench/run.py`` on its own sources
+with the same arguments.  Prints one JSON object: per metric of the
+benchmark's last output line, each side's median, quartiles and values, the
+pairs the working tree won (lower is better; a tie counts for neither side)
+and the ratio of the medians, working tree over base.  The copies are
+removed at the end, also when a run fails.  Exits 1 when a run failed its
+output checks.
 
 Usage (from the repository root):
 
@@ -18,6 +22,7 @@ Usage (from the repository root):
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -36,6 +41,27 @@ def run_benchmark(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     if not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} printed nothing (exit {proc.returncode}):\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def copy_base(sha: str, tree: Path) -> None:
+    """The files of commit ``sha``, as ``git archive`` writes them, in ``tree``."""
+    tree.mkdir()
+    archive = subprocess.Popen(["git", "archive", "--format=tar", sha], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise RuntimeError(f"git archive {sha} exited {archive.returncode}")
+
+
+def copy_work(tree: Path) -> None:
+    """The working tree's tracked and untracked, not ignored, files in ``tree``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=ROOT,
+                            capture_output=True, check=True).stdout.decode().split("\0")
+    for name in filter(None, listed):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted in the working tree is left out
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, tree / name)
 
 
 def spread(values: list[float]) -> dict:
@@ -76,17 +102,12 @@ def main(argv: list[str] | None = None) -> int:
                          capture_output=True, text=True, check=True).stdout.strip()
     runs = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        base_tree = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", str(base_tree), sha], cwd=ROOT,
-                       capture_output=True, check=True)
-        try:
-            trees = {"base": base_tree, "change": ROOT}
-            for pair in range(args.pairs):
-                for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
-                    runs[side].append(run_benchmark(trees[side], args.workload, args.seconds, args.seed))
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT, check=False)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "work"}
+        copy_base(sha, trees["base"])
+        copy_work(trees["change"])
+        for pair in range(args.pairs):
+            for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
+                runs[side].append(run_benchmark(trees[side], args.workload, args.seconds, args.seed))
 
     incorrect = {side: sum(not r["correct"] for r in rs) for side, rs in runs.items()}
     print(json.dumps({

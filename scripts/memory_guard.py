@@ -19,6 +19,9 @@ with a peak resident set at or below the case's limit:
 - ``hl-maximal``: one ``hl_maximal`` call on trial 0 of the trial family on a
   2-D N=128 grid (L=2, the default ball family), limit 256 MiB: below the
   1.7 GB that filtering over each disc's footprint took.
+- ``verify-2d-128``: ``lpx --seed 42 verify`` on a 2-D N=128 grid (L=2, the
+  default scales and experiments), which exits 0 only when every experiment
+  passes and its reports are written, limit 160 MiB: 127-128 MiB in three runs.
 
 Usage:
 
@@ -85,6 +88,12 @@ def decompose_command(tmp: Path) -> list[str]:
             "--out", str(tmp / "out"), "decompose", str(tmp / "input.csv")]
 
 
+def verify_2d_128_command(tmp: Path) -> list[str]:
+    (tmp / "verify-2d-128.json").write_text(json.dumps({"grid": {"dim": 2, "N": 128, "L": 2.0}}))
+    return [sys.executable, "-m", "lpx.cli", "--seed", "42", "--config", str(tmp / "verify-2d-128.json"),
+            "--out", str(tmp / "verify-2d-128"), "verify"]
+
+
 def equivalence_command(tmp: Path) -> list[str]:
     return [sys.executable, "-c", EQUIVALENCE_CHILD]
 
@@ -103,6 +112,7 @@ CASES = {
     "equivalence": ("equivalence_experiment (2-D N=64, 64 scales, 10 trials)", 160, equivalence_command),
     "orlicz-slice": ("space_norms over four rows in OrliczSlice (2-D N=64)", 128, orlicz_slice_command),
     "hl-maximal": ("hl_maximal (2-D N=128)", 256, hl_maximal_command),
+    "verify-2d-128": ("lpx --seed 42 verify (2-D N=128)", 160, verify_2d_128_command),
 }
 
 

@@ -307,8 +307,8 @@ class FieldStack:
     """Half-space fields on the same grids, ``values[i]`` the values of the
     i-th (see ``transforms.build_fields``).
 
-    Only the batched square functions, ``squarefuncs.scale_sums`` and
-    ``g_functions``, take a stack, one output row per field; they take a
+    Only the batched square functions, ``squarefuncs.scale_sums``, take a
+    stack, one output row per field and function; it takes a
     ``HalfSpaceField`` as a stack of one.  The batched Peetre sup,
     ``maximal.peetre_maximals``, takes the functions themselves.
     """

@@ -9,28 +9,34 @@ The equivalence and change-of-angle experiments run their trials in blocks:
 the fields of a block's trials are built as one stack
 (``transforms.build_fields``) and every operator runs once per block.  The
 cone and g*_lambda stacks of a block, S and g*_lambda or the cone functionals
-at every aperture, come from one ``squarefuncs.scale_sums`` call, which
-squares the fields and transforms each batch of their rows once for all its
-tables; g and the Peetre sup are ``squarefuncs.g_functions`` and
-``maximal.peetre_maximals``.  The block's operator rows then take their
-space norms in one ``spaces.space_norms`` call.  A block holds as many
+at every aperture, and g, come from one ``squarefuncs.scale_sums`` call,
+which squares the fields once and transforms each batch of their rows once
+for all its tables; the Peetre sup is ``maximal.peetre_maximals``.  The
+block's operator rows then take their space norms in one
+``spaces.space_norms`` call per space.  The operators depend on a space only
+through lambda and b, so ``equivalence_experiments`` grades any number of
+spaces in one pass: per block it builds the fields, S and g once, one
+g*_lambda per distinct lambda and one Peetre sup per distinct b, and
+``equivalence_experiment`` is its one-space case.  A block holds as many
 trials as keep its stacked real field within ``FIELD_BLOCK_BYTES``
 (512 KiB: sixteen trials at 1-D N=64 with 64 scales, two at 1-D N=512, one
 at 2-D N=64).  Each operator bounds its own temporaries
 (``maximal.PEETRE_CHUNK``, ``squarefuncs.SCALE_SUM_CHUNK``,
 ``spaces.NORM_CHUNK``), so only the field stacks grow with the block.  Every
 batched operator gives each trial bitwise its one-trial value, so the
-reports do not depend on the block size.  The embedding experiment norms all
-its trials in one ``space_norms`` call per space, and the vanishing check
-takes its probes' multipliers from one call of the kernel's profile.
+reports do not depend on the block size or on the other spaces of a pass.
+The embedding experiment norms all its trials in one ``space_norms`` call
+per space, and the vanishing check takes its probes' multipliers from one
+call of the kernel's profile.
 
 The experiments' fixed inputs are built once per process: ``trial_function``
 keeps the last ``TRIAL_CACHE_SIZE`` trials it built, ``embedding_weight`` the
 last ``grid.CACHE_SIZE`` weights, and the kernel, its companion and both
 plans come from the bounded caches of ``kernels.build_kernel``,
-``kernels.calderon_companion`` and ``transforms.build_plan``.  A cached trial is one shared read-only object,
-so an equivalence run per ``FIVE_SPACES`` space, or the three experiments of
-a ``verify`` run, share one trial family.
+``kernels.calderon_companion`` and ``transforms.build_plan``.  A cached trial
+is one shared read-only object, so the separate experiments of a ``verify``
+run, or one-space equivalence runs in several spaces, share one trial
+family.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +63,7 @@ from .grid import (
 from .kernels import Kernel, build_kernel, calderon_companion
 from .maximal import default_peetre_exponent, hl_maximal, peetre_maximals
 from .spaces import SpaceDescriptor, Weight, WeightedLebesgue, descriptor_from_json, space_norms
-from .squarefuncs import cone_spectra, g_functions, gstar_spectra, scale_sums
+from .squarefuncs import cone_spectra, gstar_spectra, scale_sums
 from .transforms import apply_multiplier, build_fields, build_plan
 
 __all__ = [
@@ -64,6 +71,7 @@ __all__ = [
     "trial_function",
     "default_lambda",
     "equivalence_experiment",
+    "equivalence_experiments",
     "change_of_angle_experiment",
     "embedding_experiment",
     "vanish_at_infinity_check",
@@ -251,35 +259,54 @@ def equivalence_experiment(
 ) -> ExperimentReport:
     """Ratios between the maximal-function norm and the three square-function
     norms across the mixed trial family; pass iff every pairwise spread <= 10."""
+    return equivalence_experiments([space], kernel_kind, trials, grid, scales, seed, lam, b)[0]
+
+
+def equivalence_experiments(
+    spaces: Sequence[SpaceDescriptor],
+    kernel_kind: str,
+    trials: int,
+    grid: GridSpec,
+    scales: ScaleGrid,
+    seed: int = 0,
+    lam: float | None = None,
+    b: float | None = None,
+) -> list[ExperimentReport]:
+    """``equivalence_experiment`` of each space, in order, from one pass over
+    the trials.  The operators depend on a space only through lambda and b,
+    so each block's fields, S and g are built once for all spaces, g*_lambda
+    once per distinct lambda and the Peetre sup once per distinct b; an
+    explicit ``lam`` or ``b`` applies to every space."""
     if trials < 10:
         raise ValueError("need at least 10 trials")
     kernel = build_kernel(kernel_kind, grid)
     plan = build_plan(kernel, scales)
     psi_plan = build_plan(calderon_companion(kernel, scales).psi, scales)
-    if lam is None:
-        lam = default_lambda(space)
-    elif lam <= max(1.0, 2.0 / space.floor()):
-        # the operator is fine for any lambda > 1; only the equivalence
-        # constants are guaranteed above this threshold
-        warnings.warn(f"lambda={lam:g} is below the equivalence range for this space",
-                      stacklevel=2)
-    dom_factor = 2.0 ** (lam * grid.dim / 2.0)
-    if b is None:
-        b = default_peetre_exponent(grid.dim, space.floor())
-
-    tables = [cone_spectra(grid, scales, 1.0), gstar_spectra(grid, scales, lam)]
+    for space in spaces:
+        bound = max(1.0, 2.0 / space.floor())
+        if lam is not None and lam <= bound:
+            # the operator is fine for any lambda > 1; only the equivalence
+            # constants are guaranteed above this threshold.  Naming the
+            # bound and the space keeps each space's warning its own.
+            warnings.warn(f"lambda={lam:g} is below the equivalence range (lambda > {bound:g}) for this space, "
+                          f"{type(space).__name__}", stacklevel=3)
+    lams = [default_lambda(space) if lam is None else lam for space in spaces]
+    bs = [default_peetre_exponent(grid.dim, space.floor()) if b is None else b for space in spaces]
+    gstar_lams = list(dict.fromkeys(lams))
+    tables = [cone_spectra(grid, scales, 1.0)] + [gstar_spectra(grid, scales, v) for v in gstar_lams]
     spatial = tuple(range(1, grid.dim + 1))
-    rows = []
+    rows = [[] for _ in spaces]
     for fs in _trial_blocks(seed, trials, grid, scales):
-        F = build_fields(fs, plan)
-        s_fn, gs_fn = scale_sums(F, tables)  # lusin_area and g_lambda_star of every trial
-        g_fn = g_functions(F)
-        del F  # the psi-fields are built next
-        dom_ok = np.all(s_fn <= dom_factor * gs_fn * (1 + 1e-12), axis=spatial).tolist()
+        s_fn, *gs_fns, g_fn = scale_sums(build_fields(fs, plan), tables)  # S, g*_lambda per lambda, g
+        gstar = dict(zip(gstar_lams, gs_fns))
+        hardy = {v: peetre_maximals(fs, v, plan=psi_plan) for v in dict.fromkeys(bs)}
         n = len(fs)
-        norms = space_norms(grid, np.concatenate([peetre_maximals(fs, b, plan=psi_plan), s_fn, g_fn, gs_fn]), space)
-        rows += zip(norms[:n], norms[n:2 * n], norms[2 * n:3 * n], norms[3 * n:], dom_ok)
-    return _equivalence_report(space, kernel_kind, seed, lam, rows)
+        for out, space, lam_s, b_s in zip(rows, spaces, lams, bs):
+            gs_fn = gstar[lam_s]
+            dom_ok = np.all(s_fn <= 2.0 ** (lam_s * grid.dim / 2.0) * gs_fn * (1 + 1e-12), axis=spatial).tolist()
+            norms = space_norms(grid, np.concatenate([hardy[b_s], s_fn, g_fn, gs_fn]), space)
+            out += zip(norms[:n], norms[n:2 * n], norms[2 * n:3 * n], norms[3 * n:], dom_ok)
+    return [_equivalence_report(space, kernel_kind, seed, lam_s, out) for space, lam_s, out in zip(spaces, lams, rows)]
 
 
 def _equivalence_report(space: SpaceDescriptor, kernel_kind: str, seed: int, lam: float,
@@ -340,7 +367,7 @@ def change_of_angle_experiment(
     rows = []
     for fs in _trial_blocks(seed, trials, grid, scales):
         F = build_fields(fs, plan)
-        block = np.reshape(space_norms(grid, scale_sums(F, tables).reshape((-1,) + grid.shape), space),
+        block = np.reshape(space_norms(grid, scale_sums(F, tables)[:-1].reshape((-1,) + grid.shape), space),
                            (len(alphas), len(fs)))
         # one fit of every trial's column: bitwise each trial's own fit
         slopes = np.polyfit(np.log(alphas), np.log(block), 1)[0].tolist()

@@ -18,15 +18,18 @@ row, summed over the scales, then one inverse FFT per field.  Every table
 but the last multiplies a copy of the spectra in place (``*=``;
 ``spectra * table`` can differ in the last bit), so each table's rows are
 bitwise its one-table value.  A (field, scale) row whose |F|^2 is zero is
-the only one skipped.  (The cone functionals of a decomposition's pieces,
-which hold a few cells per scale, are interval sums in
-``atoms._piece_functionals`` instead.)  The batched forms, ``scale_sums``
-and ``g_functions``, take a ``FieldStack`` (``transforms.build_fields``) or
-one ``HalfSpaceField``, real or complex, and return one real row per field,
-each bitwise the one-field value.  The singular forms are their one-field
-cases and refuse a stack: ``tent_functional`` and ``g_lambda_star`` are
-``scale_sums`` of one field and one table, ``g_function`` is ``g_functions``
-of one field.  Each field's |F| is divided by the power of two of its
+the only one skipped.  The same powers, summed over the scale axis with the
+weight ln2/J, give g, the vertical square function, which ``scale_sums``
+returns after its tables' rows, so a block of fields is squared once for
+S, g and g*_lambda together.  (The cone functionals of a decomposition's
+pieces, which hold a few cells per scale, are interval sums in
+``atoms._piece_functionals`` instead.)  The batched form, ``scale_sums``,
+takes a ``FieldStack`` (``transforms.build_fields``) or one
+``HalfSpaceField``, real or complex, and returns one real row per field,
+each bitwise the one-field value.  The singular forms are its one-field
+cases and refuse a stack: ``tent_functional`` and ``g_lambda_star`` take
+the row of their one table, ``g_function`` the g row of a call with no
+table.  Each field's |F| is divided by the power of two of its
 maximum before squaring and the root is scaled back (``_unit_powers``,
 through ``grid.scale_to_unit_rows``), so the square functions are
 positively homogeneous over the whole float range.
@@ -43,7 +46,7 @@ from .errors import LambdaTooSmall
 from .grid import CACHE_SIZE, FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows
 from .transforms import inverse_spectrum, spectrum
 
-__all__ = ["tent_functional", "lusin_area", "g_function", "g_functions", "g_lambda_star", "scale_sums",
+__all__ = ["tent_functional", "lusin_area", "g_function", "g_lambda_star", "scale_sums",
            "ball_spectra", "cone_spectra", "gstar_spectra", "cone_weights", "whole_batches"]
 
 # (field, scale) rows per batch of ``scale_sums``: a batch holds whole
@@ -125,7 +128,7 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
     """sqrt(sum_k |F(., t_k)|^2 correlated with kernel k) for each field of F
     (one, or each of a ``FieldStack``) and each table, row k of a table being
     the spectrum of kernel k, weight included (``cone_spectra``,
-    ``gstar_spectra``).
+    ``gstar_spectra``), then the vertical square function g of each field.
 
     A (field, scale) row whose slice is zero adds exactly zero and is
     skipped.  The sum runs in frequency space: |F|^2 is taken once
@@ -135,8 +138,10 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
     the last multiplies a copy of the batch's spectra in place, the last the
     spectra themselves, so each table's rows are bitwise what a one-table
     call gives.  A batch holds whole fields (``whole_batches``), so each field's
-    sum is bitwise what a call on that field alone gives.  Returns
-    ``(len(tables), fields) + grid.shape``.
+    sum is bitwise what a call on that field alone gives.  g sums the same
+    powers over their contiguous scale axis, times ln2/J; with no table, no
+    FFT runs at all.  Returns
+    ``(len(tables) + 1, fields) + grid.shape``: a row per table, then g.
     """
     grid = F.grid
     field_power, exps = _unit_powers(F.stack)
@@ -145,8 +150,9 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
     owner, scale = np.divmod(np.flatnonzero((power != 0).any(axis=2)), k_count)  # field-major, then scale
     fields, counts = np.unique(owner, return_counts=True)
     edges = np.concatenate([[0], np.cumsum(counts)]).tolist()  # each kept field's rows
-    acc = np.zeros((len(tables), len(power)) + grid.shape)
-    for first, last in whole_batches(counts, SCALE_SUM_CHUNK):
+    acc = np.zeros((len(tables) + 1, len(power)) + grid.shape)
+    np.multiply(np.sum(field_power, axis=-1), F.scales.log_weight, out=acc[-1])
+    for first, last in whole_batches(counts, SCALE_SUM_CHUNK) if tables else ():
         lo, hi = edges[first], edges[last]
         spectra = spectrum(power[owner[lo:hi], scale[lo:hi]].reshape((hi - lo,) + grid.shape), grid.dim)
         for t, table in enumerate(tables):
@@ -165,7 +171,7 @@ def _one_field(F: HalfSpaceField) -> HalfSpaceField:
     """F itself; a ``FieldStack`` raises, it belongs to the batched forms."""
     if not isinstance(F, HalfSpaceField):
         raise TypeError(f"expected one HalfSpaceField, got {type(F).__name__}: "
-                        "the batched forms are scale_sums, g_functions and peetre_maximals")
+                        "the batched forms are scale_sums and peetre_maximals")
     return F
 
 
@@ -181,14 +187,7 @@ def lusin_area(F: HalfSpaceField) -> SampledFunction:
 
 def g_function(F: HalfSpaceField) -> SampledFunction:
     """Vertical square function of F = (phi_t * f)_t: sqrt of the dt/t integral of |F(x, t)|^2."""
-    return SampledFunction(F.grid, g_functions(_one_field(F))[0])
-
-
-def g_functions(F: HalfSpaceField | FieldStack) -> np.ndarray:
-    """``g_function`` of every field of F, one row per field."""
-    power, exps = _unit_powers(F.stack)
-    root = np.sqrt(np.sum(power, axis=-1) * F.scales.log_weight)
-    return np.ldexp(root, exps.reshape((-1,) + (1,) * F.grid.dim), out=root)
+    return SampledFunction(F.grid, scale_sums(_one_field(F), [])[-1, 0])
 
 
 def g_lambda_star(F: HalfSpaceField, lam: float) -> SampledFunction:

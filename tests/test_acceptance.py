@@ -20,7 +20,7 @@ from lpx.atoms import (
 )
 from helpers import atom_from_field, ball_indicator, band_limited_trial, indicator_box, tent_atom_size
 from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_frequency
-from lpx.harness import change_of_angle_experiment, equivalence_experiment, five_spaces, trial_function
+from lpx.harness import change_of_angle_experiment, equivalence_experiments, five_spaces, trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion, reproduce
 from lpx.maximal import BallFamily, ball_volume, hl_maximal
 from lpx.spaces import (
@@ -145,8 +145,9 @@ def test_criterion_5_norm_equivalence_spreads():
     scales = ScaleGrid(1 / 16, 16.0, 8)
     lines = []
     all_ok = True
-    for name, X in five_spaces(grid).items():
-        rep = equivalence_experiment(X, "annular", 20, grid, scales, seed=505)
+    spaces = five_spaces(grid)
+    for name, rep in zip(spaces, equivalence_experiments(list(spaces.values()), "annular", 20, grid, scales,
+                                                         seed=505)):
         all_ok &= rep.passed
         lines.append(f"{name}: spread {rep.summary['worst_spread']:.2f}")
     elapsed = time.time() - t0

@@ -15,6 +15,7 @@ from lpx.harness import (
     default_lambda,
     embedding_experiment,
     equivalence_experiment,
+    equivalence_experiments,
     five_spaces,
     trial_function,
     vanish_at_infinity_check,
@@ -329,11 +330,124 @@ def test_a_trial_block_takes_its_powers_and_each_batch_spectrum_once(monkeypatch
     else:
         change_of_angle_experiment(Lebesgue(2.0), (1.0, 2.0, 4.0, 8.0), 10, grid, scales, seed=5)
     assert blocks == [4, 4, 2]
-    # g_functions squares the block once more, and runs no FFT
-    expected = ["scale_sums", "g_functions"] * 3 if experiment == "equivalence" else ["scale_sums"] * 3
-    assert callers["_unit_powers"] == expected
+    # g comes from the same powers, so a block is squared once
+    assert callers["_unit_powers"] == ["scale_sums"] * 3
     assert len(batches) == 3 and min(batches) >= 1
     assert callers["spectrum"].count("scale_sums") == sum(batches)  # the rest build the cached tables
+
+
+# -- one equivalence pass for many spaces -----------------------------------------
+
+EQ_GRID = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+EQ_SCALES = ScaleGrid(1 / 16, 16.0, 8)
+
+
+def _five_space_pass(seed, **params):
+    return equivalence_experiments(list(five_spaces(EQ_GRID).values()), "annular", 10, EQ_GRID, EQ_SCALES,
+                                   seed=seed, **params)
+
+
+@pytest.mark.parametrize("seed", [5, 0, 42])
+def test_many_space_pass_reports_are_the_one_space_reports(seed):
+    expected = [equivalence_experiment(space, "annular", 10, EQ_GRID, EQ_SCALES, seed=seed).to_json()
+                for space in five_spaces(EQ_GRID).values()]
+    assert [rep.to_json() for rep in _five_space_pass(seed)] == expected
+
+
+def test_many_space_pass_with_a_partial_last_block(monkeypatch):
+    expected = [equivalence_experiment(space, "annular", 10, EQ_GRID, EQ_SCALES, seed=5).to_json()
+                for space in five_spaces(EQ_GRID).values()]
+    sizes = _block_sizes(monkeypatch, 3, EQ_GRID, EQ_SCALES)
+    assert [rep.to_json() for rep in _five_space_pass(5)] == expected
+    assert sizes == [3, 3, 3, 1]
+
+
+def test_many_space_pass_builds_each_blocks_operators_once(monkeypatch):
+    # per block: one phi-field stack, squared once, one scale_sums for S,
+    # g and every distinct lambda, one Peetre sup per distinct b, and one
+    # norm call per space
+    spaces = list(five_spaces(EQ_GRID).values())
+    distinct_b = list(dict.fromkeys(harness.default_peetre_exponent(1, space.floor()) for space in spaces))
+    assert len(distinct_b) == 4 and len({default_lambda(space) for space in spaces}) == 4
+    blocks = _block_sizes(monkeypatch, 4, EQ_GRID, EQ_SCALES)
+    calls = {"_unit_powers": [], "scale_sums": [], "peetre_maximals": [], "space_norms": []}
+    for module, name in ((squarefuncs, "_unit_powers"), (harness, "scale_sums"), (harness, "peetre_maximals"),
+                         (harness, "space_norms")):
+        def spy(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name].append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    _five_space_pass(5)
+    assert blocks == [4, 4, 2]
+    assert len(calls["_unit_powers"]) == 3
+    # the cone table and one g*_lambda table per distinct lambda
+    assert [len(tables) for _, tables in calls["scale_sums"]] == [1 + 4] * 3
+    assert [b for _, b in calls["peetre_maximals"]] == distinct_b * 3
+    assert len(calls["space_norms"]) == 5 * 3
+
+
+def test_an_explicit_lambda_and_b_apply_to_every_space():
+    import warnings as _w
+
+    spaces = list(five_spaces(EQ_GRID).values())
+    with _w.catch_warnings(record=True) as caught:
+        _w.simplefilter("default")  # one warning shown per distinct message
+        reports = _five_space_pass(0, lam=1.5, b=3.0)
+    below = sum(1.5 <= max(1.0, 2.0 / space.floor()) for space in spaces)  # morrey, weighted, orlicz_slice
+    assert 0 < below < len(spaces)
+    assert sum("below the equivalence range" in str(c.message) for c in caught) == below
+    with _w.catch_warnings():
+        _w.simplefilter("ignore")
+        expected = [equivalence_experiment(space, "annular", 10, EQ_GRID, EQ_SCALES, seed=0, lam=1.5, b=3.0).to_json()
+                    for space in spaces]
+    assert [rep.to_json() for rep in reports] == expected
+    assert all(rep.summary["lambda"] == 1.5 for rep in reports)
+
+
+def _transformed_pass(monkeypatch, seed, transform):
+    """The five-space pass with every trial function replaced by ``transform`` of it."""
+    trial = harness.trial_function
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "trial_function", lambda *key: transform(trial(*key)))
+        return _five_space_pass(seed)
+
+
+NORMS = ("hardy", "area", "g", "gstar")
+
+
+@pytest.mark.parametrize("seed", [5, 0, 42])
+def test_many_space_pass_is_exactly_homogeneous(seed, monkeypatch):
+    # scaling every trial by 2^k scales every norm by exactly 2^k, so every
+    # ratio, summary and verdict is bitwise the unscaled run's; at k = 1000
+    # the fields keep over 8 binades of headroom to the FFT's overflow
+    reference = _five_space_pass(seed)
+    for k in (-900, -600, 900, 1000):
+        scaled = _transformed_pass(monkeypatch, seed, lambda f: SampledFunction(f.grid, np.ldexp(f.values, k)))
+        for rep, ref in zip(scaled, reference):
+            assert rep.summary == ref.summary and rep.passed == ref.passed, (k, rep.space)
+            for key, values in ref.series.items():
+                expected = np.ldexp(values, k).tolist() if key in NORMS else values
+                assert rep.series[key] == expected, (k, rep.space, key)
+
+
+@pytest.mark.parametrize("seed", [5, 0, 42])
+def test_many_space_pass_is_translation_invariant_in_the_invariant_spaces(seed, monkeypatch):
+    # rolling every trial by whole cells moves the norms in morrey, mixed and
+    # orlicz_slice only by round-off: at most 4.4e-16 relative on a norm and
+    # 6.7e-16 on a ratio or spread (seeds 5, 0, 42, shifts 7 and 13); the
+    # tolerances are about twice that.  variable and weighted are not
+    # translation invariant.
+    reference = dict(zip(harness.FIVE_SPACES, _five_space_pass(seed)))
+    for shift in (7, 13):
+        rolled = dict(zip(harness.FIVE_SPACES, _transformed_pass(
+            monkeypatch, seed, lambda f: SampledFunction(f.grid, np.roll(f.values, shift)))))
+        for name in ("morrey", "mixed", "orlicz_slice"):
+            rep, ref = rolled[name], reference[name]
+            assert rep.passed == ref.passed, (shift, name)
+            assert rep.summary == pytest.approx(ref.summary, rel=1.5e-15, abs=0), (shift, name)
+            for key, values in ref.series.items():
+                tol = 1e-15 if key in NORMS else 1.5e-15
+                assert rep.series[key] == pytest.approx(values, rel=tol, abs=0), (shift, name, key)
 
 
 def test_trial_blocked_change_of_angle_matches_the_per_trial_loop(monkeypatch):

@@ -17,8 +17,8 @@ from lpx.grid import (
 )
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel
-from lpx.squarefuncs import (cone_spectra, g_function, g_functions, g_lambda_star, gstar_spectra, lusin_area,
-                             scale_sums, tent_functional)
+from lpx.squarefuncs import (cone_spectra, g_function, g_lambda_star, gstar_spectra, lusin_area, scale_sums,
+                             tent_functional)
 from lpx.transforms import build_field, build_fields, build_plan, correlate, inverse_spectrum, spectrum
 
 GRID = GridSpec(dim=1, half_width=8.0, points_per_axis=1024)
@@ -373,7 +373,7 @@ def test_field_stack_operators_match_one_field_calls_bitwise(case, monkeypatch):
     for lam in (1.5, 3.0):
         for F, row in zip(fields, scale_sums(stack, [gstar_spectra(grid, scales, lam)])[0]):
             assert np.array_equal(row, g_lambda_star(F, lam).values.real), lam
-    for F, row in zip(fields, g_functions(stack)):
+    for F, row in zip(fields, scale_sums(stack, [])[-1]):
         assert np.array_equal(row, g_function(F).values.real)
     with pytest.raises(LambdaTooSmall):
         scale_sums(stack, [gstar_spectra(grid, scales, 1.0)])
@@ -413,9 +413,15 @@ def test_scale_sums_rows_are_the_one_table_rows_bitwise(case):
     grid, scales = F.grid, F.scales
     params = [("cone", 1.0), ("gstar", 1.5), ("cone", 2.0), ("cone", 0.5), ("gstar", 3.0)]
     spectra = {"cone": cone_spectra, "gstar": gstar_spectra}
+    # g, the last row, is the log-weighted sum of the unit powers over the
+    # contiguous scale axis, scaled back: bitwise whatever tables ride along
+    power, exps = squarefuncs._unit_powers(F.stack)
+    g = np.ldexp(np.sqrt(np.sum(power, axis=-1) * scales.log_weight), exps.reshape((-1,) + (1,) * grid.dim))
+    assert np.array_equal(scale_sums(F, [])[-1], g)
     for picks in (params[:2], params[2:4] + params[:1], params):  # cone 1 and g* 1.5 both last once and not last once
         rows = scale_sums(F, [spectra[kind](grid, scales, v) for kind, v in picks])
-        assert rows.shape == (len(picks), len(F.stack)) + grid.shape
+        assert rows.shape == (len(picks) + 1, len(F.stack)) + grid.shape
+        assert np.array_equal(rows[-1], g)
         for (kind, v), row in zip(picks, rows):
             assert np.array_equal(row, scale_sums(F, [spectra[kind](grid, scales, v)])[0]), (kind, v)
 
