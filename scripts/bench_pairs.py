@@ -10,10 +10,13 @@ checkout path shifts the interpreter's import-time heap layout and with it
 the timings.  Each side runs its own ``perfbench/run.py`` on its own sources
 with the same arguments.  Prints one JSON object: per metric of the
 benchmark's last output line, each side's median, quartiles and values, the
-pairs the working tree won (lower is better; a tie counts for neither side)
-and the ratio of the medians, working tree over base.  The copies are
-removed at the end, also when a run fails.  Exits 1 when a run failed its
-output checks.
+pairs the working tree won (lower is better; a tie counts for neither side),
+the ratio of the medians, working tree over base, and the benchmark's two
+rules for a change (``summarize``): ``claim_met``, whether a claimed gain
+holds, and ``within_bound``, whether the change stays within the metric's
+``bound`` in ``BENCHMARK.json`` (null for a metric without one).  The copies
+are removed at the end, also when a run fails.  Exits 1 when a run failed
+its output checks.
 
 Usage (from the repository root):
 
@@ -70,19 +73,39 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def summarize(base: list[dict], change: list[dict]) -> dict:
-    """Per metric, both sides' spreads, the change's wins and the median ratio."""
+def end_to_end_bounds() -> dict[str, float]:
+    """Each end-to-end metric's ``bound`` in the repository's ``BENCHMARK.json``."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["bound"] for metric in declared["end_to_end"]}
+
+
+def summarize(base: list[dict], change: list[dict], bounds: dict[str, float]) -> dict:
+    """Per metric, both sides' spreads, the change's wins and the median ratio,
+    and the benchmark's two rules, lower being better:
+
+    - ``claim_met``: the change wins at least 9 of every 10 pairs (a tie
+      counts for neither side), and its median lies below the base's by more
+      than the base's interquartile range;
+    - ``within_bound``: the change's median is at most the base's times 1 +
+      the metric's bound in ``bounds`` (a ``--workload all`` name carries
+      its workload as a prefix, ``decompose-1d.wall_s``), null without one."""
     out = {}
     for name, metric in base[0]["metrics"].items():
         b = [r["metrics"][name]["value"] for r in base]
         c = [r["metrics"][name]["value"] for r in change]
         sides = {"base": spread(b), "change": spread(c)}
+        wins = sum(y < x for x, y in zip(b, c))
+        base_median, change_median = sides["base"]["median"], sides["change"]["median"]
+        bound = bounds.get(name, bounds.get(name.partition(".")[2]))
         out[name] = {
             "unit": metric["unit"],
             **sides,
-            "wins": sum(y < x for x, y in zip(b, c)),
+            "wins": wins,
             "ties": sum(y == x for x, y in zip(b, c)),
-            "ratio": sides["change"]["median"] / sides["base"]["median"] if sides["base"]["median"] else None,
+            "ratio": change_median / base_median if base_median else None,
+            "claim_met": 10 * wins >= 9 * len(b)
+                         and base_median - change_median > sides["base"]["q3"] - sides["base"]["q1"],
+            "within_bound": None if bound is None else change_median <= base_median * (1.0 + bound),
         }
     return out
 
@@ -117,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": args.seconds,
         "seed": args.seed,
         "incorrect_runs": incorrect,
-        "metrics": summarize(runs["base"], runs["change"]),
+        "metrics": summarize(runs["base"], runs["change"], end_to_end_bounds()),
     }, indent=2))
     return 1 if any(incorrect.values()) else 0
 

@@ -13,10 +13,11 @@ for ``Lebesgue(2)``, on the first trials of the trial family:
 - ``2d-64``: 2-D N=64, L=2, 1 input.
 
 One norm case per space of ``harness.FIVE_SPACES``, named after it: the 40
-rows (the Peetre sup, S, g and g*_lambda of trials 0-9) that
-``harness.equivalence_experiment`` hands ``space_norms`` in one call on 1-D
-N=64, L=2 with the default scale grid, recorded by wrapping
-``harness.space_norms`` during one untimed experiment run in that space.
+rows (the Peetre sup, S, g and g*_lambda of trials 0-9) that an equivalence
+run hands ``space_norms`` in one call per space on 1-D N=64, L=2 with the
+default scale grid.  Every norm case's rows are recorded by wrapping
+``harness.space_norms`` during one untimed ``harness.equivalence_experiments``
+pass over the five spaces, made once per process.
 
 Two decomposition cases, each in ``Lebesgue(2)`` with the annular kernel,
 their fields built once untimed:
@@ -49,6 +50,7 @@ Usage (from the repository root):
 """
 
 import argparse
+import functools
 import json
 import resource
 import statistics
@@ -92,22 +94,27 @@ def peetre_case(case: str, seed: int):
     return "peetre_maximals", inputs, lambda: peetre_maximals(fs, b, plan=plan), {"b": b}
 
 
-def harness_rows(space, seed: int):
-    """The rows one ``equivalence_experiment`` run in ``space`` norms: its
-    10 trials at 1-D N=64 are one trial block, so one ``space_norms`` call."""
+@functools.lru_cache(maxsize=None)
+def harness_rows(seed: int) -> dict:
+    """Per ``FIVE_SPACES`` name, its space and the rows that one
+    ``equivalence_experiments`` pass over the five spaces norms in it: the
+    10 trials at 1-D N=64 are one trial block, so one ``space_norms`` call
+    per space, in the spaces' order."""
+    named = five_spaces(NORM_GRID)
     calls = []
 
     def record(grid, rows, norm_space):
-        calls.append(rows)
+        calls.append((norm_space, rows))
         return spaces.space_norms(grid, rows, norm_space)
 
     harness.space_norms = record
     try:
-        harness.equivalence_experiment(space, "annular", NORM_TRIALS, NORM_GRID, SCALES, seed)
+        harness.equivalence_experiments(list(named.values()), "annular", NORM_TRIALS, NORM_GRID, SCALES, seed)
     finally:
         harness.space_norms = spaces.space_norms
-    (rows,) = calls
-    return rows
+    if len(calls) != len(named) or any(called is not space for (called, _), space in zip(calls, named.values())):
+        raise RuntimeError("expected one space_norms call per space, in order")
+    return dict(zip(named, calls))
 
 
 def evaluations_per_window(rows, space) -> float:
@@ -130,8 +137,7 @@ def evaluations_per_window(rows, space) -> float:
 def norm_case(name: str, seed: int):
     """The timed call of a norm case, its row count and, for a Luxemburg
     space, its evaluations per window."""
-    space = five_spaces(NORM_GRID)[name]
-    rows = harness_rows(space, seed)
+    space, rows = harness_rows(seed)[name]
     extra = {"evaluations_per_window": evaluations_per_window(rows, space)} if name in LUXEMBURG else {}
     return "space_norms", len(rows), lambda: spaces.space_norms(NORM_GRID, rows, space), extra
 

@@ -15,9 +15,14 @@ the strays, one piece per spatial point.  Every level that holds support
 cells is covered in one batched pass (``_whitney_regions``): the levels'
 sets and doubled-ball fits are one comparison each, one sort orders every
 level's inside centres by level, then by largest fitting radius, and one
-walk visits them, a claimed ball marking its cells through
-``GridSpec.ball_offsets``; one grouping of every level's cells by region
-gives the pieces.  Every ball's cells are ``GridSpec.ball_mask``'s.
+walk visits them over a ``bytearray`` of the levels' cells, a claimed ball
+marking its first-axis rows (``GridSpec.ball_row_widths``) as slices; after
+the walk one ``np.minimum.at`` over the claims' runs gives every claimed
+cell its first claim.  The pieces travel as flat arrays: one grouping of
+every support cell by region (the strays by point) gives every piece's
+cells, its start in them and its leader's centre cell, and only the kept
+atoms become ``Ball`` and ``TentAtom`` objects.  Every ball's cells are
+``GridSpec.ball_mask``'s.
 
 The pieces' cone functionals are exact interval sums, not FFTs
 (``_piece_functionals``): each first-axis row of a ball is one run of cells
@@ -47,14 +52,13 @@ that space and taking one ``space_norms`` call in any other.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import CACHE_SIZE, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex
+from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import SpaceDescriptor, space_norm, space_norms
@@ -97,17 +101,16 @@ class Ball(NamedTuple):
     radius: float
 
 
-def _ball_rows(grid: GridSpec, balls: Sequence[Ball]) -> np.ndarray:
-    """Boolean ``(balls,) + grid.shape`` array whose rows are the balls'
-    indicators: each ball's ``grid.ball_mask`` read at its centre, every ball
-    in one ``torus_window_view`` gather over the masks of the distinct radii."""
-    slot: dict[float, int] = {}  # each distinct radius's mask, in order of first use
-    which = np.array([slot.setdefault(ball.radius, len(slot)) for ball in balls], dtype=np.intp)
-    masks = np.array([grid.ball_mask(r) for r in slot], dtype=bool).reshape((len(slot),) + grid.shape)
-    centers = np.array([ball.center for ball in balls], dtype=int).reshape(len(balls), grid.dim)
+def _ball_rows(grid: GridSpec, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Boolean ``(balls,) + grid.shape`` array whose rows are the indicators
+    of the balls B(centers[i], radii[i]), ``centers`` flat cell indices:
+    each ball's ``grid.ball_mask`` read at its centre, every ball in one
+    ``torus_window_view`` gather over the masks of the distinct radii."""
+    distinct, which = np.unique(radii, return_inverse=True)
+    masks = np.array([grid.ball_mask(r) for r in distinct.tolist()], dtype=bool).reshape(distinct.shape + grid.shape)
     # B(c, r) holds x iff mask[(x - c) mod n]: the window at shift -c
-    shifts = tuple((-centers % grid.points_per_axis).T)
-    return grid.torus_window_view(masks)[(which,) + shifts].reshape((len(balls),) + grid.shape)
+    shifts = tuple(-c % grid.points_per_axis for c in np.unravel_index(centers, grid.shape))
+    return grid.torus_window_view(masks)[(which,) + shifts].reshape((len(centers),) + grid.shape)
 
 
 @dataclass(frozen=True)
@@ -219,17 +222,9 @@ def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray)
     return np.searchsorted(levels, np.moveaxis(minima, 0, -1), side="left") - 1
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _cell_windows(grid: GridSpec) -> np.ndarray:
-    """``torus_window_view`` of the cells' flat indices, built once per grid:
-    at ``center + offsets`` it reads the flat index of the cell at each
-    offset from the centre."""
-    return grid.torus_window_view(np.arange(grid.size).reshape(grid.shape))
-
-
 def _whitney_regions(
     grid: GridSpec, inside: np.ndarray, balls: BallFamily, double_fits: np.ndarray
-) -> tuple[np.ndarray, list[Ball]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Partition each level's set into regions led by greedily chosen balls.
 
     ``inside`` holds one row per level, ``(levels, grid.size)``: the flat
@@ -240,14 +235,12 @@ def _whitney_regions(
     covered by single-cell regions.  Returns (region ids, ``(levels,
     grid.size)``, -1 outside each level's set; leaders): the ids run level
     by level, each level's claimed balls in claim order and then its
-    single-cell regions in cell order, and ``leaders[id]`` leads region id.
+    single-cell regions in cell order, and ``leaders[id]`` is the flat
+    centre cell of the ball that leads region id.
     """
     radii = tuple(balls.radii.tolist())
-    levels, size = len(inside), grid.size
-    region = np.full((levels, size), -1, dtype=int)
-    leaders: list[Ball] = []
-    claimed: list[int] = []  # each claim's level
-    uncovered = inside.reshape(levels, size).copy()
+    levels, size, n = len(inside), grid.size, grid.points_per_axis
+    lines = size // n
     # Taken radius by radius, largest first, every inside centre whose doubled
     # ball fits is claimed or already covered by the end of that radius.  The
     # doubled balls are nested, so a centre fits every radius up to its
@@ -255,41 +248,65 @@ def _whitney_regions(
     # by largest fitting radius, then cell, makes the same claims without a
     # pass per radius.  Each level keeps its own rows, so one walk by level,
     # then radius, then cell makes every level's claims.  A centre lies in
-    # its own ball, so every fitting centre is inside.
-    top = double_fits.reshape(levels, len(radii), size).sum(axis=1).reshape(-1) - 1  # largest fitting radius
-    walk = np.flatnonzero(top >= 0)
-    walk = walk[np.argsort(walk // size * len(radii) - top[walk], kind="stable")]
-    offsets = grid.ball_offsets(radii)
-    ids = _cell_windows(grid)
-    walk_level, walk_cell = np.divmod(walk, size)
-    coords = (c.tolist() for c in np.unravel_index(walk_cell, grid.shape))
-    level = -1
-    for li, cell, ri, center in zip(walk_level.tolist(), walk_cell.tolist(), top[walk].tolist(), zip(*coords)):
-        if li != level:
-            level, uncovered_row, region_row = li, uncovered[li], region[li]
-        if not uncovered_row[cell]:
+    # its own ball, so every fitting centre is inside, and a claimed ball
+    # lies in its doubled ball, so every claimed cell is inside.
+    fitting = double_fits.reshape(levels, len(radii), size).view(np.uint8).sum(
+        axis=1, dtype=np.min_scalar_type(len(radii))).reshape(-1)  # the count of fitting radii
+    walk = np.flatnonzero(fitting)
+    top = fitting[walk].astype(np.intp) - 1  # largest fitting radius
+    order = np.argsort(walk // size * len(radii) - top, kind="stable")
+    walk, top = walk[order], top[order]
+    # A claim marks its ball in a byte per cell of every level's set, one
+    # slice per first-axis row (``GridSpec.ball_row_widths``): the run of w
+    # cells from w // 2 before the centre, two slices if it wraps past n
+    widths = grid.ball_row_widths(radii)
+    rows = [[(dx, w, w // 2, b"\x01" * w) for dx, w in enumerate(row) if w] for row in widths.tolist()]
+    covered = bytearray(~inside.reshape(-1))  # outside the set, or in a claimed ball
+    claims = []
+    for at, ri in zip(walk.tolist(), top.tolist()):
+        if covered[at]:
             continue
-        # the centre is uncovered and in its own ball: it claims at least itself
-        member = ids[center + offsets[ri]]
-        region_row[member[uncovered_row[member]]] = len(leaders)
-        leaders.append(Ball(center=center, radius=radii[ri]))
-        claimed.append(li)
-        uncovered_row[member] = False
-    rest_level, rest = np.nonzero(uncovered)
-    region[rest_level, rest] = np.arange(len(leaders), len(leaders) + len(rest))
-    leaders += [Ball(center=center, radius=radii[0])
-                for center in zip(*(c.tolist() for c in np.unravel_index(rest, grid.shape)))]
+        claims.append(at)
+        level_start = at - at % size
+        line, col = divmod(at - level_start, n)
+        for dx, w, half, fill in rows[ri]:
+            row = level_start + (line + dx) % lines * n
+            lo = (col - half) % n if w < n else 0
+            hi = lo + w
+            if hi <= n:
+                covered[row + lo:row + hi] = fill
+            else:
+                covered[row + lo:row + n] = fill[:n - lo]
+                covered[row:row + hi - n] = fill[n - lo:]
+    # every claimed cell takes its first claim's id, from the claims' runs;
+    # the cells left uncovered become single-cell regions
+    claim = np.array(claims, dtype=np.intp)
+    claim_level, claim_cell = np.divmod(claim, size)
+    claim_widths = widths[fitting[claim] - 1]
+    run_claim, dx = np.nonzero(claim_widths)
+    w = claim_widths[run_claim, dx]
+    line, col = np.divmod(claim_cell[run_claim], n)
+    row, lo = claim_level[run_claim] * size + (line + dx) % lines * n, col - w // 2
+    run = np.repeat(np.arange(len(w)), w)
+    cells = row[run] + (lo[run] + np.arange(len(run)) - np.repeat(np.cumsum(w) - w, w)) % n
+    rest = np.flatnonzero(np.frombuffer(covered, dtype=np.uint8) == 0)
+    region = np.full(levels * size, len(claim) + len(rest))  # outside each level's set
+    np.minimum.at(region, cells, run_claim[run])
+    region[rest] = np.arange(len(claim), len(claim) + len(rest))
+    rest_level, rest_cell = np.divmod(rest, size)
     # renumber level by level: each level's claims, then its single cells
-    order = np.argsort(np.concatenate([np.array(claimed, dtype=int), rest_level]), kind="stable")
+    order = np.argsort(np.concatenate([claim_level, rest_level]), kind="stable")
     rank = np.empty(len(order) + 1, dtype=int)
     rank[order] = np.arange(len(order))
     rank[-1] = -1  # cells outside every level's set
-    return rank[region], [leaders[i] for i in order.tolist()]
+    return rank[region].reshape(levels, size), np.concatenate([claim_cell, rest_cell])[order]
 
 
-def _fit_balls(grid: GridSpec, balls: BallFamily, centers: list[tuple[int, ...]],
-               cells: list[np.ndarray], ts: np.ndarray) -> list[Ball]:
-    """Smallest family ball around each piece's centre whose tent holds the piece.
+def _fit_balls(grid: GridSpec, balls: BallFamily, centers: np.ndarray, cells: np.ndarray, starts: np.ndarray,
+               ts: np.ndarray) -> np.ndarray:
+    """Radius of the smallest family ball around each piece's centre whose
+    tent holds the piece, piece i being ``cells[starts[i]:starts[i + 1]]``
+    about the flat centre cell ``centers[i]``.
 
     A cell (y, t_k) needs radius > |y - c| + t_k; the torus distances of every
     piece's own cells are read from the offset table in one gather, and each
@@ -297,26 +314,24 @@ def _fit_balls(grid: GridSpec, balls: BallFamily, centers: list[tuple[int, ...]]
     fits table), or 2L where none does.
     """
     n, k_count = grid.points_per_axis, len(ts)
-    counts = [len(c) for c in cells]
-    flat = np.concatenate(cells)
-    spatial, k = np.divmod(flat, k_count)
-    origin = np.repeat(np.array(centers, dtype=int).reshape(len(cells), grid.dim), counts, axis=0)
-    offset = tuple((y - c) % n for y, c in zip(np.unravel_index(spatial, grid.shape), origin.T))
+    spatial, k = np.divmod(cells, k_count)
+    origin = np.unravel_index(np.repeat(centers, np.diff(starts, append=len(cells))), grid.shape)
+    offset = tuple((y - c) % n for y, c in zip(np.unravel_index(spatial, grid.shape), origin))
     reach = grid.offset_distances()[offset] + ts[k]
-    needs = np.maximum.reduceat(reach, np.cumsum([0] + counts[:-1]))
+    needs = np.maximum.reduceat(reach, starts)
     fits = balls.radii > (needs * (1.0 + 1e-12))[:, None]
     fallback = 2.0 * grid.half_width
     fitted = fits.any(axis=1)
     if (needs[~fitted] >= fallback).any():
         raise ValueError("piece reaches above the box; shrink the scale range")
-    radii = np.where(fitted, balls.radii[fits.argmax(axis=1)], fallback)
-    return [Ball(center=center, radius=radius) for center, radius in zip(centers, radii.tolist())]
+    return np.where(fitted, balls.radii[fits.argmax(axis=1)], fallback)
 
 
-def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _piece_functionals(F: HalfSpaceField, cells: np.ndarray,
+                       starts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The squared unit-aperture cone functional of every piece, piece i
-    being F on the cells ``pieces[i]`` (flat indices into ``grid.shape +
-    (K,)``) divided by 2^e_i, e_i the binary exponent (``np.frexp``) of its
+    being F on the cells ``cells[starts[i]:starts[i + 1]]`` (flat indices
+    into ``grid.shape + (K,)``) divided by 2^e_i, e_i the binary exponent (``np.frexp``) of its
     max |F|, and zero elsewhere: yields ``(pieces of the chunk,) +
     grid.shape`` rows and the chunk's exponents e_i, one chunk of whole
     pieces after another (``PIECE_CHUNK``, ``squarefuncs.whole_batches``).
@@ -342,26 +357,20 @@ def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Itera
     row_scale, row_dx = np.nonzero(widths)  # every (scale, ball row), scale-major
     row_width, row_count = widths[row_scale, row_dx], np.bincount(row_scale, minlength=k_count)
     row_first = np.cumsum(row_count) - row_count
-    counts = [len(c) for c in pieces]
-    cells = np.concatenate([np.empty(0, dtype=np.intp), *pieces])
-    if not len(cells):
-        if pieces:
-            yield np.zeros((len(pieces),) + grid.shape), np.zeros(len(pieces), dtype=int)
-        return
+    bounds = np.append(starts, len(cells))
     spatial, k = np.divmod(cells, k_count)
-    owner = np.repeat(np.arange(len(pieces)), counts)
+    owner = np.repeat(np.arange(len(starts)), np.diff(bounds))
     power = np.abs(F.values.reshape(-1)[cells])
-    peaks = np.zeros(len(pieces))
+    peaks = np.zeros(len(starts))
     np.maximum.at(peaks, owner, power)
     exps = np.frexp(peaks)[1]
     np.ldexp(power, -exps[owner], out=power)
     np.square(power, out=power)
     power *= cone_weights(grid, scales)[k]
     runs = row_count[k]
-    cost = lines * n + RUN_ELEMENTS * np.bincount(owner, runs, minlength=len(pieces))
-    cell_ends = np.cumsum(counts)
+    cost = lines * n + RUN_ELEMENTS * np.bincount(owner, runs, minlength=len(starts))
     for lo, hi in whole_batches(cost, PIECE_CHUNK):
-        first, last = (cell_ends[lo - 1] if lo else 0), cell_ends[hi - 1]
+        first, last = bounds[lo], bounds[hi]
         chunk_runs = runs[first:last]
         cell = np.repeat(np.arange(first, last), chunk_runs)  # one entry per (cell, ball row)
         ball_row = np.arange(len(cell)) + np.repeat(row_first[k[first:last]] - (np.cumsum(chunk_runs) - chunk_runs),
@@ -383,10 +392,10 @@ def _piece_functionals(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> Itera
         yield rows.reshape((hi - lo,) + grid.shape), exps[lo:hi]
 
 
-def _piece_sizes(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> list[list[float]]:
+def _piece_sizes(F: HalfSpaceField, cells: np.ndarray, starts: np.ndarray) -> list[list[float]]:
     """Per p of ``SIZE_EXPONENTS``, the L^p norm of every piece's cone
     functional S, from its squared row q = (S / 2^e)^2 of
-    ``_piece_functionals``, each chunk as it comes.
+    ``_piece_functionals(F, cells, starts)``, each chunk as it comes.
 
     Each row is divided by 4^m, m the least integer with the row's max
     below 4^m, so its max q' lies in [1/4, 1) (a zero row keeps m = 0).
@@ -396,7 +405,7 @@ def _piece_sizes(F: HalfSpaceField, pieces: Sequence[np.ndarray]) -> list[list[f
     by exactly 2^k with the field wherever they stay in the float range.  A
     size past the float range is inf, as a ``space_norms`` norm is."""
     sizes: list[list[float]] = [[] for _ in SIZE_EXPONENTS]
-    for squares, exps in _piece_functionals(F, pieces):
+    for squares, exps in _piece_functionals(F, cells, starts):
         squares = squares.reshape(len(squares), -1)
         m = -(-np.frexp(squares.max(axis=1))[1] // 2)  # ceil(e / 2), e the binary exponent of the max
         np.ldexp(squares, -2 * m[:, None], out=squares)
@@ -417,26 +426,31 @@ def _split(values: np.ndarray, bounds: Sequence[int]) -> list[np.ndarray]:
     return [values[lo:hi] for lo, hi in zip(edges, edges[1:])]
 
 
-def _groups(keys: np.ndarray, cells: np.ndarray):
-    """(key, cells with that key) for each distinct key, keys ascending and
-    each group's cells in their given order."""
+def _groups(keys: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``cells`` grouped by key, keys ascending and each group's cells in
+    their given order: the grouped cells, each group's start in them and
+    its key."""
     order = np.argsort(keys, kind="stable")
-    distinct, starts = np.unique(keys[order], return_index=True)
-    return zip(distinct.tolist(), _split(cells[order], starts[1:].tolist()))
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are non-negative
+    return cells[order], starts, keys[starts]
 
 
-def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """The stopping-time pieces of F as (cells, leader centre) pairs: sorted flat
-    cell indices into ``grid.shape + (K,)``, disjoint and covering the support
-    of F; ``area`` is F's cone functional.
+def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stopping-time pieces of F as flat arrays (cells, starts, centres):
+    piece i is ``cells[starts[i]:starts[i + 1]]``, sorted flat cell indices
+    into ``grid.shape + (K,)``, and ``centres[i]`` its leader's flat centre
+    cell; the pieces are disjoint and cover the support of F, and ``area`` is
+    F's cone functional.
 
     A support cell (y, t_k) of containment level k has B(y, t_k) inside
     {area > levels[k]}, so y lies in that set.  The levels that hold support
     cells, the shells, go to one ``_whitney_regions`` call, and each region
-    of a shell is a piece: one grouping of every shell's cells by region id,
-    which runs level by level, so the pieces come level by level, each
-    level's in region order.  The cells contained at no level (-1) are the
-    strays."""
+    of a shell is a piece.  The cells contained at no level (-1) are the
+    strays, one piece per spatial point.  One grouping of every support
+    cell, a shell cell keyed by its region id, which runs level by level, and
+    a stray by its point after every region, gives the pieces level by level,
+    each level's in region order, and then the strays in point order."""
     grid, k_count = F.grid, len(F.scales)
     top = math.ceil(math.log2(area.max()))
     positive_min = area[area > 0].min()
@@ -453,14 +467,11 @@ def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> list[tupl
     lev = levels[shell_levels]
     double_min = _ball_minima(area, BallFamily(grid, 2.0 * balls.radii)).reshape(len(balls.radii), -1)
     region, leaders = _whitney_regions(grid, area.reshape(-1) > lev[:, None], balls, double_min > lev[:, None, None])
-    pieces = [(cells, leaders[rid].center)
-              for rid, cells in _groups(region[shell_row, shell // k_count], shell)]
-
     # strays (possible when the area's range exceeds the level cap): one
     # piece per spatial point keeps supports disjoint and reconstruction exact
-    for point, cells in _groups(stray // k_count, stray):
-        pieces.append((cells, tuple(int(i) for i in np.unravel_index(point, grid.shape))))
-    return pieces
+    keys = np.concatenate([region[shell_row, shell // k_count], len(leaders) + stray // k_count])
+    cells, starts, keys = _groups(keys, np.concatenate([shell, stray]))
+    return cells, starts, np.concatenate([leaders, np.arange(grid.size)])[keys]
 
 
 def tent_decompose(
@@ -479,16 +490,15 @@ def tent_decompose(
     area = tent_functional(F, 1.0).values
     if not np.any(area > 0):
         return TentDecomposition._empty(grid, scales, space, {p: [] for p in SIZE_EXPONENTS})
-    pieces = _pieces(F, area, balls)
+    cells, starts, centers = _pieces(F, area, balls)
 
     # every piece's ball in one gather and the balls' norms in one more, then
     # its L^p sizes from its cone functional's interval sums, chunk by chunk
-    cells = [piece_cells for piece_cells, _ in pieces]
-    fitted = _fit_balls(grid, balls, [center for _, center in pieces], cells, scales.scales)
-    rows = _ball_rows(grid, fitted)
+    radii = _fit_balls(grid, balls, centers, cells, starts, scales.scales)
+    rows = _ball_rows(grid, centers, radii)
     norms = np.array(space_norms(grid, rows, space))
-    sizes = np.array(_piece_sizes(F, cells))
-    volumes = ball_volume(np.array([ball.radius for ball in fitted]), grid.dim)
+    sizes = np.array(_piece_sizes(F, cells, starts))
+    volumes = ball_volume(radii, grid.dim)
     lams = np.max([size * norms / volumes ** (1.0 / p) for p, size in zip(SIZE_EXPONENTS, sizes)], axis=0)
     keep = np.flatnonzero(lams)
     kept_lams = lams[keep]
@@ -499,27 +509,30 @@ def tent_decompose(
 
     # every kept atom's values in one division and one finiteness check:
     # bitwise each piece's own F / lam
-    counts = [len(cells[i]) for i in keep.tolist()]
-    kept_cells = np.concatenate([cells[i] for i in keep.tolist()])
+    counts = np.diff(starts, append=len(cells))
+    if len(keep) < len(lams):
+        cells, counts = cells[np.repeat(lams != 0, counts)], counts[keep]
     coefficients = np.repeat(kept_lams, counts)
-    values = F.values.reshape(-1)[kept_cells] / coefficients
+    values = F.values.reshape(-1)[cells] / coefficients
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     values = real_or_complex(values)  # float when no kept atom has an imaginary part
-    kept_cells.setflags(write=False)
+    cells.setflags(write=False)
     coefficients.setflags(write=False)
     bounds = np.cumsum(counts[:-1]).tolist()
     piece_values = _split(values, bounds)
     if np.iscomplexobj(values):  # a piece without imaginary parts keeps float values, as real_or_complex gives
         piece_values = [v if v.imag.any() else real_or_complex(v) for v in piece_values]
-    atoms = [TentAtom._trusted(grid, scales, piece_cells, v, fitted[i], lam)
-             for i, lam, piece_cells, v in zip(keep.tolist(), kept_lams.tolist(), _split(kept_cells, bounds),
-                                               piece_values)]
+    # Ball and TentAtom objects for the kept atoms only
+    kept_centers = zip(*(c.tolist() for c in np.unravel_index(centers[keep], grid.shape)))
+    atoms = [TentAtom._trusted(grid, scales, piece_cells, v, Ball(center, radius), lam)
+             for center, radius, lam, piece_cells, v in zip(kept_centers, radii[keep].tolist(), kept_lams.tolist(),
+                                                            _split(cells, bounds), piece_values)]
     # the stack itself when every piece is kept, as it nearly always is
     kept_rows = rows if len(keep) == len(rows) else rows[keep]
     kept_rows.setflags(write=False)
     return TentDecomposition(atoms=atoms, grid=grid, scales=scales, ball_norms=norms[keep].tolist(),
-                             sizes=kept_sizes, space=space, cells=kept_cells, values=values,
+                             sizes=kept_sizes, space=space, cells=cells, values=values,
                              coefficients=coefficients, ball_rows=kept_rows)
 
 

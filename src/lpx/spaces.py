@@ -87,9 +87,11 @@ AP_INDEX_TOL = 0.05  # width at which ``critical_index`` stops bisecting
 # elements per ``space_norms`` call of ``space.norms`` (rows x cells) and per
 # vectorized step inside it: rows x radii x cells of Morrey's ball sums,
 # windows x offsets of an OrliczSlice Luxemburg solve.  A 1-D N=64
-# equivalence block (16 rows) takes one call, two Morrey steps and two
-# solves; a 2-D N=64 row one Morrey step and 64 solves of 0.4 MB of windows
-# each, which run no slower than one solve over the row's 26 MB
+# equivalence block (40 rows: 10 trials x hardy, S, g and g*) takes one
+# call, four Morrey steps of 12 rows (20 radii) and five solves of 8 rows
+# (a 31-cell slice ball); a 2-D N=64 row one Morrey step and 64 solves of
+# 0.4 MB of windows each, which run no slower than one solve over the row's
+# 26 MB
 NORM_CHUNK = 1 << 14
 BALL_RADII_PER_OCTAVE = 4  # of the Morrey norm's and the A_p characteristic's family
 

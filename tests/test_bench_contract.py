@@ -70,12 +70,12 @@ def test_traced_decomposition_evaluates_each_piece_once(monkeypatch):
     F = transforms.build_field(harness.trial_function(0, 3, grid), plan)
     batched = []  # per call of the pieces' cone functionals, its pieces and the rows it gave
 
-    def counted(F, pieces):
+    def counted(F, cells, starts):
         rows = 0
-        for chunk, exps in piece_functionals(F, pieces):
+        for chunk, exps in piece_functionals(F, cells, starts):
             rows += len(chunk)
             yield chunk, exps
-        batched.append((len(pieces), rows))
+        batched.append((len(starts), rows))
 
     piece_functionals = atoms._piece_functionals
     monkeypatch.setattr(atoms, "_piece_functionals", counted)

@@ -276,7 +276,7 @@ def test_every_cache_uses_the_one_size():
         "kernels.build_kernel", "kernels.calderon_companion", "transforms.build_plan",
         "squarefuncs.ball_spectra", "squarefuncs.cone_spectra", "squarefuncs.gstar_spectra",
         "maximal.BallFamily.build", "maximal._ball_runs", "maximal._peetre_tables",
-        "spaces._slice_denominator", "atoms._cell_windows",
+        "spaces._slice_denominator",
         "harness.trial_function", "harness.embedding_weight", "cli._parser",
     }
     # the trials' and the parser's sizes are their callers': a default

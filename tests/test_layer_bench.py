@@ -2,20 +2,30 @@
 of a Peetre case, of the ``orlicz_slice`` norm case, which records the
 harness's rows through ``harness.space_norms`` and counts modular
 evaluations through ``spaces._luxemburg_rows``, and of the ``decompose``
-and ``decompose-2d`` cases."""
+and ``decompose-2d`` cases; and the norm cases' rows, from one pass over the
+five spaces, against the rows of one equivalence run per space."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
+from lpx import harness, spaces
+
 LAYER_BENCH = Path(__file__).resolve().parents[1] / "scripts" / "layer_bench.py"
 KEYS = {"case", "call", "rows", "repeats", "median_s", "q1_s", "q3_s", "min_s", "max_s", "faults_per_call"}
 
 
-def test_layer_bench_prints_one_json_line_per_case(capsys):
+def _layer_bench():
     spec = importlib.util.spec_from_file_location("layer_bench", LAYER_BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_layer_bench_prints_one_json_line_per_case(capsys):
+    bench = _layer_bench()
     assert bench.main(["--case", "1d-64", "--case", "orlicz_slice", "--case", "decompose", "--case", "decompose-2d",
                        "--repeats", "1"]) == 0
     peetre, norms, decompose, decompose_2d = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -34,3 +44,22 @@ def test_layer_bench_prints_one_json_line_per_case(capsys):
         assert line["repeats"] == 1
         assert 0 < line["min_s"] == line["q1_s"] == line["median_s"] == line["q3_s"] == line["max_s"]
         assert line["faults_per_call"] >= 0
+
+
+def test_norm_case_rows_are_the_one_space_runs_rows_bitwise(monkeypatch):
+    # one pass over the five spaces hands space_norms, per space, the rows
+    # that an equivalence run in that space alone hands it
+    bench = _layer_bench()
+    rows = bench.harness_rows(5)
+    assert list(rows) == list(harness.FIVE_SPACES)
+    for name, (space, pass_rows) in rows.items():
+        calls = []
+
+        def record(grid, stack, norm_space):
+            calls.append(stack)
+            return spaces.space_norms(grid, stack, norm_space)
+
+        monkeypatch.setattr(harness, "space_norms", record)
+        harness.equivalence_experiment(space, "annular", bench.NORM_TRIALS, bench.NORM_GRID, bench.SCALES, 5)
+        (one,) = calls
+        assert pass_rows.shape == one.shape == (40, 64) and np.array_equal(pass_rows, one), name
