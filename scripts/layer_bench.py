@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """In-process timer of the smoothed maximal sup, ``maximal.peetre_maximals``,
 of the space norms, ``spaces.space_norms``, of criterion 5's five spaces,
-and of the tent decomposition, ``atoms.tent_decompose``.
+of the tent decomposition, ``atoms.tent_decompose``, of the scale sums,
+``squarefuncs.scale_sums``, and of the ball-average maximal function,
+``maximal.hl_maximal``.
 
 Three Peetre cases, each on the companion of the annular kernel over the
 default scale grid (1/16 .. 16 at 8 steps per octave) with the harness's b
@@ -31,6 +33,17 @@ their fields built once untimed:
 
 A call is one ``tent_decompose`` per field, and the case adds ``atoms``,
 the atoms of its decompositions, counted on one more untimed call.
+
+Two scale-sum cases, each one ``scale_sums`` call with the cone table and
+the g*_lambda table of ``Lebesgue(2)``'s lambda over the default scale grid,
+on the annular kernel's fields of the first trials, built once untimed:
+
+- ``scale-sums-1d-64``: 1-D N=64, L=2, 10 fields (the trial block of
+  ``verify-1d``);
+- ``scale-sums-2d-64``: 2-D N=64, L=2, 1 field.
+
+One ``hl_maximal`` case, ``hl-maximal-1d-512``: trial 0 on 1-D N=512, L=8,
+with the default ball family (the call of a default ``lpx verify``).
 
 Each case makes one untimed call, which builds the cached tables, then
 ``--repeats`` timed calls, and prints one JSON object: ``case``, ``call``
@@ -63,10 +76,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from lpx import harness, spaces
 from lpx.atoms import tent_decompose
 from lpx.grid import GridSpec, ScaleGrid
-from lpx.harness import FIVE_SPACES, five_spaces, trial_function
+from lpx.harness import FIVE_SPACES, default_lambda, five_spaces, trial_function
 from lpx.kernels import build_annular_kernel, build_kernel, calderon_companion
-from lpx.maximal import BallFamily, default_peetre_exponent, peetre_maximals
-from lpx.transforms import build_field, build_plan
+from lpx.maximal import BallFamily, default_peetre_exponent, hl_maximal, peetre_maximals
+from lpx.squarefuncs import cone_spectra, gstar_spectra, scale_sums
+from lpx.transforms import build_field, build_fields, build_plan
 
 SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
 # Peetre case: (dim, N, L, inputs)
@@ -77,7 +91,10 @@ LUXEMBURG = ("variable", "orlicz_slice")
 # decomposition case: (dim, N, L, scales, ball radii per octave, trials)
 DECOMPOSE = {"decompose": (1, 256, 8.0, ScaleGrid(1 / 16, 2.0, 4), 4, 4),
              "decompose-2d": (2, 64, 2.0, ScaleGrid(1 / 16, 1.0, 4), 2, 1)}
-CASES = [*PEETRE, *FIVE_SPACES, *DECOMPOSE]
+# scale-sum case: (dim, N, L, fields); ball-average maximal case: (dim, N, L)
+SCALE_SUMS = {"scale-sums-1d-64": (1, 64, 2.0, 10), "scale-sums-2d-64": (2, 64, 2.0, 1)}
+HL_MAXIMAL = {"hl-maximal-1d-512": (1, 512, 8.0)}
+CASES = [*PEETRE, *FIVE_SPACES, *DECOMPOSE, *SCALE_SUMS, *HL_MAXIMAL]
 
 
 def minor_faults() -> int:
@@ -156,8 +173,29 @@ def decompose_case(case: str, seed: int):
     return "tent_decompose", len(fields), run, {"atoms": sum(len(dec.atoms) for dec in run())}
 
 
+def scale_sums_case(case: str, seed: int):
+    """The timed call of a scale-sum case and its field count."""
+    dim, n, half_width, count = SCALE_SUMS[case]
+    grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
+    F = build_fields([trial_function(seed, i, grid) for i in range(count)],
+                     build_plan(build_kernel("annular", grid), SCALES))
+    tables = [cone_spectra(grid, SCALES, 1.0), gstar_spectra(grid, SCALES, default_lambda(spaces.Lebesgue(2.0)))]
+    return "scale_sums", count, lambda: scale_sums(F, tables), {}
+
+
+def hl_maximal_case(case: str, seed: int):
+    """The timed call of the ``hl_maximal`` case and its one input."""
+    dim, n, half_width = HL_MAXIMAL[case]
+    f = trial_function(seed, 0, GridSpec(dim=dim, half_width=half_width, points_per_axis=n))
+    return "hl_maximal", 1, lambda: hl_maximal(f), {}
+
+
+KINDS = [(PEETRE, peetre_case), (DECOMPOSE, decompose_case), (SCALE_SUMS, scale_sums_case),
+         (HL_MAXIMAL, hl_maximal_case), (FIVE_SPACES, norm_case)]
+
+
 def bench(case: str, repeats: int, seed: int) -> dict:
-    kind = peetre_case if case in PEETRE else decompose_case if case in DECOMPOSE else norm_case
+    kind = next(make for cases, make in KINDS if case in cases)
     call, rows, run, extra = kind(case, seed)
     run()
     times, faults = [], []

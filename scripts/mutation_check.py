@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Mutation check of the batch boundaries: each mutant must fail its tests.
+
+``MUTANTS`` is a fixed table.  A mutant names a source file, one exact
+snippet of it, the snippet's replacement and the test node ids that must
+fail on it.  The script copies the working tree's tracked and untracked, not
+ignored, files into a temporary directory (``bench_pairs.copy_work``).  Per
+mutant it replaces the snippet in that copy, runs only the mutant's tests
+there (``pytest -x``) within ``TIMEOUT_S`` seconds, and restores the file.
+
+It prints one JSON line per mutant: ``mutant``, ``file``, ``status`` and
+``seconds``.  The status is ``killed`` (a test failed), ``survived`` (every
+test passed), ``timeout`` or ``no-match`` (the snippet does not occur exactly
+once in the file).  Only ``killed`` passes, so a refactor that rewrites a
+snippet must update the table.  Exits 1 unless every mutant is killed.  The
+copy is removed at the end, also when a run fails.
+
+Usage (from the repository root):
+
+    python scripts/mutation_check.py
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_pairs import copy_work
+
+TIMEOUT_S = 120  # seconds for one mutant's test run
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant("peetre-step-end", "src/lpx/maximal.py",
+           "hi = min(lo + step, n_dist)", "hi = min(lo + step, n_dist - 1)",
+           ("tests/test_maximal.py::test_peetre_maximals_rows_match_one_input_calls_bitwise",)),
+    Mutant("ball-filters-block-top", "src/lpx/maximal.py",
+           "max(tops[lo:hi])", "tops[lo]",
+           ("tests/test_maximal.py::test_ball_filters_in_blocks_of_rows_match_one_block",)),
+    Mutant("piece-chunk-rebase", "src/lpx/atoms.py",
+           "base = ((owner[cell] - lo) * lines", "base = (owner[cell] * lines",
+           ("tests/test_atoms.py::test_piece_functionals_span_chunks_bitwise",)),
+    Mutant("slice-window-span", "src/lpx/spaces.py",
+           "(slice(a, a + span),)", "(slice(a, a + span - 1),)",
+           ("tests/test_spaces.py::test_space_norms_match_one_input_norms_bitwise",)),
+    Mutant("space-norms-step", "src/lpx/spaces.py",
+           "values[start:start + step]", "values[start:start + step - 1]",
+           ("tests/test_spaces.py::test_space_norms_match_one_input_norms_bitwise",)),
+    Mutant("trial-block-end", "src/lpx/harness.py",
+           "min(lo + size, trials)", "min(lo + size, trials - 1)",
+           ("tests/test_harness.py::test_trial_blocked_equivalence_with_a_partial_last_block",)),
+    Mutant("batch-items-at-least-one", "src/lpx/grid.py",
+           "max(1, WORK_BYTES // cost)", "WORK_BYTES // cost",
+           ("tests/test_work_budget.py::test_batch_items_fit_the_budget_read_at_call_time",)),
+    Mutant("whole-batches-end-within", "src/lpx/grid.py",
+           'start + WORK_BYTES, side="right"', 'start + WORK_BYTES, side="left"',
+           ("tests/test_work_budget.py::test_whole_batches_are_greedy_runs_of_whole_items",)),
+]
+
+
+def run_mutant(tree: Path, mutant: Mutant) -> str:
+    """The mutant's status, its tests run in ``tree`` with the snippet replaced."""
+    path = tree / mutant.file
+    source = path.read_text()
+    if source.count(mutant.snippet) != 1:
+        return "no-match"
+    path.write_text(source.replace(mutant.snippet, mutant.replacement))
+    try:
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    finally:
+        path.write_text(source)
+    if proc.returncode == 0:
+        return "survived"
+    if proc.returncode == 1:  # pytest: some test failed
+        return "killed"
+    raise RuntimeError(f"pytest exited {proc.returncode} on mutant {mutant.name}:\n{proc.stdout}\n{proc.stderr}")
+
+
+def check(mutants: list[Mutant]) -> bool:
+    """Run every mutant in one copy of the working tree and print its line;
+    whether every mutant was killed."""
+    killed = True
+    with tempfile.TemporaryDirectory(prefix="mutation-check-") as tmp:
+        tree = Path(tmp)
+        copy_work(tree)
+        for mutant in mutants:
+            start = time.perf_counter()
+            status = run_mutant(tree, mutant)
+            killed &= status == "killed"
+            print(json.dumps({"mutant": mutant.name, "file": mutant.file, "status": status,
+                              "seconds": round(time.perf_counter() - start, 1)}), flush=True)
+    return killed
+
+
+if __name__ == "__main__":
+    sys.exit(0 if check(MUTANTS) else 1)

@@ -29,12 +29,12 @@ The pieces' cone functionals are exact interval sums, not FFTs
 along the last axis (``GridSpec.ball_row_widths``), so a piece's squared
 cone functional is the cumulative sum, taken in place, of difference rows
 that one ``np.bincount`` fills, each piece scaled to its own max.  Pieces
-go in chunks of whole pieces within ``PIECE_CHUNK`` elements, which count
-a piece's rows and the arrays of its (cell, ball row) runs, and each
-chunk's squared rows give the L^p sizes (kept per atom) as sums of their
-powers p/2, each row scaled by a power of four into [1/4, 1) and squared
-in place for p = 4 (``_piece_sizes``),
-so no pieces x cells stack is held and the sizes scale by exactly 2^k with
+go in chunks of whole pieces within ``grid.WORK_BYTES``, a piece costing
+the 8-byte elements of its rows and ``RUN_ELEMENTS`` per (cell, ball row)
+run, and each chunk's squared rows give the L^p sizes (kept per atom) as
+sums of their powers p/2, each row scaled by a power of four into [1/4, 1)
+and squared in place for p = 4 (``_piece_sizes``), so no pieces x cells
+stack is held and the sizes scale by exactly 2^k with
 the field.  The pieces' balls come from one gather of their own cells'
 torus distances and one pick over the family's radii, and the balls'
 indicators (``_ball_rows``) from one ``torus_window_view`` gather whose
@@ -58,11 +58,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex
+from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex, whole_batches
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import SpaceDescriptor, space_norm, space_norms
-from .squarefuncs import cone_weights, tent_functional, whole_batches
+from .squarefuncs import cone_weights, tent_functional
 from .transforms import apply_multiplier, build_plan
 
 __all__ = [
@@ -85,14 +85,9 @@ MAX_LEVELS = 22
 # the exponents p of the L^p sizes every atom is normalized for and the
 # decomposition keeps
 SIZE_EXPONENTS = (2.0, 4.0)
-# 8-byte elements per chunk of pieces in ``_piece_functionals``, counting
-# each piece's difference rows and ``RUN_ELEMENTS`` per (cell, ball row)
-# run: a chunk holds whole pieces, as many as fit, and at least one (a chunk
-# of the 2-D N=64 memory-guard field is 1 to 184 pieces; a ``decompose-1d``
-# field is one chunk)
-PIECE_CHUNK = 1 << 20
-# the int64 and float64 arrays a chunk holds per run at once, its bincount's
-# inputs among them (measured: 14.9 under tracemalloc)
+# the int64 and float64 arrays a chunk of pieces holds per (cell, ball row)
+# run at once, its bincount's inputs among them (measured: 14.9 under
+# tracemalloc)
 RUN_ELEMENTS = 15
 
 
@@ -334,7 +329,8 @@ def _piece_functionals(F: HalfSpaceField, cells: np.ndarray,
     into ``grid.shape + (K,)``) divided by 2^e_i, e_i the binary exponent (``np.frexp``) of its
     max |F|, and zero elsewhere: yields ``(pieces of the chunk,) +
     grid.shape`` rows and the chunk's exponents e_i, one chunk of whole
-    pieces after another (``PIECE_CHUNK``, ``squarefuncs.whole_batches``).
+    pieces after another (``grid.whole_batches``), a piece costing 8 bytes
+    per element of its rows and ``RUN_ELEMENTS`` elements per run.
     Piece i's cone functional is the root of its row times 2^e_i.
 
     A cell (y, t_k) adds c = w_k |F(y, t_k) / 2^e_i|^2, w_k the scale's
@@ -368,8 +364,8 @@ def _piece_functionals(F: HalfSpaceField, cells: np.ndarray,
     np.square(power, out=power)
     power *= cone_weights(grid, scales)[k]
     runs = row_count[k]
-    cost = lines * n + RUN_ELEMENTS * np.bincount(owner, runs, minlength=len(starts))
-    for lo, hi in whole_batches(cost, PIECE_CHUNK):
+    cost = 8 * (lines * n + RUN_ELEMENTS * np.bincount(owner, runs, minlength=len(starts)))
+    for lo, hi in whole_batches(cost):
         first, last = bounds[lo], bounds[hi]
         chunk_runs = runs[first:last]
         cell = np.repeat(np.arange(first, last), chunk_runs)  # one entry per (cell, ball row)

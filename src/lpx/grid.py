@@ -8,7 +8,10 @@ float64 unless some imaginary part is nonzero (``real_or_complex``).
 A torus ball's cells are decided in one place, ``GridSpec.ball_mask``, and
 listed in one place, ``GridSpec.ball_offsets`` (as row runs,
 ``GridSpec.ball_row_widths``); every read of values at
-shifted cells goes through ``GridSpec.torus_window_view``.
+shifted cells goes through ``GridSpec.torus_window_view``.  Every batched
+operator sizes its batches from one working-memory budget, ``WORK_BYTES``:
+it states what one item of a batch costs in bytes, and ``batch_items`` or
+``whole_batches`` gives it as many items per batch as fit, at least one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +33,8 @@ __all__ = [
     "FieldStack",
     "real_or_complex",
     "scale_to_unit_rows",
+    "batch_items",
+    "whole_batches",
     "concentration_defect",
     "pure_frequency",
     "indicator_ball",
@@ -45,6 +50,9 @@ __all__ = [
 # families, ball tables, distance tables) but the trials'; a 2-D N=64
 # offset distance table is 32 kB, a 2-D N=128 plan over 64 scales 8 MiB
 CACHE_SIZE = 8
+# bytes one batch of any batched operator may hold, read at each call of
+# ``batch_items`` and ``whole_batches``
+WORK_BYTES = 1 << 20
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -240,6 +248,24 @@ def scale_to_unit_rows(stack: np.ndarray) -> np.ndarray:
     _, exps = np.frexp(stack.max(axis=tuple(range(1, stack.ndim))))
     np.ldexp(stack, -exps.reshape((-1,) + (1,) * (stack.ndim - 1)), out=stack)
     return exps
+
+
+def batch_items(cost: int) -> int:
+    """Items of ``cost`` bytes each that fit ``WORK_BYTES``, at least one."""
+    return max(1, WORK_BYTES // cost)
+
+
+def whole_batches(costs: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Greedy batches of whole items of the given costs in bytes, as item
+    ranges (lo, hi): each takes as many items as end within ``WORK_BYTES`` of
+    its start, and at least one."""
+    ends = np.cumsum(costs)
+    lo = 0
+    while lo < len(ends):
+        start = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, start + WORK_BYTES, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,13 @@ through lambda and b, so ``equivalence_experiments`` grades any number of
 spaces in one pass: per block it builds the fields, S and g once, one
 g*_lambda per distinct lambda and one Peetre sup per distinct b, and
 ``equivalence_experiment`` is its one-space case.  A block holds as many
-trials as keep its stacked real field within ``FIELD_BLOCK_BYTES``
-(512 KiB: sixteen trials at 1-D N=64 with 64 scales, two at 1-D N=512, one
-at 2-D N=64).  Each operator bounds its own temporaries
-(``maximal.PEETRE_CHUNK``, ``squarefuncs.SCALE_SUM_CHUNK``,
-``spaces.NORM_CHUNK``), so only the field stacks grow with the block.  Every
-batched operator gives each trial bitwise its one-trial value, so the
-reports do not depend on the block size or on the other spaces of a pass.
+trials as fit ``grid.WORK_BYTES`` (``grid.batch_items``), a trial costing
+dim + 1 times its real field, the measured peak of ``build_fields``
+(sixteen trials at 1-D N=64 with 64 scales, two at 1-D N=512, one at 2-D
+N=64).  Each operator sizes its own batches from the same budget, so only
+the field stacks grow with the block.  Every batched operator gives each
+trial bitwise its one-trial value, so the reports do not depend on the
+block size or on the other spaces of a pass.
 The embedding experiment norms all its trials in one ``space_norms`` call
 per space, and the vanishing check takes its probes' multipliers from one
 call of the kernel's profile.
@@ -56,6 +56,7 @@ from .grid import (
     GridSpec,
     SampledFunction,
     ScaleGrid,
+    batch_items,
     concentration_defect,
     gaussian_bump,
     indicator_ball,
@@ -84,11 +85,6 @@ ANGLE_SLOPE_SLACK = 0.15
 EMBEDDING_SPREAD_MAX = 10.0
 CONCENTRATION_TOL = 1e-6
 MIN_TRIAL_POINTS = 64
-# bytes of one trial block's stacked real field (see the module docstring);
-# one pass of the five-space 1-D N=64 equivalence run, its 10 trials in one
-# block, peaks at about 1.57 MiB of traced memory, and at 1.53 MiB with a
-# quarter of this budget (blocks of 4, 4 and 2 trials)
-FIELD_BLOCK_BYTES = 1 << 19
 # trial functions kept per (seed, trial, grid): at least the 20 trials of a
 # default experiment (``cli._TABLE``); 32 trials at 2-D N=128 hold 4 MiB
 TRIAL_CACHE_SIZE = 32
@@ -236,9 +232,10 @@ def _spread(values) -> float:
 
 
 def _trial_blocks(seed: int, trials: int, grid: GridSpec, scales: ScaleGrid):
-    """The trial functions 0..trials-1 in order, in blocks whose stacked
-    half-space field fits ``FIELD_BLOCK_BYTES`` (at least one trial each)."""
-    size = max(1, FIELD_BLOCK_BYTES // (grid.size * len(scales) * np.dtype(float).itemsize))
+    """The trial functions 0..trials-1 in order, in blocks of as many trials
+    as fit ``grid.WORK_BYTES``, a trial costing dim + 1 times its real
+    field, the peak of ``build_fields`` (at least one trial each)."""
+    size = batch_items((grid.dim + 1) * grid.size * len(scales) * np.dtype(float).itemsize)
     for lo in range(0, trials, size):
         yield [trial_function(seed, i, grid) for i in range(lo, min(lo + size, trials))]
 

@@ -21,6 +21,11 @@ j: the max over 2^j consecutive cells), from a read table built once per
 (grid, radii).  A ball's cells are ``GridSpec.ball_mask``'s, and
 ``BallFamily.build`` keeps the last ``grid.CACHE_SIZE`` families it built,
 so a default family is built once per grid.
+
+Both batched maxima fit ``grid.WORK_BYTES``: a stack's ball max per block
+of rows, a row costing its doubled table levels, and ``peetre_maximals``
+per step of distances, a distance costing its 8-byte candidate products
+and doubled envelopes.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import CACHE_SIZE, GridSpec, SampledFunction, ScaleGrid, scale_to_unit_rows
+from .grid import CACHE_SIZE, GridSpec, SampledFunction, ScaleGrid, batch_items, scale_to_unit_rows
 from .squarefuncs import ball_spectra
 from .transforms import ConvolutionPlan, build_fields, correlate
 
@@ -47,13 +52,6 @@ __all__ = [
 ]
 
 DEFAULT_RADII_PER_OCTAVE = {1: 32, 2: 8}
-# bytes of the doubling-table levels of one block of stacked rows in
-# ``BallFamily.ball_filters`` (at least one row)
-FILTER_BLOCK_BYTES = 1 << 20
-# elements, candidate products and doubled envelope cells, per distance step
-# of the smoothed sup (at least one distance): a call's one step buffer holds
-# at most 1 MiB, the dense envelope loop's step buffer
-PEETRE_CHUNK = 1 << 17
 # relative margin of the smoothed sup's far-distance test of its candidate
 # scales; it covers the rounding of the weight table and of the products
 PEETRE_MARGIN = 1e-12
@@ -143,9 +141,10 @@ class BallFamily:
         cells along the last axis (a 1-D ball is one row), and the max over a
         run is the max of two overlapping reads of the doubling-table level
         holding the max over 2^k consecutive cells, 2^k <= w < 2^(k+1)
-        (``_ball_runs``, ``_doubling_table``).  A stack is
-        taken in blocks of rows whose levels, up to the widest run of the
-        block, stay within ``FILTER_BLOCK_BYTES``.  A max is exact, so every
+        (``_ball_runs``, ``_doubling_table``); the rows of one read share its
+        running max, one grid-sized array per call.  A stack is taken in
+        blocks of rows (``grid.batch_items``), a row costing its doubled
+        levels up to the family's widest run.  A max is exact, so every
         entry equals the brute-force max over the ball's cells.
         """
         grid, n = self.grid, self.grid.points_per_axis
@@ -154,21 +153,22 @@ class BallFamily:
             raise ValueError(f"values of shape {values.shape} are neither one grid nor one row per radius")
         runs, tops = _ball_runs(grid, tuple(self.radii.tolist()))
         out = np.empty((len(self),) + grid.shape, dtype=values.dtype)
+        run = np.empty(grid.shape, dtype=values.dtype)  # the running max of one read
         row_bytes = 2 * values.itemsize * grid.size * (max(tops) + 1)
-        step = len(self) if shared else max(1, FILTER_BLOCK_BYTES // row_bytes)
+        step = len(self) if shared else batch_items(row_bytes)
         for lo in range(0, len(self), step):
             hi = min(lo + step, len(self))
             table = _doubling_table(values[None] if shared else values[lo:hi], max(tops[lo:hi]))
             for i in range(lo, hi):
                 levels = table[:, 0 if shared else i - lo]
-                maxima = {}  # the running max of each width, once per radius
+                read = None  # the read that ``run`` holds
                 for dx, k, a, b in runs[i]:
                     if dx == 0:  # the widest row, first
                         np.maximum(levels[k, ..., a:a + n], levels[k, ..., b:b + n], out=out[i])
                         continue
-                    if (k, a) not in maxima:
-                        maxima[k, a] = np.maximum(levels[k, ..., a:a + n], levels[k, ..., b:b + n])
-                    run = maxima[k, a]
+                    if (k, a, b) != read:  # the rows of one read are consecutive
+                        read = k, a, b
+                        np.maximum(levels[k, ..., a:a + n], levels[k, ..., b:b + n], out=run)
                     np.maximum(out[i, :n - dx], run[dx:], out=out[i, :n - dx])
                     np.maximum(out[i, n - dx:], run[:dx], out=out[i, n - dx:])
         return out
@@ -187,10 +187,10 @@ def _ball_runs(
 
     Per radius r, one (first-axis offset dx, level k, starts a, b) per
     first-axis row that the ball ``grid.ball_mask(r)`` meets, the row at
-    dx = 0 first; a 1-D ball is the one row at dx = 0.  A row of w cells
-    about x is the run [x - w//2, x - w//2 + w), the max of level
-    k = floor(log2 w) read at the shifts a = -(w//2) and b = a + w - 2^k
-    (mod n).  Also each radius's highest level.
+    dx = 0 first, then by read (k, a, b); a 1-D ball is the one row at
+    dx = 0.  A row of w cells about x is the run [x - w//2, x - w//2 + w),
+    the max of level k = floor(log2 w) read at the shifts a = -(w//2) and
+    b = a + w - 2^k (mod n).  Also each radius's highest level.
     """
     n = grid.points_per_axis
     runs = []
@@ -201,7 +201,7 @@ def _ball_runs(
                 k = w.bit_length() - 1
                 a = -(w // 2) % n
                 rows.append((dx, k, a, (a + w - (1 << k)) % n))
-        runs.append(tuple(rows))
+        runs.append((rows[0], *sorted(rows[1:], key=lambda row: row[1:])))
     return tuple(runs), tuple(max(k for _, k, _, _ in rows) for rows in runs)
 
 
@@ -339,13 +339,13 @@ def peetre_maximals(fs: Sequence[SampledFunction], b: float, *, plan: Convolutio
     weight table is not ordered), a few of the 55-64 live ones.  The cells
     are sorted by their candidate count, so the r-th candidates of every
     cell that has one are one contiguous block.  The distinct distances run
-    in steps, as many per step as keep its candidate products and its
-    envelopes, doubled along every grid axis, within ``PEETRE_CHUNK``
-    elements and at least one; one buffer per call holds them.  A step takes
-    its products by one gather and one multiply and its envelopes by one max
-    per candidate rank, reads the envelopes back into grid order doubled by
-    one more gather, and folds each offset's window, one slice of the
-    doubled envelopes, into the output.  Every product is the one of a
+    in steps (``grid.batch_items``), a distance costing the 8-byte elements
+    of its candidate products and its envelopes, doubled along every grid
+    axis; one buffer per call holds a step.  A step takes its products by
+    one gather and one multiply and its envelopes by one max per candidate
+    rank, reads the envelopes back into grid order doubled by one more
+    gather, and folds each offset's window, one slice of the doubled
+    envelopes, into the output.  Every product is the one of a
     (scale, offset) pair and a maximum is exact, so neither the candidates
     nor the steps change the result.
     """
@@ -381,7 +381,7 @@ def peetre_maximals(fs: Sequence[SampledFunction], b: float, *, plan: Convolutio
     columns = np.ascontiguousarray(weights.T)  # (distances, scales)
     n_dist = len(bounds) - 1
     per_distance = len(scale) + len(doubled_at)
-    step = min(n_dist, max(1, PEETRE_CHUNK // per_distance))
+    step = min(n_dist, batch_items(8 * per_distance))
     buffer = np.empty(step * per_distance)  # a step's products, then its doubled envelopes
     products = buffer[: step * len(scale)].reshape(step, len(scale))
     doubled = buffer[step * len(scale):].reshape(step, len(doubled_at))

@@ -24,15 +24,18 @@ A descriptor implements only its row-batched norms: ``norms(grid, mag)``
 returns the norm of every row of a finite non-negative ``(rows,) +
 grid.shape`` stack, each bitwise what that row gives alone.  ``space_norms``
 is the one entry to them (``space_norm`` is its one-row case) and the one
-place a stack is chunked, at most ``NORM_CHUNK`` elements of rows per call.
-No descriptor scales by itself: ``space_norms`` and ``orlicz_norm`` (a
-Luxemburg norm with no descriptor) take the norms of each row divided by the
-power of two of its max and scale them back (``_unit_row_norms``), so every
-norm is homogeneous over the whole float range.  ``Morrey`` takes the ball
-sums of a step's rows in one ``BallFamily.ball_sums`` call, and
-``OrliczSlice`` the windows of a step's rows, or of a slab of one row, in one
-Luxemburg solve; a step holds as many rows as keep it within ``NORM_CHUNK``
-elements.
+place a stack is chunked.  No descriptor scales by itself: ``space_norms``
+and ``orlicz_norm`` (a Luxemburg norm with no descriptor) take the norms of
+each row divided by the power of two of its max and scale them back
+(``_unit_row_norms``), so every norm is homogeneous over the whole float
+range.  ``Morrey`` takes the ball sums of a step's rows in one
+``BallFamily.ball_sums`` call, and ``OrliczSlice`` the windows of a step's
+rows, or of a slab of one row, in one Luxemburg solve.
+
+Every step fits ``grid.WORK_BYTES`` (``grid.batch_items``), an item costing
+the 8-byte elements its step holds at once: a ``space_norms`` row 5 per cell
+(``VariableLebesgue``'s norms peak at 4.5), a ``Morrey`` row 4 per (radius,
+cell) and an ``OrliczSlice`` line of windows 8 per window cell (7.6 measured).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .errors import NoBracket, NotInAInfty, NumericFailure
-from .grid import CACHE_SIZE, GridSpec, SampledFunction, read_function_csv, scale_to_unit_rows
+from .grid import CACHE_SIZE, GridSpec, SampledFunction, batch_items, read_function_csv, scale_to_unit_rows
 from .maximal import BallFamily, ball_volume
 
 __all__ = [
@@ -84,15 +87,6 @@ AP_GROWTH_FLOOR = 0.02  # log2 growth per refinement always counted as stable
 AP_GROWTH_SLOPE = 0.15  # threshold grows with the measured singularity strength
 AP_Q_MAX = 64.0
 AP_INDEX_TOL = 0.05  # width at which ``critical_index`` stops bisecting
-# elements per ``space_norms`` call of ``space.norms`` (rows x cells) and per
-# vectorized step inside it: rows x radii x cells of Morrey's ball sums,
-# windows x offsets of an OrliczSlice Luxemburg solve.  A 1-D N=64
-# equivalence block (40 rows: 10 trials x hardy, S, g and g*) takes one
-# call, four Morrey steps of 12 rows (20 radii) and five solves of 8 rows
-# (a 31-cell slice ball); a 2-D N=64 row one Morrey step and 64 solves of
-# 0.4 MB of windows each, which run no slower than one solve over the row's
-# 26 MB
-NORM_CHUNK = 1 << 14
 BALL_RADII_PER_OCTAVE = 4  # of the Morrey norm's and the A_p characteristic's family
 
 
@@ -409,13 +403,13 @@ class Morrey:
 
     def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
         """sup over the family's balls of |B|^(1/p - 1/r) ||row||_{L^r(B)}
-        for every row, the ball sums of ``NORM_CHUNK`` elements' worth of
-        rows per ``ball_sums`` call."""
+        for every row, the ball sums of a step of rows per ``ball_sums``
+        call, a row costing 4 elements per (radius, cell)."""
         family = BallFamily.build(grid, BALL_RADII_PER_OCTAVE)
         cellvol = grid.cell_volume
         factors = [ball_volume(rad, grid.dim) ** (1.0 / self.p - 1.0 / self.r) for rad in family.radii.tolist()]
         powered = mag**self.r
-        step = max(1, NORM_CHUNK // (len(family) * grid.size))
+        step = batch_items(4 * 8 * len(family) * grid.size)
         norms = []
         for start in range(0, len(mag), step):
             local = family.ball_sums(powered[start:start + step])
@@ -525,11 +519,11 @@ def _slice_windows(grid: GridSpec, mag: np.ndarray, slice_t: float):
     """The slice windows of every row of ``mag``, one window ``mag[i][(x + o) mod n]``
     over the offsets o of ``grid.ball_offsets((slice_t,))`` per (row i, cell
     x) in C order, in blocks of whole rows or of first-axis slabs of one row,
-    at most ``NORM_CHUNK`` elements each (at least one line of cells)."""
+    a line of cells costing 8 elements per window cell (at least one line)."""
     n = grid.points_per_axis
     shifts = grid.ball_offsets((slice_t,))[0]
     count = len(shifts[0])
-    lines = max(1, NORM_CHUNK // (count * grid.size // n))  # first-axis lines per block
+    lines = batch_items(8 * 8 * count * grid.size // n)  # first-axis lines per block
     rows, span = max(1, lines // n), min(n, lines)
     for start in range(0, len(mag), rows):
         view = grid.torus_window_view(mag[start:start + rows])
@@ -606,7 +600,7 @@ def space_norm(f: SampledFunction, space: SpaceDescriptor) -> float:
 def space_norms(grid: GridSpec, values: np.ndarray, space: SpaceDescriptor) -> list[float]:
     """``space_norm`` of every row of the real, complex or boolean ``(rows,) +
     grid.shape`` stack ``values``, each bitwise its one-row value: one
-    ``space.norms`` call per step of ``max(1, NORM_CHUNK // grid.size)`` rows,
+    ``space.norms`` call per step of rows, a row costing 5 of its own size,
     on the step's float magnitudes scaled to unit max (``_unit_row_norms``),
     so a call's temporaries stay within a step.
 
@@ -618,7 +612,7 @@ def space_norms(grid: GridSpec, values: np.ndarray, space: SpaceDescriptor) -> l
     if not np.isfinite(values).all():
         raise NumericFailure("a row to be normed holds a non-finite sample")
     norms = functools.partial(space.norms, grid)
-    step = max(1, NORM_CHUNK // grid.size)
+    step = batch_items(5 * 8 * grid.size)
     return [norm for start in range(0, len(values), step)
             for norm in _unit_row_norms(np.abs(values[start:start + step]).astype(float, copy=False), norms)]
 

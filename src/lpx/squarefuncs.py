@@ -14,10 +14,12 @@ scale's row multiplied in place by its quadrature weight (``cone_spectra``,
 The sum over scales runs in frequency space (``scale_sums``): |F|^2 is
 taken once and each batch of its (field, scale) rows is transformed once,
 however many tables read it; per table, each row's spectrum times its table
-row, summed over the scales, then one inverse FFT per field.  Every table
-but the last multiplies a copy of the spectra in place (``*=``;
-``spectra * table`` can differ in the last bit), so each table's rows are
-bitwise its one-table value.  A (field, scale) row whose |F|^2 is zero is
+row, summed over the scales, then one inverse FFT per field.  A batch holds
+whole fields within ``grid.WORK_BYTES``, a (field, scale) row costing four
+real rows of the grid: its gathered powers, their spectrum, a copy of it
+and its gathered table row.  Every table but the last multiplies a copy of
+the spectra in place (``*=``; ``spectra * table`` can differ in the last
+bit), so each table's rows are bitwise its one-table value.  A (field, scale) row whose |F|^2 is zero is
 the only one skipped.  The same powers, summed over the scale axis with the
 weight ln2/J, give g, the vertical square function, which ``scale_sums``
 returns after its tables' rows, so a block of fields is squared once for
@@ -38,21 +40,17 @@ positively homogeneous over the whole float range.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import LambdaTooSmall
-from .grid import CACHE_SIZE, FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows
+from .grid import (CACHE_SIZE, FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows,
+                   whole_batches)
 from .transforms import inverse_spectrum, spectrum
 
 __all__ = ["tent_functional", "lusin_area", "g_function", "g_lambda_star", "scale_sums",
-           "ball_spectra", "cone_spectra", "gstar_spectra", "cone_weights", "whole_batches"]
-
-# (field, scale) rows per batch of ``scale_sums``: a batch holds whole
-# fields, as many as fit, and at least one, so its temporaries stay within
-# max(SCALE_SUM_CHUNK, K) rows (a 2-D N=64 chunk of rows is 8 MB)
-SCALE_SUM_CHUNK = 256
+           "ball_spectra", "cone_spectra", "gstar_spectra", "cone_weights"]
 
 
 def _mask_spectra(grid: GridSpec, radii: Sequence[float]) -> np.ndarray:
@@ -72,19 +70,6 @@ def cone_weights(grid: GridSpec, scales: ScaleGrid) -> np.ndarray:
     """The half-space quadrature weight cell_volume * ln2/J * t_k^(-n) of a
     cell at each scale t_k."""
     return grid.cell_volume * scales.log_weight / scales.scales**grid.dim
-
-
-def whole_batches(sizes: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
-    """Greedy batches of whole items of the given sizes, as item ranges
-    (lo, hi): each takes as many items as end within ``budget`` of its start,
-    and at least one."""
-    ends = np.cumsum(sizes)
-    lo = 0
-    while lo < len(ends):
-        start = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, start + budget, side="right")), lo + 1)
-        yield lo, hi
-        lo = hi
 
 
 def _scale_weighted(grid: GridSpec, scales: ScaleGrid, table: np.ndarray) -> np.ndarray:
@@ -137,10 +122,10 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
     right in scale order, then one inverse FFT per field.  Every table but
     the last multiplies a copy of the batch's spectra in place, the last the
     spectra themselves, so each table's rows are bitwise what a one-table
-    call gives.  A batch holds whole fields (``whole_batches``), so each field's
-    sum is bitwise what a call on that field alone gives.  g sums the same
-    powers over their contiguous scale axis, times ln2/J; with no table, no
-    FFT runs at all.  Returns
+    call gives.  A batch holds whole fields (``grid.whole_batches``), a kept
+    row costing four real grid rows, so each field's sum is bitwise what a
+    call on that field alone gives.  g sums the same powers over their
+    contiguous scale axis, times ln2/J; with no table, no FFT runs at all.  Returns
     ``(len(tables) + 1, fields) + grid.shape``: a row per table, then g.
     """
     grid = F.grid
@@ -152,7 +137,7 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
     edges = np.concatenate([[0], np.cumsum(counts)]).tolist()  # each kept field's rows
     acc = np.zeros((len(tables) + 1, len(power)) + grid.shape)
     np.multiply(np.sum(field_power, axis=-1), F.scales.log_weight, out=acc[-1])
-    for first, last in whole_batches(counts, SCALE_SUM_CHUNK) if tables else ():
+    for first, last in whole_batches(counts * (4 * grid.size * power.itemsize)) if tables else ():
         lo, hi = edges[first], edges[last]
         spectra = spectrum(power[owner[lo:hi], scale[lo:hi]].reshape((hi - lo,) + grid.shape), grid.dim)
         for t, table in enumerate(tables):

@@ -1,11 +1,10 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from lpx import atoms, maximal, squarefuncs
+from lpx import atoms, grid as grid_mod, maximal
 from lpx.atoms import (
     Ball,
     TentAtom,
@@ -157,7 +156,9 @@ def test_every_ball_reader_leaves_out_the_cells_on_the_boundary(dim, n, cells):
     assert np.array_equal(grid.ball_row_widths((r,))[0], widths)
     runs = maximal._ball_runs(grid, (r,))[0][0]
     run_widths = [(dx, (b - a) % n + (1 << k)) for dx, k, a, b in runs]
-    assert run_widths == [(dx, w) for dx, w in enumerate(widths.tolist()) if w]
+    assert sorted(run_widths) == [(dx, w) for dx, w in enumerate(widths.tolist()) if w]
+    # the row at dx = 0 first, then the rows of one read consecutive
+    assert runs[0][0] == 0 and [run[1:] for run in runs[1:]] == sorted(run[1:] for run in runs[1:])
     # the ball max of a unit spike at the origin is the (symmetric) ball itself
     spike = np.zeros(grid.shape)
     spike[(0,) * dim] = 1.0
@@ -596,7 +597,8 @@ def _sizes(grid, rows):
     return [space_norms(grid, rows, Lebesgue(p)) for p in atoms.SIZE_EXPONENTS]
 
 
-# (case, PIECE_CHUNK elements): budgets of several pieces per chunk, and of one
+# (case, chunk budget in 8-byte elements): budgets of several pieces per
+# chunk, and of one
 CHUNK_CASES = [("1d-256-field", 4096), ("1d-64-field", 300), ("1d-64-stray", 1), ("2d-16-field", 1000),
                ("2d-16-stray", 1), ("2d-32-field", 20000)]
 
@@ -610,10 +612,10 @@ def test_piece_functionals_span_chunks_bitwise(monkeypatch, case, chunk):
         F = _field_case(int(dim[0]), int(n), kind)
         balls = BallFamily.build(F.grid, 2)
     pieces = _decomposition_pieces(F, balls)
-    monkeypatch.setattr(atoms, "PIECE_CHUNK", 1 << 62)
+    monkeypatch.setattr(grid_mod, "WORK_BYTES", 1 << 62)
     whole, counts = _chunked_functionals(F, pieces)
     assert counts == [len(pieces)]  # one chunk
-    monkeypatch.setattr(atoms, "PIECE_CHUNK", chunk)
+    monkeypatch.setattr(grid_mod, "WORK_BYTES", 8 * chunk)
     rows, counts = _chunked_functionals(F, pieces)
     # whole pieces per chunk, several chunks, and several pieces per chunk unless the budget is one
     assert sum(counts) == len(pieces) and len(counts) > 1 and (max(counts) > 1) == (chunk > 1)
@@ -643,7 +645,7 @@ def test_decomposition_sizes_do_not_depend_on_the_chunk_budget(monkeypatch, case
         F = _field_case(2, 16, "stray")
         balls = BallFamily.build(F.grid, 2)
     dec = tent_decompose(F, LEBESGUE, balls)
-    monkeypatch.setattr(atoms, "PIECE_CHUNK", 1)  # one piece per chunk
+    monkeypatch.setattr(grid_mod, "WORK_BYTES", 1)  # one piece per chunk, and one item per batch everywhere
     one = tent_decompose(F, LEBESGUE, balls)
     assert dec.sizes == one.sizes and [a.coefficient for a in dec.atoms] == [a.coefficient for a in one.atoms]
 
@@ -673,36 +675,6 @@ def test_decomposition_is_exactly_equivariant_under_powers_of_two(trial):
             assert scaled.sizes == dec.sizes
             assert np.array_equal(scaled.reconstruct().values, np.ldexp(rebuilt, k))
             assert coefficient_functional(scaled, space) == math.ldexp(functional, k)
-
-
-def test_piece_sizes_peak_stays_within_the_chunk_budget(monkeypatch):
-    # the memory guard's field (2-D N=64, L=2, 16 scales, trial 0 of seed
-    # 0), whose largest piece holds 264k (cell, ball row) runs, a chunk of
-    # its own: a chunk holds at most its cost in 8-byte elements while the
-    # chunk before it keeps its rows, at most PIECE_CHUNK elements
-    grid = GridSpec(dim=2, half_width=2.0, points_per_axis=64)
-    scales = ScaleGrid(1 / 16, 1.0, 4)
-    F = build_field(trial_function(0, 0, grid), build_plan(build_annular_kernel(grid), scales))
-    cells, starts = _flat(_decomposition_pieces(F, BallFamily.build(grid, 2)))
-    costs = []
-    batches = atoms.whole_batches
-
-    def recorded(cost, budget):
-        for lo, hi in batches(cost, budget):
-            costs.append(int(cost[lo:hi].sum()))
-            yield lo, hi
-
-    monkeypatch.setattr(atoms, "whole_batches", recorded)
-    atoms._piece_sizes(F, cells, starts)  # builds the cached tables
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        atoms._piece_sizes(F, cells, starts)
-        peak = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * (max(costs) + atoms.PIECE_CHUNK)
-    assert len(set(costs)) > 1 and max(costs) > atoms.PIECE_CHUNK  # several chunks, one piece past the budget
 
 
 def _brute_force_piece_functional(F, cells):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import clear_fixed_input_caches, count_fixed_input_builds
-from lpx import cli, kernels, squarefuncs, transforms
+from lpx import cli, grid as grid_mod, kernels, squarefuncs, transforms
 from lpx.errors import ConeOverflow
 from lpx.grid import (CACHE_SIZE, GridSpec, SampledFunction, ScaleGrid, concentration_defect, gaussian_bump,
                       pure_frequency)
@@ -251,10 +251,10 @@ def _per_trial_equivalence(space, kernel_kind, trials, grid, scales, seed):
 
 
 def _block_sizes(monkeypatch, trials_per_block, grid, scales):
-    """Set the block budget to hold the given number of trials; returns the
-    list the phi-field block sizes are recorded in.  A trial's field is real,
-    8 bytes per (cell, scale)."""
-    monkeypatch.setattr(harness, "FIELD_BLOCK_BYTES", trials_per_block * grid.size * len(scales) * 8)
+    """Set the budget to hold the given number of trials; returns the list
+    the phi-field block sizes are recorded in.  A trial costs dim + 1 times
+    its real field, 8 bytes per (cell, scale)."""
+    monkeypatch.setattr(grid_mod, "WORK_BYTES", trials_per_block * (grid.dim + 1) * grid.size * len(scales) * 8)
     sizes = []
     build_fields = harness.build_fields
 
@@ -318,9 +318,9 @@ def test_a_trial_block_takes_its_powers_and_each_batch_spectrum_once(monkeypatch
         monkeypatch.setattr(squarefuncs, name, spy)
     make_batches = squarefuncs.whole_batches
 
-    def counted(sizes, budget):
+    def counted(costs):
         batches.append(0)
-        for batch in make_batches(sizes, budget):
+        for batch in make_batches(costs):
             batches[-1] += 1
             yield batch
 

@@ -1,9 +1,10 @@
 """Smoke test of ``scripts/layer_bench.py``, the in-process timer: one repeat
 of a Peetre case, of the ``orlicz_slice`` norm case, which records the
 harness's rows through ``harness.space_norms`` and counts modular
-evaluations through ``spaces._luxemburg_rows``, and of the ``decompose``
-and ``decompose-2d`` cases; and the norm cases' rows, from one pass over the
-five spaces, against the rows of one equivalence run per space."""
+evaluations through ``spaces._luxemburg_rows``, of the ``decompose``
+and ``decompose-2d`` cases, and of the scale-sum and ``hl_maximal`` cases;
+and the norm cases' rows, from one pass over the five spaces, against the
+rows of one equivalence run per space."""
 
 import importlib.util
 import json
@@ -26,9 +27,11 @@ def _layer_bench():
 
 def test_layer_bench_prints_one_json_line_per_case(capsys):
     bench = _layer_bench()
-    assert bench.main(["--case", "1d-64", "--case", "orlicz_slice", "--case", "decompose", "--case", "decompose-2d",
-                       "--repeats", "1"]) == 0
-    peetre, norms, decompose, decompose_2d = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    cases = ["1d-64", "orlicz_slice", "decompose", "decompose-2d", "scale-sums-1d-64", "scale-sums-2d-64",
+             "hl-maximal-1d-512"]
+    assert bench.main([arg for case in cases for arg in ("--case", case)] + ["--repeats", "1"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    peetre, norms, decompose, decompose_2d, *plain = lines
     assert set(peetre) == KEYS | {"b"}
     assert (peetre["case"], peetre["call"], peetre["rows"]) == ("1d-64", "peetre_maximals", 10)
     assert set(norms) == KEYS | {"evaluations_per_window"}
@@ -40,7 +43,11 @@ def test_layer_bench_prints_one_json_line_per_case(capsys):
     assert set(decompose_2d) == KEYS | {"atoms"}
     assert (decompose_2d["case"], decompose_2d["call"], decompose_2d["rows"]) == ("decompose-2d", "tent_decompose", 1)
     assert decompose_2d["atoms"] > 0
-    for line in (peetre, norms, decompose, decompose_2d):
+    assert all(set(line) == KEYS for line in plain)
+    assert [(line["case"], line["call"], line["rows"]) for line in plain] == [
+        ("scale-sums-1d-64", "scale_sums", 10), ("scale-sums-2d-64", "scale_sums", 1),
+        ("hl-maximal-1d-512", "hl_maximal", 1)]
+    for line in lines:
         assert line["repeats"] == 1
         assert 0 < line["min_s"] == line["q1_s"] == line["median_s"] == line["q3_s"] == line["max_s"]
         assert line["faults_per_call"] >= 0

@@ -18,7 +18,7 @@ from lpx.maximal import (
     peetre_maximal,
     peetre_maximals,
 )
-from lpx import maximal
+from lpx import grid as grid_mod, maximal
 from lpx.harness import trial_function
 from lpx.spaces import Lebesgue
 from lpx.squarefuncs import ball_spectra, g_function, g_lambda_star, lusin_area
@@ -247,8 +247,9 @@ class FirstScales:
         return self.count
 
 
-# with PEETRE_CHUNK = 2^17 elements and one input, a step takes as many
-# distances as keep live scales x distances x cells within 2^17: 1-D N=64
+# with the 1 MiB budget (grid.WORK_BYTES) and one input, a step takes as
+# many distances as keep live scales x distances x cells within 2^17 8-byte
+# elements: 1-D N=64
 # takes its 33 distances (64 offsets) in one step; 2-D N=32 steps 5 of its 98
 # distances (795 offsets, the last step partial), 1-D N=256 25 of 129 and
 # 2-D N=16 23 of 30; the 5- and 3-scale cases have one live scale, and on one
@@ -292,10 +293,11 @@ def test_peetre_matches_roll_reference_bitwise(dim, n, width, complex_input, b, 
 
 
 # a step takes as many distances as keep its candidate products and its
-# doubled envelopes, (candidates + 3 inputs x 2^dim cells) per distance, within
-# PEETRE_CHUNK: at the default chunk 1-D N=64 takes its 33 distances and 2-D
-# N=16 its 30 in one step; a chunk of k distances' elements gives steps of k
-# distances, and a chunk below one distance clamps to one distance per step
+# doubled envelopes, (candidates + 3 inputs x 2^dim cells) 8-byte elements per
+# distance, within grid.WORK_BYTES: at the default budget 1-D N=64 takes its
+# 33 distances and 2-D N=16 its 30 in one step; a budget of k distances' bytes
+# gives steps of k distances, and a budget below one distance clamps to one
+# distance per step
 @pytest.mark.parametrize("dim, n, width, n_scales, per_step, steps",
                          [(1, 64, 2.0, None, None, [33]), (1, 64, 2.0, None, 7, [7] * 4 + [5]),
                           (1, 64, 2.0, 5, 7, [7] * 4 + [5]), (2, 16, 0.5, 3, None, [30]),
@@ -317,7 +319,7 @@ def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_sca
         weights = maximal._peetre_tables(grid, plan.scales, 3.0)[2]
         mags = np.abs(build_fields(fs, plan).values).reshape(-1, len(weights))
         per_distance = np.count_nonzero(maximal._candidate_scales(mags, weights[:, -1])) + 2**dim * len(mags)
-        monkeypatch.setattr(maximal, "PEETRE_CHUNK", per_step * per_distance or 1)
+        monkeypatch.setattr(grid_mod, "WORK_BYTES", 8 * per_step * per_distance or 1)
     # each step takes its products, then its doubled envelopes, by one np.take
     # into its rows of the call's buffer
     recorded = []
@@ -668,10 +670,10 @@ def test_ball_filters_in_blocks_of_rows_match_one_block(monkeypatch, dim, n, per
     grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
     family = BallFamily.build(grid, per_octave)
     stack = np.random.default_rng(8).normal(size=(len(family),) + grid.shape)
-    monkeypatch.setattr(maximal, "FILTER_BLOCK_BYTES", 1 << 40)
+    monkeypatch.setattr(grid_mod, "WORK_BYTES", 1 << 40)
     whole = family.ball_filters(stack)
     for block_bytes in (1, 3 << 16):  # one row per block; a few rows per block
-        monkeypatch.setattr(maximal, "FILTER_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(grid_mod, "WORK_BYTES", block_bytes)
         assert np.array_equal(family.ball_filters(stack), whole), block_bytes
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import convexify_norm, fs_vector_check, indicator_box, powered_maximal
 from lpx.errors import NoBracket, NumericFailure
+import lpx.grid as grid_mod
 import lpx.spaces as spaces_mod
 from lpx.grid import GridSpec, SampledFunction, ScaleGrid, gaussian_bump
 from lpx.maximal import BallFamily, ball_volume
@@ -614,11 +615,12 @@ def _one_input_reference(f, space):
     return _luxemburg_oracle_of(f, space)
 
 
-def _row_elements(grid, space):
-    """Elements of one row in a ``NORM_CHUNK`` step of Morrey or OrliczSlice."""
+def _row_bytes(grid, space):
+    """The cost of one row in a step of Morrey (4 elements per radius and
+    cell) or OrliczSlice (8 per window cell)."""
     if isinstance(space, Morrey):
-        return len(BallFamily.build(grid, spaces_mod.BALL_RADII_PER_OCTAVE)) * grid.size
-    return int(np.count_nonzero(grid.offset_distances() < space.slice_t)) * grid.size
+        return 4 * 8 * len(BallFamily.build(grid, spaces_mod.BALL_RADII_PER_OCTAVE)) * grid.size
+    return 8 * 8 * int(np.count_nonzero(grid.offset_distances() < space.slice_t)) * grid.size
 
 
 AMPLITUDES = (1.0, 2.0**300, 2.0**-300, 1e100, 1e-100)
@@ -627,9 +629,9 @@ AMPLITUDES = (1.0, 2.0**300, 2.0**-300, 1e100, 1e-100)
 def _assert_row_batched(inputs, spaces, monkeypatch, reference=True):
     """``space_norms`` over the scaled inputs, with a zero row, equals every
     row's one-input norm (a step of one row) bitwise, and hands ``norms`` at
-    most ``NORM_CHUNK`` elements of rows (at least one row) per call; Morrey
-    and OrliczSlice also at steps of seven rows, OrliczSlice at blocks of
-    seven first-axis lines.  The one-input norms equal their retained
+    most a budget's worth of rows, 5 elements per cell (at least one row), per
+    call; Morrey and OrliczSlice also at steps of seven rows, OrliczSlice at
+    blocks of seven first-axis lines.  The one-input norms equal their retained
     references bitwise, and the Luxemburg-type ones their oracle within 1e-14
     (``reference=True``; on criterion 5's inputs this is
     ``test_luxemburg_norms_match_the_oracle``)."""
@@ -653,13 +655,13 @@ def _assert_row_batched(inputs, spaces, monkeypatch, reference=True):
         with monkeypatch.context() as patch:
             patch.setattr(type(space), "norms", counted)
             assert space_norms(grid, rows, space) == expected, space.tag
-        assert sum(counts) == len(rows) and max(counts) <= max(1, spaces_mod.NORM_CHUNK // grid.size), space.tag
+        assert sum(counts) == len(rows) and max(counts) <= max(1, grid_mod.WORK_BYTES // (5 * 8 * grid.size)), space.tag
         if isinstance(space, (Morrey, OrliczSlice)):
-            row = _row_elements(grid, space)
-            monkeypatch.setattr(spaces_mod, "NORM_CHUNK", 7 * row)
+            row = _row_bytes(grid, space)
+            monkeypatch.setattr(grid_mod, "WORK_BYTES", 7 * row)
             assert space_norms(grid, rows, space) == expected, space.tag
             if isinstance(space, OrliczSlice):  # the last block of a row is shorter
-                monkeypatch.setattr(spaces_mod, "NORM_CHUNK", 7 * row // grid.points_per_axis)
+                monkeypatch.setattr(grid_mod, "WORK_BYTES", 7 * row // grid.points_per_axis)
                 assert space_norms(grid, rows[::len(inputs) + 1], space) == expected[::len(inputs) + 1]
             monkeypatch.undo()
 

@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 from helpers import halfspace_integrate
-from lpx import squarefuncs
+from lpx import grid as grid_mod, squarefuncs
 from lpx.errors import LambdaTooSmall
 from lpx.grid import (
     CACHE_SIZE,
@@ -340,6 +340,12 @@ def test_batched_operators_match_per_scale_reference_bitwise(case, kind):
         _assert_near_spatial(fast, _gstar_reference(F, lam))
 
 
+def _rows_bytes(grid, rows):
+    """The budget of ``rows`` (field, scale) rows of ``scale_sums``, a row
+    costing four real grid rows."""
+    return rows * 4 * grid.size * 8
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 7], ids=["default", "chunk-1", "chunk-7"])
 @pytest.mark.parametrize("case", list(ORACLE_GRIDS))
 def test_field_stack_operators_match_spectral_reference_bitwise(case, chunk, monkeypatch):
@@ -348,7 +354,7 @@ def test_field_stack_operators_match_spectral_reference_bitwise(case, chunk, mon
     fields.append(HalfSpaceField(grid, scales, 1e-3 * fields[0].values[..., ::-1].real))
     stack = FieldStack(grid, scales, np.stack([F.values for F in fields]))
     if chunk is not None:
-        monkeypatch.setattr(squarefuncs, "SCALE_SUM_CHUNK", chunk)
+        monkeypatch.setattr(grid_mod, "WORK_BYTES", _rows_bytes(grid, chunk))
     for alpha in (0.5, 1.0, 2.0):
         for F, row in zip(fields, scale_sums(stack, [cone_spectra(grid, scales, alpha)])[0]):
             assert np.array_equal(row, _tent_spectral_reference(F, alpha)), alpha
@@ -364,7 +370,7 @@ def test_field_stack_operators_match_one_field_calls_bitwise(case, monkeypatch):
     fields.append(HalfSpaceField(grid, scales, 1e-3 * fields[0].values[..., ::-1]))
     stack = FieldStack(grid, scales, np.stack([F.values for F in fields]))
     # a chunk of rows that ends mid-field, so one field's rows span two correlations
-    monkeypatch.setattr(squarefuncs, "SCALE_SUM_CHUNK", len(scales) + 3)
+    monkeypatch.setattr(grid_mod, "WORK_BYTES", _rows_bytes(grid, len(scales) + 3))
     for alpha in (0.0, 1.0, 2.0):
         rows = scale_sums(stack, [cone_spectra(grid, scales, alpha)])[0]
         assert rows.shape == (len(fields),) + grid.shape
