@@ -9,6 +9,9 @@ with a peak resident set at or below the case's limit:
   below the 263 MiB it took when the pieces' dense cone functionals went
   whole into one norm call.  The config and input are written to a
   temporary directory.
+- ``decompose-2d-128``: the same on a 2-D N=128 grid, limit 320 MiB: below
+  the 329-330 MiB it took when the decomposition kept a dense indicator per
+  ball (289 MiB in three runs since).
 - ``equivalence``: ``equivalence_experiment`` on a 2-D N=64 grid (L=2, the
   default 64 scales, 10 trials of the harness's trial family, seed 0,
   ``Lebesgue(2)``), limit 160 MiB.
@@ -44,7 +47,7 @@ from lpx.harness import trial_function
 
 DECOMPOSE_CONFIG = {
     "version": 1,
-    "grid": {"dim": 2, "N": 64, "L": 2.0},
+    "grid": {"dim": 2, "L": 2.0},
     # decompose keeps t_max <= L/2: 1/16 .. 1 at 4 steps per octave is 16 scales
     "scales": {"t_min": 0.0625, "t_max": 1.0, "steps_per_octave": 4},
     "kernel": "annular",
@@ -79,13 +82,13 @@ print("max", hl_maximal(trial_function(0, 0, grid)).values.max())
 """
 
 
-def decompose_command(tmp: Path) -> list[str]:
-    cfg = DECOMPOSE_CONFIG["grid"]
-    grid = GridSpec(dim=cfg["dim"], half_width=cfg["L"], points_per_axis=cfg["N"])
-    (tmp / "config.json").write_text(json.dumps(DECOMPOSE_CONFIG))
-    write_function_csv(trial_function(0, 0, grid), tmp / "input.csv")
-    return [sys.executable, "-m", "lpx.cli", "--config", str(tmp / "config.json"),
-            "--out", str(tmp / "out"), "decompose", str(tmp / "input.csv")]
+def decompose_command(tmp: Path, n: int = 64) -> list[str]:
+    config = {**DECOMPOSE_CONFIG, "grid": {**DECOMPOSE_CONFIG["grid"], "N": n}}
+    grid = GridSpec(dim=config["grid"]["dim"], half_width=config["grid"]["L"], points_per_axis=n)
+    (tmp / f"decompose-{n}.json").write_text(json.dumps(config))
+    write_function_csv(trial_function(0, 0, grid), tmp / f"input-{n}.csv")
+    return [sys.executable, "-m", "lpx.cli", "--config", str(tmp / f"decompose-{n}.json"),
+            "--out", str(tmp / f"decompose-{n}"), "decompose", str(tmp / f"input-{n}.csv")]
 
 
 def verify_2d_128_command(tmp: Path) -> list[str]:
@@ -109,6 +112,7 @@ def hl_maximal_command(tmp: Path) -> list[str]:
 # name: (description, limit in MiB, child command in a temporary directory)
 CASES = {
     "decompose": ("lpx decompose (2-D N=64, 16 scales)", 256, decompose_command),
+    "decompose-2d-128": ("lpx decompose (2-D N=128, 16 scales)", 320, lambda tmp: decompose_command(tmp, 128)),
     "equivalence": ("equivalence_experiment (2-D N=64, 64 scales, 10 trials)", 160, equivalence_command),
     "orlicz-slice": ("space_norms over four rows in OrliczSlice (2-D N=64)", 128, orlicz_slice_command),
     "hl-maximal": ("hl_maximal (2-D N=128)", 256, hl_maximal_command),

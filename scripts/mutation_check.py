@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check of the batch boundaries: each mutant must fail its tests.
+"""Mutation check of the batch boundaries and kernels: each mutant must fail its tests.
 
 ``MUTANTS`` is a fixed table.  A mutant names a source file, one exact
 snippet of it, the snippet's replacement and the test node ids that must
@@ -53,6 +53,18 @@ MUTANTS = [
     Mutant("piece-chunk-rebase", "src/lpx/atoms.py",
            "base = ((owner[cell] - lo) * lines", "base = (owner[cell] * lines",
            ("tests/test_atoms.py::test_piece_functionals_span_chunks_bitwise",)),
+    Mutant("ball-norm-chunk-end", "src/lpx/atoms.py",
+           "_ball_rows(grid, centers[lo:hi], widths[lo:hi])", "_ball_rows(grid, centers[lo:hi - 1], widths[lo:hi - 1])",
+           ("tests/test_atoms.py::test_decomposition_sizes_do_not_depend_on_the_chunk_budget",)),
+    Mutant("ball-cells-wrap", "src/lpx/atoms.py",
+           "cells &= n - 1", "pass",
+           ("tests/test_atoms.py::test_every_ball_reader_leaves_out_the_cells_on_the_boundary",)),
+    Mutant("piece-functionals-closed", "src/lpx/atoms.py",
+           "closed = end < n", "closed = end <= n",
+           ("tests/test_atoms.py::test_piece_functionals_match_the_brute_force_and_fft_references",)),
+    Mutant("whitney-wrapped-slice", "src/lpx/atoms.py",
+           "covered[row:row + hi - n] = fill[n - lo:]", "pass",
+           ("tests/test_atoms.py::test_whitney_runs_that_wrap_or_fill_a_row_match_the_roll_reference",)),
     Mutant("slice-window-span", "src/lpx/spaces.py",
            "(slice(a, a + span),)", "(slice(a, a + span - 1),)",
            ("tests/test_spaces.py::test_space_norms_match_one_input_norms_bitwise",)),

@@ -6,48 +6,41 @@ cone functional at dyadic levels, cover each superlevel set with family balls
 balls, and cut the field along the per-cell level of the largest superlevel
 set whose surrounding ball still fits.  Each piece is normalized so it passes
 the tent-atom size inequality for each exponent of ``SIZE_EXPONENTS``.
-A ball lies in {area > lev} exactly when the area's min over it exceeds lev,
-so every fit is a comparison against ball minima, every radius of a family
-in one ``BallFamily.ball_filters`` call: those over B(y, t_k) give each cell's
+A ball is only a centre cell and a radius: ``GridSpec.ball_mask`` decides
+its cells, its row runs (``GridSpec.ball_row_widths``) list them, and
+``_ball_cells`` expands them to flat cells, ball by ball.  A ball lies in
+{area > lev} exactly when the area's min over it exceeds lev, so every fit
+is a comparison against ball minima, every radius of a family in one
+``BallFamily.ball_filters`` call: those over B(y, t_k) give each cell's
 containment level in one ``np.searchsorted``, those over the doubled family
-balls each level's doubled-ball fits.  The cells contained at no level are
-the strays, one piece per spatial point.  Every level that holds support
-cells is covered in one batched pass (``_whitney_regions``): the levels'
-sets and doubled-ball fits are one comparison each, one sort orders every
-level's inside centres by level, then by largest fitting radius, and one
-walk visits them over a ``bytearray`` of the levels' cells, a claimed ball
-marking its first-axis rows (``GridSpec.ball_row_widths``) as slices; after
-the walk one ``np.minimum.at`` over the claims' runs gives every claimed
-cell its first claim.  The pieces travel as flat arrays: one grouping of
-every support cell by region (the strays by point) gives every piece's
-cells, its start in them and its leader's centre cell, and only the kept
-atoms become ``Ball`` and ``TentAtom`` objects.  Every ball's cells are
-``GridSpec.ball_mask``'s.
+balls each level's doubled-ball fits.  Every level that holds support cells
+is covered in one batched pass (``_whitney_regions``): one walk visits
+every level's inside centres over a ``bytearray`` of the levels' cells, a
+claimed ball marking its row runs as slices, and then one ``np.minimum.at``
+over the claimed balls' cells gives every claimed cell its first claim.
+The cells contained at no level are the strays, one piece per spatial
+point.  The pieces travel as flat arrays (cells, starts, centres), and only
+the kept atoms become ``Ball`` and ``TentAtom`` objects.
 
 The pieces' cone functionals are exact interval sums, not FFTs
-(``_piece_functionals``): each first-axis row of a ball is one run of cells
-along the last axis (``GridSpec.ball_row_widths``), so a piece's squared
-cone functional is the cumulative sum, taken in place, of difference rows
-that one ``np.bincount`` fills, each piece scaled to its own max.  Pieces
-go in chunks of whole pieces within ``grid.WORK_BYTES``, a piece costing
-the 8-byte elements of its rows and ``RUN_ELEMENTS`` per (cell, ball row)
-run, and each chunk's squared rows give the L^p sizes (kept per atom) as
-sums of their powers p/2, each row scaled by a power of four into [1/4, 1)
-and squared in place for p = 4 (``_piece_sizes``), so no pieces x cells
-stack is held and the sizes scale by exactly 2^k with
-the field.  The pieces' balls come from one gather of their own cells'
-torus distances and one pick over the family's radii, and the balls'
-indicators (``_ball_rows``) from one ``torus_window_view`` gather whose
-norms take one ``space_norms`` call.  A ``TentAtom`` keeps only its
-piece's cells and values; its dense field is built on demand.
-``tent_decompose`` divides every kept atom's values in one operation and
-checks them once, and the ``TentDecomposition`` keeps what it built: the
-flat cells, values and per-cell coefficients that the atoms' arrays view,
-the indicator stack and the space the atoms were sized for.  So
-``TentDecomposition.reconstruct`` is one scatter of the flat arrays, and
-``coefficient_functional`` adds its per-atom weights over the stored
-indicators with one ``np.bincount``, reading the stored ball norms in
-that space and taking one ``space_norms`` call in any other.
+(``_piece_functionals``): each row run of a ball is one interval along the
+last axis, so a piece's squared cone functional is the cumulative sum of
+difference rows that one ``np.bincount`` fills, each piece scaled to its own
+max.  Pieces go in chunks of whole pieces within ``grid.WORK_BYTES``, and
+each chunk's squared rows give the L^p sizes (``_piece_sizes``), exactly
+2^k times larger for a field 2^k times larger.  The pieces' balls come
+from one gather of their own cells' torus distances and one pick over the
+family's radii, and their norms (``_ball_norms``) from one ``space_norms``
+call per chunk of whole balls within ``grid.WORK_BYTES``.  A ``TentAtom``
+keeps only its piece's cells and values; its dense field is built on
+demand.  ``tent_decompose`` divides every kept atom's values in one
+operation and checks them once, and the ``TentDecomposition`` keeps what
+it built: the flat cells, values and per-cell coefficients that the atoms'
+arrays view, the balls' flat centres and radii, and the space the atoms
+were sized for.  So ``TentDecomposition.reconstruct`` is one scatter of the
+flat arrays, and ``coefficient_functional`` adds its per-atom weights over
+the balls' cells with one ``np.bincount``, reading the stored ball norms in
+that space and taking ``_ball_norms``'s chunks in any other.
 """
 
 from __future__ import annotations
@@ -89,6 +82,9 @@ SIZE_EXPONENTS = (2.0, 4.0)
 # run at once, its bincount's inputs among them (measured: 14.9 under
 # tracemalloc)
 RUN_ELEMENTS = 15
+# the bytes ``_ball_cells`` holds per ball cell at once, its output among
+# them (measured: 24.1-26.9 under tracemalloc, 1-D N=2048 to 2-D N=128)
+CELL_BYTES = 27
 
 
 class Ball(NamedTuple):
@@ -96,16 +92,43 @@ class Ball(NamedTuple):
     radius: float
 
 
-def _ball_rows(grid: GridSpec, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Boolean ``(balls,) + grid.shape`` array whose rows are the indicators
-    of the balls B(centers[i], radii[i]), ``centers`` flat cell indices:
-    each ball's ``grid.ball_mask`` read at its centre, every ball in one
-    ``torus_window_view`` gather over the masks of the distinct radii."""
+def _ball_widths(grid: GridSpec, radii: np.ndarray) -> np.ndarray:
+    """Row i: ``GridSpec.ball_row_widths`` of radius ``radii[i]``."""
     distinct, which = np.unique(radii, return_inverse=True)
-    masks = np.array([grid.ball_mask(r) for r in distinct.tolist()], dtype=bool).reshape(distinct.shape + grid.shape)
-    # B(c, r) holds x iff mask[(x - c) mod n]: the window at shift -c
-    shifts = tuple(-c % grid.points_per_axis for c in np.unravel_index(centers, grid.shape))
-    return grid.torus_window_view(masks)[(which,) + shifts].reshape((len(centers),) + grid.shape)
+    return grid.ball_row_widths(tuple(distinct.tolist()))[which]
+
+
+def _ball_cells(grid: GridSpec, centers: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (ball, flat cell) pairs of the balls about the flat cells ``centers``,
+    ball by ball: row dx of ball i is the run of w = ``widths[i, dx]`` last-axis
+    cells from w // 2 before the centre's, on the line dx past the centre's, mod n."""
+    n = grid.points_per_axis
+    ball, dx = np.nonzero(widths)  # every (ball, row) run, ball-major
+    w = widths[ball, dx]
+    line, col = np.divmod(centers[ball], n)
+    run = np.repeat(np.arange(len(w)), w)  # one entry per cell
+    cells = np.arange(len(run)) + (col - w // 2 - (np.cumsum(w) - w))[run]
+    cells &= n - 1  # mod n: n is a power of two
+    cells += ((line + dx) % (grid.size // n) * n)[run]
+    return ball[run], cells
+
+
+def _ball_rows(grid: GridSpec, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The indicators of the balls of ``_ball_cells``, ``(balls,) + grid.shape``."""
+    ball, cells = _ball_cells(grid, centers, widths)
+    rows = np.zeros((len(centers),) + grid.shape, dtype=bool)
+    rows.reshape(-1)[ball * grid.size + cells] = True
+    return rows
+
+
+def _ball_norms(grid: GridSpec, centers: np.ndarray, radii: np.ndarray, space: SpaceDescriptor) -> list[float]:
+    """The ``space`` norm of each ball B(centers[i], radii[i])'s indicator,
+    bitwise its ``space_norm``: one ``space_norms`` call per chunk of whole
+    balls (``whole_batches``), a ball costing its row and ``CELL_BYTES`` per cell."""
+    widths = _ball_widths(grid, radii)
+    cost = grid.size + CELL_BYTES * widths.sum(axis=1)
+    return [norm for lo, hi in whole_batches(cost)
+            for norm in space_norms(grid, _ball_rows(grid, centers[lo:hi], widths[lo:hi]), space)]
 
 
 @dataclass(frozen=True)
@@ -163,8 +186,8 @@ class TentDecomposition:
 
     ``cells``, ``values`` and ``coefficients`` hold every atom's cells,
     values and coefficient, one entry per cell, atom after atom: each
-    atom's ``cells`` and ``values`` are views into them.  ``ball_rows[i]``
-    is ``atoms[i]``'s ball indicator (``_ball_rows``)."""
+    atom's ``cells`` and ``values`` are views into them.  ``centers[i]``
+    (a flat cell index) and ``radii[i]`` are ``atoms[i]``'s ball."""
 
     atoms: list[TentAtom]
     grid: GridSpec
@@ -175,7 +198,8 @@ class TentDecomposition:
     cells: np.ndarray
     values: np.ndarray
     coefficients: np.ndarray
-    ball_rows: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
 
     @classmethod
     def _empty(cls, grid: GridSpec, scales: ScaleGrid, space: SpaceDescriptor,
@@ -183,7 +207,7 @@ class TentDecomposition:
         """The decomposition without atoms: its reconstruction is a zero float field."""
         return cls(atoms=[], grid=grid, scales=scales, ball_norms=[], sizes=sizes, space=space,
                    cells=np.empty(0, dtype=np.intp), values=np.empty(0), coefficients=np.empty(0),
-                   ball_rows=np.empty((0,) + grid.shape, dtype=bool))
+                   centers=np.empty(0, dtype=np.intp), radii=np.empty(0))
 
     def reconstruct(self) -> HalfSpaceField:
         """The sum of coefficient times atom, a float field when every atom is real.
@@ -277,16 +301,10 @@ def _whitney_regions(
     # the cells left uncovered become single-cell regions
     claim = np.array(claims, dtype=np.intp)
     claim_level, claim_cell = np.divmod(claim, size)
-    claim_widths = widths[fitting[claim] - 1]
-    run_claim, dx = np.nonzero(claim_widths)
-    w = claim_widths[run_claim, dx]
-    line, col = np.divmod(claim_cell[run_claim], n)
-    row, lo = claim_level[run_claim] * size + (line + dx) % lines * n, col - w // 2
-    run = np.repeat(np.arange(len(w)), w)
-    cells = row[run] + (lo[run] + np.arange(len(run)) - np.repeat(np.cumsum(w) - w, w)) % n
+    owner, cells = _ball_cells(grid, claim_cell, widths[fitting[claim] - 1])
     rest = np.flatnonzero(np.frombuffer(covered, dtype=np.uint8) == 0)
     region = np.full(levels * size, len(claim) + len(rest))  # outside each level's set
-    np.minimum.at(region, cells, run_claim[run])
+    np.minimum.at(region, claim_level[owner] * size + cells, owner)
     region[rest] = np.arange(len(claim), len(claim) + len(rest))
     rest_level, rest_cell = np.divmod(rest, size)
     # renumber level by level: each level's claims, then its single cells
@@ -488,11 +506,10 @@ def tent_decompose(
         return TentDecomposition._empty(grid, scales, space, {p: [] for p in SIZE_EXPONENTS})
     cells, starts, centers = _pieces(F, area, balls)
 
-    # every piece's ball in one gather and the balls' norms in one more, then
-    # its L^p sizes from its cone functional's interval sums, chunk by chunk
+    # every piece's ball in one gather, then the balls' norms and the pieces'
+    # L^p sizes (from their cone functionals' interval sums), chunk by chunk
     radii = _fit_balls(grid, balls, centers, cells, starts, scales.scales)
-    rows = _ball_rows(grid, centers, radii)
-    norms = np.array(space_norms(grid, rows, space))
+    norms = np.array(_ball_norms(grid, centers, radii, space))
     sizes = np.array(_piece_sizes(F, cells, starts))
     volumes = ball_volume(radii, grid.dim)
     lams = np.max([size * norms / volumes ** (1.0 / p) for p, size in zip(SIZE_EXPONENTS, sizes)], axis=0)
@@ -513,23 +530,21 @@ def tent_decompose(
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     values = real_or_complex(values)  # float when no kept atom has an imaginary part
-    cells.setflags(write=False)
-    coefficients.setflags(write=False)
+    centers, radii = centers[keep], radii[keep]
+    for kept in (cells, coefficients, centers, radii):
+        kept.setflags(write=False)
     bounds = np.cumsum(counts[:-1]).tolist()
     piece_values = _split(values, bounds)
     if np.iscomplexobj(values):  # a piece without imaginary parts keeps float values, as real_or_complex gives
         piece_values = [v if v.imag.any() else real_or_complex(v) for v in piece_values]
     # Ball and TentAtom objects for the kept atoms only
-    kept_centers = zip(*(c.tolist() for c in np.unravel_index(centers[keep], grid.shape)))
+    kept_centers = zip(*(c.tolist() for c in np.unravel_index(centers, grid.shape)))
     atoms = [TentAtom._trusted(grid, scales, piece_cells, v, Ball(center, radius), lam)
-             for center, radius, lam, piece_cells, v in zip(kept_centers, radii[keep].tolist(), kept_lams.tolist(),
+             for center, radius, lam, piece_cells, v in zip(kept_centers, radii.tolist(), kept_lams.tolist(),
                                                             _split(cells, bounds), piece_values)]
-    # the stack itself when every piece is kept, as it nearly always is
-    kept_rows = rows if len(keep) == len(rows) else rows[keep]
-    kept_rows.setflags(write=False)
     return TentDecomposition(atoms=atoms, grid=grid, scales=scales, ball_norms=norms[keep].tolist(),
                              sizes=kept_sizes, space=space, cells=cells, values=values,
-                             coefficients=coefficients, ball_rows=kept_rows)
+                             coefficients=coefficients, centers=centers, radii=radii)
 
 
 def synthesize_molecule(atom: TentAtom, psi: Kernel) -> Molecule:
@@ -555,18 +570,17 @@ def coefficient_functional(decomp: TentDecomposition, space: SpaceDescriptor) ->
     the space norm of (sum of (coefficient / ||1_B||)^s 1_B)^(1/s) over the
     atoms' balls B, s = min(1, the space's floor exponent).
 
-    The indicators are the decomposition's ``ball_rows``, and their norms
-    its ``ball_norms`` when ``space`` is the descriptor it was sized in
-    (``is``: a descriptor holding arrays has no usable ``==``), else one
-    ``space_norms`` call."""
+    The ball norms are the decomposition's ``ball_norms`` when ``space`` is
+    the descriptor it was sized in (``is``: a descriptor holding arrays has
+    no usable ``==``), else ``_ball_norms``'s."""
     if not decomp.atoms:
         return 0.0
-    grid, rows = decomp.grid, decomp.ball_rows
+    grid, centers, radii = decomp.grid, decomp.centers, decomp.radii
     s = min(1.0, space.floor())
-    norms = decomp.ball_norms if space is decomp.space else space_norms(grid, rows, space)
+    norms = decomp.ball_norms if space is decomp.space else _ball_norms(grid, centers, radii, space)
     weights = [(atom.coefficient / norm_1b) ** s for atom, norm_1b in zip(decomp.atoms, norms)]
     # bincount adds in input order, atom by atom: bitwise the sum of weight
     # times indicator, whose other terms are exact zeros
-    owner, cells = np.nonzero(rows.reshape(len(rows), grid.size))
+    owner, cells = _ball_cells(grid, centers, _ball_widths(grid, radii))
     acc = np.bincount(cells, np.array(weights)[owner], minlength=grid.size).reshape(grid.shape)
     return space_norm(SampledFunction(grid, acc ** (1.0 / s)), space)

@@ -6,9 +6,9 @@ multiplicative grid t_k = t_min * 2^((k+1/2)/J) with the midpoint-in-log
 quadrature weight ln(2)/J for the measure dt/t.  Sampled values are
 float64 unless some imaginary part is nonzero (``real_or_complex``).
 A torus ball's cells are decided in one place, ``GridSpec.ball_mask``, and
-listed in one place, ``GridSpec.ball_offsets`` (as row runs,
-``GridSpec.ball_row_widths``); every read of values at
-shifted cells goes through ``GridSpec.torus_window_view``.  Every batched
+listed in one place, as row runs, ``GridSpec.ball_row_widths``; the one
+exception is the ``OrliczSlice`` slice windows, which read the slice ball's
+mask as offsets through ``GridSpec.torus_window_view``.  Every batched
 operator sizes its batches from one working-memory budget, ``WORK_BYTES``:
 it states what one item of a batch costs in bytes, and ``batch_items`` or
 ``whole_batches`` gives it as many items per batch as fit, at least one.
@@ -132,22 +132,8 @@ class GridSpec:
     def ball_mask(self, radius: float) -> np.ndarray:
         """Offset-indexed membership of the torus ball of the given radius,
         ``offset_distances() < radius``: the one rule for a ball's cells.  The
-        ball about cell c is the mask rolled by c, read through
-        ``torus_window_view`` at the shift -c."""
+        ball about cell c is the mask rolled by c."""
         return self.offset_distances() < radius
-
-    @functools.lru_cache(maxsize=CACHE_SIZE)
-    def ball_offsets(self, radii: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Per radius r, the offsets of the cells of ``ball_mask(r)``, one
-        read-only integer array per axis, in C order: the one offset list of
-        a ball, built once per (grid, radii)."""
-        out = []
-        for r in radii:
-            axes = np.nonzero(self.ball_mask(r))
-            for a in axes:
-                a.setflags(write=False)
-            out.append(axes)
-        return tuple(out)
 
     @functools.lru_cache(maxsize=CACHE_SIZE)
     def ball_row_widths(self, radii: tuple[float, ...]) -> np.ndarray:

@@ -508,7 +508,7 @@ def _slice_denominator(phi: OrliczFunction, grid: GridSpec, slice_t: float) -> f
     """The ``OrliczSlice`` denominator, the Luxemburg norm of the indicator
     of the slice ball ``grid.ball_mask(slice_t)`` (a ones row of its cell
     count), which is the same at every centre."""
-    count = len(grid.ball_offsets((slice_t,))[0][0])
+    count = int(grid.ball_row_widths((slice_t,)).sum())
     if count == 0:
         raise ValueError("slice radius smaller than one cell")
     types = phi.lower_type, phi.upper_type
@@ -517,11 +517,11 @@ def _slice_denominator(phi: OrliczFunction, grid: GridSpec, slice_t: float) -> f
 
 def _slice_windows(grid: GridSpec, mag: np.ndarray, slice_t: float):
     """The slice windows of every row of ``mag``, one window ``mag[i][(x + o) mod n]``
-    over the offsets o of ``grid.ball_offsets((slice_t,))`` per (row i, cell
+    over the offsets o of ``grid.ball_mask(slice_t)`` per (row i, cell
     x) in C order, in blocks of whole rows or of first-axis slabs of one row,
     a line of cells costing 8 elements per window cell (at least one line)."""
     n = grid.points_per_axis
-    shifts = grid.ball_offsets((slice_t,))[0]
+    shifts = np.nonzero(grid.ball_mask(slice_t))
     count = len(shifts[0])
     lines = batch_items(8 * 8 * count * grid.size // n)  # first-axis lines per block
     rows, span = max(1, lines // n), min(n, lines)
@@ -643,7 +643,7 @@ def ap_characteristic(w: Weight, p: float) -> float:
     if p < 1:
         raise ValueError("p must be at least 1")
     family = BallFamily.build(w.values.grid, BALL_RADII_PER_OCTAVE)
-    counts = [len(axes[0]) for axes in family.grid.ball_offsets(tuple(family.radii.tolist()))]
+    counts = family.grid.ball_row_widths(tuple(family.radii.tolist())).sum(axis=1).tolist()
     omega = w.array
     sums_w = family.ball_sums(omega)
     if p == 1.0:

@@ -151,7 +151,6 @@ def test_every_ball_reader_leaves_out_the_cells_on_the_boundary(dim, n, cells):
     assert all(dist[o] == r and not expected[o] for o in boundary)
     assert expected[(cells - 1,) + (0,) * (dim - 1)]
     assert np.array_equal(ball_spectra(grid, (r,))[0], spectrum(expected.astype(float), dim))
-    assert np.array_equal(np.stack(grid.ball_offsets((r,))[0]), np.stack(np.nonzero(expected)))
     widths = np.count_nonzero(expected.reshape(-1, n), axis=1)
     assert np.array_equal(grid.ball_row_widths((r,))[0], widths)
     runs = maximal._ball_runs(grid, (r,))[0][0]
@@ -165,16 +164,19 @@ def test_every_ball_reader_leaves_out_the_cells_on_the_boundary(dim, n, cells):
     assert np.array_equal(BallFamily(grid=grid, radii=np.array([r])).ball_filter(spike, r), expected.astype(float))
     axes = tuple(range(dim))
     centres = [(0,) * dim, (1,) * dim, (n - 1,) * dim, (n // 2, 5)[:dim], (3, n - 3)[:dim]]
-    rows = atoms._ball_rows(grid, *_ball_arrays(grid, [Ball(c, r) for c in centres] + [Ball(centres[0], 2 * r)]))
+    balls = [Ball(c, r) for c in centres] + [Ball(centres[0], 2 * r), Ball(centres[1], 2 * grid.half_width)]
+    flat, radii = _ball_arrays(grid, balls)
+    rows = atoms._ball_rows(grid, flat, atoms._ball_widths(grid, radii))
     for c, row in zip(centres, rows):
         ball = np.roll(expected, shift=c, axis=axes)
         assert np.array_equal(row, ball)
         assert np.array_equal(ball_indicator(grid, Ball(c, r)).values, ball.astype(float))
-    assert np.array_equal(rows[-1], dist < 2 * r)  # a second radius in the same gather
+    assert np.array_equal(rows[-2], dist < 2 * r)  # a second radius in the same scatter
+    assert rows[-1].all()  # the full box 2L: every row full (w = n), about a centre off the origin
 
 
 def _ball_arrays(grid, balls):
-    """The flat centre cells and the radii of ``balls``, as ``atoms._ball_rows`` takes them."""
+    """The flat centre cells and the radii of ``balls``, as ``atoms._ball_norms`` takes them."""
     centres = np.array([np.ravel_multi_index(ball.center, grid.shape) for ball in balls], dtype=np.intp)
     return centres, np.array([ball.radius for ball in balls], dtype=float)
 
@@ -645,9 +647,13 @@ def test_decomposition_sizes_do_not_depend_on_the_chunk_budget(monkeypatch, case
         F = _field_case(2, 16, "stray")
         balls = BallFamily.build(F.grid, 2)
     dec = tent_decompose(F, LEBESGUE, balls)
-    monkeypatch.setattr(grid_mod, "WORK_BYTES", 1)  # one piece per chunk, and one item per batch everywhere
+    functionals = [coefficient_functional(dec, space) for space in (LEBESGUE, MORREY)]
+    # one piece per chunk, one ball per norm chunk, and one item per batch everywhere
+    monkeypatch.setattr(grid_mod, "WORK_BYTES", 1)
     one = tent_decompose(F, LEBESGUE, balls)
     assert dec.sizes == one.sizes and [a.coefficient for a in dec.atoms] == [a.coefficient for a in one.atoms]
+    assert dec.ball_norms == one.ball_norms
+    assert [coefficient_functional(one, space) for space in (LEBESGUE, MORREY)] == functionals
 
 
 @pytest.mark.parametrize("trial", range(4))
@@ -847,9 +853,9 @@ def test_ball_norms_match_each_indicator_norm_bitwise(dim, n):
     for space in spaces:
         # a 2-D N=64 Morrey norm takes milliseconds: fewer balls there
         balls = _oracle_balls(grid, 4 if isinstance(space, Morrey) and n == 64 else 24)
-        assert (space_norms(grid, atoms._ball_rows(grid, *_ball_arrays(grid, balls)), space)
+        assert (atoms._ball_norms(grid, *_ball_arrays(grid, balls), space)
                 == [space_norm(ball_indicator(grid, b), space) for b in balls])
-        assert space_norms(grid, atoms._ball_rows(grid, *_ball_arrays(grid, [])), space) == []
+        assert atoms._ball_norms(grid, *_ball_arrays(grid, []), space) == []
 
 
 @pytest.mark.parametrize("kind", ["field", "stray"])
@@ -925,10 +931,10 @@ def _vanishing_weight_space(grid):
 
 
 @pytest.mark.parametrize("kind", ["field", "dropped"])
-def test_decomposition_keeps_its_atoms_arrays_and_ball_rows(kind):
+def test_decomposition_keeps_its_atoms_arrays_and_balls(kind):
     # the flat cells, values and per-cell coefficients hold every atom's,
-    # each atom's arrays are views into them, and the ball rows are the
-    # kept atoms' indicators, all read-only
+    # each atom's arrays are views into them, and the centres and radii are
+    # the kept atoms' balls, all read-only
     F = _field_case(1, 64, "field")
     balls = BallFamily.build(F.grid, 2)
     space = LEBESGUE if kind == "field" else _vanishing_weight_space(F.grid)
@@ -942,8 +948,8 @@ def test_decomposition_keeps_its_atoms_arrays_and_ball_rows(kind):
     for atom in dec.atoms:
         assert np.shares_memory(atom.cells, dec.cells) and np.shares_memory(atom.values, dec.values)
     centres, radii = _ball_arrays(F.grid, [atom.ball for atom in dec.atoms])
-    assert np.array_equal(dec.ball_rows, atoms._ball_rows(F.grid, centres, radii))
-    assert not any(a.flags.writeable for a in (dec.cells, dec.values, dec.coefficients, dec.ball_rows))
+    assert np.array_equal(dec.centers, centres) and np.array_equal(dec.radii, radii)
+    assert not any(a.flags.writeable for a in (dec.cells, dec.values, dec.coefficients, dec.centers, dec.radii))
     assert coefficient_functional(dec, space) == _coefficient_functional_reference(dec, space)
     assert coefficient_functional(dec, MORREY) == _coefficient_functional_reference(dec, MORREY)
 

@@ -2,6 +2,8 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,7 +274,7 @@ def _lru_caches():
 def test_every_cache_uses_the_one_size():
     caches = _lru_caches()
     assert set(caches) == {
-        "grid.GridSpec.ball_offsets", "grid.GridSpec.ball_row_widths", "grid._offset_distances",
+        "grid.GridSpec.ball_row_widths", "grid._offset_distances",
         "kernels.build_kernel", "kernels.calderon_companion", "transforms.build_plan",
         "squarefuncs.ball_spectra", "squarefuncs.cone_spectra", "squarefuncs.gstar_spectra",
         "maximal.BallFamily.build", "maximal._ball_runs", "maximal._peetre_tables",
@@ -285,3 +287,11 @@ def test_every_cache_uses_the_one_size():
     for name, cache in caches.items():
         assert cache.cache_info().maxsize == sizes.get(name, CACHE_SIZE), name
     assert CACHE_SIZE == 8
+
+
+def test_the_readme_lists_exactly_the_caches():
+    # the README's "Fixed inputs" paragraph names each cache in a list item
+    # of its own, by its qualified name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"^- \*\*Fixed inputs\.\*\*.*?(?=^- \*\*|^#)", readme, re.S | re.M).group()
+    assert sorted(re.findall(r"^ +- `([\w.]+)`:", section, re.M)) == sorted(_lru_caches())

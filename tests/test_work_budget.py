@@ -59,6 +59,13 @@ def _pieces(grid, scales, seed):
     return lambda: piece_sizes(F, cells, starts)
 
 
+def _ball_norms(grid, scales, seed):
+    """``_ball_norms`` in ``Lebesgue(2)`` over the balls of trial 0's decomposition."""
+    F = build_field(trial_function(seed, 0, grid), build_plan(build_annular_kernel(grid), scales))
+    dec = atoms.tent_decompose(F, Lebesgue(2.0), BallFamily.build(grid, 2))
+    return lambda: atoms._ball_norms(grid, dec.centers, dec.radii, Lebesgue(2.0))
+
+
 def _peetre(dim, n, half_width, count):
     grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
     plan = build_plan(build_annular_kernel(grid), ScaleGrid(1 / 16, 4.0, 4))
@@ -104,10 +111,14 @@ def _trial_blocks(dim, n, half_width, scales, monkeypatch):
 # (batcher, dim): its module, whose batch helpers are spied on, and its call.
 # The 2-D decomposition is the memory guard's field (2-D N=64, L=2, 16
 # scales, trial 0 of seed 0), whose largest piece holds 264k (cell, ball row)
-# runs, some thirty budgets in one chunk of its own
+# runs, some thirty budgets in one chunk of its own.  Its 1546 balls' norms
+# peak at 2.2 MiB above entry in chunks (12.8 MiB unchunked), and the 287
+# balls of the 1-D N=8192 case at 1.0 MiB (6.2 MiB unchunked)
 BATCHERS = {
     "pieces-1d": (atoms, lambda mp: _pieces(GridSpec(1, 16.0, 2048), ScaleGrid(1 / 16, 4.0, 4), 5)),
     "pieces-2d": (atoms, lambda mp: _pieces(GridSpec(2, 2.0, 64), ScaleGrid(1 / 16, 1.0, 4), 0)),
+    "ball-norms-1d": (atoms, lambda mp: _ball_norms(GridSpec(1, 16.0, 8192), ScaleGrid(1 / 16, 4.0, 4), 5)),
+    "ball-norms-2d": (atoms, lambda mp: _ball_norms(GridSpec(2, 2.0, 64), ScaleGrid(1 / 16, 1.0, 4), 0)),
     "peetre-1d": (maximal, lambda mp: _peetre(1, 512, 8.0, 2)),
     "peetre-2d": (maximal, lambda mp: _peetre(2, 32, 1.0, 2)),
     "ball-filters-1d": (maximal, lambda mp: _ball_filters(1, 512, 32)),
