@@ -51,11 +51,7 @@ Each case makes one untimed call, which builds the cached tables, then
 quartiles and range of the call's wall time (``median_s``, ``q1_s``,
 ``q3_s``, ``min_s``, ``max_s``; ``time.perf_counter``) and the median minor
 page faults per call (``faults_per_call``; ``resource.getrusage``), the
-steady-state faults per call.  A Peetre case adds its ``b``.  The Luxemburg
-cases (``variable`` and ``orlicz_slice``) add ``evaluations_per_window``:
-the elements that one call hands the modular density, over its windows'
-elements (an Orlicz-slice window is the slice ball about a cell, a
-variable-exponent window a whole row).
+steady-state faults per call.  A Peetre case adds its ``b``.
 
 Usage (from the repository root):
 
@@ -87,7 +83,6 @@ SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
 PEETRE = {"1d-64": (1, 64, 2.0, 10), "1d-512": (1, 512, 8.0, 2), "2d-64": (2, 64, 2.0, 1)}
 NORM_GRID = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
 NORM_TRIALS = 10
-LUXEMBURG = ("variable", "orlicz_slice")
 # decomposition case: (dim, N, L, scales, ball radii per octave, trials)
 DECOMPOSE = {"decompose": (1, 256, 8.0, ScaleGrid(1 / 16, 2.0, 4), 4, 4),
              "decompose-2d": (2, 64, 2.0, ScaleGrid(1 / 16, 1.0, 4), 2, 1)}
@@ -134,29 +129,10 @@ def harness_rows(seed: int) -> dict:
     return dict(zip(named, calls))
 
 
-def evaluations_per_window(rows, space) -> float:
-    """Elements one ``space_norms`` call hands the modular density, over the
-    elements of the windows it solves, counted by wrapping ``_luxemburg_rows``."""
-    solve, handed, solved = spaces._luxemburg_rows, [], []
-
-    def counted(mag, cellvol, density, types):
-        solved.append(mag.size)
-        return solve(mag, cellvol, lambda ratio: handed.append(ratio.size) or density(ratio), types)
-
-    spaces._luxemburg_rows = counted
-    try:
-        spaces.space_norms(NORM_GRID, rows, space)
-    finally:
-        spaces._luxemburg_rows = solve
-    return sum(handed) / sum(solved)
-
-
 def norm_case(name: str, seed: int):
-    """The timed call of a norm case, its row count and, for a Luxemburg
-    space, its evaluations per window."""
+    """The timed call of a norm case and its row count."""
     space, rows = harness_rows(seed)[name]
-    extra = {"evaluations_per_window": evaluations_per_window(rows, space)} if name in LUXEMBURG else {}
-    return "space_norms", len(rows), lambda: spaces.space_norms(NORM_GRID, rows, space), extra
+    return "space_norms", len(rows), lambda: spaces.space_norms(NORM_GRID, rows, space), {}
 
 
 def decompose_case(case: str, seed: int):

@@ -5,9 +5,9 @@ Each case runs in its own child process and fails unless the child exits 0
 with a peak resident set at or below the case's limit:
 
 - ``decompose``: ``lpx decompose`` on a 2-D N=64 grid (L=2, 16 scales,
-  trial 0 of the harness's trial family, ``Lebesgue(2)``), limit 256 MiB:
-  below the 263 MiB it took when the pieces' dense cone functionals went
-  whole into one norm call.  The config and input are written to a
+  trial 0 of the harness's trial family, ``Lebesgue(2)``), limit 112 MiB:
+  about 1.5 times the 72 MiB it takes (72-78 MiB in earlier runs), so a
+  regression of half that fails.  The config and input are written to a
   temporary directory.
 - ``decompose-2d-128``: the same on a 2-D N=128 grid, limit 320 MiB: below
   the 329-330 MiB it took when the decomposition kept a dense indicator per
@@ -111,7 +111,7 @@ def hl_maximal_command(tmp: Path) -> list[str]:
 
 # name: (description, limit in MiB, child command in a temporary directory)
 CASES = {
-    "decompose": ("lpx decompose (2-D N=64, 16 scales)", 256, decompose_command),
+    "decompose": ("lpx decompose (2-D N=64, 16 scales)", 112, decompose_command),
     "decompose-2d-128": ("lpx decompose (2-D N=128, 16 scales)", 320, lambda tmp: decompose_command(tmp, 128)),
     "equivalence": ("equivalence_experiment (2-D N=64, 64 scales, 10 trials)", 160, equivalence_command),
     "orlicz-slice": ("space_norms over four rows in OrliczSlice (2-D N=64)", 128, orlicz_slice_command),

@@ -65,9 +65,15 @@ MUTANTS = [
     Mutant("whitney-wrapped-slice", "src/lpx/atoms.py",
            "covered[row:row + hi - n] = fill[n - lo:]", "pass",
            ("tests/test_atoms.py::test_whitney_runs_that_wrap_or_fill_a_row_match_the_roll_reference",)),
-    Mutant("slice-window-span", "src/lpx/spaces.py",
-           "(slice(a, a + span),)", "(slice(a, a + span - 1),)",
-           ("tests/test_spaces.py::test_space_norms_match_one_input_norms_bitwise",)),
+    Mutant("newton-start", "src/lpx/spaces.py",
+           "x = np.max(logs / exps, axis=1)", "x = np.min(logs / exps, axis=1)",
+           ("tests/test_spaces.py::test_luxemburg_norms_match_the_oracle",)),
+    Mutant("newton-retirement", "src/lpx/spaces.py",
+           "done = ~(step > 4 * np.spacing(np.abs(x)))", "done = ~(step > 2**30 * np.spacing(np.abs(x)))",
+           ("tests/test_spaces.py::test_luxemburg_norms_match_the_oracle",)),
+    Mutant("slice-band-edge", "src/lpx/spaces.py",
+           "int(SLICE_BAND_BITS // max(exps))", "int(SLICE_BAND_BITS // min(exps))",
+           ("tests/test_spaces.py::test_orlicz_slice_matches_the_oracle_on_far_tails_and_wide_types",)),
     Mutant("space-norms-step", "src/lpx/spaces.py",
            "values[start:start + step]", "values[start:start + step - 1]",
            ("tests/test_spaces.py::test_space_norms_match_one_input_norms_bitwise",)),

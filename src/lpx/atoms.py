@@ -39,8 +39,9 @@ it built: the flat cells, values and per-cell coefficients that the atoms'
 arrays view, the balls' flat centres and radii, and the space the atoms
 were sized for.  So ``TentDecomposition.reconstruct`` is one scatter of the
 flat arrays, and ``coefficient_functional`` adds its per-atom weights over
-the balls' cells with one ``np.bincount``, reading the stored ball norms in
-that space and taking ``_ball_norms``'s chunks in any other.
+the balls' cells by ``np.add.at`` in chunks of whole balls, reading the
+stored ball norms in that space and taking ``_ball_norms``'s chunks in any
+other.
 """
 
 from __future__ import annotations
@@ -329,7 +330,7 @@ def _fit_balls(grid: GridSpec, balls: BallFamily, centers: np.ndarray, cells: np
     n, k_count = grid.points_per_axis, len(ts)
     spatial, k = np.divmod(cells, k_count)
     origin = np.unravel_index(np.repeat(centers, np.diff(starts, append=len(cells))), grid.shape)
-    offset = tuple((y - c) % n for y, c in zip(np.unravel_index(spatial, grid.shape), origin))
+    offset = tuple((y - c) & (n - 1) for y, c in zip(np.unravel_index(spatial, grid.shape), origin))  # n = 2^j
     reach = grid.offset_distances()[offset] + ts[k]
     needs = np.maximum.reduceat(reach, starts)
     fits = balls.radii > (needs * (1.0 + 1e-12))[:, None]
@@ -390,10 +391,10 @@ def _piece_functionals(F: HalfSpaceField, cells: np.ndarray,
         ball_row = np.arange(len(cell)) + np.repeat(row_first[k[first:last]] - (np.cumsum(chunk_runs) - chunk_runs),
                                                     chunk_runs)
         width, y = row_width[ball_row], spatial[cell]
-        start = np.where(width == n, 0, (y % n - width // 2) % n)
+        start = np.where(width == n, 0, ((y & (n - 1)) - width // 2) & (n - 1))  # mod n and lines, powers of two
         end = start + width
         # the run's difference row: its piece, and the line dx past the cell's own (1-D: the one line)
-        base = ((owner[cell] - lo) * lines + (y // n + row_dx[ball_row]) % lines) * n
+        base = ((owner[cell] - lo) * lines + ((y // n + row_dx[ball_row]) & (lines - 1))) * n
         c, wraps = power[cell], end > n
         end -= n * wraps  # a wrapping run ends at end - n
         closed = end < n  # a run ending at n has no end term
@@ -572,15 +573,20 @@ def coefficient_functional(decomp: TentDecomposition, space: SpaceDescriptor) ->
 
     The ball norms are the decomposition's ``ball_norms`` when ``space`` is
     the descriptor it was sized in (``is``: a descriptor holding arrays has
-    no usable ``==``), else ``_ball_norms``'s."""
+    no usable ``==``), else ``_ball_norms``'s.  The weights are added over
+    the balls' cells in chunks of whole balls (``whole_batches``), a ball
+    costing ``CELL_BYTES`` per cell."""
     if not decomp.atoms:
         return 0.0
     grid, centers, radii = decomp.grid, decomp.centers, decomp.radii
     s = min(1.0, space.floor())
     norms = decomp.ball_norms if space is decomp.space else _ball_norms(grid, centers, radii, space)
-    weights = [(atom.coefficient / norm_1b) ** s for atom, norm_1b in zip(decomp.atoms, norms)]
-    # bincount adds in input order, atom by atom: bitwise the sum of weight
-    # times indicator, whose other terms are exact zeros
-    owner, cells = _ball_cells(grid, centers, _ball_widths(grid, radii))
-    acc = np.bincount(cells, np.array(weights)[owner], minlength=grid.size).reshape(grid.shape)
-    return space_norm(SampledFunction(grid, acc ** (1.0 / s)), space)
+    weights = np.array([(atom.coefficient / norm_1b) ** s for atom, norm_1b in zip(decomp.atoms, norms)])
+    widths = _ball_widths(grid, radii)
+    acc = np.zeros(grid.size)
+    for lo, hi in whole_batches(CELL_BYTES * widths.sum(axis=1)):
+        # add.at adds in input order, atom by atom across the chunks: bitwise
+        # the sum of weight times indicator, whose other terms are exact zeros
+        owner, cells = _ball_cells(grid, centers[lo:hi], widths[lo:hi])
+        np.add.at(acc, cells, weights[lo:hi][owner])
+    return space_norm(SampledFunction(grid, acc.reshape(grid.shape) ** (1.0 / s)), space)

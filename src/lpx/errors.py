@@ -21,10 +21,6 @@ class LambdaTooSmall(LpxError):
     """Weighted square function requires lambda > 1."""
 
 
-class NoBracket(LpxError):
-    """Bisection bracket never crosses the target level."""
-
-
 class NotInAInfty(LpxError):
     """No stable Muckenhoupt exponent found below the search cap."""
 

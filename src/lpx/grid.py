@@ -7,8 +7,8 @@ quadrature weight ln(2)/J for the measure dt/t.  Sampled values are
 float64 unless some imaginary part is nonzero (``real_or_complex``).
 A torus ball's cells are decided in one place, ``GridSpec.ball_mask``, and
 listed in one place, as row runs, ``GridSpec.ball_row_widths``; the one
-exception is the ``OrliczSlice`` slice windows, which read the slice ball's
-mask as offsets through ``GridSpec.torus_window_view``.  Every batched
+exception is the ``OrliczSlice`` window sums, which add a row shifted by each
+of the slice ball's mask offsets through ``GridSpec.torus_window_view``.  Every batched
 operator sizes its batches from one working-memory budget, ``WORK_BYTES``:
 it states what one item of a batch costs in bytes, and ``batch_items`` or
 ``whole_batches`` gives it as many items per batch as fit, at least one.

@@ -66,6 +66,14 @@ def _ball_norms(grid, scales, seed):
     return lambda: atoms._ball_norms(grid, dec.centers, dec.radii, Lebesgue(2.0))
 
 
+def _coefficient_functional(grid, scales, seed):
+    """``coefficient_functional`` of trial 0's decomposition in ``Lebesgue(2)``,
+    the space it was sized in, so only the weights are added over the balls."""
+    F = build_field(trial_function(seed, 0, grid), build_plan(build_annular_kernel(grid), scales))
+    dec = atoms.tent_decompose(F, Lebesgue(2.0), BallFamily.build(grid, 2))
+    return lambda: atoms.coefficient_functional(dec, dec.space)
+
+
 def _peetre(dim, n, half_width, count):
     grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
     plan = build_plan(build_annular_kernel(grid), ScaleGrid(1 / 16, 4.0, 4))
@@ -119,6 +127,8 @@ BATCHERS = {
     "pieces-2d": (atoms, lambda mp: _pieces(GridSpec(2, 2.0, 64), ScaleGrid(1 / 16, 1.0, 4), 0)),
     "ball-norms-1d": (atoms, lambda mp: _ball_norms(GridSpec(1, 16.0, 8192), ScaleGrid(1 / 16, 4.0, 4), 5)),
     "ball-norms-2d": (atoms, lambda mp: _ball_norms(GridSpec(2, 2.0, 64), ScaleGrid(1 / 16, 1.0, 4), 0)),
+    "coefficient-functional-2d": (atoms, lambda mp: _coefficient_functional(GridSpec(2, 2.0, 64),
+                                                                            ScaleGrid(1 / 16, 1.0, 4), 0)),
     "peetre-1d": (maximal, lambda mp: _peetre(1, 512, 8.0, 2)),
     "peetre-2d": (maximal, lambda mp: _peetre(2, 32, 1.0, 2)),
     "ball-filters-1d": (maximal, lambda mp: _ball_filters(1, 512, 32)),
@@ -129,8 +139,8 @@ BATCHERS = {
     "space-norms-2d": (spaces, lambda mp: _norms(2, 64, "variable", 48)),
     "morrey-1d": (spaces, lambda mp: _norms(1, 512, "morrey", 40)),
     "morrey-2d": (spaces, lambda mp: _norms(2, 64, "morrey", 8)),
-    "orlicz-slice-1d": (spaces, lambda mp: _norms(1, 512, "orlicz_slice", 8)),
-    "orlicz-slice-2d": (spaces, lambda mp: _norms(2, 32, "orlicz_slice", 2)),
+    "orlicz-slice-1d": (spaces, lambda mp: _norms(1, 512, "orlicz_slice", 128)),
+    "orlicz-slice-2d": (spaces, lambda mp: _norms(2, 32, "orlicz_slice", 48)),
     "trial-blocks-1d": (harness, lambda mp: _trial_blocks(1, 512, 8.0, ScaleGrid(1 / 16, 16.0, 8), mp)),
     "trial-blocks-2d": (harness, lambda mp: _trial_blocks(2, 64, 2.0, ScaleGrid(1 / 4, 1.0, 4), mp)),
 }
