@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """In-process timer of the smoothed maximal sup, ``maximal.peetre_maximals``,
-of the space norms, ``spaces.space_norms``, of criterion 5's five spaces,
+of the space norms, ``spaces.space_norms``, of criterion 5's five spaces
+(and of its ``OrliczSlice`` at 2-D),
 of the tent decomposition, ``atoms.tent_decompose``, of the scale sums,
 ``squarefuncs.scale_sums``, and of the ball-average maximal function,
 ``maximal.hl_maximal``.
@@ -45,6 +46,11 @@ on the annular kernel's fields of the first trials, built once untimed:
 One ``hl_maximal`` case, ``hl-maximal-1d-512``: trial 0 on 1-D N=512, L=8,
 with the default ball family (the call of a default ``lpx verify``).
 
+One 2-D norm case, ``orlicz-slice-2d-64``: one ``space_norms`` call over
+trials 0-3 on 2-D N=64, L=2 in criterion 5's ``OrliczSlice``, the rows of
+one 2-D equivalence block; at ``--seed 0`` they are the memory guard's
+``orlicz-slice`` rows.
+
 Each case makes one untimed call, which builds the cached tables, then
 ``--repeats`` timed calls, and prints one JSON object: ``case``, ``call``
 (the function timed), ``rows`` (the rows it takes), ``repeats``, the median,
@@ -66,6 +72,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -89,7 +97,9 @@ DECOMPOSE = {"decompose": (1, 256, 8.0, ScaleGrid(1 / 16, 2.0, 4), 4, 4),
 # scale-sum case: (dim, N, L, fields); ball-average maximal case: (dim, N, L)
 SCALE_SUMS = {"scale-sums-1d-64": (1, 64, 2.0, 10), "scale-sums-2d-64": (2, 64, 2.0, 1)}
 HL_MAXIMAL = {"hl-maximal-1d-512": (1, 512, 8.0)}
-CASES = [*PEETRE, *FIVE_SPACES, *DECOMPOSE, *SCALE_SUMS, *HL_MAXIMAL]
+# 2-D Orlicz-slice case: (dim, N, L, rows)
+ORLICZ_SLICE_2D = {"orlicz-slice-2d-64": (2, 64, 2.0, 4)}
+CASES = [*PEETRE, *FIVE_SPACES, *DECOMPOSE, *SCALE_SUMS, *HL_MAXIMAL, *ORLICZ_SLICE_2D]
 
 
 def minor_faults() -> int:
@@ -166,8 +176,17 @@ def hl_maximal_case(case: str, seed: int):
     return "hl_maximal", 1, lambda: hl_maximal(f), {}
 
 
+def orlicz_slice_2d_case(case: str, seed: int):
+    """The timed call of the 2-D Orlicz-slice case and its row count."""
+    dim, n, half_width, count = ORLICZ_SLICE_2D[case]
+    grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
+    rows = np.stack([trial_function(seed, i, grid).values.real for i in range(count)])
+    space = spaces.descriptor_from_json(FIVE_SPACES["orlicz_slice"], grid)
+    return "space_norms", count, lambda: spaces.space_norms(grid, rows, space), {}
+
+
 KINDS = [(PEETRE, peetre_case), (DECOMPOSE, decompose_case), (SCALE_SUMS, scale_sums_case),
-         (HL_MAXIMAL, hl_maximal_case), (FIVE_SPACES, norm_case)]
+         (HL_MAXIMAL, hl_maximal_case), (FIVE_SPACES, norm_case), (ORLICZ_SLICE_2D, orlicz_slice_2d_case)]
 
 
 def bench(case: str, repeats: int, seed: int) -> dict:

@@ -17,8 +17,11 @@ with a peak resident set at or below the case's limit:
   ``Lebesgue(2)``), limit 160 MiB.
 - ``orlicz-slice``: one ``space_norms`` call over trials 0-3 of the trial
   family on a 2-D N=64 grid (L=2) in criterion 5's ``OrliczSlice``, the rows
-  of one 2-D equivalence block, limit 128 MiB: below the 282 MiB one such row
-  took alone when a norm call held all of its slice windows at once.
+  of one 2-D equivalence block, limit 56 MiB: about 1.5 times the 37 MiB it
+  takes (two runs each with the window max taken per offset and by the
+  slice ball's ``ball_filters``), so a regression of half that fails; one
+  such row took 282 MiB alone when a norm call held all of its slice
+  windows at once.
 - ``hl-maximal``: one ``hl_maximal`` call on trial 0 of the trial family on a
   2-D N=128 grid (L=2, the default ball family), limit 256 MiB: below the
   1.7 GB that filtering over each disc's footprint took.
@@ -114,7 +117,7 @@ CASES = {
     "decompose": ("lpx decompose (2-D N=64, 16 scales)", 112, decompose_command),
     "decompose-2d-128": ("lpx decompose (2-D N=128, 16 scales)", 320, lambda tmp: decompose_command(tmp, 128)),
     "equivalence": ("equivalence_experiment (2-D N=64, 64 scales, 10 trials)", 160, equivalence_command),
-    "orlicz-slice": ("space_norms over four rows in OrliczSlice (2-D N=64)", 128, orlicz_slice_command),
+    "orlicz-slice": ("space_norms over four rows in OrliczSlice (2-D N=64)", 56, orlicz_slice_command),
     "hl-maximal": ("hl_maximal (2-D N=128)", 256, hl_maximal_command),
     "verify-2d-128": ("lpx --seed 42 verify (2-D N=128)", 160, verify_2d_128_command),
 }

@@ -50,6 +50,10 @@ MUTANTS = [
     Mutant("ball-filters-block-top", "src/lpx/maximal.py",
            "max(tops[lo:hi])", "tops[lo]",
            ("tests/test_maximal.py::test_ball_filters_in_blocks_of_rows_match_one_block",)),
+    Mutant("ball-filters-fold-batch", "src/lpx/maximal.py",
+           "np.maximum(out[i, ..., :n - dx, :], run[..., dx:, :], out=out[i, ..., :n - dx, :])",
+           "np.maximum(out[i, :n - dx], run[dx:], out=out[i, :n - dx])",
+           ("tests/test_maximal.py::test_ball_filters_of_a_stack_with_batch_axes_match_the_one_row_calls",)),
     Mutant("piece-chunk-rebase", "src/lpx/atoms.py",
            "base = ((owner[cell] - lo) * lines", "base = (owner[cell] * lines",
            ("tests/test_atoms.py::test_piece_functionals_span_chunks_bitwise",)),
@@ -74,6 +78,10 @@ MUTANTS = [
     Mutant("slice-band-edge", "src/lpx/spaces.py",
            "int(SLICE_BAND_BITS // max(exps))", "int(SLICE_BAND_BITS // min(exps))",
            ("tests/test_spaces.py::test_orlicz_slice_matches_the_oracle_on_far_tails_and_wide_types",)),
+    Mutant("slice-window-order", "src/lpx/spaces.py",
+           "for dy in (*range(w - w // 2), *range(n - w // 2, n)):",
+           "for dy in (*range(n - w // 2, n), *range(w - w // 2)):",
+           ("tests/test_spaces.py::test_slice_window_sums_add_the_mask_offsets_in_order_bitwise",)),
     Mutant("space-norms-step", "src/lpx/spaces.py",
            "values[start:start + step]", "values[start:start + step - 1]",
            ("tests/test_spaces.py::test_space_norms_match_one_input_norms_bitwise",)),

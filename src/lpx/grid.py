@@ -6,9 +6,7 @@ multiplicative grid t_k = t_min * 2^((k+1/2)/J) with the midpoint-in-log
 quadrature weight ln(2)/J for the measure dt/t.  Sampled values are
 float64 unless some imaginary part is nonzero (``real_or_complex``).
 A torus ball's cells are decided in one place, ``GridSpec.ball_mask``, and
-listed in one place, as row runs, ``GridSpec.ball_row_widths``; the one
-exception is the ``OrliczSlice`` window sums, which add a row shifted by each
-of the slice ball's mask offsets through ``GridSpec.torus_window_view``.  Every batched
+listed in one place, as row runs, ``GridSpec.ball_row_widths``.  Every batched
 operator sizes its batches from one working-memory budget, ``WORK_BYTES``:
 it states what one item of a batch costs in bytes, and ``batch_items`` or
 ``whole_batches`` gives it as many items per batch as fit, at least one.
@@ -147,23 +145,6 @@ class GridSpec:
         widths = np.count_nonzero(masks, axis=2)
         widths.setflags(write=False)
         return widths
-
-    def torus_window_view(self, values: np.ndarray) -> np.ndarray:
-        """Read-only view ``w`` with ``w[s][x] = values[(x + s) mod n]`` for every
-        shift ``0 <= s <= n`` per axis (shifts 0 and n coincide).
-
-        Leading axes of ``values`` beyond ``grid.shape`` are a batch:
-        ``w[i][s][x] = values[i][(x + s) mod n]``.  It is the strided windows of
-        ``values`` doubled along every grid axis: one copy serves every shift.
-        """
-        lead = values.ndim - self.dim
-        doubled = values
-        for axis in range(lead, values.ndim):
-            doubled = np.concatenate([doubled, doubled], axis=axis)
-        grid_strides = doubled.strides[lead:]
-        return np.lib.stride_tricks.as_strided(
-            doubled, values.shape[:lead] + (self.points_per_axis + 1,) * self.dim + self.shape,
-            doubled.strides[:lead] + grid_strides + grid_strides, writeable=False)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)

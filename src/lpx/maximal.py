@@ -133,28 +133,30 @@ class BallFamily:
 
     def ball_filters(self, values: np.ndarray) -> np.ndarray:
         """Max of ``values`` over B(x, r_i) for every center x and every
-        family radius r_i: one row per radius, ``(len(self),) + grid.shape``.
+        family radius r_i: one row per radius, ``(len(self),) + lead + grid.shape``.
 
-        ``values`` is either a stack ``(len(self),) + grid.shape``, row i taken
-        over the balls of radius r_i, or one grid-shaped array that every
-        radius shares.  Each first-axis row of a torus ball is one run of w
-        cells along the last axis (a 1-D ball is one row), and the max over a
-        run is the max of two overlapping reads of the doubling-table level
-        holding the max over 2^k consecutive cells, 2^k <= w < 2^(k+1)
-        (``_ball_runs``, ``_doubling_table``); the rows of one read share its
-        running max, one grid-sized array per call.  A stack is taken in
-        blocks of rows (``grid.batch_items``), a row costing its doubled
-        levels up to the family's widest run.  A max is exact, so every
-        entry equals the brute-force max over the ball's cells.
+        ``values`` is either a stack ``(len(self),) + lead + grid.shape``, row
+        i taken over the balls of radius r_i (``lead``, a batch), or exactly
+        one grid-shaped array that every radius shares.  Each first-axis row
+        of a torus ball is one run of w cells along the last axis (a 1-D ball
+        is one row), and the max over a run is the max of two overlapping
+        reads of the doubling-table level holding the max over 2^k
+        consecutive cells, 2^k <= w < 2^(k+1) (``_ball_runs``,
+        ``_doubling_table``); the rows of one read share its running max, one
+        ``lead + grid.shape`` array per call.  A stack is taken in blocks of
+        rows (``grid.batch_items``), a row costing its doubled levels up to
+        the family's widest run.  A max is exact, so every entry equals the
+        brute-force max over the ball's cells.
         """
         grid, n = self.grid, self.grid.points_per_axis
         shared = values.shape == grid.shape
-        if not shared and values.shape != (len(self),) + grid.shape:
+        lead = () if shared else values.shape[1:values.ndim - grid.dim]
+        if not shared and values.shape != (len(self),) + lead + grid.shape:
             raise ValueError(f"values of shape {values.shape} are neither one grid nor one row per radius")
         runs, tops = _ball_runs(grid, tuple(self.radii.tolist()))
-        out = np.empty((len(self),) + grid.shape, dtype=values.dtype)
-        run = np.empty(grid.shape, dtype=values.dtype)  # the running max of one read
-        row_bytes = 2 * values.itemsize * grid.size * (max(tops) + 1)
+        out = np.empty((len(self),) + lead + grid.shape, dtype=values.dtype)
+        run = np.empty(lead + grid.shape, dtype=values.dtype)  # the running max of one read
+        row_bytes = 2 * values.itemsize * math.prod(lead) * grid.size * (max(tops) + 1)
         step = len(self) if shared else batch_items(row_bytes)
         for lo in range(0, len(self), step):
             hi = min(lo + step, len(self))
@@ -169,8 +171,8 @@ class BallFamily:
                     if (k, a, b) != read:  # the rows of one read are consecutive
                         read = k, a, b
                         np.maximum(levels[k, ..., a:a + n], levels[k, ..., b:b + n], out=run)
-                    np.maximum(out[i, :n - dx], run[dx:], out=out[i, :n - dx])
-                    np.maximum(out[i, n - dx:], run[:dx], out=out[i, n - dx:])
+                    np.maximum(out[i, ..., :n - dx, :], run[..., dx:, :], out=out[i, ..., :n - dx, :])
+                    np.maximum(out[i, ..., n - dx:, :], run[..., :dx, :], out=out[i, ..., n - dx:, :])
         return out
 
     def ball_filter(self, values: np.ndarray, radius: float) -> np.ndarray:

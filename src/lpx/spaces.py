@@ -13,9 +13,10 @@ cellvol * the sum of u^p.  ``_power_sum_norms`` solves every row of such
 sums at once by Newton in x = log lam.  ``VariableLebesgue`` hands it one
 term per cell, ``orlicz_norm`` and the slice ball's own norm one per
 exponent of Phi, and ``OrliczSlice`` one per exponent for every window: the
-sums of u^p over the slice ball about each cell, taken by shifted adds over
-the ball's offsets on the row scaled by the power of two of that window's
-own max.
+sums of u^p over the slice ball about each cell, on the row scaled by the
+power of two of that window's own max (the slice ball's
+``BallFamily.ball_filters``), one slice of the powers doubled along every
+grid axis added per offset of the ball's row runs.
 
 A descriptor implements only its row-batched norms: ``norms(grid, mag)``
 returns the norm of every row of a finite non-negative ``(rows,) +
@@ -32,8 +33,9 @@ step's rows in one pass over the slice ball's offsets.
 Every step fits ``grid.WORK_BYTES`` (``grid.batch_items``), an item costing
 the 8-byte elements its step holds at once: a ``space_norms`` row 5 per cell
 (``VariableLebesgue``'s norms peak at 4.5), a ``Morrey`` row 4 per (radius,
-cell) and an ``OrliczSlice`` row 17 per cell (16.3 measured at 2-D, 13.5 at
-1-D).
+cell) and an ``OrliczSlice`` row per cell the larger of its solve's 17 and
+its window max's 5 + 2 per doubling level of the slice ball (14.0-20.1
+measured at 1-D and 2-D).
 """
 
 from __future__ import annotations
@@ -482,23 +484,20 @@ def _slice_logs(grid: GridSpec, mag: np.ndarray, slice_t: float, exps: Sequence[
     """The ``_power_sum_norms`` logs of every slice window of every row u of
     ``mag``, one window per (row, cell) in C order, and the windows' shifts
     s: per exponent p, log(cellvol * the sum of (u 2^-s)^p over the slice
-    ball ``grid.ball_mask(slice_t)`` about the cell), the sums taken by
-    shifted adds over the ball's offsets in mask order.
+    ball ``grid.ball_mask(slice_t)`` about the cell).
 
-    A window's shift is its own max's binary exponent rounded up to a
-    multiple of a band of SLICE_BAND_BITS / max(exps) binades, so its scaled
-    max lies in the band below 1 and its powers that count stay normal,
-    whatever its max.  The row is scaled and raised to its powers once per
-    band that holds a window, and each window takes its sums from its own
-    band's pass."""
-    view = grid.torus_window_view(mag)
-    offsets = [(slice(None),) + offset for offset in zip(*np.nonzero(grid.ball_mask(slice_t)))]
-    top = view[offsets[0]].copy()
-    for offset in offsets[1:]:
-        np.maximum(top, view[offset], out=top)
+    A window's max is the slice ball's ``BallFamily.ball_filters``, and its
+    shift is that max's binary exponent rounded up to a multiple of a band
+    of SLICE_BAND_BITS / max(exps) binades, so its scaled max lies in the
+    band below 1 and its powers that count stay normal, whatever its max.
+    The row is scaled and raised to its powers once per band that holds a
+    window, and each window takes its sums from its own band's pass, added
+    over the slice ball's row runs in mask order (``_window_sums``)."""
+    top = BallFamily(grid, np.array([slice_t])).ball_filters(mag[None])[0]
     band = max(1, min(2048, int(SLICE_BAND_BITS // max(exps))))  # 2048: past the float range, one band
     shifts = -(-np.frexp(top)[1] // band) * band
-    del view, top  # the doubled row goes before the band passes
+    del top
+    widths = grid.ball_row_widths((slice_t,))[0].tolist()
     sums = [np.zeros(mag.shape) for _ in exps]
     for shift in range(int(shifts.min()), int(shifts.max()) + 1, band):
         at = shifts == shift
@@ -508,12 +507,23 @@ def _slice_logs(grid: GridSpec, mag: np.ndarray, slice_t: float, exps: Sequence[
         with np.errstate(over="ignore"):  # cells of other bands' windows may overflow
             scaled = np.ldexp(mag[rows], -shift)
             for total, p in zip(sums, exps):
-                powers = grid.torus_window_view(scaled**p)
-                window_sums = powers[offsets[0]].copy()
-                for offset in offsets[1:]:
-                    window_sums += powers[offset]
-                total[at] = window_sums[at[rows]]
+                total[at] = _window_sums(scaled**p, widths)[at[rows]]
     return _power_sum_logs([total.reshape(-1) for total in sums], cellvol), shifts.reshape(-1)
+
+
+def _window_sums(values: np.ndarray, widths: list[int]) -> np.ndarray:
+    """The sums of every row of ``values`` over the ball about each cell
+    whose first-axis row dx holds ``widths[dx]`` cells, added in mask order:
+    per row dx of w cells, the last-axis offsets 0 .. w - w//2 - 1, then
+    n - w//2 .. n - 1, each one slice of the row doubled on every axis."""
+    dim, n = values.ndim - 1, values.shape[-1]
+    doubled = np.tile(values, (1,) + (2,) * dim)
+    sums = np.zeros(values.shape)
+    for dx, w in enumerate(widths):
+        line = doubled[(slice(None),) + (slice(dx, dx + n),) * (dim - 1)]
+        for dy in (*range(w - w // 2), *range(n - w // 2, n)):
+            sums += line[..., dy:dy + n]
+    return sums
 
 
 @dataclass(frozen=True)
@@ -533,10 +543,12 @@ class OrliczSlice:
         """The L^r norm over x of every row's Luxemburg norm on the slice
         ball around x, over the slice ball's own: per step of rows one
         ``_slice_logs`` pass and one ``_power_sum_norms`` solve of every
-        window, a row costing 17 elements per cell."""
+        window, a row costing max(17, 5 + 2 levels) elements per cell, the
+        levels those of the slice ball's window max."""
         cellvol = grid.cell_volume
         denom = _slice_denominator(self.phi, grid, self.slice_t)
-        step = batch_items(17 * 8 * grid.size)
+        levels = int(grid.ball_row_widths((self.slice_t,)).max()).bit_length()  # of its doubling table
+        step = batch_items(8 * grid.size * max(17, 5 + 2 * levels))
         inner = []
         for start in range(0, len(mag), step):
             logs, shifts = _slice_logs(grid, mag[start:start + step], self.slice_t, self.phi.exponents, cellvol)

@@ -152,13 +152,16 @@ def dense_peetre_maximals(fs: Sequence[SampledFunction], b: float, plan: transfo
         return out
     mags = mags[live][:, :, None]
     weights = weights[live].reshape((len(mags), 1, -1) + (1,) * grid.dim)
-    n_dist = len(bounds) - 1
+    n, n_dist = grid.points_per_axis, len(bounds) - 1
     step = min(n_dist, max(1, (1 << 17) // (len(mags) * len(fs) * grid.size)))
     for lo in range(0, n_dist, step):
         hi = min(lo + step, n_dist)
-        windows = grid.torus_window_view(np.maximum.reduce(weights[:, :, lo:hi] * mags, axis=0))
+        envelopes = np.maximum.reduce(weights[:, :, lo:hi] * mags, axis=0)
         c = slice(bounds[lo], bounds[hi])
-        gathered = windows[(slice(None), rows[c] - lo) + tuple(shifts[c].T)]
+        # window (j, x) of the offset with shift s_j is its envelope at (x + s_j) mod n
+        cells = [((s[:, None] + np.arange(n)) % n).reshape((-1,) + (1,) * a + (n,) + (1,) * (grid.dim - 1 - a))
+                 for a, s in enumerate(shifts[c].T)]
+        gathered = envelopes[(slice(None), (rows[c] - lo).reshape((-1,) + (1,) * grid.dim), *cells)]
         np.maximum(out, gathered.max(axis=1), out=out)
     return out
 

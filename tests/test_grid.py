@@ -212,30 +212,6 @@ def test_indicator_box_mass():
     assert np.sum(f.values) * g.cell_volume == pytest.approx(1.0, abs=2 * g.cell_volume)
 
 
-@pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)], ids=["1d-16", "2d-8x8"])
-def test_torus_window_view_of_a_stack_matches_roll_per_slice(dim, n):
-    grid = GridSpec(dim=dim, half_width=1.0, points_per_axis=n)
-    rng = np.random.default_rng(dim)
-    floats = rng.normal(size=(3,) + grid.shape)
-    axes = tuple(range(dim))
-    # boolean windows are the ball indicators; two batch axes, and none
-    stacks = (floats, floats > 0, floats + 1j * rng.normal(size=floats.shape),
-              floats.reshape((3, 1) + grid.shape)[:, [0, 0]], floats[0])
-    for stack in stacks:
-        lead = stack.shape[:stack.ndim - dim]
-        view = grid.torus_window_view(stack)
-        assert view.shape == lead + (n + 1,) * dim + grid.shape
-        assert view.dtype == stack.dtype
-        assert not view.flags.writeable
-        with pytest.raises(ValueError):
-            view[(0,) * view.ndim] = 0
-        for i in np.ndindex(lead):
-            for s in np.ndindex((n + 1,) * dim):
-                # w[i][s][x] = values_i[(x + s) mod n], values_i rolled by -s
-                rolled = np.roll(stack[i], shift=tuple(-np.array(s)), axis=axes)
-                assert np.array_equal(view[i + s], rolled)
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 def test_offset_distances_is_one_read_only_table_per_grid(dim):
     grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=16)

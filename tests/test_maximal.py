@@ -677,11 +677,36 @@ def test_ball_filters_in_blocks_of_rows_match_one_block(monkeypatch, dim, n, per
         assert np.array_equal(family.ball_filters(stack), whole), block_bytes
 
 
+@pytest.mark.parametrize("dim, n, per_octave", [(1, 256, 8), (2, 32, 4)], ids=["1d-256", "2d-32"])
+def test_ball_filters_of_a_stack_with_batch_axes_match_the_one_row_calls(monkeypatch, dim, n, per_octave):
+    # a (radii, rows) + grid.shape stack holding signed zeros gives, byte for
+    # byte, the per-row stacks' maxima, in one block and in blocks of rows
+    grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=n)
+    family = BallFamily.build(grid, per_octave)
+    rng = np.random.default_rng(n)
+    stack = _with_signed_zeros(rng.normal(size=(len(family), 3) + grid.shape), rng)
+    expected = np.stack([family.ball_filters(stack[:, j].copy()) for j in range(3)], axis=1)
+    row_bytes = 2 * 8 * 3 * grid.size * (max(maximal._ball_runs(grid, tuple(family.radii.tolist()))[1]) + 1)
+    for budget in (1 << 40, 1, 2 * row_bytes):  # one block; a row per block; two rows per block
+        monkeypatch.setattr(grid_mod, "WORK_BYTES", budget)
+        assert family.ball_filters(stack).tobytes() == expected.tobytes(), budget
+    # the max of -0.0 alone is -0.0
+    assert np.signbit(family.ball_filters(np.full(stack.shape, -0.0))).all()
+
+
 def test_ball_filters_reject_a_stack_of_the_wrong_length():
     grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
     family = BallFamily.build(grid, 4)
     with pytest.raises(ValueError, match="one row per radius"):
         family.ball_filters(np.zeros((len(family) - 1,) + grid.shape))
+    # nor does a batched stack, or an array with grid axes of the wrong length
+    for dim in (1, 2):
+        grid = GridSpec(dim=dim, half_width=2.0, points_per_axis=16)
+        family, shape = BallFamily.build(grid, 4), grid.shape
+        for wrong in ((len(family) + 1, 3) + shape, (3, len(family)) + shape, (len(family), 3) + shape[:-1] + (8,),
+                      (len(family),) + shape[1:], (1,) + shape, shape[:-1]):
+            with pytest.raises(ValueError, match="one row per radius"):
+                family.ball_filters(np.zeros(wrong))
 
 
 def test_ball_runs_are_built_once_per_grid_and_radii():

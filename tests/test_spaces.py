@@ -484,6 +484,51 @@ def test_orlicz_slice_rows_of_other_bands_in_one_call_are_each_row_alone(lower, 
     assert space_norms(grid, rows, space) == [space_norm(SampledFunction(grid, row), space) for row in rows]
 
 
+def _slice_logs_by_rolls(grid, mag, slice_t, exps, cellvol):
+    """``spaces._slice_logs`` by rolls: over the offsets o of
+    ``np.nonzero(grid.ball_mask(slice_t))``, in that order, each window's max
+    and its sums of powers of the row scaled by its band's shift are taken on
+    the rows moved by -o with ``np.roll``, the sums added left to right."""
+    axes = tuple(range(1, grid.dim + 1))
+    offsets = [tuple(-o for o in offset) for offset in zip(*np.nonzero(grid.ball_mask(slice_t)))]
+    top = functools.reduce(np.maximum, (np.roll(mag, o, axis=axes) for o in offsets))
+    band = max(1, min(2048, int(spaces_mod.SLICE_BAND_BITS // max(exps))))
+    shifts = -(-np.frexp(top)[1] // band) * band
+    sums = [np.zeros(mag.shape) for _ in exps]
+    for shift in np.unique(shifts).tolist():
+        at = shifts == shift
+        for total, p in zip(sums, exps):
+            with np.errstate(over="ignore"):  # cells of other bands' windows may overflow
+                powers = np.ldexp(mag, -shift) ** p
+                total[at] = functools.reduce(np.add, (np.roll(powers, o, axis=axes) for o in offsets))[at]
+    return spaces_mod._power_sum_logs([total.reshape(-1) for total in sums], cellvol), shifts.reshape(-1)
+
+
+@pytest.mark.parametrize("lower,upper", [(1.2, 1.6), *((lower, upper) for lower, upper, _ in SLICE_TRAPS)])
+def test_slice_window_sums_add_the_mask_offsets_in_order_bitwise(lower, upper):
+    # the window sums of the slice ball's row runs add its offsets in mask
+    # order: on rows of one band (criterion 5's trials) and of several (far
+    # tails, a narrow bump and its copy at 1e-300), at 1-D and 2-D
+    from lpx.harness import trial_function
+
+    exps = power_orlicz(lower, upper).exponents
+    bench = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+    line = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
+    bump = gaussian_bump(line, [0.2], 0.2).values
+    plane = GridSpec(dim=2, half_width=2.0, points_per_axis=64)
+    disc = gaussian_bump(plane, [0.2, -0.3], 0.05).values
+    cases = [(bench, [trial_function(5, i, bench).values for i in range(4)]),
+             (line, [f.values for f in _slice_trap_inputs()[:2]] + [bump, 1e-300 * bump]),
+             (plane, [trial_function(5, i, plane).values for i in range(3)] + [disc, 1e-300 * disc])]
+    for grid, rows in cases:
+        mag = np.abs(np.stack(rows))
+        logs, shifts = spaces_mod._slice_logs(grid, mag, 1.0, exps, grid.cell_volume)
+        ref_logs, ref_shifts = _slice_logs_by_rolls(grid, mag, 1.0, exps, grid.cell_volume)
+        assert np.array_equal(shifts, ref_shifts)
+        assert logs.tobytes() == ref_logs.tobytes(), (grid, exps)
+    assert len(np.unique(shifts)) > 1  # the 2-D rows hold windows of several bands
+
+
 def _slice_outer_norm(ratios, r, cellvol, e):
     """The outer L^r norm of an OrliczSlice norm, over the ratios of the row
     scaled by 2^-e, scaled back."""
@@ -650,10 +695,12 @@ def _one_input_reference(f, space):
 
 def _row_bytes(grid, space):
     """The cost of one row in a step of Morrey (4 elements per radius and
-    cell) or OrliczSlice (17 per cell)."""
+    cell) or OrliczSlice (per cell the larger of 17 and 5 + 2 per doubling
+    level of the slice ball's widest run)."""
     if isinstance(space, Morrey):
         return 4 * 8 * len(BallFamily.build(grid, spaces_mod.BALL_RADII_PER_OCTAVE)) * grid.size
-    return 17 * 8 * grid.size
+    levels = int(grid.ball_row_widths((space.slice_t,)).max()).bit_length()
+    return 8 * grid.size * max(17, 5 + 2 * levels)
 
 
 AMPLITUDES = (1.0, 2.0**300, 2.0**-300, 1e100, 1e-100)
