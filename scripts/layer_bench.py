@@ -3,8 +3,9 @@
 of the space norms, ``spaces.space_norms``, of criterion 5's five spaces
 (and of its ``OrliczSlice`` at 2-D),
 of the tent decomposition, ``atoms.tent_decompose``, of the scale sums,
-``squarefuncs.scale_sums``, and of the ball-average maximal function,
-``maximal.hl_maximal``.
+``squarefuncs.scale_sums``, of the ball-average maximal function,
+``maximal.hl_maximal``, and of criterion 5's five-space pass,
+``harness.equivalence_experiments``.
 
 Three Peetre cases, each on the companion of the annular kernel over the
 default scale grid (1/16 .. 16 at 8 steps per octave) with the harness's b
@@ -14,6 +15,13 @@ for ``Lebesgue(2)``, on the first trials of the trial family:
 - ``1d-512``: 1-D N=512, L=8, 2 inputs (a trial block of the default
   ``lpx verify``);
 - ``2d-64``: 2-D N=64, L=2, 1 input.
+
+A Peetre call builds its inputs' psi-field stack (``build_fields``) and
+takes the sup on it: the Peetre work of a trial block with one distinct b.
+
+One pass case, ``five-space-pass``: one ``harness.equivalence_experiments``
+call over ``harness.five_spaces`` on 1-D N=64, L=2 with the default scale
+grid and 10 trials (criterion 5's pass, one trial block).
 
 One norm case per space of ``harness.FIVE_SPACES``, named after it: the 40
 rows (the Peetre sup, S, g and g*_lambda of trials 0-9) that an equivalence
@@ -91,6 +99,7 @@ SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
 PEETRE = {"1d-64": (1, 64, 2.0, 10), "1d-512": (1, 512, 8.0, 2), "2d-64": (2, 64, 2.0, 1)}
 NORM_GRID = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
 NORM_TRIALS = 10
+PASSES = ["five-space-pass"]  # on NORM_GRID with NORM_TRIALS trials
 # decomposition case: (dim, N, L, scales, ball radii per octave, trials)
 DECOMPOSE = {"decompose": (1, 256, 8.0, ScaleGrid(1 / 16, 2.0, 4), 4, 4),
              "decompose-2d": (2, 64, 2.0, ScaleGrid(1 / 16, 1.0, 4), 2, 1)}
@@ -99,7 +108,7 @@ SCALE_SUMS = {"scale-sums-1d-64": (1, 64, 2.0, 10), "scale-sums-2d-64": (2, 64, 
 HL_MAXIMAL = {"hl-maximal-1d-512": (1, 512, 8.0)}
 # 2-D Orlicz-slice case: (dim, N, L, rows)
 ORLICZ_SLICE_2D = {"orlicz-slice-2d-64": (2, 64, 2.0, 4)}
-CASES = [*PEETRE, *FIVE_SPACES, *DECOMPOSE, *SCALE_SUMS, *HL_MAXIMAL, *ORLICZ_SLICE_2D]
+CASES = [*PEETRE, *PASSES, *FIVE_SPACES, *DECOMPOSE, *SCALE_SUMS, *HL_MAXIMAL, *ORLICZ_SLICE_2D]
 
 
 def minor_faults() -> int:
@@ -113,7 +122,14 @@ def peetre_case(case: str, seed: int):
     plan = build_plan(calderon_companion(build_kernel("annular", grid), SCALES).psi, SCALES)
     fs = [trial_function(seed, i, grid) for i in range(inputs)]
     b = default_peetre_exponent(dim, spaces.Lebesgue(2.0).floor())
-    return "peetre_maximals", inputs, lambda: peetre_maximals(fs, b, plan=plan), {"b": b}
+    return "peetre_maximals", inputs, lambda: peetre_maximals(build_fields(fs, plan), b), {"b": b}
+
+
+def pass_case(case: str, seed: int):
+    """The timed call of the five-space pass and its trial count."""
+    named = list(five_spaces(NORM_GRID).values())
+    return "equivalence_experiments", NORM_TRIALS, lambda: harness.equivalence_experiments(
+        named, "annular", NORM_TRIALS, NORM_GRID, SCALES, seed), {}
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,7 +201,7 @@ def orlicz_slice_2d_case(case: str, seed: int):
     return "space_norms", count, lambda: spaces.space_norms(grid, rows, space), {}
 
 
-KINDS = [(PEETRE, peetre_case), (DECOMPOSE, decompose_case), (SCALE_SUMS, scale_sums_case),
+KINDS = [(PEETRE, peetre_case), (PASSES, pass_case), (DECOMPOSE, decompose_case), (SCALE_SUMS, scale_sums_case),
          (HL_MAXIMAL, hl_maximal_case), (FIVE_SPACES, norm_case), (ORLICZ_SLICE_2D, orlicz_slice_2d_case)]
 
 

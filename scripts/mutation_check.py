@@ -47,6 +47,18 @@ MUTANTS = [
     Mutant("peetre-step-end", "src/lpx/maximal.py",
            "hi = min(lo + step, n_dist)", "hi = min(lo + step, n_dist - 1)",
            ("tests/test_maximal.py::test_peetre_maximals_rows_match_one_input_calls_bitwise",)),
+    Mutant("peetre-far-margin", "src/lpx/maximal.py",
+           "thresholds = (1 - PEETRE_MARGIN) * products", "thresholds = 1.0 * products",
+           ("tests/test_maximal.py::test_the_far_test_margin_covers_an_ordered_tables_rounding",)),
+    Mutant("peetre-far-test-above-j1", "src/lpx/maximal.py",
+           "keep &= ~above[j1 + 1] | (", "keep &= (",
+           ("tests/test_maximal.py::test_peetre_pure_frequency",)),
+    Mutant("doubling-table-wrap", "src/lpx/maximal.py",
+           "table[j, ..., 2 * n - half:] = table[j, ..., n - half:n]", "pass",
+           ("tests/test_maximal.py::test_ball_filters_match_the_roll_oracle_bitwise",)),
+    Mutant("snap-radii-2d", "src/lpx/maximal.py",
+           "if ball_volume(r, 2) >= covered:", "if True:",
+           ("tests/test_maximal.py::test_family_radii_keep_the_snap_invariant",)),
     Mutant("ball-filters-block-top", "src/lpx/maximal.py",
            "max(tops[lo:hi])", "tops[lo]",
            ("tests/test_maximal.py::test_ball_filters_in_blocks_of_rows_match_one_block",)),
@@ -63,12 +75,18 @@ MUTANTS = [
     Mutant("ball-cells-wrap", "src/lpx/atoms.py",
            "cells &= n - 1", "pass",
            ("tests/test_atoms.py::test_every_ball_reader_leaves_out_the_cells_on_the_boundary",)),
+    Mutant("piece-functionals-wraps", "src/lpx/atoms.py",
+           "c[wraps]", "0 * c[wraps]",
+           ("tests/test_atoms.py::test_piece_functionals_match_the_brute_force_and_fft_references",)),
     Mutant("piece-functionals-closed", "src/lpx/atoms.py",
            "closed = end < n", "closed = end <= n",
            ("tests/test_atoms.py::test_piece_functionals_match_the_brute_force_and_fft_references",)),
     Mutant("whitney-wrapped-slice", "src/lpx/atoms.py",
            "covered[row:row + hi - n] = fill[n - lo:]", "pass",
            ("tests/test_atoms.py::test_whitney_runs_that_wrap_or_fill_a_row_match_the_roll_reference",)),
+    Mutant("scale-sums-g-weight", "src/lpx/squarefuncs.py",
+           "F.scales.log_weight, out=acc[-1]", "1.0, out=acc[-1]",
+           ("tests/test_squarefuncs.py::test_g_function_pure_frequency_oracle",)),
     Mutant("newton-start", "src/lpx/spaces.py",
            "x = np.max(logs / exps, axis=1)", "x = np.min(logs / exps, axis=1)",
            ("tests/test_spaces.py::test_luxemburg_norms_match_the_oracle",)),

@@ -291,7 +291,7 @@ def _whitney_regions(
         line, col = divmod(at - level_start, n)
         for dx, w, half, fill in rows[ri]:
             row = level_start + (line + dx) % lines * n
-            lo = (col - half) % n if w < n else 0
+            lo = (col - half) % n
             hi = lo + w
             if hi <= n:
                 covered[row + lo:row + hi] = fill

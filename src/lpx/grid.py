@@ -300,10 +300,9 @@ class FieldStack:
     """Half-space fields on the same grids, ``values[i]`` the values of the
     i-th (see ``transforms.build_fields``).
 
-    Only the batched square functions, ``squarefuncs.scale_sums``, take a
-    stack, one output row per field and function; it takes a
-    ``HalfSpaceField`` as a stack of one.  The batched Peetre sup,
-    ``maximal.peetre_maximals``, takes the functions themselves.
+    The batched operators, ``squarefuncs.scale_sums`` and
+    ``maximal.peetre_maximals``, take a stack, one output row per field (and
+    function), and a ``HalfSpaceField`` as a stack of one.
     """
 
     grid: GridSpec

@@ -11,13 +11,14 @@ the fields of a block's trials are built as one stack
 cone and g*_lambda stacks of a block, S and g*_lambda or the cone functionals
 at every aperture, and g, come from one ``squarefuncs.scale_sums`` call,
 which squares the fields once and transforms each batch of their rows once
-for all its tables; the Peetre sup is ``maximal.peetre_maximals``.  The
+for all its tables; the Peetre sup, ``maximal.peetre_maximals``, reads the
+block's psi-field stack, built once.  The
 block's operator rows then take their space norms in one
 ``spaces.space_norms`` call per space.  The operators depend on a space only
 through lambda and b, so ``equivalence_experiments`` grades any number of
-spaces in one pass: per block it builds the fields, S and g once, one
-g*_lambda per distinct lambda and one Peetre sup per distinct b, and
-``equivalence_experiment`` is its one-space case.  A block holds as many
+spaces in one pass: per block it builds the phi- and psi-fields, S and g
+once, one g*_lambda per distinct lambda and one Peetre sup per distinct b,
+and ``equivalence_experiment`` is its one-space case.  A block holds as many
 trials as fit ``grid.WORK_BYTES`` (``grid.batch_items``), a trial costing
 dim + 1 times its real field, the measured peak of ``build_fields``
 (sixteen trials at 1-D N=64 with 64 scales, two at 1-D N=512, one at 2-D
@@ -271,9 +272,10 @@ def equivalence_experiments(
 ) -> list[ExperimentReport]:
     """``equivalence_experiment`` of each space, in order, from one pass over
     the trials.  The operators depend on a space only through lambda and b,
-    so each block's fields, S and g are built once for all spaces, g*_lambda
-    once per distinct lambda and the Peetre sup once per distinct b; an
-    explicit ``lam`` or ``b`` applies to every space."""
+    so each block's phi- and psi-fields, S and g are built once for all
+    spaces, g*_lambda once per distinct lambda and the Peetre sup, on the
+    one psi-field stack, once per distinct b; an explicit ``lam`` or ``b``
+    applies to every space."""
     if trials < 10:
         raise ValueError("need at least 10 trials")
     kernel = build_kernel(kernel_kind, grid)
@@ -296,7 +298,9 @@ def equivalence_experiments(
     for fs in _trial_blocks(seed, trials, grid, scales):
         s_fn, *gs_fns, g_fn = scale_sums(build_fields(fs, plan), tables)  # S, g*_lambda per lambda, g
         gstar = dict(zip(gstar_lams, gs_fns))
-        hardy = {v: peetre_maximals(fs, v, plan=psi_plan) for v in dict.fromkeys(bs)}
+        psi_fields = build_fields(fs, psi_plan)
+        hardy = {v: peetre_maximals(psi_fields, v) for v in dict.fromkeys(bs)}
+        del psi_fields  # dropped before the next block's fields are built
         n = len(fs)
         for out, space, lam_s, b_s in zip(rows, spaces, lams, bs):
             gs_fn = gstar[lam_s]

@@ -22,10 +22,13 @@ j: the max over 2^j consecutive cells), from a read table built once per
 ``BallFamily.build`` keeps the last ``grid.CACHE_SIZE`` families it built,
 so a default family is built once per grid.
 
-Both batched maxima fit ``grid.WORK_BYTES``: a stack's ball max per block
-of rows, a row costing its doubled table levels, and ``peetre_maximals``
-per step of distances, a distance costing its 8-byte candidate products
-and doubled envelopes.
+The smoothed maximal sup, ``peetre_maximals``, reads a prebuilt stack of
+psi-fields (``transforms.build_fields``), as the square functions read
+their phi-fields, so one stack serves every decay exponent b.  Both batched
+maxima fit ``grid.WORK_BYTES``: a stack's ball max per block of rows, a row
+costing its doubled table levels, and ``peetre_maximals`` per step of
+distances, a distance costing its 8-byte candidate products and doubled
+envelopes.
 """
 
 from __future__ import annotations
@@ -33,13 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .grid import CACHE_SIZE, GridSpec, SampledFunction, ScaleGrid, batch_items, scale_to_unit_rows
+from .grid import (CACHE_SIZE, FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, batch_items,
+                   scale_to_unit_rows)
 from .squarefuncs import ball_spectra
-from .transforms import ConvolutionPlan, build_fields, correlate
+from .transforms import ConvolutionPlan, build_field, correlate
 
 __all__ = [
     "BallFamily",
@@ -246,9 +249,10 @@ def peetre_maximal(f: SampledFunction, b: float, *, plan: ConvolutionPlan) -> Sa
 
     ``plan`` is the convolution plan of the kernel psi; the supremum runs over
     every grid offset y (torus distance, hence |y| <= L) and every scale of
-    the plan's grid.  The one-input case of ``peetre_maximals``.
+    the plan's grid.  The one-input case of ``peetre_maximals``, on the
+    field ``build_field(f, plan)``.
     """
-    return SampledFunction(f.grid, peetre_maximals([f], b, plan=plan)[0])
+    return SampledFunction(f.grid, peetre_maximals(build_field(f, plan), b)[0])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -329,18 +333,20 @@ def _candidate_scales(mags: np.ndarray, far: np.ndarray) -> np.ndarray:
     return keep
 
 
-def peetre_maximals(fs: Sequence[SampledFunction], b: float, *, plan: ConvolutionPlan) -> np.ndarray:
-    """``peetre_maximal`` of every input, one row per input, each bitwise the
-    one-input value.
+def peetre_maximals(F: HalfSpaceField | FieldStack, b: float) -> np.ndarray:
+    """The smoothed maximal function of each prebuilt psi-field of F (one, or
+    each of a ``FieldStack``), one row per field, each bitwise its one-field
+    value: on ``transforms.build_fields(fs, plan)``, row i is
+    ``peetre_maximal(fs[i], b, plan=plan)``.
 
-    With G_k = |psi_{t_k} * f| and w_k(d) = (1 + d/t_k)^(-b), the sup over
+    With G_k = |F(., t_k)| and w_k(d) = (1 + d/t_k)^(-b), the sup over
     scales and offsets is the sup over offsets y of the distance envelope
-    H_{|y|}(x - y), H_d = max_k w_k(d) G_k.  The inputs' psi-fields are built
-    as one stack (``build_fields``).  Each cell's envelope takes products only
-    of its candidate scales (``_candidate_scales``; every scale when the
-    weight table is not ordered), a few of the 55-64 live ones.  The cells
-    are sorted by their candidate count, so the r-th candidates of every
-    cell that has one are one contiguous block.  The distinct distances run
+    H_{|y|}(x - y), H_d = max_k w_k(d) G_k; grid and scales are F's.  Each
+    cell's envelope takes products only of its candidate scales
+    (``_candidate_scales``; every scale when the weight table is not
+    ordered), a few of the 55-64 live ones.  The cells are sorted by their
+    candidate count, so the r-th candidates of every cell that has one are
+    one contiguous block.  The distinct distances run
     in steps (``grid.batch_items``), a distance costing the 8-byte elements
     of its candidate products and its envelopes, doubled along every grid
     axis; one buffer per call holds a step.  A step takes its products by
@@ -353,10 +359,9 @@ def peetre_maximals(fs: Sequence[SampledFunction], b: float, *, plan: Convolutio
     """
     if not b > 0:
         raise ValueError("b must be positive")
-    grid = plan.grid
-    shifts, bounds, weights, ordered = _peetre_tables(grid, plan.scales, b)
-    # (input cells, scales); the fields are dropped once their magnitudes are taken
-    mags = np.abs(build_fields(fs, plan).values).reshape(-1, len(weights))
+    grid, stack = F.grid, F.stack
+    shifts, bounds, weights, ordered = _peetre_tables(grid, F.scales, b)
+    mags = np.abs(stack).reshape(-1, len(weights))  # (field cells, scales)
     keep = _candidate_scales(mags, weights[:, -1]) if ordered else np.ones(mags.shape, dtype=bool)
     flat = np.flatnonzero(keep)  # the candidates cell by cell, each cell's by scale
     cell = flat // len(weights)
@@ -379,7 +384,7 @@ def peetre_maximals(fs: Sequence[SampledFunction], b: float, *, plan: Convolutio
     del mags, flat, cell, rank, slot  # the per-cell arrays go before the steps
     # the cells of every input's grid doubled along every grid axis, as sorted
     n = grid.points_per_axis
-    doubled_at = np.tile(position.reshape((len(fs),) + grid.shape), (1,) + (2,) * grid.dim).ravel()
+    doubled_at = np.tile(position.reshape((len(stack),) + grid.shape), (1,) + (2,) * grid.dim).ravel()
     columns = np.ascontiguousarray(weights.T)  # (distances, scales)
     n_dist = len(bounds) - 1
     per_distance = len(scale) + len(doubled_at)
@@ -387,7 +392,7 @@ def peetre_maximals(fs: Sequence[SampledFunction], b: float, *, plan: Convolutio
     buffer = np.empty(step * per_distance)  # a step's products, then its doubled envelopes
     products = buffer[: step * len(scale)].reshape(step, len(scale))
     doubled = buffer[step * len(scale):].reshape(step, len(doubled_at))
-    out = np.zeros((len(fs),) + grid.shape)
+    out = np.zeros((len(stack),) + grid.shape)
     ends = ends.tolist()
     cuts = [slice(s, s + n) for s in range(n)]
     for lo in range(0, n_dist, step):
@@ -398,7 +403,7 @@ def peetre_maximals(fs: Sequence[SampledFunction], b: float, *, plan: Convolutio
         for start, end in zip(ends, ends[1:]):
             np.maximum(p[:, : end - start], p[:, start:end], out=p[:, : end - start])
         d = np.take(p, doubled_at, axis=1, out=doubled[: hi - lo], mode="clip")
-        d = d.reshape((hi - lo, len(fs)) + (2 * n,) * grid.dim)
+        d = d.reshape((hi - lo, len(stack)) + (2 * n,) * grid.dim)
         for j in range(lo, hi):
             for shift in shifts[bounds[j]:bounds[j + 1]].tolist():
                 np.maximum(out, d[(j - lo, slice(None)) + tuple(map(cuts.__getitem__, shift))], out=out)

@@ -202,21 +202,25 @@ def _power_sum_norms(logs: np.ndarray, exps: Sequence[float] | np.ndarray) -> np
     and decreasing in x, so each step climbs towards the root without
     passing it.  A row retires once its step is at most 4 ulps of x, or not
     positive; a row live after ``LUXEMBURG_MAX_STEPS`` steps is a
-    ``NumericFailure``.  A row's steps depend on it alone, so each row is
-    bitwise what it gives alone.
+    ``NumericFailure``.  The live rows' logs are gathered only when a row
+    retires (and at the start only past a zero row).  A row's steps depend
+    on it alone, so each row is bitwise what it gives alone.
     """
     x = np.max(logs / exps, axis=1)
     out = np.zeros(len(logs))
     rows = np.flatnonzero(x > -np.inf)
-    logs, x = logs[rows], x[rows]
+    if rows.size < len(logs):
+        logs, x = logs[rows], x[rows]
     for _ in range(LUXEMBURG_MAX_STEPS):
         step = _newton_steps(logs, exps, x)
         done = ~(step > 4 * np.spacing(np.abs(x)))
-        out[rows[done]] = np.exp(x[done])
-        keep = ~done
-        rows, logs, x = rows[keep], logs[keep], x[keep] + step[keep]
+        if done.any():
+            out[rows[done]] = np.exp(x[done])
+            keep = ~done
+            rows, logs, x, step = rows[keep], logs[keep], x[keep], step[keep]
         if not rows.size:
             return out
+        x += step
     raise NumericFailure(f"Luxemburg solve of {rows.size} rows not settled in {LUXEMBURG_MAX_STEPS} steps")
 
 

@@ -126,8 +126,8 @@ def build_field(f: SampledFunction, plan: ConvolutionPlan) -> HalfSpaceField:
 
 def build_fields(fs: Sequence[SampledFunction], plan: ConvolutionPlan) -> FieldStack:
     """``build_field`` of every input as one stack of fields, ``values[i]``
-    bitwise the field of ``fs[i]``; the batched square functions take it
-    whole."""
+    bitwise the field of ``fs[i]``; the batched square functions and the
+    batched Peetre sup take it whole."""
     return FieldStack(plan.grid, plan.scales, _field_values(fs, plan))
 
 

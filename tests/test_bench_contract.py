@@ -47,7 +47,6 @@ def test_traced_equivalence_experiment_builds_two_fields_per_trial(monkeypatch):
         direct, _ = tracer.summarize(since)
         # the experiment builds its fields in trial blocks, through build_fields only
         monkeypatch.setattr(harness, "build_fields", counted)
-        monkeypatch.setattr(maximal, "build_fields", counted)
         since = tracer.mark()
         harness.equivalence_experiment(Lebesgue(2.0), "annular", trials, grid, scales, seed=0)
         metrics, _ = tracer.summarize(since)

@@ -1,3 +1,4 @@
+import functools
 import sys
 import types
 
@@ -252,14 +253,17 @@ def _per_trial_equivalence(space, kernel_kind, trials, grid, scales, seed):
 
 def _block_sizes(monkeypatch, trials_per_block, grid, scales):
     """Set the budget to hold the given number of trials; returns the list
-    the phi-field block sizes are recorded in.  A trial costs dim + 1 times
-    its real field, 8 bytes per (cell, scale)."""
+    the block sizes of the phi-field builds, those on the annular kernel,
+    are recorded in.  A trial costs dim + 1 times its real field, 8 bytes
+    per (cell, scale)."""
     monkeypatch.setattr(grid_mod, "WORK_BYTES", trials_per_block * (grid.dim + 1) * grid.size * len(scales) * 8)
+    phi = build_annular_kernel(grid)
     sizes = []
     build_fields = harness.build_fields
 
     def recorded(fs, plan):
-        sizes.append(len(fs))
+        if plan.kernel == phi:
+            sizes.append(len(fs))
         return build_fields(fs, plan)
 
     monkeypatch.setattr(harness, "build_fields", recorded)
@@ -284,9 +288,11 @@ def test_trial_blocked_equivalence_with_a_partial_last_block(dim, trials, per_bl
     else:
         # trial functions need N >= 64, and at 2-D N=64 the annular kernel's
         # companion needs 48 scales, about 4 s on a 2-vCPU host; on 8 scales
-        # the smoothed maximal function takes the annular kernel itself as its psi
+        # the smoothed maximal function takes the annular profile as its psi,
+        # as a kernel of its own so that its fields are told from the phi-fields
         scales, space = ScaleGrid(1 / 4, 1.0, 4), Lebesgue(2.0)
-        monkeypatch.setattr(harness, "calderon_companion", lambda kernel, _: types.SimpleNamespace(psi=kernel))
+        psi = kernels.Kernel(grid, kernels.KernelKind.ANNULAR, functools.partial(kernels.annular_profile))
+        monkeypatch.setattr(harness, "calderon_companion", lambda kernel, _: types.SimpleNamespace(psi=psi))
     expected = _per_trial_equivalence(space, "annular", trials, grid, scales, 0).to_json()
     sizes = _block_sizes(monkeypatch, per_block, grid, scales)
     assert equivalence_experiment(space, "annular", trials, grid, scales).to_json() == expected
@@ -364,25 +370,33 @@ def test_many_space_pass_with_a_partial_last_block(monkeypatch):
 
 def test_many_space_pass_builds_each_blocks_operators_once(monkeypatch):
     # per block: one phi-field stack, squared once, one scale_sums for S,
-    # g and every distinct lambda, one Peetre sup per distinct b, and one
-    # norm call per space
+    # g and every distinct lambda, one psi-field stack, one Peetre sup on it
+    # per distinct b, and one norm call per space
     spaces = list(five_spaces(EQ_GRID).values())
     distinct_b = list(dict.fromkeys(harness.default_peetre_exponent(1, space.floor()) for space in spaces))
     assert len(distinct_b) == 4 and len({default_lambda(space) for space in spaces}) == 4
     blocks = _block_sizes(monkeypatch, 4, EQ_GRID, EQ_SCALES)
-    calls = {"_unit_powers": [], "scale_sums": [], "peetre_maximals": [], "space_norms": []}
-    for module, name in ((squarefuncs, "_unit_powers"), (harness, "scale_sums"), (harness, "peetre_maximals"),
-                         (harness, "space_norms")):
+    calls = {"_field_values": [], "_unit_powers": [], "scale_sums": [], "peetre_maximals": [], "space_norms": []}
+    # every field build, wherever it is called from, goes through _field_values
+    for module, name in ((transforms, "_field_values"), (squarefuncs, "_unit_powers"), (harness, "scale_sums"),
+                         (harness, "peetre_maximals"), (harness, "space_norms")):
         def spy(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name].append(args)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, spy)
     _five_space_pass(5)
     assert blocks == [4, 4, 2]
+    phi = build_annular_kernel(EQ_GRID)
+    psi = harness.calderon_companion(phi, EQ_SCALES).psi
+    assert [(len(fs), plan.kernel) for fs, plan in calls["_field_values"]] == [
+        (4, phi), (4, psi), (4, phi), (4, psi), (2, phi), (2, psi)]
     assert len(calls["_unit_powers"]) == 3
     # the cone table and one g*_lambda table per distinct lambda
     assert [len(tables) for _, tables in calls["scale_sums"]] == [1 + 4] * 3
-    assert [b for _, b in calls["peetre_maximals"]] == distinct_b * 3
+    sups = calls["peetre_maximals"]
+    assert [b for _, b in sups] == distinct_b * 3
+    assert [len(F.values) for F, _ in sups] == [4] * 8 + [2] * 4
+    assert all(F is sups[i - i % 4][0] for i, (F, _) in enumerate(sups))  # a block's sups read one stack
     assert len(calls["space_norms"]) == 5 * 3
 
 

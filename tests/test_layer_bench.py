@@ -1,8 +1,8 @@
 """Smoke test of ``scripts/layer_bench.py``, the in-process timer: one repeat
 of a Peetre case, of the ``orlicz_slice`` norm case, which records the
 harness's rows through ``harness.space_norms``, of the ``decompose``
-and ``decompose-2d`` cases, of the scale-sum and ``hl_maximal`` cases and
-of the 2-D ``orlicz-slice-2d-64`` case;
+and ``decompose-2d`` cases, of the scale-sum and ``hl_maximal`` cases, of
+the 2-D ``orlicz-slice-2d-64`` case and of the five-space pass;
 and the norm cases' rows, from one pass over the five spaces, against the
 rows of one equivalence run per space."""
 
@@ -28,7 +28,7 @@ def _layer_bench():
 def test_layer_bench_prints_one_json_line_per_case(capsys):
     bench = _layer_bench()
     cases = ["1d-64", "orlicz_slice", "decompose", "decompose-2d", "scale-sums-1d-64", "scale-sums-2d-64",
-             "hl-maximal-1d-512", "orlicz-slice-2d-64"]
+             "hl-maximal-1d-512", "orlicz-slice-2d-64", "five-space-pass"]
     assert bench.main([arg for case in cases for arg in ("--case", case)] + ["--repeats", "1"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     peetre, norms, decompose, decompose_2d, *plain = lines
@@ -45,7 +45,8 @@ def test_layer_bench_prints_one_json_line_per_case(capsys):
     assert all(set(line) == KEYS for line in plain)
     assert [(line["case"], line["call"], line["rows"]) for line in plain] == [
         ("scale-sums-1d-64", "scale_sums", 10), ("scale-sums-2d-64", "scale_sums", 1),
-        ("hl-maximal-1d-512", "hl_maximal", 1), ("orlicz-slice-2d-64", "space_norms", 4)]
+        ("hl-maximal-1d-512", "hl_maximal", 1), ("orlicz-slice-2d-64", "space_norms", 4),
+        ("five-space-pass", "equivalence_experiments", 10)]
     for line in lines:
         assert line["repeats"] == 1
         assert 0 < line["min_s"] == line["q1_s"] == line["median_s"] == line["q3_s"] == line["max_s"]

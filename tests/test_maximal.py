@@ -315,9 +315,10 @@ def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_sca
     fs = [SampledFunction(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)),
           SampledFunction(grid, np.zeros(grid.shape)),
           SampledFunction(grid, 1e-200 * rng.normal(size=grid.shape))]
+    F = build_fields(fs, plan)
     if per_step is not None:
         weights = maximal._peetre_tables(grid, plan.scales, 3.0)[2]
-        mags = np.abs(build_fields(fs, plan).values).reshape(-1, len(weights))
+        mags = np.abs(F.values).reshape(-1, len(weights))
         per_distance = np.count_nonzero(maximal._candidate_scales(mags, weights[:, -1])) + 2**dim * len(mags)
         monkeypatch.setattr(grid_mod, "WORK_BYTES", 8 * per_step * per_distance or 1)
     # each step takes its products, then its doubled envelopes, by one np.take
@@ -326,7 +327,7 @@ def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_sca
     take = np.take
     with monkeypatch.context() as m:
         m.setattr(np, "take", lambda a, indices, **kw: recorded.append(kw["out"].shape[0]) or take(a, indices, **kw))
-        rows = peetre_maximals(fs, 3.0, plan=plan)
+        rows = peetre_maximals(F, 3.0)
     assert recorded[::2] == recorded[1::2] == steps
     assert rows.shape == (3,) + grid.shape
     for f, row in zip(fs, rows):
@@ -334,7 +335,7 @@ def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_sca
         assert np.array_equal(row, roll_peetre_maximal(f, 3.0, plan))
     for b in (0.0, float("nan")):
         with pytest.raises(ValueError):
-            peetre_maximals(fs, b, plan=plan)
+            peetre_maximals(F, b)
 
 
 def _oracle_inputs(grid: GridSpec) -> list[SampledFunction]:
@@ -364,12 +365,30 @@ def test_peetre_maximals_match_the_dense_reference_and_the_roll_oracle_bitwise(c
     grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
     plan = build_plan(build_kernel(kind, grid), ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4))
     fs = _oracle_inputs(grid)
-    rows = peetre_maximals(fs, b, plan=plan)
+    rows = peetre_maximals(build_fields(fs, plan), b)
     assert np.array_equal(rows, dense_peetre_maximals(fs, b, plan))
     # the brute-force oracle takes about 0.1 s per 2-D N=32 input, so there it
     # checks the real and the complex noise
     for i in range(len(fs)) if grid.size < 1024 else (0, len(fs) - 1):
         assert np.array_equal(rows[i], roll_peetre_maximal(fs[i], b, plan))
+
+
+@pytest.mark.parametrize("case", ["1d-64", "2d-16"])
+def test_peetre_maximals_take_one_field_as_a_stack_of_one_and_a_stack_of_fields(case):
+    # the sup reads a prebuilt psi-field: one HalfSpaceField gives one row,
+    # a FieldStack one row per field, each bitwise the one-input value
+    dim, n, width = ORACLE_GRIDS[case]
+    grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
+    plan = build_plan(build_annular_kernel(grid), ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4))
+    fs = _oracle_inputs(grid)
+    rows = peetre_maximals(build_fields(fs, plan), 3.0)
+    assert rows.shape == (len(fs),) + grid.shape
+    assert np.array_equal(rows, dense_peetre_maximals(fs, 3.0, plan))
+    for f, row in zip(fs, rows):
+        one = peetre_maximals(build_field(f, plan), 3.0)
+        assert one.shape == (1,) + grid.shape
+        assert np.array_equal(one[0], row)
+        assert np.array_equal(peetre_maximal(f, 3.0, plan=plan).values, row)
 
 
 @pytest.mark.parametrize("case", ["1d-64", "2d-16"])
@@ -379,8 +398,9 @@ def test_peetre_maximals_at_infinite_b_are_the_max_over_the_scales(case):
     grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
     plan = build_plan(build_annular_kernel(grid), ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4))
     fs = _oracle_inputs(grid)
-    rows = peetre_maximals(fs, float("inf"), plan=plan)
-    assert np.array_equal(rows, np.abs(build_fields(fs, plan).values).max(axis=-1))
+    F = build_fields(fs, plan)
+    rows = peetre_maximals(F, float("inf"))
+    assert np.array_equal(rows, np.abs(F.values).max(axis=-1))
     assert np.array_equal(rows, dense_peetre_maximals(fs, float("inf"), plan))
 
 
@@ -431,7 +451,7 @@ def test_an_unordered_weight_table_keeps_every_scale(monkeypatch):
 
     monkeypatch.setattr(maximal, "_candidate_scales", refused)
     fs = _oracle_inputs(grid)
-    rows = peetre_maximals(fs, 3.0, plan=plan)
+    rows = peetre_maximals(build_fields(fs, plan), 3.0)
     assert np.array_equal(rows, dense_peetre_maximals(fs, 3.0, plan))
 
 

@@ -78,7 +78,8 @@ def _peetre(dim, n, half_width, count):
     grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
     plan = build_plan(build_annular_kernel(grid), ScaleGrid(1 / 16, 4.0, 4))
     fs = [trial_function(5, i, grid) for i in range(count)] if n >= 64 else _noise(grid, count)
-    return lambda: peetre_maximals(fs, 3.0, plan=plan)
+    F = build_fields(fs, plan)
+    return lambda: peetre_maximals(F, 3.0)
 
 
 def _ball_filters(dim, n, per_octave):
