@@ -7,17 +7,23 @@ of the tent decomposition, ``atoms.tent_decompose``, of the scale sums,
 ``maximal.hl_maximal``, and of criterion 5's five-space pass,
 ``harness.equivalence_experiments``.
 
-Three Peetre cases, each on the companion of the annular kernel over the
+Four Peetre cases, each on the companion of the annular kernel over the
 default scale grid (1/16 .. 16 at 8 steps per octave) with the harness's b
 for ``Lebesgue(2)``, on the first trials of the trial family:
 
 - ``1d-64``: 1-D N=64, L=2, 10 inputs (the trial block of ``verify-1d``);
 - ``1d-512``: 1-D N=512, L=8, 2 inputs (a trial block of the default
   ``lpx verify``);
-- ``2d-64``: 2-D N=64, L=2, 1 input.
+- ``2d-64``: 2-D N=64, L=2, 1 input;
+- ``2d-128``: 2-D N=128, L=2, 1 input (a trial block of the 2-D N=128
+  ``lpx verify``).
 
 A Peetre call builds its inputs' psi-field stack (``build_fields``) and
 takes the sup on it: the Peetre work of a trial block with one distinct b.
+A Peetre case adds the sup's deterministic counts on that stack: the mean
+and the largest number of candidate scales per cell
+(``candidates_mean``, ``candidates_max``; ``maximal._candidate_scales``)
+and the steps of distances (``steps``).
 
 One pass case, ``five-space-pass``: one ``harness.equivalence_experiments``
 call over ``harness.five_spaces`` on 1-D N=64, L=2 with the default scale
@@ -65,7 +71,7 @@ Each case makes one untimed call, which builds the cached tables, then
 quartiles and range of the call's wall time (``median_s``, ``q1_s``,
 ``q3_s``, ``min_s``, ``max_s``; ``time.perf_counter``) and the median minor
 page faults per call (``faults_per_call``; ``resource.getrusage``), the
-steady-state faults per call.  A Peetre case adds its ``b``.
+steady-state faults per call.  A Peetre case adds its ``b`` and its counts.
 
 Usage (from the repository root):
 
@@ -85,7 +91,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lpx import harness, spaces
+from lpx import harness, maximal, spaces
 from lpx.atoms import tent_decompose
 from lpx.grid import GridSpec, ScaleGrid
 from lpx.harness import FIVE_SPACES, default_lambda, five_spaces, trial_function
@@ -96,7 +102,7 @@ from lpx.transforms import build_field, build_fields, build_plan
 
 SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
 # Peetre case: (dim, N, L, inputs)
-PEETRE = {"1d-64": (1, 64, 2.0, 10), "1d-512": (1, 512, 8.0, 2), "2d-64": (2, 64, 2.0, 1)}
+PEETRE = {"1d-64": (1, 64, 2.0, 10), "1d-512": (1, 512, 8.0, 2), "2d-64": (2, 64, 2.0, 1), "2d-128": (2, 128, 2.0, 1)}
 NORM_GRID = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
 NORM_TRIALS = 10
 PASSES = ["five-space-pass"]  # on NORM_GRID with NORM_TRIALS trials
@@ -115,14 +121,33 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def peetre_counts(F, b: float) -> dict:
+    """The candidate scales per cell (mean and largest) and the steps of
+    distances of ``peetre_maximals(F, b)``, from the sup's candidate rule and
+    step size."""
+    _, bounds, weights, ordered = maximal._peetre_tables(F.grid, F.scales, b)
+    cells = F.values.size // len(weights)
+    if ordered:
+        work = np.empty(maximal._candidate_chunk(len(weights), cells)[1])
+        cell = maximal._candidate_scales(F.values, weights[:, -1], work)[0]
+    else:
+        cell = np.arange(F.values.size) // len(weights)
+    counts = np.bincount(cell, minlength=cells)
+    distances = len(bounds) - 1
+    step = maximal._distances_per_step(distances, len(cell) + 2**F.grid.dim * cells)
+    return {"candidates_mean": float(counts.mean()), "candidates_max": int(counts.max()),
+            "steps": -(-distances // step)}
+
+
 def peetre_case(case: str, seed: int):
-    """The timed call of a Peetre case, its input count and its ``b``."""
+    """The timed call of a Peetre case, its input count, its ``b`` and its counts."""
     dim, n, half_width, inputs = PEETRE[case]
     grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
     plan = build_plan(calderon_companion(build_kernel("annular", grid), SCALES).psi, SCALES)
     fs = [trial_function(seed, i, grid) for i in range(inputs)]
     b = default_peetre_exponent(dim, spaces.Lebesgue(2.0).floor())
-    return "peetre_maximals", inputs, lambda: peetre_maximals(build_fields(fs, plan), b), {"b": b}
+    counts = peetre_counts(build_fields(fs, plan), b)
+    return "peetre_maximals", inputs, lambda: peetre_maximals(build_fields(fs, plan), b), {"b": b, **counts}
 
 
 def pass_case(case: str, seed: int):

@@ -48,11 +48,28 @@ MUTANTS = [
            "hi = min(lo + step, n_dist)", "hi = min(lo + step, n_dist - 1)",
            ("tests/test_maximal.py::test_peetre_maximals_rows_match_one_input_calls_bitwise",)),
     Mutant("peetre-far-margin", "src/lpx/maximal.py",
-           "thresholds = (1 - PEETRE_MARGIN) * products", "thresholds = 1.0 * products",
+           "block *= 1 + PEETRE_MARGIN", "pass",
            ("tests/test_maximal.py::test_the_far_test_margin_covers_an_ordered_tables_rounding",)),
-    Mutant("peetre-far-test-above-j1", "src/lpx/maximal.py",
-           "keep &= ~above[j1 + 1] | (", "keep &= (",
-           ("tests/test_maximal.py::test_peetre_pure_frequency",)),
+    Mutant("peetre-far-witness-larger", "src/lpx/maximal.py",
+           "np.maximum(run[k - 1], run[k], out=run[k])",
+           "np.maximum(run[k - 1], run[min(k + 1, len(run) - 1)], out=run[k])",
+           ("tests/test_maximal.py::test_candidate_scales_are_the_scales_that_no_single_scale_dominates",)),
+    Mutant("peetre-far-subnormal", "src/lpx/maximal.py",
+           "np.maximum(run[lo:hi], np.finfo(float).tiny, out=", "np.maximum(run[lo:hi], 0.0, out=",
+           ("tests/test_maximal.py::test_a_subnormal_far_product_is_raised_before_the_far_test",)),
+    Mutant("peetre-magnitude-ties", "src/lpx/maximal.py",
+           "np.greater(mags[:-1], run[1:], out=keep[:-1])", "np.greater_equal(mags[:-1], run[1:], out=keep[:-1])",
+           ("tests/test_maximal.py::test_candidate_scales_are_the_scales_that_no_single_scale_dominates",)),
+    Mutant("peetre-low-scale", "src/lpx/maximal.py",
+           "low = int(np.argmax(by_cell, axis=1).min())", "low = int(np.argmax(by_cell, axis=1).max())",
+           ("tests/test_maximal.py::test_candidate_scales_are_the_scales_that_no_single_scale_dominates",)),
+    Mutant("peetre-candidate-chunk", "src/lpx/maximal.py",
+           "found.append((cell + start, ", "found.append((cell, ",
+           ("tests/test_maximal.py::test_candidate_scales_are_the_scales_that_no_single_scale_dominates",)),
+    Mutant("peetre-1d-diagonal-start", "src/lpx/maximal.py",
+           "for start, along in ((lo, rows + cells), (n - lo, rows - cells)):",
+           "for start, along in ((0, rows + cells), (n, rows - cells)):",
+           ("tests/test_maximal.py::test_peetre_maximals_rows_match_one_input_calls_bitwise",)),
     Mutant("doubling-table-wrap", "src/lpx/maximal.py",
            "table[j, ..., 2 * n - half:] = table[j, ..., n - half:n]", "pass",
            ("tests/test_maximal.py::test_ball_filters_match_the_roll_oracle_bitwise",)),

@@ -38,7 +38,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
+from . import grid as grid_module
 from .grid import (CACHE_SIZE, FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, batch_items,
                    scale_to_unit_rows)
 from .squarefuncs import ball_spectra
@@ -297,40 +299,94 @@ def _ordered(weights: np.ndarray) -> bool:
     return bool(np.all(relative[1:] <= (1 + PEETRE_MARGIN / 2) * np.minimum.accumulate(relative)[:-1]))
 
 
-def _candidate_scales(mags: np.ndarray, far: np.ndarray) -> np.ndarray:
-    """``keep[c, k]``: whether the k-th scale stays a candidate for the
-    distance envelope of cell c, for magnitudes ``mags`` (cells, scales) and
-    the scales' weights ``far`` at the largest distance, from an ordered
-    weight table.
+def _candidate_chunk(count: int, cells: int) -> tuple[int, int]:
+    """The cells of one chunk of ``_candidate_scales`` on ``count`` scales,
+    within ``grid.WORK_BYTES``, a cell costing two rows of its scales (its
+    magnitudes and their running max), and the elements of the workspace
+    that its tests take: those two rows and a block of scaled far products
+    of at most an eighth of the budget."""
+    chunk = min(batch_items(16 * count), cells)
+    return chunk, (2 * count + min(batch_items(64 * chunk), count)) * chunk
 
-    With j0 a cell's scale of largest magnitude and j1 its scale of largest
-    far product, a scale is dropped when it lies below j0, when it lies below
-    j1 with at most j1's magnitude (the larger scale's weight is at least as
-    large at every distance, and a float multiply is monotone), or when it
-    lies above j0 (or j1) with a far product below ``1 - PEETRE_MARGIN``
-    times j0's (or j1's) and that product is normal (the larger scale's
-    weight ratio to the smaller one is largest at the largest distance, so
-    the smaller scale's product is at least its own at every distance).
-    Where every magnitude (far product) of a cell is zero, its last scale is
-    j0 (j1).  Following the witnesses from a dropped scale ends at a kept
-    one, so every cell keeps a scale and the envelope over the candidates is
-    bitwise the envelope over every scale.
+
+def _candidate_scales(
+    stack: np.ndarray, far: np.ndarray, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate scales of every cell of the field values ``stack``
+    (cells..., scales), from an ordered weight table whose weights at the
+    largest distance are ``far``: the candidates' cells and scales, cell by
+    cell and each cell's by scale, and their magnitudes.  The tests' arrays
+    lie in ``work``, of at least the elements ``_candidate_chunk`` gives.
+
+    A scale k is kept unless one other scale j dominates it:
+
+    - *magnitude*: j is larger and has at least k's magnitude.  A larger
+      scale's weight is at least as large at every distance and a float
+      multiply is monotone, so no margin is needed.  k is kept only above the
+      running max of the larger scales' magnitudes.
+    - *far product*: j is smaller and its far product exceeds 1 +
+      ``PEETRE_MARGIN`` times k's, raised to the smallest normal number.
+      For t_k > t_j the weight ratio w_k(d) / w_j(d) is largest at the
+      largest distance, so j's product is the larger one at every distance.
+      The margin covers the rounding of the table and of the products; a
+      subnormal product rounds too coarsely for it, and raised, the product
+      and its margin are normal.  k is kept only when its raised product
+      times the margin reaches the running max of the far products from the
+      smallest scale (k's own included, which never exceeds it).
+
+    A dominator's far product is at least the dropped scale's, and above it
+    where the dominator is the smaller scale, so no chain of dominators
+    returns to its start: every dropped scale has a kept dominator, every
+    cell keeps a scale, and the envelope over the candidates is bitwise the
+    envelope over every scale.  The tests run per chunk of cells
+    (``_candidate_chunk``), and on the scales from the lowest of the
+    chunk's cells' first largest magnitudes on: a scale below a cell's is
+    dropped by magnitude, and as a witness of the far test it gives way to
+    the larger scale that dominates it, which is kept by magnitude.
     """
-    cells, count = mags.shape
-    above = ~np.tri(count + 1, count, -1, dtype=bool)  # above[j, k]: k >= j
-    products = mags * far
-    at = np.arange(cells) * count
-    j0 = np.argmax(mags, axis=1)
-    j1 = np.argmax(products, axis=1)
-    j0[mags.ravel()[at + j0] == 0] = count - 1
-    j1[products.ravel()[at + j1] == 0] = count - 1
-    thresholds = (1 - PEETRE_MARGIN) * products.ravel()[np.stack([at + j0, at + j1])]
-    thresholds[thresholds < np.finfo(float).tiny] = 0.0
-    keep = above[j0]
-    keep &= above[j1] | (mags > mags.ravel()[at + j1][:, None])
-    keep &= products >= thresholds[0][:, None]
-    keep &= ~above[j1 + 1] | (products >= thresholds[1][:, None])
-    return keep
+    count = stack.shape[-1]
+    cells = stack.reshape(-1, count)
+    chunk, _ = _candidate_chunk(count, len(cells))
+    found = []
+    for start in range(0, len(cells), chunk):
+        size = min(chunk, len(cells) - start)
+        # the chunk's magnitudes by cell, then by scale from low, whose
+        # running max takes over the first rows once they are read
+        first, second, rest = np.split(work, [count * size, 2 * count * size])
+        by_cell = first.reshape(size, count)
+        np.abs(cells[start:start + size], out=by_cell)
+        low = int(np.argmax(by_cell, axis=1).min())
+        mags = second[: (count - low) * size].reshape(count - low, size)
+        np.copyto(mags, by_cell[:, low:].T)
+        run = first[: mags.size].reshape(mags.shape)
+        run[-1] = mags[-1]
+        for k in range(len(mags) - 2, -1, -1):
+            np.maximum(mags[k], run[k + 1], out=run[k])
+        keep = np.empty(mags.shape, dtype=bool)
+        keep[-1] = True
+        np.greater(mags[:-1], run[1:], out=keep[:-1])
+        # run turns into the running max of the far products from the
+        # smallest scale, a block of rows at a time, each block's raised
+        # products times 1 + margin taken first
+        np.multiply(mags, far[low:, None], out=run)
+        rows = min(batch_items(64 * chunk), len(mags))
+        for lo in range(0, len(mags), rows):
+            hi = min(lo + rows, len(mags))
+            block = np.maximum(run[lo:hi], np.finfo(float).tiny, out=rest[: (hi - lo) * size].reshape(hi - lo, size))
+            block *= 1 + PEETRE_MARGIN
+            for k in range(max(lo, 1), hi):
+                np.maximum(run[k - 1], run[k], out=run[k])
+            keep[lo:hi] &= block >= run[lo:hi]
+        cell, scale = np.divmod(np.flatnonzero(keep.T), len(mags))
+        found.append((cell + start, scale + low, mags[scale, cell]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _distances_per_step(distances: int, per_distance: int) -> int:
+    """The distances of one step of ``peetre_maximals``, each costing
+    ``per_distance`` 8-byte elements: its candidate products and its
+    doubled envelopes."""
+    return min(distances, batch_items(8 * per_distance))
 
 
 def peetre_maximals(F: HalfSpaceField | FieldStack, b: float) -> np.ndarray:
@@ -344,16 +400,19 @@ def peetre_maximals(F: HalfSpaceField | FieldStack, b: float) -> np.ndarray:
     H_{|y|}(x - y), H_d = max_k w_k(d) G_k; grid and scales are F's.  Each
     cell's envelope takes products only of its candidate scales
     (``_candidate_scales``; every scale when the weight table is not
-    ordered), a few of the 55-64 live ones.  The cells are sorted by their
-    candidate count, so the r-th candidates of every cell that has one are
-    one contiguous block.  The distinct distances run
-    in steps (``grid.batch_items``), a distance costing the 8-byte elements
-    of its candidate products and its envelopes, doubled along every grid
-    axis; one buffer per call holds a step.  A step takes its products by
-    one gather and one multiply and its envelopes by one max per candidate
-    rank, reads the envelopes back into grid order doubled by one more
-    gather, and folds each offset's window, one slice of the doubled
-    envelopes, into the output.  Every product is the one of a
+    ordered).  The cells are sorted by their candidate count, so the r-th
+    candidates of every cell that has one are one contiguous block.  The
+    distinct distances run in steps (``grid.batch_items``), a distance
+    costing the 8-byte elements of its candidate products and its
+    envelopes, doubled along every grid axis.  One workspace per call, of
+    the budget or more, holds first the candidate tests' arrays and then a
+    step.  A step takes its products by one gather and one multiply and its
+    envelopes by one max per candidate rank, and reads the envelopes back
+    into grid order doubled by one more gather.  In 2-D it folds each
+    offset's window, one slice of the doubled envelopes, into the output.
+    In 1-D the offsets at distance j are the shifts j and -j, so the step's
+    windows are two diagonals of the doubled envelopes, each folded by one
+    max over the step's distances.  Every product is the one of a
     (scale, offset) pair and a maximum is exact, so neither the candidates
     nor the steps change the result.
     """
@@ -361,40 +420,48 @@ def peetre_maximals(F: HalfSpaceField | FieldStack, b: float) -> np.ndarray:
         raise ValueError("b must be positive")
     grid, stack = F.grid, F.stack
     shifts, bounds, weights, ordered = _peetre_tables(grid, F.scales, b)
-    mags = np.abs(stack).reshape(-1, len(weights))  # (field cells, scales)
-    keep = _candidate_scales(mags, weights[:, -1]) if ordered else np.ones(mags.shape, dtype=bool)
-    flat = np.flatnonzero(keep)  # the candidates cell by cell, each cell's by scale
-    cell = flat // len(weights)
-    counts = np.bincount(cell, minlength=len(mags))
-    del keep
+    count = len(weights)
+    # one workspace per call, of the budget or more: first the candidate
+    # tests' arrays, then a step's products and doubled envelopes.  glibc
+    # maps a block of at least its threshold afresh, raises the threshold to
+    # each mapped block it frees and returns a freed heap top past twice the
+    # threshold, so a call whose transient blocks grew and shrank with the
+    # candidates had its heap returned and faulted in again at each call
+    work = np.empty(max(_candidate_chunk(count, stack.size // count)[1], grid_module.WORK_BYTES // 8))
+    if ordered:
+        cell, scale, mags = _candidate_scales(stack, weights[:, -1], work)
+    else:
+        (cell, scale), mags = np.divmod(np.arange(stack.size), count), np.abs(stack).ravel()
+    counts = np.bincount(cell, minlength=stack.size // count)
     # the cells by decreasing candidate count, and the candidates by rank within
     # their cell: the rank-r candidates of the first levels[r] sorted cells form
     # the r-th block
     order = np.argsort(-counts, kind="stable")
     position = np.empty_like(order)  # each cell's place among the sorted cells
     position[order] = np.arange(len(order))
-    rank = np.arange(len(flat)) - (np.cumsum(counts) - counts)[cell]
+    rank = np.arange(len(cell)) - (np.cumsum(counts) - counts)[cell]
     levels = np.bincount(rank)
     ends = np.cumsum(levels)
     slot = position[cell] + (ends - levels)[rank]
-    scale = np.empty_like(flat)
-    scale[slot] = flat - cell * len(weights)
-    values = np.empty(len(flat))
-    values[slot] = mags.ravel()[flat]
-    del mags, flat, cell, rank, slot  # the per-cell arrays go before the steps
+    scale[slot] = scale.copy()  # the candidates' scales and magnitudes in slot order
+    values = np.empty(len(cell))
+    values[slot] = mags
+    del mags, cell, rank, slot  # the per-cell arrays go before the steps
     # the cells of every input's grid doubled along every grid axis, as sorted
     n = grid.points_per_axis
     doubled_at = np.tile(position.reshape((len(stack),) + grid.shape), (1,) + (2,) * grid.dim).ravel()
     columns = np.ascontiguousarray(weights.T)  # (distances, scales)
     n_dist = len(bounds) - 1
     per_distance = len(scale) + len(doubled_at)
-    step = min(n_dist, batch_items(8 * per_distance))
-    buffer = np.empty(step * per_distance)  # a step's products, then its doubled envelopes
+    step = _distances_per_step(n_dist, per_distance)
+    # a step past the workspace is one distance past the budget
+    buffer = work if step * per_distance <= len(work) else np.empty(step * per_distance)
     products = buffer[: step * len(scale)].reshape(step, len(scale))
-    doubled = buffer[step * len(scale):].reshape(step, len(doubled_at))
+    doubled = buffer[step * len(scale): step * per_distance].reshape(step, len(doubled_at))
     out = np.zeros((len(stack),) + grid.shape)
     ends = ends.tolist()
     cuts = [slice(s, s + n) for s in range(n)]
+    fold = np.empty_like(out)  # a 1-D step's fold of one diagonal
     for lo in range(0, n_dist, step):
         hi = min(lo + step, n_dist)
         # every index is in range; "clip" lets np.take write straight into out
@@ -404,6 +471,15 @@ def peetre_maximals(F: HalfSpaceField | FieldStack, b: float) -> np.ndarray:
             np.maximum(p[:, : end - start], p[:, start:end], out=p[:, : end - start])
         d = np.take(p, doubled_at, axis=1, out=doubled[: hi - lo], mode="clip")
         d = d.reshape((hi - lo, len(stack)) + (2 * n,) * grid.dim)
+        if grid.dim == 1:
+            # distance lo + j has the shifts lo + j and n - lo - j, whose
+            # windows d[j, :, lo + j:][..., :n] and d[j, :, n - lo - j:][..., :n]
+            # lie on two diagonals of d, within its 2n cells
+            rows, inputs, cells = d.strides
+            for start, along in ((lo, rows + cells), (n - lo, rows - cells)):
+                diagonal = as_strided(d[:, :, start:], (hi - lo, len(stack), n), (along, inputs, cells))
+                np.maximum(out, np.maximum.reduce(diagonal, axis=0, out=fold), out=out)
+            continue
         for j in range(lo, hi):
             for shift in shifts[bounds[j]:bounds[j + 1]].tolist():
                 np.maximum(out, d[(j - lo, slice(None)) + tuple(map(cuts.__getitem__, shift))], out=out)

@@ -1,5 +1,6 @@
 """Smoke test of ``scripts/layer_bench.py``, the in-process timer: one repeat
-of a Peetre case, of the ``orlicz_slice`` norm case, which records the
+of a Peetre case, with its candidate and step counts, of the
+``orlicz_slice`` norm case, which records the
 harness's rows through ``harness.space_norms``, of the ``decompose``
 and ``decompose-2d`` cases, of the scale-sum and ``hl_maximal`` cases, of
 the 2-D ``orlicz-slice-2d-64`` case and of the five-space pass;
@@ -32,8 +33,12 @@ def test_layer_bench_prints_one_json_line_per_case(capsys):
     assert bench.main([arg for case in cases for arg in ("--case", case)] + ["--repeats", "1"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     peetre, norms, decompose, decompose_2d, *plain = lines
-    assert set(peetre) == KEYS | {"b"}
+    assert set(peetre) == KEYS | {"b", "candidates_mean", "candidates_max", "steps"}
     assert (peetre["case"], peetre["call"], peetre["rows"]) == ("1d-64", "peetre_maximals", 10)
+    # the 10 inputs' 640 cells keep a few of their 64 scales, and the 33
+    # distances fit one step
+    assert 1 <= peetre["candidates_mean"] <= peetre["candidates_max"] <= 64
+    assert peetre["steps"] == 1
     assert set(norms) == KEYS
     assert (norms["case"], norms["call"], norms["rows"]) == ("orlicz_slice", "space_norms", 40)
     assert set(decompose) == KEYS | {"atoms"}

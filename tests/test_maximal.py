@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from helpers import dense_peetre_maximals, fs_vector_check, hl_maximal_per_radius, indicator_box, powered_maximal
-from lpx.grid import GridSpec, SampledFunction, ScaleGrid, gaussian_bump, pure_frequency
+from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, gaussian_bump, pure_frequency
 from lpx.kernels import Kernel, KernelKind, build_annular_kernel, build_kernel, calderon_companion
 from lpx.maximal import (
     BallFamily,
@@ -318,8 +318,7 @@ def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_sca
     F = build_fields(fs, plan)
     if per_step is not None:
         weights = maximal._peetre_tables(grid, plan.scales, 3.0)[2]
-        mags = np.abs(F.values).reshape(-1, len(weights))
-        per_distance = np.count_nonzero(maximal._candidate_scales(mags, weights[:, -1])) + 2**dim * len(mags)
+        per_distance = len(_candidates(F.values, weights[:, -1])[0]) + 2**dim * F.values[..., 0].size
         monkeypatch.setattr(grid_mod, "WORK_BYTES", 8 * per_step * per_distance or 1)
     # each step takes its products, then its doubled envelopes, by one np.take
     # into its rows of the call's buffer
@@ -336,6 +335,12 @@ def test_peetre_maximals_rows_match_one_input_calls_bitwise(dim, n, width, n_sca
     for b in (0.0, float("nan")):
         with pytest.raises(ValueError):
             peetre_maximals(F, b)
+
+
+def _candidates(values: np.ndarray, far: np.ndarray):
+    """``maximal._candidate_scales`` of the field values with a workspace of its own."""
+    count = values.shape[-1]
+    return maximal._candidate_scales(values, far, np.empty(maximal._candidate_chunk(count, values.size // count)[1]))
 
 
 def _oracle_inputs(grid: GridSpec) -> list[SampledFunction]:
@@ -434,7 +439,83 @@ def test_the_far_test_margin_covers_an_ordered_tables_rounding():
     mags = np.array([[1.0, 0.25 / 0.3 * (1 - 1e-15)]])
     products = weights.T * mags
     assert products[2, 1] < products[2, 0] and products[1, 1] > products[1, 0]
-    assert maximal._candidate_scales(mags, weights[:, -1]).all()
+    assert len(_candidates(mags, weights[:, -1])[0]) == 2
+
+
+def test_a_subnormal_far_product_is_raised_before_the_far_test(monkeypatch):
+    # an ordered two-scale table on 1-D N=8 (five distances): the second
+    # scale's weight relative to its far weight exceeds the first's by 4e-13
+    # at distance 3, inside the order check's tolerance, and the far weight is
+    # 2^-1000, so magnitudes near 2.5 * 2^-74 give far products near 2.5
+    # units of the smallest subnormal.  The first scale's rounds up to 3
+    # units, the second's down to 2, though they differ by 3e-15 relatively,
+    # and the second scale's product wins at distance 3.  Raised to the
+    # smallest normal number, the far products drop no scale; unraised, the
+    # first would drop the second and the sup would lose its product
+    grid = GridSpec(dim=1, half_width=1.0, points_per_axis=8)
+    scales = FirstScales(ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4), 2)
+    far = 2.0**-1000
+    weights = np.array([[1.0, 1.0, 1.0, 0.5, far], [1.0, 1.0, 1.0, 0.5 * (1 + 4e-13), far]])
+    assert maximal._ordered(weights)
+    mags = np.ldexp(np.array([2.5 + 2.0**-48, 2.5 - 2.0**-48]), -74)
+    assert list(mags * far / np.nextafter(0.0, 1.0)) == [3.0, 2.0]
+    assert weights[1, 3] * mags[1] > weights[0, 3] * mags[0]
+    values = np.zeros(grid.shape + (2,))
+    values[0] = mags
+    shifts, bounds, *_ = maximal._peetre_tables(grid, ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4), 3.0)
+    monkeypatch.setattr(maximal, "_peetre_tables", lambda *args: (shifts, bounds, weights, True))
+    cell, scale, _ = _candidates(values, weights[:, -1])
+    assert list(scale[cell == 0]) == [0, 1]
+    # the sup by brute force: offset y of distance min(y, 8 - y) moves the
+    # envelope of that distance by y cells
+    envelopes = (weights[:, :, None] * values.T[:, None, :]).max(axis=0)
+    expected = np.max([np.roll(envelopes[min(y, 8 - y)], y) for y in range(8)], axis=0)
+    assert expected[3] == weights[1, 3] * mags[1]
+    field = HalfSpaceField(grid, scales, values)
+    assert np.array_equal(peetre_maximals(field, 3.0)[0], expected)
+
+
+def _dominated(G: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """``dom[c, j, k]``: whether scale j dominates scale k at cell c by one
+    of the candidate rule's two tests, brute force over every scale pair, for
+    magnitudes ``G`` (cells, scales): j larger with at least k's magnitude,
+    or j smaller with a far product above k's raised to the smallest normal
+    number times 1 + the margin."""
+    products = G * far
+    raised = (1 + maximal.PEETRE_MARGIN) * np.maximum(products, np.finfo(float).tiny)
+    j, k = np.arange(len(far))[:, None], np.arange(len(far))[None, :]
+    return (((j > k) & (G[:, :, None] >= G[:, None, :]))
+            | ((j < k) & (products[:, :, None] > raised[:, None, :])))
+
+
+@pytest.mark.parametrize("b", [0.5, 3.0, 9.0, float("inf")])
+@pytest.mark.parametrize("case", list(ORACLE_GRIDS))
+def test_candidate_scales_are_the_scales_that_no_single_scale_dominates(case, b):
+    dim, n, width = ORACLE_GRIDS[case]
+    grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
+    scales = ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4)
+    F = build_fields(_oracle_inputs(grid), build_plan(build_annular_kernel(grid), scales))
+    _, bounds, weights, ordered = maximal._peetre_tables(grid, scales, b)
+    assert ordered
+    G = np.abs(F.values).reshape(-1, len(scales))
+    cell, scale, mags = _candidates(F.values, weights[:, -1])
+    kept = np.zeros(G.shape, dtype=bool)
+    kept[cell, scale] = True
+    assert np.array_equal(mags, G[cell, scale])
+    assert np.all(np.diff(cell) >= 0) and np.all(np.diff(scale)[np.diff(cell) == 0] > 0)
+    # kept exactly when no single scale dominates it
+    dom = _dominated(G, weights[:, -1])
+    assert np.array_equal(kept, ~dom.any(axis=1))
+    # following a dominator from a dropped scale ends at a kept scale, whose
+    # product is at least the dropped one's at every distance
+    at = np.arange(len(G))[:, None]
+    top = np.broadcast_to(np.arange(len(scales)), G.shape).copy()
+    for _ in range(len(scales)):
+        top = np.where(kept[at, top], top, np.argmax(dom[at, :, top], axis=-1))
+    assert kept[at, top].all()
+    for d in range(len(bounds) - 1):
+        products = G * weights[:, d]
+        assert np.all(products[at, top] >= products)
 
 
 def test_an_unordered_weight_table_keeps_every_scale(monkeypatch):
