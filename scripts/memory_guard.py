@@ -6,12 +6,14 @@ with a peak resident set at or below the case's limit:
 
 - ``decompose``: ``lpx decompose`` on a 2-D N=64 grid (L=2, 16 scales,
   trial 0 of the harness's trial family, ``Lebesgue(2)``), limit 112 MiB:
-  about 1.5 times the 72 MiB it takes (72-78 MiB in earlier runs), so a
-  regression of half that fails.  The config and input are written to a
+  about 1.5 times the 72 MiB it took (72-78 MiB in earlier runs; 59 MiB
+  since the pieces' per-run arrays are dropped once read), so a regression
+  of half that fails.  The config and input are written to a
   temporary directory.
 - ``decompose-2d-128``: the same on a 2-D N=128 grid, limit 320 MiB: below
   the 329-330 MiB it took when the decomposition kept a dense indicator per
-  ball (289 MiB in three runs since).
+  ball (288-289 MiB in later runs; 181 MiB since the pieces' per-run
+  arrays are dropped once read).
 - ``equivalence``: ``equivalence_experiment`` on a 2-D N=64 grid (L=2, the
   default 64 scales, 10 trials of the harness's trial family, seed 0,
   ``Lebesgue(2)``), limit 160 MiB.

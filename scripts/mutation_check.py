@@ -98,6 +98,15 @@ MUTANTS = [
     Mutant("piece-functionals-closed", "src/lpx/atoms.py",
            "closed = end < n", "closed = end <= n",
            ("tests/test_atoms.py::test_piece_functionals_match_the_brute_force_and_fft_references",)),
+    Mutant("whitney-walk-key-offset", "src/lpx/atoms.py",
+           "+ (len(radii) - 1 - top))", "- top)",
+           ("tests/test_atoms.py::test_whitney_regions_match_reference_on_benchmark_inputs",)),
+    Mutant("atom-view-float-values", "src/lpx/atoms.py",
+           "if np.iscomplexobj(values) and not values.imag.any():", "if False:",
+           ("tests/test_atoms.py::test_atoms_read_by_index_slice_and_iteration_match_the_per_piece_reference",)),
+    Mutant("piece-workspace-zeroing", "src/lpx/atoms.py",
+           "rows.fill(0.0)", "pass",
+           ("tests/test_atoms.py::test_piece_functionals_span_chunks_bitwise",)),
     Mutant("whitney-wrapped-slice", "src/lpx/atoms.py",
            "covered[row:row + hi - n] = fill[n - lo:]", "pass",
            ("tests/test_atoms.py::test_whitney_runs_that_wrap_or_fill_a_row_match_the_roll_reference",)),
@@ -123,6 +132,9 @@ MUTANTS = [
     Mutant("trial-block-end", "src/lpx/harness.py",
            "min(lo + size, trials)", "min(lo + size, trials - 1)",
            ("tests/test_harness.py::test_trial_blocked_equivalence_with_a_partial_last_block",)),
+    Mutant("stable-order-high-digits", "src/lpx/grid.py",
+           "for shift in range(16, ", "for shift in range(16, 0 * ",
+           ("tests/test_grid.py::test_stable_order_is_the_stable_argsort_of_non_negative_keys",)),
     Mutant("batch-items-at-least-one", "src/lpx/grid.py",
            "max(1, WORK_BYTES // cost)", "WORK_BYTES // cost",
            ("tests/test_work_budget.py::test_batch_items_fit_the_budget_read_at_call_time",)),

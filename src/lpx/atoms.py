@@ -19,25 +19,28 @@ every level's inside centres over a ``bytearray`` of the levels' cells, a
 claimed ball marking its row runs as slices, and then one ``np.minimum.at``
 over the claimed balls' cells gives every claimed cell its first claim.
 The cells contained at no level are the strays, one piece per spatial
-point.  The pieces travel as flat arrays (cells, starts, centres), and only
-the kept atoms become ``Ball`` and ``TentAtom`` objects.
+point.  The pieces travel as flat arrays (cells, starts, centres), and every
+order of integer keys (the walk, the renumbering, the grouping into pieces)
+is ``grid.stable_order``, a radix sort.
 
 The pieces' cone functionals are exact interval sums, not FFTs
 (``_piece_functionals``): each row run of a ball is one interval along the
 last axis, so a piece's squared cone functional is the cumulative sum of
-difference rows that one ``np.bincount`` fills, each piece scaled to its own
-max.  Pieces go in chunks of whole pieces within ``grid.WORK_BYTES``, and
-each chunk's squared rows give the L^p sizes (``_piece_sizes``), exactly
+difference rows that ``np.add.at`` fills in one workspace per call, each
+piece scaled to its own max.  Pieces go in chunks of whole pieces within
+``grid.WORK_BYTES``, and each chunk's squared rows give the L^p sizes
+(``_piece_sizes``), exactly
 2^k times larger for a field 2^k times larger.  The pieces' balls come
 from one gather of their own cells' torus distances and one pick over the
 family's radii, and their norms (``_ball_norms``) from one ``space_norms``
-call per chunk of whole balls within ``grid.WORK_BYTES``.  A ``TentAtom``
-keeps only its piece's cells and values; its dense field is built on
-demand.  ``tent_decompose`` divides every kept atom's values in one
-operation and checks them once, and the ``TentDecomposition`` keeps what
-it built: the flat cells, values and per-cell coefficients that the atoms'
-arrays view, the balls' flat centres and radii, and the space the atoms
-were sized for.  So ``TentDecomposition.reconstruct`` is one scatter of the
+call per chunk of whole balls within ``grid.WORK_BYTES``.
+``tent_decompose`` divides every kept atom's values in one operation and
+checks them once, and the ``TentDecomposition`` keeps what it built: the
+flat cells, starts, values and per-cell coefficients, the balls' flat
+centres and radii, and the space the atoms were sized for.  Its ``atoms``
+are a read-only view that builds a ``TentAtom`` (its piece's cells and
+values, views into the flat arrays; its dense field on demand) only when
+it is read.  So ``TentDecomposition.reconstruct`` is one scatter of the
 flat arrays, and ``coefficient_functional`` adds its per-atom weights over
 the balls' cells by ``np.add.at`` in chunks of whole balls, reading the
 stored ball norms in that space and taking ``_ball_norms``'s chunks in any
@@ -47,12 +50,15 @@ other.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex, whole_batches
+from . import grid as grid_module
+from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex, stable_order, whole_batches
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import SpaceDescriptor, space_norm, space_norms
@@ -80,8 +86,9 @@ MAX_LEVELS = 22
 # decomposition keeps
 SIZE_EXPONENTS = (2.0, 4.0)
 # the int64 and float64 arrays a chunk of pieces holds per (cell, ball row)
-# run at once, its bincount's inputs among them (measured: 14.9 under
-# tracemalloc)
+# run at once, a bound: 7.8 measured under tracemalloc on the largest piece
+# of the 2-D N=64 memory-guard field (14.8 while the bins and weights were
+# concatenated for one np.bincount)
 RUN_ELEMENTS = 15
 # the bytes ``_ball_cells`` holds per ball cell at once, its output among
 # them (measured: 24.1-26.9 under tracemalloc, 1-D N=2048 to 2-D N=128)
@@ -95,8 +102,8 @@ class Ball(NamedTuple):
 
 def _ball_widths(grid: GridSpec, radii: np.ndarray) -> np.ndarray:
     """Row i: ``GridSpec.ball_row_widths`` of radius ``radii[i]``."""
-    distinct, which = np.unique(radii, return_inverse=True)
-    return grid.ball_row_widths(tuple(distinct.tolist()))[which]
+    distinct = np.unique(radii)
+    return grid.ball_row_widths(tuple(distinct.tolist()))[np.searchsorted(distinct, radii)]
 
 
 def _ball_cells(grid: GridSpec, centers: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,6 +184,38 @@ class TentAtom:
         return HalfSpaceField(self.grid, self.scales, values)
 
 
+class _AtomView(Sequence):
+    """The atoms of a ``TentDecomposition``, read-only: ``len`` reads the
+    flat ``starts``, and atom i is built from the flat arrays when it is
+    read, its ``cells`` and ``values`` views into them.  A piece without
+    imaginary parts gets float values, as ``real_or_complex`` gives it."""
+
+    __slots__ = ("_dec",)
+
+    def __init__(self, dec: "TentDecomposition"):
+        self._dec = dec
+
+    def __len__(self) -> int:
+        return len(self._dec.starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        dec, count = self._dec, len(self)
+        i = operator.index(i)
+        if not -count <= i < count:
+            raise IndexError("atom index out of range")
+        i %= count
+        lo = int(dec.starts[i])
+        hi = int(dec.starts[i + 1]) if i + 1 < count else len(dec.cells)
+        values = dec.values[lo:hi]
+        if np.iscomplexobj(values) and not values.imag.any():
+            values = real_or_complex(values)
+        center = tuple(int(c) for c in np.unravel_index(int(dec.centers[i]), dec.grid.shape))
+        return TentAtom._trusted(dec.grid, dec.scales, dec.cells[lo:hi], values,
+                                 Ball(center, float(dec.radii[i])), float(dec.coefficients[lo]))
+
+
 @dataclass(frozen=True)
 class TentDecomposition:
     """The atoms of ``tent_decompose`` on the half-space of ``grid`` and
@@ -186,17 +225,18 @@ class TentDecomposition:
     cone functional, for each p of ``SIZE_EXPONENTS``.
 
     ``cells``, ``values`` and ``coefficients`` hold every atom's cells,
-    values and coefficient, one entry per cell, atom after atom: each
-    atom's ``cells`` and ``values`` are views into them.  ``centers[i]``
-    (a flat cell index) and ``radii[i]`` are ``atoms[i]``'s ball."""
+    values and coefficient, one entry per cell, atom after atom, and
+    ``starts[i]`` is atom i's first entry in them.  ``centers[i]`` (a flat
+    cell index) and ``radii[i]`` are atom i's ball.  ``atoms`` is a
+    read-only sequence that builds each ``TentAtom`` when it is read."""
 
-    atoms: list[TentAtom]
     grid: GridSpec
     scales: ScaleGrid
     ball_norms: list[float]
     sizes: dict[float, list[float]]
     space: SpaceDescriptor
     cells: np.ndarray
+    starts: np.ndarray
     values: np.ndarray
     coefficients: np.ndarray
     centers: np.ndarray
@@ -206,9 +246,13 @@ class TentDecomposition:
     def _empty(cls, grid: GridSpec, scales: ScaleGrid, space: SpaceDescriptor,
                sizes: dict[float, list[float]]) -> "TentDecomposition":
         """The decomposition without atoms: its reconstruction is a zero float field."""
-        return cls(atoms=[], grid=grid, scales=scales, ball_norms=[], sizes=sizes, space=space,
-                   cells=np.empty(0, dtype=np.intp), values=np.empty(0), coefficients=np.empty(0),
-                   centers=np.empty(0, dtype=np.intp), radii=np.empty(0))
+        return cls(grid=grid, scales=scales, ball_norms=[], sizes=sizes, space=space,
+                   cells=np.empty(0, dtype=np.intp), starts=np.empty(0, dtype=np.intp), values=np.empty(0),
+                   coefficients=np.empty(0), centers=np.empty(0, dtype=np.intp), radii=np.empty(0))
+
+    @property
+    def atoms(self) -> Sequence[TentAtom]:
+        return _AtomView(self)
 
     def reconstruct(self) -> HalfSpaceField:
         """The sum of coefficient times atom, a float field when every atom is real.
@@ -274,7 +318,9 @@ def _whitney_regions(
         axis=1, dtype=np.min_scalar_type(len(radii))).reshape(-1)  # the count of fitting radii
     walk = np.flatnonzero(fitting)
     top = fitting[walk].astype(np.intp) - 1  # largest fitting radius
-    order = np.argsort(walk // size * len(radii) - top, kind="stable")
+    # by level, then largest fitting radius first, then cell: the key
+    # level * R + (R - 1 - top) is non-negative, as ``stable_order`` needs
+    order = stable_order(walk // size * len(radii) + (len(radii) - 1 - top))
     walk, top = walk[order], top[order]
     # A claim marks its ball in a byte per cell of every level's set, one
     # slice per first-axis row (``GridSpec.ball_row_widths``): the run of w
@@ -309,7 +355,7 @@ def _whitney_regions(
     region[rest] = np.arange(len(claim), len(claim) + len(rest))
     rest_level, rest_cell = np.divmod(rest, size)
     # renumber level by level: each level's claims, then its single cells
-    order = np.argsort(np.concatenate([claim_level, rest_level]), kind="stable")
+    order = stable_order(np.concatenate([claim_level, rest_level]))
     rank = np.empty(len(order) + 1, dtype=int)
     rank[order] = np.arange(len(order))
     rank[-1] = -1  # cells outside every level's set
@@ -360,10 +406,13 @@ def _piece_functionals(F: HalfSpaceField, cells: np.ndarray,
     row) adds +c at its run's start and -c one past its end (none for a run
     ending at n), and a run that wraps past n ends at its end - n and adds
     one more +c at 0; a full row (w = n) is taken to start at 0, so it
-    never wraps.  One ``np.bincount`` per chunk fills the rows, adding each
-    bin's terms in input order, so a piece's rows do not depend on the
-    chunk it falls in; their cumulative sums are taken in place and
-    clipped at 0 against round-off.  Each piece is scaled by its own max, so a
+    never wraps.  A chunk's rows are the zeroed head of one workspace per
+    call, which ``np.add.at`` fills with the start terms, then the end
+    terms, then the wrap terms: each bin adds its terms in input order from
+    +0.0, bitwise as ``np.bincount`` would, so a piece's rows do not depend
+    on the chunk it falls in.  Their cumulative sums are taken in place and
+    clipped at 0 against round-off.  The yielded rows are the workspace's,
+    valid until the next chunk.  Each piece is scaled by its own max, so a
     piece far below the field's max keeps its size.
     """
     grid, scales = F.grid, F.scales
@@ -384,24 +433,44 @@ def _piece_functionals(F: HalfSpaceField, cells: np.ndarray,
     power *= cone_weights(grid, scales)[k]
     runs = row_count[k]
     cost = 8 * (lines * n + RUN_ELEMENTS * np.bincount(owner, runs, minlength=len(starts)))
-    for lo, hi in whole_batches(cost):
+    batches = list(whole_batches(cost))
+    # one workspace per call, for the largest chunk's rows and at least the
+    # budget (or the call's whole cost): glibc trimmed and faulted in again
+    # the rows that each chunk allocated afresh
+    work = np.empty(max([(hi - lo) * lines * n for lo, hi in batches]
+                        + [min(grid_module.WORK_BYTES, int(cost.sum())) // 8]))
+    for lo, hi in batches:
         first, last = bounds[lo], bounds[hi]
         chunk_runs = runs[first:last]
-        cell = np.repeat(np.arange(first, last), chunk_runs)  # one entry per (cell, ball row)
-        ball_row = np.arange(len(cell)) + np.repeat(row_first[k[first:last]] - (np.cumsum(chunk_runs) - chunk_runs),
-                                                    chunk_runs)
-        width, y = row_width[ball_row], spatial[cell]
-        start = np.where(width == n, 0, ((y & (n - 1)) - width // 2) & (n - 1))  # mod n and lines, powers of two
-        end = start + width
+        # one entry per (cell, ball row), each array dropped once it is read:
+        # a chunk of one large piece holds a few of them at once
+        cell = np.repeat(np.arange(first, last), chunk_runs)
+        ball_row = np.repeat(row_first[k[first:last]] - (np.cumsum(chunk_runs) - chunk_runs), chunk_runs)
+        ball_row += np.arange(len(cell))
+        c, y = power[cell], spatial[cell]
         # the run's difference row: its piece, and the line dx past the cell's own (1-D: the one line)
         base = ((owner[cell] - lo) * lines + ((y // n + row_dx[ball_row]) & (lines - 1))) * n
-        c, wraps = power[cell], end > n
-        end -= n * wraps  # a wrapping run ends at end - n
+        del cell
+        width = row_width[ball_row]
+        del ball_row
+        start = y & (n - 1)  # mod n and lines, powers of two
+        del y
+        start -= width // 2
+        start &= n - 1
+        start[width == n] = 0  # a full row starts at 0
+        end = start + width
+        del width
+        wraps = end > n
+        end[wraps] -= n  # a wrapping run ends at end - n
         closed = end < n  # a run ending at n has no end term
         start += base  # the terms' bins
         end += base
-        rows = np.bincount(np.concatenate([start, end[closed], base[wraps]]),
-                           np.concatenate([c, -c[closed], c[wraps]]), minlength=(hi - lo) * lines * n).reshape(-1, n)
+        rows = work[:(hi - lo) * lines * n]
+        rows.fill(0.0)
+        np.add.at(rows, start, c)
+        np.subtract.at(rows, end[closed], c[closed])
+        np.add.at(rows, base[wraps], c[wraps])
+        rows = rows.reshape(-1, n)
         np.cumsum(rows, axis=1, out=rows)
         np.maximum(rows, 0.0, out=rows)
         yield rows.reshape((hi - lo,) + grid.shape), exps[lo:hi]
@@ -433,19 +502,11 @@ def _piece_sizes(F: HalfSpaceField, cells: np.ndarray, starts: np.ndarray) -> li
     return sizes
 
 
-def _split(values: np.ndarray, bounds: Sequence[int]) -> list[np.ndarray]:
-    """``np.split(values, bounds)`` of a 1-D array, the views taken as plain
-    slices: ``np.split`` costs about a microsecond per part, and a
-    decomposition splits once per level and once per kept atom."""
-    edges = [0, *bounds, len(values)]
-    return [values[lo:hi] for lo, hi in zip(edges, edges[1:])]
-
-
 def _groups(keys: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``cells`` grouped by key, keys ascending and each group's cells in
     their given order: the grouped cells, each group's start in them and
     its key."""
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are non-negative
     return cells[order], starts, keys[starts]
@@ -478,8 +539,10 @@ def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> tuple[np.
     contained = support_level >= 0  # level -1: contained at no level
     stray, shell = support[~contained], support[contained]
     # every shell level's set and doubled-ball fits in one comparison each
-    shell_levels, shell_row = np.unique(support_level[contained], return_inverse=True)
-    lev = levels[shell_levels]
+    shell_level = support_level[contained]
+    present = np.bincount(shell_level) > 0  # the shells, and each shell cell's row among them
+    lev = levels[np.flatnonzero(present)]
+    shell_row = (np.cumsum(present) - 1)[shell_level]
     double_min = _ball_minima(area, BallFamily(grid, 2.0 * balls.radii)).reshape(len(balls.radii), -1)
     region, leaders = _whitney_regions(grid, area.reshape(-1) > lev[:, None], balls, double_min > lev[:, None, None])
     # strays (possible when the area's range exceeds the level cap): one
@@ -531,21 +594,13 @@ def tent_decompose(
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     values = real_or_complex(values)  # float when no kept atom has an imaginary part
+    starts = np.cumsum(counts) - counts
     centers, radii = centers[keep], radii[keep]
-    for kept in (cells, coefficients, centers, radii):
+    for kept in (cells, starts, coefficients, centers, radii):
         kept.setflags(write=False)
-    bounds = np.cumsum(counts[:-1]).tolist()
-    piece_values = _split(values, bounds)
-    if np.iscomplexobj(values):  # a piece without imaginary parts keeps float values, as real_or_complex gives
-        piece_values = [v if v.imag.any() else real_or_complex(v) for v in piece_values]
-    # Ball and TentAtom objects for the kept atoms only
-    kept_centers = zip(*(c.tolist() for c in np.unravel_index(centers, grid.shape)))
-    atoms = [TentAtom._trusted(grid, scales, piece_cells, v, Ball(center, radius), lam)
-             for center, radius, lam, piece_cells, v in zip(kept_centers, radii.tolist(), kept_lams.tolist(),
-                                                            _split(cells, bounds), piece_values)]
-    return TentDecomposition(atoms=atoms, grid=grid, scales=scales, ball_norms=norms[keep].tolist(),
-                             sizes=kept_sizes, space=space, cells=cells, values=values,
-                             coefficients=coefficients, centers=centers, radii=radii)
+    return TentDecomposition(grid=grid, scales=scales, ball_norms=norms[keep].tolist(), sizes=kept_sizes,
+                             space=space, cells=cells, starts=starts, values=values, coefficients=coefficients,
+                             centers=centers, radii=radii)
 
 
 def synthesize_molecule(atom: TentAtom, psi: Kernel) -> Molecule:
@@ -576,12 +631,13 @@ def coefficient_functional(decomp: TentDecomposition, space: SpaceDescriptor) ->
     no usable ``==``), else ``_ball_norms``'s.  The weights are added over
     the balls' cells in chunks of whole balls (``whole_batches``), a ball
     costing ``CELL_BYTES`` per cell."""
-    if not decomp.atoms:
+    if not len(decomp.starts):
         return 0.0
     grid, centers, radii = decomp.grid, decomp.centers, decomp.radii
     s = min(1.0, space.floor())
     norms = decomp.ball_norms if space is decomp.space else _ball_norms(grid, centers, radii, space)
-    weights = np.array([(atom.coefficient / norm_1b) ** s for atom, norm_1b in zip(decomp.atoms, norms)])
+    lams = decomp.coefficients[decomp.starts].tolist()
+    weights = np.array([(lam / norm_1b) ** s for lam, norm_1b in zip(lams, norms)])
     widths = _ball_widths(grid, radii)
     acc = np.zeros(grid.size)
     for lo, hi in whole_batches(CELL_BYTES * widths.sum(axis=1)):

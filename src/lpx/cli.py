@@ -279,14 +279,18 @@ def cmd_decompose(cfg: dict, input_path: Path, out_dir: Path) -> int:
     dec = tent_decompose(F, space)
     rebuilt = dec.reconstruct()
     err = float(np.max(np.abs(rebuilt.values - F.values)))
+    # the entries read the flat arrays: no atom is built
+    axis = grid.axis_coordinates().tolist()
+    centers = zip(*(c.tolist() for c in np.unravel_index(dec.centers, grid.shape)))
     entries = []
-    for atom, size2, norm_1b in zip(dec.atoms, dec.sizes[2.0], dec.ball_norms):
-        rhs = ball_volume(atom.ball.radius, grid.dim) ** 0.5 / norm_1b
+    for center, radius, lam, size2, norm_1b in zip(centers, dec.radii.tolist(), dec.coefficients[dec.starts].tolist(),
+                                                   dec.sizes[2.0], dec.ball_norms):
+        rhs = ball_volume(radius, grid.dim) ** 0.5 / norm_1b
         entries.append(
             {
-                "center": [float(grid.axis_coordinates()[i]) for i in atom.ball.center],
-                "radius": atom.ball.radius,
-                "coefficient": atom.coefficient,
+                "center": [axis[i] for i in center],
+                "radius": radius,
+                "coefficient": lam,
                 "size_slack": size2 / rhs if rhs > 0 else math.inf,
             }
         )

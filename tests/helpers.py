@@ -114,6 +114,14 @@ def atom_from_field(field: HalfSpaceField, ball: Ball, coefficient: float) -> Te
     return TentAtom(field.grid, field.scales, cells, flat[cells], ball, coefficient)
 
 
+def count_built_atoms(monkeypatch) -> list:
+    """A list that gains an entry per ``TentAtom._trusted`` call from now
+    on, the one way a decomposition builds an atom."""
+    built, trusted = [], TentAtom._trusted.__func__
+    monkeypatch.setattr(TentAtom, "_trusted", classmethod(lambda cls, *args: built.append(args) or trusted(cls, *args)))
+    return built
+
+
 def ball_indicator(grid: GridSpec, ball: Ball) -> SampledFunction:
     """Indicator of the ball in the torus metric: ``grid.ball_mask`` moved to the centre."""
     return SampledFunction(grid, np.roll(grid.ball_mask(ball.radius), ball.center, axis=tuple(range(grid.dim))))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from lpx.atoms import (
     synthesize_molecule,
     tent_decompose,
 )
-from helpers import (atom_from_field, ball_indicator, check_atom, check_molecule, default_molecule_decay,
-                     tent_atom_size, tent_mask)
+from helpers import (atom_from_field, ball_indicator, check_atom, check_molecule, count_built_atoms,
+                     default_molecule_decay, tent_atom_size, tent_mask)
 from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_frequency, real_or_complex
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion
@@ -63,7 +64,7 @@ def test_decompose_zero_field():
     for grid, scales in ((GRID, SCALES), (grid_2d, ScaleGrid(t_min=1 / 8, t_max=1.0, steps_per_octave=4))):
         F = HalfSpaceField(grid, scales, np.zeros(grid.shape + (len(scales),)))
         dec = tent_decompose(F, Lebesgue(2.0))
-        assert dec.atoms == [] and dec.ball_norms == [] and dec.sizes == {2.0: [], 4.0: []}
+        assert len(dec.atoms) == 0 and dec.ball_norms == [] and dec.sizes == {2.0: [], 4.0: []}
         rebuilt = dec.reconstruct()
         assert rebuilt.grid == grid and rebuilt.scales == scales and rebuilt.values.dtype == np.float64
         assert np.array_equal(rebuilt.values, F.values)
@@ -480,8 +481,9 @@ def _assert_matches_dense_reference(dec, reference, space):
         np.testing.assert_allclose(atom.field.values, values, rtol=SIZE_RTOL, atol=0.0)
     assert dec.ball_norms == [space_norm(ball_indicator(grid, atom.ball), space) for atom in dec.atoms]
     np.testing.assert_allclose(dec.reconstruct().values, ref_total, rtol=SIZE_RTOL, atol=0.0)
-    ref_dec = dataclasses.replace(dec, atoms=[atom_from_field(HalfSpaceField(grid, scales, values), ball, lam)
-                                              for ball, lam, values in ref_atoms])
+    # the reference loop reads only the grid and the atoms
+    ref_dec = types.SimpleNamespace(grid=grid, atoms=[atom_from_field(HalfSpaceField(grid, scales, values), ball, lam)
+                                                      for ball, lam, values in ref_atoms])
     assert coefficient_functional(dec, space) == pytest.approx(_coefficient_functional_reference(ref_dec, space),
                                                                rel=SIZE_RTOL, abs=0.0)
 
@@ -811,6 +813,63 @@ def test_atoms_are_each_pieces_quotient_and_rebuild_as_the_per_atom_sum_bitwise(
     assert np.max(np.abs(rebuilt - F.values)) <= 1e-12
 
 
+def test_decomposing_rebuilding_and_weighting_build_no_atom(monkeypatch):
+    built = count_built_atoms(monkeypatch)
+    dec = tent_decompose(random_field(4), LEBESGUE, BALLS)
+    count = len(dec.atoms)
+    dec.reconstruct()
+    coefficient_functional(dec, LEBESGUE)
+    coefficient_functional(dec, MORREY)
+    assert count > 1 and built == []
+    # reading an atom builds that atom alone
+    dec.atoms[count // 2]
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_atoms_read_by_index_slice_and_iteration_match_the_per_piece_reference(kind):
+    # each atom is built when it is read, by index, from the end, in a slice
+    # or in iteration, and is the reference piece's: its ball, cells and
+    # coefficient, and its values the piece's quotient in its own dtype
+    F = random_field(4) if kind == "real" else _mixed_complex_field()
+    dec = tent_decompose(F, LEBESGUE, BALLS)
+    ref_atoms, _ = _dense_decomposition_reference(F, LEBESGUE, BALLS)
+    flat, count = F.values.reshape(-1), len(ref_atoms)
+    dtypes = set()
+
+    def check(atom, ref):
+        ball, lam, values = ref
+        assert atom.ball == ball and type(atom.ball.radius) is float
+        assert all(type(i) is int for i in atom.ball.center) and type(atom.coefficient) is float
+        assert np.array_equal(atom.cells, np.flatnonzero(values))
+        assert atom.coefficient == pytest.approx(lam, rel=SIZE_RTOL, abs=0.0)
+        expected = real_or_complex(flat[atom.cells] / atom.coefficient)
+        assert atom.values.dtype == expected.dtype and np.array_equal(atom.values, expected)
+        assert not atom.values.flags.writeable and not atom.cells.flags.writeable
+        dtypes.add(atom.values.dtype)
+
+    assert len(dec.atoms) == count > 2
+    for i in range(count):
+        check(dec.atoms[i], ref_atoms[i])
+    check(dec.atoms[-1], ref_atoms[-1])
+    check(dec.atoms[-count], ref_atoms[0])
+    for part in (slice(1, -1, 2), slice(None, None, -3), slice(count, None)):
+        atoms_part = dec.atoms[part]
+        assert len(atoms_part) == len(ref_atoms[part])
+        for atom, ref in zip(atoms_part, ref_atoms[part]):
+            check(atom, ref)
+    iterated = list(dec.atoms)
+    assert len(iterated) == count
+    for atom, ref in zip(iterated, ref_atoms):
+        check(atom, ref)
+    assert dtypes == ({np.dtype(float)} if kind == "real" else {np.dtype(float), np.dtype(complex)})
+    for past in (count, -count - 1):
+        with pytest.raises(IndexError):
+            dec.atoms[past]
+    with pytest.raises(TypeError):
+        dec.atoms[0] = dec.atoms[1]
+
+
 def test_a_non_finite_atom_value_raises(monkeypatch):
     # sizes near the bottom of the float range make coefficients whose quotients overflow
     monkeypatch.setattr(atoms, "_piece_sizes", lambda F, cells, starts: [[1e-310] * len(starts)] * 2)
@@ -958,7 +1017,7 @@ def test_empty_decomposition_passes_the_batched_ball_bookkeeping():
     F = _field_case(1, 64, "zero")
     for space in (LEBESGUE, MORREY, Lebesgue(0.5)):
         dec = tent_decompose(F, space, BallFamily.build(F.grid, 2))
-        assert dec.atoms == []
+        assert len(dec.atoms) == 0
         assert dec.ball_norms == [space_norm(ball_indicator(F.grid, atom.ball), space) for atom in dec.atoms] == []
         assert coefficient_functional(dec, space) == 0.0 == _coefficient_functional_reference(dec, space)
 

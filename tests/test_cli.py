@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import clear_fixed_input_caches, count_fixed_input_builds
-from lpx import cli, harness
+from helpers import clear_fixed_input_caches, count_built_atoms, count_fixed_input_builds
+from lpx import atoms, cli, harness, maximal
 from lpx.cli import config_hash, load_config, main
 from lpx.grid import (
     GridSpec,
@@ -333,6 +333,28 @@ def test_decompose_command(tmp_path):
     assert report["count"] >= 1
     assert report["reconstruction_error"] <= 1e-12
     assert all("coefficient" in a and "size_slack" in a for a in report["atoms"])
+
+
+def test_decompose_report_reads_the_flat_arrays_and_builds_no_atom(tmp_path, monkeypatch):
+    # the entries are the atoms' balls and coefficients with the per-atom
+    # size slack, read from the decomposition's flat arrays: no TentAtom is built
+    built, decs = count_built_atoms(monkeypatch), []
+    monkeypatch.setattr(cli, "tent_decompose", lambda *args: decs.append(atoms.tent_decompose(*args)) or decs[-1])
+    cfg = write_config(tmp_path, scales={"t_min": 0.0625, "t_max": 2.0, "steps_per_octave": 4})
+    inp = tmp_path / "bump.csv"
+    write_function_csv(gaussian_bump(GRID, [0.3], 0.4), inp)
+    out = tmp_path / "dout"
+    assert main(["--config", str(cfg), "--out", str(out), "decompose", str(inp)]) == 0
+    assert built == []
+    (dec,) = decs
+    axis = GRID.axis_coordinates()
+    expected = []
+    for atom, size2, norm_1b in zip(dec.atoms, dec.sizes[2.0], dec.ball_norms):
+        rhs = maximal.ball_volume(atom.ball.radius, GRID.dim) ** 0.5 / norm_1b
+        expected.append({"center": [float(axis[i]) for i in atom.ball.center], "radius": atom.ball.radius,
+                         "coefficient": atom.coefficient, "size_slack": size2 / rhs})
+    report = json.loads((out / "decomposition.json").read_text())
+    assert len(expected) > 1 and report["atoms"] == expected and report["count"] == len(expected)
 
 
 def test_decompose_zero_input_writes_an_empty_report(tmp_path):

@@ -23,6 +23,7 @@ from lpx.grid import (
     pure_frequency,
     read_function_binary,
     read_function_csv,
+    stable_order,
     write_function_binary,
     write_function_csv,
 )
@@ -166,6 +167,24 @@ def test_halfspace_cone_integral_matches_refined_riemann():
     fine = build(1024, 32)
     exact = fine
     assert coarse == pytest.approx(exact, rel=0.02)
+
+
+@pytest.mark.parametrize("top", [0, 1, 7, (1 << 16) - 1, 1 << 16, (1 << 32) - 1, 1 << 32, (1 << 47) + 3])
+def test_stable_order_is_the_stable_argsort_of_non_negative_keys(top):
+    # keys of one, two and three 16-bit digits, with ties: the radix passes
+    # give numpy's stable order, ties in input order
+    rng = np.random.default_rng(top % 1000)
+    for size in (0, 1, 2, 100, 5000):
+        few = rng.integers(0, min(top, 5) + 1, size)  # many ties
+        spread = rng.integers(0, top + 1, size)
+        for keys in (few, spread, spread // 3 * 3, np.full(size, top)):
+            order = stable_order(keys)
+            assert order.dtype == np.intp and np.array_equal(order, np.argsort(keys, kind="stable"))
+    # a tie on the low digit only, decided by the high digits
+    keys = np.array([3 << 32, 3, (1 << 16) + 3, 3 << 16, 3], dtype=np.int64)
+    assert stable_order(keys).tolist() == [1, 4, 2, 3, 0]
+    with pytest.raises(ValueError, match="non-negative"):
+        stable_order(np.array([2, -1, 0]))
 
 
 def test_concentration_defect():
