@@ -5,15 +5,15 @@ Each case runs in its own child process and fails unless the child exits 0
 with a peak resident set at or below the case's limit:
 
 - ``decompose``: ``lpx decompose`` on a 2-D N=64 grid (L=2, 16 scales,
-  trial 0 of the harness's trial family, ``Lebesgue(2)``), limit 112 MiB:
-  about 1.5 times the 72 MiB it took (72-78 MiB in earlier runs; 59 MiB
-  since the pieces' per-run arrays are dropped once read), so a regression
+  trial 0 of the harness's trial family, ``Lebesgue(2)``), limit 88 MiB:
+  about 1.5 times the 58-59 MiB it takes (three runs, since the pieces'
+  per-run arrays are dropped once read; 72-78 MiB before), so a regression
   of half that fails.  The config and input are written to a
   temporary directory.
-- ``decompose-2d-128``: the same on a 2-D N=128 grid, limit 320 MiB: below
-  the 329-330 MiB it took when the decomposition kept a dense indicator per
-  ball (288-289 MiB in later runs; 181 MiB since the pieces' per-run
-  arrays are dropped once read).
+- ``decompose-2d-128``: the same on a 2-D N=128 grid, limit 272 MiB: about
+  1.5 times the 181-182 MiB it takes (three runs; 288-289 MiB before the
+  pieces' per-run arrays were dropped once read, 329-330 MiB when the
+  decomposition kept a dense indicator per ball).
 - ``equivalence``: ``equivalence_experiment`` on a 2-D N=64 grid (L=2, the
   default 64 scales, 10 trials of the harness's trial family, seed 0,
   ``Lebesgue(2)``), limit 160 MiB.
@@ -116,8 +116,8 @@ def hl_maximal_command(tmp: Path) -> list[str]:
 
 # name: (description, limit in MiB, child command in a temporary directory)
 CASES = {
-    "decompose": ("lpx decompose (2-D N=64, 16 scales)", 112, decompose_command),
-    "decompose-2d-128": ("lpx decompose (2-D N=128, 16 scales)", 320, lambda tmp: decompose_command(tmp, 128)),
+    "decompose": ("lpx decompose (2-D N=64, 16 scales)", 88, decompose_command),
+    "decompose-2d-128": ("lpx decompose (2-D N=128, 16 scales)", 272, lambda tmp: decompose_command(tmp, 128)),
     "equivalence": ("equivalence_experiment (2-D N=64, 64 scales, 10 trials)", 160, equivalence_command),
     "orlicz-slice": ("space_norms over four rows in OrliczSlice (2-D N=64)", 56, orlicz_slice_command),
     "hl-maximal": ("hl_maximal (2-D N=128)", 256, hl_maximal_command),

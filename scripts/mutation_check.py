@@ -113,6 +113,9 @@ MUTANTS = [
     Mutant("scale-sums-g-weight", "src/lpx/squarefuncs.py",
            "F.scales.log_weight, out=acc[-1]", "1.0, out=acc[-1]",
            ("tests/test_squarefuncs.py::test_g_function_pure_frequency_oracle",)),
+    Mutant("scale-sums-batch-scales", "src/lpx/squarefuncs.py",
+           "live[first:last].any(axis=0)", "live[first]",
+           ("tests/test_squarefuncs.py::test_scale_sums_batches_of_mixed_fields_are_the_one_field_calls_bytewise",)),
     Mutant("newton-start", "src/lpx/spaces.py",
            "x = np.max(logs / exps, axis=1)", "x = np.min(logs / exps, axis=1)",
            ("tests/test_spaces.py::test_luxemburg_norms_match_the_oracle",)),
@@ -129,6 +132,12 @@ MUTANTS = [
     Mutant("space-norms-step", "src/lpx/spaces.py",
            "values[start:start + step]", "values[start:start + step - 1]",
            ("tests/test_spaces.py::test_space_norms_match_one_input_norms_bitwise",)),
+    Mutant("equivalence-grade-spread", "src/lpx/harness.py",
+           "passed = worst <= EQUIVALENCE_SPREAD_MAX and domination_ok", "passed = domination_ok",
+           ("tests/test_harness.py::test_the_equivalence_grader_fails_past_the_spread_bound_or_on_a_domination_flag",)),
+    Mutant("equivalence-grade-domination", "src/lpx/harness.py",
+           "passed = worst <= EQUIVALENCE_SPREAD_MAX and domination_ok", "passed = worst <= EQUIVALENCE_SPREAD_MAX",
+           ("tests/test_harness.py::test_the_equivalence_grader_fails_past_the_spread_bound_or_on_a_domination_flag",)),
     Mutant("trial-block-end", "src/lpx/harness.py",
            "min(lo + size, trials)", "min(lo + size, trials - 1)",
            ("tests/test_harness.py::test_trial_blocked_equivalence_with_a_partial_last_block",)),

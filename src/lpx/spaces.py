@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -203,31 +204,41 @@ def _power_sum_norms(logs: np.ndarray, exps: Sequence[float] | np.ndarray) -> np
     passing it.  A row retires once its step is at most 4 ulps of x, or not
     positive; a row live after ``LUXEMBURG_MAX_STEPS`` steps is a
     ``NumericFailure``.  The live rows' logs are gathered only when a row
-    retires (and at the start only past a zero row).  A row's steps depend
-    on it alone, so each row is bitwise what it gives alone.
+    retires (and at the start only past a zero row), in the memory order of
+    ``logs`` (``_take_rows``).  A row's steps depend on it alone, and its
+    terms add in the same order in either memory order (two terms at most
+    when term-major), so each row is bitwise what it gives alone.
     """
     x = np.max(logs / exps, axis=1)
     out = np.zeros(len(logs))
     rows = np.flatnonzero(x > -np.inf)
     if rows.size < len(logs):
-        logs, x = logs[rows], x[rows]
+        logs, x = _take_rows(logs, rows), x[rows]
     for _ in range(LUXEMBURG_MAX_STEPS):
         step = _newton_steps(logs, exps, x)
         done = ~(step > 4 * np.spacing(np.abs(x)))
         if done.any():
             out[rows[done]] = np.exp(x[done])
-            keep = ~done
-            rows, logs, x, step = rows[keep], logs[keep], x[keep], step[keep]
+            keep = np.flatnonzero(~done)
+            rows, logs, x, step = rows[keep], _take_rows(logs, keep), x[keep], step[keep]
         if not rows.size:
             return out
         x += step
     raise NumericFailure(f"Luxemburg solve of {rows.size} rows not settled in {LUXEMBURG_MAX_STEPS} steps")
 
 
+def _take_rows(logs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``logs[rows]`` in the memory order of ``logs``: a term-major array
+    stays term-major, where fancy indexing would return it row-major."""
+    return np.take(logs, rows, axis=0, out=np.empty_like(logs, shape=(len(rows),) + logs.shape[1:]), mode="clip")
+
+
 def _newton_steps(logs: np.ndarray, exps: Sequence[float] | np.ndarray, x: np.ndarray) -> np.ndarray:
     """The Newton step in x of log sum_k exp(logs[:, k] - exps[k] * x) = 0
-    from every row's x, with one ``(rows, terms)`` temporary."""
-    terms = np.multiply(-x[:, None], exps)
+    from every row's x, with one ``(rows, terms)`` temporary in the memory
+    order of ``logs``."""
+    terms = np.empty_like(logs)
+    np.multiply(-x[:, None], exps, out=terms)
     terms += logs
     np.exp(terms, out=terms)
     total = np.add.reduce(terms, axis=1)
@@ -237,11 +248,14 @@ def _newton_steps(logs: np.ndarray, exps: Sequence[float] | np.ndarray, x: np.nd
 
 def _power_sum_logs(sums: Sequence[np.ndarray], cellvol: float) -> np.ndarray:
     """``_power_sum_norms``' logs of rows whose term k is cellvol * ``sums[k]``,
-    a sum of non-negative powers: ``(rows, len(sums))``, -inf for a zero sum."""
-    logs = np.stack(sums, axis=-1)
+    a sum of non-negative powers: ``(rows, len(sums))``, -inf for a zero sum,
+    held term-major (the transpose of a C-ordered ``(len(sums), rows)``
+    array), so each step of the solve runs along the rows."""
+    logs = np.stack(sums)
     logs *= cellvol
     with np.errstate(divide="ignore"):
-        return np.log(logs, out=logs)
+        np.log(logs, out=logs)
+    return logs.T
 
 
 def _unit_row_norms(mag: np.ndarray, norms: Callable[[np.ndarray], Sequence[float]]) -> list[float]:
@@ -375,6 +389,7 @@ class Morrey:
         family = BallFamily.build(grid, BALL_RADII_PER_OCTAVE)
         cellvol = grid.cell_volume
         factors = [ball_volume(rad, grid.dim) ** (1.0 / self.p - 1.0 / self.r) for rad in family.radii.tolist()]
+        root = 1.0 / self.r
         powered = mag**self.r
         step = batch_items(4 * 8 * len(family) * grid.size)
         norms = []
@@ -383,10 +398,7 @@ class Morrey:
             local *= cellvol
             np.maximum(local, 0.0, out=local)
             for tops in local.reshape(local.shape[:2] + (-1,)).max(axis=-1).tolist():
-                best = 0.0
-                for factor, top in zip(factors, tops):
-                    best = max(best, factor * top ** (1.0 / self.r))
-                norms.append(best)
+                norms.append(max(0.0, *map(mul, factors, [top ** root for top in tops])))
         return norms
 
     def floor(self) -> float:

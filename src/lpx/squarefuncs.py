@@ -12,18 +12,24 @@ are cached (``ball_spectra``), the cone and g*_lambda tables with each
 scale's row multiplied in place by its quadrature weight (``cone_spectra``,
 ``gstar_spectra``, both through ``_scale_weighted``), so each is held once.
 The sum over scales runs in frequency space (``scale_sums``): |F|^2 is
-taken once and each batch of its (field, scale) rows is transformed once,
-however many tables read it; per table, each row's spectrum times its table
-row, summed over the scales, then one inverse FFT per field.  A batch holds
-whole fields within ``grid.WORK_BYTES``, a (field, scale) row costing four
-real rows of the grid: its gathered powers, their spectrum, a copy of it
-and its gathered table row.  Every table but the last multiplies a copy of
+taken once, and a batch of whole fields within ``grid.WORK_BYTES``
+transforms its rows at the scales live (nonzero) in some field of the
+batch once, however many tables read them.  Per table, one broadcast
+product of the batch's spectra with those scales' table rows and one
+reduction over the scale axis, which adds each field's rows in scale order,
+then one inverse FFT per field.  A field costs four real rows of the grid
+per live scale of the stack: its gathered powers, their spectrum, a copy of
+it and the table rows.  A scale dead in one field of a batch and live in
+another adds that field spectrum(0) times the table, all of it +-0, which
+leaves every nonzero partial sum as it is; only an exact zero's sign can
+change, and ``np.maximum(acc, 0.0)`` makes -0.0 +0.0, so each field's row is
+bitwise its one-field value.  Every table but the last multiplies a copy of
 the spectra in place (``*=``; ``spectra * table`` can differ in the last
-bit), so each table's rows are bitwise its one-table value.  A (field, scale) row whose |F|^2 is zero is
-the only one skipped.  The same powers, summed over the scale axis with the
-weight ln2/J, give g, the vertical square function, which ``scale_sums``
-returns after its tables' rows, so a block of fields is squared once for
-S, g and g*_lambda together.  (The cone functionals of a decomposition's
+bit), so each table's rows are bitwise its one-table value.  A scale dead in
+every field of a batch is the only one skipped.  The same powers, summed
+over the scale axis with the weight ln2/J, give g, the vertical square
+function, which ``scale_sums`` returns after its tables' rows, so a block
+of fields is squared once for S, g and g*_lambda together.  (The cone functionals of a decomposition's
 pieces, which hold a few cells per scale, are interval sums in
 ``atoms._piece_functionals`` instead.)  The batched form, ``scale_sums``,
 takes a ``FieldStack`` (``transforms.build_fields``) or one
@@ -115,16 +121,18 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
     the spectrum of kernel k, weight included (``cone_spectra``,
     ``gstar_spectra``), then the vertical square function g of each field.
 
-    A (field, scale) row whose slice is zero adds exactly zero and is
-    skipped.  The sum runs in frequency space: |F|^2 is taken once
-    (``_unit_powers``) and each batch of kept rows is transformed once; per
-    table, each row's spectrum times its table row, summed per field left to
-    right in scale order, then one inverse FFT per field.  Every table but
-    the last multiplies a copy of the batch's spectra in place, the last the
-    spectra themselves, so each table's rows are bitwise what a one-table
-    call gives.  A batch holds whole fields (``grid.whole_batches``), a kept
-    row costing four real grid rows, so each field's sum is bitwise what a
-    call on that field alone gives.  g sums the same powers over their
+    The sum runs in frequency space: |F|^2 is taken once
+    (``_unit_powers``), and a batch of whole fields (``grid.whole_batches``)
+    transforms its rows at the scales live in some field of it once, a
+    field costing four real grid rows per live scale of the stack.  Per
+    table, one product of the batch's spectra with those scales' table rows
+    and one sum over the scale axis, each field's rows left to right in
+    scale order, then one inverse FFT per field.  A scale dead in a field
+    adds it only +-0, and the final ``np.maximum`` makes a -0.0 sum +0.0, so
+    each field's row is bitwise what a call on that field alone gives.
+    Every table but the last multiplies a copy of the batch's spectra in
+    place, the last the spectra themselves, so each table's rows are
+    bitwise what a one-table call gives.  g sums the same powers over their
     contiguous scale axis, times ln2/J; with no table, no FFT runs at all.  Returns
     ``(len(tables) + 1, fields) + grid.shape``: a row per table, then g.
     """
@@ -132,21 +140,17 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
     field_power, exps = _unit_powers(F.stack)
     k_count = field_power.shape[-1]
     power = np.moveaxis(field_power.reshape(len(field_power), grid.size, k_count), -1, 1)
-    owner, scale = np.divmod(np.flatnonzero((power != 0).any(axis=2)), k_count)  # field-major, then scale
-    fields, counts = np.unique(owner, return_counts=True)
-    edges = np.concatenate([[0], np.cumsum(counts)]).tolist()  # each kept field's rows
+    live = (power != 0).any(axis=2)  # (fields, scales)
     acc = np.zeros((len(tables) + 1, len(power)) + grid.shape)
     np.multiply(np.sum(field_power, axis=-1), F.scales.log_weight, out=acc[-1])
-    for first, last in whole_batches(counts * (4 * grid.size * power.itemsize)) if tables else ():
-        lo, hi = edges[first], edges[last]
-        spectra = spectrum(power[owner[lo:hi], scale[lo:hi]].reshape((hi - lo,) + grid.shape), grid.dim)
+    cost = int(live.any(axis=0).sum()) * 4 * grid.size * power.itemsize  # per field
+    for first, last in whole_batches(np.full(len(power), cost)) if tables else ():
+        kept = np.flatnonzero(live[first:last].any(axis=0))
+        spectra = spectrum(power[first:last, kept].reshape((last - first, kept.size) + grid.shape), grid.dim)
         for t, table in enumerate(tables):
             products = spectra if t == len(tables) - 1 else spectra.copy()
-            products *= table[scale[lo:hi]]
-            summed = np.empty((last - first,) + products.shape[1:], dtype=products.dtype)
-            for j in range(first, last):  # each field's own rows, left to right
-                np.add.reduce(products[edges[j] - lo:edges[j + 1] - lo], axis=0, out=summed[j - first])
-            acc[t, fields[first:last]] = inverse_spectrum(summed, grid.shape)
+            products *= table[kept]
+            acc[t, first:last] = inverse_spectrum(np.add.reduce(products, axis=1), grid.shape)
     np.maximum(acc, 0.0, out=acc)
     np.sqrt(acc, out=acc)
     return np.ldexp(acc, exps.reshape((-1,) + (1,) * grid.dim), out=acc)

@@ -97,6 +97,21 @@ def test_equivalence_report_roundtrip_json():
     assert len(csv.splitlines()) == 11
 
 
+@pytest.mark.parametrize("hardy,domination,passed", [
+    (10.0, True, True),  # a worst spread of exactly the bound passes
+    (10.0 * (1 + 2.0**-52), True, False),  # one ulp past it fails
+    (10.0, False, False),  # one failed domination flag fails, whatever the spread
+], ids=["spread-at-bound", "spread-past-bound", "domination-failed"])
+def test_the_equivalence_grader_fails_past_the_spread_bound_or_on_a_domination_flag(hardy, domination, passed):
+    # hand-built rows (hardy, area, g, gstar, domination held): the hardy
+    # series alone moves, so every ratio against it spreads by ``hardy``
+    rows = [(1.0, 1.0, 1.0, 1.0, True), (hardy, 1.0, 1.0, 1.0, True), (1.0, 1.0, 1.0, 1.0, domination)]
+    report = harness._equivalence_report(Lebesgue(2.0), "annular", 0, 2.0, rows)
+    assert report.summary["worst_spread"] == hardy
+    assert report.summary["domination_ok"] == float(domination)
+    assert report.passed is passed
+
+
 def test_change_of_angle_l2_slope():
     rep = change_of_angle_experiment(Lebesgue(2.0), (1.0, 2.0, 4.0, 8.0), 10, GRID, ANGLE_SCALES, seed=3)
     assert rep.passed

@@ -779,6 +779,31 @@ def test_space_norms_of_a_non_finite_row_is_a_numeric_failure():
         space_norms(grid, np.ones((3, 32)), Lebesgue(2.0))
 
 
+def test_luxemburg_solves_are_bitwise_in_either_memory_order_and_keep_it(monkeypatch):
+    # two-term logs as ``_power_sum_logs`` hands them over, term-major, of
+    # sums 1e-30 .. 1e30 whose second term is within 1e40 of the first, so
+    # the rows retire after one to four steps, and one zero row (its logs
+    # -inf): the same bytes as their row-major copy, and every gather of the
+    # live rows, past the zero row and at each retirement, keeps the order
+    rng = np.random.default_rng(0)
+    first = 10.0 ** rng.uniform(-30, 30, 256)
+    sums = [first, first * 10.0 ** rng.uniform(-40, 40, 256)]
+    for total in sums:
+        total[5] = 0.0
+    logs, exps = spaces_mod._power_sum_logs(sums, 0.0625), (1.2, 1.6)
+    assert logs.shape == (256, 2) and logs.flags.f_contiguous and np.isneginf(logs[5]).all()
+    newton_steps, seen = spaces_mod._newton_steps, []
+    monkeypatch.setattr(spaces_mod, "_newton_steps", lambda logs, exps, x: seen.append(
+        (len(logs), logs.flags.f_contiguous)) or newton_steps(logs, exps, x))
+    term_major = spaces_mod._power_sum_norms(logs, exps)
+    term_major_steps, seen[:] = seen[:], []
+    row_major = spaces_mod._power_sum_norms(np.ascontiguousarray(logs), exps)
+    assert term_major.tobytes() == row_major.tobytes() and term_major[5] == 0.0
+    live = [count for count, _ in seen]
+    assert live == [count for count, _ in term_major_steps] and live[0] == 255 and len(set(live)) >= 3
+    assert all(order for _, order in term_major_steps) and not any(order for _, order in seen)
+
+
 def _count_power_sum_solves(monkeypatch):
     """Patch ``_power_sum_norms`` to record the rows of each solve."""
     solve = spaces_mod._power_sum_norms

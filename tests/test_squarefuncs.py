@@ -342,7 +342,8 @@ def test_batched_operators_match_per_scale_reference_bitwise(case, kind):
 
 def _rows_bytes(grid, rows):
     """The budget of ``rows`` (field, scale) rows of ``scale_sums``, a row
-    costing four real grid rows."""
+    costing four real grid rows and a field as many rows as the stack has
+    live scales."""
     return rows * 4 * grid.size * 8
 
 
@@ -369,8 +370,8 @@ def test_field_stack_operators_match_one_field_calls_bitwise(case, monkeypatch):
     fields = [_oracle_field(grid, scales, kind) for kind in ("noise", "zeroed-slices", "zero")]
     fields.append(HalfSpaceField(grid, scales, 1e-3 * fields[0].values[..., ::-1]))
     stack = FieldStack(grid, scales, np.stack([F.values for F in fields]))
-    # a chunk of rows that ends mid-field, so one field's rows span two correlations
-    monkeypatch.setattr(grid_mod, "WORK_BYTES", _rows_bytes(grid, len(scales) + 3))
+    # a budget that ends mid-field: batches of two whole fields
+    monkeypatch.setattr(grid_mod, "WORK_BYTES", _rows_bytes(grid, 2 * len(scales) + 3))
     for alpha in (0.0, 1.0, 2.0):
         rows = scale_sums(stack, [cone_spectra(grid, scales, alpha)])[0]
         assert rows.shape == (len(fields),) + grid.shape
@@ -430,6 +431,59 @@ def test_scale_sums_rows_are_the_one_table_rows_bitwise(case):
         assert np.array_equal(rows[-1], g)
         for (kind, v), row in zip(picks, rows):
             assert np.array_equal(row, scale_sums(F, [spectra[kind](grid, scales, v)])[0]), (kind, v)
+
+
+def _mixed_fields(grid, scales):
+    """Field values whose live scales differ: noise live on every fifth
+    scale (the fewest live scales of a nonzero field, first), zero, noise,
+    1e300 times noise live on the odd scales, 1e-300 times real noise on
+    one cell in twenty, and noise live on the even scales but the first
+    five."""
+    rng = np.random.default_rng(grid.size + 1)
+    shape = grid.shape + (len(scales),)
+    noise = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(4)]
+    few, odd, even = noise[0].copy(), 1e300 * noise[1], noise[2].copy()
+    few[..., np.arange(len(scales)) % 5 != 0] = 0.0
+    odd[..., ::2] = 0.0
+    even[..., 1::2] = 0.0
+    even[..., :5] = 0.0
+    tiny = 1e-300 * noise[3].real * (rng.random(shape[:-1]) < 0.05)[..., None]
+    return [few, np.zeros(shape), noise[3], odd, tiny, even]
+
+
+@pytest.mark.parametrize("budget", ["default", "one-field"])
+@pytest.mark.parametrize("case", ["1d-64", "2d-16"])
+def test_scale_sums_batches_of_mixed_fields_are_the_one_field_calls_bytewise(case, budget, monkeypatch):
+    # a batch transforms the scales live in some field of it: a scale dead in
+    # one field adds that field ±0 products, so its rows keep their bytes,
+    # the signs of zeros included
+    grid, scales = ORACLE_GRIDS[case]
+    values = _mixed_fields(grid, scales)
+    stack = FieldStack(grid, scales, np.stack(values))
+    tables = [cone_spectra(grid, scales, 1.0), gstar_spectra(grid, scales, 1.5)]
+    if budget == "one-field":  # a field costs the stack's live scales, every scale here
+        monkeypatch.setattr(grid_mod, "WORK_BYTES", _rows_bytes(grid, len(scales)))
+    batches = []
+    transform = squarefuncs.spectrum
+    monkeypatch.setattr(squarefuncs, "spectrum",
+                        lambda rows, dim: batches.append(rows.size // grid.size) or transform(rows, dim))
+    rows = scale_sums(stack, tables)
+    live = [int(np.any(field != 0, axis=tuple(range(grid.dim))).sum()) for field in values]
+    assert live[0] == min(count for count in live if count) and max(live) == len(scales)
+    # one batch of every field's rows at every scale, or one per field of its live scales
+    assert batches == ([len(values) * len(scales)] if budget == "default" else live)
+    for i, field in enumerate(values):
+        assert rows[:, i].tobytes() == scale_sums(HalfSpaceField(grid, scales, field), tables)[:, 0].tobytes(), i
+
+
+def test_maximum_with_zero_turns_negative_zero_positive():
+    # the scale sums' byte equality above rests on this: a dead scale's ±0
+    # products can leave a sum of -0.0, which np.maximum(acc, 0.0) makes +0.0
+    assert not np.signbit(np.maximum(-0.0, 0.0))
+    rows = np.full((3, 33), -0.0)
+    assert not np.signbit(np.maximum(rows, 0.0)).any()
+    np.maximum(rows, 0.0, out=rows)
+    assert not np.signbit(rows).any()
 
 
 def test_lambda_at_most_one_is_refused_by_every_g_lambda_star_route():
