@@ -5,31 +5,24 @@ Each case runs in its own child process and fails unless the child exits 0
 with a peak resident set at or below the case's limit:
 
 - ``decompose``: ``lpx decompose`` on a 2-D N=64 grid (L=2, 16 scales,
-  trial 0 of the harness's trial family, ``Lebesgue(2)``), limit 88 MiB:
-  about 1.5 times the 58-59 MiB it takes (three runs, since the pieces'
-  per-run arrays are dropped once read; 72-78 MiB before), so a regression
-  of half that fails.  The config and input are written to a
-  temporary directory.
-- ``decompose-2d-128``: the same on a 2-D N=128 grid, limit 272 MiB: about
-  1.5 times the 181-182 MiB it takes (three runs; 288-289 MiB before the
-  pieces' per-run arrays were dropped once read, 329-330 MiB when the
-  decomposition kept a dense indicator per ball).
+  trial 0 of the harness's trial family, ``Lebesgue(2)``), limit 88 MiB,
+  about 1.5 times the 58-59 MiB it takes, so a regression of half that
+  fails.  The config and input are written to a temporary directory.
+- ``decompose-2d-128``: the same on a 2-D N=128 grid, limit 272 MiB, about
+  1.5 times the 181-182 MiB it takes.
 - ``equivalence``: ``equivalence_experiment`` on a 2-D N=64 grid (L=2, the
   default 64 scales, 10 trials of the harness's trial family, seed 0,
   ``Lebesgue(2)``), limit 160 MiB.
 - ``orlicz-slice``: one ``space_norms`` call over trials 0-3 of the trial
   family on a 2-D N=64 grid (L=2) in criterion 5's ``OrliczSlice``, the rows
-  of one 2-D equivalence block, limit 56 MiB: about 1.5 times the 37 MiB it
-  takes (two runs each with the window max taken per offset and by the
-  slice ball's ``ball_filters``), so a regression of half that fails; one
-  such row took 282 MiB alone when a norm call held all of its slice
-  windows at once.
+  of one 2-D equivalence block, limit 56 MiB, about 1.5 times the 37 MiB it
+  takes.
 - ``hl-maximal``: one ``hl_maximal`` call on trial 0 of the trial family on a
-  2-D N=128 grid (L=2, the default ball family), limit 256 MiB: below the
-  1.7 GB that filtering over each disc's footprint took.
+  2-D N=128 grid (L=2, the default ball family), limit 256 MiB.
 - ``verify-2d-128``: ``lpx --seed 42 verify`` on a 2-D N=128 grid (L=2, the
   default scales and experiments), which exits 0 only when every experiment
-  passes and its reports are written, limit 160 MiB: 127-128 MiB in three runs.
+  passes and its reports are written, limit 160 MiB; its reading moves
+  between 127 and 135 MiB across runs of the same code.
 
 Usage:
 

@@ -138,6 +138,28 @@ MUTANTS = [
     Mutant("equivalence-grade-domination", "src/lpx/harness.py",
            "passed = worst <= EQUIVALENCE_SPREAD_MAX and domination_ok", "passed = worst <= EQUIVALENCE_SPREAD_MAX",
            ("tests/test_harness.py::test_the_equivalence_grader_fails_past_the_spread_bound_or_on_a_domination_flag",)),
+    Mutant("domination-constant", "src/lpx/harness.py",
+           "2.0 ** (lam * dim / 2.0)", "2.0 ** (lam * dim)",
+           ("tests/test_harness.py::test_the_domination_flag_holds_up_to_two_to_the_lambda_n_over_two",)),
+    Mutant("angle-grade-slope", "src/lpx/harness.py",
+           "passed = fitted <= bound + ANGLE_SLOPE_SLACK and monotone_ok", "passed = monotone_ok",
+           ("tests/test_harness.py::test_the_angle_grader_fails_one_ulp_past_its_bound",)),
+    Mutant("angle-grade-monotone", "src/lpx/harness.py",
+           "passed = fitted <= bound + ANGLE_SLOPE_SLACK and monotone_ok",
+           "passed = fitted <= bound + ANGLE_SLOPE_SLACK",
+           ("tests/test_harness.py::test_the_angle_grader_fails_on_one_non_monotone_trial",)),
+    Mutant("angle-bound-half-n", "src/lpx/harness.py",
+           "bound = max(dim / 2.0, dim / space.floor())", "bound = dim / space.floor()",
+           ("tests/test_harness.py::test_the_angle_grader_fails_one_ulp_past_its_bound",)),
+    Mutant("embedding-grade-spread", "src/lpx/harness.py",
+           "passed = bool(finite and spread <= EMBEDDING_SPREAD_MAX)", "passed = bool(finite)",
+           ("tests/test_harness.py::test_the_embedding_grader_fails_past_its_spread_bound",)),
+    Mutant("vanish-grade-tail", "src/lpx/harness.py",
+           '"passed": bool(tail_monotone and rate_ok)', '"passed": bool(rate_ok)',
+           ("tests/test_harness.py::test_the_vanish_grader_fails_on_a_tail_that_rises_while_the_rate_holds",)),
+    Mutant("verify-exit-code", "src/lpx/cli.py",
+           "return 0 if all(passed.values()) else 1", "return 0",
+           ("tests/test_cli.py::test_verify_exits_1_and_writes_every_report_when_one_experiment_fails",)),
     Mutant("trial-block-end", "src/lpx/harness.py",
            "min(lo + size, trials)", "min(lo + size, trials - 1)",
            ("tests/test_harness.py::test_trial_blocked_equivalence_with_a_partial_last_block",)),

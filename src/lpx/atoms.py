@@ -1,50 +1,15 @@
 """Level-set decomposition of half-space fields into tent-supported atoms.
 
-The construction follows the classical stopping-time recipe: threshold the
-cone functional at dyadic levels, cover each superlevel set with family balls
-(preferring balls whose doubles stay inside), split the set among the chosen
-balls, and cut the field along the per-cell level of the largest superlevel
-set whose surrounding ball still fits.  Each piece is normalized so it passes
-the tent-atom size inequality for each exponent of ``SIZE_EXPONENTS``.
-A ball is only a centre cell and a radius: ``GridSpec.ball_mask`` decides
-its cells, its row runs (``GridSpec.ball_row_widths``) list them, and
-``_ball_cells`` expands them to flat cells, ball by ball.  A ball lies in
-{area > lev} exactly when the area's min over it exceeds lev, so every fit
-is a comparison against ball minima, every radius of a family in one
-``BallFamily.ball_filters`` call: those over B(y, t_k) give each cell's
-containment level in one ``np.searchsorted``, those over the doubled family
-balls each level's doubled-ball fits.  Every level that holds support cells
-is covered in one batched pass (``_whitney_regions``): one walk visits
-every level's inside centres over a ``bytearray`` of the levels' cells, a
-claimed ball marking its row runs as slices, and then one ``np.minimum.at``
-over the claimed balls' cells gives every claimed cell its first claim.
-The cells contained at no level are the strays, one piece per spatial
-point.  The pieces travel as flat arrays (cells, starts, centres), and every
-order of integer keys (the walk, the renumbering, the grouping into pieces)
-is ``grid.stable_order``, a radix sort.
-
-The pieces' cone functionals are exact interval sums, not FFTs
-(``_piece_functionals``): each row run of a ball is one interval along the
-last axis, so a piece's squared cone functional is the cumulative sum of
-difference rows that ``np.add.at`` fills in one workspace per call, each
-piece scaled to its own max.  Pieces go in chunks of whole pieces within
-``grid.WORK_BYTES``, and each chunk's squared rows give the L^p sizes
-(``_piece_sizes``), exactly
-2^k times larger for a field 2^k times larger.  The pieces' balls come
-from one gather of their own cells' torus distances and one pick over the
-family's radii, and their norms (``_ball_norms``) from one ``space_norms``
-call per chunk of whole balls within ``grid.WORK_BYTES``.
-``tent_decompose`` divides every kept atom's values in one operation and
-checks them once, and the ``TentDecomposition`` keeps what it built: the
-flat cells, starts, values and per-cell coefficients, the balls' flat
-centres and radii, and the space the atoms were sized for.  Its ``atoms``
-are a read-only view that builds a ``TentAtom`` (its piece's cells and
-values, views into the flat arrays; its dense field on demand) only when
-it is read.  So ``TentDecomposition.reconstruct`` is one scatter of the
-flat arrays, and ``coefficient_functional`` adds its per-atom weights over
-the balls' cells by ``np.add.at`` in chunks of whole balls, reading the
-stored ball norms in that space and taking ``_ball_norms``'s chunks in any
-other.
+``tent_decompose`` follows the classical stopping-time recipe: threshold the
+cone functional at dyadic levels, cover each superlevel set with family
+balls whose doubles stay inside (``_whitney_regions``), cut the field into
+pieces along those regions (``_pieces``) and size each piece so it passes
+the tent-atom size inequality for each exponent of ``SIZE_EXPONENTS``
+(``_piece_functionals``, ``_piece_sizes``).  A ball is only a centre cell
+and a radius, its cells listed by ``_ball_cells``.  The
+``TentDecomposition`` keeps its atoms as flat arrays and builds a
+``TentAtom`` only when one is read; ``coefficient_functional`` and
+``synthesize_molecule`` read it.
 """
 
 from __future__ import annotations
@@ -87,8 +52,7 @@ MAX_LEVELS = 22
 SIZE_EXPONENTS = (2.0, 4.0)
 # the int64 and float64 arrays a chunk of pieces holds per (cell, ball row)
 # run at once, a bound: 7.8 measured under tracemalloc on the largest piece
-# of the 2-D N=64 memory-guard field (14.8 while the bins and weights were
-# concatenated for one np.bincount)
+# of the 2-D N=64 memory-guard field
 RUN_ELEMENTS = 15
 # the bytes ``_ball_cells`` holds per ball cell at once, its output among
 # them (measured: 24.1-26.9 under tracemalloc, 1-D N=2048 to 2-D N=128)

@@ -1,17 +1,14 @@
 """Discretization of R^n and the upper half-space R^n x (0, inf).
 
-The spatial domain is the periodic box [-L, L)^n sampled at N cell centers
-per axis, so FFT convolution is exact for periodic data.  Scales live on a
-multiplicative grid t_k = t_min * 2^((k+1/2)/J) with the midpoint-in-log
-quadrature weight ln(2)/J for the measure dt/t.  Sampled values are
-float64 unless some imaginary part is nonzero (``real_or_complex``).
-A torus ball's cells are decided in one place, ``GridSpec.ball_mask``, and
-listed in one place, as row runs, ``GridSpec.ball_row_widths``.  Every batched
-operator sizes its batches from one working-memory budget, ``WORK_BYTES``:
-it states what one item of a batch costs in bytes, and ``batch_items`` or
-``whole_batches`` gives it as many items per batch as fit, at least one.
-Non-negative integer keys are put in stable order by ``stable_order``, a
-radix sort of their 16-bit digits.
+``GridSpec`` samples the periodic box [-L, L)^n at N cell centers per axis,
+and ``ScaleGrid`` the scales t_k = t_min * 2^((k+1/2)/J) with the dt/t weight
+ln(2)/J.  The module owns what every other module reads: which cells form a
+torus ball (``GridSpec.ball_mask``) and their row runs
+(``GridSpec.ball_row_widths``), the working-memory budget (``WORK_BYTES``,
+``batch_items``, ``whole_batches``), the power-of-two row scaling
+(``scale_to_unit_rows``), the stable order of integer keys
+(``stable_order``), the sample dtype (``real_or_complex``) and the field
+types (``HalfSpaceField``, ``FieldStack``).
 """
 
 from __future__ import annotations

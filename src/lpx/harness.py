@@ -1,43 +1,13 @@
 """Desk-scale experiments: norm equivalences, change of angles, embeddings.
 
-Each experiment runs a deterministic seeded family of trial functions through
-the operator pipelines, records per-trial ratios, and grades them against
-declared thresholds.  Reports carry every threshold next to the measured
-value, and a fixed seed reproduces them byte for byte.
-
-The equivalence and change-of-angle experiments run their trials in blocks:
-the fields of a block's trials are built as one stack
-(``transforms.build_fields``) and every operator runs once per block.  The
-cone and g*_lambda stacks of a block, S and g*_lambda or the cone functionals
-at every aperture, and g, come from one ``squarefuncs.scale_sums`` call,
-which squares the fields once and transforms each batch of their rows once
-for all its tables; the Peetre sup, ``maximal.peetre_maximals``, reads the
-block's psi-field stack, built once.  The
-block's operator rows then take their space norms in one
-``spaces.space_norms`` call per space.  The operators depend on a space only
-through lambda and b, so ``equivalence_experiments`` grades any number of
-spaces in one pass: per block it builds the phi- and psi-fields, S and g
-once, one g*_lambda per distinct lambda and one Peetre sup per distinct b,
-and ``equivalence_experiment`` is its one-space case.  A block holds as many
-trials as fit ``grid.WORK_BYTES`` (``grid.batch_items``), a trial costing
-dim + 1 times its real field, the measured peak of ``build_fields``
-(sixteen trials at 1-D N=64 with 64 scales, two at 1-D N=512, one at 2-D
-N=64).  Each operator sizes its own batches from the same budget, so only
-the field stacks grow with the block.  Every batched operator gives each
-trial bitwise its one-trial value, so the reports do not depend on the
-block size or on the other spaces of a pass.
-The embedding experiment norms all its trials in one ``space_norms`` call
-per space, and the vanishing check takes its probes' multipliers from one
-call of the kernel's profile.
-
-The experiments' fixed inputs are built once per process: ``trial_function``
-keeps the last ``TRIAL_CACHE_SIZE`` trials it built, ``embedding_weight`` the
-last ``grid.CACHE_SIZE`` weights, and the kernel, its companion and both
-plans come from the bounded caches of ``kernels.build_kernel``,
-``kernels.calderon_companion`` and ``transforms.build_plan``.  A cached trial
-is one shared read-only object, so the separate experiments of a ``verify``
-run, or one-space equivalence runs in several spaces, share one trial
-family.
+Each experiment runs a seeded trial family (``trial_function``) through the
+operators, records per-trial values and grades them against declared
+thresholds, each grade in one report function of its rows
+(``_equivalence_report``, ``_angle_report``, ``_embedding_report``,
+``_vanish_report``).  ``equivalence_experiments`` grades any number of
+spaces in one pass over trial blocks (``_trial_blocks``), and
+``equivalence_experiment`` is its one-space case.  A fixed seed reproduces
+every report byte for byte.
 """
 
 from __future__ import annotations
@@ -293,7 +263,6 @@ def equivalence_experiments(
     bs = [default_peetre_exponent(grid.dim, space.floor()) if b is None else b for space in spaces]
     gstar_lams = list(dict.fromkeys(lams))
     tables = [cone_spectra(grid, scales, 1.0)] + [gstar_spectra(grid, scales, v) for v in gstar_lams]
-    spatial = tuple(range(1, grid.dim + 1))
     rows = [[] for _ in spaces]
     for fs in _trial_blocks(seed, trials, grid, scales):
         s_fn, *gs_fns, g_fn = scale_sums(build_fields(fs, plan), tables)  # S, g*_lambda per lambda, g
@@ -304,10 +273,17 @@ def equivalence_experiments(
         n = len(fs)
         for out, space, lam_s, b_s in zip(rows, spaces, lams, bs):
             gs_fn = gstar[lam_s]
-            dom_ok = np.all(s_fn <= 2.0 ** (lam_s * grid.dim / 2.0) * gs_fn * (1 + 1e-12), axis=spatial).tolist()
             norms = space_norms(grid, np.concatenate([hardy[b_s], s_fn, g_fn, gs_fn]), space)
-            out += zip(norms[:n], norms[n:2 * n], norms[2 * n:3 * n], norms[3 * n:], dom_ok)
+            out += zip(norms[:n], norms[n:2 * n], norms[2 * n:3 * n], norms[3 * n:], _dominated(s_fn, gs_fn, lam_s))
     return [_equivalence_report(space, kernel_kind, seed, lam_s, out) for space, lam_s, out in zip(spaces, lams, rows)]
+
+
+def _dominated(s_rows: np.ndarray, gstar_rows: np.ndarray, lam: float) -> list[bool]:
+    """Per row, whether S <= 2^(lambda n / 2) g*_lambda holds at every cell,
+    within a relative 1e-12; the rows are ``(rows,) + grid.shape``."""
+    dim = s_rows.ndim - 1
+    return np.all(s_rows <= 2.0 ** (lam * dim / 2.0) * gstar_rows * (1 + 1e-12),
+                  axis=tuple(range(1, dim + 1))).tolist()
 
 
 def _equivalence_report(space: SpaceDescriptor, kernel_kind: str, seed: int, lam: float,
@@ -361,8 +337,6 @@ def change_of_angle_experiment(
         )
     kernel = build_kernel(kernel_kind, grid)
     plan = build_plan(kernel, scales)
-    s_exp = space.floor()
-    bound = max(grid.dim / 2.0, grid.dim / s_exp)
     tables = [cone_spectra(grid, scales, a) for a in alphas]
 
     rows = []
@@ -372,13 +346,20 @@ def change_of_angle_experiment(
                            (len(alphas), len(fs)))
         # one fit of every trial's column: bitwise each trial's own fit
         slopes = np.polyfit(np.log(alphas), np.log(block), 1)[0].tolist()
-        for norms, slope in zip(block.T.tolist(), slopes):
-            monotone = all(x <= y * (1 + 1e-10) for x, y in zip(norms, norms[1:]))
-            rows.append((norms, slope, monotone))
+        rows += zip(block.T.tolist(), slopes)
+    return _angle_report(space, kernel_kind, seed, alphas, grid.dim, rows)
 
+
+def _angle_report(space: SpaceDescriptor, kernel_kind: str, seed: int, alphas: tuple[float, ...], dim: int,
+                  rows: list[tuple]) -> ExperimentReport:
+    """The graded report of per-trial rows (norms at each aperture, fitted
+    slope): pass iff the mean slope is at most max(n/2, n/floor) +
+    ``ANGLE_SLOPE_SLACK`` and every trial's norms are non-decreasing in the
+    aperture, within a relative 1e-10."""
+    bound = max(dim / 2.0, dim / space.floor())
     slopes = [r[1] for r in rows]
     fitted = float(np.mean(slopes))
-    monotone_ok = all(r[2] for r in rows)
+    monotone_ok = all(all(x <= y * (1 + 1e-10) for x, y in zip(norms, norms[1:])) for norms, _ in rows)
     passed = fitted <= bound + ANGLE_SLOPE_SLACK and monotone_ok
     series = {f"norm_alpha_{a:g}": [r[0][j] for r in rows] for j, a in enumerate(alphas)}
     series["slope"] = slopes
@@ -387,7 +368,7 @@ def change_of_angle_experiment(
         space=space.to_json(),
         kernel_kind=kernel_kind,
         seed=seed,
-        trials=trials,
+        trials=len(rows),
         series=series,
         summary={
             "fitted_exponent": fitted,
@@ -425,6 +406,13 @@ def embedding_experiment(
     target = WeightedLebesgue(s, weight, q_omega=1.0)
     fs = np.stack([trial_function(seed, i, grid).values for i in range(trials)])
     ratios = [a / b for a, b in zip(space_norms(grid, fs, target), space_norms(grid, fs, space))]
+    return _embedding_report(space, s, seed, epsilon, ratios)
+
+
+def _embedding_report(space: SpaceDescriptor, s: float, seed: int, epsilon: float,
+                      ratios: list[float]) -> ExperimentReport:
+    """The graded report of per-trial norm ratios: pass iff every ratio is
+    finite and positive and their spread is at most ``EMBEDDING_SPREAD_MAX``."""
     spread = _spread(ratios)
     finite = all(math.isfinite(r) and r > 0 for r in ratios)
     passed = bool(finite and spread <= EMBEDDING_SPREAD_MAX)
@@ -433,7 +421,7 @@ def embedding_experiment(
         space=space.to_json(),
         kernel_kind="",
         seed=seed,
-        trials=trials,
+        trials=len(ratios),
         series={"ratio": ratios},
         summary={"spread": spread, "max_ratio": max(ratios), "epsilon": epsilon, "s": s},
         thresholds={"spread_max": EMBEDDING_SPREAD_MAX},
@@ -461,7 +449,13 @@ def vanish_at_infinity_check(
     # phi.multiplier(t) of every probe, from one profile call
     probes = apply_multiplier(f.values, phi.profile(ts * f.grid.frequency_radii()), f.grid.dim)
     sups = np.max(np.abs(probes).reshape(len(t_probe), -1), axis=1).tolist()
-    floor = 1e-14 * max(float(np.max(np.abs(f.values))), 1e-300)
+    return _vanish_report(t_probe, sups, 1e-14 * max(float(np.max(np.abs(f.values))), 1e-300))
+
+
+def _vanish_report(t_probe: Sequence[float], sups: list[float], floor: float) -> dict:
+    """The graded report of the probes' sup norms: pass iff the tail past the
+    peak never rises (or sits below ``floor``) and the last probe lies a
+    factor 2 per octave below the peak (or below ``floor``)."""
     peak = int(np.argmax(sups))
     tail_monotone = all(
         sups[i + 1] <= sups[i] * (1 + 1e-9) or sups[i + 1] <= floor

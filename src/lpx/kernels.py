@@ -1,22 +1,13 @@
 """Band-pass convolution kernels, given on the Fourier side.
 
-Two admissible families are provided: an annular kernel whose transform is a
-smooth cutoff equal to 1 on 2 <= |xi| <= 4 and supported in 1 < |xi| < 8, and
-a weak kernel 2*pi*|xi| * exp(1/2 - 2*pi^2*|xi|^2) (derivative-of-Gaussian
-profile, peak normalized to 1) that is positive on every ray.  Both vanish at
-xi = 0.  A ``Kernel`` is its grid, kind and radial profile: the t-dilated
-transform on the dual grid is profile(t |xi|), so every kernel is radial.
-The profiles are fixed, so each family is admissible on every grid by
-construction; the test suite's oracle (``tests/helpers.py``) asserts it.  A
-reproducing companion psi is constructed so that the product
-phi_hat * psi_hat integrates to 1 against dt/t along every ray, and the band
-coverage of a pair is the scale sum of its two cached plans' tables.
-
-``build_kernel`` and ``calderon_companion`` depend only on their arguments,
-and their results are frozen, so each keeps the last ``grid.CACHE_SIZE``
-results it built and returns them shared.  A ``Kernel`` compares its profile
-by identity: a kernel that ``build_annular_kernel`` builds again equals the
-cached one, and a cached companion hands out one psi.
+A ``Kernel`` is its grid, kind and radial profile: its t-dilated transform is
+profile(t |xi|).  ``build_kernel`` gives the annular kernel
+(``annular_profile``) or the weak derivative-of-Gaussian one
+(``weak_profile``); both vanish at xi = 0 and are admissible on every grid
+by construction.  ``calderon_companion`` builds the reproducing companion
+psi, ``band_coverage`` the pair's truncated ray integral and ``reproduce``
+the two-kernel resolution of the identity.  ``build_kernel`` and
+``calderon_companion`` keep their last ``grid.CACHE_SIZE`` results, shared.
 """
 
 from __future__ import annotations
@@ -96,6 +87,10 @@ def weak_profile(r: np.ndarray) -> np.ndarray:
 class Kernel:
     """Convolution kernel given by its radial transform ``profile`` at
     arbitrary radius, which is what scale dilation phi_hat(t*xi) evaluates.
+
+    Nothing is checked when one is built.  Kernels compare their profiles
+    by identity, so a kernel built again from the same profile function
+    equals the cached one, and a cached companion hands out one psi.
     """
 
     grid: GridSpec

@@ -1,34 +1,15 @@
 """Maximal operators over a dyadic ball family.
 
-Ball averages divide the cell mass of the samples whose centers fall in the
-ball by the continuous ball measure (2r in 1-D, pi r^2 in 2-D).  Radii are
-snapped so that the covered cell volume never exceeds the continuous measure:
-in 1-D they are whole numbers of cells, in 2-D each radius is inflated until
-pi r^2 dominates the cell volume of its ``GridSpec.ball_mask``.  This keeps
-every average of |f| below sup|f| and makes the power inequality for ball
-means exact up to the round-off of the correlation that sums the balls.
-
-``hl_maximal`` runs on |f| divided by the power of two of its max
-(``grid.scale_to_unit_rows``) and scales back, so it is positively
-homogeneous over the whole float range.  Both ball operations are one path
-in 1-D and 2-D.
-``BallFamily.ball_sums`` correlates the values with the cached spectra of
-the ball masks, every radius at once.  ``BallFamily.ball_filters`` takes the
-ball max of every radius at once, in numpy alone: each first-axis row of a
-torus ball is one symmetric run of cells along the last axis, and the max
-over a run of w cells is two reads of one level of a doubling table (level
-j: the max over 2^j consecutive cells), from a read table built once per
-(grid, radii).  A ball's cells are ``GridSpec.ball_mask``'s, and
-``BallFamily.build`` keeps the last ``grid.CACHE_SIZE`` families it built,
-so a default family is built once per grid.
-
-The smoothed maximal sup, ``peetre_maximals``, reads a prebuilt stack of
-psi-fields (``transforms.build_fields``), as the square functions read
-their phi-fields, so one stack serves every decay exponent b.  Both batched
-maxima fit ``grid.WORK_BYTES``: a stack's ball max per block of rows, a row
-costing its doubled table levels, and ``peetre_maximals`` per step of
-distances, a distance costing its 8-byte candidate products and doubled
-envelopes.
+``BallFamily`` is the snapped dyadic ball family of a grid
+(``BallFamily.build``): its ``ball_sums`` give the ball sums and its
+``ball_filters`` the ball maxima of every radius at once.  ``hl_maximal`` is
+the ball-average maximal function, whose radii are snapped so that an
+average of |f| never exceeds sup |f| (``_snap_radii_1d``,
+``_snap_radii_2d``).  ``peetre_maximals`` is the smoothed maximal sup of a
+prebuilt psi-field stack, exact over every scale and offset;
+``peetre_maximal`` and ``hardy_norm`` are its one-input forms.  Read
+``peetre_maximals`` and ``_candidate_scales`` for the sup's mechanism and
+exactness argument.
 """
 
 from __future__ import annotations
@@ -232,7 +213,16 @@ def _doubling_table(values: np.ndarray, top: int) -> np.ndarray:
 
 
 def hl_maximal(f: SampledFunction, balls: BallFamily | None = None) -> SampledFunction:
-    """Ball-average maximal function sup over family balls containing x."""
+    """Ball-average maximal function sup over family balls containing x.
+
+    A ball average divides the cell mass of the samples whose centers fall
+    in the ball by the continuous measure (2r in 1-D, pi r^2 in 2-D), and
+    the family's radii are snapped so that this measure is at least the
+    ball's cell volume, so every average of |f| stays below sup |f|.  It
+    runs on |f| divided by the power of two of its max
+    (``grid.scale_to_unit_rows``) and scales back, so it is positively
+    homogeneous over the whole float range.
+    """
     grid = f.grid
     balls = balls or BallFamily.build(grid, DEFAULT_RADII_PER_OCTAVE[grid.dim])
     mag = np.abs(f.values)

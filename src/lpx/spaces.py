@@ -1,41 +1,13 @@
 """Norm evaluators for the concrete function spaces.
 
-Five families are implemented: plain and weighted Lebesgue, Morrey,
-mixed-norm, variable-exponent, and Orlicz-slice.  All of them are lattice
-quasi-norms evaluated by the grid rectangle rule; suprema over balls run over
-the finite dyadic family ``BallFamily.build(grid, BALL_RADII_PER_OCTAVE)``.
-
-Every Luxemburg norm, inf{lam : modular(f / lam) <= 1}, is the root of a sum
-of powers of lam: a ``VariableLebesgue`` modular is the sum over cells of
-cellvol * (u / lam)^p(x), and an ``OrliczFunction`` Phi is the sum of u^p
-over its exponents, so a Phi-modular is the sum over them of lam^-p times
-cellvol * the sum of u^p.  ``_power_sum_norms`` solves every row of such
-sums at once by Newton in x = log lam.  ``VariableLebesgue`` hands it one
-term per cell, ``orlicz_norm`` and the slice ball's own norm one per
-exponent of Phi, and ``OrliczSlice`` one per exponent for every window: the
-sums of u^p over the slice ball about each cell, on the row scaled by the
-power of two of that window's own max (the slice ball's
-``BallFamily.ball_filters``), one slice of the powers doubled along every
-grid axis added per offset of the ball's row runs.
-
-A descriptor implements only its row-batched norms: ``norms(grid, mag)``
-returns the norm of every row of a finite non-negative ``(rows,) +
-grid.shape`` stack, each bitwise what that row gives alone.  ``space_norms``
-is the one entry to them (``space_norm`` is its one-row case) and the one
-place a stack is chunked.  No descriptor scales by itself: ``space_norms``
-and ``orlicz_norm`` (a Luxemburg norm with no descriptor) take the norms of
-each row divided by the power of two of its max and scale them back
-(``_unit_row_norms``), so every norm is homogeneous over the whole float
-range.  ``Morrey`` takes the ball sums of a step's rows in one
-``BallFamily.ball_sums`` call, and ``OrliczSlice`` the window sums of a
-step's rows in one pass over the slice ball's offsets.
-
-Every step fits ``grid.WORK_BYTES`` (``grid.batch_items``), an item costing
-the 8-byte elements its step holds at once: a ``space_norms`` row 5 per cell
-(``VariableLebesgue``'s norms peak at 4.5), a ``Morrey`` row 4 per (radius,
-cell) and an ``OrliczSlice`` row per cell the larger of its solve's 17 and
-its window max's 5 + 2 per doubling level of the slice ball (14.0-20.1
-measured at 1-D and 2-D).
+Six descriptors: ``Lebesgue``, ``WeightedLebesgue``, ``Morrey``,
+``MixedNorm``, ``VariableLebesgue`` and ``OrliczSlice``, all lattice
+quasi-norms by the grid rectangle rule, listed in ``SPACES``.  A descriptor
+implements only its row-batched ``norms``; ``space_norms`` is the one entry
+to them (``space_norm`` its one-row case) and ``orlicz_norm`` the one for a
+bare ``OrliczFunction``.  Every Luxemburg norm is solved by
+``_power_sum_norms``.  ``ap_characteristic`` and ``critical_index`` measure
+weights.
 """
 
 from __future__ import annotations
@@ -197,6 +169,10 @@ def _power_sum_norms(logs: np.ndarray, exps: Sequence[float] | np.ndarray) -> np
     """The lam solving sum_k exp(logs[i, k] - exps[k] * log lam) = 1 for
     every row i of the ``(rows, terms)`` array ``logs``, its terms' exponents
     ``exps`` positive; a row whose logs are all -inf (a zero row) gives 0.
+    Every Luxemburg norm inf{lam : modular(f / lam) <= 1} of the package is
+    such a root: a ``VariableLebesgue`` modular is the sum over cells of
+    cellvol (u / lam)^p(x), and a Phi-modular the sum over Phi's exponents p
+    of lam^-p cellvol times the sum of u^p.
 
     Newton in x = log lam runs from x = max_k logs[i, k] / exps[k], where
     every term is at most 1 and one term is 1.  The log of the sum is convex
@@ -269,7 +245,8 @@ def _unit_row_norms(mag: np.ndarray, norms: Callable[[np.ndarray], Sequence[floa
 
 
 def orlicz_norm(f: SampledFunction, phi: OrliczFunction) -> float:
-    """Luxemburg norm inf{lam : integral of Phi(|f|/lam) <= 1}."""
+    """Luxemburg norm inf{lam : integral of Phi(|f|/lam) <= 1}: one
+    ``_power_sum_norms`` solve, one term per exponent of Phi."""
     def norms(unit: np.ndarray) -> np.ndarray:
         sums = [np.add.reduce(unit**p, axis=1) for p in phi.exponents]
         return _power_sum_norms(_power_sum_logs(sums, f.grid.cell_volume), phi.exponents)
@@ -460,6 +437,8 @@ class VariableLebesgue:
     json_keys: ClassVar[tuple[str, ...]] = ("csv", "base", "dip")
 
     def norms(self, grid: GridSpec, mag: np.ndarray) -> list[float]:
+        """The Luxemburg norm of every row: one ``_power_sum_norms`` solve,
+        one term log(cellvol) + p(x) log u per cell, rows row-major."""
         pvals = self.exponent.values.reshape(-1)
         with np.errstate(divide="ignore"):
             logs = np.log(mag.reshape(len(mag), grid.size))

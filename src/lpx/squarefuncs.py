@@ -1,46 +1,14 @@
 """Cone functionals and the three multiscale square functions.
 
-Every square function takes a prebuilt half-space field F(y, t_k) =
-phi_{t_k} * f(y) (see ``transforms.build_field``), so one field per input
-serves all three.  All quadratures share the half-space measure
-dy dt / t^(n+1) realized as cell_volume * ln2/J * t_k^(-n) per cell
-(``cone_weights``), with
-``GridSpec.ball_mask`` deciding cone membership.  Per scale, the sums over y
-are circular correlations of |F|^2 with a kernel that depends only on the
-grid, the scale and the aperture or lambda.  The spectra of those kernels
-are cached (``ball_spectra``), the cone and g*_lambda tables with each
-scale's row multiplied in place by its quadrature weight (``cone_spectra``,
-``gstar_spectra``, both through ``_scale_weighted``), so each is held once.
-The sum over scales runs in frequency space (``scale_sums``): |F|^2 is
-taken once, and a batch of whole fields within ``grid.WORK_BYTES``
-transforms its rows at the scales live (nonzero) in some field of the
-batch once, however many tables read them.  Per table, one broadcast
-product of the batch's spectra with those scales' table rows and one
-reduction over the scale axis, which adds each field's rows in scale order,
-then one inverse FFT per field.  A field costs four real rows of the grid
-per live scale of the stack: its gathered powers, their spectrum, a copy of
-it and the table rows.  A scale dead in one field of a batch and live in
-another adds that field spectrum(0) times the table, all of it +-0, which
-leaves every nonzero partial sum as it is; only an exact zero's sign can
-change, and ``np.maximum(acc, 0.0)`` makes -0.0 +0.0, so each field's row is
-bitwise its one-field value.  Every table but the last multiplies a copy of
-the spectra in place (``*=``; ``spectra * table`` can differ in the last
-bit), so each table's rows are bitwise its one-table value.  A scale dead in
-every field of a batch is the only one skipped.  The same powers, summed
-over the scale axis with the weight ln2/J, give g, the vertical square
-function, which ``scale_sums`` returns after its tables' rows, so a block
-of fields is squared once for S, g and g*_lambda together.  (The cone functionals of a decomposition's
-pieces, which hold a few cells per scale, are interval sums in
-``atoms._piece_functionals`` instead.)  The batched form, ``scale_sums``,
-takes a ``FieldStack`` (``transforms.build_fields``) or one
-``HalfSpaceField``, real or complex, and returns one real row per field,
-each bitwise the one-field value.  The singular forms are its one-field
-cases and refuse a stack: ``tent_functional`` and ``g_lambda_star`` take
-the row of their one table, ``g_function`` the g row of a call with no
-table.  Each field's |F| is divided by the power of two of its
-maximum before squaring and the root is scaled back (``_unit_powers``,
-through ``grid.scale_to_unit_rows``), so the square functions are
-positively homogeneous over the whole float range.
+Every square function reads a prebuilt half-space field F(y, t_k) =
+phi_{t_k} * f(y) (``transforms.build_field``), with the half-space measure
+dy dt / t^(n+1) as the per-cell weight ``cone_weights``.  ``scale_sums`` is
+the one implementation: from one squaring of a field or a ``FieldStack`` it
+gives the rows of every requested table (the cone tables of
+``cone_spectra``, the g*_lambda tables of ``gstar_spectra``) and then g.
+``tent_functional``, ``lusin_area``, ``g_function`` and ``g_lambda_star``
+are its one-field cases.  Read ``scale_sums`` for the mechanism and its
+exactness argument.
 """
 
 from __future__ import annotations
@@ -121,8 +89,9 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
     the spectrum of kernel k, weight included (``cone_spectra``,
     ``gstar_spectra``), then the vertical square function g of each field.
 
-    The sum runs in frequency space: |F|^2 is taken once
-    (``_unit_powers``), and a batch of whole fields (``grid.whole_batches``)
+    The sum runs in frequency space: |F|^2 is taken once, each field scaled
+    to unit max and the roots scaled back (``_unit_powers``), so the sums
+    are positively homogeneous over the whole float range; and a batch of whole fields (``grid.whole_batches``)
     transforms its rows at the scales live in some field of it once, a
     field costing four real grid rows per live scale of the stack.  Per
     table, one product of the batch's spectra with those scales' table rows

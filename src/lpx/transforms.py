@@ -1,14 +1,12 @@
 """Multiscale convolution engine.
 
-Every convolution is a Fourier multiplier on the periodic grid, exact for
-periodic data: the dilated kernel acts as phi_hat(t * xi) on the spectrum.
-The multipliers are real and even, so ``apply_multiplier`` runs each as the
-real FFT correlation ``correlate`` of the real rows of its input.  A field
-costs one forward real FFT and one inverse batched over every scale; a stack
-of fields (``build_fields``) costs the same two, batched over the inputs too.
-``spectrum`` and ``inverse_spectrum`` are the one real FFT pair: ``correlate``
-inverts the product of two spectra, and the square functions' scale sum
-inverts a sum of such products.
+Every convolution is a real even Fourier multiplier on the periodic grid,
+exact for periodic data.  ``spectrum`` and ``inverse_spectrum`` are the one
+real FFT pair, ``correlate`` the one FFT correlation and
+``apply_multiplier`` the one multiplier, which every convolution of the
+package goes through.  ``build_plan`` caches a kernel's multiplier table on a
+scale grid, and ``build_field`` / ``build_fields`` turn inputs into
+half-space fields with one batched transform pair.
 """
 
 from __future__ import annotations
@@ -134,8 +132,8 @@ def build_fields(fs: Sequence[SampledFunction], plan: ConvolutionPlan) -> FieldS
 def spatial_kernel(kernel: Kernel, t: float) -> np.ndarray:
     """Offset-indexed samples of the dilated spatial kernel (index 0 = zero offset).
 
-    Satisfies exactly: convolve_at_scale(f, kernel, t)(x) equals
-    cell_volume * sum_y f(y) * spatial_kernel[x - y] on the torus.
+    Satisfies exactly: apply_multiplier(f.values, kernel.multiplier(t))(x)
+    equals cell_volume * sum_y f(y) * spatial_kernel[x - y] on the torus.
     """
     delta = np.zeros(kernel.grid.shape)  # unit mass at the zero offset
     delta.flat[0] = 1.0 / kernel.grid.cell_volume

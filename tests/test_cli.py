@@ -514,6 +514,22 @@ def test_a_cold_verify_builds_each_trial_and_the_kernel_once(tmp_path, monkeypat
     assert (builds["trials"], builds["kernels"]) == (10, 1)
 
 
+def test_verify_exits_1_and_writes_every_report_when_one_experiment_fails(tmp_path, capsys):
+    # two vanish probes below the bump's peak scale: the sups rise, so the
+    # vanish check fails while the three other experiments pass
+    cfg = write_config(tmp_path, grid={"dim": 1, "N": 64, "L": 2.0}, seed=42,
+                       experiments={**{name: {"trials": 10} for name in ("equivalence", "change_of_angle", "embedding")},
+                                    "vanish": {"t_probe": [0.5, 1.0]}})
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["equivalence: PASS", "change_of_angle: PASS", "embedding: PASS", "vanish: FAIL"]
+    assert sorted(p.name for p in out.glob("*.json")) == [
+        "change_of_angle.json", "embedding.json", "equivalence.json", "vanish.json"]
+    vanish = json.loads((out / "vanish.json").read_text())
+    assert vanish["passed"] is False and vanish["sup_norms"][0] < vanish["sup_norms"][1]
+
+
 def test_cold_and_warm_verify_runs_write_the_same_bytes(tmp_path):
     cfg = _verify_1d_config(tmp_path)
     clear_fixed_input_caches()

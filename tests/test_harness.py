@@ -1,4 +1,5 @@
 import functools
+import math
 import sys
 import types
 
@@ -110,6 +111,70 @@ def test_the_equivalence_grader_fails_past_the_spread_bound_or_on_a_domination_f
     assert report.summary["worst_spread"] == hardy
     assert report.summary["domination_ok"] == float(domination)
     assert report.passed is passed
+
+
+@pytest.mark.parametrize("lam,dim", [(2.5, 1), (1.75, 2)])
+def test_the_domination_flag_holds_up_to_two_to_the_lambda_n_over_two(lam, dim):
+    # hand-built S and g* rows: S at exactly 2^(lambda n / 2) g* is
+    # dominated, S halfway (in log) to 2^(lambda n) g* is not, at one cell
+    gstar = np.ones((3,) + (8,) * dim)
+    s_rows = gstar.copy()
+    s_rows[1] *= 2.0 ** (lam * dim / 2.0)
+    s_rows[2].flat[5] = 2.0 ** (lam * dim * 3 / 4)
+    assert harness._dominated(s_rows, gstar, lam) == [True, True, False]
+
+
+# hand-built change-of-angle rows (norms at each aperture, fitted slope)
+ALPHAS = (1.0, 2.0, 4.0, 8.0)
+RISING = [1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("floor,dim,bound", [(2.0, 1, 0.5), (1.0, 1, 1.0), (4.0, 1, 0.5), (4.0, 2, 1.0)],
+                         ids=["n/2-at-p=2", "n/p", "n/2-above-p=2-1d", "n/2-above-p=2-2d"])
+def test_the_angle_grader_fails_one_ulp_past_its_bound(floor, dim, bound):
+    # the bound is max(n/2, n/floor); two equal slopes average exactly, so
+    # the mean slope sits on the bound plus slack, or one ulp past it
+    edge = bound + harness.ANGLE_SLOPE_SLACK
+    for slope, passed in ((edge, True), (np.nextafter(edge, np.inf), False)):
+        report = harness._angle_report(Lebesgue(floor), "annular", 0, ALPHAS, dim,
+                                       [(RISING, slope), (RISING, slope)])
+        assert report.summary["bound"] == bound and report.summary["fitted_exponent"] == slope
+        assert report.thresholds["slope_max"] == edge and report.passed is passed
+
+
+def test_the_angle_grader_fails_on_one_non_monotone_trial():
+    # a slope well inside the bound; one trial's norms dip past the 1e-10
+    # tolerance, another's by less
+    within = [1.0, 2.0, 2.0 * (1 - 0.5e-10), 4.0]
+    dipping = [1.0, 2.0, 2.0 * (1 - 2e-10), 4.0]
+    report = harness._angle_report(Lebesgue(2.0), "annular", 0, ALPHAS, 1, [(RISING, 0.1), (within, 0.1)])
+    assert report.passed and report.summary["monotone_ok"] == 1.0
+    report = harness._angle_report(Lebesgue(2.0), "annular", 0, ALPHAS, 1,
+                                   [(RISING, 0.1), (dipping, 0.1), (RISING, 0.1)])
+    assert not report.passed and report.summary["monotone_ok"] == 0.0
+
+
+@pytest.mark.parametrize("ratios,passed", [
+    ([1.0, 10.0, 5.0], True),  # a spread of exactly the bound passes
+    ([1.0, 10.0 * (1 + 2.0**-52), 5.0], False),  # one ulp past it fails
+    ([1.0, math.inf, 5.0], False),  # a non-finite ratio fails
+], ids=["spread-at-bound", "spread-past-bound", "infinite-ratio"])
+def test_the_embedding_grader_fails_past_its_spread_bound(ratios, passed):
+    report = harness._embedding_report(Lebesgue(2.0), 2.0, 0, 0.9, ratios)
+    assert report.passed is passed and report.trials == len(ratios)
+
+
+def test_the_vanish_grader_fails_on_a_tail_that_rises_while_the_rate_holds():
+    # past the peak the tail rises once, yet the last probe lies more than a
+    # factor 2 per octave below the peak
+    t_probe = (1.0, 2.0, 4.0, 8.0)
+    out = harness._vanish_report(t_probe, [1.0, 0.25, 0.3, 0.01], 1e-14)
+    assert out["rate_ok"] and not out["tail_monotone"] and not out["passed"]
+    out = harness._vanish_report(t_probe, [1.0, 0.25, 0.2, 0.01], 1e-14)
+    assert out["rate_ok"] and out["tail_monotone"] and out["passed"]
+    # a rise that stays below the floor does not count
+    out = harness._vanish_report(t_probe, [1.0, 0.25, 0.0, 1e-15], 1e-14)
+    assert out["passed"]
 
 
 def test_change_of_angle_l2_slope():
