@@ -1,77 +1,32 @@
 #!/usr/bin/env python3
-"""In-process timer of the smoothed maximal sup, ``maximal.peetre_maximals``,
-of the space norms, ``spaces.space_norms``, of criterion 5's five spaces
-(and of its ``OrliczSlice`` at 2-D),
-of the tent decomposition, ``atoms.tent_decompose``, of the scale sums,
-``squarefuncs.scale_sums``, of the ball-average maximal function,
-``maximal.hl_maximal``, and of criterion 5's five-space pass,
-``harness.equivalence_experiments``.
+"""In-process timer of single library calls, one per case of ``CASES``.
 
-Four Peetre cases, each on the companion of the annular kernel over the
-default scale grid (1/16 .. 16 at 8 steps per octave) with the harness's b
-for ``Lebesgue(2)``, on the first trials of the trial family:
+A case runs on the first trials of the harness's trial family at ``--seed``,
+with the annular kernel, in ``Lebesgue(2)`` and over the default scale grid
+``SCALES`` (1/16 .. 16 at 8 steps per octave) unless its row names another
+space or scale grid.  It builds its inputs once untimed, makes one untimed
+call, which builds the cached tables, then ``--repeats`` timed calls, and
+prints one JSON object: ``case``, ``call`` (the function timed), ``rows``
+(the rows it takes), ``repeats``, the median, quartiles and range of the
+call's wall time (``median_s``, ``q1_s``, ``q3_s``, ``min_s``, ``max_s``;
+``time.perf_counter``) and the median minor page faults per call
+(``faults_per_call``; ``resource.getrusage``), the steady-state faults per
+call.
 
-- ``1d-64``: 1-D N=64, L=2, 10 inputs (the trial block of ``verify-1d``);
-- ``1d-512``: 1-D N=512, L=8, 2 inputs (a trial block of the default
-  ``lpx verify``);
-- ``2d-64``: 2-D N=64, L=2, 1 input;
-- ``2d-128``: 2-D N=128, L=2, 1 input (a trial block of the 2-D N=128
-  ``lpx verify``).
+A Peetre case times ``peetre_maximals`` on the companion of the annular
+kernel with the harness's b for ``Lebesgue(2)``: the call builds its inputs'
+psi-field stack (``build_fields``) and takes the sup on it, the Peetre work
+of a trial block with one distinct b.  It adds its ``b`` and the sup's
+deterministic counts on that stack: the mean and the largest number of
+candidate scales per cell (``candidates_mean``, ``candidates_max``;
+``maximal._candidate_scales``) and the steps of distances (``steps``).
 
-A Peetre call builds its inputs' psi-field stack (``build_fields``) and
-takes the sup on it: the Peetre work of a trial block with one distinct b.
-A Peetre case adds the sup's deterministic counts on that stack: the mean
-and the largest number of candidate scales per cell
-(``candidates_mean``, ``candidates_max``; ``maximal._candidate_scales``)
-and the steps of distances (``steps``).
+A norm case, named after a space of ``harness.FIVE_SPACES``, times the rows
+that one ``harness.equivalence_experiments`` pass over the five spaces hands
+``space_norms`` in that space, recorded once per process (``harness_rows``).
 
-One pass case, ``five-space-pass``: one ``harness.equivalence_experiments``
-call over ``harness.five_spaces`` on 1-D N=64, L=2 with the default scale
-grid and 10 trials (criterion 5's pass, one trial block).
-
-One norm case per space of ``harness.FIVE_SPACES``, named after it: the 40
-rows (the Peetre sup, S, g and g*_lambda of trials 0-9) that an equivalence
-run hands ``space_norms`` in one call per space on 1-D N=64, L=2 with the
-default scale grid.  Every norm case's rows are recorded by wrapping
-``harness.space_norms`` during one untimed ``harness.equivalence_experiments``
-pass over the five spaces, made once per process.
-
-Two decomposition cases, each in ``Lebesgue(2)`` with the annular kernel,
-their fields built once untimed:
-
-- ``decompose``: the fields of ``decompose-1d``'s four trials (1-D N=256,
-  L=8, scales 1/16 .. 2 at 4 steps per octave, the 4-radii-per-octave ball
-  family);
-- ``decompose-2d``: trial 0 on the memory guard's grid (2-D N=64, L=2,
-  scales 1/16 .. 1 at 4 steps per octave, 16 scales, the default ball
-  family); at ``--seed 0`` it is the memory guard's field.
-
-A call is one ``tent_decompose`` per field, and the case adds ``atoms``,
-the atoms of its decompositions, counted on one more untimed call.
-
-Two scale-sum cases, each one ``scale_sums`` call with the cone table and
-the g*_lambda table of ``Lebesgue(2)``'s lambda over the default scale grid,
-on the annular kernel's fields of the first trials, built once untimed:
-
-- ``scale-sums-1d-64``: 1-D N=64, L=2, 10 fields (the trial block of
-  ``verify-1d``);
-- ``scale-sums-2d-64``: 2-D N=64, L=2, 1 field.
-
-One ``hl_maximal`` case, ``hl-maximal-1d-512``: trial 0 on 1-D N=512, L=8,
-with the default ball family (the call of a default ``lpx verify``).
-
-One 2-D norm case, ``orlicz-slice-2d-64``: one ``space_norms`` call over
-trials 0-3 on 2-D N=64, L=2 in criterion 5's ``OrliczSlice``, the rows of
-one 2-D equivalence block; at ``--seed 0`` they are the memory guard's
-``orlicz-slice`` rows.
-
-Each case makes one untimed call, which builds the cached tables, then
-``--repeats`` timed calls, and prints one JSON object: ``case``, ``call``
-(the function timed), ``rows`` (the rows it takes), ``repeats``, the median,
-quartiles and range of the call's wall time (``median_s``, ``q1_s``,
-``q3_s``, ``min_s``, ``max_s``; ``time.perf_counter``) and the median minor
-page faults per call (``faults_per_call``; ``resource.getrusage``), the
-steady-state faults per call.  A Peetre case adds its ``b`` and its counts.
+A decomposition case times one ``tent_decompose`` per field, and adds
+``atoms``, the atoms of its decompositions, counted on one more untimed call.
 
 Usage (from the repository root):
 
@@ -86,6 +41,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,20 +57,8 @@ from lpx.squarefuncs import cone_spectra, gstar_spectra, scale_sums
 from lpx.transforms import build_field, build_fields, build_plan
 
 SCALES = ScaleGrid(t_min=1 / 16, t_max=16.0, steps_per_octave=8)
-# Peetre case: (dim, N, L, inputs)
-PEETRE = {"1d-64": (1, 64, 2.0, 10), "1d-512": (1, 512, 8.0, 2), "2d-64": (2, 64, 2.0, 1), "2d-128": (2, 128, 2.0, 1)}
-NORM_GRID = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
+NORM_GRID = GridSpec(dim=1, half_width=2.0, points_per_axis=64)  # the five-space pass and the norm cases
 NORM_TRIALS = 10
-PASSES = ["five-space-pass"]  # on NORM_GRID with NORM_TRIALS trials
-# decomposition case: (dim, N, L, scales, ball radii per octave, trials)
-DECOMPOSE = {"decompose": (1, 256, 8.0, ScaleGrid(1 / 16, 2.0, 4), 4, 4),
-             "decompose-2d": (2, 64, 2.0, ScaleGrid(1 / 16, 1.0, 4), 2, 1)}
-# scale-sum case: (dim, N, L, fields); ball-average maximal case: (dim, N, L)
-SCALE_SUMS = {"scale-sums-1d-64": (1, 64, 2.0, 10), "scale-sums-2d-64": (2, 64, 2.0, 1)}
-HL_MAXIMAL = {"hl-maximal-1d-512": (1, 512, 8.0)}
-# 2-D Orlicz-slice case: (dim, N, L, rows)
-ORLICZ_SLICE_2D = {"orlicz-slice-2d-64": (2, 64, 2.0, 4)}
-CASES = [*PEETRE, *PASSES, *FIVE_SPACES, *DECOMPOSE, *SCALE_SUMS, *HL_MAXIMAL, *ORLICZ_SLICE_2D]
 
 
 def minor_faults() -> int:
@@ -139,18 +83,16 @@ def peetre_counts(F, b: float) -> dict:
             "steps": -(-distances // step)}
 
 
-def peetre_case(case: str, seed: int):
+def peetre_case(seed: int, grid: GridSpec, inputs: int):
     """The timed call of a Peetre case, its input count, its ``b`` and its counts."""
-    dim, n, half_width, inputs = PEETRE[case]
-    grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
     plan = build_plan(calderon_companion(build_kernel("annular", grid), SCALES).psi, SCALES)
     fs = [trial_function(seed, i, grid) for i in range(inputs)]
-    b = default_peetre_exponent(dim, spaces.Lebesgue(2.0).floor())
+    b = default_peetre_exponent(grid.dim, spaces.Lebesgue(2.0).floor())
     counts = peetre_counts(build_fields(fs, plan), b)
     return "peetre_maximals", inputs, lambda: peetre_maximals(build_fields(fs, plan), b), {"b": b, **counts}
 
 
-def pass_case(case: str, seed: int):
+def pass_case(seed: int):
     """The timed call of the five-space pass and its trial count."""
     named = list(five_spaces(NORM_GRID).values())
     return "equivalence_experiments", NORM_TRIALS, lambda: harness.equivalence_experiments(
@@ -186,13 +128,11 @@ def norm_case(name: str, seed: int):
     return "space_norms", len(rows), lambda: spaces.space_norms(NORM_GRID, rows, space), {}
 
 
-def decompose_case(case: str, seed: int):
+def decompose_case(seed: int, grid: GridSpec, scales: ScaleGrid, radii_per_octave: int, trials: int):
     """The timed call of a decomposition case, its field count and its atoms."""
-    dim, n, half_width, scales, per_octave, trials = DECOMPOSE[case]
-    grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
     plan = build_plan(build_annular_kernel(grid), scales)
     fields = [build_field(trial_function(seed, i, grid), plan) for i in range(trials)]
-    balls, space = BallFamily.build(grid, per_octave), spaces.Lebesgue(2.0)
+    balls, space = BallFamily.build(grid, radii_per_octave), spaces.Lebesgue(2.0)
 
     def run():
         return [tent_decompose(F, space, balls) for F in fields]
@@ -200,39 +140,65 @@ def decompose_case(case: str, seed: int):
     return "tent_decompose", len(fields), run, {"atoms": sum(len(dec.atoms) for dec in run())}
 
 
-def scale_sums_case(case: str, seed: int):
+def scale_sums_case(seed: int, grid: GridSpec, count: int):
     """The timed call of a scale-sum case and its field count."""
-    dim, n, half_width, count = SCALE_SUMS[case]
-    grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
     F = build_fields([trial_function(seed, i, grid) for i in range(count)],
                      build_plan(build_kernel("annular", grid), SCALES))
     tables = [cone_spectra(grid, SCALES, 1.0), gstar_spectra(grid, SCALES, default_lambda(spaces.Lebesgue(2.0)))]
     return "scale_sums", count, lambda: scale_sums(F, tables), {}
 
 
-def hl_maximal_case(case: str, seed: int):
-    """The timed call of the ``hl_maximal`` case and its one input."""
-    dim, n, half_width = HL_MAXIMAL[case]
-    f = trial_function(seed, 0, GridSpec(dim=dim, half_width=half_width, points_per_axis=n))
+def hl_maximal_case(seed: int, grid: GridSpec):
+    """The timed call of an ``hl_maximal`` case and its one input."""
+    f = trial_function(seed, 0, grid)
     return "hl_maximal", 1, lambda: hl_maximal(f), {}
 
 
-def orlicz_slice_2d_case(case: str, seed: int):
-    """The timed call of the 2-D Orlicz-slice case and its row count."""
-    dim, n, half_width, count = ORLICZ_SLICE_2D[case]
-    grid = GridSpec(dim=dim, half_width=half_width, points_per_axis=n)
+def orlicz_slice_case(seed: int, grid: GridSpec, count: int):
+    """The timed call of an Orlicz-slice case and its row count."""
     rows = np.stack([trial_function(seed, i, grid).values.real for i in range(count)])
     space = spaces.descriptor_from_json(FIVE_SPACES["orlicz_slice"], grid)
     return "space_norms", count, lambda: spaces.space_norms(grid, rows, space), {}
 
 
-KINDS = [(PEETRE, peetre_case), (PASSES, pass_case), (DECOMPOSE, decompose_case), (SCALE_SUMS, scale_sums_case),
-         (HL_MAXIMAL, hl_maximal_case), (FIVE_SPACES, norm_case), (ORLICZ_SLICE_2D, orlicz_slice_2d_case)]
+class Case(NamedTuple):
+    description: str
+    make: Callable[[int], tuple]  # seed -> (call name, rows, timed call, extra keys)
+
+
+CASES = {
+    "1d-64": Case("peetre_maximals, 1-D N=64, L=2, 10 inputs: the trial block of verify-1d",
+                  lambda seed: peetre_case(seed, GridSpec(1, 2.0, 64), 10)),
+    "1d-512": Case("peetre_maximals, 1-D N=512, L=8, 2 inputs: a trial block of the default lpx verify",
+                   lambda seed: peetre_case(seed, GridSpec(1, 8.0, 512), 2)),
+    "2d-64": Case("peetre_maximals, 2-D N=64, L=2, 1 input",
+                  lambda seed: peetre_case(seed, GridSpec(2, 2.0, 64), 1)),
+    "2d-128": Case("peetre_maximals, 2-D N=128, L=2, 1 input: a trial block of the 2-D N=128 lpx verify",
+                   lambda seed: peetre_case(seed, GridSpec(2, 2.0, 128), 1)),
+    "five-space-pass": Case("equivalence_experiments over five_spaces, 1-D N=64, L=2, 10 trials: criterion "
+                            "5's pass, one trial block", pass_case),
+    **{name: Case(f"space_norms in {name}, the 40 rows of the five-space pass: the Peetre sup, S, g and "
+                  "g*_lambda of its 10 trials", functools.partial(norm_case, name)) for name in FIVE_SPACES},
+    "decompose": Case("tent_decompose, 1-D N=256, L=8, scales 1/16 .. 2 at 4 steps per octave, 4 ball "
+                      "radii per octave, 4 trials: the fields of decompose-1d",
+                      lambda seed: decompose_case(seed, GridSpec(1, 8.0, 256), ScaleGrid(1 / 16, 2.0, 4), 4, 4)),
+    "decompose-2d": Case("tent_decompose, 2-D N=64, L=2, scales 1/16 .. 1 at 4 steps per octave, 2 ball radii "
+                         "per octave, trial 0: at --seed 0 the memory guard's decompose field",
+                         lambda seed: decompose_case(seed, GridSpec(2, 2.0, 64), ScaleGrid(1 / 16, 1.0, 4), 2, 1)),
+    "scale-sums-1d-64": Case("scale_sums of the cone and g*_lambda tables, 1-D N=64, L=2, 10 trials: the trial "
+                             "block of verify-1d", lambda seed: scale_sums_case(seed, GridSpec(1, 2.0, 64), 10)),
+    "scale-sums-2d-64": Case("scale_sums, 2-D N=64, L=2, trial 0",
+                             lambda seed: scale_sums_case(seed, GridSpec(2, 2.0, 64), 1)),
+    "hl-maximal-1d-512": Case("hl_maximal, 1-D N=512, L=8, trial 0: the call of a default lpx verify",
+                              lambda seed: hl_maximal_case(seed, GridSpec(1, 8.0, 512))),
+    "orlicz-slice-2d-64": Case("space_norms in criterion 5's OrliczSlice, 2-D N=64, L=2, trials 0-3: the rows of "
+                               "one 2-D equivalence block, at --seed 0 the memory guard's orlicz-slice rows",
+                               lambda seed: orlicz_slice_case(seed, GridSpec(2, 2.0, 64), 4)),
+}
 
 
 def bench(case: str, repeats: int, seed: int) -> dict:
-    kind = next(make for cases, make in KINDS if case in cases)
-    call, rows, run, extra = kind(case, seed)
+    call, rows, run, extra = CASES[case].make(seed)
     run()
     times, faults = [], []
     for _ in range(repeats):
@@ -247,8 +213,10 @@ def bench(case: str, repeats: int, seed: int) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--case", action="append", choices=CASES, help="default: every case")
+    cases = "\n".join(f"  {name:<19} {description}" for name, (description, _) in CASES.items())
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
+                                     epilog=f"cases:\n{cases}")
+    parser.add_argument("--case", action="append", choices=CASES, metavar="C", help="default: every case")
     parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args(argv)

@@ -20,6 +20,7 @@ Usage (from the repository root):
     python scripts/mutation_check.py
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -88,7 +89,8 @@ MUTANTS = [
            ("tests/test_atoms.py::test_piece_functionals_span_chunks_bitwise",)),
     Mutant("ball-norm-chunk-end", "src/lpx/atoms.py",
            "_ball_rows(grid, centers[lo:hi], widths[lo:hi])", "_ball_rows(grid, centers[lo:hi - 1], widths[lo:hi - 1])",
-           ("tests/test_atoms.py::test_decomposition_sizes_do_not_depend_on_the_chunk_budget",)),
+           ("tests/test_atoms.py::test_decomposition_sizes_do_not_depend_on_the_chunk_budget",
+            "tests/test_work_budget.py::test_batcher_output_is_the_same_bytes_at_any_work_budget")),
     Mutant("ball-cells-wrap", "src/lpx/atoms.py",
            "cells &= n - 1", "pass",
            ("tests/test_atoms.py::test_every_ball_reader_leaves_out_the_cells_on_the_boundary",)),
@@ -101,9 +103,6 @@ MUTANTS = [
     Mutant("whitney-walk-key-offset", "src/lpx/atoms.py",
            "+ (len(radii) - 1 - top))", "- top)",
            ("tests/test_atoms.py::test_whitney_regions_match_reference_on_benchmark_inputs",)),
-    Mutant("atom-view-float-values", "src/lpx/atoms.py",
-           "if np.iscomplexobj(values) and not values.imag.any():", "if False:",
-           ("tests/test_atoms.py::test_atoms_read_by_index_slice_and_iteration_match_the_per_piece_reference",)),
     Mutant("piece-workspace-zeroing", "src/lpx/atoms.py",
            "rows.fill(0.0)", "pass",
            ("tests/test_atoms.py::test_piece_functionals_span_chunks_bitwise",)),
@@ -163,6 +162,9 @@ MUTANTS = [
     Mutant("trial-block-end", "src/lpx/harness.py",
            "min(lo + size, trials)", "min(lo + size, trials - 1)",
            ("tests/test_harness.py::test_trial_blocked_equivalence_with_a_partial_last_block",)),
+    Mutant("atom-view-float-values", "src/lpx/grid.py",
+           "complex_ = np.iscomplexobj(vals) and vals.imag.any()", "complex_ = np.iscomplexobj(vals)",
+           ("tests/test_atoms.py::test_atoms_read_by_index_slice_and_iteration_match_the_per_piece_reference",)),
     Mutant("stable-order-high-digits", "src/lpx/grid.py",
            "for shift in range(16, ", "for shift in range(16, 0 * ",
            ("tests/test_grid.py::test_stable_order_is_the_stable_argsort_of_non_negative_keys",)),
@@ -213,5 +215,13 @@ def check(mutants: list[Mutant]) -> bool:
     return killed
 
 
+def main(argv: list[str] | None = None) -> int:
+    mutants = "\n".join(f"  {mutant.name:<28} {mutant.file}" for mutant in MUTANTS)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
+                                     epilog=f"mutants, each with its file:\n{mutants}")
+    parser.parse_args(argv)
+    return 0 if check(MUTANTS) else 1
+
+
 if __name__ == "__main__":
-    sys.exit(0 if check(MUTANTS) else 1)
+    sys.exit(main())

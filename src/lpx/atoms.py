@@ -120,16 +120,6 @@ class TentAtom:
     ball: Ball
     coefficient: float
 
-    @classmethod
-    def _trusted(cls, grid: GridSpec, scales: ScaleGrid, cells: np.ndarray, values: np.ndarray,
-                 ball: Ball, coefficient: float) -> "TentAtom":
-        """An atom of arrays its caller has already checked and made read-only
-        (``tent_decompose``), built without ``__post_init__``'s checks."""
-        atom = object.__new__(cls)
-        atom.__dict__.update(grid=grid, scales=scales, cells=cells, values=values, ball=ball,
-                             coefficient=coefficient)
-        return atom
-
     def __post_init__(self):
         cells = np.asarray(self.cells, dtype=np.intp)
         values = real_or_complex(self.values)
@@ -150,9 +140,10 @@ class TentAtom:
 
 class _AtomView(Sequence):
     """The atoms of a ``TentDecomposition``, read-only: ``len`` reads the
-    flat ``starts``, and atom i is built from the flat arrays when it is
-    read, its ``cells`` and ``values`` views into them.  A piece without
-    imaginary parts gets float values, as ``real_or_complex`` gives it."""
+    flat ``starts``, and atom i is built by ``TentAtom`` from the flat arrays
+    when it is read, its ``cells`` and ``values`` views into them; a piece
+    without imaginary parts of a complex decomposition gets float values
+    (``real_or_complex``), a copy."""
 
     __slots__ = ("_dec",)
 
@@ -172,12 +163,9 @@ class _AtomView(Sequence):
         i %= count
         lo = int(dec.starts[i])
         hi = int(dec.starts[i + 1]) if i + 1 < count else len(dec.cells)
-        values = dec.values[lo:hi]
-        if np.iscomplexobj(values) and not values.imag.any():
-            values = real_or_complex(values)
         center = tuple(int(c) for c in np.unravel_index(int(dec.centers[i]), dec.grid.shape))
-        return TentAtom._trusted(dec.grid, dec.scales, dec.cells[lo:hi], values,
-                                 Ball(center, float(dec.radii[i])), float(dec.coefficients[lo]))
+        return TentAtom(dec.grid, dec.scales, dec.cells[lo:hi], dec.values[lo:hi],
+                        Ball(center, float(dec.radii[i])), float(dec.coefficients[lo]))
 
 
 @dataclass(frozen=True)

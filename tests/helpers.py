@@ -15,12 +15,15 @@ moments); the admissibility contract of a kernel (``assert_admissible``)
 and the per-scale band coverage of a pair (``band_coverage_loop``, the
 oracle of ``kernels.band_coverage``); and the emptying and the build counts
 of the process-wide caches of the trial family, the kernels, their
-companions and the plans."""
+companions and the plans; and the module of a script or benchmark file
+(``load_module``)."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,10 +118,10 @@ def atom_from_field(field: HalfSpaceField, ball: Ball, coefficient: float) -> Te
 
 
 def count_built_atoms(monkeypatch) -> list:
-    """A list that gains an entry per ``TentAtom._trusted`` call from now
-    on, the one way a decomposition builds an atom."""
-    built, trusted = [], TentAtom._trusted.__func__
-    monkeypatch.setattr(TentAtom, "_trusted", classmethod(lambda cls, *args: built.append(args) or trusted(cls, *args)))
+    """A list that gains an entry per ``TentAtom`` built from now on, each
+    atom's ``__post_init__`` call."""
+    built, post_init = [], TentAtom.__post_init__
+    monkeypatch.setattr(TentAtom, "__post_init__", lambda atom: built.append(atom) or post_init(atom))
     return built
 
 
@@ -411,3 +414,12 @@ def count_fixed_input_builds(monkeypatch) -> dict[str, int]:
     spy(kernels, "_band_center", "companions")
     spy(transforms, "ConvolutionPlan", "plans")
     return counts
+
+
+def load_module(path: Path):
+    """The module of the Python file ``path`` outside the package (a script or
+    a benchmark file), run afresh on each call."""
+    spec = importlib.util.spec_from_file_location(f"{path.parent.name}_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -870,6 +870,19 @@ def test_atoms_read_by_index_slice_and_iteration_match_the_per_piece_reference(k
         dec.atoms[0] = dec.atoms[1]
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_an_atom_read_from_a_decomposition_holds_views_of_its_flat_arrays(kind):
+    # TentAtom's checked constructor keeps each piece's cells and values as
+    # views; a real piece of a complex decomposition gets float values, a
+    # copy unless the piece has one cell
+    F = random_field(4) if kind == "real" else _mixed_complex_field()
+    dec = tent_decompose(F, LEBESGUE, BALLS)
+    same_dtype = [atom for atom in dec.atoms if atom.values.dtype == dec.values.dtype]
+    assert all(np.shares_memory(atom.cells, dec.cells) for atom in dec.atoms)
+    assert same_dtype and all(np.shares_memory(atom.values, dec.values) for atom in same_dtype)
+    assert (len(same_dtype) == len(dec.atoms)) == (kind == "real")
+
+
 def test_a_non_finite_atom_value_raises(monkeypatch):
     # sizes near the bottom of the float range make coefficients whose quotients overflow
     monkeypatch.setattr(atoms, "_piece_sizes", lambda F, cells, starts: [[1e-310] * len(starts)] * 2)

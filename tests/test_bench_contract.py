@@ -9,9 +9,9 @@ a traced tent decomposition evaluates the cone functional once for the field
 and once, in one chunked pass, for each of its pieces.
 ``perfbench/workloads.py`` keeps its own copy of the five test spaces."""
 
-import importlib.util
 from pathlib import Path
 
+from helpers import load_module
 from lpx import atoms, harness, kernels, maximal, transforms
 from lpx.grid import GridSpec, ScaleGrid
 from lpx.spaces import Lebesgue, space_norm
@@ -19,15 +19,8 @@ from lpx.spaces import Lebesgue, space_norm
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_traced_equivalence_experiment_builds_two_fields_per_trial(monkeypatch):
-    layers = _load_layers()
+    layers = load_module(LAYERS_PY)
     grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
     scales = ScaleGrid(1 / 16, 16.0, 8)
     trials = 10
@@ -63,7 +56,7 @@ def test_traced_equivalence_experiment_builds_two_fields_per_trial(monkeypatch):
 
 
 def test_traced_decomposition_evaluates_each_piece_once(monkeypatch):
-    layers = _load_layers()
+    layers = load_module(LAYERS_PY)
     grid = GridSpec(dim=1, half_width=8.0, points_per_axis=256)
     plan = transforms.build_plan(kernels.build_annular_kernel(grid), ScaleGrid(1 / 16, 2.0, 4))
     F = transforms.build_field(harness.trial_function(0, 3, grid), plan)
@@ -96,9 +89,7 @@ def test_traced_decomposition_evaluates_each_piece_once(monkeypatch):
 def test_five_spaces_match_the_benchmark_copy(tmp_path):
     """perfbench builds criterion 5's spaces by hand; they must stay the
     library's ``FIVE_SPACES`` recipes, bit for bit."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", LAYERS_PY.with_name("workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_module(LAYERS_PY.with_name("workloads.py"))
     bench = workloads.Equivalence5Space1D()
     state = bench.setup(0, tmp_path)
     grid = state["grid"]

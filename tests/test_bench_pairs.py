@@ -1,21 +1,18 @@
 """``scripts/bench_pairs.py``'s summary of paired runs, on hand-made runs:
 the wins, ties and the two rules, ``claim_met`` and ``within_bound``."""
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+from helpers import load_module
 
 BENCH_PAIRS = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module(BENCH_PAIRS)
 
 
 def _runs(values, name="wall_s"):

@@ -13,6 +13,7 @@ from lpx.cli import config_hash, load_config, main
 from lpx.grid import (
     GridSpec,
     SampledFunction,
+    ScaleGrid,
     gaussian_bump,
     pure_frequency,
     read_function_binary,
@@ -357,6 +358,34 @@ def test_decompose_report_reads_the_flat_arrays_and_builds_no_atom(tmp_path, mon
     assert len(expected) > 1 and report["atoms"] == expected and report["count"] == len(expected)
 
 
+class _Scales(Exception):
+    """Raised by a stub with the scale grid a command handed it."""
+
+
+@pytest.mark.parametrize("command, scales, capped", [
+    ("verify", {"t_min": 0.5, "t_max": 16.0, "steps_per_octave": 8}, ScaleGrid(0.25, 1.0, 8)),
+    ("verify", None, ScaleGrid(1 / 16, 1.0, 8)),
+    ("decompose", {"t_min": 2.0, "t_max": 16.0, "steps_per_octave": 8}, ScaleGrid(1.0, 4.0, 8)),
+    ("decompose", None, ScaleGrid(1 / 16, 4.0, 8)),
+])
+def test_a_capped_t_max_lowers_a_t_min_past_its_quarter(tmp_path, monkeypatch, command, scales, capped):
+    # at L = 8 the change-of-angle experiment caps t_max at L over its widest
+    # default aperture, 8, and decompose at L / 2; a t_min above a quarter of
+    # the capped t_max comes down to that quarter, and the default config
+    # (no --config) keeps its t_min
+    def capture(*args, **kwargs):
+        raise _Scales(next(arg for arg in args if isinstance(arg, ScaleGrid)))
+
+    monkeypatch.setattr(cli, "equivalence_experiment", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli, "change_of_angle_experiment", capture)
+    monkeypatch.setattr(cli, "_field", capture)
+    config = ["--config", str(write_config(tmp_path, scales=scales))] if scales else []
+    inputs = [str(write_input(tmp_path))] if command == "decompose" else []
+    with pytest.raises(_Scales) as handed:
+        main([*config, "--out", str(tmp_path / "o"), command, *inputs])
+    assert handed.value.args[0] == capped
+
+
 def test_decompose_zero_input_writes_an_empty_report(tmp_path):
     cfg = write_config(tmp_path, scales={"t_min": 0.0625, "t_max": 2.0, "steps_per_octave": 4})
     inp = tmp_path / "zero.csv"
@@ -404,7 +433,6 @@ def test_bad_peetre_exponent_exits_2(tmp_path, capsys, b):
 
 
 def test_compute_peetre_uses_configured_b(tmp_path):
-    from lpx.grid import ScaleGrid
     from lpx.kernels import build_annular_kernel, calderon_companion
     from lpx.maximal import peetre_maximal
     from lpx.transforms import build_plan
@@ -424,7 +452,6 @@ def test_compute_peetre_uses_configured_b(tmp_path):
 
 
 def test_compute_gstar_uses_configured_lambda(tmp_path):
-    from lpx.grid import ScaleGrid
     from lpx.kernels import build_annular_kernel
     from lpx.squarefuncs import g_lambda_star
     from lpx.transforms import build_field, build_plan

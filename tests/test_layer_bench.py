@@ -1,33 +1,22 @@
 """Smoke test of ``scripts/layer_bench.py``, the in-process timer: one repeat
-of a Peetre case, with its candidate and step counts, of the
-``orlicz_slice`` norm case, which records the
-harness's rows through ``harness.space_norms``, of the ``decompose``
-and ``decompose-2d`` cases, of the scale-sum and ``hl_maximal`` cases, of
-the 2-D ``orlicz-slice-2d-64`` case and of the five-space pass;
-and the norm cases' rows, from one pass over the five spaces, against the
-rows of one equivalence run per space."""
+of a case of each kind, with its keys and counts; and the norm cases' rows,
+from one pass over the five spaces, against the rows of one equivalence run
+per space."""
 
-import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 
+from helpers import load_module
 from lpx import harness, spaces
 
 LAYER_BENCH = Path(__file__).resolve().parents[1] / "scripts" / "layer_bench.py"
 KEYS = {"case", "call", "rows", "repeats", "median_s", "q1_s", "q3_s", "min_s", "max_s", "faults_per_call"}
 
 
-def _layer_bench():
-    spec = importlib.util.spec_from_file_location("layer_bench", LAYER_BENCH)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
-
-
 def test_layer_bench_prints_one_json_line_per_case(capsys):
-    bench = _layer_bench()
+    bench = load_module(LAYER_BENCH)
     cases = ["1d-64", "orlicz_slice", "decompose", "decompose-2d", "scale-sums-1d-64", "scale-sums-2d-64",
              "hl-maximal-1d-512", "orlicz-slice-2d-64", "five-space-pass"]
     assert bench.main([arg for case in cases for arg in ("--case", case)] + ["--repeats", "1"]) == 0
@@ -61,7 +50,7 @@ def test_layer_bench_prints_one_json_line_per_case(capsys):
 def test_norm_case_rows_are_the_one_space_runs_rows_bitwise(monkeypatch):
     # one pass over the five spaces hands space_norms, per space, the rows
     # that an equivalence run in that space alone hands it
-    bench = _layer_bench()
+    bench = load_module(LAYER_BENCH)
     rows = bench.harness_rows(5)
     assert list(rows) == list(harness.FIVE_SPACES)
     for name, (space, pass_rows) in rows.items():

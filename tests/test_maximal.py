@@ -129,7 +129,7 @@ def test_powered_maximal_theta_one_and_constant():
 
 
 @given(c=st.floats(min_value=-100.0, max_value=100.0), seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 def test_maximal_absolutely_homogeneous(c, seed):
     grid = GridSpec(dim=1, half_width=4.0, points_per_axis=64)
     balls = BallFamily.build(grid, 2)

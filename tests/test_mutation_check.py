@@ -2,12 +2,12 @@
 tells a killed mutant from a survivor and from a snippet that no longer
 matches."""
 
-import importlib.util
 import json
 import shutil
 from pathlib import Path
 
 import pytest
+from helpers import load_module
 
 ROOT = Path(__file__).resolve().parents[1]
 MUTATION_CHECK = ROOT / "scripts" / "mutation_check.py"
@@ -15,10 +15,7 @@ MUTATION_CHECK = ROOT / "scripts" / "mutation_check.py"
 
 @pytest.fixture(scope="module")
 def mutation_check():
-    spec = importlib.util.spec_from_file_location("mutation_check", MUTATION_CHECK)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module(MUTATION_CHECK)
 
 
 def test_every_snippet_occurs_once_in_its_file_and_every_test_file_exists(mutation_check):

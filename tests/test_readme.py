@@ -9,13 +9,13 @@ import argparse
 import ast
 import dataclasses
 import importlib
-import importlib.util
 import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import lpx
+from helpers import load_module
 from lpx import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -111,17 +111,9 @@ class Parsed(Exception):
     """Raised in place of running a command once its arguments parse."""
 
 
-def _load(path: Path):
-    spec = importlib.util.spec_from_file_location(f"readme_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _parses(words: list[str], monkeypatch) -> bool:
     """Whether the command's arguments parse with its program's own parser;
-    the program is stopped before it runs.  ``memory_guard.py`` takes case
-    names, and ``mutation_check.py`` no argument."""
+    the program is stopped before it runs."""
     if words[0] == "lpx":
         try:
             cli._parser().parse_args(words[1:])
@@ -132,12 +124,7 @@ def _parses(words: list[str], monkeypatch) -> bool:
     if not script.is_file():
         return False
     monkeypatch.syspath_prepend(str(script.parent))
-    module = _load(script)
-    if script.name == "memory_guard.py":
-        return set(args) <= set(module.CASES)
-    if script.name == "mutation_check.py":
-        return not args
-
+    module = load_module(script)
     parse_args = argparse.ArgumentParser.parse_args
 
     def parse_then_stop(parser, argv=None, namespace=None):

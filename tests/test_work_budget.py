@@ -1,6 +1,8 @@
 """The one working-memory budget, ``grid.WORK_BYTES``: its two batch helpers,
-and every batcher's peak under ``tracemalloc`` at 1-D and at 2-D."""
+every batcher's peak under ``tracemalloc`` at 1-D and at 2-D, and every
+batcher's output, the same bytes at any budget."""
 
+import pickle
 import tracemalloc
 import types
 
@@ -192,3 +194,15 @@ def test_batcher_peak_stays_within_the_work_budget(monkeypatch, case):
         patch.setattr(module, "batch_items", lambda cost: 1 << 62, raising=False)
         patch.setattr(module, "whole_batches", lambda item_costs: iter([(0, len(item_costs))]), raising=False)
         assert _peak(call) > bound
+
+
+@pytest.mark.parametrize("case", list(BATCHERS))
+def test_batcher_output_is_the_same_bytes_at_any_work_budget(monkeypatch, case):
+    # the budget sets the batches alone: the call's output, pickled, is the
+    # same bytes at 4 KiB and at 64 MiB as at the default 1 MiB
+    call = BATCHERS[case][1](monkeypatch)
+    outputs = []
+    for budget in (1 << 20, 4 << 10, 64 << 20):
+        monkeypatch.setattr(grid_mod, "WORK_BYTES", budget)
+        outputs.append(pickle.dumps(call()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
