@@ -11,10 +11,11 @@ the timings.  Each side runs its own ``perfbench/run.py`` on its own sources
 with the same arguments.  Prints one JSON object: per metric of the
 benchmark's last output line, each side's median, quartiles and values, the
 pairs the working tree won (lower is better; a tie counts for neither side),
-the ratio of the medians, working tree over base, and the benchmark's two
-rules for a change (``summarize``): ``claim_met``, whether a claimed gain
-holds, and ``within_bound``, whether the change stays within the metric's
-``bound`` in ``BENCHMARK.json`` (null for a metric without one).  The copies
+the ratio of the medians, working tree over base, with its bootstrap
+interval (``ratio_interval``), and the benchmark's two rules for a change
+(``summarize``): ``claim_met``, whether a claimed gain holds, and
+``within_bound``, whether the change stays within the metric's ``bound`` in
+``BENCHMARK.json`` (null for a metric without one).  The copies
 are removed at the end, also when a run fails.  Exits 1 when a run failed
 its output checks.
 
@@ -31,6 +32,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,6 +76,17 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def ratio_interval(base: list[float], change: list[float]) -> list[float] | None:
+    """The 2.5th and 97.5th percentiles of the change-to-base median ratio
+    over 2000 resamples of the pairs, drawn with replacement at the fixed
+    seed 0; null when a resample's base median is 0."""
+    picks = np.random.default_rng(0).integers(len(base), size=(2000, len(base)))
+    base_medians = np.median(np.array(base)[picks], axis=1)
+    if not base_medians.all():
+        return None
+    return np.percentile(np.median(np.array(change)[picks], axis=1) / base_medians, [2.5, 97.5]).tolist()
+
+
 def end_to_end_bounds() -> dict[str, float]:
     """Each end-to-end metric's ``bound`` in the repository's ``BENCHMARK.json``."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -88,7 +102,9 @@ def summarize(base: list[dict], change: list[dict], bounds: dict[str, float]) ->
       than the base's interquartile range;
     - ``within_bound``: the change's median is at most the base's times 1 +
       the metric's bound in ``bounds`` (a ``--workload all`` name carries
-      its workload as a prefix, ``decompose-1d.wall_s``), null without one."""
+      its workload as a prefix, ``decompose-1d.wall_s``), null without one;
+      ``ci_within_bound`` asks the same of the top of ``ratio_ci``, so a
+      move the pairs cannot resolve reads as neither a gain nor a loss."""
     out = {}
     for name, metric in base[0]["metrics"].items():
         b = [r["metrics"][name]["value"] for r in base]
@@ -97,15 +113,18 @@ def summarize(base: list[dict], change: list[dict], bounds: dict[str, float]) ->
         wins = sum(y < x for x, y in zip(b, c))
         base_median, change_median = sides["base"]["median"], sides["change"]["median"]
         bound = bounds.get(name, bounds.get(name.partition(".")[2]))
+        interval = ratio_interval(b, c)
         out[name] = {
             "unit": metric["unit"],
             **sides,
             "wins": wins,
             "ties": sum(y == x for x, y in zip(b, c)),
             "ratio": change_median / base_median if base_median else None,
+            "ratio_ci": interval,
             "claim_met": 10 * wins >= 9 * len(b)
                          and base_median - change_median > sides["base"]["q3"] - sides["base"]["q1"],
             "within_bound": None if bound is None else change_median <= base_median * (1.0 + bound),
+            "ci_within_bound": None if bound is None or interval is None else interval[1] <= 1.0 + bound,
         }
     return out
 

@@ -187,6 +187,8 @@ CASES = {
                          lambda seed: decompose_case(seed, GridSpec(2, 2.0, 64), ScaleGrid(1 / 16, 1.0, 4), 2, 1)),
     "scale-sums-1d-64": Case("scale_sums of the cone and g*_lambda tables, 1-D N=64, L=2, 10 trials: the trial "
                              "block of verify-1d", lambda seed: scale_sums_case(seed, GridSpec(1, 2.0, 64), 10)),
+    "scale-sums-1d-512": Case("scale_sums, 1-D N=512, L=8, 2 trials: a trial block of the default lpx verify",
+                              lambda seed: scale_sums_case(seed, GridSpec(1, 8.0, 512), 2)),
     "scale-sums-2d-64": Case("scale_sums, 2-D N=64, L=2, trial 0",
                              lambda seed: scale_sums_case(seed, GridSpec(2, 2.0, 64), 1)),
     "hl-maximal-1d-512": Case("hl_maximal, 1-D N=512, L=8, trial 0: the call of a default lpx verify",

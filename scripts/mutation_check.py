@@ -112,9 +112,10 @@ MUTANTS = [
     Mutant("scale-sums-g-weight", "src/lpx/squarefuncs.py",
            "F.scales.log_weight, out=acc[-1]", "1.0, out=acc[-1]",
            ("tests/test_squarefuncs.py::test_g_function_pure_frequency_oracle",)),
-    Mutant("scale-sums-batch-scales", "src/lpx/squarefuncs.py",
-           "live[first:last].any(axis=0)", "live[first]",
-           ("tests/test_squarefuncs.py::test_scale_sums_batches_of_mixed_fields_are_the_one_field_calls_bytewise",)),
+    Mutant("scale-sums-contiguous-gather", "src/lpx/squarefuncs.py",
+           "np.ascontiguousarray(np.moveaxis(power[first:first + step], -1, 1))",
+           "np.moveaxis(power[first:first + step], -1, 1)",
+           ("tests/test_squarefuncs.py::test_batched_operators_match_per_scale_reference_bitwise",)),
     Mutant("newton-start", "src/lpx/spaces.py",
            "x = np.max(logs / exps, axis=1)", "x = np.min(logs / exps, axis=1)",
            ("tests/test_spaces.py::test_luxemburg_norms_match_the_oracle",)),

@@ -51,9 +51,9 @@ MAX_LEVELS = 22
 # decomposition keeps
 SIZE_EXPONENTS = (2.0, 4.0)
 # the int64 and float64 arrays a chunk of pieces holds per (cell, ball row)
-# run at once, a bound: 7.8 measured under tracemalloc on the largest piece
-# of the 2-D N=64 memory-guard field
-RUN_ELEMENTS = 15
+# run at once, rounded up: at most 8.01 measured under tracemalloc on chunks of
+# 5k runs or more, in the batcher and memory-guard decompositions
+RUN_ELEMENTS = 9
 # the bytes ``_ball_cells`` holds per ball cell at once, its output among
 # them (measured: 24.1-26.9 under tracemalloc, 1-D N=2048 to 2-D N=128)
 CELL_BYTES = 27

@@ -7,8 +7,9 @@ the one implementation: from one squaring of a field or a ``FieldStack`` it
 gives the rows of every requested table (the cone tables of
 ``cone_spectra``, the g*_lambda tables of ``gstar_spectra``) and then g.
 ``tent_functional``, ``lusin_area``, ``g_function`` and ``g_lambda_star``
-are its one-field cases.  Read ``scale_sums`` for the mechanism and its
-exactness argument.
+are its one-field cases.  Read ``scale_sums`` for the mechanism, its batch
+rule (whole fields at three tables' bytes each, gathered C-contiguous so the
+scale sums add left to right) and its exactness argument.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LambdaTooSmall
-from .grid import (CACHE_SIZE, FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows,
-                   whole_batches)
+from .grid import (CACHE_SIZE, FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, batch_items,
+                   scale_to_unit_rows)
 from .transforms import inverse_spectrum, spectrum
 
 __all__ = ["tent_functional", "lusin_area", "g_function", "g_lambda_star", "scale_sums",
@@ -91,35 +92,33 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
 
     The sum runs in frequency space: |F|^2 is taken once, each field scaled
     to unit max and the roots scaled back (``_unit_powers``), so the sums
-    are positively homogeneous over the whole float range; and a batch of whole fields (``grid.whole_batches``)
-    transforms its rows at the scales live in some field of it once, a
-    field costing four real grid rows per live scale of the stack.  Per
-    table, one product of the batch's spectra with those scales' table rows
-    and one sum over the scale axis, each field's rows left to right in
-    scale order, then one inverse FFT per field.  A scale dead in a field
-    adds it only +-0, and the final ``np.maximum`` makes a -0.0 sum +0.0, so
-    each field's row is bitwise what a call on that field alone gives.
-    Every table but the last multiplies a copy of the batch's spectra in
-    place, the last the spectra themselves, so each table's rows are
-    bitwise what a one-table call gives.  g sums the same powers over their
-    contiguous scale axis, times ln2/J; with no table, no FFT runs at all.  Returns
-    ``(len(tables) + 1, fields) + grid.shape``: a row per table, then g.
+    are positively homogeneous over the whole float range.  A batch of whole
+    fields (``grid.batch_items``, a field costing three tables' bytes: its
+    gathered powers, their spectra and one copy) transforms every scale row
+    of its fields once; per table, one product with the table, in place on a
+    copy of the spectra but for the last table, one sum over the scale axis
+    and one inverse FFT per field.  The rows are gathered C-contiguous, so
+    the sum adds each field's scales left to right, a zero row adding +-0
+    that the final ``np.maximum`` makes +0.0: each row is bitwise what a
+    one-field, one-table call gives.  g sums the same powers over their
+    contiguous scale axis, times ln2/J; with no table, no FFT runs at all.
+    Returns ``(len(tables) + 1, fields) + grid.shape``: a row per table, then g.
     """
     grid = F.grid
-    field_power, exps = _unit_powers(F.stack)
-    k_count = field_power.shape[-1]
-    power = np.moveaxis(field_power.reshape(len(field_power), grid.size, k_count), -1, 1)
-    live = (power != 0).any(axis=2)  # (fields, scales)
+    power, exps = _unit_powers(F.stack)
     acc = np.zeros((len(tables) + 1, len(power)) + grid.shape)
-    np.multiply(np.sum(field_power, axis=-1), F.scales.log_weight, out=acc[-1])
-    cost = int(live.any(axis=0).sum()) * 4 * grid.size * power.itemsize  # per field
-    for first, last in whole_batches(np.full(len(power), cost)) if tables else ():
-        kept = np.flatnonzero(live[first:last].any(axis=0))
-        spectra = spectrum(power[first:last, kept].reshape((last - first, kept.size) + grid.shape), grid.dim)
+    np.multiply(np.sum(power, axis=-1), F.scales.log_weight, out=acc[-1])
+    step = batch_items(3 * tables[0].nbytes) if tables else len(power)
+    for first in range(0, len(power), step) if tables else ():
+        # gathered C-contiguous, so the spectra are too and their sum over the
+        # scale axis adds left to right; a strided gather's is pairwise
+        spectra = spectrum(np.ascontiguousarray(np.moveaxis(power[first:first + step], -1, 1)), grid.dim)
         for t, table in enumerate(tables):
             products = spectra if t == len(tables) - 1 else spectra.copy()
-            products *= table[kept]
-            acc[t, first:last] = inverse_spectrum(np.add.reduce(products, axis=1), grid.shape)
+            products *= table
+            acc[t, first:first + step] = inverse_spectrum(np.add.reduce(products, axis=1), grid.shape)
+            del products  # so a batch holds its spectra and at most one copy
+        del spectra  # before the next batch's gather
     np.maximum(acc, 0.0, out=acc)
     np.sqrt(acc, out=acc)
     return np.ldexp(acc, exps.reshape((-1,) + (1,) * grid.dim), out=acc)

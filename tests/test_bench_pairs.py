@@ -1,5 +1,6 @@
 """``scripts/bench_pairs.py``'s summary of paired runs, on hand-made runs:
-the wins, ties and the two rules, ``claim_met`` and ``within_bound``."""
+the wins, ties, the two rules, ``claim_met`` and ``within_bound``, and the
+ratio's bootstrap interval."""
 
 import json
 from pathlib import Path
@@ -85,3 +86,35 @@ def test_the_bounds_are_read_from_the_benchmark_declaration(bench_pairs):
     bounds = bench_pairs.end_to_end_bounds()
     assert bounds == {metric["name"]: metric["bound"] for metric in declared}
     assert set(bounds) == {"wall_s", "cpu_s", "setup_s", "peak_rss_mb"}
+
+
+# per-pair change/base factors: a median ratio of 1.13, within a bound of
+# 0.2, from pairs that range from 0.9 to 1.4; and a steady 2-7 % slowdown
+NOISY = [0.9, 1.3, 1.0, 1.35, 1.05, 0.95, 1.4, 1.0, 1.3, 1.1]
+STEADY = [1.02, 1.07, 1.03, 1.06, 1.04, 1.05, 1.02, 1.06, 1.03, 1.05]
+
+
+def _scaled(factors):
+    return [v * f for v, f in zip(BASE, factors)]
+
+
+def test_the_ratio_interval_is_a_fixed_seed_bootstrap_of_the_pairs(bench_pairs):
+    # an exact scaling moves every resample's ratio alike
+    assert bench_pairs.ratio_interval(BASE, BASE) == [1.0, 1.0]
+    assert bench_pairs.ratio_interval(BASE, [1.5 * v for v in BASE]) == pytest.approx([1.5, 1.5])
+    lo, hi = bench_pairs.ratio_interval(BASE, _scaled(NOISY))
+    assert lo < 1.0 < 1.2 < hi
+    assert bench_pairs.ratio_interval(BASE, _scaled(NOISY)) == [lo, hi]  # the seed is fixed
+    assert 1.0 < bench_pairs.ratio_interval(BASE, _scaled(STEADY))[0]
+    # a resample whose base median is 0 has no ratio
+    assert bench_pairs.ratio_interval([0.0] * 9 + [1.0], BASE) is None
+
+
+def test_ci_within_bound_holds_the_top_of_the_interval_to_the_bound(bench_pairs):
+    noisy = _summary(bench_pairs, _scaled(NOISY))
+    assert noisy["ratio_ci"] == bench_pairs.ratio_interval(BASE, _scaled(NOISY))
+    # the medians keep the bound, the pairs cannot tell: unresolved
+    assert noisy["within_bound"] is True and noisy["ci_within_bound"] is False
+    assert _summary(bench_pairs, _scaled(STEADY))["ci_within_bound"] is True
+    assert _summary(bench_pairs, [1.5 * v for v in BASE])["ci_within_bound"] is False
+    assert _summary(bench_pairs, BASE, name="calibration_s")["ci_within_bound"] is None

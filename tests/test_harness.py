@@ -396,21 +396,14 @@ def test_a_trial_block_takes_its_powers_and_each_batch_spectrum_once(monkeypatch
     scales = ScaleGrid(1 / 16, 16.0 if experiment == "equivalence" else 0.25, 8)
     blocks = _block_sizes(monkeypatch, 4, grid, scales)
     callers = {"_unit_powers": [], "spectrum": []}
-    batches = []
+    steps = []  # fields per batch, one per scale_sums call
     for name in callers:
         def spy(*args, _name=name, _fn=getattr(squarefuncs, name)):
             callers[_name].append(sys._getframe(1).f_code.co_name)
             return _fn(*args)
         monkeypatch.setattr(squarefuncs, name, spy)
-    make_batches = squarefuncs.whole_batches
-
-    def counted(costs):
-        batches.append(0)
-        for batch in make_batches(costs):
-            batches[-1] += 1
-            yield batch
-
-    monkeypatch.setattr(squarefuncs, "whole_batches", counted)
+    items = squarefuncs.batch_items
+    monkeypatch.setattr(squarefuncs, "batch_items", lambda cost: steps.append(items(cost)) or steps[-1])
     if experiment == "equivalence":
         equivalence_experiment(Lebesgue(2.0), "annular", 10, grid, scales, seed=5)
     else:
@@ -418,8 +411,8 @@ def test_a_trial_block_takes_its_powers_and_each_batch_spectrum_once(monkeypatch
     assert blocks == [4, 4, 2]
     # g comes from the same powers, so a block is squared once
     assert callers["_unit_powers"] == ["scale_sums"] * 3
-    assert len(batches) == 3 and min(batches) >= 1
-    assert callers["spectrum"].count("scale_sums") == sum(batches)  # the rest build the cached tables
+    assert len(steps) == 3
+    assert callers["spectrum"].count("scale_sums") == sum(-(-size // step) for size, step in zip(blocks, steps))
 
 
 # -- one equivalence pass for many spaces -----------------------------------------

@@ -17,8 +17,8 @@ KEYS = {"case", "call", "rows", "repeats", "median_s", "q1_s", "q3_s", "min_s", 
 
 def test_layer_bench_prints_one_json_line_per_case(capsys):
     bench = load_module(LAYER_BENCH)
-    cases = ["1d-64", "orlicz_slice", "decompose", "decompose-2d", "scale-sums-1d-64", "scale-sums-2d-64",
-             "hl-maximal-1d-512", "orlicz-slice-2d-64", "five-space-pass"]
+    cases = ["1d-64", "orlicz_slice", "decompose", "decompose-2d", "scale-sums-1d-64", "scale-sums-1d-512",
+             "scale-sums-2d-64", "hl-maximal-1d-512", "orlicz-slice-2d-64", "five-space-pass"]
     assert bench.main([arg for case in cases for arg in ("--case", case)] + ["--repeats", "1"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     peetre, norms, decompose, decompose_2d, *plain = lines
@@ -38,7 +38,8 @@ def test_layer_bench_prints_one_json_line_per_case(capsys):
     assert decompose_2d["atoms"] > 0
     assert all(set(line) == KEYS for line in plain)
     assert [(line["case"], line["call"], line["rows"]) for line in plain] == [
-        ("scale-sums-1d-64", "scale_sums", 10), ("scale-sums-2d-64", "scale_sums", 1),
+        ("scale-sums-1d-64", "scale_sums", 10), ("scale-sums-1d-512", "scale_sums", 2),
+        ("scale-sums-2d-64", "scale_sums", 1),
         ("hl-maximal-1d-512", "hl_maximal", 1), ("orlicz-slice-2d-64", "space_norms", 4),
         ("five-space-pass", "equivalence_experiments", 10)]
     for line in lines:

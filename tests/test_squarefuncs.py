@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
 from helpers import halfspace_integrate
@@ -342,9 +344,9 @@ def test_batched_operators_match_per_scale_reference_bitwise(case, kind):
 
 def _rows_bytes(grid, rows):
     """The budget of ``rows`` (field, scale) rows of ``scale_sums``, a row
-    costing four real grid rows and a field as many rows as the stack has
-    live scales."""
-    return rows * 4 * grid.size * 8
+    costing three rows of a table's spectra and a field as many rows as it
+    has scales."""
+    return rows * 3 * 16 * grid.size // grid.points_per_axis * (grid.points_per_axis // 2 + 1)
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 7], ids=["default", "chunk-1", "chunk-7"])
@@ -454,14 +456,14 @@ def _mixed_fields(grid, scales):
 @pytest.mark.parametrize("budget", ["default", "one-field"])
 @pytest.mark.parametrize("case", ["1d-64", "2d-16"])
 def test_scale_sums_batches_of_mixed_fields_are_the_one_field_calls_bytewise(case, budget, monkeypatch):
-    # a batch transforms the scales live in some field of it: a scale dead in
-    # one field adds that field ±0 products, so its rows keep their bytes,
-    # the signs of zeros included
+    # a batch transforms every scale of its fields: a scale dead in a field
+    # adds that field ±0 products, so its rows keep their bytes, the signs of
+    # zeros included
     grid, scales = ORACLE_GRIDS[case]
     values = _mixed_fields(grid, scales)
     stack = FieldStack(grid, scales, np.stack(values))
     tables = [cone_spectra(grid, scales, 1.0), gstar_spectra(grid, scales, 1.5)]
-    if budget == "one-field":  # a field costs the stack's live scales, every scale here
+    if budget == "one-field":  # a field costs all its scales
         monkeypatch.setattr(grid_mod, "WORK_BYTES", _rows_bytes(grid, len(scales)))
     batches = []
     transform = squarefuncs.spectrum
@@ -470,10 +472,47 @@ def test_scale_sums_batches_of_mixed_fields_are_the_one_field_calls_bytewise(cas
     rows = scale_sums(stack, tables)
     live = [int(np.any(field != 0, axis=tuple(range(grid.dim))).sum()) for field in values]
     assert live[0] == min(count for count in live if count) and max(live) == len(scales)
-    # one batch of every field's rows at every scale, or one per field of its live scales
-    assert batches == ([len(values) * len(scales)] if budget == "default" else live)
+    # one batch of every field's rows at every scale, or one per field of all its scales
+    assert batches == ([len(values) * len(scales)] if budget == "default" else [len(scales)] * len(values))
     for i, field in enumerate(values):
         assert rows[:, i].tobytes() == scale_sums(HalfSpaceField(grid, scales, field), tables)[:, 0].tobytes(), i
+
+
+# a drawn field: real or complex noise, times 2^exponent, with this share of
+# its scales dead (1.0: the zero field)
+DRAWN_FIELD = st.tuples(st.sampled_from(["real", "complex"]), st.integers(-1070, 1018),
+                        st.sampled_from([0.0, 0.25, 0.75, 1.0]))
+# 2^exponent with |exponent| at most this keeps the unscaled reference's
+# powers, spectra and sums far inside the normal range, where scaling by
+# powers of two is exact
+REFERENCE_EXPONENT = 200
+
+
+@given(case=st.sampled_from(list(ORACLE_GRIDS)), fields=st.lists(DRAWN_FIELD, min_size=1, max_size=4),
+       per_batch=st.integers(1, 4), alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0]), lam=st.sampled_from([1.5, 3.0]),
+       seed=st.integers(0, 2**16))
+@example(case="1d-64", fields=[("complex", 0, 0.0), ("real", 0, 1.0), ("complex", -1070, 0.25), ("real", 1018, 0.75)],
+         per_batch=2, alpha=0.5, lam=1.5, seed=0)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_scale_sums_rows_of_drawn_stacks_are_the_one_field_calls_bytewise(case, fields, per_batch, alpha, lam, seed):
+    grid, scales = ORACLE_GRIDS[case]
+    rng = np.random.default_rng(seed)
+    shape = grid.shape + (len(scales),)
+    values = []
+    for kind, exponent, dead in fields:
+        field = rng.normal(size=shape) + (1j * rng.normal(size=shape) if kind == "complex" else 0.0)
+        field[..., rng.random(len(scales)) < dead] = 0.0
+        values.append(field * 2.0**exponent)
+    tables = [cone_spectra(grid, scales, alpha), gstar_spectra(grid, scales, lam)]
+    with pytest.MonkeyPatch.context() as patch:  # batches of per_batch fields
+        patch.setattr(grid_mod, "WORK_BYTES", _rows_bytes(grid, per_batch * len(scales)))
+        rows = scale_sums(FieldStack(grid, scales, np.stack(values)), tables)
+    for i, ((_, exponent, _), field) in enumerate(zip(fields, values)):
+        F = HalfSpaceField(grid, scales, field)
+        assert rows[:, i].tobytes() == scale_sums(F, tables)[:, 0].tobytes(), i
+        if abs(exponent) <= REFERENCE_EXPONENT:
+            assert np.array_equal(rows[0, i], _tent_spectral_reference(F, alpha)), i
+            assert np.array_equal(rows[1, i], _gstar_spectral_reference(F, lam)), i
 
 
 def test_maximum_with_zero_turns_negative_zero_positive():
