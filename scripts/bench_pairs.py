@@ -15,7 +15,8 @@ the ratio of the medians, working tree over base, with its bootstrap
 interval (``ratio_interval``), and the benchmark's two rules for a change
 (``summarize``): ``claim_met``, whether a claimed gain holds, and
 ``within_bound``, whether the change stays within the metric's ``bound`` in
-``BENCHMARK.json`` (null for a metric without one).  The copies
+``BENCHMARK.json`` (null for a metric without one), each with its reading
+of the interval, ``ci_claim`` and ``ci_within_bound``.  The copies
 are removed at the end, also when a run fails.  Exits 1 when a run failed
 its output checks.
 
@@ -99,7 +100,9 @@ def summarize(base: list[dict], change: list[dict], bounds: dict[str, float]) ->
 
     - ``claim_met``: the change wins at least 9 of every 10 pairs (a tie
       counts for neither side), and its median lies below the base's by more
-      than the base's interquartile range;
+      than the base's interquartile range; ``ci_claim``: the top of
+      ``ratio_ci`` lies below 1, null without an interval.  A claim needs
+      both;
     - ``within_bound``: the change's median is at most the base's times 1 +
       the metric's bound in ``bounds`` (a ``--workload all`` name carries
       its workload as a prefix, ``decompose-1d.wall_s``), null without one;
@@ -123,6 +126,7 @@ def summarize(base: list[dict], change: list[dict], bounds: dict[str, float]) ->
             "ratio_ci": interval,
             "claim_met": 10 * wins >= 9 * len(b)
                          and base_median - change_median > sides["base"]["q3"] - sides["base"]["q1"],
+            "ci_claim": None if interval is None else interval[1] < 1.0,
             "within_bound": None if bound is None else change_median <= base_median * (1.0 + bound),
             "ci_within_bound": None if bound is None or interval is None else interval[1] <= 1.0 + bound,
         }

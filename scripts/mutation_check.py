@@ -67,6 +67,9 @@ MUTANTS = [
     Mutant("peetre-candidate-chunk", "src/lpx/maximal.py",
            "found.append((cell + start, ", "found.append((cell, ",
            ("tests/test_maximal.py::test_candidate_scales_are_the_scales_that_no_single_scale_dominates",)),
+    Mutant("peetre-ordered-far-normal", "src/lpx/maximal.py",
+           "np.all(far[:, -1] >= np.finfo(float).tiny)", "np.all(far[:, -1] >= 0)",
+           ("tests/test_maximal.py::test_peetre_maximals_of_drawn_stacks_are_the_brute_force_sup_bytewise",)),
     Mutant("peetre-1d-diagonal-start", "src/lpx/maximal.py",
            "for start, along in ((lo, rows + cells), (n - lo, rows - cells)):",
            "for start, along in ((0, rows + cells), (n, rows - cells)):",
@@ -85,7 +88,7 @@ MUTANTS = [
            "np.maximum(out[i, :n - dx], run[dx:], out=out[i, :n - dx])",
            ("tests/test_maximal.py::test_ball_filters_of_a_stack_with_batch_axes_match_the_one_row_calls",)),
     Mutant("piece-chunk-rebase", "src/lpx/atoms.py",
-           "base = ((owner[cell] - lo) * lines", "base = (owner[cell] * lines",
+           "owner = np.repeat(np.arange(hi - lo), ", "owner = np.repeat(np.arange(lo, hi), ",
            ("tests/test_atoms.py::test_piece_functionals_span_chunks_bitwise",)),
     Mutant("ball-norm-chunk-end", "src/lpx/atoms.py",
            "_ball_rows(grid, centers[lo:hi], widths[lo:hi])", "_ball_rows(grid, centers[lo:hi - 1], widths[lo:hi - 1])",
@@ -109,6 +112,9 @@ MUTANTS = [
     Mutant("whitney-wrapped-slice", "src/lpx/atoms.py",
            "covered[row:row + hi - n] = fill[n - lo:]", "pass",
            ("tests/test_atoms.py::test_whitney_runs_that_wrap_or_fill_a_row_match_the_roll_reference",)),
+    Mutant("one-field-length-check", "src/lpx/squarefuncs.py",
+           "if len(F.values) != 1:", "if False:",
+           ("tests/test_squarefuncs.py::test_the_one_field_forms_refuse_every_stack_but_a_stack_of_one",)),
     Mutant("scale-sums-g-weight", "src/lpx/squarefuncs.py",
            "F.scales.log_weight, out=acc[-1]", "1.0, out=acc[-1]",
            ("tests/test_squarefuncs.py::test_g_function_pure_frequency_oracle",)),

@@ -1,15 +1,18 @@
-"""Level-set decomposition of half-space fields into tent-supported atoms.
+"""Level-set decomposition of a half-space field into tent-supported atoms.
 
-``tent_decompose`` follows the classical stopping-time recipe: threshold the
-cone functional at dyadic levels, cover each superlevel set with family
-balls whose doubles stay inside (``_whitney_regions``), cut the field into
-pieces along those regions (``_pieces``) and size each piece so it passes
-the tent-atom size inequality for each exponent of ``SIZE_EXPONENTS``
-(``_piece_functionals``, ``_piece_sizes``).  A ball is only a centre cell
-and a radius, its cells listed by ``_ball_cells``.  The
-``TentDecomposition`` keeps its atoms as flat arrays and builds a
-``TentAtom`` only when one is read; ``coefficient_functional`` and
-``synthesize_molecule`` read it.
+The field is a ``FieldStack`` of one (``transforms.build_field``), as are
+an atom's dense field (``TentAtom.field``) and the reconstruction
+(``TentDecomposition.reconstruct``); a cell's flat index into the stack is
+its index into ``grid.shape + (K,)``.  ``tent_decompose`` follows the
+classical stopping-time recipe: threshold the cone functional at dyadic
+levels, cover each superlevel set with family balls whose doubles stay
+inside (``_whitney_regions``), cut the field into pieces along those
+regions (``_pieces``) and size each piece so it passes the tent-atom size
+inequality for each exponent of ``SIZE_EXPONENTS`` (``_piece_functionals``,
+``_piece_sizes``).  A ball is only a centre cell and a radius, its cells
+listed by ``_ball_cells``.  The ``TentDecomposition`` keeps its atoms as
+flat arrays and builds a ``TentAtom`` only when one is read;
+``coefficient_functional`` and ``synthesize_molecule`` read it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import grid as grid_module
-from .grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, real_or_complex, stable_order, whole_batches
+from .grid import FieldStack, GridSpec, SampledFunction, ScaleGrid, checked_samples, stable_order, whole_batches
 from .kernels import Kernel
 from .maximal import BallFamily, ball_volume
 from .spaces import SpaceDescriptor, space_norm, space_norms
@@ -51,8 +54,9 @@ MAX_LEVELS = 22
 # decomposition keeps
 SIZE_EXPONENTS = (2.0, 4.0)
 # the int64 and float64 arrays a chunk of pieces holds per (cell, ball row)
-# run at once, rounded up: at most 8.01 measured under tracemalloc on chunks of
-# 5k runs or more, in the batcher and memory-guard decompositions
+# run at once, its per-cell arrays among them: at most 7.03 measured under
+# tracemalloc on chunks of 5k runs or more, in the batcher and memory-guard
+# decompositions
 RUN_ELEMENTS = 9
 # the bytes ``_ball_cells`` holds per ball cell at once, its output among
 # them (measured: 24.1-26.9 under tracemalloc, 1-D N=2048 to 2-D N=128)
@@ -109,8 +113,9 @@ class TentAtom:
 
     ``cells`` are sorted flat indices into the half-space layout
     ``grid.shape + (len(scales),)`` and ``values`` the atom there (the field
-    divided by ``coefficient``); the atom is zero on every other cell.
-    ``field`` builds the dense half-space field on demand.
+    divided by ``coefficient``, ``checked_samples``); the atom is zero on
+    every other cell.  ``field`` builds the dense field, a stack of one, on
+    demand.
     """
 
     grid: GridSpec
@@ -122,20 +127,17 @@ class TentAtom:
 
     def __post_init__(self):
         cells = np.asarray(self.cells, dtype=np.intp)
-        values = real_or_complex(self.values)
-        if cells.ndim != 1 or values.shape != cells.shape:
+        if cells.ndim != 1:
             raise ValueError("cells and values must be matching 1-D arrays")
-        if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", checked_samples(self.values, cells.shape, "the matching cells' shape"))
 
     @property
-    def field(self) -> HalfSpaceField:
-        values = np.zeros(self.grid.shape + (len(self.scales),), dtype=self.values.dtype)
+    def field(self) -> FieldStack:
+        values = np.zeros((1,) + self.grid.shape + (len(self.scales),), dtype=self.values.dtype)
         values.reshape(-1)[self.cells] = self.values
-        return HalfSpaceField(self.grid, self.scales, values)
+        return FieldStack(self.grid, self.scales, values)
 
 
 class _AtomView(Sequence):
@@ -143,7 +145,7 @@ class _AtomView(Sequence):
     flat ``starts``, and atom i is built by ``TentAtom`` from the flat arrays
     when it is read, its ``cells`` and ``values`` views into them; a piece
     without imaginary parts of a complex decomposition gets float values
-    (``real_or_complex``), a copy."""
+    (``grid.real_or_complex``), a copy."""
 
     __slots__ = ("_dec",)
 
@@ -206,14 +208,15 @@ class TentDecomposition:
     def atoms(self) -> Sequence[TentAtom]:
         return _AtomView(self)
 
-    def reconstruct(self) -> HalfSpaceField:
-        """The sum of coefficient times atom, a float field when every atom is real.
+    def reconstruct(self) -> FieldStack:
+        """The sum of coefficient times atom, a stack of one field, float when
+        every atom is real.
 
         The atoms' cells are disjoint, so one scatter adds 0.0 + coefficient
         times value once per cell: bitwise the sum atom by atom."""
-        total = np.zeros(self.grid.shape + (len(self.scales),), dtype=np.result_type(float, self.values.dtype))
+        total = np.zeros((1,) + self.grid.shape + (len(self.scales),), dtype=np.result_type(float, self.values.dtype))
         total.reshape(-1)[self.cells] += self.coefficients * self.values
-        return HalfSpaceField(self.grid, self.scales, total)
+        return FieldStack(self.grid, self.scales, total)
 
 
 @dataclass(frozen=True)
@@ -230,7 +233,7 @@ def _ball_minima(area: np.ndarray, family: BallFamily) -> np.ndarray:
     return -family.ball_filters(-area)
 
 
-def _containment_levels(F: HalfSpaceField, area: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def _containment_levels(F: FieldStack, area: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Per half-space cell, the index of the largest level k such that the
     ball B(y, t) stays inside the superlevel set {area > levels[k]} (-1: none):
     the count, less one, of the (ascending) levels below the ball's min."""
@@ -339,7 +342,7 @@ def _fit_balls(grid: GridSpec, balls: BallFamily, centers: np.ndarray, cells: np
     return np.where(fitted, balls.radii[fits.argmax(axis=1)], fallback)
 
 
-def _piece_functionals(F: HalfSpaceField, cells: np.ndarray,
+def _piece_functionals(F: FieldStack, cells: np.ndarray,
                        starts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The squared unit-aperture cone functional of every piece, piece i
     being F on the cells ``cells[starts[i]:starts[i + 1]]`` (flat indices
@@ -347,8 +350,10 @@ def _piece_functionals(F: HalfSpaceField, cells: np.ndarray,
     max |F|, and zero elsewhere: yields ``(pieces of the chunk,) +
     grid.shape`` rows and the chunk's exponents e_i, one chunk of whole
     pieces after another (``grid.whole_batches``), a piece costing 8 bytes
-    per element of its rows and ``RUN_ELEMENTS`` elements per run.
-    Piece i's cone functional is the root of its row times 2^e_i.
+    per element of its rows and ``RUN_ELEMENTS`` elements per run; a chunk
+    reads its own cells' points, scales, pieces and powers, so no per-cell
+    array spans the call.  Piece i's cone functional is the root of its row
+    times 2^e_i.
 
     A cell (y, t_k) adds c = w_k |F(y, t_k) / 2^e_i|^2, w_k the scale's
     quadrature weight (``squarefuncs.cone_weights``), to the squared
@@ -373,18 +378,11 @@ def _piece_functionals(F: HalfSpaceField, cells: np.ndarray,
     row_scale, row_dx = np.nonzero(widths)  # every (scale, ball row), scale-major
     row_width, row_count = widths[row_scale, row_dx], np.bincount(row_scale, minlength=k_count)
     row_first = np.cumsum(row_count) - row_count
+    weights = cone_weights(grid, scales)
     bounds = np.append(starts, len(cells))
-    spatial, k = np.divmod(cells, k_count)
-    owner = np.repeat(np.arange(len(starts)), np.diff(bounds))
-    power = np.abs(F.values.reshape(-1)[cells])
-    peaks = np.zeros(len(starts))
-    np.maximum.at(peaks, owner, power)
-    exps = np.frexp(peaks)[1]
-    np.ldexp(power, -exps[owner], out=power)
-    np.square(power, out=power)
-    power *= cone_weights(grid, scales)[k]
-    runs = row_count[k]
-    cost = 8 * (lines * n + RUN_ELEMENTS * np.bincount(owner, runs, minlength=len(starts)))
+    piece_runs = np.bincount(np.repeat(np.arange(len(starts)), np.diff(bounds)), row_count[cells % k_count],
+                             minlength=len(starts))
+    cost = 8 * (lines * n + RUN_ELEMENTS * piece_runs)
     batches = list(whole_batches(cost))
     # one workspace per call, for the largest chunk's rows and at least the
     # budget (or the call's whole cost): glibc trimmed and faulted in again
@@ -392,17 +390,38 @@ def _piece_functionals(F: HalfSpaceField, cells: np.ndarray,
     work = np.empty(max([(hi - lo) * lines * n for lo, hi in batches]
                         + [min(grid_module.WORK_BYTES, int(cost.sum())) // 8]))
     for lo, hi in batches:
-        first, last = bounds[lo], bounds[hi]
-        chunk_runs = runs[first:last]
+        # the chunk's own cells: their points, scales, pieces and weighted
+        # powers, each piece scaled by its own peak
+        chunk_cells = cells[bounds[lo]:bounds[hi]]
+        spatial, k = np.divmod(chunk_cells, k_count)
+        owner = np.repeat(np.arange(hi - lo), np.diff(bounds[lo:hi + 1]))
+        power = np.abs(F.values.reshape(-1)[chunk_cells])
+        peaks = np.zeros(hi - lo)
+        np.maximum.at(peaks, owner, power)
+        exps = np.frexp(peaks)[1]
+        np.ldexp(power, -exps[owner], out=power)
+        np.square(power, out=power)
+        power *= weights[k]
+        runs = row_count[k]
         # one entry per (cell, ball row), each array dropped once it is read:
         # a chunk of one large piece holds a few of them at once
-        cell = np.repeat(np.arange(first, last), chunk_runs)
-        ball_row = np.repeat(row_first[k[first:last]] - (np.cumsum(chunk_runs) - chunk_runs), chunk_runs)
+        ball_row = row_first[k]
+        del k
+        ball_row -= np.cumsum(runs) - runs
+        ball_row = np.repeat(ball_row, runs)
+        cell = np.repeat(np.arange(len(chunk_cells)), runs)
+        del runs
         ball_row += np.arange(len(cell))
-        c, y = power[cell], spatial[cell]
+        c = power[cell]
+        del power
+        y = spatial[cell]
+        del spatial
+        base = owner[cell]
+        del cell, owner
         # the run's difference row: its piece, and the line dx past the cell's own (1-D: the one line)
-        base = ((owner[cell] - lo) * lines + ((y // n + row_dx[ball_row]) & (lines - 1))) * n
-        del cell
+        base *= lines
+        base += (y // n + row_dx[ball_row]) & (lines - 1)
+        base *= n
         width = row_width[ball_row]
         del ball_row
         start = y & (n - 1)  # mod n and lines, powers of two
@@ -425,10 +444,10 @@ def _piece_functionals(F: HalfSpaceField, cells: np.ndarray,
         rows = rows.reshape(-1, n)
         np.cumsum(rows, axis=1, out=rows)
         np.maximum(rows, 0.0, out=rows)
-        yield rows.reshape((hi - lo,) + grid.shape), exps[lo:hi]
+        yield rows.reshape((hi - lo,) + grid.shape), exps
 
 
-def _piece_sizes(F: HalfSpaceField, cells: np.ndarray, starts: np.ndarray) -> list[list[float]]:
+def _piece_sizes(F: FieldStack, cells: np.ndarray, starts: np.ndarray) -> list[list[float]]:
     """Per p of ``SIZE_EXPONENTS``, the L^p norm of every piece's cone
     functional S, from its squared row q = (S / 2^e)^2 of
     ``_piece_functionals(F, cells, starts)``, each chunk as it comes.
@@ -464,7 +483,7 @@ def _groups(keys: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cells[order], starts, keys[starts]
 
 
-def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pieces(F: FieldStack, area: np.ndarray, balls: BallFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stopping-time pieces of F as flat arrays (cells, starts, centres):
     piece i is ``cells[starts[i]:starts[i + 1]]``, sorted flat cell indices
     into ``grid.shape + (K,)``, and ``centres[i]`` its leader's flat centre
@@ -505,11 +524,12 @@ def _pieces(F: HalfSpaceField, area: np.ndarray, balls: BallFamily) -> tuple[np.
 
 
 def tent_decompose(
-    F: HalfSpaceField,
+    F: FieldStack,
     space: SpaceDescriptor,
     balls: BallFamily | None = None,
 ) -> TentDecomposition:
-    """Split F into coefficients times tent atoms with disjoint supports.
+    """Split F, a stack of one field, into coefficients times tent atoms with
+    disjoint supports.
 
     Reconstruction is exact cell by cell, |F| is additive across the pieces,
     and every atom satisfies the size inequality for each p of
@@ -543,9 +563,7 @@ def tent_decompose(
         cells, counts = cells[np.repeat(lams != 0, counts)], counts[keep]
     coefficients = np.repeat(kept_lams, counts)
     values = F.values.reshape(-1)[cells] / coefficients
-    if not np.isfinite(values).all():
-        raise ValueError("values must be finite")
-    values = real_or_complex(values)  # float when no kept atom has an imaginary part
+    values = checked_samples(values, cells.shape, "the kept cells' shape")  # float when no atom is complex
     starts = np.cumsum(counts) - counts
     centers, radii = centers[keep], radii[keep]
     for kept in (cells, starts, coefficients, centers, radii):
@@ -562,12 +580,10 @@ def synthesize_molecule(atom: TentAtom, psi: Kernel) -> Molecule:
     each field slice with the dilated kernel; its mean vanishes because the
     kernel transform vanishes at frequency zero.
     """
-    fieldv = atom.field
-    grid = fieldv.grid
+    grid, scales = atom.grid, atom.scales
     if psi.grid != grid:
         raise ValueError("kernel grid must match the atom's grid")
-    scales = fieldv.scales
-    slices = np.moveaxis(fieldv.values, -1, 0)
+    slices = np.moveaxis(atom.field.values[0], -1, 0)
     live = np.flatnonzero(slices.reshape(len(scales), -1).any(axis=1))
     out = apply_multiplier(slices[live], build_plan(psi, scales).multipliers[live], grid.dim).sum(axis=0)
     return Molecule(func=SampledFunction(grid, out * scales.log_weight), ball=atom.ball)

@@ -7,8 +7,9 @@ torus ball (``GridSpec.ball_mask``) and their row runs
 (``GridSpec.ball_row_widths``), the working-memory budget (``WORK_BYTES``,
 ``batch_items``, ``whole_batches``), the power-of-two row scaling
 (``scale_to_unit_rows``), the stable order of integer keys
-(``stable_order``), the sample dtype (``real_or_complex``) and the field
-types (``HalfSpaceField``, ``FieldStack``).
+(``stable_order``), the one check of every sampled array
+(``checked_samples``) and the one field type, ``FieldStack``: a half-space
+field F(y, t_k) = phi_{t_k} * f(y) is a stack of one.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ __all__ = [
     "GridSpec",
     "ScaleGrid",
     "SampledFunction",
-    "HalfSpaceField",
     "FieldStack",
     "real_or_complex",
+    "checked_samples",
     "scale_to_unit_rows",
     "batch_items",
     "whole_batches",
@@ -205,6 +206,17 @@ def real_or_complex(values) -> np.ndarray:
     return out
 
 
+def checked_samples(values, shape: tuple[int, ...], expected: str) -> np.ndarray:
+    """``real_or_complex(values)``, checked to have ``shape`` (named by
+    ``expected`` in the error) and finite entries."""
+    vals = real_or_complex(values)
+    if vals.shape != shape:
+        raise ValueError(f"values shape {vals.shape} != {expected}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
+    return vals
+
+
 def scale_to_unit_rows(stack: np.ndarray) -> np.ndarray:
     """Divide every row (first axis) of the non-negative float ``stack`` in
     place by 2^e, e the binary exponent (``np.frexp``) of the row's max, and
@@ -252,18 +264,14 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Real or complex function sampled at the cell centers (``real_or_complex``)."""
+    """Real or complex function sampled at the cell centers (``checked_samples``)."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        vals = real_or_complex(self.values)
-        if vals.shape != self.grid.shape:
-            raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", vals)
+        shape = self.grid.shape
+        object.__setattr__(self, "values", checked_samples(self.values, shape, f"grid shape {shape}"))
 
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
         if other.grid != self.grid:
@@ -281,43 +289,15 @@ class SampledFunction:
     __rmul__ = __mul__
 
 
-def _checked_field_values(field, lead: int) -> np.ndarray:
-    """The read-only values (``real_or_complex``) of a field (``lead=0``) or
-    a stack of fields (``lead=1``), checked for shape and finiteness."""
-    vals = real_or_complex(field.values)
-    expected = field.grid.shape + (len(field.scales),)
-    if vals.ndim != lead + len(expected) or vals.shape[lead:] != expected:
-        raise ValueError(f"values shape {vals.shape} != {'(fields,) + ' * lead}{expected}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("values must be finite")
-    return vals
-
-
-@dataclass(frozen=True)
-class HalfSpaceField:
-    """Values F(y, t_k) on the product of a spatial grid and a scale grid."""
-
-    grid: GridSpec
-    scales: ScaleGrid
-    values: np.ndarray  # shape grid.shape + (len(scales),)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _checked_field_values(self, 0))
-
-    @property
-    def stack(self) -> np.ndarray:
-        """The values as a stack of one field, ``(1,) + grid.shape + (K,)``."""
-        return self.values[None]
-
-
 @dataclass(frozen=True)
 class FieldStack:
-    """Half-space fields on the same grids, ``values[i]`` the values of the
-    i-th (see ``transforms.build_fields``).
+    """Half-space fields F(y, t_k) on the same grids, ``values[i]`` the
+    values of the i-th (``checked_samples``; see ``transforms.build_fields``).
+    One field is a stack of one.
 
     The batched operators, ``squarefuncs.scale_sums`` and
-    ``maximal.peetre_maximals``, take a stack, one output row per field (and
-    function), and a ``HalfSpaceField`` as a stack of one.
+    ``maximal.peetre_maximals``, give one output row per field; the
+    one-field forms of ``squarefuncs`` and ``atoms`` take a stack of one.
     """
 
     grid: GridSpec
@@ -325,11 +305,9 @@ class FieldStack:
     values: np.ndarray  # shape (fields,) + grid.shape + (len(scales),)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _checked_field_values(self, 1))
-
-    @property
-    def stack(self) -> np.ndarray:
-        return self.values
+        field = self.grid.shape + (len(self.scales),)
+        shape = np.shape(self.values)[:1] + field
+        object.__setattr__(self, "values", checked_samples(self.values, shape, f"(fields,) + {field}"))
 
 
 def concentration_defect(f: SampledFunction) -> float:

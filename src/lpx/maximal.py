@@ -22,8 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import grid as grid_module
-from .grid import (CACHE_SIZE, FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, batch_items,
-                   scale_to_unit_rows)
+from .grid import CACHE_SIZE, FieldStack, GridSpec, SampledFunction, ScaleGrid, batch_items, scale_to_unit_rows
 from .squarefuncs import ball_spectra
 from .transforms import ConvolutionPlan, build_field, correlate
 
@@ -379,10 +378,10 @@ def _distances_per_step(distances: int, per_distance: int) -> int:
     return min(distances, batch_items(8 * per_distance))
 
 
-def peetre_maximals(F: HalfSpaceField | FieldStack, b: float) -> np.ndarray:
-    """The smoothed maximal function of each prebuilt psi-field of F (one, or
-    each of a ``FieldStack``), one row per field, each bitwise its one-field
-    value: on ``transforms.build_fields(fs, plan)``, row i is
+def peetre_maximals(F: FieldStack, b: float) -> np.ndarray:
+    """The smoothed maximal function of each prebuilt psi-field of F, one row
+    per field, each bitwise its one-field value: on
+    ``transforms.build_fields(fs, plan)``, row i is
     ``peetre_maximal(fs[i], b, plan=plan)``.
 
     With G_k = |F(., t_k)| and w_k(d) = (1 + d/t_k)^(-b), the sup over
@@ -408,7 +407,7 @@ def peetre_maximals(F: HalfSpaceField | FieldStack, b: float) -> np.ndarray:
     """
     if not b > 0:
         raise ValueError("b must be positive")
-    grid, stack = F.grid, F.stack
+    grid, stack = F.grid, F.values
     shifts, bounds, weights, ordered = _peetre_tables(grid, F.scales, b)
     count = len(weights)
     # one workspace per call, of the budget or more: first the candidate

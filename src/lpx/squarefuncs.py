@@ -1,14 +1,15 @@
 """Cone functionals and the three multiscale square functions.
 
-Every square function reads a prebuilt half-space field F(y, t_k) =
-phi_{t_k} * f(y) (``transforms.build_field``), with the half-space measure
-dy dt / t^(n+1) as the per-cell weight ``cone_weights``.  ``scale_sums`` is
-the one implementation: from one squaring of a field or a ``FieldStack`` it
-gives the rows of every requested table (the cone tables of
+Every square function reads a prebuilt ``FieldStack`` of half-space fields
+F(y, t_k) = phi_{t_k} * f(y) (``transforms.build_fields``), with the
+half-space measure dy dt / t^(n+1) as the per-cell weight ``cone_weights``.
+``scale_sums`` is the one implementation: from one squaring of the stack it
+gives each field's rows of every requested table (the cone tables of
 ``cone_spectra``, the g*_lambda tables of ``gstar_spectra``) and then g.
 ``tent_functional``, ``lusin_area``, ``g_function`` and ``g_lambda_star``
-are its one-field cases.  Read ``scale_sums`` for the mechanism, its batch
-rule (whole fields at three tables' bytes each, gathered C-contiguous so the
+are its one-field forms, which take a stack of one (``build_field``) and
+refuse any other.  Read ``scale_sums`` for the mechanism, its batch rule
+(whole fields at three tables' bytes each, gathered C-contiguous so the
 scale sums add left to right) and its exactness argument.
 """
 
@@ -20,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LambdaTooSmall
-from .grid import (CACHE_SIZE, FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, batch_items,
-                   scale_to_unit_rows)
+from .grid import CACHE_SIZE, FieldStack, GridSpec, SampledFunction, ScaleGrid, batch_items, scale_to_unit_rows
 from .transforms import inverse_spectrum, spectrum
 
 __all__ = ["tent_functional", "lusin_area", "g_function", "g_lambda_star", "scale_sums",
@@ -84,11 +84,11 @@ def _unit_powers(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.square(mag, out=mag), exps
 
 
-def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> np.ndarray:
+def scale_sums(F: FieldStack, tables: Sequence[np.ndarray]) -> np.ndarray:
     """sqrt(sum_k |F(., t_k)|^2 correlated with kernel k) for each field of F
-    (one, or each of a ``FieldStack``) and each table, row k of a table being
-    the spectrum of kernel k, weight included (``cone_spectra``,
-    ``gstar_spectra``), then the vertical square function g of each field.
+    and each table, row k of a table being the spectrum of kernel k, weight
+    included (``cone_spectra``, ``gstar_spectra``), then the vertical square
+    function g of each field.
 
     The sum runs in frequency space: |F|^2 is taken once, each field scaled
     to unit max and the roots scaled back (``_unit_powers``), so the sums
@@ -105,7 +105,7 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
     Returns ``(len(tables) + 1, fields) + grid.shape``: a row per table, then g.
     """
     grid = F.grid
-    power, exps = _unit_powers(F.stack)
+    power, exps = _unit_powers(F.values)
     acc = np.zeros((len(tables) + 1, len(power)) + grid.shape)
     np.multiply(np.sum(power, axis=-1), F.scales.log_weight, out=acc[-1])
     step = batch_items(3 * tables[0].nbytes) if tables else len(power)
@@ -124,34 +124,35 @@ def scale_sums(F: HalfSpaceField | FieldStack, tables: Sequence[np.ndarray]) -> 
     return np.ldexp(acc, exps.reshape((-1,) + (1,) * grid.dim), out=acc)
 
 
-def _one_field(F: HalfSpaceField) -> HalfSpaceField:
-    """F itself; a ``FieldStack`` raises, it belongs to the batched forms."""
-    if not isinstance(F, HalfSpaceField):
-        raise TypeError(f"expected one HalfSpaceField, got {type(F).__name__}: "
-                        "the batched forms are scale_sums and peetre_maximals")
-    return F
+def _one_field_row(F: FieldStack, tables: Sequence[np.ndarray]) -> SampledFunction:
+    """The first row of ``scale_sums(F, tables)`` (g with no table) of F, a
+    stack of one; any other stack raises, it belongs to the batched forms."""
+    if len(F.values) != 1:
+        raise ValueError(f"expected a stack of one field, got {len(F.values)}: "
+                         "the batched forms are scale_sums and peetre_maximals")
+    return SampledFunction(F.grid, scale_sums(F, tables)[0, 0])
 
 
-def tent_functional(F: HalfSpaceField, alpha: float) -> SampledFunction:
+def tent_functional(F: FieldStack, alpha: float) -> SampledFunction:
     """Square root of the |F|^2 half-space integral over the aperture-alpha cone."""
-    return SampledFunction(F.grid, scale_sums(_one_field(F), [cone_spectra(F.grid, F.scales, alpha)])[0, 0])
+    return _one_field_row(F, [cone_spectra(F.grid, F.scales, alpha)])
 
 
-def lusin_area(F: HalfSpaceField) -> SampledFunction:
+def lusin_area(F: FieldStack) -> SampledFunction:
     """Unit-aperture cone square function of the field F = (phi_t * f)_t."""
     return tent_functional(F, 1.0)
 
 
-def g_function(F: HalfSpaceField) -> SampledFunction:
+def g_function(F: FieldStack) -> SampledFunction:
     """Vertical square function of F = (phi_t * f)_t: sqrt of the dt/t integral of |F(x, t)|^2."""
-    return SampledFunction(F.grid, scale_sums(_one_field(F), [])[-1, 0])
+    return _one_field_row(F, [])
 
 
-def g_lambda_star(F: HalfSpaceField, lam: float) -> SampledFunction:
+def g_lambda_star(F: FieldStack, lam: float) -> SampledFunction:
     """Globally weighted square function of the field F = (phi_t * f)_t with
     weight (t/(t+|x-y|))^(lambda*n).
 
     The y-sum runs over the whole box; lambda must exceed 1 so the weight is
     integrable at the continuum level.
     """
-    return SampledFunction(F.grid, scale_sums(_one_field(F), [gstar_spectra(F.grid, F.scales, lam)])[0, 0])
+    return _one_field_row(F, [gstar_spectra(F.grid, F.scales, lam)])

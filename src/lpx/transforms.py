@@ -5,8 +5,9 @@ exact for periodic data.  ``spectrum`` and ``inverse_spectrum`` are the one
 real FFT pair, ``correlate`` the one FFT correlation and
 ``apply_multiplier`` the one multiplier, which every convolution of the
 package goes through.  ``build_plan`` caches a kernel's multiplier table on a
-scale grid, and ``build_field`` / ``build_fields`` turn inputs into
-half-space fields with one batched transform pair.
+scale grid, and ``build_fields`` turns inputs into one ``FieldStack`` of
+half-space fields with one batched transform pair; ``build_field`` gives one
+input's field, a stack of one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import NumericFailure
-from .grid import CACHE_SIZE, FieldStack, GridSpec, HalfSpaceField, SampledFunction, ScaleGrid
+from .grid import CACHE_SIZE, FieldStack, GridSpec, SampledFunction, ScaleGrid
 
 if TYPE_CHECKING:
     from .kernels import Kernel
@@ -106,27 +107,20 @@ def convolve_at_scale(f: SampledFunction, kernel: Kernel, t: float) -> SampledFu
     return SampledFunction(f.grid, apply_multiplier(f.values, kernel.multiplier(t)))
 
 
-def _field_values(fs: Sequence[SampledFunction], plan: ConvolutionPlan) -> np.ndarray:
-    """The scale slices (phi_t * f) of every input from one ``apply_multiplier``,
-    each input's bitwise its one-input values, C-contiguous in the
-    ``(len(fs),) + grid.shape + (K,)`` layout, where reductions over the scale
-    axis (``g_function``'s sum) run in the order of a per-scale filled array.
-    """
-    slices = apply_multiplier(np.stack([f.values for f in fs])[:, None], plan.multipliers, plan.grid.dim)
-    return np.ascontiguousarray(np.moveaxis(slices, 1, -1))
-
-
-def build_field(f: SampledFunction, plan: ConvolutionPlan) -> HalfSpaceField:
-    """All scale slices (phi_t * f) stacked into a half-space field: the
-    one-input case of ``build_fields``."""
-    return HalfSpaceField(plan.grid, plan.scales, _field_values([f], plan)[0])
-
-
 def build_fields(fs: Sequence[SampledFunction], plan: ConvolutionPlan) -> FieldStack:
-    """``build_field`` of every input as one stack of fields, ``values[i]``
-    bitwise the field of ``fs[i]``; the batched square functions and the
-    batched Peetre sup take it whole."""
-    return FieldStack(plan.grid, plan.scales, _field_values(fs, plan))
+    """The half-space fields (phi_t * f) of every input as one stack, from
+    one ``apply_multiplier``: ``values[i]``, the scale slices of ``fs[i]``,
+    is bitwise what ``fs[i]`` alone gives.  The values are C-contiguous in
+    the ``(len(fs),) + grid.shape + (K,)`` layout, where reductions over the
+    scale axis (``g_function``'s sum) run in the order of a per-scale filled
+    array."""
+    slices = apply_multiplier(np.stack([f.values for f in fs])[:, None], plan.multipliers, plan.grid.dim)
+    return FieldStack(plan.grid, plan.scales, np.ascontiguousarray(np.moveaxis(slices, 1, -1)))
+
+
+def build_field(f: SampledFunction, plan: ConvolutionPlan) -> FieldStack:
+    """The field of one input, a stack of one: ``build_fields([f], plan)``."""
+    return build_fields([f], plan)
 
 
 def spatial_kernel(kernel: Kernel, t: float) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Test-side constructors and oracles that no command uses:
-sampling a callable, a box indicator or a band-limited trial, the half-space
-quadrature, the tent region of a ball, the cone-functional size of one field,
-and the atom that stores a dense field on its nonzero cells; a ball's
-indicator (the oracle of the ball norms ``tent_decompose`` keeps); the
-per-radius ball-average maximal loop (``hl_maximal_per_radius``, the oracle
-of ``hl_maximal``); the dense smoothed sup over every live scale at every
-distance (``dense_peetre_maximals``, the oracle of ``peetre_maximals``); the
-powered maximal function
+sampling a callable, a box indicator or a band-limited trial, the stack of
+one field of given values (``one_field``), the half-space quadrature, the
+tent region of a ball, the cone-functional size of one field, and the atom
+that stores a dense field on its nonzero cells; a ball's indicator (the
+oracle of the ball norms ``tent_decompose`` keeps); the per-radius
+ball-average maximal loop (``hl_maximal_per_radius``, the oracle of
+``hl_maximal``); the dense smoothed sup over every live scale at every
+distance (``dense_peetre_maximals``) and the brute-force max over every
+(scale, offset) pair of a stack (``brute_peetre_maximals``), the oracles
+of ``peetre_maximals``; the powered maximal function
 {M(|f|^theta)}^(1/theta) and the Fefferman-Stein vector-valued ratio
 (``fs_vector_check``); the convexified norm ``convexify_norm``; and the
 validity reports of an atom (``check_atom``: support, size, vanishing
@@ -30,7 +32,7 @@ import numpy as np
 
 from lpx import harness, kernels, transforms
 from lpx.atoms import Ball, Molecule, TentAtom
-from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, scale_to_unit_rows
+from lpx.grid import FieldStack, GridSpec, SampledFunction, ScaleGrid, scale_to_unit_rows
 from lpx.kernels import Kernel, KernelKind, ReproducingPair
 from lpx import maximal
 from lpx.maximal import DEFAULT_RADII_PER_OCTAVE, BallFamily, ball_volume, hl_maximal
@@ -68,21 +70,27 @@ def band_limited_trial(seed: int, grid: GridSpec, lo: float = 1.5, hi: float = 6
     return SampledFunction(grid, np.fft.ifftn(spectrum))
 
 
+def one_field(grid: GridSpec, scales: ScaleGrid, values) -> FieldStack:
+    """The stack of one field whose values are ``values``, ``grid.shape + (K,)``."""
+    return FieldStack(grid, scales, np.asarray(values)[None])
+
+
 def halfspace_integrate(
-    F: HalfSpaceField,
+    F: FieldStack,
     region_mask: Callable[[np.ndarray, float], np.ndarray] | np.ndarray | None = None,
     squared: bool = True,
 ) -> float:
-    """Quadrature for the measure dy dt / t^(n+1) over a masked region.
+    """Quadrature for the measure dy dt / t^(n+1) over a masked region of
+    the field F, a stack of one.
 
     The integrand is |F|^2 by default (``squared=False`` integrates |F|).
-    ``region_mask`` is either a boolean array shaped like ``F.values`` or a
+    ``region_mask`` is either a boolean array shaped like ``F.values[0]`` or a
     callable mask(distance_unused, t_k) evaluated per scale on the spatial
     coordinate mesh; ``None`` selects every cell.
     """
     grid, scales = F.grid, F.scales
     ts = scales.scales
-    mag = np.abs(F.values)
+    mag = np.abs(F.values[0])
     integrand = mag**2 if squared else mag
     per_scale_weight = grid.cell_volume * scales.log_weight / ts**grid.dim
     if region_mask is None:
@@ -105,12 +113,12 @@ def tent_mask(grid: GridSpec, scales: ScaleGrid, ball: Ball) -> np.ndarray:
     return dist[..., None] < gap.reshape((1,) * grid.dim + (-1,))
 
 
-def tent_atom_size(field: HalfSpaceField, p: float) -> float:
+def tent_atom_size(field: FieldStack, p: float) -> float:
     """L^p norm of the unit-aperture cone functional of the field."""
     return space_norm(tent_functional(field, 1.0), Lebesgue(p))
 
 
-def atom_from_field(field: HalfSpaceField, ball: Ball, coefficient: float) -> TentAtom:
+def atom_from_field(field: FieldStack, ball: Ball, coefficient: float) -> TentAtom:
     """The atom equal to ``field``, stored on its nonzero cells."""
     flat = field.values.reshape(-1)
     cells = np.flatnonzero(flat)
@@ -174,6 +182,25 @@ def dense_peetre_maximals(fs: Sequence[SampledFunction], b: float, plan: transfo
                  for a, s in enumerate(shifts[c].T)]
         gathered = envelopes[(slice(None), (rows[c] - lo).reshape((-1,) + (1,) * grid.dim), *cells)]
         np.maximum(out, gathered.max(axis=1), out=out)
+    return out
+
+
+def brute_peetre_maximals(F: FieldStack, b: float) -> np.ndarray:
+    """The sup of |F(x - y, t_k)| (1 + |y|/t_k)^(-b) over every scale t_k and
+    every offset y with torus distance |y| <= L, for each field of F: per
+    offset, one np.roll of every field's magnitudes and their product with
+    that offset's weight at each scale, folded into a zero-initialised max.
+    The weights come from their own (scale, offset) table, not from
+    ``maximal._peetre_tables``."""
+    grid = F.grid
+    dist = grid.offset_distances()
+    offsets = np.argwhere(dist <= grid.half_width)
+    weights = (1.0 + dist[tuple(offsets.T)] / F.scales.scales[:, None]) ** (-b)  # (scale, offset)
+    mags = np.abs(F.values)
+    out = np.zeros((len(mags),) + grid.shape)
+    for offset, w in zip(offsets, weights.T):
+        products = np.roll(mags, tuple(offset), axis=tuple(range(1, grid.dim + 1))) * w
+        np.maximum(out, products.max(axis=-1), out=out)
     return out
 
 

@@ -14,8 +14,8 @@ from lpx.atoms import (
     tent_decompose,
 )
 from helpers import (atom_from_field, ball_indicator, check_atom, check_molecule, count_built_atoms,
-                     default_molecule_decay, tent_atom_size, tent_mask)
-from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, pure_frequency, real_or_complex
+                     default_molecule_decay, one_field, tent_atom_size, tent_mask)
+from lpx.grid import FieldStack, GridSpec, SampledFunction, ScaleGrid, pure_frequency, real_or_complex
 from lpx.harness import trial_function
 from lpx.kernels import build_annular_kernel, calderon_companion
 from lpx.maximal import BallFamily, ball_volume
@@ -51,7 +51,7 @@ def test_real_data_stays_float64_and_complex_data_complex128():
     assert build_field(wave, plan).values.dtype == np.complex128
     mixed = build_fields([real, wave], plan)
     assert mixed.values.dtype == np.complex128
-    assert all(np.array_equal(row, build_field(f, plan).values) for f, row in zip([real, wave], mixed.values))
+    assert all(np.array_equal(row, build_field(f, plan).values[0]) for f, row in zip([real, wave], mixed.values))
     dec = tent_decompose(F, Lebesgue(2.0), BALLS)
     assert dec.atoms and all(atom.values.dtype == np.float64 for atom in dec.atoms)
     assert dec.atoms[0].field.values.dtype == np.float64 and dec.reconstruct().values.dtype == np.float64
@@ -62,7 +62,7 @@ def test_decompose_zero_field():
     # decomposition's own fields
     grid_2d = GridSpec(dim=2, half_width=2.0, points_per_axis=16)
     for grid, scales in ((GRID, SCALES), (grid_2d, ScaleGrid(t_min=1 / 8, t_max=1.0, steps_per_octave=4))):
-        F = HalfSpaceField(grid, scales, np.zeros(grid.shape + (len(scales),)))
+        F = one_field(grid, scales, np.zeros(grid.shape + (len(scales),)))
         dec = tent_decompose(F, Lebesgue(2.0))
         assert len(dec.atoms) == 0 and dec.ball_norms == [] and dec.sizes == {2.0: [], 4.0: []}
         rebuilt = dec.reconstruct()
@@ -75,7 +75,7 @@ def _containment_reference(F, area, levels):
     """The per-scale correlation loop that the batched containment test replaced."""
     grid, scales = F.grid, F.scales
     dist = grid.offset_distances()
-    out = np.full(F.values.shape, -1, dtype=int)
+    out = np.full(F.values[0].shape, -1, dtype=int)
     for li, lev in enumerate(levels):
         inside = area > lev
         if not inside.any():
@@ -96,7 +96,7 @@ def test_containment_levels_match_per_scale_reference_bitwise(dim, n, zero):
     rng = np.random.default_rng(n + dim)
     envelope = np.exp(-sum(c**2 for c in grid.coordinate_mesh()) / 0.5)
     values = rng.normal(size=grid.shape + (len(scales),)) * envelope[..., None]
-    F = HalfSpaceField(grid, scales, 0.0 * values if zero else values)
+    F = one_field(grid, scales, 0.0 * values if zero else values)
     area = tent_functional(F, 1.0).values.real
     top = math.ceil(math.log2(area.max())) if area.any() else 0
     levels = 2.0 ** np.arange(top - 12, top + 1)
@@ -122,7 +122,7 @@ def test_ball_fits_on_a_cell_distance_match_the_correlation_oracles(dim, n, cell
     scales = _on_distance_scales(grid, cells)
     rng = np.random.default_rng(7 * n + dim)
     envelope = np.exp(-sum(c**2 for c in grid.coordinate_mesh()) / 0.5)
-    F = HalfSpaceField(grid, scales, rng.normal(size=grid.shape + (len(scales),)) * envelope[..., None])
+    F = one_field(grid, scales, rng.normal(size=grid.shape + (len(scales),)) * envelope[..., None])
     area = tent_functional(F, 1.0).values
     top = math.ceil(math.log2(area.max()))
     levels = 2.0 ** np.arange(top - 12, top + 1)
@@ -196,7 +196,7 @@ def _one_piece_spectral_reference(F):
     grid, scales = F.grid, F.scales
     dist = grid.offset_distances()
     weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
-    power = np.moveaxis(np.abs(F.values) ** 2, -1, 0)
+    power = np.moveaxis(np.abs(F.values[0]) ** 2, -1, 0)
     products = [spectrum(row, grid.dim) * (spectrum((dist < t).astype(float), grid.dim) * w)
                 for row, t, w in zip(power, scales.scales, weights) if row.any() and (dist < t).any()]
     acc = np.zeros(grid.shape)
@@ -234,7 +234,7 @@ def _one_piece_functional_reference(F):
     grid, scales = F.grid, F.scales
     table = ball_spectra(grid, tuple(scales.scales))
     weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
-    power = np.moveaxis(np.abs(F.values) ** 2, -1, 0)
+    power = np.moveaxis(np.abs(F.values[0]) ** 2, -1, 0)
     keep = np.flatnonzero(power.reshape(len(power), -1).any(axis=1))
     acc = np.zeros(grid.shape)
     if len(keep):
@@ -247,7 +247,7 @@ def _one_piece_functional_reference(F):
 
 def _cells_mask(F, cells):
     """Boolean half-space mask of the flat cell indices ``cells``."""
-    mask = np.zeros(F.values.shape, dtype=bool)
+    mask = np.zeros(F.values[0].shape, dtype=bool)
     mask.reshape(-1)[cells] = True
     return mask
 
@@ -256,7 +256,7 @@ def _piece_functionals_reference(F, alpha, masks, one_piece=_one_piece_spectral_
     """One call per piece ``where(mask, F, 0)``, as ``tent_decompose`` made
     before the batched pass."""
     assert alpha == 1.0
-    pieces = [HalfSpaceField(F.grid, F.scales, np.where(m, F.values, 0.0)) for m in masks]
+    pieces = [one_field(F.grid, F.scales, np.where(m, F.values[0], 0.0)) for m in masks]
     return np.array([one_piece(p) for p in pieces]).reshape((len(masks),) + F.grid.shape)
 
 
@@ -359,7 +359,7 @@ def _field_case(dim, n, kind):
         values = values * np.where(mesh[0] > 0, 1.0, 1e-40)[..., None]
     elif kind == "faint":
         values = values * np.where(mesh[0] > 0, 1.0, 1e-200)[..., None]
-    return HalfSpaceField(grid, scales, values)
+    return one_field(grid, scales, values)
 
 
 def _fit_ball_reference(grid, balls, center, piece_mask, ts):
@@ -398,7 +398,7 @@ def _pieces_reference(F, area, balls):
     bottom = max(math.floor(math.log2(area[area > 0].min())) - 1, top - atoms.MAX_LEVELS)
     levels = 2.0 ** np.arange(bottom, top + 1)
     cell_level = atoms._containment_levels(F, area, levels)
-    support = np.abs(F.values) > 0
+    support = np.abs(F.values[0]) > 0
     pieces = []
     for li, lev in enumerate(levels):
         shell = support & (cell_level == li)
@@ -431,7 +431,7 @@ def _dense_decomposition_reference(F, space, balls, one_piece=_one_piece_spectra
     sum of coefficient times atom."""
     grid = F.grid
     ref_atoms = []
-    total = np.zeros_like(F.values)
+    total = np.zeros_like(F.values[0])
     area = one_piece(F)
     if not np.any(area > 0):
         return ref_atoms, total
@@ -446,8 +446,8 @@ def _dense_decomposition_reference(F, space, balls, one_piece=_one_piece_spectra
             for p in (2.0, 4.0)
         )
         if lam != 0.0:
-            values = np.zeros_like(F.values)
-            np.divide(F.values, lam, out=values, where=mask)
+            values = np.zeros_like(F.values[0])
+            np.divide(F.values[0], lam, out=values, where=mask)
             ref_atoms.append((ball, lam, values))
             total = total + lam * values
     return ref_atoms, total
@@ -478,11 +478,11 @@ def _assert_matches_dense_reference(dec, reference, space):
         assert atom.ball == ball
         assert np.array_equal(atom.cells, np.flatnonzero(values))
         assert atom.coefficient == pytest.approx(lam, rel=SIZE_RTOL, abs=0.0)
-        np.testing.assert_allclose(atom.field.values, values, rtol=SIZE_RTOL, atol=0.0)
+        np.testing.assert_allclose(atom.field.values[0], values, rtol=SIZE_RTOL, atol=0.0)
     assert dec.ball_norms == [space_norm(ball_indicator(grid, atom.ball), space) for atom in dec.atoms]
-    np.testing.assert_allclose(dec.reconstruct().values, ref_total, rtol=SIZE_RTOL, atol=0.0)
+    np.testing.assert_allclose(dec.reconstruct().values[0], ref_total, rtol=SIZE_RTOL, atol=0.0)
     # the reference loop reads only the grid and the atoms
-    ref_dec = types.SimpleNamespace(grid=grid, atoms=[atom_from_field(HalfSpaceField(grid, scales, values), ball, lam)
+    ref_dec = types.SimpleNamespace(grid=grid, atoms=[atom_from_field(one_field(grid, scales, values), ball, lam)
                                                       for ball, lam, values in ref_atoms])
     assert coefficient_functional(dec, space) == pytest.approx(_coefficient_functional_reference(ref_dec, space),
                                                                rel=SIZE_RTOL, abs=0.0)
@@ -675,7 +675,7 @@ def test_decomposition_is_exactly_equivariant_under_powers_of_two(trial):
         assert dec.atoms
         rebuilt, functional = dec.reconstruct().values, coefficient_functional(dec, space)
         for k in (lowest, -500, 900):
-            scaled = tent_decompose(HalfSpaceField(GRID, SCALES, np.ldexp(F.values, k)), space, BALLS)
+            scaled = tent_decompose(FieldStack(GRID, SCALES, np.ldexp(F.values, k)), space, BALLS)
             assert len(scaled.atoms) == len(dec.atoms) and scaled.ball_norms == dec.ball_norms
             for atom, other in zip(dec.atoms, scaled.atoms):
                 assert np.array_equal(atom.cells, other.cells) and np.array_equal(atom.values, other.values)
@@ -728,7 +728,7 @@ def test_piece_functionals_match_the_brute_force_and_fft_references(case):
         values = values + 1j * rng.normal(size=values.shape)
     elif kind == "underflow":  # support cells whose unit-scaled |F|^2 is 0
         values[grid.coordinate_mesh()[0] < 0] *= 1e-200
-    F = HalfSpaceField(grid, scales, values)
+    F = one_field(grid, scales, values)
     cells = rng.permutation(F.values.size)
     edges = np.cumsum([1, 2, 5, 30, 200, F.values.size // 3])
     pieces = np.split(cells, edges)
@@ -757,7 +757,7 @@ def test_piece_functionals_match_the_brute_force_and_fft_references(case):
             assert got == pytest.approx(np.take(ref, compared), rel=SIZE_RTOL, abs=0.0)
             assert got == pytest.approx(np.take(spectral, compared), rel=SIZE_RTOL, abs=0.0)
         if kind == "underflow":
-            own = [tent_atom_size(HalfSpaceField(grid, scales, np.where(_cells_mask(F, cells), F.values, 0.0)), p)
+            own = [tent_atom_size(one_field(grid, scales, np.where(_cells_mask(F, cells), F.values[0], 0.0)), p)
                    for cells in pieces]
             assert size == pytest.approx(own, rel=SIZE_RTOL, abs=0.0)
     if kind == "underflow":
@@ -771,12 +771,12 @@ def test_piece_sizes_stay_exact_where_the_squared_rows_squares_overflow():
     # at its max, so its square, S^4, overflows unless the row is scaled first
     grid = GridSpec(dim=1, half_width=2.0, points_per_axis=64)
     scales = ScaleGrid(2.0**-600, 2.0**-598, 4)
-    F = HalfSpaceField(grid, scales, np.random.default_rng(0).normal(size=grid.shape + (len(scales),)))
+    F = one_field(grid, scales, np.random.default_rng(0).normal(size=grid.shape + (len(scales),)))
     pieces = [np.arange(30), np.arange(30, F.values.size)]
     rows, _ = _chunked_functionals(F, pieces)
     assert 4 * np.log2(rows.max()) > 1024
     for size, p in zip(atoms._piece_sizes(F, *_flat(pieces)), atoms.SIZE_EXPONENTS):
-        own = [tent_atom_size(HalfSpaceField(grid, scales, np.where(_cells_mask(F, cells), F.values, 0.0)), p)
+        own = [tent_atom_size(one_field(grid, scales, np.where(_cells_mask(F, cells), F.values[0], 0.0)), p)
                for cells in pieces]
         assert size == pytest.approx(own, rel=SIZE_RTOL, abs=0.0)
 
@@ -786,7 +786,7 @@ def _mixed_complex_field():
     box, so some of its pieces are real and some complex."""
     F = random_field(4)
     imag = random_field(5).values * (GRID.coordinate_mesh()[0] > 0)[..., None]
-    return HalfSpaceField(GRID, SCALES, F.values + 1j * imag)
+    return FieldStack(GRID, SCALES, F.values + 1j * imag)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -1118,7 +1118,7 @@ def test_whitney_runs_that_wrap_or_fill_a_row_match_the_roll_reference(dim, n, c
     balls = BallFamily.build(grid, 2)
     F = _field_case(dim, n, "field")
     if case == "seam":
-        F = HalfSpaceField(grid, F.scales, np.roll(F.values, n // 2, axis=tuple(range(dim))))
+        F = FieldStack(grid, F.scales, np.roll(F.values, n // 2, axis=tuple(range(1, dim + 1))))
     area = tent_functional(F, 1.0).values.real
     levels = np.quantile(area, [0.0, 0.3, 0.6, 0.9])
     if case == "whole-grid":
@@ -1235,11 +1235,11 @@ def test_decompose_single_atom_recovery():
     ball = Ball(center=(128,), radius=2.0)
     inside = tent_mask(GRID, SCALES, ball)
     vals = np.where(inside, 1.0 + 0.0j, 0.0)
-    pre = HalfSpaceField(GRID, SCALES, vals)
+    pre = one_field(GRID, SCALES, vals)
     size = tent_atom_size(pre, 2.0)
     rhs = ball_volume(2.0, 1) ** 0.5 / space_norm(ball_indicator(GRID, ball), Lebesgue(2.0))
     lam_true = 7.0
-    F = HalfSpaceField(GRID, SCALES, lam_true * (rhs / size) * vals)
+    F = one_field(GRID, SCALES, lam_true * (rhs / size) * vals)
     dec = tent_decompose(F, Lebesgue(2.0), BALLS)
     total = sum(a.coefficient for a in dec.atoms)
     assert total == pytest.approx(lam_true, rel=3.0)  # within factor 4
@@ -1269,7 +1269,7 @@ def test_molecule_zero_mean_and_single_cell_oracle():
     vals = np.zeros((256, len(scales)), dtype=complex)
     k0, y0 = 7, 100
     vals[y0, k0] = 2.0
-    atom = atom_from_field(HalfSpaceField(GRID, scales, vals), Ball(center=(y0,), radius=4.0), 1.0)
+    atom = atom_from_field(one_field(GRID, scales, vals), Ball(center=(y0,), radius=4.0), 1.0)
     mol = synthesize_molecule(atom, pair.psi)
     t0 = scales.scales[k0]
     kern = spatial_kernel(pair.psi, t0)
@@ -1284,7 +1284,7 @@ def test_molecule_zero_mean_and_single_cell_oracle():
 def test_molecule_zero_atom():
     phi = build_annular_kernel(GRID)
     pair = calderon_companion(phi, ScaleGrid(1 / 16, 16.0, 8))
-    atom = atom_from_field(HalfSpaceField(GRID, SCALES, np.zeros((256, len(SCALES)))),
+    atom = atom_from_field(one_field(GRID, SCALES, np.zeros((256, len(SCALES)))),
                                Ball(center=(0,), radius=1.0), 0.0)
     mol = synthesize_molecule(atom, pair.psi)
     assert np.all(mol.func.values == 0)
@@ -1292,7 +1292,7 @@ def test_molecule_zero_atom():
 
 def test_molecule_rejects_kernel_on_other_grid():
     other = build_annular_kernel(GridSpec(dim=1, half_width=4.0, points_per_axis=256))
-    atom = atom_from_field(HalfSpaceField(GRID, SCALES, np.zeros((256, len(SCALES)))),
+    atom = atom_from_field(one_field(GRID, SCALES, np.zeros((256, len(SCALES)))),
                                Ball(center=(0,), radius=1.0), 0.0)
     with pytest.raises(ValueError):
         synthesize_molecule(atom, other)
@@ -1306,7 +1306,7 @@ def test_molecule_synthesis_linear():
     b = Ball(center=(128,), radius=4.0)
     a1 = atom_from_field(F1, b, 1.0)
     a2 = atom_from_field(F2, b, 1.0)
-    both = atom_from_field(HalfSpaceField(GRID, SCALES, F1.values + F2.values), b, 1.0)
+    both = atom_from_field(FieldStack(GRID, SCALES, F1.values + F2.values), b, 1.0)
     m1 = synthesize_molecule(a1, pair.psi).func.values
     m2 = synthesize_molecule(a2, pair.psi).func.values
     m12 = synthesize_molecule(both, pair.psi).func.values

@@ -1,6 +1,7 @@
 """``scripts/bench_pairs.py``'s summary of paired runs, on hand-made runs:
-the wins, ties, the two rules, ``claim_met`` and ``within_bound``, and the
-ratio's bootstrap interval."""
+the wins, ties, the two rules, ``claim_met`` and ``within_bound``, the
+ratio's bootstrap interval and the rules' readings of it, ``ci_claim`` and
+``ci_within_bound``."""
 
 import json
 from pathlib import Path
@@ -118,3 +119,28 @@ def test_ci_within_bound_holds_the_top_of_the_interval_to_the_bound(bench_pairs)
     assert _summary(bench_pairs, _scaled(STEADY))["ci_within_bound"] is True
     assert _summary(bench_pairs, [1.5 * v for v in BASE])["ci_within_bound"] is False
     assert _summary(bench_pairs, BASE, name="calibration_s")["ci_within_bound"] is None
+
+
+def test_ci_claim_needs_the_top_of_the_interval_below_one(bench_pairs):
+    # every pair won by 1 %: the medians differ by 0.1, inside the base IQR
+    # of 1.0, so no claim is met, though every resample's ratio is 0.99.  A
+    # resample takes the same pairs on both sides, and a side that wins
+    # every pair has every order statistic, its median among them, below the
+    # base's: an interval over pairs that all won never reaches 1
+    by_one_percent = _summary(bench_pairs, [0.99 * v for v in BASE])
+    assert by_one_percent["wins"] == 10 and not by_one_percent["claim_met"]
+    assert by_one_percent["ratio_ci"] == pytest.approx([0.99, 0.99]) and by_one_percent["ci_claim"] is True
+    noisy_wins = _summary(bench_pairs, _scaled([0.999, 0.9, 0.95, 0.999, 0.8, 0.99, 0.999, 0.7, 0.999, 0.9]))
+    assert noisy_wins["wins"] == 10 and noisy_wins["ratio_ci"][1] < 1.0 and noisy_wins["ci_claim"] is True
+    # 10 of 10 won past the IQR: both rules hold
+    met = _summary(bench_pairs, [v - 1.6 for v in BASE])
+    assert met["claim_met"] and met["ci_claim"] is True
+    # seven pairs won by 1 %, three lost by as much: the interval covers 1
+    mixed = _summary(bench_pairs, _scaled([0.99] * 7 + [1.01] * 3))
+    assert mixed["wins"] == 7 and mixed["ratio_ci"][0] < 1.0 <= mixed["ratio_ci"][1]
+    assert not mixed["claim_met"] and mixed["ci_claim"] is False
+    # a slower change and unchanged runs claim nothing; no interval, no verdict
+    assert _summary(bench_pairs, _scaled(STEADY))["ci_claim"] is False
+    assert _summary(bench_pairs, BASE)["ci_claim"] is False
+    zero_base = bench_pairs.summarize(_runs([0.0] * 9 + [1.0]), _runs(BASE), {"wall_s": 0.2})["wall_s"]
+    assert zero_base["ratio_ci"] is None and zero_base["ci_claim"] is None

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 import lpx
-from helpers import halfspace_integrate, indicator_box
+from helpers import halfspace_integrate, indicator_box, one_field
 from lpx import harness
 from lpx.grid import (
     CACHE_SIZE,
     FieldStack,
     GridSpec,
-    HalfSpaceField,
     SampledFunction,
     ScaleGrid,
+    checked_samples,
     concentration_defect,
     gaussian_bump,
     pure_frequency,
@@ -87,6 +87,20 @@ def test_scalegrid_rejects_narrow_range():
         ScaleGrid(t_min=1.0, t_max=8.0, steps_per_octave=2)
 
 
+def test_checked_samples_convert_then_check_the_shape_then_finiteness():
+    # complex samples without an imaginary part come back float64, read-only
+    out = checked_samples(np.array([1.0, 2.0]) + 0j, (2,), "two")
+    assert out.dtype == np.float64 and not out.flags.writeable
+    assert checked_samples([1j, 0.0], (2,), "two").dtype == np.complex128
+    # the shape is checked before the entries: a wrong shape with a NaN
+    # names the shape, and the message names the expected shape
+    with pytest.raises(ValueError, match=r"values shape \(3,\) != two"):
+        checked_samples([1.0, np.nan, 2.0], (2,), "two")
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        with pytest.raises(ValueError, match="values must be finite"):
+            checked_samples([1.0, bad], (2,), "two")
+
+
 def test_sampled_function_rejects_nan():
     g = GridSpec(dim=1, half_width=1.0, points_per_axis=8)
     vals = np.ones(8, dtype=complex)
@@ -97,23 +111,20 @@ def test_sampled_function_rejects_nan():
 
 def _constant_field(grid, scales, value=1.0):
     K = len(scales)
-    return HalfSpaceField(grid, scales, np.full(grid.shape + (K,), value, dtype=complex))
+    return one_field(grid, scales, np.full(grid.shape + (K,), value, dtype=complex))
 
 
 def test_field_and_stack_shapes_are_checked():
     g = GridSpec(dim=1, half_width=1.0, points_per_axis=16)
     sg = ScaleGrid(t_min=0.5, t_max=8.0, steps_per_octave=4)
     one = np.ones(g.shape + (len(sg),))
-    # a field is exactly one field: stacked values go to FieldStack
-    with pytest.raises(ValueError, match="values shape"):
-        HalfSpaceField(g, sg, np.stack([one, one]))
     with pytest.raises(ValueError, match=r"\(fields,\)"):
         FieldStack(g, sg, one)
     with pytest.raises(ValueError, match="finite"):
         FieldStack(g, sg, np.stack([one, np.inf * one]))
     stack = FieldStack(g, sg, np.stack([one, 2 * one]))
-    assert stack.stack is stack.values and stack.values.shape == (2,) + one.shape
-    assert _constant_field(g, sg).stack.shape == (1,) + one.shape
+    assert stack.values.shape == (2,) + one.shape and not stack.values.flags.writeable
+    assert _constant_field(g, sg).values.shape == (1,) + one.shape
 
 
 def test_halfspace_integrate_constant_full_mask():
@@ -134,7 +145,7 @@ def test_halfspace_integrate_mask_monotone():
     g = GridSpec(dim=1, half_width=4.0, points_per_axis=64)
     sg = ScaleGrid(t_min=0.5, t_max=8.0, steps_per_octave=4)
     rng = np.random.default_rng(7)
-    F = HalfSpaceField(g, sg, rng.normal(size=(64, len(sg))))
+    F = one_field(g, sg, rng.normal(size=(64, len(sg))))
 
     def small(mesh, t):
         return np.abs(mesh[0]) < 1.0
@@ -156,7 +167,7 @@ def test_halfspace_cone_integral_matches_refined_riemann():
         for k, t in enumerate(sg.scales):
             if 1.0 <= t < 2.0:
                 vals[:, k] = (np.abs(y) < 1.0).astype(float)
-        F = HalfSpaceField(g, sg, vals)
+        F = one_field(g, sg, vals)
 
         def cone(mesh, t):
             return np.abs(mesh[0]) < t

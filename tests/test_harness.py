@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from helpers import clear_fixed_input_caches, count_fixed_input_builds
+from helpers import clear_fixed_input_caches, count_fixed_input_builds, one_field
 from lpx import cli, grid as grid_mod, kernels, squarefuncs, transforms
 from lpx.errors import ConeOverflow
 from lpx.grid import (CACHE_SIZE, GridSpec, SampledFunction, ScaleGrid, concentration_defect, gaussian_bump,
@@ -23,7 +23,6 @@ from lpx.harness import (
     vanish_at_infinity_check,
 )
 from lpx.kernels import build_annular_kernel, build_kernel
-from lpx.grid import HalfSpaceField
 from lpx.maximal import hardy_norm
 from lpx.spaces import Lebesgue, Morrey, descriptor_from_json, space_norm
 from lpx.squarefuncs import g_function, g_lambda_star, lusin_area, tent_functional
@@ -189,7 +188,7 @@ def test_change_of_angle_single_cell_field_saturates():
     # the norms stop growing, so the slope stays near zero
     vals = np.zeros((256, len(ANGLE_SCALES)))
     vals[128, -1] = 1.0
-    F = HalfSpaceField(GRID, ANGLE_SCALES, vals)
+    F = one_field(GRID, ANGLE_SCALES, vals)
     norms = [tent_functional(F, a).values.real for a in (1.0, 2.0, 4.0, 8.0)]
     t_top = ANGLE_SCALES.scales[-1]
     x = GRID.axis_coordinates()
@@ -449,9 +448,8 @@ def test_many_space_pass_builds_each_blocks_operators_once(monkeypatch):
     distinct_b = list(dict.fromkeys(harness.default_peetre_exponent(1, space.floor()) for space in spaces))
     assert len(distinct_b) == 4 and len({default_lambda(space) for space in spaces}) == 4
     blocks = _block_sizes(monkeypatch, 4, EQ_GRID, EQ_SCALES)
-    calls = {"_field_values": [], "_unit_powers": [], "scale_sums": [], "peetre_maximals": [], "space_norms": []}
-    # every field build, wherever it is called from, goes through _field_values
-    for module, name in ((transforms, "_field_values"), (squarefuncs, "_unit_powers"), (harness, "scale_sums"),
+    calls = {"build_fields": [], "_unit_powers": [], "scale_sums": [], "peetre_maximals": [], "space_norms": []}
+    for module, name in ((harness, "build_fields"), (squarefuncs, "_unit_powers"), (harness, "scale_sums"),
                          (harness, "peetre_maximals"), (harness, "space_norms")):
         def spy(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name].append(args)
@@ -461,7 +459,7 @@ def test_many_space_pass_builds_each_blocks_operators_once(monkeypatch):
     assert blocks == [4, 4, 2]
     phi = build_annular_kernel(EQ_GRID)
     psi = harness.calderon_companion(phi, EQ_SCALES).psi
-    assert [(len(fs), plan.kernel) for fs, plan in calls["_field_values"]] == [
+    assert [(len(fs), plan.kernel) for fs, plan in calls["build_fields"]] == [
         (4, phi), (4, psi), (4, phi), (4, psi), (2, phi), (2, psi)]
     assert len(calls["_unit_powers"]) == 3
     # the cone table and one g*_lambda table per distinct lambda

@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from helpers import dense_peetre_maximals, fs_vector_check, hl_maximal_per_radius, indicator_box, powered_maximal
-from lpx.grid import GridSpec, HalfSpaceField, SampledFunction, ScaleGrid, gaussian_bump, pure_frequency
+from helpers import (brute_peetre_maximals, dense_peetre_maximals, fs_vector_check, hl_maximal_per_radius, indicator_box,
+                     one_field, powered_maximal)
+from lpx.grid import FieldStack, GridSpec, SampledFunction, ScaleGrid, gaussian_bump, pure_frequency
 from lpx.kernels import Kernel, KernelKind, build_annular_kernel, build_kernel, calderon_companion
 from lpx.maximal import (
     BallFamily,
@@ -196,7 +197,7 @@ def test_peetre_dominates_zero_offset(pair, psi_plan):
     grid = pair.phi.grid
     f = gaussian_bump(grid, [-0.5], 0.3)
     m = peetre_maximal(f, b=3.0, plan=psi_plan).values.real
-    F = np.abs(build_field(f, psi_plan).values)
+    F = np.abs(build_field(f, psi_plan).values[0])
     assert np.all(m >= F.max(axis=-1) - 1e-13)
 
 
@@ -208,28 +209,17 @@ def _real_slice(values: np.ndarray, plan, k: int) -> np.ndarray:
 
 
 def roll_peetre_maximal(f: SampledFunction, b: float, plan) -> np.ndarray:
-    """Reference smoothed sup: one np.roll of the stack of every scale's
-    |psi_t * f| per offset, each scale's product with its own weight, with
-    each scale's slice from its own real inverse FFT, the imaginary part of a
-    complex input done separately (independent of build_field)."""
-    grid = f.grid
-    axes = tuple(range(1, grid.dim + 1))
-    dist_grid = grid.offset_distances()
-    keep = np.argwhere(dist_grid <= grid.half_width)
-    dist = dist_grid[tuple(keep.T)]
-    mags = []
+    """Reference smoothed sup: ``brute_peetre_maximals`` on the slices
+    psi_t * f of every scale, each from its own real inverse FFT, the
+    imaginary part of a complex input done separately (independent of
+    build_field)."""
+    slices = []
     for k in range(len(plan.scales)):
         slice_k = _real_slice(f.values.real, plan, k)
         if np.iscomplexobj(f.values):
             slice_k = slice_k + 1j * _real_slice(f.values.imag, plan, k)
-        mags.append(np.abs(slice_k))
-    mags = np.stack(mags)
-    weights = (1.0 + dist / plan.scales.scales[:, None]) ** (-b)  # (scale, offset)
-    out = np.zeros(grid.shape)
-    for off, w in zip(keep, weights.T):
-        products = np.roll(mags, shift=tuple(off), axis=axes) * w.reshape((-1,) + (1,) * grid.dim)
-        np.maximum(out, products.max(axis=0), out=out)
-    return out
+        slices.append(slice_k)
+    return brute_peetre_maximals(FieldStack(f.grid, plan.scales, np.stack(slices, axis=-1)[None]), b)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -380,8 +370,8 @@ def test_peetre_maximals_match_the_dense_reference_and_the_roll_oracle_bitwise(c
 
 @pytest.mark.parametrize("case", ["1d-64", "2d-16"])
 def test_peetre_maximals_take_one_field_as_a_stack_of_one_and_a_stack_of_fields(case):
-    # the sup reads a prebuilt psi-field: one HalfSpaceField gives one row,
-    # a FieldStack one row per field, each bitwise the one-input value
+    # the sup reads a prebuilt psi-field stack, one row per field: a stack of
+    # one gives one row, each bitwise the one-input value
     dim, n, width = ORACLE_GRIDS[case]
     grid = GridSpec(dim=dim, half_width=width, points_per_axis=n)
     plan = build_plan(build_annular_kernel(grid), ScaleGrid(t_min=1 / 16, t_max=4.0, steps_per_octave=4))
@@ -394,6 +384,52 @@ def test_peetre_maximals_take_one_field_as_a_stack_of_one_and_a_stack_of_fields(
         assert one.shape == (1,) + grid.shape
         assert np.array_equal(one[0], row)
         assert np.array_equal(peetre_maximal(f, 3.0, plan=plan).values, row)
+
+
+# grids small enough for the brute-force sup on every drawn stack
+DRAWN_GRIDS = {
+    "1d-8": (GridSpec(1, 1.0, 8), ScaleGrid(1 / 8, 1 / 2, 4)),
+    "1d-16": (GridSpec(1, 2.0, 16), ScaleGrid(1 / 16, 1.0, 4)),
+    "2d-8": (GridSpec(2, 1.0, 8), ScaleGrid(1 / 8, 1 / 2, 4)),
+}
+# magnitudes drawn from few values, so that scales tie exactly
+DRAWN_LEVELS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+# a drawn field: "levels" (every (cell, scale) a level), "flat" (a level
+# per cell, tied across its scales) or "zero"; its amplitude 2^exponent,
+# from the smallest subnormal to the largest power of two; and whether its
+# entries take the phases 1, -1, i and -i, a complex row of the same magnitudes
+DRAWN_PEETRE_FIELD = st.tuples(st.sampled_from(["levels", "flat", "zero"]), st.integers(-1074, 1023), st.booleans())
+
+
+def _drawn_stack(case: str, seed: int, fields: list) -> FieldStack:
+    """The stack of the drawn fields (``DRAWN_PEETRE_FIELD``) on a drawn grid."""
+    grid, scales = DRAWN_GRIDS[case]
+    rng = np.random.default_rng(seed)
+    shape = grid.shape + (len(scales),)
+    values = []
+    for kind, exponent, complex_ in fields:
+        levels = {"levels": lambda: rng.choice(DRAWN_LEVELS, size=shape),
+                  "flat": lambda: np.repeat(rng.choice(DRAWN_LEVELS, size=grid.shape)[..., None], len(scales), -1),
+                  "zero": lambda: np.zeros(shape)}[kind]()
+        phases = rng.choice(np.array([1, -1, 1j, -1j]), size=shape) if complex_ else 1.0
+        values.append(np.ldexp(levels, exponent) * phases)
+    return FieldStack(grid, scales, np.stack(values))
+
+
+@given(F=st.builds(_drawn_stack, st.sampled_from(list(DRAWN_GRIDS)), st.integers(0, 2**16),
+                   st.lists(DRAWN_PEETRE_FIELD, min_size=1, max_size=3)),
+       b=st.sampled_from([0.5, 3.0, 9.0, 400.0]), budget=st.sampled_from([1 << 20, 1 << 10, 1 << 6]))
+@example(F=_drawn_stack("1d-8", 0, [("levels", 0, False), ("flat", -1074, True), ("zero", 1023, False)]),
+         b=400.0, budget=1 << 20)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_peetre_maximals_of_drawn_stacks_are_the_brute_force_sup_bytewise(F, b, budget):
+    # ties across scales, amplitudes across the float range (b = 400 leaves
+    # the far weights subnormal or zero), zero fields, complex rows, and
+    # budgets that split the candidate tests and the steps
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid_mod, "WORK_BYTES", budget)
+        rows = peetre_maximals(F, b)
+    assert rows.tobytes() == brute_peetre_maximals(F, b).tobytes()
 
 
 @pytest.mark.parametrize("case", ["1d-64", "2d-16"])
@@ -471,7 +507,7 @@ def test_a_subnormal_far_product_is_raised_before_the_far_test(monkeypatch):
     envelopes = (weights[:, :, None] * values.T[:, None, :]).max(axis=0)
     expected = np.max([np.roll(envelopes[min(y, 8 - y)], y) for y in range(8)], axis=0)
     assert expected[3] == weights[1, 3] * mags[1]
-    field = HalfSpaceField(grid, scales, values)
+    field = one_field(grid, scales, values)
     assert np.array_equal(peetre_maximals(field, 3.0)[0], expected)
 
 

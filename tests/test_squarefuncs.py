@@ -4,14 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
-from helpers import halfspace_integrate
+from helpers import halfspace_integrate, one_field
 from lpx import grid as grid_mod, squarefuncs
 from lpx.errors import LambdaTooSmall
 from lpx.grid import (
     CACHE_SIZE,
     FieldStack,
     GridSpec,
-    HalfSpaceField,
     SampledFunction,
     ScaleGrid,
     gaussian_bump,
@@ -33,7 +32,7 @@ def plan():
 
 
 def test_tent_functional_zero_field():
-    F = HalfSpaceField(GRID, SCALES, np.zeros((1024, len(SCALES))))
+    F = one_field(GRID, SCALES, np.zeros((1024, len(SCALES))))
     assert np.all(tent_functional(F, 1.0).values == 0.0)
 
 
@@ -41,7 +40,7 @@ def test_tent_functional_matches_halfspace_integrate_pointwise():
     rng = np.random.default_rng(0)
     grid = GridSpec(dim=1, half_width=4.0, points_per_axis=64)
     scales = ScaleGrid(0.25, 4.0, 4)
-    F = HalfSpaceField(grid, scales, rng.normal(size=(64, len(scales))))
+    F = one_field(grid, scales, rng.normal(size=(64, len(scales))))
     out = tent_functional(F, 1.0)
     # direct masked quadrature at a few sample points
     for i in (0, 10, 33):
@@ -67,7 +66,7 @@ def test_tent_functional_indicator_refined_oracle():
         for k, t in enumerate(scales.scales):
             if 1.0 <= t < 2.0:
                 vals[:, k] = (np.abs(y) < 1.0).astype(float)
-        F = HalfSpaceField(grid, scales, vals)
+        F = one_field(grid, scales, vals)
         out = tent_functional(F, 1.0)
         return out.values.real[np.argmin(np.abs(y))] ** 2
 
@@ -78,7 +77,7 @@ def test_tent_functional_monotone_in_aperture():
     rng = np.random.default_rng(1)
     grid = GridSpec(dim=1, half_width=4.0, points_per_axis=128)
     scales = ScaleGrid(0.125, 2.0, 4)
-    F = HalfSpaceField(grid, scales, rng.normal(size=(128, len(scales))))
+    F = one_field(grid, scales, rng.normal(size=(128, len(scales))))
     a1 = tent_functional(F, 1.0).values.real
     a2 = tent_functional(F, 2.0).values.real
     assert np.all(a2 >= a1 - 1e-12)
@@ -130,7 +129,7 @@ def test_square_functions_are_homogeneous_over_the_float_range(plan, amplitude):
     # unscaled, |F|^2 underflowed to 0 below about 1e-160 (S, g and g*_lambda
     # were exactly 0) and overflowed to inf above about 1e154
     F = build_field(gaussian_bump(GRID, [0.0], 0.4), plan)
-    scaled = HalfSpaceField(GRID, SCALES, amplitude * F.values)
+    scaled = FieldStack(GRID, SCALES, amplitude * F.values)
     for op in (lusin_area, g_function, lambda G: g_lambda_star(G, 2.5)):
         ref, out = op(F).values, op(scaled).values
         assert np.max(np.abs(out / amplitude - ref)) <= 2e-15 * ref.max()
@@ -200,7 +199,7 @@ def test_g_below_weighted_column_bound(plan):
     f = gaussian_bump(GRID, [0.1], 0.3)
     F = build_field(f, plan)
     gs = g_lambda_star(F, 2.0).values.real
-    col = np.abs(F.values) ** 2
+    col = np.abs(F.values[0]) ** 2
     ts = SCALES.scales
     contrib = (col * (GRID.cell_volume / ts**GRID.dim) * SCALES.log_weight).sum(axis=-1)
     assert np.all(gs**2 >= contrib - 1e-14)
@@ -234,7 +233,7 @@ def _tent_reference(F, alpha):
     """The per-scale correlation loop that the batched path replaced."""
     grid, scales = F.grid, F.scales
     dist = grid.offset_distances()
-    power = np.abs(F.values) ** 2
+    power = np.abs(F.values[0]) ** 2
     acc = np.zeros(grid.shape)
     weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
     for k, t in enumerate(scales.scales):
@@ -250,7 +249,7 @@ def _gstar_reference(F, lam):
     """The per-scale correlation loop that the batched path replaced."""
     grid, scales = F.grid, F.scales
     dist = grid.offset_distances()
-    power = np.abs(F.values) ** 2
+    power = np.abs(F.values[0]) ** 2
     acc = np.zeros(grid.shape)
     lw = scales.log_weight * grid.cell_volume
     for k, t in enumerate(scales.scales):
@@ -284,7 +283,7 @@ def _tent_spectral_reference(F, alpha):
     dist = grid.offset_distances()
     kernels = [(dist < alpha * t).astype(float) for t in scales.scales]
     weights = grid.cell_volume * scales.log_weight / scales.scales**grid.dim
-    return _spectral_sum_reference(np.moveaxis(np.abs(F.values) ** 2, -1, 0), kernels, weights)
+    return _spectral_sum_reference(np.moveaxis(np.abs(F.values[0]) ** 2, -1, 0), kernels, weights)
 
 
 def _gstar_spectral_reference(F, lam):
@@ -293,7 +292,7 @@ def _gstar_spectral_reference(F, lam):
     kernels = [(t / (t + dist)) ** (lam * grid.dim) for t in scales.scales]
     lw = scales.log_weight * grid.cell_volume
     weights = [lw / t**grid.dim for t in scales.scales]
-    return _spectral_sum_reference(np.moveaxis(np.abs(F.values) ** 2, -1, 0), kernels, weights)
+    return _spectral_sum_reference(np.moveaxis(np.abs(F.values[0]) ** 2, -1, 0), kernels, weights)
 
 
 # the frequency-space scale sum against the spatial per-scale loop, as a
@@ -325,7 +324,7 @@ def _oracle_field(grid, scales, kind):
         values[..., :5] = 0.0
     elif kind == "zero":
         values[...] = 0.0
-    return HalfSpaceField(grid, scales, values)
+    return one_field(grid, scales, values)
 
 
 @pytest.mark.parametrize("kind", ["noise", "zeroed-slices", "zero"])
@@ -354,8 +353,8 @@ def _rows_bytes(grid, rows):
 def test_field_stack_operators_match_spectral_reference_bitwise(case, chunk, monkeypatch):
     grid, scales = ORACLE_GRIDS[case]
     fields = [_oracle_field(grid, scales, kind) for kind in ("noise", "zero", "zeroed-slices")]
-    fields.append(HalfSpaceField(grid, scales, 1e-3 * fields[0].values[..., ::-1].real))
-    stack = FieldStack(grid, scales, np.stack([F.values for F in fields]))
+    fields.append(FieldStack(grid, scales, 1e-3 * fields[0].values[..., ::-1].real))
+    stack = FieldStack(grid, scales, np.concatenate([F.values for F in fields]))
     if chunk is not None:
         monkeypatch.setattr(grid_mod, "WORK_BYTES", _rows_bytes(grid, chunk))
     for alpha in (0.5, 1.0, 2.0):
@@ -370,8 +369,8 @@ def test_field_stack_operators_match_spectral_reference_bitwise(case, chunk, mon
 def test_field_stack_operators_match_one_field_calls_bitwise(case, monkeypatch):
     grid, scales = ORACLE_GRIDS[case]
     fields = [_oracle_field(grid, scales, kind) for kind in ("noise", "zeroed-slices", "zero")]
-    fields.append(HalfSpaceField(grid, scales, 1e-3 * fields[0].values[..., ::-1]))
-    stack = FieldStack(grid, scales, np.stack([F.values for F in fields]))
+    fields.append(FieldStack(grid, scales, 1e-3 * fields[0].values[..., ::-1]))
+    stack = FieldStack(grid, scales, np.concatenate([F.values for F in fields]))
     # a budget that ends mid-field: batches of two whole fields
     monkeypatch.setattr(grid_mod, "WORK_BYTES", _rows_bytes(grid, 2 * len(scales) + 3))
     for alpha in (0.0, 1.0, 2.0):
@@ -386,10 +385,26 @@ def test_field_stack_operators_match_one_field_calls_bitwise(case, monkeypatch):
         assert np.array_equal(row, g_function(F).values.real)
     with pytest.raises(LambdaTooSmall):
         scale_sums(stack, [gstar_spectra(grid, scales, 1.0)])
-    # a stack handed to a one-field operator is refused, not read as its first field
-    for singular in (lambda F: tent_functional(F, 1.0), lusin_area, g_function, lambda F: g_lambda_star(F, 1.5)):
-        with pytest.raises(TypeError, match="FieldStack"):
-            singular(stack)
+
+
+ONE_FIELD_FORMS = {
+    "tent_functional": lambda F: tent_functional(F, 1.0),
+    "lusin_area": lusin_area,
+    "g_function": g_function,
+    "g_lambda_star": lambda F: g_lambda_star(F, 1.5),
+}
+
+
+@pytest.mark.parametrize("form", list(ONE_FIELD_FORMS))
+def test_the_one_field_forms_refuse_every_stack_but_a_stack_of_one(form):
+    # a stack of two (or none) handed to a one-field form is refused, not
+    # read as its first field; a stack of one gives its one row
+    grid, scales = ORACLE_GRIDS["1d-64"]
+    F, op = _oracle_field(grid, scales, "noise"), ONE_FIELD_FORMS[form]
+    for values in (np.concatenate([F.values, F.values]), F.values[:0]):
+        with pytest.raises(ValueError, match="stack of one field, got"):
+            op(FieldStack(grid, scales, values))
+    assert op(F).values.shape == grid.shape
 
 
 def _trial_stack(grid, scales, trials):
@@ -400,7 +415,7 @@ def _trial_stack(grid, scales, trials):
 
 def _oracle_stack(case, kinds):
     grid, scales = ORACLE_GRIDS[case]
-    return FieldStack(grid, scales, np.stack([_oracle_field(grid, scales, kind).values for kind in kinds]))
+    return FieldStack(grid, scales, np.concatenate([_oracle_field(grid, scales, kind).values for kind in kinds]))
 
 
 SCALE_SUMS_CASES = {
@@ -411,7 +426,7 @@ SCALE_SUMS_CASES = {
     # its rows by an ulp
     "1d-512-2-trials": lambda: _trial_stack(GridSpec(1, 8.0, 512), ScaleGrid(1 / 16, 16.0, 8), 2),
     "2d-32": lambda: _oracle_stack("2d-32", ["noise", "zeroed-slices"]),
-    "complex": lambda: FieldStack(*ORACLE_GRIDS["1d-64"], _oracle_field(*ORACLE_GRIDS["1d-64"], "noise").values[None]),
+    "complex": lambda: _oracle_field(*ORACLE_GRIDS["1d-64"], "noise"),
     "zero-field": lambda: _oracle_stack("1d-64", ["noise", "zero", "zeroed-slices"]),
 }
 
@@ -424,12 +439,12 @@ def test_scale_sums_rows_are_the_one_table_rows_bitwise(case):
     spectra = {"cone": cone_spectra, "gstar": gstar_spectra}
     # g, the last row, is the log-weighted sum of the unit powers over the
     # contiguous scale axis, scaled back: bitwise whatever tables ride along
-    power, exps = squarefuncs._unit_powers(F.stack)
+    power, exps = squarefuncs._unit_powers(F.values)
     g = np.ldexp(np.sqrt(np.sum(power, axis=-1) * scales.log_weight), exps.reshape((-1,) + (1,) * grid.dim))
     assert np.array_equal(scale_sums(F, [])[-1], g)
     for picks in (params[:2], params[2:4] + params[:1], params):  # cone 1 and g* 1.5 both last once and not last once
         rows = scale_sums(F, [spectra[kind](grid, scales, v) for kind, v in picks])
-        assert rows.shape == (len(picks) + 1, len(F.stack)) + grid.shape
+        assert rows.shape == (len(picks) + 1, len(F.values)) + grid.shape
         assert np.array_equal(rows[-1], g)
         for (kind, v), row in zip(picks, rows):
             assert np.array_equal(row, scale_sums(F, [spectra[kind](grid, scales, v)])[0]), (kind, v)
@@ -475,7 +490,7 @@ def test_scale_sums_batches_of_mixed_fields_are_the_one_field_calls_bytewise(cas
     # one batch of every field's rows at every scale, or one per field of all its scales
     assert batches == ([len(values) * len(scales)] if budget == "default" else [len(scales)] * len(values))
     for i, field in enumerate(values):
-        assert rows[:, i].tobytes() == scale_sums(HalfSpaceField(grid, scales, field), tables)[:, 0].tobytes(), i
+        assert rows[:, i].tobytes() == scale_sums(one_field(grid, scales, field), tables)[:, 0].tobytes(), i
 
 
 # a drawn field: real or complex noise, times 2^exponent, with this share of
@@ -508,7 +523,7 @@ def test_scale_sums_rows_of_drawn_stacks_are_the_one_field_calls_bytewise(case, 
         patch.setattr(grid_mod, "WORK_BYTES", _rows_bytes(grid, per_batch * len(scales)))
         rows = scale_sums(FieldStack(grid, scales, np.stack(values)), tables)
     for i, ((_, exponent, _), field) in enumerate(zip(fields, values)):
-        F = HalfSpaceField(grid, scales, field)
+        F = one_field(grid, scales, field)
         assert rows[:, i].tobytes() == scale_sums(F, tables)[:, 0].tobytes(), i
         if abs(exponent) <= REFERENCE_EXPONENT:
             assert np.array_equal(rows[0, i], _tent_spectral_reference(F, alpha)), i
@@ -642,7 +657,7 @@ def test_cone_functional_at_aperture_zero_is_positive_zero(case):
     # scale sum runs those rows and must still give +0.0, with no sign bit
     grid, scales = ORACLE_GRIDS[case]
     F = _oracle_field(grid, scales, "noise")
-    stack = FieldStack(grid, scales, np.stack([F.values, -3.0 * F.values.real, np.zeros_like(F.values)]))
+    stack = FieldStack(grid, scales, np.concatenate([F.values, -3.0 * F.values.real, np.zeros_like(F.values)]))
     for rows in (tent_functional(F, 0.0).values, scale_sums(stack, [cone_spectra(grid, scales, 0.0)])[0]):
         assert np.all(rows == 0.0) and not np.signbit(rows).any()
 

@@ -71,7 +71,8 @@ def test_build_field_matches_per_scale_reference_bitwise(which, complex_input, r
         values = values + 1j * rng.normal(size=plan.grid.shape)
     f = SampledFunction(plan.grid, values)
     F = build_field(f, plan)
-    assert np.array_equal(F.values, _field_reference(f, plan))
+    assert F.values.shape == (1,) + plan.grid.shape + (len(plan.scales),)  # a stack of one
+    assert np.array_equal(F.values[0], _field_reference(f, plan))
     # the scale axis is innermost in memory, as in the per-scale filled array, so
     # reductions over it (g_function's sum) keep their summation order
     assert F.values.flags.c_contiguous
@@ -100,9 +101,9 @@ def test_build_fields_rows_are_the_one_input_fields_bitwise(which, request):
           SampledFunction(plan.grid, np.zeros(plan.grid.shape))]
     F = build_fields(fs, plan)
     assert F.values.shape == (3,) + plan.grid.shape + (len(plan.scales),)
-    assert F.values.flags.c_contiguous and F.stack.shape == F.values.shape
+    assert F.values.flags.c_contiguous
     for f, row in zip(fs, F.values):
-        assert np.array_equal(row, build_field(f, plan).values)
+        assert np.array_equal(row, build_field(f, plan).values[0])
         assert np.array_equal(row, _field_reference(f, plan))
 
 
@@ -138,14 +139,14 @@ def test_delta_convolution_matches_spatial_kernel(plan):
 def test_build_field_shape_and_zero(plan):
     zero = SampledFunction(GRID, np.zeros(512))
     F = build_field(zero, plan)
-    assert F.values.shape == (512, len(SCALES))
+    assert F.values.shape == (1, 512, len(SCALES))
     assert np.all(F.values == 0)
 
 
 def test_field_modulus_constant_for_pure_frequency(plan):
     f = pure_frequency(GRID, [40])
     F = build_field(f, plan)
-    mods = np.abs(F.values)
+    mods = np.abs(F.values[0])
     assert np.allclose(mods, mods[:1, :], atol=1e-12)
 
 
@@ -156,7 +157,7 @@ def test_plancherel_per_scale(plan):
     spectrum = np.fft.fft(f.values)
     n = GRID.points_per_axis
     for k in (0, 17, 40):
-        lhs = np.sum(np.abs(F.values[:, k]) ** 2) * GRID.cell_volume
+        lhs = np.sum(np.abs(F.values[0, :, k]) ** 2) * GRID.cell_volume
         rhs = np.sum(np.abs(spectrum * plan.multipliers[k]) ** 2) * GRID.cell_volume / n**2 * n
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
